@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.basecalling.types import BasecalledChunk, BasecalledRead
-from repro.genomics import alphabet
 from repro.kernels.viterbi import (
     event_emissions,
     viterbi_forward,
@@ -160,7 +159,7 @@ class ViterbiBasecaller:
         means = np.asarray(means, dtype=np.float64)
         dwells = np.asarray(dwells, dtype=np.float64)
         if means.size == 0:
-            return BasecalledRead(read_id=read_id, bases="", qualities=np.empty(0), n_chunks=1)
+            return BasecalledRead(read_id=read_id, codes="", qualities=np.empty(0), n_chunks=1)
         emissions = event_emissions(
             means, dwells, self._model.levels, self._sigma, self._log_sigma
         )
@@ -175,20 +174,19 @@ class ViterbiBasecaller:
     ) -> BasecalledRead:
         """Collapse a state path + score matrix into a BasecalledRead."""
         if path.size == 0:
-            return BasecalledRead(read_id=read_id, bases="", qualities=np.empty(0), n_chunks=1)
+            return BasecalledRead(read_id=read_id, codes="", qualities=np.empty(0), n_chunks=1)
         k = self._model.k
 
         # Collapse stays: a new base is emitted whenever the state changes.
         moved = np.concatenate(([True], path[1:] != path[:-1]))
         # The first state contributes k bases; each move contributes the
         # newly shifted-in base (bottom 2 bits of the new state).
-        first_kmer = alphabet.int_to_kmer(int(path[0]), k)
+        first_kmer = (int(path[0]) >> np.arange(2 * (k - 1), -1, -2)) & 3
         move_positions = np.nonzero(moved)[0][1:]
-        appended = (path[move_positions] & 3).astype(np.uint8)
-        bases = first_kmer + alphabet.decode(appended)
+        codes = np.concatenate((first_kmer, path[move_positions] & 3)).astype(np.uint8)
 
-        qualities = self._base_qualities(scores, path, move_positions, len(bases))
-        return BasecalledRead(read_id=read_id, bases=bases, qualities=qualities, n_chunks=1)
+        qualities = self._base_qualities(scores, path, move_positions, codes.size)
+        return BasecalledRead(read_id=read_id, codes=codes, qualities=qualities, n_chunks=1)
 
     def basecall_signal(self, signal: RawSignal, read_id: str = "viterbi-read") -> BasecalledRead:
         """Convenience wrapper over :meth:`basecall` for RawSignal."""
@@ -215,7 +213,7 @@ class ViterbiBasecaller:
             chunks.append(
                 BasecalledChunk(
                     chunk_index=index,
-                    bases=called.bases,
+                    codes=called.codes,
                     qualities=called.qualities,
                     n_true_bases=end - start,
                 )

@@ -103,7 +103,11 @@ class CMRPolicyProtocol(Protocol):
     """
 
     def merged_chunk_indices(self, n_chunks: int) -> list[int]:
-        """Chunk indices merged before the chaining check."""
+        """Chunk indices merged before the chaining check.
+
+        Must be a non-empty prefix ``0..m-1`` of the read's chunks: the
+        merge set is seeded as one contiguous run.
+        """
         ...
 
     def decide(self, chain_score: float, merged_bases: int) -> "CMRDecision":

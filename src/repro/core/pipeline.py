@@ -5,10 +5,14 @@ Functional model of the paper's Fig. 6 control flow:
 1. basecall the ``N_qs`` evenly-sampled chunks, check QSR -> maybe stop;
 2. basecall the first ``N_cm`` chunks, merge, seed + chain, check CMR ->
    maybe stop;
-3. basecall the remaining chunks (each chunk is seeded as it appears,
-   with a (k + w - 2)-base context overlap so that chunked seeding finds
-   *exactly* the anchors whole-read seeding finds); final chaining +
-   alignment produce the mapping result.
+3. basecall the remaining chunks and seed them as one run, with a
+   (k + w - 2)-base context overlap so that run seeding finds *exactly*
+   the anchors whole-read seeding finds; final chaining + alignment
+   produce the mapping result.
+
+Called bases stay 2-bit code arrays from the basecaller to the mapper,
+and the mapper is fed once per stage (the CMR merge set, then the
+remainder), not once per chunk.
 
 The :class:`ConventionalPipeline` (basecall everything -> read-level QC
 -> map) is provided for equivalence testing and as the software baseline
@@ -40,7 +44,6 @@ from repro.core.backends import (
 )
 from repro.core.config import GenPIPConfig
 from repro.core.early_rejection import CMRDecision, CMRPolicy, QSRDecision, QSRPolicy
-from repro.genomics import alphabet
 from repro.mapping.index import MinimizerIndex
 from repro.mapping.mapper import IncrementalChunkMapper, MapperConfig, MappingResult
 from repro.nanopore.read_simulator import SimulatedRead
@@ -337,25 +340,33 @@ class GenPIPPipeline:
         chunk_mapper = IncrementalChunkMapper(
             self._index, read_length=len(read), config=self._mapper_config
         )
-        seeded: set[int] = set()
+        # Seeded chunks are always a prefix of the read: how many, and
+        # their length in called bases (indel errors shift chunk
+        # boundaries, so offsets are cumulative called lengths).
+        n_seeded = 0
+        seeded_bases = 0
         if cfg.enable_cmr and er_eligible:
             with tracer.span("cmr_probe"):
-                merged_indices = self._cmr.merged_chunk_indices(n_chunks)
-                for i in merged_indices:
-                    basecall(i)
-                self._reindex_mapper(chunk_mapper, called, merged_indices, seeded)
+                merged_indices = list(self._cmr.merged_chunk_indices(n_chunks))
+                if not merged_indices or merged_indices != list(range(len(merged_indices))):
+                    raise ValueError(
+                        "the CMR policy must merge a non-empty prefix 0..m-1 of the "
+                        f"read's chunks, got {merged_indices}"
+                    )
+                merged = np.concatenate([basecall(i).codes for i in merged_indices])
+                self._seed_run(chunk_mapper, merged, 0)
+                n_seeded, seeded_bases = len(merged_indices), merged.size
                 primary, _ = chunk_mapper.chain_prefix()
-                merged_bases = sum(len(called[i]) for i in merged_indices)
                 score = primary.score if primary is not None else 0.0
                 n_chain_invocations += 1
-                cmr_decision = self._cmr.decide(score, merged_bases)
+                cmr_decision = self._cmr.decide(score, merged.size)
             if cmr_decision.reject:
                 return self._outcome(
                     read,
                     ReadStatus.REJECTED_CMR,
                     n_chunks,
                     called,
-                    n_chunks_seeded=len(seeded),
+                    n_chunks_seeded=n_seeded,
                     n_chain_invocations=n_chain_invocations,
                     aligned=False,
                     ser=ser_decision,
@@ -364,11 +375,9 @@ class GenPIPPipeline:
                 )
 
         # --- Stage 3: basecall + seed the remaining chunks (Fig. 6 (6b)-(7)).
-        for i in range(n_chunks):
-            basecall(i)
-        self._reindex_mapper(chunk_mapper, called, range(n_chunks), seeded)
-
-        full_read = reassemble_chunks(read.read_id, [called[i] for i in range(n_chunks)])
+        full_read = reassemble_chunks(read.read_id, [basecall(i) for i in range(n_chunks)])
+        if n_seeded < n_chunks:
+            self._seed_run(chunk_mapper, full_read.codes, seeded_bases)
 
         # Read-level quality control applies when QSR is off (QSR *is*
         # the quality filter when enabled).
@@ -378,16 +387,15 @@ class GenPIPPipeline:
                 ReadStatus.FAILED_QC,
                 n_chunks,
                 called,
-                n_chunks_seeded=len(seeded),
+                n_chunks_seeded=n_chunks,
                 n_chain_invocations=n_chain_invocations,
                 aligned=False,
                 mean_quality=full_read.mean_quality,
                 ser=ser_decision,
             )
 
-        read_codes = alphabet.encode(full_read.bases)
-        chunk_mapper.set_read_length(read_codes.size)
-        mapping = chunk_mapper.finalize(read.read_id, read_codes, align=self._align)
+        chunk_mapper.set_read_length(len(full_read))
+        mapping = chunk_mapper.finalize(read.read_id, full_read.codes, align=self._align)
         n_chain_invocations += 1
         status = ReadStatus.MAPPED if mapping.mapped else ReadStatus.UNMAPPED
         with tracer.span("report"):
@@ -396,7 +404,7 @@ class GenPIPPipeline:
                 status,
                 n_chunks,
                 called,
-                n_chunks_seeded=len(seeded),
+                n_chunks_seeded=n_chunks,
                 n_chain_invocations=n_chain_invocations,
                 aligned=mapping.alignment is not None,
                 mean_quality=full_read.mean_quality,
@@ -410,49 +418,20 @@ class GenPIPPipeline:
         """Basecall every chunk of a read (oracle/recovery helper)."""
         return self._basecaller.basecall_read(read, self._config.chunk_size)
 
-    def _reindex_mapper(
-        self,
-        chunk_mapper: IncrementalChunkMapper,
-        called: dict[int, BasecalledChunk],
-        indices,
-        seeded: set[int],
+    def _seed_run(
+        self, chunk_mapper: IncrementalChunkMapper, prefix_codes: np.ndarray, seeded_bases: int
     ) -> None:
-        """Seed not-yet-seeded chunks, in order, with context overlap.
+        """Seed the not-yet-seeded run of a called prefix in one mapper call.
 
-        Chunk boundaries in *called-base* coordinates shift with indel
-        errors, so offsets are the cumulative called lengths. Each chunk
-        after the first is seeded with the previous chunk's trailing
-        ``k + w - 2`` bases prepended, making the union of chunk anchors
-        exactly equal to whole-read anchors (deduplicated downstream).
+        ``prefix_codes`` are the called bases of chunks ``0..j``, the
+        first ``seeded_bases`` of which an earlier run already seeded.
+        The run goes in with the ``k + w - 2`` bases before it
+        prepended, so every w-window of k-mers lies inside one run and
+        the union of run anchors equals the whole-read anchors (the
+        mapper drops the duplicates from the overlap when it gathers).
         """
-        ordered = sorted(set(indices))
-        # Seeding must proceed in order; offsets need all prior chunks.
-        offsets: dict[int, int] = {}
-        acc = 0
-        max_index = max(ordered) if ordered else -1
-        for i in range(max_index + 1):
-            offsets[i] = acc
-            if i in called:
-                acc += len(called[i])
-        for i in ordered:
-            if i in seeded or i not in called:
-                continue
-            # Contiguity guard: only seed when all earlier chunks are
-            # called (offsets would otherwise be wrong). The pipeline
-            # always satisfies this for CMR (chunks 0..N_cm-1) and the
-            # final pass (all chunks).
-            if any(j not in called for j in range(i)):
-                continue
-            chunk = called[i]
-            codes = alphabet.encode(chunk.bases)
-            offset = offsets[i]
-            if i > 0 and self._seed_overlap > 0:
-                prev = alphabet.encode(called[i - 1].bases)
-                context = prev[-self._seed_overlap :]
-                codes = np.concatenate([context, codes])
-                offset -= context.size
-            chunk_mapper.add_chunk(codes, read_offset=offset)
-            seeded.add(i)
+        start = max(seeded_bases - self._seed_overlap, 0)
+        chunk_mapper.add_chunk(prefix_codes[start:], read_offset=start)
 
     def _outcome(
         self,

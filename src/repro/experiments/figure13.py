@@ -20,7 +20,6 @@ from repro.core.pipeline import ReadStatus
 from repro.experiments import paper_values
 from repro.experiments.context import get_context
 from repro.experiments.figure12 import SensitivityPoint
-from repro.genomics import alphabet
 from repro.mapping.mapper import IncrementalChunkMapper
 
 
@@ -89,7 +88,7 @@ def run_figure13(
                 merged_bases = 0
                 for i in indices:
                     chunk = caller.basecall_chunk(read, i, chunk_size)
-                    mapper.add_chunk(alphabet.encode(chunk.bases), read_offset=offset)
+                    mapper.add_chunk(chunk.codes, read_offset=offset)
                     offset += len(chunk)
                     merged_bases += len(chunk)
                 primary, _ = mapper.chain_prefix()

@@ -160,9 +160,10 @@ class IncrementalChunkMapper:
         self._read_length = int(read_length)
 
     def add_chunk(self, chunk_codes: np.ndarray, read_offset: int) -> int:
-        """Seed one basecalled chunk (global read offset in bases).
+        """Seed one chunk, or one run of consecutive chunks, of the read.
 
-        Returns the number of anchors the chunk contributed.
+        ``read_offset`` is where ``chunk_codes`` starts in the read, in
+        called bases. Returns the number of anchors contributed.
         """
         with active_tracer().span("seed"):
             grouped = collect_anchor_arrays(
@@ -193,9 +194,9 @@ class IncrementalChunkMapper:
                 if strand == -1:
                     arr = arr.copy()
                     arr[:, 1] = self._read_length - k - arr[:, 1]
-                arr = np.unique(arr, axis=0)  # overlap-seeded duplicates
-                order = np.lexsort((arr[:, 1], arr[:, 0]))
-                out[strand] = arr[order]
+                # Drops overlap-seeded duplicates and leaves the rows in
+                # (ref_pos, read_pos) order, which chaining requires.
+                out[strand] = np.unique(arr, axis=0)
             else:
                 out[strand] = np.empty((0, 2), dtype=np.int64)
         self._gathered_cache = out

@@ -61,8 +61,8 @@ def collect_anchor_arrays(
         2-bit codes of the (chunk of the) read to seed.
     read_offset:
         Offset of ``read_codes`` within the full read -- this is how the
-        chunk-based pipeline seeds chunk-by-chunk while keeping global
-        read coordinates.
+        chunk-based pipeline seeds one run of chunks at a time while
+        keeping global read coordinates.
     read_length:
         Full read length, used to flip coordinates of reverse-strand
         anchors onto the reverse-complemented read (minimap2's

@@ -336,6 +336,22 @@ class TestBuilder:
         assert eligible
         assert all(o.status is ReadStatus.REJECTED_QSR for o in eligible)
 
+    def test_cmr_policy_must_merge_a_chunk_prefix(self, micro_index, micro_dataset):
+        class SkipsAChunk(CMRPolicy):
+            def merged_chunk_indices(self, n_chunks):
+                return [0, 2]
+
+        system = (
+            GenPIP.build()
+            .index(micro_index)
+            .config(GenPIPConfig(enable_qsr=False))
+            .cmr_policy(SkipsAChunk(theta_cm=0.1, n_cm=2))
+            .align(False)
+            .build()
+        )
+        with pytest.raises(ValueError, match="prefix"):
+            system.pipeline.process_read(max(micro_dataset.reads, key=len))
+
 
 class TestConventionalPipelineAlign:
     def test_align_is_forwarded(self, micro_index, micro_dataset):

@@ -10,6 +10,8 @@ from repro.basecalling import (
     SurrogateBasecaller,
     SurrogateConfig,
     chunk_bounds,
+    chunk_count,
+    chunk_span,
     reassemble_chunks,
 )
 from repro.genomics.mutate import ErrorProfile
@@ -57,6 +59,21 @@ class TestChunkBounds:
             assert a1 - a0 == chunk
         assert all(end > start for start, end in bounds)
 
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=700))
+    @settings(max_examples=60)
+    def test_closed_form_matches_the_loop(self, total, chunk):
+        loop = [(s, min(s + chunk, total)) for s in range(0, total, chunk)] or [(0, 0)]
+        assert chunk_count(total, chunk) == len(loop)
+        assert [chunk_span(total, chunk, i) for i in range(len(loop))] == loop
+        assert chunk_bounds(total, chunk) == loop
+
+    def test_span_index_out_of_range(self):
+        for index in (-1, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                chunk_span(900, 300, index)
+        with pytest.raises(ValueError):
+            chunk_count(100, 0)
+
 
 class TestBasecalledChunk:
     def test_sum_quality_is_sqs(self):
@@ -72,6 +89,29 @@ class TestBasecalledChunk:
         chunk = BasecalledChunk(0, "", np.empty(0), 0)
         assert chunk.mean_quality == 0.0
         assert chunk.sum_quality == 0.0
+        assert len(chunk) == 0 and chunk.bases == ""
+
+    def test_codes_and_lazy_bases_round_trip(self):
+        codes = np.array([0, 1, 2, 3, 3, 0], dtype=np.uint8)
+        from_codes = BasecalledChunk(0, codes, np.arange(6.0), 6)
+        from_text = BasecalledChunk(0, "ACGTTA", np.arange(6.0), 6)
+        assert from_codes.codes is codes, "a uint8 code array is kept, not copied"
+        assert "bases" not in vars(from_codes), "text is rendered on first use only"
+        assert from_codes.bases == "ACGTTA"
+        assert from_text.codes.dtype == np.uint8
+        np.testing.assert_array_equal(from_text.codes, codes)
+        assert len(from_codes) == len(from_text) == 6
+
+    def test_code_array_quality_shape_validated(self):
+        codes = np.zeros(4, dtype=np.uint8)
+        with pytest.raises(ValueError):
+            BasecalledChunk(0, codes, np.zeros(3), 4)
+        with pytest.raises(ValueError):
+            BasecalledChunk(0, codes.reshape(2, 2), np.zeros((2, 2)), 4)
+
+    def test_invalid_text_rejected(self):
+        with pytest.raises(ValueError):
+            BasecalledChunk(0, "ACGN", np.zeros(4), 4)
 
 
 class TestReassembly:
@@ -102,6 +142,8 @@ class TestReassembly:
         ]
         read = reassemble_chunks("r", chunks)
         assert read.bases == "ACGT"
+        np.testing.assert_array_equal(read.codes, [0, 1, 2, 3])
+        assert len(read) == 4
         np.testing.assert_allclose(read.qualities, [1, 2, 3, 4])
         assert read.n_chunks == 2
 

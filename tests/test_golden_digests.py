@@ -1,0 +1,117 @@
+"""Byte-identity of outcome records against digests committed from PR 13.
+
+``golden_digests.json`` holds the sha-256 of the ordered
+``outcome_to_record`` stream of four seeded read sets, taken on the
+commit *before* seeding moved from one call per chunk to one call per
+early-rejection stage. The per-chunk path is gone, so these digests are
+what pins "every outcome record stays byte-identical" from here on.
+
+Records carry floats (qualities, chain scores) whose last bits depend
+on the numeric stack, so the file also records the numpy and scipy
+``major.minor`` it was taken with and the test skips on any other.
+Regenerate (after an *intended* outcome change only) with::
+
+    PYTHONPATH=src python tests/test_golden_digests.py > tests/golden_digests.json
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from repro.basecalling import ViterbiBackendConfig, ViterbiChunkBasecaller
+from repro.core import GenPIPConfig, GenPIPPipeline
+from repro.mapping import MinimizerIndex
+from repro.nanopore import SignalRead
+from repro.nanopore.datasets import ECOLI_LIKE, HUMAN_LIKE, generate_dataset, small_profile
+from repro.runtime.sink import outcome_to_record
+
+GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
+
+
+def _stack() -> dict[str, str]:
+    return {
+        name: ".".join(module.__version__.split(".")[:2])
+        for name, module in (("numpy", np), ("scipy", scipy))
+    }
+
+
+def _digest(pipeline: GenPIPPipeline, reads) -> dict:
+    sha = hashlib.sha256()
+    statuses: dict[str, int] = {}
+    for read in reads:
+        outcome = pipeline.process_read(read)
+        statuses[outcome.status.value] = statuses.get(outcome.status.value, 0) + 1
+        sha.update(json.dumps(outcome_to_record(outcome), sort_keys=True).encode())
+        sha.update(b"\n")
+    # The status counts are not checked; they tell a human which paths
+    # (QSR stop, CMR stop, short ER-ineligible read, ...) a digest covers.
+    return {"sha256": sha.hexdigest(), "statuses": dict(sorted(statuses.items()))}
+
+
+def _er_map() -> dict:
+    dataset = generate_dataset(
+        small_profile(ECOLI_LIKE, max_read_length=6_000), scale=0.0015, seed=7
+    )
+    index = MinimizerIndex.build(dataset.reference)
+    pipeline = GenPIPPipeline(index, config=GenPIPConfig(n_qs=2, n_cm=5), align=False)
+    return _digest(pipeline, dataset.reads)
+
+
+def _er_align() -> dict:
+    dataset = generate_dataset(
+        small_profile(ECOLI_LIKE, max_read_length=2_500), scale=0.0005, seed=5
+    )
+    index = MinimizerIndex.build(dataset.reference)
+    return _digest(GenPIPPipeline(index, config=GenPIPConfig(), align=True), dataset.reads)
+
+
+def _conventional() -> dict:
+    dataset = generate_dataset(small_profile(HUMAN_LIKE), scale=0.0003, seed=9)
+    index = MinimizerIndex.build(dataset.reference)
+    pipeline = GenPIPPipeline(index, config=GenPIPConfig().conventional(), align=False)
+    return _digest(pipeline, dataset.reads)
+
+
+def _viterbi_signal() -> dict:
+    dataset = generate_dataset(
+        small_profile(ECOLI_LIKE, max_read_length=1_200), scale=0.0001, seed=21
+    )
+    backend = ViterbiChunkBasecaller(ViterbiBackendConfig(pore_k=3))
+    reads = [
+        SignalRead(read_id=read.read_id, signal=backend.synthesize_signal(read))
+        for read in sorted(dataset.reads, key=len)[:8]
+    ]
+    index = MinimizerIndex.build(dataset.reference)
+    pipeline = GenPIPPipeline(index, basecaller=backend, config=GenPIPConfig(), align=False)
+    return _digest(pipeline, reads)
+
+
+READ_SETS = {
+    "er-map": _er_map,
+    "er-align": _er_align,
+    "conventional": _conventional,
+    "viterbi-signal": _viterbi_signal,
+}
+
+
+@pytest.mark.parametrize("name", sorted(READ_SETS))
+def test_outcome_records_match_parent_digest(name):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    if golden["stack"] != _stack():
+        pytest.skip(f"digests taken with {golden['stack']}, running {_stack()}")
+    assert READ_SETS[name]()["sha256"] == golden["digests"][name]["sha256"]
+
+
+if __name__ == "__main__":
+    print(
+        json.dumps(
+            {"stack": _stack(), "digests": {name: fn() for name, fn in READ_SETS.items()}},
+            indent=2,
+        )
+    )

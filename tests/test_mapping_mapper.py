@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.basecalling import SurrogateBasecaller
+from repro.core import GenPIPPipeline
 from repro.genomics import alphabet
 from repro.genomics.mutate import apply_errors
 from repro.genomics.reference import ReferenceGenome
@@ -165,3 +168,63 @@ class TestIncrementalChunkMapper:
         mapper = IncrementalChunkMapper(index, 100)
         result = mapper.finalize("empty", np.empty(0, dtype=np.uint8))
         assert not result.mapped
+
+    def test_gathered_rows_are_unique_and_sorted(self, index):
+        """Chaining needs (ref_pos, read_pos) order; ``np.unique`` alone gives it.
+
+        A read made of the same reverse-strand segment twice hits every
+        reference position from two read positions, and the provisional
+        read length puts one of each pair below zero after the flip --
+        so ties on ref_pos must be broken numerically, not bytewise.
+        """
+        segment = index.reference.fetch(30_000, 30_600, strand=-1)
+        read = np.concatenate([segment, segment])
+        mapper = IncrementalChunkMapper(index, read_length=segment.size + index.config.k)
+        for start in (600, 0, 450, 600):  # out of order, overlapping, repeated
+            mapper.add_chunk(read[start : start + 600], start)
+        rows = mapper._gathered()[-1]
+        assert (rows[:, 1] < 0).any() and (rows[:, 1] > 0).any()
+        assert np.unique(rows[:, 0]).size < rows.shape[0], "no ties on ref_pos"
+        np.testing.assert_array_equal(rows, rows[np.lexsort((rows[:, 1], rows[:, 0]))])
+        assert len(set(map(tuple, rows.tolist()))) == rows.shape[0]
+
+
+class TestRunSeeding:
+    """The pipeline feeds the mapper one run of chunks per ER stage."""
+
+    @given(
+        start=st.integers(min_value=0, max_value=190_000),
+        length=st.integers(min_value=60, max_value=3_000),
+        strand=st.sampled_from([1, -1]),
+        error=st.sampled_from([0.0, 0.08, 0.2]),
+        chunk_size=st.integers(min_value=50, max_value=200),
+        seed=st.integers(min_value=0, max_value=2**16),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_run_anchors_equal_whole_read_anchors(
+        self, index, start, length, strand, error, chunk_size, seed, data
+    ):
+        true = index.reference.fetch(start, start + length, strand=strand)
+        codes = apply_errors(true, error, np.random.default_rng(seed)).codes
+        if codes.size % chunk_size == 0:
+            codes = codes[:-1]  # a short final chunk, always
+        boundaries = list(range(chunk_size, codes.size, chunk_size))
+        is_cut = data.draw(
+            st.lists(st.booleans(), min_size=len(boundaries), max_size=len(boundaries))
+        )
+        run_ends = [b for b, cut in zip(boundaries, is_cut, strict=True) if cut] + [codes.size]
+
+        # Mapper.map_read's seeding: the whole read in one call.
+        whole = IncrementalChunkMapper(index, codes.size)
+        whole.add_chunk(codes, 0)
+
+        pipeline = GenPIPPipeline(index)
+        runs = IncrementalChunkMapper(index, codes.size)
+        seeded_bases = 0
+        for end in run_ends:
+            pipeline._seed_run(runs, codes[:end], seeded_bases)
+            seeded_bases = end
+
+        for strand_key, rows in whole._gathered().items():
+            np.testing.assert_array_equal(runs._gathered()[strand_key], rows)

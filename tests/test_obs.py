@@ -237,12 +237,20 @@ class TestPipelineTracing:
         engine = DatasetEngine(obs_system.pipeline, workers=1, trace=True)
         report = engine.run(obs_dataset)
         by_read = {t.label: t for t in engine.last_trace if t.kind == "read"}
+        n_cm = obs_system.pipeline.config.n_cm
         for outcome in report.outcomes:
             trace = by_read[outcome.read_id]
             if outcome.status is ReadStatus.MAPPED:
-                assert trace.count("seed") > 0
-                assert trace.count("chain") >= 1
+                # One seed span per seeded run, not per chunk: the CMR
+                # merge set, then the remainder when there is one.
+                assert trace.count("cmr_probe") == 1
+                assert trace.count("seed") == (2 if outcome.n_chunks_total > n_cm else 1)
+                assert outcome.n_chunks_seeded == outcome.n_chunks_total
+                assert trace.count("chain") == 2
                 assert trace.count("report") == 1
+            elif outcome.status is ReadStatus.REJECTED_CMR:
+                assert trace.count("seed") == 1
+                assert outcome.n_chunks_seeded == min(n_cm, outcome.n_chunks_total)
             elif outcome.status is ReadStatus.REJECTED_QSR:
                 # QSR stops the read after the sampled-chunk probe: the
                 # probe span is present (its chunk basecalls nested
