@@ -6,8 +6,8 @@ Two consumers:
   classic reads/sec benches at 1/2/4 workers plus the printed
   worker-scaling summary.
 * **standalone grid** (``python benchmarks/bench_runtime.py --out
-  BENCH_runtime.json``): times the full worker-count x batching-mode x
-  transport grid through :class:`~repro.runtime.engine.DatasetEngine`
+  BENCH_runtime.json``): times the full worker-count x batching-mode
+  grid through :class:`~repro.runtime.engine.DatasetEngine`
   and emits ``BENCH_runtime.json`` -- one record per configuration with
   ``reads_per_sec`` -- so the repo's perf trajectory is tracked as a CI
   artifact from this PR onward. The grid needs no pytest plugins, just
@@ -31,11 +31,10 @@ Two consumers:
   throughput, sessions/sec, and p50/p95/p99 enqueue->verdict latency,
   with the merged verdict stream asserted byte-identical to the serial
   batch records. A **columnar lane** (``"lane": "columnar"``) runs the
-  signal container pooled under the copying shm transport and the
-  zero-copy ``shm-view`` transport, recording each mode's
+  signal container pooled, recording the worker-side
   ``bytes_copied_per_read`` (the :mod:`repro.perf.copies` ledger) next
-  to its throughput -- ``--gate-copies`` asserts the view mode moves
-  <= 10% of the copy mode's bytes, which is what CI gates. A
+  to its throughput -- ``--gate-copies`` asserts it is zero (workers
+  take views of the shared segment), which is what CI gates. A
   **null-sink lane** (``"lane": "null-sink"``) re-runs the reads grid
   dataset into the counting :class:`~repro.runtime.sink.NullSink`, so
   the data plane is timed with zero serialisation noise. A
@@ -84,12 +83,9 @@ from repro.runtime import DatasetEngine, MemorySink, NullSink
 
 WORKER_COUNTS = (1, 2, 4)
 BATCHING_MODES = ("fixed", "length-aware")
-GRID_TRANSPORTS = ("pickle", "shm")
 SIGNAL_WORKER_COUNTS = (1, 2)
-#: The columnar lane's copy modes: transport -> record's ``copy_mode``.
-COLUMNAR_MODES = (("shm", "copy"), ("shm-view", "view"))
-#: Pool size of the columnar lane (one pooled size; the axis under
-#: test is the copy mode, not scaling).
+#: Pool size of the columnar lane (one pooled size; the figure under
+#: test is the copy ledger, not scaling).
 COLUMNAR_WORKERS = 2
 #: The serving sessions lane: concurrent-session counts x pool workers.
 SESSION_COUNTS = (1, 3)
@@ -107,10 +103,8 @@ if pytest is not None:
     pytestmark = pytest.mark.bench
 
 
-def _run(system, dataset, workers, batching="fixed", transport="auto"):
-    engine = DatasetEngine(
-        system.pipeline, workers=workers, batching=batching, transport=transport
-    )
+def _run(system, dataset, workers, batching="fixed"):
+    engine = DatasetEngine(system.pipeline, workers=workers, batching=batching)
     report = engine.run(dataset)
     return report, engine.last_stats
 
@@ -144,51 +138,46 @@ class _TimingSink(MemorySink):
 
 
 def collect_grid(system, dataset, repeats: int = 1) -> list[dict]:
-    """Time every worker x batching x transport configuration.
+    """Time every worker x batching configuration.
 
-    Serial runs move no payloads, so the transport axis only applies to
-    pooled configurations. Each record carries the best (max
-    throughput) of ``repeats`` passes, including that pass's per-batch
-    completion-latency percentiles.
+    Each record carries the best (max throughput) of ``repeats`` passes,
+    including that pass's per-batch completion-latency percentiles, and
+    the transport the run observed (``"none"`` serial, ``"shm"`` pooled).
     """
     records = []
     for workers in WORKER_COUNTS:
-        transports = ("none",) if workers <= 1 else GRID_TRANSPORTS
         for batching in BATCHING_MODES:
-            for transport in transports:
-                engine_transport = "auto" if transport == "none" else transport
-                best = None
-                for _ in range(repeats):
-                    sink = _TimingSink()
-                    engine = DatasetEngine(
-                        system.pipeline, workers=workers, batching=batching,
-                        transport=engine_transport, sink=sink,
-                    )
-                    started = time.perf_counter()
-                    report = engine.run(dataset)
-                    elapsed = time.perf_counter() - started
-                    stats = engine.last_stats
-                    assert report.n_reads == len(dataset)
-                    rps = len(dataset) / elapsed if elapsed > 0 else 0.0
-                    if best is None or rps > best["reads_per_sec"]:
-                        batch_latency = {
-                            f"batch_{key}": value
-                            for key, value in sink.latency.percentiles_ms().items()
-                        }
-                        best = {
-                            "source": "reads",
-                            "workers": workers,
-                            "batching": batching,
-                            "transport": stats.transport,
-                            "mode": stats.mode,
-                            "batch_size": stats.batch_size,
-                            "n_shards": stats.n_shards,
-                            "reads": stats.n_reads,
-                            "elapsed_s": round(elapsed, 4),
-                            "reads_per_sec": round(rps, 2),
-                            **batch_latency,
-                        }
-                records.append(best)
+            best = None
+            for _ in range(repeats):
+                sink = _TimingSink()
+                engine = DatasetEngine(
+                    system.pipeline, workers=workers, batching=batching, sink=sink
+                )
+                started = time.perf_counter()
+                report = engine.run(dataset)
+                elapsed = time.perf_counter() - started
+                stats = engine.last_stats
+                assert report.n_reads == len(dataset)
+                rps = len(dataset) / elapsed if elapsed > 0 else 0.0
+                if best is None or rps > best["reads_per_sec"]:
+                    batch_latency = {
+                        f"batch_{key}": value
+                        for key, value in sink.latency.percentiles_ms().items()
+                    }
+                    best = {
+                        "source": "reads",
+                        "workers": workers,
+                        "batching": batching,
+                        "transport": stats.transport,
+                        "mode": stats.mode,
+                        "batch_size": stats.batch_size,
+                        "n_shards": stats.n_shards,
+                        "reads": stats.n_reads,
+                        "elapsed_s": round(elapsed, 4),
+                        "reads_per_sec": round(rps, 2),
+                        **batch_latency,
+                    }
+            records.append(best)
     return records
 
 
@@ -243,63 +232,50 @@ def collect_sessions_lane(system, dataset, repeats: int = 1) -> list[dict]:
 
 
 def collect_columnar_lane(signal_system, store_path, repeats: int = 1) -> list[dict]:
-    """Time the zero-copy plane against the copying shm transport.
+    """Time the pooled signal run next to its exact copy ledger.
 
-    The same signal container runs pooled twice -- classic ``shm``
-    (workers copy every array out of the segment) and ``shm-view``
-    (workers take read-only views under a segment lease) -- and each
-    record carries the worker-side ``bytes_copied_per_read`` from the
-    :mod:`repro.perf.copies` ledger next to its throughput. On noisy
-    1-CPU runners the wall clock is not trustworthy, but the byte ledger
-    is exact: :func:`gate_copy_bytes` (CI's ``--gate-copies`` step)
-    asserts the view mode's figure is <= 10% of the copy mode's. Both
-    modes must reproduce the serial report byte-for-byte.
+    Workers take read-only views of the shared segment under a segment
+    lease, so the worker-side ``bytes_copied_per_read`` from the
+    :mod:`repro.perf.copies` ledger must be zero. On noisy 1-CPU runners
+    the wall clock is not trustworthy, but the byte ledger is exact:
+    :func:`gate_copy_bytes` (CI's ``--gate-copies`` step) asserts it.
+    The run must reproduce the serial report byte-for-byte.
     """
     from repro.runtime import SignalStoreSource
 
     serial_engine = DatasetEngine(signal_system.pipeline, workers=1)
     serial = serial_engine.run(SignalStoreSource(store_path))
-    records = []
-    for transport, copy_mode in COLUMNAR_MODES:
-        best = None
-        for _ in range(repeats):
-            started = time.perf_counter()
-            engine = DatasetEngine(
-                signal_system.pipeline, workers=COLUMNAR_WORKERS, transport=transport
-            )
-            report = engine.run(SignalStoreSource(store_path))
-            elapsed = time.perf_counter() - started
-            stats = engine.last_stats
-            assert report.n_reads == stats.n_reads > 0
-            assert (
-                report.outcomes == serial.outcomes
-                and report.counters == serial.counters
-            ), f"columnar[{copy_mode}]: pooled report diverged from serial"
-            if copy_mode == "view":
-                assert stats.bytes_copied == 0, (
-                    f"zero-copy attach copied {stats.bytes_copied} bytes"
-                )
-            rps = report.n_reads / elapsed if elapsed > 0 else 0.0
-            if best is None or rps > best["reads_per_sec"]:
-                best = {
-                    "source": "signals",
-                    "lane": "columnar",
-                    "copy_mode": copy_mode,
-                    "workers": COLUMNAR_WORKERS,
-                    "batching": stats.batching,
-                    "transport": stats.transport,
-                    "mode": stats.mode,
-                    "batch_size": stats.batch_size,
-                    "n_shards": stats.n_shards,
-                    "reads": stats.n_reads,
-                    "elapsed_s": round(elapsed, 4),
-                    "reads_per_sec": round(rps, 2),
-                    "bytes_copied": stats.bytes_copied,
-                    "bytes_published": stats.bytes_published,
-                    "bytes_copied_per_read": round(stats.bytes_copied_per_read, 2),
-                }
-        records.append(best)
-    return records
+    best = None
+    for _ in range(repeats):
+        started = time.perf_counter()
+        engine = DatasetEngine(signal_system.pipeline, workers=COLUMNAR_WORKERS)
+        report = engine.run(SignalStoreSource(store_path))
+        elapsed = time.perf_counter() - started
+        stats = engine.last_stats
+        assert report.n_reads == stats.n_reads > 0
+        assert (
+            report.outcomes == serial.outcomes
+            and report.counters == serial.counters
+        ), "columnar: pooled report diverged from serial"
+        rps = report.n_reads / elapsed if elapsed > 0 else 0.0
+        if best is None or rps > best["reads_per_sec"]:
+            best = {
+                "source": "signals",
+                "lane": "columnar",
+                "workers": COLUMNAR_WORKERS,
+                "batching": stats.batching,
+                "transport": stats.transport,
+                "mode": stats.mode,
+                "batch_size": stats.batch_size,
+                "n_shards": stats.n_shards,
+                "reads": stats.n_reads,
+                "elapsed_s": round(elapsed, 4),
+                "reads_per_sec": round(rps, 2),
+                "bytes_copied": stats.bytes_copied,
+                "bytes_published": stats.bytes_published,
+                "bytes_copied_per_read": round(stats.bytes_copied_per_read, 2),
+            }
+    return [best]
 
 
 def collect_null_sink_lane(system, dataset, repeats: int = 1) -> list[dict]:
@@ -504,18 +480,15 @@ def expected_lane_counts() -> dict[str, int]:
     """
     from repro.kernels import SDTW_KERNELS
 
-    pooled_counts = sum(1 for workers in WORKER_COUNTS if workers > 1)
-    serial_counts = len(WORKER_COUNTS) - pooled_counts
     return {
-        "reads-grid": len(BATCHING_MODES)
-        * (serial_counts + pooled_counts * len(GRID_TRANSPORTS)),
+        "reads-grid": len(BATCHING_MODES) * len(WORKER_COUNTS),
         "signals": len(SIGNAL_WORKER_COUNTS),
         "signal-er": len(SIGNAL_WORKER_COUNTS),
         "sdtw-kernel": len(SDTW_KERNELS) * len(SIGNAL_WORKER_COUNTS),
         "viterbi-events": len(SIGNAL_WORKER_COUNTS),
         "dnn-batch": 2 * len(SIGNAL_WORKER_COUNTS),  # per-chunk and batched variants
         "sessions": len(SESSION_COUNTS) * len(SESSION_WORKERS),
-        "columnar": len(COLUMNAR_MODES),
+        "columnar": 1,
         "null-sink": len(WORKER_COUNTS),
         "mapping": len(MAPPING_LANE_KERNELS),
         "trace-overhead": len(TRACE_OVERHEAD_VARIANTS),
@@ -560,38 +533,32 @@ def verify_document(path) -> list[str]:
     return problems
 
 
-def gate_copy_bytes(path, max_ratio: float = 0.10) -> list[str]:
-    """Assert the zero-copy lane's worker-side bytes beat the copy lane's.
+def gate_copy_bytes(path) -> list[str]:
+    """Assert the pooled columnar record copied nothing worker-side.
 
-    Reads the columnar lane out of a bench document and checks the view
-    mode's ``bytes_copied_per_read`` is at most ``max_ratio`` of the
-    copy mode's. Wall clock on shared runners is noise; this byte ledger
-    is exact, which is why CI gates on it. Returns a list of problems
-    (empty when the gate passes).
+    Wall clock on shared runners is noise; the byte ledger is exact,
+    which is why CI gates on it. A run that fell back to pickle copies
+    every payload byte and fails here, as it should. Returns a list of
+    problems (empty when the gate passes).
     """
     with open(path, encoding="utf-8") as handle:
         document = json.load(handle)
-    by_mode = {
-        record.get("copy_mode"): record
+    columnar = [
+        record
         for record in document.get("results", ())
         if record.get("lane") == "columnar"
-    }
-    problems = []
-    for _, mode in COLUMNAR_MODES:
-        if mode not in by_mode:
-            problems.append(f"columnar lane missing copy_mode={mode!r} record")
-    if problems:
-        return problems
-    copied = by_mode["copy"]["bytes_copied_per_read"]
-    viewed = by_mode["view"]["bytes_copied_per_read"]
-    if copied <= 0:
-        problems.append(f"copy mode reports no copied bytes ({copied}); ledger broken")
-    elif viewed > max_ratio * copied:
-        problems.append(
-            f"zero-copy lane copied {viewed} B/read, over {max_ratio:.0%} of the "
-            f"copying lane's {copied} B/read"
-        )
-    return problems
+    ]
+    if len(columnar) != 1:
+        return [f"expected one columnar record, found {len(columnar)}"]
+    (record,) = columnar
+    if record["mode"] != "process-pool" or record["bytes_published"] <= 0:
+        return [f"columnar record did not run pooled ({record['mode']}); ledger untested"]
+    if record["bytes_copied_per_read"] != 0:
+        return [
+            f"pooled run copied {record['bytes_copied_per_read']} B/read worker-side "
+            f"(transport {record['transport']}); expected 0"
+        ]
+    return []
 
 
 def gate_trace_overhead(path, max_ratio: float = 0.05) -> list[str]:
@@ -962,8 +929,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--gate-copies", metavar="JSON", default=None,
-        help="assert the columnar lane's zero-copy bytes_copied_per_read is "
-        "<= 10%% of the copying lane's in an existing bench document and exit",
+        help="assert the columnar lane's pooled bytes_copied_per_read is 0 "
+        "in an existing bench document and exit",
     )
     parser.add_argument(
         "--gate-trace", metavar="JSON", default=None,
@@ -985,7 +952,7 @@ def main(argv=None) -> int:
         for problem in problems:
             print(f"gate-copies: {problem}", file=sys.stderr)
         if not problems:
-            print(f"{args.gate_copies}: zero-copy lane within the 10% copy budget")
+            print(f"{args.gate_copies}: pooled run copied 0 B/read worker-side")
         return 1 if problems else 0
 
     if args.verify is not None:
@@ -1115,9 +1082,8 @@ def main(argv=None) -> int:
             )
         records += collect_dnn_batch_lane(dnn_systems, store_path, repeats=args.repeats)
 
-        # Columnar lane (PR 8): the same container pooled under the
-        # copying and zero-copy shm transports, with the exact byte
-        # ledger recorded next to the wall time.
+        # Columnar lane (PR 8): the same container pooled, with the
+        # exact byte ledger recorded next to the wall time.
         records += collect_columnar_lane(signal_system, store_path, repeats=args.repeats)
 
     # Mapping kernel-plane lane (PR 9): the reads grid dataset with
@@ -1162,10 +1128,7 @@ def main(argv=None) -> int:
         if record.get("signal_er"):
             extra = f" signal-er reject={record['reject_rate']:.0%}"
         elif record.get("lane") == "columnar":
-            extra = (
-                f" copy_mode={record['copy_mode']} "
-                f"{record['bytes_copied_per_read']:.0f} B copied/read"
-            )
+            extra = f" {record['bytes_copied_per_read']:.0f} B copied/read"
         elif record.get("lane") == "null-sink":
             extra = " sink=null"
         elif record.get("lane") == "trace-overhead":

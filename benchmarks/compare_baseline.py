@@ -43,8 +43,7 @@ DEFAULT_BASELINE = Path(__file__).parent / "baselines" / "BENCH_runtime_baseline
 #: Fields that identify a lane (everything else is measurement).
 #: ``sessions`` distinguishes the serving lane's concurrency points --
 #: without it the N-session records would collide as duplicates;
-#: ``copy_mode`` and ``sink`` do the same for the columnar lane's two
-#: transports and the null-sink lane; ``traced`` for the
+#: ``sink`` does the same for the null-sink lane; ``traced`` for the
 #: trace-overhead lane's on/off pair.
 IDENTITY_FIELDS = (
     "source",
@@ -58,7 +57,6 @@ IDENTITY_FIELDS = (
     "dnn_batched",
     "signal_er",
     "sessions",
-    "copy_mode",
     "sink",
     "traced",
 )

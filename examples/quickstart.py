@@ -27,10 +27,10 @@ This walks the whole public API surface once:
 11. serve: keep the pool warm and the index published across many
     concurrent client sessions, streaming per-read verdicts with
     latency percentiles -- the adaptive-sampling ("read until") shape;
-12. go zero-copy: pack a batch into the one columnar layout the shm
-    transport publishes, hand workers read-only *views* instead of
-    copies (``transport="shm-view"``), and watch the copy ledger --
-    same outcomes, zero worker-side bytes copied;
+12. look at the zero-copy plane every pooled run already uses: pack a
+    batch into the one columnar layout the worker pool publishes,
+    workers take read-only *views* instead of copies, and the copy
+    ledger shows it -- same outcomes, zero worker-side bytes copied;
 13. select mapping kernels by name: the vectorised mapping plane
     (batched seeding, blocked chain DP, wavefront Gotoh) against its
     bit-identical scalar references, with the mapping-ops ledger
@@ -359,18 +359,17 @@ def main() -> None:
         f"byte-identical to the batch report: {served == [outcome_to_record(o) for o in report.outcomes]}"
     )
 
-    # 12. The zero-copy columnar data plane: the shm transport has
-    #     always written each work unit as one columnar batch (per-batch
-    #     contiguous quality/code/sample buffers plus per-read offset
-    #     handles); repro.runtime.columnar makes that layout a
-    #     first-class representation. Pack once, then *view* everywhere:
-    #     with `transport="shm-view"` workers rebuild their reads as
-    #     read-only views into the shared segment (a ref-counted
-    #     SegmentLease keeps the mapping alive until the batch's
-    #     outcomes are produced), so the per-read copy figure drops to
-    #     zero -- measured by the explicit copy ledger in
-    #     repro.perf.copies, no monkeypatching. Outcomes stay
-    #     byte-identical to every other transport.
+    # 12. The zero-copy columnar data plane: the worker pool writes
+    #     each work unit as one columnar batch (per-batch contiguous
+    #     quality/code/sample buffers plus per-read offset handles);
+    #     repro.runtime.columnar makes that layout a first-class
+    #     representation. Pack once, then *view* everywhere: workers
+    #     rebuild their reads as read-only views into the shared
+    #     segment (a ref-counted SegmentLease keeps the mapping alive
+    #     until the batch's outcomes are produced), so the per-read
+    #     copy figure is zero -- measured by the explicit copy ledger
+    #     in repro.perf.copies, no monkeypatching. There is nothing to
+    #     switch on: the zero-copy run is simply the pooled run.
     from repro.runtime import ColumnarBatch, DatasetEngine, NullSink
 
     batch, layout = ColumnarBatch.from_reads(reads[:8])
@@ -380,14 +379,12 @@ def main() -> None:
         f"{layout.total_bytes:,} contiguous bytes; per-read access is a "
         f"read-only view (writeable={window.flags.writeable})"
     )
-    engine = DatasetEngine(
-        genpip.pipeline, workers=2, batch_size=8, sink=NullSink(), transport="shm-view"
-    )
+    engine = DatasetEngine(genpip.pipeline, workers=2, batch_size=8, sink=NullSink())
     view_report = engine.run(reads)
     stats = engine.last_stats
     assert view_report.counters == report.counters
     print(
-        f"zero-copy run: {stats.mode} x{stats.workers} transport "
+        f"pooled run: {stats.mode} x{stats.workers} transport "
         f"{stats.transport} -> {stats.bytes_copied_per_read:.0f} B "
         f"copied/read worker-side ({stats.bytes_published:,} B published "
         f"parent-side); counters identical to the serial report"

@@ -288,7 +288,6 @@ class GenPIP:
         batch_size: int | None = None,
         sink=None,
         adaptive_batching: bool = False,
-        transport: str = "auto",
     ) -> GenPIPReport:
         """Process every read of a dataset (or any read source).
 
@@ -322,9 +321,6 @@ class GenPIP:
         adaptive_batching:
             Balance work units by total bases instead of read count
             (kills the long-read tail; same outcomes, same order).
-        transport:
-            How pooled read payloads travel: ``"auto"`` (shared memory
-            when available), ``"shm"``, or ``"pickle"``.
         """
         from repro.runtime.engine import DatasetEngine
 
@@ -334,6 +330,5 @@ class GenPIP:
             batch_size=batch_size,
             sink=sink,
             batching="length-aware" if adaptive_batching else "fixed",
-            transport=transport,
         )
         return engine.run(dataset)

@@ -11,21 +11,23 @@ so the count is a first-class output of the code path itself.
 Boundaries in use:
 
 * ``"publish"`` -- parent packs a work unit's arrays into a shared
-  segment (:func:`repro.runtime.transport.publish_unit`). Paid by both
-  copy modes: the segment *is* the batch.
-* ``"attach"`` -- worker copies arrays out of the segment
-  (``attach_unit(copy=True)``). The zero-copy view mode eliminates this
-  boundary entirely; its per-read figure is the bench grid's gated
-  ``bytes_copied_per_read`` metric.
-* ``"pickle"`` -- read payload bytes serialised through the pickle
-  transport instead of shared memory.
+  segment (:func:`repro.runtime.transport.publish_unit`). Always paid
+  by a pooled run: the segment *is* the batch.
+* ``"attach"`` -- arrays copied out of a segment
+  (``attach_unit(copy=True)``). Pool workers attach views instead
+  (:mod:`repro.runtime.pool`), so a pooled run charges nothing here;
+  the bench grid gates its ``bytes_copied_per_read`` at zero.
+* ``"pickle"`` -- read payload bytes that travelled pickled because a
+  segment could not be created (the pool's automatic fallback), charged
+  once in the parent and once in the worker.
 
 The process counter is what pooled runs consult: workers snapshot it
 around each work unit and ship the delta home inside
 :class:`~repro.runtime.merge.ShardResult`, the parent snapshots it
 around the run for publish-side traffic, and
 :class:`~repro.runtime.engine.RuntimeStats` surfaces both (never in the
-report, so serialized reports stay byte-identical across copy modes).
+report, so serialized reports stay byte-identical however payloads
+travelled).
 """
 
 from __future__ import annotations

@@ -20,30 +20,34 @@ supplies the execution layer as a streaming dataflow:
   once, viewed everywhere else;
 * :mod:`repro.runtime.transport` -- shared-memory publication of read
   and signal payloads plus the minimizer index (workers receive
-  handles, not pickles); ``attach_unit(copy=False)`` plus
-  :class:`~repro.runtime.transport.SegmentLease` form the zero-copy
-  plane (transport ``"shm-view"``);
+  handles, not pickles, and attach read-only views held by a
+  :class:`~repro.runtime.transport.SegmentLease`);
+* :mod:`repro.runtime.pool` -- :class:`WorkerPool`, the one worker
+  plane under batch and serving: worker initialiser, index published
+  once, warm-up, ``submit(unit)`` over shared memory with an automatic
+  pickle fallback, segment release, Ctrl-C-safe stop;
 * :mod:`repro.runtime.merge` -- :class:`ShardCollector`, the
   order-preserving streaming merge that releases the completed prefix;
 * :mod:`repro.runtime.sink` -- :class:`ReportSink` consumers of that
   prefix (in-memory report, incremental JSONL with lossless replay,
   columnar Parquet behind an optional pyarrow gate);
-* :mod:`repro.runtime.engine` -- :class:`DatasetEngine`, the
-  process-pool executor with bounded in-flight submission and a
-  resuming serial fallback;
+* :mod:`repro.runtime.engine` -- :class:`DatasetEngine`, an ordered
+  bounded in-flight window over a source on that pool, with a resuming
+  serial fallback;
 * :mod:`repro.runtime.cli` -- the ``python -m repro.runtime`` entry
   point for scriptable (CI) runs.
 
 The load-bearing invariant, asserted by ``tests/test_runtime.py`` and
 ``tests/test_runtime_streaming.py``: for any worker count and any
-source x sink x batching x transport combination, the merged result is
-identical to the sequential run's -- same outcomes, same order, same
-counters.
+source x sink x batching combination -- shared memory or the pickle
+fallback underneath -- the merged result is identical to the sequential
+run's: same outcomes, same order, same counters.
 """
 
 from repro.runtime.columnar import ColumnarBatch, ColumnarLayout
-from repro.runtime.engine import TRANSPORTS, DatasetEngine, RuntimeStats, run_dataset
+from repro.runtime.engine import DatasetEngine, RuntimeStats, run_dataset
 from repro.runtime.merge import ShardCollector, ShardResult
+from repro.runtime.pool import WorkerPool
 from repro.runtime.sharding import (
     BATCHING_MODES,
     WORKERS_ENV_VAR,
@@ -110,9 +114,9 @@ __all__ = [
     "SignalStoreSource",
     "SimulatorSource",
     "StoreSource",
-    "TRANSPORTS",
     "WORKERS_ENV_VAR",
     "WorkUnit",
+    "WorkerPool",
     "active_segments",
     "as_read_source",
     "attach_index",

@@ -93,7 +93,7 @@ from repro.nanopore.signal_store import (
     write_signals,
 )
 from repro.obs.export import write_chrome_trace, write_span_jsonl
-from repro.runtime.engine import TRANSPORTS, DatasetEngine
+from repro.runtime.engine import DatasetEngine
 from repro.runtime.sink import (
     JSONLSink,
     NullSink,
@@ -193,12 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--adaptive-batching", action="store_true",
         help="balance work units by total bases instead of read count "
         "(kills the long-read shard tail; identical results)",
-    )
-    run.add_argument(
-        "--transport", choices=TRANSPORTS, default="auto",
-        help="how pooled read payloads travel: shared memory (shm copies "
-        "arrays out worker-side; shm-view hands workers zero-copy views "
-        "under a segment lease), pickle, or auto (shm with pickle fallback)",
     )
     out = parser.add_argument_group("output")
     out.add_argument(
@@ -511,7 +505,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         batch_size=args.batch_size,
         sink=sink,
         batching="length-aware" if args.adaptive_batching else "fixed",
-        transport=args.transport,
         trace=args.trace_path is not None,
     )
     report = engine.run(data)

@@ -13,11 +13,10 @@ one run:
    :class:`~repro.runtime.sharding.WorkUnit`\\ s from the stream (fixed
    read count, or length-aware base balancing that kills the long-read
    tail);
-3. units execute serially in-process or on a
-   ``concurrent.futures.ProcessPoolExecutor`` with a bounded in-flight
-   window; pooled payloads travel either pickled or published once via
-   ``multiprocessing.shared_memory`` (handles instead of payloads --
-   see :mod:`repro.runtime.transport`);
+3. units execute serially in-process or through a bounded in-flight
+   window of :meth:`WorkerPool.submit <repro.runtime.pool.WorkerPool
+   .submit>` futures -- the pool owns the processes, the shared-memory
+   publication and its pickle fallback (see :mod:`repro.runtime.pool`);
 4. the ordered completed prefix streams out of the
    :class:`~repro.runtime.merge.ShardCollector` into a
    :class:`~repro.runtime.sink.ReportSink` as it grows, so parent-side
@@ -25,13 +24,13 @@ one run:
 
 The engine's contract mirrors the paper's "no accuracy loss from
 pipeline restructuring" claim at the software level: for **every**
-source x sink x batching x transport combination, a run with any worker
-count yields the same outcomes in the same order with the same counters
-as the sequential run. ``tests/test_runtime_streaming.py`` asserts the
+source x sink x batching combination, a run with any worker count
+yields the same outcomes in the same order with the same counters as
+the sequential run. ``tests/test_runtime_streaming.py`` asserts the
 full matrix.
 
 Failure handling preserves both the contract and resources: a pool that
-cannot be created (or breaks mid-run) degrades to in-process execution
+cannot be started (or breaks mid-run) degrades to in-process execution
 *resuming* exactly where the pool stopped -- already-emitted outcomes
 are never re-emitted to the sink -- and shared-memory segments are
 released on success, worker failure, broken-pool fallback, and engine
@@ -45,20 +44,17 @@ import itertools
 import time
 import warnings
 from collections.abc import Callable, Iterator
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from repro.core.genpip import GenPIPReport
 from repro.core.pipeline import GenPIPPipeline
-from repro.mapping.index import MinimizerIndex
 from repro.obs.metrics import (
     COPIED_BYTES,
     MAPPING_OPS,
     process_registry,
     snapshot_delta,
-    worker_metrics_delta,
-    worker_metrics_snapshot,
 )
 from repro.obs.trace import (
     ReadTrace,
@@ -69,9 +65,8 @@ from repro.obs.trace import (
     enable_tracing,
     tracing_enabled,
 )
-from repro.perf.copies import copied_bytes, record_copy
-from repro.runtime.columnar import payload_nbytes
 from repro.runtime.merge import ShardCollector, ShardResult
+from repro.runtime.pool import WorkerPool
 from repro.runtime.sharding import (
     WorkUnit,
     iter_work,
@@ -82,132 +77,10 @@ from repro.runtime.sharding import (
 from repro.runtime.sink import MemorySink, ReportSink
 from repro.runtime.source import Prefetcher, ReadSource, as_read_source
 from repro.runtime.spec import PipelineSpec
-from repro.runtime.transport import (
-    SharedIndexHandle,
-    SharedUnit,
-    attach_unit,
-    publish_index,
-    publish_unit,
-    release_unit,
-    unit_lease,
-)
-
-#: Supported transports for pooled payloads. ``"shm-view"`` is the
-#: zero-copy plane: shared-memory publication plus ``copy=False``
-#: worker attach (read-only views into the segment, released via a
-#: :class:`~repro.runtime.transport.SegmentLease` once the batch's
-#: outcomes exist).
-TRANSPORTS = ("auto", "shm", "shm-view", "pickle")
 
 #: In-flight work units per worker (bounds parent memory and keeps the
 #: pool saturated while the source streams).
 _INFLIGHT_PER_WORKER = 2
-
-#: Per-process pipeline, built once by :func:`_init_worker`.
-_WORKER_PIPELINE: GenPIPPipeline | None = None
-
-
-def _init_worker(spec: PipelineSpec) -> None:
-    """Pool initializer: rebuild the pipeline inside the worker."""
-    global _WORKER_PIPELINE
-    if spec.trace:
-        enable_tracing()
-    _WORKER_PIPELINE = spec.build()
-
-
-def _worker_pipeline() -> GenPIPPipeline:
-    if _WORKER_PIPELINE is None:  # pragma: no cover - initializer contract violation
-        raise RuntimeError("worker used before _init_worker primed the pipeline")
-    return _WORKER_PIPELINE
-
-
-def _process_unit(unit: WorkUnit) -> ShardResult:
-    """Run one pickled work unit on the per-worker pipeline.
-
-    The unit arrived as a pickle, so its payload bytes were already
-    materialised in this worker by deserialisation; they are charged to
-    the ``"pickle"`` boundary and shipped home as the unit's copy cost.
-    Every worker entry point snapshots the metrics registry around the
-    unit and ships the delta (plus any spans) home on the ShardResult.
-    """
-    metrics_before = worker_metrics_snapshot()
-    nbytes = payload_nbytes(unit.reads)
-    record_copy("pickle", nbytes)
-    with active_tracer().unit(unit.shard_id):
-        outcomes = _worker_pipeline().process_batch(list(unit.reads))
-    return ShardResult.from_outcomes(
-        unit.shard_id,
-        outcomes,
-        bytes_copied=nbytes,
-        metrics=worker_metrics_delta(metrics_before),
-        traces=drain_read_traces(),
-    )
-
-
-def _process_shared_unit(shared: SharedUnit) -> ShardResult:
-    """Run one shared-memory work unit on the per-worker pipeline.
-
-    Classic copy-out attach: the ``"attach"`` boundary delta taken here
-    is exactly this unit's worker-side copy traffic.
-    """
-    metrics_before = worker_metrics_snapshot()
-    before = copied_bytes("attach")
-    reads = attach_unit(shared)
-    with active_tracer().unit(shared.shard_id):
-        outcomes = _worker_pipeline().process_batch(reads)
-    return ShardResult.from_outcomes(
-        shared.shard_id,
-        outcomes,
-        bytes_copied=copied_bytes("attach") - before,
-        metrics=worker_metrics_delta(metrics_before),
-        traces=drain_read_traces(),
-    )
-
-
-def _process_shared_unit_view(shared: SharedUnit) -> ShardResult:
-    """Run one shared-memory work unit over zero-copy segment views.
-
-    The reads' arrays are read-only views into the shared mapping; the
-    lease registered by ``attach_unit(copy=False)`` keeps the mapping
-    open until the outcomes exist, then the views are dropped *before*
-    the release so the close does not have to be deferred. Worker-side
-    copy traffic is zero by construction -- the attach-boundary delta is
-    shipped anyway so the accounting stays uniform (and honest if a
-    future change reintroduces a copy).
-    """
-    metrics_before = worker_metrics_snapshot()
-    before = copied_bytes("attach")
-    reads = attach_unit(shared, copy=False)
-    lease = unit_lease(shared.segment)
-    try:
-        with active_tracer().unit(shared.shard_id):
-            outcomes = _worker_pipeline().process_batch(reads)
-    finally:
-        del reads
-        if lease is not None:
-            lease.release()
-    return ShardResult.from_outcomes(
-        shared.shard_id,
-        outcomes,
-        bytes_copied=copied_bytes("attach") - before,
-        metrics=worker_metrics_delta(metrics_before),
-        traces=drain_read_traces(),
-    )
-
-
-def _pool_warmup() -> None:
-    """No-op task submitted before any engine thread starts.
-
-    With the default ``fork`` start method the executor launches *all*
-    worker processes on the first submit (gh-90622), so routing that
-    first submit through here -- before the :class:`Prefetcher` thread
-    exists -- guarantees every fork happens while the parent is still
-    single-threaded (no 3.12+ fork-after-thread DeprecationWarning, no
-    inherited-lock deadlock hazard). It also surfaces sandboxes that
-    allow pool *creation* but not process *spawning* before any real
-    work is planned.
-    """
-    return None
 
 
 @dataclass(frozen=True)
@@ -233,7 +106,8 @@ class RuntimeStats:
     n_reads: int
     elapsed_s: float
     batching: str = "fixed"  # "fixed" | "length-aware"
-    transport: str = "none"  # "none" | "pickle" | "shm" | "shm-view"
+    #: How unit payloads actually travelled (observed, not requested).
+    transport: str = "none"  # "none" | "shm" | "pickle"
     #: Whether the run had the signal-domain (pre-basecalling) early
     #: rejection stage active -- a config property surfaced here so the
     #: CLI summary can label SER runs without inspecting the pipeline.
@@ -242,9 +116,9 @@ class RuntimeStats:
     prefetch_peak: int = 0  # high-water mark of that buffer
     inflight_window: int = 0  # max work units submitted concurrently
     inflight_peak: int = 0  # high-water mark of submitted-not-collected units
-    #: Worker-side payload bytes copied to obtain reads (attach copies
-    #: under "shm", deserialised payloads under "pickle", zero under
-    #: "shm-view") -- summed from per-unit ShardResult deltas.
+    #: Worker-side payload bytes copied to obtain reads: zero under
+    #: "shm" (workers take views), deserialised payloads under the
+    #: "pickle" fallback -- the merged per-unit registry deltas.
     bytes_copied: int = 0
     #: Parent-side payload bytes moved to make units reachable: shm
     #: publication ("publish" boundary) plus pickled payloads. Paid in
@@ -276,9 +150,7 @@ class RuntimeStats:
         attach/pickle traffic. ``parent_delta`` is the parent process's
         own registry movement over the run -- its publish+pickle
         movement *is* the published-bytes figure. The remaining fields
-        pass through to the constructor, so the result is bit-identical
-        to hand-threading ``collector.bytes_copied`` and the ledger
-        snapshots (``tests/test_obs.py`` asserts exactly that).
+        pass through to the constructor.
         """
         worker_copies = worker_metrics.get(COPIED_BYTES, {}).get("values", {})
         parent_copies = parent_delta.get(COPIED_BYTES, {}).get("values", {})
@@ -319,13 +191,6 @@ class DatasetEngine:
         ``"fixed"`` (constant reads per unit) or ``"length-aware"``
         (units balanced by total bases; see
         :mod:`repro.runtime.sharding`).
-    transport:
-        How pooled payloads travel: ``"shm"`` (shared memory, workers
-        copy arrays out), ``"shm-view"`` (shared memory, workers take
-        zero-copy read-only views held by a segment lease),
-        ``"pickle"``, or ``"auto"`` (shared memory copy mode, degrading
-        to pickle if segments cannot be created). Serial runs move
-        nothing.
     prefetch_depth:
         Reads buffered by the background producer thread ahead of
         planning in pooled runs; ``None`` auto-sizes from the window.
@@ -340,7 +205,6 @@ class DatasetEngine:
         progress: Callable[[int, int], None] | None = None,
         sink: ReportSink | None = None,
         batching: str = "fixed",
-        transport: str = "auto",
         prefetch_depth: int | None = None,
         trace: bool = False,
     ):
@@ -360,9 +224,6 @@ class DatasetEngine:
         self._progress = progress
         self._sink = sink
         self._batching = resolve_batching(batching)
-        if transport not in TRANSPORTS:
-            raise ValueError(f"unknown transport {transport!r}; expected one of {TRANSPORTS}")
-        self._transport = transport
         if prefetch_depth is not None and prefetch_depth < 1:
             raise ValueError(f"prefetch_depth must be positive, got {prefetch_depth}")
         self._prefetch_depth = prefetch_depth
@@ -537,75 +398,26 @@ class DatasetEngine:
         batch_size: int,
         pool_workers: int,
     ) -> tuple[str, str]:
-        # Publish the minimizer index once into shared memory so pool
-        # initialisation ships a tiny handle per worker instead of
-        # pickling the index max_workers times. The handle lives as
-        # long as the pool might attach (released in the finally).
-        # Under "auto", failure degrades to the classic pickled-index
-        # initargs; an explicit "shm" request is a hard contract, for
-        # the index exactly as for unit payloads in _submit.
-        index_handle: SharedIndexHandle | None = None
-        worker_spec = self._spec
-        if self._transport in ("auto", "shm", "shm-view") and isinstance(
-            self._spec.index, MinimizerIndex
-        ):
-            try:
-                index_handle = publish_index(self._spec.index)
-                worker_spec = self._spec.with_index(index_handle)
-            except (OSError, ValueError, ImportError) as exc:
-                if self._transport in ("shm", "shm-view"):
-                    raise
-                warnings.warn(
-                    f"shared-memory index unavailable ({exc!r}); "
-                    "shipping the pickled index to workers",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-        try:
-            return self._run_pool_stream_with_spec(
-                source, collector, sink, batch_size, pool_workers, worker_spec
-            )
-        finally:
-            if index_handle is not None:
-                release_unit(index_handle.segment)
+        # The pool starts (index published, workers forked and warmed)
+        # *before* the Prefetcher thread exists, and stops after it is
+        # closed -- see repro.runtime.pool for the fork rationale.
+        with WorkerPool(self._spec, pool_workers) as pool:
+            if not pool.alive:
+                mode = self._run_serial_stream(iter(source), collector, sink, batch_size)
+            else:
+                mode = self._run_window(pool, source, collector, sink, batch_size, pool_workers)
+            return mode, pool.transport
 
-    def _run_pool_stream_with_spec(
+    def _run_window(
         self,
+        pool: WorkerPool,
         source: ReadSource,
         collector: ShardCollector,
         sink: ReportSink,
         batch_size: int,
         pool_workers: int,
-        worker_spec: PipelineSpec,
-    ) -> tuple[str, str]:
-        try:
-            executor = ProcessPoolExecutor(
-                max_workers=pool_workers,
-                initializer=_init_worker,
-                initargs=(worker_spec,),
-            )
-        except (ImportError, NotImplementedError, OSError, PermissionError) as exc:
-            warnings.warn(
-                f"process pool unavailable ({exc!r}); falling back to serial execution",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return self._run_serial_stream(iter(source), collector, sink, batch_size), "none"
-
-        # Launch every worker process *now*, while this process is
-        # still single-threaded (see _pool_warmup), and degrade to
-        # serial before planning anything if spawning is forbidden.
-        try:
-            executor.submit(_pool_warmup).result()
-        except BrokenProcessPool as exc:
-            warnings.warn(
-                f"process pool broke during warm-up ({exc!r}); falling back to serial",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            executor.shutdown(wait=True, cancel_futures=True)
-            return self._run_serial_stream(iter(source), collector, sink, batch_size), "none"
-
+    ) -> str:
+        """Keep a bounded window of units in flight on ``pool``."""
         window = max(pool_workers * _INFLIGHT_PER_WORKER, 2)
         depth = (
             self._prefetch_depth
@@ -614,131 +426,67 @@ class DatasetEngine:
         )
         self._backpressure["inflight_window"] = window
         self._backpressure["prefetch_capacity"] = depth
-        transport = self._transport
         inflight: dict[Future, WorkUnit] = {}
-        segments: dict[Future, str] = {}
         n_submitted = 0
-        # Everything from here runs under the try/finally that shuts
-        # the executor down -- including iter(source), which may do
-        # eager work (open a file, build a simulator) and raise.
-        prefetcher: Prefetcher | None = None
         # Planned-but-not-yet-submitted unit: the submit loop pulls a
         # unit *before* waiting for window room, so a pool that breaks
         # during that wait must hand this unit to the serial resume too.
         pending_unit: WorkUnit | None = None
+        prefetcher = Prefetcher(iter(source), depth=depth)
         try:
-            prefetcher = Prefetcher(iter(source), depth=depth)
             units = iter_work(iter(prefetcher), batch_size, batching=self._batching)
             try:
                 for unit in units:
                     pending_unit = unit
                     while len(inflight) >= window:
-                        self._collect_completed(inflight, segments, collector, sink)
-                    future, segment, transport = self._submit(executor, unit, transport)
-                    inflight[future] = unit
+                        self._collect_completed(inflight, collector, sink)
+                    inflight[pool.submit(unit)] = unit
                     if len(inflight) > self._backpressure["inflight_peak"]:
                         self._backpressure["inflight_peak"] = len(inflight)
-                    if segment is not None:
-                        segments[future] = segment
                     n_submitted += 1
                     pending_unit = None
                 while inflight:
-                    self._collect_completed(inflight, segments, collector, sink)
+                    self._collect_completed(inflight, collector, sink)
                 collector.set_expected(n_submitted)
                 self._report_progress(collector)
-                if n_submitted == 0:
-                    # "auto" never resolved: no payload ever travelled.
-                    return "process-pool", "none"
-                if transport == "auto":
-                    transport = "shm"
-                return "process-pool", transport
+                return "process-pool"
             except BrokenProcessPool as exc:
-                # Worker processes can die lazily (first task) in
-                # sandboxes that allow pool creation but not process
-                # spawning, or mid-run on resource exhaustion. Resume
-                # in-process from exactly the units the pool never
-                # finished -- outcomes already streamed to the sink are
-                # never re-emitted.
+                # Worker processes can die mid-run (resource exhaustion,
+                # a kill). Resume in-process from exactly the units the
+                # pool never finished -- outcomes already streamed to
+                # the sink are never re-emitted.
                 warnings.warn(
                     f"process pool broke ({exc!r}); resuming serially",
                     RuntimeWarning,
-                    stacklevel=4,
+                    stacklevel=5,
                 )
                 leftovers = sorted(inflight.values(), key=lambda unit: unit.shard_id)
                 if pending_unit is not None:
                     leftovers.append(pending_unit)
-                for segment in segments.values():
-                    release_unit(segment)
-                inflight.clear()
-                segments.clear()
                 # ``units`` keeps planning over the live prefetcher, so
                 # the resume stays streaming; its shard ids continue
                 # from where the pooled phase stopped.
-                mode = self._consume_units(
+                return self._consume_units(
                     itertools.chain(leftovers, units),
                     collector,
                     sink,
                     n_planned=n_submitted,
                 )
-                return mode, "none"
         finally:
-            if prefetcher is not None:
-                self._backpressure["prefetch_peak"] = prefetcher.peak_depth
-                prefetcher.close()
-            executor.shutdown(wait=True, cancel_futures=True)
-            for segment in segments.values():
-                release_unit(segment)
-
-    def _submit(
-        self, executor: ProcessPoolExecutor, unit: WorkUnit, transport: str
-    ) -> tuple[Future, str | None, str]:
-        """Submit one unit, publishing via shared memory when possible.
-
-        ``"shm-view"`` submits the zero-copy worker entry point
-        (``attach_unit(copy=False)`` plus lease release); like ``"shm"``
-        it is a hard contract -- only ``"auto"`` degrades to pickle.
-        """
-        if transport in ("auto", "shm", "shm-view"):
-            try:
-                shared = publish_unit(unit)
-            except (OSError, ValueError, ImportError) as exc:
-                if transport in ("shm", "shm-view"):
-                    raise
-                warnings.warn(
-                    f"shared-memory transport unavailable ({exc!r}); using pickle",
-                    RuntimeWarning,
-                    stacklevel=4,
-                )
-                transport = "pickle"
-            else:
-                worker_fn = (
-                    _process_shared_unit_view
-                    if transport == "shm-view"
-                    else _process_shared_unit
-                )
-                try:
-                    future = executor.submit(worker_fn, shared)
-                except BaseException:
-                    release_unit(shared.segment)
-                    raise
-                return future, shared.segment, transport
-        # Parent-side serialisation cost of the pickled payload (the
-        # worker charges its deserialised copy separately).
-        record_copy("pickle", payload_nbytes(unit.reads))
-        return executor.submit(_process_unit, unit), None, transport
+            self._backpressure["prefetch_peak"] = prefetcher.peak_depth
+            prefetcher.close()
 
     def _collect_completed(
         self,
         inflight: dict[Future, WorkUnit],
-        segments: dict[Future, str],
         collector: ShardCollector,
         sink: ReportSink,
     ) -> None:
         """Wait for at least one in-flight unit and fold it in.
 
-        A unit is removed from ``inflight`` (and its segment released)
-        only once its result is in hand, so a broken pool leaves every
-        unfinished unit behind for the serial resume. A break is
+        A unit is removed from ``inflight`` only once its result is in
+        hand, so a broken pool leaves every unfinished unit behind for
+        the serial resume. A break is
         re-raised only after every *successful* result in the same wait
         batch has been collected -- work the pool finished before dying
         is never recomputed.
@@ -752,9 +500,6 @@ class DatasetEngine:
                 broken = exc  # unit stays in ``inflight`` for the serial resume
                 continue
             inflight.pop(future)
-            segment = segments.pop(future, None)
-            if segment is not None:
-                release_unit(segment)
             collector.add(result)
         self._emit(collector, sink)
         if broken is not None:
@@ -776,7 +521,6 @@ def run_dataset(
     progress: Callable[[int, int], None] | None = None,
     sink: ReportSink | None = None,
     batching: str = "fixed",
-    transport: str = "auto",
     trace: bool = False,
 ) -> GenPIPReport:
     """One-shot convenience wrapper around :class:`DatasetEngine`."""
@@ -787,7 +531,6 @@ def run_dataset(
         progress=progress,
         sink=sink,
         batching=batching,
-        transport=transport,
         trace=trace,
     )
     return engine.run(dataset)

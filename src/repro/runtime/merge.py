@@ -36,10 +36,6 @@ class ShardResult:
     shard_id: int
     outcomes: tuple[ReadOutcome, ...]
     counters: ReportCounters
-    #: Worker-side payload bytes copied to obtain this unit's reads
-    #: (attach copies / pickled payloads; zero on the zero-copy plane).
-    #: Pure bookkeeping -- never part of the report or its counters.
-    bytes_copied: int = 0
     #: Worker-side metrics-registry movement of this unit (a
     #: :func:`repro.obs.metrics.snapshot_delta`): copied bytes and
     #: mapping-kernel ops the parent process never saw. Empty for
@@ -56,7 +52,6 @@ class ShardResult:
         cls,
         shard_id: int,
         outcomes: list[ReadOutcome],
-        bytes_copied: int = 0,
         metrics: Mapping[str, dict] | None = None,
         traces: tuple = (),
     ) -> "ShardResult":
@@ -64,7 +59,6 @@ class ShardResult:
             shard_id=shard_id,
             outcomes=tuple(outcomes),
             counters=ReportCounters.from_outcomes(outcomes),
-            bytes_copied=bytes_copied,
             metrics=metrics if metrics is not None else {},
             traces=tuple(traces),
         )
@@ -81,7 +75,6 @@ class ShardCollector:
         self._next_shard = 0
         self._n_ready = 0
         self._drained = 0
-        self._bytes_copied = 0
         self._metrics: dict[str, dict] = {}
         self._traces: list[tuple] = []
 
@@ -106,7 +99,6 @@ class ShardCollector:
             raise ValueError(f"shard id {result.shard_id} outside plan of {self._n_shards}")
         if result.shard_id < self._next_shard or result.shard_id in self._pending:
             raise ValueError(f"shard id {result.shard_id} delivered twice")
-        self._bytes_copied += result.bytes_copied
         if result.metrics:
             self._metrics = merge_snapshots(self._metrics, result.metrics)
         self._pending[result.shard_id] = result
@@ -144,11 +136,6 @@ class ShardCollector:
     def counters(self) -> ReportCounters:
         """Exact merged counters of the completed prefix so far."""
         return self._counters
-
-    @property
-    def bytes_copied(self) -> int:
-        """Summed worker-side copy traffic of every accepted shard."""
-        return self._bytes_copied
 
     @property
     def metrics(self) -> dict[str, dict]:

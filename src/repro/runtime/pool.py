@@ -1,0 +1,265 @@
+"""The one worker plane under batch and serving.
+
+:class:`WorkerPool` is the only place in the package that owns worker
+processes. Batch mode (:class:`~repro.runtime.engine.DatasetEngine`, an
+ordered in-flight window over a source) and serving
+(:class:`~repro.serving.dispatch.PoolDispatcher`, per-read futures) are
+two schedulers over it and see only :meth:`WorkerPool.submit` and
+``BrokenProcessPool``. Everything else lives here, once:
+
+* the worker initialiser -- SIGINT ignored so the parent always owns
+  shutdown, tracer enabled when the spec asks, pipeline built from the
+  spec;
+* the minimizer index, published to shared memory **once** per pool so
+  each worker receives a ~100-byte handle instead of a pickled index;
+* the warm-up submit that forks every worker while the parent is still
+  single-threaded;
+* the single worker entry point: a :class:`~repro.runtime.transport
+  .SharedUnit` is attached zero-copy (read-only views under a
+  :class:`~repro.runtime.transport.SegmentLease`), a pickled
+  :class:`~repro.runtime.sharding.WorkUnit` is processed directly;
+* segment release in a done-callback -- result, worker exception,
+  broken pool and cancellation all go through it.
+
+Shared memory is the path. Pickle is only the automatic fallback when a
+segment cannot be created (``OSError`` / ``ValueError`` / ``ImportError``
+from ``publish_*``); the first such failure is warned once and the pool
+stays on pickle. :attr:`WorkerPool.transport` reports what actually
+travelled.
+"""
+
+from __future__ import annotations
+
+import signal
+import warnings
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
+from repro.core.pipeline import GenPIPPipeline
+from repro.mapping.index import MinimizerIndex
+from repro.obs.metrics import worker_metrics_delta, worker_metrics_snapshot
+from repro.obs.trace import active_tracer, drain_read_traces, enable_tracing
+from repro.perf.copies import record_copy
+from repro.runtime.columnar import payload_nbytes
+from repro.runtime.merge import ShardResult
+from repro.runtime.sharding import WorkUnit
+from repro.runtime.spec import PipelineSpec
+from repro.runtime.transport import (
+    SharedIndexHandle,
+    SharedUnit,
+    attach_unit,
+    publish_index,
+    publish_unit,
+    release_unit,
+    unit_lease,
+)
+
+#: Per-process pipeline, built once by :func:`_init_worker`.
+_WORKER_PIPELINE: GenPIPPipeline | None = None
+
+
+def _init_worker(spec: PipelineSpec) -> None:
+    """Pool initialiser: rebuild the pipeline inside the worker.
+
+    A Ctrl-C reaches the whole process group; workers ignore it so the
+    parent drains them through :meth:`WorkerPool.stop` instead of them
+    dying mid-unit with tracebacks.
+    """
+    global _WORKER_PIPELINE
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if spec.trace:
+        enable_tracing()
+    _WORKER_PIPELINE = spec.build()
+
+
+def _warmup() -> None:
+    """No-op task submitted before any caller thread starts.
+
+    With the default ``fork`` start method the executor launches *all*
+    worker processes on the first submit (gh-90622), so routing that
+    first submit through here -- before a prefetcher thread or an event
+    loop exists -- guarantees every fork happens while the parent is
+    still single-threaded (no 3.12+ fork-after-thread
+    DeprecationWarning, no inherited-lock deadlock hazard). It also
+    surfaces sandboxes that allow pool *creation* but not process
+    *spawning*, and worker builds that raise, before any work is planned.
+    """
+    return None
+
+
+def _run_unit(unit: WorkUnit | SharedUnit) -> ShardResult:
+    """Run one work unit on the per-worker pipeline.
+
+    A shared unit's arrays are read-only views into the mapped segment;
+    the lease keeps the mapping open until the outcomes exist, and the
+    views are dropped *before* the release so the close is not deferred.
+    A pickled unit's payload was materialised here by deserialisation
+    and is charged to the ``"pickle"`` copy boundary. The metrics
+    registry is snapshotted around the unit and the delta (plus any
+    spans) ships home on the :class:`ShardResult`.
+    """
+    if _WORKER_PIPELINE is None:  # pragma: no cover - initialiser contract violation
+        raise RuntimeError("worker used before _init_worker primed the pipeline")
+    metrics_before = worker_metrics_snapshot()
+    lease = None
+    if isinstance(unit, SharedUnit):
+        reads = attach_unit(unit, copy=False)
+        lease = unit_lease(unit.segment)
+    else:
+        reads = list(unit.reads)
+        record_copy("pickle", payload_nbytes(reads))
+    try:
+        with active_tracer().unit(unit.shard_id):
+            outcomes = _WORKER_PIPELINE.process_batch(reads)
+    finally:
+        del reads
+        if lease is not None:
+            lease.release()
+    return ShardResult.from_outcomes(
+        unit.shard_id,
+        outcomes,
+        metrics=worker_metrics_delta(metrics_before),
+        traces=drain_read_traces(),
+    )
+
+
+def shutdown_executor(executor: Executor) -> None:
+    """Shut an executor down; a Ctrl-C landing mid-join downgrades the
+    shutdown to non-waiting instead of propagating."""
+    try:
+        executor.shutdown(wait=True, cancel_futures=True)
+    except KeyboardInterrupt:
+        executor.shutdown(wait=False, cancel_futures=True)
+
+
+class WorkerPool:
+    """Warm worker processes around one pipeline spec.
+
+    :meth:`start` must run while the caller is still single-threaded
+    (see :func:`_warmup`). A pool that cannot be created, or whose
+    workers cannot start, warns and reports ``alive == False`` -- the
+    caller runs its own in-process fallback. A pool that breaks later
+    surfaces as ``BrokenProcessPool`` from :meth:`submit` or from the
+    futures it returned.
+    """
+
+    def __init__(self, spec: PipelineSpec, workers: int):
+        self._spec = spec
+        self._workers = workers
+        self._executor: ProcessPoolExecutor | None = None
+        self._index_handle: SharedIndexHandle | None = None
+        self._index_publications = 0
+        self._segments: set[str] = set()
+        self._shm = True
+        self._transport = "none"
+
+    @property
+    def alive(self) -> bool:
+        return self._executor is not None
+
+    @property
+    def transport(self) -> str:
+        """How unit payloads have travelled: ``"none"`` before the first
+        submit, then ``"shm"``, or ``"pickle"`` once any unit fell back."""
+        return self._transport
+
+    @property
+    def index_publications(self) -> int:
+        """How many times the index was published (must stay <= 1)."""
+        return self._index_publications
+
+    def start(self) -> bool:
+        """Publish the index, create the pool and warm it; returns ``alive``."""
+        worker_spec = self._spec
+        if isinstance(self._spec.index, MinimizerIndex):
+            try:
+                self._index_handle = publish_index(self._spec.index)
+            except (OSError, ValueError, ImportError) as exc:
+                self._fall_back_to_pickle(exc)
+            else:
+                self._index_publications += 1
+                worker_spec = self._spec.with_index(self._index_handle)
+        try:
+            self._executor = ProcessPoolExecutor(
+                max_workers=self._workers,
+                initializer=_init_worker,
+                initargs=(worker_spec,),
+            )
+            self._executor.submit(_warmup).result()
+        except (ImportError, NotImplementedError, OSError, BrokenProcessPool) as exc:
+            self.stop()
+            warnings.warn(
+                f"process pool unavailable ({exc!r}); running in-process",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        except BaseException:
+            self.stop()
+            raise
+        return self.alive
+
+    def submit(self, unit: WorkUnit) -> Future:
+        """Publish ``unit`` and run it on a worker; the future resolves
+        to its :class:`ShardResult`. The unit's segment is released when
+        the future is done, however it got there."""
+        if self._executor is None:
+            raise BrokenProcessPool("worker pool is not running")
+        if self._shm:
+            try:
+                shared = publish_unit(unit)
+            except (OSError, ValueError, ImportError) as exc:
+                self._fall_back_to_pickle(exc)
+            else:
+                name = shared.segment
+                self._segments.add(name)
+                try:
+                    future = self._executor.submit(_run_unit, shared)
+                except BaseException:
+                    self._release(name)
+                    raise
+                future.add_done_callback(lambda _f: self._release(name))
+                if self._transport == "none":
+                    self._transport = "shm"
+                return future
+        # Parent-side serialisation cost of the pickled payload (the
+        # worker charges its deserialised copy separately).
+        record_copy("pickle", payload_nbytes(unit.reads))
+        self._transport = "pickle"
+        return self._executor.submit(_run_unit, unit)
+
+    def stop(self) -> None:
+        """Release the index, shut the workers down, release every segment.
+
+        The index goes *first* (workers keep their attached mappings
+        until they exit, so unlink-before-shutdown is safe on every
+        platform we run on) so a Ctrl-C landing mid-join cannot leak it.
+        Segments of units still running after such a downgraded shutdown
+        are released here rather than by their done-callbacks.
+        """
+        if self._index_handle is not None:
+            release_unit(self._index_handle.segment)
+            self._index_handle = None
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            shutdown_executor(executor)
+        for name in tuple(self._segments):
+            self._release(name)
+
+    def __enter__(self) -> "WorkerPool":
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+    def _release(self, name: str) -> None:
+        self._segments.discard(name)
+        release_unit(name)
+
+    def _fall_back_to_pickle(self, exc: BaseException) -> None:
+        self._shm = False
+        warnings.warn(
+            f"shared memory unavailable ({exc!r}); payloads travel pickled",
+            RuntimeWarning,
+            stacklevel=3,
+        )

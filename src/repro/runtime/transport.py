@@ -15,16 +15,18 @@ module publishes payloads **once** through
   :class:`SharedUnit`: shard id, segment name, and one offset handle
   per read. The task message that crosses the process boundary is just
   this handle bundle (~100 bytes per read).
-* :func:`attach_unit` (worker side) rebuilds the reads. ``copy=True``
-  (the classic mode) copies every array out and closes the mapping
-  before returning, charging the bytes to the ``"attach"`` boundary of
-  :mod:`repro.perf.copies`. ``copy=False`` (the zero-copy plane)
-  returns reads whose arrays are **read-only views** into the segment;
+* :func:`attach_unit` (worker side) rebuilds the reads. ``copy=False``
+  (what :mod:`repro.runtime.pool` workers use) returns reads whose
+  arrays are **read-only views** into the segment;
   the mapping is held open by a ref-counted :class:`SegmentLease`
   (:func:`unit_lease`) that the consumer releases once the batch's
   outcomes are produced -- the segment-lifetime handoff that lets views
   safely outlive the parent's eager :func:`release_unit` (POSIX keeps
   an unlinked segment's pages alive while any mapping remains).
+  ``copy=True`` copies every array out and closes the mapping before
+  returning, charging the bytes to the ``"attach"`` boundary of
+  :mod:`repro.perf.copies` -- for callers that want reads with no
+  lifetime ties to the segment.
 * :func:`publish_index` / :func:`attach_index` do the same for the
   reference minimizer index: its key/position/strand arrays and the
   reference codes are laid out in **one** segment published once per
@@ -34,11 +36,11 @@ module publishes payloads **once** through
   index's arrays are zero-copy views (see :func:`attach_index` for the
   lifetime contract).
 * :func:`release_unit` / :func:`release_all` (parent side) close and
-  unlink segments. The engine guarantees a release on every exit path
-  -- result collected, worker exception, broken-pool fallback, engine
-  crash -- and :func:`active_segments` exposes the outstanding names so
-  tests can assert nothing leaked. :func:`worker_leases` is the
-  worker-side counterpart for the zero-copy plane.
+  unlink segments. :class:`~repro.runtime.pool.WorkerPool` guarantees a
+  release on every exit path -- result collected, worker exception,
+  broken pool, cancellation at stop -- and :func:`active_segments`
+  exposes the outstanding names so tests can assert nothing leaked.
+  :func:`worker_leases` is the worker-side counterpart.
 
 Worker attachment unregisters from the per-process ``resource_tracker``
 (or passes ``track=False`` on Python >= 3.13): the parent owns the
@@ -57,8 +59,8 @@ from dataclasses import dataclass, replace
 try:
     from multiprocessing import resource_tracker, shared_memory
 except ImportError:  # pragma: no cover - platforms without POSIX shm
-    # The engine treats an ImportError from publish_unit as "use the
-    # pickle transport"; importing *this module* must stay safe so the
+    # The pool treats an ImportError from publish_unit as "fall back
+    # to pickle"; importing *this module* must stay safe so the
     # runtime's zero-dependency serial path keeps working everywhere.
     resource_tracker = None  # type: ignore[assignment]
     shared_memory = None  # type: ignore[assignment]
@@ -273,12 +275,12 @@ def attach_unit(
 ) -> list[SimulatedRead | SignalRead]:
     """Rebuild a unit's reads from its shared segment (worker side).
 
-    ``copy=True`` (default, the classic mode): arrays are copied out of
-    the mapping -- charged to the ``"attach"`` copy boundary -- and the
-    mapping is closed before returning, so the reads have no lifetime
-    ties to the segment.
+    ``copy=True`` (default): arrays are copied out of the mapping --
+    charged to the ``"attach"`` copy boundary -- and the mapping is
+    closed before returning, so the reads have no lifetime ties to the
+    segment.
 
-    ``copy=False`` (the zero-copy plane): arrays are **read-only views**
+    ``copy=False`` (the pool workers' path): arrays are **read-only views**
     into the mapping. The mapping is held open by a
     :class:`SegmentLease` registered under the segment name
     (:func:`unit_lease`); the caller must ``release()`` it after the

@@ -60,7 +60,6 @@ from repro.nanopore.datasets import (
     profile_reference,
     small_profile,
 )
-from repro.runtime.engine import TRANSPORTS
 from repro.serving.client import drive_sessions, merged_outcomes, partition_reads
 from repro.serving.dispatch import PoolDispatcher
 from repro.serving.server import ServingServer
@@ -130,10 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="worker processes (default: GENPIP_WORKERS env or serial)",
-    )
-    run.add_argument(
-        "--transport", choices=TRANSPORTS, default="auto",
-        help="how pooled read payloads travel: shared memory, pickle, or auto",
     )
     net = serve.add_argument_group("endpoint")
     net.add_argument("--host", default="127.0.0.1", help="bind address (loopback)")
@@ -229,7 +224,7 @@ def _cmd_serve(args, parser) -> int:
     # process is still single-threaded (the batch engine's warm-up
     # rationale), and the index is published exactly once for the
     # server's whole lifetime.
-    dispatcher = PoolDispatcher(pipeline, workers=args.workers, transport=args.transport)
+    dispatcher = PoolDispatcher(pipeline, workers=args.workers)
     with dispatcher:
 
         async def _serve() -> None:
@@ -242,8 +237,7 @@ def _cmd_serve(args, parser) -> int:
                 if not args.quiet:
                     print(
                         f"serving {args.profile} on {args.host}:{server.port} "
-                        f"({dispatcher.mode} x{dispatcher.workers}, "
-                        f"transport {dispatcher.transport})",
+                        f"({dispatcher.mode} x{dispatcher.workers})",
                         file=sys.stderr,
                     )
                 try:

@@ -173,7 +173,6 @@ def serve_and_drive(
     *,
     sessions: int,
     workers: int | None = None,
-    transport: str = "auto",
 ):
     """One-call loopback exercise: serve ``reads`` over N concurrent sessions.
 
@@ -202,5 +201,5 @@ def serve_and_drive(
             )
             return results, server.stats()
 
-    with PoolDispatcher(pipeline_or_spec, workers=workers, transport=transport) as dispatcher:
+    with PoolDispatcher(pipeline_or_spec, workers=workers) as dispatcher:
         return asyncio.run(_serve())

@@ -4,23 +4,20 @@ The batch runtime (:mod:`repro.runtime.engine`) builds a pool per run
 and tears it down with the dataset; a *serving* process cannot afford
 either end of that -- pool start-up (fork + per-worker pipeline build +
 index materialisation) is orders of magnitude above a single read's
-latency budget. :class:`PoolDispatcher` therefore owns one long-lived
-``ProcessPoolExecutor``:
+latency budget. :class:`PoolDispatcher` therefore keeps one
+:class:`~repro.runtime.pool.WorkerPool` -- the same worker plane the
+batch engine runs on -- alive across sessions:
 
-* the minimizer index is published into shared memory **exactly once**,
-  at :meth:`start`, and every worker of every session attaches the same
-  segment (``index_publications`` exposes the count; tests assert it
-  stays 1 across sessions via :func:`repro.runtime.transport
-  .active_segments`);
-* each read is submitted as a single-read work unit over the existing
-  transport (``shm`` handles by default, pickle fallback under
-  ``auto``), so verdicts stream back as soon as *that read* resolves --
-  no batch barrier anywhere on the path;
-* the pool is warmed at start (the same single-threaded fork rationale
-  as :func:`repro.runtime.engine._pool_warmup`), and a pool that cannot
-  be created or breaks mid-serve degrades to a single in-process worker
-  thread -- the service stays up, mirroring the batch engine's resuming
-  serial fallback.
+* the pool publishes the minimizer index into shared memory **exactly
+  once**, at :meth:`PoolDispatcher.start`, and every worker of every
+  session attaches the same segment (``index_publications`` exposes the
+  count);
+* each read is submitted as a single-read work unit, so verdicts stream
+  back as soon as *that read* resolves -- no batch barrier anywhere on
+  the path;
+* a pool that cannot be started or breaks mid-serve degrades to a single
+  in-process worker thread -- the service stays up, mirroring the batch
+  engine's resuming serial fallback.
 
 Determinism note: default backends keep no cross-read state
 (:meth:`~repro.core.pipeline.GenPIPPipeline.process_batch` is exactly
@@ -33,15 +30,13 @@ from __future__ import annotations
 
 import asyncio
 import os
-import signal
 import time
 import warnings
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro.core.pipeline import GenPIPPipeline, ReadOutcome
-from repro.mapping.index import MinimizerIndex
 from repro.obs.metrics import MAPPING_OPS, MetricsRegistry, process_registry
 from repro.obs.trace import (
     ReadTrace,
@@ -52,33 +47,9 @@ from repro.obs.trace import (
     tracing_enabled,
 )
 from repro.perf.latency import LatencyHistogram
-from repro.runtime.engine import (
-    TRANSPORTS,
-    _init_worker,
-    _pool_warmup,
-    _process_shared_unit,
-    _process_shared_unit_view,
-    _process_unit,
-)
+from repro.runtime.pool import WorkerPool, shutdown_executor
 from repro.runtime.sharding import WorkUnit, resolve_workers
 from repro.runtime.spec import PipelineSpec
-from repro.runtime.transport import (
-    SharedIndexHandle,
-    publish_index,
-    publish_unit,
-    release_unit,
-)
-
-
-def _serving_worker_init(spec: PipelineSpec) -> None:
-    """Worker initializer: batch engine's pipeline build + SIGINT immunity.
-
-    A Ctrl-C on the server reaches the whole process group; the workers
-    must survive it so the parent can drain them through the normal
-    shutdown path instead of them dying mid-read with tracebacks.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _init_worker(spec)
 
 
 @dataclass(frozen=True)
@@ -95,7 +66,7 @@ class ServingStats:
 
     mode: str  # "process-pool" | "inline"
     workers: int
-    transport: str  # "shm" | "shm-view" | "pickle" | "none"
+    transport: str  # what actually travelled: "none" | "shm" | "pickle"
     sessions: int
     live_sessions: int
     peak_sessions: int
@@ -186,14 +157,14 @@ class ServingStats:
 class PoolDispatcher:
     """The long-lived execution substrate behind the serving front-end.
 
-    Parameters mirror :class:`~repro.runtime.engine.DatasetEngine` where
-    they overlap (``workers``, ``transport``); unlike the engine, the
-    pool and the published index survive across :meth:`process` calls --
-    that persistence *is* the subsystem.
+    ``workers`` means what it means to :class:`~repro.runtime.engine
+    .DatasetEngine`; unlike the engine, the pool and the published index
+    survive across :meth:`process` calls -- that persistence *is* the
+    subsystem.
 
     :meth:`start` must run before the asyncio loop exists (single-
-    threaded fork, exactly the batch engine's warm-up rationale), and
-    :meth:`stop` releases the pool and the index segment.
+    threaded fork, see :mod:`repro.runtime.pool`), and :meth:`stop`
+    releases the pool and the index segment.
     """
 
     def __init__(
@@ -201,7 +172,6 @@ class PoolDispatcher:
         pipeline: GenPIPPipeline | PipelineSpec,
         *,
         workers: int | None = None,
-        transport: str = "auto",
         trace: bool = False,
     ):
         if isinstance(pipeline, PipelineSpec):
@@ -211,18 +181,15 @@ class PoolDispatcher:
             self._spec = PipelineSpec.from_pipeline(pipeline)
             self._pipeline = pipeline
         self._workers = resolve_workers(workers)
-        if transport not in TRANSPORTS:
-            raise ValueError(f"unknown transport {transport!r}; expected one of {TRANSPORTS}")
-        self._transport = transport
         self._trace = bool(trace or self._spec.trace)
         if self._trace and not self._spec.trace:
             self._spec = self._spec.with_trace(True)
         self._tracing_was_on = False
         self._traces: list[tuple] = []
-        self._executor: ProcessPoolExecutor | None = None
+        # Started only when workers > 1; a never-started (or stopped)
+        # pool reports not alive, and everything runs inline.
+        self._pool = WorkerPool(self._spec, self._workers)
         self._inline: ThreadPoolExecutor | None = None
-        self._index_handle: SharedIndexHandle | None = None
-        self._index_publications = 0
         self._ticket = 0
         self._started = False
 
@@ -239,76 +206,17 @@ class PoolDispatcher:
             self._tracing_was_on = tracing_enabled()
             enable_tracing()
         if self._workers > 1:
-            self._start_pool()
+            self._pool.start()
         return self
 
-    def _start_pool(self) -> None:
-        worker_spec = self._spec
-        if self._transport in ("auto", "shm", "shm-view") and isinstance(
-            self._spec.index, MinimizerIndex
-        ):
-            try:
-                self._index_handle = publish_index(self._spec.index)
-                self._index_publications += 1
-                worker_spec = self._spec.with_index(self._index_handle)
-            except (OSError, ValueError, ImportError) as exc:
-                if self._transport in ("shm", "shm-view"):
-                    raise
-                warnings.warn(
-                    f"shared-memory index unavailable ({exc!r}); "
-                    "shipping the pickled index to serving workers",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-        try:
-            executor = ProcessPoolExecutor(
-                max_workers=self._workers,
-                initializer=_serving_worker_init,
-                initargs=(worker_spec,),
-            )
-            executor.submit(_pool_warmup).result()
-        except (
-            ImportError,
-            NotImplementedError,
-            OSError,
-            PermissionError,
-            BrokenProcessPool,
-        ) as exc:
-            warnings.warn(
-                f"serving pool unavailable ({exc!r}); serving inline",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            self._release_index()
-            return
-        self._executor = executor
-
     def stop(self) -> None:
-        """Shut the pool down and release the published index segment.
-
-        The index is released *first* (workers keep their attached
-        mappings until they exit, so unlink-before-shutdown is safe on
-        every platform we run on), and a Ctrl-C landing mid-join must
-        not leak it -- the pool shutdown downgrades to non-waiting
-        instead of propagating.
-        """
-        self._release_index()
-        executor, self._executor = self._executor, None
+        """Stop the pool (index segment included) and the inline worker."""
+        self._pool.stop()
         inline, self._inline = self._inline, None
-        for pool in (executor, inline):
-            if pool is None:
-                continue
-            try:
-                pool.shutdown(wait=True, cancel_futures=True)
-            except KeyboardInterrupt:
-                pool.shutdown(wait=False, cancel_futures=True)
+        if inline is not None:
+            shutdown_executor(inline)
         if self._trace and not self._tracing_was_on:
             disable_tracing()
-
-    def _release_index(self) -> None:
-        if self._index_handle is not None:
-            release_unit(self._index_handle.segment)
-            self._index_handle = None
 
     def __enter__(self) -> "PoolDispatcher":
         return self.start()
@@ -324,21 +232,18 @@ class PoolDispatcher:
 
     @property
     def mode(self) -> str:
-        return "process-pool" if self._executor is not None else "inline"
+        return "process-pool" if self._pool.alive else "inline"
 
     @property
     def transport(self) -> str:
-        """How read payloads travel ("none" until the first pooled read)."""
-        if self._executor is None:
-            return "none"
-        if self._transport == "pickle":
-            return "pickle"
-        return "shm-view" if self._transport == "shm-view" else "shm"
+        """How read payloads have travelled ("none" until the first
+        pooled read; see :attr:`WorkerPool.transport`)."""
+        return self._pool.transport
 
     @property
     def index_publications(self) -> int:
         """How many times the index was published (must stay <= 1)."""
-        return self._index_publications
+        return self._pool.index_publications
 
     @property
     def trace(self) -> bool:
@@ -363,27 +268,24 @@ class PoolDispatcher:
         read is retried there (the service never drops a read).
         """
         enqueued = time.perf_counter()
-        while self._executor is not None:
+        if self._pool.alive:
+            self._ticket += 1
+            unit = WorkUnit(shard_id=self._ticket, start=0, reads=(read,))
             try:
-                future = self._submit_pooled(read)
+                result = await asyncio.wrap_future(self._pool.submit(unit))
             except BrokenProcessPool:
                 self._degrade()
-                break
-            try:
-                result = await asyncio.wrap_future(future)
-            except BrokenProcessPool:
-                self._degrade()
-                break
-            resolved = time.perf_counter()
-            if MAPPING_OPS in result.metrics:
-                # Repatriate the worker's mapping-kernel op counts into
-                # the parent's process ledger (the batch engine does the
-                # same), so perf models built in the serving process see
-                # pooled work too.
-                process_registry().absorb(result.metrics, names=(MAPPING_OPS,))
-            if self._trace:
-                self._record_dispatch(read, result.traces, enqueued, resolved)
-            return result.outcomes[0], resolved - enqueued
+            else:
+                resolved = time.perf_counter()
+                if MAPPING_OPS in result.metrics:
+                    # Repatriate the worker's mapping-kernel op counts into
+                    # the parent's process ledger (the batch engine does the
+                    # same), so perf models built in the serving process see
+                    # pooled work too.
+                    process_registry().absorb(result.metrics, names=(MAPPING_OPS,))
+                if self._trace:
+                    self._record_dispatch(read, result.traces, enqueued, resolved)
+                return result.outcomes[0], resolved - enqueued
         outcome, inline_traces = await asyncio.wrap_future(self._submit_inline(read))
         resolved = time.perf_counter()
         if self._trace:
@@ -402,35 +304,6 @@ class PoolDispatcher:
         self._traces.extend(worker_traces)
         label = str(getattr(read, "read_id", ""))
         self._traces.append(("dispatch", label, os.getpid(), (("dispatch", -1, t0, t1),)))
-
-    def _submit_pooled(self, read) -> Future:
-        if self._executor is None:  # pragma: no cover - guarded by caller
-            raise BrokenProcessPool("no pool")
-        self._ticket += 1
-        unit = WorkUnit(shard_id=self._ticket, start=0, reads=(read,))
-        if self._transport in ("auto", "shm", "shm-view"):
-            try:
-                shared = publish_unit(unit)
-            except (OSError, ValueError, ImportError) as exc:
-                if self._transport in ("shm", "shm-view"):
-                    raise BrokenProcessPool(f"shm transport failed: {exc!r}") from exc
-            else:
-                worker_fn = (
-                    _process_shared_unit_view
-                    if self._transport == "shm-view"
-                    else _process_shared_unit
-                )
-                try:
-                    future = self._executor.submit(worker_fn, shared)
-                except BaseException:
-                    release_unit(shared.segment)
-                    raise
-                # Release the per-read segment the moment the worker is
-                # done with it, success or failure -- the long-lived
-                # index segment is the only one that persists.
-                future.add_done_callback(lambda _f: release_unit(shared.segment))
-                return future
-        return self._executor.submit(_process_unit, unit)
 
     def _submit_inline(self, read) -> Future:
         if self._inline is None:
@@ -451,12 +324,11 @@ class PoolDispatcher:
 
     def _degrade(self) -> None:
         """Retire a broken pool; subsequent reads run inline."""
-        if self._executor is None:
+        if not self._pool.alive:
             return
         warnings.warn(
             "serving pool broke; continuing inline (single in-process worker)",
             RuntimeWarning,
             stacklevel=3,
         )
-        executor, self._executor = self._executor, None
-        executor.shutdown(wait=False, cancel_futures=True)
+        self._pool.stop()

@@ -41,3 +41,15 @@ def ecoli_small():
 def human_small():
     """~130 reads with capped lengths from the human-like preset."""
     return generate_dataset(small_profile(HUMAN_LIKE), scale=0.0003, seed=9)
+
+
+@pytest.fixture
+def pickle_fallback(monkeypatch):
+    """Fault injection: no shared segment can be created, so a pooled
+    run ships the index and every unit by the automatic pickle fallback."""
+
+    def refuse(*_args, **_kwargs):
+        raise OSError("injected: shared memory unavailable")
+
+    monkeypatch.setattr("repro.runtime.pool.publish_index", refuse)
+    monkeypatch.setattr("repro.runtime.pool.publish_unit", refuse)

@@ -178,9 +178,7 @@ class TestPipelineTracing:
         """The tentpole invariant: identical per-read structure."""
         serial = DatasetEngine(obs_system.pipeline, workers=1, trace=True)
         serial_report = serial.run(obs_dataset)
-        pooled = DatasetEngine(
-            obs_system.pipeline, workers=2, transport="shm", trace=True
-        )
+        pooled = DatasetEngine(obs_system.pipeline, workers=2, trace=True)
         pooled_report = pooled.run(obs_dataset)
         assert pooled_report.outcomes == serial_report.outcomes
 
@@ -261,9 +259,7 @@ class TestPipelineTracing:
                 assert trace.count("report") == 0
 
     def test_unit_traces_cover_every_shard(self, obs_system, obs_dataset):
-        engine = DatasetEngine(
-            obs_system.pipeline, workers=2, transport="shm", trace=True
-        )
+        engine = DatasetEngine(obs_system.pipeline, workers=2, trace=True)
         engine.run(obs_dataset)
         units = [t for t in engine.last_trace if t.kind == "unit"]
         assert len(units) == engine.last_stats.n_shards
@@ -453,7 +449,7 @@ class TestRuntimeStatsFromRegistry:
         reads = sorted(obs_dataset.reads, key=len)[:6]
         ledger = process_mapping_ops()
         before = ledger.by_kind()
-        engine = DatasetEngine(system.pipeline, workers=2, transport="shm")
+        engine = DatasetEngine(system.pipeline, workers=2)
         engine.run(reads)
         after = ledger.by_kind()
         assert after.get("chain-candidate", 0) > before.get("chain-candidate", 0)
@@ -466,9 +462,7 @@ class TestRuntimeStatsFromRegistry:
 class TestExport:
     @pytest.fixture(scope="class")
     def traced_engine(self, obs_system, obs_dataset):
-        engine = DatasetEngine(
-            obs_system.pipeline, workers=2, transport="shm", trace=True
-        )
+        engine = DatasetEngine(obs_system.pipeline, workers=2, trace=True)
         engine.run(obs_dataset)
         return engine
 

@@ -5,7 +5,7 @@ Covers the :class:`~repro.runtime.columnar.ColumnarLayout` /
 the :class:`~repro.runtime.transport.SegmentLease` segment-lifetime
 handoff (refcounts, deferred closes, leak probes on every exit path --
 success, worker exception, broken pool, interrupted serving), the
-``shm-view`` transport's byte-identity with the serial baseline across
+pooled zero-copy path's byte-identity with the serial baseline across
 sources x sinks, the copy ledger (:mod:`repro.perf.copies` and the
 ``RuntimeStats`` bytes fields the bench gates), the view-based
 ``attach_index``, the counting :class:`~repro.runtime.sink.NullSink`,
@@ -345,7 +345,7 @@ class TestSegmentLease:
         assert _no_leaked_segments()
 
 
-# --- shm-view transport: byte-identity + leak probes -------------------------
+# --- pooled zero-copy path: byte-identity + leak probes ----------------------
 
 
 class TestViewTransport:
@@ -363,7 +363,6 @@ class TestViewTransport:
             workers=2,
             batch_size=4,
             sink=sink,
-            transport="shm-view",
         )
         report = engine.run(tiny_dataset)
         assert report.counters == serial_report.counters
@@ -375,7 +374,7 @@ class TestViewTransport:
         else:
             assert sink.n_emitted == len(tiny_dataset)
         if engine.last_stats.mode == "process-pool":
-            assert engine.last_stats.transport == "shm-view"
+            assert engine.last_stats.transport == "shm"
             assert engine.last_stats.bytes_copied == 0
             assert engine.last_stats.bytes_copied_per_read == 0.0
             assert engine.last_stats.bytes_published >= payload_nbytes(
@@ -394,7 +393,6 @@ class TestViewTransport:
             workers=2,
             batch_size=4,
             sink=ParquetSink(path, batch_rows=8),
-            transport="shm-view",
         )
         report = engine.run(tiny_dataset)
         assert report.counters == serial_report.counters
@@ -414,9 +412,7 @@ class TestViewTransport:
         serial = DatasetEngine(system.pipeline, workers=1, batch_size=2).run(
             SignalStoreSource(store)
         )
-        engine = DatasetEngine(
-            system.pipeline, workers=2, batch_size=2, transport="shm-view"
-        )
+        engine = DatasetEngine(system.pipeline, workers=2, batch_size=2)
         report = engine.run(SignalStoreSource(store))
         assert report.outcomes == serial.outcomes
         assert report.counters == serial.counters
@@ -424,17 +420,21 @@ class TestViewTransport:
             assert engine.last_stats.bytes_copied == 0
         assert _no_leaked_segments()
 
+    @pytest.mark.filterwarnings("ignore:shared memory unavailable:RuntimeWarning")
     def test_copy_transport_reports_copied_bytes(
-        self, tiny_system, tiny_dataset, serial_report
+        self, tiny_system, tiny_dataset, serial_report, pickle_fallback
     ):
-        engine = DatasetEngine(
-            tiny_system.pipeline, workers=2, batch_size=4, transport="shm"
-        )
+        """The one copying path left is the pickle fallback."""
+        engine = DatasetEngine(tiny_system.pipeline, workers=2, batch_size=4)
         report = engine.run(tiny_dataset)
         assert report.outcomes == serial_report.outcomes
         if engine.last_stats.mode == "process-pool":
-            # The copying attach moves every payload byte worker-side.
-            assert engine.last_stats.bytes_copied == payload_nbytes(tiny_dataset.reads)
+            # Deserialisation materialises every payload byte worker-side,
+            # and the parent charged the same bytes when it serialised.
+            nbytes = payload_nbytes(tiny_dataset.reads)
+            assert engine.last_stats.transport == "pickle"
+            assert engine.last_stats.bytes_copied == nbytes
+            assert engine.last_stats.bytes_published == nbytes
             assert engine.last_stats.bytes_copied_per_read > 0
         assert _no_leaked_segments()
 
@@ -445,9 +445,7 @@ class TestViewTransport:
         system = GenPIP(
             tiny_index, GenPIPConfig(), basecaller=FailingBasecaller(fail_id), align=False
         )
-        engine = DatasetEngine(
-            system.pipeline, workers=2, batch_size=3, transport="shm-view"
-        )
+        engine = DatasetEngine(system.pipeline, workers=2, batch_size=3)
         with pytest.raises(RuntimeError, match="injected failure"):
             engine.run(tiny_dataset)
         assert _no_leaked_segments()
@@ -456,7 +454,7 @@ class TestViewTransport:
     def test_broken_pool_resumes_serially_without_leaks(
         self, tiny_index, tiny_dataset, serial_report
     ):
-        """A pool dying mid-run under shm-view resumes in-process: the
+        """A pool dying mid-run resumes in-process: the
         result still matches the baseline and every published segment
         (and worker lease) is gone afterwards."""
         system = GenPIP(
@@ -465,9 +463,7 @@ class TestViewTransport:
             basecaller=WorkerExitingBasecaller(os.getpid()),
             align=False,
         )
-        engine = DatasetEngine(
-            system.pipeline, workers=2, batch_size=3, transport="shm-view"
-        )
+        engine = DatasetEngine(system.pipeline, workers=2, batch_size=3)
         with pytest.warns(RuntimeWarning, match="resuming serially|process pool unavailable"):
             report = engine.run(tiny_dataset)
         assert engine.last_stats.mode == "serial"
@@ -481,7 +477,7 @@ class TestViewTransport:
 
 @pytest.mark.slow
 def test_sigint_during_serving_leaves_no_segments(tmp_path):
-    """A SIGINT mid-service under the shm-view transport must tear down
+    """A SIGINT mid-service must tear down
     the warm pool and unlink every segment (index included)."""
     port_file = tmp_path / "serving.port"
     env = dict(os.environ)
@@ -492,7 +488,7 @@ def test_sigint_during_serving_leaves_no_segments(tmp_path):
         [
             sys.executable, "-m", "repro.serving", "serve",
             "--profile", "ecoli-like", "--max-read-length", "2500",
-            "--workers", "2", "--transport", "shm-view",
+            "--workers", "2",
             "--port-file", str(port_file), "--quiet",
         ],
         env=env,

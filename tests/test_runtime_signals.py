@@ -292,6 +292,7 @@ class TestSignalMatrix:
         for a, b in zip(first, second, strict=True):
             np.testing.assert_array_equal(a.signal.samples, b.signal.samples)
 
+    @pytest.mark.filterwarnings("ignore:shared memory unavailable:RuntimeWarning")
     @pytest.mark.parametrize("transport", ["shm", "pickle"])
     @pytest.mark.parametrize("sink_kind", ["memory", "jsonl"])
     def test_parallel_equals_serial(
@@ -300,19 +301,21 @@ class TestSignalMatrix:
         signal_store_path,
         serial_signal_report,
         tmp_path,
+        request,
         transport,
         sink_kind,
     ):
+        """Default path ("shm") and the fault-injected fallback ("pickle")."""
+        if transport == "pickle":
+            request.getfixturevalue("pickle_fallback")
         jsonl_path = tmp_path / "outcomes.jsonl"
         sink = JSONLSink(jsonl_path) if sink_kind == "jsonl" else None
         engine = DatasetEngine(
-            viterbi_system.pipeline,
-            workers=2,
-            batch_size=2,
-            sink=sink,
-            transport=transport,
+            viterbi_system.pipeline, workers=2, batch_size=2, sink=sink
         )
         report = engine.run(SignalStoreSource(signal_store_path))
+        if engine.last_stats.mode == "process-pool":
+            assert engine.last_stats.transport == transport
         assert report.counters == serial_signal_report.counters
         if sink_kind == "jsonl":
             replayed = replay_report(jsonl_path, serial_signal_report.config)
@@ -446,9 +449,7 @@ class TestSharedIndex:
     ):
         system = GenPIP(tiny_index, GenPIPConfig(), align=False)
         serial = system.run(tiny_dataset)
-        engine = DatasetEngine(
-            system.pipeline, workers=2, batch_size=4, transport="shm"
-        )
+        engine = DatasetEngine(system.pipeline, workers=2, batch_size=4)
         report = engine.run(tiny_dataset)
         assert report.outcomes == serial.outcomes
         assert report.counters == serial.counters

@@ -183,16 +183,20 @@ class TestStreamingMatrix:
         assert engine.last_stats.mode == "serial"
         assert engine.last_stats.transport == "none"
 
-    def test_pickle_transport_equivalence(self, tiny_system, tiny_dataset, serial_report):
-        report = DatasetEngine(
-            tiny_system.pipeline, workers=2, batch_size=4, transport="pickle"
-        ).run(tiny_dataset)
+    def test_pickle_transport_equivalence(
+        self, tiny_system, tiny_dataset, serial_report, pickle_fallback
+    ):
+        engine = DatasetEngine(tiny_system.pipeline, workers=2, batch_size=4)
+        with pytest.warns(RuntimeWarning, match="shared memory unavailable"):
+            report = engine.run(tiny_dataset)
         assert report.outcomes == serial_report.outcomes
         assert report.counters == serial_report.counters
+        if engine.last_stats.mode == "process-pool":
+            assert engine.last_stats.transport == "pickle"
         assert _no_leaked_segments()
 
     def test_shm_transport_reported_in_stats(self, tiny_system, tiny_dataset, serial_report):
-        engine = DatasetEngine(tiny_system.pipeline, workers=2, batch_size=4, transport="shm")
+        engine = DatasetEngine(tiny_system.pipeline, workers=2, batch_size=4)
         report = engine.run(tiny_dataset)
         assert report.outcomes == serial_report.outcomes
         if engine.last_stats.mode == "process-pool":

@@ -20,12 +20,15 @@ import os
 
 import numpy as np
 import pytest
+from test_runtime_streaming import WorkerExitingBasecaller
 
 from repro.core import GenPIP, GenPIPConfig
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.perf import LatencyHistogram
-from repro.runtime import active_segments, outcome_to_record
+from repro.perf.copies import copied_bytes
+from repro.runtime import DatasetEngine, active_segments, outcome_to_record
+from repro.runtime.columnar import payload_nbytes
 from repro.serving import (
     PoolDispatcher,
     ServingServer,
@@ -432,9 +435,72 @@ def test_dispatcher_start_is_single_shot(tiny_system):
         dispatcher.start()
 
 
-def test_dispatcher_rejects_unknown_transport(tiny_system):
-    with pytest.raises(ValueError, match="transport"):
-        PoolDispatcher(tiny_system.pipeline, transport="carrier-pigeon")
+def test_worker_killed_mid_read_degrades_inline(tiny_dataset, serial_records):
+    """A worker dying mid-read breaks the pool; every read still gets
+    exactly one verdict equal to the serial record, the dispatcher is
+    inline afterwards, and no segment (index included) is left behind."""
+    system = GenPIP(
+        MinimizerIndex.build(tiny_dataset.reference),
+        GenPIPConfig(),
+        basecaller=WorkerExitingBasecaller(os.getpid()),
+        align=False,
+    )
+    dispatcher = PoolDispatcher(system.pipeline, workers=2)
+    with dispatcher:
+        assert dispatcher.mode == "process-pool"
+
+        async def _session():
+            async with ServingServer(dispatcher) as server:
+                return await run_session(
+                    "127.0.0.1", server.port, list(enumerate(tiny_dataset.reads))
+                )
+
+        with pytest.warns(RuntimeWarning, match="serving pool broke"):
+            result = asyncio.run(_session())
+        assert dispatcher.mode == "inline"
+        # The broken pool took the index segment and every unit segment
+        # with it, before stop().
+        assert active_segments() == ()
+    assert sorted(result.verdicts) == list(range(len(tiny_dataset.reads)))
+    assert merged_outcomes([result]) == serial_records
+    assert _no_leaked_segments()
+
+
+def test_pickle_fallback_is_reported_and_charged(
+    tiny_system, tiny_dataset, serial_records, monkeypatch
+):
+    """A read whose segment cannot be created travels pickled: the
+    dispatcher and the ``summary`` frame say so, and the parent charges
+    the payload to the "pickle" boundary exactly as the batch engine
+    does."""
+
+    def refuse(_unit):
+        raise OSError("injected: shared memory unavailable")
+
+    monkeypatch.setattr("repro.runtime.pool.publish_unit", refuse)
+    reads = tiny_dataset.reads[:5]
+    before = copied_bytes("pickle")
+    dispatcher = PoolDispatcher(tiny_system.pipeline, workers=2)
+    with dispatcher, pytest.warns(RuntimeWarning, match="shared memory unavailable"):
+        assert dispatcher.transport == "none"
+
+        async def _session():
+            async with ServingServer(dispatcher) as server:
+                return await run_session("127.0.0.1", server.port, list(enumerate(reads)))
+
+        result = asyncio.run(_session())
+        assert dispatcher.mode == "process-pool"
+        assert dispatcher.transport == "pickle"
+    assert merged_outcomes([result]) == serial_records[: len(reads)]
+    assert result.summary["server"]["transport"] == "pickle"
+    assert copied_bytes("pickle") - before == payload_nbytes(reads)
+
+    engine = DatasetEngine(tiny_system.pipeline, workers=2, batch_size=1)
+    with pytest.warns(RuntimeWarning, match="shared memory unavailable"):
+        engine.run(reads)
+    assert engine.last_stats.transport == "pickle"
+    assert engine.last_stats.bytes_published == payload_nbytes(reads)
+    assert _no_leaked_segments()
 
 
 # --- CLI --------------------------------------------------------------------

@@ -395,12 +395,18 @@ class TestRuntimeSER:
             1 / len(serial_report.outcomes)
         )
 
+    @pytest.mark.filterwarnings("ignore:shared memory unavailable:RuntimeWarning")
     @pytest.mark.parametrize("transport", ["shm", "pickle"])
-    def test_pooled_equals_serial(self, ser_system, mixed_store, serial_report, transport):
-        engine = DatasetEngine(
-            ser_system.pipeline, workers=2, batch_size=2, transport=transport
-        )
+    def test_pooled_equals_serial(
+        self, ser_system, mixed_store, serial_report, request, transport
+    ):
+        """Default path ("shm") and the fault-injected fallback ("pickle")."""
+        if transport == "pickle":
+            request.getfixturevalue("pickle_fallback")
+        engine = DatasetEngine(ser_system.pipeline, workers=2, batch_size=2)
         report = engine.run(SignalStoreSource(mixed_store))
+        if engine.last_stats.mode == "process-pool":
+            assert engine.last_stats.transport == transport
         assert report.outcomes == serial_report.outcomes
         assert report.counters == serial_report.counters
         assert engine.last_stats.signal_er
@@ -437,9 +443,9 @@ class TestRuntimeSER:
         serial = DatasetEngine(ser_system.pipeline, workers=1, batch_size=2).run(
             SignalStoreSource(path, segmentation=config)
         )
-        pooled = DatasetEngine(
-            ser_system.pipeline, workers=2, batch_size=2, transport="shm"
-        ).run(SignalStoreSource(path, segmentation=config))
+        pooled = DatasetEngine(ser_system.pipeline, workers=2, batch_size=2).run(
+            SignalStoreSource(path, segmentation=config)
+        )
         assert pooled.outcomes == serial.outcomes
         assert pooled.counters == serial.counters
         # Segmentation gave every read a usable grid.
