@@ -367,9 +367,10 @@ def main() -> None:
     #     rebuild their reads as read-only views into the shared
     #     segment (a ref-counted SegmentLease keeps the mapping alive
     #     until the batch's outcomes are produced), so the per-read
-    #     copy figure is zero -- measured by the explicit copy ledger
-    #     in repro.perf.copies, no monkeypatching. There is nothing to
-    #     switch on: the zero-copy run is simply the pooled run.
+    #     copy figure is zero -- measured by the genpip_copied_bytes
+    #     counter every copy site charges (repro.obs.metrics.record_copy),
+    #     no monkeypatching. There is nothing to switch on: the
+    #     zero-copy run is simply the pooled run.
     from repro.runtime import ColumnarBatch, DatasetEngine, NullSink
 
     batch, layout = ColumnarBatch.from_reads(reads[:8])
@@ -397,9 +398,10 @@ def main() -> None:
     #     bit-identical to the scalar references they replaced: same
     #     anchors, same chain scores *and parents*, same alignment
     #     scores and CIGARs. As the kernels run they charge the
-    #     process-local mapping-ops ledger (chain candidates, alignment
-    #     cells), the data-dependent counts repro.perf converts to
-    #     seconds through CostDatabase's per-base anchors.
+    #     process registry's genpip_mapping_ops counter (chain
+    #     candidates, alignment cells), the data-dependent counts
+    #     repro.perf converts to seconds through CostDatabase's
+    #     per-base anchors.
     from repro.kernels import process_mapping_ops
     from repro.mapping import Mapper, MapperConfig
     from repro.mapping.alignment import AlignmentConfig
@@ -411,10 +413,10 @@ def main() -> None:
         seed_kernel="scalar",
     )
     ledger = process_mapping_ops()
-    before = ledger.by_kind()
+    before = ledger.by_key()
     fast = Mapper(index).map_read(reads[0].true_bases, "demo")
     delta = {
-        kind: ops - before.get(kind, 0) for kind, ops in ledger.by_kind().items()
+        kind: ops - before.get(kind, 0) for kind, ops in ledger.by_key().items()
     }
     slow = Mapper(index, scalar_config).map_read(reads[0].true_bases, "demo")
     assert fast == slow  # kernel planes are bit-identical end to end
@@ -431,14 +433,15 @@ def main() -> None:
     #     chunk basecalls and seed/chain/align calls become spans in a
     #     per-read tree, shipped home on ShardResult and merged in
     #     dataset order. Tracing is a side channel: the report is
-    #     byte-identical to the untraced run (CI gates the overhead at
-    #     <= 5%). chrome_trace_document() renders the run for
+    #     byte-identical to the untraced run (benchmarks/perf reports
+    #     the overhead as obs.trace_overhead_ratio).
+    #     chrome_trace_document() renders the run for
     #     chrome://tracing / Perfetto (the runtime CLI's --trace PATH
     #     writes the same document), and the metrics registry exposes
     #     every process-wide counter as Prometheus text.
     import json
 
-    from repro.obs import chrome_trace_document, process_registry
+    from repro.obs import chrome_trace_document, process_registry, prometheus_text
     from repro.obs.metrics import worker_metrics_snapshot
 
     traced_engine = DatasetEngine(
@@ -457,12 +460,12 @@ def main() -> None:
         f"read {deepest.label} has {deepest.n_spans} spans: "
         f"{', '.join(sorted(set(deepest.names()) - {'read'}))}"
     )
-    exposition = process_registry().expose()
+    exposition = prometheus_text(process_registry().snapshot())
     print("process metrics exposition (first lines):")
     for line in exposition.splitlines()[:4]:
         print(f"  {line}")
     assert json.dumps(document)  # the document is plain JSON
-    assert worker_metrics_snapshot()  # ledgers visible through the registry
+    assert worker_metrics_snapshot()  # both process counters are in it
 
 
 if __name__ == "__main__":

@@ -114,13 +114,13 @@ class ExperimentContext:
                 .build()
             )
             ledger = process_mapping_ops()
-            before = ledger.by_kind()
+            before = ledger.by_key()
             self._reports[key] = system.run(self.dataset, workers=self.workers)
-            after = ledger.by_kind()
-            # Snapshot delta of the process-local mapping-ops ledger for
+            after = ledger.by_key()
+            # Snapshot delta of the process-local mapping-ops counter for
             # this run. Pooled runs chain/align in worker processes, but
-            # the engine repatriates each worker's ledger delta onto
-            # ShardResult.metrics and recharges this parent ledger, so
+            # the engine repatriates each worker's counter delta onto
+            # ShardResult.metrics and recharges this parent counter, so
             # the delta is accurate in every mode.
             self._mapping_ops[key] = {
                 kind: after.get(kind, 0) - before.get(kind, 0) for kind in after

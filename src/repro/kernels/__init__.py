@@ -42,7 +42,7 @@ so :mod:`repro.perf` can charge the *real* arithmetic -- Viterbi
 state-space ops, DNN MVM MACs, chain candidates, alignment cells --
 instead of a generic per-base price. Basecalling kinds are known
 up-front; the data-dependent mapping kinds accumulate in the
-process-local ledger (:mod:`repro.kernels.mapping_ops`) as kernels run.
+process registry's counter (:mod:`repro.kernels.mapping_ops`) as kernels run.
 
 Kernel selection is by name (``"wavefront"`` / ``"scalar"`` for sDTW
 and Gotoh, ``"vectorised"`` / ``"scalar"`` for the trellis,
@@ -72,7 +72,6 @@ from repro.kernels.chain import (
 )
 from repro.kernels.mapping_ops import (
     MAPPING_OP_KINDS,
-    MappingOpsCounter,
     mapping_ops,
     process_mapping_ops,
     record_mapping_ops,
@@ -109,7 +108,6 @@ __all__ = [
     "SEED_KERNELS",
     "TRANSITIONS_PER_STATE",
     "KernelWorkload",
-    "MappingOpsCounter",
     "batched_basecall",
     "chain_candidate_count",
     "chain_scores_blocked",

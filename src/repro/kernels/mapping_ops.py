@@ -1,13 +1,14 @@
-"""Mapping kernel op accounting: a process-local ledger of DP work.
+"""Mapping kernel op accounting: the process registry's DP-work counter.
 
 The basecalling side reports its arithmetic through per-backend
 ``kernel_workload`` hooks (a decode knows its op count up front from the
 observation count). Mapping work is data-dependent -- how many chain
 candidates the DP evaluates and how many alignment cells get filled
 depends on the anchors a read happens to produce -- so the mapping
-kernels charge a ledger *as they run*, exactly like the byte-copy
-ledger in :mod:`repro.perf.copies`: explicit charge sites, no
-instrumentation, monotonic and resettable.
+kernels charge the ``genpip_mapping_ops`` counter of
+:func:`repro.obs.metrics.process_registry` *as they run*, exactly like
+the byte-copy counter (:func:`repro.obs.metrics.record_copy`): explicit
+charge sites, no instrumentation.
 
 Kinds in use:
 
@@ -19,59 +20,34 @@ Kinds in use:
   kernels (:mod:`repro.kernels.align` and the banded row pipeline).
 
 :class:`~repro.perf.workload.PipelineWorkload` carries snapshot deltas
-of this ledger into the system models, which convert them to seconds
+of this counter into the system models, which convert them to seconds
 through the matching :class:`~repro.perf.costs.CostDatabase` anchors.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from repro.obs.metrics import MAPPING_OPS, Counter, process_registry
 
 #: Op kinds with a defined meaning (free-form kinds still count; this
 #: tuple is documentation plus a spelling anchor for tests).
 MAPPING_OP_KINDS = ("chain-candidate", "align-cell")
 
-
-class MappingOpsCounter:
-    """A per-kind ledger of mapping kernel ops (monotonic, resettable)."""
-
-    def __init__(self) -> None:
-        self._ops: Counter[str] = Counter()
-
-    def record(self, kind: str, ops: int) -> None:
-        """Charge ``ops`` operations of ``kind`` to the ledger."""
-        if ops < 0:
-            raise ValueError(f"op count must be non-negative, got {ops}")
-        self._ops[kind] += int(ops)
-
-    def ops(self, kind: str | None = None) -> int:
-        """Ops of one kind, or the total across all kinds."""
-        if kind is not None:
-            return self._ops.get(kind, 0)
-        return sum(self._ops.values())
-
-    def by_kind(self) -> dict[str, int]:
-        """A snapshot dict of every kind's op count."""
-        return dict(self._ops)
-
-    def reset(self) -> None:
-        self._ops.clear()
+_OPS: Counter = process_registry().get(MAPPING_OPS)
+#: ``benchmarks/perf/run.py`` still reads the counter as ``by_kind()``;
+#: every other caller uses ``by_key()``.
+_OPS.by_kind = _OPS.by_key
 
 
-#: The process-local counter every mapping kernel charges by default.
-_PROCESS = MappingOpsCounter()
-
-
-def process_mapping_ops() -> MappingOpsCounter:
-    """The process-local counter (one per process, workers included)."""
-    return _PROCESS
+def process_mapping_ops() -> Counter:
+    """The process registry's mapping-ops counter (workers have their own)."""
+    return _OPS
 
 
 def record_mapping_ops(kind: str, ops: int) -> None:
-    """Charge mapping kernel ops to the process-local counter."""
-    _PROCESS.record(kind, ops)
+    """Charge ``ops`` mapping kernel operations of ``kind``."""
+    _OPS.inc(kind, int(ops))
 
 
 def mapping_ops(kind: str | None = None) -> int:
     """Process-local mapping kernel ops (one kind, or the total)."""
-    return _PROCESS.ops(kind)
+    return _OPS.value(kind)

@@ -22,18 +22,14 @@ worker?* It has three layers:
     :class:`~repro.obs.metrics.MetricsRegistry` with
     ``Counter``/``Gauge``/``Histogram`` instruments and
     snapshot/delta/merge semantics matching the ShardResult idiom.
-    The pre-existing ad-hoc ledgers are registered instruments:
-
-    * ``repro.perf.copies.CopyCounter`` (process ledger) ->
-      ``genpip_copied_bytes`` counter, label ``boundary``;
-    * ``repro.kernels.mapping_ops.MappingOpsCounter`` (process ledger)
-      -> ``genpip_mapping_ops`` counter, label ``kind``;
-    * ``repro.perf.latency.LatencyHistogram`` -> ``Histogram``
-      instruments (the serving layer registers its live
-      ``genpip_serving_latency_seconds``);
-    * ``RuntimeStats`` / ``ServingStats`` gain ``from_registry``
-      constructors that rebuild their public fields (bit-identical)
-      from registry snapshots instead of hand-threaded integers.
+    They are the repo's only ledgers: the process registry carries
+    the ``genpip_copied_bytes`` counter (label ``boundary``, charged by
+    :func:`~repro.obs.metrics.record_copy`) and the
+    ``genpip_mapping_ops`` counter (label ``kind``, charged by
+    :func:`repro.kernels.mapping_ops.record_mapping_ops`); the serving
+    mux registers the ``genpip_serving_*`` instruments, latency
+    ``Histogram`` included; ``RuntimeStats`` / ``ServingStats`` are
+    built from registry snapshots (``from_registry``).
 
 :mod:`repro.obs.export`
     Chrome ``trace_event`` JSON (Perfetto-loadable) and a flat JSONL
@@ -61,10 +57,11 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
-    LedgerCounter,
     MetricsRegistry,
+    copied_bytes,
     merge_snapshots,
     process_registry,
+    record_copy,
     snapshot_delta,
     worker_metrics_delta,
     worker_metrics_snapshot,
@@ -90,7 +87,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "LedgerCounter",
     "MetricsRegistry",
     "NullTracer",
     "ReadTrace",
@@ -98,6 +94,7 @@ __all__ = [
     "active_tracer",
     "chrome_trace_document",
     "chrome_trace_events",
+    "copied_bytes",
     "decode_traces",
     "disable_tracing",
     "drain_read_traces",
@@ -105,6 +102,7 @@ __all__ = [
     "merge_snapshots",
     "process_registry",
     "prometheus_text",
+    "record_copy",
     "snapshot_delta",
     "span_records",
     "tracing_enabled",

@@ -25,6 +25,8 @@ from collections.abc import Iterable, Iterator, Mapping
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro.obs.metrics import Histogram
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import ReadTrace
 
@@ -133,10 +135,12 @@ def prometheus_text(snapshot: Mapping[str, Mapping]) -> str:
             lines.append(f"{name} {_format_value(payload.get('value', 0))}")
         elif kind == "histogram":
             lines.append(f"# TYPE {name} summary")
-            count = sum(payload.get("counts", []))
+            # Quantiles are derived from the counts here, so a delta or a
+            # merge of snapshots prints the quantiles of *its* samples.
+            histogram = Histogram.from_dict(payload)
+            percentiles = histogram.percentiles_ms()
             for quantile, key in (("0.5", "p50_ms"), ("0.95", "p95_ms"), ("0.99", "p99_ms")):
-                ms = payload.get(key)
-                seconds = round(ms / 1e3, 9) if ms is not None else 0.0
+                seconds = round(percentiles[key] / 1e3, 9)
                 lines.append(f'{name}{{quantile="{quantile}"}} {_format_value(seconds)}')
-            lines.append(f"{name}_count {count}")
+            lines.append(f"{name}_count {histogram.count}")
     return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Process-wide metrics registry unifying the repo's ad-hoc ledgers.
+"""The repo's one measurement plane: named instruments with snapshot algebra.
 
 A :class:`MetricsRegistry` names a set of **instruments** --
 :class:`Counter`, :class:`Gauge`, :class:`Histogram` -- and turns them
@@ -8,38 +8,24 @@ ships :func:`snapshot_delta` home, and the parent folds deltas together
 with :func:`merge_snapshots` (and optionally re-charges them into its
 own instruments via :meth:`MetricsRegistry.absorb`).
 
-Legacy ledger -> instrument mapping (the process registry):
+Every count and latency the repo keeps lives in one of these
+instruments. The process registry (:func:`process_registry`) carries
+the two process-wide counters -- ``genpip_copied_bytes`` (label
+``boundary``, charged by :func:`record_copy`) and
+``genpip_mapping_ops`` (label ``kind``, charged by
+:func:`repro.kernels.mapping_ops.record_mapping_ops`) -- and
+:class:`Histogram` is the log-bucket latency histogram the serving
+layer records every verdict into.
 
-=====================================  ==============================
-legacy ledger                          registry instrument
-=====================================  ==============================
-``repro.perf.copies.CopyCounter``      ``genpip_copied_bytes``
-(process ledger)                       (counter, label ``boundary``)
-``repro.kernels.mapping_ops.           ``genpip_mapping_ops``
-MappingOpsCounter`` (process ledger)   (counter, label ``kind``)
-``repro.perf.latency.                  any ``Histogram`` instrument
-LatencyHistogram``                     (``repro.serving`` registers
-                                       ``genpip_serving_latency_seconds``)
-=====================================  ==============================
-
-The ledger-backed instruments *wrap* the live process ledgers instead
-of duplicating them: charging ``record_copy``/``record_mapping_ops``
-is immediately visible through the registry, and absorbing a worker's
-counter delta re-charges the underlying ledger (which is how pooled
-runs repatriate mapping-op counts for the perf models).
-
-Imports of the wrapped ledgers are deliberately lazy (inside the
-factory functions) so ``repro.obs`` stays import-cycle-free: the hot
-paths in ``repro.core`` / ``repro.mapping`` import ``repro.obs.trace``,
-while ``repro.perf`` sits above both.
+This module imports nothing from the rest of ``repro``: the hot paths
+in ``repro.core`` / ``repro.mapping`` / ``repro.kernels`` /
+``repro.runtime`` charge it, so it sits below all of them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
-from typing import Any
-
-from repro.obs.export import prometheus_text
+import math
+from collections.abc import Iterable, Mapping
 
 #: Canonical process-registry instrument names.
 COPIED_BYTES = "genpip_copied_bytes"
@@ -82,46 +68,6 @@ class Counter:
         }
 
 
-class LedgerCounter(Counter):
-    """A counter view over an existing process ledger.
-
-    ``read_fn`` returns the ledger's key->value dict; ``charge_fn``
-    charges ``(key, n)`` into it. The instrument holds no state of its
-    own, so ledger charges made anywhere in the process are immediately
-    visible in registry snapshots, and :meth:`inc` (used by
-    :meth:`MetricsRegistry.absorb`) lands in the ledger itself.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        read_fn: Callable[[], Mapping[str, float]],
-        charge_fn: Callable[[str, float], None],
-        help: str = "",
-        label: str = "key",
-    ):
-        super().__init__(name, help=help, label=label)
-        self._read_fn = read_fn
-        self._charge_fn = charge_fn
-
-    def inc(self, key: str = "", n: float = 1) -> None:
-        if n < 0:
-            raise ValueError(f"counter increments must be non-negative, got {n}")
-        self._charge_fn(key, n)
-
-    def by_key(self) -> dict[str, float]:
-        return dict(self._read_fn())
-
-    def value(self, key: str | None = None) -> float:
-        values = self._read_fn()
-        if key is not None:
-            return values.get(key, 0)
-        return sum(values.values())
-
-    def reset(self) -> None:
-        raise TypeError(f"{self.name} wraps a process ledger; reset the ledger itself")
-
-
 class Gauge:
     """A point-in-time value (peaks, live counts)."""
 
@@ -149,51 +95,117 @@ class Gauge:
 
 
 class Histogram:
-    """A registered latency histogram (wraps a ``LatencyHistogram``).
+    """Log-spaced fixed-bucket histogram over seconds.
 
-    Pass ``histogram=`` to adopt an existing
-    :class:`~repro.perf.latency.LatencyHistogram` (the serving layer
-    registers its live per-run histogram this way); otherwise a fresh
-    one is built from the layout arguments.
+    Buckets are fixed at construction -- ``n_buckets`` log-spaced
+    between ``lo`` and ``hi`` -- so :meth:`observe` is O(1) (one log,
+    one clamp, one increment) and two histograms with the same layout
+    :meth:`merge` by elementwise sum. Percentiles are read off the
+    cumulative counts and reported as the covering bucket's **upper
+    edge**: a deterministic, conservative bound, never an interpolated
+    value that moves with sample order. The default range, 10 us ..
+    100 s, holds anything a pipeline stage does; samples outside clamp
+    to the edge buckets (and are still counted).
     """
 
     kind = "histogram"
 
     def __init__(
         self,
-        name: str,
+        name: str = "",
         help: str = "",
-        histogram=None,
-        **layout: Any,
+        lo: float = 1e-5,
+        hi: float = 100.0,
+        n_buckets: int = 64,
+        counts: list[int] | None = None,
     ):
+        if not (0 < lo < hi):
+            raise ValueError("need 0 < lo < hi for log-spaced buckets")
+        if n_buckets < 2:
+            raise ValueError("need at least 2 buckets")
+        if counts is None:
+            counts = [0] * n_buckets
+        elif len(counts) != n_buckets:
+            raise ValueError(f"counts length {len(counts)} != n_buckets {n_buckets}")
         self.name = name
         self.help = help
-        if histogram is None:
-            from repro.perf.latency import LatencyHistogram
-
-            histogram = LatencyHistogram(**layout)
-        self.histogram = histogram
+        self.lo = lo
+        self.hi = hi
+        self.n_buckets = n_buckets
+        self.counts = counts
+        self._log_lo = math.log(lo)
+        self._scale = n_buckets / (math.log(hi) - self._log_lo)
 
     def observe(self, seconds: float) -> None:
-        self.histogram.record(seconds)
+        """Count one latency sample (out-of-range clamps to the edges)."""
+        if seconds < 0:
+            raise ValueError(f"latency must be non-negative, got {seconds}")
+        if seconds <= self.lo:
+            index = 0
+        else:
+            index = int((math.log(seconds) - self._log_lo) * self._scale)
+        self.counts[min(index, self.n_buckets - 1)] += 1
 
     @property
     def count(self) -> int:
-        return self.histogram.count
+        """Total samples recorded."""
+        return sum(self.counts)
+
+    def percentile(self, q: float) -> float:
+        """The latency (seconds) below which ``q`` of samples fall
+        (the covering bucket's upper edge; 0.0 when empty)."""
+        if not 0 < q <= 1:
+            raise ValueError(f"percentile must be in (0, 1], got {q}")
+        total = self.count
+        if total == 0:
+            return 0.0
+        rank = math.ceil(q * total)
+        seen = 0
+        for index, bucket_count in enumerate(self.counts):
+            seen += bucket_count
+            if seen >= rank:
+                break
+        return math.exp(self._log_lo + (index + 1) / self._scale)
 
     def percentiles_ms(self) -> dict[str, float]:
-        return self.histogram.percentiles_ms()
+        """The standard p50/p95/p99 summary in milliseconds (rounded)."""
+        return {
+            "p50_ms": round(self.percentile(0.50) * 1e3, 3),
+            "p95_ms": round(self.percentile(0.95) * 1e3, 3),
+            "p99_ms": round(self.percentile(0.99) * 1e3, 3),
+        }
+
+    def merge(self, other: "Histogram") -> "Histogram":
+        """Elementwise-sum another histogram in (same layout required)."""
+        if (self.lo, self.hi, self.n_buckets) != (other.lo, other.hi, other.n_buckets):
+            raise ValueError("cannot merge histograms with different bucket layouts")
+        for index, bucket_count in enumerate(other.counts):
+            self.counts[index] += bucket_count
+        return self
+
+    def to_dict(self) -> dict:
+        """JSON-safe encoding (layout + counts; exact round-trip)."""
+        return {
+            "lo": self.lo,
+            "hi": self.hi,
+            "n_buckets": self.n_buckets,
+            "counts": list(self.counts),
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "Histogram":
+        """Inverse of :meth:`to_dict` (also accepts a :meth:`snapshot`)."""
+        return cls(
+            lo=data["lo"],
+            hi=data["hi"],
+            n_buckets=data["n_buckets"],
+            counts=list(data["counts"]),
+        )
 
     def snapshot(self) -> dict:
-        data = self.histogram.to_dict()
-        data.update(
-            kind=self.kind,
-            help=self.help,
-            # Percentiles ride the snapshot so expositions built from a
-            # shipped snapshot (no live histogram) still carry them.
-            **self.histogram.percentiles_ms(),
-        )
-        return data
+        """Layout + counts only: quantiles are derived where printed, so
+        a delta or a merge of snapshots can never carry stale ones."""
+        return {"kind": self.kind, "help": self.help, **self.to_dict()}
 
 
 class MetricsRegistry:
@@ -222,16 +234,8 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get_or_create(name, lambda: Gauge(name, help), Gauge)
 
-    def histogram(self, name: str, help: str = "", histogram=None, **layout) -> Histogram:
-        return self._get_or_create(
-            name, lambda: Histogram(name, help, histogram=histogram, **layout), Histogram
-        )
-
-    def register(self, instrument) -> None:
-        """Register a pre-built instrument under its own name."""
-        if instrument.name in self._instruments:
-            raise ValueError(f"instrument {instrument.name!r} already registered")
-        self._instruments[instrument.name] = instrument
+    def histogram(self, name: str, help: str = "", **layout) -> Histogram:
+        return self._get_or_create(name, lambda: Histogram(name, help, **layout), Histogram)
 
     def get(self, name: str):
         return self._instruments[name]
@@ -250,8 +254,7 @@ class MetricsRegistry:
     def absorb(self, delta: Mapping[str, dict], names: Iterable[str] | None = None) -> None:
         """Re-charge a shipped snapshot delta into this registry.
 
-        Counter deltas increment (ledger-backed counters charge the
-        underlying process ledger -- the pooled mapping-ops repatriation
+        Counter deltas increment (the pooled mapping-ops repatriation
         path); histogram deltas merge counts; gauge deltas take the max
         (peak semantics). Unknown instrument names are ignored unless
         explicitly requested via ``names``.
@@ -270,15 +273,9 @@ class MetricsRegistry:
                 for key, value in payload.get("values", {}).items():
                     instrument.inc(key, value)
             elif kind == "histogram":
-                from repro.perf.latency import LatencyHistogram
-
-                instrument.histogram.merge(LatencyHistogram.from_dict(payload))
+                instrument.merge(Histogram.from_dict(payload))
             elif kind == "gauge":
                 instrument.set_max(payload.get("value", 0))
-
-    def expose(self, snapshot: Mapping[str, dict] | None = None) -> str:
-        """Prometheus-style text exposition of a snapshot (default: now)."""
-        return prometheus_text(snapshot if snapshot is not None else self.snapshot())
 
 
 def snapshot_delta(before: Mapping[str, dict], after: Mapping[str, dict]) -> dict[str, dict]:
@@ -340,40 +337,49 @@ def merge_snapshots(a: Mapping[str, dict], b: Mapping[str, dict]) -> dict[str, d
     return merged
 
 
-#: The per-process registry wrapping the process ledgers (lazy).
-_PROCESS_REGISTRY: MetricsRegistry | None = None
+#: The process-local registry (one per process, workers included) and
+#: its two process-wide counters.
+_PROCESS_REGISTRY = MetricsRegistry()
+_COPIED = _PROCESS_REGISTRY.counter(
+    COPIED_BYTES, help="Payload bytes copied per data-plane boundary", label="boundary"
+)
+_PROCESS_REGISTRY.counter(MAPPING_OPS, help="Mapping kernel operations per kind", label="kind")
 
 
 def process_registry() -> MetricsRegistry:
-    """The process-local registry (ledger-backed instruments included)."""
-    global _PROCESS_REGISTRY
-    if _PROCESS_REGISTRY is None:
-        from repro.kernels.mapping_ops import process_mapping_ops
-        from repro.perf.copies import process_copies
-
-        registry = MetricsRegistry()
-        copies = process_copies()
-        registry.register(
-            LedgerCounter(
-                COPIED_BYTES,
-                read_fn=copies.by_boundary,
-                charge_fn=copies.record,
-                help="Payload bytes copied per data-plane boundary",
-                label="boundary",
-            )
-        )
-        ops = process_mapping_ops()
-        registry.register(
-            LedgerCounter(
-                MAPPING_OPS,
-                read_fn=ops.by_kind,
-                charge_fn=ops.record,
-                help="Mapping kernel operations per kind",
-                label="kind",
-            )
-        )
-        _PROCESS_REGISTRY = registry
+    """The process-local registry."""
     return _PROCESS_REGISTRY
+
+
+def record_copy(boundary: str, nbytes: int) -> None:
+    """Charge ``nbytes`` of payload copy traffic to ``boundary``.
+
+    GenPIP's thesis is minimising data movement between analysis steps;
+    the transport layers call this exactly where they materialise a
+    copy, so the count is an output of the code path itself. Boundaries:
+
+    * ``"publish"`` -- the parent packs a work unit's arrays into a
+      shared segment. Always paid by a pooled run: the segment *is* the
+      batch.
+    * ``"attach"`` -- arrays copied out of a segment
+      (``attach_unit(copy=True)``). Pool workers attach views instead,
+      so a pooled run charges nothing here.
+    * ``"pickle"`` -- read payload bytes that travelled pickled because
+      a segment could not be created (the pool's automatic fallback),
+      charged once in the parent and once in the worker.
+
+    Workers ship their movement home as a snapshot delta on
+    :class:`~repro.runtime.merge.ShardResult`;
+    :class:`~repro.runtime.engine.RuntimeStats` surfaces it (never in
+    the report, so reports stay byte-identical however payloads
+    travelled).
+    """
+    _COPIED.inc(boundary, int(nbytes))
+
+
+def copied_bytes(boundary: str | None = None) -> int:
+    """Process-local copied bytes (one boundary, or the total)."""
+    return _COPIED.value(boundary)
 
 
 def worker_metrics_snapshot() -> dict[str, dict]:

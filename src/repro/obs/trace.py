@@ -1,10 +1,10 @@
 """Per-read stage span tracing with a process-local tracer.
 
-The tracer follows the runtime's process-local ledger idiom
-(:mod:`repro.perf.copies`, :mod:`repro.kernels.mapping_ops`): each
-process owns at most one :class:`Tracer`, instrumented code looks it up
-through :func:`active_tracer`, and pooled workers ship their completed
-traces home as compact tuples on
+The tracer follows the process-registry idiom of
+:mod:`repro.obs.metrics`: each process owns at most one
+:class:`Tracer`, instrumented code looks it up through
+:func:`active_tracer`, and pooled workers ship their completed traces
+home as compact tuples on
 :class:`~repro.runtime.merge.ShardResult`. When tracing is disabled
 (the default) :func:`active_tracer` returns the shared
 :class:`NullTracer`, whose every operation is a constant no-op -- the
@@ -254,8 +254,7 @@ class Tracer:
             live.open.pop()
 
 
-#: Per-process tracer (None == tracing disabled), mirroring the
-#: ``_PROCESS`` ledger singletons in repro.perf.copies / mapping_ops.
+#: Per-process tracer (None == tracing disabled).
 _PROCESS: Tracer | None = None
 
 

@@ -17,22 +17,9 @@ that workload to the system models, which combine
 CPU-CP, CPU-GP, GPU, GPU-CP, GPU-GP, PIM, GenPIP-CP, GenPIP-CP-QSR,
 GenPIP); :mod:`repro.perf.potential` reproduces the Fig. 4
 potential-benefit study (Systems A-D).
-
-:mod:`repro.perf.copies` measures the *running* pipeline's own data
-movement: a :class:`CopyCounter` ledger of bytes copied per boundary
-(publish / attach / pickle), charged explicitly at each copy site so
-"bytes copied per read" is a first-class runtime and bench metric.
 """
 
-from repro.perf.copies import (
-    COPY_BOUNDARIES,
-    CopyCounter,
-    copied_bytes,
-    process_copies,
-    record_copy,
-)
 from repro.perf.costs import DEFAULT_COSTS, CostDatabase
-from repro.perf.latency import LatencyHistogram
 from repro.perf.pipeline_sim import FlowShopResult, simulate_flow_shop
 from repro.perf.potential import PotentialStudyResult, potential_study
 from repro.perf.systems import (
@@ -44,14 +31,8 @@ from repro.perf.systems import (
 from repro.perf.workload import PipelineWorkload
 
 __all__ = [
-    "COPY_BOUNDARIES",
-    "CopyCounter",
-    "copied_bytes",
-    "process_copies",
-    "record_copy",
     "CostDatabase",
     "DEFAULT_COSTS",
-    "LatencyHistogram",
     "PipelineWorkload",
     "FlowShopResult",
     "simulate_flow_shop",

@@ -58,7 +58,7 @@ import numpy as np
 from repro.nanopore.read_simulator import ReadClass, SimulatedRead
 from repro.nanopore.signal import RawSignal
 from repro.nanopore.signal_read import SignalRead
-from repro.perf.copies import record_copy
+from repro.obs.metrics import record_copy
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ class ColumnarLayout:
 
         This is the data plane's *one* copy (the "publish" boundary; it
         exists in both copy modes -- the segment is the batch) and is
-        charged to the process :class:`~repro.perf.copies.CopyCounter`.
+        charged through :func:`~repro.obs.metrics.record_copy`.
         Returns the bytes written.
         """
         for handle, read in zip(self.handles, reads, strict=True):

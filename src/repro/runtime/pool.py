@@ -37,9 +37,8 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.core.pipeline import GenPIPPipeline
 from repro.mapping.index import MinimizerIndex
-from repro.obs.metrics import worker_metrics_delta, worker_metrics_snapshot
+from repro.obs.metrics import record_copy, worker_metrics_delta, worker_metrics_snapshot
 from repro.obs.trace import active_tracer, drain_read_traces, enable_tracing
-from repro.perf.copies import record_copy
 from repro.runtime.columnar import payload_nbytes
 from repro.runtime.merge import ShardResult
 from repro.runtime.sharding import WorkUnit

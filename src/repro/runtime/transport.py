@@ -25,7 +25,7 @@ module publishes payloads **once** through
   an unlinked segment's pages alive while any mapping remains).
   ``copy=True`` copies every array out and closes the mapping before
   returning, charging the bytes to the ``"attach"`` boundary of
-  :mod:`repro.perf.copies` -- for callers that want reads with no
+  :func:`repro.obs.metrics.record_copy` -- for callers that want reads with no
   lifetime ties to the segment.
 * :func:`publish_index` / :func:`attach_index` do the same for the
   reference minimizer index: its key/position/strand arrays and the

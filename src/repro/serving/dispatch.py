@@ -37,7 +37,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro.core.pipeline import GenPIPPipeline, ReadOutcome
-from repro.obs.metrics import MAPPING_OPS, MetricsRegistry, process_registry
+from repro.obs.metrics import MAPPING_OPS, Histogram, MetricsRegistry, process_registry
 from repro.obs.trace import (
     ReadTrace,
     decode_traces,
@@ -46,7 +46,6 @@ from repro.obs.trace import (
     enable_tracing,
     tracing_enabled,
 )
-from repro.perf.latency import LatencyHistogram
 from repro.runtime.pool import WorkerPool, shutdown_executor
 from repro.runtime.sharding import WorkUnit, resolve_workers
 from repro.runtime.spec import PipelineSpec
@@ -58,10 +57,12 @@ class ServingStats:
     .RuntimeStats` idiom, extended with session and tail-latency axes).
 
     ``latency`` is the merged enqueue->verdict histogram over every
-    closed session; the ``p50_ms``/``p95_ms``/``p99_ms`` properties read
-    the standard percentiles off it. All rate properties use the
-    server's own elapsed clock, so a mostly-idle server honestly reports
-    low sessions/sec rather than the burst rate of its busiest window.
+    verdict resolved so far, in open and closed sessions alike (the mux
+    charges it live at resolve time); the ``p50_ms``/``p95_ms``/``p99_ms``
+    properties read the standard percentiles off it. All rate properties
+    use the server's own elapsed clock, so a mostly-idle server honestly
+    reports low sessions/sec rather than the burst rate of its busiest
+    window.
     """
 
     mode: str  # "process-pool" | "inline"
@@ -75,7 +76,7 @@ class ServingStats:
     rejected: int
     elapsed_s: float
     index_publications: int
-    latency: LatencyHistogram = field(default_factory=LatencyHistogram, compare=False)
+    latency: Histogram = field(default_factory=Histogram, compare=False)
 
     @property
     def sessions_per_sec(self) -> float:
@@ -87,15 +88,15 @@ class ServingStats:
 
     @property
     def p50_ms(self) -> float:
-        return self.latency.p50 * 1e3
+        return self.latency.percentile(0.50) * 1e3
 
     @property
     def p95_ms(self) -> float:
-        return self.latency.p95 * 1e3
+        return self.latency.percentile(0.95) * 1e3
 
     @property
     def p99_ms(self) -> float:
-        return self.latency.p99 * 1e3
+        return self.latency.percentile(0.99) * 1e3
 
     @classmethod
     def from_registry(
@@ -109,15 +110,13 @@ class ServingStats:
         elapsed_s: float,
         index_publications: int,
     ) -> "ServingStats":
-        """Rebuild the server-wide stats from a mux-owned registry.
+        """Build the server-wide stats from a mux-owned registry.
 
         The session/verdict axes are read off the
         ``genpip_serving_*`` instruments the
-        :class:`~repro.serving.session.SessionMux` maintains, so the
-        resulting record is bit-identical to the hand-threaded integer
-        bookkeeping of earlier releases. The substrate axes (mode,
-        workers, transport, elapsed clock, index publications) are not
-        registry concerns and stay explicit.
+        :class:`~repro.serving.session.SessionMux` maintains. The
+        substrate axes (mode, workers, transport, elapsed clock, index
+        publications) are not registry concerns and stay explicit.
         """
         return cls(
             mode=mode,
@@ -131,7 +130,7 @@ class ServingStats:
             rejected=int(registry.get("genpip_serving_rejected").value()),
             elapsed_s=elapsed_s,
             index_publications=index_publications,
-            latency=registry.get("genpip_serving_latency_seconds").histogram,
+            latency=registry.get("genpip_serving_latency_seconds"),
         )
 
     def summary_record(self) -> dict:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 
+from repro.obs.export import prometheus_text
 from repro.serving import protocol
 from repro.serving.dispatch import PoolDispatcher, ServingStats
 from repro.serving.session import SessionMux, SessionState
@@ -90,7 +91,8 @@ class ServingServer:
     # --- stats -------------------------------------------------------
 
     def stats(self) -> ServingStats:
-        """Server-wide totals over every *closed* session."""
+        """Server-wide totals so far: reads, verdicts and latency are
+        charged live at submit/resolve, sessions when they close."""
         mux = self._mux
         return ServingStats.from_registry(
             mux.registry,
@@ -105,7 +107,7 @@ class ServingServer:
     def metrics_text(self) -> str:
         """Prometheus text exposition of the mux registry's instruments
         (the ``stats`` frame's payload and ``drive --metrics-out``)."""
-        return self._mux.registry.expose()
+        return prometheus_text(self._mux.registry.snapshot())
 
     # --- connection handling -----------------------------------------
 

@@ -5,9 +5,8 @@ verdicts -> summary. The serving layer multiplexes every session's
 in-flight reads onto the same worker pool, so the bookkeeping here is
 what keeps the streams apart: each submitted read is tagged with its
 ``(session_id, seq)``; each session accumulates its own verdict
-counters and enqueue->verdict :class:`~repro.perf.latency
-.LatencyHistogram`; and the :class:`SessionMux` keeps the server-wide
-aggregate.
+counters and enqueue->verdict :class:`~repro.obs.metrics.Histogram`;
+and the :class:`SessionMux` keeps the server-wide aggregate.
 
 The mux's aggregate view lives in a
 :class:`~repro.obs.metrics.MetricsRegistry` it owns: sessions, reads,
@@ -17,12 +16,9 @@ peak concurrency are gauges, and the merged enqueue->verdict histogram
 is the ``genpip_serving_latency_seconds`` instrument. The instruments
 update *live* -- per submitted read and per resolved verdict, not at
 session close -- so a mid-session ``stats`` frame reads true current
-totals. The legacy
-attribute API (``sessions_served``, ``reads_total``, ...) survives as
-properties over those instruments, and
-:class:`~repro.serving.dispatch.ServingStats.from_registry` rebuilds
-the server-wide stats from the same registry -- which is also what the
-protocol's ``stats`` frame exposes as Prometheus text.
+totals. :class:`~repro.serving.dispatch.ServingStats.from_registry`
+builds the server-wide stats from that registry, which is also what
+the protocol's ``stats`` frame exposes as Prometheus text.
 
 Nothing here touches sockets or the pool -- the mux is plain state, so
 it is directly unit-testable and the asyncio server
@@ -36,8 +32,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.pipeline import ReadOutcome
-from repro.obs.metrics import MetricsRegistry
-from repro.perf.latency import LatencyHistogram
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 
 @dataclass
@@ -57,7 +52,7 @@ class SessionState:
     accepted: int = 0
     rejected: int = 0
     inflight: set[int] = field(default_factory=set)
-    latency: LatencyHistogram = field(default_factory=LatencyHistogram)
+    latency: Histogram = field(default_factory=Histogram)
 
     def submit(self, seq: int) -> None:
         if seq in self.inflight:
@@ -73,7 +68,7 @@ class SessionState:
             self.rejected += 1
         else:
             self.accepted += 1
-        self.latency.record(latency_s)
+        self.latency.observe(latency_s)
 
     @property
     def elapsed_s(self) -> float:
@@ -91,7 +86,7 @@ class SessionState:
 
 
 class SessionMux:
-    """Registry of live sessions plus the merged history of closed ones.
+    """Registry of live sessions plus the server-wide running totals.
 
     The server opens a session per accepted connection and closes it when
     the summary goes out (or the connection drops); the mux keeps the
@@ -165,32 +160,6 @@ class SessionMux:
             return  # already closed (summary raced a disconnect)
         self._live_gauge.set(len(self._live))
         self._sessions.inc()
-
-    # -- legacy attribute API (now registry-backed) ---------------------
-
-    @property
-    def sessions_served(self) -> int:
-        return int(self._sessions.value())
-
-    @property
-    def reads_total(self) -> int:
-        return int(self._reads.value())
-
-    @property
-    def verdicts_total(self) -> int:
-        return int(self._verdicts.value())
-
-    @property
-    def rejected_total(self) -> int:
-        return int(self._rejected.value())
-
-    @property
-    def peak_sessions(self) -> int:
-        return int(self._peak_gauge.value)
-
-    @property
-    def latency(self) -> LatencyHistogram:
-        return self._latency.histogram
 
     @property
     def live_sessions(self) -> int:

@@ -30,7 +30,6 @@ from repro.kernels import (
     CHAIN_KERNELS,
     MAPPING_OP_KINDS,
     SEED_KERNELS,
-    MappingOpsCounter,
     chain_candidate_count,
     chain_scores_blocked,
     chain_scores_scalar,
@@ -38,6 +37,7 @@ from repro.kernels import (
     gotoh_wavefront,
     mapping_ops,
     process_mapping_ops,
+    record_mapping_ops,
     resolve_align_kernel,
     resolve_chain_kernel,
     resolve_seed_kernel,
@@ -56,6 +56,7 @@ from repro.mapping.mapper import IncrementalChunkMapper, Mapper, MapperConfig
 from repro.mapping.minimizers import minimizer_arrays
 from repro.mapping.seeding import collect_anchor_arrays, collect_anchors
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
+from repro.obs import Counter
 from repro.perf.costs import DEFAULT_COSTS
 from repro.perf.systems import evaluate_system
 from repro.perf.workload import PipelineWorkload
@@ -130,9 +131,9 @@ class TestChainKernels:
         rng = np.random.default_rng(103)
         anchors = _random_anchors(rng, 120, runs=True)
         ledger = process_mapping_ops()
-        before = ledger.ops("chain-candidate")
+        before = ledger.value("chain-candidate")
         chain_scores_blocked(anchors, 13, 5_000, 50)
-        assert ledger.ops("chain-candidate") - before == chain_candidate_count(120, 50)
+        assert ledger.value("chain-candidate") - before == chain_candidate_count(120, 50)
 
     def test_config_selects_kernel(self):
         rng = np.random.default_rng(104)
@@ -236,10 +237,10 @@ class TestAlignKernels:
         rng = np.random.default_rng(204)
         a, b = _random_pair(rng, 40, 50)
         ledger = process_mapping_ops()
-        before = ledger.ops("align-cell")
+        before = ledger.value("align-cell")
         gotoh_wavefront(a, b, 2.0, -4.0, -4.0, -2.0)
         gotoh_scalar(a, b, 2.0, -4.0, -4.0, -2.0)
-        assert ledger.ops("align-cell") - before == 2 * 40 * 50
+        assert ledger.value("align-cell") - before == 2 * 40 * 50
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="wavefront"):
@@ -390,17 +391,17 @@ class TestMapperIntegration:
 
 class TestOpsAccounting:
     def test_counter_contract(self):
-        counter = MappingOpsCounter()
-        counter.record("chain-candidate", 5)
-        counter.record("align-cell", 7)
-        counter.record("chain-candidate", 2)
-        assert counter.ops("chain-candidate") == 7
-        assert counter.ops() == 14
-        assert counter.by_kind() == {"chain-candidate": 7, "align-cell": 7}
+        counter = Counter("ops", label="kind")
+        counter.inc("chain-candidate", 5)
+        counter.inc("align-cell", 7)
+        counter.inc("chain-candidate", 2)
+        assert counter.value("chain-candidate") == 7
+        assert counter.value() == 14
+        assert counter.by_key() == {"chain-candidate": 7, "align-cell": 7}
         with pytest.raises(ValueError):
-            counter.record("align-cell", -1)
+            record_mapping_ops("align-cell", -1)
         counter.reset()
-        assert counter.ops() == 0
+        assert counter.value() == 0
 
     def test_cost_anchors_exist(self):
         for kind in MAPPING_OP_KINDS:
@@ -412,9 +413,9 @@ class TestOpsAccounting:
         )
         system = GenPIP(MinimizerIndex.build(dataset.reference), GenPIPConfig(), align=True)
         ledger = process_mapping_ops()
-        before = ledger.by_kind()
+        before = ledger.by_key()
         report = system.run(dataset)
-        after = ledger.by_kind()
+        after = ledger.by_key()
         delta = {kind: after.get(kind, 0) - before.get(kind, 0) for kind in after}
         assert delta.get("chain-candidate", 0) > 0
         assert delta.get("align-cell", 0) > 0

@@ -20,15 +20,22 @@ Tentpole invariants under test:
 
 from __future__ import annotations
 
+import ast
 import itertools
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
 
 from repro.basecalling.engines import ViterbiBackendConfig, ViterbiChunkBasecaller
 from repro.core import GenPIP, GenPIPConfig, ReadStatus
-from repro.kernels.mapping_ops import process_mapping_ops
+from repro.kernels.mapping_ops import process_mapping_ops, record_mapping_ops
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.nanopore import (
@@ -56,6 +63,7 @@ from repro.obs import (
     enable_tracing,
     merge_snapshots,
     process_registry,
+    prometheus_text,
     snapshot_delta,
     span_records,
     tracing_enabled,
@@ -334,19 +342,32 @@ class TestInstruments:
         assert gauge.value == 7
 
     def test_histogram_wraps_latency_histogram(self):
-        histogram = Histogram("h")
+        """The instrument *is* the log-bucket histogram: its snapshot is
+        layout + counts (no embedded quantiles to go stale) and
+        round-trips through ``from_dict``."""
+        histogram = Histogram("h", help="waits")
         histogram.observe(0.004)
         histogram.observe(0.1)
         assert histogram.count == 2
         snap = histogram.snapshot()
-        assert snap["kind"] == "histogram"
-        assert sum(snap["counts"]) == 2
-        assert {"p50_ms", "p95_ms", "p99_ms"} <= snap.keys()
+        assert snap.keys() == {"kind", "help", "lo", "hi", "n_buckets", "counts"}
+        assert snap["kind"] == "histogram" and sum(snap["counts"]) == 2
+        clone = Histogram.from_dict(json.loads(json.dumps(snap)))
+        assert clone.percentiles_ms() == histogram.percentiles_ms()
 
     def test_ledger_counter_reset_refuses(self):
-        registry = process_registry()
-        with pytest.raises(TypeError):
-            registry.get(MAPPING_OPS).reset()
+        """The process counters are plain registry counters now: a
+        charge is visible in the registry snapshot with no adapter in
+        between, and a negative charge is refused at the charge site."""
+        counter = process_registry().get(MAPPING_OPS)
+        assert counter is process_mapping_ops()
+        before = counter.value("align-cell")
+        record_mapping_ops("align-cell", 3)
+        snapshot = process_registry().snapshot()[MAPPING_OPS]
+        assert snapshot["values"]["align-cell"] == before + 3
+        with pytest.raises(ValueError):
+            record_mapping_ops("align-cell", -1)
+        assert counter.value("align-cell") == before + 3
 
 
 class TestRegistry:
@@ -355,8 +376,7 @@ class TestRegistry:
         registry.counter("x")
         with pytest.raises(TypeError):
             registry.gauge("x")
-        with pytest.raises(ValueError):
-            registry.register(Counter("x"))
+        assert registry.counter("x") is registry.get("x")
 
     def test_snapshot_delta_keeps_positive_movement_only(self):
         registry = MetricsRegistry()
@@ -386,6 +406,26 @@ class TestRegistry:
         with pytest.raises(ValueError):
             merge_snapshots({"h": layout_a}, {"h": layout_b})
 
+    def test_delta_and_merge_quantiles_follow_their_counts(self):
+        """A delta's and a merge's quantiles are those of *their*
+        samples, not the ones the source snapshot happened to have."""
+        registry = MetricsRegistry()
+        histogram = registry.histogram("h")
+        for _ in range(100):
+            histogram.observe(0.001)
+        before = registry.snapshot()
+        for _ in range(5):
+            histogram.observe(1.0)
+        delta = snapshot_delta(before, registry.snapshot())
+        assert sum(delta["h"]["counts"]) == 5
+        slow = Histogram("h")
+        for _ in range(1000):
+            slow.observe(1.0)
+        merged = merge_snapshots(before, {"h": slow.snapshot()})
+        for snapshot in (delta, merged):
+            p50 = re.search(r'h\{quantile="0.5"\} (\S+)', prometheus_text(snapshot))
+            assert 1.0 <= float(p50.group(1)) < 1.3, snapshot
+
     def test_absorb_unknown_name_raises_only_when_requested(self):
         registry = MetricsRegistry()
         delta = {"nope": {"kind": "counter", "values": {"x": 1}}}
@@ -396,12 +436,73 @@ class TestRegistry:
     def test_absorb_recharges_the_process_ledger(self):
         registry = process_registry()
         ledger = process_mapping_ops()
-        before = ledger.by_kind().get("chain-candidate", 0)
+        before = ledger.by_key().get("chain-candidate", 0)
         registry.absorb(
             {MAPPING_OPS: {"kind": "counter", "values": {"chain-candidate": 17}}},
             names=(MAPPING_OPS,),
         )
-        assert ledger.by_kind()["chain-candidate"] == before + 17
+        assert ledger.by_key()["chain-candidate"] == before + 17
+
+
+# Generated registry charges over one shared layout: a counter, a
+# peak gauge and an 8-bucket histogram. Integer increments keep the
+# algebra exact (float addition is not associative).
+_LAYOUT = {"lo": 1e-3, "hi": 1.0, "n_buckets": 8}
+_CHARGES = st.fixed_dictionaries(
+    {
+        "counts": st.lists(
+            st.tuples(st.sampled_from("abc"), st.integers(1, 1000)), max_size=6
+        ),
+        "peak": st.integers(0, 50),
+        "samples": st.lists(st.floats(1e-4, 10.0), max_size=20),
+    }
+)
+_NAMES = st.sets(st.sampled_from(["c", "g", "h"]))
+
+
+def _charge(registry, charges):
+    counter = registry.counter("c", help="things", label="k")
+    for key, n in charges["counts"]:
+        counter.inc(key, n)
+    registry.gauge("g", help="peak").set_max(charges["peak"])
+    histogram = registry.histogram("h", help="waits", **_LAYOUT)
+    for seconds in charges["samples"]:
+        histogram.observe(seconds)
+    return registry.snapshot()
+
+
+def _snapshot(charges, names):
+    full = _charge(MetricsRegistry(), charges)
+    return {name: full[name] for name in sorted(names)}
+
+
+class TestSnapshotAlgebra:
+    @given(_CHARGES, _NAMES, _CHARGES, _NAMES, _CHARGES, _NAMES)
+    @settings(max_examples=60, deadline=None)
+    def test_merge_is_associative_and_commutative(self, xa, na, xb, nb, xc, nc):
+        a, b, c = _snapshot(xa, na), _snapshot(xb, nb), _snapshot(xc, nc)
+        assert merge_snapshots(a, b) == merge_snapshots(b, a)
+        assert merge_snapshots(merge_snapshots(a, b), c) == merge_snapshots(
+            a, merge_snapshots(b, c)
+        )
+
+    @given(_CHARGES, _CHARGES)
+    @settings(max_examples=60, deadline=None)
+    def test_merging_the_delta_back_restores_the_later_snapshot(self, first, then):
+        registry = MetricsRegistry()
+        a = _charge(registry, first)
+        b = _charge(registry, then)  # monotone: a <= b
+        assert merge_snapshots(a, snapshot_delta(a, b)) == b
+
+    @given(_CHARGES, _CHARGES)
+    @settings(max_examples=60, deadline=None)
+    def test_merged_quantiles_equal_the_union_histogram(self, xa, xb):
+        merged = merge_snapshots(_snapshot(xa, {"h"}), _snapshot(xb, {"h"}))
+        union = Histogram("h", help="waits", **_LAYOUT)
+        for seconds in xa["samples"] + xb["samples"]:
+            union.observe(seconds)
+        assert Histogram.from_dict(merged["h"]).percentiles_ms() == union.percentiles_ms()
+        assert prometheus_text(merged) == prometheus_text({"h": union.snapshot()})
 
 
 class TestRuntimeStatsFromRegistry:
@@ -448,10 +549,10 @@ class TestRuntimeStatsFromRegistry:
         )
         reads = sorted(obs_dataset.reads, key=len)[:6]
         ledger = process_mapping_ops()
-        before = ledger.by_kind()
+        before = ledger.by_key()
         engine = DatasetEngine(system.pipeline, workers=2)
         engine.run(reads)
-        after = ledger.by_kind()
+        after = ledger.by_key()
         assert after.get("chain-candidate", 0) > before.get("chain-candidate", 0)
         assert after.get("align-cell", 0) > before.get("align-cell", 0)
 
@@ -500,7 +601,7 @@ class TestExport:
         registry.gauge("genpip_level", help="Level").set(3)
         histogram = registry.histogram("genpip_wait_seconds", help="Waits")
         histogram.observe(0.01)
-        text = registry.expose()
+        text = prometheus_text(registry.snapshot())
         assert "# TYPE genpip_things counter" in text
         assert 'genpip_things_total{kind="a"} 2' in text
         assert "genpip_level 3" in text
@@ -512,3 +613,29 @@ class TestExport:
     def test_decode_traces_round_trip(self, traced_engine):
         wire = tuple(t.to_tuple() for t in traced_engine.last_trace)
         assert decode_traces(wire) == traced_engine.last_trace
+
+
+# --- structure --------------------------------------------------------------
+
+
+def test_obs_is_the_only_ledger_and_imports_nothing_above_it():
+    """``repro.obs`` sits below every package that charges it (no
+    import of another ``repro`` package, lazy ones included), and the
+    retired ledger classes are gone from every shipped tree."""
+    src = Path(repro.__file__).parent
+    for path in (src / "obs").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            for module in modules:
+                if module == "repro" or module.startswith("repro."):
+                    assert module.startswith("repro.obs"), (path.name, module)
+    retired = re.compile(r"\b(CopyCounter|MappingOpsCounter|LedgerCounter|LatencyHistogram)\b")
+    repo = src.parents[1]
+    for tree in (src, repo / "examples", repo / "benchmarks"):
+        for path in tree.rglob("*.py"):
+            assert not retired.search(path.read_text(encoding="utf-8")), path

@@ -6,7 +6,7 @@ the :class:`~repro.runtime.transport.SegmentLease` segment-lifetime
 handoff (refcounts, deferred closes, leak probes on every exit path --
 success, worker exception, broken pool, interrupted serving), the
 pooled zero-copy path's byte-identity with the serial baseline across
-sources x sinks, the copy ledger (:mod:`repro.perf.copies` and the
+sources x sinks, the copy counter (:func:`repro.obs.metrics.record_copy` and the
 ``RuntimeStats`` bytes fields the bench gates), the view-based
 ``attach_index``, the counting :class:`~repro.runtime.sink.NullSink`,
 and the pre-normalised-template sDTW fast path.
@@ -33,7 +33,7 @@ from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.nanopore.signal_read import SignalRead
 from repro.nanopore.signal_store import write_signals
-from repro.perf import CopyCounter, copied_bytes, process_copies
+from repro.obs import COPIED_BYTES, Counter, copied_bytes, process_registry, record_copy
 from repro.runtime import (
     ColumnarBatch,
     ColumnarLayout,
@@ -160,30 +160,31 @@ def signal_reads(tiny_dataset, viterbi_backend):
     ]
 
 
-# --- CopyCounter ------------------------------------------------------------
+# --- the copied-bytes counter -----------------------------------------------
 
 
 class TestCopyCounter:
     def test_ledger_by_boundary_and_total(self):
-        counter = CopyCounter()
-        counter.record("publish", 100)
-        counter.record("attach", 40)
-        counter.record("publish", 10)
-        assert counter.bytes_copied("publish") == 110
-        assert counter.bytes_copied("attach") == 40
-        assert counter.bytes_copied() == 150
-        assert counter.by_boundary() == {"publish": 110, "attach": 40}
+        counter = Counter("copied", label="boundary")
+        counter.inc("publish", 100)
+        counter.inc("attach", 40)
+        counter.inc("publish", 10)
+        assert counter.value("publish") == 110
+        assert counter.value("attach") == 40
+        assert counter.value() == 150
+        assert counter.by_key() == {"publish": 110, "attach": 40}
         counter.reset()
-        assert counter.bytes_copied() == 0
+        assert counter.value() == 0
 
     def test_negative_bytes_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            CopyCounter().record("attach", -1)
+            record_copy("attach", -1)
 
     def test_process_counter_is_the_record_copy_target(self):
         before = copied_bytes("attach")
-        process_copies().record("attach", 7)
+        record_copy("attach", 7)
         assert copied_bytes("attach") == before + 7
+        assert process_registry().get(COPIED_BYTES).value("attach") == before + 7
 
 
 # --- ColumnarLayout / ColumnarBatch -----------------------------------------

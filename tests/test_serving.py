@@ -25,8 +25,7 @@ from test_runtime_streaming import WorkerExitingBasecaller
 from repro.core import GenPIP, GenPIPConfig
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
-from repro.perf import LatencyHistogram
-from repro.perf.copies import copied_bytes
+from repro.obs import Histogram, copied_bytes
 from repro.runtime import DatasetEngine, active_segments, outcome_to_record
 from repro.runtime.columnar import payload_nbytes
 from repro.serving import (
@@ -78,49 +77,50 @@ def serial_records(tiny_system, tiny_dataset):
 
 class TestLatencyHistogram:
     def test_empty_percentiles_are_zero(self):
-        hist = LatencyHistogram()
+        hist = Histogram()
         assert hist.count == 0
-        assert hist.p50 == hist.p95 == hist.p99 == 0.0
+        assert hist.percentile(0.50) == hist.percentile(0.99) == 0.0
 
     def test_percentiles_are_conservative_upper_edges(self):
-        hist = LatencyHistogram()
+        hist = Histogram()
         for value in (0.001, 0.002, 0.004, 0.100):
-            hist.record(value)
+            hist.observe(value)
         # Every recorded value is <= the covering bucket's upper edge.
-        assert hist.p50 >= 0.002
-        assert hist.p99 >= 0.100
-        assert hist.p50 <= hist.p95 <= hist.p99
+        p50, p95, p99 = (hist.percentile(q) for q in (0.50, 0.95, 0.99))
+        assert p50 >= 0.002
+        assert p99 >= 0.100
+        assert p50 <= p95 <= p99
 
     def test_out_of_range_values_clamp_to_edge_buckets(self):
-        hist = LatencyHistogram(lo=1e-3, hi=1.0, n_buckets=8)
-        hist.record(0.0)  # below lo -> first bucket
-        hist.record(50.0)  # above hi -> last bucket
+        hist = Histogram(lo=1e-3, hi=1.0, n_buckets=8)
+        hist.observe(0.0)  # below lo -> first bucket
+        hist.observe(50.0)  # above hi -> last bucket
         assert hist.count == 2
         assert hist.counts[0] == 1 and hist.counts[-1] == 1
 
     def test_merge_sums_counts_elementwise(self):
-        a, b = LatencyHistogram(), LatencyHistogram()
-        a.record(0.01)
-        b.record(0.01)
-        b.record(0.5)
+        a, b = Histogram(), Histogram()
+        a.observe(0.01)
+        b.observe(0.01)
+        b.observe(0.5)
         merged = a.merge(b)
         assert merged is a
         assert a.count == 3
 
     def test_merge_rejects_mismatched_layouts(self):
         with pytest.raises(ValueError, match="layout"):
-            LatencyHistogram().merge(LatencyHistogram(n_buckets=16))
+            Histogram().merge(Histogram(n_buckets=16))
 
     def test_dict_round_trip(self):
-        hist = LatencyHistogram()
-        hist.record(0.003)
-        hist.record(0.3)
-        clone = LatencyHistogram.from_dict(json.loads(json.dumps(hist.to_dict())))
-        assert clone == hist
+        hist = Histogram()
+        hist.observe(0.003)
+        hist.observe(0.3)
+        clone = Histogram.from_dict(json.loads(json.dumps(hist.to_dict())))
+        assert clone.to_dict() == hist.to_dict()
         assert clone.percentiles_ms() == hist.percentiles_ms()
 
     def test_percentiles_ms_keys(self):
-        keys = set(LatencyHistogram().percentiles_ms())
+        keys = set(Histogram().percentiles_ms())
         assert keys == {"p50_ms", "p95_ms", "p99_ms"}
 
 
@@ -196,10 +196,11 @@ class TestSessionMux:
         mux = SessionMux()
         a, b = mux.open("a"), mux.open("b")
         assert (a.session_id, b.session_id) == ("s1", "s2")
-        assert mux.peak_sessions == mux.live_sessions == 2
+        peak = mux.registry.get("genpip_serving_peak_sessions")
+        assert peak.value == mux.live_sessions == 2
         mux.close(a)
-        assert mux.live_sessions == 1 and mux.peak_sessions == 2
-        assert mux.sessions_served == 1
+        assert mux.live_sessions == 1 and peak.value == 2
+        assert mux.registry.get("genpip_serving_sessions").value() == 1
 
     def test_duplicate_inflight_seq_rejected(self):
         session = SessionMux().open()
@@ -213,8 +214,8 @@ class TestSessionMux:
         mux.submit(session, 0)
         mux.close(session)
         mux.close(session)
-        assert mux.sessions_served == 1
-        assert mux.reads_total == 1
+        assert mux.registry.get("genpip_serving_sessions").value() == 1
+        assert mux.registry.get("genpip_serving_reads").value() == 1
 
     def test_instruments_update_live_before_close(self):
         """Reads count at submit time -- a mid-session stats probe must
@@ -223,8 +224,8 @@ class TestSessionMux:
         session = mux.open()
         mux.submit(session, 0)
         mux.submit(session, 1)
-        assert mux.reads_total == 2
-        assert mux.sessions_served == 0  # still open
+        assert mux.registry.get("genpip_serving_reads").value() == 2
+        assert mux.registry.get("genpip_serving_sessions").value() == 0  # still open
 
 
 # --- partitioning / reassembly ----------------------------------------------
