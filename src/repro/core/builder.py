@@ -2,7 +2,7 @@
 
 One chain assembles everything a run needs -- reference index, pipeline
 preset, basecaller backend (by registry name or instance), ER variant,
-mapper configuration, rejection policies -- and defers all construction
+rejection policies -- and defers all construction
 to :meth:`PipelineBuilder.build`, so a chain is cheap to create, pass
 around, and amend::
 
@@ -35,7 +35,6 @@ from repro.core.backends import (
 from repro.core.config import GenPIPConfig, variant_config
 from repro.core.registry import create_basecaller, preset_config
 from repro.mapping.index import MinimizerIndex
-from repro.mapping.mapper import MapperConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.genpip import GenPIP
@@ -61,7 +60,6 @@ class PipelineBuilder:
         self._basecaller_name: str | None = None
         self._basecaller_config: object | None = None
         self._basecaller_instance: Basecaller | None = None
-        self._mapper_config: MapperConfig | None = None
         self._align: bool = True
         self._qsr_policy: QSRPolicyProtocol | None = None
         self._cmr_policy: CMRPolicyProtocol | None = None
@@ -133,11 +131,6 @@ class PipelineBuilder:
             self._basecaller_instance = backend
             self._basecaller_name = None
             self._basecaller_config = None
-        return self
-
-    def mapper(self, mapper_config: MapperConfig) -> "PipelineBuilder":
-        """Override the mapper configuration."""
-        self._mapper_config = mapper_config
         return self
 
     def align(self, enabled: bool = True) -> "PipelineBuilder":
@@ -213,7 +206,6 @@ class PipelineBuilder:
             self._resolved_index(),
             self.resolved_config(),
             basecaller=self.resolved_basecaller(),
-            mapper_config=self._mapper_config,
             align=self._align,
             qsr_policy=self._qsr_policy,
             cmr_policy=self._cmr_policy,

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core import ECOLI_PARAMS, HUMAN_PARAMS, GenPIP, GenPIPConfig
-from repro.core.config import VARIANTS, variant_config
+from repro.core import GenPIP, GenPIPConfig
+from repro.core.config import VARIANTS
 from repro.core.genpip import GenPIPReport
+from repro.core.registry import preset_config
 from repro.kernels.mapping_ops import process_mapping_ops
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import PRESETS, Dataset, generate_dataset
@@ -22,9 +23,7 @@ from repro.perf.workload import PipelineWorkload
 
 __all__ = [
     "DEFAULT_SCALES",
-    "DATASET_PARAMS",
     "VARIANTS",
-    "variant_config",
     "ExperimentContext",
     "get_context",
     "resolve_scale",
@@ -33,9 +32,6 @@ __all__ = [
 #: Default generation scales: a few hundred reads per dataset -- enough
 #: for stable ratios, small enough for laptop turnaround.
 DEFAULT_SCALES = {"ecoli-like": 0.002, "human-like": 0.0004}
-
-#: Sec. 6.3's chosen ER parameters per dataset.
-DATASET_PARAMS = {"ecoli-like": ECOLI_PARAMS, "human-like": HUMAN_PARAMS}
 
 
 @dataclass
@@ -79,11 +75,9 @@ class ExperimentContext:
         return self._index
 
     def base_config(self, chunk_size: int = 300) -> GenPIPConfig:
-        """The dataset's Sec. 6.3 parameters at a chunk size."""
-        return DATASET_PARAMS[self.profile_name].with_chunk_size(chunk_size)
-
-    def _variant_config(self, variant: str, chunk_size: int) -> GenPIPConfig:
-        return variant_config(self.base_config(chunk_size), variant)
+        """The dataset's Sec. 6.3 parameters at a chunk size (the
+        registry preset named after the profile)."""
+        return preset_config(self.profile_name).with_chunk_size(chunk_size)
 
     def report(
         self,
@@ -108,7 +102,9 @@ class ExperimentContext:
             system = (
                 GenPIP.build()
                 .index(self.index)
-                .config(self._variant_config(variant, chunk_size))
+                .preset(self.profile_name)
+                .chunk_size(chunk_size)
+                .variant(variant)
                 .basecaller(basecaller)
                 .align(align)
                 .build()

@@ -47,9 +47,8 @@ from repro.obs.export import (
     chrome_trace_document,
     chrome_trace_events,
     prometheus_text,
+    span_jsonl,
     span_records,
-    write_chrome_trace,
-    write_span_jsonl,
 )
 from repro.obs.metrics import (
     COPIED_BYTES,
@@ -104,11 +103,10 @@ __all__ = [
     "prometheus_text",
     "record_copy",
     "snapshot_delta",
+    "span_jsonl",
     "span_records",
     "tracing_enabled",
     "use_tracer",
     "worker_metrics_delta",
     "worker_metrics_snapshot",
-    "write_chrome_trace",
-    "write_span_jsonl",
 ]

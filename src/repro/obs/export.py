@@ -10,7 +10,7 @@ spans home, or offline over a saved span log.
   ``chrome://tracing``. Timestamps are microseconds, normalised per
   process to that process's earliest span and sorted so ``ts`` is
   monotone per ``tid``.
-* :func:`span_records` / :func:`write_span_jsonl` emit one JSON object
+* :func:`span_records` / :func:`span_jsonl` emit one JSON object
   per span (trace label, kind, pid, name, parent index, start/duration)
   in dataset order -- the grep/pandas-friendly flat log.
 * :func:`prometheus_text` renders a registry snapshot in the Prometheus
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator, Mapping
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.obs.metrics import Histogram
@@ -75,10 +74,6 @@ def chrome_trace_document(traces: Iterable["ReadTrace"]) -> dict:
     return {"traceEvents": chrome_trace_events(traces), "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(path: str | Path, traces: Iterable["ReadTrace"]) -> None:
-    Path(path).write_text(json.dumps(chrome_trace_document(traces)) + "\n")
-
-
 def span_records(traces: Iterable["ReadTrace"]) -> Iterator[dict]:
     """One flat JSON-safe record per span, in trace order."""
     for trace in traces:
@@ -96,11 +91,12 @@ def span_records(traces: Iterable["ReadTrace"]) -> Iterator[dict]:
             }
 
 
-def write_span_jsonl(path: str | Path, traces: Iterable["ReadTrace"]) -> None:
-    """Write the flat span log, one compact JSON object per line."""
-    with open(path, "w") as handle:
-        for record in span_records(traces):
-            handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+def span_jsonl(traces: Iterable["ReadTrace"]) -> str:
+    """The flat span log as text, one compact JSON object per line."""
+    return "".join(
+        json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        for record in span_records(traces)
+    )
 
 
 def _format_value(value: float) -> str:

@@ -35,7 +35,9 @@ supplies the execution layer as a streaming dataflow:
   bounded in-flight window over a source on that pool, with a resuming
   serial fallback;
 * :mod:`repro.runtime.cli` -- the ``python -m repro.runtime`` entry
-  point for scriptable (CI) runs.
+  point for scriptable (CI) runs, and the one place the dataset and
+  pipeline flags are declared, checked and turned into a pipeline
+  (``python -m repro.serving`` calls it).
 
 The load-bearing invariant, asserted by ``tests/test_runtime.py`` and
 ``tests/test_runtime_streaming.py``: for any worker count and any
@@ -45,7 +47,7 @@ run's: same outcomes, same order, same counters.
 """
 
 from repro.runtime.columnar import ColumnarBatch, ColumnarLayout
-from repro.runtime.engine import DatasetEngine, RuntimeStats, run_dataset
+from repro.runtime.engine import DatasetEngine, RuntimeStats
 from repro.runtime.merge import ShardCollector, ShardResult
 from repro.runtime.pool import WorkerPool
 from repro.runtime.sharding import (
@@ -132,6 +134,5 @@ __all__ = [
     "replay_report",
     "resolve_batch_size",
     "resolve_workers",
-    "run_dataset",
     "worker_leases",
 ]

@@ -18,6 +18,13 @@ byte-identical files, which is exactly what the CI smoke jobs diff
 (with a streaming sink the report is replayed losslessly from the
 outcome file).
 
+The dataset and pipeline flags are declared here once for every front
+end (:func:`add_dataset_args`, :func:`add_pipeline_args`), range-checked
+once (:func:`check_args`) and turned into a profile and a pipeline once
+(:func:`profile_from_args`, :func:`pipeline_from_args`). ``python -m
+repro.serving`` calls the same five, which is what keeps its verdicts
+byte-identical to a batch run given the same flags.
+
 Examples
 --------
 Serial run, report to stdout::
@@ -70,18 +77,15 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
-from repro.core.config import VARIANTS, variant_config
+from repro.core.config import VARIANTS
 from repro.core.genpip import GenPIP, GenPIPReport
-from repro.core.pipeline import ReadOutcome
-from repro.core.registry import (
-    basecaller_names,
-    create_basecaller,
-    preset_config,
-    preset_names,
-)
+from repro.core.pipeline import GenPIPPipeline, ReadOutcome
+from repro.core.registry import basecaller_names, create_basecaller, preset_names
+from repro.genomics.reference import ReferenceGenome
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import (
     PRESETS,
+    DatasetProfile,
     generate_dataset,
     iter_dataset_reads,
     profile_reference,
@@ -92,7 +96,7 @@ from repro.nanopore.signal_store import (
     write_read_store,
     write_signals,
 )
-from repro.obs.export import write_chrome_trace, write_span_jsonl
+from repro.obs.export import chrome_trace_document, span_jsonl
 from repro.runtime.engine import DatasetEngine
 from repro.runtime.sink import (
     JSONLSink,
@@ -108,37 +112,29 @@ SOURCES = ("memory", "generator", "store", "signals")
 SINKS = ("memory", "jsonl", "parquet", "null")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.runtime",
-        description="Run the GenPIP pipeline over a generated dataset preset.",
-    )
+def add_dataset_args(parser: argparse.ArgumentParser, *, sized: bool = True) -> None:
+    """Declare the flags :func:`profile_from_args` reads, plus the
+    dataset's size: ``sized=False`` leaves out ``--scale``/``--seed`` for
+    a command that needs the reference but generates no reads."""
     data = parser.add_argument_group("dataset")
     data.add_argument(
         "--profile", choices=sorted(PRESETS), default="ecoli-like",
         help="dataset preset (Table 1 recipe)",
     )
-    data.add_argument(
-        "--scale", type=float, default=0.001,
-        help="fraction of the real dataset's read count to generate",
-    )
-    data.add_argument("--seed", type=int, default=42, help="simulation seed")
+    if sized:
+        data.add_argument(
+            "--scale", type=float, default=0.001,
+            help="fraction of the real dataset's read count to generate",
+        )
+        data.add_argument("--seed", type=int, default=42, help="simulation seed")
     data.add_argument(
         "--max-read-length", type=int, default=None, metavar="BASES",
         help="cap read lengths via the small-profile transform (fast smoke runs)",
     )
-    data.add_argument(
-        "--source", choices=SOURCES, default="memory",
-        help="where reads come from: materialised dataset, lazy simulator "
-        "generator, an on-disk read container streamed incrementally, or an "
-        "on-disk raw-signal container decoded signal-natively (requires a "
-        "signal-space --basecaller)",
-    )
-    data.add_argument(
-        "--store", default=None, metavar="PATH",
-        help="container path for --source store/signals (generated and "
-        "written on first use if missing)",
-    )
+
+
+def add_pipeline_args(parser: argparse.ArgumentParser) -> None:
+    """Declare the flags :func:`pipeline_from_args` reads, plus ``--workers``."""
     pipe = parser.add_argument_group("pipeline")
     pipe.add_argument(
         "--basecaller", choices=basecaller_names(), default="surrogate",
@@ -157,12 +153,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--align", action="store_true",
         help="run base-level alignment (slower; off by default like the sweeps)",
     )
-    signal = parser.add_argument_group("signal domain (requires --source signals)")
+    pipe.add_argument(
+        "--workers", type=int, default=None, metavar="N",
+        help="worker processes (default: GENPIP_WORKERS env or serial)",
+    )
+    signal = parser.add_argument_group("signal-domain early rejection (raw-current reads only)")
     signal.add_argument(
         "--signal-er", action="store_true",
-        help="signal-domain early rejection: screen each read's raw-current "
-        "prefix against reference templates (subsequence DTW) and reject "
-        "junk before any basecalling",
+        help="screen each read's raw-current prefix against reference "
+        "templates (subsequence DTW, built once at start) and reject junk "
+        "before any basecalling; requires a basecaller with a pore model",
     )
     signal.add_argument(
         "--signal-er-threshold", type=float, default=0.17, metavar="COST",
@@ -174,22 +174,136 @@ def build_parser() -> argparse.ArgumentParser:
         "screen: acceptances are reliable, rejections include genomic reads "
         "the templates do not cover)",
     )
-    signal.add_argument(
+
+
+#: ``(dest, in_range, requirement)`` of every flag here with a fixed range.
+_RANGE_CHECKS = (
+    ("scale", lambda value: value > 0, "must be positive"),
+    ("workers", lambda value: value >= 0, "must be non-negative"),
+    ("chunk_size", lambda value: value >= 50, "must be at least 50 bases"),
+    ("signal_er_threshold", lambda value: value > 0, "must be positive"),
+    ("signal_er_templates", lambda value: value >= 1, "must be at least 1"),
+    ("batch_size", lambda value: value >= 1, "must be at least 1"),
+)
+
+
+def check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Reject out-of-range values of the flags declared here (exit status 2).
+
+    A flag the command did not declare, or left at a ``None`` default,
+    is skipped. ``--max-read-length`` has no fixed range (its floor is
+    the profile's minimum read length), so it is checked by deriving the
+    profile.
+    """
+    for dest, in_range, requirement in _RANGE_CHECKS:
+        value = getattr(args, dest, None)
+        if value is not None and not in_range(value):
+            parser.error(f"--{dest.replace('_', '-')} {requirement}")
+    try:
+        profile_from_args(args)
+    except ValueError as exc:
+        parser.error(
+            f"--max-read-length {args.max_read_length} is too small for "
+            f"--profile {args.profile} ({exc})"
+        )
+
+
+def profile_from_args(args: argparse.Namespace) -> DatasetProfile:
+    """The dataset profile ``--profile`` / ``--max-read-length`` name."""
+    profile = PRESETS[args.profile]
+    if args.max_read_length is not None:
+        profile = small_profile(profile, max_read_length=args.max_read_length)
+    return profile
+
+
+def pipeline_from_args(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, reference: ReferenceGenome
+) -> GenPIPPipeline:
+    """The pipeline the :func:`add_pipeline_args` flags describe over ``reference``."""
+    # Constructed up front so the SER policy can be derived from its
+    # pore model; the builder then receives the live instance (the
+    # registry recovers name + config for worker shipping either way).
+    basecaller = create_basecaller(args.basecaller)
+    ser_policy = None
+    if args.signal_er:
+        pore_model = getattr(basecaller, "pore_model", None)
+        if pore_model is None:
+            parser.error(
+                f"--signal-er needs a basecaller with a pore model to build "
+                f"expected-signal templates; backend {args.basecaller!r} has none"
+            )
+        # Deterministic in (reference, pore model, flags): serial, pooled
+        # and served runs rebuild byte-identical template sets.
+        ser_policy = SignalRejectionPolicy.from_reference(
+            pore_model,
+            reference.codes,
+            n_templates=args.signal_er_templates,
+            threshold=args.signal_er_threshold,
+        )
+    # The registry's profile-name aliases carry each dataset's Sec. 6.3
+    # parameters, so the profile default and --preset share one source.
+    return (
+        GenPIP.build()
+        .index(MinimizerIndex.build(reference))
+        .preset(args.preset or args.profile)
+        .chunk_size(args.chunk_size)
+        .variant(args.variant)
+        .basecaller(basecaller)
+        .align(args.align)
+        .signal_rejection(ser_policy)
+        .build_pipeline()
+    )
+
+
+def write_output(path: str | None, payload: str) -> None:
+    """Write an output flag's ``payload`` to ``path`` (``-`` is stdout;
+    an unset flag is a no-op); an ``OSError`` ends the command with
+    ``error: cannot write PATH: ...`` on stderr and exit status 1. Called
+    with ``""`` before the run, it claims the path, so that a mistyped
+    one costs no run."""
+    if path == "-":
+        sys.stdout.write(payload)
+    elif path is not None:
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            raise SystemExit(f"error: cannot write {path}: {exc}") from None
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.runtime",
+        description="Run the GenPIP pipeline over a generated dataset preset.",
+    )
+    add_dataset_args(parser)
+    source = parser.add_argument_group("source")
+    source.add_argument(
+        "--source", choices=SOURCES, default="memory",
+        help="where reads come from: materialised dataset, lazy simulator "
+        "generator, an on-disk read container streamed incrementally, or an "
+        "on-disk raw-signal container decoded signal-natively (requires a "
+        "signal-space --basecaller)",
+    )
+    source.add_argument(
+        "--store", default=None, metavar="PATH",
+        help="container path for --source store/signals (generated and "
+        "written on first use if missing)",
+    )
+    source.add_argument(
         "--segmentation", action="store_true",
         help="write the raw-signal container without base-start tracks "
         "(FAST5/SLOW5-shaped: samples only) and recover every read's chunk "
-        "grid by event segmentation",
+        "grid by event segmentation (requires --source signals, as does "
+        "--signal-er here)",
     )
-    run = parser.add_argument_group("runtime")
-    run.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes (default: GENPIP_WORKERS env or serial)",
-    )
-    run.add_argument(
+    add_pipeline_args(parser)
+    batch = parser.add_argument_group("batching")
+    batch.add_argument(
         "--batch-size", type=int, default=None, metavar="READS",
         help="reads per work unit (default: auto)",
     )
-    run.add_argument(
+    batch.add_argument(
         "--adaptive-batching", action="store_true",
         help="balance work units by total bases instead of read count "
         "(kills the long-read shard tail; identical results)",
@@ -338,14 +452,7 @@ def _ensure_container(parser, store_path: Path, provenance: dict, kind: str, wri
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.scale <= 0:
-        parser.error("--scale must be positive")
-    if args.workers is not None and args.workers < 0:
-        parser.error("--workers must be non-negative")
-    if args.batch_size is not None and args.batch_size < 1:
-        parser.error("--batch-size must be at least 1")
-    if args.chunk_size < 50:
-        parser.error("--chunk-size must be at least 50 bases")
+    check_args(parser, args)
     if args.source in ("store", "signals") and not args.store:
         parser.error(f"--source {args.source} requires --store PATH")
     if args.store and args.source not in ("store", "signals"):
@@ -361,14 +468,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error("--signal-er only applies to --source signals runs")
         if args.segmentation:
             parser.error("--segmentation only applies to --source signals runs")
-    if args.signal_er_threshold <= 0:
-        parser.error("--signal-er-threshold must be positive")
-    if args.signal_er_templates < 1:
-        parser.error("--signal-er-templates must be at least 1")
 
-    # Construct the sink before any expensive setup (index build,
-    # container synthesis): a missing optional pyarrow dependency must
-    # fail fast, not after minutes of dataset generation.
+    # Claim every output path and construct the sink before any expensive
+    # setup (index build, container synthesis): a mistyped path or a
+    # missing optional pyarrow dependency must fail fast, not after
+    # minutes of dataset generation.
+    spans_path = args.trace_path and args.trace_path + ".spans.jsonl"
+    for path in (args.outcomes, args.json_path, args.trace_path, spans_path):
+        write_output(path, "")
     if args.sink == "jsonl":
         sink = JSONLSink(args.outcomes)
     elif args.sink == "parquet":
@@ -379,72 +486,33 @@ def main(argv: Sequence[str] | None = None) -> int:
     else:
         sink = NullSink() if args.sink == "null" else None
 
-    profile = PRESETS[args.profile]
-    if args.max_read_length is not None:
-        profile = small_profile(profile, max_read_length=args.max_read_length)
+    profile = profile_from_args(args)
     # The reference is deterministic in the profile, so every source
     # sees the exact dataset generate_dataset would materialise.
     reference = profile_reference(profile)
-    index = MinimizerIndex.build(reference)
-    # The registry's profile-name aliases carry each dataset's Sec. 6.3
-    # parameters, so the profile default and --preset share one source.
-    base_config = preset_config(args.preset or args.profile)
-    config = variant_config(base_config.with_chunk_size(args.chunk_size), args.variant)
+    pipeline = pipeline_from_args(parser, args, reference)
+    basecaller = pipeline.basecaller
 
-    # The engine is constructed once, up front, so the SER policy can be
-    # derived from its pore model; the builder then receives the live
-    # instance (equivalent to building by name -- the registry recovers
-    # name + config for worker shipping either way).
-    basecaller = create_basecaller(args.basecaller)
-    builder = (
-        GenPIP.build()
-        .index(index)
-        .config(config)
-        .basecaller(basecaller)
-        .align(args.align)
-    )
-    if args.signal_er:
-        pore_model = getattr(basecaller, "pore_model", None)
-        if pore_model is None:
-            parser.error(
-                f"--signal-er needs a basecaller with a pore model to build "
-                f"expected-signal templates; backend {args.basecaller!r} has none"
-            )
-        # Deterministic in (reference, pore model, flags): serial and
-        # pooled runs rebuild byte-identical template sets.
-        builder = builder.signal_rejection(
-            SignalRejectionPolicy.from_reference(
-                pore_model,
-                reference.codes,
-                n_templates=args.signal_er_templates,
-                threshold=args.signal_er_threshold,
-            )
-        )
-    system = builder.build()
-
+    generated = {"scale": args.scale, "seed": args.seed, "reference": reference}
+    # What a container's records depend on (checked by its sidecar).
+    provenance = {
+        "profile": args.profile,
+        "scale": args.scale,
+        "seed": args.seed,
+        "max_read_length": args.max_read_length,
+    }
     if args.source == "memory":
-        data = generate_dataset(profile, scale=args.scale, seed=args.seed, reference=reference)
+        data = generate_dataset(profile, **generated)
     elif args.source == "generator":
-        data = SimulatorSource(profile, scale=args.scale, seed=args.seed, reference=reference)
+        data = SimulatorSource(profile, **generated)
     elif args.source == "store":
         store_path = Path(args.store)
-        provenance = {
-            "profile": args.profile,
-            "scale": args.scale,
-            "seed": args.seed,
-            "max_read_length": args.max_read_length,
-        }
         _ensure_container(
             parser,
             store_path,
             provenance,
             "read",
-            lambda: write_read_store(
-                store_path,
-                iter_dataset_reads(
-                    profile, scale=args.scale, seed=args.seed, reference=reference
-                ),
-            ),
+            lambda: write_read_store(store_path, iter_dataset_reads(profile, **generated)),
         )
         data = StoreSource(store_path)
     else:  # signals
@@ -467,13 +535,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # The synthesized current depends on the backend's pore model
         # and signal parameters, so the backend is part of a signal
         # container's provenance.
-        provenance = {
-            "profile": args.profile,
-            "scale": args.scale,
-            "seed": args.seed,
-            "max_read_length": args.max_read_length,
-            "basecaller": args.basecaller,
-        }
+        provenance["basecaller"] = args.basecaller
         if args.segmentation:
             # A segmentation container holds *only* samples (the real
             # FAST5/SLOW5 shape) -- structurally different data, so it
@@ -482,11 +544,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             provenance["segmentation"] = True
 
         def _write_signal_container() -> None:
-            records = basecaller.signal_records(
-                iter_dataset_reads(
-                    profile, scale=args.scale, seed=args.seed, reference=reference
-                )
-            )
+            records = basecaller.signal_records(iter_dataset_reads(profile, **generated))
             if args.segmentation:
                 records = strip_base_starts(records)
             write_signals(store_path, records)
@@ -500,7 +558,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
 
     engine = DatasetEngine(
-        system.pipeline,
+        pipeline,
         workers=args.workers,
         batch_size=args.batch_size,
         sink=sink,
@@ -510,12 +568,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     report = engine.run(data)
     if args.trace_path:
         traces = engine.last_trace or []
-        try:
-            write_chrome_trace(args.trace_path, traces)
-            write_span_jsonl(args.trace_path + ".spans.jsonl", traces)
-        except OSError as exc:
-            print(f"error: cannot write {args.trace_path}: {exc}", file=sys.stderr)
-            return 1
+        write_output(args.trace_path, json.dumps(chrome_trace_document(traces)) + "\n")
+        write_output(spans_path, span_jsonl(traces))
         if not args.quiet:
             n_reads = sum(1 for trace in traces if trace.kind == "read")
             print(
@@ -561,16 +615,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "threshold": args.signal_er_threshold,
             }
     if args.json_path:
-        payload = report_to_json(report, run_args)
-        if args.json_path == "-":
-            sys.stdout.write(payload)
-        else:
-            try:
-                with open(args.json_path, "w", encoding="utf-8") as handle:
-                    handle.write(payload)
-            except OSError as exc:
-                print(f"error: cannot write {args.json_path}: {exc}", file=sys.stderr)
-                return 1
+        write_output(args.json_path, report_to_json(report, run_args))
 
     if not args.quiet:
         stats = engine.last_stats
@@ -605,7 +650,3 @@ def main(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via __main__
-    raise SystemExit(main())

@@ -191,9 +191,6 @@ class DatasetEngine:
         ``"fixed"`` (constant reads per unit) or ``"length-aware"``
         (units balanced by total bases; see
         :mod:`repro.runtime.sharding`).
-    prefetch_depth:
-        Reads buffered by the background producer thread ahead of
-        planning in pooled runs; ``None`` auto-sizes from the window.
     """
 
     def __init__(
@@ -205,7 +202,6 @@ class DatasetEngine:
         progress: Callable[[int, int], None] | None = None,
         sink: ReportSink | None = None,
         batching: str = "fixed",
-        prefetch_depth: int | None = None,
         trace: bool = False,
     ):
         if isinstance(pipeline, PipelineSpec):
@@ -224,9 +220,6 @@ class DatasetEngine:
         self._progress = progress
         self._sink = sink
         self._batching = resolve_batching(batching)
-        if prefetch_depth is not None and prefetch_depth < 1:
-            raise ValueError(f"prefetch_depth must be positive, got {prefetch_depth}")
-        self._prefetch_depth = prefetch_depth
         self._progress_seen = 0
         self._progress_total = -1
         self._backpressure: dict[str, int] = {}
@@ -419,11 +412,7 @@ class DatasetEngine:
     ) -> str:
         """Keep a bounded window of units in flight on ``pool``."""
         window = max(pool_workers * _INFLIGHT_PER_WORKER, 2)
-        depth = (
-            self._prefetch_depth
-            if self._prefetch_depth is not None
-            else max(window * batch_size, 64)
-        )
+        depth = max(window * batch_size, 64)
         self._backpressure["inflight_window"] = window
         self._backpressure["prefetch_capacity"] = depth
         inflight: dict[Future, WorkUnit] = {}
@@ -510,27 +499,3 @@ class DatasetEngine:
         if self._progress is not None and collector.n_ready > self._progress_seen:
             self._progress_seen = collector.n_ready
             self._progress(collector.n_ready, self._progress_total)
-
-
-def run_dataset(
-    pipeline: GenPIPPipeline | PipelineSpec,
-    dataset,
-    *,
-    workers: int | None = None,
-    batch_size: int | None = None,
-    progress: Callable[[int, int], None] | None = None,
-    sink: ReportSink | None = None,
-    batching: str = "fixed",
-    trace: bool = False,
-) -> GenPIPReport:
-    """One-shot convenience wrapper around :class:`DatasetEngine`."""
-    engine = DatasetEngine(
-        pipeline,
-        workers=workers,
-        batch_size=batch_size,
-        progress=progress,
-        sink=sink,
-        batching=batching,
-        trace=trace,
-    )
-    return engine.run(dataset)

@@ -162,7 +162,7 @@ class JSONLSink:
         if self._handle is None:
             raise RuntimeError("sink emitted to before begin()")
         for outcome in outcomes:
-            self._handle.write(outcome_to_json(outcome))
+            self._handle.write(record_to_json(outcome_to_record(outcome)))
             self._handle.write("\n")
 
     def finish(self, counters: ReportCounters) -> GenPIPReport:
@@ -524,9 +524,11 @@ def outcome_from_record(record: dict) -> ReadOutcome:
     )
 
 
-def outcome_to_json(outcome: ReadOutcome) -> str:
-    """One deterministic JSON line for an outcome (no trailing newline)."""
-    return json.dumps(outcome_to_record(outcome), sort_keys=True, separators=(",", ":"))
+def record_to_json(record: dict) -> str:
+    """One deterministic JSON line for an outcome record (no trailing
+    newline): the JSONL sink's line format, and the served ``drive
+    --outcomes`` file's, which is diffed against it byte for byte."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 def iter_outcomes_jsonl(path) -> Iterator[ReadOutcome]:

@@ -16,7 +16,8 @@ Layers (each independently testable):
 * :mod:`~repro.serving.dispatch` -- asyncio -> warm pool bridge
 * :mod:`~repro.serving.server`   -- the asyncio loopback front-end
 * :mod:`~repro.serving.client`   -- bundled loopback client/driver
-* :mod:`~repro.serving.cli`      -- ``python -m repro.serving``
+* :mod:`~repro.serving.cli`      -- ``python -m repro.serving`` (its
+  dataset and pipeline flags are :mod:`repro.runtime.cli`'s)
 
 Standing invariant: the merged, dataset-order verdict stream of N
 concurrent sessions is byte-identical to a serial batch report over the

@@ -71,11 +71,6 @@ class ServingServer:
     def host(self) -> str:
         return self._host
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            raise RuntimeError("start() the server first")
-        await self._server.serve_forever()
-
     async def aclose(self) -> None:
         if self._server is not None:
             self._server.close()

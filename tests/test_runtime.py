@@ -30,7 +30,6 @@ from repro.runtime import (
     plan_work,
     resolve_batch_size,
     resolve_workers,
-    run_dataset,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -87,7 +86,7 @@ class TestParallelEquivalence:
 
     def test_engine_from_spec_matches_pipeline(self, tiny_system, tiny_dataset, serial_report):
         spec = PipelineSpec.from_pipeline(tiny_system.pipeline)
-        report = run_dataset(spec, tiny_dataset, workers=2, batch_size=4)
+        report = DatasetEngine(spec, workers=2, batch_size=4).run(tiny_dataset)
         assert report.outcomes == serial_report.outcomes
 
     def test_stats_reflect_run_shape(self, tiny_system, tiny_dataset):
