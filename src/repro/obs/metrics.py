@@ -360,7 +360,8 @@ def record_copy(boundary: str, nbytes: int) -> None:
 
     * ``"publish"`` -- the parent packs a work unit's arrays into a
       shared segment. Always paid by a pooled run: the segment *is* the
-      batch.
+      batch. A serving client packing a read frame is the same pack
+      and charges the same boundary in its own process.
     * ``"attach"`` -- arrays copied out of a segment
       (``attach_unit(copy=True)``). Pool workers attach views instead,
       so a pooled run charges nothing here.

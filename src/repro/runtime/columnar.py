@@ -163,6 +163,25 @@ class ColumnarLayout:
             total_codes=total_codes,
         )
 
+    @classmethod
+    def single(cls, **fields) -> "ColumnarLayout":
+        """The layout :meth:`plan` gives a lone read, from its handle's
+        fields minus the offsets (``n_bases`` present = base-space).
+
+        For a receiver that knows a one-read image's counts and nothing
+        else (the serving wire): where the sections start follows from
+        the counts, so offsets never need to travel.
+        """
+        if "n_bases" in fields:
+            n = fields["n_bases"]
+            handle = ReadHandle(**fields, quality_offset=0, codes_offset=8 * n)
+            return cls((handle,), total8=8 * n, total_samples=0, total_codes=n)
+        total8 = 8 * fields["n_starts"]
+        handle = SignalHandle(**fields, starts_offset=0, samples_offset=total8)
+        return cls(
+            (handle,), total8=total8, total_samples=4 * fields["n_samples"], total_codes=0
+        )
+
     def pack_into(self, buf, reads: Sequence[SimulatedRead | SignalRead]) -> int:
         """Write the reads' arrays into ``buf`` at their planned offsets.
 

@@ -11,7 +11,8 @@ SER templates ride along inside the worker pipelines.
 
 Layers (each independently testable):
 
-* :mod:`~repro.serving.protocol` -- versioned NDJSON frames
+* :mod:`~repro.serving.protocol` -- protocol v2: NDJSON control lines, read
+  frames whose payload is the :mod:`repro.runtime.columnar` bytes
 * :mod:`~repro.serving.session`  -- per-session bookkeeping + the mux
 * :mod:`~repro.serving.dispatch` -- asyncio -> warm pool bridge
 * :mod:`~repro.serving.server`   -- the asyncio loopback front-end

@@ -62,7 +62,7 @@ async def run_session(
     Raises :class:`~repro.serving.protocol.ProtocolError` if the server
     answers with an ``error`` frame.
     """
-    reader, writer = await asyncio.open_connection(host, port, limit=1024 * 1024 * 64)
+    reader, writer = await asyncio.open_connection(host, port, limit=protocol.MAX_READ_BYTES)
     try:
         writer.write(protocol.encode_frame(protocol.hello_frame(name)))
         await writer.drain()
@@ -100,10 +100,9 @@ async def run_session(
 
 
 async def _expect(reader: asyncio.StreamReader, kinds: tuple[str, ...]) -> dict:
-    line = await reader.readline()
-    if not line:
+    frame = await protocol.receive_frame(reader, expect=protocol.SERVER_FRAMES)
+    if frame is None:
         raise protocol.ProtocolError(f"connection closed while waiting for {kinds}")
-    frame = protocol.decode_frame(line, expect=protocol.SERVER_FRAMES)
     if frame["type"] == "error":
         raise protocol.ProtocolError(f"server error: {frame.get('message')}")
     if frame["type"] not in kinds:

@@ -1,16 +1,24 @@
-"""The serving wire protocol: versioned newline-delimited-JSON frames.
+"""The serving wire protocol, version 2: NDJSON lines, columnar read payloads.
 
-One frame per line, each a JSON object with a ``type`` key, over any
-byte stream (the server binds a loopback TCP socket). The vocabulary is
-deliberately tiny -- six frame types carry a whole session:
+Every frame starts with one line: a JSON object with a ``type`` key
+(sorted keys, compact, ``\\n``-terminated), over any byte stream (the
+server binds a loopback TCP socket). Control frames are that line and
+nothing else. A ``read`` frame's line is a small *header* that is
+followed by exactly ``nbytes`` raw bytes -- the read's arrays in the
+:mod:`repro.runtime.columnar` layout, so between socket and kernel an
+array is only ever an ``np.frombuffer`` view (inline serving runs on
+views over the received bytes) or one ``memcpy`` into a shared segment
+(pooled serving), never a per-element Python object.
 
 ========== ========== ====================================================
-type       direction  payload
+type       direction  content
 ========== ========== ====================================================
 hello      client ->  ``protocol`` (version), optional ``session`` name
 welcome    server ->  ``session`` id assigned, ``protocol`` echoed
-read       client ->  ``seq`` (client-assigned sequence number) + ``read``
-                      (a base-space or signal-native read record)
+read       client ->  header: ``seq`` (client-assigned sequence number),
+                      ``nbytes``, ``read`` (the record: ``kind`` plus the
+                      read's scalar fields and element counts); then
+                      ``nbytes`` payload bytes (diagram below)
 verdict    server ->  ``seq`` echoed, ``accept`` flag, ``latency_ms``, and
                       the full lossless ``outcome`` record (exactly
                       :func:`repro.runtime.sink.outcome_to_record`)
@@ -24,32 +32,56 @@ summary    server ->  per-session totals + latency percentiles + server
 error      server ->  ``message``; the connection is then closed
 ========== ========== ====================================================
 
+The read frame, byte for byte::
+
+    {"nbytes":B,"read":{"kind":...,"read_id":...,<scalars>,<counts>},"seq":N,"type":"read"}\\n
+    <B payload bytes>
+
+    kind "read"    f64 qualities[n_bases] | u8 codes[n_bases]            B = 9*n_bases
+    kind "signal"  i64 base_starts[n_starts] | f32 samples[n_samples]    B = 8*n_starts + 4*n_samples
+
+The payload **is** the packed one-read batch of the layout diagram in
+:mod:`repro.runtime.columnar` (8-byte section, sample section, code
+section): the bytes ``ColumnarLayout.plan([read]).pack_into(...)`` writes
+into a shared segment, little-endian (this module refuses to import on
+a big-endian host rather than carry a byteswap path nobody runs). The
+record is the read's columnar handle minus its offsets; the receiver
+derives the offsets from the counts (:meth:`ColumnarLayout.single`),
+checks ``nbytes`` against them and against :data:`MAX_READ_BYTES`
+*before* reading the payload, and never reads an offset off the wire.
+
 Verdicts stream back as each read resolves, so they may arrive in any
 order; ``seq`` is the client's handle to restore submission order. The
 ``outcome`` record is byte-for-byte the batch runtime's serialisation,
 which is what lets a client diff its (seq-ordered) verdict stream
 against a serial batch report -- the serving layer's standing
 equivalence invariant.
-
-Read records round-trip losslessly through :func:`read_to_record` /
-:func:`read_from_record`: base-space :class:`SimulatedRead` payloads
-carry codes/qualities, signal-native :class:`SignalRead` payloads carry
-float32 samples (exact via ``float(np.float32)`` repr round-trip)
-and the base-start grid.
 """
 
 from __future__ import annotations
 
+import asyncio
+import dataclasses
 import json
-
-import numpy as np
+import sys
 
 from repro.nanopore.read_simulator import ReadClass, SimulatedRead
-from repro.nanopore.signal import RawSignal
 from repro.nanopore.signal_read import SignalRead
+from repro.runtime.columnar import ColumnarBatch, ColumnarLayout, ReadHandle, SignalHandle
+
+assert sys.byteorder == "little", "read payloads are native numpy memory, declared little-endian"
 
 #: Protocol version; a ``hello`` carrying any other value is refused.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
+
+#: Longest frame line the server accepts (asyncio's StreamReader
+#: default): control frames and read headers are a few hundred bytes.
+LINE_LIMIT = 64 * 1024
+
+#: Largest read payload. A header announcing more is refused before a
+#: byte of it is buffered; it also bounds what a client buffers for one
+#: server line (a verdict's CIGAR grows with its read).
+MAX_READ_BYTES = 64 * 1024 * 1024
 
 #: Every frame type the protocol knows, by direction. ``stats`` appears
 #: in both: an empty client frame requests it, the server's carries the
@@ -65,26 +97,48 @@ class ProtocolError(ValueError):
     """A frame violated the wire protocol (malformed, wrong type/version)."""
 
 
-def encode_frame(frame: dict) -> bytes:
-    """One NDJSON line (sorted keys, compact, trailing newline)."""
-    if frame.get("type") not in FRAME_TYPES:
-        raise ProtocolError(f"unknown frame type {frame.get('type')!r}")
+def _line(frame: dict) -> bytes:
     return (json.dumps(frame, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
-def decode_frame(line: bytes | str, *, expect: tuple[str, ...] | None = None) -> dict:
-    """Parse and validate one frame line.
+def encode_frame(frame: dict) -> bytes:
+    """One frame's wire bytes: an NDJSON line (sorted keys, compact,
+    trailing newline); for a ``read`` frame the header line, stamped
+    with ``nbytes``, then the record's payload."""
+    kind = frame.get("type")
+    if kind not in FRAME_TYPES:
+        raise ProtocolError(f"unknown frame type {kind!r}")
+    if kind != "read":
+        return _line(frame)
+    record = dict(frame["read"])
+    payload = record.pop("payload")
+    return _line({**frame, "nbytes": len(payload), "read": record}) + payload
+
+
+def decode_frame(
+    data: bytes | bytearray | str, *, expect: tuple[str, ...] | None = None
+) -> dict:
+    """Parse and validate one encoded frame.
+
+    ``data`` is a frame line or a whole ``read`` frame (header line +
+    payload, which lands on the record as a zero-copy ``memoryview``
+    under ``"payload"``). A read header on its own decodes too, fully
+    checked but without a payload: :func:`receive_frame` reads exactly
+    ``nbytes`` more and attaches them.
 
     ``expect`` restricts the accepted frame types (e.g. a server decoding
     client input passes :data:`CLIENT_FRAMES`); anything else raises
     :class:`ProtocolError` instead of a bare KeyError downstream.
     """
-    if isinstance(line, bytes):
-        line = line.decode("utf-8", errors="replace")
+    if isinstance(data, str):
+        data = data.encode()
+    end = data.find(b"\n") + 1
+    if not end:
+        raise ProtocolError(f"frame line has no terminating newline: {bytes(data[:80])!r}")
     try:
-        frame = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(f"frame is not valid JSON: {line[:80]!r}") from exc
+        frame = json.loads(data[:end])
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ProtocolError(f"frame is not valid JSON: {bytes(data[:80])!r}") from exc
     if not isinstance(frame, dict):
         raise ProtocolError(f"frame must be a JSON object, got {type(frame).__name__}")
     kind = frame.get("type")
@@ -92,6 +146,37 @@ def decode_frame(line: bytes | str, *, expect: tuple[str, ...] | None = None) ->
         raise ProtocolError(f"unknown frame type {kind!r}")
     if expect is not None and kind not in expect:
         raise ProtocolError(f"unexpected frame type {kind!r}; expected one of {expect}")
+    rest = memoryview(data)[end:]
+    if kind == "read":
+        nbytes = _check_read_header(frame)
+        if len(rest) == nbytes:
+            frame["read"]["payload"] = rest
+        elif rest:
+            raise ProtocolError(f"read frame carries {len(rest)} payload bytes, not {nbytes}")
+    elif rest:
+        raise ProtocolError(f"{len(rest)} bytes trail a {kind!r} frame line")
+    return frame
+
+
+async def receive_frame(
+    reader: asyncio.StreamReader, *, expect: tuple[str, ...] | None = None
+) -> dict | None:
+    """The next frame off a stream, or ``None`` at EOF between frames.
+
+    A read frame's payload is only awaited once its header passed every
+    check (``nbytes`` within :data:`MAX_READ_BYTES` and equal to what the
+    counts imply), so a hostile header cannot make the receiver buffer.
+    A peer that closes mid-payload raises ``asyncio.IncompleteReadError``.
+    """
+    try:
+        line = await reader.readline()
+    except ValueError as exc:  # StreamReader's limit overrun
+        raise ProtocolError(f"frame line exceeds the reader's limit: {exc}") from exc
+    if not line:
+        return None
+    frame = decode_frame(line, expect=expect)
+    if frame["type"] == "read":
+        frame["read"]["payload"] = await reader.readexactly(frame["nbytes"])
     return frame
 
 
@@ -169,54 +254,84 @@ def check_hello(frame: dict) -> str | None:
     return session
 
 
-# --- read payload (de)serialisation -----------------------------------------
+# --- read records: the columnar handle on the wire ---------------------------
+
+_JSON_TYPES = {"str": (str,), "int": (int,), "int | None": (int, type(None))}
 
 
-def read_to_record(read: SimulatedRead | SignalRead) -> dict:
-    """A JSON-safe record of one read (lossless; see module docstring)."""
-    if isinstance(read, SignalRead):
-        return {
-            "kind": "signal",
-            "read_id": read.read_id,
-            "declared_bases": len(read),
-            # float32 -> float is exact; JSON repr round-trips floats.
-            "samples": [float(sample) for sample in read.signal.samples],
-            "base_starts": [int(start) for start in read.signal.base_starts],
-        }
+def _wire_fields(handle_type: type) -> dict[str, tuple[type, ...]]:
+    """A record's fields and their JSON types: the handle's, offsets left out."""
     return {
-        "kind": "read",
-        "read_id": read.read_id,
-        "read_class": read.read_class.value,
-        "strand": int(read.strand),
-        "ref_start": read.ref_start,
-        "ref_end": read.ref_end,
-        "seed": int(read.seed),
-        "codes": [int(code) for code in read.true_codes],
-        "qualities": [float(quality) for quality in read.qualities],
+        field.name: _JSON_TYPES[field.type]
+        for field in dataclasses.fields(handle_type)
+        if not field.name.endswith("_offset")
     }
 
 
-def read_from_record(record: dict) -> SimulatedRead | SignalRead:
-    """Inverse of :func:`read_to_record` (exact reconstruction)."""
+_RECORD_FIELDS = {"read": _wire_fields(ReadHandle), "signal": _wire_fields(SignalHandle)}
+_READ_CLASSES = frozenset(read_class.value for read_class in ReadClass)
+
+
+def _record_layout(record) -> ColumnarLayout:
+    """Validate a read record and lay its payload out from the counts."""
+    if not isinstance(record, dict):
+        raise ProtocolError("read record must be a JSON object")
     kind = record.get("kind")
-    if kind == "signal":
-        return SignalRead(
-            read_id=record["read_id"],
-            signal=RawSignal(
-                samples=np.asarray(record["samples"], dtype=np.float32),
-                base_starts=np.asarray(record["base_starts"], dtype=np.int64),
-            ),
-            declared_bases=record["declared_bases"],
-        )
+    if kind not in _RECORD_FIELDS:
+        raise ProtocolError(f"unknown read record kind {kind!r}")
+    values = {}
+    for name, types in _RECORD_FIELDS[kind].items():
+        # Exact types: JSON never yields a subclass, and bool is not an int here.
+        if name not in record or type(record[name]) not in types:
+            wanted = " or ".join(t.__name__ for t in types)
+            raise ProtocolError(f"read record field {name!r} must be present and {wanted}")
+        values[name] = record[name]
     if kind == "read":
-        return SimulatedRead(
-            read_id=record["read_id"],
-            read_class=ReadClass(record["read_class"]),
-            strand=record["strand"],
-            ref_start=record["ref_start"],
-            ref_end=record["ref_end"],
-            true_codes=np.asarray(record["codes"], dtype=np.uint8),
-            qualities=np.asarray(record["qualities"], dtype=np.float64),
-            seed=record["seed"],
+        counts = (values["n_bases"],)
+        if values["read_class"] not in _READ_CLASSES:
+            raise ProtocolError(f"unknown read_class {values['read_class']!r}")
+    else:
+        counts = (values["n_starts"], values["n_samples"])
+        if values["declared_bases"] < values["n_starts"]:
+            raise ProtocolError("declared_bases is below the signal's n_starts")
+    if min(counts) < 0:
+        raise ProtocolError(f"read record counts must be >= 0, got {counts}")
+    return ColumnarLayout.single(**values)
+
+
+def _check_read_header(frame: dict) -> int:
+    """Validate a read frame's header line; returns its ``nbytes``."""
+    seq, nbytes = frame.get("seq"), frame.get("nbytes")
+    if type(seq) is not int:
+        raise ProtocolError(f"read frame needs an int seq, got {seq!r}")
+    if type(nbytes) is not int or not 0 <= nbytes <= MAX_READ_BYTES:
+        raise ProtocolError(
+            f"read frame nbytes must be an int in [0, {MAX_READ_BYTES}], got {nbytes!r}"
         )
-    raise ProtocolError(f"unknown read record kind {kind!r}")
+    implied = _record_layout(frame.get("read")).total_bytes
+    if nbytes != implied:
+        raise ProtocolError(f"read frame nbytes {nbytes} != {implied} implied by its counts")
+    return nbytes
+
+
+def read_to_record(read: SimulatedRead | SignalRead) -> dict:
+    """One read's wire record: its columnar handle minus the offsets,
+    ``kind``, and under ``"payload"`` the packed one-read batch."""
+    layout = ColumnarLayout.plan([read])
+    payload = bytearray(layout.total_bytes)
+    layout.pack_into(payload, [read])
+    (handle,) = layout.handles
+    kind = "signal" if isinstance(handle, SignalHandle) else "read"
+    record = {name: getattr(handle, name) for name in _RECORD_FIELDS[kind]}
+    record.update(kind=kind, payload=payload)
+    return record
+
+
+def read_from_record(record: dict) -> SimulatedRead | SignalRead:
+    """Inverse of :func:`read_to_record`: the read as read-only views
+    over the record's payload (no copy; the arrays keep it alive)."""
+    layout = _record_layout(record)
+    payload = record.get("payload")
+    if not isinstance(payload, bytes | bytearray | memoryview) or len(payload) != layout.total_bytes:
+        raise ProtocolError(f"read record needs a {layout.total_bytes}-byte payload")
+    return ColumnarBatch(payload, layout.handles).reads(copy=False)[0]

@@ -1,7 +1,8 @@
 """The asyncio serving front-end: sessions in, streamed verdicts out.
 
-:class:`ServingServer` binds a loopback TCP socket and speaks the
-NDJSON protocol of :mod:`repro.serving.protocol`: each accepted
+:class:`ServingServer` binds a loopback TCP socket and speaks protocol
+v2 of :mod:`repro.serving.protocol` (NDJSON control lines; a ``read``
+is a header line plus the read's columnar bytes): each accepted
 connection is one session (hello -> welcome), every ``read`` frame is
 dispatched immediately onto the warm pool
 (:class:`~repro.serving.dispatch.PoolDispatcher`), and each verdict is
@@ -19,6 +20,10 @@ verdict under the connection's write lock (frames are lines, so the
 lock is what keeps concurrent verdicts from interleaving mid-line).
 Session state lives in the :class:`~repro.serving.session.SessionMux`,
 never in the handler, so the server-wide stats survive the connection.
+However a session ends -- ``end``, a protocol violation (one ``error``
+frame, then close), a vanished peer -- its in-flight read tasks are
+cancelled *and awaited* before the handler returns, so none outlives
+its connection or dies unobserved.
 """
 
 from __future__ import annotations
@@ -30,10 +35,6 @@ from repro.obs.export import prometheus_text
 from repro.serving import protocol
 from repro.serving.dispatch import PoolDispatcher, ServingStats
 from repro.serving.session import SessionMux, SessionState
-
-#: Per-line read limit: a signal-native read record is a JSON array of
-#: float samples, far beyond StreamReader's 64 KiB default.
-LINE_LIMIT = 64 * 1024 * 1024
 
 
 class ServingServer:
@@ -57,7 +58,7 @@ class ServingServer:
     async def start(self) -> "ServingServer":
         """Bind and start accepting sessions (returns once listening)."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._port, limit=LINE_LIMIT
+            self._handle_connection, self._host, self._port, limit=protocol.LINE_LIMIT
         )
         return self
 
@@ -118,27 +119,27 @@ class ServingServer:
 
         session: SessionState | None = None
         tasks: set[asyncio.Task] = set()
+        error: protocol.ProtocolError | None = None
         try:
-            hello = await self._read_frame(reader)
+            hello = await protocol.receive_frame(reader, expect=protocol.CLIENT_FRAMES)
             if hello is None:
                 return
             name = protocol.check_hello(hello)
             session = self._mux.open(name)
             await send(protocol.welcome_frame(session.session_id))
-            while True:
-                frame = await self._read_frame(reader)
-                if frame is None:
-                    # Disconnect without `end`: abandon in-flight reads.
-                    for task in tasks:
-                        task.cancel()
-                    return
+            # EOF without `end` leaves the loop: in-flight reads are abandoned.
+            while (
+                frame := await protocol.receive_frame(reader, expect=protocol.CLIENT_FRAMES)
+            ) is not None:
                 if frame["type"] == "read":
-                    seq = frame.get("seq")
-                    if not isinstance(seq, int):
-                        raise protocol.ProtocolError(f"read frame needs an int seq, got {seq!r}")
-                    read = protocol.read_from_record(frame.get("read") or {})
-                    self._mux.submit(session, seq)
-                    task = asyncio.ensure_future(self._run_read(session, send, seq, read))
+                    read = protocol.read_from_record(frame["read"])
+                    try:
+                        self._mux.submit(session, frame["seq"])
+                    except ValueError as exc:  # seq already in flight
+                        raise protocol.ProtocolError(str(exc)) from exc
+                    task = asyncio.ensure_future(
+                        self._run_read(session, send, frame["seq"], read)
+                    )
                     tasks.add(task)
                     task.add_done_callback(tasks.discard)
                 elif frame["type"] == "end":
@@ -171,22 +172,23 @@ class ServingServer:
                 elif frame["type"] == "hello":
                     raise protocol.ProtocolError("duplicate hello on an open session")
         except protocol.ProtocolError as exc:
-            with contextlib.suppress(ConnectionError, RuntimeError):  # peer gone
-                await send(protocol.error_frame(str(exc)))
-        except (ConnectionError, asyncio.IncompleteReadError):  # pragma: no cover
+            error = exc
+        except (ConnectionError, asyncio.IncompleteReadError):
             pass  # peer vanished mid-frame; nothing to answer to
         finally:
+            # Reap the reads still in flight before anything else is
+            # written, so an `error` frame is the last thing on the wire.
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
             if session is not None:
                 self._mux.close(session)
+            if error is not None:
+                with contextlib.suppress(ConnectionError, RuntimeError):  # peer gone
+                    await send(protocol.error_frame(str(error)))
             writer.close()
             with contextlib.suppress(ConnectionError, BrokenPipeError):  # teardown race
                 await writer.wait_closed()
-
-    async def _read_frame(self, reader: asyncio.StreamReader) -> dict | None:
-        line = await reader.readline()
-        if not line:
-            return None
-        return protocol.decode_frame(line, expect=protocol.CLIENT_FRAMES)
 
     async def _run_read(self, session: SessionState, send, seq: int, read) -> None:
         from repro.runtime.sink import outcome_to_record

@@ -259,6 +259,18 @@ class TestColumnarBatch:
         with pytest.raises(TypeError, match="base-space"):
             batch.signal_window(0, 0, 5)
 
+    def test_single_rederives_the_lone_read_plan_from_counts(self, tiny_dataset, signal_reads):
+        """What a wire receiver relies on: handle fields minus offsets
+        are enough to get back exactly the layout ``plan`` computed."""
+        for read in (tiny_dataset.reads[0], signal_reads[0]):
+            layout = ColumnarLayout.plan([read])
+            fields = {
+                name: value
+                for name, value in vars(layout.handles[0]).items()
+                if not name.endswith("_offset")
+            }
+            assert ColumnarLayout.single(**fields) == layout
+
     def test_pack_charges_the_publish_boundary(self, tiny_dataset):
         reads = tiny_dataset.reads[:3]
         before = copied_bytes("publish")

@@ -13,21 +13,31 @@ inline degradation mode.
 
 from __future__ import annotations
 
+import ast
 import asyncio
+import gc
 import glob
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_runtime_streaming import WorkerExitingBasecaller
 
+from repro.basecalling import ViterbiBackendConfig, ViterbiChunkBasecaller
 from repro.core import GenPIP, GenPIPConfig
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
+from repro.nanopore.read_simulator import ReadClass, SimulatedRead
+from repro.nanopore.signal import RawSignal
+from repro.nanopore.signal_read import SignalRead
 from repro.obs import Histogram, copied_bytes
-from repro.runtime import DatasetEngine, active_segments, outcome_to_record
-from repro.runtime.columnar import payload_nbytes
+from repro.runtime import DatasetEngine, WorkUnit, active_segments, outcome_to_record
+from repro.runtime.columnar import ColumnarLayout, payload_nbytes
+from repro.runtime.transport import publish_unit, release_unit
 from repro.serving import (
     PoolDispatcher,
     ServingServer,
@@ -161,31 +171,203 @@ class TestProtocol:
 
     def test_base_read_record_round_trip(self, tiny_dataset):
         read = tiny_dataset.reads[0]
-        clone = protocol.read_from_record(
-            json.loads(json.dumps(protocol.read_to_record(read)))
-        )
-        assert clone.read_id == read.read_id
+        clone = _through_the_wire(read)
+        _assert_same_read(clone, read)
         assert clone.read_class == read.read_class
         assert clone.seed == read.seed
-        assert np.array_equal(clone.true_codes, read.true_codes)
-        assert np.array_equal(clone.qualities, read.qualities)
 
     def test_signal_read_record_round_trip(self):
-        from repro.nanopore.signal import RawSignal
-        from repro.nanopore.signal_read import SignalRead
-
         signal = RawSignal(
             samples=np.asarray([0.25, -1.5, 3.125], dtype=np.float32),
             base_starts=np.asarray([0, 1], dtype=np.int64),
         )
         read = SignalRead(read_id="sig-1", signal=signal, declared_bases=2)
-        clone = protocol.read_from_record(
-            json.loads(json.dumps(protocol.read_to_record(read)))
-        )
-        assert clone.read_id == read.read_id
+        clone = _through_the_wire(read)
+        _assert_same_read(clone, read)
         assert clone.signal.samples.dtype == np.float32
-        assert np.array_equal(clone.signal.samples, read.signal.samples)
-        assert np.array_equal(clone.signal.base_starts, read.signal.base_starts)
+
+    def test_read_frame_size_is_the_payload_plus_a_small_header(self, tiny_dataset):
+        """The regression guard is a byte count, not a clock: a frame is
+        the columnar payload plus a header of a few hundred bytes."""
+        read = max(tiny_dataset.reads, key=len)
+        assert len(protocol.encode_frame(protocol.read_frame(0, read))) <= 9 * len(read) + 512
+        rng = np.random.default_rng(5)
+        signal = RawSignal(
+            samples=rng.normal(size=4_000).astype(np.float32),
+            base_starts=np.arange(0, 4_000, 10, dtype=np.int64),
+        )
+        frame = protocol.encode_frame(protocol.read_frame(0, SignalRead("sig-2", signal)))
+        assert len(frame) <= 8 * 400 + 4 * 4_000 + 512
+
+    def test_no_per_element_python_objects_in_the_protocol_module(self):
+        """protocol.py never walks a read's arrays: no comprehension or
+        loop over them, no ``tolist``, and no numpy import to rebuild
+        them with -- arrays cross it as packed bytes and views only."""
+        tree = ast.parse(Path(protocol.__file__).read_text())
+        arrays = {"true_codes", "qualities", "samples", "base_starts", "codes", "payload"}
+        loops = [
+            node.iter
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.comprehension, ast.For, ast.AsyncFor))
+        ]
+        offenders = [
+            ast.unparse(loop)
+            for loop in loops
+            for node in ast.walk(loop)
+            if (isinstance(node, ast.Attribute) and node.attr in arrays)
+            or (isinstance(node, ast.Name) and node.id in arrays)
+        ]
+        assert offenders == []
+        names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)}
+        assert not names & {"tolist", "asarray"}
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        assert "numpy" not in {
+            name.split(".")[0]
+            for node in imports
+            for name in ([node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names])
+        }
+
+    def test_header_only_read_frame_decodes_without_payload(self, tiny_dataset):
+        """What :func:`receive_frame` relies on: the header line alone
+        passes every check; the payload is attached afterwards."""
+        data = protocol.encode_frame(protocol.read_frame(4, tiny_dataset.reads[0]))
+        header, payload = _split_read_frame(data)
+        frame = protocol.decode_frame(header, expect=protocol.CLIENT_FRAMES)
+        assert frame["nbytes"] == len(payload) and "payload" not in frame["read"]
+        with pytest.raises(protocol.ProtocolError, match="payload"):
+            protocol.read_from_record(frame["read"])
+
+    def test_decode_rejects_bytes_trailing_a_control_frame(self):
+        with pytest.raises(protocol.ProtocolError, match="trail"):
+            protocol.decode_frame(protocol.encode_frame(protocol.end_frame()) + b"x")
+
+    def test_decode_requires_a_terminated_line(self):
+        with pytest.raises(protocol.ProtocolError, match="newline"):
+            protocol.decode_frame(b'{"type":"end"}')
+
+
+def _split_read_frame(data: bytes) -> tuple[bytes, bytes]:
+    """(header line incl. newline, payload) of one encoded read frame."""
+    end = data.index(b"\n") + 1
+    return data[:end], data[end:]
+
+
+def _edit_read_header(data: bytes, edit) -> bytes:
+    """Re-encode a read frame after ``edit(header_dict)`` mutated its header."""
+    header, payload = _split_read_frame(data)
+    frame = json.loads(header)
+    edit(frame)
+    return json.dumps(frame).encode() + b"\n" + payload
+
+
+def _through_the_wire(read, seq: int = 0):
+    frame = protocol.decode_frame(protocol.encode_frame(protocol.read_frame(seq, read)))
+    assert frame["seq"] == seq
+    return protocol.read_from_record(frame["read"])
+
+
+def _assert_same_read(back, original) -> None:
+    """Equal field for field and array for array, dtypes included, and
+    every array of ``back`` a read-only view (nothing was copied)."""
+    assert type(back) is type(original)
+    assert back.read_id == original.read_id and len(back) == len(original)
+    if isinstance(original, SignalRead):
+        pairs = [
+            (back.signal.samples, original.signal.samples),
+            (back.signal.base_starts, original.signal.base_starts),
+        ]
+    else:
+        for name in ("read_class", "strand", "ref_start", "ref_end", "seed"):
+            assert getattr(back, name) == getattr(original, name)
+        pairs = [(back.true_codes, original.true_codes), (back.qualities, original.qualities)]
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got.flags.writeable is False and got.base is not None
+
+
+# --- hypothesis: the frame over generated reads ------------------------------
+
+
+@st.composite
+def base_reads(draw):
+    n = draw(st.integers(min_value=0, max_value=300))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    junk = draw(st.booleans())
+    start = None if junk else draw(st.integers(min_value=0, max_value=2**40))
+    return SimulatedRead(
+        read_id=draw(st.text(max_size=12)),
+        read_class=ReadClass.JUNK if junk else draw(st.sampled_from(list(ReadClass))),
+        strand=draw(st.sampled_from((1, -1))),
+        ref_start=start,
+        ref_end=None if junk else start + n,
+        true_codes=rng.integers(0, 4, size=n).astype(np.uint8),
+        qualities=rng.normal(12.0, 4.0, size=n),
+        seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
+    )
+
+
+@st.composite
+def signal_reads(draw):
+    n_starts = draw(st.integers(min_value=0, max_value=60))
+    n_samples = draw(st.integers(min_value=0, max_value=500))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    signal = RawSignal(
+        samples=rng.normal(90.0, 12.0, size=n_samples).astype(np.float32),
+        base_starts=np.sort(rng.integers(0, n_samples + 1, size=n_starts)).astype(np.int64),
+    )
+    return SignalRead(
+        read_id=draw(st.text(max_size=12)),
+        signal=signal,
+        declared_bases=n_starts + draw(st.integers(min_value=0, max_value=4)),
+    )
+
+
+any_read = st.one_of(base_reads(), signal_reads())
+
+
+class TestReadFrameProperties:
+    @settings(max_examples=120, deadline=None)
+    @given(read=any_read, seq=st.integers(min_value=-(2**40), max_value=2**40))
+    def test_round_trip_is_exact_and_zero_copy(self, read, seq):
+        _assert_same_read(_through_the_wire(read, seq), read)
+
+    @settings(max_examples=40, deadline=None)
+    @given(read=any_read)
+    def test_payload_is_the_published_segment_image(self, read):
+        """One layout from socket to kernel: the frame's payload is,
+        byte for byte, what ``publish_unit`` writes into the shared
+        segment of the one-read unit -- and sized as the layout plans."""
+        _, payload = _split_read_frame(protocol.encode_frame(protocol.read_frame(0, read)))
+        assert len(payload) == ColumnarLayout.plan([read]).total_bytes == payload_nbytes([read])
+        shared = publish_unit(WorkUnit(shard_id=0, start=0, reads=(read,)))
+        try:
+            image = Path("/dev/shm", shared.segment).read_bytes()
+        finally:
+            release_unit(shared.segment)
+        assert image[: len(payload)] == payload
+
+    @settings(max_examples=25, deadline=None)
+    @given(read=any_read)
+    def test_truncation_at_any_offset_is_a_protocol_error(self, read):
+        data = protocol.encode_frame(protocol.read_frame(1, read))
+
+        async def receive(prefix: bytes):
+            reader = asyncio.StreamReader(limit=protocol.LINE_LIMIT)
+            reader.feed_data(prefix)
+            reader.feed_eof()
+            return await protocol.receive_frame(reader, expect=protocol.CLIENT_FRAMES)
+
+        async def every_prefix():
+            assert await receive(b"") is None  # EOF between frames is clean
+            for cut in range(1, len(data)):
+                with pytest.raises((protocol.ProtocolError, asyncio.IncompleteReadError)):
+                    await receive(data[:cut])
+            _assert_same_read(protocol.read_from_record((await receive(data))["read"]), read)
+
+        for cut in range(len(data)):
+            with pytest.raises(protocol.ProtocolError):
+                protocol.read_from_record(protocol.decode_frame(data[:cut])["read"])
+        asyncio.run(every_prefix())
 
 
 # --- session bookkeeping ----------------------------------------------------
@@ -271,6 +453,28 @@ def test_inline_serving_matches_serial_batch(tiny_system, tiny_dataset, serial_r
     assert stats.mode == "inline"
     assert stats.transport == "none"
     assert stats.index_publications == 0
+    assert _no_leaked_segments()
+
+
+def test_signal_native_sessions_match_serial_batch(tiny_dataset):
+    """The invariant holds for raw-current reads too: their samples and
+    base-start tracks cross the wire as columnar bytes, pooled (one
+    memcpy into the segment) and inline (views over the received bytes)
+    alike."""
+    backend = ViterbiChunkBasecaller(ViterbiBackendConfig(pore_k=3))
+    system = GenPIP(
+        MinimizerIndex.build(tiny_dataset.reference), GenPIPConfig(), basecaller=backend, align=False
+    )
+    reads = [
+        SignalRead(read_id=read.read_id, signal=backend.synthesize_signal(read))
+        for read in sorted(tiny_dataset.reads, key=len)[:4]
+    ]
+    report = DatasetEngine(system.pipeline, workers=1).run(reads)
+    serial = [outcome_to_record(outcome) for outcome in report.outcomes]
+    for workers, mode in ((2, "process-pool"), (1, "inline")):
+        results, stats = serve_and_drive(system.pipeline, reads, sessions=2, workers=workers)
+        assert stats.mode == mode
+        assert merged_outcomes(results) == serial
     assert _no_leaked_segments()
 
 
@@ -397,7 +601,7 @@ def test_server_rejects_bad_hello(tiny_system):
     async def _bad_hello():
         async with ServingServer(dispatcher) as server:
             reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-            writer.write(protocol.encode_frame({"type": "hello", "protocol": 999}))
+            writer.write(protocol.encode_frame({"type": "hello", "protocol": version}))
             await writer.drain()
             line = await reader.readline()
             writer.close()
@@ -405,9 +609,10 @@ def test_server_rejects_bad_hello(tiny_system):
             return protocol.decode_frame(line)
 
     with dispatcher:
-        frame = asyncio.run(_bad_hello())
-    assert frame["type"] == "error"
-    assert "version" in frame["message"]
+        for version in (1, 999):  # v1 is refused like any other foreign version
+            frame = asyncio.run(_bad_hello())
+            assert frame["type"] == "error"
+            assert "version" in frame["message"]
 
 
 def test_server_rejects_read_before_hello(tiny_system, tiny_dataset):
@@ -428,6 +633,127 @@ def test_server_rejects_read_before_hello(tiny_system, tiny_dataset):
     with dispatcher:
         frame = asyncio.run(_read_first())
     assert frame["type"] == "error"
+
+
+# --- the unhappy path: one `error` frame, nothing leaked, server still up ------
+
+
+def _abuse_session(system, reads, offending: bytes, *, then_eof: bool = False):
+    """A session that keeps read 0 in flight (its dispatch is stalled),
+    then sends ``offending`` bytes; afterwards a well-behaved session on
+    the same server. Returns everything the tests assert on."""
+    dispatcher = PoolDispatcher(system.pipeline, workers=1)
+    problems: list[dict] = []
+
+    async def stall(read):
+        await asyncio.Event().wait()
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        loop.set_exception_handler(lambda _loop, context: problems.append(context))
+        async with ServingServer(dispatcher) as server:
+            dispatcher.process = stall
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(protocol.encode_frame(protocol.hello_frame("abuser")))
+            writer.write(protocol.encode_frame(protocol.read_frame(0, reads[0])))
+            writer.write(offending)
+            if then_eof:
+                writer.write_eof()
+            await writer.drain()
+            frames = []
+            while line := await asyncio.wait_for(reader.readline(), 10):
+                frames.append(protocol.decode_frame(line))
+            writer.close()
+            await writer.wait_closed()
+            live_sessions = server.stats().live_sessions
+            stray = [
+                task
+                for task in asyncio.all_tasks()
+                if task.get_coro().__qualname__ == "ServingServer._run_read"
+            ]
+            del dispatcher.process
+            fresh = await run_session("127.0.0.1", server.port, list(enumerate(reads)))
+            gc.collect()  # a task that died unobserved reports when collected
+            await asyncio.sleep(0)
+            return frames, live_sessions, stray, active_segments(), fresh
+
+    with dispatcher:
+        frames, live_sessions, stray, segments, fresh = asyncio.run(scenario())
+    assert frames[0]["type"] == "welcome"
+    assert live_sessions == 0 and segments == ()
+    # The stalled read did not outlive its connection.
+    assert stray == []
+    # Nothing reached the loop: no "Unhandled exception in
+    # client_connected_cb", no "Task exception was never retrieved".
+    assert problems == []
+    assert sorted(fresh.verdicts) == list(range(len(reads)))
+    assert _no_leaked_segments()
+    return frames[1:]
+
+
+BAD_READ_HEADERS = {
+    "duplicate-seq": (lambda f: f.update(seq=0), "duplicate in-flight seq 0"),
+    "missing-field": (lambda f: f["read"].pop("read_id"), "'read_id' must be present"),
+    "wrong-typed-field": (lambda f: f["read"].update(seed="12x"), "'seed' must be present and int"),
+    "bool-for-int": (lambda f: f["read"].update(strand=True), "'strand' must be present and int"),
+    "unknown-read-class": (lambda f: f["read"].update(read_class="chimera"), "read_class"),
+    "unknown-kind": (lambda f: f["read"].update(kind="fast5"), "record kind"),
+    "negative-count": (lambda f: f["read"].update(n_bases=-1), "counts must be >= 0"),
+    "nbytes-not-implied": (lambda f: f.update(nbytes=f["nbytes"] - 1), "implied by its counts"),
+    "string-seq": (lambda f: f.update(seq="1"), "int seq"),
+    "record-not-an-object": (lambda f: f.update(read=[1, 2]), "must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_READ_HEADERS)
+def test_bad_read_header_gets_one_error_frame(tiny_system, tiny_dataset, case):
+    """Every header violation -- the three that used to escape the
+    handler as ValueError/KeyError included -- is answered with exactly
+    one ``error`` frame, then EOF; see :func:`_abuse_session` for the
+    rest of what is asserted."""
+    reads = tiny_dataset.reads[:3]
+    edit, message = BAD_READ_HEADERS[case]
+    offending = _edit_read_header(
+        protocol.encode_frame(protocol.read_frame(1, reads[1])), edit
+    )
+    (answer,) = _abuse_session(tiny_system, reads, offending)
+    assert answer["type"] == "error" and message in answer["message"]
+
+
+def test_signal_record_below_its_modelled_positions_is_refused():
+    signal = RawSignal(samples=np.zeros(8, dtype=np.float32), base_starts=np.arange(4))
+    data = protocol.encode_frame(protocol.read_frame(0, SignalRead("sig", signal)))
+    with pytest.raises(protocol.ProtocolError, match="declared_bases"):
+        protocol.decode_frame(_edit_read_header(data, lambda f: f["read"].update(declared_bases=3)))
+
+
+def test_oversized_nbytes_is_refused_before_any_payload(tiny_system, tiny_dataset):
+    """Only the header is sent: the answer arriving at all shows the
+    server did not sit in ``readexactly`` for a hostile ``nbytes``."""
+    reads = tiny_dataset.reads[:3]
+    header, _ = _split_read_frame(
+        _edit_read_header(
+            protocol.encode_frame(protocol.read_frame(1, reads[1])),
+            lambda f: f.update(nbytes=protocol.MAX_READ_BYTES + 1),
+        )
+    )
+    (answer,) = _abuse_session(tiny_system, reads, header)
+    assert answer["type"] == "error" and str(protocol.MAX_READ_BYTES) in answer["message"]
+
+
+def test_overlong_line_gets_an_error_frame(tiny_system, tiny_dataset):
+    offending = b'{"type":"stats","pad":"' + b"x" * (2 * protocol.LINE_LIMIT) + b'"}\n'
+    (answer,) = _abuse_session(tiny_system, tiny_dataset.reads[:3], offending)
+    assert answer["type"] == "error" and "limit" in answer["message"]
+
+
+def test_half_a_payload_then_close_leaves_nothing_behind(tiny_system, tiny_dataset):
+    """A peer that vanishes mid-payload has nobody to answer to: no
+    ``error`` frame, but the session is closed, the in-flight read
+    reaped, and the server keeps serving."""
+    reads = tiny_dataset.reads[:3]
+    data = protocol.encode_frame(protocol.read_frame(1, reads[1]))
+    assert _abuse_session(tiny_system, reads, data[: len(data) // 2], then_eof=True) == []
 
 
 def test_dispatcher_start_is_single_shot(tiny_system):
