@@ -52,10 +52,6 @@ class MVMWorkload:
     def total_macs(self) -> int:
         return sum(op.macs for op in self.ops)
 
-    @property
-    def total_activations(self) -> int:
-        return sum(op.activations for op in self.ops)
-
     def weight_cells(self) -> int:
         """Total weight-matrix entries (NVM cells when placed on PIM)."""
         return sum(op.shape.rows * op.shape.cols for op in self.ops)
@@ -92,18 +88,6 @@ class BonitoLikeModel:
     def basecall(self, samples: np.ndarray) -> tuple[str, np.ndarray]:
         """Greedy-CTC basecall of one signal chunk."""
         return ctc_greedy_decode(self.forward(samples))
-
-    def forward_batch(self, windows: np.ndarray) -> np.ndarray:
-        """Batched :meth:`forward`: ``[B, T] -> [B, T_out, 5]``.
-
-        Stacks same-length chunk windows into one tensor pass
-        (:func:`repro.kernels.batched_dnn.model_forward_batch`); equal
-        to per-window :meth:`forward` to rounding -- the matmuls are
-        reassociated, not reordered semantically.
-        """
-        from repro.kernels.batched_dnn import model_forward_batch
-
-        return model_forward_batch(self, windows)
 
     def output_length(self, n_samples: int) -> int:
         """Temporal length after the conv downsampling stack."""

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.basecalling.chunked import reassemble_chunks
 from repro.basecalling.surrogate import SurrogateBasecaller
-from repro.basecalling.types import BasecalledChunk, BasecalledRead
+from repro.basecalling.types import BasecalledChunk
 from repro.core.backends import (
     Basecaller,
     CMRPolicyProtocol,
@@ -207,43 +207,48 @@ class GenPIPPipeline:
         self._prime_basecalls(reads)
         return [self.process_read(read) for read in reads]
 
+    def _ser_applies(self, read: PipelineRead, er_eligible: bool) -> bool:
+        """Whether stage 0 (SER) screens this read: signal-native reads
+        only -- base-space reads carry no current to screen."""
+        return (
+            self._config.enable_ser
+            and self._ser is not None
+            and er_eligible
+            and isinstance(read, SignalRead)
+        )
+
+    def _first_stage_chunks(self, n_chunks: int, er_eligible: bool) -> "Iterable[int]":
+        """The chunks the first basecalling stage decodes for certain:
+        the QSR sample when QSR runs, else the CMR merge set, else every
+        chunk."""
+        if er_eligible and self._config.enable_qsr:
+            return self._qsr.sample_indices(n_chunks)
+        if er_eligible and self._config.enable_cmr:
+            return self._cmr.merged_chunk_indices(n_chunks)
+        return range(n_chunks)
+
     def _prime_basecalls(self, reads: "list[PipelineRead]") -> int:
         """Offer the batch's first-stage chunks to a batching backend.
 
-        Collects exactly the chunks stage 1 of :meth:`process_read`
-        deterministically decodes for each read -- the QSR sample when
-        QSR will run, else the CMR merge set, else every chunk -- and
-        passes them to the backend's ``prime_chunk_batch`` in one call,
-        so a batched engine stacks them into multi-read forward passes.
-        Reads SER might reject are skipped (their chunks may never be
-        decoded at all). Backends without the hook cost nothing.
-        Returns the number of chunks primed.
+        Passes :meth:`_first_stage_chunks` of every read to the
+        backend's ``prime_chunk_batch`` in one call, so a batched engine
+        stacks them into multi-read forward passes. Reads SER might
+        reject are skipped (their chunks may never be decoded at all).
+        Backends without the hook cost nothing. Returns the number of
+        chunks primed.
         """
         prime = getattr(self._basecaller, "prime_chunk_batch", None)
         if prime is None:
             return 0
-        cfg = self._config
-        chunk_size = cfg.chunk_size
+        chunk_size = self._config.chunk_size
         requests: list[tuple[PipelineRead, int]] = []
         for read in reads:
             n_chunks = self._basecaller.n_chunks(read, chunk_size)
-            er_eligible = n_chunks >= cfg.min_chunks_for_er
-            if (
-                cfg.enable_ser
-                and self._ser is not None
-                and er_eligible
-                and isinstance(read, SignalRead)
-            ):
-                continue
-            if cfg.enable_qsr and er_eligible:
-                indices: "Iterable[int]" = self._qsr.sample_indices(n_chunks)
-            else:
-                indices = (
-                    self._cmr.merged_chunk_indices(n_chunks)
-                    if cfg.enable_cmr and er_eligible
-                    else range(n_chunks)
+            er_eligible = n_chunks >= self._config.min_chunks_for_er
+            if not self._ser_applies(read, er_eligible):
+                requests.extend(
+                    (read, index) for index in self._first_stage_chunks(n_chunks, er_eligible)
                 )
-            requests.extend((read, index) for index in indices)
         if not requests:
             return 0
         return prime(requests, chunk_size)
@@ -277,7 +282,12 @@ class GenPIPPipeline:
         cfg = self._config
         chunk_size = cfg.chunk_size
         n_chunks = self._basecaller.n_chunks(read, chunk_size)
+        er_eligible = n_chunks >= cfg.min_chunks_for_er
         called: dict[int, BasecalledChunk] = {}
+        # The read's progress so far; every exit reports all of it, so
+        # an outcome carries the decision of each stage that ran.
+        ser = qsr = cmr = mean_quality = None
+        n_seeded = n_chain_invocations = 0
 
         def basecall(index: int) -> BasecalledChunk:
             if index not in called:
@@ -285,65 +295,52 @@ class GenPIPPipeline:
                     called[index] = self._basecaller.basecall_chunk(read, index, chunk_size)
             return called[index]
 
-        er_eligible = n_chunks >= cfg.min_chunks_for_er
+        def outcome(status: ReadStatus, mapping: MappingResult | None = None) -> ReadOutcome:
+            return ReadOutcome(
+                read_id=read.read_id,
+                status=status,
+                read_length=len(read),
+                n_chunks_total=n_chunks,
+                n_chunks_basecalled=len(called),
+                n_bases_basecalled=sum(c.n_true_bases for c in called.values()),
+                n_chunks_seeded=n_seeded,
+                n_chain_invocations=n_chain_invocations,
+                aligned=mapping is not None and mapping.alignment is not None,
+                mean_quality=mean_quality,
+                ser=ser,
+                qsr=qsr,
+                cmr=cmr,
+                mapping=mapping,
+            )
 
         # --- Stage 0: SER on the raw-current prefix, before any chunk
         # is basecalled (the paper's "ideally even before they go
-        # through basecalling", Sec. 2.3). Signal-native reads only --
-        # base-space reads carry no current to screen.
-        ser_decision = None
-        if (
-            cfg.enable_ser
-            and self._ser is not None
-            and er_eligible
-            and isinstance(read, SignalRead)
-        ):
+        # through basecalling", Sec. 2.3).
+        if self._ser_applies(read, er_eligible):
             with tracer.span("ser"):
-                ser_decision = self._ser.decide(read)
-            if ser_decision.reject:
-                return self._outcome(
-                    read,
-                    ReadStatus.REJECTED_SIGNAL,
-                    n_chunks,
-                    called,
-                    n_chunks_seeded=0,
-                    n_chain_invocations=0,
-                    aligned=False,
-                    ser=ser_decision,
-                )
+                ser = self._ser.decide(read)
+            if ser.reject:
+                return outcome(ReadStatus.REJECTED_SIGNAL)
 
-        # --- Stage 1: QSR on N_qs evenly sampled chunks (Fig. 6 (1)-(3)).
-        qsr_decision = None
+        # --- Stage 1: QSR on N_qs evenly sampled chunks (Fig. 6 (1)-(3));
+        # when it runs it is the first basecalling stage.
         if cfg.enable_qsr and er_eligible:
             with tracer.span("qsr_probe"):
-                sampled = [basecall(i) for i in self._qsr.sample_indices(n_chunks)]
-                qsr_decision = self._qsr.decide(sampled)
-            if qsr_decision.reject:
-                return self._outcome(
-                    read,
-                    ReadStatus.REJECTED_QSR,
-                    n_chunks,
-                    called,
-                    n_chunks_seeded=0,
-                    n_chain_invocations=0,
-                    aligned=False,
-                    ser=ser_decision,
-                    qsr=qsr_decision,
-                )
+                sampled = [basecall(i) for i in self._first_stage_chunks(n_chunks, er_eligible)]
+                qsr = self._qsr.decide(sampled)
+            if qsr.reject:
+                return outcome(ReadStatus.REJECTED_QSR)
 
         # --- Stage 2: CMR on the first N_cm chunks merged (Fig. 6 (4)-(6)).
-        cmr_decision = None
-        n_chain_invocations = 0
         # Provisional read length (the true length) for reverse-strand
         # coordinate flipping during prefix chaining; fixed to the exact
         # basecalled length before finalize().
         chunk_mapper = IncrementalChunkMapper(
             self._index, read_length=len(read), config=self._mapper_config
         )
-        # Seeded chunks are always a prefix of the read: how many, and
-        # their length in called bases (indel errors shift chunk
-        # boundaries, so offsets are cumulative called lengths).
-        n_seeded = 0
+        # Seeded chunks are always a prefix of the read: ``n_seeded`` of
+        # them, ``seeded_bases`` long in called bases (indel errors shift
+        # chunk boundaries, so offsets are cumulative called lengths).
         seeded_bases = 0
         if cfg.enable_cmr and er_eligible:
             with tracer.span("cmr_probe"):
@@ -359,64 +356,27 @@ class GenPIPPipeline:
                 primary, _ = chunk_mapper.chain_prefix()
                 score = primary.score if primary is not None else 0.0
                 n_chain_invocations += 1
-                cmr_decision = self._cmr.decide(score, merged.size)
-            if cmr_decision.reject:
-                return self._outcome(
-                    read,
-                    ReadStatus.REJECTED_CMR,
-                    n_chunks,
-                    called,
-                    n_chunks_seeded=n_seeded,
-                    n_chain_invocations=n_chain_invocations,
-                    aligned=False,
-                    ser=ser_decision,
-                    qsr=qsr_decision,
-                    cmr=cmr_decision,
-                )
+                cmr = self._cmr.decide(score, merged.size)
+            if cmr.reject:
+                return outcome(ReadStatus.REJECTED_CMR)
 
         # --- Stage 3: basecall + seed the remaining chunks (Fig. 6 (6b)-(7)).
         full_read = reassemble_chunks(read.read_id, [basecall(i) for i in range(n_chunks)])
         if n_seeded < n_chunks:
             self._seed_run(chunk_mapper, full_read.codes, seeded_bases)
+            n_seeded = n_chunks
+        mean_quality = full_read.mean_quality
 
         # Read-level quality control applies when QSR is off (QSR *is*
         # the quality filter when enabled).
-        if not cfg.enable_qsr and full_read.mean_quality < cfg.theta_qs:
-            return self._outcome(
-                read,
-                ReadStatus.FAILED_QC,
-                n_chunks,
-                called,
-                n_chunks_seeded=n_chunks,
-                n_chain_invocations=n_chain_invocations,
-                aligned=False,
-                mean_quality=full_read.mean_quality,
-                ser=ser_decision,
-            )
+        if not cfg.enable_qsr and mean_quality < cfg.theta_qs:
+            return outcome(ReadStatus.FAILED_QC)
 
         chunk_mapper.set_read_length(len(full_read))
         mapping = chunk_mapper.finalize(read.read_id, full_read.codes, align=self._align)
         n_chain_invocations += 1
-        status = ReadStatus.MAPPED if mapping.mapped else ReadStatus.UNMAPPED
         with tracer.span("report"):
-            return self._outcome(
-                read,
-                status,
-                n_chunks,
-                called,
-                n_chunks_seeded=n_chunks,
-                n_chain_invocations=n_chain_invocations,
-                aligned=mapping.alignment is not None,
-                mean_quality=full_read.mean_quality,
-                ser=ser_decision,
-                qsr=qsr_decision,
-                cmr=cmr_decision,
-                mapping=mapping,
-            )
-
-    def basecall_full(self, read: SimulatedRead) -> BasecalledRead:
-        """Basecall every chunk of a read (oracle/recovery helper)."""
-        return self._basecaller.basecall_read(read, self._config.chunk_size)
+            return outcome(ReadStatus.MAPPED if mapping.mapped else ReadStatus.UNMAPPED, mapping)
 
     def _seed_run(
         self, chunk_mapper: IncrementalChunkMapper, prefix_codes: np.ndarray, seeded_bases: int
@@ -432,38 +392,6 @@ class GenPIPPipeline:
         """
         start = max(seeded_bases - self._seed_overlap, 0)
         chunk_mapper.add_chunk(prefix_codes[start:], read_offset=start)
-
-    def _outcome(
-        self,
-        read: SimulatedRead,
-        status: ReadStatus,
-        n_chunks: int,
-        called: dict[int, BasecalledChunk],
-        n_chunks_seeded: int,
-        n_chain_invocations: int,
-        aligned: bool,
-        mean_quality: float | None = None,
-        ser: SERDecision | None = None,
-        qsr: QSRDecision | None = None,
-        cmr: CMRDecision | None = None,
-        mapping: MappingResult | None = None,
-    ) -> ReadOutcome:
-        return ReadOutcome(
-            read_id=read.read_id,
-            status=status,
-            read_length=len(read),
-            n_chunks_total=n_chunks,
-            n_chunks_basecalled=len(called),
-            n_bases_basecalled=sum(c.n_true_bases for c in called.values()),
-            n_chunks_seeded=n_chunks_seeded,
-            n_chain_invocations=n_chain_invocations,
-            aligned=aligned,
-            mean_quality=mean_quality,
-            ser=ser,
-            qsr=qsr,
-            cmr=cmr,
-            mapping=mapping,
-        )
 
 
 class ConventionalPipeline:

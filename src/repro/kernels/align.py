@@ -46,7 +46,7 @@ def resolve_align_kernel(kernel: str):
     raise ValueError(f"unknown align kernel {kernel!r}; expected one of {ALIGN_KERNELS}")
 
 
-def _merge_m_cigar(parts: list[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
+def merge_cigar(parts: list[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
     """Merge adjacent runs of the same op and drop zero-length runs."""
     merged: list[tuple[str, int]] = []
     for op, length in parts:
@@ -92,7 +92,7 @@ def _traceback_tables(h, e, v, n: int, m: int, ge: float) -> tuple[tuple[str, in
                 state = "H"
             i -= 1
     parts.reverse()
-    return _merge_m_cigar(parts)
+    return merge_cigar(parts)
 
 
 def gotoh_scalar(

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels.align import ALIGN_KERNELS, gotoh_scalar, gotoh_wavefront
+from repro.kernels.align import ALIGN_KERNELS, gotoh_scalar, gotoh_wavefront, merge_cigar
 from repro.kernels.mapping_ops import record_mapping_ops
 
 #: CIGAR operation codes used throughout: match, mismatch, insertion
@@ -123,19 +123,6 @@ class AlignmentResult:
 def cigar_to_string(cigar: tuple[tuple[str, int], ...]) -> str:
     """Render a CIGAR tuple as the usual compact string (e.g. ``12=1X3I``)."""
     return "".join(f"{length}{op}" for op, length in cigar)
-
-
-def _merge_cigar(parts: list[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
-    """Merge adjacent runs of the same op and drop zero-length runs."""
-    merged: list[tuple[str, int]] = []
-    for op, length in parts:
-        if length <= 0:
-            continue
-        if merged and merged[-1][0] == op:
-            merged[-1] = (op, merged[-1][1] + length)
-        else:
-            merged.append((op, length))
-    return tuple(merged)
 
 
 def align_banded(
@@ -325,7 +312,7 @@ def _traceback(ptr_h, ptr_e, ptr_v, n: int, m: int) -> tuple[tuple[str, int], ..
                 state = "H"
             i -= 1
     parts.reverse()
-    return _merge_cigar(parts)
+    return merge_cigar(parts)
 
 
 def _classify_diagonals(
@@ -350,7 +337,7 @@ def _classify_diagonals(
         else:
             out.append((op, length))
             j += length
-    return _merge_cigar(out)
+    return merge_cigar(out)
 
 
 def _align_extension(
@@ -485,5 +472,5 @@ def align_chain(
     if clip_tail:
         parts.append(("S", clip_tail))
 
-    result = AlignmentResult(score=score, cigar=_merge_cigar(parts))
+    result = AlignmentResult(score=score, cigar=merge_cigar(parts))
     return result, ref_start, ref_end

@@ -107,16 +107,6 @@ def chain_scores(anchors: np.ndarray, config: ChainingConfig) -> tuple[np.ndarra
     return kernel(anchors, config.kmer_size, config.max_gap, config.lookback)
 
 
-def _extract_chain(end: int, parents: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    indices = []
-    node = end
-    while node != -1:
-        indices.append(node)
-        node = int(parents[node])
-    indices.reverse()
-    return anchors[indices]
-
-
 def chain_anchors(
     anchors: np.ndarray,
     config: ChainingConfig,

@@ -49,32 +49,29 @@ class MinimizerIndex:
     def __init__(
         self,
         config: MinimizerConfig,
-        table: dict[int, IndexEntry],
+        keys: np.ndarray,
+        bounds: np.ndarray,
+        positions: np.ndarray,
+        strands: np.ndarray,
         reference: ReferenceGenome,
     ):
-        """Build from a key -> entry dict (compatibility constructor).
+        """Wrap existing flat arrays without copying (zero-copy attach).
 
-        The dict is flattened into the columnar layout; prefer
-        :meth:`from_arrays` when the arrays already exist.
+        ``keys`` must be strictly ascending ``uint64``; ``bounds`` has
+        ``keys.size + 1`` monotonic entries delimiting each key's slice
+        of ``positions``/``strands``. Read-only views (e.g. into a
+        shared-memory segment) are used as-is.
         """
+        if keys.size and np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("index keys must be strictly ascending")
+        if bounds.size != keys.size + 1:
+            raise ValueError("bounds must have one more entry than keys")
         self._config = config
         self._reference = reference
-        if table:
-            ordered = sorted(table.items())
-            self._keys = np.array([key for key, _ in ordered], dtype=np.uint64)
-            counts = np.array(
-                [entry.positions.size for _, entry in ordered], dtype=np.int64
-            )
-            self._bounds = np.zeros(len(ordered) + 1, dtype=np.int64)
-            np.cumsum(counts, out=self._bounds[1:])
-            self._positions = np.concatenate(
-                [np.asarray(entry.positions, dtype=np.int64) for _, entry in ordered]
-            )
-            self._strands = np.concatenate(
-                [np.asarray(entry.strands, dtype=np.int8) for _, entry in ordered]
-            )
-        else:
-            self._keys, self._bounds, self._positions, self._strands = _empty_arrays()
+        self._keys = keys
+        self._bounds = bounds
+        self._positions = positions
+        self._strands = strands
 
     @classmethod
     def from_arrays(
@@ -86,25 +83,8 @@ class MinimizerIndex:
         strands: np.ndarray,
         reference: ReferenceGenome,
     ) -> "MinimizerIndex":
-        """Wrap existing flat arrays without copying (zero-copy attach).
-
-        ``keys`` must be strictly ascending ``uint64``; ``bounds`` has
-        ``keys.size + 1`` monotonic entries delimiting each key's slice
-        of ``positions``/``strands``. Read-only views (e.g. into a
-        shared-memory segment) are used as-is.
-        """
-        index = cls.__new__(cls)
-        index._config = config
-        index._reference = reference
-        index._keys = keys
-        index._bounds = bounds
-        index._positions = positions
-        index._strands = strands
-        if keys.size and np.any(keys[1:] <= keys[:-1]):
-            raise ValueError("index keys must be strictly ascending")
-        if bounds.size != keys.size + 1:
-            raise ValueError("bounds must have one more entry than keys")
-        return index
+        """The constructor under the name the attach path spells out."""
+        return cls(config, keys, bounds, positions, strands, reference)
 
     @classmethod
     def build(

@@ -117,9 +117,6 @@ class NullTracer:
     def unit(self, label) -> _NullContext:
         return _NULL_CONTEXT
 
-    def dispatch(self, label) -> _NullContext:
-        return _NULL_CONTEXT
-
     def span(self, name: str) -> _NullContext:
         return _NULL_CONTEXT
 
@@ -203,10 +200,6 @@ class Tracer:
         """Open the worker-loop span of one work unit (root ``"batch"``)."""
         return _TraceContext(self, "unit", str(label))
 
-    def dispatch(self, label) -> _TraceContext:
-        """Open the serving enqueue->verdict span (root ``"dispatch"``)."""
-        return _TraceContext(self, "dispatch", str(label))
-
     def span(self, name: str) -> _SpanContext | _NullContext:
         """A child span in the innermost open trace (no-op outside one)."""
         if not self._stack:
@@ -270,9 +263,8 @@ def tracing_enabled() -> bool:
 def enable_tracing(clock: Callable[[], float] | None = None) -> Tracer:
     """Enable process-wide tracing (idempotent; returns the tracer).
 
-    An already-enabled process keeps its tracer (and its clock) -- the
-    engine and the serving dispatcher both call this unconditionally
-    when a traced run starts.
+    An already-enabled process keeps its tracer (and its clock) -- pool
+    workers call this unconditionally when a traced spec arrives.
     """
     global _PROCESS
     if _PROCESS is None:

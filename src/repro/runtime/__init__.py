@@ -23,17 +23,19 @@ supplies the execution layer as a streaming dataflow:
   handles, not pickles, and attach read-only views held by a
   :class:`~repro.runtime.transport.SegmentLease`);
 * :mod:`repro.runtime.pool` -- :class:`WorkerPool`, the one worker
-  plane under batch and serving: worker initialiser, index published
-  once, warm-up, ``submit(unit)`` over shared memory with an automatic
-  pickle fallback, segment release, Ctrl-C-safe stop;
+  plane under batch and serving and the one place a unit is executed:
+  worker initialiser, index published once, warm-up, ``submit(unit)``
+  over shared memory with an automatic pickle fallback, segment
+  release, Ctrl-C-safe stop, and ``execute(unit)``, which runs the unit
+  in this process whenever there are no worker processes;
 * :mod:`repro.runtime.merge` -- :class:`ShardCollector`, the
   order-preserving streaming merge that releases the completed prefix;
 * :mod:`repro.runtime.sink` -- :class:`ReportSink` consumers of that
   prefix (in-memory report, incremental JSONL with lossless replay,
   columnar Parquet behind an optional pyarrow gate);
 * :mod:`repro.runtime.engine` -- :class:`DatasetEngine`, an ordered
-  bounded in-flight window over a source on that pool, with a resuming
-  serial fallback;
+  bounded in-flight window of ``execute`` futures over a source, the
+  same loop with or without processes;
 * :mod:`repro.runtime.cli` -- the ``python -m repro.runtime`` entry
   point for scriptable (CI) runs, and the one place the dataset and
   pipeline flags are declared, checked and turned into a pipeline

@@ -620,9 +620,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not args.quiet:
         stats = engine.last_stats
         backpressure = ""
-        # Gate on the window, not the mode: a broken-pool run resumes
-        # serially but keeps the pooled phase's backpressure figures --
-        # the post-mortem case these metrics exist for.
+        # Gate on the window, not the mode: a run whose pool broke ends
+        # in-process but keeps the pooled phase's backpressure figures
+        # -- the post-mortem case these metrics exist for.
         if stats.inflight_window > 0:
             backpressure = (
                 f", prefetch {stats.prefetch_peak}/{stats.prefetch_capacity}"

@@ -1,4 +1,4 @@
-"""The dataset execution engine: a streaming dataflow, serial or pooled.
+"""The dataset execution engine: a streaming dataflow over one worker pool.
 
 :class:`DatasetEngine` wires the runtime's four streaming layers into
 one run:
@@ -13,10 +13,11 @@ one run:
    :class:`~repro.runtime.sharding.WorkUnit`\\ s from the stream (fixed
    read count, or length-aware base balancing that kills the long-read
    tail);
-3. units execute serially in-process or through a bounded in-flight
-   window of :meth:`WorkerPool.submit <repro.runtime.pool.WorkerPool
-   .submit>` futures -- the pool owns the processes, the shared-memory
-   publication and its pickle fallback (see :mod:`repro.runtime.pool`);
+3. units execute through a bounded in-flight window of
+   :meth:`WorkerPool.execute <repro.runtime.pool.WorkerPool.execute>`
+   futures -- the pool owns the processes, the shared-memory
+   publication, its pickle fallback and the in-process execution of
+   units when there are no processes (see :mod:`repro.runtime.pool`);
 4. the ordered completed prefix streams out of the
    :class:`~repro.runtime.merge.ShardCollector` into a
    :class:`~repro.runtime.sink.ReportSink` as it grows, so parent-side
@@ -29,22 +30,21 @@ yields the same outcomes in the same order with the same counters as
 the sequential run. ``tests/test_runtime_streaming.py`` asserts the
 full matrix.
 
-Failure handling preserves both the contract and resources: a pool that
-cannot be started (or breaks mid-run) degrades to in-process execution
-*resuming* exactly where the pool stopped -- already-emitted outcomes
-are never re-emitted to the sink -- and shared-memory segments are
-released on success, worker failure, broken-pool fallback, and engine
-crash alike (:func:`repro.runtime.transport.active_segments` is the
-leak probe tests use).
+Failure handling preserves both the contract and resources. There is
+one path: a run with ``workers <= 1``, a pool that could not start and
+a pool retired mid-run differ only in where ``execute`` runs the next
+unit. Units whose futures broke are executed again, nothing already
+emitted is re-emitted, and shared-memory segments are released on
+success, worker failure, broken pool and engine crash alike
+(:func:`repro.runtime.transport.active_segments` is the leak probe
+tests use).
 """
 
 from __future__ import annotations
 
-import itertools
 import time
-import warnings
-from collections.abc import Callable, Iterator
-from concurrent.futures import FIRST_COMPLETED, Future, wait
+from collections.abc import Callable
+from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
@@ -56,16 +56,8 @@ from repro.obs.metrics import (
     process_registry,
     snapshot_delta,
 )
-from repro.obs.trace import (
-    ReadTrace,
-    active_tracer,
-    decode_traces,
-    disable_tracing,
-    drain_read_traces,
-    enable_tracing,
-    tracing_enabled,
-)
-from repro.runtime.merge import ShardCollector, ShardResult
+from repro.obs.trace import ReadTrace, decode_traces
+from repro.runtime.merge import ShardCollector
 from repro.runtime.pool import WorkerPool
 from repro.runtime.sharding import (
     WorkUnit,
@@ -93,10 +85,10 @@ class RuntimeStats:
     runs ahead of the pool (workers are the bottleneck); a peak near
     zero means workers starve on input. Likewise ``inflight_peak``
     against ``inflight_window`` shows whether the submission window
-    ever filled. All four are zero for runs that never entered the
-    pooled path; a broken-pool run that resumed serially reports
-    ``mode="serial"`` but keeps the pooled phase's values -- exactly
-    the phase whose backpressure is worth inspecting post-mortem.
+    ever filled. All four are zero for runs that never had processes;
+    a run whose pool was retired midway reports ``mode="serial"`` but
+    keeps the pooled phase's values -- exactly the phase whose
+    backpressure is worth inspecting post-mortem.
     """
 
     mode: str  # "serial" | "process-pool"
@@ -169,9 +161,8 @@ class DatasetEngine:
     Parameters
     ----------
     pipeline:
-        A built :class:`GenPIPPipeline` or a :class:`PipelineSpec`.
-        Serial runs reuse the built pipeline directly; pooled runs ship
-        the spec to each worker.
+        A built :class:`GenPIPPipeline` or a :class:`PipelineSpec`
+        (see :class:`~repro.runtime.pool.WorkerPool`).
     workers:
         Pool size; ``None`` defers to ``GENPIP_WORKERS`` (default
         serial), ``0``/``1`` run serially in-process.
@@ -204,17 +195,8 @@ class DatasetEngine:
         batching: str = "fixed",
         trace: bool = False,
     ):
-        if isinstance(pipeline, PipelineSpec):
-            self._spec = pipeline
-            self._pipeline: GenPIPPipeline | None = None
-        else:
-            self._spec = PipelineSpec.from_pipeline(pipeline)
-            self._pipeline = pipeline
-        self._trace = bool(trace or self._spec.trace)
-        if self._trace and not self._spec.trace:
-            # The flag rides the spec so pool initializers enable the
-            # worker-side tracer before the first unit arrives.
-            self._spec = self._spec.with_trace(True)
+        self._pipeline = pipeline
+        self._trace = trace
         self._workers = resolve_workers(workers)
         self._batch_size = batch_size
         self._progress = progress
@@ -251,13 +233,6 @@ class DatasetEngine:
         the sink put them).
         """
         source = as_read_source(dataset)
-        kind = getattr(source, "read_kind", None)
-        if callable(kind) and kind() == "signals" and not self._spec.accepts_signal_reads():
-            raise TypeError(
-                "signal-native source requires a signal-space basecaller "
-                "('viterbi', 'dnn'); the configured backend decodes base-space "
-                "reads only"
-            )
         sink = self._sink if self._sink is not None else MemorySink()
         hint = source.size_hint()
         batch_size = resolve_batch_size(hint, self._workers, self._batch_size)
@@ -270,38 +245,36 @@ class DatasetEngine:
         if hint is not None:
             max_units = hint if self._batching == "length-aware" else -(-hint // batch_size)
             pool_workers = min(pool_workers, max(max_units, 1))
+        pool = WorkerPool(self._pipeline, pool_workers, trace=self._trace)
+        spec = pool.spec
+        kind = getattr(source, "read_kind", None)
+        if callable(kind) and kind() == "signals" and not spec.accepts_signal_reads():
+            raise TypeError(
+                "signal-native source requires a signal-space basecaller "
+                "('viterbi', 'dnn'); the configured backend decodes base-space "
+                "reads only"
+            )
         self._progress_seen = 0
         self._progress_total = hint if hint is not None else -1
-        self._backpressure = {
-            "prefetch_capacity": 0,
-            "prefetch_peak": 0,
-            "inflight_window": 0,
-            "inflight_peak": 0,
-        }
+        self._backpressure = dict.fromkeys(
+            ("prefetch_capacity", "prefetch_peak", "inflight_window", "inflight_peak"), 0
+        )
         collector = ShardCollector()
         started = time.perf_counter()
         registry = process_registry()
         parent_before = registry.snapshot()
-        tracing_was_on = tracing_enabled()
-        if self._trace:
-            enable_tracing()
-        sink.begin(self._spec.config)
+        sink.begin(spec.config)
         try:
-            if pool_workers <= 1:
-                mode, transport = self._run_serial_stream(
-                    iter(source), collector, sink, batch_size
-                ), "none"
-            else:
-                mode, transport = self._run_pool_stream(
-                    source, collector, sink, batch_size, pool_workers
-                )
+            # The pool starts (index published, workers forked and
+            # warmed) *before* the Prefetcher thread exists, and stops
+            # after it is closed -- see repro.runtime.pool.
+            with pool:
+                self._run_window(pool, source, collector, sink, batch_size)
+                mode = "process-pool" if pool.alive else "serial"
             report = sink.finish(collector.counters)
         except BaseException:
             sink.abort()
             raise
-        finally:
-            if self._trace and not tracing_was_on:
-                disable_tracing()
         parent_delta = snapshot_delta(parent_before, registry.snapshot())
         # Repatriate pooled mapping-kernel op deltas into the parent's
         # process ledger: callers that snapshot the ledger around a run
@@ -309,7 +282,7 @@ class DatasetEngine:
         # align counts for pooled runs instead of a ~zero fallback.
         if MAPPING_OPS in collector.metrics:
             registry.absorb(collector.metrics, names=(MAPPING_OPS,))
-        self._last_trace = decode_traces(collector.traces) if self._trace else None
+        self._last_trace = decode_traces(collector.traces) if spec.trace else None
         self._last_stats = RuntimeStats.from_registry(
             collector.metrics,
             parent_delta,
@@ -320,16 +293,11 @@ class DatasetEngine:
             n_reads=collector.counters.n_reads,
             elapsed_s=time.perf_counter() - started,
             batching=self._batching,
-            transport=transport,
-            signal_er=self._spec.signal_rejection_enabled(),
+            transport=pool.transport,
+            signal_er=spec.signal_rejection_enabled(),
             **self._backpressure,
         )
         return report
-
-    def _serial_pipeline(self) -> GenPIPPipeline:
-        if self._pipeline is None:
-            self._pipeline = self._spec.build()
-        return self._pipeline
 
     def _emit(self, collector: ShardCollector, sink: ReportSink) -> None:
         """Stream the newly completed ordered prefix into the sink."""
@@ -338,69 +306,6 @@ class DatasetEngine:
             sink.emit(fresh)
         self._report_progress(collector)
 
-    def _run_serial_stream(
-        self,
-        reads: Iterator,
-        collector: ShardCollector,
-        sink: ReportSink,
-        batch_size: int,
-    ) -> str:
-        """In-process execution: same plan/merge/sink path, one process."""
-        return self._consume_units(
-            iter_work(reads, batch_size, batching=self._batching), collector, sink
-        )
-
-    def _consume_units(
-        self,
-        units: Iterator[WorkUnit],
-        collector: ShardCollector,
-        sink: ReportSink,
-        n_planned: int = 0,
-    ) -> str:
-        """Process work units in-process, streaming the prefix out.
-
-        ``n_planned`` is the shard-id floor already claimed by a pooled
-        phase -- a broken-pool resume passes the number of units it had
-        submitted, so the final expected count stays correct even when
-        the highest-numbered submitted unit finished before the break.
-        """
-        pipeline = self._serial_pipeline()
-        n_shards = n_planned
-        for unit in units:
-            n_shards = max(n_shards, unit.shard_id + 1)
-            # Serial units charge the parent's own ledgers directly, so
-            # no metrics delta rides the ShardResult; traces do (the
-            # parent process is "the worker" here).
-            with active_tracer().unit(unit.shard_id):
-                outcomes = pipeline.process_batch(list(unit.reads))
-            collector.add(
-                ShardResult.from_outcomes(
-                    unit.shard_id, outcomes, traces=drain_read_traces()
-                )
-            )
-            self._emit(collector, sink)
-        collector.set_expected(n_shards)
-        self._report_progress(collector)
-        return "serial"
-
-    def _run_pool_stream(
-        self,
-        source: ReadSource,
-        collector: ShardCollector,
-        sink: ReportSink,
-        batch_size: int,
-        pool_workers: int,
-    ) -> tuple[str, str]:
-        # The pool starts (index published, workers forked and warmed)
-        # *before* the Prefetcher thread exists, and stops after it is
-        # closed -- see repro.runtime.pool for the fork rationale.
-        with WorkerPool(self._spec, pool_workers) as pool:
-            if not pool.alive:
-                mode = self._run_serial_stream(iter(source), collector, sink, batch_size)
-            else:
-                mode = self._run_window(pool, source, collector, sink, batch_size, pool_workers)
-            return mode, pool.transport
-
     def _run_window(
         self,
         pool: WorkerPool,
@@ -408,91 +313,79 @@ class DatasetEngine:
         collector: ShardCollector,
         sink: ReportSink,
         batch_size: int,
-        pool_workers: int,
-    ) -> str:
-        """Keep a bounded window of units in flight on ``pool``."""
-        window = max(pool_workers * _INFLIGHT_PER_WORKER, 2)
-        depth = max(window * batch_size, 64)
-        self._backpressure["inflight_window"] = window
-        self._backpressure["prefetch_capacity"] = depth
+    ) -> None:
+        """Keep a bounded window of units in flight on ``pool``.
+
+        With processes the window is a few units per worker and a
+        :class:`Prefetcher` thread reads ahead of it. Without (never
+        any, or none any more) the window is 1: ``execute`` returns each
+        unit already resolved and it reaches the sink before the next
+        one is planned.
+        """
+        reads = iter(source)
+        window = 1
+        prefetcher = None
+        if pool.alive:
+            window = max(pool.workers * _INFLIGHT_PER_WORKER, 2)
+            prefetcher = Prefetcher(reads, depth=max(window * batch_size, 64))
+            reads = iter(prefetcher)
+            self._backpressure["inflight_window"] = window
+            self._backpressure["prefetch_capacity"] = prefetcher.capacity
         inflight: dict[Future, WorkUnit] = {}
-        n_submitted = 0
-        # Planned-but-not-yet-submitted unit: the submit loop pulls a
-        # unit *before* waiting for window room, so a pool that breaks
-        # during that wait must hand this unit to the serial resume too.
-        pending_unit: WorkUnit | None = None
-        prefetcher = Prefetcher(iter(source), depth=depth)
+        n_units = 0
         try:
-            units = iter_work(iter(prefetcher), batch_size, batching=self._batching)
-            try:
-                for unit in units:
-                    pending_unit = unit
-                    while len(inflight) >= window:
-                        self._collect_completed(inflight, collector, sink)
-                    inflight[pool.submit(unit)] = unit
-                    if len(inflight) > self._backpressure["inflight_peak"]:
-                        self._backpressure["inflight_peak"] = len(inflight)
-                    n_submitted += 1
-                    pending_unit = None
-                while inflight:
-                    self._collect_completed(inflight, collector, sink)
-                collector.set_expected(n_submitted)
-                self._report_progress(collector)
-                return "process-pool"
-            except BrokenProcessPool as exc:
-                # Worker processes can die mid-run (resource exhaustion,
-                # a kill). Resume in-process from exactly the units the
-                # pool never finished -- outcomes already streamed to
-                # the sink are never re-emitted.
-                warnings.warn(
-                    f"process pool broke ({exc!r}); resuming serially",
-                    RuntimeWarning,
-                    stacklevel=5,
-                )
-                leftovers = sorted(inflight.values(), key=lambda unit: unit.shard_id)
-                if pending_unit is not None:
-                    leftovers.append(pending_unit)
-                # ``units`` keeps planning over the live prefetcher, so
-                # the resume stays streaming; its shard ids continue
-                # from where the pooled phase stopped.
-                return self._consume_units(
-                    itertools.chain(leftovers, units),
-                    collector,
-                    sink,
-                    n_planned=n_submitted,
-                )
+            for unit in iter_work(reads, batch_size, batching=self._batching):
+                inflight[pool.execute(unit)] = unit
+                n_units += 1
+                if prefetcher is not None:
+                    self._backpressure["inflight_peak"] = max(
+                        self._backpressure["inflight_peak"], len(inflight)
+                    )
+                while len(inflight) >= (window if pool.alive else 1):
+                    self._collect_completed(pool, inflight, collector, sink)
+            while inflight:
+                self._collect_completed(pool, inflight, collector, sink)
+            collector.set_expected(n_units)
+            self._report_progress(collector)
         finally:
-            self._backpressure["prefetch_peak"] = prefetcher.peak_depth
-            prefetcher.close()
+            if prefetcher is not None:
+                self._backpressure["prefetch_peak"] = prefetcher.peak_depth
+                prefetcher.close()
 
     def _collect_completed(
         self,
+        pool: WorkerPool,
         inflight: dict[Future, WorkUnit],
         collector: ShardCollector,
         sink: ReportSink,
     ) -> None:
         """Wait for at least one in-flight unit and fold it in.
 
-        A unit is removed from ``inflight`` only once its result is in
-        hand, so a broken pool leaves every unfinished unit behind for
-        the serial resume. A break is
-        re-raised only after every *successful* result in the same wait
-        batch has been collected -- work the pool finished before dying
-        is never recomputed.
+        Worker processes can die mid-run (resource exhaustion, a kill):
+        a unit whose future broke -- or was cancelled when the pool was
+        retired -- is executed again, in shard order, only after every
+        *successful* result of the same wait has been collected, so work
+        the pool finished before dying is never recomputed and nothing
+        reaches the sink twice.
         """
-        done, _ = wait(set(inflight), return_when=FIRST_COMPLETED)
-        broken: BrokenProcessPool | None = None
+        # Without processes every in-flight future is settled already
+        # (resolved by ``execute``, or finished, broken or cancelled by
+        # the retirement) -- and a cancelled one never wakes ``wait``.
+        done = set(inflight)
+        if pool.alive:
+            done, _ = wait(done, return_when=FIRST_COMPLETED)
+        lost: list[WorkUnit] = []
         for future in done:
+            unit = inflight.pop(future)
             try:
-                result = future.result()
-            except BrokenProcessPool as exc:
-                broken = exc  # unit stays in ``inflight`` for the serial resume
-                continue
-            inflight.pop(future)
-            collector.add(result)
+                collector.add(future.result())
+            except (BrokenProcessPool, CancelledError) as exc:
+                pool.retire(exc)
+                lost.append(unit)
         self._emit(collector, sink)
-        if broken is not None:
-            raise broken
+        for unit in sorted(lost, key=lambda unit: unit.shard_id):
+            collector.add(pool.run_local(unit))
+            self._emit(collector, sink)
 
     def _report_progress(self, collector: ShardCollector) -> None:
         # High-water gate: progress must never appear to move backwards.

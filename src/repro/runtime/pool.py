@@ -1,12 +1,26 @@
 """The one worker plane under batch and serving.
 
 :class:`WorkerPool` is the only place in the package that owns worker
-processes. Batch mode (:class:`~repro.runtime.engine.DatasetEngine`, an
-ordered in-flight window over a source) and serving
-(:class:`~repro.serving.dispatch.PoolDispatcher`, per-read futures) are
-two schedulers over it and see only :meth:`WorkerPool.submit` and
+processes, and the only place a work unit is executed -- in those
+processes or, when there are none, in this one. Batch mode
+(:class:`~repro.runtime.engine.DatasetEngine`, an ordered in-flight
+window over a source) and serving (:class:`~repro.serving.dispatch
+.PoolDispatcher`, per-read futures) are two schedulers over it and see
+only :meth:`WorkerPool.execute` / :meth:`~WorkerPool.submit` /
+:meth:`~WorkerPool.run_local`, :meth:`~WorkerPool.retire` and
 ``BrokenProcessPool``. Everything else lives here, once:
 
+* :func:`run_unit`, the one ``process_batch`` call: a unit's reads run
+  under a ``unit`` span and come back as a
+  :class:`~repro.runtime.merge.ShardResult`, whichever process that is;
+* *no processes, carry on in-process*: ``workers <= 1`` means none by
+  design, a pool that cannot start or is :meth:`~WorkerPool.retire`-d
+  after breaking means none any more, and either way
+  :meth:`~WorkerPool.execute` runs the unit on a lazily built local
+  pipeline and hands back an already-resolved future;
+* pipeline-or-spec normalisation, the trace flag on the spec and the
+  parent tracer's on/off scope (:meth:`~WorkerPool.start` to
+  :meth:`~WorkerPool.stop`);
 * the worker initialiser -- SIGINT ignored so the parent always owns
   shutdown, tracer enabled when the spec asks, pipeline built from the
   spec;
@@ -38,7 +52,13 @@ from concurrent.futures.process import BrokenProcessPool
 from repro.core.pipeline import GenPIPPipeline
 from repro.mapping.index import MinimizerIndex
 from repro.obs.metrics import record_copy, worker_metrics_delta, worker_metrics_snapshot
-from repro.obs.trace import active_tracer, drain_read_traces, enable_tracing
+from repro.obs.trace import (
+    active_tracer,
+    disable_tracing,
+    drain_read_traces,
+    enable_tracing,
+    tracing_enabled,
+)
 from repro.runtime.columnar import payload_nbytes
 from repro.runtime.merge import ShardResult
 from repro.runtime.sharding import WorkUnit
@@ -86,16 +106,35 @@ def _warmup() -> None:
     return None
 
 
-def _run_unit(unit: WorkUnit | SharedUnit) -> ShardResult:
-    """Run one work unit on the per-worker pipeline.
+def run_unit(
+    pipeline: GenPIPPipeline, shard_id: int, reads: list, metrics_before: dict | None = None
+) -> ShardResult:
+    """Run one work unit's reads on ``pipeline`` -- the one place a unit
+    is executed, in a worker or in the parent.
+
+    ``metrics_before`` is the worker's registry snapshot from before the
+    unit was attached: the movement since then ships home on the
+    result. In-process callers pass none -- their charges already land
+    in the parent's own ledgers. Spans ride along either way.
+    """
+    with active_tracer().unit(shard_id):
+        outcomes = pipeline.process_batch(reads)
+    return ShardResult.from_outcomes(
+        shard_id,
+        outcomes,
+        metrics=None if metrics_before is None else worker_metrics_delta(metrics_before),
+        traces=drain_read_traces(),
+    )
+
+
+def _run_on_worker(unit: WorkUnit | SharedUnit) -> ShardResult:
+    """Worker entry point: attach the unit, run it, let go of it.
 
     A shared unit's arrays are read-only views into the mapped segment;
     the lease keeps the mapping open until the outcomes exist, and the
     views are dropped *before* the release so the close is not deferred.
     A pickled unit's payload was materialised here by deserialisation
-    and is charged to the ``"pickle"`` copy boundary. The metrics
-    registry is snapshotted around the unit and the delta (plus any
-    spans) ships home on the :class:`ShardResult`.
+    and is charged to the ``"pickle"`` copy boundary.
     """
     if _WORKER_PIPELINE is None:  # pragma: no cover - initialiser contract violation
         raise RuntimeError("worker used before _init_worker primed the pipeline")
@@ -108,18 +147,11 @@ def _run_unit(unit: WorkUnit | SharedUnit) -> ShardResult:
         reads = list(unit.reads)
         record_copy("pickle", payload_nbytes(reads))
     try:
-        with active_tracer().unit(unit.shard_id):
-            outcomes = _WORKER_PIPELINE.process_batch(reads)
+        return run_unit(_WORKER_PIPELINE, unit.shard_id, reads, metrics_before)
     finally:
         del reads
         if lease is not None:
             lease.release()
-    return ShardResult.from_outcomes(
-        unit.shard_id,
-        outcomes,
-        metrics=worker_metrics_delta(metrics_before),
-        traces=drain_read_traces(),
-    )
 
 
 def shutdown_executor(executor: Executor) -> None:
@@ -132,19 +164,32 @@ def shutdown_executor(executor: Executor) -> None:
 
 
 class WorkerPool:
-    """Warm worker processes around one pipeline spec.
+    """One pipeline and the processes (if any) that run its work units.
+
+    ``pipeline`` is a built :class:`GenPIPPipeline` (reused for
+    in-process units) or a :class:`PipelineSpec`; workers always get the
+    spec. ``trace=True`` puts the trace flag on the spec (worker
+    initialisers read it) and enables the parent's tracer from
+    :meth:`start` to :meth:`stop`. ``workers <= 1`` means no processes
+    by design: :meth:`start` publishes, forks and warns nothing.
 
     :meth:`start` must run while the caller is still single-threaded
     (see :func:`_warmup`). A pool that cannot be created, or whose
-    workers cannot start, warns and reports ``alive == False`` -- the
-    caller runs its own in-process fallback. A pool that breaks later
-    surfaces as ``BrokenProcessPool`` from :meth:`submit` or from the
-    futures it returned.
+    workers cannot start, warns and reports ``alive == False``. A pool
+    that breaks later surfaces as ``BrokenProcessPool`` from
+    :meth:`submit` or from the futures it returned, for the caller to
+    :meth:`retire`.
     """
 
-    def __init__(self, spec: PipelineSpec, workers: int):
-        self._spec = spec
+    def __init__(self, pipeline: GenPIPPipeline | PipelineSpec, workers: int, *, trace: bool = False):
+        if isinstance(pipeline, PipelineSpec):
+            self._spec, self._local = pipeline, None
+        else:
+            self._spec, self._local = PipelineSpec.from_pipeline(pipeline), pipeline
+        if trace and not self._spec.trace:
+            self._spec = self._spec.with_trace(True)
         self._workers = workers
+        self._restore_tracing = False
         self._executor: ProcessPoolExecutor | None = None
         self._index_handle: SharedIndexHandle | None = None
         self._index_publications = 0
@@ -153,7 +198,17 @@ class WorkerPool:
         self._transport = "none"
 
     @property
+    def spec(self) -> PipelineSpec:
+        """The normalised spec (trace flag applied)."""
+        return self._spec
+
+    @property
+    def workers(self) -> int:
+        return self._workers
+
+    @property
     def alive(self) -> bool:
+        """Whether worker processes exist right now."""
         return self._executor is not None
 
     @property
@@ -168,7 +223,14 @@ class WorkerPool:
         return self._index_publications
 
     def start(self) -> bool:
-        """Publish the index, create the pool and warm it; returns ``alive``."""
+        """Open the tracer scope and, for ``workers > 1``, publish the
+        index, create the pool and warm it; returns ``alive``."""
+        if self._spec.trace and not tracing_enabled():
+            # Covers in-process units; workers enable their own tracer.
+            enable_tracing()
+            self._restore_tracing = True
+        if self._workers <= 1:
+            return False
         worker_spec = self._spec
         if isinstance(self._spec.index, MinimizerIndex):
             try:
@@ -186,7 +248,7 @@ class WorkerPool:
             )
             self._executor.submit(_warmup).result()
         except (ImportError, NotImplementedError, OSError, BrokenProcessPool) as exc:
-            self.stop()
+            self._drop_processes()
             warnings.warn(
                 f"process pool unavailable ({exc!r}); running in-process",
                 RuntimeWarning,
@@ -196,6 +258,42 @@ class WorkerPool:
             self.stop()
             raise
         return self.alive
+
+    def execute(self, unit: WorkUnit) -> Future:
+        """Run ``unit`` wherever it can run: :meth:`submit` while the
+        pool is alive (one that breaks under the submit is retired),
+        otherwise :meth:`run_local`, handed back as an already-resolved
+        future -- exceptions included."""
+        if self.alive:
+            try:
+                return self.submit(unit)
+            except BrokenProcessPool as exc:
+                self.retire(exc)
+        future: Future = Future()
+        try:
+            future.set_result(self.run_local(unit))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
+
+    def run_local(self, unit: WorkUnit) -> ShardResult:
+        """Run ``unit`` on the caller's thread, on the local pipeline
+        (built from the spec on first use). No metrics delta rides the
+        result: the charges land in this process's ledgers directly."""
+        if self._local is None:
+            self._local = self._spec.build()
+        return run_unit(self._local, unit.shard_id, list(unit.reads))
+
+    def retire(self, exc: BaseException) -> None:
+        """Give up on processes that broke: warn once, drop them and
+        every segment. Units in flight end broken or cancelled; the
+        caller re-executes those."""
+        if not self.alive:
+            return
+        warnings.warn(
+            f"process pool broke ({exc!r}); continuing in-process", RuntimeWarning, stacklevel=3
+        )
+        self._drop_processes()
 
     def submit(self, unit: WorkUnit) -> Future:
         """Publish ``unit`` and run it on a worker; the future resolves
@@ -212,7 +310,7 @@ class WorkerPool:
                 name = shared.segment
                 self._segments.add(name)
                 try:
-                    future = self._executor.submit(_run_unit, shared)
+                    future = self._executor.submit(_run_on_worker, shared)
                 except BaseException:
                     self._release(name)
                     raise
@@ -224,9 +322,16 @@ class WorkerPool:
         # worker charges its deserialised copy separately).
         record_copy("pickle", payload_nbytes(unit.reads))
         self._transport = "pickle"
-        return self._executor.submit(_run_unit, unit)
+        return self._executor.submit(_run_on_worker, unit)
 
     def stop(self) -> None:
+        """Drop the processes and segments and close the tracer scope."""
+        self._drop_processes()
+        if self._restore_tracing:
+            self._restore_tracing = False
+            disable_tracing()
+
+    def _drop_processes(self) -> None:
         """Release the index, shut the workers down, release every segment.
 
         The index goes *first* (workers keep their attached mappings

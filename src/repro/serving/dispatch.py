@@ -15,9 +15,11 @@ batch engine runs on -- alive across sessions:
 * each read is submitted as a single-read work unit, so verdicts stream
   back as soon as *that read* resolves -- no batch barrier anywhere on
   the path;
-* a pool that cannot be started or breaks mid-serve degrades to a single
-  in-process worker thread -- the service stays up, mirroring the batch
-  engine's resuming serial fallback.
+* with no processes (``workers <= 1``, a pool that could not start, one
+  retired after breaking mid-serve) reads run on a single in-process
+  worker thread through the same :meth:`WorkerPool.run_local
+  <repro.runtime.pool.WorkerPool.run_local>` the batch engine's units
+  take -- the service stays up.
 
 Determinism note: default backends keep no cross-read state
 (:meth:`~repro.core.pipeline.GenPIPPipeline.process_batch` is exactly
@@ -31,21 +33,13 @@ from __future__ import annotations
 import asyncio
 import os
 import time
-import warnings
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro.core.pipeline import GenPIPPipeline, ReadOutcome
 from repro.obs.metrics import MAPPING_OPS, Histogram, MetricsRegistry, process_registry
-from repro.obs.trace import (
-    ReadTrace,
-    decode_traces,
-    disable_tracing,
-    drain_read_traces,
-    enable_tracing,
-    tracing_enabled,
-)
+from repro.obs.trace import ReadTrace, decode_traces
 from repro.runtime.pool import WorkerPool, shutdown_executor
 from repro.runtime.sharding import WorkUnit, resolve_workers
 from repro.runtime.spec import PipelineSpec
@@ -173,21 +167,11 @@ class PoolDispatcher:
         workers: int | None = None,
         trace: bool = False,
     ):
-        if isinstance(pipeline, PipelineSpec):
-            self._spec = pipeline
-            self._pipeline: GenPIPPipeline | None = None
-        else:
-            self._spec = PipelineSpec.from_pipeline(pipeline)
-            self._pipeline = pipeline
         self._workers = resolve_workers(workers)
-        self._trace = bool(trace or self._spec.trace)
-        if self._trace and not self._spec.trace:
-            self._spec = self._spec.with_trace(True)
-        self._tracing_was_on = False
+        self._pool = WorkerPool(pipeline, self._workers, trace=trace)
         self._traces: list[tuple] = []
-        # Started only when workers > 1; a never-started (or stopped)
-        # pool reports not alive, and everything runs inline.
-        self._pool = WorkerPool(self._spec, self._workers)
+        # One worker thread: without processes reads execute one at a
+        # time in-process, off the event loop.
         self._inline: ThreadPoolExecutor | None = None
         self._ticket = 0
         self._started = False
@@ -199,13 +183,7 @@ class PoolDispatcher:
         if self._started:
             raise RuntimeError("dispatcher already started")
         self._started = True
-        if self._trace:
-            # Parent-side tracing covers the inline fallback's pipeline
-            # spans; pooled workers enable their own via the spec.
-            self._tracing_was_on = tracing_enabled()
-            enable_tracing()
-        if self._workers > 1:
-            self._pool.start()
+        self._pool.start()
         return self
 
     def stop(self) -> None:
@@ -214,8 +192,6 @@ class PoolDispatcher:
         inline, self._inline = self._inline, None
         if inline is not None:
             shutdown_executor(inline)
-        if self._trace and not self._tracing_was_on:
-            disable_tracing()
 
     def __enter__(self) -> "PoolDispatcher":
         return self.start()
@@ -247,7 +223,7 @@ class PoolDispatcher:
     @property
     def trace(self) -> bool:
         """Whether this dispatcher records span traces."""
-        return self._trace
+        return self._pool.spec.trace
 
     def drain_traces(self) -> list[ReadTrace]:
         """Completed traces (worker spans plus parent ``dispatch`` spans)
@@ -263,33 +239,36 @@ class PoolDispatcher:
         Latency is the full enqueue->verdict interval as the client
         experiences it: queueing behind other sessions' reads, payload
         transport, pipeline execution, and the result's trip back. A
-        pool that breaks mid-read degrades to the inline worker and the
-        read is retried there (the service never drops a read).
+        pool that breaks mid-read is retired and the read runs again on
+        the inline worker (the service never drops a read).
         """
         enqueued = time.perf_counter()
+        self._ticket += 1
+        unit = WorkUnit(shard_id=self._ticket, start=0, reads=(read,))
+        result = None
         if self._pool.alive:
-            self._ticket += 1
-            unit = WorkUnit(shard_id=self._ticket, start=0, reads=(read,))
             try:
                 result = await asyncio.wrap_future(self._pool.submit(unit))
-            except BrokenProcessPool:
-                self._degrade()
-            else:
-                resolved = time.perf_counter()
-                if MAPPING_OPS in result.metrics:
-                    # Repatriate the worker's mapping-kernel op counts into
-                    # the parent's process ledger (the batch engine does the
-                    # same), so perf models built in the serving process see
-                    # pooled work too.
-                    process_registry().absorb(result.metrics, names=(MAPPING_OPS,))
-                if self._trace:
-                    self._record_dispatch(read, result.traces, enqueued, resolved)
-                return result.outcomes[0], resolved - enqueued
-        outcome, inline_traces = await asyncio.wrap_future(self._submit_inline(read))
+            except BrokenProcessPool as exc:
+                self._pool.retire(exc)
+        if result is None:
+            if self._inline is None:
+                self._inline = ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="genpip-serve-inline"
+                )
+            # Traces are drained inside the inline thread (reads run one
+            # at a time there), so the loop never races the tracer.
+            result = await asyncio.wrap_future(self._inline.submit(self._pool.run_local, unit))
         resolved = time.perf_counter()
-        if self._trace:
-            self._record_dispatch(read, inline_traces, enqueued, resolved)
-        return outcome, resolved - enqueued
+        if MAPPING_OPS in result.metrics:
+            # Repatriate the worker's mapping-kernel op counts into the
+            # parent's process ledger (the batch engine does the same),
+            # so perf models built in the serving process see pooled
+            # work too.
+            process_registry().absorb(result.metrics, names=(MAPPING_OPS,))
+        if self.trace:
+            self._record_dispatch(read, result.traces, enqueued, resolved)
+        return result.outcomes[0], resolved - enqueued
 
     def _record_dispatch(self, read, worker_traces, t0: float, t1: float) -> None:
         """Collect one read's traces: the worker's span trees plus a
@@ -303,31 +282,3 @@ class PoolDispatcher:
         self._traces.extend(worker_traces)
         label = str(getattr(read, "read_id", ""))
         self._traces.append(("dispatch", label, os.getpid(), (("dispatch", -1, t0, t1),)))
-
-    def _submit_inline(self, read) -> Future:
-        if self._inline is None:
-            # One worker thread: reads execute one at a time in-process,
-            # off the event loop, with a pipeline built from the spec.
-            self._inline = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="genpip-serve-inline"
-            )
-        return self._inline.submit(self._process_local, read)
-
-    def _process_local(self, read) -> tuple[ReadOutcome, tuple]:
-        if self._pipeline is None:
-            self._pipeline = self._spec.build()
-        outcome = self._pipeline.process_batch([read])[0]
-        # Drain inside the inline thread (reads run one at a time here),
-        # so the event loop never races the tracer's buffer.
-        return outcome, drain_read_traces() if self._trace else ()
-
-    def _degrade(self) -> None:
-        """Retire a broken pool; subsequent reads run inline."""
-        if not self._pool.alive:
-            return
-        warnings.warn(
-            "serving pool broke; continuing inline (single in-process worker)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        self._pool.stop()

@@ -150,6 +150,26 @@ class TestVariants:
         assert report.count(ReadStatus.REJECTED_CMR) == 0
         assert report.count(ReadStatus.FAILED_QC) > 0
 
+    def test_cmr_only_variant_keeps_its_decision_on_failed_qc(self):
+        """Every exit carries the decisions of the stages that ran before
+        it: with QSR off and CMR on, a read that fails read-level QC did
+        run (and pass) the CMR probe, so its record says so."""
+        dataset = generate_dataset(
+            small_profile(ECOLI_LIKE, max_read_length=3_000), scale=0.001, seed=3
+        )
+        system = GenPIP(
+            MinimizerIndex.build(dataset.reference),
+            GenPIPConfig(enable_qsr=False, enable_cmr=True),
+            align=False,
+        )
+        outcomes = [system.pipeline.process_read(read) for read in dataset.reads]
+        failed = [o for o in outcomes if o.status is ReadStatus.FAILED_QC]
+        assert failed, "this dataset must have reads that fail read-level QC"
+        for outcome in failed:
+            assert outcome.qsr is None
+            assert outcome.n_chain_invocations == 1 and outcome.n_chunks_seeded > 0
+            assert outcome.cmr is not None and not outcome.cmr.reject
+
     def test_savings_ordering(self, dataset, index, genpip_report):
         """Full ER saves at least as much basecalling as QSR alone."""
         qsr_only = GenPIP(index, GenPIPConfig(enable_cmr=False)).run(dataset)

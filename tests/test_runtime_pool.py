@@ -2,15 +2,19 @@
 
 What both schedulers rely on and neither re-implements: the index is
 published once per pool, a unit's segment is released however its future
-ends, the pickle fallback is automatic and result-identical, and a pool
-that cannot start has exactly one failure path. Plus the structural
-check that no second pool can quietly reappear.
+ends, the pickle fallback is automatic and result-identical, a pool
+that cannot start has exactly one failure path, and a unit runs
+in-process -- through the same ``run_unit`` -- whenever there are no
+processes. Plus the structural checks that no second pool and no second
+execution path can quietly reappear.
 """
 
 from __future__ import annotations
 
+import ast
 import asyncio
 import glob
+import itertools
 import os
 import re
 import time
@@ -18,6 +22,8 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_runtime_streaming import FailingBasecaller
 
 import repro
@@ -25,7 +31,18 @@ from repro.basecalling.surrogate import SurrogateBasecaller
 from repro.core import GenPIP, GenPIPConfig
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
-from repro.runtime import DatasetEngine, PipelineSpec, WorkerPool, active_segments, plan_work
+from repro.runtime import (
+    DatasetEngine,
+    JSONLSink,
+    MemorySink,
+    PipelineSpec,
+    WorkerPool,
+    WorkUnit,
+    active_segments,
+    plan_work,
+    replay_report,
+)
+from repro.runtime import engine as engine_module
 from repro.runtime import pool as pool_module
 from repro.serving import PoolDispatcher
 
@@ -42,6 +59,16 @@ class SlowBasecaller(SurrogateBasecaller):
     def basecall_chunk(self, read, index, chunk_size):
         if index == 0:
             time.sleep(0.2)
+        return super().basecall_chunk(read, index, chunk_size)
+
+
+class SlowInWorkers(SurrogateBasecaller):
+    """Slow in every process but the recorded parent, so units queue up
+    behind the workers while an in-process tail stays fast."""
+
+    def basecall_chunk(self, read, index, chunk_size):
+        if index == 0 and os.getpid() != _PARENT_PID:
+            time.sleep(0.03)
         return super().basecall_chunk(read, index, chunk_size)
 
 
@@ -234,3 +261,227 @@ def test_one_module_constructs_the_process_pool():
     for path, text in sources.items():
         assert not re.search(r"\bTRANSPORTS\b|\btransport\s*(:\s*str\s*)?=\s*\"auto\"", text), path
         assert "initializer=" not in text or path.name == "pool.py", path
+
+
+# --- one execution path: faults from both sides of every removed fork --------
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+def test_submit_refused_mid_run_loses_and_repeats_nothing(
+    index, dataset, monkeypatch, tmp_path, position
+):
+    """``submit`` itself raising on the k-th unit retires the pool: the
+    run carries on in-process and the sink sees every outcome exactly
+    once, in order. The window is wider than the executor's call queue,
+    so the retirement *cancels* queued units (a cancelled future never
+    wakes ``wait``) besides letting the running ones finish."""
+    spec = _spec_with(index, SlowInWorkers())
+    serial = DatasetEngine(spec, workers=1).run(dataset)
+    n_units = len(plan_work(dataset.reads, 1))
+    refused = {"first": 0, "middle": n_units // 2, "last": n_units - 1}[position]
+    calls = itertools.count()
+    futures = []
+    real_submit = WorkerPool.submit
+
+    def flaky(self, unit):
+        if next(calls) == refused:
+            raise pool_module.BrokenProcessPool("injected: submit refused")
+        futures.append(real_submit(self, unit))
+        return futures[-1]
+
+    monkeypatch.setattr(WorkerPool, "submit", flaky)
+    monkeypatch.setattr(engine_module, "_INFLIGHT_PER_WORKER", 4)
+    path = tmp_path / "outcomes.jsonl"
+    engine = DatasetEngine(spec, workers=2, batch_size=1, sink=JSONLSink(path))
+    with pytest.warns(RuntimeWarning, match="process pool broke") as caught:
+        report = engine.run(dataset)
+    assert len([w for w in caught if "process pool broke" in str(w.message)]) == 1
+    assert len(futures) == refused
+    if position != "first":
+        assert any(future.cancelled() for future in futures)
+    assert engine.last_stats.mode == "serial"
+    assert engine.last_stats.n_shards == n_units
+    assert report.counters == serial.counters
+    assert replay_report(path, serial.config).outcomes == serial.outcomes
+    assert active_segments() == ()
+    assert _no_leaked_segments()
+
+
+def test_run_local_failure_reaches_the_engine_caller(spec, dataset, monkeypatch):
+    """An in-process unit that raises comes back through its future; the
+    engine aborts the sink and re-raises."""
+    aborted = []
+    real_run_local = WorkerPool.run_local
+
+    class ProbeSink(MemorySink):
+        def abort(self):
+            aborted.append(True)
+            super().abort()
+
+    def failing(self, unit):
+        if unit.shard_id == 1:
+            raise RuntimeError("injected: run_local failed")
+        return real_run_local(self, unit)
+
+    monkeypatch.setattr(WorkerPool, "run_local", failing)
+    engine = DatasetEngine(spec, workers=1, batch_size=3, sink=ProbeSink())
+    with pytest.raises(RuntimeError, match="run_local failed"):
+        engine.run(dataset)
+    assert aborted == [True]
+    assert _no_leaked_segments()
+
+
+def test_run_local_failure_fails_one_served_read_only(spec, dataset, monkeypatch):
+    real_run_local = WorkerPool.run_local
+    reads = dataset.reads[:3]
+    expected = spec.build().process_batch(list(reads))
+
+    def failing(self, unit):
+        if unit.reads[0] is reads[1]:
+            raise RuntimeError("injected: run_local failed")
+        return real_run_local(self, unit)
+
+    monkeypatch.setattr(WorkerPool, "run_local", failing)
+
+    async def _serve(dispatcher):
+        first = (await dispatcher.process(reads[0]))[0]
+        with pytest.raises(RuntimeError, match="run_local failed"):
+            await dispatcher.process(reads[1])
+        return [first, (await dispatcher.process(reads[2]))[0]]
+
+    with PoolDispatcher(spec, workers=1) as dispatcher:
+        assert asyncio.run(_serve(dispatcher)) == [expected[0], expected[2]]
+        assert dispatcher.mode == "inline"
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    batch_size=st.integers(min_value=1, max_value=7),
+    batching=st.sampled_from(["fixed", "length-aware"]),
+    workers=st.sampled_from([0, 1]),
+)
+def test_in_process_engine_emits_unit_by_unit(spec, dataset, batch_size, batching, workers):
+    """Without processes every planned unit reaches the sink on its own,
+    before the next is planned, and the outcomes are ``process_read``'s."""
+    reads = dataset.reads[:12]
+    emitted: list[int] = []
+
+    class ProbeSink(MemorySink):
+        def emit(self, outcomes):
+            emitted.append(len(outcomes))
+            super().emit(outcomes)
+
+    engine = DatasetEngine(
+        spec, workers=workers, batch_size=batch_size, batching=batching, sink=ProbeSink()
+    )
+    report = engine.run(reads)
+    pipeline = spec.build()
+    assert report.outcomes == [pipeline.process_read(read) for read in reads]
+    assert emitted == [len(unit) for unit in plan_work(reads, batch_size, batching=batching)]
+    stats = engine.last_stats
+    assert (stats.mode, stats.transport) == ("serial", "none")
+    assert (stats.inflight_window, stats.inflight_peak, stats.prefetch_capacity) == (0, 0, 0)
+
+
+def test_pool_without_processes_by_design(spec, dataset, recwarn):
+    """``workers <= 1``: start publishes, forks and warns nothing, submit
+    refuses, execute hands back an already-resolved future."""
+    unit = WorkUnit(shard_id=5, start=0, reads=tuple(dataset.reads[:2]))
+    with WorkerPool(spec, 1) as pool:
+        assert not pool.alive and pool.index_publications == 0
+        assert active_segments() == ()
+        with pytest.raises(pool_module.BrokenProcessPool):
+            pool.submit(unit)
+        future = pool.execute(unit)
+        assert future.done()
+        result = future.result()
+        assert pool.transport == "none"
+    assert result.shard_id == 5 and not result.metrics
+    assert list(result.outcomes) == spec.build().process_batch(list(unit.reads))
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+# --- structure ---------------------------------------------------------------
+
+_DELETED_METHODS = {
+    "_consume_units",
+    "_run_serial_stream",
+    "_serial_pipeline",
+    "_run_pool_stream",
+    "_submit_inline",
+    "_process_local",
+    "_degrade",
+}
+
+
+def _walk_with_owner(root: Path):
+    """``(module path, enclosing function name, node)`` for every AST
+    node under ``root`` (``"<module>"`` outside any function)."""
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            yield inner, child
+            yield from visit(child, inner)
+
+    for path in sorted(root.rglob("*.py")):
+        module = path.relative_to(root).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for owner, node in visit(tree, "<module>"):
+            yield module, owner, node
+
+
+def _called_name(node: ast.AST) -> str | None:
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def test_one_function_executes_a_unit():
+    """No second execution path: one ``process_batch`` call, one module
+    that builds a spec, toggles the tracer or gives up on a pool."""
+    root = Path(repro.__file__).parent
+    nodes = list(_walk_with_owner(root))
+
+    batch_calls = [(m, o) for m, o, n in nodes if _called_name(n) == "process_batch"]
+    assert batch_calls == [("runtime/pool.py", "run_unit")]
+
+    spec_builds = {
+        module
+        for module, _, node in nodes
+        if _called_name(node) == "build"
+        and "spec" in ast.unparse(node.func.value).lower()
+    }
+    assert spec_builds == {"runtime/pool.py"}
+
+    toggles = {
+        module
+        for module, _, node in nodes
+        if _called_name(node) in ("enable_tracing", "disable_tracing")
+        and not module.startswith("obs/")
+    }
+    assert toggles == {"runtime/pool.py"}
+
+    catches = {
+        (module, owner)
+        for module, owner, node in nodes
+        if isinstance(node, ast.ExceptHandler)
+        and node.type is not None
+        and "BrokenProcessPool" in ast.unparse(node.type)
+        and module != "runtime/pool.py"
+    }
+    assert catches == {
+        ("runtime/engine.py", "_collect_completed"),
+        ("serving/dispatch.py", "process"),
+    }
+
+    defined = {
+        (module, node.name)
+        for module, _, node in nodes
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    assert not {name for _, name in defined} & _DELETED_METHODS
+    assert ("core/pipeline.py", "_outcome") not in defined

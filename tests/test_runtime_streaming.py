@@ -248,7 +248,7 @@ class TestFailurePaths:
         engine = DatasetEngine(
             system.pipeline, workers=2, batch_size=3, sink=JSONLSink(jsonl_path)
         )
-        with pytest.warns(RuntimeWarning, match="resuming serially|process pool unavailable"):
+        with pytest.warns(RuntimeWarning, match="process pool broke|process pool unavailable"):
             report = engine.run(tiny_dataset)
         assert engine.last_stats.mode == "serial"
         assert report.counters == serial_report.counters

@@ -582,6 +582,32 @@ def test_traced_dispatch_keeps_verdicts_identical(tiny_system, tiny_dataset, ser
     assert _no_leaked_segments()
 
 
+def test_traced_inline_serving_has_the_pooled_span_shape(tiny_system, tiny_dataset):
+    """Inline reads run through the same ``run_unit`` as pooled ones, so
+    a traced ``workers=1`` server drains one ``unit``, one ``read`` and
+    one ``dispatch`` trace per read, shaped like the ``workers=2`` run's."""
+    reads = tiny_dataset.reads[:5]
+
+    def _traced(workers: int) -> dict[str, list]:
+        async def _serve(dispatcher):
+            return [(await dispatcher.process(read))[0] for read in reads]
+
+        with PoolDispatcher(tiny_system.pipeline, workers=workers, trace=True) as dispatcher:
+            asyncio.run(_serve(dispatcher))
+            traces = dispatcher.drain_traces()
+        by_kind: dict[str, list] = {"unit": [], "read": [], "dispatch": []}
+        for trace in traces:
+            by_kind[trace.kind].append(trace)
+        return by_kind
+
+    inline, pooled = _traced(1), _traced(2)
+    for kind in ("unit", "read", "dispatch"):
+        assert len(inline[kind]) == len(pooled[kind]) == len(reads), kind
+        assert [t.structure() for t in inline[kind]] == [t.structure() for t in pooled[kind]]
+    assert [t.label for t in inline["read"]] == [read.read_id for read in reads]
+    assert _no_leaked_segments()
+
+
 def test_verdict_frames_echo_seq_and_accept(tiny_system, tiny_dataset):
     reads = tiny_dataset.reads[:4]
     results, _ = serve_and_drive(tiny_system.pipeline, reads, sessions=1, workers=1)
@@ -782,7 +808,7 @@ def test_worker_killed_mid_read_degrades_inline(tiny_dataset, serial_records):
                     "127.0.0.1", server.port, list(enumerate(tiny_dataset.reads))
                 )
 
-        with pytest.warns(RuntimeWarning, match="serving pool broke"):
+        with pytest.warns(RuntimeWarning, match="process pool broke"):
             result = asyncio.run(_session())
         assert dispatcher.mode == "inline"
         # The broken pool took the index segment and every unit segment
