@@ -181,7 +181,7 @@ def _identity(a: str, b: str) -> float:
 
 def collect_sdtw_equivalence(repeats: int = 3) -> list[dict]:
     """Wavefront vs scalar sDTW: bit-equal costs on fixed-seed cases."""
-    from repro.kernels.sdtw import sdtw_cost_scalar, sdtw_cost_wavefront
+    from repro.kernels.sdtw import sdtw_cost, sdtw_cost_scalar
 
     rng = np.random.default_rng(20)
     cases = [
@@ -196,9 +196,7 @@ def collect_sdtw_equivalence(repeats: int = 3) -> list[dict]:
         scalar, t_scalar = _best_time(
             sdtw_cost_scalar, query, reference, band, repeats=repeats
         )
-        wavefront, t_wavefront = _best_time(
-            sdtw_cost_wavefront, query, reference, band, repeats=repeats
-        )
+        wavefront, t_wavefront = _best_time(sdtw_cost, query, reference, band, repeats=repeats)
         records.append(
             {
                 "plane": "sdtw",

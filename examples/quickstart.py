@@ -31,11 +31,10 @@ This walks the whole public API surface once:
     batch into the one columnar layout the worker pool publishes,
     workers take read-only *views* instead of copies, and the copy
     ledger shows it -- same outcomes, zero worker-side bytes copied;
-13. select mapping kernels by name: the vectorised mapping plane
-    (batched seeding, blocked chain DP, wavefront Gotoh) against its
-    bit-identical scalar references, with the mapping-ops ledger
-    counting the chain candidates and alignment cells the perf models
-    charge;
+13. check the vectorised mapping plane (batched seeding, blocked chain
+    DP, wavefront Gotoh) against the scalar references the tests
+    import, with the mapping-ops ledger counting the chain candidates
+    and alignment cells the perf models charge;
 14. observe: rerun with per-read stage tracing on (spans for every
     SER/QSR/CMR probe, chunk basecall, seed/chain/align call), export
     the span tree as Chrome ``trace_event`` JSON for chrome://tracing
@@ -290,8 +289,8 @@ def main() -> None:
     #     and per-chunk DNN matmuls -- have batched kernels with scalar
     #     references kept first-class for the equivalence trail:
     #     * sDTW runs as an anti-diagonal wavefront (one numpy op per
-    #       diagonal) with bit-identical costs, selectable by name on
-    #       SignalPrefilter / SignalRejectionPolicy;
+    #       diagonal) with bit-identical costs: sdtw_cost is what
+    #       SignalPrefilter / SignalRejectionPolicy call;
     #     * the viterbi backend can decode in event space
     #       (decode="events": segmentation means/dwells instead of raw
     #       samples, ~dwell-mean fewer trellis observations);
@@ -303,7 +302,7 @@ def main() -> None:
     import time
 
     from repro.basecalling import ViterbiBackendConfig, ViterbiChunkBasecaller
-    from repro.kernels import sdtw_cost_scalar, sdtw_cost_wavefront
+    from repro.kernels import sdtw_cost, sdtw_cost_scalar
 
     rng = np.random.default_rng(12)
     query, template = rng.normal(size=150), rng.normal(size=1_200)
@@ -311,7 +310,7 @@ def main() -> None:
     scalar_cost = sdtw_cost_scalar(query, template)
     t_scalar = time.perf_counter() - t0
     t0 = time.perf_counter()
-    wavefront_cost = sdtw_cost_wavefront(query, template)
+    wavefront_cost = sdtw_cost(query, template)
     t_wave = time.perf_counter() - t0
     assert wavefront_cost == scalar_cost  # bit-identical, not just close
     print(
@@ -391,40 +390,56 @@ def main() -> None:
         f"parent-side); counters identical to the serial report"
     )
 
-    # 13. The mapping kernel plane: every mapping stage is a named
-    #     kernel (MapperConfig.seed_kernel, ChainingConfig.kernel,
-    #     AlignmentConfig.kernel). The defaults -- batched searchsorted
-    #     seeding, blocked chain DP, wavefront Gotoh -- are
-    #     bit-identical to the scalar references they replaced: same
-    #     anchors, same chain scores *and parents*, same alignment
-    #     scores and CIGARs. As the kernels run they charge the
-    #     process registry's genpip_mapping_ops counter (chain
-    #     candidates, alignment cells), the data-dependent counts
-    #     repro.perf converts to seconds through CostDatabase's
-    #     per-base anchors.
-    from repro.kernels import process_mapping_ops
-    from repro.mapping import Mapper, MapperConfig
-    from repro.mapping.alignment import AlignmentConfig
-    from repro.mapping.chaining import ChainingConfig
-
-    scalar_config = MapperConfig(
-        chaining=ChainingConfig(kernel="scalar"),
-        alignment=AlignmentConfig(kernel="scalar"),
-        seed_kernel="scalar",
+    # 13. The mapping kernel plane: production calls one kernel per
+    #     stage -- batched searchsorted seeding, blocked chain DP,
+    #     wavefront Gotoh -- and each is bit-identical to a scalar
+    #     reference that tests (and this section) import and call
+    #     directly: same anchors, same chain scores *and parents*, same
+    #     alignment scores and CIGARs. Nothing selects a kernel by
+    #     name. As the kernels run they charge the process registry's
+    #     genpip_mapping_ops counter (chain candidates, alignment
+    #     cells), the data-dependent counts repro.perf converts to
+    #     seconds through CostDatabase's per-base anchors.
+    from repro.kernels import (
+        chain_scores_blocked,
+        chain_scores_scalar,
+        gotoh_scalar,
+        gotoh_wavefront,
+        process_mapping_ops,
     )
+    from repro.mapping import ChainingConfig, Mapper
+    from repro.mapping.seeding import collect_anchor_arrays
+
     ledger = process_mapping_ops()
     before = ledger.by_key()
-    fast = Mapper(index).map_read(reads[0].true_bases, "demo")
+    mapped = Mapper(index).map_read(reads[0].true_bases, "demo")
     delta = {
         kind: ops - before.get(kind, 0) for kind, ops in ledger.by_key().items()
     }
-    slow = Mapper(index, scalar_config).map_read(reads[0].true_bases, "demo")
-    assert fast == slow  # kernel planes are bit-identical end to end
+    demo_codes = reads[0].true_codes
+    anchors = collect_anchor_arrays(index, demo_codes, read_length=demo_codes.size)[
+        mapped.strand
+    ]
+    chaining = ChainingConfig()
+    chain_args = (anchors, index.config.k, chaining.max_gap, chaining.lookback)
+    t0 = time.perf_counter()
+    ref_scores, ref_parents = chain_scores_scalar(*chain_args)
+    t_scalar = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    scores, parents = chain_scores_blocked(*chain_args)
+    t_blocked = time.perf_counter() - t0
+    assert np.array_equal(scores, ref_scores) and np.array_equal(parents, ref_parents)
+    segment = demo_codes[:60]
+    scoring = (2.0, -4.0, -4.0, -2.0)
+    assert gotoh_wavefront(segment, segment[::-1], *scoring) == gotoh_scalar(
+        segment, segment[::-1], *scoring
+    )
     print(
-        f"\nmapping kernel plane: read mapped at identity {fast.identity:.3f} "
+        f"\nmapping kernel plane: read mapped at identity {mapped.identity:.3f} "
         f"({delta.get('chain-candidate', 0):,} chain candidates, "
         f"{delta.get('align-cell', 0):,} alignment cells charged); "
-        f"scalar references produce the identical result"
+        f"chain DP over its {anchors.shape[0]:,} anchors: scalar reference "
+        f"{t_scalar * 1e3:.1f} ms == blocked {t_blocked * 1e3:.1f} ms, bit for bit"
     )
 
     # 14. The observability plane: the same run with span tracing on.

@@ -44,31 +44,27 @@ instead of a generic per-base price. Basecalling kinds are known
 up-front; the data-dependent mapping kinds accumulate in the
 process registry's counter (:mod:`repro.kernels.mapping_ops`) as kernels run.
 
-Kernel selection is by name (``"wavefront"`` / ``"scalar"`` for sDTW
-and Gotoh, ``"vectorised"`` / ``"scalar"`` for the trellis,
-``"blocked"`` / ``"scalar"`` for the chain DP, ``"batched"`` /
-``"scalar"`` for seeding); the scalar references stay first-class
-because CI's kernel-equivalence lane replays both on fixed seeds and
-fails on any mismatch.
+The contract is one sentence: *production calls one kernel per stage;
+a reference is something a test imports*. ``seed_anchors_scalar``,
+``chain_scores_scalar``, ``sdtw_cost_scalar``, ``gotoh_scalar`` and
+``viterbi_forward_scalar`` stay exported because the tests and CI's
+kernel-equivalence lane (``bench_kernels.py``) replay each kernel
+against its reference and fail on any mismatch; nothing selects a
+kernel by name. The one real choice -- which Gotoh fill a segment gets
+-- is made from the segment's cell count in
+:mod:`repro.mapping.alignment`.
 """
 
-from repro.kernels.align import (
-    ALIGN_KERNELS,
-    gotoh_scalar,
-    gotoh_wavefront,
-    resolve_align_kernel,
-)
+from repro.kernels.align import gotoh_scalar, gotoh_wavefront
 from repro.kernels.batched_dnn import (
     batched_basecall,
     model_forward_batch,
     model_forward_ragged,
 )
 from repro.kernels.chain import (
-    CHAIN_KERNELS,
     chain_candidate_count,
     chain_scores_blocked,
     chain_scores_scalar,
-    resolve_chain_kernel,
 )
 from repro.kernels.mapping_ops import (
     MAPPING_OP_KINDS,
@@ -76,13 +72,8 @@ from repro.kernels.mapping_ops import (
     process_mapping_ops,
     record_mapping_ops,
 )
-from repro.kernels.sdtw import (
-    SDTW_KERNELS,
-    resolve_sdtw_kernel,
-    sdtw_cost,
-    sdtw_cost_scalar,
-    sdtw_cost_wavefront,
-)
+from repro.kernels.sdtw import sdtw_cost, sdtw_cost_scalar
+from repro.kernels.seed import seed_anchors_batched, seed_anchors_scalar
 from repro.kernels.viterbi import (
     TRANSITIONS_PER_STATE,
     event_emissions,
@@ -92,20 +83,10 @@ from repro.kernels.viterbi import (
     viterbi_state_ops,
     viterbi_traceback,
 )
-from repro.kernels.seed import (
-    SEED_KERNELS,
-    resolve_seed_kernel,
-    seed_anchors_batched,
-    seed_anchors_scalar,
-)
 from repro.kernels.workload import KernelWorkload
 
 __all__ = [
-    "ALIGN_KERNELS",
-    "CHAIN_KERNELS",
     "MAPPING_OP_KINDS",
-    "SDTW_KERNELS",
-    "SEED_KERNELS",
     "TRANSITIONS_PER_STATE",
     "KernelWorkload",
     "batched_basecall",
@@ -121,13 +102,8 @@ __all__ = [
     "model_forward_ragged",
     "process_mapping_ops",
     "record_mapping_ops",
-    "resolve_align_kernel",
-    "resolve_chain_kernel",
-    "resolve_sdtw_kernel",
-    "resolve_seed_kernel",
     "sdtw_cost",
     "sdtw_cost_scalar",
-    "sdtw_cost_wavefront",
     "seed_anchors_batched",
     "seed_anchors_scalar",
     "viterbi_forward",

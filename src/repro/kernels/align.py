@@ -23,8 +23,10 @@ the three-way max associates ``max(max(diag, E), V)`` as Python's
 ``max`` does), and both run the same value-comparing traceback over the
 completed tables -- so scores, tracebacks, and CIGARs are bit-identical
 for *any* scoring configuration, not only the representable-integer
-defaults. CI replays both kernels on fixed seeds (``bench_kernels.py``)
-and fails on any mismatch.
+defaults. Tests and ``bench_kernels.py`` check the wavefront against the
+scalar reference; :func:`repro.mapping.alignment.align_banded` picks
+between the two (and its own row pipeline) from the segment's cell
+count.
 """
 
 from __future__ import annotations
@@ -32,19 +34,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.mapping_ops import record_mapping_ops
-
-#: Selectable small-segment Gotoh kernels, fastest-at-scale first.
-ALIGN_KERNELS = ("wavefront", "scalar")
-
-
-def resolve_align_kernel(kernel: str):
-    """Map a kernel name to its implementation (raising on unknown names)."""
-    if kernel == "wavefront":
-        return gotoh_wavefront
-    if kernel == "scalar":
-        return gotoh_scalar
-    raise ValueError(f"unknown align kernel {kernel!r}; expected one of {ALIGN_KERNELS}")
-
 
 def merge_cigar(parts: list[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
     """Merge adjacent runs of the same op and drop zero-length runs."""
@@ -161,8 +150,9 @@ def gotoh_wavefront(
     index collapses to ``i * m + d`` -- a single slice-plus-add per
     diagonal, and every dependency is that vector minus a constant --
     which keeps per-diagonal overhead low enough to beat the scalar
-    loop from roughly a thousand cells up. The traceback then walks the
-    same tables the scalar reference builds.
+    loop from roughly 2.5 k cells up (the measured table is in
+    :mod:`repro.mapping.alignment`). The traceback then walks the same
+    tables the scalar reference builds.
     """
     n, m = int(a.size), int(b.size)
     if n and m:

@@ -28,8 +28,9 @@ elementwise float64 operations in the same association order -- the
 gain matrix carries ``-inf`` at invalid slots, which propagates through
 the add/subtract to exactly the ``-inf`` the scalar mask writes -- so
 scores, parents, and tie-breaks are bit-identical, not merely close.
-CI replays both kernels on fixed seeds (``bench_kernels.py``) and fails
-on any mismatch.
+Production runs the blocked kernel (:func:`repro.mapping.chaining.chain_scores`
+calls it directly); the scalar reference is what tests and
+``bench_kernels.py`` import to check it against.
 """
 
 from __future__ import annotations
@@ -38,21 +39,9 @@ import numpy as np
 
 from repro.kernels.mapping_ops import record_mapping_ops
 
-#: Selectable chain-DP kernels, fastest first.
-CHAIN_KERNELS = ("blocked", "scalar")
-
 #: Rows of hoisted band matrices computed per pass; bounds peak memory
 #: at ``~6 x BLOCK x lookback x 8`` bytes without affecting results.
 _BLOCK_ROWS = 4096
-
-
-def resolve_chain_kernel(kernel: str):
-    """Map a kernel name to its implementation (raising on unknown names)."""
-    if kernel == "blocked":
-        return chain_scores_blocked
-    if kernel == "scalar":
-        return chain_scores_scalar
-    raise ValueError(f"unknown chain kernel {kernel!r}; expected one of {CHAIN_KERNELS}")
 
 
 def chain_candidate_count(n_anchors: int, lookback: int) -> int:

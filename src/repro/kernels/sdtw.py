@@ -9,14 +9,16 @@ banded row sample-by-sample in Python. On an **anti-diagonal** ``d = i
 and ``d-2`` (diag): cells on one diagonal are mutually independent and
 the whole diagonal evaluates as one numpy expression.
 
-Both kernels perform the *same float64 operations per cell* -- the same
+Production calls the wavefront under the one name :func:`sdtw_cost`;
+:func:`sdtw_cost_scalar` is the reference tests and ``bench_kernels.py``
+import. Both perform the *same float64 operations per cell* -- the same
 squared difference, the same three-way ``min`` (exact regardless of
 association order), the same final add -- so their costs are
 **bit-identical**, not merely close. ``tests/test_kernels.py`` and CI's
 kernel-equivalence lane assert exact equality on random inputs, band
 edge cases, and degenerate shapes.
 
-Semantics (shared by both kernels, identical to the original
+Semantics (shared by both, identical to the original
 ``repro.nanopore.signal_filter.subsequence_dtw``): the query must be
 consumed in full but may start and end anywhere in the reference (first
 row zero, answer is the minimum of the last row), costs are squared
@@ -29,9 +31,6 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Selectable sDTW kernels, fastest first.
-SDTW_KERNELS = ("wavefront", "scalar")
-
 
 def znormalise(values: np.ndarray) -> np.ndarray:
     """Zero-mean, unit-variance normalisation (squiggle matching's
@@ -43,37 +42,6 @@ def znormalise(values: np.ndarray) -> np.ndarray:
     if std == 0:
         return np.zeros_like(values)
     return (values - values.mean()) / std
-
-
-def resolve_sdtw_kernel(kernel: str):
-    """Map a kernel name to its implementation (raising on unknown names)."""
-    if kernel == "wavefront":
-        return sdtw_cost_wavefront
-    if kernel == "scalar":
-        return sdtw_cost_scalar
-    raise ValueError(f"unknown sDTW kernel {kernel!r}; expected one of {SDTW_KERNELS}")
-
-
-def sdtw_cost(
-    query: np.ndarray,
-    reference: np.ndarray,
-    band: int | None = None,
-    kernel: str = "wavefront",
-    reference_normalized: bool = False,
-) -> float:
-    """Subsequence DTW cost of ``query`` against any span of ``reference``.
-
-    Dispatches to the named kernel; all kernels return bit-identical
-    costs (see the module docstring), so the choice is purely a speed
-    knob. ``reference_normalized=True`` declares that ``reference`` is
-    already the output of :func:`znormalise` (a caller screening many
-    queries against fixed templates normalises each template once);
-    since ``znormalise`` is deterministic, skipping the redundant pass
-    is bit-identical, not merely close.
-    """
-    return resolve_sdtw_kernel(kernel)(
-        query, reference, band=band, reference_normalized=reference_normalized
-    )
 
 
 def _band_bounds(i: int, n: int, m: int, band: int | None) -> tuple[int, int]:
@@ -92,8 +60,8 @@ def sdtw_cost_scalar(
 ) -> float:
     """Row-major scalar reference (the original interpreted recurrence).
 
-    Kept as the ground truth the wavefront kernel is checked against;
-    the inner left-to-right loop is the dependency the wavefront
+    Kept as the ground truth :func:`sdtw_cost` is checked against; the
+    inner left-to-right loop is the dependency the wavefront
     reorganisation removes.
     """
     q = znormalise(query)
@@ -125,13 +93,20 @@ def sdtw_cost_scalar(
     return float(prev[1:].min() / n)
 
 
-def sdtw_cost_wavefront(
+def sdtw_cost(
     query: np.ndarray,
     reference: np.ndarray,
     band: int | None = None,
     reference_normalized: bool = False,
 ) -> float:
-    """Anti-diagonal wavefront evaluation: one vector op per diagonal.
+    """Subsequence DTW cost of ``query`` against any span of ``reference``.
+
+    Anti-diagonal wavefront evaluation: one vector op per diagonal.
+    ``reference_normalized=True`` declares that ``reference`` is
+    already the output of :func:`znormalise` (a caller screening many
+    queries against fixed templates normalises each template once);
+    since ``znormalise`` is deterministic, skipping the redundant pass
+    is bit-identical, not merely close.
 
     Diagonals are indexed by the row coordinate ``i``; cell ``(i, j)``
     of diagonal ``d = i + j`` reads ``(i-1, j)`` and ``(i, j-1)`` from

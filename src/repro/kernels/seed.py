@@ -12,28 +12,17 @@ segment with zero per-key Python.
 The batched kernel replaces the per-key loop with one
 ``np.searchsorted`` over all query keys, a ``np.repeat``/cumsum
 expansion of the hit entries, and fancy-indexed gathering of the
-location rows. Both kernels emit rows in (query order, entry order) and
-finish with the same stable lexsort, so their outputs are identical
-arrays -- CI replays both on fixed seeds (``bench_kernels.py``) and
-fails on any mismatch.
+location rows; it is the kernel production seeds with
+(:func:`repro.mapping.seeding.collect_anchor_arrays` calls it
+directly). The per-key loop is the reference that tests and
+``bench_kernels.py`` import to check it against: both emit rows in
+(query order, entry order) and finish with the same stable lexsort, so
+their outputs are identical arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-#: Selectable seeding kernels, fastest first.
-SEED_KERNELS = ("batched", "scalar")
-
-
-def resolve_seed_kernel(kernel: str):
-    """Map a kernel name to its implementation (raising on unknown names)."""
-    if kernel == "batched":
-        return seed_anchors_batched
-    if kernel == "scalar":
-        return seed_anchors_scalar
-    raise ValueError(f"unknown seed kernel {kernel!r}; expected one of {SEED_KERNELS}")
-
 
 def _group_and_sort(
     fwd: np.ndarray, rev: np.ndarray, read_length: int | None, kmer_size: int

@@ -14,10 +14,12 @@ Two layers:
   invertible), so only the short inter-anchor segments need DP. Head and
   tail are aligned up to a capped extension and soft-clipped beyond it.
 
-Small segments run through the named Gotoh kernels in
-:mod:`repro.kernels.align` (``AlignmentConfig.kernel``): the scalar
-reference loop below the size crossover, the anti-diagonal wavefront
-above it -- bit-identical either way.
+Unbanded segments of at most ``_KERNEL_MAX_CELLS`` cells run through
+the Gotoh kernels in :mod:`repro.kernels.align` instead: the scalar
+loop below ``_WAVEFRONT_MIN_CELLS``, the anti-diagonal wavefront from
+there up (bit-identical to each other; equal in score, not always in
+CIGAR, to the row pipeline). The code picks from the cell count;
+nothing selects a kernel by name.
 
 Scoring defaults follow minimap2's map-ont preset (match +2, mismatch
 -4, gap open -4, gap extend -2).
@@ -29,18 +31,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels.align import ALIGN_KERNELS, gotoh_scalar, gotoh_wavefront, merge_cigar
+from repro.kernels.align import gotoh_scalar, gotoh_wavefront, merge_cigar
 from repro.kernels.mapping_ops import record_mapping_ops
 
 #: CIGAR operation codes used throughout: match, mismatch, insertion
 #: (read-only base), deletion (reference-only base), soft clip.
 CIGAR_OPS = ("=", "X", "I", "D", "S")
 
-#: Below this many DP cells the pure-Python scalar kernel beats the
-#: wavefront (numpy dispatch overhead dominates a handful of cells);
-#: both kernels are bit-identical, so the crossover is purely a speed
-#: heuristic.
+# Gotoh is filled by three implementations, picked from the segment's
+# cell count n * m: ``gotoh_scalar`` below _WAVEFRONT_MIN_CELLS,
+# ``gotoh_wavefront`` from there up to _KERNEL_MAX_CELLS inclusive, the
+# numpy row pipeline (``_align_core``) above it -- and for every banded
+# segment and head/tail extension, whatever its size.
+# Measured per call (us; 90 ``ecoli-align`` reads of seed 7, PR 20):
+#
+#      cells   scalar  wavefront  row pipeline
+#        256      189        465           363
+#      1 024      565        794           625
+#      1 444      811        947           686
+#      2 025    1 097      1 112           889
+#      2 704    1 451      1 384           973
+#      3 600    1 985      1 706         1 154
+#     14 400    8 575      3 421         2 542
+#
+# So the scalar loop wins below ~1.2 k cells, the row pipeline
+# everywhere above, the wavefront nowhere: the right shape is one
+# crossover at ~1.2 k cells. Neither value moves here because the row
+# pipeline breaks score ties differently from the two kernels (see
+# ``_align_small``): a segment that changes sides can change its
+# co-optimal CIGAR, i.e. outcome bytes and ``tests/golden_digests.json``.
+# Unify the tie-break rules first (ROADMAP perf item 4), then move them.
 _WAVEFRONT_MIN_CELLS = 2_048
+_KERNEL_MAX_CELLS = 3_600
 
 
 @dataclass(frozen=True)
@@ -55,20 +77,12 @@ class AlignmentConfig:
     max_end_extension: int = 400
     #: Safety cap on inter-anchor segment DP size (cells).
     max_segment_cells: int = 4_000_000
-    #: Small-segment Gotoh kernel from :data:`repro.kernels.align.ALIGN_KERNELS`.
-    #: ``"wavefront"`` vectorises anti-diagonals above the size crossover;
-    #: ``"scalar"`` forces the reference loop everywhere.
-    kernel: str = "wavefront"
 
     def __post_init__(self) -> None:
         if self.match <= 0:
             raise ValueError("match score must be positive")
         if self.mismatch >= 0 or self.gap_open >= 0 or self.gap_extend >= 0:
             raise ValueError("penalties must be negative")
-        if self.kernel not in ALIGN_KERNELS:
-            raise ValueError(
-                f"unknown align kernel {self.kernel!r}; expected one of {ALIGN_KERNELS}"
-            )
 
 
 @dataclass(frozen=True)
@@ -148,7 +162,7 @@ def align_banded(
     config = config or AlignmentConfig()
     a = np.asarray(ref)
     b = np.asarray(read)
-    small = band is None and 0 < a.size * b.size <= 3_600
+    small = band is None and 0 < a.size * b.size <= _KERNEL_MAX_CELLS
     raw = _align_small(a, b, config) if small else _align_core(ref, read, config, band)
     return AlignmentResult(
         score=raw.score, cigar=_classify_diagonals(raw.cigar, ref, read)
@@ -156,21 +170,21 @@ def align_banded(
 
 
 def _align_small(a: np.ndarray, b: np.ndarray, config: AlignmentConfig) -> AlignmentResult:
-    """Small-segment Gotoh via the named kernels in :mod:`repro.kernels.align`.
+    """Small-segment Gotoh via the kernels in :mod:`repro.kernels.align`.
 
-    The numpy row pipeline (:func:`_align_core`) costs ~2 ms per call
-    regardless of size; inter-anchor segments are usually tens of
-    bases. Below the wavefront crossover the scalar kernel's plain
-    nested loop wins; above it the anti-diagonal wavefront does. Both
-    kernels are bit-identical to each other and produce scores and
-    CIGARs identical to :func:`_align_core` (property-tested).
+    Inter-anchor segments are usually tens of bases, where the numpy
+    row pipeline (:func:`_align_core`) is mostly per-row call overhead.
+    The scalar and wavefront kernels are bit-identical to each other
+    (score and CIGAR) and score-identical to :func:`_align_core`, but
+    not CIGAR-identical to it: on ties ``_traceback_tables`` prefers E,
+    then V, then the diagonal, and extending a gap over opening one,
+    while ``_align_core``'s pointer tables prefer the diagonal, then V,
+    then E, and opening over extending -- two co-optimal alignments of
+    the same score (``tests/test_kernels_mapping.py`` pins all three
+    facts).
     """
-    wavefront = (
-        config.kernel == "wavefront"
-        and int(a.size) * int(b.size) >= _WAVEFRONT_MIN_CELLS
-    )
-    kernel = gotoh_wavefront if wavefront else gotoh_scalar
-    score, cigar = kernel(
+    fill = gotoh_wavefront if a.size * b.size >= _WAVEFRONT_MIN_CELLS else gotoh_scalar
+    score, cigar = fill(
         a, b, config.match, config.mismatch, config.gap_open, config.gap_extend
     )
     return AlignmentResult(score=score, cigar=cigar)

@@ -17,10 +17,10 @@ in-memory; the chain *score* is also what GenPIP's ER-CMR thresholds to
 predict unmappable reads early.
 
 The implementation is the standard O(n * h) heuristic with a bounded
-lookback window, executed by a named kernel from
-:mod:`repro.kernels.chain`: ``"blocked"`` hoists the band geometry into
-per-block matrices, ``"scalar"`` is the per-anchor reference loop. Both
-are bit-identical (same scores, parents, and tie-breaks).
+lookback window, executed by
+:func:`repro.kernels.chain.chain_scores_blocked`, which hoists the band
+geometry into per-block matrices (tests check it bit-for-bit -- scores,
+parents, and tie-breaks -- against ``chain_scores_scalar``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels.chain import CHAIN_KERNELS, resolve_chain_kernel
+from repro.kernels.chain import chain_scores_blocked
 
 
 @dataclass(frozen=True)
@@ -41,18 +41,12 @@ class ChainingConfig:
     lookback: int = 50
     min_chain_score: float = 20.0
     min_anchors: int = 3
-    #: Chain-DP kernel name from :data:`repro.kernels.chain.CHAIN_KERNELS`.
-    kernel: str = "blocked"
 
     def __post_init__(self) -> None:
         if self.kmer_size < 1 or self.lookback < 1:
             raise ValueError("kmer_size and lookback must be positive")
         if self.max_gap < 1:
             raise ValueError("max_gap must be positive")
-        if self.kernel not in CHAIN_KERNELS:
-            raise ValueError(
-                f"unknown chain kernel {self.kernel!r}; expected one of {CHAIN_KERNELS}"
-            )
 
 
 @dataclass(frozen=True)
@@ -103,8 +97,7 @@ def chain_scores(anchors: np.ndarray, config: ChainingConfig) -> tuple[np.ndarra
         Best chain score ending at each anchor, and the predecessor
         index (-1 for chain starts).
     """
-    kernel = resolve_chain_kernel(config.kernel)
-    return kernel(anchors, config.kmer_size, config.max_gap, config.lookback)
+    return chain_scores_blocked(anchors, config.kmer_size, config.max_gap, config.lookback)
 
 
 def chain_anchors(

@@ -12,12 +12,11 @@ does when it checks the chaining score of the first ``N_cm`` chunks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.genomics import alphabet
-from repro.kernels.seed import SEED_KERNELS
 from repro.mapping.alignment import AlignmentConfig, AlignmentResult, align_chain
 from repro.mapping.chaining import Chain, ChainingConfig, best_chain
 from repro.mapping.index import MinimizerIndex
@@ -35,14 +34,6 @@ class MapperConfig:
     min_identity: float = 0.55
     #: Minimum fraction of the read covered by the primary chain.
     min_read_coverage: float = 0.25
-    #: Seeding kernel name from :data:`repro.kernels.seed.SEED_KERNELS`.
-    seed_kernel: str = "batched"
-
-    def __post_init__(self) -> None:
-        if self.seed_kernel not in SEED_KERNELS:
-            raise ValueError(
-                f"unknown seed kernel {self.seed_kernel!r}; expected one of {SEED_KERNELS}"
-            )
 
 
 @dataclass(frozen=True)
@@ -97,23 +88,11 @@ class Mapper:
 
     def __init__(self, index: MinimizerIndex, config: MapperConfig | None = None):
         self._index = index
-        self._config = config or MapperConfig()
-        # Chaining must use the index's k so anchor maths line up.
-        if self._config.chaining.kmer_size != index.config.k:
-            from dataclasses import replace
-
-            self._config = replace(
-                self._config,
-                chaining=replace(self._config.chaining, kmer_size=index.config.k),
-            )
+        self._config = config
 
     @property
     def index(self) -> MinimizerIndex:
         return self._index
-
-    @property
-    def config(self) -> MapperConfig:
-        return self._config
 
     def map_read(self, bases: str, read_id: str = "read", align: bool = True) -> MappingResult:
         """Seed, chain, and (optionally) align one basecalled read."""
@@ -135,6 +114,12 @@ class IncrementalChunkMapper:
     def __init__(self, index: MinimizerIndex, read_length: int, config: MapperConfig | None = None):
         self._index = index
         self._config = config or MapperConfig()
+        # Chaining must use the index's k so anchor maths line up.
+        if self._config.chaining.kmer_size != index.config.k:
+            self._config = replace(
+                self._config,
+                chaining=replace(self._config.chaining, kmer_size=index.config.k),
+            )
         self._read_length = int(read_length)
         # Raw read coordinates are stored; reverse-strand flipping happens
         # at gather time against the *current* read length, because the
@@ -171,7 +156,6 @@ class IncrementalChunkMapper:
                 chunk_codes,
                 read_offset=read_offset,
                 read_length=None,
-                kernel=self._config.seed_kernel,
             )
         added = 0
         for strand, rows in grouped.items():

@@ -7,10 +7,10 @@ minimap2, reverse-strand anchors flip the read coordinate so that
 chaining sees monotonically increasing coordinates on both axes for
 either orientation.
 
-The anchor gathering itself runs in a named kernel
-(:mod:`repro.kernels.seed`): ``"batched"`` probes every query key with
-one ``np.searchsorted`` over the index's flat arrays, ``"scalar"`` is
-the per-key reference loop. Both produce identical grouped arrays.
+The anchor gathering itself is :func:`repro.kernels.seed.seed_anchors_batched`:
+every query key probed with one ``np.searchsorted`` over the index's
+flat arrays (tests check it against the per-key reference loop,
+``seed_anchors_scalar``).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels.seed import resolve_seed_kernel
+from repro.kernels.seed import seed_anchors_batched
 from repro.mapping.index import MinimizerIndex
 from repro.mapping.minimizers import minimizer_arrays
 
@@ -49,7 +49,6 @@ def collect_anchor_arrays(
     read_codes: np.ndarray,
     read_offset: int = 0,
     read_length: int | None = None,
-    kernel: str = "batched",
 ) -> dict[int, np.ndarray]:
     """Collect anchors as arrays grouped by strand.
 
@@ -70,8 +69,6 @@ def collect_anchor_arrays(
         keep *raw* read coordinates for reverse anchors -- the
         incremental chunk mapper does this because the final basecalled
         read length is only known once all chunks arrived.
-    kernel:
-        Seeding kernel name from :data:`repro.kernels.seed.SEED_KERNELS`.
 
     Returns
     -------
@@ -79,8 +76,7 @@ def collect_anchor_arrays(
     ``(ref_pos, read_pos)`` rows, sorted by (ref_pos, read_pos).
     """
     keys, positions, strands = minimizer_arrays(read_codes, index.config)
-    seed = resolve_seed_kernel(kernel)
-    return seed(
+    return seed_anchors_batched(
         keys,
         positions,
         strands,
@@ -94,12 +90,10 @@ def collect_anchor_arrays(
     )
 
 
-def collect_anchors(
-    index: MinimizerIndex, read_codes: np.ndarray, kernel: str = "batched"
-) -> list[Anchor]:
+def collect_anchors(index: MinimizerIndex, read_codes: np.ndarray) -> list[Anchor]:
     """Object-level anchor collection over a whole read (flipped coords)."""
     grouped = collect_anchor_arrays(
-        index, read_codes, read_length=int(np.asarray(read_codes).size), kernel=kernel
+        index, read_codes, read_length=int(np.asarray(read_codes).size)
     )
     anchors = []
     for strand, arr in grouped.items():

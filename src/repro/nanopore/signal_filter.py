@@ -15,11 +15,10 @@ expected pore-model signal of reference segments, plus a
 junk from their first ~few hundred samples. The DTW is banded and
 z-normalised, the standard squiggle-matching recipe.
 
-The DTW arithmetic itself lives in :mod:`repro.kernels.sdtw`: the
-anti-diagonal wavefront kernel evaluates each band diagonal as one
-numpy vector op and is the default; the original row-major scalar
-recurrence remains selectable (``kernel="scalar"``) as the reference
-the wavefront is checked bit-for-bit against.
+The DTW arithmetic itself is :func:`repro.kernels.sdtw.sdtw_cost`: an
+anti-diagonal wavefront that evaluates each band diagonal as one numpy
+vector op (tests check it bit-for-bit against the original row-major
+scalar recurrence, ``sdtw_cost_scalar``).
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ def subsequence_dtw(
     query: np.ndarray,
     reference: np.ndarray,
     band: int | None = None,
-    kernel: str = "wavefront",
     reference_normalized: bool = False,
 ) -> float:
     """Subsequence DTW cost of ``query`` against any span of ``reference``.
@@ -66,22 +64,12 @@ def subsequence_dtw(
         reference, which defeats the free-start/free-end property --
         useful only when query and reference cover the same region.
         The pre-filter therefore matches unbanded.
-    kernel:
-        sDTW kernel name (:data:`repro.kernels.SDTW_KERNELS`); all
-        kernels return bit-identical costs, so this is purely a speed
-        knob.
     reference_normalized:
         Declares ``reference`` is already z-normalised (a screening
         caller normalises each fixed template once instead of per
         query); bit-identical to normalising again.
     """
-    return sdtw_cost(
-        query,
-        reference,
-        band=band,
-        kernel=kernel,
-        reference_normalized=reference_normalized,
-    )
+    return sdtw_cost(query, reference, band=band, reference_normalized=reference_normalized)
 
 
 @dataclass(frozen=True)
@@ -115,15 +103,11 @@ class SignalPrefilter:
         pore_model: PoreModel,
         templates: list[np.ndarray],
         threshold: float = 0.17,
-        kernel: str = "wavefront",
     ):
         if threshold <= 0:
             raise ValueError("threshold must be positive")
         if not templates:
             raise ValueError("at least one template is required")
-        from repro.kernels.sdtw import resolve_sdtw_kernel
-
-        resolve_sdtw_kernel(kernel)  # fail fast on unknown names
         self._model = pore_model
         self._templates = [np.asarray(t, dtype=np.float64) for t in templates]
         # Templates are fixed for the filter's lifetime while every read
@@ -132,7 +116,6 @@ class SignalPrefilter:
         # deterministic -- but the per-read template passes disappear).
         self._normalized_templates = [znormalise(t) for t in self._templates]
         self._threshold = threshold
-        self._kernel = kernel
 
     @classmethod
     def from_reference_segments(
@@ -142,7 +125,6 @@ class SignalPrefilter:
         segment_starts: list[int],
         segment_bases: int = 250,
         threshold: float = 0.17,
-        kernel: str = "wavefront",
     ) -> "SignalPrefilter":
         """Build templates from reference segments' expected signals."""
         templates = []
@@ -151,16 +133,11 @@ class SignalPrefilter:
             levels = pore_model.expected_levels(segment)
             if levels.size:
                 templates.append(levels)
-        return cls(pore_model, templates, threshold=threshold, kernel=kernel)
+        return cls(pore_model, templates, threshold=threshold)
 
     @property
     def n_templates(self) -> int:
         return len(self._templates)
-
-    @property
-    def kernel(self) -> str:
-        """Name of the sDTW kernel matching runs on."""
-        return self._kernel
 
     def classify_prefix(self, samples: np.ndarray) -> PrefilterDecision:
         """Accept/reject a raw-signal prefix.
@@ -177,9 +154,7 @@ class SignalPrefilter:
             compressed = samples
         best = float("inf")
         for template in self._normalized_templates:
-            cost = subsequence_dtw(
-                compressed, template, kernel=self._kernel, reference_normalized=True
-            )
+            cost = subsequence_dtw(compressed, template, reference_normalized=True)
             best = min(best, cost)
             if best < self._threshold:
                 break

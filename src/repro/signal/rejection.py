@@ -99,7 +99,6 @@ class SignalRejectionPolicy:
         threshold: float = 0.17,
         prefix_bases: int = 120,
         segment_starts: "list[int] | None" = None,
-        kernel: str = "wavefront",
     ) -> "SignalRejectionPolicy":
         """Build the policy from reference segments' expected signals.
 
@@ -108,8 +107,6 @@ class SignalRejectionPolicy:
         segments are sampled evenly across the reference -- a sparse
         screen whose acceptances are meaningful but whose rejections
         include uncovered genomic reads (see the module docstring).
-        ``kernel`` selects the sDTW kernel (all kernels are
-        bit-identical in cost, so decisions do not depend on it).
         """
         reference_codes = np.asarray(reference_codes)
         if segment_starts is None:
@@ -126,7 +123,6 @@ class SignalRejectionPolicy:
             segment_starts,
             segment_bases=segment_bases,
             threshold=threshold,
-            kernel=kernel,
         )
         return cls(prefilter, prefix_bases=prefix_bases)
 

@@ -21,6 +21,8 @@ import difflib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.basecalling import (
     DNNBackendConfig,
@@ -34,7 +36,6 @@ from repro.basecalling.viterbi import ViterbiBasecaller
 from repro.core import GenPIP, GenPIPConfig
 from repro.genomics import alphabet
 from repro.kernels import (
-    SDTW_KERNELS,
     TRANSITIONS_PER_STATE,
     KernelWorkload,
     batched_basecall,
@@ -42,10 +43,8 @@ from repro.kernels import (
     event_features,
     model_forward_batch,
     model_forward_ragged,
-    resolve_sdtw_kernel,
     sdtw_cost,
     sdtw_cost_scalar,
-    sdtw_cost_wavefront,
     viterbi_forward,
     viterbi_forward_scalar,
     viterbi_state_ops,
@@ -56,9 +55,10 @@ from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.nanopore.pore_model import PoreModel
 from repro.nanopore.signal import SignalConfig, synthesize_signal
-from repro.nanopore.signal_filter import subsequence_dtw
+from repro.nanopore.signal_filter import SignalPrefilter, subsequence_dtw, znormalise
 from repro.perf.costs import DEFAULT_COSTS
 from repro.perf.workload import PipelineWorkload
+from repro.signal.rejection import SignalRejectionPolicy
 from repro.signal.segmentation import detect_events
 
 #: Small pore (64 Viterbi states) keeps trellis tests fast.
@@ -91,7 +91,7 @@ class TestSdtwEquivalence:
         rng = np.random.default_rng(20)
         query = rng.normal(size=n)
         reference = rng.normal(size=m)
-        a = sdtw_cost_wavefront(query, reference, band=band)
+        a = sdtw_cost(query, reference, band=band)
         b = sdtw_cost_scalar(query, reference, band=band)
         assert a == b  # exact float64 equality
         assert np.isfinite(a)
@@ -102,50 +102,79 @@ class TestSdtwEquivalence:
         reference = rng.normal(size=800)
         # band=2 around the global diagonal cannot consume a 100-sample
         # query against an 8x longer reference.
-        a = sdtw_cost_wavefront(query, reference, band=2)
+        a = sdtw_cost(query, reference, band=2)
         b = sdtw_cost_scalar(query, reference, band=2)
         assert np.isinf(a) and np.isinf(b)
 
     def test_empty_query_costs_zero(self):
         empty = np.empty(0)
         reference = np.arange(10.0)
-        assert sdtw_cost_wavefront(empty, reference) == 0.0
+        assert sdtw_cost(empty, reference) == 0.0
         assert sdtw_cost_scalar(empty, reference) == 0.0
 
     def test_empty_reference_is_inf(self):
         query = np.arange(5.0)
         empty = np.empty(0)
-        assert np.isinf(sdtw_cost_wavefront(query, empty))
+        assert np.isinf(sdtw_cost(query, empty))
         assert np.isinf(sdtw_cost_scalar(query, empty))
 
     def test_constant_signal_znormalises_to_zero(self):
         # std == 0 maps to an all-zero z-normalised array on both paths.
         query = np.full(30, 7.0)
         reference = np.full(200, -2.0)
-        a = sdtw_cost_wavefront(query, reference)
+        a = sdtw_cost(query, reference)
         b = sdtw_cost_scalar(query, reference)
         assert a == b == 0.0
 
     def test_dispatch_and_kernel_registry(self):
+        """There is no dispatch and no registry: production calls
+        ``sdtw_cost``, and no sDTW entry point takes a kernel name."""
         rng = np.random.default_rng(9)
         query, reference = rng.normal(size=50), rng.normal(size=300)
-        for kernel in SDTW_KERNELS:
-            assert sdtw_cost(query, reference, kernel=kernel) == sdtw_cost_scalar(
-                query, reference
-            )
-        assert resolve_sdtw_kernel("wavefront") is sdtw_cost_wavefront
-        assert resolve_sdtw_kernel("scalar") is sdtw_cost_scalar
-        with pytest.raises(ValueError, match="unknown sDTW kernel"):
-            resolve_sdtw_kernel("simd")
+        assert sdtw_cost(query, reference) == sdtw_cost_scalar(query, reference)
+        pore = PoreModel.synthetic(k=3, seed=7)
+        codes = rng.integers(0, 4, size=400).astype(np.uint8)
+        for call in (
+            lambda: sdtw_cost(query, reference, kernel="scalar"),
+            lambda: subsequence_dtw(query, reference, kernel="scalar"),
+            lambda: SignalPrefilter(pore, [reference], kernel="scalar"),
+            lambda: SignalPrefilter.from_reference_segments(pore, codes, [0], kernel="scalar"),
+            lambda: SignalRejectionPolicy.from_reference(pore, codes, kernel="scalar"),
+        ):
+            with pytest.raises(TypeError, match="kernel"):
+                call()
+        assert not hasattr(SignalPrefilter, "kernel")
 
     def test_signal_filter_entry_point_matches_kernels(self):
-        """The public subsequence_dtw wrapper dispatches to the kernels."""
+        """The public subsequence_dtw wrapper runs the production kernel."""
         rng = np.random.default_rng(14)
         query, reference = rng.normal(size=80), rng.normal(size=600)
-        for kernel in SDTW_KERNELS:
-            assert subsequence_dtw(query, reference, band=25, kernel=kernel) == (
-                sdtw_cost_scalar(query, reference, band=25)
-            )
+        assert subsequence_dtw(query, reference, band=25) == (
+            sdtw_cost_scalar(query, reference, band=25)
+        )
+
+    @given(
+        n=st.integers(0, 40),
+        m=st.integers(0, 90),
+        band=st.one_of(st.none(), st.integers(0, 12), st.integers(13, 120)),
+        reference_normalized=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_wavefront_bit_identical_over_generated_shapes(
+        self, n, m, band, reference_normalized, seed
+    ):
+        """Empty, query-longer-than-reference, narrow and infeasible bands
+        (``inf`` on both sides), templates normalised by the caller."""
+        rng = np.random.default_rng(seed)
+        query = rng.normal(size=n)
+        reference = rng.normal(loc=2.0, scale=3.0, size=m)
+        if reference_normalized:
+            reference = znormalise(reference)
+        kwargs = dict(band=band, reference_normalized=reference_normalized)
+        assert sdtw_cost(query, reference, **kwargs) == sdtw_cost_scalar(
+            query, reference, **kwargs
+        )
 
 
 class TestViterbiTrellisEquivalence:

@@ -1,6 +1,7 @@
 """Tests for the vectorised mapping kernel plane.
 
-Three bit-identity families, mirroring CI's kernel-equivalence lane:
+Three bit-identity families, mirroring CI's kernel-equivalence lane
+(fixed seeds, plus a hypothesis property over generated shapes each):
 
 * batched seeding (one ``searchsorted`` + repeat/gather) must produce
   the exact grouped anchor arrays of the per-key scalar walk;
@@ -9,27 +10,35 @@ Three bit-identity families, mirroring CI's kernel-equivalence lane:
 * the wavefront Gotoh must produce the identical score and CIGAR as the
   scalar kernel on every segment shape the small path can see.
 
-Plus the riders: the mapping-ops ledger must record exactly the
-arithmetic the kernels performed, the perf models must charge it, the
-incremental mapper's gathered-anchor cache must invalidate correctly,
-and a pooled run must stay byte-identical to the serial run with every
-new kernel active.
+Plus the riders: no stage takes a kernel *name* (production calls one
+kernel per stage; a reference is something a test imports), the
+mapping-ops ledger must record exactly the arithmetic the kernels
+performed, the perf models must charge it, the incremental mapper's
+gathered-anchor cache must invalidate correctly, and a pooled run must
+stay byte-identical to the serial run with every kernel active.
 """
 
 from __future__ import annotations
 
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
+import repro.mapping.alignment as alignment_module
+import repro.mapping.chaining as chaining_module
+import repro.mapping.seeding as seeding_module
 from repro.core import GenPIP, GenPIPConfig
 from repro.genomics import alphabet
 from repro.genomics.mutate import apply_errors
 from repro.genomics.reference import ReferenceGenome
 from repro.kernels import (
-    ALIGN_KERNELS,
-    CHAIN_KERNELS,
     MAPPING_OP_KINDS,
-    SEED_KERNELS,
     chain_candidate_count,
     chain_scores_blocked,
     chain_scores_scalar,
@@ -38,14 +47,13 @@ from repro.kernels import (
     mapping_ops,
     process_mapping_ops,
     record_mapping_ops,
-    resolve_align_kernel,
-    resolve_chain_kernel,
-    resolve_seed_kernel,
     seed_anchors_batched,
     seed_anchors_scalar,
 )
 from repro.mapping.alignment import (
     AlignmentConfig,
+    _align_core,
+    _classify_diagonals,
     align_banded,
     align_chain,
     cigar_to_string,
@@ -136,20 +144,40 @@ class TestChainKernels:
         assert ledger.value("chain-candidate") - before == chain_candidate_count(120, 50)
 
     def test_config_selects_kernel(self):
+        # The config carries DP parameters only: chain_scores runs the
+        # production kernel, which equals the reference.
         rng = np.random.default_rng(104)
         anchors = _random_anchors(rng, 80, runs=True)
-        by_name = {
-            name: chain_scores(anchors, ChainingConfig(kernel=name)) for name in CHAIN_KERNELS
-        }
-        ref_scores, ref_parents = by_name["scalar"]
-        assert np.array_equal(by_name["blocked"][0], ref_scores)
-        assert np.array_equal(by_name["blocked"][1], ref_parents)
+        config = ChainingConfig(lookback=20, max_gap=800)
+        scores, parents = chain_scores(anchors, config)
+        ref_scores, ref_parents = chain_scores_scalar(anchors, 13, 800, 20)
+        assert np.array_equal(scores, ref_scores)
+        assert np.array_equal(parents, ref_parents)
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="blocked"):
-            resolve_chain_kernel("simd")
-        with pytest.raises(ValueError, match="chain kernel"):
-            ChainingConfig(kernel="simd")
+        # No name is known: the option is gone.
+        with pytest.raises(TypeError, match="kernel"):
+            ChainingConfig(kernel="scalar")
+
+    @given(
+        n=st.integers(0, 300),
+        lookback=st.integers(1, 60),
+        max_gap=st.sampled_from([5, 40, 300, 5_000]),
+        span=st.sampled_from([30, 400, 20_000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_blocked_bit_identical_over_generated_shapes(self, n, lookback, max_gap, span, seed):
+        """A small ``span`` packs the anchors with duplicate rows, equal
+        reference positions and equal-score predecessors (argmax ties);
+        a small ``max_gap`` leaves most windows without a valid one."""
+        rng = np.random.default_rng(seed)
+        anchors = rng.integers(0, span, size=(n, 2)).astype(np.int64)
+        anchors = anchors[np.lexsort((anchors[:, 1], anchors[:, 0]))]
+        s_scores, s_parents = chain_scores_scalar(anchors, 13, max_gap, lookback)
+        b_scores, b_parents = chain_scores_blocked(anchors, 13, max_gap, lookback)
+        assert np.array_equal(s_scores, b_scores)
+        assert np.array_equal(s_parents, b_parents)
 
 
 def _random_pair(rng, n, m):
@@ -157,6 +185,28 @@ def _random_pair(rng, n, m):
         rng.integers(0, 4, size=n).astype(np.uint8),
         rng.integers(0, 4, size=m).astype(np.uint8),
     )
+
+
+def _rescore(cigar, a, b, match, mismatch, gap_open, gap_extend):
+    """Affine-gap score of a raw ``M``/``I``/``D`` CIGAR that must
+    consume ``a`` (reference) and ``b`` (read) exactly."""
+    i = j = 0
+    score = 0.0
+    for op, length in cigar:
+        if op == "M":
+            equal = a[i : i + length] == b[j : j + length]
+            score += match * int(equal.sum()) + mismatch * int((~equal).sum())
+            i += length
+            j += length
+        else:
+            score += gap_open + gap_extend * length
+            if op == "D":
+                i += length
+            else:
+                assert op == "I"
+                j += length
+    assert (i, j) == (a.size, b.size)
+    return score
 
 
 class TestAlignKernels:
@@ -196,39 +246,48 @@ class TestAlignKernels:
         )
 
     def test_align_banded_small_path_kernel_equivalence(self):
+        # Shapes either side of the scalar/wavefront crossover, both
+        # boundaries included: whichever kernel align_banded picks, the
+        # result is the scalar reference's.
+        lo, hi = alignment_module._WAVEFRONT_MIN_CELLS, alignment_module._KERNEL_MAX_CELLS
+        shapes = [(20, 25), (30, 40), (31, 66), (32, 64), (45, 46), (50, 60), (60, 60)]
+        assert {n * m < lo for n, m in shapes} == {True, False}
+        assert lo in {n * m for n, m in shapes} and hi in {n * m for n, m in shapes}
         rng = np.random.default_rng(202)
-        for _ in range(10):
-            n, m = int(rng.integers(20, 60)), int(rng.integers(20, 60))
-            a, b = _random_pair(rng, n, m)
-            results = {
-                name: align_banded(a, b, AlignmentConfig(kernel=name)) for name in ALIGN_KERNELS
-            }
-            assert results["wavefront"].score == results["scalar"].score
-            assert results["wavefront"].cigar == results["scalar"].cigar
+        for n, m in shapes:
+            a = rng.integers(0, 4, size=n).astype(np.uint8)
+            # A mutated copy (near-diagonal traceback), cut or padded to m.
+            b = np.concatenate([apply_errors(a, 0.15, rng).codes, _random_pair(rng, m, 0)[0]])[:m]
+            got = align_banded(a, b)
+            score, cigar = gotoh_scalar(a, b, 2.0, -4.0, -4.0, -2.0)
+            assert got.score == score, (n, m)
+            assert got.cigar == _classify_diagonals(cigar, a, b), (n, m)
 
-    def test_band_edge_path_unchanged_by_kernel_field(self):
+    def test_band_edge_path_unchanged_by_kernel_field(self, monkeypatch):
         # Banded alignment uses the row pipeline, not the small-segment
-        # kernels -- the kernel field must not perturb it.
-        rng = np.random.default_rng(203)
-        a, b = _random_pair(rng, 300, 310)
-        banded = {
-            name: align_banded(a, b, AlignmentConfig(kernel=name), band=12)
-            for name in ALIGN_KERNELS
-        }
-        assert banded["wavefront"].score == banded["scalar"].score
-        assert banded["wavefront"].cigar == banded["scalar"].cigar
+        # kernels, whatever the segment's size.
+        def unreachable(*args):
+            raise AssertionError("banded alignment reached a small-segment kernel")
 
-    def test_align_chain_capped_segment_equivalence(self, reference):
+        monkeypatch.setattr(alignment_module, "gotoh_scalar", unreachable)
+        monkeypatch.setattr(alignment_module, "gotoh_wavefront", unreachable)
+        rng = np.random.default_rng(203)
+        for shape in ((30, 32), (50, 55), (300, 310)):
+            a, b = _random_pair(rng, *shape)
+            banded = align_banded(a, b, band=12)
+            assert banded.ref_consumed == a.size and banded.read_consumed == b.size
+
+    def test_align_chain_capped_segment_equivalence(self, reference, monkeypatch):
         # A chain whose inter-anchor gap blows max_segment_cells takes
-        # the D+I fallback; both kernels must stitch identical CIGARs.
+        # the D+I fallback; the stitched CIGAR is the same with the
+        # scalar reference under align_banded.
         codes = reference.codes
         read = np.concatenate([codes[1_000:1_200], codes[9_000:9_200]])
         anchors = np.array([[1_000, 0], [9_000, 200]], dtype=np.int64)
-        results = {}
-        for name in ALIGN_KERNELS:
-            config = AlignmentConfig(kernel=name, max_segment_cells=100)
-            results[name] = align_chain(codes, read, anchors, 13, config)
-        (a_w, lo_w, hi_w), (a_s, lo_s, hi_s) = results["wavefront"], results["scalar"]
+        config = AlignmentConfig(max_segment_cells=100)
+        a_w, lo_w, hi_w = align_chain(codes, read, anchors, 13, config)
+        monkeypatch.setattr(alignment_module, "gotoh_wavefront", gotoh_scalar)
+        a_s, lo_s, hi_s = align_chain(codes, read, anchors, 13, config)
         assert (a_w.score, cigar_to_string(a_w.cigar)) == (a_s.score, cigar_to_string(a_s.cigar))
         assert (lo_w, hi_w) == (lo_s, hi_s)
         assert "D" in cigar_to_string(a_w.cigar) and "I" in cigar_to_string(a_w.cigar)
@@ -243,10 +302,38 @@ class TestAlignKernels:
         assert ledger.value("align-cell") - before == 2 * 40 * 50
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="wavefront"):
-            resolve_align_kernel("gpu")
-        with pytest.raises(ValueError, match="align kernel"):
-            AlignmentConfig(kernel="gpu")
+        # No name is known: the option is gone.
+        for name in ("wavefront", "scalar"):
+            with pytest.raises(TypeError, match="kernel"):
+                AlignmentConfig(kernel=name)
+
+    @given(
+        n=st.integers(5, 70),
+        error_rate=st.sampled_from([0.0, 0.15, 0.4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_gotoh_fills_agree_on_score_not_on_cigar(self, n, error_rate, seed):
+        """What holds across the three Gotoh fills, and what does not.
+
+        ``gotoh_wavefront == gotoh_scalar`` exactly. The row pipeline
+        (``_align_core``) reaches the same score by a co-optimal path:
+        its CIGAR consumes both inputs and re-scores to that score, but
+        need not be the kernels' CIGAR -- on ties its pointer tables
+        prefer the diagonal, then V, then E, and opening a gap over
+        extending one, while the kernels' value-comparing traceback
+        prefers E, then V, then the diagonal, and extending.
+        """
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 4, size=n).astype(np.uint8)
+        b = apply_errors(a, error_rate, rng).codes
+        scoring = (2.0, -4.0, -4.0, -2.0)
+        score, cigar = gotoh_scalar(a, b, *scoring)
+        assert gotoh_wavefront(a, b, *scoring) == (score, cigar)
+        core = _align_core(a, b, AlignmentConfig())
+        assert core.score == score
+        assert _rescore(core.cigar, a, b, *scoring) == score
+        assert _rescore(cigar, a, b, *scoring) == score
 
 
 class TestSeedKernels:
@@ -259,25 +346,20 @@ class TestSeedKernels:
             keys, positions, strands = minimizer_arrays(read, index.config)
             read_length = int(read.size) if trial % 3 else None
             offset = int(rng.integers(0, 50))
+            args = (
+                keys,
+                positions,
+                strands,
+                index.key_array,
+                index.bounds_array,
+                index.position_array,
+                index.strand_array,
+            )
             kwargs = dict(read_offset=offset, read_length=read_length, kmer_size=index.config.k)
-            got = {
-                name: resolve_seed_kernel(name)(
-                    keys,
-                    positions,
-                    strands,
-                    index.key_array,
-                    index.bounds_array,
-                    index.position_array,
-                    index.strand_array,
-                    **kwargs,
-                )
-                for name in SEED_KERNELS
-            }
+            batched = seed_anchors_batched(*args, **kwargs)
+            scalar = seed_anchors_scalar(*args, **kwargs)
             for strand in (1, -1):
-                assert np.array_equal(got["batched"][strand], got["scalar"][strand]), (
-                    trial,
-                    strand,
-                )
+                assert np.array_equal(batched[strand], scalar[strand]), (trial, strand)
 
     def test_junk_read_and_empty_query(self, index):
         rng = np.random.default_rng(302)
@@ -316,44 +398,113 @@ class TestSeedKernels:
         assert out[1].shape == (0, 2) and out[-1].shape == (0, 2)
 
     def test_collectors_agree_across_kernels(self, index, reference):
+        # The collector is the production kernel over the index's flat
+        # arrays: equal to the reference called on the same arrays.
         read = reference.codes[40_000:44_000]
-        for name in SEED_KERNELS:
-            arrays = collect_anchor_arrays(index, read, kernel=name)
-            assert arrays[1].dtype == np.int64
-        base = {s: a.copy() for s, a in collect_anchor_arrays(index, read, kernel="scalar").items()}
-        fast = collect_anchor_arrays(index, read, kernel="batched")
+        fast = collect_anchor_arrays(index, read, read_offset=7, read_length=int(read.size))
+        base = seed_anchors_scalar(
+            *minimizer_arrays(read, index.config),
+            index.key_array,
+            index.bounds_array,
+            index.position_array,
+            index.strand_array,
+            read_offset=7,
+            read_length=int(read.size),
+            kmer_size=index.config.k,
+        )
         for strand in (1, -1):
+            assert fast[strand].dtype == np.int64
             assert np.array_equal(base[strand], fast[strand])
         objs = collect_anchors(index, read)
         assert len(objs) == sum(a.shape[0] for a in fast.values())
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="batched"):
-            resolve_seed_kernel("hashed")
-        with pytest.raises(ValueError, match="seed kernel"):
-            MapperConfig(seed_kernel="hashed")
+    def test_unknown_kernel_rejected(self, index, reference):
+        # No name is known: the option is gone.
+        read = reference.codes[:500]
+        for call in (
+            lambda: MapperConfig(seed_kernel="scalar"),
+            lambda: collect_anchor_arrays(index, read, kernel="scalar"),
+            lambda: collect_anchors(index, read, kernel="scalar"),
+        ):
+            with pytest.raises(TypeError, match="kernel"):
+                call()
+
+    @given(
+        n_keys=st.integers(0, 40),
+        n_query=st.integers(0, 60),
+        read_offset=st.integers(0, 500),
+        flip=st.booleans(),
+        kmer_size=st.integers(5, 15),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batched_bit_identical_over_generated_shapes(
+        self, n_keys, n_query, read_offset, flip, kmer_size, seed
+    ):
+        """A synthetic flat index (ragged entries, some empty) probed by
+        empty, repeated and missing query keys -- below, between and
+        above the indexed ones -- with ``read_length`` ``None`` or an
+        int and a non-zero ``read_offset``."""
+        rng = np.random.default_rng(seed)
+        keys = np.sort(rng.choice(80, size=n_keys, replace=False)).astype(np.uint64) + np.uint64(10)
+        counts = rng.integers(0, 5, size=n_keys)
+        bounds = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        total = int(bounds[-1])
+        flat = (
+            keys,
+            bounds,
+            rng.integers(0, 5_000, size=total).astype(np.int64),
+            rng.choice(np.array([1, -1], dtype=np.int8), size=total),
+        )
+        query = (
+            rng.integers(0, 100, size=n_query).astype(np.uint64),
+            rng.integers(0, 300, size=n_query).astype(np.int64),
+            rng.choice(np.array([1, -1], dtype=np.int8), size=n_query),
+        )
+        kwargs = dict(
+            read_offset=read_offset,
+            read_length=read_offset + 300 + kmer_size if flip else None,
+            kmer_size=kmer_size,
+        )
+        batched = seed_anchors_batched(*query, *flat, **kwargs)
+        scalar = seed_anchors_scalar(*query, *flat, **kwargs)
+        for strand in (1, -1):
+            assert batched[strand].dtype == scalar[strand].dtype == np.int64
+            assert batched[strand].shape == scalar[strand].shape
+            assert np.array_equal(batched[strand], scalar[strand])
 
 
 class TestMapperIntegration:
-    @pytest.fixture(scope="class")
-    def scalar_config(self):
-        return MapperConfig(
-            chaining=ChainingConfig(kernel="scalar"),
-            alignment=AlignmentConfig(kernel="scalar"),
-            seed_kernel="scalar",
-        )
-
-    def test_map_read_identical_across_planes(self, index, reference, scalar_config):
+    def test_map_read_identical_across_planes(self, index, reference, monkeypatch):
         rng = np.random.default_rng(401)
-        fast = Mapper(index)
-        slow = Mapper(index, scalar_config)
-        for trial in range(6):
+        mapper = Mapper(index)
+        reads = []
+        for _ in range(6):
             start = int(rng.integers(0, len(reference) - 8_000))
             true = reference.codes[start : start + 6_000]
-            read = alphabet.decode(apply_errors(true, 0.1, rng).codes)
-            a = fast.map_read(read, f"r{trial}")
-            b = slow.map_read(read, f"r{trial}")
-            assert a == b, trial
+            reads.append(alphabet.decode(apply_errors(true, 0.1, rng).codes))
+        fast = [mapper.map_read(read, f"r{trial}") for trial, read in enumerate(reads)]
+
+        # The scalar plane: each production call site runs its reference.
+        calls = dict.fromkeys(("seed", "chain", "align"), 0)
+
+        def counted(stage, reference_kernel):
+            def kernel(*args, **kwargs):
+                calls[stage] += 1
+                return reference_kernel(*args, **kwargs)
+
+            return kernel
+
+        monkeypatch.setattr(
+            seeding_module, "seed_anchors_batched", counted("seed", seed_anchors_scalar)
+        )
+        monkeypatch.setattr(
+            chaining_module, "chain_scores_blocked", counted("chain", chain_scores_scalar)
+        )
+        monkeypatch.setattr(alignment_module, "gotoh_wavefront", counted("align", gotoh_scalar))
+        slow = [mapper.map_read(read, f"r{trial}") for trial, read in enumerate(reads)]
+        assert all(calls.values()), calls
+        assert fast == slow
 
     def test_incremental_gathered_cache(self, index, reference):
         read = reference.codes[10_000:13_000]
@@ -455,3 +606,42 @@ class TestParallelEquivalence:
         assert pooled.outcomes == serial.outcomes
         assert pooled.counters == serial.counters
         assert pooled.mean_identity() == serial.mean_identity()
+
+
+class TestNoKernelIsSelectedByName:
+    def test_no_kernel_name_option_or_registry_under_src(self):
+        """Production calls one kernel per stage: under ``src/repro``
+        nothing takes or reports a kernel *name* (no ``str`` parameter,
+        dataclass field or property called ``kernel`` / ``*_kernel``)
+        and nothing maps a name to a kernel (no ``*_KERNELS`` tuple, no
+        ``resolve_*_kernel``)."""
+        option = re.compile(r"(\w+_)?kernel")
+        registry = re.compile(r"[A-Z]+_KERNELS|resolve_\w+_kernel")
+        offenders = []
+        root = Path(repro.__file__).parent
+        for path in sorted(root.rglob("*.py")):
+            module = path.relative_to(root).as_posix()
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                annotated = None
+                if isinstance(node, ast.arg):
+                    annotated = (node.arg, node.annotation)
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    annotated = (node.target.id, node.annotation)
+                elif isinstance(node, ast.FunctionDef):  # a property naming the kernel
+                    annotated = (node.name, node.returns)
+                if (
+                    annotated is not None
+                    and option.fullmatch(annotated[0])
+                    and annotated[1] is not None
+                    and "str" in ast.unparse(annotated[1])
+                ):
+                    offenders.append((module, node.lineno, annotated[0]))
+                names = [
+                    getattr(node, field, None) for field in ("id", "attr", "name", "asname", "arg")
+                ]
+                offenders.extend(
+                    (module, getattr(node, "lineno", 0), name)
+                    for name in names
+                    if isinstance(name, str) and registry.fullmatch(name.rpartition(".")[2])
+                )
+        assert not offenders, offenders

@@ -75,9 +75,23 @@ class TestMapper:
         assert result.alignment is None
         assert result.chain_score > 100
 
-    def test_chaining_k_follows_index(self, index):
-        custom = Mapper(index, MapperConfig())
-        assert custom.config.chaining.kmer_size == index.config.k
+    def test_chaining_k_follows_index(self):
+        # The chain DP must score with the index's k on the path
+        # GenPIPPipeline runs (IncrementalChunkMapper), not only behind
+        # the Mapper facade: whatever ChainingConfig.kmer_size says.
+        reference = ReferenceGenome.random(40_000, seed=5)
+        true = reference.codes[12_000:16_000]
+        codes = apply_errors(true, 0.08, np.random.default_rng(6)).codes
+        scores = {}
+        for k in (11, 13, 15):
+            index = MinimizerIndex.build(reference, MinimizerConfig(k=k, w=10))
+            whole = Mapper(index, MapperConfig()).map_read(alphabet.decode(codes), "r", align=False)
+            chunked = IncrementalChunkMapper(index, codes.size)
+            chunked.add_chunk(codes, read_offset=0)
+            assert chunked.finalize("r", codes, align=False) == whole, k
+            assert whole.mapped
+            scores[k] = whole.chain_score
+        assert len(set(scores.values())) == 3  # k reaches the DP
 
 
 class TestSimulatedReadsEndToEnd:

@@ -28,7 +28,7 @@ import pytest
 from repro.basecalling import ViterbiBackendConfig, ViterbiChunkBasecaller
 from repro.basecalling.surrogate import SurrogateBasecaller
 from repro.core import GenPIP, GenPIPConfig
-from repro.kernels.sdtw import sdtw_cost, znormalise
+from repro.kernels.sdtw import sdtw_cost, sdtw_cost_scalar, znormalise
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.nanopore.signal_read import SignalRead
@@ -586,13 +586,11 @@ class TestNullSink:
 # --- sDTW pre-normalised templates ------------------------------------------
 
 
-@pytest.mark.parametrize("kernel", ["wavefront", "scalar"])
-def test_sdtw_reference_normalized_is_bit_identical(kernel):
+@pytest.mark.parametrize("cost", [sdtw_cost, sdtw_cost_scalar], ids=["wavefront", "scalar"])
+def test_sdtw_reference_normalized_is_bit_identical(cost):
     rng = np.random.default_rng(5)
     query = rng.normal(size=64)
     reference = rng.normal(loc=3.0, scale=2.0, size=200)
-    baseline = sdtw_cost(query, reference, kernel=kernel)
-    pre = sdtw_cost(
-        query, znormalise(reference), kernel=kernel, reference_normalized=True
-    )
+    baseline = cost(query, reference)
+    pre = cost(query, znormalise(reference), reference_normalized=True)
     assert pre == baseline  # exact: znormalise is deterministic
