@@ -7,9 +7,9 @@ supplies the execution layer as a streaming dataflow:
 * :mod:`repro.runtime.source` -- :class:`ReadSource` implementations
   (in-memory sequence, lazy simulator generator, incremental on-disk
   read store, and the signal-native :class:`SignalStoreSource` that
-  streams stored raw current straight into a signal-space basecaller)
-  plus the :class:`Prefetcher` producer thread that overlaps input
-  with execution;
+  streams stored raw current straight into a signal-space basecaller),
+  pulled inline by the engine -- the worker processes are what
+  overlaps input with execution;
 * :mod:`repro.runtime.sharding` -- streaming work-unit planning with
   fixed or length-aware (base-balanced) batching;
 * :mod:`repro.runtime.spec` -- :class:`PipelineSpec`, the picklable
@@ -31,8 +31,7 @@ supplies the execution layer as a streaming dataflow:
 * :mod:`repro.runtime.merge` -- :class:`ShardCollector`, the
   order-preserving streaming merge that releases the completed prefix;
 * :mod:`repro.runtime.sink` -- :class:`ReportSink` consumers of that
-  prefix (in-memory report, incremental JSONL with lossless replay,
-  columnar Parquet behind an optional pyarrow gate);
+  prefix (in-memory report, incremental JSONL with lossless replay);
 * :mod:`repro.runtime.engine` -- :class:`DatasetEngine`, an ordered
   bounded in-flight window of ``execute`` futures over a source, the
   same loop with or without processes;
@@ -65,18 +64,14 @@ from repro.runtime.sink import (
     JSONLSink,
     MemorySink,
     NullSink,
-    ParquetSink,
     ReportSink,
     iter_outcomes_jsonl,
-    iter_outcomes_parquet,
     outcome_from_record,
     outcome_to_record,
-    replay_parquet_report,
     replay_report,
 )
 from repro.runtime.source import (
     IterableSource,
-    Prefetcher,
     ReadSource,
     SequenceSource,
     SignalStoreSource,
@@ -104,9 +99,7 @@ __all__ = [
     "JSONLSink",
     "MemorySink",
     "NullSink",
-    "ParquetSink",
     "PipelineSpec",
-    "Prefetcher",
     "ReadSource",
     "ReportSink",
     "RuntimeStats",
@@ -125,14 +118,12 @@ __all__ = [
     "as_read_source",
     "attach_index",
     "iter_outcomes_jsonl",
-    "iter_outcomes_parquet",
     "iter_work",
     "outcome_from_record",
     "outcome_to_record",
     "plan_work",
     "publish_index",
     "release_all",
-    "replay_parquet_report",
     "replay_report",
     "resolve_batch_size",
     "resolve_workers",

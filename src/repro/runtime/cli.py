@@ -8,8 +8,8 @@ generator, an on-disk read container streamed incrementally, or an
 on-disk **raw-signal** container decoded signal-natively by a
 signal-space basecaller (``--store``; containers are written on first
 use). Outcomes go to a selectable **sink** (``--sink``): the in-memory
-report, an incremental JSONL file, or a columnar Parquet file
-(``--outcomes``), both keeping parent memory at O(batch).
+report, or an incremental JSONL file (``--outcomes``) that keeps parent
+memory at O(batch).
 
 The JSON report intentionally contains no timing, worker, or streaming
 information -- a serial in-memory run and an ``N``-worker
@@ -98,18 +98,12 @@ from repro.nanopore.signal_store import (
 )
 from repro.obs.export import chrome_trace_document, span_jsonl
 from repro.runtime.engine import DatasetEngine
-from repro.runtime.sink import (
-    JSONLSink,
-    NullSink,
-    ParquetSink,
-    replay_parquet_report,
-    replay_report,
-)
+from repro.runtime.sink import JSONLSink, NullSink, replay_report
 from repro.runtime.source import SignalStoreSource, SimulatorSource, StoreSource
 from repro.signal import SegmentationConfig, SignalRejectionPolicy
 
 SOURCES = ("memory", "generator", "store", "signals")
-SINKS = ("memory", "jsonl", "parquet", "null")
+SINKS = ("memory", "jsonl", "null")
 
 
 def add_dataset_args(parser: argparse.ArgumentParser, *, sized: bool = True) -> None:
@@ -311,14 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
     out = parser.add_argument_group("output")
     out.add_argument(
         "--sink", choices=SINKS, default="memory",
-        help="outcome sink: in-memory report, incremental JSONL, columnar "
-        "Parquet, or null (count and discard, for throughput measurement). "
-        "The streaming sinks keep O(batch) parent memory and require "
-        "--outcomes; parquet needs the optional pyarrow dependency",
+        help="outcome sink: in-memory report, incremental JSONL, or null "
+        "(count and discard, for throughput measurement). jsonl keeps "
+        "O(batch) parent memory and requires --outcomes",
     )
     out.add_argument(
         "--outcomes", default=None, metavar="PATH",
-        help="file the jsonl/parquet sink streams outcomes to",
+        help="file the jsonl sink streams outcomes to",
     )
     out.add_argument(
         "--json", dest="json_path", default=None, metavar="PATH",
@@ -457,10 +450,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error(f"--source {args.source} requires --store PATH")
     if args.store and args.source not in ("store", "signals"):
         parser.error("--store only makes sense with --source store or signals")
-    if args.sink in ("jsonl", "parquet") and not args.outcomes:
-        parser.error(f"--sink {args.sink} requires --outcomes PATH")
-    if args.outcomes and args.sink not in ("jsonl", "parquet"):
-        parser.error("--outcomes only makes sense with --sink jsonl or parquet")
+    if args.sink == "jsonl" and not args.outcomes:
+        parser.error("--sink jsonl requires --outcomes PATH")
+    if args.outcomes and args.sink != "jsonl":
+        parser.error("--outcomes only makes sense with --sink jsonl")
     if args.sink == "null" and args.json_path:
         parser.error("--sink null discards outcomes; it cannot produce a --json report")
     if args.source != "signals":
@@ -470,19 +463,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error("--segmentation only applies to --source signals runs")
 
     # Claim every output path and construct the sink before any expensive
-    # setup (index build, container synthesis): a mistyped path or a
-    # missing optional pyarrow dependency must fail fast, not after
-    # minutes of dataset generation.
+    # setup (index build, container synthesis): a mistyped path must
+    # fail fast, not after minutes of dataset generation.
     spans_path = args.trace_path and args.trace_path + ".spans.jsonl"
     for path in (args.outcomes, args.json_path, args.trace_path, spans_path):
         write_output(path, "")
     if args.sink == "jsonl":
         sink = JSONLSink(args.outcomes)
-    elif args.sink == "parquet":
-        try:
-            sink = ParquetSink(args.outcomes)
-        except ImportError as exc:
-            parser.error(str(exc))
     else:
         sink = NullSink() if args.sink == "null" else None
 
@@ -577,12 +564,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"{args.trace_path} (+ .spans.jsonl)",
                 file=sys.stderr,
             )
-    if args.json_path and args.sink in ("jsonl", "parquet"):
+    if args.json_path and args.sink == "jsonl":
         # The run kept O(batch) outcomes in memory; the per-read records
         # are replayed losslessly from disk only because the full JSON
         # report needs them (the stderr summary is counters-only).
-        replay = replay_report if args.sink == "jsonl" else replay_parquet_report
-        report = replay(args.outcomes, report.config)
+        report = replay_report(args.outcomes, report.config)
 
     # The run block records only result-determining parameters, so the
     # smoke diff across worker counts / sources / sinks stays
@@ -619,15 +605,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if not args.quiet:
         stats = engine.last_stats
-        backpressure = ""
         # Gate on the window, not the mode: a run whose pool broke ends
-        # in-process but keeps the pooled phase's backpressure figures
-        # -- the post-mortem case these metrics exist for.
-        if stats.inflight_window > 0:
-            backpressure = (
-                f", prefetch {stats.prefetch_peak}/{stats.prefetch_capacity}"
-                f", window {stats.inflight_peak}/{stats.inflight_window}"
-            )
+        # in-process but had a pooled phase worth knowing about.
+        window = f", window {stats.inflight_window}" if stats.inflight_window > 0 else ""
         # Signal-domain rejects are reported separately from QSR/CMR:
         # they cost zero basecalled chunks, which is the whole point.
         ser_summary = f"SER {report.ser_rejection_ratio:.1%}, " if stats.signal_er else ""
@@ -640,7 +620,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"{stats.mode} x{stats.workers} "
             f"(batch {stats.batch_size}, {stats.batching}, "
             f"source {args.source}, sink {args.sink}, transport {stats.transport}"
-            f"{backpressure}): "
+            f"{window}): "
             f"{stats.elapsed_s:.2f}s, {stats.reads_per_sec:.1f} reads/s"
             + (
                 f", {stats.bytes_copied_per_read:,.0f} B copied/read"

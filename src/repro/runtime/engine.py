@@ -6,9 +6,9 @@ one run:
 1. a :class:`~repro.runtime.source.ReadSource` supplies reads (in
    memory, lazily simulated, or decoded incrementally from an on-disk
    container -- base-space reads or signal-native raw current via
-   :class:`~repro.runtime.source.SignalStoreSource`), optionally
-   prefetched by a bounded background thread so pool workers never
-   starve on input;
+   :class:`~repro.runtime.source.SignalStoreSource`), pulled inline by
+   the window loop -- the parent of a run is one thread, and the worker
+   processes are what overlaps the source;
 2. :func:`~repro.runtime.sharding.iter_work` plans ordered
    :class:`~repro.runtime.sharding.WorkUnit`\\ s from the stream (fixed
    read count, or length-aware base balancing that kills the long-read
@@ -37,7 +37,9 @@ unit. Units whose futures broke are executed again, nothing already
 emitted is re-emitted, and shared-memory segments are released on
 success, worker failure, broken pool and engine crash alike
 (:func:`repro.runtime.transport.active_segments` is the leak probe
-tests use).
+tests use). A source that raises mid-stream fails the run with its own
+exception after every unit planned before it has reached the sink, so
+what a failed run leaves behind does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from repro.runtime.sharding import (
     resolve_workers,
 )
 from repro.runtime.sink import MemorySink, ReportSink
-from repro.runtime.source import Prefetcher, ReadSource, as_read_source
+from repro.runtime.source import ReadSource, as_read_source
 from repro.runtime.spec import PipelineSpec
 
 #: In-flight work units per worker (bounds parent memory and keeps the
@@ -80,15 +82,10 @@ class RuntimeStats:
     """Bookkeeping of one engine run (never part of the report itself,
     so serialized reports stay bit-identical across worker counts).
 
-    The backpressure fields make dataset-scale starvation visible: a
-    ``prefetch_peak`` pinned at ``prefetch_capacity`` means the source
-    runs ahead of the pool (workers are the bottleneck); a peak near
-    zero means workers starve on input. Likewise ``inflight_peak``
-    against ``inflight_window`` shows whether the submission window
-    ever filled. All four are zero for runs that never had processes;
-    a run whose pool was retired midway reports ``mode="serial"`` but
-    keeps the pooled phase's values -- exactly the phase whose
-    backpressure is worth inspecting post-mortem.
+    ``inflight_window`` is the "a pooled phase existed" marker: zero
+    for a run that never had processes, while a run whose pool was
+    retired midway reports ``mode="serial"`` but keeps the window it
+    started with.
     """
 
     mode: str  # "serial" | "process-pool"
@@ -104,10 +101,7 @@ class RuntimeStats:
     #: rejection stage active -- a config property surfaced here so the
     #: CLI summary can label SER runs without inspecting the pipeline.
     signal_er: bool = False
-    prefetch_capacity: int = 0  # reads the producer thread may buffer
-    prefetch_peak: int = 0  # high-water mark of that buffer
     inflight_window: int = 0  # max work units submitted concurrently
-    inflight_peak: int = 0  # high-water mark of submitted-not-collected units
     #: Worker-side payload bytes copied to obtain reads: zero under
     #: "shm" (workers take views), deserialised payloads under the
     #: "pickle" fallback -- the merged per-unit registry deltas.
@@ -204,7 +198,6 @@ class DatasetEngine:
         self._batching = resolve_batching(batching)
         self._progress_seen = 0
         self._progress_total = -1
-        self._backpressure: dict[str, int] = {}
         self._last_stats: RuntimeStats | None = None
         self._last_trace: list[ReadTrace] | None = None
 
@@ -256,20 +249,14 @@ class DatasetEngine:
             )
         self._progress_seen = 0
         self._progress_total = hint if hint is not None else -1
-        self._backpressure = dict.fromkeys(
-            ("prefetch_capacity", "prefetch_peak", "inflight_window", "inflight_peak"), 0
-        )
         collector = ShardCollector()
         started = time.perf_counter()
         registry = process_registry()
         parent_before = registry.snapshot()
         sink.begin(spec.config)
         try:
-            # The pool starts (index published, workers forked and
-            # warmed) *before* the Prefetcher thread exists, and stops
-            # after it is closed -- see repro.runtime.pool.
             with pool:
-                self._run_window(pool, source, collector, sink, batch_size)
+                inflight_window = self._run_window(pool, source, collector, sink, batch_size)
                 mode = "process-pool" if pool.alive else "serial"
             report = sink.finish(collector.counters)
         except BaseException:
@@ -295,7 +282,7 @@ class DatasetEngine:
             batching=self._batching,
             transport=pool.transport,
             signal_er=spec.signal_rejection_enabled(),
-            **self._backpressure,
+            inflight_window=inflight_window,
         )
         return report
 
@@ -313,44 +300,41 @@ class DatasetEngine:
         collector: ShardCollector,
         sink: ReportSink,
         batch_size: int,
-    ) -> None:
-        """Keep a bounded window of units in flight on ``pool``.
+    ) -> int:
+        """Keep a bounded window of units in flight on ``pool``; returns
+        the pooled window (0 when there never were processes).
 
-        With processes the window is a few units per worker and a
-        :class:`Prefetcher` thread reads ahead of it. Without (never
-        any, or none any more) the window is 1: ``execute`` returns each
+        With processes the window is a few units per worker. Without
+        (never any, or none any more) it is 1: ``execute`` returns each
         unit already resolved and it reaches the sink before the next
-        one is planned.
+        one is planned. Either way the next unit is pulled from the
+        source inline, here.
         """
-        reads = iter(source)
-        window = 1
-        prefetcher = None
-        if pool.alive:
-            window = max(pool.workers * _INFLIGHT_PER_WORKER, 2)
-            prefetcher = Prefetcher(reads, depth=max(window * batch_size, 64))
-            reads = iter(prefetcher)
-            self._backpressure["inflight_window"] = window
-            self._backpressure["prefetch_capacity"] = prefetcher.capacity
+        pooled_window = max(pool.workers * _INFLIGHT_PER_WORKER, 2) if pool.alive else 0
+        units = iter_work(iter(source), batch_size, batching=self._batching)
         inflight: dict[Future, WorkUnit] = {}
         n_units = 0
-        try:
-            for unit in iter_work(reads, batch_size, batching=self._batching):
-                inflight[pool.execute(unit)] = unit
-                n_units += 1
-                if prefetcher is not None:
-                    self._backpressure["inflight_peak"] = max(
-                        self._backpressure["inflight_peak"], len(inflight)
-                    )
-                while len(inflight) >= (window if pool.alive else 1):
+        while True:
+            try:
+                unit = next(units, None)
+            except Exception:
+                # The units already submitted are a complete prefix of
+                # the dataset: they reach the sink, then the run fails
+                # the way the source did.
+                while inflight:
                     self._collect_completed(pool, inflight, collector, sink)
-            while inflight:
+                raise
+            if unit is None:
+                break
+            inflight[pool.execute(unit)] = unit
+            n_units += 1
+            while len(inflight) >= (pooled_window if pool.alive else 1):
                 self._collect_completed(pool, inflight, collector, sink)
-            collector.set_expected(n_units)
-            self._report_progress(collector)
-        finally:
-            if prefetcher is not None:
-                self._backpressure["prefetch_peak"] = prefetcher.peak_depth
-                prefetcher.close()
+        while inflight:
+            self._collect_completed(pool, inflight, collector, sink)
+        collector.set_expected(n_units)
+        self._report_progress(collector)
+        return pooled_window
 
     def _collect_completed(
         self,

@@ -96,10 +96,11 @@ def _warmup() -> None:
 
     With the default ``fork`` start method the executor launches *all*
     worker processes on the first submit (gh-90622), so routing that
-    first submit through here -- before a prefetcher thread or an event
-    loop exists -- guarantees every fork happens while the parent is
-    still single-threaded (no 3.12+ fork-after-thread
-    DeprecationWarning, no inherited-lock deadlock hazard). It also
+    first submit through here -- before the serving event loop and its
+    executor threads exist; a batch parent never starts a thread at
+    all -- guarantees every fork happens while the parent is still
+    single-threaded (no 3.12+ fork-after-thread DeprecationWarning, no
+    inherited-lock deadlock hazard). It also
     surfaces sandboxes that allow pool *creation* but not process
     *spawning*, and worker builds that raise, before any work is planned.
     """

@@ -13,18 +13,7 @@ it, so the parent's peak outcome retention is O(batch):
   to a file as the prefix grows, keeping nothing in memory; the
   finished report carries counters only, and :func:`replay_report`
   reconstructs the *exact* in-memory report from the file
-  (``tests/test_runtime_streaming.py`` asserts equality).
-* :class:`ParquetSink` -- the columnar sibling for analytics-scale
-  outcome files: scalar fields as native Arrow columns, nested
-  QSR/CMR/mapping records as JSON-encoded nullable strings, written in
-  row groups as the prefix grows. Outcomes accumulate directly into
-  per-column buffers, and each flush assembles Arrow arrays zero-copy
-  with ``pa.Array.from_buffers`` over those buffers -- no per-record
-  Python dicts, no ``from_pydict`` boxing. Requires the optional
-  ``pyarrow`` dependency (install ``genpip-repro[parquet]``);
-  construction raises a clear ``ImportError`` without it, and
-  :func:`replay_parquet_report` round-trips losslessly like the JSONL
-  path.
+  (``tests/test_runtime_streaming.py`` asserts equality);
 * :class:`NullSink` -- counts and discards outcomes, so throughput
   lanes can measure the data plane itself with zero serialisation cost.
 
@@ -42,8 +31,6 @@ from collections.abc import Iterator, Sequence
 from dataclasses import asdict
 from pathlib import Path
 from typing import IO, Protocol, runtime_checkable
-
-import numpy as np
 
 from repro.core.config import GenPIPConfig
 from repro.core.early_rejection import CMRDecision, QSRDecision
@@ -178,230 +165,6 @@ class JSONLSink:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-
-def _require_pyarrow():
-    """Import pyarrow or fail with an actionable message."""
-    try:
-        import pyarrow
-        import pyarrow.parquet
-    except ImportError as exc:  # pragma: no cover - exercised when pyarrow absent
-        raise ImportError(
-            "the parquet sink requires pyarrow (pip install 'genpip-repro[parquet]'); "
-            "use the jsonl sink on installations without it"
-        ) from exc
-    return pyarrow, pyarrow.parquet
-
-
-#: The single source of truth for the Parquet layout: column name ->
-#: logical kind. Scalar kinds map to native Arrow types; ``"json"``
-#: columns hold the same JSON encodings the JSONL sink writes (nested
-#: qsr/cmr/mapping records) as nullable strings. The schema and both
-#: row (de)serialisers all derive from this mapping.
-_PARQUET_COLUMNS = (
-    ("read_id", "string"),
-    ("status", "string"),
-    ("read_length", "int64"),
-    ("n_chunks_total", "int64"),
-    ("n_chunks_basecalled", "int64"),
-    ("n_bases_basecalled", "int64"),
-    ("n_chunks_seeded", "int64"),
-    ("n_chain_invocations", "int64"),
-    ("aligned", "bool"),
-    ("mean_quality", "float64"),
-    ("ser", "json"),
-    ("qsr", "json"),
-    ("cmr", "json"),
-    ("mapping", "json"),
-)
-_PARQUET_JSON_FIELDS = tuple(name for name, kind in _PARQUET_COLUMNS if kind == "json")
-
-
-def _validity_buffer(pa, mask: np.ndarray):
-    """(validity buffer, null_count) for a boolean presence mask.
-
-    Arrow validity bitmaps are LSB-ordered bits; an all-present column
-    carries no bitmap at all (``None`` buffer, zero nulls).
-    """
-    null_count = int(mask.size - np.count_nonzero(mask))
-    if null_count == 0:
-        return None, 0
-    return pa.py_buffer(np.packbits(mask, bitorder="little")), null_count
-
-
-def _scalar_column(pa, kind: str, values: list):
-    """One Arrow array built zero-copy over numpy buffers.
-
-    ``int64`` columns are non-null by construction; ``bool`` values are
-    bit-packed (Arrow's layout); ``float64`` is nullable
-    (``mean_quality`` of never-basecalled reads).
-    """
-    n = len(values)
-    if kind == "int64":
-        data = np.asarray(values, dtype=np.int64)
-        return pa.Array.from_buffers(pa.int64(), n, [None, pa.py_buffer(data)])
-    if kind == "bool":
-        bits = np.packbits(np.asarray(values, dtype=bool), bitorder="little")
-        return pa.Array.from_buffers(pa.bool_(), n, [None, pa.py_buffer(bits)])
-    mask = np.fromiter((v is not None for v in values), dtype=bool, count=n)
-    data = np.array([0.0 if v is None else v for v in values], dtype=np.float64)
-    validity, null_count = _validity_buffer(pa, mask)
-    return pa.Array.from_buffers(
-        pa.float64(), n, [validity, pa.py_buffer(data)], null_count=null_count
-    )
-
-
-def _string_column(pa, values: list):
-    """A (nullable) utf8 Arrow array from int32 offsets + one data buffer.
-
-    Offsets repeat at a null (that row spans zero data bytes); the
-    validity bitmap marks it absent rather than empty.
-    """
-    n = len(values)
-    offsets = np.zeros(n + 1, dtype=np.int32)
-    mask = np.ones(n, dtype=bool)
-    chunks: list[bytes] = []
-    position = 0
-    for i, value in enumerate(values):
-        if value is None:
-            mask[i] = False
-        else:
-            encoded = value.encode("utf-8")
-            chunks.append(encoded)
-            position += len(encoded)
-        offsets[i + 1] = position
-    validity, null_count = _validity_buffer(pa, mask)
-    return pa.Array.from_buffers(
-        pa.string(),
-        n,
-        [validity, pa.py_buffer(offsets), pa.py_buffer(b"".join(chunks))],
-        null_count=null_count,
-    )
-
-
-class ParquetSink:
-    """Streams outcomes to a columnar Parquet file (optional pyarrow).
-
-    Outcomes accumulate **per column** (no per-record dicts) into row
-    groups of ``batch_rows`` and are flushed incrementally through a
-    ``pyarrow.parquet.ParquetWriter``, so parent retention stays
-    O(batch_rows). Each flush assembles the Arrow table zero-copy:
-    every array is built with ``pa.Array.from_buffers`` over numpy /
-    bytes buffers (``pa.py_buffer``), never through ``from_pydict``
-    boxing. Serialisation is lossless: scalar fields are native
-    columns, the nested QSR/CMR/mapping records are the same JSON
-    encodings the JSONL sink writes, and :func:`replay_parquet_report`
-    reconstructs the exact in-memory report. On ``abort`` the partially
-    written file is closed and left on disk.
-    """
-
-    def __init__(self, path, batch_rows: int = 1024):
-        if batch_rows < 1:
-            raise ValueError("batch_rows must be positive")
-        self._pa, self._pq = _require_pyarrow()
-        self._path = Path(path)
-        self._batch_rows = batch_rows
-        arrow_types = {
-            "string": self._pa.string(),
-            "int64": self._pa.int64(),
-            "bool": self._pa.bool_(),
-            "float64": self._pa.float64(),
-            "json": self._pa.string(),
-        }
-        self._schema = self._pa.schema(
-            [self._pa.field(name, arrow_types[kind]) for name, kind in _PARQUET_COLUMNS]
-        )
-        self._writer = None
-        self._columns: dict[str, list] = {}
-        self._rows = 0
-        self._config: GenPIPConfig | None = None
-
-    @property
-    def path(self) -> Path:
-        return self._path
-
-    def begin(self, config: GenPIPConfig) -> None:
-        self._close()
-        self._config = config
-        self._reset_columns()
-        self._writer = self._pq.ParquetWriter(self._path, self._schema)
-
-    def _reset_columns(self) -> None:
-        self._columns = {name: [] for name, _ in _PARQUET_COLUMNS}
-        self._rows = 0
-
-    def emit(self, outcomes: Sequence[ReadOutcome]) -> None:
-        if self._writer is None:
-            raise RuntimeError("sink emitted to before begin()")
-        for outcome in outcomes:
-            record = outcome_to_record(outcome)
-            for name, kind in _PARQUET_COLUMNS:
-                # "ser" is present in records only for signal-ER runs
-                # (keeping pre-SER JSONL byte-identical); the column is
-                # simply null elsewhere.
-                value = record.get(name)
-                if kind == "json" and value is not None:
-                    value = json.dumps(value, sort_keys=True, separators=(",", ":"))
-                self._columns[name].append(value)
-            self._rows += 1
-        if self._rows >= self._batch_rows:
-            self._flush()
-
-    def finish(self, counters: ReportCounters) -> GenPIPReport:
-        if self._config is None:
-            raise RuntimeError("sink finished before begin()")
-        self._flush()
-        self._close()
-        return GenPIPReport(outcomes=[], config=self._config, counters=counters)
-
-    def abort(self) -> None:
-        self._close()
-
-    def _flush(self) -> None:
-        if not self._rows or self._writer is None:
-            return
-        pa = self._pa
-        arrays = []
-        for name, kind in _PARQUET_COLUMNS:
-            values = self._columns[name]
-            if kind in ("string", "json"):
-                arrays.append(_string_column(pa, values))
-            else:
-                arrays.append(_scalar_column(pa, kind, values))
-        self._writer.write_table(
-            pa.Table.from_arrays(arrays, schema=self._schema)
-        )
-        self._reset_columns()
-
-    def _close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None
-        self._reset_columns()
-
-
-def iter_outcomes_parquet(path) -> Iterator[ReadOutcome]:
-    """Stream outcomes back from a Parquet sink file, row group at a time."""
-    _, pq = _require_pyarrow()
-    parquet_file = pq.ParquetFile(path)
-    try:
-        for group in range(parquet_file.num_row_groups):
-            for row in parquet_file.read_row_group(group).to_pylist():
-                record = dict(row)
-                for name in _PARQUET_JSON_FIELDS:
-                    record[name] = None if row[name] is None else json.loads(row[name])
-                yield outcome_from_record(record)
-    finally:
-        parquet_file.close()
-
-
-def replay_parquet_report(path, config: GenPIPConfig) -> GenPIPReport:
-    """Reconstruct the full in-memory report from a Parquet sink file.
-
-    Like :func:`replay_report`, the result equals the report a
-    :class:`MemorySink` run would have returned.
-    """
-    return GenPIPReport(outcomes=list(iter_outcomes_parquet(path)), config=config)
 
 
 # --- lossless outcome (de)serialisation ------------------------------------

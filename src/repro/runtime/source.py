@@ -23,16 +23,14 @@ planning:
 * :class:`IterableSource` -- adapter for a bare iterable/generator
   (single-use unless the iterable itself is re-iterable).
 
-:class:`Prefetcher` wraps any iterable with a bounded background
-producer thread, the runtime's async-I/O stage: read
-generation/decoding/disk I/O overlaps pipeline execution so pool
-workers never starve on input.
+The engine pulls reads from the source's iterator inline, one work unit
+at a time, in the thread that called it: a source that raises fails the
+run with its own exception, and is never read further ahead than the
+engine's in-flight window.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 from typing import Protocol, runtime_checkable
@@ -88,8 +86,9 @@ class SimulatorSource:
     Parameters mirror :func:`repro.nanopore.datasets.generate_dataset`;
     iterating yields exactly the reads that call would materialise, one
     at a time. Each iteration builds a fresh deterministic simulator,
-    so the source is re-iterable with identical results -- which is what
-    lets the engine rerun the stream serially after a broken pool.
+    so the source is re-iterable with identical results. (One engine run
+    iterates it once: a pool broken mid-run is resumed from the units in
+    flight, never by rerunning the stream.)
     """
 
     def __init__(
@@ -214,104 +213,3 @@ def as_read_source(data) -> ReadSource:
         return SequenceSource(reads)
     return IterableSource(reads)
 
-
-class PrefetchError(RuntimeError):
-    """The producer thread failed; the original exception is chained."""
-
-
-class Prefetcher:
-    """Bounded background producer over an iterable (async-I/O stage).
-
-    A daemon thread pulls items from the iterable into a bounded queue;
-    the consumer iterates the queue. Generation/decoding therefore
-    overlaps pipeline execution, and the bound keeps parent memory at
-    O(depth) reads. Single-use: iterate once, then :meth:`close`.
-
-    The consumer must call :meth:`close` (or use the context manager)
-    when abandoning the stream early, so the producer thread unblocks
-    and exits; exhausting the iterator closes implicitly. Exceptions in
-    the underlying iterable are re-raised to the consumer as
-    :class:`PrefetchError` with the cause chained.
-    """
-
-    _DONE = object()
-
-    def __init__(self, reads: Iterable[SimulatedRead], depth: int = 64):
-        if depth < 1:
-            raise ValueError("prefetch depth must be positive")
-        self._queue: queue.Queue = queue.Queue(maxsize=depth)
-        self._stop = threading.Event()
-        self._error: BaseException | None = None
-        self._peak_depth = 0
-        self._thread = threading.Thread(
-            target=self._produce, args=(iter(reads),), name="genpip-prefetch", daemon=True
-        )
-        self._thread.start()
-
-    @property
-    def capacity(self) -> int:
-        """The queue bound (how far the producer may run ahead)."""
-        return self._queue.maxsize
-
-    @property
-    def peak_depth(self) -> int:
-        """High-water mark of the queue (backpressure probe).
-
-        Sampled by the producer after each put, so it is approximate by
-        one consumer step -- precise enough to tell a saturated buffer
-        (producer ahead, workers the bottleneck) from a starved one
-        (source I/O the bottleneck).
-        """
-        return self._peak_depth
-
-    def _produce(self, reads: Iterator[SimulatedRead]) -> None:
-        try:
-            for read in reads:
-                while not self._stop.is_set():
-                    try:
-                        self._queue.put(read, timeout=0.1)
-                        depth = self._queue.qsize()
-                        if depth > self._peak_depth:
-                            self._peak_depth = depth
-                        break
-                    except queue.Full:
-                        self._peak_depth = self._queue.maxsize
-                        continue
-                if self._stop.is_set():
-                    return
-        except BaseException as exc:  # propagate to the consumer
-            self._error = exc
-        # The sentinel marks end-of-stream (or error); never blocks
-        # forever because the consumer drains or the queue has room
-        # after close() drained it.
-        while not self._stop.is_set():
-            try:
-                self._queue.put(self._DONE, timeout=0.1)
-                return
-            except queue.Full:
-                continue
-
-    def __iter__(self) -> Iterator[SimulatedRead]:
-        while True:
-            item = self._queue.get()
-            if item is self._DONE:
-                if self._error is not None:
-                    raise PrefetchError("read source failed during prefetch") from self._error
-                return
-            yield item
-
-    def close(self) -> None:
-        """Stop the producer and drain the queue (idempotent)."""
-        self._stop.set()
-        while True:
-            try:
-                self._queue.get_nowait()
-            except queue.Empty:
-                break
-        self._thread.join(timeout=5.0)
-
-    def __enter__(self) -> "Prefetcher":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

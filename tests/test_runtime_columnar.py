@@ -24,6 +24,7 @@ import time
 
 import numpy as np
 import pytest
+from test_runtime_streaming import exported_parquet_names, parquet_argv
 
 from repro.basecalling import ViterbiBackendConfig, ViterbiChunkBasecaller
 from repro.basecalling.surrogate import SurrogateBasecaller
@@ -40,13 +41,11 @@ from repro.runtime import (
     DatasetEngine,
     JSONLSink,
     NullSink,
-    ParquetSink,
     SignalStoreSource,
     WorkUnit,
     active_segments,
     attach_index,
     publish_index,
-    replay_parquet_report,
     replay_report,
 )
 from repro.runtime.cli import main as cli_main
@@ -58,13 +57,6 @@ from repro.runtime.transport import (
     unit_lease,
     worker_leases,
 )
-
-try:
-    import pyarrow  # noqa: F401
-
-    HAS_PYARROW = True
-except ImportError:
-    HAS_PYARROW = False
 
 TINY_PROFILE = small_profile(ECOLI_LIKE, max_read_length=2_500)
 TINY_SCALE = 0.0004
@@ -396,21 +388,18 @@ class TestViewTransport:
         assert _no_leaked_segments()
         assert worker_leases() == ()
 
-    @pytest.mark.skipif(not HAS_PYARROW, reason="pyarrow not installed")
-    def test_view_transport_parquet_matches_serial(
-        self, tiny_system, tiny_dataset, serial_report, tmp_path
-    ):
+    def test_view_transport_parquet_matches_serial(self, tmp_path, capsys):
+        """Retargeted under its id: JSONL is the one outcome file format
+        (the ``jsonl`` case above is the replay equality under this
+        transport); a pooled ``--sink parquet`` run is refused by
+        argparse before the file or any segment exists."""
         path = tmp_path / "outcomes.parquet"
-        engine = DatasetEngine(
-            tiny_system.pipeline,
-            workers=2,
-            batch_size=4,
-            sink=ParquetSink(path, batch_rows=8),
-        )
-        report = engine.run(tiny_dataset)
-        assert report.counters == serial_report.counters
-        replayed = replay_parquet_report(path, serial_report.config)
-        assert replayed.outcomes == serial_report.outcomes
+        with pytest.raises(SystemExit) as caught:
+            cli_main([*parquet_argv(path), "--workers", "2"])
+        assert caught.value.code == 2
+        assert "invalid choice: 'parquet'" in capsys.readouterr().err
+        assert not path.exists()
+        assert exported_parquet_names() == []
         assert _no_leaked_segments()
 
     def test_signal_native_view_transport_matches_serial(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast
 import asyncio
+import dataclasses
 import glob
 import itertools
 import os
@@ -36,6 +37,7 @@ from repro.runtime import (
     JSONLSink,
     MemorySink,
     PipelineSpec,
+    RuntimeStats,
     WorkerPool,
     WorkUnit,
     active_segments,
@@ -380,7 +382,8 @@ def test_in_process_engine_emits_unit_by_unit(spec, dataset, batch_size, batchin
     assert emitted == [len(unit) for unit in plan_work(reads, batch_size, batching=batching)]
     stats = engine.last_stats
     assert (stats.mode, stats.transport) == ("serial", "none")
-    assert (stats.inflight_window, stats.inflight_peak, stats.prefetch_capacity) == (0, 0, 0)
+    assert stats.inflight_window == 0
+    assert not [name for name in dir(stats) if re.search(r"prefetch|inflight_peak", name)]
 
 
 def test_pool_without_processes_by_design(spec, dataset, recwarn):
@@ -485,3 +488,41 @@ def test_one_function_executes_a_unit():
     }
     assert not {name for _, name in defined} & _DELETED_METHODS
     assert ("core/pipeline.py", "_outcome") not in defined
+
+
+def test_batch_parent_is_one_thread_and_outcomes_have_one_file_format():
+    """No thread and no second outcome encoding can come back unnoticed:
+    the runtime imports neither ``threading`` nor ``queue``, nothing
+    under ``src/repro`` names the deleted stage or format, and
+    ``RuntimeStats`` is exactly the fields a run can measure."""
+    root = Path(repro.__file__).parent
+    nodes = list(_walk_with_owner(root))
+
+    thread_imports = {
+        (module, name)
+        for module, _, node in nodes
+        if module.startswith("runtime/") and isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in [getattr(node, "module", None), *(alias.name for alias in node.names)]
+        if name and name.split(".")[0] in ("threading", "queue")
+    }
+    assert thread_imports == set()
+
+    gone = re.compile(r"(?i)prefetch|parquet|pyarrow")
+    mentions = {
+        (module, text)
+        for module, _, node in nodes
+        for text in (
+            getattr(node, "id", None),
+            getattr(node, "attr", None),
+            getattr(node, "name", None),
+            getattr(node, "arg", None),
+            node.value if isinstance(node, ast.Constant) else None,
+        )
+        if isinstance(text, str) and gone.search(text)
+    }
+    assert mentions == set()
+
+    assert [field.name for field in dataclasses.fields(RuntimeStats)] == [
+        "mode", "workers", "batch_size", "n_shards", "n_reads", "elapsed_s", "batching",
+        "transport", "signal_er", "inflight_window", "bytes_copied", "bytes_published",
+    ]  # fmt: skip

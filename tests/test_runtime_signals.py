@@ -6,9 +6,9 @@ the provider split in :mod:`repro.basecalling.engines`
 (synthesis-vs-carried byte-identity for both signal-space backends),
 the signal-source x sink x transport runtime grid against the serial
 in-memory baseline, shared-memory publication of signal payloads and
-of the minimizer index (with leak probes), the backpressure metrics in
-:class:`~repro.runtime.engine.RuntimeStats`, and the
-``--source signals`` CLI path.
+of the minimizer index (with leak probes), the in-flight window
+:class:`~repro.runtime.engine.RuntimeStats` reports for a pooled phase,
+and the ``--source signals`` CLI path.
 """
 
 from __future__ import annotations
@@ -456,6 +456,11 @@ class TestSharedIndex:
         assert _no_leaked_segments()
 
 
+#: The window is what is left of the backpressure stats: the other three
+#: described a producer thread that is gone, or restated the window.
+_GONE_STATS_FIELDS = {"prefetch_capacity", "prefetch_peak", "inflight_peak"}
+
+
 class TestBackpressureStats:
     def test_pooled_stats_expose_backpressure(self, tiny_dataset, tiny_index):
         system = GenPIP(tiny_index, GenPIPConfig(), align=False)
@@ -465,9 +470,7 @@ class TestBackpressureStats:
         if stats.mode != "process-pool":  # pragma: no cover - sandboxed fallback
             pytest.skip("process pool unavailable in this environment")
         assert stats.inflight_window >= 2
-        assert 1 <= stats.inflight_peak <= stats.inflight_window
-        assert stats.prefetch_capacity >= 1
-        assert 0 <= stats.prefetch_peak <= stats.prefetch_capacity
+        assert _GONE_STATS_FIELDS.isdisjoint(dir(stats))
 
     def test_serial_stats_report_zero_backpressure(self, tiny_dataset, tiny_index):
         system = GenPIP(tiny_index, GenPIPConfig(), align=False)
@@ -475,10 +478,8 @@ class TestBackpressureStats:
         engine.run(tiny_dataset)
         stats = engine.last_stats
         assert stats.mode == "serial"
-        assert stats.prefetch_capacity == 0
-        assert stats.prefetch_peak == 0
         assert stats.inflight_window == 0
-        assert stats.inflight_peak == 0
+        assert _GONE_STATS_FIELDS.isdisjoint(dir(stats))
 
 
 class TestSignalCLI:

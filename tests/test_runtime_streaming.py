@@ -14,6 +14,11 @@ from __future__ import annotations
 
 import glob
 import os
+import re
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +33,6 @@ from repro.runtime import (
     IterableSource,
     JSONLSink,
     MemorySink,
-    ParquetSink,
-    Prefetcher,
     SequenceSource,
     ShardCollector,
     ShardResult,
@@ -40,17 +43,12 @@ from repro.runtime import (
     iter_work,
     outcome_from_record,
     outcome_to_record,
-    replay_parquet_report,
     replay_report,
+    worker_leases,
 )
-from repro.runtime.source import PrefetchError
+from repro.runtime.cli import main as cli_main
 
-try:
-    import pyarrow  # noqa: F401
-
-    HAS_PYARROW = True
-except ImportError:
-    HAS_PYARROW = False
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 TINY_PROFILE = small_profile(ECOLI_LIKE, max_read_length=2_500)
 TINY_SCALE = 0.0004
@@ -77,6 +75,12 @@ class FailingBasecaller(SurrogateBasecaller):
         if read.read_id == self.fail_read_id:
             raise RuntimeError(f"injected failure on {read.read_id}")
         return super().basecall_chunk(read, index, chunk_size)
+
+
+def _then_raise(reads, exc):
+    """A one-shot source that fails with ``exc`` after yielding ``reads``."""
+    yield from reads
+    raise exc
 
 
 class WorkerExitingBasecaller(SurrogateBasecaller):
@@ -256,14 +260,31 @@ class TestFailurePaths:
         assert replayed.outcomes == serial_report.outcomes
         assert _no_leaked_segments()
 
-    def test_source_failure_aborts_cleanly(self, tiny_system, tiny_dataset):
-        def exploding():
-            yield from tiny_dataset.reads[:5]
-            raise OSError("disk on fire")
-
-        engine = DatasetEngine(tiny_system.pipeline, workers=2, batch_size=2)
-        with pytest.raises((OSError, PrefetchError), match="disk on fire|prefetch"):
-            engine.run(IterableSource(exploding()))
+    def test_source_failure_aborts_cleanly(self, tiny_system, tiny_dataset, tmp_path):
+        """A source that raises mid-stream fails one way whatever the
+        worker count: its own exception, and a JSONL holding exactly the
+        units planned before the failure. (The workers x failure-point
+        matrix runs in one body so the line counts can be compared
+        across worker counts, and the test keeps its id.)"""
+        threads_before = set(threading.enumerate())
+        for fail_after in (5, 21):
+            lines = {}
+            for workers in (1, 2):
+                source = _then_raise(tiny_dataset.reads[:fail_after], OSError("disk on fire"))
+                path = tmp_path / f"partial-{fail_after}-{workers}.jsonl"
+                engine = DatasetEngine(
+                    tiny_system.pipeline, workers=workers, batch_size=2, sink=JSONLSink(path)
+                )
+                with pytest.raises(OSError, match="disk on fire"):
+                    engine.run(IterableSource(source))
+                lines[workers] = path.read_text().splitlines()
+                assert active_segments() == ()
+                assert worker_leases() == ()
+                assert set(threading.enumerate()) <= threads_before
+            # batch_size=2: the odd read was still being batched when
+            # the source failed, every full unit before it came out.
+            assert len(lines[1]) == len(lines[2]) == fail_after - 1
+            assert lines[1] == lines[2]
         assert _no_leaked_segments()
 
 
@@ -346,27 +367,77 @@ class TestSources:
         assert isinstance(wrapped, IterableSource)
         assert wrapped.size_hint() is None
 
-    def test_prefetcher_preserves_order(self, tiny_dataset):
-        with Prefetcher(tiny_dataset.reads, depth=4) as prefetcher:
-            seen = [read.read_id for read in prefetcher]
-        assert seen == [read.read_id for read in tiny_dataset.reads]
+    def test_prefetcher_preserves_order(self, tiny_system, tiny_dataset, serial_report):
+        """Retargeted (the thread is gone): a pooled run pulling inline
+        from a one-shot, unsized generator source keeps dataset order."""
+        source = IterableSource(iter(tiny_dataset.reads))
+        assert source.size_hint() is None
+        engine = DatasetEngine(tiny_system.pipeline, workers=2, batch_size=3)
+        report = engine.run(source)
+        assert engine.last_stats.mode == "process-pool"
+        assert report.outcomes == serial_report.outcomes
+        assert report.counters == serial_report.counters
 
-    def test_prefetcher_propagates_errors(self):
+    def test_prefetcher_propagates_errors(self, tiny_system, tiny_dataset):
+        """Retargeted: the source's exception reaches the caller as
+        itself -- same object, no wrapper -- with and without processes."""
+        for workers in (1, 2):
+            boom = ValueError("boom")
+            engine = DatasetEngine(tiny_system.pipeline, workers=workers, batch_size=2)
+            with pytest.raises(ValueError, match="boom") as caught:
+                engine.run(IterableSource(_then_raise(tiny_dataset.reads[:3], boom)))
+            assert caught.value is boom
+            assert caught.value.__cause__ is None
+
+    def test_prefetcher_close_unblocks_producer(self, tiny_system, tiny_dataset, tmp_path):
+        """Retargeted: nothing reads ahead of the engine's window and
+        nothing is left to unblock. After a failed pooled run the
+        generator has been advanced by exactly the reads of the units
+        planned, on the caller's thread, and no thread was left behind."""
+        threads_before = set(threading.enumerate())
+        pulled = []
+
         def broken():
-            yield from range(3)
+            for read in tiny_dataset.reads[:12]:
+                assert threading.current_thread() is threading.main_thread()
+                pulled.append(read.read_id)
+                yield read
             raise ValueError("boom")
 
-        prefetcher = Prefetcher(broken(), depth=2)
-        with pytest.raises(PrefetchError):
-            list(prefetcher)
-        prefetcher.close()
+        path = tmp_path / "planned.jsonl"
+        engine = DatasetEngine(
+            tiny_system.pipeline, workers=2, batch_size=2, sink=JSONLSink(path)
+        )
+        with pytest.raises(ValueError, match="boom"):
+            engine.run(IterableSource(broken()))
+        assert len(pulled) == 12 == len(path.read_text().splitlines())
+        assert set(threading.enumerate()) <= threads_before
+        assert _no_leaked_segments()
 
-    def test_prefetcher_close_unblocks_producer(self, tiny_dataset):
-        prefetcher = Prefetcher(tiny_dataset.reads, depth=1)
-        iterator = iter(prefetcher)
-        next(iterator)  # producer now blocked on the full queue
-        prefetcher.close()
-        assert not prefetcher._thread.is_alive()
+    def test_pooled_parent_pulls_the_source_on_its_own_thread(self, tiny_system, tiny_dataset):
+        """The parent of a batch run starts no thread of its own: a
+        pooled run over a ``SimulatorSource`` iterates it on the calling
+        thread, the only other threads alive meanwhile are the
+        executor's two (its manager and its queue feeder), and neither
+        outlives the run."""
+        threads_before = set(threading.enumerate())
+        seen: set[threading.Thread] = set()
+
+        class ProbedSource(SimulatorSource):
+            def __iter__(self):
+                for read in super().__iter__():
+                    assert threading.current_thread() is threading.main_thread()
+                    seen.update(threading.enumerate())
+                    yield read
+
+        source = ProbedSource(
+            TINY_PROFILE, scale=TINY_SCALE, seed=TINY_SEED, reference=tiny_dataset.reference
+        )
+        engine = DatasetEngine(tiny_system.pipeline, workers=2, batch_size=3)
+        engine.run(source)
+        assert engine.last_stats.mode == "process-pool"
+        assert len(seen - threads_before) <= 2
+        assert set(threading.enumerate()) <= threads_before
 
 
 class TestLengthAwarePlanning:
@@ -426,38 +497,45 @@ class TestSinks:
         assert len(lines) == len(tiny_dataset)
 
 
+def parquet_argv(path) -> list[str]:
+    """A complete, otherwise valid CLI line asking for the deleted sink."""
+    return [
+        "--profile", "ecoli-like", "--scale", "0.0002", "--max-read-length", "2000",
+        "--sink", "parquet", "--outcomes", str(path),
+    ]  # fmt: skip
+
+
+def exported_parquet_names() -> list[str]:
+    import repro.runtime
+
+    return [name for name in dir(repro.runtime) if re.search(r"(?i)parquet", name)]
+
+
 class TestParquetSink:
-    """Columnar sink coverage; skipped as a block when pyarrow is absent."""
+    """Retargeted under their ids: JSONL is the one outcome file format
+    (``TestStreamingMatrix`` covers its replay equality). What is left
+    of the second one is its refusal: argparse turns ``--sink parquet``
+    away before any dataset or file exists."""
 
-    @pytest.mark.skipif(not HAS_PYARROW, reason="pyarrow not installed")
-    def test_parquet_replay_matches_serial(
-        self, tiny_system, tiny_dataset, serial_report, tmp_path
-    ):
-        path = tmp_path / "outcomes.parquet"
-        engine = DatasetEngine(
-            tiny_system.pipeline,
-            workers=2,
-            batch_size=4,
-            sink=ParquetSink(path, batch_rows=8),
-        )
-        report = engine.run(tiny_dataset)
-        assert report.outcomes == []  # streaming sink retains nothing
-        assert report.counters == serial_report.counters
-        replayed = replay_parquet_report(path, serial_report.config)
-        assert replayed.outcomes == serial_report.outcomes
-        assert replayed.counters == serial_report.counters
-        assert _no_leaked_segments()
+    def test_parquet_replay_matches_serial(self, tmp_path):
+        path = tmp_path / "x.parquet"
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.runtime", *parquet_argv(path)],
+            cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )  # fmt: skip
+        assert done.returncode == 2
+        assert "invalid choice: 'parquet'" in done.stderr.strip().splitlines()[-1]
+        assert "Traceback" not in done.stderr
+        assert not path.exists()
 
-    @pytest.mark.skipif(not HAS_PYARROW, reason="pyarrow not installed")
-    def test_parquet_round_trips_alignments(self, tiny_index, tiny_dataset, tmp_path):
-        system = GenPIP(tiny_index, GenPIPConfig(), align=True)
-        baseline = system.run(tiny_dataset)
+    def test_parquet_round_trips_alignments(self, tmp_path, capsys):
         path = tmp_path / "aligned.parquet"
-        system.run(tiny_dataset, sink=ParquetSink(path))
-        replayed = replay_parquet_report(path, baseline.config)
-        assert replayed == baseline
+        with pytest.raises(SystemExit) as caught:
+            cli_main([*parquet_argv(path), "--align"])
+        assert caught.value.code == 2
+        assert "invalid choice: 'parquet'" in capsys.readouterr().err
+        assert not path.exists()
 
-    @pytest.mark.skipif(HAS_PYARROW, reason="pyarrow installed")
-    def test_parquet_sink_requires_pyarrow(self, tmp_path):
-        with pytest.raises(ImportError, match="pyarrow"):
-            ParquetSink(tmp_path / "outcomes.parquet")
+    def test_parquet_sink_requires_pyarrow(self):
+        assert exported_parquet_names() == []
