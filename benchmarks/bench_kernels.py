@@ -19,7 +19,7 @@ Two consumers:
   bit-identical to the scalar recurrence, the trellis kernel matches the
   triple-loop reference, the event-space decode tracks the sample-space
   one, batched DNN inference reproduces the per-chunk path, and the
-  mapping plane (batched seeding, blocked chain DP, wavefront Gotoh)
+  mapping plane (batched seeding, blocked chain DP, row-pipeline Gotoh)
   reproduces its scalar references anchor-for-anchor, parent-for-parent,
   CIGAR-for-CIGAR.
 """
@@ -386,8 +386,11 @@ def collect_chain_equivalence(repeats: int = 3) -> list[dict]:
 
 
 def collect_align_equivalence(repeats: int = 3) -> list[dict]:
-    """Wavefront Gotoh vs the scalar kernel: identical scores and CIGARs."""
-    from repro.kernels.align import gotoh_scalar, gotoh_wavefront
+    """Row-pipeline Gotoh vs the scalar reference: identical scores and CIGARs."""
+    from repro.kernels.align import gotoh_scalar
+    from repro.mapping.alignment import AlignmentConfig, _align_core
+
+    config = AlignmentConfig()
 
     rng = np.random.default_rng(27)
     a_rand = rng.integers(0, 4, 55).astype(np.uint8)
@@ -404,20 +407,18 @@ def collect_align_equivalence(repeats: int = 3) -> list[dict]:
         scalar, t_scalar = _best_time(
             gotoh_scalar, a, b, 2.0, -4.0, -4.0, -2.0, repeats=repeats
         )
-        wavefront, t_wavefront = _best_time(
-            gotoh_wavefront, a, b, 2.0, -4.0, -4.0, -2.0, repeats=repeats
-        )
+        rows, t_rows = _best_time(_align_core, a, b, config, repeats=repeats)
         records.append(
             {
                 "plane": "align-gotoh",
                 "case": name,
                 "cells": int(a.size) * int(b.size),
-                "equal": bool(scalar == wavefront),
+                "equal": bool(scalar == (rows.score, rows.cigar)),
                 "scalar_score": scalar[0],
-                "kernel_score": wavefront[0],
+                "kernel_score": rows.score,
                 "scalar_s": round(t_scalar, 6),
-                "kernel_s": round(t_wavefront, 6),
-                "speedup": round(t_scalar / t_wavefront, 2) if t_wavefront else 0.0,
+                "kernel_s": round(t_rows, 6),
+                "speedup": round(t_scalar / t_rows, 2) if t_rows else 0.0,
             }
         )
     return records

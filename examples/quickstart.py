@@ -32,7 +32,7 @@ This walks the whole public API surface once:
     workers take read-only *views* instead of copies, and the copy
     ledger shows it -- same outcomes, zero worker-side bytes copied;
 13. check the vectorised mapping plane (batched seeding, blocked chain
-    DP, wavefront Gotoh) against the scalar references the tests
+    DP, row-pipeline Gotoh) against the scalar references the tests
     import, with the mapping-ops ledger counting the chain candidates
     and alignment cells the perf models charge;
 14. observe: rerun with per-read stage tracing on (spans for every
@@ -392,7 +392,7 @@ def main() -> None:
 
     # 13. The mapping kernel plane: production calls one kernel per
     #     stage -- batched searchsorted seeding, blocked chain DP,
-    #     wavefront Gotoh -- and each is bit-identical to a scalar
+    #     row-pipeline Gotoh -- and each is bit-identical to a scalar
     #     reference that tests (and this section) import and call
     #     directly: same anchors, same chain scores *and parents*, same
     #     alignment scores and CIGARs. Nothing selects a kernel by
@@ -400,14 +400,15 @@ def main() -> None:
     #     genpip_mapping_ops counter (chain candidates, alignment
     #     cells), the data-dependent counts repro.perf converts to
     #     seconds through CostDatabase's per-base anchors.
+    from itertools import groupby
+
     from repro.kernels import (
         chain_scores_blocked,
         chain_scores_scalar,
         gotoh_scalar,
-        gotoh_wavefront,
         process_mapping_ops,
     )
-    from repro.mapping import ChainingConfig, Mapper
+    from repro.mapping import ChainingConfig, Mapper, align_banded
     from repro.mapping.seeding import collect_anchor_arrays
 
     ledger = process_mapping_ops()
@@ -431,9 +432,14 @@ def main() -> None:
     assert np.array_equal(scores, ref_scores) and np.array_equal(parents, ref_parents)
     segment = demo_codes[:60]
     scoring = (2.0, -4.0, -4.0, -2.0)
-    assert gotoh_wavefront(segment, segment[::-1], *scoring) == gotoh_scalar(
-        segment, segment[::-1], *scoring
-    )
+    # 3 600 cells: align_banded fills this one with the numpy row
+    # pipeline, and returns the scalar loop's score and CIGAR (its
+    # raw 'M' runs split into '=' / 'X').
+    ref_score, ref_cigar = gotoh_scalar(segment, segment[::-1], *scoring)
+    aligned = align_banded(segment, segment[::-1])
+    runs = groupby(aligned.cigar, key=lambda run: "M" if run[0] in "=X" else run[0])
+    assert aligned.score == ref_score
+    assert tuple((op, sum(n for _, n in group)) for op, group in runs) == ref_cigar
     print(
         f"\nmapping kernel plane: read mapped at identity {mapped.identity:.3f} "
         f"({delta.get('chain-candidate', 0):,} chain candidates, "

@@ -34,8 +34,9 @@ previously iterated sample-by-sample in interpreted Python:
   Fig. 1(c)) with the band geometry hoisted into per-block matrices and
   a slim sequential combine.
 * :mod:`repro.kernels.align` -- affine-gap (Gotoh) alignment (paper
-  Fig. 1(d)) as an **anti-diagonal wavefront** over flat H/E/V tables,
-  plus the pure-Python scalar reference for small segments.
+  Fig. 1(d)): the pure-Python scalar loop that defines a segment's
+  score and CIGAR. The vectorised fill is the row pipeline in
+  :mod:`repro.mapping.alignment`, bit-identical to it.
 
 Every kernel reports its own workload (:mod:`repro.kernels.workload`)
 so :mod:`repro.perf` can charge the *real* arithmetic -- Viterbi
@@ -50,12 +51,13 @@ a reference is something a test imports*. ``seed_anchors_scalar``,
 ``viterbi_forward_scalar`` stay exported because the tests and CI's
 kernel-equivalence lane (``bench_kernels.py``) replay each kernel
 against its reference and fail on any mismatch; nothing selects a
-kernel by name. The one real choice -- which Gotoh fill a segment gets
--- is made from the segment's cell count in
-:mod:`repro.mapping.alignment`.
+kernel by name. The one real choice -- whether a segment is small
+enough for the scalar Gotoh loop to beat the row pipeline -- is made
+from the segment's cell count in :mod:`repro.mapping.alignment` and
+changes no output.
 """
 
-from repro.kernels.align import gotoh_scalar, gotoh_wavefront
+from repro.kernels.align import gotoh_scalar
 from repro.kernels.batched_dnn import (
     batched_basecall,
     model_forward_batch,
@@ -96,7 +98,6 @@ __all__ = [
     "event_emissions",
     "event_features",
     "gotoh_scalar",
-    "gotoh_wavefront",
     "mapping_ops",
     "model_forward_batch",
     "model_forward_ragged",

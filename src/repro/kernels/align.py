@@ -1,4 +1,4 @@
-"""Affine-gap (Gotoh) alignment kernels: scalar reference and wavefront.
+"""Affine-gap (Gotoh) alignment: the scalar reference.
 
 The inter-anchor fill stage of piecewise alignment (paper Fig. 1(d);
 the DP GenPIP's alignment units execute in-memory) solves a global
@@ -10,23 +10,13 @@ affine-gap alignment per segment. The cell recurrence is
     V[i,j] = max(V[i-1,j] + ge, H[i-1,j] + go + ge)   # gap in read
     H[i,j] = max(H[i-1,j-1] + sub(i,j), E[i,j], V[i,j])
 
-Every dependency of cell ``(i, j)`` lies on the two previous
-anti-diagonals (``E``/``V`` need ``d - 1``, the substitution diagonal
-needs ``d - 2``), so -- exactly like the PR 6 sDTW wavefront -- whole
-anti-diagonals are computed as single vectorised numpy expressions
-with no intra-diagonal dependencies.
-
-**Bit-identity.** The wavefront kernel performs the same float64
-operations in the same association order as the scalar reference
-(``H + go + ge`` stays left-to-right; boundaries use ``go + ge * j``;
-the three-way max associates ``max(max(diag, E), V)`` as Python's
-``max`` does), and both run the same value-comparing traceback over the
-completed tables -- so scores, tracebacks, and CIGARs are bit-identical
-for *any* scoring configuration, not only the representable-integer
-defaults. Tests and ``bench_kernels.py`` check the wavefront against the
-scalar reference; :func:`repro.mapping.alignment.align_banded` picks
-between the two (and its own row pipeline) from the segment's cell
-count.
+:func:`gotoh_scalar` fills it cell by cell and defines *the* alignment
+of a segment: its score and, through :func:`_traceback_tables`, which of
+the co-optimal paths becomes the CIGAR. The numpy row pipeline in
+:mod:`repro.mapping.alignment` is checked against it (tests and
+``bench_kernels.py``) and is bit-identical, score and CIGAR, for every
+integer-valued scoring; ``align_banded`` there runs this loop itself on
+segments too small to amortise numpy's per-row call overhead.
 """
 
 from __future__ import annotations
@@ -51,9 +41,10 @@ def merge_cigar(parts: list[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
 def _traceback_tables(h, e, v, n: int, m: int, ge: float) -> tuple[tuple[str, int], ...]:
     """Value-comparing traceback over completed H/E/V tables.
 
-    Works on list-of-lists and 2-D numpy tables alike; because both
-    kernels fill bit-identical tables, this shared walk yields
-    bit-identical CIGARs.
+    The tie-break order every Gotoh fill in the repo follows: where
+    ``H`` is reached equally well several ways the walk prefers ``E``
+    (gap in ref), then ``V`` (gap in read), then the diagonal; inside a
+    gap it prefers extending the gap over opening it.
     """
     parts: list[tuple[str, int]] = []
     i, j = n, m
@@ -94,9 +85,9 @@ def gotoh_scalar(
 ) -> tuple[float, tuple[tuple[str, int], ...]]:
     """Pure-Python Gotoh reference; returns ``(score, raw 'M'-run cigar)``.
 
-    Kept as the ground truth the wavefront kernel is checked against
-    (and the faster choice below the dispatch crossover, where numpy
-    call overhead dominates the handful of cells).
+    The ground truth the row pipeline is checked against, and the
+    faster fill below ``align_banded``'s crossover, where numpy call
+    overhead dominates the handful of cells. Takes any float scoring.
     """
     n, m = int(a.size), int(b.size)
     if n and m:
@@ -130,67 +121,3 @@ def gotoh_scalar(
 
     cigar = _traceback_tables(h, e, v, n, m, ge)
     return float(h[n][m]), cigar
-
-
-def gotoh_wavefront(
-    a: np.ndarray,
-    b: np.ndarray,
-    match: float,
-    mismatch: float,
-    gap_open: float,
-    gap_extend: float,
-) -> tuple[float, tuple[tuple[str, int], ...]]:
-    """Anti-diagonal vectorised Gotoh; bit-identical to :func:`gotoh_scalar`.
-
-    Fills full ``(n+1) x (m+1)`` H/E/V float64 tables one anti-diagonal
-    at a time: every cell on diagonal ``d`` reads only diagonals
-    ``d - 1`` (gap arms) and ``d - 2`` (substitution), so each diagonal
-    is a handful of elementwise ops with no sequential inner loop. The
-    tables live as flat 1-D buffers because the anti-diagonal's flat
-    index collapses to ``i * m + d`` -- a single slice-plus-add per
-    diagonal, and every dependency is that vector minus a constant --
-    which keeps per-diagonal overhead low enough to beat the scalar
-    loop from roughly 2.5 k cells up (the measured table is in
-    :mod:`repro.mapping.alignment`). The traceback then walks the same
-    tables the scalar reference builds.
-    """
-    n, m = int(a.size), int(b.size)
-    if n and m:
-        record_mapping_ops("align-cell", n * m)
-    go, ge = gap_open, gap_extend
-    neg = -1e18
-    width = m + 1
-
-    h = np.zeros((n + 1) * width)
-    e = np.full((n + 1) * width, neg)
-    v = np.full((n + 1) * width, neg)
-    # Boundaries mirror the scalar reference's expressions exactly
-    # (go + ge * j, elementwise) so inexact scoring configs still agree.
-    e[1:width] = go + ge * np.arange(1, m + 1)
-    h[1:width] = e[1:width]
-    v[width::width] = go + ge * np.arange(1, n + 1)
-    h[width::width] = v[width::width]
-
-    if n and m:
-        # Substitution scores, padded to table coordinates so cell
-        # (i, j) reads sub at its own flat index.
-        sub = np.zeros((n + 1) * width)
-        sub.reshape(n + 1, width)[1:, 1:] = np.where(
-            np.asarray(a)[:, None] == np.asarray(b)[None, :], match, mismatch
-        )
-        im = np.arange(n + 1) * m  # flat(i, d - i) = i*(m+1) + (d-i) = i*m + d
-        for d in range(2, n + m + 1):
-            ilo = 1 if d - m < 1 else d - m
-            ihi = n if d - 1 > n else d - 1
-            fi = im[ilo : ihi + 1] + d
-            # Same association order as the scalar loop: (H + go) + ge.
-            e_new = np.maximum(e[fi - 1] + ge, h[fi - 1] + go + ge)
-            v_new = np.maximum(v[fi - width] + ge, h[fi - width] + go + ge)
-            diag = h[fi - width - 1] + sub[fi]
-            e[fi] = e_new
-            v[fi] = v_new
-            h[fi] = np.maximum(np.maximum(diag, e_new), v_new)
-
-    h2 = h.reshape(n + 1, width)
-    cigar = _traceback_tables(h2, e.reshape(n + 1, width), v.reshape(n + 1, width), n, m, ge)
-    return float(h2[n, m]), cigar

@@ -14,12 +14,10 @@ Two layers:
   invertible), so only the short inter-anchor segments need DP. Head and
   tail are aligned up to a capped extension and soft-clipped beyond it.
 
-Unbanded segments of at most ``_KERNEL_MAX_CELLS`` cells run through
-the Gotoh kernels in :mod:`repro.kernels.align` instead: the scalar
-loop below ``_WAVEFRONT_MIN_CELLS``, the anti-diagonal wavefront from
-there up (bit-identical to each other; equal in score, not always in
-CIGAR, to the row pipeline). The code picks from the cell count;
-nothing selects a kernel by name.
+Unbanded segments below ``_ROW_PIPELINE_MIN_CELLS`` cells run through
+the scalar loop in :mod:`repro.kernels.align` instead, which is faster
+there and bit-identical, score and CIGAR, to the row pipeline: the
+crossover is a speed constant and no output byte depends on it.
 
 Scoring defaults follow minimap2's map-ont preset (match +2, mismatch
 -4, gap open -4, gap extend -2).
@@ -31,38 +29,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels.align import gotoh_scalar, gotoh_wavefront, merge_cigar
+from repro.kernels.align import gotoh_scalar, merge_cigar
 from repro.kernels.mapping_ops import record_mapping_ops
 
 #: CIGAR operation codes used throughout: match, mismatch, insertion
 #: (read-only base), deletion (reference-only base), soft clip.
 CIGAR_OPS = ("=", "X", "I", "D", "S")
 
-# Gotoh is filled by three implementations, picked from the segment's
-# cell count n * m: ``gotoh_scalar`` below _WAVEFRONT_MIN_CELLS,
-# ``gotoh_wavefront`` from there up to _KERNEL_MAX_CELLS inclusive, the
-# numpy row pipeline (``_align_core``) above it -- and for every banded
-# segment and head/tail extension, whatever its size.
-# Measured per call (us; 90 ``ecoli-align`` reads of seed 7, PR 20):
+# Gotoh is filled two ways, picked from the segment's cell count n * m:
+# ``gotoh_scalar`` below _ROW_PIPELINE_MIN_CELLS, the numpy row pipeline
+# (``_align_core``) from there up -- and for every banded segment and
+# head/tail extension, whatever its size. Both return the same score and
+# CIGAR (``tests/test_kernels_mapping.py``), so the value decides speed
+# and nothing else. Measured per call (us, median per cell-count bucket;
+# the 1 924 inter-anchor segments of 120 ``ecoli-align`` reads, seed 7,
+# PR 22):
 #
-#      cells   scalar  wavefront  row pipeline
-#        256      189        465           363
-#      1 024      565        794           625
-#      1 444      811        947           686
-#      2 025    1 097      1 112           889
-#      2 704    1 451      1 384           973
-#      3 600    1 985      1 706         1 154
-#     14 400    8 575      3 421         2 542
-#
-# So the scalar loop wins below ~1.2 k cells, the row pipeline
-# everywhere above, the wavefront nowhere: the right shape is one
-# crossover at ~1.2 k cells. Neither value moves here because the row
-# pipeline breaks score ties differently from the two kernels (see
-# ``_align_small``): a segment that changes sides can change its
-# co-optimal CIGAR, i.e. outcome bytes and ``tests/golden_digests.json``.
-# Unify the tie-break rules first (ROADMAP perf item 4), then move them.
-_WAVEFRONT_MIN_CELLS = 2_048
-_KERNEL_MAX_CELLS = 3_600
+#      cells   scalar  row pipeline
+#         33       30           112
+#        225      161           259
+#        462      293           356
+#        650      403           426
+#        756      466           463
+#        869      533           496
+#      1 088      671           571
+#      1 560    1 013           664
+#      2 756    1 733           918
+#      6 847    4 398         1 507
+#     43 361   32 873         5 800
+_ROW_PIPELINE_MIN_CELLS = 800
 
 
 @dataclass(frozen=True)
@@ -83,6 +78,16 @@ class AlignmentConfig:
             raise ValueError("match score must be positive")
         if self.mismatch >= 0 or self.gap_open >= 0 or self.gap_extend >= 0:
             raise ValueError("penalties must be negative")
+        scores = (self.match, self.mismatch, self.gap_open, self.gap_extend)
+        if not all(float(value).is_integer() for value in scores):
+            # The row pipeline prices a gap as open + j * extend where the
+            # scalar loop adds extend j times: the same number only when
+            # the arithmetic is exact.
+            raise ValueError(
+                "match, mismatch, gap_open and gap_extend must be integer-valued: "
+                "under float rounding a segment's score and CIGAR would depend "
+                "on which Gotoh fill ran"
+            )
 
 
 @dataclass(frozen=True)
@@ -157,37 +162,19 @@ def align_banded(
         Optional half-width of the band around the length-interpolated
         diagonal; cells outside are unreachable. ``None`` = unbanded
         (exact). A band at least as wide as the true alignment's drift
-        gives the exact result.
+        gives the exact result; one too narrow for any path to stay
+        inside it raises ``ValueError``.
     """
     config = config or AlignmentConfig()
     a = np.asarray(ref)
     b = np.asarray(read)
-    small = band is None and 0 < a.size * b.size <= _KERNEL_MAX_CELLS
-    raw = _align_small(a, b, config) if small else _align_core(ref, read, config, band)
-    return AlignmentResult(
-        score=raw.score, cigar=_classify_diagonals(raw.cigar, ref, read)
-    )
-
-
-def _align_small(a: np.ndarray, b: np.ndarray, config: AlignmentConfig) -> AlignmentResult:
-    """Small-segment Gotoh via the kernels in :mod:`repro.kernels.align`.
-
-    Inter-anchor segments are usually tens of bases, where the numpy
-    row pipeline (:func:`_align_core`) is mostly per-row call overhead.
-    The scalar and wavefront kernels are bit-identical to each other
-    (score and CIGAR) and score-identical to :func:`_align_core`, but
-    not CIGAR-identical to it: on ties ``_traceback_tables`` prefers E,
-    then V, then the diagonal, and extending a gap over opening one,
-    while ``_align_core``'s pointer tables prefer the diagonal, then V,
-    then E, and opening over extending -- two co-optimal alignments of
-    the same score (``tests/test_kernels_mapping.py`` pins all three
-    facts).
-    """
-    fill = gotoh_wavefront if a.size * b.size >= _WAVEFRONT_MIN_CELLS else gotoh_scalar
-    score, cigar = fill(
-        a, b, config.match, config.mismatch, config.gap_open, config.gap_extend
-    )
-    return AlignmentResult(score=score, cigar=cigar)
+    if band is None and a.size * b.size < _ROW_PIPELINE_MIN_CELLS:
+        raw = AlignmentResult(
+            *gotoh_scalar(a, b, config.match, config.mismatch, config.gap_open, config.gap_extend)
+        )
+    else:
+        raw = _align_core(a, b, config, band)
+    return AlignmentResult(score=raw.score, cigar=_classify_diagonals(raw.cigar, ref, read))
 
 
 def _align_core(
@@ -229,10 +216,11 @@ def _align_core(
     h_prev = np.empty(m + 1)
     h_prev[0] = 0.0
     h_prev[1:] = config.gap_open + ext * np.arange(1, m + 1)
+    if band is not None:
+        h_prev[band + 1 :] = neg  # row 0's band is centred on column 0
     v_prev = np.full(m + 1, neg)
 
-    # Traceback tables: 2 bits would do, a byte is simpler.
-    # ptr_h: 0 diag, 1 from E (left), 2 from V (up). ptr_e/ptr_v: 1 = extend.
+    # Traceback tables (a byte per cell and table; see ``_traceback``).
     ptr_h = np.zeros((n + 1, m + 1), dtype=np.uint8)
     ptr_e = np.zeros((n + 1, m + 1), dtype=np.uint8)
     ptr_v = np.zeros((n + 1, m + 1), dtype=np.uint8)
@@ -248,43 +236,40 @@ def _align_core(
         sub = np.where(b == a[i - 1], config.match, config.mismatch)
         diag = h_prev[:-1] + sub  # candidate H[i, 1:] via diagonal
 
-        v_curr = np.empty(m + 1)
         v_open = h_prev + open_ext
         v_extend = v_prev + ext
         v_curr = np.maximum(v_open, v_extend)
-        ptr_v[i] = (v_extend > v_open).astype(np.uint8)
+        ptr_v[i] = v_extend >= v_open
 
         # First pass for H without horizontal gaps.
         g = np.empty(m + 1)
         g[0] = config.gap_open + ext * i  # all-deletions start of row
         g[1:] = np.maximum(diag, v_curr[1:])
         from_v = np.zeros(m + 1, dtype=bool)
-        from_v[1:] = v_curr[1:] > diag
+        from_v[1:] = v_curr[1:] >= diag
 
         if band is not None:
             center = int(round(i * m / n))
-            lo = max(0, center - band)
-            hi = min(m, center + band)
-            mask = (cols < lo) | (cols > hi)
+            mask = (cols < center - band) | (cols > center + band)
             g[mask] = neg
             v_curr[mask] = neg
-            if mask[0]:
-                g[0] = neg
 
         # Lazy-E: E[j] = max_{j' < j} (H[j'] + j'*(-ext)) ... computed as a
         # running max of g[j'] - j'*ext, because a second gap opening can
         # never beat extending the first.
-        run = np.maximum.accumulate(g + (-j_scaled))
+        shifted = g - j_scaled
+        run = np.maximum.accumulate(shifted)
         e_curr = np.full(m + 1, neg)
         e_curr[1:] = run[:-1] + j_scaled[1:] + config.gap_open
+        if band is not None:
+            e_curr[mask] = neg
         h_curr = np.maximum(g, e_curr)
 
-        ptr_h[i] = np.where(e_curr > g, 1, np.where(from_v, 2, 0)).astype(np.uint8)
+        ptr_h[i] = np.where(e_curr >= g, 1, np.where(from_v, 2, 0))
         ptr_h[i, 0] = 2  # column 0 reached only by deletions
-        # For E traceback: extend if the running max did not restart at j-1.
-        came_from_prev = np.zeros(m + 1, dtype=np.uint8)
-        came_from_prev[2:] = (run[1:-1] > g[1:-1] + (-j_scaled[1:-1])).astype(np.uint8)
-        ptr_e[i] = came_from_prev
+        # E extends iff the running max did not restart at j-1 (a tie
+        # extends): E[j-1] + ext >= g[j-1] + open + ext.
+        ptr_e[i, 2:] = run[:-2] >= shifted[1:-1]
 
         h_prev = h_curr
         v_prev = v_curr
@@ -294,11 +279,20 @@ def _align_core(
         end_row = int(np.argmax(last_col))
         cigar = _traceback(ptr_h, ptr_e, ptr_v, end_row, m)
         return AlignmentResult(score=float(last_col[end_row]), cigar=cigar)
+    if band is not None and h_prev[m] < neg / 2:
+        raise ValueError(f"band {band} is too narrow for {n} x {m}: no path stays inside it")
     cigar = _traceback(ptr_h, ptr_e, ptr_v, n, m)
     return AlignmentResult(score=float(h_prev[m]), cigar=cigar)
 
 
 def _traceback(ptr_h, ptr_e, ptr_v, n: int, m: int) -> tuple[tuple[str, int], ...]:
+    """Walk the row pipeline's pointer tables back from ``(n, m)``.
+
+    ``ptr_h``: 0 diagonal, 1 from E (left), 2 from V (up); ``ptr_e`` /
+    ``ptr_v``: 1 = the gap extends, 0 = it opened here. Ties were
+    resolved when the tables were filled, in the order
+    :func:`repro.kernels.align._traceback_tables` states.
+    """
     parts: list[tuple[str, int]] = []
     i, j = n, m
     state = "H"

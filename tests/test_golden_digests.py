@@ -5,6 +5,9 @@
 commit *before* seeding moved from one call per chunk to one call per
 early-rejection stage. The per-chunk path is gone, so these digests are
 what pins "every outcome record stays byte-identical" from here on.
+``er-align`` alone was retaken on purpose in PR 22, when the Gotoh row
+pipeline took the scalar reference's tie-breaks: same statuses and
+scores, another co-optimal CIGAR on tied segments.
 
 Records carry floats (qualities, chain scores) whose last bits depend
 on the numeric stack, so the file also records the numpy and scipy
@@ -24,6 +27,7 @@ import numpy as np
 import pytest
 import scipy
 
+import repro.mapping.alignment as alignment_module
 from repro.basecalling import ViterbiBackendConfig, ViterbiChunkBasecaller
 from repro.core import GenPIPConfig, GenPIPPipeline
 from repro.mapping import MinimizerIndex
@@ -106,6 +110,17 @@ def test_outcome_records_match_parent_digest(name):
     if golden["stack"] != _stack():
         pytest.skip(f"digests taken with {golden['stack']}, running {_stack()}")
     assert READ_SETS[name]()["sha256"] == golden["digests"][name]["sha256"]
+
+
+@pytest.mark.parametrize("crossover", [0, 10**9])
+def test_er_align_digest_independent_of_gotoh_crossover(crossover, monkeypatch):
+    """Every segment through the row pipeline (0) or through the scalar
+    loop (10**9): the crossover is a speed constant, not an output one."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    if golden["stack"] != _stack():
+        pytest.skip(f"digests taken with {golden['stack']}, running {_stack()}")
+    monkeypatch.setattr(alignment_module, "_ROW_PIPELINE_MIN_CELLS", crossover)
+    assert _er_align()["sha256"] == golden["digests"]["er-align"]["sha256"]
 
 
 if __name__ == "__main__":

@@ -7,8 +7,10 @@ Three bit-identity families, mirroring CI's kernel-equivalence lane
   the exact grouped anchor arrays of the per-key scalar walk;
 * the blocked chain DP must produce bit-identical scores *and parents*
   to the scalar reference (same float64 combine order per row);
-* the wavefront Gotoh must produce the identical score and CIGAR as the
-  scalar kernel on every segment shape the small path can see.
+* the Gotoh row pipeline (``_align_core``) must produce the identical
+  score and CIGAR as the scalar reference on every segment shape and
+  every integer-valued scoring, so ``align_banded``'s crossover between
+  the two changes no output.
 
 Plus the riders: no stage takes a kernel *name* (production calls one
 kernel per stage; a reference is something a test imports), the
@@ -43,7 +45,6 @@ from repro.kernels import (
     chain_scores_blocked,
     chain_scores_scalar,
     gotoh_scalar,
-    gotoh_wavefront,
     mapping_ops,
     process_mapping_ops,
     record_mapping_ops,
@@ -209,7 +210,36 @@ def _rescore(cigar, a, b, match, mismatch, gap_open, gap_extend):
     return score
 
 
+#: Integer-valued scorings (``AlignmentConfig`` takes no other): the
+#: map-ont default, one where a long gap is cheap, one where opening is.
+_SCORINGS = [(2.0, -4.0, -4.0, -2.0), (1.0, -1.0, -6.0, -1.0), (3.0, -2.0, -1.0, -1.0)]
+
+
+def _row_pipeline(a, b, *scoring):
+    """``_align_core`` in ``gotoh_scalar``'s call shape."""
+    raw = _align_core(a, b, AlignmentConfig(*scoring))
+    return raw.score, raw.cigar
+
+
+def _tie_heavy_pair(rng, kind, n, m):
+    """Random, mutated, constant or two-letter inputs: the last two make
+    most cells a tie between the diagonal and both gap arms."""
+    if kind == "constant":
+        return np.zeros(n, dtype=np.uint8), np.zeros(m, dtype=np.uint8)
+    if kind == "two-letter":
+        return rng.integers(0, 2, size=n).astype(np.uint8), rng.integers(0, 2, size=m).astype(np.uint8)
+    a, b = _random_pair(rng, n, m)
+    if kind == "mutated":
+        b = apply_errors(a, 0.2, rng).codes
+    return a, b
+
+
+_pair_kinds = st.sampled_from(["random", "mutated", "constant", "two-letter"])
+
+
 class TestAlignKernels:
+    # The ``wavefront`` ids predate PR 22: the vectorised partner of
+    # ``gotoh_scalar`` is now the row pipeline.
     @pytest.mark.parametrize(
         "shape",
         [(0, 0), (0, 7), (7, 0), (1, 1), (3, 9), (20, 20), (45, 52), (60, 60), (80, 75)],
@@ -218,41 +248,49 @@ class TestAlignKernels:
         rng = np.random.default_rng(sum(shape) + 7)
         a, b = _random_pair(rng, *shape)
         s_score, s_cigar = gotoh_scalar(a, b, 2.0, -4.0, -4.0, -2.0)
-        w_score, w_cigar = gotoh_wavefront(a, b, 2.0, -4.0, -4.0, -2.0)
-        assert s_score == w_score
-        assert s_cigar == w_cigar
+        r_score, r_cigar = _row_pipeline(a, b, 2.0, -4.0, -4.0, -2.0)
+        assert s_score == r_score
+        assert s_cigar == r_cigar
 
     def test_wavefront_bit_identical_fuzz(self):
         rng = np.random.default_rng(201)
-        configs = [(2.0, -4.0, -4.0, -2.0), (2.1, -3.7, -4.3, -1.9), (1.0, -1.0, -6.0, -0.5)]
         for trial in range(40):
             n, m = int(rng.integers(1, 70)), int(rng.integers(1, 70))
             a, b = _random_pair(rng, n, m)
             if trial % 3 == 0:
                 # Mutated copy: realistic near-diagonal traceback.
                 b = apply_errors(a, 0.15, rng).codes
-            match, mismatch, go, ge = configs[trial % len(configs)]
-            assert gotoh_scalar(a, b, match, mismatch, go, ge) == gotoh_wavefront(
-                a, b, match, mismatch, go, ge
-            ), trial
+            scoring = _SCORINGS[trial % len(_SCORINGS)]
+            assert gotoh_scalar(a, b, *scoring) == _row_pipeline(a, b, *scoring), trial
 
     def test_all_ambiguous_ties_break_identically(self):
-        # Constant sequences make every cell a tie: the traceback must
-        # still walk the same path in both kernels.
+        # Constant sequences make every cell a tie: the pointer tables
+        # must still record the path the value-comparing traceback walks.
         a = np.zeros(30, dtype=np.uint8)
         b = np.zeros(45, dtype=np.uint8)
-        assert gotoh_scalar(a, b, 2.0, -4.0, -4.0, -2.0) == gotoh_wavefront(
-            a, b, 2.0, -4.0, -4.0, -2.0
-        )
+        for scoring in _SCORINGS:
+            assert gotoh_scalar(a, b, *scoring) == _row_pipeline(a, b, *scoring)
 
-    def test_align_banded_small_path_kernel_equivalence(self):
-        # Shapes either side of the scalar/wavefront crossover, both
-        # boundaries included: whichever kernel align_banded picks, the
+    def test_align_banded_small_path_kernel_equivalence(self, monkeypatch):
+        # Shapes either side of the one crossover, the boundary and its
+        # neighbour included: whichever fill align_banded picks, the
         # result is the scalar reference's.
-        lo, hi = alignment_module._WAVEFRONT_MIN_CELLS, alignment_module._KERNEL_MAX_CELLS
-        shapes = [(20, 25), (30, 40), (31, 66), (32, 64), (45, 46), (50, 60), (60, 60)]
-        assert {n * m < lo for n, m in shapes} == {True, False}
-        assert lo in {n * m for n, m in shapes} and hi in {n * m for n, m in shapes}
+        crossover = alignment_module._ROW_PIPELINE_MIN_CELLS
+        shapes = [(20, 25), (17, 47), (25, 32), (30, 40), (60, 60)]
+        assert {crossover - 1, crossover} <= {n * m for n, m in shapes}
+        ran = []
+
+        def recorded(name):
+            fill = getattr(alignment_module, name)
+
+            def call(*args):
+                ran.append(name)
+                return fill(*args)
+
+            return call
+
+        for name in ("gotoh_scalar", "_align_core"):
+            monkeypatch.setattr(alignment_module, name, recorded(name))
         rng = np.random.default_rng(202)
         for n, m in shapes:
             a = rng.integers(0, 4, size=n).astype(np.uint8)
@@ -262,15 +300,15 @@ class TestAlignKernels:
             score, cigar = gotoh_scalar(a, b, 2.0, -4.0, -4.0, -2.0)
             assert got.score == score, (n, m)
             assert got.cigar == _classify_diagonals(cigar, a, b), (n, m)
+        assert ran == ["gotoh_scalar" if n * m < crossover else "_align_core" for n, m in shapes]
 
     def test_band_edge_path_unchanged_by_kernel_field(self, monkeypatch):
         # Banded alignment uses the row pipeline, not the small-segment
-        # kernels, whatever the segment's size.
+        # scalar loop, whatever the segment's size.
         def unreachable(*args):
-            raise AssertionError("banded alignment reached a small-segment kernel")
+            raise AssertionError("banded alignment reached the small-segment fill")
 
         monkeypatch.setattr(alignment_module, "gotoh_scalar", unreachable)
-        monkeypatch.setattr(alignment_module, "gotoh_wavefront", unreachable)
         rng = np.random.default_rng(203)
         for shape in ((30, 32), (50, 55), (300, 310)):
             a, b = _random_pair(rng, *shape)
@@ -286,18 +324,35 @@ class TestAlignKernels:
         anchors = np.array([[1_000, 0], [9_000, 200]], dtype=np.int64)
         config = AlignmentConfig(max_segment_cells=100)
         a_w, lo_w, hi_w = align_chain(codes, read, anchors, 13, config)
-        monkeypatch.setattr(alignment_module, "gotoh_wavefront", gotoh_scalar)
+        monkeypatch.setattr(alignment_module, "_ROW_PIPELINE_MIN_CELLS", 10**9)
         a_s, lo_s, hi_s = align_chain(codes, read, anchors, 13, config)
         assert (a_w.score, cigar_to_string(a_w.cigar)) == (a_s.score, cigar_to_string(a_s.cigar))
         assert (lo_w, hi_w) == (lo_s, hi_s)
         assert "D" in cigar_to_string(a_w.cigar) and "I" in cigar_to_string(a_w.cigar)
+
+    def test_align_chain_identical_either_side_of_crossover(self, index, reference, monkeypatch):
+        # The crossover is a speed constant: every segment through the
+        # row pipeline (0) or through the scalar loop (10**9), one result.
+        rng = np.random.default_rng(205)
+        true = reference.codes[30_000:33_000]
+        read = apply_errors(true, 0.12, rng).codes
+        seeded = IncrementalChunkMapper(index, read_length=read.size)
+        seeded.add_chunk(read, 0)
+        chain, _ = seeded.chain_prefix()
+        assert chain.strand == 1
+        results = []
+        for crossover in (0, 10**9):
+            monkeypatch.setattr(alignment_module, "_ROW_PIPELINE_MIN_CELLS", crossover)
+            results.append(align_chain(reference.codes, read, chain.anchors, index.config.k))
+        assert results[0] == results[1]
+        assert {"X", "I", "D"} <= {op for op, _ in results[0][0].cigar}
 
     def test_kernels_charge_cells(self):
         rng = np.random.default_rng(204)
         a, b = _random_pair(rng, 40, 50)
         ledger = process_mapping_ops()
         before = ledger.value("align-cell")
-        gotoh_wavefront(a, b, 2.0, -4.0, -4.0, -2.0)
+        _align_core(a, b, AlignmentConfig())
         gotoh_scalar(a, b, 2.0, -4.0, -4.0, -2.0)
         assert ledger.value("align-cell") - before == 2 * 40 * 50
 
@@ -308,32 +363,40 @@ class TestAlignKernels:
                 AlignmentConfig(kernel=name)
 
     @given(
-        n=st.integers(5, 70),
-        error_rate=st.sampled_from([0.0, 0.15, 0.4]),
+        kind=_pair_kinds,
+        n=st.integers(1, 70),
+        m=st.integers(1, 70),
+        scoring=st.sampled_from(_SCORINGS),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_gotoh_fills_agree_on_score_not_on_cigar(self, n, error_rate, seed):
-        """What holds across the three Gotoh fills, and what does not.
-
-        ``gotoh_wavefront == gotoh_scalar`` exactly. The row pipeline
-        (``_align_core``) reaches the same score by a co-optimal path:
-        its CIGAR consumes both inputs and re-scores to that score, but
-        need not be the kernels' CIGAR -- on ties its pointer tables
-        prefer the diagonal, then V, then E, and opening a gap over
-        extending one, while the kernels' value-comparing traceback
-        prefers E, then V, then the diagonal, and extending.
-        """
-        rng = np.random.default_rng(seed)
-        a = rng.integers(0, 4, size=n).astype(np.uint8)
-        b = apply_errors(a, error_rate, rng).codes
-        scoring = (2.0, -4.0, -4.0, -2.0)
+    @settings(max_examples=120, deadline=None)
+    def test_gotoh_fills_agree_on_score_and_cigar(self, kind, n, m, scoring, seed):
+        """The two Gotoh fills are one function: the row pipeline's
+        pointer tables record exactly the path the scalar reference's
+        value-comparing traceback walks (E, then V, then the diagonal;
+        extend over open), so score *and* CIGAR are equal -- and the
+        CIGAR consumes both inputs and re-scores to that score."""
+        a, b = _tie_heavy_pair(np.random.default_rng(seed), kind, n, m)
         score, cigar = gotoh_scalar(a, b, *scoring)
-        assert gotoh_wavefront(a, b, *scoring) == (score, cigar)
-        core = _align_core(a, b, AlignmentConfig())
-        assert core.score == score
-        assert _rescore(core.cigar, a, b, *scoring) == score
+        assert _row_pipeline(a, b, *scoring) == (score, cigar)
         assert _rescore(cigar, a, b, *scoring) == score
+
+    @given(
+        kind=_pair_kinds,
+        n=st.integers(1, 90),
+        m=st.integers(1, 60),
+        scoring=st.sampled_from(_SCORINGS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_free_ref_tail_extension_is_scalar_on_consumed_prefix(self, kind, n, m, scoring, seed):
+        """A head/tail extension stops at the best row of the last
+        column; up to there it is the global alignment of the reference
+        prefix it consumed."""
+        a, b = _tie_heavy_pair(np.random.default_rng(seed), kind, n, m)
+        extension = _align_core(a, b, AlignmentConfig(*scoring), free_ref_tail=True)
+        consumed = sum(length for op, length in extension.cigar if op in "MD")
+        assert (extension.score, extension.cigar) == gotoh_scalar(a[:consumed], b, *scoring)
 
 
 class TestSeedKernels:
@@ -501,7 +564,10 @@ class TestMapperIntegration:
         monkeypatch.setattr(
             chaining_module, "chain_scores_blocked", counted("chain", chain_scores_scalar)
         )
-        monkeypatch.setattr(alignment_module, "gotoh_wavefront", counted("align", gotoh_scalar))
+        # Alignment: the crossover above every segment, so each one runs
+        # the scalar loop (extensions have no scalar form).
+        monkeypatch.setattr(alignment_module, "_ROW_PIPELINE_MIN_CELLS", 10**9)
+        monkeypatch.setattr(alignment_module, "gotoh_scalar", counted("align", gotoh_scalar))
         slow = [mapper.map_read(read, f"r{trial}") for trial, read in enumerate(reads)]
         assert all(calls.values()), calls
         assert fast == slow
@@ -645,3 +711,28 @@ class TestNoKernelIsSelectedByName:
                     if isinstance(name, str) and registry.fullmatch(name.rpartition(".")[2])
                 )
         assert not offenders, offenders
+
+    def test_one_gotoh_crossover_and_no_deleted_fill_names(self):
+        """PR 22 left two Gotoh fills and one crossover between them:
+        the deleted wavefront kernel, small-segment wrapper and two
+        thresholds are named nowhere in shipped code, and
+        ``mapping/alignment.py`` defines exactly one ``_*_CELLS``
+        constant."""
+        deleted = re.compile(r"gotoh_wavefront|_align_small|_WAVEFRONT_MIN_CELLS|_KERNEL_MAX_CELLS")
+        repo = Path(__file__).resolve().parents[1]
+        offenders = [
+            (path.relative_to(repo).as_posix(), match.group())
+            for top in ("src", "examples", "benchmarks")
+            for path in sorted((repo / top).rglob("*.py"))
+            for match in deleted.finditer(path.read_text(encoding="utf-8"))
+        ]
+        assert not offenders, offenders
+        tree = ast.parse(Path(alignment_module.__file__).read_text(encoding="utf-8"))
+        thresholds = [
+            target.id
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and target.id.endswith("_CELLS")
+        ]
+        assert thresholds == ["_ROW_PIPELINE_MIN_CELLS"]

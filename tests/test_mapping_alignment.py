@@ -120,6 +120,33 @@ class TestAlignBanded:
         banded = align_banded(a, b, CFG, band=3)
         assert banded.score <= unbanded.score + 1e-9
 
+    def test_banded_path_stays_inside_band(self):
+        # An 8-20 base insertion drifts the optimal path well past a
+        # band of 3: the banded path must give up score, not leave.
+        rng = np.random.default_rng(17)
+        band = 3
+        for _ in range(40):
+            a = rng.integers(0, 4, size=120).astype(np.uint8)
+            at, extra = int(rng.integers(10, 100)), int(rng.integers(8, 21))
+            b = np.concatenate([a[:at], rng.integers(0, 4, size=extra).astype(np.uint8), a[at:]])
+            banded = align_banded(a, b, CFG, band=band)
+            unbanded = align_banded(a, b, CFG)
+            assert banded.score < unbanded.score
+            i = j = 0
+            for op, length in banded.cigar:
+                for _step in range(length):
+                    i += op in "=XD"
+                    j += op in "=XI"
+                    assert abs(j - int(round(i * b.size / a.size))) <= band, (i, j)
+            assert (i, j) == (a.size, b.size)
+            # A band that covers the drift is exact, CIGAR included.
+            assert align_banded(a, b, CFG, band=extra + 20) == unbanded
+
+    def test_band_too_narrow_for_any_path_rejected(self):
+        # Row 0 covers columns 0-3 and row 1 columns 47-50: disconnected.
+        with pytest.raises(ValueError, match="too narrow"):
+            align_banded(np.zeros(1, dtype=np.uint8), np.zeros(50, dtype=np.uint8), CFG, band=3)
+
     def test_score_matches_cigar_recount(self):
         rng = np.random.default_rng(12)
         a = rng.integers(0, 4, size=90).astype(np.uint8)
@@ -140,6 +167,14 @@ class TestAlignBanded:
             AlignmentConfig(match=-1.0)
         with pytest.raises(ValueError):
             AlignmentConfig(mismatch=1.0)
+
+    def test_non_integer_scores_rejected(self):
+        # The two Gotoh fills agree bit for bit only in exact arithmetic.
+        for field in ("match", "mismatch", "gap_open", "gap_extend"):
+            value = 2.5 if field == "match" else -2.5
+            with pytest.raises(ValueError, match="integer-valued"):
+                AlignmentConfig(**{field: value})
+        assert AlignmentConfig(match=3, mismatch=-5.0).match == 3
 
 
 class TestAlignChain:
