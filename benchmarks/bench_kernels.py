@@ -18,10 +18,9 @@ Two consumers:
   commit carries a machine-checkable proof that the wavefront sDTW is
   bit-identical to the scalar recurrence, the trellis kernel matches the
   triple-loop reference, the event-space decode tracks the sample-space
-  one, batched DNN inference reproduces the per-chunk path, and the
-  mapping plane (batched seeding, blocked chain DP, row-pipeline Gotoh)
-  reproduces its scalar references anchor-for-anchor, parent-for-parent,
-  CIGAR-for-CIGAR.
+  one, and the mapping plane (batched seeding, blocked chain DP,
+  row-pipeline Gotoh) reproduces its scalar references
+  anchor-for-anchor, parent-for-parent, CIGAR-for-CIGAR.
 """
 
 import argparse
@@ -302,39 +301,6 @@ def collect_viterbi_equivalence(repeats: int = 3) -> list[dict]:
     return records
 
 
-def collect_dnn_equivalence(repeats: int = 3) -> list[dict]:
-    """Ragged batched DNN inference vs the per-chunk forward pass."""
-    from repro.kernels.batched_dnn import batched_basecall
-
-    model = BonitoLikeModel(seed=0, hidden=32)
-    rng = np.random.default_rng(25)
-    lengths = rng.integers(900, 1_800, 12)
-    windows = [rng.normal(100.0, 10.0, int(n)) for n in lengths]
-
-    def _per_chunk():
-        return [model.basecall(window) for window in windows]
-
-    solo, t_solo = _best_time(_per_chunk, repeats=repeats)
-    batched, t_batched = _best_time(batched_basecall, model, windows, repeats=repeats)
-    bases_equal = all(a[0] == b[0] for a, b in zip(solo, batched, strict=True))
-    quals_close = all(
-        np.allclose(a[1], b[1], atol=1e-8) for a, b in zip(solo, batched, strict=True)
-    )
-    return [
-        {
-            "plane": "dnn-batch",
-            "case": "ragged-12-windows",
-            "windows": len(windows),
-            "equal": bool(bases_equal and quals_close),
-            "bases_equal": bool(bases_equal),
-            "quals_allclose": bool(quals_close),
-            "scalar_s": round(t_solo, 6),
-            "kernel_s": round(t_batched, 6),
-            "speedup": round(t_solo / t_batched, 2) if t_batched else 0.0,
-        }
-    ]
-
-
 def collect_chain_equivalence(repeats: int = 3) -> list[dict]:
     """Blocked chain DP vs the scalar reference: bit-equal scores/parents."""
     from repro.kernels.chain import chain_scores_blocked, chain_scores_scalar
@@ -503,7 +469,6 @@ def main(argv=None) -> int:
     records = (
         collect_sdtw_equivalence(repeats=args.repeats)
         + collect_viterbi_equivalence(repeats=args.repeats)
-        + collect_dnn_equivalence(repeats=args.repeats)
         + collect_chain_equivalence(repeats=args.repeats)
         + collect_align_equivalence(repeats=args.repeats)
         + collect_seed_equivalence(repeats=args.repeats)

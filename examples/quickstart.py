@@ -139,9 +139,8 @@ def main() -> None:
     #    registry -- "surrogate", "viterbi", "dnn" -- runs the identical
     #    CP/ER control flow. The builder assembles a system fluently;
     #    backends and presets are picked by name, so the same choice
-    #    works here, in `python -m repro.runtime --basecaller viterbi`,
-    #    and inside worker processes (the spec ships name + config, not
-    #    the engine).
+    #    works here and in `python -m repro.runtime --basecaller viterbi`;
+    #    worker processes receive the engine itself.
     from repro.basecalling import ViterbiBackendConfig
     from repro.core import basecaller_names, preset_names
 
@@ -284,18 +283,16 @@ def main() -> None:
             f"basecalling work saved {ser_report.basecall_savings:.0%}"
         )
 
-    # 10. The vectorised kernel plane (repro.kernels). The three hot
-    #     loops -- sDTW's banded recurrence, the Viterbi trellis walk,
-    #     and per-chunk DNN matmuls -- have batched kernels with scalar
-    #     references kept first-class for the equivalence trail:
+    # 10. The vectorised kernel plane (repro.kernels). Two hot loops
+    #     -- sDTW's banded recurrence and the Viterbi trellis walk --
+    #     have vectorised kernels with scalar references kept
+    #     first-class for the equivalence trail:
     #     * sDTW runs as an anti-diagonal wavefront (one numpy op per
     #       diagonal) with bit-identical costs: sdtw_cost is what
     #       SignalPrefilter / SignalRejectionPolicy call;
     #     * the viterbi backend can decode in event space
     #       (decode="events": segmentation means/dwells instead of raw
-    #       samples, ~dwell-mean fewer trellis observations);
-    #     * the dnn backend can batch chunk windows across reads
-    #       (batched=True: ragged windows packed PyTorch-style).
+    #       samples, ~dwell-mean fewer trellis observations).
     #     Each backend reports its native arithmetic via
     #     kernel_workload(), which repro.perf charges instead of the
     #     generic per-base price.

@@ -44,7 +44,6 @@ from repro.basecalling.dnn.model import BonitoLikeModel
 from repro.basecalling.types import BasecalledChunk, BasecalledRead
 from repro.basecalling.viterbi import ViterbiBasecaller, ViterbiConfig
 from repro.genomics.quality import phred_to_error_prob
-from repro.kernels.batched_dnn import batched_basecall
 from repro.kernels.viterbi import event_features, viterbi_state_ops
 from repro.kernels.workload import KernelWorkload
 from repro.nanopore.pore_model import PoreModel
@@ -273,11 +272,6 @@ class SignalSpaceBasecaller:
         self._providers: tuple[SignalProvider, ...] = tuple(providers) + (
             self._synthesis,
         )
-        # Chunk results primed by a batched decode pass (see
-        # prime_chunk_batch on the DNN backend); consumed -- and
-        # removed -- by basecall_chunk. Never pickled: priming happens
-        # inside whichever process runs the decode.
-        self._primed_chunks: dict[tuple[str, int, int], tuple[str | np.ndarray, np.ndarray]] = {}
 
     @property
     def pore_model(self) -> PoreModel:
@@ -328,13 +322,8 @@ class SignalSpaceBasecaller:
         trailing k-mer emission covers them approximately).
         """
         start, end = chunk_span(len(read), chunk_size, index)
-        primed = self._primed_chunks.pop((read.read_id, index, chunk_size), None)
-        if primed is not None:
-            called, qualities = primed
-        else:
-            signal = self.read_signal(read)
-            samples = signal.clamped_slice(start, end)
-            called, qualities = self._decode(samples, read.read_id)
+        samples = self.read_signal(read).clamped_slice(start, end)
+        called, qualities = self._decode(samples, read.read_id)
         return BasecalledChunk(
             chunk_index=index,
             codes=called,
@@ -356,18 +345,13 @@ class SignalSpaceBasecaller:
         """Called bases (text or 2-bit codes) and per-base qualities."""
         raise NotImplementedError
 
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_primed_chunks"] = {}
-        return state
-
 
 @dataclass(frozen=True)
 class ViterbiBackendConfig:
     """Construction recipe for :class:`ViterbiChunkBasecaller`.
 
-    A plain picklable dataclass, so a registry name + this config can
-    round-trip to worker processes and rebuild an identical engine.
+    A plain picklable dataclass the engine is deterministic in; it
+    travels to worker processes inside the engine that was built from it.
 
     Attributes
     ----------
@@ -427,6 +411,11 @@ class ViterbiChunkBasecaller(SignalSpaceBasecaller):
         config: ViterbiBackendConfig | None = None,
         providers: "tuple[SignalProvider, ...] | None" = None,
     ):
+        if config is not None and not isinstance(config, ViterbiBackendConfig):
+            raise TypeError(
+                "ViterbiChunkBasecaller expects a ViterbiBackendConfig, "
+                f"got {type(config).__name__}"
+            )
         config = config or ViterbiBackendConfig()
         pore = PoreModel.synthetic(k=config.pore_k, seed=config.pore_seed)
         super().__init__(
@@ -491,14 +480,6 @@ class DNNBackendConfig:
     pore_k, pore_seed, signal, quality_noise, normalize_carried:
         Signal synthesis and carried-signal handling, as for
         :class:`ViterbiBackendConfig`.
-    batched:
-        Decode chunk windows in stacked multi-read forward passes
-        (:func:`repro.kernels.batched_dnn.batched_basecall`) when the
-        pipeline primes a batch. The batched pass reassociates matmuls,
-        so outputs match the per-chunk path to rounding rather than
-        bitwise -- hence opt-in. Serial and pooled runs prime the same
-        batches (work units are composed identically), so the
-        serial == pooled byte-identity of reports is preserved.
     """
 
     model_seed: int = 0
@@ -508,7 +489,6 @@ class DNNBackendConfig:
     signal: SignalConfig = field(default_factory=SignalConfig)
     quality_noise: float = 6.0
     normalize_carried: bool = False
-    batched: bool = False
 
     def __post_init__(self) -> None:
         if self.hidden < 1:
@@ -533,6 +513,10 @@ class DNNChunkBasecaller(SignalSpaceBasecaller):
         config: DNNBackendConfig | None = None,
         providers: "tuple[SignalProvider, ...] | None" = None,
     ):
+        if config is not None and not isinstance(config, DNNBackendConfig):
+            raise TypeError(
+                f"DNNChunkBasecaller expects a DNNBackendConfig, got {type(config).__name__}"
+            )
         config = config or DNNBackendConfig()
         pore = PoreModel.synthetic(k=config.pore_k, seed=config.pore_seed)
         super().__init__(
@@ -556,38 +540,6 @@ class DNNChunkBasecaller(SignalSpaceBasecaller):
     def _decode(self, samples: np.ndarray, read_id: str) -> tuple[str, np.ndarray]:
         return self._model.basecall(samples)
 
-    def prime_chunk_batch(
-        self, requests: "list[tuple[object, int]]", chunk_size: int
-    ) -> int:
-        """Batch-decode ``(read, chunk_index)`` requests ahead of time.
-
-        Stacks the requested chunk windows into grouped
-        :func:`~repro.kernels.batched_dnn.batched_basecall` forward
-        passes and parks the results where :meth:`basecall_chunk` finds
-        them. A no-op unless the backend was configured ``batched``;
-        out-of-range indices are skipped (the per-chunk path will raise
-        on them as usual). Returns the number of chunks primed.
-        """
-        if not self._config.batched:
-            return 0
-        keys: list[tuple[str, int, int]] = []
-        windows: list[np.ndarray] = []
-        for read, index in requests:
-            if not 0 <= index < chunk_count(len(read), chunk_size):
-                continue
-            key = (read.read_id, index, chunk_size)
-            if key in self._primed_chunks:
-                continue
-            start, end = chunk_span(len(read), chunk_size, index)
-            signal = self.read_signal(read)
-            keys.append(key)
-            windows.append(signal.clamped_slice(start, end))
-        if not windows:
-            return 0
-        for key, result in zip(keys, batched_basecall(self._model, windows), strict=True):
-            self._primed_chunks[key] = result
-        return len(keys)
-
     def kernel_workload(self, n_bases: int) -> KernelWorkload:
         """DNN MACs for decoding ``n_bases`` worth of signal.
 
@@ -595,8 +547,6 @@ class DNNChunkBasecaller(SignalSpaceBasecaller):
         (:meth:`BonitoLikeModel.workload
         <repro.basecalling.dnn.model.BonitoLikeModel.workload>`) on the
         ``dwell_mean``-samples-per-base window the chunk grid feeds it.
-        Batching does not change the MAC count -- only how the MACs are
-        grouped into matmuls -- so the workload is batching-agnostic.
         """
         n_samples = int(round(n_bases * self._config.signal.dwell_mean))
         return KernelWorkload(

@@ -77,6 +77,10 @@ class SurrogateBasecaller:
     """
 
     def __init__(self, config: SurrogateConfig | None = None):
+        if config is not None and not isinstance(config, SurrogateConfig):
+            raise TypeError(
+                f"SurrogateBasecaller expects a SurrogateConfig, got {type(config).__name__}"
+            )
         self._config = config or SurrogateConfig()
 
     @property

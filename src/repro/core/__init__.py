@@ -18,10 +18,9 @@ level (the hardware cost models live in :mod:`repro.hardware` /
 * :mod:`repro.core.backends` -- the structural engine protocols
   (:class:`Basecaller`, :class:`QSRPolicyProtocol`,
   :class:`CMRPolicyProtocol`) the pipeline is typed against.
-* :mod:`repro.core.registry` -- named basecaller backends
+* :mod:`repro.core.registry` -- the built-in basecaller backends
   (``"surrogate"``, ``"viterbi"``, ``"dnn"``) and pipeline presets
-  (``"ecoli"``, ``"human"``), plus the picklable
-  :class:`BasecallerRef` that ships an engine choice to workers.
+  (``"ecoli"``, ``"human"``) by name.
 * :mod:`repro.core.builder` -- :class:`PipelineBuilder`, the fluent
   ``GenPIP.build()...`` construction API.
 """
@@ -54,14 +53,10 @@ from repro.core.pipeline import (
     ReadStatus,
 )
 from repro.core.registry import (
-    BackendRegistration,
-    BasecallerRef,
     basecaller_names,
     create_basecaller,
     preset_config,
     preset_names,
-    register_basecaller,
-    register_preset,
 )
 
 __all__ = [
@@ -86,12 +81,8 @@ __all__ = [
     "GenPIP",
     "GenPIPReport",
     "PipelineBuilder",
-    "BackendRegistration",
-    "BasecallerRef",
     "basecaller_names",
     "create_basecaller",
     "preset_config",
     "preset_names",
-    "register_basecaller",
-    "register_preset",
 ]

@@ -49,8 +49,7 @@ class Basecaller(Protocol):
     invariant behind the parallel runtime's report equivalence.
 
     For the runtime to ship an engine to worker processes it must also
-    be picklable (or registered in :mod:`repro.core.registry`, which
-    lets a name + config travel instead of the instance).
+    be picklable: an engine travels as itself.
 
     Engines that can decode *signal-native* inputs -- reads that carry
     stored raw current (:class:`~repro.nanopore.signal_read.SignalRead`)

@@ -51,8 +51,6 @@ from repro.nanopore.signal_read import SignalRead
 from repro.obs.trace import Tracer, active_tracer, use_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (keeps repro.signal lazy)
-    from collections.abc import Iterable
-
     from repro.signal.rejection import SERDecision
 
 #: Anything the chunk pipeline can process: a base-space simulated read
@@ -199,12 +197,9 @@ class GenPIPPipeline:
 
         Reads are independent -- the pipeline keeps no cross-read state
         -- so batching exists purely to amortise scheduling and IPC in
-        :mod:`repro.runtime`. Backends that batch-decode across reads
-        (``prime_chunk_batch``) are handed the batch's first-stage
-        chunk set up front; outcomes are unchanged, only the kernel
-        grouping differs.
+        :mod:`repro.runtime`: a read's outcome does not depend on its
+        batch mates.
         """
-        self._prime_basecalls(reads)
         return [self.process_read(read) for read in reads]
 
     def _ser_applies(self, read: PipelineRead, er_eligible: bool) -> bool:
@@ -216,42 +211,6 @@ class GenPIPPipeline:
             and er_eligible
             and isinstance(read, SignalRead)
         )
-
-    def _first_stage_chunks(self, n_chunks: int, er_eligible: bool) -> "Iterable[int]":
-        """The chunks the first basecalling stage decodes for certain:
-        the QSR sample when QSR runs, else the CMR merge set, else every
-        chunk."""
-        if er_eligible and self._config.enable_qsr:
-            return self._qsr.sample_indices(n_chunks)
-        if er_eligible and self._config.enable_cmr:
-            return self._cmr.merged_chunk_indices(n_chunks)
-        return range(n_chunks)
-
-    def _prime_basecalls(self, reads: "list[PipelineRead]") -> int:
-        """Offer the batch's first-stage chunks to a batching backend.
-
-        Passes :meth:`_first_stage_chunks` of every read to the
-        backend's ``prime_chunk_batch`` in one call, so a batched engine
-        stacks them into multi-read forward passes. Reads SER might
-        reject are skipped (their chunks may never be decoded at all).
-        Backends without the hook cost nothing. Returns the number of
-        chunks primed.
-        """
-        prime = getattr(self._basecaller, "prime_chunk_batch", None)
-        if prime is None:
-            return 0
-        chunk_size = self._config.chunk_size
-        requests: list[tuple[PipelineRead, int]] = []
-        for read in reads:
-            n_chunks = self._basecaller.n_chunks(read, chunk_size)
-            er_eligible = n_chunks >= self._config.min_chunks_for_er
-            if not self._ser_applies(read, er_eligible):
-                requests.extend(
-                    (read, index) for index in self._first_stage_chunks(n_chunks, er_eligible)
-                )
-        if not requests:
-            return 0
-        return prime(requests, chunk_size)
 
     def process_read(self, read: PipelineRead) -> ReadOutcome:
         """Run one read through CP (+ ER if enabled).
@@ -326,7 +285,7 @@ class GenPIPPipeline:
         # when it runs it is the first basecalling stage.
         if cfg.enable_qsr and er_eligible:
             with tracer.span("qsr_probe"):
-                sampled = [basecall(i) for i in self._first_stage_chunks(n_chunks, er_eligible)]
+                sampled = [basecall(i) for i in self._qsr.sample_indices(n_chunks)]
                 qsr = self._qsr.decide(sampled)
             if qsr.reject:
                 return outcome(ReadStatus.REJECTED_QSR)

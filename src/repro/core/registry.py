@@ -1,279 +1,33 @@
-"""Named registry of basecaller backends and pipeline presets.
+"""The built-in basecaller backends and pipeline presets, by name.
 
-The registry is what lets an engine choice travel as *data*: a
-:class:`BasecallerRef` (registry name + construction config) is a tiny
-picklable value that rebuilds an identical engine anywhere -- in a
-builder chain, in a worker process primed by
-:class:`~repro.runtime.spec.PipelineSpec`, or in a fresh interpreter
-under the ``spawn`` start method. Shipping the name instead of the
-instance keeps per-worker initialisation payloads small and makes the
-CLI's ``--basecaller`` flag and the builder's ``.basecaller("viterbi")``
-the same operation.
+Two dicts: ``name -> engine type`` (``"surrogate"``, ``"viterbi"``,
+``"dnn"``) and ``name -> GenPIPConfig`` (``"ecoli"`` / ``"human"``, the
+Sec. 6.3 parameters, with the dataset-profile spellings
+``"ecoli-like"`` / ``"human-like"`` as aliases, plus ``"default"``).
+They are what the CLI's ``--basecaller`` / ``--preset`` flags and the
+builder's ``.basecaller("viterbi")`` / ``.preset("ecoli")`` look up.
 
-Built-in backends: ``"surrogate"``, ``"viterbi"``, ``"dnn"``.
-Built-in presets: ``"ecoli"`` / ``"human"`` (Sec. 6.3 parameters; the
-dataset-profile spellings ``"ecoli-like"`` / ``"human-like"`` are
-accepted as aliases), plus ``"default"``.
-
-Third-party engines register with :func:`register_basecaller`, or --
-without importing this repo's internals at all -- by shipping an
-``importlib.metadata`` entry point in the :data:`ENTRY_POINT_GROUP`
-group whose target is a :class:`BackendRegistration` (or a zero-arg
-callable returning one). Entry points are discovered lazily on the
-first registry lookup, so merely importing :mod:`repro` never scans
-installed distributions. Anything registered either way is
-constructable by name everywhere a built-in is.
+A name is a convenience for the built-ins, not how an engine is known
+to the rest of the system: any object satisfying
+:class:`~repro.core.backends.Basecaller` is handed to ``GenPIP(...)`` or
+``.basecaller(instance)`` as itself, and travels to workers as itself.
 """
 
 from __future__ import annotations
 
-import importlib.metadata
-import warnings
-from collections.abc import Callable
-from dataclasses import dataclass
 from typing import Any
 
-from repro.basecalling.engines import (
-    DNNBackendConfig,
-    DNNChunkBasecaller,
-    ViterbiBackendConfig,
-    ViterbiChunkBasecaller,
-)
-from repro.basecalling.surrogate import SurrogateBasecaller, SurrogateConfig
+from repro.basecalling.engines import DNNChunkBasecaller, ViterbiChunkBasecaller
+from repro.basecalling.surrogate import SurrogateBasecaller
 from repro.core.backends import Basecaller
 from repro.core.config import ECOLI_PARAMS, HUMAN_PARAMS, GenPIPConfig
 
-
-@dataclass(frozen=True)
-class BackendRegistration:
-    """One named basecaller backend.
-
-    Attributes
-    ----------
-    name:
-        Registry key (lowercase identifier).
-    factory:
-        ``factory(config | None) -> Basecaller``; ``None`` builds the
-        backend's defaults.
-    instance_type:
-        Exact engine type produced by ``factory`` (used to recognise
-        instances when capturing a :class:`BasecallerRef`).
-    config_type:
-        Type of the accepted construction config, or ``None`` when the
-        backend takes no config.
-    capture:
-        ``capture(instance) -> config``: extract the construction
-        config from a live instance so name + config round-trips.
-    description:
-        One-line summary for CLIs and error messages.
-    """
-
-    name: str
-    factory: Callable[[Any], Basecaller]
-    instance_type: type
-    config_type: type | None
-    capture: Callable[[Any], Any]
-    description: str = ""
-
-
-_BASECALLERS: dict[str, BackendRegistration] = {}
-
-#: Entry-point group third-party distributions use to ship backends.
-ENTRY_POINT_GROUP = "repro.basecallers"
-
-_ENTRY_POINTS_LOADED = False
-
-#: Backend name -> entry-point value that registered it, so a forced
-#: rescan of an unchanged plugin does not re-warn about "overriding" it
-#: while two *different* plugins colliding on one name still warn.
-_ENTRY_POINT_NAMES: dict[str, str] = {}
-
-
-def register_basecaller(registration: BackendRegistration) -> None:
-    """Add (or replace) a named basecaller backend."""
-    name = registration.name
-    if not name or name != name.lower() or not name.replace("-", "_").isidentifier():
-        raise ValueError(f"backend name must be a lowercase identifier, got {name!r}")
-    _BASECALLERS[name] = registration
-
-
-def load_entry_point_backends(*, force: bool = False) -> tuple[str, ...]:
-    """Discover and register third-party backends from entry points.
-
-    Scans the :data:`ENTRY_POINT_GROUP` group of every installed
-    distribution; each entry point must resolve to a
-    :class:`BackendRegistration` or a zero-arg callable returning one.
-    Runs at most once per process (``force=True`` rescans, e.g. after
-    ``sys.path`` changes in tests). A broken plugin is skipped with a
-    ``RuntimeWarning`` rather than breaking the registry for everyone.
-
-    Returns the names registered by this call.
-    """
-    global _ENTRY_POINTS_LOADED
-    if _ENTRY_POINTS_LOADED and not force:
-        return ()
-    loaded: list[str] = []
-    try:
-        entry_points = importlib.metadata.entry_points(group=ENTRY_POINT_GROUP)
-    except Exception as exc:  # pragma: no cover - metadata backend failure
-        # Leave the loaded flag unset so a transient metadata failure
-        # does not permanently disable discovery for the process.
-        warnings.warn(
-            f"cannot scan {ENTRY_POINT_GROUP!r} entry points: {exc!r}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return ()
-    _ENTRY_POINTS_LOADED = True
-    for entry_point in entry_points:
-        try:
-            target = entry_point.load()
-            registration = target if isinstance(target, BackendRegistration) else target()
-            if not isinstance(registration, BackendRegistration):
-                raise TypeError(
-                    f"entry point must yield a BackendRegistration, "
-                    f"got {type(registration).__name__}"
-                )
-            if (
-                registration.name in _BASECALLERS
-                and _ENTRY_POINT_NAMES.get(registration.name) != entry_point.value
-            ):
-                # Explicit register_basecaller() calls replace silently
-                # by design; *ambient* discovery overriding an existing
-                # backend (built-in, or a *different* plugin that won
-                # the name earlier in the scan) changes every subsequent
-                # run's engine, so it must be loud. A forced rescan
-                # re-registering the same plugin is not an override.
-                warnings.warn(
-                    f"entry point {entry_point.name!r} overrides the existing "
-                    f"basecaller backend {registration.name!r}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            register_basecaller(registration)
-            _ENTRY_POINT_NAMES[registration.name] = entry_point.value
-            loaded.append(registration.name)
-        except Exception as exc:
-            warnings.warn(
-                f"skipping basecaller entry point {entry_point.name!r}: {exc!r}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return tuple(loaded)
-
-
-def basecaller_names() -> tuple[str, ...]:
-    """Registered backend names (built-in + entry-point), sorted."""
-    load_entry_point_backends()
-    return tuple(sorted(_BASECALLERS))
-
-
-def basecaller_registration(name: str) -> BackendRegistration:
-    """Look up a backend registration with a helpful error."""
-    if name not in _BASECALLERS:
-        load_entry_point_backends()
-    try:
-        return _BASECALLERS[name]
-    except KeyError:
-        available = ", ".join(sorted(_BASECALLERS))
-        raise ValueError(
-            f"unknown basecaller backend {name!r}; available backends: {available}"
-        ) from None
-
-
-def create_basecaller(name: str, config: Any | None = None) -> Basecaller:
-    """Construct a registered backend by name.
-
-    ``config`` must be an instance of the backend's config type (or
-    ``None`` for the backend's defaults).
-    """
-    registration = basecaller_registration(name)
-    if (
-        config is not None
-        and registration.config_type is not None
-        and not isinstance(config, registration.config_type)
-    ):
-        raise TypeError(
-            f"backend {name!r} expects a {registration.config_type.__name__} "
-            f"config, got {type(config).__name__}"
-        )
-    return registration.factory(config)
-
-
-def backend_for_instance(instance: Any) -> BackendRegistration | None:
-    """The registration whose exact instance type matches, if any.
-
-    Exact type matching (not ``isinstance``) keeps subclasses with
-    extra state from being silently rebuilt as their base backend.
-    """
-    for registration in _BASECALLERS.values():
-        if type(instance) is registration.instance_type:
-            return registration
-    return None
-
-
-@dataclass(frozen=True)
-class BasecallerRef:
-    """A picklable (registry name, construction config) engine handle.
-
-    ``ref.build()`` constructs an engine identical to the one the ref
-    was captured from: every built-in backend is deterministic in its
-    config, so name + config is a faithful wire format.
-    """
-
-    name: str
-    config: Any = None
-
-    def build(self) -> Basecaller:
-        """Construct the referenced engine."""
-        return create_basecaller(self.name, self.config)
-
-    @classmethod
-    def capture(cls, basecaller: Any) -> "BasecallerRef | None":
-        """The ref for a live engine, or ``None`` if it is unregistered."""
-        registration = backend_for_instance(basecaller)
-        if registration is None:
-            return None
-        return cls(name=registration.name, config=registration.capture(basecaller))
-
-
-# --- Built-in backends ----------------------------------------------------
-
-register_basecaller(
-    BackendRegistration(
-        name="surrogate",
-        factory=lambda config: SurrogateBasecaller(config),
-        instance_type=SurrogateBasecaller,
-        config_type=SurrogateConfig,
-        capture=lambda basecaller: basecaller.config,
-        description="ground-truth replay with a calibrated error/quality model (dataset-scale)",
-    )
-)
-
-register_basecaller(
-    BackendRegistration(
-        name="viterbi",
-        factory=lambda config: ViterbiChunkBasecaller(config),
-        instance_type=ViterbiChunkBasecaller,
-        config_type=ViterbiBackendConfig,
-        capture=lambda basecaller: basecaller.config,
-        description="signal-space k-mer HMM Viterbi decoding of synthesized raw signal",
-    )
-)
-
-register_basecaller(
-    BackendRegistration(
-        name="dnn",
-        factory=lambda config: DNNChunkBasecaller(config),
-        instance_type=DNNChunkBasecaller,
-        config_type=DNNBackendConfig,
-        capture=lambda basecaller: basecaller.config,
-        description="Bonito-like CTC network (untrained weights; workload/integration backend)",
-    )
-)
-
-
-# --- Pipeline presets -----------------------------------------------------
+#: Each type is constructed as ``engine_type(config | None)``.
+_BASECALLERS: dict[str, type] = {
+    "surrogate": SurrogateBasecaller,
+    "viterbi": ViterbiChunkBasecaller,
+    "dnn": DNNChunkBasecaller,
+}
 
 _PRESETS: dict[str, GenPIPConfig] = {
     "default": GenPIPConfig(),
@@ -285,15 +39,30 @@ _PRESETS: dict[str, GenPIPConfig] = {
 }
 
 
-def register_preset(name: str, config: GenPIPConfig) -> None:
-    """Add (or replace) a named pipeline preset."""
-    if not name:
-        raise ValueError("preset name must be non-empty")
-    _PRESETS[name] = config
+def basecaller_names() -> tuple[str, ...]:
+    """Backend names, sorted."""
+    return tuple(sorted(_BASECALLERS))
+
+
+def create_basecaller(name: str, config: Any | None = None) -> Basecaller:
+    """Construct a backend by name.
+
+    ``config`` must be an instance of the backend's config type (or
+    ``None`` for the backend's defaults); the engine's constructor
+    raises ``TypeError`` otherwise.
+    """
+    try:
+        engine_type = _BASECALLERS[name]
+    except KeyError:
+        available = ", ".join(basecaller_names())
+        raise ValueError(
+            f"unknown basecaller backend {name!r}; available backends: {available}"
+        ) from None
+    return engine_type(config)
 
 
 def preset_names() -> tuple[str, ...]:
-    """Registered preset names, sorted."""
+    """Preset names, sorted."""
     return tuple(sorted(_PRESETS))
 
 

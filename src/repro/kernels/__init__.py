@@ -19,13 +19,6 @@ previously iterated sample-by-sample in interpreted Python:
   **event-space** front-end: dwell-segmented event means/dwells
   (~6x fewer observations than raw samples) decoded on the same
   trellis.
-* :mod:`repro.kernels.batched_dnn` -- batched inference for
-  :class:`~repro.basecalling.dnn.model.BonitoLikeModel`: chunk windows
-  stacked across reads into ``[batch, time, features]`` tensors so the
-  conv/GRU/head matmuls amortise across the whole work unit (the
-  pepper-style DataLoader idiom). Variable-length windows run packed
-  (sorted by length, active batch shrinking per time step), so real
-  dwell-ragged chunk windows still batch.
 * :mod:`repro.kernels.seed` -- batched anchor seeding over the index's
   flat key/bounds/location arrays (one ``searchsorted`` + repeat/gather
   instead of a per-key dict walk), the probe GenPIP's seeding unit
@@ -58,11 +51,6 @@ changes no output.
 """
 
 from repro.kernels.align import gotoh_scalar
-from repro.kernels.batched_dnn import (
-    batched_basecall,
-    model_forward_batch,
-    model_forward_ragged,
-)
 from repro.kernels.chain import (
     chain_candidate_count,
     chain_scores_blocked,
@@ -91,7 +79,6 @@ __all__ = [
     "MAPPING_OP_KINDS",
     "TRANSITIONS_PER_STATE",
     "KernelWorkload",
-    "batched_basecall",
     "chain_candidate_count",
     "chain_scores_blocked",
     "chain_scores_scalar",
@@ -99,8 +86,6 @@ __all__ = [
     "event_features",
     "gotoh_scalar",
     "mapping_ops",
-    "model_forward_batch",
-    "model_forward_ragged",
     "process_mapping_ops",
     "record_mapping_ops",
     "sdtw_cost",

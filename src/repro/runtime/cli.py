@@ -62,7 +62,7 @@ basecalling::
         --basecaller viterbi --scale 0.0002 --max-read-length 1500 \\
         --segmentation --signal-er
 
-Any registered basecaller backend and pipeline preset plugs in::
+Any built-in basecaller backend and pipeline preset plugs in::
 
     python -m repro.runtime --basecaller viterbi --preset ecoli \\
         --scale 0.0002 --max-read-length 1500
@@ -215,8 +215,7 @@ def pipeline_from_args(
 ) -> GenPIPPipeline:
     """The pipeline the :func:`add_pipeline_args` flags describe over ``reference``."""
     # Constructed up front so the SER policy can be derived from its
-    # pore model; the builder then receives the live instance (the
-    # registry recovers name + config for worker shipping either way).
+    # pore model; the builder then receives the live instance.
     basecaller = create_basecaller(args.basecaller)
     ser_policy = None
     if args.signal_er:

@@ -301,29 +301,6 @@ class ColumnarBatch:
             raise TypeError(f"read {i} is base-space; it has no base-start track")
         return _view(self._buf, np.int64, handle.n_starts, handle.starts_offset)
 
-    def signal_window(self, i: int, start_base: int, end_base: int) -> np.ndarray:
-        """Zero-copy sample window of read ``i`` over a base interval.
-
-        The window the kernel plane consumes: bounds are clamped to the
-        modelled positions exactly like
-        :meth:`~repro.nanopore.signal.RawSignal.clamped_slice`, and the
-        result is a view into the batch buffer -- the batched DNN pack
-        and the sDTW prefilter read the segment bytes directly.
-        """
-        handle = self._handles[i]
-        if not isinstance(handle, SignalHandle):
-            raise TypeError(f"read {i} is base-space; it has no sample column")
-        starts = self.base_starts(i)
-        samples = self.samples(i)
-        n_bases = starts.size
-        start_base = max(0, min(start_base, n_bases))
-        end_base = max(start_base, min(end_base, n_bases))
-        if start_base == end_base:
-            return samples[:0]
-        lo = int(starts[start_base])
-        hi = int(starts[end_base]) if end_base < n_bases else samples.size
-        return samples[lo:hi]
-
     # --- read reconstruction -----------------------------------------
 
     def reads(self, copy: bool = False) -> list[SimulatedRead | SignalRead]:

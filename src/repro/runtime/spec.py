@@ -18,16 +18,12 @@ the initializer args), or -- when the engine published it via
 name-plus-counts handle each worker attaches and rebuilds from shared
 memory. :meth:`resolve_index` hides the difference from :meth:`build`.
 
-The basecaller travels as a
-:class:`~repro.core.registry.BasecallerRef` whenever the pipeline's
-engine is a registered backend: the registry name plus its construction
-config round-trips through pickle and rebuilds an identical engine in
-the worker (every built-in backend is deterministic in its config).
-Unregistered engines travel as the instance itself, which therefore
-must be picklable. Either way the spec works under both ``fork`` and
-``spawn`` start methods -- ``tests/test_runtime.py`` rebuilds a
-non-surrogate spec in a fresh interpreter and asserts identical
-outcomes.
+The basecaller travels as itself, so it must be picklable (the built-in
+engines drop their per-read caches when pickled); under ``fork`` the
+initializer args are inherited and nothing is pickled at all. The spec
+works under both ``fork`` and ``spawn`` start methods --
+``tests/test_backends.py`` rebuilds a non-surrogate spec in a fresh
+interpreter and asserts identical outcomes.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ from repro.core.backends import (
 )
 from repro.core.config import GenPIPConfig
 from repro.core.pipeline import GenPIPPipeline
-from repro.core.registry import BasecallerRef, basecaller_registration
 from repro.mapping.index import MinimizerIndex
 from repro.mapping.mapper import MapperConfig
 from repro.runtime.transport import SharedIndexHandle, attach_index
@@ -52,14 +47,14 @@ from repro.runtime.transport import SharedIndexHandle, attach_index
 class PipelineSpec:
     """Everything needed to reconstruct a :class:`GenPIPPipeline`.
 
-    All fields are plain dataclasses / numpy containers (or registered
-    backends' refs / shared-memory handles), so the spec is picklable
-    under both ``fork`` and ``spawn`` start methods.
+    All fields are plain dataclasses / numpy containers, picklable
+    engines and policies, or shared-memory handles, so the spec is
+    picklable under both ``fork`` and ``spawn`` start methods.
     """
 
     index: MinimizerIndex | SharedIndexHandle
     config: GenPIPConfig
-    basecaller: BasecallerRef | Basecaller
+    basecaller: Basecaller
     mapper_config: MapperConfig
     align: bool = True
     qsr_policy: QSRPolicyProtocol | None = None
@@ -76,19 +71,16 @@ class PipelineSpec:
     def from_pipeline(cls, pipeline: GenPIPPipeline) -> "PipelineSpec":
         """Capture an existing pipeline's construction arguments.
 
-        Registered engines are captured as a :class:`BasecallerRef`
-        (name + config); unregistered ones are carried as the instance.
-        The rejection policies -- QSR/CMR and the optional signal-domain
-        (SER) policy -- are carried as instances: the defaults are tiny
-        threshold holders (the SER default adds its expected-signal
-        templates, still a few KB), and custom policies need only be
-        picklable, the same contract as a custom basecaller.
+        The engine and the rejection policies -- QSR/CMR and the
+        optional signal-domain (SER) policy -- are carried as instances:
+        the default policies are tiny threshold holders (the SER default
+        adds its expected-signal templates, still a few KB), and custom
+        ones need only be picklable, the same contract as a basecaller.
         """
-        basecaller = BasecallerRef.capture(pipeline.basecaller) or pipeline.basecaller
         return cls(
             index=pipeline.index,
             config=pipeline.config,
-            basecaller=basecaller,
+            basecaller=pipeline.basecaller,
             mapper_config=pipeline.mapper_config,
             align=pipeline.align,
             qsr_policy=pipeline.qsr_policy,
@@ -111,22 +103,8 @@ class PipelineSpec:
             return attach_index(self.index)
         return self.index
 
-    def resolve_basecaller(self) -> Basecaller:
-        """The engine instance (building it from the ref if needed)."""
-        if isinstance(self.basecaller, BasecallerRef):
-            return self.basecaller.build()
-        return self.basecaller
-
     def accepts_signal_reads(self) -> bool:
-        """Whether the configured engine decodes signal-native reads.
-
-        Answered without building the engine: for a registry ref the
-        capability is a class attribute of the registered backend type;
-        for an instance it is read off the instance.
-        """
-        if isinstance(self.basecaller, BasecallerRef):
-            registration = basecaller_registration(self.basecaller.name)
-            return bool(getattr(registration.instance_type, "accepts_signal_reads", False))
+        """Whether the configured engine decodes signal-native reads."""
         return bool(getattr(self.basecaller, "accepts_signal_reads", False))
 
     def signal_rejection_enabled(self) -> bool:
@@ -137,7 +115,7 @@ class PipelineSpec:
         """Reconstruct the pipeline (called once per worker process)."""
         return GenPIPPipeline(
             self.resolve_index(),
-            self.resolve_basecaller(),
+            self.basecaller,
             self.config,
             self.mapper_config,
             align=self.align,

@@ -21,9 +21,9 @@ batch engine runs on -- alive across sessions:
   <repro.runtime.pool.WorkerPool.run_local>` the batch engine's units
   take -- the service stays up.
 
-Determinism note: default backends keep no cross-read state
-(:meth:`~repro.core.pipeline.GenPIPPipeline.process_batch` is exactly
-``process_read`` per element), so per-read units produce outcome
+Determinism note:
+:meth:`~repro.core.pipeline.GenPIPPipeline.process_batch` *is*
+``process_read`` per element, so per-read units produce outcome
 records byte-identical to any batch run over the same reads -- the
 serving layer's standing equivalence invariant.
 """

@@ -1,15 +1,13 @@
 """Tests for the vectorised kernel plane (:mod:`repro.kernels`).
 
-Three equivalence families, mirroring CI's kernel-equivalence lane:
+Two equivalence families, mirroring CI's kernel-equivalence lane:
 
 * the anti-diagonal wavefront sDTW must be **bit-identical** to the
   scalar row-major reference (same float64 ops per cell, reassociated
   only across independent cells);
 * the vectorised Viterbi forward pass must be bit-identical to the
   triple-loop scalar reference, and the event-space decode must agree
-  with the sample-space decode on synthesized signal;
-* the batched/packed DNN paths must match the per-chunk path to
-  rounding (matmul reassociation), with byte-equal base strings.
+  with the sample-space decode on synthesized signal.
 
 Plus the perf hooks: each backend's ``kernel_workload`` must report the
 op counts the system models charge.
@@ -30,7 +28,6 @@ from repro.basecalling import (
     ViterbiBackendConfig,
     ViterbiChunkBasecaller,
 )
-from repro.basecalling.dnn.model import BonitoLikeModel
 from repro.basecalling.engines import EVENT_SEGMENTATION
 from repro.basecalling.viterbi import ViterbiBasecaller
 from repro.core import GenPIP, GenPIPConfig
@@ -38,11 +35,8 @@ from repro.genomics import alphabet
 from repro.kernels import (
     TRANSITIONS_PER_STATE,
     KernelWorkload,
-    batched_basecall,
     event_emissions,
     event_features,
-    model_forward_batch,
-    model_forward_ragged,
     sdtw_cost,
     sdtw_cost_scalar,
     viterbi_forward,
@@ -50,7 +44,6 @@ from repro.kernels import (
     viterbi_state_ops,
     viterbi_traceback,
 )
-from repro.kernels.batched_dnn import gru_forward_packed
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.nanopore.pore_model import PoreModel
@@ -295,102 +288,6 @@ class TestEventFrontEnd:
         assert event_identity >= sample_identity - 0.15
         # The speed source: far fewer trellis observations than samples.
         assert means.size < 0.5 * signal.samples.size
-
-
-class TestBatchedDnn:
-    @staticmethod
-    def _model():
-        return BonitoLikeModel(seed=1, hidden=16)
-
-    def test_equal_length_batch_matches_per_window(self):
-        model = self._model()
-        rng = np.random.default_rng(25)
-        windows = rng.normal(loc=90.0, scale=12.0, size=(4, 600))
-        batched = model_forward_batch(model, windows)
-        for row, window in zip(batched, windows, strict=True):
-            np.testing.assert_allclose(row, model.forward(window), atol=1e-8)
-
-    def test_ragged_batch_matches_per_window(self):
-        model = self._model()
-        rng = np.random.default_rng(26)
-        lengths = [500, 700, 340, 601, 700]
-        windows = [rng.normal(loc=90.0, scale=12.0, size=n) for n in lengths]
-        for got, window in zip(
-            model_forward_ragged(model, windows), windows, strict=True
-        ):
-            np.testing.assert_allclose(got, model.forward(window), atol=1e-8)
-
-    def test_packed_gru_matches_per_sequence(self):
-        """Both directions of the packed GRU see per-sequence arithmetic."""
-        model = self._model()
-        rng = np.random.default_rng(27)
-        layer_fwd = model.gru1.fwd
-        layer_bwd = model.gru1.bwd
-        lengths = np.array([7, 19, 12], dtype=np.int64)
-        feats = layer_fwd.input_size
-        seqs = [rng.normal(size=(n, feats)) for n in lengths]
-        padded = np.zeros((len(seqs), int(lengths.max()), feats))
-        for i, seq in enumerate(seqs):
-            padded[i, : lengths[i]] = seq
-        for layer in (layer_fwd, layer_bwd):
-            packed = gru_forward_packed(layer, padded, lengths)
-            for i, seq in enumerate(seqs):
-                np.testing.assert_allclose(
-                    packed[i, : lengths[i]], layer.forward(seq), atol=1e-10
-                )
-                # Padding frames stay zero.
-                assert not packed[i, lengths[i] :].any()
-
-    def test_batched_basecall_matches_per_window_decode(self):
-        model = self._model()
-        rng = np.random.default_rng(28)
-        windows = [rng.normal(loc=90.0, scale=12.0, size=n) for n in (450, 620, 330)]
-        solo = [model.basecall(w) for w in windows]
-        for (bases_b, quals_b), (bases_s, quals_s) in zip(
-            batched_basecall(model, windows), solo, strict=True
-        ):
-            assert bases_b == bases_s
-            np.testing.assert_allclose(quals_b, quals_s, atol=1e-8)
-
-    def test_empty_windows(self):
-        model = self._model()
-        out = model_forward_ragged(model, [np.empty(0)])
-        assert len(out) == 1 and out[0].shape == (0, 5)
-
-
-@pytest.fixture(scope="module")
-def micro_read():
-    dataset = generate_dataset(
-        small_profile(ECOLI_LIKE, max_read_length=1_200), scale=0.0001, seed=21
-    )
-    return min(dataset.reads, key=len)
-
-
-class TestPrimedBatchIdentity:
-    """The opt-in batched decode path returns what the per-chunk path does."""
-
-    def test_primed_chunks_match_per_chunk_decode(self, micro_read):
-        batched = DNNChunkBasecaller(
-            DNNBackendConfig(hidden=16, pore_k=3, batched=True)
-        )
-        plain = DNNChunkBasecaller(FAST_DNN)
-        requests = [(micro_read, 0), (micro_read, 1)]
-        assert batched.prime_chunk_batch(requests, 300) == 2
-        for index in (0, 1):
-            got = batched.basecall_chunk(micro_read, index, 300)
-            want = plain.basecall_chunk(micro_read, index, 300)
-            assert got.bases == want.bases
-            np.testing.assert_allclose(got.qualities, want.qualities, atol=1e-8)
-
-    def test_priming_is_noop_unless_opted_in(self, micro_read):
-        plain = DNNChunkBasecaller(FAST_DNN)
-        assert plain.prime_chunk_batch([(micro_read, 0)], 300) == 0
-
-    def test_out_of_range_requests_are_skipped(self, micro_read):
-        batched = DNNChunkBasecaller(
-            DNNBackendConfig(hidden=16, pore_k=3, batched=True)
-        )
-        assert batched.prime_chunk_batch([(micro_read, 10_000)], 300) == 0
 
 
 class TestKernelWorkloadHooks:

@@ -24,7 +24,6 @@ import time
 
 import numpy as np
 import pytest
-from test_runtime_streaming import exported_parquet_names, parquet_argv
 
 from repro.basecalling import ViterbiBackendConfig, ViterbiChunkBasecaller
 from repro.basecalling.surrogate import SurrogateBasecaller
@@ -221,15 +220,6 @@ class TestColumnarBatch:
         for i, read in enumerate(signal_reads):
             np.testing.assert_array_equal(batch.samples(i), read.signal.samples)
             np.testing.assert_array_equal(batch.base_starts(i), read.signal.base_starts)
-            window = batch.signal_window(i, 0, 10)
-            np.testing.assert_array_equal(window, read.signal.clamped_slice(0, 10))
-            assert window.base is not None  # a view, not a gather
-            # Clamping: out-of-range bounds behave like clamped_slice.
-            np.testing.assert_array_equal(
-                batch.signal_window(i, 0, 10**9),
-                read.signal.clamped_slice(0, read.signal.n_bases),
-            )
-            assert batch.signal_window(i, 3, 3).size == 0
 
     def test_mixed_batch_keeps_per_read_kinds(self, tiny_dataset, signal_reads):
         reads = [tiny_dataset.reads[0], signal_reads[0]]
@@ -248,8 +238,6 @@ class TestColumnarBatch:
             batch.samples(0)
         with pytest.raises(TypeError, match="base-space"):
             batch.base_starts(0)
-        with pytest.raises(TypeError, match="base-space"):
-            batch.signal_window(0, 0, 5)
 
     def test_single_rederives_the_lone_read_plan_from_counts(self, tiny_dataset, signal_reads):
         """What a wire receiver relies on: handle fields minus offsets
@@ -387,20 +375,6 @@ class TestViewTransport:
             )
         assert _no_leaked_segments()
         assert worker_leases() == ()
-
-    def test_view_transport_parquet_matches_serial(self, tmp_path, capsys):
-        """Retargeted under its id: JSONL is the one outcome file format
-        (the ``jsonl`` case above is the replay equality under this
-        transport); a pooled ``--sink parquet`` run is refused by
-        argparse before the file or any segment exists."""
-        path = tmp_path / "outcomes.parquet"
-        with pytest.raises(SystemExit) as caught:
-            cli_main([*parquet_argv(path), "--workers", "2"])
-        assert caught.value.code == 2
-        assert "invalid choice: 'parquet'" in capsys.readouterr().err
-        assert not path.exists()
-        assert exported_parquet_names() == []
-        assert _no_leaked_segments()
 
     def test_signal_native_view_transport_matches_serial(
         self, tiny_index, tiny_dataset, viterbi_backend, tmp_path

@@ -436,6 +436,23 @@ def _walk_with_owner(root: Path):
             yield module, owner, node
 
 
+def _mentions(nodes, pattern: re.Pattern) -> set[tuple[str, str]]:
+    """``(module path, text)`` for every identifier, attribute, argument
+    or string constant (docstrings included) that ``pattern`` matches."""
+    return {
+        (module, text)
+        for module, _, node in nodes
+        for text in (
+            getattr(node, "id", None),
+            getattr(node, "attr", None),
+            getattr(node, "name", None),
+            getattr(node, "arg", None),
+            node.value if isinstance(node, ast.Constant) else None,
+        )
+        if isinstance(text, str) and pattern.search(text)
+    }
+
+
 def _called_name(node: ast.AST) -> str | None:
     if not isinstance(node, ast.Call):
         return None
@@ -508,21 +525,45 @@ def test_batch_parent_is_one_thread_and_outcomes_have_one_file_format():
     assert thread_imports == set()
 
     gone = re.compile(r"(?i)prefetch|parquet|pyarrow")
-    mentions = {
-        (module, text)
-        for module, _, node in nodes
-        for text in (
-            getattr(node, "id", None),
-            getattr(node, "attr", None),
-            getattr(node, "name", None),
-            getattr(node, "arg", None),
-            node.value if isinstance(node, ast.Constant) else None,
-        )
-        if isinstance(text, str) and gone.search(text)
-    }
-    assert mentions == set()
+    assert _mentions(nodes, gone) == set()
 
     assert [field.name for field in dataclasses.fields(RuntimeStats)] == [
         "mode", "workers", "batch_size", "n_shards", "n_reads", "elapsed_s", "batching",
         "transport", "signal_er", "inflight_window", "bytes_copied", "bytes_published",
     ]  # fmt: skip
+
+
+def test_engine_plane_has_one_of_each():
+    """A basecaller travels as itself, is named by a dict and decodes a
+    chunk one way: nothing under ``src/repro`` names the ref, the
+    registration record or the priming side channel, nothing scans
+    installed distributions, the registry is functions over two dicts,
+    and ``process_batch`` is ``process_read`` per element."""
+    root = Path(repro.__file__).parent
+    nodes = list(_walk_with_owner(root))
+
+    gone = re.compile(
+        r"BasecallerRef|BackendRegistration|prime_chunk_batch|_primed_chunks|batched_basecall"
+    )
+    assert _mentions(nodes, gone) == set()
+
+    metadata_imports = {
+        module
+        for module, _, node in nodes
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and re.search(r"importlib(\.| import )metadata", ast.unparse(node))
+    }
+    assert metadata_imports == set()
+
+    assert not [
+        node.name
+        for module, _, node in nodes
+        if module == "core/registry.py" and isinstance(node, ast.ClassDef)
+    ]
+
+    batch_body_calls = [
+        ast.unparse(node.func)
+        for module, owner, node in nodes
+        if (module, owner) == ("core/pipeline.py", "process_batch") and isinstance(node, ast.Call)
+    ]
+    assert batch_body_calls == ["self.process_read"]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import glob
 import os
-import re
 import subprocess
 import sys
 import threading
@@ -46,7 +45,6 @@ from repro.runtime import (
     replay_report,
     worker_leases,
 )
-from repro.runtime.cli import main as cli_main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -389,55 +387,43 @@ class TestSources:
             assert caught.value is boom
             assert caught.value.__cause__ is None
 
-    def test_prefetcher_close_unblocks_producer(self, tiny_system, tiny_dataset, tmp_path):
-        """Retargeted: nothing reads ahead of the engine's window and
-        nothing is left to unblock. After a failed pooled run the
-        generator has been advanced by exactly the reads of the units
-        planned, on the caller's thread, and no thread was left behind."""
+    def test_pooled_parent_pulls_the_source_on_the_calling_thread(
+        self, tiny_system, tiny_dataset, tmp_path
+    ):
+        """The parent of a batch run starts no thread of its own and
+        reads nothing ahead of its window: whether the source ends or
+        raises, a pooled run advances it on the calling thread by exactly
+        the reads of the units planned, the only other threads alive
+        meanwhile are the executor's two (its manager and its queue
+        feeder), and neither outlives the run."""
         threads_before = set(threading.enumerate())
-        pulled = []
+        for raises in (False, True):
+            pulled: list[str] = []
+            seen: set[threading.Thread] = set()
 
-        def broken():
-            for read in tiny_dataset.reads[:12]:
-                assert threading.current_thread() is threading.main_thread()
-                pulled.append(read.read_id)
-                yield read
-            raise ValueError("boom")
-
-        path = tmp_path / "planned.jsonl"
-        engine = DatasetEngine(
-            tiny_system.pipeline, workers=2, batch_size=2, sink=JSONLSink(path)
-        )
-        with pytest.raises(ValueError, match="boom"):
-            engine.run(IterableSource(broken()))
-        assert len(pulled) == 12 == len(path.read_text().splitlines())
-        assert set(threading.enumerate()) <= threads_before
-        assert _no_leaked_segments()
-
-    def test_pooled_parent_pulls_the_source_on_its_own_thread(self, tiny_system, tiny_dataset):
-        """The parent of a batch run starts no thread of its own: a
-        pooled run over a ``SimulatorSource`` iterates it on the calling
-        thread, the only other threads alive meanwhile are the
-        executor's two (its manager and its queue feeder), and neither
-        outlives the run."""
-        threads_before = set(threading.enumerate())
-        seen: set[threading.Thread] = set()
-
-        class ProbedSource(SimulatorSource):
-            def __iter__(self):
-                for read in super().__iter__():
+            def probed():
+                for read in tiny_dataset.reads[:12]:
                     assert threading.current_thread() is threading.main_thread()
                     seen.update(threading.enumerate())
+                    pulled.append(read.read_id)
                     yield read
+                if raises:
+                    raise ValueError("boom")
 
-        source = ProbedSource(
-            TINY_PROFILE, scale=TINY_SCALE, seed=TINY_SEED, reference=tiny_dataset.reference
-        )
-        engine = DatasetEngine(tiny_system.pipeline, workers=2, batch_size=3)
-        engine.run(source)
-        assert engine.last_stats.mode == "process-pool"
-        assert len(seen - threads_before) <= 2
-        assert set(threading.enumerate()) <= threads_before
+            path = tmp_path / f"planned-{raises}.jsonl"
+            engine = DatasetEngine(
+                tiny_system.pipeline, workers=2, batch_size=2, sink=JSONLSink(path)
+            )
+            if raises:
+                with pytest.raises(ValueError, match="boom"):
+                    engine.run(IterableSource(probed()))
+            else:
+                engine.run(IterableSource(probed()))
+                assert engine.last_stats.mode == "process-pool"
+            assert len(pulled) == 12 == len(path.read_text().splitlines())
+            assert len(seen - threads_before) <= 2
+            assert set(threading.enumerate()) <= threads_before
+        assert _no_leaked_segments()
 
 
 class TestLengthAwarePlanning:
@@ -497,45 +483,24 @@ class TestSinks:
         assert len(lines) == len(tiny_dataset)
 
 
-def parquet_argv(path) -> list[str]:
-    """A complete, otherwise valid CLI line asking for the deleted sink."""
-    return [
-        "--profile", "ecoli-like", "--scale", "0.0002", "--max-read-length", "2000",
-        "--sink", "parquet", "--outcomes", str(path),
-    ]  # fmt: skip
+class TestOneOutcomeFileFormat:
+    """JSONL is the one outcome file format (``TestStreamingMatrix``
+    covers its replay equality); the AST pin in ``test_runtime_pool.py``
+    keeps the second one's names out of ``src/repro``."""
 
-
-def exported_parquet_names() -> list[str]:
-    import repro.runtime
-
-    return [name for name in dir(repro.runtime) if re.search(r"(?i)parquet", name)]
-
-
-class TestParquetSink:
-    """Retargeted under their ids: JSONL is the one outcome file format
-    (``TestStreamingMatrix`` covers its replay equality). What is left
-    of the second one is its refusal: argparse turns ``--sink parquet``
-    away before any dataset or file exists."""
-
-    def test_parquet_replay_matches_serial(self, tmp_path):
+    def test_cli_refuses_sink_parquet_before_any_file_exists(self, tmp_path):
         path = tmp_path / "x.parquet"
         env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        argv = [
+            "--profile", "ecoli-like", "--scale", "0.0002", "--max-read-length", "2000",
+            "--sink", "parquet", "--outcomes", str(path), "--workers", "2", "--align",
+        ]  # fmt: skip
         done = subprocess.run(
-            [sys.executable, "-m", "repro.runtime", *parquet_argv(path)],
+            [sys.executable, "-m", "repro.runtime", *argv],
             cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120,
         )  # fmt: skip
         assert done.returncode == 2
         assert "invalid choice: 'parquet'" in done.stderr.strip().splitlines()[-1]
         assert "Traceback" not in done.stderr
         assert not path.exists()
-
-    def test_parquet_round_trips_alignments(self, tmp_path, capsys):
-        path = tmp_path / "aligned.parquet"
-        with pytest.raises(SystemExit) as caught:
-            cli_main([*parquet_argv(path), "--align"])
-        assert caught.value.code == 2
-        assert "invalid choice: 'parquet'" in capsys.readouterr().err
-        assert not path.exists()
-
-    def test_parquet_sink_requires_pyarrow(self):
-        assert exported_parquet_names() == []
+        assert _no_leaked_segments()
