@@ -13,8 +13,8 @@ This walks the whole public API surface once:
    Viterbi backend by registry name -- same CP/ER control flow, real
    signal-space decoding;
 7. stream the run end-to-end: reads from an on-disk container (or a
-   lazy generator), length-aware work units, outcomes to an
-   incremental JSONL sink -- O(batch) parent memory, same report;
+   lazy generator), outcomes to an incremental JSONL sink -- O(batch)
+   parent memory, same report;
 8. go signal-native: write a raw-signal container, then run it through
    the same pipeline starting from *stored raw current* -- no
    synthesis anywhere on the path, serial == parallel;
@@ -166,9 +166,7 @@ def main() -> None:
     # 7. Streaming runs: at dataset scale the parent should hold neither
     #    the input reads nor the output outcomes. Reads stream from an
     #    on-disk container (or a lazy SimulatorSource) one record at a
-    #    time, work units are balanced by total bases instead of read
-    #    count (adaptive batching: long reads stop serialising the
-    #    shard tail), pooled payloads travel through shared memory, and
+    #    time, pooled payloads travel through shared memory, and
     #    outcomes stream into a JSONL file as the ordered prefix
     #    completes -- parent memory stays O(batch). The JSONL file
     #    replays losslessly into the exact in-memory report.
@@ -185,7 +183,6 @@ def main() -> None:
         summary = genpip.run(
             StoreSource(store_path),
             workers=2,
-            adaptive_batching=True,
             sink=JSONLSink(outcomes_path),
         )
         replayed = replay_report(outcomes_path, summary.config)
@@ -234,7 +231,7 @@ def main() -> None:
     #    templates of the reads' reference regions -- stops junk with
     #    ZERO basecalled chunks (status: rejected_signal). Genomic reads
     #    whose regions the templates cover pass through to the normal
-    #    CP/ER flow. The policy ships to workers inside the spec, so
+    #    CP/ER flow. The policy ships to workers as a pipeline field, so
     #    pooled runs stay identical to serial ones.
     from repro.nanopore import ReadClass, strip_base_starts
     from repro.signal import SegmentationConfig, SignalRejectionPolicy

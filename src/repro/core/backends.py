@@ -128,8 +128,8 @@ class SignalRejectionPolicyProtocol(Protocol):
     matches the signal prefix against reference templates by
     subsequence DTW.
 
-    Policies travel to pooled workers inside the
-    :class:`~repro.runtime.spec.PipelineSpec`, so -- like basecallers
+    Policies travel to pooled workers as fields of the
+    :class:`~repro.core.pipeline.GenPIPPipeline`, so -- like basecallers
     -- they must be picklable and deterministic per read.
     """
 

@@ -11,14 +11,14 @@ and false-negative ratios of Figs. 12/13.
 
 Aggregate counters are accumulated incrementally in
 :class:`ReportCounters` (one pass at construction, exact integer sums),
-so shard-level reports produced by the parallel runtime
-(:mod:`repro.runtime`) combine via :meth:`GenPIPReport.merge` without
-re-walking every outcome.
+so the shard-level counters produced by the parallel runtime
+(:mod:`repro.runtime`) combine via :meth:`ReportCounters.combine`
+without re-walking every outcome.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -122,32 +122,6 @@ class GenPIPReport:
     def count(self, status: ReadStatus) -> int:
         return self.counters.status_counts.get(status, 0)
 
-    @classmethod
-    def merge(
-        cls,
-        reports: Sequence["GenPIPReport"],
-        config: GenPIPConfig | None = None,
-    ) -> "GenPIPReport":
-        """Concatenate shard reports in the given (shard) order.
-
-        Outcome order is the concatenation order, and counters are the
-        exact sums of the shard counters -- no outcome is re-walked. An
-        empty ``reports`` needs an explicit ``config``.
-        """
-        reports = list(reports)
-        if config is None:
-            if not reports:
-                raise ValueError("merging zero reports requires an explicit config")
-            config = reports[0].config
-        if any(report.config != config for report in reports):
-            raise ValueError("cannot merge reports produced by different configs")
-        outcomes: list[ReadOutcome] = []
-        counters = ReportCounters()
-        for report in reports:
-            outcomes.extend(report.outcomes)
-            counters = counters.combine(report.counters)
-        return cls(outcomes=outcomes, config=config, counters=counters)
-
     @property
     def n_reads(self) -> int:
         return self.counters.n_reads
@@ -243,11 +217,10 @@ class GenPIP:
         cmr_policy: CMRPolicyProtocol | None = None,
         ser_policy: SignalRejectionPolicyProtocol | None = None,
     ):
-        self._config = config or GenPIPConfig()
         self._pipeline = GenPIPPipeline(
             index,
             basecaller,
-            self._config,
+            config,
             mapper_config,
             align=align,
             qsr_policy=qsr_policy,
@@ -274,7 +247,7 @@ class GenPIP:
 
     @property
     def config(self) -> GenPIPConfig:
-        return self._config
+        return self._pipeline.config
 
     def process_read(self, read) -> ReadOutcome:
         """Run one read (base-space or signal-native) through the pipeline."""
@@ -284,10 +257,9 @@ class GenPIP:
         self,
         dataset: Dataset,
         *,
-        workers: int | None = None,
+        workers: int = 1,
         batch_size: int | None = None,
         sink=None,
-        adaptive_batching: bool = False,
     ) -> GenPIPReport:
         """Process every read of a dataset (or any read source).
 
@@ -302,11 +274,10 @@ class GenPIP:
             signal-space basecaller (``"viterbi"`` / ``"dnn"``); the
             engine rejects the combination up front otherwise.
         workers:
-            Worker processes to shard the reads across. ``None`` defers
-            to the ``GENPIP_WORKERS`` environment variable (default 1);
-            ``0``/``1`` run serially in-process. Reads are independent,
-            so any worker count produces a report identical to the
-            serial run (outcomes, order, and counters).
+            Worker processes to shard the reads across; ``0``/``1``
+            run serially in-process. Reads are independent, so any
+            worker count produces a report identical to the serial run
+            (outcomes, order, and counters).
         batch_size:
             Reads per work unit handed to a worker (amortises IPC);
             ``None`` picks a size from the dataset and worker count.
@@ -318,17 +289,8 @@ class GenPIP:
             returned report carries exact counters but no per-read
             outcomes -- those live wherever the sink put them -- and
             parent memory stays O(batch).
-        adaptive_batching:
-            Balance work units by total bases instead of read count
-            (kills the long-read tail; same outcomes, same order).
         """
         from repro.runtime.engine import DatasetEngine
 
-        engine = DatasetEngine(
-            self._pipeline,
-            workers=workers,
-            batch_size=batch_size,
-            sink=sink,
-            batching="length-aware" if adaptive_batching else "fixed",
-        )
+        engine = DatasetEngine(self._pipeline, workers=workers, batch_size=batch_size, sink=sink)
         return engine.run(dataset)

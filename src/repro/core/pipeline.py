@@ -115,8 +115,16 @@ class ReadOutcome:
         return self.n_chunks_basecalled / max(self.n_chunks_total, 1)
 
 
+@dataclass(eq=False)
 class GenPIPPipeline:
     """Chunk-based pipeline with optional early rejection.
+
+    The one record of what a pipeline is made of: its fields are the
+    constructor arguments, and the instance itself is what
+    :mod:`repro.runtime` hands to a worker process (inherited under
+    ``fork``, pickled under ``spawn`` -- so engines and policies must be
+    picklable; ``dataclasses.replace`` rebinds a field, which is how a
+    worker swaps a shared-memory index handle for the attached index).
 
     The engines are injected behind structural protocols
     (:mod:`repro.core.backends`): any chunk-deterministic
@@ -125,72 +133,35 @@ class GenPIPPipeline:
     basecaller and the paper's QSR/CMR policies derived from ``config``.
     """
 
-    def __init__(
-        self,
-        index: MinimizerIndex,
-        basecaller: Basecaller | None = None,
-        config: GenPIPConfig | None = None,
-        mapper_config: MapperConfig | None = None,
-        align: bool = True,
-        qsr_policy: QSRPolicyProtocol | None = None,
-        cmr_policy: CMRPolicyProtocol | None = None,
-        ser_policy: SignalRejectionPolicyProtocol | None = None,
-        tracer: Tracer | None = None,
-    ):
-        self._index = index
-        self._basecaller: Basecaller = basecaller or SurrogateBasecaller()
-        self._config = config or GenPIPConfig()
-        self._mapper_config = mapper_config or MapperConfig()
-        self._align = align
-        self._qsr: QSRPolicyProtocol = qsr_policy or QSRPolicy(
-            self._config.theta_qs, self._config.n_qs
-        )
-        self._cmr: CMRPolicyProtocol = cmr_policy or CMRPolicy(
-            self._config.theta_cm, self._config.n_cm
-        )
-        # SER has no reference-free default: None simply disables the
-        # pre-basecalling stage (the PR-4-and-earlier control flow).
-        self._ser: SignalRejectionPolicyProtocol | None = ser_policy
-        # Span tracer: an explicit instance pins the clock (tests);
-        # None defers to the process tracer per read, so enabling
-        # tracing after construction (CLI, worker init) still takes.
-        self._tracer = tracer
-        # Context overlap that makes chunked seeding anchor-identical to
-        # whole-read seeding: k-1 for boundary k-mers plus w-1 for
-        # boundary windows.
-        self._seed_overlap = self._index.config.k + self._index.config.w - 2
+    index: MinimizerIndex
+    basecaller: Basecaller | None = None
+    config: GenPIPConfig | None = None
+    mapper_config: MapperConfig | None = None
+    align: bool = True
+    qsr_policy: QSRPolicyProtocol | None = None
+    cmr_policy: CMRPolicyProtocol | None = None
+    #: SER has no reference-free default: None simply disables the
+    #: pre-basecalling stage (the PR-4-and-earlier control flow).
+    ser_policy: SignalRejectionPolicyProtocol | None = None
+    #: Span tracer: an explicit instance pins the clock (tests); None
+    #: defers to the process tracer per read, so enabling tracing after
+    #: construction (CLI, worker init) still takes.
+    tracer: Tracer | None = None
 
-    @property
-    def config(self) -> GenPIPConfig:
-        return self._config
+    def __post_init__(self) -> None:
+        self.basecaller = self.basecaller or SurrogateBasecaller()
+        self.config = self.config or GenPIPConfig()
+        self.mapper_config = self.mapper_config or MapperConfig()
+        self.qsr_policy = self.qsr_policy or QSRPolicy(self.config.theta_qs, self.config.n_qs)
+        self.cmr_policy = self.cmr_policy or CMRPolicy(self.config.theta_cm, self.config.n_cm)
 
-    @property
-    def index(self) -> MinimizerIndex:
-        return self._index
+    def accepts_signal_reads(self) -> bool:
+        """Whether the configured engine decodes signal-native reads."""
+        return bool(getattr(self.basecaller, "accepts_signal_reads", False))
 
-    @property
-    def basecaller(self) -> Basecaller:
-        return self._basecaller
-
-    @property
-    def mapper_config(self) -> MapperConfig:
-        return self._mapper_config
-
-    @property
-    def align(self) -> bool:
-        return self._align
-
-    @property
-    def qsr_policy(self) -> QSRPolicyProtocol:
-        return self._qsr
-
-    @property
-    def cmr_policy(self) -> CMRPolicyProtocol:
-        return self._cmr
-
-    @property
-    def ser_policy(self) -> SignalRejectionPolicyProtocol | None:
-        return self._ser
+    def signal_rejection_enabled(self) -> bool:
+        """Whether the SER stage exists for this pipeline's signal reads."""
+        return self.ser_policy is not None and self.config.enable_ser
 
     def process_batch(self, reads: "list[PipelineRead]") -> "list[ReadOutcome]":
         """Process a batch of reads in order (one runtime work unit).
@@ -205,12 +176,7 @@ class GenPIPPipeline:
     def _ser_applies(self, read: PipelineRead, er_eligible: bool) -> bool:
         """Whether stage 0 (SER) screens this read: signal-native reads
         only -- base-space reads carry no current to screen."""
-        return (
-            self._config.enable_ser
-            and self._ser is not None
-            and er_eligible
-            and isinstance(read, SignalRead)
-        )
+        return self.signal_rejection_enabled() and er_eligible and isinstance(read, SignalRead)
 
     def process_read(self, read: PipelineRead) -> ReadOutcome:
         """Run one read through CP (+ ER if enabled).
@@ -220,27 +186,25 @@ class GenPIPPipeline:
         decode provided signal (``accepts_signal_reads``) -- the same
         CP/ER control flow either way.
         """
-        if isinstance(read, SignalRead) and not getattr(
-            self._basecaller, "accepts_signal_reads", False
-        ):
+        if isinstance(read, SignalRead) and not self.accepts_signal_reads():
             raise TypeError(
-                f"{type(self._basecaller).__name__} cannot decode signal-native "
+                f"{type(self.basecaller).__name__} cannot decode signal-native "
                 "reads; use a signal-space backend ('viterbi', 'dnn') for raw-"
                 "current inputs"
             )
-        if self._tracer is not None:
+        if self.tracer is not None:
             # Scope the injected tracer (pinned clock) process-wide so
             # the mapper's seed/chain/align sites record into it too.
-            with use_tracer(self._tracer) as tracer, tracer.read(read.read_id):
+            with use_tracer(self.tracer) as tracer, tracer.read(read.read_id):
                 return self._process_read(read, tracer)
         tracer = active_tracer()
         with tracer.read(read.read_id):
             return self._process_read(read, tracer)
 
     def _process_read(self, read: PipelineRead, tracer) -> ReadOutcome:
-        cfg = self._config
+        cfg = self.config
         chunk_size = cfg.chunk_size
-        n_chunks = self._basecaller.n_chunks(read, chunk_size)
+        n_chunks = self.basecaller.n_chunks(read, chunk_size)
         er_eligible = n_chunks >= cfg.min_chunks_for_er
         called: dict[int, BasecalledChunk] = {}
         # The read's progress so far; every exit reports all of it, so
@@ -251,7 +215,7 @@ class GenPIPPipeline:
         def basecall(index: int) -> BasecalledChunk:
             if index not in called:
                 with tracer.span("basecall_chunk"):
-                    called[index] = self._basecaller.basecall_chunk(read, index, chunk_size)
+                    called[index] = self.basecaller.basecall_chunk(read, index, chunk_size)
             return called[index]
 
         def outcome(status: ReadStatus, mapping: MappingResult | None = None) -> ReadOutcome:
@@ -277,7 +241,7 @@ class GenPIPPipeline:
         # through basecalling", Sec. 2.3).
         if self._ser_applies(read, er_eligible):
             with tracer.span("ser"):
-                ser = self._ser.decide(read)
+                ser = self.ser_policy.decide(read)
             if ser.reject:
                 return outcome(ReadStatus.REJECTED_SIGNAL)
 
@@ -285,8 +249,8 @@ class GenPIPPipeline:
         # when it runs it is the first basecalling stage.
         if cfg.enable_qsr and er_eligible:
             with tracer.span("qsr_probe"):
-                sampled = [basecall(i) for i in self._qsr.sample_indices(n_chunks)]
-                qsr = self._qsr.decide(sampled)
+                sampled = [basecall(i) for i in self.qsr_policy.sample_indices(n_chunks)]
+                qsr = self.qsr_policy.decide(sampled)
             if qsr.reject:
                 return outcome(ReadStatus.REJECTED_QSR)
 
@@ -295,7 +259,7 @@ class GenPIPPipeline:
         # coordinate flipping during prefix chaining; fixed to the exact
         # basecalled length before finalize().
         chunk_mapper = IncrementalChunkMapper(
-            self._index, read_length=len(read), config=self._mapper_config
+            self.index, read_length=len(read), config=self.mapper_config
         )
         # Seeded chunks are always a prefix of the read: ``n_seeded`` of
         # them, ``seeded_bases`` long in called bases (indel errors shift
@@ -303,7 +267,7 @@ class GenPIPPipeline:
         seeded_bases = 0
         if cfg.enable_cmr and er_eligible:
             with tracer.span("cmr_probe"):
-                merged_indices = list(self._cmr.merged_chunk_indices(n_chunks))
+                merged_indices = list(self.cmr_policy.merged_chunk_indices(n_chunks))
                 if not merged_indices or merged_indices != list(range(len(merged_indices))):
                     raise ValueError(
                         "the CMR policy must merge a non-empty prefix 0..m-1 of the "
@@ -315,7 +279,7 @@ class GenPIPPipeline:
                 primary, _ = chunk_mapper.chain_prefix()
                 score = primary.score if primary is not None else 0.0
                 n_chain_invocations += 1
-                cmr = self._cmr.decide(score, merged.size)
+                cmr = self.cmr_policy.decide(score, merged.size)
             if cmr.reject:
                 return outcome(ReadStatus.REJECTED_CMR)
 
@@ -332,7 +296,7 @@ class GenPIPPipeline:
             return outcome(ReadStatus.FAILED_QC)
 
         chunk_mapper.set_read_length(len(full_read))
-        mapping = chunk_mapper.finalize(read.read_id, full_read.codes, align=self._align)
+        mapping = chunk_mapper.finalize(read.read_id, full_read.codes, align=self.align)
         n_chain_invocations += 1
         with tracer.span("report"):
             return outcome(ReadStatus.MAPPED if mapping.mapped else ReadStatus.UNMAPPED, mapping)
@@ -349,44 +313,29 @@ class GenPIPPipeline:
         the union of run anchors equals the whole-read anchors (the
         mapper drops the duplicates from the overlap when it gathers).
         """
-        start = max(seeded_bases - self._seed_overlap, 0)
+        # Context overlap that makes chunked seeding anchor-identical to
+        # whole-read seeding: k-1 for boundary k-mers plus w-1 for
+        # boundary windows.
+        overlap = self.index.config.k + self.index.config.w - 2
+        start = max(seeded_bases - overlap, 0)
         chunk_mapper.add_chunk(prefix_codes[start:], read_offset=start)
 
 
-class ConventionalPipeline:
+class ConventionalPipeline(GenPIPPipeline):
     """The decoupled software pipeline: basecall -> RQC -> map.
 
     This is what Systems ``CPU`` / ``GPU`` of the evaluation run; it
     produces the same :class:`ReadOutcome` records so the performance
     model and the experiments can treat all pipelines uniformly.
+
+    Conventional processing == chunk pipeline with ER disabled. The
+    chunk-based pipeline with ER off performs exactly the same
+    computation as basecall-everything-then-map (identical basecalls by
+    chunk determinism; identical anchors by the seeding overlap), so the
+    conventional pipeline *is* that configuration -- only the
+    performance model treats their timing differently.
     """
 
-    def __init__(
-        self,
-        index: MinimizerIndex,
-        basecaller: Basecaller | None = None,
-        config: GenPIPConfig | None = None,
-        mapper_config: MapperConfig | None = None,
-        align: bool = True,
-    ):
-        config = (config or GenPIPConfig()).conventional()
-        self._pipeline = GenPIPPipeline(index, basecaller, config, mapper_config, align=align)
-
-    @property
-    def config(self) -> GenPIPConfig:
-        return self._pipeline.config
-
-    @property
-    def pipeline(self) -> GenPIPPipeline:
-        return self._pipeline
-
-    def process_read(self, read: SimulatedRead) -> ReadOutcome:
-        """Conventional processing == chunk pipeline with ER disabled.
-
-        The chunk-based pipeline with ER off performs exactly the same
-        computation as basecall-everything-then-map (identical basecalls
-        by chunk determinism; identical anchors by the seeding overlap),
-        so the conventional pipeline *is* that configuration -- only the
-        performance model treats their timing differently.
-        """
-        return self._pipeline.process_read(read)
+    def __post_init__(self) -> None:
+        self.config = (self.config or GenPIPConfig()).conventional()
+        super().__post_init__()

@@ -47,7 +47,7 @@ class ExperimentContext:
     profile_name: str = "ecoli-like"
     scale: float | None = None
     seed: int = 42
-    workers: int | None = None
+    workers: int = 1
 
     _dataset: Dataset | None = field(default=None, repr=False)
     _index: MinimizerIndex | None = field(default=None, repr=False)
@@ -155,18 +155,14 @@ def resolve_scale(scale, profile_name: str) -> float | None:
     return scale.get(profile_name)
 
 
-_WORKERS_UNSET = object()
-
-
 def get_context(
-    profile_name: str = "ecoli-like", scale=None, seed: int = 42, workers=_WORKERS_UNSET
+    profile_name: str = "ecoli-like", scale=None, seed: int = 42, workers: int | None = None
 ) -> ExperimentContext:
     """Process-wide memoised context (shared by experiments and benches).
 
     ``scale`` may be a float, ``None`` (preset default), or a dict
-    mapping profile names to scales. ``workers`` (when passed,
-    including an explicit ``None`` to reset to serial) sets the shared
-    context's runtime parallelism for future *uncached* pipeline runs;
+    mapping profile names to scales. ``workers`` (when passed) sets the
+    shared context's runtime parallelism for future *uncached* pipeline runs;
     it is not part of the cache key because any worker count produces
     identical reports.
     """
@@ -175,6 +171,6 @@ def get_context(
     if key not in _CONTEXTS:
         _CONTEXTS[key] = ExperimentContext(profile_name=profile_name, scale=scale, seed=seed)
     context = _CONTEXTS[key]
-    if workers is not _WORKERS_UNSET:
+    if workers is not None:
         context.workers = workers
     return context

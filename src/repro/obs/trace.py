@@ -264,7 +264,7 @@ def enable_tracing(clock: Callable[[], float] | None = None) -> Tracer:
     """Enable process-wide tracing (idempotent; returns the tracer).
 
     An already-enabled process keeps its tracer (and its clock) -- pool
-    workers call this unconditionally when a traced spec arrives.
+    workers call this unconditionally when their pool traces.
     """
     global _PROCESS
     if _PROCESS is None:

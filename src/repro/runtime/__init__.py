@@ -10,10 +10,8 @@ supplies the execution layer as a streaming dataflow:
   streams stored raw current straight into a signal-space basecaller),
   pulled inline by the engine -- the worker processes are what
   overlaps input with execution;
-* :mod:`repro.runtime.sharding` -- streaming work-unit planning with
-  fixed or length-aware (base-balanced) batching;
-* :mod:`repro.runtime.spec` -- :class:`PipelineSpec`, the picklable
-  per-worker pipeline factory;
+* :mod:`repro.runtime.sharding` -- streaming work-unit planning, a
+  fixed number of reads per unit;
 * :mod:`repro.runtime.columnar` -- the single columnar batch layout
   (:class:`ColumnarLayout` / :class:`ColumnarBatch`) shared by the
   transport, the kernel plane, and the sinks: planned once, packed
@@ -24,7 +22,8 @@ supplies the execution layer as a streaming dataflow:
   :class:`~repro.runtime.transport.SegmentLease`);
 * :mod:`repro.runtime.pool` -- :class:`WorkerPool`, the one worker
   plane under batch and serving and the one place a unit is executed:
-  worker initialiser, index published once, warm-up, ``submit(unit)``
+  the :class:`~repro.core.pipeline.GenPIPPipeline` itself handed to each
+  worker's initialiser, index published once, warm-up, ``submit(unit)``
   over shared memory with an automatic pickle fallback, segment
   release, Ctrl-C-safe stop, and ``execute(unit)``, which runs the unit
   in this process whenever there are no worker processes;
@@ -42,9 +41,9 @@ supplies the execution layer as a streaming dataflow:
 
 The load-bearing invariant, asserted by ``tests/test_runtime.py`` and
 ``tests/test_runtime_streaming.py``: for any worker count and any
-source x sink x batching combination -- shared memory or the pickle
-fallback underneath -- the merged result is identical to the sequential
-run's: same outcomes, same order, same counters.
+source x sink combination -- shared memory or the pickle fallback
+underneath -- the merged result is identical to the sequential run's:
+same outcomes, same order, same counters.
 """
 
 from repro.runtime.columnar import ColumnarBatch, ColumnarLayout
@@ -52,8 +51,6 @@ from repro.runtime.engine import DatasetEngine, RuntimeStats
 from repro.runtime.merge import ShardCollector, ShardResult
 from repro.runtime.pool import WorkerPool
 from repro.runtime.sharding import (
-    BATCHING_MODES,
-    WORKERS_ENV_VAR,
     WorkUnit,
     iter_work,
     plan_work,
@@ -79,7 +76,6 @@ from repro.runtime.source import (
     StoreSource,
     as_read_source,
 )
-from repro.runtime.spec import PipelineSpec
 from repro.runtime.transport import (
     SegmentLease,
     SharedIndexHandle,
@@ -91,7 +87,6 @@ from repro.runtime.transport import (
 )
 
 __all__ = [
-    "BATCHING_MODES",
     "ColumnarBatch",
     "ColumnarLayout",
     "DatasetEngine",
@@ -99,7 +94,6 @@ __all__ = [
     "JSONLSink",
     "MemorySink",
     "NullSink",
-    "PipelineSpec",
     "ReadSource",
     "ReportSink",
     "RuntimeStats",
@@ -111,7 +105,6 @@ __all__ = [
     "SignalStoreSource",
     "SimulatorSource",
     "StoreSource",
-    "WORKERS_ENV_VAR",
     "WorkUnit",
     "WorkerPool",
     "active_segments",

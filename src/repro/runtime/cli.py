@@ -31,10 +31,10 @@ Serial run, report to stdout::
 
     python -m repro.runtime --profile ecoli-like --scale 0.001 --json -
 
-Two workers, length-aware batching, streaming JSONL sink::
+Two workers, streaming JSONL sink::
 
     python -m repro.runtime --profile ecoli-like --scale 0.001 \\
-        --workers 2 --adaptive-batching --sink jsonl --outcomes out.jsonl
+        --workers 2 --sink jsonl --outcomes out.jsonl
 
 Per-read stage tracing (Chrome ``trace_event`` JSON for Perfetto plus a
 flat span JSONL; the report stays byte-identical to an untraced run)::
@@ -148,8 +148,8 @@ def add_pipeline_args(parser: argparse.ArgumentParser) -> None:
         help="run base-level alignment (slower; off by default like the sweeps)",
     )
     pipe.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes (default: GENPIP_WORKERS env or serial)",
+        "--workers", type=int, default=1, metavar="N",
+        help="worker processes (default: 1, serial in-process)",
     )
     signal = parser.add_argument_group("signal-domain early rejection (raw-current reads only)")
     signal.add_argument(
@@ -291,15 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--signal-er here)",
     )
     add_pipeline_args(parser)
-    batch = parser.add_argument_group("batching")
-    batch.add_argument(
+    parser.add_argument(
         "--batch-size", type=int, default=None, metavar="READS",
         help="reads per work unit (default: auto)",
-    )
-    batch.add_argument(
-        "--adaptive-batching", action="store_true",
-        help="balance work units by total bases instead of read count "
-        "(kills the long-read shard tail; identical results)",
     )
     out = parser.add_argument_group("output")
     out.add_argument(
@@ -548,7 +542,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         workers=args.workers,
         batch_size=args.batch_size,
         sink=sink,
-        batching="length-aware" if args.adaptive_batching else "fixed",
         trace=args.trace_path is not None,
     )
     report = engine.run(data)
@@ -617,7 +610,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"CMR {report.cmr_rejection_ratio:.1%}, "
             f"basecall savings {report.basecall_savings:.1%} | "
             f"{stats.mode} x{stats.workers} "
-            f"(batch {stats.batch_size}, {stats.batching}, "
+            f"(batch {stats.batch_size}, "
             f"source {args.source}, sink {args.sink}, transport {stats.transport}"
             f"{window}): "
             f"{stats.elapsed_s:.2f}s, {stats.reads_per_sec:.1f} reads/s"

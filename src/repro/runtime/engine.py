@@ -10,9 +10,8 @@ one run:
    the window loop -- the parent of a run is one thread, and the worker
    processes are what overlaps the source;
 2. :func:`~repro.runtime.sharding.iter_work` plans ordered
-   :class:`~repro.runtime.sharding.WorkUnit`\\ s from the stream (fixed
-   read count, or length-aware base balancing that kills the long-read
-   tail);
+   :class:`~repro.runtime.sharding.WorkUnit`\\ s from the stream, a
+   fixed number of reads each;
 3. units execute through a bounded in-flight window of
    :meth:`WorkerPool.execute <repro.runtime.pool.WorkerPool.execute>`
    futures -- the pool owns the processes, the shared-memory
@@ -25,7 +24,7 @@ one run:
 
 The engine's contract mirrors the paper's "no accuracy loss from
 pipeline restructuring" claim at the software level: for **every**
-source x sink x batching combination, a run with any worker count
+source x sink combination, a run with any worker count
 yields the same outcomes in the same order with the same counters as
 the sequential run. ``tests/test_runtime_streaming.py`` asserts the
 full matrix.
@@ -45,7 +44,6 @@ what a failed run leaves behind does not depend on the worker count.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
 from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -61,16 +59,9 @@ from repro.obs.metrics import (
 from repro.obs.trace import ReadTrace, decode_traces
 from repro.runtime.merge import ShardCollector
 from repro.runtime.pool import WorkerPool
-from repro.runtime.sharding import (
-    WorkUnit,
-    iter_work,
-    resolve_batch_size,
-    resolve_batching,
-    resolve_workers,
-)
+from repro.runtime.sharding import WorkUnit, iter_work, resolve_batch_size, resolve_workers
 from repro.runtime.sink import MemorySink, ReportSink
 from repro.runtime.source import ReadSource, as_read_source
-from repro.runtime.spec import PipelineSpec
 
 #: In-flight work units per worker (bounds parent memory and keeps the
 #: pool saturated while the source streams).
@@ -89,12 +80,11 @@ class RuntimeStats:
     """
 
     mode: str  # "serial" | "process-pool"
-    workers: int
+    workers: int  # the pool's size: the request, capped to the unit count
     batch_size: int
     n_shards: int
     n_reads: int
     elapsed_s: float
-    batching: str = "fixed"  # "fixed" | "length-aware"
     #: How unit payloads actually travelled (observed, not requested).
     transport: str = "none"  # "none" | "shm" | "pickle"
     #: Whether the run had the signal-domain (pre-basecalling) early
@@ -155,49 +145,37 @@ class DatasetEngine:
     Parameters
     ----------
     pipeline:
-        A built :class:`GenPIPPipeline` or a :class:`PipelineSpec`
-        (see :class:`~repro.runtime.pool.WorkerPool`).
+        The :class:`GenPIPPipeline` every unit runs on (see
+        :class:`~repro.runtime.pool.WorkerPool`).
     workers:
-        Pool size; ``None`` defers to ``GENPIP_WORKERS`` (default
-        serial), ``0``/``1`` run serially in-process.
+        Pool size; ``0``/``1`` run serially in-process.
     batch_size:
         Reads per work unit; ``None`` auto-sizes from the source's size
         hint.
-    progress:
-        Optional callback ``(reads_done, reads_total)`` invoked as the
-        ordered prefix of results grows (``reads_total`` is ``-1`` for
-        unsized streaming sources).
     sink:
         Outcome consumer; ``None`` accumulates in memory into a full
         report (the classic behaviour). A
         :class:`~repro.runtime.sink.JSONLSink` keeps parent retention
         at O(batch) and its finished report carries counters only.
-    batching:
-        ``"fixed"`` (constant reads per unit) or ``"length-aware"``
-        (units balanced by total bases; see
-        :mod:`repro.runtime.sharding`).
+    trace:
+        Record span traces in every process of the run
+        (:attr:`last_trace`).
     """
 
     def __init__(
         self,
-        pipeline: GenPIPPipeline | PipelineSpec,
+        pipeline: GenPIPPipeline,
         *,
-        workers: int | None = None,
+        workers: int = 1,
         batch_size: int | None = None,
-        progress: Callable[[int, int], None] | None = None,
         sink: ReportSink | None = None,
-        batching: str = "fixed",
         trace: bool = False,
     ):
         self._pipeline = pipeline
         self._trace = trace
         self._workers = resolve_workers(workers)
         self._batch_size = batch_size
-        self._progress = progress
         self._sink = sink
-        self._batching = resolve_batching(batching)
-        self._progress_seen = 0
-        self._progress_total = -1
         self._last_stats: RuntimeStats | None = None
         self._last_trace: list[ReadTrace] | None = None
 
@@ -229,31 +207,25 @@ class DatasetEngine:
         sink = self._sink if self._sink is not None else MemorySink()
         hint = source.size_hint()
         batch_size = resolve_batch_size(hint, self._workers, self._batch_size)
-        # A sized source bounds the useful pool: never spawn more
-        # workers (each unpickling the full spec) than there can be
-        # units. Fixed batching yields exactly ceil(hint/batch) units;
-        # length-aware can split down to one read per unit, so only the
-        # read count itself bounds it.
+        # A sized source bounds the useful pool: never start more
+        # workers than the ceil(hint / batch) units there will be.
         pool_workers = self._workers
         if hint is not None:
-            max_units = hint if self._batching == "length-aware" else -(-hint // batch_size)
-            pool_workers = min(pool_workers, max(max_units, 1))
-        pool = WorkerPool(self._pipeline, pool_workers, trace=self._trace)
-        spec = pool.spec
+            pool_workers = min(pool_workers, max(-(-hint // batch_size), 1))
+        pipeline = self._pipeline
+        pool = WorkerPool(pipeline, pool_workers, trace=self._trace)
         kind = getattr(source, "read_kind", None)
-        if callable(kind) and kind() == "signals" and not spec.accepts_signal_reads():
+        if callable(kind) and kind() == "signals" and not pipeline.accepts_signal_reads():
             raise TypeError(
                 "signal-native source requires a signal-space basecaller "
                 "('viterbi', 'dnn'); the configured backend decodes base-space "
                 "reads only"
             )
-        self._progress_seen = 0
-        self._progress_total = hint if hint is not None else -1
         collector = ShardCollector()
         started = time.perf_counter()
         registry = process_registry()
         parent_before = registry.snapshot()
-        sink.begin(spec.config)
+        sink.begin(pipeline.config)
         try:
             with pool:
                 inflight_window = self._run_window(pool, source, collector, sink, batch_size)
@@ -269,19 +241,18 @@ class DatasetEngine:
         # align counts for pooled runs instead of a ~zero fallback.
         if MAPPING_OPS in collector.metrics:
             registry.absorb(collector.metrics, names=(MAPPING_OPS,))
-        self._last_trace = decode_traces(collector.traces) if spec.trace else None
+        self._last_trace = decode_traces(collector.traces) if self._trace else None
         self._last_stats = RuntimeStats.from_registry(
             collector.metrics,
             parent_delta,
             mode=mode,
-            workers=self._workers,
+            workers=pool.workers,
             batch_size=batch_size,
             n_shards=collector.expected_shards or 0,
             n_reads=collector.counters.n_reads,
             elapsed_s=time.perf_counter() - started,
-            batching=self._batching,
             transport=pool.transport,
-            signal_er=spec.signal_rejection_enabled(),
+            signal_er=pipeline.signal_rejection_enabled(),
             inflight_window=inflight_window,
         )
         return report
@@ -291,7 +262,6 @@ class DatasetEngine:
         fresh = collector.drain()
         if fresh:
             sink.emit(fresh)
-        self._report_progress(collector)
 
     def _run_window(
         self,
@@ -311,7 +281,7 @@ class DatasetEngine:
         source inline, here.
         """
         pooled_window = max(pool.workers * _INFLIGHT_PER_WORKER, 2) if pool.alive else 0
-        units = iter_work(iter(source), batch_size, batching=self._batching)
+        units = iter_work(iter(source), batch_size)
         inflight: dict[Future, WorkUnit] = {}
         n_units = 0
         while True:
@@ -333,7 +303,6 @@ class DatasetEngine:
         while inflight:
             self._collect_completed(pool, inflight, collector, sink)
         collector.set_expected(n_units)
-        self._report_progress(collector)
         return pooled_window
 
     def _collect_completed(
@@ -370,9 +339,3 @@ class DatasetEngine:
         for unit in sorted(lost, key=lambda unit: unit.shard_id):
             collector.add(pool.run_local(unit))
             self._emit(collector, sink)
-
-    def _report_progress(self, collector: ShardCollector) -> None:
-        # High-water gate: progress must never appear to move backwards.
-        if self._progress is not None and collector.n_ready > self._progress_seen:
-            self._progress_seen = collector.n_ready
-            self._progress(collector.n_ready, self._progress_total)

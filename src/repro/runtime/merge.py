@@ -19,8 +19,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from repro.core.config import GenPIPConfig
-from repro.core.genpip import GenPIPReport, ReportCounters
+from repro.core.genpip import ReportCounters
 from repro.core.pipeline import ReadOutcome
 from repro.obs.metrics import merge_snapshots
 
@@ -73,8 +72,6 @@ class ShardCollector:
         self._outcomes: list[ReadOutcome] = []
         self._counters = ReportCounters()
         self._next_shard = 0
-        self._n_ready = 0
-        self._drained = 0
         self._metrics: dict[str, dict] = {}
         self._traces: list[tuple] = []
 
@@ -105,7 +102,6 @@ class ShardCollector:
         while self._next_shard in self._pending:
             ready = self._pending.pop(self._next_shard)
             self._outcomes.extend(ready.outcomes)
-            self._n_ready += len(ready.outcomes)
             self._counters = self._counters.combine(ready.counters)
             # Traces join the ordered prefix (dataset order); unlike
             # outcomes they are never drained -- a traced run keeps its
@@ -115,22 +111,9 @@ class ShardCollector:
             self._next_shard += 1
 
     @property
-    def complete(self) -> bool:
-        return (
-            self._n_shards is not None
-            and self._next_shard == self._n_shards
-            and not self._pending
-        )
-
-    @property
     def expected_shards(self) -> int | None:
         """Declared total shard count (None until the plan is known)."""
         return self._n_shards
-
-    @property
-    def n_ready(self) -> int:
-        """Reads ever part of the contiguous completed prefix."""
-        return self._n_ready
 
     @property
     def counters(self) -> ReportCounters:
@@ -153,22 +136,9 @@ class ShardCollector:
 
         The returned outcomes are **released** from the collector --
         after a drain, the parent's only copy is whatever the caller
-        (typically a sink) does with them. A collector that has been
-        drained can no longer assemble a full report itself.
+        (typically a sink) does with them; the collector keeps their
+        :attr:`counters`.
         """
         fresh = self._outcomes
         self._outcomes = []
-        self._drained += len(fresh)
         return fresh
-
-    def report(self, config: GenPIPConfig) -> GenPIPReport:
-        """The merged dataset report (requires all shards, no drains)."""
-        if not self.complete:
-            missing = (self._n_shards or 0) - self._next_shard
-            raise RuntimeError(f"cannot build report: {missing} shard(s) outstanding")
-        if self._drained:
-            raise RuntimeError(
-                "cannot build report: outcomes were drained to a sink; "
-                "use the sink's finished report instead"
-            )
-        return GenPIPReport(outcomes=self._outcomes, config=config, counters=self._counters)

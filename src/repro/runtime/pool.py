@@ -16,18 +16,18 @@ only :meth:`WorkerPool.execute` / :meth:`~WorkerPool.submit` /
 * *no processes, carry on in-process*: ``workers <= 1`` means none by
   design, a pool that cannot start or is :meth:`~WorkerPool.retire`-d
   after breaking means none any more, and either way
-  :meth:`~WorkerPool.execute` runs the unit on a lazily built local
-  pipeline and hands back an already-resolved future;
-* pipeline-or-spec normalisation, the trace flag on the spec and the
-  parent tracer's on/off scope (:meth:`~WorkerPool.start` to
-  :meth:`~WorkerPool.stop`);
+  :meth:`~WorkerPool.execute` runs the unit on the caller's pipeline
+  and hands back an already-resolved future;
+* the trace flag and the parent tracer's on/off scope
+  (:meth:`~WorkerPool.start` to :meth:`~WorkerPool.stop`);
 * the worker initialiser -- SIGINT ignored so the parent always owns
-  shutdown, tracer enabled when the spec asks, pipeline built from the
-  spec;
+  shutdown, tracer enabled when the pool traces, the pipeline kept as
+  it arrived (inherited under ``fork``, unpickled under ``spawn``);
 * the minimizer index, published to shared memory **once** per pool so
-  each worker receives a ~100-byte handle instead of a pickled index;
-* the warm-up submit that forks every worker while the parent is still
-  single-threaded;
+  the pipeline travels with a ~100-byte handle in place of its index
+  and each worker attaches the segment zero-copy;
+* the warm-up submit that, under ``fork``, starts every worker while
+  the parent is still single-threaded;
 * the single worker entry point: a :class:`~repro.runtime.transport
   .SharedUnit` is attached zero-copy (read-only views under a
   :class:`~repro.runtime.transport.SegmentLease`), a pickled
@@ -48,9 +48,9 @@ import signal
 import warnings
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 from repro.core.pipeline import GenPIPPipeline
-from repro.mapping.index import MinimizerIndex
 from repro.obs.metrics import record_copy, worker_metrics_delta, worker_metrics_snapshot
 from repro.obs.trace import (
     active_tracer,
@@ -62,10 +62,10 @@ from repro.obs.trace import (
 from repro.runtime.columnar import payload_nbytes
 from repro.runtime.merge import ShardResult
 from repro.runtime.sharding import WorkUnit
-from repro.runtime.spec import PipelineSpec
 from repro.runtime.transport import (
     SharedIndexHandle,
     SharedUnit,
+    attach_index,
     attach_unit,
     publish_index,
     publish_unit,
@@ -73,12 +73,13 @@ from repro.runtime.transport import (
     unit_lease,
 )
 
-#: Per-process pipeline, built once by :func:`_init_worker`.
+#: Per-process pipeline, set once by :func:`_init_worker`.
 _WORKER_PIPELINE: GenPIPPipeline | None = None
 
 
-def _init_worker(spec: PipelineSpec) -> None:
-    """Pool initialiser: rebuild the pipeline inside the worker.
+def _init_worker(pipeline: GenPIPPipeline, trace: bool) -> None:
+    """Pool initialiser: keep the pipeline, attaching its index if that
+    travelled as a shared-memory handle.
 
     A Ctrl-C reaches the whole process group; workers ignore it so the
     parent drains them through :meth:`WorkerPool.stop` instead of them
@@ -86,23 +87,28 @@ def _init_worker(spec: PipelineSpec) -> None:
     """
     global _WORKER_PIPELINE
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    if spec.trace:
+    if trace:
         enable_tracing()
-    _WORKER_PIPELINE = spec.build()
+    if isinstance(pipeline.index, SharedIndexHandle):
+        pipeline = replace(pipeline, index=attach_index(pipeline.index))
+    _WORKER_PIPELINE = pipeline
 
 
 def _warmup() -> None:
     """No-op task submitted before any caller thread starts.
 
-    With the default ``fork`` start method the executor launches *all*
-    worker processes on the first submit (gh-90622), so routing that
-    first submit through here -- before the serving event loop and its
+    With the ``fork`` start method the executor launches *all* worker
+    processes on the first submit (gh-90622), so routing that first
+    submit through here -- before the serving event loop and its
     executor threads exist; a batch parent never starts a thread at
     all -- guarantees every fork happens while the parent is still
     single-threaded (no 3.12+ fork-after-thread DeprecationWarning, no
-    inherited-lock deadlock hazard). It also
-    surfaces sandboxes that allow pool *creation* but not process
-    *spawning*, and worker builds that raise, before any work is planned.
+    inherited-lock deadlock hazard). Under ``spawn`` / ``forkserver``
+    only the first worker starts here and the rest start as units
+    queue up, which is safe at any time: they inherit nothing. Either
+    way this surfaces sandboxes that allow pool *creation* but not
+    process *spawning*, and worker initialisers that raise, before any
+    work is planned.
     """
     return None
 
@@ -167,12 +173,12 @@ def shutdown_executor(executor: Executor) -> None:
 class WorkerPool:
     """One pipeline and the processes (if any) that run its work units.
 
-    ``pipeline`` is a built :class:`GenPIPPipeline` (reused for
-    in-process units) or a :class:`PipelineSpec`; workers always get the
-    spec. ``trace=True`` puts the trace flag on the spec (worker
-    initialisers read it) and enables the parent's tracer from
-    :meth:`start` to :meth:`stop`. ``workers <= 1`` means no processes
-    by design: :meth:`start` publishes, forks and warns nothing.
+    ``pipeline`` runs the in-process units as it is and reaches each
+    worker once, through the initialiser, with its index swapped for
+    the published handle. ``trace=True`` enables the tracer in every
+    worker and, from :meth:`start` to :meth:`stop`, in the parent.
+    ``workers <= 1`` means no processes by design: :meth:`start`
+    publishes, forks and warns nothing.
 
     :meth:`start` must run while the caller is still single-threaded
     (see :func:`_warmup`). A pool that cannot be created, or whose
@@ -182,13 +188,9 @@ class WorkerPool:
     :meth:`retire`.
     """
 
-    def __init__(self, pipeline: GenPIPPipeline | PipelineSpec, workers: int, *, trace: bool = False):
-        if isinstance(pipeline, PipelineSpec):
-            self._spec, self._local = pipeline, None
-        else:
-            self._spec, self._local = PipelineSpec.from_pipeline(pipeline), pipeline
-        if trace and not self._spec.trace:
-            self._spec = self._spec.with_trace(True)
+    def __init__(self, pipeline: GenPIPPipeline, workers: int, *, trace: bool = False):
+        self._pipeline = pipeline
+        self._trace = trace
         self._workers = workers
         self._restore_tracing = False
         self._executor: ProcessPoolExecutor | None = None
@@ -197,11 +199,6 @@ class WorkerPool:
         self._segments: set[str] = set()
         self._shm = True
         self._transport = "none"
-
-    @property
-    def spec(self) -> PipelineSpec:
-        """The normalised spec (trace flag applied)."""
-        return self._spec
 
     @property
     def workers(self) -> int:
@@ -226,26 +223,25 @@ class WorkerPool:
     def start(self) -> bool:
         """Open the tracer scope and, for ``workers > 1``, publish the
         index, create the pool and warm it; returns ``alive``."""
-        if self._spec.trace and not tracing_enabled():
+        if self._trace and not tracing_enabled():
             # Covers in-process units; workers enable their own tracer.
             enable_tracing()
             self._restore_tracing = True
         if self._workers <= 1:
             return False
-        worker_spec = self._spec
-        if isinstance(self._spec.index, MinimizerIndex):
-            try:
-                self._index_handle = publish_index(self._spec.index)
-            except (OSError, ValueError, ImportError) as exc:
-                self._fall_back_to_pickle(exc)
-            else:
-                self._index_publications += 1
-                worker_spec = self._spec.with_index(self._index_handle)
+        travelling = self._pipeline
+        try:
+            self._index_handle = publish_index(travelling.index)
+        except (OSError, ValueError, ImportError) as exc:
+            self._fall_back_to_pickle(exc)
+        else:
+            self._index_publications += 1
+            travelling = replace(travelling, index=self._index_handle)
         try:
             self._executor = ProcessPoolExecutor(
                 max_workers=self._workers,
                 initializer=_init_worker,
-                initargs=(worker_spec,),
+                initargs=(travelling, self._trace),
             )
             self._executor.submit(_warmup).result()
         except (ImportError, NotImplementedError, OSError, BrokenProcessPool) as exc:
@@ -278,12 +274,9 @@ class WorkerPool:
         return future
 
     def run_local(self, unit: WorkUnit) -> ShardResult:
-        """Run ``unit`` on the caller's thread, on the local pipeline
-        (built from the spec on first use). No metrics delta rides the
-        result: the charges land in this process's ledgers directly."""
-        if self._local is None:
-            self._local = self._spec.build()
-        return run_unit(self._local, unit.shard_id, list(unit.reads))
+        """Run ``unit`` on the caller's thread. No metrics delta rides
+        the result: the charges land in this process's ledgers directly."""
+        return run_unit(self._pipeline, unit.shard_id, list(unit.reads))
 
     def retire(self, exc: BaseException) -> None:
         """Give up on processes that broke: warn once, drop them and
@@ -333,22 +326,25 @@ class WorkerPool:
             disable_tracing()
 
     def _drop_processes(self) -> None:
-        """Release the index, shut the workers down, release every segment.
+        """Shut the workers down, then release the index and every segment.
 
-        The index goes *first* (workers keep their attached mappings
-        until they exit, so unlink-before-shutdown is safe on every
-        platform we run on) so a Ctrl-C landing mid-join cannot leak it.
-        Segments of units still running after such a downgraded shutdown
-        are released here rather than by their done-callbacks.
+        The index outlives the workers: a non-``fork`` executor starts
+        them lazily, and one still booting when the pool stops attaches
+        the segment by name. The release sits in a ``finally`` so a
+        Ctrl-C landing mid-join still cannot leak it. Segments of units
+        still running after such a downgraded shutdown are released here
+        rather than by their done-callbacks.
         """
-        if self._index_handle is not None:
-            release_unit(self._index_handle.segment)
-            self._index_handle = None
         executor, self._executor = self._executor, None
-        if executor is not None:
-            shutdown_executor(executor)
-        for name in tuple(self._segments):
-            self._release(name)
+        try:
+            if executor is not None:
+                shutdown_executor(executor)
+        finally:
+            if self._index_handle is not None:
+                release_unit(self._index_handle.segment)
+                self._index_handle = None
+            for name in tuple(self._segments):
+                self._release(name)
 
     def __enter__(self) -> "WorkerPool":
         self.start()

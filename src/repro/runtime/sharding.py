@@ -9,35 +9,23 @@ order.
 
 Planning is a **streaming** operation: :func:`iter_work` consumes any
 read iterable and yields units as soon as they fill, so the engine can
-plan from a lazy source without materialising the dataset. Two
-batching modes exist:
-
-* ``"fixed"`` -- a constant number of reads per unit (the classic
-  plan);
-* ``"length-aware"`` -- units are balanced by *total bases* instead of
-  read count: a unit closes once its bases would exceed the running
-  mean read length times ``batch_size``. Nanopore length distributions
-  are heavy-tailed (Table 1: mean ~9 kb, max >100 kb), so fixed-count
-  units put single 100 kb reads next to units of 1 kb reads and the
-  longest shard serialises the tail of the run; base-balanced units
-  isolate long reads and pack short ones densely. The rule depends
-  only on the read stream's prefix, so serial and parallel runs plan
-  identical units and the equivalence contract holds.
+plan from a lazy source without materialising the dataset. There is one
+rule, a fixed number of reads per unit. Nanopore length distributions
+are heavy-tailed, but the automatic batch size gives each worker
+``_UNITS_PER_WORKER`` units handed out dynamically, which already
+absorbs the long-read tail: balancing units by bases made them more
+even and the run no faster (ROADMAP, PR 24). The units planned from a
+prefix of a stream are a prefix of the units planned from the whole, so
+serial and parallel runs plan identical units.
 """
 
 from __future__ import annotations
 
-import os
+import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from repro.nanopore.read_simulator import SimulatedRead
-
-#: Environment variable consulted when ``workers=None`` is requested.
-WORKERS_ENV_VAR = "GENPIP_WORKERS"
-
-#: Supported batching modes of :func:`iter_work`.
-BATCHING_MODES = ("fixed", "length-aware")
 
 #: Work units a pool worker should see on average; > 1 so that slow
 #: shards (long reads) don't serialise the tail of the run.
@@ -47,11 +35,6 @@ _UNITS_PER_WORKER = 8
 _MIN_BATCH = 1
 _MAX_BATCH = 256
 
-#: Length-aware units never hold more than this many times the batch
-#: size in reads (bounds per-task handle counts when a stream of very
-#: short reads follows a long-read prefix).
-_LENGTH_AWARE_COUNT_CAP = 4
-
 #: Assumed dataset size when a streaming source has no size hint.
 UNKNOWN_SIZE_HINT = 4096
 
@@ -60,10 +43,9 @@ UNKNOWN_SIZE_HINT = 4096
 class WorkUnit:
     """A contiguous run of reads, tagged with its position in the plan.
 
-    Planning is read-kind agnostic: the only contract consumed here is
-    ``len(read)`` (the base-grid length), so base-space simulated reads
-    and signal-native :class:`~repro.nanopore.signal_read.SignalRead`\\ s
-    shard identically.
+    Planning is read-kind agnostic -- it counts reads and looks inside
+    none -- so base-space simulated reads and signal-native
+    :class:`~repro.nanopore.signal_read.SignalRead`\\ s shard identically.
     """
 
     shard_id: int
@@ -73,26 +55,10 @@ class WorkUnit:
     def __len__(self) -> int:
         return len(self.reads)
 
-    @property
-    def n_bases(self) -> int:
-        return sum(len(read) for read in self.reads)
 
-
-def resolve_workers(workers: int | None) -> int:
-    """Normalise a worker-count request to an effective pool size.
-
-    ``None`` defers to the ``GENPIP_WORKERS`` environment variable
-    (absent/invalid -> 1, i.e. serial); ``0`` and ``1`` both mean
-    serial in-process execution.
-    """
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV_VAR, "")
-        try:
-            workers = int(raw)
-        except ValueError:
-            workers = 1
-        if workers < 0:  # invalid env values degrade to serial, like non-numeric ones
-            workers = 1
+def resolve_workers(workers: int = 1) -> int:
+    """Normalise a worker-count request to an effective pool size:
+    ``0`` and ``1`` both mean serial in-process execution."""
     if workers < 0:
         raise ValueError(f"workers must be non-negative, got {workers}")
     return max(workers, 1)
@@ -119,22 +85,9 @@ def resolve_batch_size(n_reads: int | None, workers: int, batch_size: int | None
     return max(_MIN_BATCH, min(auto, _MAX_BATCH))
 
 
-def resolve_batching(batching: str) -> str:
-    """Validate a batching-mode name."""
-    if batching not in BATCHING_MODES:
-        raise ValueError(
-            f"unknown batching mode {batching!r}; expected one of {BATCHING_MODES}"
-        )
-    return batching
-
-
-def iter_work(
-    reads: Iterable[SimulatedRead],
-    batch_size: int,
-    *,
-    batching: str = "fixed",
-) -> Iterator[WorkUnit]:
-    """Stream ordered :class:`WorkUnit`\\ s from any read iterable.
+def iter_work(reads: Iterable[SimulatedRead], batch_size: int) -> Iterator[WorkUnit]:
+    """Stream ordered :class:`WorkUnit`\\ s of ``batch_size`` reads (the
+    last may be shorter) from any read iterable.
 
     Shard ids increase with dataset position, so concatenating shard
     results by id reproduces dataset order exactly. Units are yielded
@@ -143,78 +96,14 @@ def iter_work(
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
-    resolve_batching(batching)
-    if batching == "fixed":
-        yield from _iter_fixed(reads, batch_size)
-    else:
-        yield from _iter_length_aware(reads, batch_size)
+    stream = iter(reads)
+    for shard_id in itertools.count():
+        unit = tuple(itertools.islice(stream, batch_size))
+        if not unit:
+            return
+        yield WorkUnit(shard_id=shard_id, start=shard_id * batch_size, reads=unit)
 
 
-def _iter_fixed(reads: Iterable[SimulatedRead], batch_size: int) -> Iterator[WorkUnit]:
-    unit: list[SimulatedRead] = []
-    shard_id = 0
-    start = 0
-    for read in reads:
-        unit.append(read)
-        if len(unit) >= batch_size:
-            yield WorkUnit(shard_id=shard_id, start=start, reads=tuple(unit))
-            shard_id += 1
-            start += len(unit)
-            unit = []
-    if unit:
-        yield WorkUnit(shard_id=shard_id, start=start, reads=tuple(unit))
-
-
-def _iter_length_aware(reads: Iterable[SimulatedRead], batch_size: int) -> Iterator[WorkUnit]:
-    """Balance units by total bases: budget = batch_size x running mean.
-
-    The budget for each read is computed from the reads seen *before*
-    it (a prefix-only statistic, so planning is deterministic for a
-    given stream regardless of worker count -- and a long read cannot
-    inflate its own budget). A unit closes when the next read would
-    push it past the budget, and immediately after any read that fills
-    it on its own -- so a read longer than the budget always lands in a
-    singleton unit. A read-count cap keeps units bounded when a stream
-    of very short reads follows a long-read prefix.
-    """
-    unit: list[SimulatedRead] = []
-    unit_bases = 0
-    seen_reads = 0
-    seen_bases = 0
-    shard_id = 0
-    start = 0
-    count_cap = batch_size * _LENGTH_AWARE_COUNT_CAP
-
-    def flush() -> Iterator[WorkUnit]:
-        nonlocal unit, unit_bases, shard_id, start
-        yield WorkUnit(shard_id=shard_id, start=start, reads=tuple(unit))
-        shard_id += 1
-        start += len(unit)
-        unit = []
-        unit_bases = 0
-
-    for read in reads:
-        n = len(read)
-        budget = batch_size * (seen_bases / seen_reads) if seen_reads else None
-        if unit and (
-            len(unit) >= count_cap or (budget is not None and unit_bases + n > budget)
-        ):
-            yield from flush()
-        unit.append(read)
-        unit_bases += n
-        if budget is not None and unit_bases >= budget:
-            yield from flush()
-        seen_reads += 1
-        seen_bases += n
-    if unit:
-        yield from flush()
-
-
-def plan_work(
-    reads: Sequence[SimulatedRead],
-    batch_size: int,
-    *,
-    batching: str = "fixed",
-) -> list[WorkUnit]:
+def plan_work(reads: Sequence[SimulatedRead], batch_size: int) -> list[WorkUnit]:
     """Materialised convenience wrapper around :func:`iter_work`."""
-    return list(iter_work(reads, batch_size, batching=batching))
+    return list(iter_work(reads, batch_size))

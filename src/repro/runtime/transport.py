@@ -359,8 +359,8 @@ def _index_offsets(handle: SharedIndexHandle) -> tuple[int, int, int, int]:
 def publish_index(index: MinimizerIndex) -> SharedIndexHandle:
     """Publish an index's arrays into one shared segment (parent side).
 
-    The pickled size of a :class:`~repro.runtime.spec.PipelineSpec` is
-    dominated by the index; publishing it once and shipping a handle
+    The pickled size of a :class:`~repro.core.pipeline.GenPIPPipeline`
+    is dominated by the index; publishing it once and shipping a handle
     removes that per-worker serialisation from pool start-up. The index
     already stores the segment's exact columnar layout
     (:attr:`~repro.mapping.index.MinimizerIndex.key_array` et al.), so

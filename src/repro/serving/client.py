@@ -167,11 +167,11 @@ def drive_sessions(
 
 
 def serve_and_drive(
-    pipeline_or_spec,
+    pipeline,
     reads: Sequence[object],
     *,
     sessions: int,
-    workers: int | None = None,
+    workers: int = 1,
 ):
     """One-call loopback exercise: serve ``reads`` over N concurrent sessions.
 
@@ -200,5 +200,5 @@ def serve_and_drive(
             )
             return results, server.stats()
 
-    with PoolDispatcher(pipeline_or_spec, workers=workers) as dispatcher:
+    with PoolDispatcher(pipeline, workers=workers) as dispatcher:
         return asyncio.run(_serve())

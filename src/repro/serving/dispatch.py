@@ -2,8 +2,8 @@
 
 The batch runtime (:mod:`repro.runtime.engine`) builds a pool per run
 and tears it down with the dataset; a *serving* process cannot afford
-either end of that -- pool start-up (fork + per-worker pipeline build +
-index materialisation) is orders of magnitude above a single read's
+either end of that -- pool start-up (worker start + the pipeline's trip
+to each + index attachment) is orders of magnitude above a single read's
 latency budget. :class:`PoolDispatcher` therefore keeps one
 :class:`~repro.runtime.pool.WorkerPool` -- the same worker plane the
 batch engine runs on -- alive across sessions:
@@ -42,7 +42,6 @@ from repro.obs.metrics import MAPPING_OPS, Histogram, MetricsRegistry, process_r
 from repro.obs.trace import ReadTrace, decode_traces
 from repro.runtime.pool import WorkerPool, shutdown_executor
 from repro.runtime.sharding import WorkUnit, resolve_workers
-from repro.runtime.spec import PipelineSpec
 
 
 @dataclass(frozen=True)
@@ -162,11 +161,14 @@ class PoolDispatcher:
 
     def __init__(
         self,
-        pipeline: GenPIPPipeline | PipelineSpec,
+        pipeline: GenPIPPipeline,
         *,
-        workers: int | None = None,
+        workers: int = 1,
         trace: bool = False,
     ):
+        #: The pipeline every read runs on; whether span traces are recorded.
+        self.pipeline = pipeline
+        self.trace = trace
         self._workers = resolve_workers(workers)
         self._pool = WorkerPool(pipeline, self._workers, trace=trace)
         self._traces: list[tuple] = []
@@ -219,11 +221,6 @@ class PoolDispatcher:
     def index_publications(self) -> int:
         """How many times the index was published (must stay <= 1)."""
         return self._pool.index_publications
-
-    @property
-    def trace(self) -> bool:
-        """Whether this dispatcher records span traces."""
-        return self._pool.spec.trace
 
     def drain_traces(self) -> list[ReadTrace]:
         """Completed traces (worker spans plus parent ``dispatch`` spans)

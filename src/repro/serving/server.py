@@ -20,10 +20,10 @@ verdict under the connection's write lock (frames are lines, so the
 lock is what keeps concurrent verdicts from interleaving mid-line).
 Session state lives in the :class:`~repro.serving.session.SessionMux`,
 never in the handler, so the server-wide stats survive the connection.
-However a session ends -- ``end``, a protocol violation (one ``error``
-frame, then close), a vanished peer -- its in-flight read tasks are
-cancelled *and awaited* before the handler returns, so none outlives
-its connection or dies unobserved.
+However a session ends -- ``end``, a protocol violation or a read whose
+processing raised (one ``error`` frame, then close), a vanished peer --
+its in-flight read tasks are cancelled *and awaited* before the handler
+returns, so none outlives its connection or dies unobserved.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 
+from repro.nanopore.signal_read import SignalRead
 from repro.obs.export import prometheus_text
 from repro.serving import protocol
 from repro.serving.dispatch import PoolDispatcher, ServingStats
@@ -118,8 +119,13 @@ class ServingServer:
                 await writer.drain()
 
         session: SessionState | None = None
+        frames: asyncio.Task | None = None
         tasks: set[asyncio.Task] = set()
-        error: protocol.ProtocolError | None = None
+        # Resolved, with the message for the client, by the first read
+        # whose processing raised: the session ends there and then, not
+        # when (if ever) the client gets to `end`.
+        failed: asyncio.Future = asyncio.get_running_loop().create_future()
+        error: str | None = None
         try:
             hello = await protocol.receive_frame(reader, expect=protocol.CLIENT_FRAMES)
             if hello is None:
@@ -127,73 +133,106 @@ class ServingServer:
             name = protocol.check_hello(hello)
             session = self._mux.open(name)
             await send(protocol.welcome_frame(session.session_id))
-            # EOF without `end` leaves the loop: in-flight reads are abandoned.
-            while (
-                frame := await protocol.receive_frame(reader, expect=protocol.CLIENT_FRAMES)
-            ) is not None:
-                if frame["type"] == "read":
-                    read = protocol.read_from_record(frame["read"])
-                    try:
-                        self._mux.submit(session, frame["seq"])
-                    except ValueError as exc:  # seq already in flight
-                        raise protocol.ProtocolError(str(exc)) from exc
-                    task = asyncio.ensure_future(
-                        self._run_read(session, send, frame["seq"], read)
-                    )
-                    tasks.add(task)
-                    task.add_done_callback(tasks.discard)
-                elif frame["type"] == "end":
-                    if tasks:
-                        await asyncio.gather(*tuple(tasks))
-                    # Close first so the summary's server block already
-                    # includes this session in the aggregate.
-                    self._mux.close(session)
-                    await send(
-                        protocol.summary_frame(
-                            session.session_id,
-                            totals=session.totals(),
-                            latency={
-                                "count": session.latency.count,
-                                **session.latency.percentiles_ms(),
-                            },
-                            server=self.stats().summary_record(),
-                        )
-                    )
-                    return
-                elif frame["type"] == "stats":
-                    # Live telemetry probe: answer with the server-wide
-                    # stats block plus the Prometheus exposition of the
-                    # mux registry. Valid any time on an open session.
-                    await send(
-                        protocol.stats_frame(
-                            self.stats().summary_record(), self.metrics_text()
-                        )
-                    )
-                elif frame["type"] == "hello":
-                    raise protocol.ProtocolError("duplicate hello on an open session")
+            frames = asyncio.ensure_future(self._read_frames(reader, send, session, tasks, failed))
+            await asyncio.wait({frames, failed}, return_when=asyncio.FIRST_COMPLETED)
+            if failed.done():
+                error = failed.result()
+            else:
+                frames.result()
         except protocol.ProtocolError as exc:
-            error = exc
+            error = str(exc)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # peer vanished mid-frame; nothing to answer to
         finally:
-            # Reap the reads still in flight before anything else is
-            # written, so an `error` frame is the last thing on the wire.
-            for task in tasks:
+            # Reap the frame loop and the reads still in flight before
+            # anything else is written, so an `error` frame is the last
+            # thing on the wire.
+            pending = [*tasks] if frames is None else [frames, *tasks]
+            for task in pending:
                 task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
+            await asyncio.gather(*pending, return_exceptions=True)
             if session is not None:
                 self._mux.close(session)
             if error is not None:
                 with contextlib.suppress(ConnectionError, RuntimeError):  # peer gone
-                    await send(protocol.error_frame(str(error)))
+                    await send(protocol.error_frame(error))
             writer.close()
             with contextlib.suppress(ConnectionError, BrokenPipeError):  # teardown race
                 await writer.wait_closed()
 
-    async def _run_read(self, session: SessionState, send, seq: int, read) -> None:
+    async def _read_frames(
+        self,
+        reader: asyncio.StreamReader,
+        send,
+        session: SessionState,
+        tasks: set[asyncio.Task],
+        failed: asyncio.Future,
+    ) -> None:
+        """An open session's frames up to ``end`` (or EOF, which abandons
+        the reads in flight): each ``read`` becomes a task in ``tasks``."""
+        while (
+            frame := await protocol.receive_frame(reader, expect=protocol.CLIENT_FRAMES)
+        ) is not None:
+            if frame["type"] == "read":
+                read = protocol.read_from_record(frame["read"])
+                if (
+                    isinstance(read, SignalRead)
+                    and not self._dispatcher.pipeline.accepts_signal_reads()
+                ):
+                    raise protocol.ProtocolError(
+                        "signal read sent to a pipeline whose basecaller decodes "
+                        "base-space reads only"
+                    )
+                try:
+                    self._mux.submit(session, frame["seq"])
+                except ValueError as exc:  # seq already in flight
+                    raise protocol.ProtocolError(str(exc)) from exc
+                task = asyncio.ensure_future(
+                    self._run_read(session, send, frame["seq"], read, failed)
+                )
+                tasks.add(task)
+                task.add_done_callback(tasks.discard)
+            elif frame["type"] == "end":
+                if tasks:
+                    await asyncio.gather(*tuple(tasks))
+                if failed.done():
+                    return
+                # Close first so the summary's server block already
+                # includes this session in the aggregate.
+                self._mux.close(session)
+                await send(
+                    protocol.summary_frame(
+                        session.session_id,
+                        totals=session.totals(),
+                        latency={
+                            "count": session.latency.count,
+                            **session.latency.percentiles_ms(),
+                        },
+                        server=self.stats().summary_record(),
+                    )
+                )
+                return
+            elif frame["type"] == "stats":
+                # Live telemetry probe: answer with the server-wide
+                # stats block plus the Prometheus exposition of the
+                # mux registry. Valid any time on an open session.
+                await send(
+                    protocol.stats_frame(self.stats().summary_record(), self.metrics_text())
+                )
+            elif frame["type"] == "hello":
+                raise protocol.ProtocolError("duplicate hello on an open session")
+
+    async def _run_read(
+        self, session: SessionState, send, seq: int, read, failed: asyncio.Future
+    ) -> None:
         from repro.runtime.sink import outcome_to_record
 
-        outcome, latency_s = await self._dispatcher.process(read)
+        try:
+            outcome, latency_s = await self._dispatcher.process(read)
+        except Exception as exc:  # the session's boundary: tell the client, once
+            if not failed.done():
+                failed.set_result(f"read seq {seq} failed: {exc}")
+            return
         self._mux.resolve(session, seq, outcome, latency_s)
         await send(
             protocol.verdict_frame(

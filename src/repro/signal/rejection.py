@@ -22,8 +22,8 @@ adaptive-sampling use). Uncovered genomic reads are indistinguishable
 from junk in signal space -- callers choose the template set with that
 in mind.
 
-Policies travel to pooled workers inside the
-:class:`~repro.runtime.spec.PipelineSpec`, so they must be picklable
+Policies travel to pooled workers as fields of the
+:class:`~repro.core.pipeline.GenPIPPipeline`, so they must be picklable
 and deterministic per read -- the same contract as basecaller engines,
 and the invariant behind the serial == pooled byte-identity of SER
 runs.

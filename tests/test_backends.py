@@ -3,20 +3,22 @@
 Covers the structural protocols (:mod:`repro.core.backends`), the
 signal-space backend adapters (:mod:`repro.basecalling.engines`), the
 backend/preset registry (:mod:`repro.core.registry`), the fluent
-builder (:mod:`repro.core.builder`), and the backend-generic
-:class:`~repro.runtime.spec.PipelineSpec` -- including the two
-equivalence guarantees of the redesign:
+builder (:mod:`repro.core.builder`), and how a
+:class:`~repro.core.pipeline.GenPIPPipeline` travels to a worker (as
+itself, pickled) -- including the two equivalence guarantees of the
+redesign:
 
 * the default builder chain produces reports *byte-identical* to the
   direct ``GenPIP(...)`` constructor;
 * a builder-constructed system with a non-default backend yields the
   same report from ``run(workers=2)`` as from the serial run, and its
-  spec round-trips through pickle into a fresh interpreter (``spawn``
-  semantics) with identical outcomes.
+  pipeline round-trips through pickle into a fresh interpreter
+  (``spawn`` semantics) with identical outcomes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
 import pickle
@@ -57,7 +59,6 @@ from repro.core.registry import (
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.runtime.cli import report_to_json
-from repro.runtime.spec import PipelineSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -356,54 +357,60 @@ class TestConventionalPipelineAlign:
             assert without.mapping.alignment is None
 
 
-class TestPipelineSpec:
+class TestPipelineTravels:
+    """The pipeline is what reaches a worker: rebinding a field keeps
+    every other one, and a pickled copy decides every read the same."""
+
     def test_backend_travels_as_instance(self, micro_index):
         class CustomEngine(SurrogateBasecaller):
             pass
 
         engine = CustomEngine()
-        spec = PipelineSpec.from_pipeline(
-            GenPIP(micro_index, basecaller=engine).pipeline
-        )
-        assert spec.basecaller is engine
-        assert isinstance(spec.build().basecaller, CustomEngine)
+        pipeline = GenPIP(micro_index, basecaller=engine).pipeline
+        assert pipeline.basecaller is engine
+        # What a worker does with the shared-memory handle it was sent.
+        rebound = dataclasses.replace(pipeline, index=micro_index)
+        assert rebound.basecaller is engine
+        assert rebound.qsr_policy is pipeline.qsr_policy
+        assert rebound.config == pipeline.config
 
     def test_custom_policies_travel(self, micro_index):
         qsr = QSRPolicy(theta_qs=3.3, n_qs=4)
-        spec = PipelineSpec.from_pipeline(
-            GenPIP(micro_index, qsr_policy=qsr).pipeline
-        )
-        rebuilt = pickle.loads(pickle.dumps(spec)).build()
+        rebuilt = pickle.loads(pickle.dumps(GenPIP(micro_index, qsr_policy=qsr).pipeline))
         assert rebuilt.qsr_policy.theta_qs == 3.3
         assert rebuilt.qsr_policy.n_qs == 4
 
     def test_spawn_round_trip_identical_outcomes(
         self, micro_index, micro_dataset, tmp_path
     ):
-        """Pickle a non-surrogate spec, rebuild it in a *fresh*
-        interpreter (spawn semantics), and compare outcomes exactly."""
-        system = (
+        """Pickle a pipeline per engine (one with a custom QSR policy),
+        load them in a *fresh* interpreter (spawn semantics), and
+        compare outcomes exactly."""
+        pipelines = [
+            GenPIP(micro_index, align=False).pipeline,
             GenPIP.build()
             .index(micro_index)
             .basecaller("viterbi", FAST_VITERBI)
+            .qsr_policy(QSRPolicy(theta_qs=9.5, n_qs=3))
             .align(False)
             .build()
-        )
+            .pipeline,
+            GenPIP(micro_index, basecaller=DNNChunkBasecaller(FAST_DNN), align=False).pipeline,
+        ]
         reads = micro_dataset.reads[:3]
-        expected = [system.process_read(read) for read in reads]
+        expected = [pipeline.process_batch(list(reads)) for pipeline in pipelines]
 
-        spec_path = tmp_path / "spec.pkl"
+        pipelines_path = tmp_path / "pipelines.pkl"
         reads_path = tmp_path / "reads.pkl"
         out_path = tmp_path / "outcomes.pkl"
-        spec_path.write_bytes(pickle.dumps(PipelineSpec.from_pipeline(system.pipeline)))
+        pipelines_path.write_bytes(pickle.dumps(pipelines))
         reads_path.write_bytes(pickle.dumps(reads))
 
         worker = (
             "import pickle, sys\n"
-            "spec = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            "pipelines = pickle.loads(open(sys.argv[1], 'rb').read())\n"
             "reads = pickle.loads(open(sys.argv[2], 'rb').read())\n"
-            "pipeline = spec.build()\n"
-            "outcomes = pipeline.process_batch(reads)\n"
+            "outcomes = [pipeline.process_batch(reads) for pipeline in pipelines]\n"
             "open(sys.argv[3], 'wb').write(pickle.dumps(outcomes))\n"
         )
         env = dict(os.environ)
@@ -411,7 +418,7 @@ class TestPipelineSpec:
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
         completed = subprocess.run(
-            [sys.executable, "-c", worker, str(spec_path), str(reads_path), str(out_path)],
+            [sys.executable, "-c", worker, str(pipelines_path), str(reads_path), str(out_path)],
             env=env,
             capture_output=True,
             text=True,
@@ -466,7 +473,8 @@ class TestUnitCompositionIndependence:
         assert outcomes == expected
 
     def test_pickled_spec_rebuilds_the_same_outcomes(self, case):
+        """The pickled pipeline is the spec a spawned worker rebuilds from."""
         pipeline, reads, expected = case
-        rebuilt = pickle.loads(pickle.dumps(PipelineSpec.from_pipeline(pipeline))).build()
+        rebuilt = pickle.loads(pickle.dumps(pipeline))
         assert rebuilt.basecaller is not pipeline.basecaller
         assert rebuilt.process_batch(reads) == expected

@@ -21,6 +21,7 @@ Tentpole invariants under test:
 from __future__ import annotations
 
 import ast
+import dataclasses
 import itertools
 import json
 import re
@@ -216,21 +217,9 @@ class TestPipelineTracing:
     def test_injected_clock_pins_span_times(self, obs_system, obs_dataset):
         """An explicit pipeline tracer (deterministic clock) records the
         same structure the process tracer does, with counter times."""
-        from repro.core.pipeline import GenPIPPipeline
-
         base = obs_system.pipeline
         tracer = Tracer(clock=_counter_clock())
-        pipeline = GenPIPPipeline(
-            base.index,
-            base.basecaller,
-            base.config,
-            base.mapper_config,
-            align=base.align,
-            qsr_policy=base.qsr_policy,
-            cmr_policy=base.cmr_policy,
-            ser_policy=base.ser_policy,
-            tracer=tracer,
-        )
+        pipeline = dataclasses.replace(base, tracer=tracer)
         read = obs_dataset.reads[0]
         outcome = pipeline.process_read(read)
         assert outcome == base.process_read(read)
@@ -518,7 +507,6 @@ class TestRuntimeStatsFromRegistry:
             n_shards=3,
             n_reads=12,
             elapsed_s=1.0,
-            batching="fixed",
             transport="shm",
             signal_er=False,
         )
@@ -535,7 +523,6 @@ class TestRuntimeStatsFromRegistry:
             n_shards=1,
             n_reads=8,
             elapsed_s=0.5,
-            batching="fixed",
             transport="none",
             signal_er=False,
         )

@@ -9,6 +9,7 @@ the pipeline loses no accuracy.
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import subprocess
@@ -16,17 +17,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import GenPIP, GenPIPConfig
-from repro.core.genpip import GenPIPReport, ReportCounters
+from repro.core.genpip import ReportCounters
 from repro.core.pipeline import ReadStatus
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.runtime import (
     DatasetEngine,
-    PipelineSpec,
     ShardCollector,
     ShardResult,
+    iter_work,
     plan_work,
     resolve_batch_size,
     resolve_workers,
@@ -84,11 +87,6 @@ class TestParallelEquivalence:
         assert parallel.outcomes == serial.outcomes
         assert parallel.mean_identity() == serial.mean_identity()
 
-    def test_engine_from_spec_matches_pipeline(self, tiny_system, tiny_dataset, serial_report):
-        spec = PipelineSpec.from_pipeline(tiny_system.pipeline)
-        report = DatasetEngine(spec, workers=2, batch_size=4).run(tiny_dataset)
-        assert report.outcomes == serial_report.outcomes
-
     def test_stats_reflect_run_shape(self, tiny_system, tiny_dataset):
         engine = DatasetEngine(tiny_system.pipeline, workers=2, batch_size=7)
         engine.run(tiny_dataset)
@@ -100,61 +98,44 @@ class TestParallelEquivalence:
         assert stats.n_shards == len(plan_work(tiny_dataset.reads, 7))
         assert stats.reads_per_sec > 0
 
-    def test_progress_reaches_total(self, tiny_system, tiny_dataset):
-        seen = []
-        engine = DatasetEngine(
-            tiny_system.pipeline, workers=2, batch_size=5, progress=lambda done, total: seen.append((done, total))
-        )
+    def test_stats_report_the_pool_the_run_had(self, tiny_system, tiny_dataset):
+        """Eight workers asked for, two units to run: the pool (and the
+        CLI's ``process-pool xN``) is two wide, not eight."""
+        batch_size = -(-len(tiny_dataset) // 2)
+        engine = DatasetEngine(tiny_system.pipeline, workers=8, batch_size=batch_size)
         engine.run(tiny_dataset)
-        assert seen[-1] == (len(tiny_dataset), len(tiny_dataset))
-        # The ordered prefix only ever grows.
-        assert all(a[0] <= b[0] for a, b in zip(seen, seen[1:], strict=False))
+        assert engine.workers == 8
+        assert engine.last_stats.n_shards == 2
+        assert engine.last_stats.workers == 2
 
 
 class TestReportMerge:
+    """Shard counters fold into the dataset's by :meth:`ReportCounters.combine`."""
+
     def _shards(self, report, sizes):
-        reports, at = [], 0
+        shards, at = [], 0
         for size in sizes:
-            chunk = report.outcomes[at : at + size]
-            reports.append(GenPIPReport(outcomes=list(chunk), config=report.config))
+            shards.append(ReportCounters.from_outcomes(report.outcomes[at : at + size]))
             at += size
         assert at == len(report.outcomes)
-        return reports
+        return shards
 
     def test_merge_round_trip(self, serial_report):
         n = len(serial_report)
-        shards = self._shards(serial_report, [n // 3, n // 3, n - 2 * (n // 3)])
-        merged = GenPIPReport.merge(shards)
-        assert merged.outcomes == serial_report.outcomes
-        assert merged.counters == serial_report.counters
-        assert merged.config == serial_report.config
+        first, second, third = self._shards(serial_report, [n // 3, n // 3, n - 2 * (n // 3)])
+        assert first.combine(second).combine(third) == serial_report.counters
+        assert first.combine(second.combine(third)) == serial_report.counters
+        assert first.n_reads == n // 3  # combine returns a new object
 
     def test_merge_single_shard(self, serial_report):
-        merged = GenPIPReport.merge([serial_report])
-        assert merged.outcomes == serial_report.outcomes
-        assert merged.counters == serial_report.counters
-
-    def test_merge_empty_requires_config(self):
-        with pytest.raises(ValueError):
-            GenPIPReport.merge([])
-        merged = GenPIPReport.merge([], config=GenPIPConfig())
-        assert merged.n_reads == 0
-        assert merged.outcomes == []
-        assert merged.count(ReadStatus.MAPPED) == 0
-
-    def test_merge_rejects_mismatched_configs(self, serial_report):
-        other = GenPIPReport(
-            outcomes=list(serial_report.outcomes),
-            config=serial_report.config.conventional(),
-        )
-        with pytest.raises(ValueError):
-            GenPIPReport.merge([serial_report, other])
+        (only,) = self._shards(serial_report, [len(serial_report)])
+        assert ReportCounters().combine(only) == serial_report.counters
 
     def test_merge_with_empty_shard(self, serial_report):
-        empty = GenPIPReport(outcomes=[], config=serial_report.config)
-        merged = GenPIPReport.merge([empty, serial_report, empty])
-        assert merged.outcomes == serial_report.outcomes
-        assert merged.counters == serial_report.counters
+        empty = ReportCounters()
+        merged = empty.combine(serial_report.counters).combine(empty)
+        assert merged == serial_report.counters
+        assert empty == ReportCounters()
 
     def test_counters_match_recomputation(self, serial_report):
         recomputed = ReportCounters.from_outcomes(serial_report.outcomes)
@@ -171,12 +152,12 @@ class TestShardCollector:
     def test_out_of_order_delivery(self, serial_report):
         results = self._results(serial_report, 4)
         collector = ShardCollector(len(results))
-        for result in reversed(results):
+        for result in reversed(results[1:]):
             collector.add(result)
-        assert collector.complete
-        merged = collector.report(serial_report.config)
-        assert merged.outcomes == serial_report.outcomes
-        assert merged.counters == serial_report.counters
+        assert collector.drain() == []  # nothing is ready before shard 0
+        collector.add(results[0])
+        assert collector.drain() == serial_report.outcomes
+        assert collector.counters == serial_report.counters
 
     def test_drain_streams_ordered_prefix(self, serial_report):
         results = self._results(serial_report, 5)
@@ -201,13 +182,6 @@ class TestShardCollector:
                 ShardResult.from_outcomes(len(results) + 3, list(results[0].outcomes))
             )
 
-    def test_incomplete_report_refused(self, serial_report):
-        results = self._results(serial_report, 6)
-        collector = ShardCollector(len(results))
-        collector.add(results[0])
-        with pytest.raises(RuntimeError):
-            collector.report(serial_report.config)
-
 
 class TestSharding:
     def test_plan_covers_all_reads_in_order(self, tiny_dataset):
@@ -217,15 +191,34 @@ class TestSharding:
         assert [unit.shard_id for unit in units] == list(range(len(units)))
         assert all(len(unit) <= 7 for unit in units)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(min_value=1, max_value=120_000), max_size=60),
+        batch_size=st.integers(min_value=1, max_value=70),
+        data=st.data(),
+    )
+    def test_any_plan_is_ordered_complete_and_prefix_determined(self, lengths, batch_size, data):
+        """Whatever the reads' lengths: units concatenate to the stream,
+        ids count up from 0, and a prefix of the stream plans a prefix
+        of the units (its last, partial unit aside) -- which is why a
+        unit can be submitted before the source is exhausted."""
+        reads = [bytes(n) for n in lengths]
+        units = list(iter_work(iter(reads), batch_size))
+        planned = [read for unit in units for read in unit.reads]
+        assert all(a is b for a, b in zip(planned, reads, strict=True))
+        assert [unit.shard_id for unit in units] == list(range(len(units)))
+        assert [unit.start for unit in units] == [i * batch_size for i in range(len(units))]
+        assert all(len(unit) == batch_size for unit in units[:-1])
+        assert all(1 <= len(unit) <= batch_size for unit in units[-1:])
+        cut = data.draw(st.integers(min_value=0, max_value=len(reads)))
+        prefix_units = plan_work(reads[:cut], batch_size)
+        whole = cut // batch_size  # units the prefix fills completely
+        assert prefix_units[:whole] == units[:whole]
+        assert len(prefix_units) == -(-cut // batch_size)
+
     def test_resolve_workers_env(self, monkeypatch):
-        monkeypatch.delenv("GENPIP_WORKERS", raising=False)
-        assert resolve_workers(None) == 1
         monkeypatch.setenv("GENPIP_WORKERS", "3")
-        assert resolve_workers(None) == 3
-        monkeypatch.setenv("GENPIP_WORKERS", "not-a-number")
-        assert resolve_workers(None) == 1
-        monkeypatch.setenv("GENPIP_WORKERS", "-1")
-        assert resolve_workers(None) == 1  # invalid env degrades, never raises
+        assert resolve_workers() == 1  # no environment variable is consulted
         assert resolve_workers(0) == 1
         assert resolve_workers(4) == 4
         with pytest.raises(ValueError):
@@ -291,7 +284,7 @@ class TestCLI:
         assert statuses <= {status.value for status in ReadStatus}
 
     def test_cli_streaming_run_report_identical(self, tmp_path):
-        """A parallel generator-source, JSONL-sink, length-aware run
+        """A parallel generator-source, JSONL-sink run
         serializes byte-identically to the serial in-memory run (the
         report is replayed losslessly from the outcome file)."""
         serial = self._run_cli(tmp_path, "serial.json", ["--workers", "1"])
@@ -299,7 +292,7 @@ class TestCLI:
             tmp_path,
             "streaming.json",
             [
-                "--workers", "2", "--source", "generator", "--adaptive-batching",
+                "--workers", "2", "--source", "generator",
                 "--sink", "jsonl", "--outcomes", str(tmp_path / "outcomes.jsonl"),
             ],
         )
@@ -307,6 +300,43 @@ class TestCLI:
         assert (tmp_path / "outcomes.jsonl").exists()
         n_lines = len((tmp_path / "outcomes.jsonl").read_text().strip().splitlines())
         assert n_lines == json.loads(serial)["summary"]["n_reads"]
+
+    def test_cli_pooled_run_under_spawn_is_clean_and_identical(self, tmp_path):
+        """A pickled pipeline and an index handle reaching freshly
+        started interpreters (``spawn``; 3.14's POSIX default is its
+        cousin ``forkserver``) give the serial report, and the index
+        segment outlives workers still booting when the pool stops: at
+        the parent commit it was unlinked first and stderr carried
+        ``Exception in initializer ... FileNotFoundError``."""
+        serial = self._run_cli(tmp_path, "serial.json", ["--workers", "1"])
+        out = tmp_path / "spawn.json"
+        program = (
+            "import multiprocessing, sys\n"
+            "if __name__ == '__main__':\n"
+            "    multiprocessing.set_start_method('spawn')\n"
+            "    from repro.runtime.cli import main\n"
+            "    raise SystemExit(main(sys.argv[1:]))\n"
+        )
+        script = tmp_path / "spawn_run.py"
+        script.write_text(program)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        completed = subprocess.run(
+            [
+                sys.executable, "-W", "error", str(script),
+                "--profile", "ecoli-like", "--scale", "0.0003", "--seed", "7",
+                "--max-read-length", "3000", "--workers", "2", "--batch-size", "3",
+                "--quiet", "--json", str(out),
+            ],
+            cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "Exception in initializer" not in completed.stderr
+        assert completed.stderr == ""
+        assert out.read_text() == serial
+        assert not glob.glob("/dev/shm/genpip-*")
 
     def test_cli_store_source_round_trip(self, tmp_path):
         """--source store writes the container on first use and streams

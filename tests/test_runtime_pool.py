@@ -30,13 +30,13 @@ from test_runtime_streaming import FailingBasecaller
 import repro
 from repro.basecalling.surrogate import SurrogateBasecaller
 from repro.core import GenPIP, GenPIPConfig
+from repro.core.pipeline import GenPIPPipeline
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.runtime import (
     DatasetEngine,
     JSONLSink,
     MemorySink,
-    PipelineSpec,
     RuntimeStats,
     WorkerPool,
     WorkUnit,
@@ -74,13 +74,15 @@ class SlowInWorkers(SurrogateBasecaller):
         return super().basecall_chunk(read, index, chunk_size)
 
 
-class WorkerBuildFails(PipelineSpec):
-    """A spec that builds in the parent and raises in every worker."""
+class WorkerBuildFails(GenPIPPipeline):
+    """A pipeline that works in the parent and cannot be set up in any
+    worker: the initialiser's ``replace(pipeline, index=...)`` runs
+    ``__post_init__`` there."""
 
-    def build(self):
+    def __post_init__(self):
         if os.getpid() != _PARENT_PID:
             raise RuntimeError("injected: worker build failed")
-        return super().build()
+        super().__post_init__()
 
 
 @pytest.fixture(scope="module")
@@ -96,13 +98,12 @@ def index(dataset):
 
 
 @pytest.fixture(scope="module")
-def spec(index):
-    return PipelineSpec.from_pipeline(GenPIP(index, GenPIPConfig(), align=False).pipeline)
+def pipeline(index):
+    return GenPIP(index, GenPIPConfig(), align=False).pipeline
 
 
-def _spec_with(index, basecaller) -> PipelineSpec:
-    system = GenPIP(index, GenPIPConfig(), basecaller=basecaller, align=False)
-    return PipelineSpec.from_pipeline(system.pipeline)
+def _pipeline_with(index, basecaller) -> GenPIPPipeline:
+    return GenPIP(index, GenPIPConfig(), basecaller=basecaller, align=False).pipeline
 
 
 def _run_units(pool: WorkerPool, units):
@@ -110,7 +111,7 @@ def _run_units(pool: WorkerPool, units):
     return [future.result(timeout=60) for future in futures]
 
 
-def test_index_published_exactly_once_per_pool(spec, dataset, monkeypatch):
+def test_index_published_exactly_once_per_pool(pipeline, dataset, monkeypatch):
     published = []
     real_publish = pool_module.publish_index
 
@@ -121,7 +122,7 @@ def test_index_published_exactly_once_per_pool(spec, dataset, monkeypatch):
 
     monkeypatch.setattr(pool_module, "publish_index", counting)
     units = plan_work(dataset.reads, 3)
-    with WorkerPool(spec, 2) as pool:
+    with WorkerPool(pipeline, 2) as pool:
         assert pool.alive and pool.transport == "none"
         assert active_segments() == tuple(published)
         _run_units(pool, units)
@@ -133,9 +134,9 @@ def test_index_published_exactly_once_per_pool(spec, dataset, monkeypatch):
     assert _no_leaked_segments()
 
 
-def test_segment_released_on_success(spec, dataset):
+def test_segment_released_on_success(pipeline, dataset):
     units = plan_work(dataset.reads, 3)
-    with WorkerPool(spec, 2) as pool:
+    with WorkerPool(pipeline, 2) as pool:
         (index_segment,) = active_segments()
         results = _run_units(pool, units)
         # Done-callbacks run on the executor's thread just after the
@@ -152,7 +153,7 @@ def test_segment_released_on_success(spec, dataset):
 def test_segment_released_on_worker_exception(index, dataset):
     fail_id = dataset.reads[2].read_id
     units = plan_work(dataset.reads[:6], 2)
-    with WorkerPool(_spec_with(index, FailingBasecaller(fail_id)), 2) as pool:
+    with WorkerPool(_pipeline_with(index, FailingBasecaller(fail_id)), 2) as pool:
         futures = [pool.submit(unit) for unit in units]
         with pytest.raises(RuntimeError, match="injected failure"):
             for future in futures:
@@ -162,7 +163,7 @@ def test_segment_released_on_worker_exception(index, dataset):
 
 def test_segments_released_on_cancel_at_stop(index, dataset):
     units = plan_work(dataset.reads, 1)
-    pool = WorkerPool(_spec_with(index, SlowBasecaller()), 2)
+    pool = WorkerPool(_pipeline_with(index, SlowBasecaller()), 2)
     assert pool.start()
     futures = [pool.submit(unit) for unit in units]
     assert len(active_segments()) > len(units) // 2
@@ -172,15 +173,15 @@ def test_segments_released_on_cancel_at_stop(index, dataset):
     assert _no_leaked_segments()
 
 
-def test_forced_pickle_fallback_is_result_identical(spec, dataset, request):
+def test_forced_pickle_fallback_is_result_identical(pipeline, dataset, request):
     units = plan_work(dataset.reads, 3)
-    with WorkerPool(spec, 2) as pool:
+    with WorkerPool(pipeline, 2) as pool:
         shared = _run_units(pool, units)
         assert pool.transport == "shm"
     request.getfixturevalue("pickle_fallback")
     with (
         pytest.warns(RuntimeWarning, match="shared memory unavailable") as caught,
-        WorkerPool(spec, 2) as pool,
+        WorkerPool(pipeline, 2) as pool,
     ):
         assert pool.index_publications == 0
         pickled = _run_units(pool, units)
@@ -198,10 +199,12 @@ class TestStartFailure:
     dead, fully torn down, and both schedulers fall back in-process."""
 
     @pytest.fixture()
-    def failing_spec(self, spec):
-        return WorkerBuildFails(**{f: getattr(spec, f) for f in spec.__dataclass_fields__})
+    def failing_pipeline(self, pipeline):
+        return WorkerBuildFails(
+            **{f.name: getattr(pipeline, f.name) for f in dataclasses.fields(pipeline)}
+        )
 
-    def test_pool_reports_dead_and_is_torn_down(self, failing_spec, monkeypatch):
+    def test_pool_reports_dead_and_is_torn_down(self, failing_pipeline, monkeypatch):
         shutdowns = []
 
         class Recording(ProcessPoolExecutor):
@@ -210,7 +213,7 @@ class TestStartFailure:
                 super().shutdown(wait=wait, cancel_futures=cancel_futures)
 
         monkeypatch.setattr(pool_module, "ProcessPoolExecutor", Recording)
-        pool = WorkerPool(failing_spec, 2)
+        pool = WorkerPool(failing_pipeline, 2)
         with pytest.warns(RuntimeWarning, match="process pool unavailable"):
             assert pool.start() is False
         assert not pool.alive
@@ -220,9 +223,9 @@ class TestStartFailure:
             pool.submit(None)
         assert _no_leaked_segments()
 
-    def test_batch_falls_back_to_serial(self, failing_spec, spec, dataset):
-        serial = DatasetEngine(spec, workers=1).run(dataset)
-        engine = DatasetEngine(failing_spec, workers=2, batch_size=3)
+    def test_batch_falls_back_to_serial(self, failing_pipeline, pipeline, dataset):
+        serial = DatasetEngine(pipeline, workers=1).run(dataset)
+        engine = DatasetEngine(failing_pipeline, workers=2, batch_size=3)
         with pytest.warns(RuntimeWarning, match="process pool unavailable"):
             report = engine.run(dataset)
         assert engine.last_stats.mode == "serial"
@@ -230,11 +233,11 @@ class TestStartFailure:
         assert report.outcomes == serial.outcomes
         assert _no_leaked_segments()
 
-    def test_serving_falls_back_to_inline(self, failing_spec, spec, dataset):
+    def test_serving_falls_back_to_inline(self, failing_pipeline, pipeline, dataset):
         reads = dataset.reads[:4]
-        expected = spec.build().process_batch(list(reads))
+        expected = pipeline.process_batch(list(reads))
         with pytest.warns(RuntimeWarning, match="process pool unavailable"):
-            dispatcher = PoolDispatcher(failing_spec, workers=2).start()
+            dispatcher = PoolDispatcher(failing_pipeline, workers=2).start()
         try:
             assert dispatcher.mode == "inline"
             assert active_segments() == ()
@@ -277,8 +280,8 @@ def test_submit_refused_mid_run_loses_and_repeats_nothing(
     once, in order. The window is wider than the executor's call queue,
     so the retirement *cancels* queued units (a cancelled future never
     wakes ``wait``) besides letting the running ones finish."""
-    spec = _spec_with(index, SlowInWorkers())
-    serial = DatasetEngine(spec, workers=1).run(dataset)
+    pipeline = _pipeline_with(index, SlowInWorkers())
+    serial = DatasetEngine(pipeline, workers=1).run(dataset)
     n_units = len(plan_work(dataset.reads, 1))
     refused = {"first": 0, "middle": n_units // 2, "last": n_units - 1}[position]
     calls = itertools.count()
@@ -294,7 +297,7 @@ def test_submit_refused_mid_run_loses_and_repeats_nothing(
     monkeypatch.setattr(WorkerPool, "submit", flaky)
     monkeypatch.setattr(engine_module, "_INFLIGHT_PER_WORKER", 4)
     path = tmp_path / "outcomes.jsonl"
-    engine = DatasetEngine(spec, workers=2, batch_size=1, sink=JSONLSink(path))
+    engine = DatasetEngine(pipeline, workers=2, batch_size=1, sink=JSONLSink(path))
     with pytest.warns(RuntimeWarning, match="process pool broke") as caught:
         report = engine.run(dataset)
     assert len([w for w in caught if "process pool broke" in str(w.message)]) == 1
@@ -309,7 +312,7 @@ def test_submit_refused_mid_run_loses_and_repeats_nothing(
     assert _no_leaked_segments()
 
 
-def test_run_local_failure_reaches_the_engine_caller(spec, dataset, monkeypatch):
+def test_run_local_failure_reaches_the_engine_caller(pipeline, dataset, monkeypatch):
     """An in-process unit that raises comes back through its future; the
     engine aborts the sink and re-raises."""
     aborted = []
@@ -326,17 +329,17 @@ def test_run_local_failure_reaches_the_engine_caller(spec, dataset, monkeypatch)
         return real_run_local(self, unit)
 
     monkeypatch.setattr(WorkerPool, "run_local", failing)
-    engine = DatasetEngine(spec, workers=1, batch_size=3, sink=ProbeSink())
+    engine = DatasetEngine(pipeline, workers=1, batch_size=3, sink=ProbeSink())
     with pytest.raises(RuntimeError, match="run_local failed"):
         engine.run(dataset)
     assert aborted == [True]
     assert _no_leaked_segments()
 
 
-def test_run_local_failure_fails_one_served_read_only(spec, dataset, monkeypatch):
+def test_run_local_failure_fails_one_served_read_only(pipeline, dataset, monkeypatch):
     real_run_local = WorkerPool.run_local
     reads = dataset.reads[:3]
-    expected = spec.build().process_batch(list(reads))
+    expected = pipeline.process_batch(list(reads))
 
     def failing(self, unit):
         if unit.reads[0] is reads[1]:
@@ -351,18 +354,14 @@ def test_run_local_failure_fails_one_served_read_only(spec, dataset, monkeypatch
             await dispatcher.process(reads[1])
         return [first, (await dispatcher.process(reads[2]))[0]]
 
-    with PoolDispatcher(spec, workers=1) as dispatcher:
+    with PoolDispatcher(pipeline, workers=1) as dispatcher:
         assert asyncio.run(_serve(dispatcher)) == [expected[0], expected[2]]
         assert dispatcher.mode == "inline"
 
 
 @settings(max_examples=10, deadline=None)
-@given(
-    batch_size=st.integers(min_value=1, max_value=7),
-    batching=st.sampled_from(["fixed", "length-aware"]),
-    workers=st.sampled_from([0, 1]),
-)
-def test_in_process_engine_emits_unit_by_unit(spec, dataset, batch_size, batching, workers):
+@given(batch_size=st.integers(min_value=1, max_value=7), workers=st.sampled_from([0, 1]))
+def test_in_process_engine_emits_unit_by_unit(pipeline, dataset, batch_size, workers):
     """Without processes every planned unit reaches the sink on its own,
     before the next is planned, and the outcomes are ``process_read``'s."""
     reads = dataset.reads[:12]
@@ -373,24 +372,21 @@ def test_in_process_engine_emits_unit_by_unit(spec, dataset, batch_size, batchin
             emitted.append(len(outcomes))
             super().emit(outcomes)
 
-    engine = DatasetEngine(
-        spec, workers=workers, batch_size=batch_size, batching=batching, sink=ProbeSink()
-    )
+    engine = DatasetEngine(pipeline, workers=workers, batch_size=batch_size, sink=ProbeSink())
     report = engine.run(reads)
-    pipeline = spec.build()
     assert report.outcomes == [pipeline.process_read(read) for read in reads]
-    assert emitted == [len(unit) for unit in plan_work(reads, batch_size, batching=batching)]
+    assert emitted == [len(unit) for unit in plan_work(reads, batch_size)]
     stats = engine.last_stats
     assert (stats.mode, stats.transport) == ("serial", "none")
     assert stats.inflight_window == 0
     assert not [name for name in dir(stats) if re.search(r"prefetch|inflight_peak", name)]
 
 
-def test_pool_without_processes_by_design(spec, dataset, recwarn):
+def test_pool_without_processes_by_design(pipeline, dataset, recwarn):
     """``workers <= 1``: start publishes, forks and warns nothing, submit
     refuses, execute hands back an already-resolved future."""
     unit = WorkUnit(shard_id=5, start=0, reads=tuple(dataset.reads[:2]))
-    with WorkerPool(spec, 1) as pool:
+    with WorkerPool(pipeline, 1) as pool:
         assert not pool.alive and pool.index_publications == 0
         assert active_segments() == ()
         with pytest.raises(pool_module.BrokenProcessPool):
@@ -400,7 +396,7 @@ def test_pool_without_processes_by_design(spec, dataset, recwarn):
         result = future.result()
         assert pool.transport == "none"
     assert result.shard_id == 5 and not result.metrics
-    assert list(result.outcomes) == spec.build().process_batch(list(unit.reads))
+    assert list(result.outcomes) == pipeline.process_batch(list(unit.reads))
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
@@ -462,20 +458,21 @@ def _called_name(node: ast.AST) -> str | None:
 
 def test_one_function_executes_a_unit():
     """No second execution path: one ``process_batch`` call, one module
-    that builds a spec, toggles the tracer or gives up on a pool."""
+    that rebinds a pipeline's index, toggles the tracer or gives up on
+    a pool."""
     root = Path(repro.__file__).parent
     nodes = list(_walk_with_owner(root))
 
     batch_calls = [(m, o) for m, o, n in nodes if _called_name(n) == "process_batch"]
     assert batch_calls == [("runtime/pool.py", "run_unit")]
 
-    spec_builds = {
+    index_rebinds = {
         module
         for module, _, node in nodes
-        if _called_name(node) == "build"
-        and "spec" in ast.unparse(node.func.value).lower()
+        if _called_name(node) == "replace"
+        and any(keyword.arg == "index" for keyword in node.keywords)
     }
-    assert spec_builds == {"runtime/pool.py"}
+    assert index_rebinds == {"runtime/pool.py"}
 
     toggles = {
         module
@@ -528,7 +525,7 @@ def test_batch_parent_is_one_thread_and_outcomes_have_one_file_format():
     assert _mentions(nodes, gone) == set()
 
     assert [field.name for field in dataclasses.fields(RuntimeStats)] == [
-        "mode", "workers", "batch_size", "n_shards", "n_reads", "elapsed_s", "batching",
+        "mode", "workers", "batch_size", "n_shards", "n_reads", "elapsed_s",
         "transport", "signal_er", "inflight_window", "bytes_copied", "bytes_published",
     ]  # fmt: skip
 
@@ -567,3 +564,44 @@ def test_engine_plane_has_one_of_each():
         if (module, owner) == ("core/pipeline.py", "process_batch") and isinstance(node, ast.Call)
     ]
     assert batch_body_calls == ["self.process_read"]
+
+
+def test_run_plane_says_each_thing_once():
+    """A run is described once: the pipeline is its own record and is
+    what travels, a stream is cut into units one way, and the entry
+    points nobody called stay gone. The runtime and serving layers
+    never re-list what a pipeline is made of."""
+    root = Path(repro.__file__).parent
+    nodes = list(_walk_with_owner(root))
+
+    gone = re.compile(
+        r"PipelineSpec|from_pipeline|length-aware|adaptive_batching|BATCHING_MODES|GENPIP_WORKERS"
+    )
+    assert _mentions(nodes, gone) == set()
+    assert not (root / "runtime" / "spec.py").exists()
+
+    progress_parameters = {
+        (module, owner)
+        for module, owner, node in nodes
+        if isinstance(node, ast.arg) and node.arg == "progress"
+    }
+    assert progress_parameters == set()
+
+    relisted = re.compile(r"\b(qsr_policy|cmr_policy|mapper_config)\b")
+    planes = [item for item in nodes if item[0].startswith(("runtime/", "serving/"))]
+    assert _mentions(planes, relisted) == set()
+
+    (iter_work_def,) = [
+        node
+        for module, _, node in nodes
+        if module == "runtime/sharding.py"
+        and isinstance(node, ast.FunctionDef)
+        and node.name == "iter_work"
+    ]
+    arguments = iter_work_def.args
+    assert [a.arg for a in (*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs)] == [
+        "reads",
+        "batch_size",
+    ]
+    assert arguments.vararg is None and arguments.kwarg is None
+

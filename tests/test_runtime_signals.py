@@ -13,8 +13,10 @@ and the ``--source signals`` CLI path.
 
 from __future__ import annotations
 
+import dataclasses
 import glob
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -51,7 +53,6 @@ from repro.runtime import (
     replay_report,
 )
 from repro.runtime.cli import main as cli_main
-from repro.runtime.spec import PipelineSpec
 from repro.runtime.transport import (
     SignalHandle,
     attach_unit,
@@ -324,17 +325,6 @@ class TestSignalMatrix:
             assert report.outcomes == serial_signal_report.outcomes
         assert _no_leaked_segments()
 
-    def test_length_aware_batching_equals_serial(
-        self, viterbi_system, signal_store_path, serial_signal_report
-    ):
-        engine = DatasetEngine(
-            viterbi_system.pipeline, workers=2, batch_size=2, batching="length-aware"
-        )
-        report = engine.run(SignalStoreSource(signal_store_path))
-        assert report.outcomes == serial_signal_report.outcomes
-        assert report.counters == serial_signal_report.counters
-        assert _no_leaked_segments()
-
     def test_signal_outcomes_use_modelled_grid(self, serial_signal_report, short_reads):
         """Signal-native read lengths are the modelled position counts
         (true bases - k + 1): the container stores no ground truth."""
@@ -431,14 +421,20 @@ class TestSharedIndex:
     def test_spec_with_shared_index_builds_identical_pipeline(
         self, tiny_dataset, tiny_index
     ):
-        system = GenPIP(tiny_index, GenPIPConfig(), align=False)
-        spec = PipelineSpec.from_pipeline(system.pipeline)
+        """What a worker does: the pipeline arrives (here: pickled, as
+        under ``spawn``) holding the handle, and ``replace`` rebinds it
+        to the attached index."""
+        pipeline = GenPIP(tiny_index, GenPIPConfig(), align=False).pipeline
         handle = publish_index(tiny_index)
         try:
-            shared_spec = spec.with_index(handle)
+            travelling = dataclasses.replace(pipeline, index=handle)
+            assert len(pickle.dumps(travelling)) < len(pickle.dumps(pipeline)) // 10
+            arrived = pickle.loads(pickle.dumps(travelling))
+            shared = dataclasses.replace(arrived, index=attach_index(arrived.index))
             reads = tiny_dataset.reads[:4]
-            direct = spec.build().process_batch(list(reads))
-            via_shared = shared_spec.build().process_batch(list(reads))
+            direct = pipeline.process_batch(list(reads))
+            via_shared = shared.process_batch(list(reads))
+            del shared
         finally:
             release_unit(handle.segment)
         assert via_shared == direct

@@ -1,10 +1,9 @@
-"""Tests for the streaming runtime: sources, sinks, transport, batching.
+"""Tests for the streaming runtime: sources, sinks, transport.
 
 The centrepiece extends the parallel-equivalence invariant of
 ``tests/test_runtime.py`` across the full streaming matrix: for every
 source (in-memory, lazy generator, on-disk store) x sink (memory,
-JSONL) x batching (fixed, length-aware) combination, a pooled run must
-yield exactly the sequential run's outcomes, order, and counters. On
+JSONL) combination, a pooled run must yield exactly the sequential run's outcomes, order, and counters. On
 top of that: lossless JSONL replay, O(batch) parent retention, and
 shared-memory segment cleanup on every exit path (normal, worker
 exception, broken pool).
@@ -24,6 +23,7 @@ import pytest
 
 from repro.basecalling.surrogate import SurrogateBasecaller
 from repro.core import GenPIP, GenPIPConfig
+from repro.core.genpip import ReportCounters
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.nanopore.signal_store import write_read_store
@@ -39,7 +39,6 @@ from repro.runtime import (
     StoreSource,
     active_segments,
     as_read_source,
-    iter_work,
     outcome_from_record,
     outcome_to_record,
     replay_report,
@@ -135,7 +134,6 @@ def _make_source(kind: str, tiny_dataset, store_path):
 
 class TestStreamingMatrix:
     @pytest.mark.parametrize("source_kind", ["sequence", "generator", "store"])
-    @pytest.mark.parametrize("batching", ["fixed", "length-aware"])
     @pytest.mark.parametrize("sink_kind", ["memory", "jsonl"])
     def test_parallel_equals_sequential(
         self,
@@ -145,15 +143,12 @@ class TestStreamingMatrix:
         store_path,
         tmp_path,
         source_kind,
-        batching,
         sink_kind,
     ):
         source = _make_source(source_kind, tiny_dataset, store_path)
         jsonl_path = tmp_path / "outcomes.jsonl"
         sink = JSONLSink(jsonl_path) if sink_kind == "jsonl" else None
-        engine = DatasetEngine(
-            tiny_system.pipeline, workers=2, batch_size=4, sink=sink, batching=batching
-        )
+        engine = DatasetEngine(tiny_system.pipeline, workers=2, batch_size=4, sink=sink)
         report = engine.run(source)
         assert report.counters == serial_report.counters
         if sink_kind == "jsonl":
@@ -165,18 +160,13 @@ class TestStreamingMatrix:
             assert report.outcomes == serial_report.outcomes
         assert _no_leaked_segments()
 
-    @pytest.mark.parametrize("batching", ["fixed", "length-aware"])
     def test_serial_streaming_paths(
-        self, tiny_system, tiny_dataset, serial_report, store_path, tmp_path, batching
+        self, tiny_system, tiny_dataset, serial_report, store_path, tmp_path
     ):
         """Serial runs through every streaming layer match the baseline."""
         jsonl_path = tmp_path / "serial.jsonl"
         engine = DatasetEngine(
-            tiny_system.pipeline,
-            workers=1,
-            batch_size=4,
-            sink=JSONLSink(jsonl_path),
-            batching=batching,
+            tiny_system.pipeline, workers=1, batch_size=4, sink=JSONLSink(jsonl_path)
         )
         report = engine.run(StoreSource(store_path))
         assert report.counters == serial_report.counters
@@ -317,11 +307,10 @@ class TestRetention:
         drained = collector.drain()
         assert drained == outcomes[:5]
         assert collector._outcomes == []  # released, not retained
-        assert collector.n_ready == 5
+        assert collector.counters.n_reads == 5  # the counters stay
         collector.add(ShardResult.from_outcomes(1, outcomes[5:7]))
         assert collector.drain() == outcomes[5:7]
-        with pytest.raises(RuntimeError, match="drained"):
-            collector.report(serial_report.config)
+        assert collector.counters == ReportCounters.from_outcomes(outcomes[:7])
 
 
 class TestSources:
@@ -424,43 +413,6 @@ class TestSources:
             assert len(seen - threads_before) <= 2
             assert set(threading.enumerate()) <= threads_before
         assert _no_leaked_segments()
-
-
-class TestLengthAwarePlanning:
-    def test_plan_preserves_order_and_coverage(self, tiny_dataset):
-        units = list(iter_work(tiny_dataset.reads, 4, batching="length-aware"))
-        flattened = [read.read_id for unit in units for read in unit.reads]
-        assert flattened == [read.read_id for read in tiny_dataset.reads]
-        assert [unit.shard_id for unit in units] == list(range(len(units)))
-        assert all(len(unit) <= 16 for unit in units)  # count cap = 4x batch
-
-    def test_long_reads_are_isolated(self):
-        # The planner only consults len(read), so synthetic stubs give a
-        # controlled heavy tail: a 20x-mean read amid short ones (the
-        # Table 1 shape: mean ~9 kb, max >100 kb) must land alone.
-        class StubRead:
-            def __init__(self, n: int):
-                self.n = n
-
-            def __len__(self) -> int:
-                return self.n
-
-        long = StubRead(8_000)
-        stream = [StubRead(400) for _ in range(6)] + [long] + [StubRead(400) for _ in range(6)]
-        units = list(iter_work(stream, 4, batching="length-aware"))
-        singleton = [unit for unit in units if len(unit) == 1 and unit.reads[0] is long]
-        assert singleton, "a read longer than the unit budget must form its own work unit"
-        flattened = [read for unit in units for read in unit.reads]
-        assert flattened == stream  # order and coverage preserved
-
-    def test_balance_beats_fixed_on_max_unit_bases(self, tiny_dataset):
-        fixed = list(iter_work(tiny_dataset.reads, 4, batching="fixed"))
-        aware = list(iter_work(tiny_dataset.reads, 4, batching="length-aware"))
-        assert max(unit.n_bases for unit in aware) <= max(unit.n_bases for unit in fixed)
-
-    def test_unknown_batching_rejected(self, tiny_dataset):
-        with pytest.raises(ValueError, match="batching"):
-            list(iter_work(tiny_dataset.reads, 4, batching="cosmic"))
 
 
 class TestSinks:

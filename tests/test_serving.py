@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_runtime_streaming import WorkerExitingBasecaller
+from test_runtime_streaming import FailingBasecaller, WorkerExitingBasecaller
 
 from repro.basecalling import ViterbiBackendConfig, ViterbiChunkBasecaller
 from repro.core import GenPIP, GenPIPConfig
@@ -35,7 +35,13 @@ from repro.nanopore.read_simulator import ReadClass, SimulatedRead
 from repro.nanopore.signal import RawSignal
 from repro.nanopore.signal_read import SignalRead
 from repro.obs import Histogram, copied_bytes
-from repro.runtime import DatasetEngine, WorkUnit, active_segments, outcome_to_record
+from repro.runtime import (
+    DatasetEngine,
+    WorkUnit,
+    active_segments,
+    outcome_to_record,
+    worker_leases,
+)
 from repro.runtime.columnar import ColumnarLayout, payload_nbytes
 from repro.runtime.transport import publish_unit, release_unit
 from repro.serving import (
@@ -780,6 +786,80 @@ def test_half_a_payload_then_close_leaves_nothing_behind(tiny_system, tiny_datas
     reads = tiny_dataset.reads[:3]
     data = protocol.encode_frame(protocol.read_frame(1, reads[1]))
     assert _abuse_session(tiny_system, reads, data[: len(data) // 2], then_eof=True) == []
+
+
+def _refused_session(system, reads, workers: int, failing_seq: int):
+    """Serve ``reads`` on ``system``, one of which the server cannot
+    answer with a verdict. The client must hear about it inside the
+    timeout -- at the parent commit it waited forever -- as exactly one
+    ``error`` frame and then EOF. Returns that frame's message."""
+    dispatcher = PoolDispatcher(system.pipeline, workers=workers)
+    problems: list[dict] = []
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        loop.set_exception_handler(lambda _loop, context: problems.append(context))
+        async with ServingServer(dispatcher) as server:
+            with pytest.raises(protocol.ProtocolError, match="server error") as caught:
+                await asyncio.wait_for(
+                    run_session("127.0.0.1", server.port, list(enumerate(reads))), 60
+                )
+            # The same session by hand: every frame the server sends.
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port, limit=protocol.MAX_READ_BYTES
+            )
+            writer.write(protocol.encode_frame(protocol.hello_frame("by-hand")))
+            for seq, read in enumerate(reads):
+                writer.write(protocol.encode_frame(protocol.read_frame(seq, read)))
+            await writer.drain()
+            frames = []
+            while line := await asyncio.wait_for(reader.readline(), 60):
+                frames.append(protocol.decode_frame(line))
+            writer.close()
+            await writer.wait_closed()
+            live_sessions = server.stats().live_sessions
+            gc.collect()  # a task that died unobserved reports when collected
+            await asyncio.sleep(0)
+            return str(caught.value), frames, live_sessions
+
+    with dispatcher:
+        heard, frames, live_sessions = asyncio.run(scenario())
+    assert [frame["type"] for frame in frames if frame["type"] != "verdict"] == ["welcome", "error"]
+    assert frames[-1]["type"] == "error"  # nothing follows it on the wire
+    assert failing_seq not in {f["seq"] for f in frames if f["type"] == "verdict"}
+    assert frames[-1]["message"] in heard
+    assert live_sessions == 0
+    assert problems == []  # no "Task exception was never retrieved"
+    assert active_segments() == () and worker_leases() == ()
+    assert _no_leaked_segments()
+    return frames[-1]["message"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_read_that_raises_gets_one_error_frame(tiny_dataset, workers):
+    """A read whose processing raises is the session's end, said once:
+    the ``error`` frame names the ``seq`` and carries the exception's
+    message, then the connection closes."""
+    reads = tiny_dataset.reads[:4]
+    system = GenPIP(
+        MinimizerIndex.build(tiny_dataset.reference),
+        GenPIPConfig(),
+        basecaller=FailingBasecaller(reads[2].read_id),
+        align=False,
+    )
+    message = _refused_session(system, reads, workers, failing_seq=2)
+    assert "seq 2" in message
+    assert f"injected failure on {reads[2].read_id}" in message
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_signal_read_to_a_base_space_pipeline_is_refused(tiny_system, tiny_dataset, workers):
+    """The surrogate cannot decode raw current: the record is a protocol
+    violation, refused before anything is dispatched."""
+    signal = RawSignal(samples=np.zeros(64, dtype=np.float32), base_starts=np.arange(0, 64, 4))
+    reads = [tiny_dataset.reads[0], SignalRead("sig", signal)]
+    message = _refused_session(tiny_system, reads, workers, failing_seq=1)
+    assert "signal read" in message and "base-space" in message
 
 
 def test_dispatcher_start_is_single_shot(tiny_system):

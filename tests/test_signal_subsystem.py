@@ -44,7 +44,6 @@ from repro.runtime import (
     replay_report,
 )
 from repro.runtime.cli import main as cli_main
-from repro.runtime.spec import PipelineSpec
 from repro.signal import (
     ContainerStats,
     SegmentationConfig,
@@ -328,6 +327,9 @@ class TestPipelineSER:
 
 
 class TestBuilderAndSpec:
+    """The builder wires the policy in; the pipeline -- the only spec of
+    a run there is -- carries it to a worker."""
+
     def test_builder_wires_and_clears_the_policy(self, tiny_index, covering_policy):
         pipeline = (
             GenPIP.build().index(tiny_index).signal_rejection(covering_policy)
@@ -345,19 +347,18 @@ class TestBuilderAndSpec:
         self, ser_system, signal_reads, junk_signal_read
     ):
         reads = list(signal_reads) + [junk_signal_read]
-        spec = PipelineSpec.from_pipeline(ser_system.pipeline)
-        assert spec.ser_policy is ser_system.pipeline.ser_policy
-        assert spec.signal_rejection_enabled()
-        direct = ser_system.pipeline.process_batch(reads)
-        rebuilt = pickle.loads(pickle.dumps(spec)).build().process_batch(reads)
-        assert rebuilt == direct
+        pipeline = ser_system.pipeline
+        assert pipeline.signal_rejection_enabled()
+        direct = pipeline.process_batch(reads)
+        arrived = pickle.loads(pickle.dumps(pipeline))
+        assert arrived.ser_policy is not pipeline.ser_policy
+        assert arrived.signal_rejection_enabled()
+        assert arrived.process_batch(reads) == direct
 
     def test_spec_without_policy_reports_ser_disabled(self, tiny_index, backend):
-        spec = PipelineSpec.from_pipeline(
-            GenPIP(tiny_index, GenPIPConfig(), basecaller=backend).pipeline
-        )
-        assert spec.ser_policy is None
-        assert not spec.signal_rejection_enabled()
+        pipeline = GenPIP(tiny_index, GenPIPConfig(), basecaller=backend).pipeline
+        assert pipeline.ser_policy is None
+        assert not pipeline.signal_rejection_enabled()
 
 
 # --- runtime equivalence ----------------------------------------------------
