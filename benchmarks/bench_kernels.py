@@ -212,57 +212,69 @@ def collect_sdtw_equivalence(repeats: int = 3) -> list[dict]:
     return records
 
 
-def collect_viterbi_equivalence(repeats: int = 3) -> list[dict]:
-    """Trellis kernel vs triple-loop scalar, and event- vs sample-space.
-
-    The forward-pass comparison is bitwise (same float64 per-cell max,
-    identical tie-breaking); the event-space record compares decoded
-    *sequences* against the simulated truth, since event decoding is an
-    approximation that trades observations for speed.
-    """
-    from repro.basecalling.engines import EVENT_SEGMENTATION
-    from repro.genomics import alphabet
+def _viterbi_forward_record(case: str, k: int, n_bases: int, seed: int, repeats: int) -> dict:
+    """Folded kernel vs the triple-loop scalar on one synthesized chunk:
+    all three outputs bitwise, plus the kernel's time per observation."""
     from repro.kernels.viterbi import (
-        event_features,
+        event_emissions,
+        move_predecessors,
         viterbi_forward,
         viterbi_forward_scalar,
     )
-    from repro.signal.segmentation import detect_events
 
-    records = []
-
-    # Forward-pass equivalence on a small trellis (the scalar reference
-    # is a triple loop; keep it to k=3 / a few hundred observations).
-    pore = PoreModel.synthetic(k=3)
-    rng = np.random.default_rng(21)
-    codes = rng.integers(0, 4, 40).astype(np.uint8)
+    pore = PoreModel.synthetic(k=k)
+    codes = np.random.default_rng(seed).integers(0, 4, n_bases).astype(np.uint8)
     signal = synthesize_signal(
-        codes, pore, SignalConfig(noise_std=2.0), np.random.default_rng(22)
+        codes, pore, SignalConfig(noise_std=2.0), np.random.default_rng(seed + 1)
     )
     caller = ViterbiBasecaller(pore, ViterbiConfig(extra_noise_std=2.0))
-    emissions = caller._emission_loglik(signal.samples)
-    vec, t_vec = _best_time(
-        viterbi_forward, emissions, caller._pred, caller._log_stay, caller._log_move,
-        repeats=repeats,
+    samples = signal.samples.astype(np.float64)
+    weights = np.ones(samples.size)
+    emission_args = (pore.levels, caller._sigma, caller._log_sigma)
+    priors = (caller._log_stay, caller._log_move)
+    kernel, t_kernel = _best_time(
+        viterbi_forward, samples, weights, *emission_args, *priors, repeats=repeats
     )
     scalar, t_scalar = _best_time(
-        viterbi_forward_scalar, emissions, caller._pred, caller._log_stay,
-        caller._log_move, repeats=1,
+        viterbi_forward_scalar,
+        event_emissions(samples, weights, *emission_args),
+        move_predecessors(k),
+        *priors,
+        repeats=1,
     )
-    records.append(
-        {
-            "plane": "viterbi-forward",
-            "case": "k3-noisy-signal",
-            "observations": int(emissions.shape[0]),
-            "states": int(emissions.shape[1]),
-            "equal": bool(
-                np.array_equal(vec[0], scalar[0]) and np.array_equal(vec[2], scalar[2])
-            ),
-            "scalar_s": round(t_scalar, 6),
-            "kernel_s": round(t_vec, 6),
-            "speedup": round(t_scalar / t_vec, 2) if t_vec else 0.0,
-        }
-    )
+    return {
+        "plane": "viterbi-forward",
+        "case": case,
+        "observations": int(samples.size),
+        "states": int(pore.levels.size),
+        "equal": all(a.tobytes() == b.tobytes() for a, b in zip(kernel, scalar, strict=True)),
+        "us_per_observation": round(t_kernel / samples.size * 1e6, 2),
+        "scalar_s": round(t_scalar, 6),
+        "kernel_s": round(t_kernel, 6),
+        "speedup": round(t_scalar / t_kernel, 2) if t_kernel else 0.0,
+    }
+
+
+def collect_viterbi_equivalence(repeats: int = 3) -> list[dict]:
+    """Trellis kernel vs triple-loop scalar, and event- vs sample-space.
+
+    The forward-pass comparisons are bitwise (backpointers, float32
+    scores and final float64 scores; same per-cell max, identical
+    tie-breaking) on a small k=3 trellis and on a production-sized k=5
+    300-base chunk (~1 800 observations); the event-space record
+    compares decoded *sequences* against the simulated truth, since
+    event decoding is an approximation that trades observations for
+    speed.
+    """
+    from repro.basecalling.engines import EVENT_SEGMENTATION
+    from repro.genomics import alphabet
+    from repro.kernels.viterbi import event_features
+    from repro.signal.segmentation import detect_events
+
+    records = [
+        _viterbi_forward_record("k3-noisy-signal", k=3, n_bases=40, seed=21, repeats=repeats),
+        _viterbi_forward_record("k5-300-bases", k=5, n_bases=300, seed=25, repeats=repeats),
+    ]
 
     # Event-space vs sample-space decode fidelity on a longer read.
     pore5 = PoreModel.synthetic(k=5)

@@ -27,11 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.basecalling.types import BasecalledChunk, BasecalledRead
-from repro.kernels.viterbi import (
-    event_emissions,
-    viterbi_forward,
-    viterbi_traceback,
-)
+from repro.kernels.viterbi import move_predecessors, viterbi_forward, viterbi_traceback
 from repro.nanopore.pore_model import PoreModel
 from repro.nanopore.signal import RawSignal
 
@@ -80,11 +76,7 @@ class ViterbiBasecaller:
     def __init__(self, pore_model: PoreModel, config: ViterbiConfig | None = None):
         self._model = pore_model
         self._config = config or ViterbiConfig()
-        k = pore_model.k
-        n_states = 4**k
-        states = np.arange(n_states, dtype=np.int64)
-        # Predecessors of state s (on a move): (c << 2(k-1)) | (s >> 2).
-        self._pred = ((np.arange(4, dtype=np.int64)[None, :] << (2 * (k - 1))) | (states >> 2)[:, None])
+        self._pred = move_predecessors(pore_model.k)
         self._sigma = np.sqrt(pore_model.spread**2 + self._config.extra_noise_std**2)
         self._log_sigma = np.log(self._sigma)
         self._log_stay = float(np.log(self._config.stay_prob))
@@ -102,41 +94,46 @@ class ViterbiBasecaller:
     def config(self) -> ViterbiConfig:
         return self._config
 
-    def _emission_loglik(self, samples: np.ndarray) -> np.ndarray:
-        """``float64[T, S]`` Gaussian log-likelihood of each state."""
-        x = np.asarray(samples, dtype=np.float64)[:, None]
-        z = (x - self._model.levels[None, :]) / self._sigma[None, :]
-        return -0.5 * z * z - self._log_sigma[None, :]
-
     def decode_states(self, samples: np.ndarray) -> np.ndarray:
         """Most-likely state path (one packed k-mer per sample)."""
-        path, _ = self._viterbi(samples)
+        path, _ = self._viterbi(samples, np.ones(np.size(samples)), self._log_stay, self._log_move)
         return path
 
-    def _viterbi(self, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _viterbi(
+        self, observations: np.ndarray, weights: np.ndarray, log_stay: float, log_move: float
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Viterbi DP; returns (state path, full score matrix).
 
         Forward pass and traceback run on the shared trellis kernels
         (:func:`repro.kernels.viterbi.viterbi_forward` /
-        :func:`~repro.kernels.viterbi.viterbi_traceback`). The score
-        matrix is kept (``float32[T, S]``) so that per-base confidence
-        margins can be read off during traceback; memory is ~4 MB per
-        1000 samples with k=5, i.e. this decoder is meant for
-        chunk-scale signals, which is how GenPIP feeds its basecaller.
+        :func:`~repro.kernels.viterbi.viterbi_traceback`); the forward
+        pass scores emissions a block at a time, so no float64 emission
+        matrix is built. The score matrix is kept (``float32[T, S]``,
+        next to ``uint8[T, S]`` backpointers) so that per-base
+        confidence margins can be read off during traceback; memory is
+        ~5 MB per 1000 observations with k=5, i.e. this decoder is meant
+        for chunk-scale signals, which is how GenPIP feeds its basecaller.
         """
-        samples = np.asarray(samples, dtype=np.float64)
-        if samples.size == 0:
-            n_states = self._model.levels.size
-            return np.empty(0, dtype=np.int64), np.empty((0, n_states), dtype=np.float32)
-        emissions = self._emission_loglik(samples)
         backptr, scores, dp = viterbi_forward(
-            emissions, self._pred, self._log_stay, self._log_move
+            observations,
+            weights,
+            self._model.levels,
+            self._sigma,
+            self._log_sigma,
+            log_stay,
+            log_move,
         )
         return viterbi_traceback(backptr, self._pred, dp), scores
 
     def basecall(self, samples: np.ndarray, read_id: str = "viterbi-read") -> BasecalledRead:
-        """Basecall a raw-signal array into bases + per-base qualities."""
-        path, scores = self._viterbi(samples)
+        """Basecall a raw-signal array into bases + per-base qualities.
+
+        A sample is an observation of unit weight: the same kernel as
+        :meth:`basecall_events`, bit for bit the per-sample Gaussian.
+        """
+        path, scores = self._viterbi(
+            samples, np.ones(np.size(samples)), self._log_stay, self._log_move
+        )
         return self._read_from_path(path, scores, read_id)
 
     def basecall_events(
@@ -156,17 +153,7 @@ class ViterbiBasecaller:
         magnitudes -- and hence the quality margins -- stay commensurate
         with the sample-space decode.
         """
-        means = np.asarray(means, dtype=np.float64)
-        dwells = np.asarray(dwells, dtype=np.float64)
-        if means.size == 0:
-            return BasecalledRead(read_id=read_id, codes="", qualities=np.empty(0), n_chunks=1)
-        emissions = event_emissions(
-            means, dwells, self._model.levels, self._sigma, self._log_sigma
-        )
-        backptr, scores, dp = viterbi_forward(
-            emissions, self._pred, self._log_stay_event, self._log_move_event
-        )
-        path = viterbi_traceback(backptr, self._pred, dp)
+        path, scores = self._viterbi(means, dwells, self._log_stay_event, self._log_move_event)
         return self._read_from_path(path, scores, read_id)
 
     def _read_from_path(

@@ -12,10 +12,12 @@ previously iterated sample-by-sample in interpreted Python:
   operations, reassociated only across independent cells), so it is a
   drop-in behind :class:`~repro.nanopore.signal_filter.SignalPrefilter`
   and :class:`~repro.signal.rejection.SignalRejectionPolicy`.
-* :mod:`repro.kernels.viterbi` -- the HMM trellis forward pass
-  (vectorised across the state dimension) extracted from
-  :class:`~repro.basecalling.viterbi.ViterbiBasecaller`, plus a
-  triple-loop scalar reference for equivalence testing, plus the
+* :mod:`repro.kernels.viterbi` -- the HMM trellis forward pass behind
+  :class:`~repro.basecalling.viterbi.ViterbiBasecaller`, *folded*: a
+  state's four move predecessors are one column of ``dp.reshape(4,
+  S/4)``, shared by four sibling states, so one observation is five
+  whole-vector ufunc calls and backpointers are derived per block;
+  plus a triple-loop scalar reference for equivalence testing, plus the
   **event-space** front-end: dwell-segmented event means/dwells
   (~6x fewer observations than raw samples) decoded on the same
   trellis.
@@ -68,6 +70,7 @@ from repro.kernels.viterbi import (
     TRANSITIONS_PER_STATE,
     event_emissions,
     event_features,
+    move_predecessors,
     viterbi_forward,
     viterbi_forward_scalar,
     viterbi_state_ops,
@@ -86,6 +89,7 @@ __all__ = [
     "event_features",
     "gotoh_scalar",
     "mapping_ops",
+    "move_predecessors",
     "process_mapping_ops",
     "record_mapping_ops",
     "sdtw_cost",

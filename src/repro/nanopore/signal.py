@@ -61,7 +61,10 @@ class RawSignal:
     Attributes
     ----------
     samples:
-        Current samples (pA), ``float32``.
+        Current samples (pA), ``float32``; every one finite (a NaN or
+        infinite sample raises ``ValueError``: the Viterbi trellis
+        assumes finite observations, and a decoder fed NaN returns
+        bases at made-up qualities instead of failing).
     base_starts:
         For each *modelled* base (there are ``len(codes) - k + 1``
         k-mer positions), the index of its first sample.
@@ -72,6 +75,12 @@ class RawSignal:
 
     def __post_init__(self) -> None:
         samples = np.ascontiguousarray(self.samples, dtype=np.float32)
+        finite = np.isfinite(samples)
+        if not finite.all():
+            bad = np.flatnonzero(~finite)
+            raise ValueError(
+                f"signal has {bad.size} non-finite sample(s), the first at index {bad[0]}"
+            )
         starts = np.ascontiguousarray(self.base_starts, dtype=np.int64)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "base_starts", starts)

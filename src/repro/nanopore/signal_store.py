@@ -263,10 +263,11 @@ def iter_signals(path) -> Iterator[SignalRecord]:
                 _read_exact(handle, 4 * n_bases, what, file_size), dtype=np.uint32
             )
             samples = ((q.astype(np.float64) + 32_500) * scale + offset).astype(np.float32)
-            yield SignalRecord(
-                read_id=read_id,
-                signal=RawSignal(samples=samples, base_starts=starts.astype(np.int64)),
-            )
+            try:
+                signal = RawSignal(samples=samples, base_starts=starts.astype(np.int64))
+            except ValueError as exc:
+                raise ValueError(f"{what} ({read_id!r}): {exc}") from exc
+            yield SignalRecord(read_id=read_id, signal=signal)
         _check_no_trailing(handle, "signal store")
 
 

@@ -329,9 +329,13 @@ def read_to_record(read: SimulatedRead | SignalRead) -> dict:
 
 def read_from_record(record: dict) -> SimulatedRead | SignalRead:
     """Inverse of :func:`read_to_record`: the read as read-only views
-    over the record's payload (no copy; the arrays keep it alive)."""
+    over the record's payload (no copy; the arrays keep it alive). A
+    payload the read refuses (a non-finite sample) is a protocol error."""
     layout = _record_layout(record)
     payload = record.get("payload")
     if not isinstance(payload, bytes | bytearray | memoryview) or len(payload) != layout.total_bytes:
         raise ProtocolError(f"read record needs a {layout.total_bytes}-byte payload")
-    return ColumnarBatch(payload, layout.handles).reads(copy=False)[0]
+    try:
+        return ColumnarBatch(payload, layout.handles).reads(copy=False)[0]
+    except ValueError as exc:
+        raise ProtocolError(f"read {record['read_id']!r}: {exc}") from exc

@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 import scipy
 
+import repro.kernels.viterbi as viterbi_kernels
 import repro.mapping.alignment as alignment_module
 from repro.basecalling import ViterbiBackendConfig, ViterbiChunkBasecaller
 from repro.core import GenPIPConfig, GenPIPPipeline
@@ -121,6 +122,17 @@ def test_er_align_digest_independent_of_gotoh_crossover(crossover, monkeypatch):
         pytest.skip(f"digests taken with {golden['stack']}, running {_stack()}")
     monkeypatch.setattr(alignment_module, "_ROW_PIPELINE_MIN_CELLS", crossover)
     assert _er_align()["sha256"] == golden["digests"]["er-align"]["sha256"]
+
+
+@pytest.mark.parametrize("block", [1, 10**6])
+def test_viterbi_signal_digest_independent_of_trellis_block(block, monkeypatch):
+    """One observation per block (1) or the whole chunk in one (10**6):
+    the Viterbi kernel's block size is a speed constant, not an output one."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    if golden["stack"] != _stack():
+        pytest.skip(f"digests taken with {golden['stack']}, running {_stack()}")
+    monkeypatch.setattr(viterbi_kernels, "_BLOCK", block)
+    assert _viterbi_signal()["sha256"] == golden["digests"]["viterbi-signal"]["sha256"]
 
 
 if __name__ == "__main__":

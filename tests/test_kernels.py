@@ -37,6 +37,7 @@ from repro.kernels import (
     KernelWorkload,
     event_emissions,
     event_features,
+    move_predecessors,
     sdtw_cost,
     sdtw_cost_scalar,
     viterbi_forward,
@@ -44,6 +45,7 @@ from repro.kernels import (
     viterbi_state_ops,
     viterbi_traceback,
 )
+from repro.kernels.viterbi import _BLOCK
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.nanopore.pore_model import PoreModel
@@ -170,8 +172,31 @@ class TestSdtwEquivalence:
         )
 
 
+def _forward_pair(k, observations, weights, levels, sigma, log_stay, log_move):
+    """(folded kernel, scalar reference on the same emissions) outputs."""
+    log_sigma = np.log(sigma)
+    fast = viterbi_forward(observations, weights, levels, sigma, log_sigma, log_stay, log_move)
+    slow = viterbi_forward_scalar(
+        event_emissions(observations, weights, levels, sigma, log_sigma),
+        move_predecessors(k),
+        log_stay,
+        log_move,
+    )
+    return fast, slow
+
+
+def _assert_bitwise_equal(fast, slow) -> None:
+    for a, b in zip(fast, slow, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+#: Trellis lengths around the kernel's block edges (0 and 1 included).
+BLOCK_EDGE_LENGTHS = (0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
+
+
 class TestViterbiTrellisEquivalence:
-    """Vectorised forward pass == scalar reference, bit for bit."""
+    """Folded forward pass == scalar reference, bit for bit."""
 
     @staticmethod
     def _trellis(k=3, t=40, seed=11):
@@ -179,41 +204,95 @@ class TestViterbiTrellisEquivalence:
         decoder = ViterbiBasecaller(pore)
         rng = np.random.default_rng(seed)
         samples = rng.normal(loc=pore.levels.mean(), scale=10.0, size=t)
-        emissions = decoder._emission_loglik(samples)
-        return decoder, emissions
+        return decoder, samples
+
+    @staticmethod
+    def _forward(decoder, samples):
+        return _forward_pair(
+            decoder.pore_model.k,
+            samples,
+            np.ones(samples.size),
+            decoder.pore_model.levels,
+            decoder._sigma,
+            decoder._log_stay,
+            decoder._log_move,
+        )
 
     def test_bitwise_equal_forward(self):
-        decoder, emissions = self._trellis()
-        fast = viterbi_forward(emissions, decoder._pred, decoder._log_stay, decoder._log_move)
-        slow = viterbi_forward_scalar(
-            emissions, decoder._pred, decoder._log_stay, decoder._log_move
-        )
-        for a, b in zip(fast, slow, strict=True):
-            np.testing.assert_array_equal(a, b)
+        _assert_bitwise_equal(*self._forward(*self._trellis()))
 
     def test_traceback_paths_agree(self):
-        decoder, emissions = self._trellis(t=60, seed=2)
-        backptr_f, _, dp_f = viterbi_forward(
-            emissions, decoder._pred, decoder._log_stay, decoder._log_move
-        )
-        backptr_s, _, dp_s = viterbi_forward_scalar(
-            emissions, decoder._pred, decoder._log_stay, decoder._log_move
-        )
+        decoder, samples = self._trellis(t=60, seed=2)
+        (backptr_f, _, dp_f), (backptr_s, _, dp_s) = self._forward(decoder, samples)
         np.testing.assert_array_equal(
             viterbi_traceback(backptr_f, decoder._pred, dp_f),
             viterbi_traceback(backptr_s, decoder._pred, dp_s),
         )
 
     def test_empty_trellis(self):
-        decoder, emissions = self._trellis(t=1)
-        empty = emissions[:0]
-        backptr, scores, dp = viterbi_forward(
-            empty, decoder._pred, decoder._log_stay, decoder._log_move
-        )
-        assert backptr.shape == (0, emissions.shape[1])
-        assert scores.shape == (0, emissions.shape[1])
+        decoder, samples = self._trellis(t=0)
+        fast, slow = self._forward(decoder, samples)
+        backptr, scores, dp = fast
+        assert backptr.shape == scores.shape == (0, 64)
         assert dp.size == 0
         assert viterbi_traceback(backptr, decoder._pred, dp).size == 0
+        _assert_bitwise_equal(fast, slow)
+
+    @given(
+        k=st.sampled_from((1, 2, 3)),
+        t=st.sampled_from(BLOCK_EDGE_LENGTHS),
+        unit_weights=st.booleans(),
+        tied_priors=st.booleans(),
+        wide_sigma=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_folded_kernel_bit_identical_on_tie_heavy_trellises(
+        self, k, t, unit_weights, tied_priors, wide_sigma, seed
+    ):
+        """Integer observations and levels make equal predecessors and
+        equal move/stay candidates common, so every tie-break -- first
+        maximum of the four predecessors, stay on ``move == stay`` -- is
+        exercised, across block edges and with ``log_stay == log_move``."""
+        rng = np.random.default_rng(seed)
+        n_states = 4**k
+        levels = rng.integers(80, 86, size=n_states).astype(np.float64)
+        sigma = np.full(n_states, 2.0 if wide_sigma else 1.0)
+        observations = rng.integers(78, 88, size=t).astype(np.float64)
+        weights = np.ones(t) if unit_weights else rng.integers(1, 9, size=t) * 0.5
+        log_stay = float(np.log(0.25))
+        log_move = log_stay if tied_priors else float(np.log(0.05))
+        fast, slow = _forward_pair(k, observations, weights, levels, sigma, log_stay, log_move)
+        _assert_bitwise_equal(fast, slow)
+
+    def test_folded_kernel_bit_identical_at_k5(self):
+        """The production state count (1 024 states, 256 columns) on
+        noisy samples and random positive dwells, across two block edges."""
+        rng = np.random.default_rng(31)
+        decoder, samples = self._trellis(k=5, t=2 * _BLOCK + 1, seed=31)
+        fast, slow = _forward_pair(
+            5,
+            samples,
+            rng.uniform(0.5, 6.0, size=samples.size),
+            decoder.pore_model.levels,
+            decoder._sigma,
+            decoder._log_stay,
+            decoder._log_move,
+        )
+        _assert_bitwise_equal(fast, slow)
+
+    def test_move_predecessors_are_columns_of_the_folded_view(self):
+        """``pred[s, c] == c*S/4 + (s >> 2)``: state ``s``'s predecessors
+        are column ``s >> 2`` of ``dp.reshape(4, S/4)``."""
+        for k in (1, 2, 3, 5):
+            n_states = 4**k
+            pred = move_predecessors(k)
+            assert pred.shape == (n_states, 4) and pred.dtype == np.int64
+            folded = np.arange(n_states).reshape(4, n_states // 4)
+            for s in range(n_states):
+                np.testing.assert_array_equal(pred[s], folded[:, s >> 2])
+        with pytest.raises(ValueError):
+            move_predecessors(0)
 
     def test_state_ops_accounting(self):
         assert viterbi_state_ops(10, 64) == 10 * 64 * TRANSITIONS_PER_STATE
@@ -247,7 +326,8 @@ class TestEventFrontEnd:
         decoder = ViterbiBasecaller(pore)
         rng = np.random.default_rng(5)
         samples = rng.normal(loc=pore.levels.mean(), scale=8.0, size=12)
-        per_sample = decoder._emission_loglik(samples)
+        z = (samples[:, None] - pore.levels[None, :]) / decoder._sigma[None, :]
+        per_sample = -0.5 * z * z - decoder._log_sigma[None, :]
         per_event = event_emissions(
             samples,
             np.ones(samples.size),

@@ -124,6 +124,25 @@ class TestStreamingReader:
         with pytest.raises(ValueError, match="truncated"):
             list(iter_signals(path))
 
+    def test_non_finite_record_fails_naming_its_read_id(self, tmp_path):
+        """A NaN dequantisation offset makes every sample NaN: the record
+        fails where it is read, naming its read, instead of decoding."""
+        import struct
+
+        path = tmp_path / "nan.rsig"
+        good = _random_signal(60, 1)
+        write_signals(path, [SignalRecord("good", good), SignalRecord("bad", _random_signal(60, 2))])
+        data = bytearray(path.read_bytes())
+        # header(10) + the first record, then the second's id length (2) and id (3).
+        first = 2 + 4 + 8 + 4 + 2 * good.samples.size + 4 + 4 * good.n_bases
+        offset = 10 + first + 2 + 3
+        data[offset : offset + 4] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(data))
+        stream = iter_signals(path)
+        assert next(stream).read_id == "good"
+        with pytest.raises(ValueError, match=r"signal record 1 \('bad'\).*non-finite"):
+            next(stream)
+
     def test_count_larger_than_body_raises(self, tmp_path):
         """A corrupt header declaring more records than exist is caught."""
         import struct

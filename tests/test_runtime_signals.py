@@ -151,6 +151,22 @@ class TestSignalReadContract:
         with pytest.raises(ValueError, match="declared_bases"):
             SignalRead(read_id="bad", signal=signal, declared_bases=signal.n_bases - 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_are_refused(self, viterbi_backend, short_reads, bad):
+        """Ten bad samples early in a chunk used to decode silently --
+        NaN-quality bases, and an all-NaN chunk gave ``AAAAA`` at Q15 and
+        a MAPPED read; the signal itself now refuses them."""
+        signal = viterbi_backend.synthesize_signal(short_reads[0])
+        samples = signal.samples.copy()
+        samples[40:50] = bad
+        with pytest.raises(ValueError, match="10 non-finite sample.*index 40"):
+            SignalRead(read_id="s0", signal=dataclasses.replace(signal, samples=samples))
+        with pytest.raises(ValueError, match="non-finite"):
+            SignalRead(
+                read_id="s0",
+                signal=dataclasses.replace(signal, samples=np.full(samples.size, bad)),
+            )
+
     def test_normalized(self, viterbi_backend, short_reads):
         read = SignalRead(
             read_id="s0", signal=viterbi_backend.synthesize_signal(short_reads[0])

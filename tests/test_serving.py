@@ -862,6 +862,24 @@ def test_signal_read_to_a_base_space_pipeline_is_refused(tiny_system, tiny_datas
     assert "signal read" in message and "base-space" in message
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_non_finite_signal_read_is_refused_before_dispatch(tiny_dataset, workers):
+    """A client that sends NaN current (nothing on the sending side
+    checks the bytes) gets one ``error`` frame naming the read, before
+    the read reaches a decoder that would have called bases from it."""
+    backend = ViterbiChunkBasecaller(ViterbiBackendConfig(pore_k=3))
+    system = GenPIP(
+        MinimizerIndex.build(tiny_dataset.reference), GenPIPConfig(), basecaller=backend, align=False
+    )
+    good, bad = (
+        SignalRead(read_id=read.read_id, signal=backend.synthesize_signal(read))
+        for read in sorted(tiny_dataset.reads, key=len)[:2]
+    )
+    bad.signal.samples[10:20] = np.nan  # after the signal's own check
+    message = _refused_session(system, [good, bad], workers, failing_seq=1)
+    assert bad.read_id in message and "non-finite" in message
+
+
 def test_dispatcher_start_is_single_shot(tiny_system):
     dispatcher = PoolDispatcher(tiny_system.pipeline, workers=1)
     with dispatcher, pytest.raises(RuntimeError, match="already started"):
