@@ -34,7 +34,6 @@ import numpy as np
 import pytest
 
 from repro.basecalling import SurrogateBasecaller, ViterbiBasecaller, ViterbiConfig
-from repro.basecalling.dnn import BonitoLikeModel
 from repro.genomics.mutate import apply_errors
 from repro.genomics.reference import ReferenceGenome
 from repro.hardware.cam import CamArray, CamConfig
@@ -122,13 +121,6 @@ def test_surrogate_chunk_basecall(benchmark):
     caller = SurrogateBasecaller()
     chunk = benchmark(caller.basecall_chunk, read, 0, 300)
     assert len(chunk) > 200
-
-
-def test_dnn_forward(benchmark):
-    model = BonitoLikeModel(seed=0, hidden=32)
-    samples = np.random.default_rng(13).normal(100, 10, 1_800)
-    log_probs = benchmark(model.forward, samples)
-    assert log_probs.shape[1] == 5
 
 
 def test_crossbar_mvm(benchmark):

@@ -13,7 +13,6 @@ Run with: ``python examples/hardware_walkthrough.py``
 
 import numpy as np
 
-from repro.basecalling.dnn import BonitoLikeModel
 from repro.genomics.reference import ReferenceGenome
 from repro.hardware import (
     CrossbarArray,
@@ -64,7 +63,7 @@ def main() -> None:
     )
 
     # --- Helix-like PIM basecaller throughput.
-    helix = HelixModel(network=BonitoLikeModel(seed=0))
+    helix = HelixModel()
     throughput = helix.throughput(chunk_bases=300)
     print(
         f"Helix model: {throughput.chunk_latency_ns / 1e3:.1f} us per 300-base chunk, "

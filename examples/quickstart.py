@@ -136,7 +136,7 @@ def main() -> None:
 
     # 6. Pluggable engines: the pipeline is typed against structural
     #    protocols (repro.core.backends), and every backend in the
-    #    registry -- "surrogate", "viterbi", "dnn" -- runs the identical
+    #    registry -- "surrogate", "viterbi" -- runs the identical
     #    CP/ER control flow. The builder assembles a system fluently;
     #    backends and presets are picked by name, so the same choice
     #    works here and in `python -m repro.runtime --basecaller viterbi`;

@@ -1,8 +1,9 @@
 """Basecalling substrate: signal -> (bases, per-base quality scores).
 
 The GenPIP paper uses Bonito, a DNN basecaller, running on a CPU/GPU (or
-its MVM workload mapped onto the Helix PIM accelerator). This subpackage
-provides three engines behind one chunk-level contract:
+its MVM workload mapped onto the Helix PIM accelerator, whose shape table
+is :func:`repro.hardware.helix.bonito_workload`). This subpackage
+provides two engines behind one chunk-level contract:
 
 * :class:`~repro.basecalling.viterbi.ViterbiBasecaller` -- a *real*
   basecaller: k-mer HMM Viterbi decoding of raw signal against the pore
@@ -13,31 +14,23 @@ provides three engines behind one chunk-level contract:
   model. Deterministic per (read, chunk), independent of processing
   order -- a property the chunk-based pipeline (CP) relies on. This is
   the dataset-scale engine.
-* :mod:`repro.basecalling.dnn` -- a numpy inference stack (conv1d, GRU,
-  dense, CTC decoding) with a Bonito-like architecture. It characterises
-  the matrix-vector-multiply workload that the Helix-like PIM model
-  accelerates (Sec. 2.2 of the paper).
 
-All engines emit :class:`~repro.basecalling.types.BasecalledChunk`
+Both engines emit :class:`~repro.basecalling.types.BasecalledChunk`
 objects whose ``sum_quality`` is exactly the paper's SQS (Eq. 2) and
 assemble into :class:`~repro.basecalling.types.BasecalledRead` whose
 ``mean_quality`` is the paper's AQS (Eqs. 1/3).
 
-:mod:`repro.basecalling.engines` adapts the Viterbi decoder and the DNN
-to the chunk-basecaller protocol (:mod:`repro.core.backends`) over
-deterministically synthesized per-read signal, so all three engines are
+:mod:`repro.basecalling.engines` adapts the Viterbi decoder to the
+chunk-basecaller protocol (:mod:`repro.core.backends`) over carried or
+deterministically synthesized per-read signal, so both engines are
 interchangeable inside the CP/ER pipeline and selectable by name
-(``"surrogate"``, ``"viterbi"``, ``"dnn"``) via
-:mod:`repro.core.registry`.
+(``"surrogate"``, ``"viterbi"``) via :mod:`repro.core.registry`.
 """
 
 from repro.basecalling.chunked import chunk_bounds, chunk_count, chunk_span, reassemble_chunks
 from repro.basecalling.engines import (
     CarriedSignalProvider,
-    DNNBackendConfig,
-    DNNChunkBasecaller,
     SignalProvider,
-    SignalSpaceBasecaller,
     SynthesisSignalProvider,
     ViterbiBackendConfig,
     ViterbiChunkBasecaller,
@@ -59,10 +52,7 @@ __all__ = [
     "chunk_span",
     "reassemble_chunks",
     "CarriedSignalProvider",
-    "DNNBackendConfig",
-    "DNNChunkBasecaller",
     "SignalProvider",
-    "SignalSpaceBasecaller",
     "SynthesisSignalProvider",
     "ViterbiBackendConfig",
     "ViterbiChunkBasecaller",

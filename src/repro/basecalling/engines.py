@@ -1,12 +1,12 @@
-"""Signal-space chunk-basecaller backends for the CP pipeline.
+"""The signal-space chunk-basecaller backend for the CP pipeline.
 
 The core pipeline consumes the structural
 :class:`~repro.core.backends.Basecaller` protocol; this module adapts
-the repo's two *signal-space* decoders -- the k-mer HMM Viterbi decoder
-and the Bonito-like CTC network -- to that chunk-level contract, so they
-run the identical CP/ER control flow as the dataset-scale surrogate.
+the repo's *signal-space* decoder -- the k-mer HMM Viterbi decoder -- to
+that chunk-level contract (:class:`ViterbiChunkBasecaller`), so it runs
+the identical CP/ER control flow as the dataset-scale surrogate.
 
-The decoders consume raw current, so the only real question per read is
+The decoder consumes raw current, so the only real question per read is
 *where its signal comes from*. A :class:`SignalProvider` answers it:
 
 * :class:`CarriedSignalProvider` -- the read **is** signal: a
@@ -27,7 +27,7 @@ Chunks are cut on the shared :func:`~repro.basecalling.chunked.chunk_bounds`
 grid (base coordinates) and decoded independently, losing k-mer
 context at boundaries -- the same trade-off real chunked basecallers
 make. ``n_true_bases`` keeps the surrogate's accounting so SQS/AQS and
-the performance model treat all engines uniformly.
+the performance model treat both engines uniformly.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from repro.basecalling.chunked import chunk_count, chunk_span, reassemble_chunks
-from repro.basecalling.dnn.model import BonitoLikeModel
 from repro.basecalling.types import BasecalledChunk, BasecalledRead
 from repro.basecalling.viterbi import ViterbiBasecaller, ViterbiConfig
 from repro.genomics.quality import phred_to_error_prob
@@ -241,111 +240,6 @@ class SynthesisSignalProvider:
         return state
 
 
-class SignalSpaceBasecaller:
-    """Shared chunk plumbing for engines that decode raw signal.
-
-    Subclasses implement :meth:`_decode` (samples -> bases, qualities);
-    this base supplies the :class:`~repro.core.backends.Basecaller`
-    surface: the shared chunk grid, chunk reassembly, and signal
-    resolution through an ordered chain of :class:`SignalProvider`\\ s
-    -- carried signal first (signal-native inputs), synthesis as the
-    fallback for base-space simulated reads. ``providers`` replaces the
-    leading carried provider(s) -- e.g. a
-    ``CarriedSignalProvider(normalize=True)`` for containers in non-pA
-    units -- while synthesis always stays the final fallback.
-    """
-
-    #: Signal-space engines decode :class:`SignalRead` inputs natively.
-    accepts_signal_reads = True
-
-    def __init__(
-        self,
-        pore_model: PoreModel,
-        signal_config: SignalConfig,
-        quality_noise: float,
-        normalize_carried: bool = False,
-        providers: "tuple[SignalProvider, ...] | None" = None,
-    ):
-        self._synthesis = SynthesisSignalProvider(pore_model, signal_config, quality_noise)
-        if providers is None:
-            providers = (CarriedSignalProvider(normalize=normalize_carried),)
-        self._providers: tuple[SignalProvider, ...] = tuple(providers) + (
-            self._synthesis,
-        )
-
-    @property
-    def pore_model(self) -> PoreModel:
-        return self._synthesis.pore_model
-
-    @property
-    def signal_config(self) -> SignalConfig:
-        return self._synthesis.signal_config
-
-    @property
-    def providers(self) -> tuple[SignalProvider, ...]:
-        return self._providers
-
-    def read_signal(self, read) -> RawSignal:
-        """The read's signal, from the first provider that serves it."""
-        for provider in self._providers:
-            if provider.supports(read):
-                return provider.signal_for(read)
-        raise TypeError(
-            f"no signal provider for {type(read).__name__}; signal-space engines "
-            "decode SignalRead (carried samples) or SimulatedRead (synthesis)"
-        )
-
-    def synthesize_signal(self, read: SimulatedRead) -> RawSignal:
-        """Synthesize a base-space read's signal (bypasses carried paths).
-
-        This is what writes signal containers: the synthesized current
-        of a simulated dataset, persisted once, replaces synthesis for
-        every subsequent signal-native run.
-        """
-        return self._synthesis.signal_for(read)
-
-    def signal_records(self, reads: Iterable[SimulatedRead]) -> Iterator[SignalRecord]:
-        """Container records of the reads' synthesized signals (streamed)."""
-        for read in reads:
-            yield SignalRecord(read_id=read.read_id, signal=self.synthesize_signal(read))
-
-    def n_chunks(self, read, chunk_size: int) -> int:
-        """Number of chunks the read splits into (shared grid)."""
-        return chunk_count(len(read), chunk_size)
-
-    def basecall_chunk(self, read, index: int, chunk_size: int) -> BasecalledChunk:
-        """Decode one chunk's signal slice.
-
-        The signal models ``len(read) - k + 1`` k-mer positions, so the
-        final chunk's bound is clamped to the modelled range (its last
-        ``k - 1`` true bases have no dedicated samples; the decoder's
-        trailing k-mer emission covers them approximately).
-        """
-        start, end = chunk_span(len(read), chunk_size, index)
-        samples = self.read_signal(read).clamped_slice(start, end)
-        called, qualities = self._decode(samples, read.read_id)
-        return BasecalledChunk(
-            chunk_index=index,
-            codes=called,
-            qualities=qualities,
-            n_true_bases=end - start,
-        )
-
-    def basecall_read(self, read, chunk_size: int) -> BasecalledRead:
-        """Basecall every chunk of the read and reassemble."""
-        chunks = [
-            self.basecall_chunk(read, i, chunk_size)
-            for i in range(self.n_chunks(read, chunk_size))
-        ]
-        return reassemble_chunks(read.read_id, chunks)
-
-    def _decode(
-        self, samples: np.ndarray, read_id: str
-    ) -> "tuple[str | np.ndarray, np.ndarray]":
-        """Called bases (text or 2-bit codes) and per-base qualities."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
 class ViterbiBackendConfig:
     """Construction recipe for :class:`ViterbiChunkBasecaller`.
@@ -397,14 +291,22 @@ class ViterbiBackendConfig:
             )
 
 
-class ViterbiChunkBasecaller(SignalSpaceBasecaller):
+class ViterbiChunkBasecaller:
     """The k-mer HMM Viterbi decoder behind the chunk-basecaller contract.
 
-    ``providers`` overrides the leading carried-signal provider(s) --
-    e.g. a :class:`CarriedSignalProvider` with a per-container
-    :class:`~repro.signal.calibration.SignalCalibration` for stores
-    written in non-pA units; synthesis stays the final fallback.
+    Supplies the :class:`~repro.core.backends.Basecaller` surface: the
+    shared chunk grid, chunk reassembly, and signal resolution through an
+    ordered chain of :class:`SignalProvider`\\ s -- carried signal first
+    (signal-native inputs), synthesis as the fallback for base-space
+    simulated reads. ``providers`` replaces the leading carried
+    provider(s) -- e.g. a :class:`CarriedSignalProvider` with a
+    per-container :class:`~repro.signal.calibration.SignalCalibration`
+    for stores written in non-pA units -- while synthesis always stays
+    the final fallback.
     """
+
+    #: Decodes :class:`SignalRead` inputs natively.
+    accepts_signal_reads = True
 
     def __init__(
         self,
@@ -418,13 +320,10 @@ class ViterbiChunkBasecaller(SignalSpaceBasecaller):
             )
         config = config or ViterbiBackendConfig()
         pore = PoreModel.synthetic(k=config.pore_k, seed=config.pore_seed)
-        super().__init__(
-            pore,
-            config.signal,
-            config.quality_noise,
-            normalize_carried=config.normalize_carried,
-            providers=providers,
-        )
+        self._synthesis = SynthesisSignalProvider(pore, config.signal, config.quality_noise)
+        if providers is None:
+            providers = (CarriedSignalProvider(normalize=config.normalize_carried),)
+        self._providers: tuple[SignalProvider, ...] = tuple(providers) + (self._synthesis,)
         self._config = config
         self._decoder = ViterbiBasecaller(pore, config.decoder)
 
@@ -436,15 +335,77 @@ class ViterbiChunkBasecaller(SignalSpaceBasecaller):
     def decoder(self) -> ViterbiBasecaller:
         return self._decoder
 
-    def _decode(self, samples: np.ndarray, read_id: str) -> tuple[np.ndarray, np.ndarray]:
+    @property
+    def pore_model(self) -> PoreModel:
+        return self._synthesis.pore_model
+
+    @property
+    def signal_config(self) -> SignalConfig:
+        return self._synthesis.signal_config
+
+    @property
+    def providers(self) -> tuple[SignalProvider, ...]:
+        return self._providers
+
+    def read_signal(self, read) -> RawSignal:
+        """The read's signal, from the first provider that serves it."""
+        for provider in self._providers:
+            if provider.supports(read):
+                return provider.signal_for(read)
+        raise TypeError(
+            f"no signal provider for {type(read).__name__}; signal-space engines "
+            "decode SignalRead (carried samples) or SimulatedRead (synthesis)"
+        )
+
+    def synthesize_signal(self, read: SimulatedRead) -> RawSignal:
+        """Synthesize a base-space read's signal (bypasses carried paths).
+
+        This is what writes signal containers: the synthesized current
+        of a simulated dataset, persisted once, replaces synthesis for
+        every subsequent signal-native run.
+        """
+        return self._synthesis.signal_for(read)
+
+    def signal_records(self, reads: Iterable[SimulatedRead]) -> Iterator[SignalRecord]:
+        """Container records of the reads' synthesized signals (streamed)."""
+        for read in reads:
+            yield SignalRecord(read_id=read.read_id, signal=self.synthesize_signal(read))
+
+    def n_chunks(self, read, chunk_size: int) -> int:
+        """Number of chunks the read splits into (shared grid)."""
+        return chunk_count(len(read), chunk_size)
+
+    def basecall_chunk(self, read, index: int, chunk_size: int) -> BasecalledChunk:
+        """Decode one chunk's signal slice.
+
+        The signal models ``len(read) - k + 1`` k-mer positions, so the
+        final chunk's bound is clamped to the modelled range (its last
+        ``k - 1`` true bases have no dedicated samples; the decoder's
+        trailing k-mer emission covers them approximately).
+        """
+        start, end = chunk_span(len(read), chunk_size, index)
+        samples = self.read_signal(read).clamped_slice(start, end)
         if self._config.decode == "events":
             samples = np.asarray(samples, dtype=np.float64)
             starts = detect_events(samples, self._config.segmentation)
             means, dwells = event_features(samples, starts)
-            called = self._decoder.basecall_events(means, dwells, read_id=read_id)
+            called = self._decoder.basecall_events(means, dwells, read_id=read.read_id)
         else:
-            called = self._decoder.basecall(samples, read_id=read_id)
-        return called.codes, called.qualities
+            called = self._decoder.basecall(samples, read_id=read.read_id)
+        return BasecalledChunk(
+            chunk_index=index,
+            codes=called.codes,
+            qualities=called.qualities,
+            n_true_bases=end - start,
+        )
+
+    def basecall_read(self, read, chunk_size: int) -> BasecalledRead:
+        """Basecall every chunk of the read and reassemble."""
+        chunks = [
+            self.basecall_chunk(read, i, chunk_size)
+            for i in range(self.n_chunks(read, chunk_size))
+        ]
+        return reassemble_chunks(read.read_id, chunks)
 
     def kernel_workload(self, n_bases: int) -> KernelWorkload:
         """Trellis state-space ops for decoding ``n_bases`` worth of signal.
@@ -464,93 +425,4 @@ class ViterbiChunkBasecaller(SignalSpaceBasecaller):
             kind="viterbi-state",
             ops=viterbi_state_ops(observations, int(self.pore_model.levels.size)),
             unit="state-ops",
-        )
-
-
-@dataclass(frozen=True)
-class DNNBackendConfig:
-    """Construction recipe for :class:`DNNChunkBasecaller`.
-
-    Attributes
-    ----------
-    model_seed, hidden:
-        Deterministic weight seed and GRU width of the Bonito-like
-        network (untrained: the engine exercises the real compute graph
-        and control flow, not trained accuracy).
-    pore_k, pore_seed, signal, quality_noise, normalize_carried:
-        Signal synthesis and carried-signal handling, as for
-        :class:`ViterbiBackendConfig`.
-    """
-
-    model_seed: int = 0
-    hidden: int = 96
-    pore_k: int = 5
-    pore_seed: int = 7
-    signal: SignalConfig = field(default_factory=SignalConfig)
-    quality_noise: float = 6.0
-    normalize_carried: bool = False
-
-    def __post_init__(self) -> None:
-        if self.hidden < 1:
-            raise ValueError("hidden must be positive")
-        if self.quality_noise < 0:
-            raise ValueError("quality_noise must be non-negative")
-
-
-class DNNChunkBasecaller(SignalSpaceBasecaller):
-    """The Bonito-like CTC network behind the chunk-basecaller contract.
-
-    The network ships with deterministic random weights (training is out
-    of scope offline), so its calls do not recover the input sequence --
-    reads flow through the identical CP/ER control flow and typically
-    end rejected or unmapped. That makes this engine a *workload and
-    integration* backend: it proves the pipeline is basecaller-agnostic
-    and feeds the Helix MVM cost model with real shapes.
-    """
-
-    def __init__(
-        self,
-        config: DNNBackendConfig | None = None,
-        providers: "tuple[SignalProvider, ...] | None" = None,
-    ):
-        if config is not None and not isinstance(config, DNNBackendConfig):
-            raise TypeError(
-                f"DNNChunkBasecaller expects a DNNBackendConfig, got {type(config).__name__}"
-            )
-        config = config or DNNBackendConfig()
-        pore = PoreModel.synthetic(k=config.pore_k, seed=config.pore_seed)
-        super().__init__(
-            pore,
-            config.signal,
-            config.quality_noise,
-            normalize_carried=config.normalize_carried,
-            providers=providers,
-        )
-        self._config = config
-        self._model = BonitoLikeModel(seed=config.model_seed, hidden=config.hidden)
-
-    @property
-    def config(self) -> DNNBackendConfig:
-        return self._config
-
-    @property
-    def model(self) -> BonitoLikeModel:
-        return self._model
-
-    def _decode(self, samples: np.ndarray, read_id: str) -> tuple[str, np.ndarray]:
-        return self._model.basecall(samples)
-
-    def kernel_workload(self, n_bases: int) -> KernelWorkload:
-        """DNN MACs for decoding ``n_bases`` worth of signal.
-
-        Charged from the model's own layer shapes
-        (:meth:`BonitoLikeModel.workload
-        <repro.basecalling.dnn.model.BonitoLikeModel.workload>`) on the
-        ``dwell_mean``-samples-per-base window the chunk grid feeds it.
-        """
-        n_samples = int(round(n_bases * self._config.signal.dwell_mean))
-        return KernelWorkload(
-            kind="dnn-mvm",
-            ops=int(self._model.workload(n_samples).total_macs),
-            unit="macs",
         )

@@ -19,7 +19,7 @@ level (the hardware cost models live in :mod:`repro.hardware` /
   (:class:`Basecaller`, :class:`QSRPolicyProtocol`,
   :class:`CMRPolicyProtocol`) the pipeline is typed against.
 * :mod:`repro.core.registry` -- the built-in basecaller backends
-  (``"surrogate"``, ``"viterbi"``, ``"dnn"``) and pipeline presets
+  (``"surrogate"``, ``"viterbi"``) and pipeline presets
   (``"ecoli"``, ``"human"``) by name.
 * :mod:`repro.core.builder` -- :class:`PipelineBuilder`, the fluent
   ``GenPIP.build()...`` construction API.

@@ -8,15 +8,13 @@ typed against *protocols* -- the chunk-basecaller contract and the two
 rejection-policy contracts -- not against any concrete engine.
 
 Any object satisfying :class:`Basecaller` can drive
-:class:`~repro.core.pipeline.GenPIPPipeline`; the repo ships three:
+:class:`~repro.core.pipeline.GenPIPPipeline`; the repo ships two:
 
 * ``"surrogate"`` -- ground-truth replay with a calibrated error model
   (:class:`~repro.basecalling.surrogate.SurrogateBasecaller`), the
   dataset-scale engine;
 * ``"viterbi"`` -- real signal-space k-mer HMM decoding
-  (:class:`~repro.basecalling.engines.ViterbiChunkBasecaller`);
-* ``"dnn"`` -- the Bonito-like CTC network
-  (:class:`~repro.basecalling.engines.DNNChunkBasecaller`).
+  (:class:`~repro.basecalling.engines.ViterbiChunkBasecaller`).
 
 The protocols are ``runtime_checkable`` so registries and tests can
 verify conformance with ``isinstance``; being structural, third-party

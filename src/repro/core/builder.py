@@ -115,9 +115,9 @@ class PipelineBuilder:
 
         For signal-native runs (a
         :class:`~repro.runtime.source.SignalStoreSource` feeding stored
-        raw current) pick a signal-space backend -- ``"viterbi"`` or
-        ``"dnn"`` -- since the surrogate replays base-space ground
-        truth and cannot decode provided signal.
+        raw current) pick the signal-space backend, ``"viterbi"``, since
+        the surrogate replays base-space ground truth and cannot decode
+        provided signal.
         """
         if isinstance(backend, str):
             self._basecaller_name = backend

@@ -197,7 +197,7 @@ class GenPIP:
     basecaller / mapper_config / qsr_policy / cmr_policy / ser_policy:
         Engine overrides, typed against the :mod:`repro.core.backends`
         protocols; any registered backend (``"surrogate"``,
-        ``"viterbi"``, ``"dnn"``) or conforming object plugs in.
+        ``"viterbi"``) or conforming object plugs in.
         ``ser_policy`` adds the pre-basecalling signal-domain rejection
         stage for signal-native reads (no default: without a policy the
         stage does not exist).
@@ -271,7 +271,7 @@ class GenPIP:
             on-disk read store, ...). Signal-native sources
             (:class:`~repro.runtime.source.SignalStoreSource`, yielding
             stored raw current instead of simulated reads) require a
-            signal-space basecaller (``"viterbi"`` / ``"dnn"``); the
+            signal-space basecaller (``"viterbi"``); the
             engine rejects the combination up front otherwise.
         workers:
             Worker processes to shard the reads across; ``0``/``1``

@@ -189,8 +189,8 @@ class GenPIPPipeline:
         if isinstance(read, SignalRead) and not self.accepts_signal_reads():
             raise TypeError(
                 f"{type(self.basecaller).__name__} cannot decode signal-native "
-                "reads; use a signal-space backend ('viterbi', 'dnn') for raw-"
-                "current inputs"
+                "reads; use a signal-space backend ('viterbi') for raw-current "
+                "inputs"
             )
         if self.tracer is not None:
             # Scope the injected tracer (pinned clock) process-wide so

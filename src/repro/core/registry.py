@@ -1,9 +1,9 @@
 """The built-in basecaller backends and pipeline presets, by name.
 
-Two dicts: ``name -> engine type`` (``"surrogate"``, ``"viterbi"``,
-``"dnn"``) and ``name -> GenPIPConfig`` (``"ecoli"`` / ``"human"``, the
-Sec. 6.3 parameters, with the dataset-profile spellings
-``"ecoli-like"`` / ``"human-like"`` as aliases, plus ``"default"``).
+Two dicts: ``name -> engine type`` (``"surrogate"``, ``"viterbi"``) and
+``name -> GenPIPConfig`` (``"ecoli"`` / ``"human"``, the Sec. 6.3
+parameters, with the dataset-profile spellings ``"ecoli-like"`` /
+``"human-like"`` as aliases, plus ``"default"``).
 They are what the CLI's ``--basecaller`` / ``--preset`` flags and the
 builder's ``.basecaller("viterbi")`` / ``.preset("ecoli")`` look up.
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.basecalling.engines import DNNChunkBasecaller, ViterbiChunkBasecaller
+from repro.basecalling.engines import ViterbiChunkBasecaller
 from repro.basecalling.surrogate import SurrogateBasecaller
 from repro.core.backends import Basecaller
 from repro.core.config import ECOLI_PARAMS, HUMAN_PARAMS, GenPIPConfig
@@ -26,7 +26,6 @@ from repro.core.config import ECOLI_PARAMS, HUMAN_PARAMS, GenPIPConfig
 _BASECALLERS: dict[str, type] = {
     "surrogate": SurrogateBasecaller,
     "viterbi": ViterbiChunkBasecaller,
-    "dnn": DNNChunkBasecaller,
 }
 
 _PRESETS: dict[str, GenPIPConfig] = {

@@ -94,8 +94,8 @@ class ExperimentContext:
         faster. Accuracy-focused experiments pass ``align=True``.
 
         ``basecaller`` selects any registered backend by name; keep the
-        signal-space backends (``"viterbi"``, ``"dnn"``) to tiny scales
-        -- they decode real per-read signal.
+        signal-space backend (``"viterbi"``) to tiny scales -- it decodes
+        real per-read signal.
         """
         key = (variant, chunk_size, align, basecaller)
         if key not in self._reports:

@@ -109,6 +109,46 @@ class CrossbarArray:
 
 
 @dataclass(frozen=True)
+class MVMShape:
+    """One matrix-vector multiply: ``out = W[rows, cols] @ x[cols]``."""
+
+    rows: int
+    cols: int
+
+    @property
+    def macs(self) -> int:
+        return self.rows * self.cols
+
+
+@dataclass(frozen=True)
+class MVMOp:
+    """A weight matrix and how many times it is activated per chunk."""
+
+    name: str
+    shape: MVMShape
+    activations: int
+
+    @property
+    def macs(self) -> int:
+        return self.shape.macs * self.activations
+
+
+@dataclass(frozen=True)
+class MVMWorkload:
+    """The complete MVM workload of one workload instance (e.g. one chunk)."""
+
+    ops: tuple[MVMOp, ...]
+
+    @property
+    def total_macs(self) -> int:
+        return sum(op.macs for op in self.ops)
+
+    def weight_cells(self) -> int:
+        """Total weight-matrix entries (NVM cells when placed on PIM)."""
+        return sum(op.shape.rows * op.shape.cols for op in self.ops)
+
+
+@dataclass(frozen=True)
 class MVMPlacement:
     """How one weight matrix maps onto crossbar tiles."""
 
@@ -130,7 +170,7 @@ class MVMExecution:
 
 
 class MVMEngine:
-    """Places a DNN's MVM workload onto crossbar tiles and costs it.
+    """Places an :class:`MVMWorkload` onto crossbar tiles and costs it.
 
     Matrices larger than one tile are split across
     ``ceil(rows/tile) * ceil(cols/tile)`` tiles; all tiles of one matrix
@@ -147,8 +187,8 @@ class MVMEngine:
     def config(self) -> CrossbarConfig:
         return self._config
 
-    def place(self, workload) -> list[MVMPlacement]:
-        """Tile placement for an :class:`~repro.basecalling.dnn.model.MVMWorkload`."""
+    def place(self, workload: MVMWorkload) -> list[MVMPlacement]:
+        """Tile placement for an :class:`MVMWorkload`."""
         placements = []
         for op in workload.ops:
             tiles_r = -(-op.shape.rows // self._config.rows)
@@ -164,7 +204,7 @@ class MVMEngine:
             )
         return placements
 
-    def execute(self, workload) -> MVMExecution:
+    def execute(self, workload: MVMWorkload) -> MVMExecution:
         """Latency/energy of one workload instance (e.g. one chunk)."""
         placements = self.place(workload)
         if not placements:
@@ -181,6 +221,6 @@ class MVMEngine:
             total_tiles=total_tiles,
         )
 
-    def area_mm2(self, workload) -> float:
+    def area_mm2(self, workload: MVMWorkload) -> float:
         """Silicon area of the tiles holding this workload's weights."""
         return sum(p.tiles for p in self.place(workload)) * self._config.area_mm2

@@ -35,7 +35,7 @@ previously iterated sample-by-sample in interpreted Python:
 
 Every kernel reports its own workload (:mod:`repro.kernels.workload`)
 so :mod:`repro.perf` can charge the *real* arithmetic -- Viterbi
-state-space ops, DNN MVM MACs, chain candidates, alignment cells --
+state-space ops, chain candidates, alignment cells --
 instead of a generic per-base price. Basecalling kinds are known
 up-front; the data-dependent mapping kinds accumulate in the
 process registry's counter (:mod:`repro.kernels.mapping_ops`) as kernels run.

@@ -3,11 +3,11 @@
 The performance models historically priced basecalling as a generic
 bases-per-second throughput. The kernel plane makes the real arithmetic
 visible -- a Viterbi decode is ``observations x states x transitions``
-state-space ops, a DNN decode is the model's MVM MACs -- and backends
-that know their kernel report it through
-:class:`KernelWorkload` (see ``kernel_workload`` on the signal-space
-engines), which :class:`~repro.perf.workload.PipelineWorkload` carries
-into :mod:`repro.perf.systems`.
+state-space ops -- and a backend that knows its kernel reports it
+through :class:`KernelWorkload` (see ``kernel_workload`` on
+:class:`~repro.basecalling.engines.ViterbiChunkBasecaller`), which
+:class:`~repro.perf.workload.PipelineWorkload` carries into
+:mod:`repro.perf.systems`.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 #: Kernel kinds the cost database knows per-op anchors for. The first
-#: two are basecalling kinds reported up-front via ``kernel_workload``
+#: is the basecalling kind reported up-front via ``kernel_workload``
 #: hooks; the mapping kinds are charged as the kernels run (see
 #: :mod:`repro.kernels.mapping_ops`).
-KERNEL_KINDS = ("viterbi-state", "dnn-mvm", "chain-candidate", "align-cell")
+KERNEL_KINDS = ("viterbi-state", "chain-candidate", "align-cell")
 
 
 @dataclass(frozen=True)
@@ -28,13 +28,12 @@ class KernelWorkload:
     Attributes
     ----------
     kind:
-        Kernel family (``"viterbi-state"`` or ``"dnn-mvm"``); selects
-        the per-op cost anchor in
-        :class:`~repro.perf.costs.CostDatabase`.
+        Kernel family (one of :data:`KERNEL_KINDS`); selects the per-op
+        cost anchor in :class:`~repro.perf.costs.CostDatabase`.
     ops:
         Operation count in the kind's native unit.
     unit:
-        Human-readable unit name (``"state-ops"``, ``"macs"``).
+        Human-readable unit name (e.g. ``"state-ops"``).
     """
 
     kind: str

@@ -111,17 +111,12 @@ class CostDatabase:
     # own :class:`~repro.kernels.workload.KernelWorkload` is charged
     # ``ops / (anchor x basecall_bps)`` -- the engine's bases/s
     # throughput re-expressed as ops/s, so a backend doing fewer ops
-    # per base (event-space decoding, a narrower model) runs
-    # proportionally faster on the same engine.
+    # per base (event-space decoding) runs proportionally faster on the
+    # same engine.
     # ------------------------------------------------------------------
     #: Sample-space k-mer Viterbi: dwell_mean (6) observations per base
     #: x 4^5 states x 5 transitions per state = 30720 state-ops/base.
     viterbi_state_ops_per_base: float = 6.0 * 4**5 * 5
-    #: Bonito-like CTC model (hidden=96): total MACs of a 300-base
-    #: (1800-sample) chunk / 300 bases = 317433.6 MACs/base, from
-    #: ``BonitoLikeModel(hidden=96).workload(1800).total_macs`` (conv
-    #: im2col + 4 GRU directions x input/recurrent projections + head).
-    dnn_macs_per_base: float = 317433.6
     #: Chain-DP predecessor candidates per mapped base. Bounded above by
     #: minimizer density x lookback = 2/(w+1) x 50 ~ 9 for the (13, 10)
     #: scheme; measured ~3-4 on the synthetic ONT-like profile (~7%
@@ -160,8 +155,6 @@ class CostDatabase:
         """Anchor ops-per-base of a kernel kind (see the anchors above)."""
         if kind == "viterbi-state":
             return self.viterbi_state_ops_per_base
-        if kind == "dnn-mvm":
-            return self.dnn_macs_per_base
         if kind == "chain-candidate":
             return self.chain_candidates_per_base
         if kind == "align-cell":

@@ -154,7 +154,7 @@ def _basecall_time_s(
     """Basecalling time: kernel-op accounting when the workload has it.
 
     A workload distilled with a kernel-plane backend carries that
-    backend's native op count (Viterbi state-ops, DNN MACs). The
+    backend's native op count (Viterbi state-ops). The
     engine's bases/s throughput, anchored at the reference backend
     shape, converts to ops/s via the matching
     :meth:`CostDatabase.kernel_ops_per_base` anchor -- so a backend

@@ -59,9 +59,9 @@ class PipelineWorkload:
     #: prefix of every screened read, rejected or not) -- what the
     #: filter hardware itself is charged for.
     ser_screened_bases: int = 0
-    #: Kernel kind the basecalling backend reported ("viterbi-state",
-    #: "dnn-mvm", or "" when the backend has no kernel accounting -- the
-    #: per-base formula is used then).
+    #: Kernel kind the basecalling backend reported ("viterbi-state", or
+    #: "" when the backend has no kernel accounting -- the per-base
+    #: formula is used then).
     basecall_kind: str = ""
     #: Native kernel ops the basecalled bases cost on this backend.
     basecall_ops: float = 0.0
@@ -84,8 +84,8 @@ class PipelineWorkload:
         kernel-plane backends do), the workload also carries the
         backend's *native* op counts, and the system models charge
         basecalling by ops instead of the generic per-base price -- so
-        an event-space Viterbi decode or a narrower DNN is rewarded for
-        the arithmetic it actually skips.
+        an event-space Viterbi decode is rewarded for the arithmetic it
+        actually skips.
 
         ``mapping_ops`` is an optional ``{kind: ops}`` snapshot delta of
         the mapping-ops ledger (:mod:`repro.kernels.mapping_ops`) taken

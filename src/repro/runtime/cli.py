@@ -499,7 +499,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not getattr(basecaller, "accepts_signal_reads", False):
             parser.error(
                 f"--source signals requires a signal-space basecaller "
-                f"(e.g. viterbi, dnn), not {args.basecaller!r}"
+                f"(e.g. viterbi), not {args.basecaller!r}"
             )
         store_path = Path(args.store)
         # accepts_signal_reads is the protocol capability; signal_records

@@ -218,8 +218,8 @@ class DatasetEngine:
         if callable(kind) and kind() == "signals" and not pipeline.accepts_signal_reads():
             raise TypeError(
                 "signal-native source requires a signal-space basecaller "
-                "('viterbi', 'dnn'); the configured backend decodes base-space "
-                "reads only"
+                "('viterbi'); the configured backend decodes base-space reads "
+                "only"
             )
         collector = ShardCollector()
         started = time.perf_counter()

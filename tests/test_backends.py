@@ -32,9 +32,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.basecalling import (
-    DNNBackendConfig,
-    DNNChunkBasecaller,
     SurrogateBasecaller,
+    SurrogateConfig,
     ViterbiBackendConfig,
     ViterbiChunkBasecaller,
     chunk_bounds,
@@ -64,7 +63,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Small pore (64 Viterbi states) keeps signal-space decoding fast.
 FAST_VITERBI = ViterbiBackendConfig(pore_k=3)
-FAST_DNN = DNNBackendConfig(hidden=16, pore_k=3)
 
 
 @pytest.fixture(scope="module")
@@ -91,9 +89,8 @@ class TestProtocols:
         [
             SurrogateBasecaller(),
             ViterbiChunkBasecaller(FAST_VITERBI),
-            DNNChunkBasecaller(FAST_DNN),
         ],
-        ids=["surrogate", "viterbi", "dnn"],
+        ids=["surrogate", "viterbi"],
     )
     def test_backends_satisfy_basecaller_protocol(self, engine):
         assert isinstance(engine, Basecaller)
@@ -109,12 +106,11 @@ class TestProtocols:
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert {"surrogate", "viterbi", "dnn"} <= set(basecaller_names())
+        assert basecaller_names() == ("surrogate", "viterbi")
 
     def test_create_defaults(self):
         assert isinstance(create_basecaller("surrogate"), SurrogateBasecaller)
         assert isinstance(create_basecaller("viterbi"), ViterbiChunkBasecaller)
-        assert isinstance(create_basecaller("dnn"), DNNChunkBasecaller)
 
     def test_unknown_backend_error_lists_available(self):
         with pytest.raises(ValueError) as excinfo:
@@ -127,14 +123,14 @@ class TestRegistry:
     def test_wrong_config_type_rejected(self):
         """Through either door -- by name or by constructor -- and before
         the engine touches a field the wrong config does not have."""
-        with pytest.raises(TypeError, match="ViterbiBackendConfig.*DNNBackendConfig"):
-            create_basecaller("viterbi", DNNBackendConfig())
-        with pytest.raises(TypeError, match="ViterbiBackendConfig.*DNNBackendConfig"):
-            ViterbiChunkBasecaller(DNNBackendConfig())
-        with pytest.raises(TypeError, match="DNNBackendConfig.*ViterbiBackendConfig"):
-            DNNChunkBasecaller(ViterbiBackendConfig())
-        with pytest.raises(TypeError, match="SurrogateConfig.*DNNBackendConfig"):
-            SurrogateBasecaller(DNNBackendConfig())
+        with pytest.raises(TypeError, match="ViterbiBackendConfig.*SurrogateConfig"):
+            create_basecaller("viterbi", SurrogateConfig())
+        with pytest.raises(TypeError, match="ViterbiBackendConfig.*SurrogateConfig"):
+            ViterbiChunkBasecaller(SurrogateConfig())
+        with pytest.raises(TypeError, match="SurrogateConfig.*ViterbiBackendConfig"):
+            create_basecaller("surrogate", ViterbiBackendConfig())
+        with pytest.raises(TypeError, match="SurrogateConfig.*ViterbiBackendConfig"):
+            SurrogateBasecaller(ViterbiBackendConfig())
 
     def test_presets(self):
         assert preset_config("ecoli") == ECOLI_PARAMS
@@ -204,16 +200,13 @@ class TestSignalSpaceBackends:
             qualities=np.full(length, 12.0),
             seed=99,
         )
-        for engine in (
-            ViterbiChunkBasecaller(FAST_VITERBI),
-            DNNChunkBasecaller(FAST_DNN),
-        ):
-            last = engine.n_chunks(read, 300) - 1
-            chunk = engine.basecall_chunk(read, last, 300)
-            assert len(chunk) == 0
-            assert chunk.n_true_bases == 2
-            called = engine.basecall_read(read, 300)
-            assert called.n_chunks == last + 1
+        engine = ViterbiChunkBasecaller(FAST_VITERBI)
+        last = engine.n_chunks(read, 300) - 1
+        chunk = engine.basecall_chunk(read, last, 300)
+        assert len(chunk) == 0
+        assert chunk.n_true_bases == 2
+        called = engine.basecall_read(read, 300)
+        assert called.n_chunks == last + 1
         # And through the whole pipeline.
         system = (
             GenPIP.build()
@@ -238,14 +231,6 @@ class TestSignalSpaceBackends:
         a = clone.basecall_chunk(micro_read, 0, 300)
         b = engine.basecall_chunk(micro_read, 0, 300)
         assert a.bases == b.bases
-
-    def test_dnn_backend_emits_aligned_chunks(self, micro_read):
-        engine = DNNChunkBasecaller(FAST_DNN)
-        chunk = engine.basecall_chunk(micro_read, 0, 300)
-        assert chunk.qualities.shape == (len(chunk.bases),)
-        again = DNNChunkBasecaller(FAST_DNN).basecall_chunk(micro_read, 0, 300)
-        assert again.bases == chunk.bases
-        assert np.array_equal(again.qualities, chunk.qualities)
 
 
 class TestBuilder:
@@ -395,7 +380,6 @@ class TestPipelineTravels:
             .align(False)
             .build()
             .pipeline,
-            GenPIP(micro_index, basecaller=DNNChunkBasecaller(FAST_DNN), align=False).pipeline,
         ]
         reads = micro_dataset.reads[:3]
         expected = [pipeline.process_batch(list(reads)) for pipeline in pipelines]
@@ -433,17 +417,12 @@ class TestUnitCompositionIndependence:
     """A read's outcome depends on the read, not on its unit mates or on
     which process built the engine -- the property the worker-count x
     batching byte-identity of reports rests on, for every built-in
-    engine at test size.
-
-    Failed at the parent commit for ``DNNBackendConfig(batched=True)``:
-    priming decoded a unit's first-stage windows in one packed forward
-    pass whose quality tracks were equal only to rounding, so on these
-    12 reads at ``hidden=16`` 3 outcomes differed between unit sizes 1
-    and 6 (4/12 at ``hidden=32`` through ``DatasetEngine``, where the
-    auto batch size -- and so the report -- followed the worker count).
+    engine at test size. (A batched decode that packed a unit's chunks
+    into one forward pass once broke it: quality tracks equal only to
+    rounding changed 3 of these 12 outcomes between unit sizes 1 and 6.)
     """
 
-    ENGINE_CONFIGS = {"surrogate": None, "viterbi": FAST_VITERBI, "dnn": FAST_DNN}
+    ENGINE_CONFIGS = {"surrogate": None, "viterbi": FAST_VITERBI}
 
     @pytest.fixture(scope="class")
     def reads_and_index(self):

@@ -1,250 +1,52 @@
-"""Tests for the numpy DNN substrate (layers, GRU, CTC, Bonito-like model)."""
+"""Tests for the basecaller DNN's MVM shape table (``bonito_workload``).
 
-import numpy as np
-import pytest
+Each layer kind maps onto crossbar matrices in one way: a convolution is
+one im2col MVM, a dense layer one MVM, and a GRU direction a fused input
+and a recurrent projection. The literal op table is pinned in
+``test_hardware_arrays.py``; these tests check the per-layer rules.
+"""
 
-from repro.basecalling.dnn import (
-    BiGRU,
-    BonitoLikeModel,
-    Conv1d,
-    Dense,
-    GRULayer,
-    LayerNorm,
-    ctc_beam_decode,
-    ctc_greedy_decode,
-    relu,
-    sigmoid,
-    swish,
-    tanh,
-)
+from repro.hardware.helix import BONITO_LAYERS, bonito_workload
 
 
-@pytest.fixture()
-def rng():
-    return np.random.default_rng(0)
+def _shapes(workload, prefix):
+    return [(op.shape.rows, op.shape.cols) for op in workload.ops if op.name.startswith(prefix)]
 
 
-class TestActivations:
-    def test_relu(self):
-        np.testing.assert_array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
-
-    def test_sigmoid_range_and_symmetry(self):
-        x = np.linspace(-50, 50, 101)
-        s = sigmoid(x)
-        assert np.all((s >= 0) & (s <= 1))
-        np.testing.assert_allclose(s + sigmoid(-x), 1.0, atol=1e-12)
-
-    def test_sigmoid_extreme_stability(self):
-        assert sigmoid(np.array([-1000.0]))[0] == pytest.approx(0.0)
-        assert sigmoid(np.array([1000.0]))[0] == pytest.approx(1.0)
-
-    def test_tanh_matches_numpy(self):
-        x = np.linspace(-3, 3, 7)
-        np.testing.assert_allclose(tanh(x), np.tanh(x))
-
-    def test_swish_zero_at_zero(self):
-        assert swish(np.array([0.0]))[0] == 0.0
+def _output_length(n_samples):
+    steps = n_samples
+    for _, _, _, _, kernel, stride, padding in BONITO_LAYERS:
+        steps = (steps + 2 * padding - kernel) // stride + 1
+    return steps
 
 
 class TestDense:
-    def test_forward_matches_manual(self, rng):
-        layer = Dense(3, 2, rng)
-        x = np.array([1.0, -1.0, 0.5])
-        np.testing.assert_allclose(layer.forward(x), layer.weight @ x + layer.bias)
-
-    def test_batched_forward(self, rng):
-        layer = Dense(4, 3, rng)
-        x = rng.normal(size=(10, 4))
-        out = layer.forward(x)
-        assert out.shape == (10, 3)
-        np.testing.assert_allclose(out[0], layer.weight @ x[0] + layer.bias)
-
-    def test_mvm_shape(self, rng):
-        layer = Dense(7, 5, rng)
-        shape = layer.mvm_shape()
-        assert (shape.rows, shape.cols, shape.macs) == (5, 7, 35)
+    def test_mvm_shape(self):
+        assert _shapes(bonito_workload(300), "head") == [(5, 192)]
 
 
 class TestConv1d:
-    def test_identity_kernel(self, rng):
-        conv = Conv1d(1, 1, kernel_size=1, rng=rng)
-        conv.weight[:] = 1.0
-        conv.bias[:] = 0.0
-        x = rng.normal(size=(8, 1))
-        np.testing.assert_allclose(conv.forward(x), x)
-
-    def test_manual_convolution(self, rng):
-        conv = Conv1d(1, 1, kernel_size=3, rng=rng)
-        conv.weight[0, 0] = [1.0, 2.0, 3.0]
-        conv.bias[:] = 0.5
-        x = np.array([[1.0], [2.0], [3.0], [4.0]])
-        out = conv.forward(x)
-        # window [1,2,3] -> 1+4+9=14, window [2,3,4] -> 2+6+12=20
-        np.testing.assert_allclose(out[:, 0], [14.5, 20.5])
-
-    def test_stride_and_padding_lengths(self, rng):
-        conv = Conv1d(2, 4, kernel_size=5, rng=rng, stride=5, padding=2)
-        assert conv.output_length(100) == (100 + 4 - 5) // 5 + 1
-        x = rng.normal(size=(100, 2))
-        assert conv.forward(x).shape == (conv.output_length(100), 4)
-
-    def test_too_short_input(self, rng):
-        conv = Conv1d(1, 1, kernel_size=9, rng=rng)
-        assert conv.forward(rng.normal(size=(4, 1))).shape[0] == 0
-
-    def test_wrong_channels_rejected(self, rng):
-        conv = Conv1d(2, 1, kernel_size=3, rng=rng)
-        with pytest.raises(ValueError):
-            conv.forward(rng.normal(size=(10, 3)))
-
-    def test_bad_hyperparams(self, rng):
-        with pytest.raises(ValueError):
-            Conv1d(1, 1, kernel_size=0, rng=rng)
-
-    def test_mvm_shape(self, rng):
-        conv = Conv1d(3, 8, kernel_size=5, rng=rng)
-        shape = conv.mvm_shape()
-        assert (shape.rows, shape.cols) == (8, 15)
-
-
-class TestLayerNorm:
-    def test_normalises(self):
-        norm = LayerNorm(8)
-        x = np.random.default_rng(1).normal(5.0, 3.0, size=(4, 8))
-        out = norm.forward(x)
-        np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-6)
-        np.testing.assert_allclose(out.std(axis=-1), 1.0, atol=1e-2)
+    def test_mvm_shape(self):
+        workload = bonito_workload(300)
+        # out x (in * kernel): 16 x (1 * 5) and 64 x (16 * 5).
+        assert _shapes(workload, "conv1") == [(16, 5)]
+        assert _shapes(workload, "conv2") == [(64, 80)]
 
 
 class TestGRU:
-    def test_output_shape(self, rng):
-        gru = GRULayer(6, 10, rng)
-        out = gru.forward(rng.normal(size=(20, 6)))
-        assert out.shape == (20, 10)
-
-    def test_state_recursion_manual(self, rng):
-        """One step of the layer matches a hand-rolled GRU step."""
-        gru = GRULayer(3, 4, rng)
-        x = rng.normal(size=(1, 3))
-        out = gru.forward(x)
-        hs = 4
-        xw = gru.w @ x[0] + gru.b
-        uh = gru.u @ np.zeros(hs)
-        r = 1 / (1 + np.exp(-(xw[:hs] + uh[:hs])))
-        z = 1 / (1 + np.exp(-(xw[hs : 2 * hs] + uh[hs : 2 * hs])))
-        n = np.tanh(xw[2 * hs :] + r * uh[2 * hs :])
-        expected = (1 - z) * n
-        np.testing.assert_allclose(out[0], expected, atol=1e-10)
-
-    def test_reverse_runs_backwards(self, rng):
-        gru = GRULayer(2, 3, rng, reverse=True)
-        x = rng.normal(size=(5, 2))
-        out = gru.forward(x)
-        # The last timestep is processed first, so out[-1] only depends
-        # on x[-1]; check by zeroing earlier input.
-        x2 = x.copy()
-        x2[:4] = 0.0
-        out2 = gru.forward(x2)
-        np.testing.assert_allclose(out[-1], out2[-1])
-
-    def test_bigru_concatenates(self, rng):
-        bigru = BiGRU(4, 6, rng)
-        out = bigru.forward(rng.normal(size=(9, 4)))
-        assert out.shape == (9, 12)
-        assert bigru.output_size == 12
-
-    def test_wrong_input_size(self, rng):
-        gru = GRULayer(3, 4, rng)
-        with pytest.raises(ValueError):
-            gru.forward(rng.normal(size=(5, 2)))
-
-    def test_mvm_shapes(self, rng):
-        gru = GRULayer(5, 7, rng)
-        shapes = gru.mvm_shapes()
-        assert [(s.rows, s.cols) for s in shapes] == [(21, 5), (21, 7)]
-
-
-def _one_hot_logits(symbols, confidence=20.0):
-    logits = np.full((len(symbols), 5), -confidence)
-    for i, s in enumerate(symbols):
-        logits[i, s] = confidence
-    norm = np.log(np.exp(logits).sum(axis=1, keepdims=True))
-    return logits - norm
-
-
-class TestCTC:
-    def test_greedy_collapses_repeats(self):
-        # blank A A blank C C C -> "AC"
-        seq, quals = ctc_greedy_decode(_one_hot_logits([0, 1, 1, 0, 2, 2, 2]))
-        assert seq == "AC"
-        assert quals.shape == (2,)
-
-    def test_greedy_blank_separated_repeat(self):
-        # A blank A -> "AA"
-        seq, _ = ctc_greedy_decode(_one_hot_logits([1, 0, 1]))
-        assert seq == "AA"
-
-    def test_greedy_empty(self):
-        seq, quals = ctc_greedy_decode(np.empty((0, 5)))
-        assert seq == ""
-        assert quals.size == 0
-
-    def test_greedy_confident_qualities_high(self):
-        _, quals = ctc_greedy_decode(_one_hot_logits([1, 0, 2], confidence=30.0))
-        assert np.all(quals > 20.0)
-
-    def test_greedy_shape_check(self):
-        with pytest.raises(ValueError):
-            ctc_greedy_decode(np.zeros((4, 3)))
-
-    def test_beam_matches_greedy_when_confident(self):
-        logits = _one_hot_logits([0, 1, 0, 2, 3, 3, 0, 4])
-        greedy, _ = ctc_greedy_decode(logits)
-        assert ctc_beam_decode(logits, beam_width=4) == greedy
-
-    def test_beam_merges_prefix_mass(self):
-        # Two frames, both slightly favouring A over blank; beam should
-        # sum paths (A,A), (A,blank), (blank,A) into "A".
-        frame = np.log(np.array([0.4, 0.6, 1e-9, 1e-9, 1e-9]))
-        logits = np.stack([frame, frame])
-        assert ctc_beam_decode(logits, beam_width=8) == "A"
-
-    def test_beam_bad_args(self):
-        with pytest.raises(ValueError):
-            ctc_beam_decode(np.zeros((2, 5)), beam_width=0)
-        with pytest.raises(ValueError):
-            ctc_beam_decode(np.zeros((2, 4)))
+    def test_mvm_shapes(self):
+        workload = bonito_workload(300)
+        # Per direction: input (3*hidden x in), recurrent (3*hidden x hidden).
+        assert _shapes(workload, "gru1.fwd") == [(288, 64), (288, 96)]
+        assert _shapes(workload, "gru1.bwd") == [(288, 64), (288, 96)]
+        assert _shapes(workload, "gru2.fwd") == [(288, 192), (288, 96)]
+        assert _shapes(workload, "gru2.bwd") == [(288, 192), (288, 96)]
 
 
 class TestBonitoLikeModel:
-    @pytest.fixture(scope="class")
-    def model(self):
-        return BonitoLikeModel(seed=0, hidden=32)
-
-    def test_forward_shape_and_normalisation(self, model):
-        samples = np.random.default_rng(2).normal(100, 10, size=600)
-        log_probs = model.forward(samples)
-        assert log_probs.shape == (model.output_length(600), 5)
-        np.testing.assert_allclose(np.exp(log_probs).sum(axis=1), 1.0, atol=1e-9)
-
-    def test_deterministic_weights(self):
-        a = BonitoLikeModel(seed=3, hidden=16)
-        b = BonitoLikeModel(seed=3, hidden=16)
-        x = np.random.default_rng(4).normal(size=300)
-        np.testing.assert_allclose(a.forward(x), b.forward(x))
-
-    def test_basecall_returns_bases(self, model):
-        samples = np.random.default_rng(5).normal(100, 10, size=900)
-        bases, qualities = model.basecall(samples)
-        assert set(bases) <= set("ACGT")
-        assert qualities.shape == (len(bases),)
-
-    def test_empty_input(self, model):
-        assert model.forward(np.empty(0)).shape == (0, 5)
-
-    def test_workload_counts(self, model):
-        workload = model.workload(1800)
-        t2 = model.output_length(1800)
+    def test_workload_counts(self):
+        workload = bonito_workload(1800)
+        t2 = _output_length(1800)
         assert workload.total_macs > 0
         # Recurrent ops activate once per downsampled timestep.
         gru_ops = [op for op in workload.ops if "gru" in op.name]
@@ -252,10 +54,10 @@ class TestBonitoLikeModel:
         # 2 GRUs x 2 directions x 2 matrices = 8 recurrent ops.
         assert len(gru_ops) == 8
 
-    def test_workload_scales_with_chunk(self, model):
-        small = model.workload(900).total_macs
-        large = model.workload(1800).total_macs
+    def test_workload_scales_with_chunk(self):
+        small = bonito_workload(900).total_macs
+        large = bonito_workload(1800).total_macs
         assert large > 1.5 * small
 
-    def test_weight_cells_positive(self, model):
-        assert model.workload(900).weight_cells() > 10_000
+    def test_weight_cells_positive(self):
+        assert bonito_workload(900).weight_cells() > 10_000

@@ -1,12 +1,12 @@
-"""Tests for the NVM crossbar, CAM, eDRAM, and PIM-CQS models."""
+"""Tests for the NVM crossbar (and the Bonito workload it runs), CAM, eDRAM, and PIM-CQS models."""
 
 import numpy as np
 import pytest
 
-from repro.basecalling.dnn.model import BonitoLikeModel
 from repro.hardware.cam import CamArray, CamConfig
 from repro.hardware.edram import EDramBuffer, chunk_buffer, read_queue_buffer
-from repro.hardware.nvm_crossbar import CrossbarArray, CrossbarConfig, MVMEngine
+from repro.hardware.helix import bonito_workload
+from repro.hardware.nvm_crossbar import CrossbarArray, CrossbarConfig, MVMEngine, MVMWorkload
 from repro.hardware.pim_cqs import PimCqsUnit
 
 
@@ -62,36 +62,75 @@ class TestCrossbarArray:
             CrossbarConfig(mvm_latency_ns=0.0)
 
 
-class TestMVMEngine:
-    @pytest.fixture(scope="class")
-    def model(self):
-        return BonitoLikeModel(seed=0, hidden=32)
+#: The op table the numpy Bonito-like network's ``workload`` produced
+#: before the network itself was deleted: ``(name, rows, cols)`` in order.
+BONITO_OPS = (
+    ("conv1", 16, 5),
+    ("conv2", 64, 80),
+    ("gru1.fwd.input", 288, 64),
+    ("gru1.fwd.recurrent", 288, 96),
+    ("gru1.bwd.input", 288, 64),
+    ("gru1.bwd.recurrent", 288, 96),
+    ("gru2.fwd.input", 288, 192),
+    ("gru2.fwd.recurrent", 288, 96),
+    ("gru2.bwd.input", 288, 192),
+    ("gru2.bwd.recurrent", 288, 96),
+    ("head", 5, 192),
+)
+#: ``n_samples: (conv1 activations, activations of every later op, total MACs)``.
+BONITO_ACTIVATIONS = {
+    0: (0, 0, 0),
+    1: (1, 1, 264_208),
+    4: (4, 1, 264_448),
+    5: (5, 1, 264_528),
+    299: (299, 60, 15_871_600),
+    900: (900, 180, 47_615_040),
+    1800: (1800, 360, 95_230_080),
+    1801: (1801, 361, 95_494_288),
+}
 
-    def test_placement_tiles(self, model):
+
+class TestBonitoWorkload:
+    def test_op_table_is_pinned(self):
+        for n_samples, (conv1_steps, steps, total_macs) in BONITO_ACTIVATIONS.items():
+            workload = bonito_workload(n_samples)
+            assert [(op.name, op.shape.rows, op.shape.cols) for op in workload.ops] == list(BONITO_OPS)
+            assert [op.activations for op in workload.ops] == [conv1_steps] + [steps] * 10, n_samples
+            assert workload.total_macs == total_macs
+            assert workload.weight_cells() == 264_208
+
+    def test_negative_sample_count_rejected(self):
+        """A negative count used to yield negative activations (and
+        ``total_macs == -529056`` at -10) that flowed straight into the
+        crossbar latency and energy."""
+        with pytest.raises(ValueError, match="non-negative"):
+            bonito_workload(-10)
+
+
+class TestMVMEngine:
+    def test_placement_tiles(self):
         engine = MVMEngine(CrossbarConfig(rows=128, cols=128))
-        placements = engine.place(model.workload(1800))
+        placements = engine.place(bonito_workload(1800))
         assert all(p.tiles >= 1 for p in placements)
         big = [p for p in placements if p.rows > 128 or p.cols > 128]
         assert all(p.tiles > 1 for p in big)
 
-    def test_execution_costs_positive_and_scaling(self, model):
+    def test_execution_costs_positive_and_scaling(self):
         engine = MVMEngine()
-        small = engine.execute(model.workload(900))
-        large = engine.execute(model.workload(1800))
+        small = engine.execute(bonito_workload(900))
+        large = engine.execute(bonito_workload(1800))
         assert 0 < small.latency_ns < large.latency_ns
         assert 0 < small.energy_pj < large.energy_pj
 
-    def test_area_scales_with_tiles(self, model):
+    def test_area_scales_with_tiles(self):
         engine = MVMEngine()
-        workload = model.workload(900)
+        workload = bonito_workload(900)
         execution = engine.execute(workload)
         assert engine.area_mm2(workload) == pytest.approx(
             execution.total_tiles * engine.config.area_mm2
         )
 
     def test_empty_workload(self):
-        from repro.basecalling.dnn.model import MVMWorkload
-
         execution = MVMEngine().execute(MVMWorkload(ops=()))
         assert execution.latency_ns == 0.0
         assert execution.energy_pj == 0.0

@@ -31,6 +31,7 @@ import repro
 from repro.basecalling.surrogate import SurrogateBasecaller
 from repro.core import GenPIP, GenPIPConfig
 from repro.core.pipeline import GenPIPPipeline
+from repro.core.registry import basecaller_names
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.runtime import (
@@ -533,16 +534,21 @@ def test_batch_parent_is_one_thread_and_outcomes_have_one_file_format():
 def test_engine_plane_has_one_of_each():
     """A basecaller travels as itself, is named by a dict and decodes a
     chunk one way: nothing under ``src/repro`` names the ref, the
-    registration record or the priming side channel, nothing scans
-    installed distributions, the registry is functions over two dicts,
-    and ``process_batch`` is ``process_read`` per element."""
+    registration record, the priming side channel or the DNN engine and
+    its forward math, nothing scans installed distributions, the
+    registry is functions over two dicts naming two engines, and
+    ``process_batch`` is ``process_read`` per element."""
     root = Path(repro.__file__).parent
     nodes = list(_walk_with_owner(root))
 
     gone = re.compile(
         r"BasecallerRef|BackendRegistration|prime_chunk_batch|_primed_chunks|batched_basecall"
+        r"|DNNChunkBasecaller|DNNBackendConfig|BonitoLikeModel|SignalSpaceBasecaller|ctc_"
+        r"|GRULayer|BiGRU|Conv1d|LayerNorm|dnn-mvm|dnn_macs"
     )
     assert _mentions(nodes, gone) == set()
+    assert not (root / "basecalling" / "dnn").exists()
+    assert basecaller_names() == ("surrogate", "viterbi")
 
     metadata_imports = {
         module

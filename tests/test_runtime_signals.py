@@ -3,7 +3,7 @@
 Covers the :class:`~repro.nanopore.signal_read.SignalRead` contract
 (chunk grid, per-chunk views, normalisation, container round-trips),
 the provider split in :mod:`repro.basecalling.engines`
-(synthesis-vs-carried byte-identity for both signal-space backends),
+(synthesis-vs-carried byte-identity for the signal-space backend),
 the signal-source x sink x transport runtime grid against the serial
 in-memory baseline, shared-memory publication of signal payloads and
 of the minimizer index (with leak probes), the in-flight window
@@ -23,8 +23,6 @@ import pytest
 
 from repro.basecalling import (
     CarriedSignalProvider,
-    DNNBackendConfig,
-    DNNChunkBasecaller,
     SignalProvider,
     SurrogateBasecaller,
     SynthesisSignalProvider,
@@ -61,7 +59,6 @@ from repro.runtime.transport import (
 )
 
 FAST_VITERBI = ViterbiBackendConfig(pore_k=3)
-FAST_DNN = DNNBackendConfig(hidden=16, pore_k=3)
 
 
 def _no_leaked_segments() -> bool:
@@ -207,12 +204,11 @@ class TestProviders:
 
     @pytest.mark.parametrize("backend_cls,config", [
         (ViterbiChunkBasecaller, FAST_VITERBI),
-        (DNNChunkBasecaller, FAST_DNN),
     ])
     def test_synthesis_vs_carried_byte_identity(self, short_reads, backend_cls, config):
         """Decoding a read's synthesized signal as a *carried* SignalRead
         (declared at the true base count, so the chunk grids coincide)
-        is byte-identical to the synthesis path for both backends."""
+        is byte-identical to the synthesis path."""
         backend = backend_cls(config)
         read = short_reads[0]
         signal_read = SignalRead(
@@ -228,7 +224,6 @@ class TestProviders:
 
     @pytest.mark.parametrize("backend_cls,config", [
         (ViterbiChunkBasecaller, FAST_VITERBI),
-        (DNNChunkBasecaller, FAST_DNN),
     ])
     def test_stored_signal_decodes_deterministically(
         self, short_reads, tmp_path, backend_cls, config
