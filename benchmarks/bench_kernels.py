@@ -324,11 +324,23 @@ def collect_chain_equivalence(repeats: int = 3) -> list[dict]:
         ).astype(np.int64)
         return arr[np.lexsort((arr[:, 1], arr[:, 0]))]
 
+    def _mapped_read(n_true):
+        # One read's true hits (a colinear run with indel drift) plus
+        # about one scattered repeat hit per three: the nearest valid
+        # predecessor is often not the parent, which is what exercises
+        # the kernel's speculate-and-verify rounds.
+        read = np.sort(rng.choice(9_000, size=n_true, replace=False))
+        ref = 20_000 + read + np.cumsum(rng.integers(-3, 4, size=n_true))
+        true_hits = np.stack([ref, read], axis=1)
+        arr = np.concatenate([true_hits, _scattered(n_true // 3)]).astype(np.int64)
+        return arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+
     cases = [
         ("colinear-2000", _colinear(2_000, 40), 5_000, 50),
         ("scattered-1500", _scattered(1_500), 5_000, 50),
         ("short-lookback", _colinear(800, 30), 500, 5),
         ("block-boundary-5000", _colinear(5_000, 40), 5_000, 50),
+        ("mapped-read", _mapped_read(1_200), 5_000, 50),
     ]
     records = []
     for name, anchors, max_gap, lookback in cases:

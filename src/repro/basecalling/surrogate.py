@@ -22,6 +22,7 @@ that:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,8 +63,10 @@ class SurrogateConfig:
     profile: ErrorProfile = field(default_factory=ErrorProfile)
 
     def __post_init__(self) -> None:
-        if self.error_scale <= 0:
-            raise ValueError("error_scale must be positive")
+        if not (math.isfinite(self.error_scale) and self.error_scale > 0):
+            raise ValueError("error_scale must be positive and finite")
+        if not (math.isfinite(self.quality_jitter) and self.quality_jitter >= 0):
+            raise ValueError("quality_jitter must be non-negative and finite")
         if not 0 < self.max_error_prob <= 1:
             raise ValueError("max_error_prob must be in (0, 1]")
 
@@ -103,16 +106,20 @@ class SurrogateBasecaller:
 
         rng = np.random.default_rng([read.seed & 0x7FFFFFFF, chunk_size, index])
         cfg = self._config
-        error_prob = np.clip(
-            phred_to_error_prob(track) * cfg.error_scale, 0.0, cfg.max_error_prob
+        # minimum(maximum(...)) is np.clip's result for finite input,
+        # without its per-call wrapper cost.
+        error_prob = np.minimum(
+            np.maximum(phred_to_error_prob(track) * cfg.error_scale, 0.0), cfg.max_error_prob
         )
         mutated = apply_errors(true_codes, error_prob, rng, cfg.profile)
 
         # Each emitted base inherits the quality of the true base it came
         # from (insertions inherit their left neighbour's), plus jitter.
-        emitted_quality = track[np.clip(mutated.source_index, 0, track.size - 1)]
-        emitted_quality = emitted_quality + rng.normal(0.0, cfg.quality_jitter, size=emitted_quality.size)
-        emitted_quality = np.clip(emitted_quality, 1.0, 40.0)
+        # source_index is in [0, track.size) by construction.
+        emitted_quality = track[mutated.source_index]
+        emitted_quality += rng.normal(0.0, cfg.quality_jitter, size=emitted_quality.size)
+        np.maximum(emitted_quality, 1.0, out=emitted_quality)
+        np.minimum(emitted_quality, 40.0, out=emitted_quality)
 
         return BasecalledChunk(
             chunk_index=index,

@@ -105,6 +105,12 @@ def apply_errors(
     profile:
         Error-type mix; defaults to :class:`ErrorProfile`'s ONT-like mix.
 
+    Raises
+    ------
+    ValueError
+        If a probability is NaN or outside ``[0, 1]``, or the vector's
+        length is neither 1 nor ``len(codes)``.
+
     Notes
     -----
     Deletion wins over substitution when both fire at a position (the
@@ -114,46 +120,41 @@ def apply_errors(
     codes = np.asarray(codes, dtype=np.uint8)
     n = codes.size
     profile = profile or ErrorProfile()
-    p = np.broadcast_to(np.asarray(error_prob, dtype=np.float64), (n,))
-    if np.any(p < 0) or np.any(p > 1):
+    p = np.asarray(error_prob, dtype=np.float64)
+    if p.ndim and p.shape != (n,):
+        p = np.broadcast_to(p, (n,))
+    # Written so that NaN fails it: NaN compares false both ways.
+    if p.size and not (p.min() >= 0 and p.max() <= 1):
         raise ValueError("error probabilities must be within [0, 1]")
     p_sub, p_ins, p_del = profile.split(p)
 
     draws = rng.random((3, n))
+    keep = draws[2] >= p_del  # not deleted; a deletion wins over a substitution
     do_sub = draws[0] < p_sub
+    do_sub &= keep
     do_ins = draws[1] < p_ins
-    do_del = draws[2] < p_del
-    do_sub &= ~do_del
 
-    # Substituted bases get a random *different* base: add 1..3 mod 4.
-    shifted = (codes + rng.integers(1, 4, size=n)).astype(np.uint8) % 4
-    out_base = np.where(do_sub, shifted, codes)
+    # Slot (i, 0) is true base i, substituted by a random *different*
+    # base (add 1..3 mod 4); slot (i, 1) is the base inserted after it.
+    slots = np.empty((n, 2), dtype=np.uint8)
+    slots[:, 0] = codes
+    np.copyto(slots[:, 0], (codes + rng.integers(1, 4, size=n)) & 3, where=do_sub, casting="unsafe")
+    slots[:, 1] = rng.integers(0, 4, size=n)
 
-    keep = ~do_del
-    inserted = rng.integers(0, 4, size=n).astype(np.uint8)
-
-    # Assemble output: for each position, the kept base then an optional
-    # inserted base. Vectorised via per-position output lengths.
-    per_pos = keep.astype(np.int64) + do_ins.astype(np.int64)
-    total = int(per_pos.sum())
-    out = np.empty(total, dtype=np.uint8)
-    src = np.empty(total, dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(per_pos)[:-1]))
-
-    kept_pos = offsets[keep]
-    out[kept_pos] = out_base[keep]
-    src[kept_pos] = np.nonzero(keep)[0]
-
-    ins_pos = offsets[do_ins] + keep[do_ins].astype(np.int64)
-    out[ins_pos] = inserted[do_ins]
-    src[ins_pos] = np.nonzero(do_ins)[0]
+    # The output is the taken slots in row-major order: for each
+    # position, the kept base then an optional inserted base.
+    taken = np.empty((n, 2), dtype=bool)
+    taken[:, 0] = keep
+    taken[:, 1] = do_ins
+    flat = np.flatnonzero(taken)
+    n_insertions = int(np.count_nonzero(do_ins))
 
     return MutationResult(
-        codes=out,
-        n_substitutions=int(do_sub.sum()),
-        n_insertions=int(do_ins.sum()),
-        n_deletions=int(do_del.sum()),
-        source_index=src,
+        codes=slots.ravel()[flat],
+        n_substitutions=int(np.count_nonzero(do_sub)),
+        n_insertions=n_insertions,
+        n_deletions=n - (flat.size - n_insertions),
+        source_index=flat >> 1,
     )
 
 

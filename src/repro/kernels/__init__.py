@@ -27,7 +27,8 @@ previously iterated sample-by-sample in interpreted Python:
   answers from its CAM rows (paper Fig. 1(a)).
 * :mod:`repro.kernels.chain` -- the minimap2 chain DP (paper
   Fig. 1(c)) with the band geometry hoisted into per-block matrices and
-  a slim sequential combine.
+  a speculate-and-verify combine (guessed parents folded in one pass,
+  all rows checked at once).
 * :mod:`repro.kernels.align` -- affine-gap (Gotoh) alignment (paper
   Fig. 1(d)): the pure-Python scalar loop that defines a segment's
   score and CIGAR. The vectorised fill is the row pipeline in

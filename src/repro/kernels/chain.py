@@ -1,4 +1,4 @@
-"""Chain DP kernels: scalar reference and the hoisted/blocked formulation.
+"""Chain DP kernels: scalar reference and the blocked, speculated formulation.
 
 The minimap2 chain recurrence (Li 2018, Eq. 1-2; the DP GenPIP's
 read-mapping units execute in-memory, paper Fig. 1(c)) scores each
@@ -10,27 +10,41 @@ anchor against a bounded lookback window of predecessors:
 
 Unlike sDTW, the dependency structure does not fall onto independent
 anti-diagonals: ``f(i)`` reads ``f(j)`` for *every* ``j`` in the
-window, so some sequential combine is irreducible. What the blocked
-kernel removes is everything else: the geometric part of the band --
-``dx``, ``dy``, the validity mask, the overlap gain ``a(j, i)`` and the
-gap cost ``g(j, i)`` (with its ``log2``) -- depends only on the anchor
-coordinates, never on the scores, so it is hoisted out of the loop and
-computed as full ``(rows x lookback)`` matrices in a handful of numpy
-passes per block. The remaining per-anchor work is three vector ops
-(add, subtract, argmax) over the window, and anchors whose window has
-no valid predecessor (the common case for junk reads on the ER-CMR
-path) skip the loop entirely via a precomputed row mask.
+window, so the combine is sequential in the row index. The blocked
+kernel splits the work in two phases:
+
+* **Geometry, vectorised.** ``dx``, ``dy``, the validity mask, the
+  overlap gain ``a(j, i)`` and the gap cost ``g(j, i)`` (with its
+  ``log2``) depend only on the anchor coordinates, never on the scores,
+  so they are computed as full ``(rows x lookback)`` matrices in a
+  handful of numpy passes per block. Anchors whose window has no valid
+  predecessor (the common case for junk reads on the ER-CMR path) are
+  final at ``w_i`` and skip the combine.
+* **Combine, speculated.** Calling numpy once per anchor costs more
+  than the arithmetic, so the remaining rows are not combined one by
+  one. Each row's parent is guessed (first: its nearest valid
+  predecessor, which it is for most rows of a mapped read), the scores
+  along the guesses are folded in one pure-Python pass, and all rows
+  are verified at once with the reference's expression. Every row up
+  to the first disagreement is final; the rest are re-guessed from the
+  verifier's argmax and folded again. A bounded number of rounds
+  (``_SPEC_ROUNDS``) precedes a per-row fallback, so the worst case
+  stays close to one vector combine per row.
 
 **Bit-identity.** The scalar reference evaluates, per anchor,
 ``(scores[window] + gain) - gap`` and masks invalid slots to ``-inf``
-before a first-index ``argmax``. The blocked kernel performs the same
+before a first-index ``argmax``. The verifier performs the same
 elementwise float64 operations in the same association order -- the
 gain matrix carries ``-inf`` at invalid slots, which propagates through
-the add/subtract to exactly the ``-inf`` the scalar mask writes -- so
-scores, parents, and tie-breaks are bit-identical, not merely close.
-Production runs the blocked kernel (:func:`repro.mapping.chaining.chain_scores`
-calls it directly); the scalar reference is what tests and
-``bench_kernels.py`` import to check it against.
+the add/subtract to exactly the ``-inf`` the scalar mask writes -- and
+the fold's ``(s[p] + gain) - gap`` on Python floats is the same pair of
+IEEE double operations. A row is committed only once the verifier has
+recomputed it from final predecessors, so scores, parents, and
+tie-breaks are bit-identical, not merely close, for any round count or
+block size. Production runs the blocked kernel
+(:func:`repro.mapping.chaining.chain_scores` calls it directly); the
+scalar reference is what tests and ``bench_kernels.py`` import to check
+it against.
 """
 
 from __future__ import annotations
@@ -42,6 +56,11 @@ from repro.kernels.mapping_ops import record_mapping_ops
 #: Rows of hoisted band matrices computed per pass; bounds peak memory
 #: at ``~6 x BLOCK x lookback x 8`` bytes without affecting results.
 _BLOCK_ROWS = 4096
+
+#: Speculate-and-verify rounds per block before the remaining rows fall
+#: back to one vector combine each; bounds the worst case without
+#: affecting results.
+_SPEC_ROUNDS = 8
 
 
 def chain_candidate_count(n_anchors: int, lookback: int) -> int:
@@ -101,23 +120,21 @@ def chain_scores_scalar(
 def chain_scores_blocked(
     anchors: np.ndarray, kmer_size: int, max_gap: int, lookback: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Hoisted/blocked chain DP: band geometry vectorised, combine slim.
+    """Hoisted/blocked chain DP: band geometry vectorised, combine speculated.
 
     Phase 1 computes, for a block of anchors at once, the full
     ``(rows x h)`` band matrices -- ``dx``, ``dy``, the validity mask,
     the masked overlap gain, and the gap cost -- plus a per-row
-    "any valid predecessor" mask. Phase 2 walks only the rows that
-    mask admits, and per row does exactly
-    ``(scores[window] + gain) - gap`` followed by ``argmax`` -- the
-    scalar reference's association order, with the precomputed ``-inf``
-    gains standing in for its validity ``where``.
+    "any valid predecessor" mask. Phase 2 (:func:`_combine_rows`)
+    resolves only the rows that mask admits, with the scalar
+    reference's ``(scores[window] + gain) - gap`` and first-index
+    ``argmax``; the precomputed ``-inf`` gains stand in for its
+    validity ``where``.
     """
     n = anchors.shape[0]
     k = kmer_size
-    scores = np.full(n, float(k))
-    parents = np.full(n, -1, dtype=np.int64)
     if n <= 1:
-        return scores, parents
+        return np.full(n, float(k)), np.full(n, -1, dtype=np.int64)
     record_mapping_ops("chain-candidate", chain_candidate_count(n, lookback))
     x = anchors[:, 0].astype(np.float64)
     y = anchors[:, 1].astype(np.float64)
@@ -130,6 +147,12 @@ def chain_scores_blocked(
     sentinel = 1e18
     xp = np.concatenate((np.full(h, sentinel), x))
     yp = np.concatenate((np.full(h, sentinel), y))
+    # Scores use the same layout, padded with a finite k: window[i] is
+    # scores[i - h : i], and (k + -inf) - gap is -inf at pad slots.
+    padded = np.full(n + h, float(k))
+    scores = padded[h:]
+    window = np.lib.stride_tricks.sliding_window_view(padded, h)
+    parents = np.full(n, -1, dtype=np.int64)
 
     for row0 in range(1, n, _BLOCK_ROWS):
         row1 = min(n, row0 + _BLOCK_ROWS)
@@ -151,13 +174,85 @@ def chain_scores_blocked(
         # exact value the scalar reference's mask writes.
         gain = np.where(valid, overlap_gain, neg_inf)
 
-        for bi in np.nonzero(has_pred)[0]:
-            i = row0 + int(bi)
-            j0 = i - h if i >= h else 0
-            t0 = h - (i - j0)
-            candidate = (scores[j0:i] + gain[bi, t0:]) - gap_cost[bi, t0:]
-            best = int(np.argmax(candidate))
-            if candidate[best] > k:
-                scores[i] = candidate[best]
-                parents[i] = j0 + best
+        live = np.flatnonzero(has_pred)
+        _combine_rows(
+            scores, parents, window, row0 + live, gain[live], gap_cost[live], valid[live], k
+        )
     return scores, parents
+
+
+def _combine_rows(
+    scores: np.ndarray,
+    parents: np.ndarray,
+    window: np.ndarray,
+    rows: np.ndarray,
+    gain: np.ndarray,
+    gap: np.ndarray,
+    valid: np.ndarray,
+    k: int,
+) -> None:
+    """Resolve ``rows`` (ascending, each with a valid predecessor) in place.
+
+    Speculate, then verify. Guess each row's parent column (first: its
+    nearest valid predecessor), fold the scores along the guesses in one
+    Python pass -- ``(s[p] + gain) - gap``, the same IEEE double ops in
+    the same order -- then check every row at once with the reference's
+    expression. A row whose predecessors all hold final scores verifies
+    to its final value, so by induction on the row index every row up to
+    and including the first disagreement is final. The rest are re-guessed
+    from the verifier's argmax and folded again; after ``_SPEC_ROUNDS``
+    rounds the remainder falls back to one vector combine per row.
+    """
+    h = gain.shape[1]
+    m = rows.size
+    lanes = np.arange(m)
+    guess = (h - 1) - np.argmax(valid[:, ::-1], axis=1)
+    kf = float(k)
+    folded_scores = scores.tolist()
+    start = 0
+    for _ in range(_SPEC_ROUNDS):
+        at = rows[start:]
+        cols = guess[start:]
+        pred = at - h + cols
+        folded = []
+        for i, p, g, c in zip(
+            at.tolist(),
+            pred.tolist(),
+            gain[lanes[start:], cols].tolist(),
+            gap[lanes[start:], cols].tolist(),
+        ):
+            value = (folded_scores[p] + g) - c
+            if value <= k:
+                value = kf
+            folded_scores[i] = value
+            folded.append(value)
+        folded = np.array(folded)
+        scores[at] = folded
+
+        candidate = (window[at] + gain[start:]) - gap[start:]
+        best = candidate.argmax(axis=1)
+        best_value = candidate[lanes[: m - start], best]
+        chained = best_value > k
+        final_scores = np.where(chained, best_value, kf)
+        final_parents = np.where(chained, at - h + best, -1)
+        # Scores alone decide: a row verified from final predecessor
+        # scores has its final parent too, whatever parent was guessed.
+        wrong = final_scores != folded
+        if not wrong.any():
+            parents[at] = final_parents
+            return
+        bad = int(wrong.argmax())
+        parents[at[: bad + 1]] = final_parents[: bad + 1]
+        scores[at[bad]] = folded_scores[at[bad]] = float(final_scores[bad])
+        guess[start + bad + 1 :] = best[bad + 1 :]
+        start += bad + 1
+
+    at = rows[start:]
+    # Drop the stale guesses: the fallback writes only chained rows.
+    scores[at] = kf
+    for lane, i in zip(range(start, m), at.tolist()):
+        candidate = (window[i] + gain[lane]) - gap[lane]
+        best = int(candidate.argmax())
+        if candidate[best] > k:
+            scores[i] = candidate[best]
+            parents[i] = i - h + best

@@ -220,6 +220,28 @@ class TestSurrogateBasecaller:
         with pytest.raises(ValueError):
             SurrogateConfig(max_error_prob=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("error_scale", float("nan")),
+            ("error_scale", float("inf")),
+            ("quality_jitter", -1.0),
+            ("quality_jitter", float("nan")),
+            ("quality_jitter", float("inf")),
+        ],
+    )
+    def test_config_rejects_non_finite_or_negative(self, field, value):
+        """NaN scale used to decode error-free chunks and a negative
+        jitter failed only at the first chunk, inside a worker."""
+        with pytest.raises(ValueError, match=field):
+            SurrogateConfig(**{field: value})
+
+    def test_zero_jitter_emits_the_track(self, reads):
+        read = reads[0]
+        chunk = SurrogateBasecaller(SurrogateConfig(quality_jitter=0.0)).basecall_chunk(read, 0, 300)
+        track = np.clip(read.qualities, 1.0, 40.0)
+        assert set(chunk.qualities.tolist()) <= set(track.tolist())
+
     def test_error_scale_zero_errors(self, reads):
         """With a tiny error scale the surrogate is near-perfect."""
         caller = SurrogateBasecaller(SurrogateConfig(error_scale=1e-9))

@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 import scipy
 
+import repro.kernels.chain as chain_kernels
 import repro.kernels.viterbi as viterbi_kernels
 import repro.mapping.alignment as alignment_module
 from repro.basecalling import ViterbiBackendConfig, ViterbiChunkBasecaller
@@ -122,6 +123,20 @@ def test_er_align_digest_independent_of_gotoh_crossover(crossover, monkeypatch):
         pytest.skip(f"digests taken with {golden['stack']}, running {_stack()}")
     monkeypatch.setattr(alignment_module, "_ROW_PIPELINE_MIN_CELLS", crossover)
     assert _er_align()["sha256"] == golden["digests"]["er-align"]["sha256"]
+
+
+@pytest.mark.parametrize("rounds", [0, 1])
+@pytest.mark.parametrize("block_rows", [64, 10**6])
+def test_er_map_digest_independent_of_chain_rounds(rounds, block_rows, monkeypatch):
+    """Every live row through the per-row fallback (0) or one speculate-
+    and-verify round first (1), over short or whole-call blocks: the
+    chain kernel's round cap and block size are speed constants."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    if golden["stack"] != _stack():
+        pytest.skip(f"digests taken with {golden['stack']}, running {_stack()}")
+    monkeypatch.setattr(chain_kernels, "_SPEC_ROUNDS", rounds)
+    monkeypatch.setattr(chain_kernels, "_BLOCK_ROWS", block_rows)
+    assert _er_map()["sha256"] == golden["digests"]["er-map"]["sha256"]
 
 
 @pytest.mark.parametrize("block", [1, 10**6])

@@ -32,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+import repro.kernels.chain as chain_kernels
 import repro.mapping.alignment as alignment_module
 import repro.mapping.chaining as chaining_module
 import repro.mapping.seeding as seeding_module
@@ -179,6 +180,50 @@ class TestChainKernels:
         b_scores, b_parents = chain_scores_blocked(anchors, 13, max_gap, lookback)
         assert np.array_equal(s_scores, b_scores)
         assert np.array_equal(s_parents, b_parents)
+
+    @given(
+        n_true=st.integers(0, 300),
+        lookback=st.sampled_from([5, 20, 50]),
+        max_gap=st.sampled_from([500, 5_000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_blocked_bit_identical_on_mapped_read_anchors(self, n_true, lookback, max_gap, seed):
+        """The geometry the speculation is built for: most rows' parent
+        is a near predecessor, scattered hits and duplicate reference
+        positions make it the second or third. Scores compare by bits."""
+        anchors = _mapped_read_anchors(np.random.default_rng(seed), n_true)
+        s_scores, s_parents = chain_scores_scalar(anchors, 13, max_gap, lookback)
+        b_scores, b_parents = chain_scores_blocked(anchors, 13, max_gap, lookback)
+        assert np.array_equal(s_scores.view(np.int64), b_scores.view(np.int64))
+        assert np.array_equal(s_parents, b_parents)
+
+    @pytest.mark.parametrize("rounds", [0, 1])
+    def test_fallback_rows_bit_identical(self, rounds, monkeypatch):
+        """No speculation (0) or one round then the per-row fallback (1)."""
+        monkeypatch.setattr(chain_kernels, "_SPEC_ROUNDS", rounds)
+        rng = np.random.default_rng(105)
+        for n_true in (3, 60, 250, 600):
+            anchors = _mapped_read_anchors(rng, n_true)
+            s_scores, s_parents = chain_scores_scalar(anchors, 13, 5_000, 50)
+            b_scores, b_parents = chain_scores_blocked(anchors, 13, 5_000, 50)
+            assert np.array_equal(s_scores.view(np.int64), b_scores.view(np.int64)), n_true
+            assert np.array_equal(s_parents, b_parents), n_true
+
+
+def _mapped_read_anchors(rng, n_true):
+    """Sorted anchors of one mapped read: a colinear run with indel
+    drift, about one scattered repeat hit per three true anchors, and
+    true reference positions repeated at other read positions."""
+    read = np.sort(rng.choice(9_000, size=n_true, replace=False))
+    ref = 20_000 + read + np.cumsum(rng.integers(-3, 4, size=n_true))
+    n_scattered = n_true // 3
+    scattered = np.stack(
+        [rng.integers(0, 60_000, size=n_scattered), rng.integers(0, 9_000, size=n_scattered)], axis=1
+    )
+    duplicated = np.stack([ref, rng.integers(0, 9_000, size=n_true)], axis=1)[: n_true // 10]
+    anchors = np.concatenate([np.stack([ref, read], axis=1), scattered, duplicated]).astype(np.int64)
+    return anchors[np.lexsort((anchors[:, 1], anchors[:, 0]))]
 
 
 def _random_pair(rng, n, m):
