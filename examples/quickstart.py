@@ -286,7 +286,7 @@ def main() -> None:
     #     first-class for the equivalence trail:
     #     * sDTW runs as an anti-diagonal wavefront (one numpy op per
     #       diagonal) with bit-identical costs: sdtw_cost is what
-    #       SignalPrefilter / SignalRejectionPolicy call;
+    #       SignalRejectionPolicy calls;
     #     * the viterbi backend can decode in event space
     #       (decode="events": segmentation means/dwells instead of raw
     #       samples, ~dwell-mean fewer trellis observations).

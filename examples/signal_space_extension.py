@@ -23,13 +23,14 @@ from repro.genomics.reference import ReferenceGenome
 from repro.nanopore import (
     PoreModel,
     SignalConfig,
-    SignalPrefilter,
+    SignalRead,
     SignalRecord,
     read_signals,
     synthesize_signal,
     write_signals,
 )
 from repro.perf.costs import DEFAULT_COSTS
+from repro.signal import SignalRejectionPolicy
 
 
 def main() -> None:
@@ -70,16 +71,17 @@ def main() -> None:
         print(f"modelled lab-to-cluster transfer of this batch: {transfer:.4f} s")
 
     # --- 2. signal-space pre-filtering, no basecalling involved.
-    # Templates = expected signal of each target-panel region.
-    prefilter = SignalPrefilter.from_reference_segments(
-        pore, reference.codes, panel_starts, segment_bases=350
+    # Templates = expected signal of each target-panel region; the
+    # pipeline's own signal-domain early rejection (SER) policy.
+    policy = SignalRejectionPolicy.from_reference(
+        pore, reference.codes, segment_starts=panel_starts, segment_bases=350, prefix_bases=150
     )
-    print(f"\npre-filter: {prefilter.n_templates} expected-signal templates (target panel)")
+    print(f"\npre-filter: {policy.n_templates} expected-signal templates (target panel)")
     print(f"{'read':<10} {'truth':<10} {'cost':>7} {'decision':<8}")
     correct = 0
     for record, label in zip(records, labels, strict=True):
-        decision = prefilter.classify_signal(record.signal, prefix_bases=150)
-        verdict = "accept" if decision.accept else "reject"
+        decision = policy.decide(SignalRead.from_record(record))
+        verdict = "reject" if decision.reject else "accept"
         expected = "accept" if label == "on-target" else "reject"
         correct += verdict == expected
         print(f"{record.read_id:<10} {label:<10} {decision.best_cost:>7.3f} {verdict:<8}")

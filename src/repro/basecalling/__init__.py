@@ -21,17 +21,15 @@ assemble into :class:`~repro.basecalling.types.BasecalledRead` whose
 ``mean_quality`` is the paper's AQS (Eqs. 1/3).
 
 :mod:`repro.basecalling.engines` adapts the Viterbi decoder to the
-chunk-basecaller protocol (:mod:`repro.core.backends`) over carried or
-deterministically synthesized per-read signal, so both engines are
-interchangeable inside the CP/ER pipeline and selectable by name
-(``"surrogate"``, ``"viterbi"``) via :mod:`repro.core.registry`.
+chunk-basecaller protocol (:mod:`repro.core.backends`). Its one signal
+reader takes a signal-native read's carried samples as stored and
+synthesizes a simulated read's signal deterministically, so both
+engines are interchangeable inside the CP/ER pipeline and selectable
+by name (``"surrogate"``, ``"viterbi"``) via :mod:`repro.core.registry`.
 """
 
 from repro.basecalling.chunked import chunk_bounds, chunk_count, chunk_span, reassemble_chunks
 from repro.basecalling.engines import (
-    CarriedSignalProvider,
-    SignalProvider,
-    SynthesisSignalProvider,
     ViterbiBackendConfig,
     ViterbiChunkBasecaller,
     synthesize_read_signal,
@@ -51,9 +49,6 @@ __all__ = [
     "chunk_count",
     "chunk_span",
     "reassemble_chunks",
-    "CarriedSignalProvider",
-    "SignalProvider",
-    "SynthesisSignalProvider",
     "ViterbiBackendConfig",
     "ViterbiChunkBasecaller",
     "synthesize_read_signal",

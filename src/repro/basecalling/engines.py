@@ -6,24 +6,24 @@ the repo's *signal-space* decoder -- the k-mer HMM Viterbi decoder -- to
 that chunk-level contract (:class:`ViterbiChunkBasecaller`), so it runs
 the identical CP/ER control flow as the dataset-scale surrogate.
 
-The decoder consumes raw current, so the only real question per read is
-*where its signal comes from*. A :class:`SignalProvider` answers it:
+The decoder consumes raw current, and a read's current comes from one
+of two places (:meth:`ViterbiChunkBasecaller.read_signal`):
 
-* :class:`CarriedSignalProvider` -- the read **is** signal: a
+* the read **is** signal: a
   :class:`~repro.nanopore.signal_read.SignalRead` decoded from a stored
-  container (the paper's actual input artefact) carries its samples,
-  and the backend decodes them as provided.
-* :class:`SynthesisSignalProvider` -- the read is a
-  :class:`SimulatedRead` (ground truth + quality track, no samples):
-  the provider synthesizes its signal on demand, deterministically in
-  ``read.seed`` (one rng stream per read, so the signal -- and
-  therefore every chunk decode -- is independent of processing order,
-  the invariant the chunk pipeline relies on). The synthesis is
-  *quality-conditioned*: measurement noise grows where the read's
-  quality track is low, so low-quality reads genuinely decode worse and
-  quality-based early rejection remains meaningful in signal space.
+  container (the paper's actual input artefact) carries picoampere
+  samples, and the backend decodes them as stored;
+* the read is a :class:`SimulatedRead` (ground truth + quality track,
+  no samples): the engine synthesizes its signal on demand,
+  deterministically in ``read.seed`` (one rng stream per read, so the
+  signal -- and therefore every chunk decode -- is independent of
+  processing order, the invariant the chunk pipeline relies on). The
+  synthesis is *quality-conditioned*: measurement noise grows where the
+  read's quality track is low, so low-quality reads genuinely decode
+  worse and quality-based early rejection remains meaningful in signal
+  space.
 
-Chunks are cut on the shared :func:`~repro.basecalling.chunked.chunk_bounds`
+Chunks are cut on the shared :func:`~repro.basecalling.chunked.chunk_span`
 grid (base coordinates) and decoded independently, losing k-mer
 context at boundaries -- the same trade-off real chunked basecallers
 make. ``n_true_bases`` keeps the surrogate's accounting so SQS/AQS and
@@ -35,7 +35,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -102,144 +101,6 @@ def synthesize_read_signal(
     )
 
 
-@runtime_checkable
-class SignalProvider(Protocol):
-    """Where a read's raw signal comes from.
-
-    ``supports`` says whether this provider can serve the read;
-    ``signal_for`` returns the read's full signal. Providers must be
-    deterministic per read (same read -> same signal, independent of
-    call order) -- the chunk pipeline's byte-identity invariant rests
-    on it -- and picklable, since backends travel to worker processes.
-    """
-
-    def supports(self, read) -> bool: ...  # pragma: no cover - protocol
-
-    def signal_for(self, read) -> RawSignal: ...  # pragma: no cover - protocol
-
-
-class CarriedSignalProvider:
-    """Serves reads that *are* signal (:class:`SignalRead`).
-
-    This is the signal-native path: the samples came from a container
-    (or straight from a device) and are decoded as provided.
-    ``normalize`` applies per-read median/MAD normalisation first --
-    cached per read behind a small LRU, so chunked decoding normalises
-    once per read, not once per chunk. ``calibration`` instead applies
-    one *container-wide* affine map
-    (:class:`~repro.signal.calibration.SignalCalibration`) onto the
-    decoders' picoampere scale: unlike per-read normalisation it
-    preserves absolute level differences between reads, which is what
-    decoding a container written in non-pA units requires. The two are
-    mutually exclusive. Containers written by this repo store
-    picoampere-scale samples (the units the decoders assume), so both
-    default off; the caches are dropped on pickling, like the synthesis
-    provider's.
-    """
-
-    def __init__(self, normalize: bool = False, calibration=None):
-        if normalize and calibration is not None:
-            raise ValueError(
-                "normalize and calibration are mutually exclusive: per-read "
-                "median/MAD normalisation would undo the container-wide "
-                "affine calibration"
-            )
-        self._normalize = normalize
-        self._calibration = calibration
-        # Keyed by the sample buffer's identity, with the buffer itself
-        # pinned in the value: while an entry lives, its id cannot be
-        # reused, and the `is` check on hit rejects any aliasing --
-        # read ids repeat across containers (read-000000, ...), so an
-        # id-based key alone could serve another container's signal.
-        self._normalized_cache: "OrderedDict[tuple[str, int], tuple]" = OrderedDict()
-
-    def supports(self, read) -> bool:
-        return isinstance(read, SignalRead)
-
-    def signal_for(self, read: SignalRead) -> RawSignal:
-        if not self._normalize and self._calibration is None:
-            return read.signal
-        samples = read.signal.samples
-        key = (read.read_id, id(samples))
-        entry = self._normalized_cache.get(key)
-        if entry is not None and entry[0] is samples:
-            self._normalized_cache.move_to_end(key)
-            return entry[1]
-        if self._calibration is not None:
-            signal = RawSignal(
-                samples=self._calibration.apply(samples),
-                base_starts=read.signal.base_starts,
-            )
-        else:
-            signal = read.normalized().signal
-        self._normalized_cache[key] = (samples, signal)
-        while len(self._normalized_cache) > _SIGNAL_CACHE_READS:
-            self._normalized_cache.popitem(last=False)
-        return signal
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_normalized_cache"] = OrderedDict()
-        return state
-
-
-class SynthesisSignalProvider:
-    """Synthesizes signal for base-space reads (:class:`SimulatedRead`).
-
-    Deterministic in ``read.seed`` and quality-conditioned (see
-    :func:`synthesize_read_signal`). A small LRU keeps the few reads
-    the pipeline touches concurrently hot; the cache is dropped on
-    pickling so instances stay cheap to ship to worker processes.
-    """
-
-    def __init__(
-        self,
-        pore_model: PoreModel,
-        signal_config: SignalConfig,
-        quality_noise: float,
-    ):
-        self._pore_model = pore_model
-        self._signal_config = signal_config
-        self._quality_noise = quality_noise
-        self._signal_cache: OrderedDict[tuple[str, int, int], RawSignal] = OrderedDict()
-
-    @property
-    def pore_model(self) -> PoreModel:
-        return self._pore_model
-
-    @property
-    def signal_config(self) -> SignalConfig:
-        return self._signal_config
-
-    def supports(self, read) -> bool:
-        return isinstance(read, SimulatedRead)
-
-    def signal_for(self, read: SimulatedRead) -> RawSignal:
-        """The read's synthesized signal (cached per read).
-
-        The key includes the length so manually constructed reads that
-        reuse an id + seed with different content don't alias a stale
-        entry (content itself is not hashed -- that would cost O(read)
-        per chunk call)."""
-        key = (read.read_id, read.seed, len(read))
-        cached = self._signal_cache.get(key)
-        if cached is not None:
-            self._signal_cache.move_to_end(key)
-            return cached
-        signal = synthesize_read_signal(
-            read, self._pore_model, self._signal_config, self._quality_noise
-        )
-        self._signal_cache[key] = signal
-        while len(self._signal_cache) > _SIGNAL_CACHE_READS:
-            self._signal_cache.popitem(last=False)
-        return signal
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_signal_cache"] = OrderedDict()
-        return state
-
-
 @dataclass(frozen=True)
 class ViterbiBackendConfig:
     """Construction recipe for :class:`ViterbiChunkBasecaller`.
@@ -259,10 +120,6 @@ class ViterbiBackendConfig:
     quality_noise:
         Scale of the quality-conditioned extra measurement noise (pA);
         0 disables conditioning.
-    normalize_carried:
-        Median/MAD-normalise carried (signal-native) reads before
-        decoding; for containers whose samples are not in picoampere
-        units. Off by default -- this repo's containers store pA.
     decode:
         Observation grid of the trellis: ``"samples"`` (one observation
         per raw sample, the classical decode) or ``"events"`` (samples
@@ -278,13 +135,17 @@ class ViterbiBackendConfig:
     decoder: ViterbiConfig = field(default_factory=ViterbiConfig)
     signal: SignalConfig = field(default_factory=SignalConfig)
     quality_noise: float = 6.0
-    normalize_carried: bool = False
     decode: str = "samples"
     segmentation: SegmentationConfig = EVENT_SEGMENTATION
 
     def __post_init__(self) -> None:
-        if self.quality_noise < 0:
-            raise ValueError("quality_noise must be non-negative")
+        # NaN fails every comparison, so test for the accepted range; a
+        # non-finite scale would only surface at the first synthesized
+        # chunk, as a non-finite sample inside a worker.
+        if not (np.isfinite(self.quality_noise) and self.quality_noise >= 0):
+            raise ValueError(
+                f"quality_noise must be finite and non-negative, got {self.quality_noise}"
+            )
         if self.decode not in VITERBI_DECODE_MODES:
             raise ValueError(
                 f"unknown decode mode {self.decode!r}; expected one of {VITERBI_DECODE_MODES}"
@@ -295,37 +156,33 @@ class ViterbiChunkBasecaller:
     """The k-mer HMM Viterbi decoder behind the chunk-basecaller contract.
 
     Supplies the :class:`~repro.core.backends.Basecaller` surface: the
-    shared chunk grid, chunk reassembly, and signal resolution through an
-    ordered chain of :class:`SignalProvider`\\ s -- carried signal first
-    (signal-native inputs), synthesis as the fallback for base-space
-    simulated reads. ``providers`` replaces the leading carried
-    provider(s) -- e.g. a :class:`CarriedSignalProvider` with a
-    per-container :class:`~repro.signal.calibration.SignalCalibration`
-    for stores written in non-pA units -- while synthesis always stays
-    the final fallback.
+    shared chunk grid, chunk reassembly, and :meth:`read_signal` --
+    carried samples for a signal-native read, synthesis for a base-space
+    simulated one. The engine is deterministic in its
+    :class:`ViterbiBackendConfig`, which is all it is built from.
     """
 
     #: Decodes :class:`SignalRead` inputs natively.
     accepts_signal_reads = True
 
-    def __init__(
-        self,
-        config: ViterbiBackendConfig | None = None,
-        providers: "tuple[SignalProvider, ...] | None" = None,
-    ):
+    def __init__(self, config: ViterbiBackendConfig | None = None):
         if config is not None and not isinstance(config, ViterbiBackendConfig):
             raise TypeError(
                 "ViterbiChunkBasecaller expects a ViterbiBackendConfig, "
                 f"got {type(config).__name__}"
             )
-        config = config or ViterbiBackendConfig()
-        pore = PoreModel.synthetic(k=config.pore_k, seed=config.pore_seed)
-        self._synthesis = SynthesisSignalProvider(pore, config.signal, config.quality_noise)
-        if providers is None:
-            providers = (CarriedSignalProvider(normalize=config.normalize_carried),)
-        self._providers: tuple[SignalProvider, ...] = tuple(providers) + (self._synthesis,)
-        self._config = config
-        self._decoder = ViterbiBasecaller(pore, config.decoder)
+        self._config = config or ViterbiBackendConfig()
+        self._pore_model = PoreModel.synthetic(
+            k=self._config.pore_k, seed=self._config.pore_seed
+        )
+        self._decoder = ViterbiBasecaller(self._pore_model, self._config.decoder)
+        self._signal_cache: OrderedDict[tuple[str, int, int], RawSignal] = OrderedDict()
+
+    def __getstate__(self) -> dict:
+        # The engine is what travels to a worker; the cache stays home.
+        state = dict(self.__dict__)
+        state["_signal_cache"] = OrderedDict()
+        return state
 
     @property
     def config(self) -> ViterbiBackendConfig:
@@ -337,34 +194,42 @@ class ViterbiChunkBasecaller:
 
     @property
     def pore_model(self) -> PoreModel:
-        return self._synthesis.pore_model
-
-    @property
-    def signal_config(self) -> SignalConfig:
-        return self._synthesis.signal_config
-
-    @property
-    def providers(self) -> tuple[SignalProvider, ...]:
-        return self._providers
+        return self._pore_model
 
     def read_signal(self, read) -> RawSignal:
-        """The read's signal, from the first provider that serves it."""
-        for provider in self._providers:
-            if provider.supports(read):
-                return provider.signal_for(read)
+        """The read's raw current: carried samples or synthesis."""
+        if isinstance(read, SignalRead):
+            return read.signal
+        if isinstance(read, SimulatedRead):
+            return self.synthesize_signal(read)
         raise TypeError(
-            f"no signal provider for {type(read).__name__}; signal-space engines "
+            f"{type(read).__name__} carries no signal; signal-space engines "
             "decode SignalRead (carried samples) or SimulatedRead (synthesis)"
         )
 
     def synthesize_signal(self, read: SimulatedRead) -> RawSignal:
-        """Synthesize a base-space read's signal (bypasses carried paths).
+        """A base-space read's synthesized signal (cached per read).
 
-        This is what writes signal containers: the synthesized current
-        of a simulated dataset, persisted once, replaces synthesis for
-        every subsequent signal-native run.
+        This is also what writes signal containers: the synthesized
+        current of a simulated dataset, persisted once, replaces
+        synthesis for every subsequent signal-native run. The cache key
+        includes the length so manually constructed reads that reuse an
+        id + seed with different content don't alias a stale entry
+        (content itself is not hashed -- that would cost O(read) per
+        chunk call).
         """
-        return self._synthesis.signal_for(read)
+        key = (read.read_id, read.seed, len(read))
+        cached = self._signal_cache.get(key)
+        if cached is not None:
+            self._signal_cache.move_to_end(key)
+            return cached
+        signal = synthesize_read_signal(
+            read, self._pore_model, self._config.signal, self._config.quality_noise
+        )
+        self._signal_cache[key] = signal
+        while len(self._signal_cache) > _SIGNAL_CACHE_READS:
+            self._signal_cache.popitem(last=False)
+        return signal
 
     def signal_records(self, reads: Iterable[SimulatedRead]) -> Iterator[SignalRecord]:
         """Container records of the reads' synthesized signals (streamed)."""

@@ -94,7 +94,7 @@ class HelixModel:
     def engine(self) -> MVMEngine:
         return self._engine
 
-    def chunk_samples(self, chunk_bases: int) -> int:
+    def samples_per_chunk(self, chunk_bases: int) -> int:
         """Raw-signal samples corresponding to a chunk of bases."""
         return int(round(chunk_bases * self._samples_per_base))
 
@@ -108,7 +108,7 @@ class HelixModel:
         """
         if chunk_bases < 1:
             raise ValueError("chunk_bases must be positive")
-        workload = bonito_workload(self.chunk_samples(chunk_bases))
+        workload = bonito_workload(self.samples_per_chunk(chunk_bases))
         execution = self._engine.execute(workload)
         tiles_per_chunk = max(execution.total_tiles, 1)
         depth = max(1, self.N_TILES // tiles_per_chunk)

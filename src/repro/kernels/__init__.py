@@ -9,9 +9,9 @@ previously iterated sample-by-sample in interpreted Python:
   wavefront**: every cell on one anti-diagonal depends only on the two
   previous diagonals, so each diagonal is a single numpy vector op.
   Produces bit-identical costs to the scalar reference (same float64
-  operations, reassociated only across independent cells), so it is a
-  drop-in behind :class:`~repro.nanopore.signal_filter.SignalPrefilter`
-  and :class:`~repro.signal.rejection.SignalRejectionPolicy`.
+  operations, reassociated only across independent cells); the SER
+  screen, :class:`~repro.signal.rejection.SignalRejectionPolicy`, calls
+  it directly.
 * :mod:`repro.kernels.viterbi` -- the HMM trellis forward pass behind
   :class:`~repro.basecalling.viterbi.ViterbiBasecaller`, *folded*: a
   state's four move predecessors are one column of ``dp.reshape(4,

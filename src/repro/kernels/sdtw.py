@@ -3,8 +3,7 @@
 The recurrence ``D[i, j] = cost(i, j) + min(D[i-1, j-1], D[i-1, j],
 D[i, j-1])`` carries a dependency on the cell to the *left*, so a
 row-major evaluation cannot vectorise the inner loop -- which is why the
-scalar reference (and the pre-kernel ``subsequence_dtw``) walks each
-banded row sample-by-sample in Python. On an **anti-diagonal** ``d = i
+scalar reference walks each banded row sample-by-sample in Python. On an **anti-diagonal** ``d = i
 + j``, however, every dependency lives on diagonals ``d-1`` (up, left)
 and ``d-2`` (diag): cells on one diagonal are mutually independent and
 the whole diagonal evaluates as one numpy expression.
@@ -18,8 +17,9 @@ association order), the same final add -- so their costs are
 kernel-equivalence lane assert exact equality on random inputs, band
 edge cases, and degenerate shapes.
 
-Semantics (shared by both, identical to the original
-``repro.nanopore.signal_filter.subsequence_dtw``): the query must be
+Semantics (shared by both; the SER screen,
+:class:`~repro.signal.rejection.SignalRejectionPolicy`, calls
+:func:`sdtw_cost` directly): the query must be
 consumed in full but may start and end anywhere in the reference (first
 row zero, answer is the minimum of the last row), costs are squared
 differences of z-normalised samples averaged over the query length, and

@@ -14,6 +14,12 @@ NA12878). Raw nanopore data is not available offline, so this subpackage
   classes (normal / low-quality / junk-unmapped).
 * :mod:`repro.nanopore.datasets` -- presets whose summary statistics
   match Table 1 of the paper.
+* :mod:`repro.nanopore.signal_store` and
+  :mod:`repro.nanopore.signal_read` -- raw current at rest (picoampere
+  containers) and as a signal-native pipeline input.
+
+Screening raw current before basecalling is signal-domain early
+rejection, in :mod:`repro.signal.rejection`.
 """
 
 from repro.nanopore.datasets import (
@@ -35,7 +41,6 @@ from repro.nanopore.read_simulator import (
     SimulatorConfig,
 )
 from repro.nanopore.signal import RawSignal, SignalConfig, synthesize_signal
-from repro.nanopore.signal_filter import SignalPrefilter, subsequence_dtw
 from repro.nanopore.signal_read import SignalRead
 from repro.nanopore.signal_store import (
     SignalRecord,
@@ -78,7 +83,5 @@ __all__ = [
     "strip_base_starts",
     "write_read_store",
     "write_signals",
-    "SignalPrefilter",
     "SignalRead",
-    "subsequence_dtw",
 ]

@@ -67,7 +67,9 @@ class RawSignal:
         bases at made-up qualities instead of failing).
     base_starts:
         For each *modelled* base (there are ``len(codes) - k + 1``
-        k-mer positions), the index of its first sample.
+        k-mer positions), the index of its first sample: non-decreasing
+        and within ``[0, len(samples)]`` (anything else raises
+        ``ValueError``).
     """
 
     samples: np.ndarray
@@ -82,6 +84,15 @@ class RawSignal:
                 f"signal has {bad.size} non-finite sample(s), the first at index {bad[0]}"
             )
         starts = np.ascontiguousarray(self.base_starts, dtype=np.int64)
+        # A decreasing start or one past the samples would cut
+        # overlapping, empty or out-of-range per-base slices.
+        if starts.size and (
+            starts[0] < 0 or starts[-1] > samples.size or (np.diff(starts) < 0).any()
+        ):
+            raise ValueError(
+                f"base_starts must be non-decreasing within [0, {samples.size}] "
+                f"(the sample count), got values from {starts.min()} to {starts.max()}"
+            )
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "base_starts", starts)
 

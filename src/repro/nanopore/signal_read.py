@@ -13,10 +13,11 @@ basecaller, without ever synthesizing current from known bases.
 The contract mirrors :class:`~repro.nanopore.read_simulator.SimulatedRead`
 where the pipeline is generic -- ``read_id`` and ``len(read)`` (the
 base-grid length every layer chunks and shards on) -- and adds the
-signal-specific surface: the shared chunk grid over the samples
-(:meth:`chunk_bounds`, :meth:`chunk_samples`), per-read normalisation
-(:meth:`normalized`), and container round-tripping
-(:meth:`from_record` / :meth:`to_record`).
+signal-specific surface: the samples themselves, in picoampere as the
+decoders read them, and container round-tripping
+(:meth:`from_record` / :meth:`to_record`). The basecaller cuts the
+chunk grid, as for any read: :func:`~repro.basecalling.chunked.chunk_span`
+over ``len(read)``, then :meth:`~repro.nanopore.signal.RawSignal.clamped_slice`.
 
 Base-grid length vs modelled positions: a synthesized signal models
 ``n_true_bases - k + 1`` k-mer positions, so a read reconstructed from
@@ -31,15 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.nanopore.signal import RawSignal, normalize_signal
+from repro.nanopore.signal import RawSignal
 from repro.nanopore.signal_store import SignalRecord
 
 
 @dataclass(frozen=True)
 class SignalRead:
-    """One read's raw current, addressable on the shared chunk grid.
+    """One read's raw current, as a pipeline input.
 
     Attributes
     ----------
@@ -75,53 +74,6 @@ class SignalRead:
     @property
     def n_samples(self) -> int:
         return len(self.signal)
-
-    def chunk_bounds(self, chunk_size: int) -> list[tuple[int, int]]:
-        """Half-open base intervals of each chunk (the shared grid)."""
-        # Imported lazily: repro.basecalling imports this package's
-        # submodules, so a module-level import here would close a cycle
-        # during package initialisation.
-        from repro.basecalling.chunked import chunk_bounds
-
-        return chunk_bounds(len(self), chunk_size)
-
-    def n_chunks(self, chunk_size: int) -> int:
-        """Number of chunks the read splits into at this chunk size."""
-        return len(self.chunk_bounds(chunk_size))
-
-    def chunk_samples(self, index: int, chunk_size: int) -> np.ndarray:
-        """Sample view covering chunk ``index`` of the grid.
-
-        Bounds past the modelled positions are clamped (the grid may
-        declare more bases than the signal models -- see the module
-        docstring); a chunk lying entirely past the modelled range is
-        an empty view. The result is a *view* into the read's samples,
-        never a copy.
-        """
-        bounds = self.chunk_bounds(chunk_size)
-        if not 0 <= index < len(bounds):
-            raise ValueError(
-                f"chunk index {index} out of range (read has {len(bounds)} chunks)"
-            )
-        start, end = bounds[index]
-        return self.signal.clamped_slice(start, end)
-
-    def normalized(self) -> "SignalRead":
-        """A copy with median/MAD-normalised samples (same grid).
-
-        Real pipelines normalise each read's current to remove per-pore
-        gain and offset before basecalling; containers written by this
-        repo already store picoampere-scale samples, so normalisation
-        is opt-in.
-        """
-        return SignalRead(
-            read_id=self.read_id,
-            signal=RawSignal(
-                samples=normalize_signal(self.signal.samples),
-                base_starts=self.signal.base_starts,
-            ),
-            declared_bases=self.declared_bases,
-        )
 
     @classmethod
     def from_record(

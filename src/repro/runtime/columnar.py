@@ -5,7 +5,7 @@ contiguous buffers grouped by element width, with per-read offset
 tables. This module makes that layout a first-class representation --
 planned once (:class:`ColumnarLayout`), packed once, and then **viewed**
 everywhere else (:class:`ColumnarBatch`): the worker's reads, the
-kernel plane's sample windows, and the prefilter's screening slices are
+kernel plane's sample windows, and the SER screen's prefix slices are
 read-only numpy views into the same segment bytes the parent wrote, so
 a batch crosses the process boundary with zero worker-side copies.
 

@@ -180,8 +180,7 @@ class SegmentLease:
     the final release closes the mapping.
 
     A close attempted while views are still alive (e.g. an exception
-    traceback pinning the batch, or a provider cache holding a
-    normalised copy keyed by the view) raises ``BufferError`` inside
+    traceback pinning the batch) raises ``BufferError`` inside
     CPython's mmap teardown; the lease *defers* such a close instead of
     propagating, and :func:`reap_leases` retries once the views are
     garbage (every subsequent attach reaps opportunistically). Process

@@ -330,7 +330,8 @@ def read_to_record(read: SimulatedRead | SignalRead) -> dict:
 def read_from_record(record: dict) -> SimulatedRead | SignalRead:
     """Inverse of :func:`read_to_record`: the read as read-only views
     over the record's payload (no copy; the arrays keep it alive). A
-    payload the read refuses (a non-finite sample) is a protocol error."""
+    payload the read refuses (a non-finite sample, or base starts that
+    decrease or point past the samples) is a protocol error."""
     layout = _record_layout(record)
     payload = record.get("payload")
     if not isinstance(payload, bytes | bytearray | memoryview) or len(payload) != layout.total_bytes:

@@ -1,7 +1,7 @@
-"""Signal-domain analysis: event segmentation, SER, and calibration.
+"""Signal-domain analysis: event segmentation and SER.
 
-The paper's pipeline *starts* from raw current, and PR 4 made stored
-current a first-class input; this package supplies the analysis layer
+The paper's pipeline *starts* from raw current, and stored current is a
+first-class pipeline input; this package supplies the analysis layer
 that makes raw current self-sufficient -- no ground-truth side channels
 required:
 
@@ -12,11 +12,10 @@ required:
   the :class:`SignalRejectionPolicy` screens a read's raw-current
   prefix by subsequence DTW against reference templates and stops junk
   *before any basecalling* -- the paper's "ideally even before they go
-  through basecalling" (Sec. 2.3), one stage earlier than QSR/CMR;
-* :mod:`repro.signal.calibration` -- per-container gain/offset
-  statistics mapping non-pA containers onto the decoders' picoampere
-  scale (what per-read median/MAD normalisation cannot do without
-  destroying absolute level information).
+  through basecalling" (Sec. 2.3), one stage earlier than QSR/CMR.
+
+Containers hold picoampere samples, the units the pore model and the
+decoders use, so current is screened and decoded as stored.
 
 The pipeline-facing contract lives in :mod:`repro.core.backends`
 (:class:`~repro.core.backends.SignalRejectionPolicyProtocol`), mirroring
@@ -24,14 +23,6 @@ the QSR/CMR policy protocols; everything here is a default
 implementation behind it.
 """
 
-from repro.signal.calibration import (
-    IDENTITY_CALIBRATION,
-    ContainerStats,
-    SignalCalibration,
-    calibrate_to_pore_model,
-    container_calibration,
-    pore_model_stats,
-)
 from repro.signal.rejection import SERDecision, SignalRejectionPolicy
 from repro.signal.segmentation import (
     SegmentationConfig,
@@ -43,17 +34,11 @@ from repro.signal.segmentation import (
 )
 
 __all__ = [
-    "ContainerStats",
-    "IDENTITY_CALIBRATION",
     "SERDecision",
     "SegmentationConfig",
-    "SignalCalibration",
     "SignalRejectionPolicy",
-    "calibrate_to_pore_model",
-    "container_calibration",
     "detect_events",
     "jump_scores",
-    "pore_model_stats",
     "robust_noise_scale",
     "segment_read",
     "segment_signal",

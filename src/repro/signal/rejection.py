@@ -10,14 +10,14 @@ rejected read terminates with
 :attr:`~repro.core.pipeline.ReadStatus.REJECTED_SIGNAL` and zero
 basecalling work -- the earliest possible exit in the system.
 
-The default policy here adapts the repo's existing squiggle-matching
-kernel (:class:`~repro.nanopore.signal_filter.SignalPrefilter`,
-subsequence DTW against expected-signal templates of reference
-segments) to that protocol. Like the prefilter it wraps, it is a
-*screening* filter: a read is accepted when its prefix matches any
-template below the cost threshold, so genuine coverage requires
-templates over the regions reads may come from (SquiggleFilter-style
-whole-genome tiling for small references, targeted segments for
+The default policy here is the squiggle-matching screen (cf.
+SquiggleFilter): the read's current prefix, averaged in sample pairs to
+roughly one value per base dwell, is matched by subsequence DTW
+(:func:`repro.kernels.sdtw.sdtw_cost`) against the expected pore-model
+signal of reference segments. It is a *screening* filter: a read is
+accepted when its prefix matches any template below the cost threshold,
+so genuine coverage requires templates over the regions reads may come
+from (whole-genome tiling for small references, targeted segments for
 adaptive-sampling use). Uncovered genomic reads are indistinguishable
 from junk in signal space -- callers choose the template set with that
 in mind.
@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.kernels.sdtw import sdtw_cost, znormalise
 from repro.nanopore.pore_model import PoreModel
-from repro.nanopore.signal_filter import SignalPrefilter
 from repro.nanopore.signal_read import SignalRead
 
 
@@ -67,23 +67,36 @@ class SERDecision:
 class SignalRejectionPolicy:
     """Default SER policy: subsequence-DTW screening of the signal prefix.
 
-    Wraps a :class:`~repro.nanopore.signal_filter.SignalPrefilter`
-    (expected-signal templates + banded-free sDTW) behind the
-    :class:`~repro.core.backends.SignalRejectionPolicyProtocol`
-    contract the pipeline consumes. ``prefix_bases`` bounds the work
-    per read: only the first that-many base-grid positions of current
-    are matched, mirroring Read-Until's decide-from-the-prefix regime.
+    Holds the expected-signal ``templates`` (z-normalised once here,
+    since every read brings a new query but the templates never change)
+    behind the :class:`~repro.core.backends.SignalRejectionPolicyProtocol`
+    contract the pipeline consumes. ``prefix_bases`` bounds the work per
+    read: only the first that-many base-grid positions of current are
+    matched, mirroring Read-Until's decide-from-the-prefix regime.
     """
 
-    def __init__(self, prefilter: SignalPrefilter, prefix_bases: int = 120):
+    def __init__(
+        self,
+        templates: "list[np.ndarray]",
+        threshold: float = 0.17,
+        prefix_bases: int = 120,
+    ):
+        # NaN fails every comparison, so test for the accepted range: a
+        # NaN threshold would otherwise reject every read after scanning
+        # every template.
+        if not (np.isfinite(threshold) and threshold > 0):
+            raise ValueError(f"threshold must be finite and positive, got {threshold}")
         if prefix_bases < 1:
             raise ValueError("prefix_bases must be positive")
-        self._prefilter = prefilter
+        if not templates:
+            raise ValueError("at least one template is required")
+        self._templates = [znormalise(template) for template in templates]
+        self._threshold = threshold
         self._prefix_bases = prefix_bases
 
     @property
-    def prefilter(self) -> SignalPrefilter:
-        return self._prefilter
+    def n_templates(self) -> int:
+        return len(self._templates)
 
     @property
     def prefix_bases(self) -> int:
@@ -117,23 +130,35 @@ class SignalRejectionPolicy:
                 int(round(position))
                 for position in np.linspace(0, span, num=n_templates)
             ]
-        prefilter = SignalPrefilter.from_reference_segments(
-            pore_model,
-            reference_codes,
-            segment_starts,
-            segment_bases=segment_bases,
-            threshold=threshold,
-        )
-        return cls(prefilter, prefix_bases=prefix_bases)
+        templates = []
+        for start in segment_starts:
+            levels = pore_model.expected_levels(reference_codes[start : start + segment_bases])
+            if levels.size:
+                templates.append(levels)
+        return cls(templates, threshold=threshold, prefix_bases=prefix_bases)
 
     def decide(self, read: SignalRead) -> SERDecision:
-        """Screen one signal-native read's current prefix."""
-        decision = self._prefilter.classify_signal(
-            read.signal, prefix_bases=self._prefix_bases
-        )
+        """Screen one signal-native read's current prefix.
+
+        The prefix is event-compressed (consecutive samples averaged in
+        pairs) to roughly one value per base dwell before matching,
+        keeping the DTW cheap; matching stops at the first template
+        below the threshold.
+        """
+        prefix_bases = min(self._prefix_bases, read.signal.n_bases)
+        best = float("inf")
+        if prefix_bases:
+            samples = np.asarray(read.signal.slice_bases(0, prefix_bases), dtype=np.float64)
+            if samples.size >= 2:
+                trimmed = samples[: samples.size - samples.size % 2]
+                samples = trimmed.reshape(-1, 2).mean(axis=1)
+            for template in self._templates:
+                best = min(best, sdtw_cost(samples, template, reference_normalized=True))
+                if best < self._threshold:
+                    break
         return SERDecision(
-            reject=not decision.accept,
-            best_cost=decision.best_cost,
-            threshold=decision.threshold,
-            prefix_bases=min(self._prefix_bases, read.signal.n_bases),
+            reject=best >= self._threshold,
+            best_cost=best,
+            threshold=self._threshold,
+            prefix_bases=prefix_bases,
         )

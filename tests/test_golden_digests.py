@@ -1,13 +1,16 @@
 """Byte-identity of outcome records against digests committed from PR 13.
 
 ``golden_digests.json`` holds the sha-256 of the ordered
-``outcome_to_record`` stream of four seeded read sets, taken on the
-commit *before* seeding moved from one call per chunk to one call per
-early-rejection stage. The per-chunk path is gone, so these digests are
-what pins "every outcome record stays byte-identical" from here on.
-``er-align`` alone was retaken on purpose in PR 22, when the Gotoh row
-pipeline took the scalar reference's tie-breaks: same statuses and
+``outcome_to_record`` stream of five seeded read sets. The first four
+were taken on the commit *before* seeding moved from one call per chunk
+to one call per early-rejection stage. The per-chunk path is gone, so
+these digests are what pins "every outcome record stays byte-identical"
+from here on. ``er-align`` alone was retaken on purpose, when the Gotoh
+row pipeline took the scalar reference's tie-breaks: same statuses and
 scores, another co-optimal CIGAR on tied segments.
+``ser-signal`` (signal-domain early rejection over carried signal) was
+taken on the commit before the SER screen and the signal reader were
+each collapsed into one class.
 
 Records carry floats (qualities, chain scores) whose last bits depend
 on the numeric stack, so the file also records the numpy and scipy
@@ -36,6 +39,7 @@ from repro.mapping import MinimizerIndex
 from repro.nanopore import SignalRead
 from repro.nanopore.datasets import ECOLI_LIKE, HUMAN_LIKE, generate_dataset, small_profile
 from repro.runtime.sink import outcome_to_record
+from repro.signal import SignalRejectionPolicy
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
 
@@ -98,11 +102,41 @@ def _viterbi_signal() -> dict:
     return _digest(pipeline, reads)
 
 
+def _ser_signal() -> dict:
+    """Carried signal screened by SER: templates cover the + strand
+    genomic reads' loci, so junk, - strand and uncovered reads stop at
+    the screen and the covered ones decode and map."""
+    dataset = generate_dataset(
+        small_profile(ECOLI_LIKE, max_read_length=1_200), scale=0.0002, seed=21
+    )
+    backend = ViterbiChunkBasecaller(ViterbiBackendConfig(pore_k=3))
+    shortest = sorted(dataset.reads, key=len)[:12]
+    reads = [
+        SignalRead(read_id=read.read_id, signal=backend.synthesize_signal(read))
+        for read in shortest
+    ]
+    policy = SignalRejectionPolicy.from_reference(
+        backend.pore_model,
+        dataset.reference.codes,
+        segment_starts=[
+            read.ref_start
+            for read in shortest
+            if read.ref_start is not None and read.strand == 1
+        ],
+    )
+    index = MinimizerIndex.build(dataset.reference)
+    pipeline = GenPIPPipeline(
+        index, basecaller=backend, config=GenPIPConfig(), align=False, ser_policy=policy
+    )
+    return _digest(pipeline, reads)
+
+
 READ_SETS = {
     "er-map": _er_map,
     "er-align": _er_align,
     "conventional": _conventional,
     "viterbi-signal": _viterbi_signal,
+    "ser-signal": _ser_signal,
 }
 
 

@@ -40,12 +40,13 @@ from repro.kernels import (
     viterbi_state_ops,
     viterbi_traceback,
 )
+from repro.kernels.sdtw import znormalise
 from repro.kernels.viterbi import _BLOCK
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.nanopore.pore_model import PoreModel
-from repro.nanopore.signal import SignalConfig, synthesize_signal
-from repro.nanopore.signal_filter import SignalPrefilter, subsequence_dtw, znormalise
+from repro.nanopore.signal import RawSignal, SignalConfig, synthesize_signal
+from repro.nanopore.signal_read import SignalRead
 from repro.perf.costs import DEFAULT_COSTS
 from repro.perf.workload import PipelineWorkload
 from repro.signal.rejection import SignalRejectionPolicy
@@ -125,21 +126,26 @@ class TestSdtwEquivalence:
         codes = rng.integers(0, 4, size=400).astype(np.uint8)
         for call in (
             lambda: sdtw_cost(query, reference, kernel="scalar"),
-            lambda: subsequence_dtw(query, reference, kernel="scalar"),
-            lambda: SignalPrefilter(pore, [reference], kernel="scalar"),
-            lambda: SignalPrefilter.from_reference_segments(pore, codes, [0], kernel="scalar"),
+            lambda: SignalRejectionPolicy([reference], kernel="scalar"),
             lambda: SignalRejectionPolicy.from_reference(pore, codes, kernel="scalar"),
         ):
             with pytest.raises(TypeError, match="kernel"):
                 call()
-        assert not hasattr(SignalPrefilter, "kernel")
+        assert not hasattr(SignalRejectionPolicy, "kernel")
 
     def test_signal_filter_entry_point_matches_kernels(self):
-        """The public subsequence_dtw wrapper runs the production kernel."""
+        """The SER screen's cost is the production kernel's on the
+        pair-averaged prefix: each query value is stored twice, so the
+        pair means give the query back exactly."""
         rng = np.random.default_rng(14)
-        query, reference = rng.normal(size=80), rng.normal(size=600)
-        assert subsequence_dtw(query, reference, band=25) == (
-            sdtw_cost_scalar(query, reference, band=25)
+        query = rng.normal(90.0, 10.0, size=80).astype(np.float32)
+        reference = rng.normal(size=600)
+        read = SignalRead(
+            "q", RawSignal(samples=np.repeat(query, 2), base_starts=np.arange(0, 160, 2))
+        )
+        policy = SignalRejectionPolicy([reference], prefix_bases=80)
+        assert policy.decide(read).best_cost == sdtw_cost_scalar(
+            query.astype(np.float64), reference
         )
 
     @given(

@@ -5,7 +5,7 @@ import pytest
 
 from repro.genomics.alphabet import encode
 from repro.nanopore.pore_model import PoreModel
-from repro.nanopore.signal import SignalConfig, normalize_signal, synthesize_signal
+from repro.nanopore.signal import RawSignal, SignalConfig, normalize_signal, synthesize_signal
 
 
 class TestPoreModel:
@@ -109,6 +109,25 @@ class TestSignalSynthesis:
         signal = synthesize_signal(codes, pore_model, SignalConfig(), np.random.default_rng(8))
         tail = signal.slice_bases(signal.n_bases - 5, signal.n_bases)
         assert tail.size > 0
+
+    @pytest.mark.parametrize(
+        "starts",
+        [[0, 50, 500, 20], [0, 50, 20], [0, 101], [-1, 10]],
+        ids=["past-and-decreasing", "decreasing", "past-the-samples", "negative"],
+    )
+    def test_base_starts_must_stay_ordered_inside_the_samples(self, starts):
+        """A track like [0, 50, 500, 20] over 100 samples used to cut
+        overlapping, empty and out-of-range per-base slices."""
+        samples = np.zeros(100, dtype=np.float32)
+        with pytest.raises(ValueError, match="non-decreasing within \\[0, 100\\]"):
+            RawSignal(samples=samples, base_starts=np.asarray(starts))
+
+    def test_base_starts_may_repeat_and_end_at_the_sample_count(self):
+        signal = RawSignal(
+            samples=np.zeros(100, dtype=np.float32), base_starts=np.asarray([0, 0, 40, 100])
+        )
+        assert signal.slice_bases(0, 1).size == 0
+        assert signal.slice_bases(3, 4).size == 0
 
     def test_slice_bases_bounds(self, pore_model):
         codes = encode("ACGTACGTACGT")

@@ -1,16 +1,15 @@
-"""Tests for the basecalling-free signal pre-filter (sDTW)."""
+"""Tests for basecalling-free signal screening: the sDTW kernel and the
+SER policy that screens a read's current prefix with it."""
 
 import numpy as np
 import pytest
 
 from repro.genomics.reference import ReferenceGenome
+from repro.kernels.sdtw import sdtw_cost, znormalise
 from repro.nanopore.pore_model import PoreModel
-from repro.nanopore.signal import SignalConfig, synthesize_signal
-from repro.nanopore.signal_filter import (
-    SignalPrefilter,
-    subsequence_dtw,
-    znormalise,
-)
+from repro.nanopore.signal import RawSignal, SignalConfig, synthesize_signal
+from repro.nanopore.signal_read import SignalRead
+from repro.signal.rejection import SignalRejectionPolicy
 
 
 @pytest.fixture(scope="module")
@@ -47,35 +46,35 @@ class TestSubsequenceDTW:
         rng = np.random.default_rng(0)
         reference = rng.normal(size=400)
         query = reference[100:200]
-        assert subsequence_dtw(query, reference) < 0.01
+        assert sdtw_cost(query, reference) < 0.01
 
     def test_mismatched_query_costs_more(self):
         rng = np.random.default_rng(0)
         reference = rng.normal(size=300)
         matched = reference[30:130]
         junk = rng.normal(size=100)
-        assert subsequence_dtw(junk, reference) > 3 * subsequence_dtw(matched, reference)
+        assert sdtw_cost(junk, reference) > 3 * sdtw_cost(matched, reference)
 
     def test_warping_tolerated(self):
         # Stretch the query 2x: DTW should still find a cheap match.
         rng = np.random.default_rng(1)
         reference = rng.normal(size=300)
         stretched = np.repeat(reference[40:120], 2)
-        assert subsequence_dtw(stretched, reference) < 0.05
+        assert sdtw_cost(stretched, reference) < 0.05
 
     def test_empty_query(self):
-        assert subsequence_dtw(np.empty(0), np.ones(10)) == 0.0
+        assert sdtw_cost(np.empty(0), np.ones(10)) == 0.0
 
     def test_empty_reference(self):
-        assert subsequence_dtw(np.ones(5), np.empty(0)) == float("inf")
+        assert sdtw_cost(np.ones(5), np.empty(0)) == float("inf")
 
     def test_band_is_a_restriction(self):
         # Banding only removes paths, so cost can never decrease.
         rng = np.random.default_rng(2)
         reference = rng.normal(size=200)
         query = reference[50:120]
-        unbanded = subsequence_dtw(query, reference)
-        banded = subsequence_dtw(query, reference, band=20)
+        unbanded = sdtw_cost(query, reference)
+        banded = sdtw_cost(query, reference, band=20)
         assert banded >= unbanded - 1e-12
 
     def test_perfect_match_zero_cost(self):
@@ -84,10 +83,10 @@ class TestSubsequenceDTW:
         # subsequence cost is exactly zero.
         rng = np.random.default_rng(7)
         reference = rng.normal(size=150)
-        assert subsequence_dtw(reference, reference) == 0.0
+        assert sdtw_cost(reference, reference) == 0.0
         # Same holds under any affine distortion of the query
         # (z-normalisation cancels gain and offset).
-        assert subsequence_dtw(3.5 * reference - 11.0, reference) == pytest.approx(0.0, abs=1e-24)
+        assert sdtw_cost(3.5 * reference - 11.0, reference) == pytest.approx(0.0, abs=1e-24)
 
     def test_band_width_monotonicity(self):
         # Widening the band only adds admissible paths, so the cost is
@@ -96,10 +95,10 @@ class TestSubsequenceDTW:
         rng = np.random.default_rng(8)
         reference = rng.normal(size=200)
         query = np.repeat(reference, 2)[50:350]  # warped, full-span-ish
-        costs = [subsequence_dtw(query, reference, band=b) for b in (2, 5, 10, 25, 60)]
+        costs = [sdtw_cost(query, reference, band=b) for b in (2, 5, 10, 25, 60)]
         for narrow, wide in zip(costs, costs[1:], strict=False):
             assert wide <= narrow + 1e-12
-        assert subsequence_dtw(query, reference) <= costs[-1] + 1e-12
+        assert sdtw_cost(query, reference) <= costs[-1] + 1e-12
 
     def test_query_longer_than_reference(self):
         # A query longer than the reference is legal (DTW may dwell on
@@ -110,8 +109,8 @@ class TestSubsequenceDTW:
         reference = rng.normal(size=120)
         stretched = np.repeat(reference, 2)
         junk = rng.normal(size=stretched.size)
-        matched = subsequence_dtw(stretched, reference)
-        mismatched = subsequence_dtw(junk, reference)
+        matched = sdtw_cost(stretched, reference)
+        mismatched = sdtw_cost(junk, reference)
         assert np.isfinite(matched) and np.isfinite(mismatched)
         assert matched < 0.05
         assert mismatched > 3 * matched
@@ -119,64 +118,67 @@ class TestSubsequenceDTW:
     def test_cost_normalised_by_length(self):
         rng = np.random.default_rng(3)
         reference = rng.normal(size=300)
-        short = subsequence_dtw(rng.normal(size=40), reference)
-        long = subsequence_dtw(rng.normal(size=120), reference)
+        short = sdtw_cost(rng.normal(size=40), reference)
+        long = sdtw_cost(rng.normal(size=120), reference)
         # Per-sample normalisation keeps costs on one scale.
         assert 0.05 < short < 10.0
         assert 0.05 < long < 10.0
 
 
 class TestSignalPrefilter:
+    """The screen as :class:`SignalRejectionPolicy` runs it (the class
+    keeps its name so the test ids stay stable)."""
+
     @pytest.fixture(scope="class")
     def setup(self, pore, reference):
         # Templates covering three known segments.
         starts = [5_000, 20_000, 40_000]
-        prefilter = SignalPrefilter.from_reference_segments(
-            pore, reference.codes, starts, segment_bases=250
+        policy = SignalRejectionPolicy.from_reference(
+            pore, reference.codes, segment_starts=starts, segment_bases=250, prefix_bases=150
         )
         config = SignalConfig(dwell_mean=4.0, dwell_min=2, noise_std=1.5)
-        return prefilter, config, starts
+        return policy, config, starts
 
     def test_template_count(self, setup, pore, reference):
-        prefilter, _, starts = setup
-        assert prefilter.n_templates == len(starts)
+        policy, _, starts = setup
+        assert policy.n_templates == len(starts)
 
     def test_genomic_prefix_accepted(self, setup, pore, reference):
-        prefilter, config, starts = setup
+        policy, config, starts = setup
         signal = synthesize_signal(
             reference.fetch(starts[1], starts[1] + 400), pore, config, np.random.default_rng(2)
         )
-        decision = prefilter.classify_signal(signal, prefix_bases=150)
-        assert decision.accept
+        decision = policy.decide(SignalRead("genomic", signal))
+        assert not decision.reject
         assert decision.best_cost < decision.threshold
 
     def test_junk_prefix_rejected(self, setup, pore):
-        prefilter, config, _ = setup
+        policy, config, _ = setup
         junk_codes = np.random.default_rng(3).integers(0, 4, 400).astype(np.uint8)
         signal = synthesize_signal(junk_codes, pore, config, np.random.default_rng(4))
-        decision = prefilter.classify_signal(signal, prefix_bases=150)
-        assert not decision.accept
+        assert policy.decide(SignalRead("junk", signal)).reject
 
-    def test_junk_rejection_rate(self, setup, pore):
+    def test_junk_rejection_rate(self, setup, pore, reference):
         """Most random-signal reads are rejected without basecalling."""
-        prefilter, config, _ = setup
+        _, config, starts = setup
+        policy = SignalRejectionPolicy.from_reference(
+            pore, reference.codes, segment_starts=starts, prefix_bases=120
+        )
         rejected = 0
         for seed in range(10):
             junk = np.random.default_rng(100 + seed).integers(0, 4, 350).astype(np.uint8)
             signal = synthesize_signal(junk, pore, config, np.random.default_rng(200 + seed))
-            if not prefilter.classify_signal(signal, prefix_bases=120).accept:
+            if policy.decide(SignalRead(f"junk-{seed}", signal)).reject:
                 rejected += 1
         assert rejected >= 8
 
     def test_empty_signal_rejected(self, setup):
-        prefilter, _, _ = setup
-        from repro.nanopore.signal import RawSignal
-
+        policy, _, _ = setup
         empty = RawSignal(samples=np.empty(0, np.float32), base_starts=np.empty(0, np.int64))
-        assert not prefilter.classify_signal(empty).accept
+        assert policy.decide(SignalRead("empty", empty)).reject
 
-    def test_validation(self, pore):
+    def test_validation(self):
         with pytest.raises(ValueError):
-            SignalPrefilter(pore, templates=[])
+            SignalRejectionPolicy(templates=[])
         with pytest.raises(ValueError):
-            SignalPrefilter(pore, templates=[np.ones(10)], threshold=0.0)
+            SignalRejectionPolicy(templates=[np.ones(10)], threshold=0.0)

@@ -42,7 +42,6 @@ from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.nanopore import (
     PoreModel,
     SignalConfig,
-    SignalPrefilter,
     SignalRead,
     synthesize_signal,
 )
@@ -270,9 +269,7 @@ class TestSERTracing:
             small_profile(ECOLI_LIKE, max_read_length=1_200), scale=0.0001, seed=21
         )
         templates = [pore.expected_levels(dataset.reference.codes[:250])]
-        policy = SignalRejectionPolicy(
-            SignalPrefilter(pore, templates), prefix_bases=100
-        )
+        policy = SignalRejectionPolicy(templates, prefix_bases=100)
         return (
             GenPIP.build()
             .index(MinimizerIndex.build(dataset.reference))

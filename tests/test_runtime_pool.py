@@ -572,6 +572,53 @@ def test_engine_plane_has_one_of_each():
     assert batch_body_calls == ["self.process_read"]
 
 
+def test_signal_plane_says_each_thing_once():
+    """Raw current is read one way and screened one way: nothing under
+    ``src/repro`` names the prefilter layer under SER, the signal-provider
+    chain, carried normalisation, container calibration or the signal
+    read's own chunk grid, and the Viterbi engine is built from its
+    config alone. (``signal_filter`` stays legal: the perf model's
+    breakdown key for the SER screen is spelled that way.)"""
+    root = Path(repro.__file__).parent
+    nodes = list(_walk_with_owner(root))
+
+    gone = re.compile(
+        r"SignalPrefilter|PrefilterDecision|subsequence_dtw|SignalProvider"
+        r"|normalize_carried|_normalized_cache|SignalCalibration|ContainerStats"
+        r"|IDENTITY_CALIBRATION|container_calibration|calibrate_to_pore_model|pore_model_stats"
+        r"|chunk_samples|classify_signal|classify_prefix"
+    )
+    assert _mentions(nodes, gone) == set()
+    assert not (root / "nanopore" / "signal_filter.py").exists()
+    assert not (root / "signal" / "calibration.py").exists()
+
+    (engine_class,) = [
+        node
+        for module, _, node in nodes
+        if module == "basecalling/engines.py"
+        and isinstance(node, ast.ClassDef)
+        and node.name == "ViterbiChunkBasecaller"
+    ]
+    (engine_init,) = [
+        node
+        for node in engine_class.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    ]
+    arguments = engine_init.args
+    assert [a.arg for a in (*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs)] == [
+        "self",
+        "config",
+    ]
+    assert arguments.vararg is None and arguments.kwarg is None
+
+    signal_read_methods = {
+        node.name
+        for module, _, node in nodes
+        if module == "nanopore/signal_read.py" and isinstance(node, ast.FunctionDef)
+    }
+    assert signal_read_methods.isdisjoint({"chunk_bounds", "n_chunks", "normalized"})
+
+
 def test_run_plane_says_each_thing_once():
     """A run is described once: the pipeline is its own record and is
     what travels, a stream is cut into units one way, and the entry

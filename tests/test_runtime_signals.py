@@ -1,8 +1,8 @@
 """Tests for the signal-native dataflow: raw current from container to mapper.
 
 Covers the :class:`~repro.nanopore.signal_read.SignalRead` contract
-(chunk grid, per-chunk views, normalisation, container round-trips),
-the provider split in :mod:`repro.basecalling.engines`
+(the engine's chunk grid and per-chunk views over it, container
+round-trips), the engine's one signal reader
 (synthesis-vs-carried byte-identity for the signal-space backend),
 the signal-source x sink x transport runtime grid against the serial
 in-memory baseline, shared-memory publication of signal payloads and
@@ -22,18 +22,17 @@ import numpy as np
 import pytest
 
 from repro.basecalling import (
-    CarriedSignalProvider,
-    SignalProvider,
     SurrogateBasecaller,
-    SynthesisSignalProvider,
     ViterbiBackendConfig,
     ViterbiChunkBasecaller,
     chunk_bounds,
+    chunk_span,
 )
 from repro.core import GenPIP, GenPIPConfig
 from repro.mapping.index import MinimizerIndex
-from repro.nanopore import SignalRead
+from repro.nanopore import RawSignal, SignalRead
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
+from repro.nanopore.signal import normalize_signal
 from repro.nanopore.signal_store import (
     iter_signals,
     quantisation_step,
@@ -115,24 +114,26 @@ def serial_signal_report(viterbi_system, signal_store_path):
 
 class TestSignalReadContract:
     def test_grid_and_views(self, viterbi_backend, short_reads):
+        """The engine cuts a signal read on the shared grid: its chunks'
+        sample views tile the signal, and are views, not copies."""
         signal = viterbi_backend.synthesize_signal(short_reads[0])
         read = SignalRead(read_id="s0", signal=signal)
         assert len(read) == signal.n_bases
-        assert read.n_chunks(300) == len(chunk_bounds(len(read), 300))
-        assert read.chunk_bounds(300) == chunk_bounds(len(read), 300)
-        stitched = np.concatenate(
-            [read.chunk_samples(i, 300) for i in range(read.n_chunks(300))]
-        )
-        np.testing.assert_array_equal(stitched, signal.samples)
-        # Views, not copies.
-        assert read.chunk_samples(0, 300).base is not None
+        n_chunks = viterbi_backend.n_chunks(read, 300)
+        assert n_chunks == len(chunk_bounds(len(read), 300))
+        views = [
+            viterbi_backend.read_signal(read).clamped_slice(*chunk_span(len(read), 300, i))
+            for i in range(n_chunks)
+        ]
+        np.testing.assert_array_equal(np.concatenate(views), signal.samples)
+        assert views[0].base is not None
 
     def test_chunk_index_bounds(self, viterbi_backend, short_reads):
         read = SignalRead(
             read_id="s0", signal=viterbi_backend.synthesize_signal(short_reads[0])
         )
         with pytest.raises(ValueError, match="out of range"):
-            read.chunk_samples(read.n_chunks(300), 300)
+            viterbi_backend.basecall_chunk(read, viterbi_backend.n_chunks(read, 300), 300)
 
     def test_declared_bases_extends_grid(self, viterbi_backend, short_reads):
         base_read = short_reads[0]
@@ -141,10 +142,10 @@ class TestSignalReadContract:
             read_id="s0", signal=signal, declared_bases=len(base_read)
         )
         assert len(read) == len(base_read) > signal.n_bases
-        # The trailing declared-but-unmodelled bases decode as an empty
-        # (clamped) slice, never an error.
-        last = read.n_chunks(300) - 1
-        assert read.chunk_samples(last, 300).size >= 0
+        # The trailing declared-but-unmodelled bases decode from a
+        # clamped slice, never an error.
+        last = viterbi_backend.n_chunks(read, 300) - 1
+        assert viterbi_backend.basecall_chunk(read, last, 300).n_true_bases > 0
         with pytest.raises(ValueError, match="declared_bases"):
             SignalRead(read_id="bad", signal=signal, declared_bases=signal.n_bases - 1)
 
@@ -165,10 +166,18 @@ class TestSignalReadContract:
             )
 
     def test_normalized(self, viterbi_backend, short_reads):
+        """Median/MAD normalisation is a transform of the samples: a read
+        built from it keeps the grid (the decoders themselves read pA)."""
         read = SignalRead(
             read_id="s0", signal=viterbi_backend.synthesize_signal(short_reads[0])
         )
-        normalized = read.normalized()
+        normalized = SignalRead(
+            read_id=read.read_id,
+            signal=RawSignal(
+                samples=normalize_signal(read.signal.samples),
+                base_starts=read.signal.base_starts,
+            ),
+        )
         assert abs(float(np.median(normalized.signal.samples))) < 1e-6
         assert len(normalized) == len(read)
         np.testing.assert_array_equal(
@@ -192,15 +201,25 @@ class TestSignalReadContract:
 
 
 class TestProviders:
-    def test_provider_chain_order(self, viterbi_backend):
-        providers = viterbi_backend.providers
-        assert isinstance(providers[0], CarriedSignalProvider)
-        assert isinstance(providers[1], SynthesisSignalProvider)
-        assert all(isinstance(p, SignalProvider) for p in providers)
+    def test_provider_chain_order(self, viterbi_backend, short_reads):
+        """Carried samples for a signal read, synthesis for a simulated one."""
+        simulated = short_reads[0]
+        carried = SignalRead(read_id="s0", signal=viterbi_backend.synthesize_signal(simulated))
+        assert viterbi_backend.read_signal(carried) is carried.signal
+        assert viterbi_backend.read_signal(simulated) is viterbi_backend.synthesize_signal(
+            simulated
+        )
 
     def test_unsupported_read_kind_rejected(self, viterbi_backend):
-        with pytest.raises(TypeError, match="no signal provider"):
+        with pytest.raises(TypeError, match="object carries no signal"):
             viterbi_backend.read_signal(object())
+
+    @pytest.mark.parametrize("noise", [np.nan, np.inf])
+    def test_non_finite_quality_noise_refused(self, noise):
+        """Used to be accepted and fail at the first synthesized chunk,
+        inside a worker, as a non-finite sample."""
+        with pytest.raises(ValueError, match="quality_noise must be finite"):
+            ViterbiBackendConfig(pore_k=3, quality_noise=noise)
 
     @pytest.mark.parametrize("backend_cls,config", [
         (ViterbiChunkBasecaller, FAST_VITERBI),
@@ -242,39 +261,6 @@ class TestProviders:
         second = backend.basecall_read(stored, 300)
         assert first.bases == second.bases
         np.testing.assert_array_equal(first.qualities, second.qualities)
-
-    def test_normalize_carried_config_reaches_decoder(self, viterbi_backend, short_reads):
-        """normalize_carried=True normalises carried signal (once per
-        read, cached) without touching the synthesis path."""
-        backend = ViterbiChunkBasecaller(
-            ViterbiBackendConfig(pore_k=3, normalize_carried=True)
-        )
-        read = SignalRead(
-            read_id="s0", signal=viterbi_backend.synthesize_signal(short_reads[0])
-        )
-        normalized = backend.read_signal(read)
-        assert abs(float(np.median(normalized.samples))) < 1e-6
-        assert backend.read_signal(read) is normalized  # cached, not recomputed
-        # Synthesis fallback is unaffected by the carried-normalisation knob.
-        synthesized = backend.read_signal(short_reads[0])
-        np.testing.assert_array_equal(
-            synthesized.samples, viterbi_backend.synthesize_signal(short_reads[0]).samples
-        )
-        # A different read reusing the same id (containers restart their
-        # numbering) must not be served the cached normalisation.
-        from repro.nanopore import RawSignal
-
-        other = SignalRead(
-            read_id="s0",
-            signal=RawSignal(
-                samples=read.signal.samples + np.float32(100.0),
-                base_starts=read.signal.base_starts,
-            ),
-        )
-        np.testing.assert_allclose(
-            backend.read_signal(other).samples, normalized.samples, atol=1e-5
-        )
-        assert backend.read_signal(other) is not normalized
 
     def test_surrogate_rejects_signal_reads(self, tiny_index, viterbi_backend, short_reads):
         system = GenPIP(tiny_index, GenPIPConfig(), basecaller=SurrogateBasecaller())

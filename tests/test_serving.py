@@ -880,6 +880,24 @@ def test_non_finite_signal_read_is_refused_before_dispatch(tiny_dataset, workers
     assert bad.read_id in message and "non-finite" in message
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_base_starts_past_the_samples_are_refused_before_dispatch(tiny_dataset, workers):
+    """A frame whose base-start track decreases and points past the
+    samples gets one ``error`` frame naming the read, not a verdict
+    decoded from overlapping and out-of-range per-base slices."""
+    backend = ViterbiChunkBasecaller(ViterbiBackendConfig(pore_k=3))
+    system = GenPIP(
+        MinimizerIndex.build(tiny_dataset.reference), GenPIPConfig(), basecaller=backend, align=False
+    )
+    good, bad = (
+        SignalRead(read_id=read.read_id, signal=backend.synthesize_signal(read))
+        for read in sorted(tiny_dataset.reads, key=len)[:2]
+    )
+    bad.signal.base_starts[2] = bad.n_samples + 400  # after the signal's own check
+    message = _refused_session(system, [good, bad], workers, failing_seq=1)
+    assert bad.read_id in message and "non-decreasing" in message
+
+
 def test_dispatcher_start_is_single_shot(tiny_system):
     dispatcher = PoolDispatcher(tiny_system.pipeline, workers=1)
     with dispatcher, pytest.raises(RuntimeError, match="already started"):

@@ -4,8 +4,8 @@ Covers event segmentation (exact step recovery, tolerance against the
 simulator's declared grid, grid synthesis for grid-less reads), the
 signal-domain early-rejection stage (policy behaviour, pipeline control
 flow, builder/spec/transport plumbing, serial == pooled equivalence,
-JSONL round-trip), per-container calibration (non-pA containers decode
-like pA ones), the perf-model cost hook, and the ``--signal-er`` /
+JSONL round-trip), carried pA current reaching the decoder as stored,
+the perf-model cost hook, and the ``--signal-er`` /
 ``--segmentation`` CLI surface.
 """
 
@@ -18,14 +18,12 @@ import numpy as np
 import pytest
 
 from repro.basecalling import ViterbiBackendConfig, ViterbiChunkBasecaller
-from repro.basecalling.engines import CarriedSignalProvider
 from repro.core import GenPIP, GenPIPConfig, ReadStatus, SignalRejectionPolicyProtocol
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore import (
     PoreModel,
     RawSignal,
     SignalConfig,
-    SignalPrefilter,
     SignalRead,
     iter_signals,
     strip_base_starts,
@@ -45,12 +43,8 @@ from repro.runtime import (
 )
 from repro.runtime.cli import main as cli_main
 from repro.signal import (
-    ContainerStats,
     SegmentationConfig,
-    SignalCalibration,
     SignalRejectionPolicy,
-    calibrate_to_pore_model,
-    container_calibration,
     detect_events,
     jump_scores,
     segment_read,
@@ -108,9 +102,7 @@ def covering_policy(pore, genomic_reads):
     screen.
     """
     templates = [pore.expected_levels(read.true_codes[:250]) for read in genomic_reads]
-    return SignalRejectionPolicy(
-        SignalPrefilter(pore, templates), prefix_bases=100
-    )
+    return SignalRejectionPolicy(templates, prefix_bases=100)
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +192,7 @@ class TestSegmentation:
         assert len(bare) == 0  # no grid: unusable as-is
         segmented = segment_read(bare)
         assert len(segmented) > 0
-        assert segmented.n_chunks(300) >= 1
+        assert backend.n_chunks(segmented, 300) >= 1
         # Event starts are a valid base_starts track: strictly
         # increasing from zero, within the sample range.
         starts = segmented.signal.base_starts
@@ -245,13 +237,21 @@ class TestSignalRejectionPolicy:
         policy = SignalRejectionPolicy.from_reference(
             pore, tiny_dataset.reference.codes, n_templates=5
         )
-        assert policy.prefilter.n_templates == 5
+        assert policy.n_templates == 5
         with pytest.raises(ValueError):
             SignalRejectionPolicy.from_reference(
                 pore, tiny_dataset.reference.codes, n_templates=0
             )
         with pytest.raises(ValueError):
-            SignalRejectionPolicy(policy.prefilter, prefix_bases=0)
+            SignalRejectionPolicy([np.ones(10)], prefix_bases=0)
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf])
+    def test_non_finite_threshold_refused(self, threshold):
+        """A NaN threshold used to reject every read after scanning
+        every template (no cost compares below NaN); an infinite one
+        accepts every read."""
+        with pytest.raises(ValueError, match="finite and positive"):
+            SignalRejectionPolicy([np.ones(10)], threshold=threshold)
 
     def test_empty_signal_rejected(self, covering_policy):
         empty = SignalRead(
@@ -511,103 +511,18 @@ class TestPerfHook:
         assert "signal_filter" not in evaluate_system("GenPIP", workload).breakdown
 
 
-# --- calibration ------------------------------------------------------------
+# --- carried current --------------------------------------------------------
 
 
 class TestCalibration:
-    @pytest.fixture(scope="class")
-    def pa_records(self, backend, genomic_reads):
-        return [
-            SignalRead(
-                read_id=read.read_id, signal=backend.synthesize_signal(read)
-            ).to_record()
-            for read in genomic_reads
-        ]
+    """Containers hold picoampere samples, the pore model's units, so
+    carried current reaches the decoder exactly as stored."""
 
-    @pytest.fixture(scope="class")
-    def dac_store(self, pa_records, tmp_path_factory):
-        """The same signals written in fake DAC units (affine-distorted)."""
-        path = tmp_path_factory.mktemp("calibration") / "dac.rsig"
-        from repro.nanopore import SignalRecord
-
-        distorted = [
-            SignalRecord(
-                read_id=record.read_id,
-                signal=RawSignal(
-                    samples=record.signal.samples * 12.5 + 730.0,
-                    base_starts=record.signal.base_starts,
-                ),
-            )
-            for record in pa_records
-        ]
-        write_signals(path, distorted)
-        return path
-
-    def test_container_stats(self, pa_records):
-        stats = ContainerStats.from_records(pa_records)
-        assert stats.n_records == len(pa_records)
-        assert stats.n_samples == sum(len(r.signal.samples) for r in pa_records)
-        assert 60 < stats.median < 140  # picoampere-scale
-        assert stats.mad > 0
-
-    def test_calibration_recovers_pa_scale(self, dac_store, pa_records, pore):
-        calibration = container_calibration(dac_store, pore)
-        restored = [
-            calibration.apply(record.signal.samples)
-            for record in iter_signals(dac_store)
-        ]
-        for recovered, original in zip(restored, pa_records, strict=True):
-            # Robust stats differ slightly between the container and the
-            # pore model, so the map is accurate to a few percent in
-            # gain -- tight enough to land inside the decoder's noise
-            # tolerance, which the decode-equality test below verifies.
-            np.testing.assert_allclose(
-                recovered, original.signal.samples, rtol=0.12, atol=8.0
-            )
-
-    def test_calibrated_container_decodes_like_the_pa_one(
-        self, dac_store, pa_records, pore
-    ):
-        calibration = container_calibration(dac_store, pore)
-        calibrated_backend = ViterbiChunkBasecaller(
-            FAST_VITERBI, providers=(CarriedSignalProvider(calibration=calibration),)
-        )
-        plain_backend = ViterbiChunkBasecaller(FAST_VITERBI)
-        pa_read = SignalRead.from_record(pa_records[0])
-        dac_read = SignalRead.from_record(next(iter_signals(dac_store)))
-        via_pa = plain_backend.basecall_read(pa_read, 300)
-        via_dac = calibrated_backend.basecall_read(dac_read, 300)
-        # Uncalibrated DAC units decode to garbage; calibrated ones
-        # reproduce the pA decode nearly base-for-base.
-        raw_dac = plain_backend.basecall_read(dac_read, 300)
-        import difflib
-
-        calibrated_identity = difflib.SequenceMatcher(
-            None, via_pa.bases, via_dac.bases, autojunk=False
-        ).ratio()
-        raw_identity = difflib.SequenceMatcher(
-            None, via_pa.bases, raw_dac.bases, autojunk=False
-        ).ratio()
-        assert calibrated_identity > 0.95
-        assert calibrated_identity > raw_identity + 0.2
-
-    def test_calibration_validation(self, pore):
-        with pytest.raises(ValueError):
-            SignalCalibration(gain=0.0, offset=1.0)
-        with pytest.raises(ValueError):
-            calibrate_to_pore_model(
-                ContainerStats(n_records=0, n_samples=0, median=0.0, mad=0.0), pore
-            )
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            CarriedSignalProvider(
-                normalize=True, calibration=SignalCalibration(gain=1.0, offset=0.0)
-            )
-
-    def test_identity_calibration_is_a_no_op(self, pa_records):
-        from repro.signal import IDENTITY_CALIBRATION
-
-        samples = pa_records[0].signal.samples
-        np.testing.assert_array_equal(IDENTITY_CALIBRATION.apply(samples), samples)
+    def test_identity_calibration_is_a_no_op(self, backend, genomic_reads, tmp_path):
+        path = tmp_path / "pa.rsig"
+        write_signals(path, backend.signal_records(genomic_reads[:1]))
+        read = SignalRead.from_record(next(iter_signals(path)))
+        assert backend.read_signal(read) is read.signal
 
 
 # --- CLI --------------------------------------------------------------------
