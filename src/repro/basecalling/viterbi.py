@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.basecalling.types import BasecalledChunk, BasecalledRead
+from repro.basecalling.types import BasecalledRead
 from repro.kernels.viterbi import move_predecessors, viterbi_forward, viterbi_traceback
 from repro.nanopore.pore_model import PoreModel
 from repro.nanopore.signal import RawSignal
@@ -178,34 +178,6 @@ class ViterbiBasecaller:
     def basecall_signal(self, signal: RawSignal, read_id: str = "viterbi-read") -> BasecalledRead:
         """Convenience wrapper over :meth:`basecall` for RawSignal."""
         return self.basecall(signal.samples, read_id=read_id)
-
-    def basecall_signal_chunks(
-        self, signal: RawSignal, chunk_size: int, read_id: str = "viterbi-read"
-    ) -> list[BasecalledChunk]:
-        """Basecall a signal chunk by chunk (~``chunk_size`` bases each).
-
-        Chunks are cut on the signal generator's base boundaries, exactly
-        as GenPIP's controller feeds signal chunks to the PIM basecaller.
-        Each chunk is decoded independently, so k-mer context is lost at
-        boundaries (a few bases of edge noise per chunk) -- the same
-        trade-off real chunked basecallers make.
-        """
-        n_bases = signal.n_bases
-        chunks: list[BasecalledChunk] = []
-        starts = list(range(0, max(n_bases, 1), chunk_size))
-        for index, start in enumerate(starts):
-            end = min(start + chunk_size, n_bases)
-            piece = signal.slice_bases(start, end) if n_bases else signal.samples
-            called = self.basecall(piece, read_id=read_id)
-            chunks.append(
-                BasecalledChunk(
-                    chunk_index=index,
-                    codes=called.codes,
-                    qualities=called.qualities,
-                    n_true_bases=end - start,
-                )
-            )
-        return chunks
 
     def _base_qualities(
         self,

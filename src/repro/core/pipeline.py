@@ -48,7 +48,7 @@ from repro.mapping.index import MinimizerIndex
 from repro.mapping.mapper import IncrementalChunkMapper, MapperConfig, MappingResult
 from repro.nanopore.read_simulator import SimulatedRead
 from repro.nanopore.signal_read import SignalRead
-from repro.obs.trace import Tracer, active_tracer, use_tracer
+from repro.obs.trace import active_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (keeps repro.signal lazy)
     from repro.signal.rejection import SERDecision
@@ -143,10 +143,6 @@ class GenPIPPipeline:
     #: SER has no reference-free default: None simply disables the
     #: pre-basecalling stage (the PR-4-and-earlier control flow).
     ser_policy: SignalRejectionPolicyProtocol | None = None
-    #: Span tracer: an explicit instance pins the clock (tests); None
-    #: defers to the process tracer per read, so enabling tracing after
-    #: construction (CLI, worker init) still takes.
-    tracer: Tracer | None = None
 
     def __post_init__(self) -> None:
         self.basecaller = self.basecaller or SurrogateBasecaller()
@@ -192,11 +188,6 @@ class GenPIPPipeline:
                 "reads; use a signal-space backend ('viterbi') for raw-current "
                 "inputs"
             )
-        if self.tracer is not None:
-            # Scope the injected tracer (pinned clock) process-wide so
-            # the mapper's seed/chain/align sites record into it too.
-            with use_tracer(self.tracer) as tracer, tracer.read(read.read_id):
-                return self._process_read(read, tracer)
         tracer = active_tracer()
         with tracer.read(read.read_id):
             return self._process_read(read, tracer)

@@ -23,8 +23,10 @@ byte-identical results to the conventional pipeline).
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -87,10 +89,16 @@ class QualityProcessConfig:
     ceiling: float = 30.0
 
     def __post_init__(self) -> None:
+        if not 0.0 < self.correlation_length < math.inf:
+            raise ValueError("correlation_length must be finite and positive")
+        if not (0.0 <= self.process_std < math.inf and 0.0 <= self.jitter_std < math.inf):
+            raise ValueError("process_std and jitter_std must be finite and non-negative")
         if not 0.0 <= self.burst_coverage < 0.5:
             raise ValueError("burst_coverage must be in [0, 0.5)")
         if self.burst_length < 1:
             raise ValueError("burst_length must be positive")
+        if self.floor > self.ceiling:
+            raise ValueError("floor must not exceed ceiling")
 
     def phi(self) -> float:
         """AR(1) coefficient implied by the correlation length."""
@@ -125,8 +133,14 @@ class SimulatorConfig:
     def __post_init__(self) -> None:
         if self.low_quality_fraction + self.junk_fraction >= 1.0:
             raise ValueError("class fractions must sum below 1")
-        if self.median_length <= 0 or self.mean_length <= 0:
-            raise ValueError("length targets must be positive")
+        if not (0.0 < self.median_length < math.inf and 0.0 < self.mean_length < math.inf):
+            raise ValueError("length targets must be finite and positive")
+        # The median is solved as a quantile of the main component, which
+        # needs short reads to be less than half of the mixture.
+        if not 0.0 <= self.short_read_fraction < 0.5:
+            raise ValueError("short_read_fraction must be in [0, 0.5)")
+        if not 0.0 <= self.short_read_mean < math.inf:
+            raise ValueError("short_read_mean must be finite and non-negative")
         if self.min_length < 1 or self.max_length <= self.min_length:
             raise ValueError("invalid length bounds")
 
@@ -183,12 +197,6 @@ class SimulatedRead:
     def mean_true_quality(self) -> float:
         """Average of the underlying quality process over the read."""
         return float(self.qualities.mean())
-
-    def n_chunks(self, chunk_size: int) -> int:
-        """Number of basecalling chunks at the given chunk size."""
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
-        return max(1, -(-len(self) // chunk_size))
 
 
 class ReadSimulator:
@@ -318,15 +326,13 @@ def _solve_length_model(config: SimulatorConfig) -> tuple[float, float]:
     sigma with positive root ``sigma = z_q + sqrt(z_q^2 + 2 L)`` where
     ``L = ln(E[main] / median_target)``.
     """
-    from scipy.stats import norm
-
     c = config
     f = c.short_read_fraction
     short_mean = c.min_length + c.short_read_mean
     main_mean = (c.mean_length - f * short_mean) / (1.0 - f)
     main_mean = max(main_mean, c.median_length * 1.001)
     q = (0.5 - f) / (1.0 - f)
-    z_q = float(norm.ppf(q))
+    z_q = NormalDist().inv_cdf(q)
     ratio = np.log(main_mean / c.median_length)
     disc = z_q * z_q + 2.0 * ratio
     sigma = z_q + np.sqrt(disc) if disc > 0 else 0.05
@@ -336,10 +342,17 @@ def _solve_length_model(config: SimulatorConfig) -> tuple[float, float]:
 
 
 def _ar1_scan(initial: float, phi: float, innovations: np.ndarray) -> np.ndarray:
-    """Exact AR(1) scan ``x_t = phi * x_{t-1} + eps_t`` with ``x_{-1} = initial``."""
-    from scipy.signal import lfilter
+    """Exact AR(1) scan ``x_t = phi * x_{t-1} + eps_t`` with ``x_{-1} = initial``.
 
-    if innovations.size == 0:
-        return innovations.astype(np.float64)
-    out, _ = lfilter([1.0], [1.0, -phi], innovations, zi=[phi * initial])
-    return np.asarray(out, dtype=np.float64)
+    A plain loop on purpose: each step rounds ``phi * x`` and then the
+    sum, the order every committed quality track was generated in. A
+    blocked or closed-form scan (powers of ``phi`` times a cumulative
+    sum) regroups those roundings and moves the last bits of every
+    track, and with them every digest downstream.
+    """
+    out = np.empty(innovations.size, dtype=np.float64)
+    x = float(initial)
+    for t, eps in enumerate(innovations.tolist()):
+        x = phi * x + eps
+        out[t] = x
+    return out

@@ -301,9 +301,10 @@ class _TracerScope:
 def use_tracer(tracer: Tracer) -> _TracerScope:
     """Scope ``tracer`` as the process tracer (explicit-injection path).
 
-    Lets a pipeline built with an explicit tracer (pinned clock) expose
-    it to deeper instrumentation sites (the mapper's seed/chain/align
-    spans) that look the tracer up via :func:`active_tracer`.
+    Every instrumentation site (the pipeline's stage spans, the mapper's
+    seed/chain/align spans) looks the tracer up via
+    :func:`active_tracer`, so a tracer with a pinned clock scoped here
+    records a whole ``process_read`` call.
     """
     return _TracerScope(tracer)
 

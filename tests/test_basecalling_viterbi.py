@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.basecalling import ViterbiBasecaller, ViterbiConfig
+from repro.basecalling import ViterbiBasecaller, ViterbiConfig, chunk_count, chunk_span
 from repro.genomics.alphabet import decode, encode
 from repro.nanopore.pore_model import PoreModel
 from repro.nanopore.signal import SignalConfig, synthesize_signal
@@ -92,14 +92,22 @@ class TestNoiseBehaviour:
             assert abs(len(called.bases) - len(seq)) < 0.2 * len(seq)
 
 
+def _chunk_spans(n_bases: int, chunk_size: int) -> list[tuple[int, int]]:
+    return [chunk_span(n_bases, chunk_size, i) for i in range(chunk_count(n_bases, chunk_size))]
+
+
 class TestChunkedDecoding:
+    """Chunks are cut on the shared grid and decoded independently, as
+    the signal engine decodes a read's chunks."""
+
     def test_chunks_cover_read(self, clean_setup):
         quiet, caller, signal_config = clean_setup
         seq = decode(np.random.default_rng(8).integers(0, 4, 400).astype(np.uint8))
         signal = synthesize_signal(encode(seq), quiet, signal_config, np.random.default_rng(9))
-        chunks = caller.basecall_signal_chunks(signal, chunk_size=150)
-        assert [c.chunk_index for c in chunks] == list(range(len(chunks)))
-        assert sum(c.n_true_bases for c in chunks) == signal.n_bases
+        spans = _chunk_spans(signal.n_bases, 150)
+        assert [start for start, _ in spans] == list(range(0, signal.n_bases, 150))
+        assert sum(end - start for start, end in spans) == signal.n_bases
+        chunks = [caller.basecall(signal.clamped_slice(start, end)) for start, end in spans]
         total = sum(len(c) for c in chunks)
         assert abs(total - len(seq)) < 0.1 * len(seq)
 
@@ -107,9 +115,9 @@ class TestChunkedDecoding:
         quiet, caller, signal_config = clean_setup
         seq = decode(np.random.default_rng(10).integers(0, 4, 300).astype(np.uint8))
         signal = synthesize_signal(encode(seq), quiet, signal_config, np.random.default_rng(11))
-        chunks = caller.basecall_signal_chunks(signal, chunk_size=100)
+        start, end = _chunk_spans(signal.n_bases, 100)[0]
         # First chunk decodes the first ~100 bases nearly exactly.
-        assert _identity(seq[:100], chunks[0].bases) > 0.9
+        assert _identity(seq[:100], caller.basecall(signal.clamped_slice(start, end)).bases) > 0.9
 
 
 class TestConfig:

@@ -4,8 +4,9 @@
 range-checks them once and turns them into a profile and a pipeline
 once; ``repro.serving.cli`` calls it. These tests pin that structure
 (AST-level), the flag sets of the three commands, the args-to-config
-rule against its hand-written form, the uniform error behaviour, and the
-CI serving lane end to end (served == batch bytes, clean signal stop).
+rule against its hand-written form, the uniform error behaviour, the
+CI serving lane end to end (served == batch bytes, clean signal stop),
+and that a run needs no dependency but numpy.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import signal
 import subprocess
 import sys
 import time
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -292,3 +294,49 @@ def test_served_outcomes_equal_batch_and_serve_stops_cleanly(
     while any(Path(f"/proc/{pid}").exists() for pid in children):
         assert time.monotonic() < deadline, "a child process outlived serve"
         time.sleep(0.05)
+
+
+# --- dependencies ------------------------------------------------------------
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """The declared dependencies are numpy alone, and no module under
+    ``src/repro`` imports scipy (its two simulator calls were replaced
+    bit for bit; ``tests/golden_digests.json`` pins the reads)."""
+    pyproject = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert pyproject["project"]["dependencies"] == ["numpy>=1.24"]
+    scipy_imports = set()
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            scipy_imports.update(
+                (path.relative_to(SRC_ROOT).as_posix(), module)
+                for module in modules
+                if module.split(".")[0] == "scipy"
+            )
+    assert scipy_imports == set()
+
+
+def test_cli_run_on_a_simulated_dataset_never_imports_scipy():
+    """Simulate, index, process and report in a fresh interpreter: scipy
+    is never loaded, even where it is installed."""
+    probe = (
+        "import sys\n"
+        "from repro.runtime.cli import main\n"
+        "status = main(sys.argv[1:])\n"
+        "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+        "raise SystemExit(status)\n"
+    )
+    subprocess.run(
+        [
+            sys.executable, "-c", probe, "--profile", "ecoli-like", "--scale", "0.0005",
+            "--seed", "7", "--workers", "1", "--quiet",
+        ],
+        cwd=REPO_ROOT, env=_cli_env(), check=True, timeout=300,
+    )

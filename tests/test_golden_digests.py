@@ -1,7 +1,8 @@
-"""Byte-identity of outcome records against digests committed from PR 13.
+"""Byte-identity of simulated reads and outcome records against committed digests.
 
 ``golden_digests.json`` holds the sha-256 of the ordered
-``outcome_to_record`` stream of five seeded read sets. The first four
+``outcome_to_record`` stream of five seeded read sets, plus one of the
+read simulator's own output. The first four outcome digests
 were taken on the commit *before* seeding moved from one call per chunk
 to one call per early-rejection stage. The per-chunk path is gone, so
 these digests are what pins "every outcome record stays byte-identical"
@@ -11,9 +12,14 @@ scores, another co-optimal CIGAR on tied segments.
 ``ser-signal`` (signal-domain early rejection over carried signal) was
 taken on the commit before the SER screen and the signal reader were
 each collapsed into one class.
+``simulator`` hashes the reads themselves (ids, classes, loci, seeds,
+true bases and float64 quality tracks) of both presets at two seeds.
+It was taken while the simulator still drew its length quantile and
+its AR(1) quality scan from scipy, and pins that the numpy-only
+replacements reproduce every bit.
 
 Records carry floats (qualities, chain scores) whose last bits depend
-on the numeric stack, so the file also records the numpy and scipy
+on the numeric stack, so the file also records the numpy
 ``major.minor`` it was taken with and the test skips on any other.
 Regenerate (after an *intended* outcome change only) with::
 
@@ -28,7 +34,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 import repro.kernels.chain as chain_kernels
 import repro.kernels.viterbi as viterbi_kernels
@@ -37,7 +42,14 @@ from repro.basecalling import ViterbiBackendConfig, ViterbiChunkBasecaller
 from repro.core import GenPIPConfig, GenPIPPipeline
 from repro.mapping import MinimizerIndex
 from repro.nanopore import SignalRead
-from repro.nanopore.datasets import ECOLI_LIKE, HUMAN_LIKE, generate_dataset, small_profile
+from repro.nanopore.datasets import (
+    ECOLI_LIKE,
+    HUMAN_LIKE,
+    generate_dataset,
+    profile_reference,
+    small_profile,
+)
+from repro.nanopore.read_simulator import ReadSimulator
 from repro.runtime.sink import outcome_to_record
 from repro.signal import SignalRejectionPolicy
 
@@ -45,10 +57,15 @@ GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
 
 
 def _stack() -> dict[str, str]:
-    return {
-        name: ".".join(module.__version__.split(".")[:2])
-        for name, module in (("numpy", np), ("scipy", scipy))
-    }
+    return {"numpy": ".".join(np.__version__.split(".")[:2])}
+
+
+def _golden_digests() -> dict:
+    """The committed digests; skips the calling test off their numeric stack."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    if golden["stack"] != _stack():
+        pytest.skip(f"digests taken with {golden['stack']}, running {_stack()}")
+    return golden["digests"]
 
 
 def _digest(pipeline: GenPIPPipeline, reads) -> dict:
@@ -140,23 +157,43 @@ READ_SETS = {
 }
 
 
+def _simulated_reads() -> dict:
+    """The simulator's own bits: 300 reads per preset at seeds 7 and 42,
+    hashed field by field, the float64 quality tracks byte for byte."""
+    sha = hashlib.sha256()
+    classes: dict[str, int] = {}
+    for profile in (ECOLI_LIKE, HUMAN_LIKE):
+        reference = profile_reference(profile)
+        for seed in (7, 42):
+            for read in ReadSimulator(reference, profile.simulator, seed=seed).iter_reads(300):
+                label = read.read_class.value
+                classes[label] = classes.get(label, 0) + 1
+                header = [read.read_id, label, read.strand, read.ref_start, read.seed]
+                sha.update(json.dumps(header).encode())
+                sha.update(read.true_codes.tobytes())
+                sha.update(read.qualities.tobytes())
+    # Like the status counts, the class counts are for a human reader.
+    return {"sha256": sha.hexdigest(), "read_classes": dict(sorted(classes.items()))}
+
+
 @pytest.mark.parametrize("name", sorted(READ_SETS))
 def test_outcome_records_match_parent_digest(name):
-    golden = json.loads(GOLDEN_PATH.read_text())
-    if golden["stack"] != _stack():
-        pytest.skip(f"digests taken with {golden['stack']}, running {_stack()}")
-    assert READ_SETS[name]()["sha256"] == golden["digests"][name]["sha256"]
+    golden = _golden_digests()
+    assert READ_SETS[name]()["sha256"] == golden[name]["sha256"]
+
+
+def test_simulated_reads_match_parent_digest():
+    golden = _golden_digests()
+    assert _simulated_reads()["sha256"] == golden["simulator"]["sha256"]
 
 
 @pytest.mark.parametrize("crossover", [0, 10**9])
 def test_er_align_digest_independent_of_gotoh_crossover(crossover, monkeypatch):
     """Every segment through the row pipeline (0) or through the scalar
     loop (10**9): the crossover is a speed constant, not an output one."""
-    golden = json.loads(GOLDEN_PATH.read_text())
-    if golden["stack"] != _stack():
-        pytest.skip(f"digests taken with {golden['stack']}, running {_stack()}")
+    golden = _golden_digests()
     monkeypatch.setattr(alignment_module, "_ROW_PIPELINE_MIN_CELLS", crossover)
-    assert _er_align()["sha256"] == golden["digests"]["er-align"]["sha256"]
+    assert _er_align()["sha256"] == golden["er-align"]["sha256"]
 
 
 @pytest.mark.parametrize("rounds", [0, 1])
@@ -165,29 +202,31 @@ def test_er_map_digest_independent_of_chain_rounds(rounds, block_rows, monkeypat
     """Every live row through the per-row fallback (0) or one speculate-
     and-verify round first (1), over short or whole-call blocks: the
     chain kernel's round cap and block size are speed constants."""
-    golden = json.loads(GOLDEN_PATH.read_text())
-    if golden["stack"] != _stack():
-        pytest.skip(f"digests taken with {golden['stack']}, running {_stack()}")
+    golden = _golden_digests()
     monkeypatch.setattr(chain_kernels, "_SPEC_ROUNDS", rounds)
     monkeypatch.setattr(chain_kernels, "_BLOCK_ROWS", block_rows)
-    assert _er_map()["sha256"] == golden["digests"]["er-map"]["sha256"]
+    assert _er_map()["sha256"] == golden["er-map"]["sha256"]
 
 
 @pytest.mark.parametrize("block", [1, 10**6])
 def test_viterbi_signal_digest_independent_of_trellis_block(block, monkeypatch):
     """One observation per block (1) or the whole chunk in one (10**6):
     the Viterbi kernel's block size is a speed constant, not an output one."""
-    golden = json.loads(GOLDEN_PATH.read_text())
-    if golden["stack"] != _stack():
-        pytest.skip(f"digests taken with {golden['stack']}, running {_stack()}")
+    golden = _golden_digests()
     monkeypatch.setattr(viterbi_kernels, "_BLOCK", block)
-    assert _viterbi_signal()["sha256"] == golden["digests"]["viterbi-signal"]["sha256"]
+    assert _viterbi_signal()["sha256"] == golden["viterbi-signal"]["sha256"]
 
 
 if __name__ == "__main__":
     print(
         json.dumps(
-            {"stack": _stack(), "digests": {name: fn() for name, fn in READ_SETS.items()}},
+            {
+                "stack": _stack(),
+                "digests": {
+                    **{name: fn() for name, fn in READ_SETS.items()},
+                    "simulator": _simulated_reads(),
+                },
+            },
             indent=2,
         )
     )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.basecalling import chunk_count
 from repro.genomics.alphabet import reverse_complement
 from repro.genomics.reference import ReferenceGenome
 from repro.nanopore.datasets import (
@@ -66,11 +67,12 @@ class TestReadSampling:
         assert read.qualities.max() <= QualityProcessConfig().ceiling
 
     def test_n_chunks(self, simulator):
+        """A read's chunk grid is the shared one over its length."""
         read = simulator.sample_read()
-        assert read.n_chunks(300) == -(-len(read) // 300)
-        assert read.n_chunks(10**9) == 1
+        assert chunk_count(len(read), 300) == -(-len(read) // 300)
+        assert chunk_count(len(read), 10**9) == 1
         with pytest.raises(ValueError):
-            read.n_chunks(0)
+            chunk_count(len(read), 0)
 
     def test_sample_reads_negative(self, simulator):
         with pytest.raises(ValueError):
@@ -110,6 +112,59 @@ class TestQualityProcess:
 
     def test_ar1_config_validation(self):
         assert 0.0 < QualityProcessConfig(correlation_length=100.0).phi() < 1.0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("correlation_length", -50.0),
+            ("correlation_length", 0.0),
+            ("correlation_length", float("nan")),
+            ("correlation_length", float("inf")),
+            ("process_std", -1.0),
+            ("process_std", float("nan")),
+            ("jitter_std", -0.5),
+            ("jitter_std", float("inf")),
+            ("floor", 31.0),
+        ],
+    )
+    def test_invalid_process_rejected_at_construction(self, field, value):
+        """A negative or zero correlation length gave all-NaN tracks or a
+        ZeroDivisionError; floor > ceiling flattened every base."""
+        with pytest.raises(ValueError):
+            QualityProcessConfig(**{field: value})
+
+    def test_equal_floor_and_ceiling_allowed(self):
+        assert QualityProcessConfig(floor=5.0, ceiling=5.0).floor == 5.0
+
+
+class TestSimulatorConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("short_read_fraction", 0.5),
+            ("short_read_fraction", 0.7),
+            ("short_read_fraction", 1.0),
+            ("short_read_fraction", -0.1),
+            ("short_read_fraction", float("nan")),
+            ("median_length", float("nan")),
+            ("median_length", float("inf")),
+            ("mean_length", float("nan")),
+            ("short_read_mean", -1.0),
+            ("short_read_mean", float("nan")),
+        ],
+    )
+    def test_invalid_config_rejected_at_construction(self, field, value):
+        """Each of these used to be accepted and then fail late (NaN
+        lognormal parameters, a ZeroDivisionError, numpy's "scale < 0")
+        or never."""
+        with pytest.raises(ValueError):
+            SimulatorConfig(**{field: value})
+
+    def test_no_short_reads_is_a_valid_mixture(self):
+        reference = ReferenceGenome.random(50_000, seed=1)
+        config = SimulatorConfig(short_read_fraction=0.0, short_read_mean=0.0)
+        reads = ReadSimulator(reference, config, seed=2).sample_reads(5)
+        assert all(len(read) >= config.min_length for read in reads)
 
 
 class TestDatasetPresets:

@@ -21,7 +21,6 @@ Tentpole invariants under test:
 from __future__ import annotations
 
 import ast
-import dataclasses
 import itertools
 import json
 import re
@@ -214,14 +213,14 @@ class TestPipelineTracing:
         assert traced.last_trace
 
     def test_injected_clock_pins_span_times(self, obs_system, obs_dataset):
-        """An explicit pipeline tracer (deterministic clock) records the
-        same structure the process tracer does, with counter times."""
-        base = obs_system.pipeline
+        """A scoped tracer (deterministic clock) records the same
+        structure the process tracer does, with counter times."""
+        pipeline = obs_system.pipeline
         tracer = Tracer(clock=_counter_clock())
-        pipeline = dataclasses.replace(base, tracer=tracer)
         read = obs_dataset.reads[0]
-        outcome = pipeline.process_read(read)
-        assert outcome == base.process_read(read)
+        with use_tracer(tracer):
+            outcome = pipeline.process_read(read)
+        assert outcome == pipeline.process_read(read)
         (trace,) = tracer.drain()
         assert trace.label == read.read_id
         times = [t for span in trace.spans for t in (span[2], span[3])]

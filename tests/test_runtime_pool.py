@@ -536,17 +536,27 @@ def test_engine_plane_has_one_of_each():
     chunk one way: nothing under ``src/repro`` names the ref, the
     registration record, the priming side channel or the DNN engine and
     its forward math, nothing scans installed distributions, the
-    registry is functions over two dicts naming two engines, and
-    ``process_batch`` is ``process_read`` per element."""
+    registry is functions over two dicts naming two engines,
+    ``process_batch`` is ``process_read`` per element, and the chunk
+    grid is the engines' ``n_chunks`` over ``chunk_count`` -- no read
+    type and no second decoder restate it."""
     root = Path(repro.__file__).parent
     nodes = list(_walk_with_owner(root))
 
     gone = re.compile(
         r"BasecallerRef|BackendRegistration|prime_chunk_batch|_primed_chunks|batched_basecall"
         r"|DNNChunkBasecaller|DNNBackendConfig|BonitoLikeModel|SignalSpaceBasecaller|ctc_"
-        r"|GRULayer|BiGRU|Conv1d|LayerNorm|dnn-mvm|dnn_macs"
+        r"|GRULayer|BiGRU|Conv1d|LayerNorm|dnn-mvm|dnn_macs|basecall_signal_chunks"
     )
     assert _mentions(nodes, gone) == set()
+    n_chunks_defined = {
+        module
+        for module, _, node in nodes
+        if isinstance(node, ast.FunctionDef) and node.name == "n_chunks"
+    }
+    assert n_chunks_defined == {
+        "basecalling/engines.py", "basecalling/surrogate.py", "core/backends.py",
+    }  # fmt: skip
     assert not (root / "basecalling" / "dnn").exists()
     assert basecaller_names() == ("surrogate", "viterbi")
 
