@@ -17,14 +17,12 @@ Two consumers:
   kernel-equivalence lane runs this and uploads the document, so every
   commit carries a machine-checkable proof that the wavefront sDTW is
   bit-identical to the scalar recurrence, the trellis kernel matches the
-  triple-loop reference, the event-space decode tracks the sample-space
-  one, and the mapping plane (batched seeding, blocked chain DP,
+  triple-loop reference, and the mapping plane (batched seeding, blocked chain DP,
   row-pipeline Gotoh) reproduces its scalar references
   anchor-for-anchor, parent-for-parent, CIGAR-for-CIGAR.
 """
 
 import argparse
-import difflib
 import json
 import platform
 import sys
@@ -164,12 +162,6 @@ def _best_time(fn, *args, repeats: int = 3):
     return result, best
 
 
-def _identity(a: str, b: str) -> float:
-    # autojunk must be off: with a 4-letter alphabet every character is
-    # "popular" junk and the default ratio collapses to ~0.
-    return difflib.SequenceMatcher(None, a, b, autojunk=False).ratio()
-
-
 def collect_sdtw_equivalence(repeats: int = 3) -> list[dict]:
     """Wavefront vs scalar sDTW: bit-equal costs on fixed-seed cases."""
     from repro.kernels.sdtw import sdtw_cost, sdtw_cost_scalar
@@ -208,8 +200,8 @@ def _viterbi_forward_record(case: str, k: int, n_bases: int, seed: int, repeats:
     """Folded kernel vs the triple-loop scalar on one synthesized chunk:
     all three outputs bitwise, plus the kernel's time per observation."""
     from repro.kernels.viterbi import (
-        event_emissions,
         move_predecessors,
+        sample_emissions,
         viterbi_forward,
         viterbi_forward_scalar,
     )
@@ -221,15 +213,14 @@ def _viterbi_forward_record(case: str, k: int, n_bases: int, seed: int, repeats:
     )
     caller = ViterbiBasecaller(pore, ViterbiConfig(extra_noise_std=2.0))
     samples = signal.samples.astype(np.float64)
-    weights = np.ones(samples.size)
     emission_args = (pore.levels, caller._sigma, caller._log_sigma)
     priors = (caller._log_stay, caller._log_move)
     kernel, t_kernel = _best_time(
-        viterbi_forward, samples, weights, *emission_args, *priors, repeats=repeats
+        viterbi_forward, samples, *emission_args, *priors, repeats=repeats
     )
     scalar, t_scalar = _best_time(
         viterbi_forward_scalar,
-        event_emissions(samples, weights, *emission_args),
+        sample_emissions(samples, *emission_args),
         move_predecessors(k),
         *priors,
         repeats=1,
@@ -248,61 +239,14 @@ def _viterbi_forward_record(case: str, k: int, n_bases: int, seed: int, repeats:
 
 
 def collect_viterbi_equivalence(repeats: int = 3) -> list[dict]:
-    """Trellis kernel vs triple-loop scalar, and event- vs sample-space.
-
-    The forward-pass comparisons are bitwise (backpointers, float32
-    scores and final float64 scores; same per-cell max, identical
-    tie-breaking) on a small k=3 trellis and on a production-sized k=5
-    300-base chunk (~1 800 observations); the event-space record
-    compares decoded *sequences* against the simulated truth, since
-    event decoding is an approximation that trades observations for
-    speed.
-    """
-    from repro.basecalling.engines import EVENT_SEGMENTATION
-    from repro.genomics import alphabet
-    from repro.kernels.viterbi import event_features
-    from repro.signal.segmentation import detect_events
-
-    records = [
+    """Trellis kernel vs triple-loop scalar, bitwise (backpointers,
+    float32 scores and final float64 scores; same per-cell max,
+    identical tie-breaking) on a small k=3 trellis and on a
+    production-sized k=5 300-base chunk (~1 800 observations)."""
+    return [
         _viterbi_forward_record("k3-noisy-signal", k=3, n_bases=40, seed=21, repeats=repeats),
         _viterbi_forward_record("k5-300-bases", k=5, n_bases=300, seed=25, repeats=repeats),
     ]
-
-    # Event-space vs sample-space decode fidelity on a longer read.
-    pore5 = PoreModel.synthetic(k=5)
-    codes = np.random.default_rng(23).integers(0, 4, 300).astype(np.uint8)
-    truth = alphabet.decode(codes)
-    signal = synthesize_signal(
-        codes, pore5, SignalConfig(noise_std=1.0), np.random.default_rng(24)
-    )
-    caller5 = ViterbiBasecaller(pore5, ViterbiConfig(extra_noise_std=1.0))
-    sample_read, t_samples = _best_time(
-        caller5.basecall, signal.samples, repeats=repeats
-    )
-
-    def _decode_events():
-        starts = detect_events(signal.samples, EVENT_SEGMENTATION)
-        means, dwells = event_features(signal.samples, starts)
-        return caller5.basecall_events(means, dwells)
-
-    event_read, t_events = _best_time(_decode_events, repeats=repeats)
-    sample_identity = _identity(sample_read.bases, truth)
-    event_identity = _identity(event_read.bases, truth)
-    records.append(
-        {
-            "plane": "viterbi-events",
-            "case": "k5-300-bases",
-            "sample_identity": round(sample_identity, 4),
-            "event_identity": round(event_identity, 4),
-            # "equal" here means: the approximation holds (event decode
-            # stays within 15 identity points of the exact decode).
-            "equal": bool(event_identity >= sample_identity - 0.15),
-            "scalar_s": round(t_samples, 6),
-            "kernel_s": round(t_events, 6),
-            "speedup": round(t_samples / t_events, 2) if t_events else 0.0,
-        }
-    )
-    return records
 
 
 def collect_chain_equivalence(repeats: int = 3) -> list[dict]:

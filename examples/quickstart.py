@@ -23,7 +23,7 @@ This walks the whole public API surface once:
    segmentation, and reject junk in *signal space* -- before a single
    chunk is basecalled (signal-domain early rejection);
 10. peek at the vectorised kernel plane: wavefront sDTW bit-identical
-    to its scalar reference, and event-space trellis decoding;
+    to its scalar reference, and the trellis ops the perf model charges;
 11. serve: keep the pool warm and the index published across many
     concurrent client sessions, streaming per-read verdicts with
     latency percentiles -- the adaptive-sampling ("read until") shape;
@@ -79,7 +79,7 @@ def main() -> None:
     chunk_codes = reads[0].true_codes[:300]
     signal = synthesize_signal(chunk_codes, pore, signal_config, np.random.default_rng(3))
     viterbi = ViterbiBasecaller(pore, ViterbiConfig(extra_noise_std=1.5))
-    called = viterbi.basecall_signal(signal)
+    called = viterbi.basecall(signal.samples)
     import difflib
 
     identity = difflib.SequenceMatcher(
@@ -287,9 +287,9 @@ def main() -> None:
     #     * sDTW runs as an anti-diagonal wavefront (one numpy op per
     #       diagonal) with bit-identical costs: sdtw_cost is what
     #       SignalRejectionPolicy calls;
-    #     * the viterbi backend can decode in event space
-    #       (decode="events": segmentation means/dwells instead of raw
-    #       samples, ~dwell-mean fewer trellis observations).
+    #     * the Viterbi trellis is folded: a state's four move
+    #       predecessors are one column of the previous row, so one raw
+    #       sample costs five whole-vector numpy calls.
     #     Each backend reports its native arithmetic via
     #     kernel_workload(), which repro.perf charges instead of the
     #     generic per-base price.
@@ -312,15 +312,10 @@ def main() -> None:
         f"{t_wave * 1e3:.1f} ms (cost {wavefront_cost:.4f}, "
         f"x{t_scalar / max(t_wave, 1e-9):.1f} faster)"
     )
-    sample_engine = ViterbiChunkBasecaller(ViterbiBackendConfig(pore_k=3))
-    event_engine = ViterbiChunkBasecaller(
-        ViterbiBackendConfig(pore_k=3, decode="events")
-    )
-    per_base = [engine.kernel_workload(1_000) for engine in (sample_engine, event_engine)]
+    trellis = ViterbiChunkBasecaller(ViterbiBackendConfig(pore_k=3)).kernel_workload(1_000)
     print(
-        f"viterbi trellis for 1000 bases: {per_base[0].ops:,} state-ops "
-        f"(samples) vs {per_base[1].ops:,} (events) -- the perf model "
-        f"charges whichever the backend actually runs"
+        f"viterbi trellis for 1000 bases: {trellis.ops:,} state-ops -- "
+        f"what the perf model charges the viterbi backend"
     )
 
     # 11. Serving: batch runs answer "process this dataset"; the serving

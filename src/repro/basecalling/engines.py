@@ -42,27 +42,13 @@ from repro.basecalling.chunked import chunk_count, chunk_span, reassemble_chunks
 from repro.basecalling.types import BasecalledChunk, BasecalledRead
 from repro.basecalling.viterbi import ViterbiBasecaller, ViterbiConfig
 from repro.genomics.quality import phred_to_error_prob
-from repro.kernels.viterbi import event_features, viterbi_state_ops
+from repro.kernels.viterbi import viterbi_state_ops
 from repro.kernels.workload import KernelWorkload
 from repro.nanopore.pore_model import PoreModel
 from repro.nanopore.read_simulator import SimulatedRead
 from repro.nanopore.signal import RawSignal, SignalConfig, synthesize_signal
 from repro.nanopore.signal_read import SignalRead
 from repro.nanopore.signal_store import SignalRecord
-from repro.signal.segmentation import SegmentationConfig, detect_events
-
-#: Decode observation grids the Viterbi backend supports.
-VITERBI_DECODE_MODES = ("samples", "events")
-
-#: Default segmentation for event-space decoding: deliberately
-#: over-sensitive (low threshold, tight window, no dwell floor).
-#: A split dwell costs one stay transition -- recoverable -- while a
-#: merged dwell deletes a base outright, so event decoding segments
-#: aggressively and lets the trellis' stay prior absorb the splits.
-#: (The chunk-grid segmentation default in
-#: :class:`repro.signal.segmentation.SegmentationConfig` stays
-#: conservative: grids want ~one event per base, not more.)
-EVENT_SEGMENTATION = SegmentationConfig(window=2, threshold=0.8, min_dwell=1)
 
 #: Second word of the per-read rng seed sequence, so the signal stream
 #: never collides with the surrogate's (read.seed, chunk_size, index)
@@ -120,14 +106,6 @@ class ViterbiBackendConfig:
     quality_noise:
         Scale of the quality-conditioned extra measurement noise (pA);
         0 disables conditioning.
-    decode:
-        Observation grid of the trellis: ``"samples"`` (one observation
-        per raw sample, the classical decode) or ``"events"`` (samples
-        segmented into events first -- ~``dwell_mean``x fewer
-        observations, see
-        :meth:`~repro.basecalling.viterbi.ViterbiBasecaller.basecall_events`).
-    segmentation:
-        Event-detection parameters for ``decode="events"``.
     """
 
     pore_k: int = 5
@@ -135,8 +113,6 @@ class ViterbiBackendConfig:
     decoder: ViterbiConfig = field(default_factory=ViterbiConfig)
     signal: SignalConfig = field(default_factory=SignalConfig)
     quality_noise: float = 6.0
-    decode: str = "samples"
-    segmentation: SegmentationConfig = EVENT_SEGMENTATION
 
     def __post_init__(self) -> None:
         # NaN fails every comparison, so test for the accepted range; a
@@ -145,10 +121,6 @@ class ViterbiBackendConfig:
         if not (np.isfinite(self.quality_noise) and self.quality_noise >= 0):
             raise ValueError(
                 f"quality_noise must be finite and non-negative, got {self.quality_noise}"
-            )
-        if self.decode not in VITERBI_DECODE_MODES:
-            raise ValueError(
-                f"unknown decode mode {self.decode!r}; expected one of {VITERBI_DECODE_MODES}"
             )
 
 
@@ -250,13 +222,7 @@ class ViterbiChunkBasecaller:
         """
         start, end = chunk_span(len(read), chunk_size, index)
         samples = self.read_signal(read).clamped_slice(start, end)
-        if self._config.decode == "events":
-            samples = np.asarray(samples, dtype=np.float64)
-            starts = detect_events(samples, self._config.segmentation)
-            means, dwells = event_features(samples, starts)
-            called = self._decoder.basecall_events(means, dwells, read_id=read.read_id)
-        else:
-            called = self._decoder.basecall(samples, read_id=read.read_id)
+        called = self._decoder.basecall(samples, read_id=read.read_id)
         return BasecalledChunk(
             chunk_index=index,
             codes=called.codes,
@@ -275,17 +241,12 @@ class ViterbiChunkBasecaller:
     def kernel_workload(self, n_bases: int) -> KernelWorkload:
         """Trellis state-space ops for decoding ``n_bases`` worth of signal.
 
-        The sample-space trellis sees ``dwell_mean`` observations per
-        base; the event-space trellis sees ~one (the segmentation's
-        whole point). Both pay :data:`TRANSITIONS_PER_STATE
+        The trellis sees ``dwell_mean`` observations (raw samples) per
+        base and pays :data:`TRANSITIONS_PER_STATE
         <repro.kernels.viterbi.TRANSITIONS_PER_STATE>` transition
         evaluations per state per observation.
         """
-        observations = (
-            int(n_bases)
-            if self._config.decode == "events"
-            else int(round(n_bases * self._config.signal.dwell_mean))
-        )
+        observations = int(round(n_bases * self._config.signal.dwell_mean))
         return KernelWorkload(
             kind="viterbi-state",
             ops=viterbi_state_ops(observations, int(self.pore_model.levels.size)),

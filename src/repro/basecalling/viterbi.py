@@ -29,7 +29,6 @@ import numpy as np
 from repro.basecalling.types import BasecalledRead
 from repro.kernels.viterbi import move_predecessors, viterbi_forward, viterbi_traceback
 from repro.nanopore.pore_model import PoreModel
-from repro.nanopore.signal import RawSignal
 
 
 @dataclass(frozen=True)
@@ -46,28 +45,25 @@ class ViterbiConfig:
         Measurement-noise standard deviation assumed *in addition to*
         the pore model's per-k-mer spread.
     max_quality:
-        Phred cap for emitted per-base qualities.
-    event_stay_prob:
-        Stay prior for *event-space* decoding (:meth:`basecall_events`).
-        Events are ~one per base-dwell, so this prior only absorbs
-        over-segmentation (split dwells), not dwell runs; with the
-        deliberately over-sensitive event segmentation the backends use
-        (splits are recoverable, merges are not) roughly half the
-        events are splits, hence the default.
+        Phred cap for emitted per-base qualities; at least the floor of
+        1 every quality is clipped to.
     """
 
     stay_prob: float = 0.8
     extra_noise_std: float = 1.0
     max_quality: float = 30.0
-    event_stay_prob: float = 0.5
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison, so each check tests for the
+        # accepted range.
         if not 0.0 < self.stay_prob < 1.0:
             raise ValueError("stay_prob must be in (0, 1)")
-        if not 0.0 < self.event_stay_prob < 1.0:
-            raise ValueError("event_stay_prob must be in (0, 1)")
-        if self.extra_noise_std < 0:
-            raise ValueError("extra_noise_std must be non-negative")
+        if not (np.isfinite(self.extra_noise_std) and self.extra_noise_std >= 0):
+            raise ValueError(
+                f"extra_noise_std must be finite and non-negative, got {self.extra_noise_std}"
+            )
+        if not (np.isfinite(self.max_quality) and self.max_quality >= 1):
+            raise ValueError(f"max_quality must be finite and at least 1, got {self.max_quality}")
 
 
 class ViterbiBasecaller:
@@ -81,10 +77,6 @@ class ViterbiBasecaller:
         self._log_sigma = np.log(self._sigma)
         self._log_stay = float(np.log(self._config.stay_prob))
         self._log_move = float(np.log1p(-self._config.stay_prob) - np.log(4.0))
-        self._log_stay_event = float(np.log(self._config.event_stay_prob))
-        self._log_move_event = float(
-            np.log1p(-self._config.event_stay_prob) - np.log(4.0)
-        )
 
     @property
     def pore_model(self) -> PoreModel:
@@ -94,14 +86,7 @@ class ViterbiBasecaller:
     def config(self) -> ViterbiConfig:
         return self._config
 
-    def decode_states(self, samples: np.ndarray) -> np.ndarray:
-        """Most-likely state path (one packed k-mer per sample)."""
-        path, _ = self._viterbi(samples, np.ones(np.size(samples)), self._log_stay, self._log_move)
-        return path
-
-    def _viterbi(
-        self, observations: np.ndarray, weights: np.ndarray, log_stay: float, log_move: float
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _viterbi(self, observations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Viterbi DP; returns (state path, full score matrix).
 
         Forward pass and traceback run on the shared trellis kernels
@@ -116,50 +101,17 @@ class ViterbiBasecaller:
         """
         backptr, scores, dp = viterbi_forward(
             observations,
-            weights,
             self._model.levels,
             self._sigma,
             self._log_sigma,
-            log_stay,
-            log_move,
+            self._log_stay,
+            self._log_move,
         )
         return viterbi_traceback(backptr, self._pred, dp), scores
 
     def basecall(self, samples: np.ndarray, read_id: str = "viterbi-read") -> BasecalledRead:
-        """Basecall a raw-signal array into bases + per-base qualities.
-
-        A sample is an observation of unit weight: the same kernel as
-        :meth:`basecall_events`, bit for bit the per-sample Gaussian.
-        """
-        path, scores = self._viterbi(
-            samples, np.ones(np.size(samples)), self._log_stay, self._log_move
-        )
-        return self._read_from_path(path, scores, read_id)
-
-    def basecall_events(
-        self,
-        means: np.ndarray,
-        dwells: np.ndarray,
-        read_id: str = "viterbi-read",
-    ) -> BasecalledRead:
-        """Basecall pre-segmented events (means + dwells) instead of samples.
-
-        The trellis is the same k-mer HMM, but each observation is one
-        detected event (:func:`repro.signal.segmentation.detect_events`
-        grid) instead of one raw sample -- ~``dwell_mean``x fewer
-        observations, the event-space decode's speed source. Emissions
-        weight each event's Gaussian log-likelihood by its dwell
-        (:func:`repro.kernels.viterbi.event_emissions`), so score
-        magnitudes -- and hence the quality margins -- stay commensurate
-        with the sample-space decode.
-        """
-        path, scores = self._viterbi(means, dwells, self._log_stay_event, self._log_move_event)
-        return self._read_from_path(path, scores, read_id)
-
-    def _read_from_path(
-        self, path: np.ndarray, scores: np.ndarray, read_id: str
-    ) -> BasecalledRead:
-        """Collapse a state path + score matrix into a BasecalledRead."""
+        """Basecall a raw-signal array into bases + per-base qualities."""
+        path, scores = self._viterbi(samples)
         if path.size == 0:
             return BasecalledRead(read_id=read_id, codes="", qualities=np.empty(0), n_chunks=1)
         k = self._model.k
@@ -174,10 +126,6 @@ class ViterbiBasecaller:
 
         qualities = self._base_qualities(scores, path, move_positions, codes.size)
         return BasecalledRead(read_id=read_id, codes=codes, qualities=qualities, n_chunks=1)
-
-    def basecall_signal(self, signal: RawSignal, read_id: str = "viterbi-read") -> BasecalledRead:
-        """Convenience wrapper over :meth:`basecall` for RawSignal."""
-        return self.basecall(signal.samples, read_id=read_id)
 
     def _base_qualities(
         self,

@@ -17,10 +17,8 @@ previously iterated sample-by-sample in interpreted Python:
   state's four move predecessors are one column of ``dp.reshape(4,
   S/4)``, shared by four sibling states, so one observation is five
   whole-vector ufunc calls and backpointers are derived per block;
-  plus a triple-loop scalar reference for equivalence testing, plus the
-  **event-space** front-end: dwell-segmented event means/dwells
-  (~6x fewer observations than raw samples) decoded on the same
-  trellis.
+  plus a triple-loop scalar reference for equivalence testing. The
+  trellis sees one observation per raw signal sample.
 * :mod:`repro.kernels.seed` -- batched anchor seeding over the index's
   flat key/bounds/location arrays (one ``searchsorted`` + repeat/gather
   instead of a per-key dict walk), the probe GenPIP's seeding unit
@@ -69,9 +67,8 @@ from repro.kernels.sdtw import sdtw_cost, sdtw_cost_scalar
 from repro.kernels.seed import seed_anchors_batched, seed_anchors_scalar
 from repro.kernels.viterbi import (
     TRANSITIONS_PER_STATE,
-    event_emissions,
-    event_features,
     move_predecessors,
+    sample_emissions,
     viterbi_forward,
     viterbi_forward_scalar,
     viterbi_state_ops,
@@ -86,13 +83,12 @@ __all__ = [
     "chain_candidate_count",
     "chain_scores_blocked",
     "chain_scores_scalar",
-    "event_emissions",
-    "event_features",
     "gotoh_scalar",
     "mapping_ops",
     "move_predecessors",
     "process_mapping_ops",
     "record_mapping_ops",
+    "sample_emissions",
     "sdtw_cost",
     "sdtw_cost_scalar",
     "seed_anchors_batched",

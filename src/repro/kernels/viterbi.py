@@ -1,8 +1,8 @@
-"""Viterbi trellis kernels: folded forward pass + event-space front-end.
+"""Viterbi trellis kernels: the folded forward pass and its reference.
 
-The k-mer HMM decoder's hot loop is the trellis forward pass: per
-observation, every state picks the best of *stay* (same k-mer) and four
-*move* predecessors. :func:`viterbi_forward` is the production kernel;
+The k-mer HMM decoder's hot loop is the trellis forward pass: per raw
+signal sample, every state picks the best of *stay* (same k-mer) and
+four *move* predecessors. :func:`viterbi_forward` is the production kernel;
 :func:`viterbi_forward_scalar` is the triple-loop reference performing
 the *same float operations per state*, so the two produce bit-identical
 score matrices, backpointers and final scores -- CI's kernel-equivalence
@@ -24,7 +24,7 @@ not needed until traceback, so they are derived once per block of
 state's backpointer is ``(move > stay) * code`` with ``code`` the first
 predecessor (``1 + c``) holding the column maximum -- an equality
 cascade that reproduces ``np.argmax``'s first-maximum tie-break. The
-emissions are scored per block too (:func:`event_emissions`), so no
+emissions are scored per block too (:func:`sample_emissions`), so no
 ``T x S`` float64 matrix is ever built. No output byte depends on the
 block size.
 
@@ -32,16 +32,6 @@ block size.
 loop's ``maximum`` propagates NaN where the reference's strict ``move >
 stay`` falls back to stay; :class:`~repro.nanopore.signal.RawSignal`
 refuses non-finite samples, so nothing in the pipeline can pass one.
-
-The **event-space** front-end shrinks the trellis itself:
-:func:`event_features` collapses raw samples into per-event means and
-dwells on a segmentation grid (one event per detected dwell, ~6x fewer
-observations at this repo's synthesis rate), and
-:func:`event_emissions` scores each event against the pore model with
-its dwell as the evidence weight (an event of ``w`` samples whose mean
-sits ``z`` sigmas from a level contributes ``w`` samples' worth of
-log-likelihood). Sample-space decoding is the unit-weight case of the
-same formula, so both decodes run the one kernel.
 """
 
 from __future__ import annotations
@@ -86,21 +76,19 @@ def move_predecessors(k: int) -> np.ndarray:
 
 def viterbi_forward(
     observations: np.ndarray,
-    weights: np.ndarray,
     levels: np.ndarray,
     sigma: np.ndarray,
     log_sigma: np.ndarray,
     log_stay: float,
     log_move: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Folded trellis forward pass over weighted Gaussian observations.
+    """Folded trellis forward pass over Gaussian observations.
 
     Parameters
     ----------
-    observations, weights:
-        ``float64[T]`` observation values and evidence weights (raw
-        samples with unit weights, or event means with their dwells);
-        scored per block by :func:`event_emissions`. Must be finite.
+    observations:
+        ``float64[T]`` raw signal samples, scored per block by
+        :func:`sample_emissions`. Must be finite.
     levels, sigma, log_sigma:
         ``float64[S]`` per-state emission mean, spread and its log, with
         ``S = 4**k`` states laid out as :func:`move_predecessors` says.
@@ -114,12 +102,11 @@ def viterbi_forward(
         ``pred[s, c]``), the ``float32[T, S]`` cumulative score matrix
         (kept for confidence margins), and the final ``float64[S]``
         scores -- bit-identical to :func:`viterbi_forward_scalar` on the
-        emissions :func:`event_emissions` gives.
+        emissions :func:`sample_emissions` gives.
     """
     observations = np.asarray(observations, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if observations.shape != weights.shape or observations.ndim != 1:
-        raise ValueError("observations and weights must be matching 1-D arrays")
+    if observations.ndim != 1:
+        raise ValueError("observations must be a 1-D array")
     t_total, n_states = observations.size, levels.size
     backptr = np.empty((t_total, n_states), dtype=np.uint8)
     scores = np.empty((t_total, n_states), dtype=np.float32)
@@ -127,9 +114,7 @@ def viterbi_forward(
         return backptr, scores, np.empty(0, dtype=np.float64)
 
     def emissions(start: int, stop: int) -> np.ndarray:
-        return event_emissions(
-            observations[start:stop], weights[start:stop], levels, sigma, log_sigma
-        )
+        return sample_emissions(observations[start:stop], levels, sigma, log_sigma)
 
     quarter = n_states // 4
     block = max(1, min(_BLOCK, t_total - 1))
@@ -184,7 +169,9 @@ def viterbi_forward_scalar(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scalar (per-state loop) reference of :func:`viterbi_forward`.
 
-    Performs the identical float64 operations cell by cell -- the same
+    Takes the whole ``float64[T, S]`` emission matrix
+    (:func:`sample_emissions` of the samples) and performs the
+    identical float64 operations cell by cell -- the same
     adds, the same strict-greater argmax tie-breaking (first maximum
     wins, matching ``np.argmax``) -- so results are bit-identical to
     the vectorised kernel. Quadratically slower; exists for the
@@ -237,45 +224,14 @@ def viterbi_traceback(backptr: np.ndarray, pred: np.ndarray, dp: np.ndarray) -> 
     return path
 
 
-def event_features(samples: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-event means and dwells over a segmentation grid (vectorised).
-
-    ``starts`` is an increasing array of event start indices with
-    ``starts[0] == 0`` (the contract of
-    :func:`repro.signal.segmentation.detect_events`); event ``e`` spans
-    ``samples[starts[e] : starts[e + 1]]``. Returns ``(means, dwells)``
-    as float64 arrays of one entry per event.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    starts = np.asarray(starts, dtype=np.int64)
-    if samples.size == 0 or starts.size == 0:
-        return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.float64)
-    dwells = np.diff(np.append(starts, samples.size)).astype(np.float64)
-    if np.any(dwells <= 0) or starts[0] != 0:
-        raise ValueError("starts must increase from 0 within the sample range")
-    sums = np.add.reduceat(samples, starts)
-    return sums / dwells, dwells
-
-
-def event_emissions(
-    means: np.ndarray,
-    dwells: np.ndarray,
+def sample_emissions(
+    samples: np.ndarray,
     levels: np.ndarray,
     sigma: np.ndarray,
     log_sigma: np.ndarray,
 ) -> np.ndarray:
-    """``float64[E, S]`` dwell-weighted Gaussian state log-likelihoods.
-
-    An event is ``dwell`` samples of evidence for its mean: the
-    emission is the per-sample Gaussian log-likelihood scaled by the
-    dwell, which keeps event-trellis score magnitudes commensurate with
-    the sample trellis (so confidence margins, and hence per-base
-    qualities, stay on the same scale). A raw sample is the ``dwell ==
-    1`` case, bit for bit (multiplying by 1.0 is exact).
-    """
-    means = np.asarray(means, dtype=np.float64)
-    dwells = np.asarray(dwells, dtype=np.float64)
-    if means.shape != dwells.shape:
-        raise ValueError("means and dwells must have matching shapes")
-    z = (means[:, None] - levels[None, :]) / sigma[None, :]
-    return dwells[:, None] * (-0.5 * z * z - log_sigma[None, :])
+    """``float64[T, S]`` Gaussian state log-likelihoods of raw samples
+    (the normalising constant dropped: it is the same for every state)."""
+    samples = np.asarray(samples, dtype=np.float64)
+    z = (samples[:, None] - levels[None, :]) / sigma[None, :]
+    return -0.5 * z * z - log_sigma[None, :]

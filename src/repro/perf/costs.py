@@ -111,8 +111,7 @@ class CostDatabase:
     # own :class:`~repro.kernels.workload.KernelWorkload` is charged
     # ``ops / (anchor x basecall_bps)`` -- the engine's bases/s
     # throughput re-expressed as ops/s, so a backend doing fewer ops
-    # per base (event-space decoding) runs proportionally faster on the
-    # same engine.
+    # per base runs proportionally faster on the same engine.
     # ------------------------------------------------------------------
     #: Sample-space k-mer Viterbi: dwell_mean (6) observations per base
     #: x 4^5 states x 5 transitions per state = 30720 state-ops/base.

@@ -83,9 +83,7 @@ class PipelineWorkload:
         When ``basecaller`` exposes ``kernel_workload(n_bases)`` (the
         kernel-plane backends do), the workload also carries the
         backend's *native* op counts, and the system models charge
-        basecalling by ops instead of the generic per-base price -- so
-        an event-space Viterbi decode is rewarded for the arithmetic it
-        actually skips.
+        basecalling by ops instead of the generic per-base price.
 
         ``mapping_ops`` is an optional ``{kind: ops}`` snapshot delta of
         the mapping-ops ledger (:mod:`repro.kernels.mapping_ops`) taken

@@ -69,12 +69,15 @@ class SegmentationConfig:
     min_dwell: int = 2
 
     def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError("window must be positive")
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
-        if self.min_dwell < 1:
-            raise ValueError("min_dwell must be positive")
+        # A fractional sample count would only fail later, indexing inside
+        # jump_scores; a non-finite threshold is never exceeded, so the
+        # whole read would become one event.
+        for name in ("window", "min_dwell"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not (np.isfinite(self.threshold) and self.threshold > 0):
+            raise ValueError(f"threshold must be finite and positive, got {self.threshold}")
 
 
 def robust_noise_scale(samples: np.ndarray) -> float:

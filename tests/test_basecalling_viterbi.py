@@ -5,6 +5,7 @@ import pytest
 
 from repro.basecalling import ViterbiBasecaller, ViterbiConfig, chunk_count, chunk_span
 from repro.genomics.alphabet import decode, encode
+from repro.kernels import move_predecessors, viterbi_forward, viterbi_traceback
 from repro.nanopore.pore_model import PoreModel
 from repro.nanopore.signal import SignalConfig, synthesize_signal
 
@@ -37,14 +38,14 @@ class TestCleanSignal:
         quiet, caller, signal_config = clean_setup
         seq = decode(np.random.default_rng(0).integers(0, 4, 150).astype(np.uint8))
         signal = synthesize_signal(encode(seq), quiet, signal_config, np.random.default_rng(1))
-        called = caller.basecall_signal(signal)
+        called = caller.basecall(signal.samples)
         assert called.bases == seq
 
     def test_high_quality_on_clean_signal(self, clean_setup):
         quiet, caller, signal_config = clean_setup
         seq = decode(np.random.default_rng(2).integers(0, 4, 150).astype(np.uint8))
         signal = synthesize_signal(encode(seq), quiet, signal_config, np.random.default_rng(3))
-        called = caller.basecall_signal(signal)
+        called = caller.basecall(signal.samples)
         assert called.mean_quality > 15.0
 
     def test_empty_signal(self, clean_setup):
@@ -57,8 +58,8 @@ class TestCleanSignal:
         quiet, caller, signal_config = clean_setup
         seq = decode(np.random.default_rng(4).integers(0, 4, 100).astype(np.uint8))
         signal = synthesize_signal(encode(seq), quiet, signal_config, np.random.default_rng(5))
-        a = caller.basecall_signal(signal)
-        b = caller.basecall_signal(signal)
+        a = caller.basecall(signal.samples)
+        b = caller.basecall(signal.samples)
         assert a.bases == b.bases
         np.testing.assert_allclose(a.qualities, b.qualities)
 
@@ -73,7 +74,7 @@ class TestNoiseBehaviour:
             config = SignalConfig(dwell_mean=5.0, dwell_min=2, noise_std=noise, drift_per_kilosample=0.0)
             signal = synthesize_signal(encode(seq), pore, config, np.random.default_rng(7))
             caller = ViterbiBasecaller(pore, ViterbiConfig(stay_prob=0.8, extra_noise_std=noise))
-            out[noise] = (seq, caller.basecall_signal(signal))
+            out[noise] = (seq, caller.basecall(signal.samples))
         return out
 
     def test_identity_degrades_with_noise(self, results_by_noise):
@@ -131,11 +132,42 @@ class TestConfig:
         with pytest.raises(ValueError):
             ViterbiConfig(extra_noise_std=-1.0)
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+    def test_non_finite_noise_rejected(self, noise):
+        """A non-finite sigma used to decode a 60-base clean signal to
+        3 bases at Q15, with no error."""
+        with pytest.raises(ValueError, match="extra_noise_std"):
+            ViterbiConfig(extra_noise_std=noise)
+
+    @pytest.mark.parametrize("cap", [float("nan"), float("inf"), 0.5, -3.0])
+    def test_quality_cap_must_be_a_finite_phred_above_the_floor(self, cap):
+        """A NaN cap made every quality NaN; a cap below 1 put qualities
+        under the Phred floor of 1."""
+        with pytest.raises(ValueError, match="max_quality"):
+            ViterbiConfig(max_quality=cap)
+
+    def test_quality_cap_of_one_gives_flat_qualities(self, clean_setup):
+        quiet, _, signal_config = clean_setup
+        caller = ViterbiBasecaller(quiet, ViterbiConfig(extra_noise_std=0.3, max_quality=1.0))
+        seq = decode(np.random.default_rng(14).integers(0, 4, 60).astype(np.uint8))
+        signal = synthesize_signal(encode(seq), quiet, signal_config, np.random.default_rng(15))
+        np.testing.assert_array_equal(caller.basecall(signal.samples).qualities, 1.0)
+
     def test_decode_states_shape(self, clean_setup):
+        """The kernel traceback yields one packed k-mer per sample."""
         quiet, caller, signal_config = clean_setup
         seq = decode(np.random.default_rng(12).integers(0, 4, 50).astype(np.uint8))
         signal = synthesize_signal(encode(seq), quiet, signal_config, np.random.default_rng(13))
-        path = caller.decode_states(signal.samples)
+        backptr, _, dp = viterbi_forward(
+            signal.samples,
+            quiet.levels,
+            caller._sigma,
+            caller._log_sigma,
+            caller._log_stay,
+            caller._log_move,
+        )
+        path = viterbi_traceback(backptr, move_predecessors(quiet.k), dp)
         assert path.shape == (len(signal),)
         assert path.min() >= 0
         assert path.max() < 4**quiet.k
+        assert len(caller.basecall(signal.samples)) == quiet.k + np.count_nonzero(np.diff(path))

@@ -17,6 +17,10 @@ true bases and float64 quality tracks) of both presets at two seeds.
 It was taken while the simulator still drew its length quantile and
 its AR(1) quality scan from scipy, and pins that the numpy-only
 replacements reproduce every bit.
+``viterbi-chunks`` hashes the Viterbi engine's chunk output (codes and
+float64 qualities) at ``k=3`` and at the production ``k=5``, which no
+outcome digest runs. It was taken on the commit before the event-space
+decode was deleted, and pins that the one remaining decode kept every bit.
 
 Records carry floats (qualities, chain scores) whose last bits depend
 on the numeric stack, so the file also records the numpy
@@ -176,6 +180,24 @@ def _simulated_reads() -> dict:
     return {"sha256": sha.hexdigest(), "read_classes": dict(sorted(classes.items()))}
 
 
+def _viterbi_chunks() -> dict:
+    """Every 300-base chunk of six simulated reads, decoded at k=3 and
+    at the default k=5: codes and float64 qualities, byte for byte."""
+    profile = small_profile(ECOLI_LIKE, max_read_length=900)
+    reads = list(ReadSimulator(profile_reference(profile), profile.simulator, seed=7).iter_reads(6))
+    sha = hashlib.sha256()
+    n_chunks = 0
+    for config in (ViterbiBackendConfig(pore_k=3), ViterbiBackendConfig()):
+        backend = ViterbiChunkBasecaller(config)
+        for read in reads:
+            for index in range(backend.n_chunks(read, 300)):
+                chunk = backend.basecall_chunk(read, index, 300)
+                sha.update(chunk.codes.tobytes())
+                sha.update(chunk.qualities.astype(np.float64).tobytes())
+                n_chunks += 1
+    return {"sha256": sha.hexdigest(), "chunks": n_chunks}
+
+
 @pytest.mark.parametrize("name", sorted(READ_SETS))
 def test_outcome_records_match_parent_digest(name):
     golden = _golden_digests()
@@ -185,6 +207,11 @@ def test_outcome_records_match_parent_digest(name):
 def test_simulated_reads_match_parent_digest():
     golden = _golden_digests()
     assert _simulated_reads()["sha256"] == golden["simulator"]["sha256"]
+
+
+def test_viterbi_chunks_match_parent_digest():
+    golden = _golden_digests()
+    assert _viterbi_chunks()["sha256"] == golden["viterbi-chunks"]["sha256"]
 
 
 @pytest.mark.parametrize("crossover", [0, 10**9])
@@ -215,6 +242,7 @@ def test_viterbi_signal_digest_independent_of_trellis_block(block, monkeypatch):
     golden = _golden_digests()
     monkeypatch.setattr(viterbi_kernels, "_BLOCK", block)
     assert _viterbi_signal()["sha256"] == golden["viterbi-signal"]["sha256"]
+    assert _viterbi_chunks()["sha256"] == golden["viterbi-chunks"]["sha256"]
 
 
 if __name__ == "__main__":
@@ -225,6 +253,7 @@ if __name__ == "__main__":
                 "digests": {
                     **{name: fn() for name, fn in READ_SETS.items()},
                     "simulator": _simulated_reads(),
+                    "viterbi-chunks": _viterbi_chunks(),
                 },
             },
             indent=2,

@@ -6,8 +6,7 @@ Two equivalence families, mirroring CI's kernel-equivalence lane:
   scalar row-major reference (same float64 ops per cell, reassociated
   only across independent cells);
 * the vectorised Viterbi forward pass must be bit-identical to the
-  triple-loop scalar reference, and the event-space decode must agree
-  with the sample-space decode on synthesized signal.
+  triple-loop scalar reference.
 
 Plus the perf hooks: each backend's ``kernel_workload`` must report the
 op counts the system models charge.
@@ -15,24 +14,19 @@ op counts the system models charge.
 
 from __future__ import annotations
 
-import difflib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.basecalling import ViterbiBackendConfig, ViterbiChunkBasecaller
-from repro.basecalling.engines import EVENT_SEGMENTATION
 from repro.basecalling.viterbi import ViterbiBasecaller
 from repro.core import GenPIP, GenPIPConfig
-from repro.genomics import alphabet
 from repro.kernels import (
     TRANSITIONS_PER_STATE,
     KernelWorkload,
-    event_emissions,
-    event_features,
     move_predecessors,
+    sample_emissions,
     sdtw_cost,
     sdtw_cost_scalar,
     viterbi_forward,
@@ -45,22 +39,14 @@ from repro.kernels.viterbi import _BLOCK
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.nanopore.pore_model import PoreModel
-from repro.nanopore.signal import RawSignal, SignalConfig, synthesize_signal
+from repro.nanopore.signal import RawSignal
 from repro.nanopore.signal_read import SignalRead
 from repro.perf.costs import DEFAULT_COSTS
 from repro.perf.workload import PipelineWorkload
 from repro.signal.rejection import SignalRejectionPolicy
-from repro.signal.segmentation import detect_events
 
 #: Small pore (64 Viterbi states) keeps trellis tests fast.
 FAST_VITERBI = ViterbiBackendConfig(pore_k=3)
-
-
-def identity(a: str, b: str) -> float:
-    """Sequence identity via difflib (autojunk must be off for DNA)."""
-    if not a and not b:
-        return 1.0
-    return difflib.SequenceMatcher(None, a, b, autojunk=False).ratio()
 
 
 class TestSdtwEquivalence:
@@ -172,12 +158,12 @@ class TestSdtwEquivalence:
         )
 
 
-def _forward_pair(k, observations, weights, levels, sigma, log_stay, log_move):
+def _forward_pair(k, observations, levels, sigma, log_stay, log_move):
     """(folded kernel, scalar reference on the same emissions) outputs."""
     log_sigma = np.log(sigma)
-    fast = viterbi_forward(observations, weights, levels, sigma, log_sigma, log_stay, log_move)
+    fast = viterbi_forward(observations, levels, sigma, log_sigma, log_stay, log_move)
     slow = viterbi_forward_scalar(
-        event_emissions(observations, weights, levels, sigma, log_sigma),
+        sample_emissions(observations, levels, sigma, log_sigma),
         move_predecessors(k),
         log_stay,
         log_move,
@@ -211,7 +197,6 @@ class TestViterbiTrellisEquivalence:
         return _forward_pair(
             decoder.pore_model.k,
             samples,
-            np.ones(samples.size),
             decoder.pore_model.levels,
             decoder._sigma,
             decoder._log_stay,
@@ -241,14 +226,13 @@ class TestViterbiTrellisEquivalence:
     @given(
         k=st.sampled_from((1, 2, 3)),
         t=st.sampled_from(BLOCK_EDGE_LENGTHS),
-        unit_weights=st.booleans(),
         tied_priors=st.booleans(),
         wide_sigma=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
     def test_folded_kernel_bit_identical_on_tie_heavy_trellises(
-        self, k, t, unit_weights, tied_priors, wide_sigma, seed
+        self, k, t, tied_priors, wide_sigma, seed
     ):
         """Integer observations and levels make equal predecessors and
         equal move/stay candidates common, so every tie-break -- first
@@ -259,27 +243,34 @@ class TestViterbiTrellisEquivalence:
         levels = rng.integers(80, 86, size=n_states).astype(np.float64)
         sigma = np.full(n_states, 2.0 if wide_sigma else 1.0)
         observations = rng.integers(78, 88, size=t).astype(np.float64)
-        weights = np.ones(t) if unit_weights else rng.integers(1, 9, size=t) * 0.5
         log_stay = float(np.log(0.25))
         log_move = log_stay if tied_priors else float(np.log(0.05))
-        fast, slow = _forward_pair(k, observations, weights, levels, sigma, log_stay, log_move)
+        fast, slow = _forward_pair(k, observations, levels, sigma, log_stay, log_move)
         _assert_bitwise_equal(fast, slow)
 
     def test_folded_kernel_bit_identical_at_k5(self):
         """The production state count (1 024 states, 256 columns) on
-        noisy samples and random positive dwells, across two block edges."""
-        rng = np.random.default_rng(31)
+        noisy samples, across two block edges."""
         decoder, samples = self._trellis(k=5, t=2 * _BLOCK + 1, seed=31)
         fast, slow = _forward_pair(
             5,
             samples,
-            rng.uniform(0.5, 6.0, size=samples.size),
             decoder.pore_model.levels,
             decoder._sigma,
             decoder._log_stay,
             decoder._log_move,
         )
         _assert_bitwise_equal(fast, slow)
+
+    def test_sample_emissions_are_the_per_sample_gaussian(self):
+        decoder, samples = self._trellis(t=12, seed=5)
+        z = (samples[:, None] - decoder.pore_model.levels[None, :]) / decoder._sigma[None, :]
+        np.testing.assert_array_equal(
+            sample_emissions(
+                samples, decoder.pore_model.levels, decoder._sigma, decoder._log_sigma
+            ),
+            -0.5 * z * z - decoder._log_sigma[None, :],
+        )
 
     def test_move_predecessors_are_columns_of_the_folded_view(self):
         """``pred[s, c] == c*S/4 + (s >> 2)``: state ``s``'s predecessors
@@ -301,75 +292,6 @@ class TestViterbiTrellisEquivalence:
             viterbi_state_ops(-1, 64)
 
 
-class TestEventFrontEnd:
-    def test_event_features_match_manual_segments(self):
-        samples = np.array([1.0, 2.0, 3.0, 10.0, 20.0, 5.0])
-        starts = np.array([0, 3, 5])
-        means, dwells = event_features(samples, starts)
-        np.testing.assert_allclose(means, [2.0, 15.0, 5.0])
-        np.testing.assert_allclose(dwells, [3.0, 2.0, 1.0])
-
-    def test_event_features_rejects_bad_grid(self):
-        samples = np.arange(6.0)
-        with pytest.raises(ValueError):
-            event_features(samples, np.array([1, 3]))  # must start at 0
-        with pytest.raises(ValueError):
-            event_features(samples, np.array([0, 3, 3]))  # zero-dwell event
-
-    def test_event_features_empty(self):
-        means, dwells = event_features(np.empty(0), np.empty(0, dtype=np.int64))
-        assert means.size == 0 and dwells.size == 0
-
-    def test_unit_dwell_emissions_equal_sample_emissions(self):
-        """A dwell-1 event is exactly one sample of evidence."""
-        pore = PoreModel.synthetic(k=3, seed=7)
-        decoder = ViterbiBasecaller(pore)
-        rng = np.random.default_rng(5)
-        samples = rng.normal(loc=pore.levels.mean(), scale=8.0, size=12)
-        z = (samples[:, None] - pore.levels[None, :]) / decoder._sigma[None, :]
-        per_sample = -0.5 * z * z - decoder._log_sigma[None, :]
-        per_event = event_emissions(
-            samples,
-            np.ones(samples.size),
-            pore.levels,
-            decoder._sigma,
-            decoder._log_sigma,
-        )
-        np.testing.assert_array_equal(per_event, per_sample)
-
-    def test_dwell_scales_evidence_linearly(self):
-        pore = PoreModel.synthetic(k=3, seed=7)
-        decoder = ViterbiBasecaller(pore)
-        means = np.array([pore.levels[0], pore.levels[1]])
-        ones = event_emissions(
-            means, np.ones(2), pore.levels, decoder._sigma, decoder._log_sigma
-        )
-        tripled = event_emissions(
-            means, np.full(2, 3.0), pore.levels, decoder._sigma, decoder._log_sigma
-        )
-        np.testing.assert_allclose(tripled, 3.0 * ones)
-
-    def test_event_decode_agrees_with_sample_decode(self):
-        """Event-space decoding stays within striking distance of the
-        classical sample-space decode on clean synthetic signal."""
-        pore = PoreModel.synthetic(k=3, seed=7)
-        decoder = ViterbiBasecaller(pore)
-        rng = np.random.default_rng(33)
-        codes = rng.integers(0, 4, size=200).astype(np.uint8)
-        truth = alphabet.decode(codes)
-        signal = synthesize_signal(codes, pore, SignalConfig(noise_std=1.0), rng)
-        sample_read = decoder.basecall(signal.samples)
-        starts = detect_events(signal.samples, EVENT_SEGMENTATION)
-        means, dwells = event_features(signal.samples, starts)
-        event_read = decoder.basecall_events(means, dwells)
-        sample_identity = identity(sample_read.bases, truth)
-        event_identity = identity(event_read.bases, truth)
-        assert sample_identity > 0.8
-        assert event_identity >= sample_identity - 0.15
-        # The speed source: far fewer trellis observations than samples.
-        assert means.size < 0.5 * signal.samples.size
-
-
 class TestKernelWorkloadHooks:
     def test_viterbi_sample_space_ops(self):
         engine = ViterbiChunkBasecaller(FAST_VITERBI)
@@ -378,15 +300,6 @@ class TestKernelWorkloadHooks:
         workload = engine.kernel_workload(n_bases)
         assert workload.kind == "viterbi-state"
         assert workload.ops == viterbi_state_ops(observations, 4**3)
-
-    def test_viterbi_event_space_ops_are_dwell_mean_cheaper(self):
-        samples = ViterbiChunkBasecaller(FAST_VITERBI)
-        events = ViterbiChunkBasecaller(
-            ViterbiBackendConfig(pore_k=3, decode="events")
-        )
-        n_bases = 600
-        ratio = samples.kernel_workload(n_bases).ops / events.kernel_workload(n_bases).ops
-        assert ratio == pytest.approx(FAST_VITERBI.signal.dwell_mean)
 
     def test_kernel_workload_validation(self):
         with pytest.raises(ValueError, match="unknown kernel kind"):

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from test_runtime_streaming import FailingBasecaller
 
 import repro
+from repro.basecalling.engines import ViterbiBackendConfig
 from repro.basecalling.surrogate import SurrogateBasecaller
 from repro.core import GenPIP, GenPIPConfig
 from repro.core.pipeline import GenPIPPipeline
@@ -535,7 +536,8 @@ def test_engine_plane_has_one_of_each():
     """A basecaller travels as itself, is named by a dict and decodes a
     chunk one way: nothing under ``src/repro`` names the ref, the
     registration record, the priming side channel or the DNN engine and
-    its forward math, nothing scans installed distributions, the
+    its forward math or the event-space decode and its config fields,
+    nothing scans installed distributions, the
     registry is functions over two dicts naming two engines,
     ``process_batch`` is ``process_read`` per element, and the chunk
     grid is the engines' ``n_chunks`` over ``chunk_count`` -- no read
@@ -547,8 +549,13 @@ def test_engine_plane_has_one_of_each():
         r"BasecallerRef|BackendRegistration|prime_chunk_batch|_primed_chunks|batched_basecall"
         r"|DNNChunkBasecaller|DNNBackendConfig|BonitoLikeModel|SignalSpaceBasecaller|ctc_"
         r"|GRULayer|BiGRU|Conv1d|LayerNorm|dnn-mvm|dnn_macs|basecall_signal_chunks"
+        r"|basecall_events|event_features|event_emissions|event_stay_prob|VITERBI_DECODE_MODES"
+        r"|EVENT_SEGMENTATION|decode_states|basecall_signal\b"
     )
     assert _mentions(nodes, gone) == set()
+    assert {field.name for field in dataclasses.fields(ViterbiBackendConfig)} == {
+        "pore_k", "pore_seed", "decoder", "signal", "quality_noise",
+    }  # fmt: skip
     n_chunks_defined = {
         module
         for module, _, node in nodes

@@ -213,6 +213,25 @@ class TestSegmentation:
         with pytest.raises(ValueError):
             jump_scores(np.ones(10), window=0)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_threshold_that_never_fires_is_refused(self, threshold):
+        """A NaN or infinite threshold passes ``<= 0``, and detect_events
+        would return one event: the whole read one grid base."""
+        with pytest.raises(ValueError, match="threshold"):
+            SegmentationConfig(threshold=threshold)
+
+    @pytest.mark.parametrize("field", ["window", "min_dwell"])
+    @pytest.mark.parametrize("value", [2.5, 1.5])
+    def test_sample_counts_must_be_integers(self, field, value):
+        """A fractional window used to pass and raise IndexError inside
+        jump_scores; a fractional min_dwell was accepted outright."""
+        with pytest.raises(ValueError, match=field):
+            SegmentationConfig(**{field: value})
+
+    def test_integer_sample_counts_accepted(self):
+        config = SegmentationConfig(window=np.int64(3), min_dwell=1)
+        assert detect_events(np.repeat([80.0, 100.0], 10), config).tolist() == [0, 10]
+
 
 # --- the SER policy ---------------------------------------------------------
 
