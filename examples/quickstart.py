@@ -281,9 +281,9 @@ def main() -> None:
         )
 
     # 10. The vectorised kernel plane (repro.kernels). Two hot loops
-    #     -- sDTW's banded recurrence and the Viterbi trellis walk --
-    #     have vectorised kernels with scalar references kept
-    #     first-class for the equivalence trail:
+    #     -- sDTW's recurrence and the Viterbi trellis walk -- have
+    #     vectorised kernels with scalar references the tests check
+    #     them against:
     #     * sDTW runs as an anti-diagonal wavefront (one numpy op per
     #       diagonal) with bit-identical costs: sdtw_cost is what
     #       SignalRejectionPolicy calls;

@@ -1,4 +1,4 @@
-"""Genomics primitives: alphabets, sequences, quality scores, I/O, mutation.
+"""Genomics primitives: alphabets, sequences, quality scores, mutation.
 
 This subpackage provides the foundational data types that every other part
 of the GenPIP reproduction builds on:
@@ -13,8 +13,6 @@ of the GenPIP reproduction builds on:
   region fetching.
 * :mod:`repro.genomics.mutate` -- sequencing-error models used both by
   the read simulator and by the surrogate basecaller.
-* :mod:`repro.genomics.io_fasta` / :mod:`repro.genomics.io_fastq` --
-  plain-text interchange formats.
 """
 
 from repro.genomics.alphabet import (
@@ -28,14 +26,9 @@ from repro.genomics.alphabet import (
     random_bases,
     reverse_complement,
 )
-from repro.genomics.io_fasta import FastaRecord, read_fasta, write_fasta
-from repro.genomics.io_fastq import FastqRecord, read_fastq, write_fastq
 from repro.genomics.mutate import ErrorProfile, MutationResult, apply_errors
 from repro.genomics.quality import (
-    PHRED_OFFSET,
-    decode_phred,
     effective_quality,
-    encode_phred,
     error_prob_to_phred,
     mean_quality,
     phred_to_error_prob,
@@ -53,9 +46,6 @@ __all__ = [
     "random_bases",
     "reverse_complement",
     "is_valid_dna",
-    "PHRED_OFFSET",
-    "decode_phred",
-    "encode_phred",
     "error_prob_to_phred",
     "mean_quality",
     "effective_quality",
@@ -65,10 +55,4 @@ __all__ = [
     "ErrorProfile",
     "MutationResult",
     "apply_errors",
-    "FastaRecord",
-    "read_fasta",
-    "write_fasta",
-    "FastqRecord",
-    "read_fastq",
-    "write_fastq",
 ]

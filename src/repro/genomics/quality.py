@@ -18,9 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Sanger/Illumina 1.8+ ASCII offset used in FASTQ files.
-PHRED_OFFSET = 33
-
 #: Highest quality score representable in printable ASCII FASTQ.
 MAX_PHRED = 93
 
@@ -38,24 +35,6 @@ def error_prob_to_phred(prob):
     """
     prob = np.clip(np.asarray(prob, dtype=np.float64), 10.0 ** (-MAX_PHRED / 10.0), 1.0)
     return -10.0 * np.log10(prob)
-
-
-def encode_phred(qualities) -> str:
-    """Encode an array of Phred scores as a FASTQ quality string.
-
-    Scores are rounded to the nearest integer and clipped to ``[0, 93]``.
-    """
-    q = np.rint(np.asarray(qualities, dtype=np.float64))
-    q = np.clip(q, 0, MAX_PHRED).astype(np.uint8)
-    return (q + PHRED_OFFSET).tobytes().decode("ascii")
-
-
-def decode_phred(quality_string: str) -> np.ndarray:
-    """Decode a FASTQ quality string into a float array of Phred scores."""
-    raw = np.frombuffer(quality_string.encode("ascii"), dtype=np.uint8)
-    if raw.size and (raw.min() < PHRED_OFFSET or raw.max() > PHRED_OFFSET + MAX_PHRED):
-        raise ValueError("quality string contains characters outside Phred+33 range")
-    return (raw - PHRED_OFFSET).astype(np.float64)
 
 
 def mean_quality(qualities) -> float:

@@ -42,10 +42,9 @@ process registry's counter (:mod:`repro.kernels.mapping_ops`) as kernels run.
 The contract is one sentence: *production calls one kernel per stage;
 a reference is something a test imports*. ``seed_anchors_scalar``,
 ``chain_scores_scalar``, ``sdtw_cost_scalar``, ``gotoh_scalar`` and
-``viterbi_forward_scalar`` stay exported because the tests and CI's
-kernel-equivalence lane (``bench_kernels.py``) replay each kernel
-against its reference and fail on any mismatch; nothing selects a
-kernel by name. The one real choice -- whether a segment is small
+``viterbi_forward_scalar`` stay exported because the tests replay each
+kernel against its reference and fail on any mismatch; nothing selects
+a kernel by name. The one real choice -- whether a segment is small
 enough for the scalar Gotoh loop to beat the row pipeline -- is made
 from the segment's cell count in :mod:`repro.mapping.alignment` and
 changes no output.

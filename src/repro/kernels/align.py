@@ -13,10 +13,10 @@ affine-gap alignment per segment. The cell recurrence is
 :func:`gotoh_scalar` fills it cell by cell and defines *the* alignment
 of a segment: its score and, through :func:`_traceback_tables`, which of
 the co-optimal paths becomes the CIGAR. The numpy row pipeline in
-:mod:`repro.mapping.alignment` is checked against it (tests and
-``bench_kernels.py``) and is bit-identical, score and CIGAR, for every
-integer-valued scoring; ``align_banded`` there runs this loop itself on
-segments too small to amortise numpy's per-row call overhead.
+:mod:`repro.mapping.alignment` is checked against it by the tests and
+is bit-identical, score and CIGAR, for every integer-valued scoring;
+``align_banded`` there runs this loop itself on segments too small to
+amortise numpy's per-row call overhead.
 """
 
 from __future__ import annotations

@@ -43,8 +43,7 @@ recomputed it from final predecessors, so scores, parents, and
 tie-breaks are bit-identical, not merely close, for any round count or
 block size. Production runs the blocked kernel
 (:func:`repro.mapping.chaining.chain_scores` calls it directly); the
-scalar reference is what tests and ``bench_kernels.py`` import to check
-it against.
+scalar reference is what the tests import to check it against.
 """
 
 from __future__ import annotations

@@ -3,28 +3,26 @@
 The recurrence ``D[i, j] = cost(i, j) + min(D[i-1, j-1], D[i-1, j],
 D[i, j-1])`` carries a dependency on the cell to the *left*, so a
 row-major evaluation cannot vectorise the inner loop -- which is why the
-scalar reference walks each banded row sample-by-sample in Python. On an **anti-diagonal** ``d = i
-+ j``, however, every dependency lives on diagonals ``d-1`` (up, left)
-and ``d-2`` (diag): cells on one diagonal are mutually independent and
-the whole diagonal evaluates as one numpy expression.
+scalar reference walks each row sample-by-sample in Python. On an
+**anti-diagonal** ``d = i + j``, however, every dependency lives on
+diagonals ``d-1`` (up, left) and ``d-2`` (diag): cells on one diagonal
+are mutually independent and the whole diagonal evaluates as one numpy
+expression.
 
 Production calls the wavefront under the one name :func:`sdtw_cost`;
-:func:`sdtw_cost_scalar` is the reference tests and ``bench_kernels.py``
-import. Both perform the *same float64 operations per cell* -- the same
-squared difference, the same three-way ``min`` (exact regardless of
-association order), the same final add -- so their costs are
-**bit-identical**, not merely close. ``tests/test_kernels.py`` and CI's
-kernel-equivalence lane assert exact equality on random inputs, band
-edge cases, and degenerate shapes.
+:func:`sdtw_cost_scalar` is the reference the tests import. Both perform
+the *same float64 operations per cell* -- the same squared difference,
+the same three-way ``min`` (exact regardless of association order), the
+same final add -- so their costs are **bit-identical**, not merely
+close. ``tests/test_kernels.py`` asserts exact equality on random
+inputs, synthesized shapes and degenerate ones.
 
 Semantics (shared by both; the SER screen,
 :class:`~repro.signal.rejection.SignalRejectionPolicy`, calls
 :func:`sdtw_cost` directly): the query must be
 consumed in full but may start and end anywhere in the reference (first
-row zero, answer is the minimum of the last row), costs are squared
-differences of z-normalised samples averaged over the query length, and
-an optional Sakoe-Chiba ``band`` constrains each row to a half-width
-around the global diagonal.
+row zero, answer is the minimum of the last row), and costs are squared
+differences of z-normalised samples averaged over the query length.
 """
 
 from __future__ import annotations
@@ -44,18 +42,9 @@ def znormalise(values: np.ndarray) -> np.ndarray:
     return (values - values.mean()) / std
 
 
-def _band_bounds(i: int, n: int, m: int, band: int | None) -> tuple[int, int]:
-    """Banded column span ``[lo, hi]`` of row ``i`` (1-indexed, inclusive)."""
-    if band is None:
-        return 1, m
-    centre = int(round(i * m / n))
-    return max(1, centre - band), min(m, centre + band)
-
-
 def sdtw_cost_scalar(
     query: np.ndarray,
     reference: np.ndarray,
-    band: int | None = None,
     reference_normalized: bool = False,
 ) -> float:
     """Row-major scalar reference (the original interpreted recurrence).
@@ -79,15 +68,14 @@ def sdtw_cost_scalar(
     prev = np.zeros(m + 1)
     for i in range(1, n + 1):
         row = np.full(m + 1, inf)
-        lo, hi = _band_bounds(i, n, m, band)
-        cost = (q[i - 1] - r[lo - 1 : hi]) ** 2
+        cost = (q[i - 1] - r) ** 2
         # row[j] = cost + min(prev[j-1], prev[j], row[j-1]), evaluated
-        # left-to-right over the banded span only.
-        diag_or_up = np.minimum(prev[lo - 1 : hi], prev[lo : hi + 1])
+        # left-to-right.
+        diag_or_up = np.minimum(prev[:m], prev[1:])
         left = inf
-        for k in range(hi - lo + 1):
+        for k in range(m):
             value = cost[k] + min(diag_or_up[k], left)
-            row[lo + k] = value
+            row[1 + k] = value
             left = value
         prev = row
     return float(prev[1:].min() / n)
@@ -96,7 +84,6 @@ def sdtw_cost_scalar(
 def sdtw_cost(
     query: np.ndarray,
     reference: np.ndarray,
-    band: int | None = None,
     reference_normalized: bool = False,
 ) -> float:
     """Subsequence DTW cost of ``query`` against any span of ``reference``.
@@ -112,8 +99,7 @@ def sdtw_cost(
     of diagonal ``d = i + j`` reads ``(i-1, j)`` and ``(i, j-1)`` from
     diagonal ``d-1`` (indices ``i-1`` and ``i``) and ``(i-1, j-1)``
     from diagonal ``d-2`` (index ``i-1``), so each diagonal is one
-    fused numpy expression over its valid row range. Out-of-band cells
-    hold ``inf`` exactly as the scalar kernel leaves them unwritten.
+    fused numpy expression over its valid row range.
     """
     q = znormalise(query)
     r = (
@@ -127,11 +113,6 @@ def sdtw_cost(
     if m == 0:
         return float("inf")
     inf = np.inf
-    if band is not None:
-        rows = np.arange(n + 1)
-        centre = np.round(rows * m / n).astype(np.int64)
-        band_lo = np.maximum(1, centre - band)
-        band_hi = np.minimum(m, centre + band)
     # Diagonal buffers indexed by i in [0, n]; d=0 holds only D[0, 0]=0.
     prev2 = np.full(n + 1, inf)
     prev1 = np.full(n + 1, inf)
@@ -149,11 +130,7 @@ def sdtw_cost(
             j = d - i
             cost = (q[i - 1] - r[j - 1]) ** 2
             best = np.minimum(np.minimum(prev1[i - 1], prev1[i]), prev2[i - 1])
-            values = cost + best
-            if band is not None:
-                inside = (j >= band_lo[i]) & (j <= band_hi[i])
-                values = np.where(inside, values, inf)
-            cur[i_lo : i_hi + 1] = values
+            cur[i_lo : i_hi + 1] = cost + best
         if 1 <= d - n <= m:
             last_row[d - n] = cur[n]
         prev2, prev1 = prev1, cur

@@ -14,10 +14,10 @@ The batched kernel replaces the per-key loop with one
 expansion of the hit entries, and fancy-indexed gathering of the
 location rows; it is the kernel production seeds with
 (:func:`repro.mapping.seeding.collect_anchor_arrays` calls it
-directly). The per-key loop is the reference that tests and
-``bench_kernels.py`` import to check it against: both emit rows in
-(query order, entry order) and finish with the same stable lexsort, so
-their outputs are identical arrays.
+directly). The per-key loop is the reference the tests import to
+check it against: both emit rows in (query order, entry order) and
+finish with the same stable lexsort, so their outputs are identical
+arrays.
 """
 
 from __future__ import annotations

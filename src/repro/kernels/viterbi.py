@@ -5,8 +5,8 @@ signal sample, every state picks the best of *stay* (same k-mer) and
 four *move* predecessors. :func:`viterbi_forward` is the production kernel;
 :func:`viterbi_forward_scalar` is the triple-loop reference performing
 the *same float operations per state*, so the two produce bit-identical
-score matrices, backpointers and final scores -- CI's kernel-equivalence
-lane replays both on fixed seeds and fails on any mismatch.
+score matrices, backpointers and final scores -- the tests replay both
+on generated and fixed-seed trellises and compare them by bytes.
 
 **The fold.** State ``s`` on a move came from ``pred[s, c] = c*S/4 +
 (s >> 2)`` (:func:`move_predecessors`): its four predecessors are column
@@ -175,7 +175,7 @@ def viterbi_forward_scalar(
     adds, the same strict-greater argmax tie-breaking (first maximum
     wins, matching ``np.argmax``) -- so results are bit-identical to
     the vectorised kernel. Quadratically slower; exists for the
-    equivalence trail, not for production decoding.
+    equivalence tests, not for production decoding.
     """
     t_total, n_states = emissions.shape
     backptr = np.empty((t_total, n_states), dtype=np.uint8)

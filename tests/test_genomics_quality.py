@@ -1,6 +1,5 @@
 """Tests for Phred quality-score math."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -31,26 +30,6 @@ class TestConversions:
     def test_prob_clipping(self):
         assert quality.error_prob_to_phred(0.0) <= quality.MAX_PHRED
         assert quality.error_prob_to_phred(2.0) == pytest.approx(0.0)
-
-
-class TestFastqEncoding:
-    def test_known_string(self):
-        assert quality.encode_phred([0, 10, 40]) == "!+I"
-
-    def test_decode_known(self):
-        np.testing.assert_allclose(quality.decode_phred("!+I"), [0, 10, 40])
-
-    def test_decode_rejects_non_phred(self):
-        with pytest.raises(ValueError):
-            quality.decode_phred("\x1f")
-
-    @given(phred_arrays)
-    def test_roundtrip_within_rounding(self, values):
-        decoded = quality.decode_phred(quality.encode_phred(values))
-        np.testing.assert_allclose(decoded, np.rint(np.clip(values, 0, 93)), atol=0.5)
-
-    def test_clipping_high(self):
-        assert quality.decode_phred(quality.encode_phred([200.0]))[0] == quality.MAX_PHRED
 
 
 class TestAverages:

@@ -1,12 +1,13 @@
 """Tests for the vectorised kernel plane (:mod:`repro.kernels`).
 
-Two equivalence families, mirroring CI's kernel-equivalence lane:
+Two equivalence families, each on hypothesis-generated shapes and on
+fixed-seed trail cases (``test_trail_case_bit_identical``):
 
 * the anti-diagonal wavefront sDTW must be **bit-identical** to the
   scalar row-major reference (same float64 ops per cell, reassociated
   only across independent cells);
 * the vectorised Viterbi forward pass must be bit-identical to the
-  triple-loop scalar reference.
+  triple-loop scalar reference, up to a production-sized k=5 chunk.
 
 Plus the perf hooks: each backend's ``kernel_workload`` must report the
 op counts the system models charge.
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.basecalling import ViterbiBackendConfig, ViterbiChunkBasecaller
-from repro.basecalling.viterbi import ViterbiBasecaller
+from repro.basecalling.viterbi import ViterbiBasecaller, ViterbiConfig
 from repro.core import GenPIP, GenPIPConfig
 from repro.kernels import (
     TRANSITIONS_PER_STATE,
@@ -39,7 +40,7 @@ from repro.kernels.viterbi import _BLOCK
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.nanopore.pore_model import PoreModel
-from repro.nanopore.signal import RawSignal
+from repro.nanopore.signal import RawSignal, SignalConfig, synthesize_signal
 from repro.nanopore.signal_read import SignalRead
 from repro.perf.costs import DEFAULT_COSTS
 from repro.perf.workload import PipelineWorkload
@@ -53,34 +54,45 @@ class TestSdtwEquivalence:
     """Wavefront and scalar kernels are bit-identical, not merely close."""
 
     @pytest.mark.parametrize(
-        "n, m, band",
+        "n, m",
         [
-            (120, 900, None),
-            (150, 1200, 40),
-            (100, 800, 4),  # band much narrower than the warp
-            (300, 200, None),  # query longer than the reference
-            (1, 500, None),
-            (64, 64, 1),
+            (120, 900),
+            (150, 1200),
+            (100, 800),
+            (300, 200),  # query longer than the reference
+            (1, 500),
+            (64, 64),
         ],
     )
-    def test_bitwise_equal_costs(self, n, m, band):
+    def test_bitwise_equal_costs(self, n, m):
         rng = np.random.default_rng(20)
         query = rng.normal(size=n)
         reference = rng.normal(size=m)
-        a = sdtw_cost(query, reference, band=band)
-        b = sdtw_cost_scalar(query, reference, band=band)
+        a = sdtw_cost(query, reference)
+        b = sdtw_cost_scalar(query, reference)
         assert a == b  # exact float64 equality
         assert np.isfinite(a)
 
-    def test_infeasible_band_is_inf_on_both(self):
-        rng = np.random.default_rng(3)
-        query = rng.normal(size=100)
-        reference = rng.normal(size=800)
-        # band=2 around the global diagonal cannot consume a 100-sample
-        # query against an 8x longer reference.
-        a = sdtw_cost(query, reference, band=2)
-        b = sdtw_cost_scalar(query, reference, band=2)
-        assert np.isinf(a) and np.isinf(b)
+    @pytest.mark.parametrize(
+        "case", ["random-unbanded", "query-longer-than-reference", "single-sample-query"]
+    )
+    def test_trail_case_bit_identical(self, case):
+        # One generator draws every case in order; the two dropped
+        # draws keep the later cases' inputs fixed.
+        rng = np.random.default_rng(20)
+        cases = {
+            name: (rng.normal(size=n), rng.normal(size=m))
+            for name, n, m in [
+                ("random-unbanded", 120, 900),
+                ("dropped", 150, 1200),
+                ("dropped", 100, 800),
+                ("query-longer-than-reference", 300, 200),
+                ("single-sample-query", 1, 500),
+            ]
+        }
+        wavefront = sdtw_cost(*cases[case])
+        scalar = sdtw_cost_scalar(*cases[case])
+        assert np.float64(wavefront).tobytes() == np.float64(scalar).tobytes()
 
     def test_empty_query_costs_zero(self):
         empty = np.empty(0)
@@ -137,25 +149,22 @@ class TestSdtwEquivalence:
     @given(
         n=st.integers(0, 40),
         m=st.integers(0, 90),
-        band=st.one_of(st.none(), st.integers(0, 12), st.integers(13, 120)),
         reference_normalized=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
     def test_wavefront_bit_identical_over_generated_shapes(
-        self, n, m, band, reference_normalized, seed
+        self, n, m, reference_normalized, seed
     ):
-        """Empty, query-longer-than-reference, narrow and infeasible bands
-        (``inf`` on both sides), templates normalised by the caller."""
+        """Empty and query-longer-than-reference shapes (``inf`` on both
+        sides for an empty reference), templates normalised by the caller."""
         rng = np.random.default_rng(seed)
         query = rng.normal(size=n)
         reference = rng.normal(loc=2.0, scale=3.0, size=m)
         if reference_normalized:
             reference = znormalise(reference)
-        kwargs = dict(band=band, reference_normalized=reference_normalized)
-        assert sdtw_cost(query, reference, **kwargs) == sdtw_cost_scalar(
-            query, reference, **kwargs
-        )
+        kwargs = dict(reference_normalized=reference_normalized)
+        assert sdtw_cost(query, reference, **kwargs) == sdtw_cost_scalar(query, reference, **kwargs)
 
 
 def _forward_pair(k, observations, levels, sigma, log_stay, log_move):
@@ -261,6 +270,20 @@ class TestViterbiTrellisEquivalence:
             decoder._log_move,
         )
         _assert_bitwise_equal(fast, slow)
+
+    @pytest.mark.parametrize("case", ["k3-noisy-signal", "k5-300-bases"])
+    def test_trail_case_bit_identical(self, case):
+        """Synthesized current, not random normals: ``k5-300-bases`` is
+        a production-sized chunk of about 1 800 observations."""
+        k, n_bases, seed = {"k3-noisy-signal": (3, 40, 21), "k5-300-bases": (5, 300, 25)}[case]
+        pore = PoreModel.synthetic(k=k)
+        codes = np.random.default_rng(seed).integers(0, 4, n_bases).astype(np.uint8)
+        signal = synthesize_signal(
+            codes, pore, SignalConfig(noise_std=2.0), np.random.default_rng(seed + 1)
+        )
+        decoder = ViterbiBasecaller(pore, ViterbiConfig(extra_noise_std=2.0))
+        samples = signal.samples.astype(np.float64)
+        _assert_bitwise_equal(*self._forward(decoder, samples))
 
     def test_sample_emissions_are_the_per_sample_gaussian(self):
         decoder, samples = self._trellis(t=12, seed=5)

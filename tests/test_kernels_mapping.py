@@ -1,7 +1,8 @@
 """Tests for the vectorised mapping kernel plane.
 
-Three bit-identity families, mirroring CI's kernel-equivalence lane
-(fixed seeds, plus a hypothesis property over generated shapes each):
+Three bit-identity families (fixed seeds, a hypothesis property over
+generated shapes, and production-sized fixed-seed trail cases compared
+by bytes in ``test_trail_case_bit_identical`` each):
 
 * batched seeding (one ``searchsorted`` + repeat/gather) must produce
   the exact grouped anchor arrays of the per-key scalar walk;
@@ -198,6 +199,17 @@ class TestChainKernels:
         assert np.array_equal(s_scores.view(np.int64), b_scores.view(np.int64))
         assert np.array_equal(s_parents, b_parents)
 
+    @pytest.mark.parametrize(
+        "case",
+        ["colinear-2000", "scattered-1500", "short-lookback", "block-boundary-5000", "mapped-read"],
+    )
+    def test_trail_case_bit_identical(self, chain_trail, case):
+        anchors, max_gap, lookback = chain_trail[case]
+        scalar = chain_scores_scalar(anchors, 13, max_gap, lookback)
+        blocked = chain_scores_blocked(anchors, 13, max_gap, lookback)
+        for s_out, b_out in zip(scalar, blocked, strict=True):
+            assert s_out.dtype == b_out.dtype and s_out.tobytes() == b_out.tobytes()
+
     @pytest.mark.parametrize("rounds", [0, 1])
     def test_fallback_rows_bit_identical(self, rounds, monkeypatch):
         """No speculation (0) or one round then the per-row fallback (1)."""
@@ -209,6 +221,45 @@ class TestChainKernels:
             b_scores, b_parents = chain_scores_blocked(anchors, 13, 5_000, 50)
             assert np.array_equal(s_scores.view(np.int64), b_scores.view(np.int64)), n_true
             assert np.array_equal(s_parents, b_parents), n_true
+
+
+@pytest.fixture(scope="module")
+def chain_trail():
+    """Chain trail cases by name: ``(anchors, max_gap, lookback)``, all
+    drawn in order from one seed."""
+    rng = np.random.default_rng(26)
+
+    def _colinear(n, jitter):
+        ref = np.sort(rng.integers(0, 60_000, size=n))
+        read = np.maximum(0, ref - ref.min() + rng.integers(-jitter, jitter, size=n))
+        arr = np.stack([ref, read], axis=1).astype(np.int64)
+        return arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+
+    def _scattered(n):
+        arr = np.stack(
+            [np.sort(rng.integers(0, 60_000, size=n)), rng.integers(0, 9_000, size=n)],
+            axis=1,
+        ).astype(np.int64)
+        return arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+
+    def _mapped_read(n_true):
+        # One read's true hits (a colinear run with indel drift) plus
+        # about one scattered repeat hit per three: the nearest valid
+        # predecessor is often not the parent, which is what exercises
+        # the kernel's speculate-and-verify rounds.
+        read = np.sort(rng.choice(9_000, size=n_true, replace=False))
+        ref = 20_000 + read + np.cumsum(rng.integers(-3, 4, size=n_true))
+        true_hits = np.stack([ref, read], axis=1)
+        arr = np.concatenate([true_hits, _scattered(n_true // 3)]).astype(np.int64)
+        return arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+
+    return {
+        "colinear-2000": (_colinear(2_000, 40), 5_000, 50),
+        "scattered-1500": (_scattered(1_500), 5_000, 50),
+        "short-lookback": (_colinear(800, 30), 500, 5),
+        "block-boundary-5000": (_colinear(5_000, 40), 5_000, 50),
+        "mapped-read": (_mapped_read(1_200), 5_000, 50),
+    }
 
 
 def _mapped_read_anchors(rng, n_true):
@@ -392,6 +443,26 @@ class TestAlignKernels:
         assert results[0] == results[1]
         assert {"X", "I", "D"} <= {op for op, _ in results[0][0].cigar}
 
+    @pytest.mark.parametrize(
+        "case", ["random-55x62", "mutated-58", "all-ambiguous-ties", "empty-vs-short"]
+    )
+    def test_trail_case_bit_identical(self, case):
+        rng = np.random.default_rng(27)
+        a_rand = rng.integers(0, 4, 55).astype(np.uint8)
+        b_rand = rng.integers(0, 4, 62).astype(np.uint8)
+        a_mut = rng.integers(0, 4, 58).astype(np.uint8)
+        cases = {
+            "random-55x62": (a_rand, b_rand),
+            "mutated-58": (a_mut, apply_errors(a_mut, 0.15, rng).codes),
+            "all-ambiguous-ties": (np.zeros(40, dtype=np.uint8), np.zeros(55, dtype=np.uint8)),
+            "empty-vs-short": (np.empty(0, dtype=np.uint8), rng.integers(0, 4, 9).astype(np.uint8)),
+        }
+        a, b = cases[case]
+        s_score, s_cigar = gotoh_scalar(a, b, 2.0, -4.0, -4.0, -2.0)
+        r_score, r_cigar = _row_pipeline(a, b, 2.0, -4.0, -4.0, -2.0)
+        assert np.float64(s_score).tobytes() == np.float64(r_score).tobytes()
+        assert s_cigar == r_cigar
+
     def test_kernels_charge_cells(self):
         rng = np.random.default_rng(204)
         a, b = _random_pair(rng, 40, 50)
@@ -526,6 +597,25 @@ class TestSeedKernels:
         objs = collect_anchors(index, read)
         assert len(objs) == sum(a.shape[0] for a in fast.values())
 
+    @pytest.mark.parametrize("case", ["clean-6kb", "noisy-9kb", "junk-3kb"])
+    def test_trail_case_bit_identical(self, seed_trail, case):
+        """Reads up to 9 kb against a 150 kb default-config index."""
+        index, reads = seed_trail
+        read = reads[case]
+        args = (
+            *minimizer_arrays(read, index.config),
+            index.key_array,
+            index.bounds_array,
+            index.position_array,
+            index.strand_array,
+        )
+        batched = seed_anchors_batched(*args, read_length=int(read.size))
+        scalar = seed_anchors_scalar(*args, read_length=int(read.size))
+        for strand in (1, -1):
+            assert batched[strand].dtype == scalar[strand].dtype
+            assert batched[strand].shape == scalar[strand].shape
+            assert batched[strand].tobytes() == scalar[strand].tobytes()
+
     def test_unknown_kernel_rejected(self, index, reference):
         # No name is known: the option is gone.
         read = reference.codes[:500]
@@ -580,6 +670,18 @@ class TestSeedKernels:
             assert batched[strand].dtype == scalar[strand].dtype == np.int64
             assert batched[strand].shape == scalar[strand].shape
             assert np.array_equal(batched[strand], scalar[strand])
+
+
+@pytest.fixture(scope="module")
+def seed_trail():
+    """Seed trail cases: the index, and the reads by name."""
+    rng = np.random.default_rng(28)
+    reference = ReferenceGenome.random(150_000, seed=29)
+    return MinimizerIndex.build(reference), {
+        "clean-6kb": reference.fetch(20_000, 26_000),
+        "noisy-9kb": apply_errors(reference.fetch(60_000, 69_000), 0.12, rng).codes,
+        "junk-3kb": rng.integers(0, 4, 3_000).astype(np.uint8),
+    }
 
 
 class TestMapperIntegration:

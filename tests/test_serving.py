@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import ast
 import asyncio
+import dataclasses
 import gc
 import glob
 import json
@@ -307,7 +308,7 @@ def base_reads(draw):
         ref_start=start,
         ref_end=None if junk else start + n,
         true_codes=rng.integers(0, 4, size=n).astype(np.uint8),
-        qualities=rng.normal(12.0, 4.0, size=n),
+        qualities=np.abs(rng.normal(12.0, 4.0, size=n)),  # a negative one is refused
         seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
     )
 
@@ -896,6 +897,63 @@ def test_base_starts_past_the_samples_are_refused_before_dispatch(tiny_dataset, 
     bad.signal.base_starts[2] = bad.n_samples + 400  # after the signal's own check
     message = _refused_session(system, [good, bad], workers, failing_seq=1)
     assert bad.read_id in message and "non-decreasing" in message
+
+
+@pytest.mark.parametrize(
+    "corrupt, wanted",
+    [
+        pytest.param(
+            lambda codes, qualities, every_50th: (np.full_like(codes, 4), qualities),
+            "base codes",
+            id="code-4",
+        ),
+        pytest.param(
+            lambda codes, qualities, every_50th: (
+                np.where(every_50th, 255, codes).astype(np.uint8),
+                qualities,
+            ),
+            "base codes",
+            id="code-255",
+        ),
+        pytest.param(
+            lambda codes, qualities, every_50th: (codes, np.full_like(qualities, np.nan)),
+            "qualities",
+            id="nan-quality",
+        ),
+        pytest.param(
+            lambda codes, qualities, every_50th: (codes, np.where(every_50th, np.inf, qualities)),
+            "qualities",
+            id="inf-quality",
+        ),
+        pytest.param(
+            lambda codes, qualities, every_50th: (codes, np.full_like(qualities, -1.0)),
+            "qualities",
+            id="negative-quality",
+        ),
+    ],
+)
+def test_base_codes_and_qualities_out_of_range_are_refused_before_dispatch(
+    tiny_system, tiny_dataset, monkeypatch, corrupt, wanted
+):
+    """A base read's code above 3 (T), or a quality that is NaN, infinite
+    or negative, gets one ``error`` frame naming the read and never
+    reaches the dispatcher, which would have answered it with a verdict
+    (or raised inside the error model on NaN)."""
+    dispatched = []
+    process = PoolDispatcher.process
+
+    async def recording(self, read):
+        dispatched.append(read.read_id)
+        return await process(self, read)
+
+    monkeypatch.setattr(PoolDispatcher, "process", recording)
+    good, read = tiny_dataset.reads[:2]
+    every_50th = np.arange(len(read)) % 50 == 0
+    bad_codes, bad_qualities = corrupt(read.true_codes, read.qualities, every_50th)
+    bad = dataclasses.replace(read, true_codes=bad_codes, qualities=bad_qualities)
+    message = _refused_session(tiny_system, [good, bad], 1, failing_seq=1)
+    assert read.read_id in message and wanted in message, message
+    assert read.read_id not in dispatched
 
 
 def test_dispatcher_start_is_single_shot(tiny_system):
