@@ -381,7 +381,7 @@ def main() -> None:
 
     # 13. The mapping kernel plane: production calls one kernel per
     #     stage -- batched searchsorted seeding, blocked chain DP,
-    #     row-pipeline Gotoh -- and each is bit-identical to a scalar
+    #     lane-fill Gotoh -- and each is bit-identical to a scalar
     #     reference that tests (and this section) import and call
     #     directly: same anchors, same chain scores *and parents*, same
     #     alignment scores and CIGARs. Nothing selects a kernel by
@@ -397,7 +397,7 @@ def main() -> None:
         gotoh_scalar,
         process_mapping_ops,
     )
-    from repro.mapping import ChainingConfig, Mapper, align_banded
+    from repro.mapping import ChainingConfig, Mapper, align_global
     from repro.mapping.seeding import collect_anchor_arrays
 
     ledger = process_mapping_ops()
@@ -421,11 +421,12 @@ def main() -> None:
     assert np.array_equal(scores, ref_scores) and np.array_equal(parents, ref_parents)
     segment = demo_codes[:60]
     scoring = (2.0, -4.0, -4.0, -2.0)
-    # 3 600 cells: align_banded fills this one with the numpy row
-    # pipeline, and returns the scalar loop's score and CIGAR (its
-    # raw 'M' runs split into '=' / 'X').
+    # 3 600 cells: align_global fills this one as a one-lane row
+    # pipeline (align_chain fills all of a chain's segments and both
+    # end extensions as lanes of one), and returns the scalar loop's
+    # score and CIGAR (its raw 'M' runs split into '=' / 'X').
     ref_score, ref_cigar = gotoh_scalar(segment, segment[::-1], *scoring)
-    aligned = align_banded(segment, segment[::-1])
+    aligned = align_global(segment, segment[::-1])
     runs = groupby(aligned.cigar, key=lambda run: "M" if run[0] in "=X" else run[0])
     assert aligned.score == ref_score
     assert tuple((op, sum(n for _, n in group)) for op, group in runs) == ref_cigar

@@ -29,8 +29,9 @@ previously iterated sample-by-sample in interpreted Python:
   all rows checked at once).
 * :mod:`repro.kernels.align` -- affine-gap (Gotoh) alignment (paper
   Fig. 1(d)): the pure-Python scalar loop that defines a segment's
-  score and CIGAR. The vectorised fill is the row pipeline in
-  :mod:`repro.mapping.alignment`, bit-identical to it.
+  score and CIGAR. The vectorised fill is the lane fill in
+  :mod:`repro.mapping.alignment` (all of a chain's segments and end
+  extensions as lanes of one row pipeline), bit-identical to it.
 
 Every kernel reports its own workload (:mod:`repro.kernels.workload`)
 so :mod:`repro.perf` can charge the *real* arithmetic -- Viterbi
@@ -44,10 +45,7 @@ a reference is something a test imports*. ``seed_anchors_scalar``,
 ``chain_scores_scalar``, ``sdtw_cost_scalar``, ``gotoh_scalar`` and
 ``viterbi_forward_scalar`` stay exported because the tests replay each
 kernel against its reference and fail on any mismatch; nothing selects
-a kernel by name. The one real choice -- whether a segment is small
-enough for the scalar Gotoh loop to beat the row pipeline -- is made
-from the segment's cell count in :mod:`repro.mapping.alignment` and
-changes no output.
+a kernel by name, and no stage picks between two fills.
 """
 
 from repro.kernels.align import gotoh_scalar

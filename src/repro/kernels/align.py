@@ -12,11 +12,11 @@ affine-gap alignment per segment. The cell recurrence is
 
 :func:`gotoh_scalar` fills it cell by cell and defines *the* alignment
 of a segment: its score and, through :func:`_traceback_tables`, which of
-the co-optimal paths becomes the CIGAR. The numpy row pipeline in
-:mod:`repro.mapping.alignment` is checked against it by the tests and
-is bit-identical, score and CIGAR, for every integer-valued scoring;
-``align_banded`` there runs this loop itself on segments too small to
-amortise numpy's per-row call overhead.
+the co-optimal paths becomes the CIGAR. Production never calls it: the
+lane fill in :mod:`repro.mapping.alignment` runs every segment and
+head/tail extension of a chain through one numpy row pipeline, and the
+tests check that each lane is bit-identical to this loop, score and
+CIGAR, for every integer-valued scoring, whatever its lane mates.
 """
 
 from __future__ import annotations
@@ -85,9 +85,8 @@ def gotoh_scalar(
 ) -> tuple[float, tuple[tuple[str, int], ...]]:
     """Pure-Python Gotoh reference; returns ``(score, raw 'M'-run cigar)``.
 
-    The ground truth the row pipeline is checked against, and the
-    faster fill below ``align_banded``'s crossover, where numpy call
-    overhead dominates the handful of cells. Takes any float scoring.
+    The ground truth the lane fill is checked against. Takes any float
+    scoring.
     """
     n, m = int(a.size), int(b.size)
     if n and m:

@@ -17,7 +17,9 @@ Kinds in use:
   window slot) pair, the unit GenPIP's DP units and PARC execute
   in-memory.
 * ``"align-cell"`` -- affine-gap DP cells filled by the alignment
-  kernels (:mod:`repro.kernels.align` and the banded row pipeline).
+  kernels (:mod:`repro.kernels.align` and the lane fill in
+  :mod:`repro.mapping.alignment`): each lane's ``n * m``, never the
+  padding its group adds.
 
 :class:`~repro.perf.workload.PipelineWorkload` carries snapshot deltas
 of this counter into the system models, which convert them to seconds

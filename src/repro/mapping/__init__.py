@@ -13,9 +13,10 @@ and chunk-mapping early rejection (CMR) are built on:
 * :mod:`repro.mapping.index` -- the reference hash table;
 * :mod:`repro.mapping.seeding` -- anchor collection;
 * :mod:`repro.mapping.chaining` -- minimap2's chain DP with gap costs;
-* :mod:`repro.mapping.alignment` -- banded affine-gap alignment with
-  CIGAR output, applied piecewise between chain anchors (as minimap2
-  does), plus a Myers bit-parallel edit distance;
+* :mod:`repro.mapping.alignment` -- affine-gap alignment with CIGAR
+  output, applied piecewise between chain anchors (as minimap2 does);
+* :mod:`repro.mapping.edit_distance` -- a Myers bit-parallel edit
+  distance;
 * :mod:`repro.mapping.mapper` -- the read-level facade and the
   incremental chunk-level mapper.
 """
@@ -23,8 +24,8 @@ and chunk-mapping early rejection (CMR) are built on:
 from repro.mapping.alignment import (
     AlignmentConfig,
     AlignmentResult,
-    align_banded,
     align_chain,
+    align_global,
     cigar_to_string,
 )
 from repro.mapping.chaining import Chain, ChainingConfig, chain_anchors
@@ -51,8 +52,8 @@ __all__ = [
     "chain_anchors",
     "AlignmentConfig",
     "AlignmentResult",
-    "align_banded",
     "align_chain",
+    "align_global",
     "cigar_to_string",
     "edit_distance",
     "IncrementalChunkMapper",

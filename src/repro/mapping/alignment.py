@@ -2,22 +2,26 @@
 
 Two layers:
 
-* :func:`align_banded` -- exact global alignment of two short segments
-  under affine gap costs (Gotoh's algorithm), with an optional band
-  restriction around the expected diagonal. Rows are vectorised with the
-  "lazy-E" trick: the within-row horizontal-gap recurrence collapses to
-  a running maximum of ``H[j] + j * gap_extend`` because re-opening a
-  gap is never cheaper than extending one.
+* :func:`align_global` -- exact global alignment of two segments under
+  affine gap costs (Gotoh's algorithm).
 * :func:`align_chain` -- piecewise alignment along a chain of anchors,
   exactly as minimap2 closes the gaps between chained minimizer hits:
   anchor k-mers are exact matches by construction (the minimizer hash is
   invertible), so only the short inter-anchor segments need DP. Head and
   tail are aligned up to a capped extension and soft-clipped beyond it.
 
-Unbanded segments below ``_ROW_PIPELINE_MIN_CELLS`` cells run through
-the scalar loop in :mod:`repro.kernels.align` instead, which is faster
-there and bit-identical, score and CIGAR, to the row pipeline: the
-crossover is a speed constant and no output byte depends on it.
+Both run every DP through one *lane fill* (:func:`_fill_lanes`): a row
+pipeline over a ``(lanes x columns)`` array in which each lane is one
+independent alignment, the way GenPIP's in-memory DP units each work on
+many cells at once. :func:`align_chain` first gathers all of a chain's
+DP inputs -- every inter-anchor segment, the reversed head window and
+the tail window -- then fills them together and stitches the CIGAR in
+chain order; :func:`align_global` is a one-lane fill. Rows are
+vectorised with the "lazy-E" trick: the within-row horizontal-gap
+recurrence collapses to a running maximum of ``H[j] + j * gap_extend``
+because re-opening a gap is never cheaper than extending one. Every
+lane gets the same float64 operations per cell, so its score and CIGAR
+equal :func:`repro.kernels.align.gotoh_scalar`'s whatever its lane mates.
 
 Scoring defaults follow minimap2's map-ont preset (match +2, mismatch
 -4, gap open -4, gap extend -2).
@@ -26,38 +30,42 @@ Scoring defaults follow minimap2's map-ont preset (match +2, mismatch
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from repro.kernels.align import gotoh_scalar, merge_cigar
+from repro.kernels.align import merge_cigar
 from repro.kernels.mapping_ops import record_mapping_ops
 
 #: CIGAR operation codes used throughout: match, mismatch, insertion
 #: (read-only base), deletion (reference-only base), soft clip.
 CIGAR_OPS = ("=", "X", "I", "D", "S")
 
-# Gotoh is filled two ways, picked from the segment's cell count n * m:
-# ``gotoh_scalar`` below _ROW_PIPELINE_MIN_CELLS, the numpy row pipeline
-# (``_align_core``) from there up -- and for every banded segment and
-# head/tail extension, whatever its size. Both return the same score and
-# CIGAR (``tests/test_kernels_mapping.py``), so the value decides speed
-# and nothing else. Measured per call (us, median per cell-count bucket;
-# the 1 924 inter-anchor segments of 120 ``ecoli-align`` reads, seed 7,
-# PR 22):
+# Lanes are grouped by power-of-two row count, and a group's padded
+# cells (lanes x rows x columns) stay within ``max_segment_cells``, the
+# size one segment may already reach. Fill rate per bucket of that
+# grouping, in Mcells/s of real cells, traceback included: the 2 077 DP
+# inputs of 81 aligned ``ecoli-align`` reads (seed 7, 4 slices), one
+# segment per call before (``gotoh_scalar`` under 800 cells, a
+# one-segment row pipeline above), one group per call after (median of
+# 5 passes, 2-vCPU Xeon container, Python 3.11, numpy 2.4):
 #
-#      cells   scalar  row pipeline
-#         33       30           112
-#        225      161           259
-#        462      293           356
-#        650      403           426
-#        756      466           463
-#        869      533           496
-#      1 088      671           571
-#      1 560    1 013           664
-#      2 756    1 733           918
-#      6 847    4 398         1 507
-#     43 361   32 873         5 800
-_ROW_PIPELINE_MIN_CELLS = 800
+#     rows       lanes  cells (k)  before  after
+#     1             12       0.02    0.17   0.02
+#     2-3           54       0.37    0.47   0.08
+#     4-7          180       5.8     0.93   0.52
+#     8-15         418      58.5     1.33   2.27
+#     16-31        576     279       1.45   5.16
+#     32-63        435     823       2.56   8.68
+#     64-127       239   1 765       5.01  11.44
+#     128-255      120   3 619       8.79  17.26
+#     256-511       37   4 168      15.72  24.06
+#     512-1023       6   2 142      22.23  29.18
+#     all        2 077  12 862       7.61  16.03
+#
+# Lanes under 8 rows lose (a group of them still pays ~16 numpy calls a
+# row), but they hold 0.05 % of the cells: 17 ms of the 0.80 s (7 ms of
+# the 1.69 s before).
 
 
 @dataclass(frozen=True)
@@ -70,7 +78,8 @@ class AlignmentConfig:
     gap_extend: float = -2.0
     #: Maximum head/tail length aligned by DP; longer ends are soft-clipped.
     max_end_extension: int = 400
-    #: Safety cap on inter-anchor segment DP size (cells).
+    #: Safety cap on inter-anchor segment DP size (cells), and on the
+    #: padded cells of one lane-fill group.
     max_segment_cells: int = 4_000_000
 
     def __post_init__(self) -> None:
@@ -88,6 +97,10 @@ class AlignmentConfig:
                 "under float rounding a segment's score and CIGAR would depend "
                 "on which Gotoh fill ran"
             )
+        if self.max_end_extension < 0 or self.max_segment_cells < 0:
+            # A negative extension clips more read than there is; a
+            # negative cell cap turns every segment into D+I.
+            raise ValueError("max_end_extension and max_segment_cells must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -144,183 +157,229 @@ def cigar_to_string(cigar: tuple[tuple[str, int], ...]) -> str:
     return "".join(f"{length}{op}" for op, length in cigar)
 
 
-def align_banded(
+def align_global(
     ref: np.ndarray,
     read: np.ndarray,
     config: AlignmentConfig | None = None,
-    band: int | None = None,
 ) -> AlignmentResult:
     """Exact global affine-gap alignment of two code arrays.
 
-    Parameters
-    ----------
-    ref, read:
-        2-bit code arrays (reference consumes ``D``, read consumes ``I``).
-    config:
-        Scoring parameters.
-    band:
-        Optional half-width of the band around the length-interpolated
-        diagonal; cells outside are unreachable. ``None`` = unbanded
-        (exact). A band at least as wide as the true alignment's drift
-        gives the exact result; one too narrow for any path to stay
-        inside it raises ``ValueError``.
+    ``ref`` and ``read`` are 2-bit code arrays (reference consumes
+    ``D``, read consumes ``I``); ``config`` holds the scoring.
     """
     config = config or AlignmentConfig()
     a = np.asarray(ref)
     b = np.asarray(read)
-    if band is None and a.size * b.size < _ROW_PIPELINE_MIN_CELLS:
-        raw = AlignmentResult(
-            *gotoh_scalar(a, b, config.match, config.mismatch, config.gap_open, config.gap_extend)
-        )
-    else:
-        raw = _align_core(a, b, config, band)
-    return AlignmentResult(score=raw.score, cigar=_classify_diagonals(raw.cigar, ref, read))
+    (raw,) = _fill_lanes([(a, b, False)], config)
+    return AlignmentResult(score=raw.score, cigar=_classify_diagonals(raw.cigar, a, b))
 
 
-def _align_core(
-    ref: np.ndarray,
-    read: np.ndarray,
-    config: AlignmentConfig,
-    band: int | None = None,
-    free_ref_tail: bool = False,
-) -> AlignmentResult:
-    """Gotoh DP; returns a CIGAR with raw 'M' (match-or-mismatch) runs.
+#: One DP input: ``(ref, read, free_ref_tail)``. With ``free_ref_tail``
+#: the alignment may stop before consuming the whole reference
+#: (semi-global: trailing reference bases are free) -- used for head/tail
+#: extension where the true reference span is unknown.
+Lane = tuple[np.ndarray, np.ndarray, bool]
 
-    With ``free_ref_tail`` the alignment may stop before consuming the
-    whole reference (semi-global: trailing reference bases are free) --
-    used for head/tail extension where the true reference span is
-    unknown.
+
+def _fill_lanes(lanes: list[Lane], config: AlignmentConfig) -> list[AlignmentResult]:
+    """Gotoh DP of every lane; results in lane order, with raw 'M'
+    (match-or-mismatch) runs in their CIGARs.
+
+    Lanes with an empty side are closed-form; the rest are filled in the
+    groups :func:`_lane_groups` forms, one row pipeline per group.
     """
-    a = np.asarray(ref, dtype=np.int16)
-    b = np.asarray(read, dtype=np.int16)
-    n, m = a.size, b.size
-    if n == 0 and m == 0:
-        return AlignmentResult(score=0.0, cigar=())
-    if n == 0:
-        return AlignmentResult(
-            score=config.gap_open + m * config.gap_extend, cigar=(("I", m),)
-        )
-    if m == 0:
-        if free_ref_tail:
-            return AlignmentResult(score=0.0, cigar=())
-        return AlignmentResult(
-            score=config.gap_open + n * config.gap_extend, cigar=(("D", n),)
-        )
+    results: list[AlignmentResult | None] = [None] * len(lanes)
+    filled = []
+    for index, (ref, read, free_ref_tail) in enumerate(lanes):
+        n, m = ref.size, read.size
+        if n and m:
+            filled.append(index)
+        elif n == 0 and m == 0:
+            results[index] = AlignmentResult(score=0.0, cigar=())
+        elif n == 0:
+            results[index] = AlignmentResult(
+                score=config.gap_open + m * config.gap_extend, cigar=(("I", m),)
+            )
+        elif free_ref_tail:
+            results[index] = AlignmentResult(score=0.0, cigar=())
+        else:
+            results[index] = AlignmentResult(
+                score=config.gap_open + n * config.gap_extend, cigar=(("D", n),)
+            )
+    shapes = [(int(lanes[index][0].size), int(lanes[index][1].size)) for index in filled]
+    for group in _lane_groups(shapes, config.max_segment_cells):
+        members = [filled[member] for member in group]
+        for index, result in zip(members, _fill_group([lanes[i] for i in members], config), strict=True):
+            results[index] = result
+    return results
 
-    record_mapping_ops("align-cell", int(n) * int(m))
+
+def _lane_groups(shapes: list[tuple[int, int]], max_cells: int) -> list[list[int]]:
+    """Group lane indices by power-of-two row count (``n.bit_length()``).
+
+    Within a bucket, lanes join a group in order while its padded cells
+    (lanes x most rows x most columns) stay within ``max_cells``; a lane
+    alone always forms a group.
+    """
+    buckets: dict[int, list[int]] = {}
+    for index, (n, _) in enumerate(shapes):
+        buckets.setdefault(n.bit_length(), []).append(index)
+    groups = []
+    for key in sorted(buckets):
+        group: list[int] = []
+        rows = cols = 0
+        for index in buckets[key]:
+            n, m = shapes[index]
+            grown_rows, grown_cols = max(rows, n), max(cols, m)
+            if group and (len(group) + 1) * grown_rows * grown_cols > max_cells:
+                groups.append(group)
+                group, grown_rows, grown_cols = [], n, m
+            group.append(index)
+            rows, cols = grown_rows, grown_cols
+        groups.append(group)
+    return groups
+
+
+def _fill_group(lanes: list[Lane], config: AlignmentConfig) -> list[AlignmentResult]:
+    """One row pipeline over lanes that each have both sides non-empty.
+
+    A lane shorter than the group is padded below and to the right; a
+    cell depends only on cells above it and to its left, so padding
+    never reaches a lane's own cells or its traceback.
+    """
+    count = len(lanes)
+    ns = [int(ref.size) for ref, _, _ in lanes]
+    ms = [int(read.size) for _, read, _ in lanes]
+    rows, width = max(ns), max(ms) + 1
+    record_mapping_ops("align-cell", sum(n * m for n, m in zip(ns, ms, strict=True)))
+    ref_rows = np.zeros((rows, count, 1), dtype=np.int16)
+    reads = np.zeros((count, width - 1), dtype=np.int16)
+    for lane, (ref, read, _) in enumerate(lanes):
+        ref_rows[: ns[lane], lane, 0] = ref
+        reads[lane, : ms[lane]] = read
+    equal = reads == ref_rows  # [row - 1, lane, column - 1]: the bases match
+
     neg = -1e18
-    open_ext = config.gap_open + config.gap_extend
-    ext = config.gap_extend
+    go, ext = config.gap_open, config.gap_extend
+    open_ext = go + ext
+    j_scaled = np.arange(width) * ext
+    j_tail = j_scaled[1:]
+
+    # Traceback flags, one byte per cell and table, indexed [row, lane,
+    # column] (see ``_traceback``). Row 0 is all insertions.
+    from_e, from_v, e_extends, v_extends = (
+        np.zeros((rows + 1, count, width), dtype=bool) for _ in range(4)
+    )
+    e_extends[0, :, 2:] = True
 
     # H: best score; V: gap-in-read (vertical, consumes ref); E: gap-in-ref.
-    h_prev = np.empty(m + 1)
-    h_prev[0] = 0.0
-    h_prev[1:] = config.gap_open + ext * np.arange(1, m + 1)
-    if band is not None:
-        h_prev[band + 1 :] = neg  # row 0's band is centred on column 0
-    v_prev = np.full(m + 1, neg)
+    h_prev = np.empty((count, width))
+    h_prev[:, 0] = 0.0
+    h_prev[:, 1:] = go + ext * np.arange(1, width)
+    v_prev = np.full((count, width), neg)
+    h_curr, v_curr, v_open, v_ext, g, shifted, run, e_curr = (
+        np.empty((count, width)) for _ in range(8)
+    )
+    e_curr[:, 0] = neg
+    diag = np.empty((count, width - 1))
+    # Views sliced once, not per row.
+    h_prev_head, h_curr_head = h_prev[:, :-1], h_curr[:, :-1]
+    v_prev_tail, v_curr_tail = v_prev[:, 1:], v_curr[:, 1:]
+    g_tail, e_tail = g[:, 1:], e_curr[:, 1:]
+    run_head, run_head2, shifted_mid = run[:, :-1], run[:, :-2], shifted[:, 1:-1]
+    from_v_tail, e_extends_tail = from_v[:, :, 1:], e_extends[:, :, 2:]
+    match, mismatch = config.match, config.mismatch
 
-    # Traceback tables (a byte per cell and table; see ``_traceback``).
-    ptr_h = np.zeros((n + 1, m + 1), dtype=np.uint8)
-    ptr_e = np.zeros((n + 1, m + 1), dtype=np.uint8)
-    ptr_v = np.zeros((n + 1, m + 1), dtype=np.uint8)
-    ptr_h[0, 1:] = 1
-    ptr_e[0, 2:] = 1
+    # H in each lane's last column: on every row when a free-tail lane
+    # may end on any of them, else on the rows where some lane ends.
+    corner = np.arange(count) * width + np.asarray(ms)
+    last_col = np.empty((rows + 1, count))
+    h_prev.take(corner, out=last_col[0])
+    capture = range(rows + 1) if any(free for _, _, free in lanes) else set(ns)
 
-    cols = np.arange(m + 1)
-    j_scaled = cols * ext
-    last_col = np.empty(n + 1)
-    last_col[0] = h_prev[m]
+    for i in range(1, rows + 1):
+        sub = np.where(equal[i - 1], match, mismatch)
+        np.add(h_prev_head, sub, out=diag)  # candidate H[i, 1:] via diagonal
 
-    for i in range(1, n + 1):
-        sub = np.where(b == a[i - 1], config.match, config.mismatch)
-        diag = h_prev[:-1] + sub  # candidate H[i, 1:] via diagonal
-
-        v_open = h_prev + open_ext
-        v_extend = v_prev + ext
-        v_curr = np.maximum(v_open, v_extend)
-        ptr_v[i] = v_extend >= v_open
+        np.add(h_prev, open_ext, out=v_open)
+        np.add(v_prev, ext, out=v_ext)
+        np.maximum(v_open, v_ext, out=v_curr)
+        np.greater_equal(v_ext, v_open, out=v_extends[i])
 
         # First pass for H without horizontal gaps.
-        g = np.empty(m + 1)
-        g[0] = config.gap_open + ext * i  # all-deletions start of row
-        g[1:] = np.maximum(diag, v_curr[1:])
-        from_v = np.zeros(m + 1, dtype=bool)
-        from_v[1:] = v_curr[1:] >= diag
-
-        if band is not None:
-            center = int(round(i * m / n))
-            mask = (cols < center - band) | (cols > center + band)
-            g[mask] = neg
-            v_curr[mask] = neg
+        g[:, 0] = go + ext * i  # all-deletions start of row
+        np.maximum(diag, v_curr_tail, out=g_tail)
+        np.greater_equal(v_curr_tail, diag, out=from_v_tail[i])
 
         # Lazy-E: E[j] = max_{j' < j} (H[j'] + j'*(-ext)) ... computed as a
         # running max of g[j'] - j'*ext, because a second gap opening can
         # never beat extending the first.
-        shifted = g - j_scaled
-        run = np.maximum.accumulate(shifted)
-        e_curr = np.full(m + 1, neg)
-        e_curr[1:] = run[:-1] + j_scaled[1:] + config.gap_open
-        if band is not None:
-            e_curr[mask] = neg
-        h_curr = np.maximum(g, e_curr)
-
-        ptr_h[i] = np.where(e_curr >= g, 1, np.where(from_v, 2, 0))
-        ptr_h[i, 0] = 2  # column 0 reached only by deletions
+        np.subtract(g, j_scaled, out=shifted)
+        np.maximum.accumulate(shifted, axis=1, out=run)
+        np.add(run_head, j_tail, out=e_tail)
+        np.add(e_tail, go, out=e_tail)
+        np.maximum(g, e_curr, out=h_curr)
+        np.greater_equal(e_curr, g, out=from_e[i])
         # E extends iff the running max did not restart at j-1 (a tie
         # extends): E[j-1] + ext >= g[j-1] + open + ext.
-        ptr_e[i, 2:] = run[:-2] >= shifted[1:-1]
+        np.greater_equal(run_head2, shifted_mid, out=e_extends_tail[i])
 
-        h_prev = h_curr
-        v_prev = v_curr
-        last_col[i] = h_curr[m]
+        if i in capture:
+            h_curr.take(corner, out=last_col[i])
+        h_prev, h_curr, h_prev_head, h_curr_head = h_curr, h_prev, h_curr_head, h_prev_head
+        v_prev, v_curr, v_prev_tail, v_curr_tail = v_curr, v_prev, v_curr_tail, v_prev_tail
 
-    if free_ref_tail:
-        end_row = int(np.argmax(last_col))
-        cigar = _traceback(ptr_h, ptr_e, ptr_v, end_row, m)
-        return AlignmentResult(score=float(last_col[end_row]), cigar=cigar)
-    if band is not None and h_prev[m] < neg / 2:
-        raise ValueError(f"band {band} is too narrow for {n} x {m}: no path stays inside it")
-    cigar = _traceback(ptr_h, ptr_e, ptr_v, n, m)
-    return AlignmentResult(score=float(h_prev[m]), cigar=cigar)
+    results = []
+    for lane, (n, m, (_, _, free_ref_tail)) in enumerate(zip(ns, ms, lanes, strict=True)):
+        column = last_col[: n + 1, lane]
+        end = int(np.argmax(column)) if free_ref_tail else n
+        tables = (table[: end + 1, lane, : m + 1] for table in (from_e, from_v, e_extends, v_extends))
+        cigar = _traceback(*tables, end, m)
+        results.append(AlignmentResult(score=float(column[end]), cigar=cigar))
+    return results
 
 
-def _traceback(ptr_h, ptr_e, ptr_v, n: int, m: int) -> tuple[tuple[str, int], ...]:
-    """Walk the row pipeline's pointer tables back from ``(n, m)``.
+def _traceback(from_e, from_v, e_extends, v_extends, n: int, m: int) -> tuple[tuple[str, int], ...]:
+    """Walk one lane's flag tables back from ``(n, m)``.
 
-    ``ptr_h``: 0 diagonal, 1 from E (left), 2 from V (up); ``ptr_e`` /
-    ``ptr_v``: 1 = the gap extends, 0 = it opened here. Ties were
-    resolved when the tables were filled, in the order
+    ``from_e`` / ``from_v``: ``H`` came from E (left) / V (up), E taking
+    precedence, else from the diagonal; ``e_extends`` / ``v_extends``:
+    the gap extends here rather than opening. Ties were resolved when
+    the tables were filled, in the order
     :func:`repro.kernels.align._traceback_tables` states.
     """
-    parts: list[tuple[str, int]] = []
+    width = m + 1
+    from_e, from_v, e_extends, v_extends = (
+        table.tobytes() for table in (from_e, from_v, e_extends, v_extends)
+    )
+    ops: list[str] = []
     i, j = n, m
     state = "H"
     while i > 0 or j > 0:
+        at = i * width + j
         if state == "H":
-            choice = ptr_h[i, j]
             if j == 0:
-                choice = 2
-            elif i == 0:
-                choice = 1
-            if choice == 0:
-                parts.append(("M", 1))
+                state = "V"
+            elif i == 0 or from_e[at]:
+                state = "E"
+            elif from_v[at]:
+                state = "V"
+            else:
+                ops.append("M")
                 i -= 1
                 j -= 1
-            else:
-                state = "E" if choice == 1 else "V"
         elif state == "E":
-            parts.append(("I", 1))
-            if ptr_e[i, j] == 0:
+            ops.append("I")
+            if not e_extends[at]:
                 state = "H"
             j -= 1
         else:  # V
-            parts.append(("D", 1))
-            if ptr_v[i, j] == 0:
+            ops.append("D")
+            if not v_extends[at]:
                 state = "H"
             i -= 1
-    parts.reverse()
-    return merge_cigar(parts)
+    ops.reverse()
+    return tuple((op, len(list(run))) for op, run in groupby(ops))
 
 
 def _classify_diagonals(
@@ -332,11 +391,9 @@ def _classify_diagonals(
     for op, length in cigar:
         if op == "M":
             equal = np.asarray(ref[i : i + length]) == np.asarray(read[j : j + length])
-            start = 0
-            for idx in range(1, length + 1):
-                if idx == length or equal[idx] != equal[start]:
-                    out.append(("=" if equal[start] else "X", idx - start))
-                    start = idx
+            out.extend(
+                ("=" if same else "X", len(list(run))) for same, run in groupby(equal.tolist())
+            )
             i += length
             j += length
         elif op in ("D",):
@@ -346,28 +403,6 @@ def _classify_diagonals(
             out.append((op, length))
             j += length
     return merge_cigar(out)
-
-
-def _align_extension(
-    ref_window: np.ndarray,
-    read_segment: np.ndarray,
-    config: AlignmentConfig,
-    reverse: bool,
-) -> AlignmentResult:
-    """Semi-global extension alignment for a read head or tail.
-
-    The read segment must be fully consumed; the reference window is
-    consumed only as far as the best alignment reaches. ``reverse=True``
-    extends leftwards (for the head): both inputs are reversed, aligned
-    with a free reference tail, and the CIGAR is flipped back.
-    """
-    a = ref_window[::-1] if reverse else ref_window
-    b = read_segment[::-1] if reverse else read_segment
-    raw = _align_core(a, b, config, free_ref_tail=True)
-    cigar = _classify_diagonals(raw.cigar, a, b)
-    if reverse:
-        cigar = tuple(reversed(cigar))
-    return AlignmentResult(score=raw.score, cigar=cigar)
 
 
 def align_chain(
@@ -401,6 +436,7 @@ def align_chain(
     config = config or AlignmentConfig()
     if anchors.shape[0] == 0:
         raise ValueError("cannot align an empty chain")
+    read_codes = np.asarray(read_codes)
     k = kmer_size
 
     # Keep a non-overlapping subset of anchors (>= k apart on both axes).
@@ -412,28 +448,31 @@ def align_chain(
             kept.append(idx)
     sel = anchors[kept]
 
-    parts: list[tuple[str, int]] = []
-    score = 0.0
+    # The chain in order: each piece is a scored CIGAR run or the index
+    # of the lane whose alignment goes there. Lanes are filled together
+    # once every one is known.
+    lanes: list[Lane] = []
+    pieces: list[tuple[tuple[str, int], float] | int] = []
 
     # --- head: extend up to max_end_extension bases before the first
-    # anchor, semi-global (unused leading reference is free).
+    # anchor, semi-global (unused leading reference is free): the
+    # reversed window and read head, with a free reference tail.
     first_ref, first_read = int(sel[0, 0]), int(sel[0, 1])
     head_read = min(first_read, config.max_end_extension)
     clip_head = first_read - head_read
-    if clip_head:
-        parts.append(("S", clip_head))
-    ref_start = first_ref
+    pieces.append((("S", clip_head), 0.0))
+    head_lane = None
     if head_read:
         window = min(first_ref, int(head_read * 1.5) + 16)
-        head = _align_extension(
-            reference_codes[first_ref - window : first_ref],
-            read_codes[first_read - head_read : first_read],
-            config,
-            reverse=True,
+        head_lane = len(lanes)
+        pieces.append(head_lane)
+        lanes.append(
+            (
+                reference_codes[first_ref - window : first_ref][::-1],
+                read_codes[first_read - head_read : first_read][::-1],
+                True,
+            )
         )
-        parts.extend(head.cigar)
-        score += head.score
-        ref_start = first_ref - head.ref_consumed
 
     # --- anchors and inter-anchor segments.
     rx, ry = first_ref, first_read
@@ -444,41 +483,51 @@ def align_chain(
             if dx * dy > 0 and dx == dy and np.array_equal(
                 reference_codes[rx:a_ref], read_codes[ry:a_read]
             ):
-                parts.append(("=", dx))
-                score += config.match * dx
+                pieces.append((("=", dx), config.match * dx))
+            elif dx * dy > config.max_segment_cells:
+                # Degenerate huge gap inside a chain: score as indels.
+                pieces.append((("D", dx), 0.0))
+                pieces.append((("I", dy), 2 * config.gap_open + (dx + dy) * config.gap_extend))
             else:
-                if dx * dy > config.max_segment_cells:
-                    # Degenerate huge gap inside a chain: score as indels.
-                    parts.append(("D", dx))
-                    parts.append(("I", dy))
-                    score += 2 * config.gap_open + (dx + dy) * config.gap_extend
-                else:
-                    seg = align_banded(
-                        reference_codes[rx:a_ref], read_codes[ry:a_read], config
-                    )
-                    parts.extend(seg.cigar)
-                    score += seg.score
-        parts.append(("=", k))
-        score += config.match * k
+                pieces.append(len(lanes))
+                lanes.append((reference_codes[rx:a_ref], read_codes[ry:a_read], False))
+        pieces.append((("=", k), config.match * k))
         rx, ry = a_ref + k, a_read + k
 
     # --- tail: extend up to max_end_extension bases after the last
     # anchor, semi-global (unused trailing reference is free).
-    read_len = int(np.asarray(read_codes).size)
+    read_len = int(read_codes.size)
     tail_read = min(read_len - ry, config.max_end_extension)
     clip_tail = read_len - ry - tail_read
-    ref_end = rx
+    tail_lane = None
     if tail_read:
         window = min(len(reference_codes) - rx, int(tail_read * 1.5) + 16)
-        tail = _align_extension(
-            reference_codes[rx : rx + window], read_codes[ry : ry + tail_read], config,
-            reverse=False,
-        )
-        parts.extend(tail.cigar)
-        score += tail.score
-        ref_end = rx + tail.ref_consumed
-    if clip_tail:
-        parts.append(("S", clip_tail))
+        tail_lane = len(lanes)
+        pieces.append(tail_lane)
+        lanes.append((reference_codes[rx : rx + window], read_codes[ry : ry + tail_read], True))
+    pieces.append((("S", clip_tail), 0.0))
+
+    raws = _fill_lanes(lanes, config)
+    parts: list[tuple[str, int]] = []
+    score = 0.0
+    ref_start, ref_end = first_ref, rx
+    for piece in pieces:
+        if isinstance(piece, int):
+            ref, read, _ = lanes[piece]
+            raw = raws[piece]
+            cigar = _classify_diagonals(raw.cigar, ref, read)
+            consumed = sum(n for op, n in cigar if op in "=XD")
+            if piece == head_lane:
+                cigar = tuple(reversed(cigar))
+                ref_start = first_ref - consumed
+            elif piece == tail_lane:
+                ref_end = rx + consumed
+            parts.extend(cigar)
+            score += raw.score
+        else:
+            run, run_score = piece
+            parts.append(run)
+            score += run_score
 
     result = AlignmentResult(score=score, cigar=merge_cigar(parts))
     return result, ref_start, ref_end

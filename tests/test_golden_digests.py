@@ -214,12 +214,18 @@ def test_viterbi_chunks_match_parent_digest():
     assert _viterbi_chunks()["sha256"] == golden["viterbi-chunks"]["sha256"]
 
 
-@pytest.mark.parametrize("crossover", [0, 10**9])
-def test_er_align_digest_independent_of_gotoh_crossover(crossover, monkeypatch):
-    """Every segment through the row pipeline (0) or through the scalar
-    loop (10**9): the crossover is a speed constant, not an output one."""
+@pytest.mark.parametrize("grouping", ["alone", "one-group"])
+def test_er_align_digest_independent_of_lane_grouping(grouping, monkeypatch):
+    """Every Gotoh lane filled alone, or all of a call's lanes in one
+    row pipeline: how lanes are grouped is a speed choice, not an output one."""
     golden = _golden_digests()
-    monkeypatch.setattr(alignment_module, "_ROW_PIPELINE_MIN_CELLS", crossover)
+
+    def groups(shapes, max_cells):
+        if grouping == "alone":
+            return [[index] for index in range(len(shapes))]
+        return [list(range(len(shapes)))] if shapes else []
+
+    monkeypatch.setattr(alignment_module, "_lane_groups", groups)
     assert _er_align()["sha256"] == golden["er-align"]["sha256"]
 
 

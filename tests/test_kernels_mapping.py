@@ -8,10 +8,10 @@ by bytes in ``test_trail_case_bit_identical`` each):
   the exact grouped anchor arrays of the per-key scalar walk;
 * the blocked chain DP must produce bit-identical scores *and parents*
   to the scalar reference (same float64 combine order per row);
-* the Gotoh row pipeline (``_align_core``) must produce the identical
-  score and CIGAR as the scalar reference on every segment shape and
-  every integer-valued scoring, so ``align_banded``'s crossover between
-  the two changes no output.
+* the Gotoh lane fill (``_fill_lanes``) must give every lane the
+  identical score and CIGAR the scalar reference gives its pair, on
+  every segment shape and every integer-valued scoring, whichever lanes
+  share its row pipeline.
 
 Plus the riders: no stage takes a kernel *name* (production calls one
 kernel per stage; a reference is something a test imports), the
@@ -55,9 +55,8 @@ from repro.kernels import (
 )
 from repro.mapping.alignment import (
     AlignmentConfig,
-    _align_core,
-    _classify_diagonals,
-    align_banded,
+    AlignmentResult,
+    _fill_lanes,
     align_chain,
     cigar_to_string,
 )
@@ -312,9 +311,35 @@ _SCORINGS = [(2.0, -4.0, -4.0, -2.0), (1.0, -1.0, -6.0, -1.0), (3.0, -2.0, -1.0,
 
 
 def _row_pipeline(a, b, *scoring):
-    """``_align_core`` in ``gotoh_scalar``'s call shape."""
-    raw = _align_core(a, b, AlignmentConfig(*scoring))
+    """A one-lane fill in ``gotoh_scalar``'s call shape."""
+    (raw,) = _fill_lanes([(a, b, False)], AlignmentConfig(*scoring))
     return raw.score, raw.cigar
+
+
+def _scalar_global_lanes(fill, calls=None):
+    """A ``_fill_lanes`` that sends every global lane through
+    ``gotoh_scalar`` and only the free-tail lanes (extensions have no
+    scalar form) through ``fill``; counts the scalar calls in ``calls``."""
+
+    def scalar_fill(lanes, config):
+        scoring = (config.match, config.mismatch, config.gap_open, config.gap_extend)
+        free = [index for index, (_, _, free_ref_tail) in enumerate(lanes) if free_ref_tail]
+        results = dict(zip(free, fill([lanes[index] for index in free], config), strict=True))
+        for index, (ref, read, free_ref_tail) in enumerate(lanes):
+            if not free_ref_tail:
+                if calls is not None:
+                    calls["align"] += 1
+                results[index] = AlignmentResult(*gotoh_scalar(ref, read, *scoring))
+        return [results[index] for index in range(len(lanes))]
+
+    return scalar_fill
+
+
+def _forced_groups(kind):
+    """A ``_lane_groups`` that puts every lane alone or all in one group."""
+    if kind == "alone":
+        return lambda shapes, max_cells: [[index] for index in range(len(shapes))]
+    return lambda shapes, max_cells: [list(range(len(shapes)))] if shapes else []
 
 
 def _tie_heavy_pair(rng, kind, n, m):
@@ -367,68 +392,31 @@ class TestAlignKernels:
         for scoring in _SCORINGS:
             assert gotoh_scalar(a, b, *scoring) == _row_pipeline(a, b, *scoring)
 
-    def test_align_banded_small_path_kernel_equivalence(self, monkeypatch):
-        # Shapes either side of the one crossover, the boundary and its
-        # neighbour included: whichever fill align_banded picks, the
-        # result is the scalar reference's.
-        crossover = alignment_module._ROW_PIPELINE_MIN_CELLS
-        shapes = [(20, 25), (17, 47), (25, 32), (30, 40), (60, 60)]
-        assert {crossover - 1, crossover} <= {n * m for n, m in shapes}
-        ran = []
-
-        def recorded(name):
-            fill = getattr(alignment_module, name)
-
-            def call(*args):
-                ran.append(name)
-                return fill(*args)
-
-            return call
-
-        for name in ("gotoh_scalar", "_align_core"):
-            monkeypatch.setattr(alignment_module, name, recorded(name))
-        rng = np.random.default_rng(202)
-        for n, m in shapes:
-            a = rng.integers(0, 4, size=n).astype(np.uint8)
-            # A mutated copy (near-diagonal traceback), cut or padded to m.
-            b = np.concatenate([apply_errors(a, 0.15, rng).codes, _random_pair(rng, m, 0)[0]])[:m]
-            got = align_banded(a, b)
-            score, cigar = gotoh_scalar(a, b, 2.0, -4.0, -4.0, -2.0)
-            assert got.score == score, (n, m)
-            assert got.cigar == _classify_diagonals(cigar, a, b), (n, m)
-        assert ran == ["gotoh_scalar" if n * m < crossover else "_align_core" for n, m in shapes]
-
-    def test_band_edge_path_unchanged_by_kernel_field(self, monkeypatch):
-        # Banded alignment uses the row pipeline, not the small-segment
-        # scalar loop, whatever the segment's size.
-        def unreachable(*args):
-            raise AssertionError("banded alignment reached the small-segment fill")
-
-        monkeypatch.setattr(alignment_module, "gotoh_scalar", unreachable)
-        rng = np.random.default_rng(203)
-        for shape in ((30, 32), (50, 55), (300, 310)):
-            a, b = _random_pair(rng, *shape)
-            banded = align_banded(a, b, band=12)
-            assert banded.ref_consumed == a.size and banded.read_consumed == b.size
-
     def test_align_chain_capped_segment_equivalence(self, reference, monkeypatch):
         # A chain whose inter-anchor gap blows max_segment_cells takes
-        # the D+I fallback; the stitched CIGAR is the same with the
-        # scalar reference under align_banded.
+        # the D+I fallback, and the cap's own head and tail extensions
+        # (each over 100 cells) still fill as lanes alone; the stitched
+        # CIGAR is the same with the scalar reference on global lanes.
         codes = reference.codes
         read = np.concatenate([codes[1_000:1_200], codes[9_000:9_200]])
-        anchors = np.array([[1_000, 0], [9_000, 200]], dtype=np.int64)
+        anchors = np.array([[1_000, 20], [9_000, 220]], dtype=np.int64)
         config = AlignmentConfig(max_segment_cells=100)
         a_w, lo_w, hi_w = align_chain(codes, read, anchors, 13, config)
-        monkeypatch.setattr(alignment_module, "_ROW_PIPELINE_MIN_CELLS", 10**9)
+        monkeypatch.setattr(
+            alignment_module, "_fill_lanes", _scalar_global_lanes(alignment_module._fill_lanes)
+        )
         a_s, lo_s, hi_s = align_chain(codes, read, anchors, 13, config)
         assert (a_w.score, cigar_to_string(a_w.cigar)) == (a_s.score, cigar_to_string(a_s.cigar))
         assert (lo_w, hi_w) == (lo_s, hi_s)
         assert "D" in cigar_to_string(a_w.cigar) and "I" in cigar_to_string(a_w.cigar)
+        assert a_w.read_consumed == read.size
 
-    def test_align_chain_identical_either_side_of_crossover(self, index, reference, monkeypatch):
-        # The crossover is a speed constant: every segment through the
-        # row pipeline (0) or through the scalar loop (10**9), one result.
+    @pytest.mark.parametrize("grouping", ["alone", "one-group"])
+    def test_align_chain_identical_across_lane_groupings(
+        self, index, reference, grouping, monkeypatch
+    ):
+        # Grouping is a speed choice: every lane alone, or the head, tail
+        # and every segment in one row pipeline, one result.
         rng = np.random.default_rng(205)
         true = reference.codes[30_000:33_000]
         read = apply_errors(true, 0.12, rng).codes
@@ -436,12 +424,20 @@ class TestAlignKernels:
         seeded.add_chunk(read, 0)
         chain, _ = seeded.chain_prefix()
         assert chain.strand == 1
-        results = []
-        for crossover in (0, 10**9):
-            monkeypatch.setattr(alignment_module, "_ROW_PIPELINE_MIN_CELLS", crossover)
-            results.append(align_chain(reference.codes, read, chain.anchors, index.config.k))
-        assert results[0] == results[1]
-        assert {"X", "I", "D"} <= {op for op, _ in results[0][0].cigar}
+        default = align_chain(reference.codes, read, chain.anchors, index.config.k)
+        monkeypatch.setattr(alignment_module, "_lane_groups", _forced_groups(grouping))
+        assert align_chain(reference.codes, read, chain.anchors, index.config.k) == default
+        assert {"X", "I", "D"} <= {op for op, _ in default[0].cigar}
+
+    def test_groups_bucket_by_row_power_of_two_within_the_cell_cap(self):
+        shapes = [(5, 40), (7, 3), (8, 8), (100, 90), (64, 64), (127, 10), (9, 9)]
+        groups = alignment_module._lane_groups(shapes, 10**9)
+        assert sorted(sum(groups, [])) == list(range(len(shapes)))
+        assert groups == [[0, 1], [2, 6], [3, 4, 5]]
+        # A cap of 100 padded cells: 5x40 is over it alone and stays
+        # alone, 7x3 starts the next group; 8x8 and 9x9 cannot share.
+        assert alignment_module._lane_groups(shapes, 100) == [[0], [1], [2], [6], [3], [4], [5]]
+        assert alignment_module._lane_groups([], 100) == []
 
     @pytest.mark.parametrize(
         "case", ["random-55x62", "mutated-58", "all-ambiguous-ties", "empty-vs-short"]
@@ -468,9 +464,24 @@ class TestAlignKernels:
         a, b = _random_pair(rng, 40, 50)
         ledger = process_mapping_ops()
         before = ledger.value("align-cell")
-        _align_core(a, b, AlignmentConfig())
+        _fill_lanes([(a, b, False)], AlignmentConfig())
         gotoh_scalar(a, b, 2.0, -4.0, -4.0, -2.0)
         assert ledger.value("align-cell") - before == 2 * 40 * 50
+
+    def test_lane_fill_charges_real_cells_never_padding(self):
+        # The three ragged lanes (32-63 rows) share one row pipeline,
+        # padded to 60 x 70; the ledger charges each lane's n * m, and
+        # nothing for an empty side.
+        rng = np.random.default_rng(206)
+        shapes = [(60, 10), (33, 70), (40, 40), (0, 9), (12, 0)]
+        assert alignment_module._lane_groups(shapes[:3], AlignmentConfig().max_segment_cells) == [
+            [0, 1, 2]
+        ]
+        lanes = [(*_random_pair(rng, n, m), bool(k % 2)) for k, (n, m) in enumerate(shapes)]
+        ledger = process_mapping_ops()
+        before = ledger.value("align-cell")
+        _fill_lanes(lanes, AlignmentConfig())
+        assert ledger.value("align-cell") - before == 60 * 10 + 33 * 70 + 40 * 40
 
     def test_unknown_kernel_rejected(self):
         # No name is known: the option is gone.
@@ -510,9 +521,57 @@ class TestAlignKernels:
         column; up to there it is the global alignment of the reference
         prefix it consumed."""
         a, b = _tie_heavy_pair(np.random.default_rng(seed), kind, n, m)
-        extension = _align_core(a, b, AlignmentConfig(*scoring), free_ref_tail=True)
+        (extension,) = _fill_lanes([(a, b, True)], AlignmentConfig(*scoring))
         consumed = sum(length for op, length in extension.cigar if op in "MD")
         assert (extension.score, extension.cigar) == gotoh_scalar(a[:consumed], b, *scoring)
+
+    @given(
+        lanes=st.lists(
+            st.tuples(_pair_kinds, st.integers(0, 50), st.integers(0, 50), st.booleans()),
+            min_size=1,
+            max_size=8,
+        ),
+        scoring=st.sampled_from(_SCORINGS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_every_lane_is_scalar_on_its_pair(self, lanes, scoring, seed):
+        """1-8 ragged lanes in one call -- tie-heavy kinds, empty sides,
+        global and free-tail lanes mixed: each lane equals
+        ``gotoh_scalar`` on its pair, a free-tail lane on the reference
+        prefix it consumed."""
+        rng = np.random.default_rng(seed)
+        drawn = [
+            (*_tie_heavy_pair(rng, kind if n else "random", n, m), free_ref_tail)
+            for kind, n, m, free_ref_tail in lanes
+        ]
+        results = _fill_lanes(drawn, AlignmentConfig(*scoring))
+        for (a, b, free_ref_tail), result in zip(drawn, results, strict=True):
+            consumed = a.size
+            if free_ref_tail:
+                consumed = sum(length for op, length in result.cigar if op in "MD")
+            assert (result.score, result.cigar) == gotoh_scalar(a[:consumed], b, *scoring)
+
+    @given(
+        lanes=st.lists(
+            st.tuples(_pair_kinds, st.integers(1, 40), st.integers(1, 40), st.booleans()),
+            min_size=2,
+            max_size=8,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_lane_result_independent_of_lane_mates(self, lanes, seed):
+        """Filled alone or in one row pipeline with any mates (so padded
+        to the tallest and widest of them), a lane's score and CIGAR are
+        the same."""
+        rng = np.random.default_rng(seed)
+        drawn = [
+            (*_tie_heavy_pair(rng, kind, n, m), free_ref_tail) for kind, n, m, free_ref_tail in lanes
+        ]
+        config = AlignmentConfig()
+        together = alignment_module._fill_group(drawn, config)
+        assert together == [alignment_module._fill_group([lane], config)[0] for lane in drawn]
 
 
 class TestSeedKernels:
@@ -711,10 +770,11 @@ class TestMapperIntegration:
         monkeypatch.setattr(
             chaining_module, "chain_scores_blocked", counted("chain", chain_scores_scalar)
         )
-        # Alignment: the crossover above every segment, so each one runs
-        # the scalar loop (extensions have no scalar form).
-        monkeypatch.setattr(alignment_module, "_ROW_PIPELINE_MIN_CELLS", 10**9)
-        monkeypatch.setattr(alignment_module, "gotoh_scalar", counted("align", gotoh_scalar))
+        # Alignment: every global lane through the scalar loop
+        # (extensions have no scalar form).
+        monkeypatch.setattr(
+            alignment_module, "_fill_lanes", _scalar_global_lanes(alignment_module._fill_lanes, calls)
+        )
         slow = [mapper.map_read(read, f"r{trial}") for trial, read in enumerate(reads)]
         assert all(calls.values()), calls
         assert fast == slow
@@ -859,13 +919,16 @@ class TestNoKernelIsSelectedByName:
                 )
         assert not offenders, offenders
 
-    def test_one_gotoh_crossover_and_no_deleted_fill_names(self):
-        """PR 22 left two Gotoh fills and one crossover between them:
-        the deleted wavefront kernel, small-segment wrapper and two
-        thresholds are named nowhere in shipped code, and
-        ``mapping/alignment.py`` defines exactly one ``_*_CELLS``
-        constant."""
-        deleted = re.compile(r"gotoh_wavefront|_align_small|_WAVEFRONT_MIN_CELLS|_KERNEL_MAX_CELLS")
+    def test_one_gotoh_fill_and_no_deleted_fill_names(self):
+        """Production fills Gotoh one way, the lane fill, with no
+        crossover: the deleted wavefront kernel, small-segment wrapper,
+        per-segment row pipeline and the three thresholds are named
+        nowhere in shipped code, and ``mapping/alignment.py`` defines no
+        ``_*_CELLS`` constant."""
+        deleted = re.compile(
+            r"gotoh_wavefront|_align_small|_align_core|align_banded"
+            r"|_WAVEFRONT_MIN_CELLS|_KERNEL_MAX_CELLS|_ROW_PIPELINE_MIN_CELLS"
+        )
         repo = Path(__file__).resolve().parents[1]
         offenders = [
             (path.relative_to(repo).as_posix(), match.group())
@@ -882,4 +945,4 @@ class TestNoKernelIsSelectedByName:
             for target in node.targets
             if isinstance(target, ast.Name) and target.id.endswith("_CELLS")
         ]
-        assert thresholds == ["_ROW_PIPELINE_MIN_CELLS"]
+        assert thresholds == []

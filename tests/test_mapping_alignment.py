@@ -10,7 +10,7 @@ from repro.genomics.mutate import apply_errors
 from repro.genomics.reference import ReferenceGenome
 from repro.mapping.alignment import (
     AlignmentConfig,
-    align_banded,
+    align_global,
     align_chain,
     cigar_to_string,
 )
@@ -36,53 +36,53 @@ def _dp_edit_distance(a: str, b: str) -> int:
     return prev[m]
 
 
-class TestAlignBanded:
+class TestAlignGlobal:
     def test_identical(self):
-        result = align_banded(encode("ACGTACGT"), encode("ACGTACGT"), CFG)
+        result = align_global(encode("ACGTACGT"), encode("ACGTACGT"), CFG)
         assert cigar_to_string(result.cigar) == "8="
         assert result.score == pytest.approx(16.0)
         assert result.identity == 1.0
 
     def test_single_mismatch(self):
-        result = align_banded(encode("ACGTACGT"), encode("ACGAACGT"), CFG)
+        result = align_global(encode("ACGTACGT"), encode("ACGAACGT"), CFG)
         assert result.n_mismatches == 1
         assert result.n_matches == 7
         assert result.score == pytest.approx(7 * 2 - 4)
 
     def test_single_insertion(self):
-        result = align_banded(encode("ACGTACGT"), encode("ACGTTACGT"), CFG)
+        result = align_global(encode("ACGTACGT"), encode("ACGTTACGT"), CFG)
         assert result.n_insertions == 1
         assert result.score == pytest.approx(8 * 2 - 4 - 2)
 
     def test_single_deletion(self):
-        result = align_banded(encode("ACGTACGT"), encode("ACGACGT"), CFG)
+        result = align_global(encode("ACGTACGT"), encode("ACGACGT"), CFG)
         assert result.n_deletions == 1
 
     def test_affine_prefers_one_long_gap(self):
         # Affine gaps: one 3-base gap beats three scattered 1-base gaps.
-        result = align_banded(encode("AAACCCTTT"), encode("AAATTT"), CFG)
+        result = align_global(encode("AAACCCTTT"), encode("AAATTT"), CFG)
         ops = [op for op, _ in result.cigar]
         assert ops.count("D") == 1
         assert dict(result.cigar).get("D") == 3
 
     def test_empty_inputs(self):
-        assert align_banded(encode(""), encode(""), CFG).cigar == ()
-        result = align_banded(encode("ACG"), encode(""), CFG)
+        assert align_global(encode(""), encode(""), CFG).cigar == ()
+        result = align_global(encode("ACG"), encode(""), CFG)
         assert cigar_to_string(result.cigar) == "3D"
-        result = align_banded(encode(""), encode("ACG"), CFG)
+        result = align_global(encode(""), encode("ACG"), CFG)
         assert cigar_to_string(result.cigar) == "3I"
 
     def test_cigar_consumes_both_sequences(self):
         a = encode("ACGTACGTACGTAAAA")
         b = encode("ACGTACGGTACGTAA")
-        result = align_banded(a, b, CFG)
+        result = align_global(a, b, CFG)
         assert result.ref_consumed == a.size
         assert result.read_consumed == b.size
 
     @given(dna, dna)
     @settings(max_examples=60, deadline=None)
     def test_cigar_consumption_property(self, a, b):
-        result = align_banded(encode(a), encode(b), CFG)
+        result = align_global(encode(a), encode(b), CFG)
         assert result.ref_consumed == len(a)
         assert result.read_consumed == len(b)
 
@@ -91,8 +91,8 @@ class TestAlignBanded:
     def test_score_symmetry(self, a, b):
         # Swapping inputs preserves the optimal score (op composition
         # may differ between equally-scoring alignments).
-        fwd = align_banded(encode(a), encode(b), CFG)
-        rev = align_banded(encode(b), encode(a), CFG)
+        fwd = align_global(encode(a), encode(b), CFG)
+        rev = align_global(encode(b), encode(a), CFG)
         assert fwd.score == pytest.approx(rev.score)
         assert rev.ref_consumed == len(b)
         assert rev.read_consumed == len(a)
@@ -100,58 +100,15 @@ class TestAlignBanded:
     @given(dna)
     @settings(max_examples=40, deadline=None)
     def test_self_alignment_perfect(self, a):
-        result = align_banded(encode(a), encode(a), CFG)
+        result = align_global(encode(a), encode(a), CFG)
         assert result.n_matches == len(a)
         assert result.n_mismatches == result.n_insertions == result.n_deletions == 0
-
-    def test_wide_band_equals_unbanded(self):
-        rng = np.random.default_rng(10)
-        a = rng.integers(0, 4, size=120).astype(np.uint8)
-        b = apply_errors(a, 0.1, rng).codes
-        unbanded = align_banded(a, b, CFG)
-        banded = align_banded(a, b, CFG, band=80)
-        assert banded.score == pytest.approx(unbanded.score)
-
-    def test_narrow_band_lower_or_equal_score(self):
-        rng = np.random.default_rng(11)
-        a = rng.integers(0, 4, size=150).astype(np.uint8)
-        b = apply_errors(a, 0.15, rng).codes
-        unbanded = align_banded(a, b, CFG)
-        banded = align_banded(a, b, CFG, band=3)
-        assert banded.score <= unbanded.score + 1e-9
-
-    def test_banded_path_stays_inside_band(self):
-        # An 8-20 base insertion drifts the optimal path well past a
-        # band of 3: the banded path must give up score, not leave.
-        rng = np.random.default_rng(17)
-        band = 3
-        for _ in range(40):
-            a = rng.integers(0, 4, size=120).astype(np.uint8)
-            at, extra = int(rng.integers(10, 100)), int(rng.integers(8, 21))
-            b = np.concatenate([a[:at], rng.integers(0, 4, size=extra).astype(np.uint8), a[at:]])
-            banded = align_banded(a, b, CFG, band=band)
-            unbanded = align_banded(a, b, CFG)
-            assert banded.score < unbanded.score
-            i = j = 0
-            for op, length in banded.cigar:
-                for _step in range(length):
-                    i += op in "=XD"
-                    j += op in "=XI"
-                    assert abs(j - int(round(i * b.size / a.size))) <= band, (i, j)
-            assert (i, j) == (a.size, b.size)
-            # A band that covers the drift is exact, CIGAR included.
-            assert align_banded(a, b, CFG, band=extra + 20) == unbanded
-
-    def test_band_too_narrow_for_any_path_rejected(self):
-        # Row 0 covers columns 0-3 and row 1 columns 47-50: disconnected.
-        with pytest.raises(ValueError, match="too narrow"):
-            align_banded(np.zeros(1, dtype=np.uint8), np.zeros(50, dtype=np.uint8), CFG, band=3)
 
     def test_score_matches_cigar_recount(self):
         rng = np.random.default_rng(12)
         a = rng.integers(0, 4, size=90).astype(np.uint8)
         b = apply_errors(a, 0.12, rng).codes
-        result = align_banded(a, b, CFG)
+        result = align_global(a, b, CFG)
         recount = 0.0
         for op, length in result.cigar:
             if op == "=":
@@ -175,6 +132,18 @@ class TestAlignBanded:
             with pytest.raises(ValueError, match="integer-valued"):
                 AlignmentConfig(**{field: value})
         assert AlignmentConfig(match=3, mismatch=-5.0).match == 3
+
+    def test_negative_end_extension_rejected(self):
+        # A negative extension once soft-clipped more bases than the read has.
+        with pytest.raises(ValueError, match="max_end_extension"):
+            AlignmentConfig(max_end_extension=-5)
+        assert AlignmentConfig(max_end_extension=0).max_end_extension == 0
+
+    def test_negative_segment_cell_cap_rejected(self):
+        # A negative cap once turned every non-exact segment into D+I.
+        with pytest.raises(ValueError, match="max_segment_cells"):
+            AlignmentConfig(max_segment_cells=-1)
+        assert AlignmentConfig(max_segment_cells=0).max_segment_cells == 0
 
 
 class TestAlignChain:
