@@ -7,13 +7,16 @@ translocating) or *moves* to one of the 4 k-mers obtained by shifting in
 a new base. Emissions are Gaussian around the pore model's per-k-mer
 level.
 
-The decoder is exact Viterbi over ``4**k`` states, vectorised with numpy
-across the state dimension. Per-base quality scores derive from the
-emission-posterior margin of the decoded state (confident samples give
-margins near 0 in log space, hence high Phred scores), which makes
-quality fall monotonically with signal noise -- the property the
-surrogate basecaller is calibrated to and that quality-based early
-rejection exploits.
+The decoder is exact Viterbi over ``4**k`` states. The trellis runs in
+the compiled kernel of :mod:`repro.kernels.viterbi` when it loaded (built
+on first use with the system C compiler) and otherwise in that module's
+numpy fold, vectorised across the state dimension; the two give the same
+bytes, so nothing here depends on which ran. Per-base quality scores
+derive from the emission-posterior margin of the decoded state
+(confident samples give margins near 0 in log space, hence high Phred
+scores), which makes quality fall monotonically with signal noise --
+the property the surrogate basecaller is calibrated to and that
+quality-based early rejection exploits.
 
 On clean signal the decoder recovers the input sequence exactly (see
 ``tests/test_basecalling_viterbi.py``); with realistic noise it exhibits
@@ -92,8 +95,9 @@ class ViterbiBasecaller:
         Forward pass and traceback run on the shared trellis kernels
         (:func:`repro.kernels.viterbi.viterbi_forward` /
         :func:`~repro.kernels.viterbi.viterbi_traceback`); the forward
-        pass scores emissions a block at a time, so no float64 emission
-        matrix is built. The score matrix is kept (``float32[T, S]``,
+        pass scores emissions as it goes (per observation in C, per
+        block in the fold), so no float64 emission matrix is built. The
+        score matrix is kept (``float32[T, S]``,
         next to ``uint8[T, S]`` backpointers) so that per-base
         confidence margins can be read off during traceback; memory is
         ~5 MB per 1000 observations with k=5, i.e. this decoder is meant

@@ -12,13 +12,17 @@ previously iterated sample-by-sample in interpreted Python:
   operations, reassociated only across independent cells); the SER
   screen, :class:`~repro.signal.rejection.SignalRejectionPolicy`, calls
   it directly.
-* :mod:`repro.kernels.viterbi` -- the HMM trellis forward pass behind
-  :class:`~repro.basecalling.viterbi.ViterbiBasecaller`, *folded*: a
-  state's four move predecessors are one column of ``dp.reshape(4,
-  S/4)``, shared by four sibling states, so one observation is five
-  whole-vector ufunc calls and backpointers are derived per block;
-  plus a triple-loop scalar reference for equivalence testing. The
-  trellis sees one observation per raw signal sample.
+* :mod:`repro.kernels.viterbi` -- the HMM trellis forward pass and
+  traceback behind :class:`~repro.basecalling.viterbi.ViterbiBasecaller`.
+  Both run in the C kernel ``trellis.c`` when it loaded
+  (:mod:`repro.kernels.native` builds it with the system C compiler on
+  first use and caches it) and otherwise in the numpy fold: a state's
+  four move predecessors are one column of ``dp.reshape(4, S/4)``,
+  shared by four sibling states, so one observation is five
+  whole-vector ufunc calls and backpointers are derived per block. Both
+  do the same float64 operations in the same order, so they give the
+  same bytes; a triple-loop scalar reference checks both. The trellis
+  sees one observation per raw signal sample.
 * :mod:`repro.kernels.seed` -- batched anchor seeding over the index's
   flat key/bounds/location arrays (one ``searchsorted`` + repeat/gather
   instead of a per-key dict walk), the probe GenPIP's seeding unit
@@ -45,7 +49,9 @@ a reference is something a test imports*. ``seed_anchors_scalar``,
 ``chain_scores_scalar``, ``sdtw_cost_scalar``, ``gotoh_scalar`` and
 ``viterbi_forward_scalar`` stay exported because the tests replay each
 kernel against its reference and fail on any mismatch; nothing selects
-a kernel by name, and no stage picks between two fills.
+a kernel by name, and no stage picks between two fills. The one place
+with two implementations, the Viterbi trellis, picks by availability
+alone: the compiled kernel if it loaded, else the fold, same bytes.
 """
 
 from repro.kernels.align import gotoh_scalar

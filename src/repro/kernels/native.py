@@ -1,0 +1,141 @@
+"""Build-on-first-use loader for a kernel's optional C code.
+
+numpy is the only runtime dependency, so compiled code can only be a
+speed-up: every C kernel here has a numpy fold that produces the same
+bytes, and runs whenever the library cannot be had. :func:`load_library`
+compiles ``<name>.c`` from this package with the system C compiler
+(``sysconfig``'s ``CC``, else ``cc``) and :data:`CFLAGS`, loads it with
+``ctypes``, and returns ``None`` instead of raising on any failure.
+
+The shared object is cached in this package's ``__pycache__/``, or, if
+that is not writable, in a private per-user directory (mode ``0o700``)
+under the temp directory. Its name hashes the source, the compile
+command and the platform, so an edited source or another compiler never
+loads a stale build. It is built under a temp name and moved into place
+with ``os.replace``, so processes racing a cold cache each load a whole
+file. Nothing runs at import: the first caller pays the build (a
+fraction of a second), every later process only the load.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import hashlib
+import os
+import platform
+import shlex
+import shutil
+import stat
+import subprocess
+import sysconfig
+import tempfile
+import warnings
+from collections.abc import Iterator
+from pathlib import Path
+
+#: ``-ffp-contract=off`` keeps every multiply and add separately rounded,
+#: as numpy rounds them. No ``-march`` and no ``-ffast-math``: either
+#: could change output bits.
+CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+
+_HERE = Path(__file__).resolve().parent
+_PACKAGE_CACHE = _HERE / "__pycache__"
+_BUILD_TIMEOUT_S = 120
+
+
+def _compiler() -> list[str] | None:
+    """The compile command's head: ``sysconfig``'s ``CC``, else ``cc``."""
+    for command in (shlex.split(sysconfig.get_config_var("CC") or ""), ["cc"]):
+        if command and shutil.which(command[0]):
+            return command
+    return None
+
+
+def _user_cache() -> Path:
+    return Path(tempfile.gettempdir()) / f"repro-kernels-{os.getuid()}"
+
+
+def _cache_dirs() -> Iterator[Path]:
+    """Usable cache directories, package cache first; each is created
+    only when the one before it did not serve. The per-user one must be
+    ours and private, or a library another user planted in it would be
+    loaded."""
+    try:
+        _PACKAGE_CACHE.mkdir(exist_ok=True)
+    except OSError:
+        pass
+    else:
+        yield _PACKAGE_CACHE
+    private = _user_cache()
+    try:
+        private.mkdir(mode=0o700, exist_ok=True)
+        info = private.lstat()
+    except OSError:
+        return
+    if (
+        stat.S_ISDIR(info.st_mode)
+        and info.st_uid == os.getuid()
+        and stat.S_IMODE(info.st_mode) & 0o077 == 0
+    ):
+        yield private
+
+
+def _build(command: list[str], source: Path, target: Path) -> None:
+    """Compile ``source`` to ``target`` through a temp file in its directory."""
+    fd, temp = tempfile.mkstemp(prefix=f".{target.stem}-", suffix=".tmp", dir=target.parent)
+    os.close(fd)
+    try:
+        subprocess.run(
+            [*command, str(source), "-o", temp],
+            check=True,
+            capture_output=True,
+            timeout=_BUILD_TIMEOUT_S,
+        )
+        os.replace(temp, target)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
+
+
+def _load_or_build(source: Path, command: list[str]) -> ctypes.CDLL | None:
+    """The cached library, built first where it is missing or does not
+    load; ``None`` when no cache directory can take a build."""
+    key = hashlib.sha256(source.read_bytes())
+    key.update("\0".join([*command, sysconfig.get_platform(), platform.machine()]).encode())
+    for directory in _cache_dirs():
+        path = directory / f"{source.stem}-{key.hexdigest()[:16]}.so"
+        with contextlib.suppress(OSError):  # absent, or a truncated file: rebuild it
+            return ctypes.CDLL(str(path))
+        if os.access(directory, os.W_OK):
+            _build(command, source, path)
+            return ctypes.CDLL(str(path))
+    return None
+
+
+def load_library(name: str) -> ctypes.CDLL | None:
+    """The compiled ``<name>.c`` of this package, or ``None``.
+
+    ``None`` without a word when there is no compiler; ``None`` with one
+    ``RuntimeWarning`` when a compiler exists but the library could not
+    be built or loaded. Never raises.
+    """
+    compiler = _compiler()
+    if compiler is None:
+        return None
+    try:
+        library = _load_or_build(_HERE / f"{name}.c", [*compiler, *CFLAGS])
+    except (OSError, subprocess.SubprocessError) as exc:
+        detail = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
+        failure = f"{exc} {detail}".strip()
+    else:
+        if library is not None:
+            return library
+        failure = "no writable cache directory"
+    warnings.warn(
+        f"could not build {name}.c with {shlex.join(compiler)} ({failure}); "
+        "the numpy fold runs",
+        RuntimeWarning,
+        stacklevel=2,
+    )
+    return None

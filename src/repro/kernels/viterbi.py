@@ -1,12 +1,22 @@
-"""Viterbi trellis kernels: the folded forward pass and its reference.
+"""Viterbi trellis kernels: the forward pass, its traceback and the reference.
 
 The k-mer HMM decoder's hot loop is the trellis forward pass: per raw
 signal sample, every state picks the best of *stay* (same k-mer) and
-four *move* predecessors. :func:`viterbi_forward` is the production kernel;
+four *move* predecessors. :func:`viterbi_forward` and
+:func:`viterbi_traceback` are the production entry points;
 :func:`viterbi_forward_scalar` is the triple-loop reference performing
-the *same float operations per state*, so the two produce bit-identical
-score matrices, backpointers and final scores -- the tests replay both
-on generated and fixed-seed trellises and compare them by bytes.
+the *same float operations per state*, so all of them produce
+bit-identical score matrices, backpointers, final scores and paths --
+the tests replay them on generated and fixed-seed trellises and compare
+them by bytes.
+
+**Two implementations, one output.** Each entry point runs the compiled
+kernel in ``trellis.c`` when it loaded (:func:`_native_trellis`: built
+on first use by :mod:`repro.kernels.native`, once per process, never at
+import), and otherwise the numpy fold below -- no compiler, or a build
+or load that failed. Nothing chooses between them but availability:
+the C code does the fold's float64 operations in the fold's order, so
+no byte depends on which one ran. :func:`trellis_backend` says which.
 
 **The fold.** State ``s`` on a move came from ``pred[s, c] = c*S/4 +
 (s >> 2)`` (:func:`move_predecessors`): its four predecessors are column
@@ -14,12 +24,13 @@ on generated and fixed-seed trellises and compare them by bytes.
 ``4j .. 4j+3`` share column ``j``. So the best move into every state is
 one column-wise maximum over a ``(4, S/4)`` view, broadcast over the
 siblings -- a quarter of the comparisons of a per-state gather, and no
-gather at all. Per observation the kernel makes five whole-vector ufunc
+gather at all. Per observation the fold makes five whole-vector ufunc
 calls (column maximum, ``+ log_move``, ``+ log_stay``, the broadcast
 maximum of move and stay, ``+ emission``), each into a preallocated row.
+The C kernel walks the same columns one state at a time.
 
-**The block epilogue.** Backpointers and the float32 score matrix are
-not needed until traceback, so they are derived once per block of
+**The block epilogue (fold only).** Backpointers and the float32 score
+matrix are not needed until traceback, so they are derived once per block of
 :data:`_BLOCK` observations from the float64 rows the loop kept: a
 state's backpointer is ``(move > stay) * code`` with ``code`` the first
 predecessor (``1 + c``) holding the column maximum -- an equality
@@ -28,27 +39,68 @@ emissions are scored per block too (:func:`sample_emissions`), so no
 ``T x S`` float64 matrix is ever built. No output byte depends on the
 block size.
 
-**Precondition: finite observations.** With a NaN predecessor the
-loop's ``maximum`` propagates NaN where the reference's strict ``move >
-stay`` falls back to stay; :class:`~repro.nanopore.signal.RawSignal`
-refuses non-finite samples, so nothing in the pipeline can pass one.
+**Finite input only.** :func:`viterbi_forward` raises ``ValueError`` on
+a non-finite observation, level or log prior, or a sigma that is not
+finite and positive. With a NaN predecessor the fold's ``maximum``
+propagates NaN where the strict ``move > stay`` of the C kernel and of
+the reference falls back to stay, so only finite trellises have one
+answer. :class:`~repro.nanopore.signal.RawSignal` and
+:class:`~repro.nanopore.pore_model.PoreModel` refuse such values, so the
+pipeline never reaches the check.
 """
 
 from __future__ import annotations
 
+import functools
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+if TYPE_CHECKING:
+    import ctypes
 
 #: Transition work per state per observation: one stay candidate plus
 #: four move predecessors (what the state-space op count charges).
 TRANSITIONS_PER_STATE = 5
 
-#: Observations per block: emissions are scored, and backpointers and
-#: float32 scores derived, once per block. Forward pass of one k=5,
-#: 1 785-observation chunk on a 2-vCPU Xeon, median of 15 and of 31
-#: alternated calls: 32 -> 32.8 / 37.1 ms, 64 -> 33.7 / 36.8 ms,
-#: 128 -> 35.8 / 39.9 ms. 32 and 64 tie; 64 runs half the epilogues.
-#: A speed constant only: no output byte depends on it.
+#: Observations per block of the numpy fold: emissions are scored, and
+#: backpointers and float32 scores derived, once per block. Forward
+#: pass of one k=5, 1 785-observation chunk on a 2-vCPU Xeon, median of
+#: 15 and of 31 alternated calls: 32 -> 32.8 / 37.1 ms, 64 -> 33.7 /
+#: 36.8 ms, 128 -> 35.8 / 39.9 ms. 32 and 64 tie; 64 runs half the
+#: epilogues. A speed constant of the fold only (the C kernel never
+#: reads it): no output byte depends on it.
 _BLOCK = 64
+
+@functools.cache
+def _native_trellis() -> ctypes.CDLL | None:
+    """The compiled ``trellis.c``, or ``None`` (the fold runs); resolved
+    once per process, on the first trellis call. The loader and ctypes
+    are imported here too, so a run that never decodes Viterbi does not
+    pay their import time."""
+    import ctypes
+
+    from repro.kernels.native import load_library
+
+    library = load_library("trellis")
+    if library is None:
+        return None
+    f64, f32, i64, u8 = (
+        np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+        for dtype in (np.float64, np.float32, np.int64, np.uint8)
+    )
+    size, real = ctypes.c_int64, ctypes.c_double
+    library.trellis_forward.argtypes = [f64, size, size, f64, f64, f64, real, real, u8, f32, f64, f64]
+    library.trellis_forward.restype = None
+    library.trellis_traceback.argtypes = [u8, size, size, i64, f64, i64]
+    library.trellis_traceback.restype = ctypes.c_int
+    return library
+
+
+def trellis_backend() -> str:
+    """``"native"`` when the compiled trellis runs in this process, else
+    ``"numpy"`` (resolving it if nothing has yet)."""
+    return "numpy" if _native_trellis() is None else "native"
 
 
 def viterbi_state_ops(n_observations: int, n_states: int) -> int:
@@ -82,18 +134,19 @@ def viterbi_forward(
     log_stay: float,
     log_move: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Folded trellis forward pass over Gaussian observations.
+    """Trellis forward pass over Gaussian observations.
 
     Parameters
     ----------
     observations:
-        ``float64[T]`` raw signal samples, scored per block by
-        :func:`sample_emissions`. Must be finite.
+        ``float64[T]`` raw signal samples, scored as
+        :func:`sample_emissions` does. Must be finite.
     levels, sigma, log_sigma:
         ``float64[S]`` per-state emission mean, spread and its log, with
         ``S = 4**k`` states laid out as :func:`move_predecessors` says.
+        Levels and ``log_sigma`` must be finite, sigma finite and positive.
     log_stay, log_move:
-        Log transition priors.
+        Finite log transition priors.
 
     Returns
     -------
@@ -102,16 +155,56 @@ def viterbi_forward(
         ``pred[s, c]``), the ``float32[T, S]`` cumulative score matrix
         (kept for confidence margins), and the final ``float64[S]``
         scores -- bit-identical to :func:`viterbi_forward_scalar` on the
-        emissions :func:`sample_emissions` gives.
+        emissions :func:`sample_emissions` gives, whether the C kernel
+        or the numpy fold ran.
     """
     observations = np.asarray(observations, dtype=np.float64)
     if observations.ndim != 1:
         raise ValueError("observations must be a 1-D array")
+    levels, sigma, log_sigma = (
+        np.ascontiguousarray(values, dtype=np.float64) for values in (levels, sigma, log_sigma)
+    )
     t_total, n_states = observations.size, levels.size
+    if levels.ndim != 1 or not n_states or n_states % 4 or not (
+        sigma.shape == log_sigma.shape == levels.shape
+    ):
+        raise ValueError("levels, sigma and log_sigma must be 1-D, of one length 4**k")
+    if not np.isfinite(observations).all():
+        raise ValueError("observations must be finite")
+    if not np.all((sigma > 0) & (sigma < np.inf)):
+        raise ValueError("sigma must be finite and positive")
+    log_stay, log_move = float(log_stay), float(log_move)
+    if not all(np.isfinite(values).all() for values in (levels, log_sigma, (log_stay, log_move))):
+        raise ValueError("levels, log_sigma, log_stay and log_move must be finite")
     backptr = np.empty((t_total, n_states), dtype=np.uint8)
     scores = np.empty((t_total, n_states), dtype=np.float32)
     if t_total == 0:
         return backptr, scores, np.empty(0, dtype=np.float64)
+    trellis = _native_trellis()
+    if trellis is None:
+        dp = _forward_fold(observations, levels, sigma, log_sigma, log_stay, log_move, backptr, scores)
+        return backptr, scores, dp
+    dp, work = np.empty(n_states), np.empty(n_states + n_states // 4)
+    trellis.trellis_forward(
+        np.ascontiguousarray(observations), t_total, n_states, levels, sigma, log_sigma,
+        log_stay, log_move, backptr, scores, dp, work,
+    )  # fmt: skip
+    return backptr, scores, dp
+
+
+def _forward_fold(
+    observations: np.ndarray,
+    levels: np.ndarray,
+    sigma: np.ndarray,
+    log_sigma: np.ndarray,
+    log_stay: float,
+    log_move: float,
+    backptr: np.ndarray,
+    scores: np.ndarray,
+) -> np.ndarray:
+    """The numpy fold of :func:`viterbi_forward` on checked, non-empty
+    input: fills ``backptr`` and ``scores``, returns the final dp row."""
+    t_total, n_states = observations.size, levels.size
 
     def emissions(start: int, stop: int) -> np.ndarray:
         return sample_emissions(observations[start:stop], levels, sigma, log_sigma)
@@ -158,7 +251,7 @@ def viterbi_forward(
         )
         scores[start : start + n] = hist[1 : n + 1]
         hist[0] = hist[n]
-    return backptr, scores, hist[0].copy()
+    return hist[0].copy()
 
 
 def viterbi_forward_scalar(
@@ -209,11 +302,28 @@ def viterbi_forward_scalar(
 
 
 def viterbi_traceback(backptr: np.ndarray, pred: np.ndarray, dp: np.ndarray) -> np.ndarray:
-    """Most-likely state path from backpointers and final scores."""
+    """Most-likely state path from backpointers and final scores.
+
+    The C kernel runs on what :func:`viterbi_forward` returns (``uint8``
+    backpointers, ``S`` final scores, an ``int64[S, 4]`` predecessor
+    table) when it loaded; any other input, a NaN final score, and any
+    path that leaves the trellis go to the Python loop below, which
+    defines what such input means.
+    """
     t_total = backptr.shape[0]
     path = np.empty(t_total, dtype=np.int64)
     if t_total == 0:
         return path
+    trellis = _native_trellis()
+    states = backptr.shape[1:]
+    if (
+        trellis is not None
+        and (backptr.dtype, pred.dtype, dp.dtype) == (np.uint8, np.int64, np.float64)
+        and (len(states), dp.shape, pred.shape) == (1, states, (*states, 4))
+    ):
+        backptr_c, pred_c, dp_c = (np.ascontiguousarray(a) for a in (backptr, pred, dp))
+        if trellis.trellis_traceback(backptr_c, t_total, states[0], pred_c, dp_c, path) == 0:
+            return path
     state = int(np.argmax(dp))
     path[-1] = state
     for t in range(t_total - 1, 0, -1):

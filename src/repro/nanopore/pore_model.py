@@ -43,14 +43,20 @@ class PoreModel:
     spread: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.k, int | np.integer) and self.k >= 1):
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
         levels = np.ascontiguousarray(self.levels, dtype=np.float64)
         spread = np.ascontiguousarray(self.spread, dtype=np.float64)
         if levels.shape != (4**self.k,):
             raise ValueError(f"levels must have shape (4**{self.k},)")
         if spread.shape != levels.shape:
             raise ValueError("spread must match levels shape")
-        if np.any(spread <= 0):
-            raise ValueError("spread must be positive")
+        # NaN fails every comparison, so each check tests for the
+        # accepted range: a NaN level or spread made NaN trellis scores.
+        if not np.isfinite(levels).all():
+            raise ValueError("levels must be finite")
+        if not np.all((spread > 0) & (spread < np.inf)):
+            raise ValueError("spread must be finite and positive")
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "spread", spread)
         levels.setflags(write=False)

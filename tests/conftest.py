@@ -7,12 +7,43 @@ seeded and therefore stable across runs.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import repro.kernels.native as native
+import repro.kernels.viterbi as viterbi_kernels
 from repro.genomics.reference import ReferenceGenome
 from repro.nanopore.datasets import ECOLI_LIKE, HUMAN_LIKE, generate_dataset, small_profile
 from repro.nanopore.pore_model import PoreModel
+
+
+def numpy_trellis():
+    """Context manager forcing the Viterbi trellis onto the numpy fold:
+    the resolver reports no compiled kernel."""
+    return mock.patch.object(viterbi_kernels, "_native_trellis", lambda: None)
+
+
+def require_native_trellis() -> None:
+    """Skips where there is no C compiler (only the fold can run there);
+    fails where one exists but the compiled trellis did not load."""
+    if viterbi_kernels._native_trellis() is not None:
+        return
+    if native._compiler() is None:
+        pytest.skip("no C compiler: only the numpy trellis runs here")
+    pytest.fail("a C compiler exists but the compiled trellis did not build or load")
+
+
+@pytest.fixture(params=["native", "numpy"])
+def trellis(request):
+    """Runs a test once on the compiled Viterbi trellis, once on the fold."""
+    if request.param == "native":
+        require_native_trellis()
+        yield request.param
+    else:
+        with numpy_trellis():
+            yield request.param
 
 
 @pytest.fixture(scope="session")

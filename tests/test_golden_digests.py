@@ -21,6 +21,9 @@ replacements reproduce every bit.
 float64 qualities) at ``k=3`` and at the production ``k=5``, which no
 outcome digest runs. It was taken on the commit before the event-space
 decode was deleted, and pins that the one remaining decode kept every bit.
+The three digests the Viterbi trellis decodes (``viterbi-signal``,
+``ser-signal``, ``viterbi-chunks``) were all taken on the numpy fold,
+before the compiled trellis existed; each is checked on both.
 
 Records carry floats (qualities, chain scores) whose last bits depend
 on the numeric stack, so the file also records the numpy
@@ -159,6 +162,9 @@ READ_SETS = {
     "viterbi-signal": _viterbi_signal,
     "ser-signal": _ser_signal,
 }
+#: The read sets decoded by the Viterbi trellis; their digests are
+#: checked on the compiled trellis and on the numpy fold.
+TRELLIS_SETS = ("viterbi-signal", "ser-signal")
 
 
 def _simulated_reads() -> dict:
@@ -198,8 +204,16 @@ def _viterbi_chunks() -> dict:
     return {"sha256": sha.hexdigest(), "chunks": n_chunks}
 
 
-@pytest.mark.parametrize("name", sorted(READ_SETS))
+@pytest.mark.parametrize("name", sorted(set(READ_SETS) - set(TRELLIS_SETS)))
 def test_outcome_records_match_parent_digest(name):
+    golden = _golden_digests()
+    assert READ_SETS[name]()["sha256"] == golden[name]["sha256"]
+
+
+@pytest.mark.parametrize("name", TRELLIS_SETS)
+def test_trellis_outcome_records_match_parent_digest(name, trellis):
+    """Decoded by the compiled trellis, then by the numpy fold
+    (``trellis`` fixture): the same digest either way."""
     golden = _golden_digests()
     assert READ_SETS[name]()["sha256"] == golden[name]["sha256"]
 
@@ -209,7 +223,7 @@ def test_simulated_reads_match_parent_digest():
     assert _simulated_reads()["sha256"] == golden["simulator"]["sha256"]
 
 
-def test_viterbi_chunks_match_parent_digest():
+def test_viterbi_chunks_match_parent_digest(trellis):
     golden = _golden_digests()
     assert _viterbi_chunks()["sha256"] == golden["viterbi-chunks"]["sha256"]
 
@@ -244,8 +258,10 @@ def test_er_map_digest_independent_of_chain_rounds(rounds, block_rows, monkeypat
 @pytest.mark.parametrize("block", [1, 10**6])
 def test_viterbi_signal_digest_independent_of_trellis_block(block, monkeypatch):
     """One observation per block (1) or the whole chunk in one (10**6):
-    the Viterbi kernel's block size is a speed constant, not an output one."""
+    the numpy fold's block size is a speed constant, not an output one.
+    The fold is pinned: the compiled trellis never reads ``_BLOCK``."""
     golden = _golden_digests()
+    monkeypatch.setattr(viterbi_kernels, "_native_trellis", lambda: None)
     monkeypatch.setattr(viterbi_kernels, "_BLOCK", block)
     assert _viterbi_signal()["sha256"] == golden["viterbi-signal"]["sha256"]
     assert _viterbi_chunks()["sha256"] == golden["viterbi-chunks"]["sha256"]

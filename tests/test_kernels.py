@@ -6,8 +6,9 @@ fixed-seed trail cases (``test_trail_case_bit_identical``):
 * the anti-diagonal wavefront sDTW must be **bit-identical** to the
   scalar row-major reference (same float64 ops per cell, reassociated
   only across independent cells);
-* the vectorised Viterbi forward pass must be bit-identical to the
-  triple-loop scalar reference, up to a production-sized k=5 chunk.
+* the Viterbi forward pass and traceback must be bit-identical on the
+  compiled trellis, on the numpy fold and on the triple-loop scalar
+  reference, up to a production-sized k=5 chunk.
 
 Plus the perf hooks: each backend's ``kernel_workload`` must report the
 op counts the system models charge.
@@ -15,8 +16,11 @@ op counts the system models charge.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
+from conftest import numpy_trellis, require_native_trellis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +40,7 @@ from repro.kernels import (
     viterbi_traceback,
 )
 from repro.kernels.sdtw import znormalise
-from repro.kernels.viterbi import _BLOCK
+from repro.kernels.viterbi import _BLOCK, trellis_backend
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.nanopore.pore_model import PoreModel
@@ -167,23 +171,38 @@ class TestSdtwEquivalence:
         assert sdtw_cost(query, reference, **kwargs) == sdtw_cost_scalar(query, reference, **kwargs)
 
 
-def _forward_pair(k, observations, levels, sigma, log_stay, log_move):
-    """(folded kernel, scalar reference on the same emissions) outputs."""
+def _forward_all(k, observations, levels, sigma, log_stay, log_move):
+    """(compiled trellis, numpy fold, scalar reference on the same
+    emissions) outputs of one trellis."""
     log_sigma = np.log(sigma)
-    fast = viterbi_forward(observations, levels, sigma, log_sigma, log_stay, log_move)
+    args = (observations, levels, sigma, log_sigma, log_stay, log_move)
+    native = viterbi_forward(*args)
+    with numpy_trellis():
+        fold = viterbi_forward(*args)
     slow = viterbi_forward_scalar(
         sample_emissions(observations, levels, sigma, log_sigma),
         move_predecessors(k),
         log_stay,
         log_move,
     )
-    return fast, slow
+    return native, fold, slow
 
 
-def _assert_bitwise_equal(fast, slow) -> None:
-    for a, b in zip(fast, slow, strict=True):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
+def _assert_bitwise_equal(first, *others) -> None:
+    for other in others:
+        for a, b in zip(first, other, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+def _assert_paths_equal(k, native, fold, slow) -> None:
+    """Compiled and Python tracebacks give one path on every forward output."""
+    pred = move_predecessors(k)
+    paths = [viterbi_traceback(native[0], pred, native[2])]
+    with numpy_trellis():
+        paths += [viterbi_traceback(out[0], pred, out[2]) for out in (native, fold, slow)]
+    for path in paths[1:]:
+        assert path.tobytes() == paths[0].tobytes()
 
 
 #: Trellis lengths around the kernel's block edges (0 and 1 included).
@@ -191,7 +210,15 @@ BLOCK_EDGE_LENGTHS = (0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
 
 
 class TestViterbiTrellisEquivalence:
-    """Folded forward pass == scalar reference, bit for bit."""
+    """Compiled trellis == numpy fold == scalar reference, bit for bit."""
+
+    def test_compiled_trellis_is_what_runs(self):
+        """Where a C compiler exists, every other test here compares the
+        compiled trellis (not the fold twice) with the reference."""
+        require_native_trellis()
+        assert trellis_backend() == "native"
+        with numpy_trellis():
+            assert trellis_backend() == "numpy"
 
     @staticmethod
     def _trellis(k=3, t=40, seed=11):
@@ -203,7 +230,7 @@ class TestViterbiTrellisEquivalence:
 
     @staticmethod
     def _forward(decoder, samples):
-        return _forward_pair(
+        return _forward_all(
             decoder.pore_model.k,
             samples,
             decoder.pore_model.levels,
@@ -217,24 +244,20 @@ class TestViterbiTrellisEquivalence:
 
     def test_traceback_paths_agree(self):
         decoder, samples = self._trellis(t=60, seed=2)
-        (backptr_f, _, dp_f), (backptr_s, _, dp_s) = self._forward(decoder, samples)
-        np.testing.assert_array_equal(
-            viterbi_traceback(backptr_f, decoder._pred, dp_f),
-            viterbi_traceback(backptr_s, decoder._pred, dp_s),
-        )
+        _assert_paths_equal(decoder.pore_model.k, *self._forward(decoder, samples))
 
     def test_empty_trellis(self):
         decoder, samples = self._trellis(t=0)
-        fast, slow = self._forward(decoder, samples)
-        backptr, scores, dp = fast
+        outputs = self._forward(decoder, samples)
+        backptr, scores, dp = outputs[0]
         assert backptr.shape == scores.shape == (0, 64)
         assert dp.size == 0
         assert viterbi_traceback(backptr, decoder._pred, dp).size == 0
-        _assert_bitwise_equal(fast, slow)
+        _assert_bitwise_equal(*outputs)
 
     @given(
         k=st.sampled_from((1, 2, 3)),
-        t=st.sampled_from(BLOCK_EDGE_LENGTHS),
+        t=st.one_of(st.sampled_from(BLOCK_EDGE_LENGTHS), st.integers(0, 300)),
         tied_priors=st.booleans(),
         wide_sigma=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
@@ -245,8 +268,10 @@ class TestViterbiTrellisEquivalence:
     ):
         """Integer observations and levels make equal predecessors and
         equal move/stay candidates common, so every tie-break -- first
-        maximum of the four predecessors, stay on ``move == stay`` -- is
-        exercised, across block edges and with ``log_stay == log_move``."""
+        maximum of the four predecessors, stay on ``move == stay``, the
+        first maximum of the final scores -- is exercised, across block
+        edges and with ``log_stay == log_move``. The compiled trellis,
+        the fold and the reference agree on every byte and every path."""
         rng = np.random.default_rng(seed)
         n_states = 4**k
         levels = rng.integers(80, 86, size=n_states).astype(np.float64)
@@ -254,22 +279,15 @@ class TestViterbiTrellisEquivalence:
         observations = rng.integers(78, 88, size=t).astype(np.float64)
         log_stay = float(np.log(0.25))
         log_move = log_stay if tied_priors else float(np.log(0.05))
-        fast, slow = _forward_pair(k, observations, levels, sigma, log_stay, log_move)
-        _assert_bitwise_equal(fast, slow)
+        outputs = _forward_all(k, observations, levels, sigma, log_stay, log_move)
+        _assert_bitwise_equal(*outputs)
+        _assert_paths_equal(k, *outputs)
 
     def test_folded_kernel_bit_identical_at_k5(self):
         """The production state count (1 024 states, 256 columns) on
         noisy samples, across two block edges."""
         decoder, samples = self._trellis(k=5, t=2 * _BLOCK + 1, seed=31)
-        fast, slow = _forward_pair(
-            5,
-            samples,
-            decoder.pore_model.levels,
-            decoder._sigma,
-            decoder._log_stay,
-            decoder._log_move,
-        )
-        _assert_bitwise_equal(fast, slow)
+        _assert_bitwise_equal(*self._forward(decoder, samples))
 
     @pytest.mark.parametrize("case", ["k3-noisy-signal", "k5-300-bases"])
     def test_trail_case_bit_identical(self, case):
@@ -283,7 +301,9 @@ class TestViterbiTrellisEquivalence:
         )
         decoder = ViterbiBasecaller(pore, ViterbiConfig(extra_noise_std=2.0))
         samples = signal.samples.astype(np.float64)
-        _assert_bitwise_equal(*self._forward(decoder, samples))
+        outputs = self._forward(decoder, samples)
+        _assert_bitwise_equal(*outputs)
+        _assert_paths_equal(k, *outputs)
 
     def test_sample_emissions_are_the_per_sample_gaussian(self):
         decoder, samples = self._trellis(t=12, seed=5)
@@ -307,6 +327,45 @@ class TestViterbiTrellisEquivalence:
                 np.testing.assert_array_equal(pred[s], folded[:, s >> 2])
         with pytest.raises(ValueError):
             move_predecessors(0)
+
+    @pytest.mark.parametrize(
+        "name, value, match",
+        [
+            ("observations", np.nan, "observations must be finite"),
+            ("observations", -np.inf, "observations must be finite"),
+            ("sigma", np.nan, "sigma must be finite and positive"),
+            ("sigma", np.inf, "sigma must be finite and positive"),
+            ("sigma", 0.0, "sigma must be finite and positive"),
+            ("sigma", -2.0, "sigma must be finite and positive"),
+            ("levels", np.nan, "must be finite"),
+            ("log_sigma", np.inf, "must be finite"),
+        ],
+    )
+    def test_non_finite_input_is_refused(self, name, value, match):
+        """One bad value used to decode without a word: a NaN sample or
+        sigma gives NaN scores, on which the fold's ``maximum`` and the
+        strict ``move > stay`` of the compiled trellis disagree. Refusing
+        it makes "compiled == fold" hold for every accepted input."""
+        decoder, samples = self._trellis(t=20, seed=3)
+        arrays = {
+            "observations": samples.copy(),
+            "levels": decoder.pore_model.levels.copy(),
+            "sigma": decoder._sigma.copy(),
+            "log_sigma": decoder._log_sigma.copy(),
+        }
+        arrays[name][7 % arrays[name].size] = value
+        for trellis in (contextlib.nullcontext(), numpy_trellis()):
+            with trellis, pytest.raises(ValueError, match=match):
+                viterbi_forward(**arrays, log_stay=decoder._log_stay, log_move=decoder._log_move)
+
+    def test_state_count_must_be_a_positive_multiple_of_four(self):
+        decoder, samples = self._trellis(t=5)
+        levels, sigma = decoder.pore_model.levels, decoder._sigma
+        for cut in (levels.size - 1, 0):
+            with pytest.raises(ValueError, match="4\\*\\*k"):
+                viterbi_forward(samples, levels[:cut], sigma[:cut], np.log(sigma[:cut]), -0.2, -3.0)
+        with pytest.raises(ValueError, match="4\\*\\*k"):
+            viterbi_forward(samples, levels, sigma[:4], np.log(sigma[:4]), -0.2, -3.0)
 
     def test_state_ops_accounting(self):
         assert viterbi_state_ops(10, 64) == 10 * 64 * TRANSITIONS_PER_STATE

@@ -1,0 +1,267 @@
+"""The compiled Viterbi trellis's loader under faults, and who resolves it.
+
+:mod:`repro.kernels.native` builds ``trellis.c`` on first use and caches
+the shared object; any failure must leave the numpy fold running. Each
+fault below -- no compiler, a compiler that fails, a package cache that
+cannot be written, a truncated library in the cache, two processes
+building a cold cache at once -- must give the fold's bytes, raise
+nothing and leave no temp file behind. A surrogate CLI run must never
+resolve the trellis at all (it would only add start-up time), and a
+Viterbi run's summary line names the trellis that decoded.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from conftest import numpy_trellis
+
+import repro.kernels.native as native
+import repro.kernels.viterbi as viterbi_kernels
+from repro.kernels import move_predecessors, viterbi_forward, viterbi_traceback
+from repro.runtime.cli import main
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: A build needs a compiler; where there is none, the fold-only tests
+#: here still run (and ``conftest.require_native_trellis`` reports it).
+needs_compiler = pytest.mark.skipif(native._compiler() is None, reason="no C compiler")
+
+#: Decodes one fixed k=3 trellis and prints the trellis in use and the
+#: digest of its outputs; argv: cache directory, start-flag file.
+DECODE_PROBE = """
+import hashlib, sys, time
+from pathlib import Path
+import numpy as np
+import repro.kernels.native as native
+import repro.kernels.viterbi as vk
+cache, go = Path(sys.argv[1]), Path(sys.argv[2])
+native._PACKAGE_CACHE = cache
+native._user_cache = lambda: cache / "user"
+deadline = time.monotonic() + 60
+while not go.exists() and time.monotonic() < deadline:
+    time.sleep(0.002)
+pred = vk.move_predecessors(3)
+rng = np.random.default_rng(5)
+levels = rng.normal(100.0, 10.0, 64)
+sigma = np.full(64, 2.5)
+backptr, scores, dp = vk.viterbi_forward(
+    rng.normal(100.0, 12.0, 400), levels, sigma, np.log(sigma), -0.22, -3.0
+)
+path = vk.viterbi_traceback(backptr, pred, dp)
+digest = hashlib.sha256(b"".join(a.tobytes() for a in (backptr, scores, dp, path)))
+print(vk.trellis_backend(), digest.hexdigest())
+"""
+
+
+def _decode() -> str:
+    """The probe's decode in this process: hex digest of all four outputs."""
+    rng = np.random.default_rng(5)
+    levels = rng.normal(100.0, 10.0, 64)
+    sigma = np.full(64, 2.5)
+    backptr, scores, dp = viterbi_forward(
+        rng.normal(100.0, 12.0, 400), levels, sigma, np.log(sigma), -0.22, -3.0
+    )
+    path = viterbi_traceback(backptr, move_predecessors(3), dp)
+    return hashlib.sha256(b"".join(a.tobytes() for a in (backptr, scores, dp, path))).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def fold_digest() -> str:
+    with numpy_trellis():
+        return _decode()
+
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    """Point both cache directories into ``tmp_path`` and make the next
+    trellis call resolve afresh; the real resolution comes back after."""
+    package, user = tmp_path / "package", tmp_path / "user"
+    monkeypatch.setattr(native, "_PACKAGE_CACHE", package)
+    monkeypatch.setattr(native, "_user_cache", lambda: user)
+    viterbi_kernels._native_trellis.cache_clear()
+    yield package, user
+    viterbi_kernels._native_trellis.cache_clear()
+
+
+def _env() -> dict[str, str]:
+    return {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+
+
+def _files(*directories: Path) -> list[Path]:
+    return sorted(p for d in directories if d.is_dir() for p in d.iterdir())
+
+
+def _temp_files(*directories: Path) -> list[Path]:
+    return [p for p in _files(*directories) if p.name.endswith(".tmp")]
+
+
+@needs_compiler
+def test_cold_cache_builds_into_the_package_cache(cache, fold_digest):
+    package, user = cache
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _decode() == fold_digest
+    assert viterbi_kernels.trellis_backend() == "native"
+    assert [p.suffix for p in _files(package)] == [".so"]
+    assert not user.exists()
+
+
+def test_missing_compiler_runs_the_fold_silently(cache, monkeypatch, fold_digest):
+    monkeypatch.setattr(native.shutil, "which", lambda _name: None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _decode() == fold_digest
+    assert viterbi_kernels.trellis_backend() == "numpy"
+    assert _files(*cache) == []
+
+
+def test_failing_compiler_warns_once_and_runs_the_fold(cache, monkeypatch, fold_digest):
+    failing = [sys.executable, "-c", "import sys; sys.exit('cc: injected failure')"]
+    monkeypatch.setattr(native, "_compiler", lambda: failing)
+    with pytest.warns(RuntimeWarning, match="injected failure") as record:
+        assert _decode() == fold_digest
+        assert _decode() == fold_digest  # resolved once: no second build, no second warning
+    assert len(record) == 1
+    assert viterbi_kernels.trellis_backend() == "numpy"
+    assert not [p for p in _files(*cache) if p.suffix == ".so"]
+    assert _temp_files(*cache) == []
+
+
+@needs_compiler
+def test_unwritable_package_cache_falls_back_to_a_private_user_cache(
+    cache, monkeypatch, tmp_path, fold_digest
+):
+    """The package cache cannot be created (a file stands where its parent
+    directory should be, which stops root too, unlike permission bits):
+    the library is built in the per-user directory, created mode 0o700."""
+    blocker = tmp_path / "read-only"
+    blocker.write_text("")
+    monkeypatch.setattr(native, "_PACKAGE_CACHE", blocker / "__pycache__")
+    _, user = cache
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _decode() == fold_digest
+    assert viterbi_kernels.trellis_backend() == "native"
+    assert [p.suffix for p in _files(user)] == [".so"]
+    assert user.stat().st_mode & 0o777 == 0o700
+    assert _temp_files(user) == []
+
+
+@needs_compiler
+def test_user_cache_that_is_not_private_is_never_used(cache, monkeypatch, tmp_path, fold_digest):
+    """A per-user directory that is not private (here: world-writable) is
+    never loaded from or built into; with no usable directory the fold
+    runs, with a warning."""
+    blocker = tmp_path / "read-only"
+    blocker.write_text("")
+    monkeypatch.setattr(native, "_PACKAGE_CACHE", blocker / "__pycache__")
+    _, user = cache
+    user.mkdir(mode=0o777)
+    user.chmod(0o777)
+    with pytest.warns(RuntimeWarning, match="no writable cache directory"):
+        assert _decode() == fold_digest
+    assert viterbi_kernels.trellis_backend() == "numpy"
+    assert _files(user) == []
+
+
+@needs_compiler
+def test_truncated_library_in_the_cache_is_rebuilt(cache, tmp_path, monkeypatch, fold_digest):
+    """A truncated ``.so`` under the right name (an interrupted copy, a
+    full disk) fails to load and is rebuilt in place. It is planted in a
+    directory this process never loaded from: the dynamic loader
+    answers an already-loaded path from memory."""
+    package, _ = cache
+    assert native.load_library("trellis") is not None
+    (built,) = _files(package)
+    planted = tmp_path / "planted"
+    planted.mkdir()
+    (planted / built.name).write_bytes(built.read_bytes()[:200])
+    monkeypatch.setattr(native, "_PACKAGE_CACHE", planted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _decode() == fold_digest
+    assert viterbi_kernels.trellis_backend() == "native"
+    assert (planted / built.name).stat().st_size == built.stat().st_size
+    assert _temp_files(planted) == []
+
+
+@needs_compiler
+def test_two_processes_build_a_cold_cache_at_once(tmp_path, fold_digest):
+    """Both wait on one flag file, then resolve the same empty cache:
+    each builds to its own temp name and ``os.replace``s it in, so each
+    loads a whole library and decodes the fold's bytes."""
+    cache, go = tmp_path / "shared", tmp_path / "go"
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", DECODE_PROBE, str(cache), str(go)],
+            cwd=REPO_ROOT, env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )  # fmt: skip
+        for _ in range(2)
+    ]
+    try:
+        go.write_text("")
+        results = [proc.communicate(timeout=120) for proc in procs]
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+    for proc, (out, err) in zip(procs, results, strict=True):
+        assert proc.returncode == 0, err
+        assert out.split() == ["native", fold_digest]
+        assert "Warning" not in err, err
+    assert [p.suffix for p in _files(cache)] == [".so"]
+
+
+#: A CLI run with both cache directories moved into argv[1]; afterwards
+#: asserts the trellis was never resolved, its loader never imported,
+#: and nothing was cached.
+UNRESOLVED_PROBE = """
+import sys
+from pathlib import Path
+import repro.kernels.viterbi as vk
+from repro.runtime.cli import main
+assert "repro.kernels.native" not in sys.modules, "loader imported with the CLI"
+import repro.kernels.native as native
+cache = Path(sys.argv.pop(1))
+native._PACKAGE_CACHE = cache
+native._user_cache = lambda: cache / "user"
+status = main(sys.argv[1:])
+assert vk._native_trellis.cache_info().currsize == 0, "trellis resolved"
+assert not cache.exists(), sorted(cache.rglob("*"))
+raise SystemExit(status)
+"""
+
+
+def test_surrogate_cli_run_never_resolves_the_trellis(tmp_path):
+    """Start-up of the surrogate workloads pays nothing for the trellis:
+    importing the CLI does not import the loader, and an ``ecoli-like``
+    run (pooled, so workers are covered too) neither resolves nor builds
+    the library."""
+    subprocess.run(
+        [
+            sys.executable, "-c", UNRESOLVED_PROBE, str(tmp_path / "cache"),
+            "--profile", "ecoli-like", "--scale", "0.0003", "--seed", "7",
+            "--max-read-length", "3000", "--workers", "2", "--batch-size", "3", "--quiet",
+        ],
+        cwd=REPO_ROOT, env=_env(), check=True, timeout=300,
+    )  # fmt: skip
+
+
+def test_viterbi_cli_summary_names_the_trellis(trellis, capsys):
+    status = main(
+        [
+            "--basecaller", "viterbi", "--profile", "ecoli-like", "--scale", "0.0001",
+            "--seed", "7", "--max-read-length", "1000", "--workers", "1",
+        ]
+    )  # fmt: skip
+    assert status == 0
+    assert f"trellis {trellis})" in capsys.readouterr().err

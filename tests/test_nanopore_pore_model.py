@@ -60,6 +60,30 @@ class TestPoreModel:
         with pytest.raises(ValueError):
             PoreModel(k=4, levels=model.levels, spread=np.zeros(256))
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("levels", np.nan, "levels must be finite"),
+            ("levels", np.inf, "levels must be finite"),
+            ("spread", np.nan, "spread must be finite and positive"),
+            ("spread", np.inf, "spread must be finite and positive"),
+            ("k", 0, "k must be an integer >= 1"),
+            ("k", 2.0, "k must be an integer >= 1"),
+        ],
+    )
+    def test_levels_spread_and_k_must_be_usable(self, field, value, match):
+        """``np.any(spread <= 0)`` is False for NaN, so a NaN or infinite
+        level or spread used to build a model whose trellis scores are
+        NaN; k=0 built a one-state model no trellis can fold."""
+        model = PoreModel.synthetic(k=3)
+        fields = {"k": 3, "levels": model.levels.copy(), "spread": model.spread.copy()}
+        if field == "k":
+            fields.update(k=value, levels=np.full(int(4**value), 90.0), spread=np.ones(int(4**value)))
+        else:
+            fields[field][5] = value
+        with pytest.raises(ValueError, match=match):
+            PoreModel(**fields)
+
 
 class TestSignalSynthesis:
     def test_lengths_consistent(self, pore_model):
