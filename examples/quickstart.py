@@ -421,10 +421,11 @@ def main() -> None:
     assert np.array_equal(scores, ref_scores) and np.array_equal(parents, ref_parents)
     segment = demo_codes[:60]
     scoring = (2.0, -4.0, -4.0, -2.0)
-    # 3 600 cells: align_global fills this one as a one-lane row
-    # pipeline (align_chain fills all of a chain's segments and both
-    # end extensions as lanes of one), and returns the scalar loop's
-    # score and CIGAR (its raw 'M' runs split into '=' / 'X').
+    # 3 600 cells: align_global fills this one as a one-lane fill (the
+    # compiled gotoh.c, or a numpy row pipeline where it cannot be
+    # built; align_chain fills all of a chain's segments and both end
+    # extensions in one call), and returns the scalar loop's score and
+    # CIGAR (its raw 'M' runs split into '=' / 'X').
     ref_score, ref_cigar = gotoh_scalar(segment, segment[::-1], *scoring)
     aligned = align_global(segment, segment[::-1])
     runs = groupby(aligned.cigar, key=lambda run: "M" if run[0] in "=X" else run[0])

@@ -33,9 +33,11 @@ previously iterated sample-by-sample in interpreted Python:
   all rows checked at once).
 * :mod:`repro.kernels.align` -- affine-gap (Gotoh) alignment (paper
   Fig. 1(d)): the pure-Python scalar loop that defines a segment's
-  score and CIGAR. The vectorised fill is the lane fill in
-  :mod:`repro.mapping.alignment` (all of a chain's segments and end
-  extensions as lanes of one row pipeline), bit-identical to it.
+  score and CIGAR, and the resolver of its compiled form. Production
+  runs the lane fill in :mod:`repro.mapping.alignment`: all of a
+  chain's segments and end extensions in one call of the C kernel
+  ``gotoh.c`` when it loaded, else as lanes of one numpy row pipeline;
+  both are bit-identical to the scalar loop.
 
 Every kernel reports its own workload (:mod:`repro.kernels.workload`)
 so :mod:`repro.perf` can charge the *real* arithmetic -- Viterbi
@@ -49,9 +51,10 @@ a reference is something a test imports*. ``seed_anchors_scalar``,
 ``chain_scores_scalar``, ``sdtw_cost_scalar``, ``gotoh_scalar`` and
 ``viterbi_forward_scalar`` stay exported because the tests replay each
 kernel against its reference and fail on any mismatch; nothing selects
-a kernel by name, and no stage picks between two fills. The one place
-with two implementations, the Viterbi trellis, picks by availability
-alone: the compiled kernel if it loaded, else the fold, same bytes.
+a kernel by name, and no stage picks between two fills. The two places
+with two implementations, the Viterbi trellis and the Gotoh lane fill,
+pick by availability alone: the compiled kernel if it loaded, else the
+numpy fold, same bytes.
 """
 
 from repro.kernels.align import gotoh_scalar

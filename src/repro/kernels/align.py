@@ -1,4 +1,5 @@
-"""Affine-gap (Gotoh) alignment: the scalar reference.
+"""Affine-gap (Gotoh) alignment: the scalar reference, and the loader of
+the compiled fill.
 
 The inter-anchor fill stage of piecewise alignment (paper Fig. 1(d);
 the DP GenPIP's alignment units execute in-memory) solves a global
@@ -14,16 +15,57 @@ affine-gap alignment per segment. The cell recurrence is
 of a segment: its score and, through :func:`_traceback_tables`, which of
 the co-optimal paths becomes the CIGAR. Production never calls it: the
 lane fill in :mod:`repro.mapping.alignment` runs every segment and
-head/tail extension of a chain through one numpy row pipeline, and the
-tests check that each lane is bit-identical to this loop, score and
-CIGAR, for every integer-valued scoring, whatever its lane mates.
+head/tail extension of a chain in one call, in the compiled kernel
+``gotoh.c`` when it loaded (:func:`_native_gotoh`: built on first use by
+:mod:`repro.kernels.native`, once per process, never at import), else
+in a numpy row pipeline. The tests check each lane of both against this
+loop, score and CIGAR, for every integer-valued scoring, whatever its
+lane mates; :func:`gotoh_backend` says which one runs.
 """
 
 from __future__ import annotations
 
+import functools
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.kernels.mapping_ops import record_mapping_ops
+
+if TYPE_CHECKING:
+    import ctypes
+
+
+@functools.cache
+def _native_gotoh() -> ctypes.CDLL | None:
+    """The compiled ``gotoh.c``, or ``None`` (the row pipeline runs);
+    resolved once per process, on the first lane fill with a cell to
+    fill. The loader and ctypes are imported here too, so a run that
+    never aligns does not pay their import time."""
+    import ctypes
+
+    from repro.kernels.native import load_library
+
+    library = load_library("gotoh")
+    if library is None:
+        return None
+    f64, i64, u8 = (
+        np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+        for dtype in (np.float64, np.int64, np.uint8)
+    )
+    size, real = ctypes.c_int64, ctypes.c_double
+    library.gotoh_fill.argtypes = [
+        u8, i64, i64, u8, size, real, real, real, real, u8, f64, size, f64, u8, i64, i64,
+    ]  # fmt: skip
+    library.gotoh_fill.restype = None
+    return library
+
+
+def gotoh_backend() -> str:
+    """``"native"`` when the compiled Gotoh fill runs in this process,
+    else ``"numpy"`` (resolving it if nothing has yet)."""
+    return "numpy" if _native_gotoh() is None else "native"
+
 
 def merge_cigar(parts: list[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
     """Merge adjacent runs of the same op and drop zero-length runs."""

@@ -10,18 +10,28 @@ Two layers:
   invertible), so only the short inter-anchor segments need DP. Head and
   tail are aligned up to a capped extension and soft-clipped beyond it.
 
-Both run every DP through one *lane fill* (:func:`_fill_lanes`): a row
-pipeline over a ``(lanes x columns)`` array in which each lane is one
-independent alignment, the way GenPIP's in-memory DP units each work on
-many cells at once. :func:`align_chain` first gathers all of a chain's
-DP inputs -- every inter-anchor segment, the reversed head window and
-the tail window -- then fills them together and stitches the CIGAR in
-chain order; :func:`align_global` is a one-lane fill. Rows are
-vectorised with the "lazy-E" trick: the within-row horizontal-gap
-recurrence collapses to a running maximum of ``H[j] + j * gap_extend``
-because re-opening a gap is never cheaper than extending one. Every
-lane gets the same float64 operations per cell, so its score and CIGAR
-equal :func:`repro.kernels.align.gotoh_scalar`'s whatever its lane mates.
+Both run every DP through one *lane fill* (:func:`_fill_lanes`), in
+which each lane is one independent alignment, the way GenPIP's
+in-memory DP units each work on many cells at once. :func:`align_chain`
+first gathers all of a chain's DP inputs -- every inter-anchor segment,
+the reversed head window and the tail window -- then fills them
+together and stitches the CIGAR in chain order; :func:`align_global`
+is a one-lane fill.
+
+**Two implementations, one output.** The fill makes one call of the C
+kernel ``gotoh.c`` for all its lanes when it loaded
+(:func:`repro.kernels.align._native_gotoh`): per cell it runs
+:func:`~repro.kernels.align.gotoh_scalar`'s recurrence, keeps its four
+traceback comparisons in one flag byte, and writes the finished
+``=``/``X``/``I``/``D`` CIGAR. Otherwise -- no compiler, or a build or
+load that failed -- a numpy row pipeline over a ``(lanes x columns)``
+array runs each group of lanes. Its rows are vectorised with the
+"lazy-E" trick: the within-row horizontal-gap recurrence collapses to a
+running maximum of ``H[j] + j * gap_extend`` because re-opening a gap is
+never cheaper than extending one. Both give every lane the score and
+CIGAR :func:`~repro.kernels.align.gotoh_scalar` gives its pair, whatever
+its lane mates, for every integer-valued scoring; nothing chooses
+between them but availability.
 
 Scoring defaults follow minimap2's map-ont preset (match +2, mismatch
 -4, gap open -4, gap extend -2).
@@ -30,42 +40,53 @@ Scoring defaults follow minimap2's map-ont preset (match +2, mismatch
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate, groupby
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+import repro.kernels.align as align_kernels
 from repro.kernels.align import merge_cigar
 from repro.kernels.mapping_ops import record_mapping_ops
+
+if TYPE_CHECKING:
+    import ctypes
 
 #: CIGAR operation codes used throughout: match, mismatch, insertion
 #: (read-only base), deletion (reference-only base), soft clip.
 CIGAR_OPS = ("=", "X", "I", "D", "S")
 
-# Lanes are grouped by power-of-two row count, and a group's padded
-# cells (lanes x rows x columns) stay within ``max_segment_cells``, the
-# size one segment may already reach. Fill rate per bucket of that
-# grouping, in Mcells/s of real cells, traceback included: the 2 077 DP
-# inputs of 81 aligned ``ecoli-align`` reads (seed 7, 4 slices), one
-# segment per call before (``gotoh_scalar`` under 800 cells, a
-# one-segment row pipeline above), one group per call after (median of
-# 5 passes, 2-vCPU Xeon container, Python 3.11, numpy 2.4):
+# The row pipeline groups lanes by power-of-two row count, and a group's
+# padded cells (lanes x rows x columns) stay within
+# ``max_segment_cells``, the size one segment may already reach. Fill
+# rate per row bucket, in Mcells/s of real cells, traceback and CIGAR
+# included: the 1 551 DP inputs with both sides non-empty of an aligned
+# run on ``small_profile(ecoli-like, 3 000)`` (seed 7, scale 0.0015),
+# each bucket's lanes in one call (median of 5, 2-vCPU Xeon container,
+# Python 3.11, numpy 2.4, gcc 12):
 #
-#     rows       lanes  cells (k)  before  after
-#     1             12       0.02    0.17   0.02
-#     2-3           54       0.37    0.47   0.08
-#     4-7          180       5.8     0.93   0.52
-#     8-15         418      58.5     1.33   2.27
-#     16-31        576     279       1.45   5.16
-#     32-63        435     823       2.56   8.68
-#     64-127       239   1 765       5.01  11.44
-#     128-255      120   3 619       8.79  17.26
-#     256-511       37   4 168      15.72  24.06
-#     512-1023       6   2 142      22.23  29.18
-#     all        2 077  12 862       7.61  16.03
+#     rows       lanes  cells (k)  numpy row pipeline  compiled gotoh.c
+#     1             10       0.015        0.05                0.10
+#     2-3           32       0.21         0.23                0.81
+#     4-7          158       4.8          1.06                4.88
+#     8-15         296      40.3          3.24               18.32
+#     16-31        444     217            6.23               40.67
+#     32-63        319     610           11.10               75.58
+#     64-127       171   1 218           14.27              102.34
+#     128-255       85   2 644           18.41              111.60
+#     256-511       31   3 697           18.31              121.47
+#     512-1023       5   1 874           24.70              115.38
 #
-# Lanes under 8 rows lose (a group of them still pays ~16 numpy calls a
-# row), but they hold 0.05 % of the cells: 17 ms of the 0.80 s (7 ms of
-# the 1.69 s before).
+# The compiled fill wins on every bucket: the row pipeline pays ~16 numpy
+# calls a row whatever its lanes, so there is no crossover to select
+# on. Over the 59 calls as the run made them (10.3 M cells): 1.23 s on
+# the row pipeline, 0.11 s compiled.
+
+
+#: Largest magnitude of any one scoring value. A lane of up to 2**32
+#: steps then scores within 2**52: exact in float64 and far above the
+#: fills' -1e18 sentinel.
+_MAX_SCORE = 2**20
 
 
 @dataclass(frozen=True)
@@ -96,6 +117,14 @@ class AlignmentConfig:
                 "match, mismatch, gap_open and gap_extend must be integer-valued: "
                 "under float rounding a segment's score and CIGAR would depend "
                 "on which Gotoh fill ran"
+            )
+        if not all(abs(value) <= _MAX_SCORE for value in scores):
+            # Far from the -1e18 sentinel that stands for minus infinity,
+            # and every reachable score an exact float64 integer.
+            raise ValueError(
+                "match, mismatch, gap_open and gap_extend must lie within +-2**20: "
+                "larger scores leave exact float64 arithmetic or reach the -1e18 "
+                "sentinel the Gotoh fills use for minus infinity"
             )
         if self.max_end_extension < 0 or self.max_segment_cells < 0:
             # A negative extension clips more read than there is; a
@@ -168,10 +197,8 @@ def align_global(
     ``D``, read consumes ``I``); ``config`` holds the scoring.
     """
     config = config or AlignmentConfig()
-    a = np.asarray(ref)
-    b = np.asarray(read)
-    (raw,) = _fill_lanes([(a, b, False)], config)
-    return AlignmentResult(score=raw.score, cigar=_classify_diagonals(raw.cigar, a, b))
+    (result,) = _fill_lanes([(np.asarray(ref), np.asarray(read), False)], config)
+    return result
 
 
 #: One DP input: ``(ref, read, free_ref_tail)``. With ``free_ref_tail``
@@ -182,12 +209,19 @@ Lane = tuple[np.ndarray, np.ndarray, bool]
 
 
 def _fill_lanes(lanes: list[Lane], config: AlignmentConfig) -> list[AlignmentResult]:
-    """Gotoh DP of every lane; results in lane order, with raw 'M'
-    (match-or-mismatch) runs in their CIGARs.
+    """Gotoh DP of every lane; results in lane order, with finished
+    ``=``/``X``/``I``/``D`` CIGARs.
 
-    Lanes with an empty side are closed-form; the rest are filled in the
-    groups :func:`_lane_groups` forms, one row pipeline per group.
+    Lanes with an empty side are closed-form. The rest run in one call
+    of the compiled fill when it loaded (:func:`_fill_native`), else in
+    the groups :func:`_lane_groups` forms, one row pipeline per group.
+    Every code must be a 2-bit base code (0-3): the row pipeline
+    compares them as int16 and the compiled fill as uint8.
     """
+    sides = [side for ref, read, _ in lanes for side in (ref, read)]
+    codes = np.concatenate(sides) if sides else np.empty(0, dtype=np.uint8)
+    if codes.size and not (0 <= codes.min() and codes.max() <= 3):
+        raise ValueError("lane codes must be 2-bit base codes (0-3)")
     results: list[AlignmentResult | None] = [None] * len(lanes)
     filled = []
     for index, (ref, read, free_ref_tail) in enumerate(lanes):
@@ -206,11 +240,69 @@ def _fill_lanes(lanes: list[Lane], config: AlignmentConfig) -> list[AlignmentRes
             results[index] = AlignmentResult(
                 score=config.gap_open + n * config.gap_extend, cigar=(("D", n),)
             )
+    if not filled:
+        return results
     shapes = [(int(lanes[index][0].size), int(lanes[index][1].size)) for index in filled]
+    record_mapping_ops("align-cell", sum(n * m for n, m in shapes))
+    library = align_kernels._native_gotoh()
+    if library is not None:
+        offsets = list(accumulate((side.size for side in sides), initial=0))
+        starts = [offsets[2 * index + side] for index in filled for side in (0, 1)]
+        free = [lanes[index][2] for index in filled]
+        native = _fill_native(library, codes, starts, shapes, free, config)
+        for index, result in zip(filled, native, strict=True):
+            results[index] = result
+        return results
     for group in _lane_groups(shapes, config.max_segment_cells):
         members = [filled[member] for member in group]
-        for index, result in zip(members, _fill_group([lanes[i] for i in members], config), strict=True):
-            results[index] = result
+        for index, raw in zip(members, _fill_group([lanes[i] for i in members], config), strict=True):
+            ref, read, _ = lanes[index]
+            results[index] = AlignmentResult(
+                score=raw.score, cigar=_classify_diagonals(raw.cigar, ref, read)
+            )
+    return results
+
+
+def _fill_native(
+    library: ctypes.CDLL,
+    codes: np.ndarray,
+    starts: list[int],
+    shapes: list[tuple[int, int]],
+    free: list[bool],
+    config: AlignmentConfig,
+) -> list[AlignmentResult]:
+    """Every lane in one call of the compiled ``gotoh.c``.
+
+    ``codes`` holds every lane's sides back to back; ``starts`` the
+    offsets of each filled lane's reference and read in it, ``shapes``
+    their sizes (both non-zero). One flag table, sized for the largest
+    lane, serves them all.
+    """
+    width = max(m for _, m in shapes) + 1
+    capacity = sum(n + m for n, m in shapes)
+    scores = np.empty(len(shapes))
+    run_ops = np.empty(capacity, dtype=np.uint8)
+    run_lengths = np.empty(capacity, dtype=np.int64)
+    run_counts = np.empty(len(shapes), dtype=np.int64)
+    library.gotoh_fill(
+        codes.astype(np.uint8, copy=False),
+        np.array(starts, dtype=np.int64),
+        np.array(shapes, dtype=np.int64).ravel(),
+        np.array(free, dtype=np.uint8),
+        len(shapes), config.match, config.mismatch, config.gap_open, config.gap_extend,
+        np.empty(max((n + 1) * (m + 1) for n, m in shapes), dtype=np.uint8),
+        np.empty(2 * width), width, scores, run_ops, run_lengths, run_counts,
+    )  # fmt: skip
+    counts = run_counts.tolist()
+    total = sum(counts)
+    ops = run_ops[:total].tobytes().decode("ascii")
+    lengths = run_lengths[:total].tolist()
+    results = []
+    at = 0
+    for score, count in zip(scores.tolist(), counts, strict=True):
+        cigar = tuple(zip(ops[at : at + count], lengths[at : at + count], strict=True))
+        results.append(AlignmentResult(score=score, cigar=cigar))
+        at += count
     return results
 
 
@@ -241,7 +333,8 @@ def _lane_groups(shapes: list[tuple[int, int]], max_cells: int) -> list[list[int
 
 
 def _fill_group(lanes: list[Lane], config: AlignmentConfig) -> list[AlignmentResult]:
-    """One row pipeline over lanes that each have both sides non-empty.
+    """One row pipeline over lanes that each have both sides non-empty;
+    results with raw 'M' (match-or-mismatch) runs in their CIGARs.
 
     A lane shorter than the group is padded below and to the right; a
     cell depends only on cells above it and to its left, so padding
@@ -251,7 +344,6 @@ def _fill_group(lanes: list[Lane], config: AlignmentConfig) -> list[AlignmentRes
     ns = [int(ref.size) for ref, _, _ in lanes]
     ms = [int(read.size) for _, read, _ in lanes]
     rows, width = max(ns), max(ms) + 1
-    record_mapping_ops("align-cell", sum(n * m for n, m in zip(ns, ms, strict=True)))
     ref_rows = np.zeros((rows, count, 1), dtype=np.int16)
     reads = np.zeros((count, width - 1), dtype=np.int16)
     for lane, (ref, read, _) in enumerate(lanes):
@@ -507,15 +599,13 @@ def align_chain(
         lanes.append((reference_codes[rx : rx + window], read_codes[ry : ry + tail_read], True))
     pieces.append((("S", clip_tail), 0.0))
 
-    raws = _fill_lanes(lanes, config)
+    filled = _fill_lanes(lanes, config)
     parts: list[tuple[str, int]] = []
     score = 0.0
     ref_start, ref_end = first_ref, rx
     for piece in pieces:
         if isinstance(piece, int):
-            ref, read, _ = lanes[piece]
-            raw = raws[piece]
-            cigar = _classify_diagonals(raw.cigar, ref, read)
+            cigar = filled[piece].cigar
             consumed = sum(n for op, n in cigar if op in "=XD")
             if piece == head_lane:
                 cigar = tuple(reversed(cigar))
@@ -523,7 +613,7 @@ def align_chain(
             elif piece == tail_lane:
                 ref_end = rx + consumed
             parts.extend(cigar)
-            score += raw.score
+            score += filled[piece].score
         else:
             run, run_score = piece
             parts.append(run)

@@ -82,6 +82,7 @@ from repro.core.genpip import GenPIP, GenPIPReport
 from repro.core.pipeline import GenPIPPipeline, ReadOutcome
 from repro.core.registry import basecaller_names, create_basecaller, preset_names
 from repro.genomics.reference import ReferenceGenome
+from repro.kernels.align import gotoh_backend
 from repro.kernels.viterbi import trellis_backend
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import (
@@ -604,9 +605,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Signal-domain rejects are reported separately from QSR/CMR:
         # they cost zero basecalled chunks, which is the whole point.
         ser_summary = f"SER {report.ser_rejection_ratio:.1%}, " if stats.signal_er else ""
-        # Which trellis decoded (this process resolves it the way every
-        # worker did); a surrogate run never loads it.
+        # Which trellis decoded and which Gotoh fill aligned (this
+        # process resolves each the way every worker did); a surrogate
+        # run never loads the one, a run without --align the other.
         trellis = f", trellis {trellis_backend()}" if args.basecaller == "viterbi" else ""
+        gotoh = f", gotoh {gotoh_backend()}" if args.align else ""
         print(
             f"{profile.name}: {report.n_reads} reads, {report.total_bases:,} bases | "
             f"mapped {report.mapped_ratio:.1%}, {ser_summary}"
@@ -616,7 +619,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"{stats.mode} x{stats.workers} "
             f"(batch {stats.batch_size}, "
             f"source {args.source}, sink {args.sink}, transport {stats.transport}"
-            f"{window}{trellis}): "
+            f"{window}{trellis}{gotoh}): "
             f"{stats.elapsed_s:.2f}s, {stats.reads_per_sec:.1f} reads/s"
             + (
                 f", {stats.bytes_copied_per_read:,.0f} B copied/read"

@@ -12,6 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import repro.kernels.align as align_kernels
 import repro.kernels.native as native
 import repro.kernels.viterbi as viterbi_kernels
 from repro.genomics.reference import ReferenceGenome
@@ -25,25 +26,49 @@ def numpy_trellis():
     return mock.patch.object(viterbi_kernels, "_native_trellis", lambda: None)
 
 
-def require_native_trellis() -> None:
+def numpy_gotoh():
+    """Context manager forcing the Gotoh lane fill onto the numpy row
+    pipeline: the resolver reports no compiled kernel."""
+    return mock.patch.object(align_kernels, "_native_gotoh", lambda: None)
+
+
+def _require_native(library, kernel: str) -> None:
     """Skips where there is no C compiler (only the fold can run there);
-    fails where one exists but the compiled trellis did not load."""
-    if viterbi_kernels._native_trellis() is not None:
+    fails where one exists but the compiled kernel did not load."""
+    if library is not None:
         return
     if native._compiler() is None:
-        pytest.skip("no C compiler: only the numpy trellis runs here")
-    pytest.fail("a C compiler exists but the compiled trellis did not build or load")
+        pytest.skip(f"no C compiler: only the numpy {kernel} runs here")
+    pytest.fail(f"a C compiler exists but the compiled {kernel} did not build or load")
+
+
+def require_native_trellis() -> None:
+    _require_native(viterbi_kernels._native_trellis(), "trellis")
+
+
+def require_native_gotoh() -> None:
+    _require_native(align_kernels._native_gotoh(), "Gotoh fill")
+
+
+def _native_then_fold(request, require, fold):
+    if request.param == "native":
+        require()
+        yield request.param
+    else:
+        with fold():
+            yield request.param
 
 
 @pytest.fixture(params=["native", "numpy"])
 def trellis(request):
     """Runs a test once on the compiled Viterbi trellis, once on the fold."""
-    if request.param == "native":
-        require_native_trellis()
-        yield request.param
-    else:
-        with numpy_trellis():
-            yield request.param
+    yield from _native_then_fold(request, require_native_trellis, numpy_trellis)
+
+
+@pytest.fixture(params=["native", "numpy"])
+def gotoh(request):
+    """Runs a test once on the compiled Gotoh fill, once on the row pipeline."""
+    yield from _native_then_fold(request, require_native_gotoh, numpy_gotoh)
 
 
 @pytest.fixture(scope="session")

@@ -24,6 +24,9 @@ decode was deleted, and pins that the one remaining decode kept every bit.
 The three digests the Viterbi trellis decodes (``viterbi-signal``,
 ``ser-signal``, ``viterbi-chunks``) were all taken on the numpy fold,
 before the compiled trellis existed; each is checked on both.
+Likewise ``er-align``, the one digest that runs base-level alignment,
+was taken on the numpy Gotoh row pipeline, before the compiled Gotoh
+fill existed, and is checked on both.
 
 Records carry floats (qualities, chain scores) whose last bits depend
 on the numeric stack, so the file also records the numpy
@@ -42,6 +45,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.kernels.align as align_kernels
 import repro.kernels.chain as chain_kernels
 import repro.kernels.viterbi as viterbi_kernels
 import repro.mapping.alignment as alignment_module
@@ -165,6 +169,9 @@ READ_SETS = {
 #: The read sets decoded by the Viterbi trellis; their digests are
 #: checked on the compiled trellis and on the numpy fold.
 TRELLIS_SETS = ("viterbi-signal", "ser-signal")
+#: The read sets aligned base by base; checked on the compiled Gotoh
+#: fill and on the numpy row pipeline.
+GOTOH_SETS = ("er-align",)
 
 
 def _simulated_reads() -> dict:
@@ -204,8 +211,16 @@ def _viterbi_chunks() -> dict:
     return {"sha256": sha.hexdigest(), "chunks": n_chunks}
 
 
-@pytest.mark.parametrize("name", sorted(set(READ_SETS) - set(TRELLIS_SETS)))
+@pytest.mark.parametrize("name", sorted(set(READ_SETS) - set(TRELLIS_SETS) - set(GOTOH_SETS)))
 def test_outcome_records_match_parent_digest(name):
+    golden = _golden_digests()
+    assert READ_SETS[name]()["sha256"] == golden[name]["sha256"]
+
+
+@pytest.mark.parametrize("name", GOTOH_SETS)
+def test_gotoh_outcome_records_match_parent_digest(name, gotoh):
+    """Aligned by the compiled Gotoh fill, then by the numpy row
+    pipeline (``gotoh`` fixture): the same digest either way."""
     golden = _golden_digests()
     assert READ_SETS[name]()["sha256"] == golden[name]["sha256"]
 
@@ -231,8 +246,10 @@ def test_viterbi_chunks_match_parent_digest(trellis):
 @pytest.mark.parametrize("grouping", ["alone", "one-group"])
 def test_er_align_digest_independent_of_lane_grouping(grouping, monkeypatch):
     """Every Gotoh lane filled alone, or all of a call's lanes in one
-    row pipeline: how lanes are grouped is a speed choice, not an output one."""
+    row pipeline: how lanes are grouped is a speed choice, not an output
+    one. The row pipeline is pinned: the compiled fill never groups."""
     golden = _golden_digests()
+    monkeypatch.setattr(align_kernels, "_native_gotoh", lambda: None)
 
     def groups(shapes, max_cells):
         if grouping == "alone":

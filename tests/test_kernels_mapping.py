@@ -11,7 +11,8 @@ by bytes in ``test_trail_case_bit_identical`` each):
 * the Gotoh lane fill (``_fill_lanes``) must give every lane the
   identical score and CIGAR the scalar reference gives its pair, on
   every segment shape and every integer-valued scoring, whichever lanes
-  share its row pipeline.
+  share its call -- on the compiled fill and on the numpy row pipeline
+  (the ``gotoh`` fixture runs each such test on both).
 
 Plus the riders: no stage takes a kernel *name* (production calls one
 kernel per stage; a reference is something a test imports), the
@@ -29,7 +30,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import numpy_gotoh, require_native_gotoh
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -53,9 +55,11 @@ from repro.kernels import (
     seed_anchors_batched,
     seed_anchors_scalar,
 )
+from repro.kernels.align import gotoh_backend
 from repro.mapping.alignment import (
     AlignmentConfig,
     AlignmentResult,
+    _classify_diagonals,
     _fill_lanes,
     align_chain,
     cigar_to_string,
@@ -310,10 +314,21 @@ def _rescore(cigar, a, b, match, mismatch, gap_open, gap_extend):
 _SCORINGS = [(2.0, -4.0, -4.0, -2.0), (1.0, -1.0, -6.0, -1.0), (3.0, -2.0, -1.0, -1.0)]
 
 
-def _row_pipeline(a, b, *scoring):
+def _one_lane(a, b, *scoring):
     """A one-lane fill in ``gotoh_scalar``'s call shape."""
-    (raw,) = _fill_lanes([(a, b, False)], AlignmentConfig(*scoring))
-    return raw.score, raw.cigar
+    (result,) = _fill_lanes([(a, b, False)], AlignmentConfig(*scoring))
+    return result.score, result.cigar
+
+
+def _scalar(a, b, *scoring):
+    """``gotoh_scalar`` with its raw 'M' runs split into '='/'X', as
+    the lane fill returns them."""
+    score, cigar = gotoh_scalar(a, b, *scoring)
+    return score, _classify_diagonals(cigar, a, b)
+
+
+#: The ``gotoh`` fixture holds one fill for all of a property's examples.
+_ONE_FILL_PER_TEST = [HealthCheck.function_scoped_fixture]
 
 
 def _scalar_global_lanes(fill, calls=None):
@@ -329,7 +344,7 @@ def _scalar_global_lanes(fill, calls=None):
             if not free_ref_tail:
                 if calls is not None:
                     calls["align"] += 1
-                results[index] = AlignmentResult(*gotoh_scalar(ref, read, *scoring))
+                results[index] = AlignmentResult(*_scalar(ref, read, *scoring))
         return [results[index] for index in range(len(lanes))]
 
     return scalar_fill
@@ -359,21 +374,29 @@ _pair_kinds = st.sampled_from(["random", "mutated", "constant", "two-letter"])
 
 
 class TestAlignKernels:
-    # The ``wavefront`` ids predate PR 22: the vectorised partner of
-    # ``gotoh_scalar`` is now the row pipeline.
+    # The ``wavefront`` ids are historical: the partners of
+    # ``gotoh_scalar`` are now the compiled fill and the row pipeline.
+    def test_compiled_fill_is_what_runs(self):
+        """Where a C compiler exists, the ``native`` runs below check the
+        compiled fill (not the row pipeline twice) against the reference."""
+        require_native_gotoh()
+        assert gotoh_backend() == "native"
+        with numpy_gotoh():
+            assert gotoh_backend() == "numpy"
+
     @pytest.mark.parametrize(
         "shape",
         [(0, 0), (0, 7), (7, 0), (1, 1), (3, 9), (20, 20), (45, 52), (60, 60), (80, 75)],
     )
-    def test_wavefront_bit_identical_fixed_shapes(self, shape):
+    def test_wavefront_bit_identical_fixed_shapes(self, shape, gotoh):
         rng = np.random.default_rng(sum(shape) + 7)
         a, b = _random_pair(rng, *shape)
-        s_score, s_cigar = gotoh_scalar(a, b, 2.0, -4.0, -4.0, -2.0)
-        r_score, r_cigar = _row_pipeline(a, b, 2.0, -4.0, -4.0, -2.0)
+        s_score, s_cigar = _scalar(a, b, 2.0, -4.0, -4.0, -2.0)
+        r_score, r_cigar = _one_lane(a, b, 2.0, -4.0, -4.0, -2.0)
         assert s_score == r_score
         assert s_cigar == r_cigar
 
-    def test_wavefront_bit_identical_fuzz(self):
+    def test_wavefront_bit_identical_fuzz(self, gotoh):
         rng = np.random.default_rng(201)
         for trial in range(40):
             n, m = int(rng.integers(1, 70)), int(rng.integers(1, 70))
@@ -382,15 +405,15 @@ class TestAlignKernels:
                 # Mutated copy: realistic near-diagonal traceback.
                 b = apply_errors(a, 0.15, rng).codes
             scoring = _SCORINGS[trial % len(_SCORINGS)]
-            assert gotoh_scalar(a, b, *scoring) == _row_pipeline(a, b, *scoring), trial
+            assert _scalar(a, b, *scoring) == _one_lane(a, b, *scoring), trial
 
-    def test_all_ambiguous_ties_break_identically(self):
+    def test_all_ambiguous_ties_break_identically(self, gotoh):
         # Constant sequences make every cell a tie: the pointer tables
         # must still record the path the value-comparing traceback walks.
         a = np.zeros(30, dtype=np.uint8)
         b = np.zeros(45, dtype=np.uint8)
         for scoring in _SCORINGS:
-            assert gotoh_scalar(a, b, *scoring) == _row_pipeline(a, b, *scoring)
+            assert _scalar(a, b, *scoring) == _one_lane(a, b, *scoring)
 
     def test_align_chain_capped_segment_equivalence(self, reference, monkeypatch):
         # A chain whose inter-anchor gap blows max_segment_cells takes
@@ -416,7 +439,9 @@ class TestAlignKernels:
         self, index, reference, grouping, monkeypatch
     ):
         # Grouping is a speed choice: every lane alone, or the head, tail
-        # and every segment in one row pipeline, one result.
+        # and every segment in one row pipeline, one result. The row
+        # pipeline is pinned: the compiled fill never reads the groups.
+        monkeypatch.setattr(alignment_module.align_kernels, "_native_gotoh", lambda: None)
         rng = np.random.default_rng(205)
         true = reference.codes[30_000:33_000]
         read = apply_errors(true, 0.12, rng).codes
@@ -442,7 +467,7 @@ class TestAlignKernels:
     @pytest.mark.parametrize(
         "case", ["random-55x62", "mutated-58", "all-ambiguous-ties", "empty-vs-short"]
     )
-    def test_trail_case_bit_identical(self, case):
+    def test_trail_case_bit_identical(self, case, gotoh):
         rng = np.random.default_rng(27)
         a_rand = rng.integers(0, 4, 55).astype(np.uint8)
         b_rand = rng.integers(0, 4, 62).astype(np.uint8)
@@ -454,12 +479,12 @@ class TestAlignKernels:
             "empty-vs-short": (np.empty(0, dtype=np.uint8), rng.integers(0, 4, 9).astype(np.uint8)),
         }
         a, b = cases[case]
-        s_score, s_cigar = gotoh_scalar(a, b, 2.0, -4.0, -4.0, -2.0)
-        r_score, r_cigar = _row_pipeline(a, b, 2.0, -4.0, -4.0, -2.0)
+        s_score, s_cigar = _scalar(a, b, 2.0, -4.0, -4.0, -2.0)
+        r_score, r_cigar = _one_lane(a, b, 2.0, -4.0, -4.0, -2.0)
         assert np.float64(s_score).tobytes() == np.float64(r_score).tobytes()
         assert s_cigar == r_cigar
 
-    def test_kernels_charge_cells(self):
+    def test_kernels_charge_cells(self, gotoh):
         rng = np.random.default_rng(204)
         a, b = _random_pair(rng, 40, 50)
         ledger = process_mapping_ops()
@@ -468,7 +493,7 @@ class TestAlignKernels:
         gotoh_scalar(a, b, 2.0, -4.0, -4.0, -2.0)
         assert ledger.value("align-cell") - before == 2 * 40 * 50
 
-    def test_lane_fill_charges_real_cells_never_padding(self):
+    def test_lane_fill_charges_real_cells_never_padding(self, gotoh):
         # The three ragged lanes (32-63 rows) share one row pipeline,
         # padded to 60 x 70; the ledger charges each lane's n * m, and
         # nothing for an empty side.
@@ -496,16 +521,17 @@ class TestAlignKernels:
         scoring=st.sampled_from(_SCORINGS),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=120, deadline=None)
-    def test_gotoh_fills_agree_on_score_and_cigar(self, kind, n, m, scoring, seed):
-        """The two Gotoh fills are one function: the row pipeline's
-        pointer tables record exactly the path the scalar reference's
-        value-comparing traceback walks (E, then V, then the diagonal;
-        extend over open), so score *and* CIGAR are equal -- and the
-        CIGAR consumes both inputs and re-scores to that score."""
+    @settings(max_examples=120, deadline=None, suppress_health_check=_ONE_FILL_PER_TEST)
+    def test_gotoh_fills_agree_on_score_and_cigar(self, kind, n, m, scoring, seed, gotoh):
+        """The Gotoh fills are one function: the compiled fill's flag
+        bytes and the row pipeline's pointer tables record exactly the
+        path the scalar reference's value-comparing traceback walks (E,
+        then V, then the diagonal; extend over open), so score *and*
+        CIGAR are equal -- and the CIGAR consumes both inputs and
+        re-scores to that score."""
         a, b = _tie_heavy_pair(np.random.default_rng(seed), kind, n, m)
         score, cigar = gotoh_scalar(a, b, *scoring)
-        assert _row_pipeline(a, b, *scoring) == (score, cigar)
+        assert _one_lane(a, b, *scoring) == (score, _classify_diagonals(cigar, a, b))
         assert _rescore(cigar, a, b, *scoring) == score
 
     @given(
@@ -515,15 +541,17 @@ class TestAlignKernels:
         scoring=st.sampled_from(_SCORINGS),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=80, deadline=None)
-    def test_free_ref_tail_extension_is_scalar_on_consumed_prefix(self, kind, n, m, scoring, seed):
+    @settings(max_examples=80, deadline=None, suppress_health_check=_ONE_FILL_PER_TEST)
+    def test_free_ref_tail_extension_is_scalar_on_consumed_prefix(
+        self, kind, n, m, scoring, seed, gotoh
+    ):
         """A head/tail extension stops at the best row of the last
         column; up to there it is the global alignment of the reference
         prefix it consumed."""
         a, b = _tie_heavy_pair(np.random.default_rng(seed), kind, n, m)
         (extension,) = _fill_lanes([(a, b, True)], AlignmentConfig(*scoring))
-        consumed = sum(length for op, length in extension.cigar if op in "MD")
-        assert (extension.score, extension.cigar) == gotoh_scalar(a[:consumed], b, *scoring)
+        consumed = sum(length for op, length in extension.cigar if op in "=XD")
+        assert (extension.score, extension.cigar) == _scalar(a[:consumed], b, *scoring)
 
     @given(
         lanes=st.lists(
@@ -534,8 +562,8 @@ class TestAlignKernels:
         scoring=st.sampled_from(_SCORINGS),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=80, deadline=None)
-    def test_every_lane_is_scalar_on_its_pair(self, lanes, scoring, seed):
+    @settings(max_examples=80, deadline=None, suppress_health_check=_ONE_FILL_PER_TEST)
+    def test_every_lane_is_scalar_on_its_pair(self, lanes, scoring, seed, gotoh):
         """1-8 ragged lanes in one call -- tie-heavy kinds, empty sides,
         global and free-tail lanes mixed: each lane equals
         ``gotoh_scalar`` on its pair, a free-tail lane on the reference
@@ -549,8 +577,29 @@ class TestAlignKernels:
         for (a, b, free_ref_tail), result in zip(drawn, results, strict=True):
             consumed = a.size
             if free_ref_tail:
-                consumed = sum(length for op, length in result.cigar if op in "MD")
-            assert (result.score, result.cigar) == gotoh_scalar(a[:consumed], b, *scoring)
+                consumed = sum(length for op, length in result.cigar if op in "=XD")
+            assert (result.score, result.cigar) == _scalar(a[:consumed], b, *scoring)
+
+    def test_many_mixed_lanes_in_one_call(self, gotoh):
+        """300 lanes in one call: ragged shapes up to 130 x 90, tie-heavy
+        kinds, empty sides, free-tail and global lanes interleaved. Each
+        lane's slice of the packed codes and of the run buffers is its
+        own: it equals ``gotoh_scalar`` on its pair, as when filled alone."""
+        rng = np.random.default_rng(208)
+        kinds = ("random", "mutated", "constant", "two-letter")
+        drawn = []
+        for lane in range(300):
+            n, m = int(rng.integers(0, 131)), int(rng.integers(0, 91))
+            kind = kinds[lane % 4] if n else "random"
+            drawn.append((*_tie_heavy_pair(rng, kind, n, m), bool(rng.integers(0, 2))))
+        scoring = _SCORINGS[2]
+        results = _fill_lanes(drawn, AlignmentConfig(*scoring))
+        assert results == [_fill_lanes([lane], AlignmentConfig(*scoring))[0] for lane in drawn]
+        for (a, b, free_ref_tail), result in zip(drawn, results, strict=True):
+            consumed = a.size
+            if free_ref_tail:
+                consumed = sum(length for op, length in result.cigar if op in "=XD")
+            assert (result.score, result.cigar) == _scalar(a[:consumed], b, *scoring)
 
     @given(
         lanes=st.lists(

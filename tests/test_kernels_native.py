@@ -1,13 +1,16 @@
-"""The compiled Viterbi trellis's loader under faults, and who resolves it.
+"""The compiled kernels' loader under faults, and who resolves them.
 
-:mod:`repro.kernels.native` builds ``trellis.c`` on first use and caches
-the shared object; any failure must leave the numpy fold running. Each
-fault below -- no compiler, a compiler that fails, a package cache that
-cannot be written, a truncated library in the cache, two processes
-building a cold cache at once -- must give the fold's bytes, raise
-nothing and leave no temp file behind. A surrogate CLI run must never
-resolve the trellis at all (it would only add start-up time), and a
-Viterbi run's summary line names the trellis that decoded.
+:mod:`repro.kernels.native` builds ``trellis.c`` (the Viterbi trellis)
+and ``gotoh.c`` (the Gotoh lane fill) on first use and caches each
+shared object; any failure must leave the numpy fold running. Each fault
+below -- no compiler, a compiler that fails, a package cache that cannot
+be written, a per-user cache that is not private, a truncated library
+in the cache, two processes building a cold cache at once -- is run for
+both kernels and must give the fold's bytes, raise nothing and leave no
+temp file behind. A surrogate CLI run must resolve neither library (it
+would only add start-up time), a run without ``--align`` never the Gotoh
+one, and the summary line names the trellis that decoded and the fill
+that aligned.
 """
 
 from __future__ import annotations
@@ -17,47 +20,63 @@ import os
 import subprocess
 import sys
 import warnings
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import numpy_trellis
+from conftest import numpy_gotoh, numpy_trellis
 
+import repro.kernels.align as align_kernels
 import repro.kernels.native as native
 import repro.kernels.viterbi as viterbi_kernels
 from repro.kernels import move_predecessors, viterbi_forward, viterbi_traceback
+from repro.mapping.alignment import AlignmentConfig, _fill_lanes
 from repro.runtime.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: A build needs a compiler; where there is none, the fold-only tests
-#: here still run (and ``conftest.require_native_trellis`` reports it).
+#: here still run (and ``conftest.require_native_*`` reports it).
 needs_compiler = pytest.mark.skipif(native._compiler() is None, reason="no C compiler")
 
-#: Decodes one fixed k=3 trellis and prints the trellis in use and the
-#: digest of its outputs; argv: cache directory, start-flag file.
-DECODE_PROBE = """
+#: Runs one kernel (argv[3]) on fixed input and prints the backend in
+#: use and the digest of its outputs, as :func:`_decode` and
+#: :func:`_align` do in this process; argv: cache directory, start-flag
+#: file, kernel.
+RUN_PROBE = """
 import hashlib, sys, time
 from pathlib import Path
 import numpy as np
 import repro.kernels.native as native
-import repro.kernels.viterbi as vk
-cache, go = Path(sys.argv[1]), Path(sys.argv[2])
+cache, go, kernel = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3]
 native._PACKAGE_CACHE = cache
 native._user_cache = lambda: cache / "user"
 deadline = time.monotonic() + 60
 while not go.exists() and time.monotonic() < deadline:
     time.sleep(0.002)
-pred = vk.move_predecessors(3)
 rng = np.random.default_rng(5)
-levels = rng.normal(100.0, 10.0, 64)
-sigma = np.full(64, 2.5)
-backptr, scores, dp = vk.viterbi_forward(
-    rng.normal(100.0, 12.0, 400), levels, sigma, np.log(sigma), -0.22, -3.0
-)
-path = vk.viterbi_traceback(backptr, pred, dp)
-digest = hashlib.sha256(b"".join(a.tobytes() for a in (backptr, scores, dp, path)))
-print(vk.trellis_backend(), digest.hexdigest())
+if kernel == "trellis":
+    import repro.kernels.viterbi as vk
+    pred = vk.move_predecessors(3)
+    levels = rng.normal(100.0, 10.0, 64)
+    sigma = np.full(64, 2.5)
+    backptr, scores, dp = vk.viterbi_forward(
+        rng.normal(100.0, 12.0, 400), levels, sigma, np.log(sigma), -0.22, -3.0
+    )
+    path = vk.viterbi_traceback(backptr, pred, dp)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in (backptr, scores, dp, path)))
+    print(vk.trellis_backend(), digest.hexdigest())
+else:
+    import repro.kernels.align as ak
+    from repro.mapping.alignment import AlignmentConfig, _fill_lanes
+    lanes = [
+        (rng.integers(0, 4, n).astype(np.uint8), rng.integers(0, 4, m).astype(np.uint8), free)
+        for n, m, free in ((90, 80, False), (40, 70, True), (3, 60, False))
+    ]
+    digest = hashlib.sha256(repr(_fill_lanes(lanes, AlignmentConfig())).encode())
+    print(ak.gotoh_backend(), digest.hexdigest())
 """
 
 
@@ -73,22 +92,73 @@ def _decode() -> str:
     return hashlib.sha256(b"".join(a.tobytes() for a in (backptr, scores, dp, path))).hexdigest()
 
 
+def _align() -> str:
+    """The probe's lane fill in this process: hex digest of every
+    lane's score and CIGAR."""
+    rng = np.random.default_rng(5)
+    lanes = [
+        (rng.integers(0, 4, n).astype(np.uint8), rng.integers(0, 4, m).astype(np.uint8), free)
+        for n, m, free in ((90, 80, False), (40, 70, True), (3, 60, False))
+    ]
+    return hashlib.sha256(repr(_fill_lanes(lanes, AlignmentConfig())).encode()).hexdigest()
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """One compiled kernel: its source name, a run giving the digest of
+    its outputs, the cached resolver, which backend runs, and a context
+    manager forcing its fold."""
+
+    name: str
+    run: Callable[[], str]
+    resolver: Callable
+    backend: Callable[[], str]
+    fold: Callable
+
+
+KERNELS = {
+    "trellis": Kernel(
+        "trellis", _decode, viterbi_kernels._native_trellis, viterbi_kernels.trellis_backend,
+        numpy_trellis,
+    ),
+    "gotoh": Kernel(
+        "gotoh", _align, align_kernels._native_gotoh, align_kernels.gotoh_backend, numpy_gotoh
+    ),
+}  # fmt: skip
+
+
+@pytest.fixture(params=sorted(KERNELS))
+def kernel(request) -> Kernel:
+    return KERNELS[request.param]
+
+
 @pytest.fixture(scope="module")
-def fold_digest() -> str:
-    with numpy_trellis():
-        return _decode()
+def fold_digests() -> dict[str, str]:
+    digests = {}
+    for name, spec in KERNELS.items():
+        with spec.fold():
+            digests[name] = spec.run()
+    return digests
+
+
+@pytest.fixture
+def fold_digest(kernel, fold_digests) -> str:
+    return fold_digests[kernel.name]
 
 
 @pytest.fixture
 def cache(tmp_path, monkeypatch):
     """Point both cache directories into ``tmp_path`` and make the next
-    trellis call resolve afresh; the real resolution comes back after."""
+    call of either kernel resolve afresh; the real resolution comes back
+    after."""
     package, user = tmp_path / "package", tmp_path / "user"
     monkeypatch.setattr(native, "_PACKAGE_CACHE", package)
     monkeypatch.setattr(native, "_user_cache", lambda: user)
-    viterbi_kernels._native_trellis.cache_clear()
+    for spec in KERNELS.values():
+        spec.resolver.cache_clear()
     yield package, user
-    viterbi_kernels._native_trellis.cache_clear()
+    for spec in KERNELS.values():
+        spec.resolver.cache_clear()
 
 
 def _env() -> dict[str, str]:
@@ -104,40 +174,40 @@ def _temp_files(*directories: Path) -> list[Path]:
 
 
 @needs_compiler
-def test_cold_cache_builds_into_the_package_cache(cache, fold_digest):
+def test_cold_cache_builds_into_the_package_cache(kernel, cache, fold_digest):
     package, user = cache
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _decode() == fold_digest
-    assert viterbi_kernels.trellis_backend() == "native"
+        assert kernel.run() == fold_digest
+    assert kernel.backend() == "native"
     assert [p.suffix for p in _files(package)] == [".so"]
     assert not user.exists()
 
 
-def test_missing_compiler_runs_the_fold_silently(cache, monkeypatch, fold_digest):
+def test_missing_compiler_runs_the_fold_silently(kernel, cache, monkeypatch, fold_digest):
     monkeypatch.setattr(native.shutil, "which", lambda _name: None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _decode() == fold_digest
-    assert viterbi_kernels.trellis_backend() == "numpy"
+        assert kernel.run() == fold_digest
+    assert kernel.backend() == "numpy"
     assert _files(*cache) == []
 
 
-def test_failing_compiler_warns_once_and_runs_the_fold(cache, monkeypatch, fold_digest):
+def test_failing_compiler_warns_once_and_runs_the_fold(kernel, cache, monkeypatch, fold_digest):
     failing = [sys.executable, "-c", "import sys; sys.exit('cc: injected failure')"]
     monkeypatch.setattr(native, "_compiler", lambda: failing)
     with pytest.warns(RuntimeWarning, match="injected failure") as record:
-        assert _decode() == fold_digest
-        assert _decode() == fold_digest  # resolved once: no second build, no second warning
+        assert kernel.run() == fold_digest
+        assert kernel.run() == fold_digest  # resolved once: no second build, no second warning
     assert len(record) == 1
-    assert viterbi_kernels.trellis_backend() == "numpy"
+    assert kernel.backend() == "numpy"
     assert not [p for p in _files(*cache) if p.suffix == ".so"]
     assert _temp_files(*cache) == []
 
 
 @needs_compiler
 def test_unwritable_package_cache_falls_back_to_a_private_user_cache(
-    cache, monkeypatch, tmp_path, fold_digest
+    kernel, cache, monkeypatch, tmp_path, fold_digest
 ):
     """The package cache cannot be created (a file stands where its parent
     directory should be, which stops root too, unlike permission bits):
@@ -148,15 +218,15 @@ def test_unwritable_package_cache_falls_back_to_a_private_user_cache(
     _, user = cache
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _decode() == fold_digest
-    assert viterbi_kernels.trellis_backend() == "native"
+        assert kernel.run() == fold_digest
+    assert kernel.backend() == "native"
     assert [p.suffix for p in _files(user)] == [".so"]
     assert user.stat().st_mode & 0o777 == 0o700
     assert _temp_files(user) == []
 
 
 @needs_compiler
-def test_user_cache_that_is_not_private_is_never_used(cache, monkeypatch, tmp_path, fold_digest):
+def test_user_cache_that_is_not_private_is_never_used(kernel, cache, monkeypatch, tmp_path, fold_digest):
     """A per-user directory that is not private (here: world-writable) is
     never loaded from or built into; with no usable directory the fold
     runs, with a warning."""
@@ -167,19 +237,19 @@ def test_user_cache_that_is_not_private_is_never_used(cache, monkeypatch, tmp_pa
     user.mkdir(mode=0o777)
     user.chmod(0o777)
     with pytest.warns(RuntimeWarning, match="no writable cache directory"):
-        assert _decode() == fold_digest
-    assert viterbi_kernels.trellis_backend() == "numpy"
+        assert kernel.run() == fold_digest
+    assert kernel.backend() == "numpy"
     assert _files(user) == []
 
 
 @needs_compiler
-def test_truncated_library_in_the_cache_is_rebuilt(cache, tmp_path, monkeypatch, fold_digest):
+def test_truncated_library_in_the_cache_is_rebuilt(kernel, cache, tmp_path, monkeypatch, fold_digest):
     """A truncated ``.so`` under the right name (an interrupted copy, a
     full disk) fails to load and is rebuilt in place. It is planted in a
     directory this process never loaded from: the dynamic loader
     answers an already-loaded path from memory."""
     package, _ = cache
-    assert native.load_library("trellis") is not None
+    assert native.load_library(kernel.name) is not None
     (built,) = _files(package)
     planted = tmp_path / "planted"
     planted.mkdir()
@@ -187,21 +257,21 @@ def test_truncated_library_in_the_cache_is_rebuilt(cache, tmp_path, monkeypatch,
     monkeypatch.setattr(native, "_PACKAGE_CACHE", planted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _decode() == fold_digest
-    assert viterbi_kernels.trellis_backend() == "native"
+        assert kernel.run() == fold_digest
+    assert kernel.backend() == "native"
     assert (planted / built.name).stat().st_size == built.stat().st_size
     assert _temp_files(planted) == []
 
 
 @needs_compiler
-def test_two_processes_build_a_cold_cache_at_once(tmp_path, fold_digest):
+def test_two_processes_build_a_cold_cache_at_once(kernel, tmp_path, fold_digest):
     """Both wait on one flag file, then resolve the same empty cache:
     each builds to its own temp name and ``os.replace``s it in, so each
-    loads a whole library and decodes the fold's bytes."""
+    loads a whole library and gives the fold's bytes."""
     cache, go = tmp_path / "shared", tmp_path / "go"
     procs = [
         subprocess.Popen(
-            [sys.executable, "-c", DECODE_PROBE, str(cache), str(go)],
+            [sys.executable, "-c", RUN_PROBE, str(cache), str(go), kernel.name],
             cwd=REPO_ROOT, env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )  # fmt: skip
         for _ in range(2)
@@ -222,11 +292,13 @@ def test_two_processes_build_a_cold_cache_at_once(tmp_path, fold_digest):
 
 
 #: A CLI run with both cache directories moved into argv[1]; afterwards
-#: asserts the trellis was never resolved, its loader never imported,
-#: and nothing was cached.
+#: asserts the loader was not imported with the CLI, the trellis was
+#: never resolved, the Gotoh fill only on an ``--align`` run, and that
+#: nothing but that fill's library was cached.
 UNRESOLVED_PROBE = """
 import sys
 from pathlib import Path
+import repro.kernels.align as ak
 import repro.kernels.viterbi as vk
 from repro.runtime.cli import main
 assert "repro.kernels.native" not in sys.modules, "loader imported with the CLI"
@@ -235,22 +307,40 @@ cache = Path(sys.argv.pop(1))
 native._PACKAGE_CACHE = cache
 native._user_cache = lambda: cache / "user"
 status = main(sys.argv[1:])
+aligned = "--align" in sys.argv
 assert vk._native_trellis.cache_info().currsize == 0, "trellis resolved"
-assert not cache.exists(), sorted(cache.rglob("*"))
+assert ak._native_gotoh.cache_info().currsize == aligned, "Gotoh fill resolved: " + str(aligned)
+built = sorted(path.name for path in cache.rglob("*")) if cache.exists() else []
+expected = ["gotoh"] if aligned and native._compiler() is not None else []
+assert [name.partition("-")[0] for name in built] == expected, built
 raise SystemExit(status)
 """
 
 
 def test_surrogate_cli_run_never_resolves_the_trellis(tmp_path):
-    """Start-up of the surrogate workloads pays nothing for the trellis:
-    importing the CLI does not import the loader, and an ``ecoli-like``
-    run (pooled, so workers are covered too) neither resolves nor builds
-    the library."""
+    """Start-up of the surrogate workloads pays nothing for either
+    compiled kernel: importing the CLI does not import the loader, and
+    an ``ecoli-like`` run without ``--align`` (pooled, so workers are
+    covered too) neither resolves nor builds the trellis or the Gotoh
+    fill."""
     subprocess.run(
         [
             sys.executable, "-c", UNRESOLVED_PROBE, str(tmp_path / "cache"),
             "--profile", "ecoli-like", "--scale", "0.0003", "--seed", "7",
             "--max-read-length", "3000", "--workers", "2", "--batch-size", "3", "--quiet",
+        ],
+        cwd=REPO_ROOT, env=_env(), check=True, timeout=300,
+    )  # fmt: skip
+
+
+def test_aligned_surrogate_cli_run_resolves_the_gotoh_fill_alone(tmp_path):
+    """An ``--align`` run resolves the Gotoh fill (and, with a compiler,
+    caches its ``gotoh-<hash>.so`` and nothing else), never the trellis."""
+    subprocess.run(
+        [
+            sys.executable, "-c", UNRESOLVED_PROBE, str(tmp_path / "cache"),
+            "--profile", "ecoli-like", "--scale", "0.0002", "--seed", "7",
+            "--max-read-length", "2000", "--workers", "1", "--align", "--quiet",
         ],
         cwd=REPO_ROOT, env=_env(), check=True, timeout=300,
     )  # fmt: skip
@@ -265,3 +355,14 @@ def test_viterbi_cli_summary_names_the_trellis(trellis, capsys):
     )  # fmt: skip
     assert status == 0
     assert f"trellis {trellis})" in capsys.readouterr().err
+
+
+def test_aligned_cli_summary_names_the_gotoh_fill(gotoh, capsys):
+    status = main(
+        [
+            "--profile", "ecoli-like", "--scale", "0.0001", "--seed", "7",
+            "--max-read-length", "1500", "--workers", "1", "--align",
+        ]
+    )  # fmt: skip
+    assert status == 0
+    assert f"gotoh {gotoh})" in capsys.readouterr().err

@@ -133,6 +133,32 @@ class TestAlignGlobal:
                 AlignmentConfig(**{field: value})
         assert AlignmentConfig(match=3, mismatch=-5.0).match == 3
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("gap_open", -1e18),
+            ("gap_extend", -(2.0**20) - 1),
+            ("mismatch", -(2.0**53)),
+            ("match", 2.0**21),
+        ],
+    )
+    def test_scores_beyond_two_to_the_twenty_rejected(self, field, value):
+        # A gap open of -1e18 once met the fills' minus-infinity sentinel
+        # and sent gotoh_scalar's traceback out of its tables.
+        with pytest.raises(ValueError, match=r"2\*\*20.*sentinel"):
+            AlignmentConfig(**{field: value})
+        assert AlignmentConfig(match=2**20, gap_open=-(2**20)).gap_open == -(2**20)
+
+    @pytest.mark.parametrize(
+        ("ref", "read"),
+        [([65536, 1, 2], [0, 1, 2]), ([0, 1, 2], [0, 4, 2]), ([0, -1], [0, 3])],
+    )
+    def test_codes_outside_the_2_bit_alphabet_rejected(self, ref, read, gotoh):
+        # The row pipeline compared codes as int16: 65536 wrapped to 0
+        # and scored as a match where its own CIGAR said 1X.
+        with pytest.raises(ValueError, match="2-bit"):
+            align_global(np.array(ref), np.array(read), CFG)
+
     def test_negative_end_extension_rejected(self):
         # A negative extension once soft-clipped more bases than the read has.
         with pytest.raises(ValueError, match="max_end_extension"):
