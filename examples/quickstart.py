@@ -31,8 +31,8 @@ This walks the whole public API surface once:
     batch into the one columnar layout the worker pool publishes,
     workers take read-only *views* instead of copies, and the copy
     ledger shows it -- same outcomes, zero worker-side bytes copied;
-13. check the vectorised mapping plane (batched seeding, blocked chain
-    DP, row-pipeline Gotoh) against the scalar references the tests
+13. check the vectorised mapping plane (batched seeding, compiled or
+    blocked chain DP, lane-fill Gotoh) against the scalar references the tests
     import, with the mapping-ops ledger counting the chain candidates
     and alignment cells the perf models charge;
 14. observe: rerun with per-read stage tracing on (spans for every
@@ -380,8 +380,9 @@ def main() -> None:
     )
 
     # 13. The mapping kernel plane: production calls one kernel per
-    #     stage -- batched searchsorted seeding, blocked chain DP,
-    #     lane-fill Gotoh -- and each is bit-identical to a scalar
+    #     stage -- batched searchsorted seeding, the chain DP (the
+    #     compiled chain.c, or the blocked numpy fold where it cannot be
+    #     built), lane-fill Gotoh -- and each is bit-identical to a scalar
     #     reference that tests (and this section) import and call
     #     directly: same anchors, same chain scores *and parents*, same
     #     alignment scores and CIGARs. Nothing selects a kernel by
@@ -397,6 +398,7 @@ def main() -> None:
         gotoh_scalar,
         process_mapping_ops,
     )
+    from repro.kernels.chain import chain_backend
     from repro.mapping import ChainingConfig, Mapper, align_global
     from repro.mapping.seeding import collect_anchor_arrays
 
@@ -417,7 +419,7 @@ def main() -> None:
     t_scalar = time.perf_counter() - t0
     t0 = time.perf_counter()
     scores, parents = chain_scores_blocked(*chain_args)
-    t_blocked = time.perf_counter() - t0
+    t_chain = time.perf_counter() - t0
     assert np.array_equal(scores, ref_scores) and np.array_equal(parents, ref_parents)
     segment = demo_codes[:60]
     scoring = (2.0, -4.0, -4.0, -2.0)
@@ -436,7 +438,7 @@ def main() -> None:
         f"({delta.get('chain-candidate', 0):,} chain candidates, "
         f"{delta.get('align-cell', 0):,} alignment cells charged); "
         f"chain DP over its {anchors.shape[0]:,} anchors: scalar reference "
-        f"{t_scalar * 1e3:.1f} ms == blocked {t_blocked * 1e3:.1f} ms, bit for bit"
+        f"{t_scalar * 1e3:.1f} ms == {chain_backend()} {t_chain * 1e3:.1f} ms, bit for bit"
     )
 
     # 14. The observability plane: the same run with span tracing on.

@@ -28,9 +28,11 @@ previously iterated sample-by-sample in interpreted Python:
   instead of a per-key dict walk), the probe GenPIP's seeding unit
   answers from its CAM rows (paper Fig. 1(a)).
 * :mod:`repro.kernels.chain` -- the minimap2 chain DP (paper
-  Fig. 1(c)) with the band geometry hoisted into per-block matrices and
-  a speculate-and-verify combine (guessed parents folded in one pass,
-  all rows checked at once).
+  Fig. 1(c)): all of a call's anchors in one call of the C kernel
+  ``chain.c`` when it loaded, else the numpy fold, with the band
+  geometry hoisted into per-block matrices and a speculate-and-verify
+  combine (guessed parents folded in one pass, all rows checked at
+  once); both are bit-identical to the scalar recurrence.
 * :mod:`repro.kernels.align` -- affine-gap (Gotoh) alignment (paper
   Fig. 1(d)): the pure-Python scalar loop that defines a segment's
   score and CIGAR, and the resolver of its compiled form. Production
@@ -51,10 +53,10 @@ a reference is something a test imports*. ``seed_anchors_scalar``,
 ``chain_scores_scalar``, ``sdtw_cost_scalar``, ``gotoh_scalar`` and
 ``viterbi_forward_scalar`` stay exported because the tests replay each
 kernel against its reference and fail on any mismatch; nothing selects
-a kernel by name, and no stage picks between two fills. The two places
-with two implementations, the Viterbi trellis and the Gotoh lane fill,
-pick by availability alone: the compiled kernel if it loaded, else the
-numpy fold, same bytes.
+a kernel by name, and no stage picks between two fills. The three
+places with two implementations, the Viterbi trellis, the Gotoh lane
+fill and the chain DP, pick by availability alone: the compiled kernel
+if it loaded, else the numpy fold, same bytes.
 """
 
 from repro.kernels.align import gotoh_scalar

@@ -1,4 +1,4 @@
-"""Chain DP kernels: scalar reference and the blocked, speculated formulation.
+"""Chain DP kernels: scalar reference, the compiled DP, and the blocked fold.
 
 The minimap2 chain recurrence (Li 2018, Eq. 1-2; the DP GenPIP's
 read-mapping units execute in-memory, paper Fig. 1(c)) scores each
@@ -8,10 +8,20 @@ anchor against a bounded lookback window of predecessors:
 
     f(i) = max( w_i,  max_{j in lookback} f(j) + a(j, i) - g(j, i) )
 
+Production runs :func:`chain_scores_blocked`. It makes one call of the
+C kernel ``chain.c`` for all of a call's anchors when it loaded
+(:func:`_native_chain`: built on first use by
+:mod:`repro.kernels.native`, once per process, never at import): per
+anchor, per window slot, the scalar reference's expression, in its
+order. Its ``log2`` is a table numpy computed (:func:`_log2_table`),
+because libm's ``log2`` and numpy's differ in the last bit at some
+integers. Otherwise -- no compiler, or a build or load that failed --
+the blocked numpy fold runs. :func:`chain_backend` says which.
+
 Unlike sDTW, the dependency structure does not fall onto independent
 anti-diagonals: ``f(i)`` reads ``f(j)`` for *every* ``j`` in the
 window, so the combine is sequential in the row index. The blocked
-kernel splits the work in two phases:
+fold splits the work in two phases:
 
 * **Geometry, vectorised.** ``dx``, ``dy``, the validity mask, the
   overlap gain ``a(j, i)`` and the gap cost ``g(j, i)`` (with its
@@ -33,7 +43,7 @@ kernel splits the work in two phases:
 
 **Bit-identity.** The scalar reference evaluates, per anchor,
 ``(scores[window] + gain) - gap`` and masks invalid slots to ``-inf``
-before a first-index ``argmax``. The verifier performs the same
+before a first-index ``argmax``. The fold's verifier performs the same
 elementwise float64 operations in the same association order -- the
 gain matrix carries ``-inf`` at invalid slots, which propagates through
 the add/subtract to exactly the ``-inf`` the scalar mask writes -- and
@@ -41,16 +51,22 @@ the fold's ``(s[p] + gain) - gap`` on Python floats is the same pair of
 IEEE double operations. A row is committed only once the verifier has
 recomputed it from final predecessors, so scores, parents, and
 tie-breaks are bit-identical, not merely close, for any round count or
-block size. Production runs the blocked kernel
-(:func:`repro.mapping.chaining.chain_scores` calls it directly); the
-scalar reference is what the tests import to check it against.
+block size. The C kernel skips invalid slots and keeps the first
+strict maximum, which is that ``argmax``. The scalar reference is what
+the tests import to check both against.
 """
 
 from __future__ import annotations
 
+import functools
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.kernels.mapping_ops import record_mapping_ops
+
+if TYPE_CHECKING:
+    import ctypes
 
 #: Rows of hoisted band matrices computed per pass; bounds peak memory
 #: at ``~6 x BLOCK x lookback x 8`` bytes without affecting results.
@@ -60,6 +76,44 @@ _BLOCK_ROWS = 4096
 #: back to one vector combine each; bounds the worst case without
 #: affecting results.
 _SPEC_ROUNDS = 8
+
+
+@functools.cache
+def _native_chain() -> ctypes.CDLL | None:
+    """The compiled ``chain.c``, or ``None`` (the blocked fold runs);
+    resolved once per process, on the first DP over two or more
+    anchors. The loader and ctypes are imported here too, so importing
+    this module pays for neither."""
+    import ctypes
+
+    from repro.kernels.native import load_library
+
+    library = load_library("chain")
+    if library is None:
+        return None
+    f64, i64 = (
+        np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS") for dtype in (np.float64, np.int64)
+    )
+    size = ctypes.c_int64
+    library.chain_dp.argtypes = [i64, size, size, size, size, f64, f64, i64]
+    library.chain_dp.restype = None
+    return library
+
+
+def chain_backend() -> str:
+    """``"native"`` when the compiled chain DP runs in this process,
+    else ``"numpy"`` (resolving it if nothing has yet)."""
+    return "numpy" if _native_chain() is None else "native"
+
+
+@functools.cache
+def _log2_table(max_gap: int) -> np.ndarray:
+    """``np.log2(d)`` for ``0 <= d < max_gap`` (``d = 0`` reads as 1,
+    never used): the gap cost's ``log2`` for the C kernel, the same
+    bits the fold's ``np.log2`` gives. Read-only: every call shares it."""
+    table = np.log2(np.maximum(np.arange(max_gap), 1))
+    table.flags.writeable = False
+    return table
 
 
 def chain_candidate_count(n_anchors: int, lookback: int) -> int:
@@ -119,6 +173,36 @@ def chain_scores_scalar(
 def chain_scores_blocked(
     anchors: np.ndarray, kmer_size: int, max_gap: int, lookback: int
 ) -> tuple[np.ndarray, np.ndarray]:
+    """The production chain DP over sorted ``int64[n, 2]`` anchors.
+
+    One call of the compiled ``chain.c`` when it loaded, else the
+    blocked fold (:func:`_fold_blocked`); both give the scalar
+    reference's scores and parents, bit for bit. The candidates the DP
+    evaluates are charged to the mapping-ops ledger first, whichever
+    runs.
+    """
+    if anchors.ndim != 2 or anchors.shape[1] != 2:
+        raise ValueError(f"anchors must be an [n, 2] array, got shape {anchors.shape}")
+    n = anchors.shape[0]
+    k = kmer_size
+    if n <= 1:
+        return np.full(n, float(k)), np.full(n, -1, dtype=np.int64)
+    record_mapping_ops("chain-candidate", chain_candidate_count(n, lookback))
+    library = _native_chain()
+    if library is None:
+        return _fold_blocked(anchors, k, max_gap, lookback)
+    scores = np.full(n, float(k))
+    parents = np.full(n, -1, dtype=np.int64)
+    library.chain_dp(
+        np.ascontiguousarray(anchors, dtype=np.int64), n, k, max_gap, lookback,
+        _log2_table(max_gap), scores, parents,
+    )  # fmt: skip
+    return scores, parents
+
+
+def _fold_blocked(
+    anchors: np.ndarray, k: int, max_gap: int, lookback: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Hoisted/blocked chain DP: band geometry vectorised, combine speculated.
 
     Phase 1 computes, for a block of anchors at once, the full
@@ -131,10 +215,6 @@ def chain_scores_blocked(
     validity ``where``.
     """
     n = anchors.shape[0]
-    k = kmer_size
-    if n <= 1:
-        return np.full(n, float(k)), np.full(n, -1, dtype=np.int64)
-    record_mapping_ops("chain-candidate", chain_candidate_count(n, lookback))
     x = anchors[:, 0].astype(np.float64)
     y = anchors[:, 1].astype(np.float64)
     h = min(lookback, n - 1)

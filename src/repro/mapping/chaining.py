@@ -18,15 +18,17 @@ predict unmappable reads early.
 
 The implementation is the standard O(n * h) heuristic with a bounded
 lookback window, executed by
-:func:`repro.kernels.chain.chain_scores_blocked`: it computes the band
-geometry as per-block matrices, then resolves the rows by speculating
-each anchor's parent and verifying all rows at once, instead of one
-numpy combine per anchor. Tests check it bit-for-bit -- scores,
+:func:`repro.kernels.chain.chain_scores_blocked`: one call of the C
+kernel ``chain.c`` for all of a strand's anchors when it loaded, else
+the blocked numpy fold, which computes the band geometry as per-block
+matrices and resolves the rows by speculating each anchor's parent and
+verifying all rows at once. Tests check both bit-for-bit -- scores,
 parents, and tie-breaks -- against ``chain_scores_scalar``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +36,18 @@ import numpy as np
 from repro.kernels.chain import chain_scores_blocked
 
 
+#: Largest ``max_gap`` a :class:`ChainingConfig` takes (one ``float64``
+#: ``log2`` table entry per gap, 8 MiB at this bound).
+MAX_GAP_LIMIT = 2**20
+
+
 @dataclass(frozen=True)
 class ChainingConfig:
-    """Chain DP parameters (defaults follow minimap2's map-ont preset)."""
+    """Chain DP parameters (defaults follow minimap2's map-ont preset).
+
+    ``max_gap`` is at most :data:`MAX_GAP_LIMIT`, which bounds the C
+    kernel's ``log2`` table at 8 MiB.
+    """
 
     kmer_size: int = 13
     max_gap: int = 5_000
@@ -47,8 +58,15 @@ class ChainingConfig:
     def __post_init__(self) -> None:
         if self.kmer_size < 1 or self.lookback < 1:
             raise ValueError("kmer_size and lookback must be positive")
-        if self.max_gap < 1:
-            raise ValueError("max_gap must be positive")
+        if not 1 <= self.max_gap <= MAX_GAP_LIMIT:
+            raise ValueError(f"max_gap must be in [1, {MAX_GAP_LIMIT}], got {self.max_gap}")
+        # A NaN threshold compares False both ways: skipping the ends
+        # with ``score < threshold`` would keep every end, keeping those
+        # with ``score >= threshold`` none.
+        if not math.isfinite(self.min_chain_score):
+            raise ValueError(f"min_chain_score must be finite, got {self.min_chain_score}")
+        if self.min_anchors < 1:
+            raise ValueError(f"min_anchors must be at least 1, got {self.min_anchors}")
 
 
 @dataclass(frozen=True)
@@ -119,25 +137,29 @@ def chain_anchors(
         return []
     scores, parents = chain_scores(anchors, config)
     order = np.argsort(scores)[::-1]
-    used = np.zeros(n, dtype=bool)
+    # The descending order puts every end scoring at least the threshold
+    # first: the walk stops where the first one below it would stand.
+    n_ends = int(np.count_nonzero(scores >= config.min_chain_score))
+    score_of = scores.tolist()
+    parent_of = parents.tolist()
+    used = [False] * n
     chains: list[Chain] = []
-    for end in order:
+    for end in order[:n_ends].tolist():
         if len(chains) >= max_chains:
             break
-        if used[end] or scores[end] < config.min_chain_score:
+        if used[end]:
             continue
         chain_idx = []
-        node = int(end)
+        node = end
         while node != -1 and not used[node]:
             chain_idx.append(node)
-            node = int(parents[node])
+            node = parent_of[node]
         if len(chain_idx) < config.min_anchors:
             continue
         chain_idx.reverse()
-        used[chain_idx] = True
-        chains.append(
-            Chain(score=float(scores[end]), anchors=anchors[chain_idx], strand=strand)
-        )
+        for node in chain_idx:
+            used[node] = True
+        chains.append(Chain(score=score_of[end], anchors=anchors[chain_idx], strand=strand))
     return chains
 
 

@@ -178,9 +178,14 @@ class IncrementalChunkMapper:
                 if strand == -1:
                     arr = arr.copy()
                     arr[:, 1] = self._read_length - k - arr[:, 1]
-                # Drops overlap-seeded duplicates and leaves the rows in
-                # (ref_pos, read_pos) order, which chaining requires.
-                out[strand] = np.unique(arr, axis=0)
+                # Rows in (ref_pos, read_pos) order, which chaining
+                # requires, with overlap-seeded duplicates dropped:
+                # ``np.unique(arr, axis=0)``'s array, without its
+                # structured-dtype sort.
+                arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+                keep = np.ones(arr.shape[0], dtype=bool)
+                keep[1:] = (arr[1:] != arr[:-1]).any(axis=1)
+                out[strand] = arr[keep]
             else:
                 out[strand] = np.empty((0, 2), dtype=np.int64)
         self._gathered_cache = out

@@ -121,7 +121,12 @@ def minimizer_arrays(
     windows = np.lib.stride_tricks.sliding_window_view(selectable, w)
     arg = np.argmin(windows, axis=1)
     positions = np.arange(windows.shape[0], dtype=np.int64) + arg
-    positions = np.unique(positions)
+    # A window's first minimum never lies left of the previous window's
+    # (entering the window cannot move it back), so positions never
+    # decrease: dropping repeats is ``np.unique`` without its sort.
+    keep = np.ones(positions.size, dtype=bool)
+    keep[1:] = positions[1:] != positions[:-1]
+    positions = positions[keep]
     return canonical[positions], positions, strand[positions]
 
 

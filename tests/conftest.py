@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro.kernels.align as align_kernels
+import repro.kernels.chain as chain_kernels
 import repro.kernels.native as native
 import repro.kernels.viterbi as viterbi_kernels
 from repro.genomics.reference import ReferenceGenome
@@ -32,6 +33,12 @@ def numpy_gotoh():
     return mock.patch.object(align_kernels, "_native_gotoh", lambda: None)
 
 
+def numpy_chain():
+    """Context manager forcing the chain DP onto the blocked numpy fold:
+    the resolver reports no compiled kernel."""
+    return mock.patch.object(chain_kernels, "_native_chain", lambda: None)
+
+
 def _require_native(library, kernel: str) -> None:
     """Skips where there is no C compiler (only the fold can run there);
     fails where one exists but the compiled kernel did not load."""
@@ -48,6 +55,10 @@ def require_native_trellis() -> None:
 
 def require_native_gotoh() -> None:
     _require_native(align_kernels._native_gotoh(), "Gotoh fill")
+
+
+def require_native_chain() -> None:
+    _require_native(chain_kernels._native_chain(), "chain DP")
 
 
 def _native_then_fold(request, require, fold):
@@ -69,6 +80,12 @@ def trellis(request):
 def gotoh(request):
     """Runs a test once on the compiled Gotoh fill, once on the row pipeline."""
     yield from _native_then_fold(request, require_native_gotoh, numpy_gotoh)
+
+
+@pytest.fixture(params=["native", "numpy"])
+def chain(request):
+    """Runs a test once on the compiled chain DP, once on the blocked fold."""
+    yield from _native_then_fold(request, require_native_chain, numpy_chain)
 
 
 @pytest.fixture(scope="session")

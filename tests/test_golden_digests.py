@@ -26,7 +26,9 @@ The three digests the Viterbi trellis decodes (``viterbi-signal``,
 before the compiled trellis existed; each is checked on both.
 Likewise ``er-align``, the one digest that runs base-level alignment,
 was taken on the numpy Gotoh row pipeline, before the compiled Gotoh
-fill existed, and is checked on both.
+fill existed, and is checked on both. Every outcome digest chains;
+``er-map``, taken on the blocked numpy chain fold before the compiled
+chain DP existed, is checked on both.
 
 Records carry floats (qualities, chain scores) whose last bits depend
 on the numeric stack, so the file also records the numpy
@@ -172,6 +174,9 @@ TRELLIS_SETS = ("viterbi-signal", "ser-signal")
 #: The read sets aligned base by base; checked on the compiled Gotoh
 #: fill and on the numpy row pipeline.
 GOTOH_SETS = ("er-align",)
+#: The read set whose digest is checked on the compiled chain DP and on
+#: the blocked numpy fold (every set chains; this one maps the most).
+CHAIN_SETS = ("er-map",)
 
 
 def _simulated_reads() -> dict:
@@ -211,8 +216,18 @@ def _viterbi_chunks() -> dict:
     return {"sha256": sha.hexdigest(), "chunks": n_chunks}
 
 
-@pytest.mark.parametrize("name", sorted(set(READ_SETS) - set(TRELLIS_SETS) - set(GOTOH_SETS)))
+@pytest.mark.parametrize(
+    "name", sorted(set(READ_SETS) - set(TRELLIS_SETS) - set(GOTOH_SETS) - set(CHAIN_SETS))
+)
 def test_outcome_records_match_parent_digest(name):
+    golden = _golden_digests()
+    assert READ_SETS[name]()["sha256"] == golden[name]["sha256"]
+
+
+@pytest.mark.parametrize("name", CHAIN_SETS)
+def test_chain_outcome_records_match_parent_digest(name, chain):
+    """Chained by the compiled DP, then by the blocked numpy fold
+    (``chain`` fixture): the same digest either way."""
     golden = _golden_digests()
     assert READ_SETS[name]()["sha256"] == golden[name]["sha256"]
 
@@ -265,8 +280,10 @@ def test_er_align_digest_independent_of_lane_grouping(grouping, monkeypatch):
 def test_er_map_digest_independent_of_chain_rounds(rounds, block_rows, monkeypatch):
     """Every live row through the per-row fallback (0) or one speculate-
     and-verify round first (1), over short or whole-call blocks: the
-    chain kernel's round cap and block size are speed constants."""
+    chain fold's round cap and block size are speed constants. The fold
+    is pinned: the compiled DP reads neither."""
     golden = _golden_digests()
+    monkeypatch.setattr(chain_kernels, "_native_chain", lambda: None)
     monkeypatch.setattr(chain_kernels, "_SPEC_ROUNDS", rounds)
     monkeypatch.setattr(chain_kernels, "_BLOCK_ROWS", block_rows)
     assert _er_map()["sha256"] == golden["er-map"]["sha256"]

@@ -6,8 +6,10 @@ by bytes in ``test_trail_case_bit_identical`` each):
 
 * batched seeding (one ``searchsorted`` + repeat/gather) must produce
   the exact grouped anchor arrays of the per-key scalar walk;
-* the blocked chain DP must produce bit-identical scores *and parents*
-  to the scalar reference (same float64 combine order per row);
+* the chain DP must produce bit-identical scores *and parents* to the
+  scalar reference (same float64 combine order per row) -- on the
+  compiled ``chain.c`` and on the blocked numpy fold (the ``chain``
+  fixture runs each such test on both);
 * the Gotoh lane fill (``_fill_lanes``) must give every lane the
   identical score and CIGAR the scalar reference gives its pair, on
   every segment shape and every integer-valued scoring, whichever lanes
@@ -30,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import numpy_gotoh, require_native_gotoh
+from conftest import numpy_chain, numpy_gotoh, require_native_chain, require_native_gotoh
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -56,6 +58,7 @@ from repro.kernels import (
     seed_anchors_scalar,
 )
 from repro.kernels.align import gotoh_backend
+from repro.kernels.chain import chain_backend
 from repro.mapping.alignment import (
     AlignmentConfig,
     AlignmentResult,
@@ -86,6 +89,11 @@ def index(reference):
     return MinimizerIndex.build(reference, MinimizerConfig(k=13, w=10))
 
 
+#: The ``gotoh`` and ``chain`` fixtures hold one backend for all of a
+#: property's examples.
+_ONE_FILL_PER_TEST = [HealthCheck.function_scoped_fixture]
+
+
 def _random_anchors(rng, n, ref_span=50_000, read_span=8_000, runs=False):
     """Random sorted (ref_pos, read_pos) anchors, optionally clustered."""
     if runs and n >= 4:
@@ -102,9 +110,17 @@ def _random_anchors(rng, n, ref_span=50_000, read_span=8_000, runs=False):
 
 
 class TestChainKernels:
+    def test_compiled_dp_is_what_runs(self):
+        """Where a compiler exists the chain DP must be the compiled one,
+        or every ``[native]`` case below would test the fold twice."""
+        require_native_chain()
+        assert chain_backend() == "native"
+        with numpy_chain():
+            assert chain_backend() == "numpy"
+
     @pytest.mark.parametrize("lookback", [1, 5, 50])
     @pytest.mark.parametrize("max_gap", [50, 5_000])
-    def test_blocked_bit_identical_to_scalar(self, lookback, max_gap):
+    def test_blocked_bit_identical_to_scalar(self, lookback, max_gap, chain):
         rng = np.random.default_rng(101)
         for trial in range(25):
             n = int(rng.integers(0, 400))
@@ -114,7 +130,7 @@ class TestChainKernels:
             assert np.array_equal(s_scores, b_scores), (trial, lookback, max_gap)
             assert np.array_equal(s_parents, b_parents), (trial, lookback, max_gap)
 
-    def test_blocked_crosses_block_boundary(self):
+    def test_blocked_crosses_block_boundary(self, chain):
         # More anchors than one 4096-row block, dense colinear geometry.
         rng = np.random.default_rng(102)
         ref = np.sort(rng.integers(0, 80_000, size=5_000))
@@ -127,7 +143,7 @@ class TestChainKernels:
         assert np.array_equal(s[0], b[0]) and np.array_equal(s[1], b[1])
 
     @pytest.mark.parametrize("n", [0, 1])
-    def test_degenerate_inputs(self, n):
+    def test_degenerate_inputs(self, n, chain):
         anchors = np.zeros((n, 2), dtype=np.int64)
         for kernel in (chain_scores_scalar, chain_scores_blocked):
             scores, parents = kernel(anchors, 13, 5_000, 50)
@@ -135,13 +151,18 @@ class TestChainKernels:
             if n:
                 assert parents[0] == -1
 
+    @pytest.mark.parametrize("shape", [(5,), (5, 1), (5, 3)])
+    def test_anchors_must_be_n_by_2(self, shape, chain):
+        with pytest.raises(ValueError, match=r"\[n, 2\]"):
+            chain_scores_blocked(np.zeros(shape, dtype=np.int64), 13, 5_000, 50)
+
     def test_candidate_count_closed_form(self):
         for n in (0, 1, 2, 7, 50, 51, 200):
             for h in (1, 5, 50):
                 brute = sum(min(i, h) for i in range(n)) if n > 1 else 0
                 assert chain_candidate_count(n, h) == brute, (n, h)
 
-    def test_kernels_charge_the_ledger(self):
+    def test_kernels_charge_the_ledger(self, chain):
         rng = np.random.default_rng(103)
         anchors = _random_anchors(rng, 120, runs=True)
         ledger = process_mapping_ops()
@@ -149,7 +170,7 @@ class TestChainKernels:
         chain_scores_blocked(anchors, 13, 5_000, 50)
         assert ledger.value("chain-candidate") - before == chain_candidate_count(120, 50)
 
-    def test_config_selects_kernel(self):
+    def test_config_selects_kernel(self, chain):
         # The config carries DP parameters only: chain_scores runs the
         # production kernel, which equals the reference.
         rng = np.random.default_rng(104)
@@ -168,12 +189,14 @@ class TestChainKernels:
     @given(
         n=st.integers(0, 300),
         lookback=st.integers(1, 60),
-        max_gap=st.sampled_from([5, 40, 300, 5_000]),
+        max_gap=st.sampled_from([1, 5, 40, 300, 5_000]),
         span=st.sampled_from([30, 400, 20_000]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_blocked_bit_identical_over_generated_shapes(self, n, lookback, max_gap, span, seed):
+    @settings(max_examples=40, deadline=None, suppress_health_check=_ONE_FILL_PER_TEST)
+    def test_blocked_bit_identical_over_generated_shapes(
+        self, n, lookback, max_gap, span, seed, chain
+    ):
         """A small ``span`` packs the anchors with duplicate rows, equal
         reference positions and equal-score predecessors (argmax ties);
         a small ``max_gap`` leaves most windows without a valid one."""
@@ -191,8 +214,10 @@ class TestChainKernels:
         max_gap=st.sampled_from([500, 5_000]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_blocked_bit_identical_on_mapped_read_anchors(self, n_true, lookback, max_gap, seed):
+    @settings(max_examples=40, deadline=None, suppress_health_check=_ONE_FILL_PER_TEST)
+    def test_blocked_bit_identical_on_mapped_read_anchors(
+        self, n_true, lookback, max_gap, seed, chain
+    ):
         """The geometry the speculation is built for: most rows' parent
         is a near predecessor, scattered hits and duplicate reference
         positions make it the second or third. Scores compare by bits."""
@@ -206,16 +231,32 @@ class TestChainKernels:
         "case",
         ["colinear-2000", "scattered-1500", "short-lookback", "block-boundary-5000", "mapped-read"],
     )
-    def test_trail_case_bit_identical(self, chain_trail, case):
+    def test_trail_case_bit_identical(self, chain_trail, case, chain):
         anchors, max_gap, lookback = chain_trail[case]
         scalar = chain_scores_scalar(anchors, 13, max_gap, lookback)
         blocked = chain_scores_blocked(anchors, 13, max_gap, lookback)
         for s_out, b_out in zip(scalar, blocked, strict=True):
             assert s_out.dtype == b_out.dtype and s_out.tobytes() == b_out.tobytes()
 
+    def test_log2_comes_from_numpy_not_libm(self, chain):
+        """A 40-anchor colinear run, then a last hop drifting by
+        ``dd = 1621``: at k=14 the last score's final bit is the last bit
+        of ``np.log2(1621)``, which a libm ``log2`` may round the other
+        way (glibc's does on x86-64). Every window slot of the last
+        anchor drifts by the same ``dd``."""
+        run = np.stack([1_000 + 20 * np.arange(40), 20 * np.arange(40)], axis=1)
+        anchors = np.vstack([run, run[-1] + [3_000, 3_000 - 1_621]]).astype(np.int64)
+        s_scores, s_parents = chain_scores_scalar(anchors, 14, 5_000, 50)
+        b_scores, b_parents = chain_scores_blocked(anchors, 14, 5_000, 50)
+        assert s_parents[-1] == 39
+        assert s_scores.tobytes() == b_scores.tobytes()
+        assert np.array_equal(s_parents, b_parents)
+
     @pytest.mark.parametrize("rounds", [0, 1])
     def test_fallback_rows_bit_identical(self, rounds, monkeypatch):
-        """No speculation (0) or one round then the per-row fallback (1)."""
+        """No speculation (0) or one round then the per-row fallback (1),
+        on the fold (the compiled DP does not speculate)."""
+        monkeypatch.setattr(chain_kernels, "_native_chain", lambda: None)
         monkeypatch.setattr(chain_kernels, "_SPEC_ROUNDS", rounds)
         rng = np.random.default_rng(105)
         for n_true in (3, 60, 250, 600):
@@ -325,10 +366,6 @@ def _scalar(a, b, *scoring):
     the lane fill returns them."""
     score, cigar = gotoh_scalar(a, b, *scoring)
     return score, _classify_diagonals(cigar, a, b)
-
-
-#: The ``gotoh`` fixture holds one fill for all of a property's examples.
-_ONE_FILL_PER_TEST = [HealthCheck.function_scoped_fixture]
 
 
 def _scalar_global_lanes(fill, calls=None):
@@ -844,6 +881,30 @@ class TestMapperIntegration:
         assert mapper._gathered() is second
         mapper.set_read_length(read.size + 10)
         assert mapper._gathered() is not second  # length change invalidates
+
+    def test_gathered_is_np_unique_of_the_blocks(self, index, reference):
+        """Overlapping chunks seed the same anchors twice, and a read
+        length shorter than the seeded bases makes reverse-strand read
+        positions negative: the gathered rows are still exactly
+        ``np.unique(rows, axis=0)`` of every block, strand by strand."""
+        chimera = np.concatenate(
+            [reference.codes[30_000:31_500], alphabet.reverse_complement(reference.codes[60_000:61_500])]
+        )
+        read = apply_errors(chimera, 0.05, np.random.default_rng(7)).codes
+        mapper = IncrementalChunkMapper(index, read_length=read.size)
+        for at in (0, 800, 400, 1_600, 1_200, 2_000):
+            mapper.add_chunk(read[at : at + 1_000], at)
+        k = index.config.k
+        for read_length in (read.size, 1_000):
+            mapper.set_read_length(read_length)
+            gathered = mapper._gathered()
+            for strand, blocks in mapper._anchor_blocks.items():
+                rows = np.concatenate(blocks)
+                if strand == -1:
+                    rows = np.stack([rows[:, 0], read_length - k - rows[:, 1]], axis=1)
+                want = np.unique(rows, axis=0)
+                assert gathered[strand].dtype == want.dtype
+                assert gathered[strand].tobytes() == want.tobytes(), (strand, read_length)
 
     def test_incremental_matches_whole_read(self, index, reference):
         rng = np.random.default_rng(402)

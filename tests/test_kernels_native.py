@@ -1,16 +1,17 @@
 """The compiled kernels' loader under faults, and who resolves them.
 
-:mod:`repro.kernels.native` builds ``trellis.c`` (the Viterbi trellis)
-and ``gotoh.c`` (the Gotoh lane fill) on first use and caches each
-shared object; any failure must leave the numpy fold running. Each fault
-below -- no compiler, a compiler that fails, a package cache that cannot
-be written, a per-user cache that is not private, a truncated library
-in the cache, two processes building a cold cache at once -- is run for
-both kernels and must give the fold's bytes, raise nothing and leave no
-temp file behind. A surrogate CLI run must resolve neither library (it
-would only add start-up time), a run without ``--align`` never the Gotoh
-one, and the summary line names the trellis that decoded and the fill
-that aligned.
+:mod:`repro.kernels.native` builds ``trellis.c`` (the Viterbi trellis),
+``gotoh.c`` (the Gotoh lane fill) and ``chain.c`` (the chain DP) on
+first use and caches each shared object; any failure must leave the
+numpy fold running. Each fault below -- no compiler, a compiler that
+fails, a package cache that cannot be written, a per-user cache that is
+not private, a truncated library in the cache, two processes building a
+cold cache at once -- is run for all three kernels and must give the
+fold's bytes, raise nothing and leave no temp file behind. A surrogate
+CLI run must build the chain DP alone (the trellis would only add
+start-up time), a run without ``--align`` never the Gotoh fill, and the
+summary line names the chain DP that chained, the trellis that decoded
+and the fill that aligned.
 """
 
 from __future__ import annotations
@@ -26,12 +27,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import numpy_gotoh, numpy_trellis
+from conftest import numpy_chain, numpy_gotoh, numpy_trellis
 
 import repro.kernels.align as align_kernels
+import repro.kernels.chain as chain_kernels
 import repro.kernels.native as native
 import repro.kernels.viterbi as viterbi_kernels
-from repro.kernels import move_predecessors, viterbi_forward, viterbi_traceback
+from repro.kernels import (
+    chain_scores_blocked,
+    move_predecessors,
+    viterbi_forward,
+    viterbi_traceback,
+)
 from repro.mapping.alignment import AlignmentConfig, _fill_lanes
 from repro.runtime.cli import main
 
@@ -42,9 +49,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 needs_compiler = pytest.mark.skipif(native._compiler() is None, reason="no C compiler")
 
 #: Runs one kernel (argv[3]) on fixed input and prints the backend in
-#: use and the digest of its outputs, as :func:`_decode` and
-#: :func:`_align` do in this process; argv: cache directory, start-flag
-#: file, kernel.
+#: use and the digest of its outputs, as :func:`_decode`, :func:`_align`
+#: and :func:`_chain` do in this process; argv: cache directory,
+#: start-flag file, kernel.
 RUN_PROBE = """
 import hashlib, sys, time
 from pathlib import Path
@@ -68,6 +75,13 @@ if kernel == "trellis":
     path = vk.viterbi_traceback(backptr, pred, dp)
     digest = hashlib.sha256(b"".join(a.tobytes() for a in (backptr, scores, dp, path)))
     print(vk.trellis_backend(), digest.hexdigest())
+elif kernel == "chain":
+    import repro.kernels.chain as ck
+    ref = np.sort(rng.integers(0, 20_000, 400))
+    anchors = np.stack([ref, np.maximum(0, ref + rng.integers(-40, 40, 400))], axis=1)
+    anchors = anchors[np.lexsort((anchors[:, 1], anchors[:, 0]))]
+    scores, parents = ck.chain_scores_blocked(anchors, 13, 5_000, 50)
+    print(ck.chain_backend(), hashlib.sha256(scores.tobytes() + parents.tobytes()).hexdigest())
 else:
     import repro.kernels.align as ak
     from repro.mapping.alignment import AlignmentConfig, _fill_lanes
@@ -103,6 +117,17 @@ def _align() -> str:
     return hashlib.sha256(repr(_fill_lanes(lanes, AlignmentConfig())).encode()).hexdigest()
 
 
+def _chain() -> str:
+    """The probe's chain DP in this process: hex digest of its scores
+    and parents."""
+    rng = np.random.default_rng(5)
+    ref = np.sort(rng.integers(0, 20_000, 400))
+    anchors = np.stack([ref, np.maximum(0, ref + rng.integers(-40, 40, 400))], axis=1)
+    anchors = anchors[np.lexsort((anchors[:, 1], anchors[:, 0]))]
+    scores, parents = chain_scores_blocked(anchors, 13, 5_000, 50)
+    return hashlib.sha256(scores.tobytes() + parents.tobytes()).hexdigest()
+
+
 @dataclass(frozen=True)
 class Kernel:
     """One compiled kernel: its source name, a run giving the digest of
@@ -123,6 +148,9 @@ KERNELS = {
     ),
     "gotoh": Kernel(
         "gotoh", _align, align_kernels._native_gotoh, align_kernels.gotoh_backend, numpy_gotoh
+    ),
+    "chain": Kernel(
+        "chain", _chain, chain_kernels._native_chain, chain_kernels.chain_backend, numpy_chain
     ),
 }  # fmt: skip
 
@@ -149,7 +177,7 @@ def fold_digest(kernel, fold_digests) -> str:
 @pytest.fixture
 def cache(tmp_path, monkeypatch):
     """Point both cache directories into ``tmp_path`` and make the next
-    call of either kernel resolve afresh; the real resolution comes back
+    call of any kernel resolve afresh; the real resolution comes back
     after."""
     package, user = tmp_path / "package", tmp_path / "user"
     monkeypatch.setattr(native, "_PACKAGE_CACHE", package)
@@ -294,7 +322,8 @@ def test_two_processes_build_a_cold_cache_at_once(kernel, tmp_path, fold_digest)
 #: A CLI run with both cache directories moved into argv[1]; afterwards
 #: asserts the loader was not imported with the CLI, the trellis was
 #: never resolved, the Gotoh fill only on an ``--align`` run, and that
-#: nothing but that fill's library was cached.
+#: the chain DP's library (workers chain, so they build it) and, on an
+#: ``--align`` run, the fill's were all that was cached.
 UNRESOLVED_PROBE = """
 import sys
 from pathlib import Path
@@ -311,18 +340,18 @@ aligned = "--align" in sys.argv
 assert vk._native_trellis.cache_info().currsize == 0, "trellis resolved"
 assert ak._native_gotoh.cache_info().currsize == aligned, "Gotoh fill resolved: " + str(aligned)
 built = sorted(path.name for path in cache.rglob("*")) if cache.exists() else []
-expected = ["gotoh"] if aligned and native._compiler() is not None else []
+expected = (["chain", "gotoh"] if aligned else ["chain"]) if native._compiler() is not None else []
 assert [name.partition("-")[0] for name in built] == expected, built
 raise SystemExit(status)
 """
 
 
-def test_surrogate_cli_run_never_resolves_the_trellis(tmp_path):
-    """Start-up of the surrogate workloads pays nothing for either
-    compiled kernel: importing the CLI does not import the loader, and
-    an ``ecoli-like`` run without ``--align`` (pooled, so workers are
-    covered too) neither resolves nor builds the trellis or the Gotoh
-    fill."""
+def test_surrogate_cli_run_builds_the_chain_dp_alone(tmp_path):
+    """Start-up of the surrogate workloads pays only for the kernel they
+    run: importing the CLI does not import the loader, and an
+    ``ecoli-like`` run without ``--align`` (pooled, so workers are
+    covered too) builds the chain DP, and neither resolves nor builds
+    the trellis or the Gotoh fill."""
     subprocess.run(
         [
             sys.executable, "-c", UNRESOLVED_PROBE, str(tmp_path / "cache"),
@@ -333,9 +362,10 @@ def test_surrogate_cli_run_never_resolves_the_trellis(tmp_path):
     )  # fmt: skip
 
 
-def test_aligned_surrogate_cli_run_resolves_the_gotoh_fill_alone(tmp_path):
+def test_aligned_surrogate_cli_run_builds_the_chain_dp_and_gotoh_fill(tmp_path):
     """An ``--align`` run resolves the Gotoh fill (and, with a compiler,
-    caches its ``gotoh-<hash>.so`` and nothing else), never the trellis."""
+    caches ``chain-<hash>.so`` and ``gotoh-<hash>.so`` and nothing
+    else), never the trellis."""
     subprocess.run(
         [
             sys.executable, "-c", UNRESOLVED_PROBE, str(tmp_path / "cache"),
@@ -366,3 +396,14 @@ def test_aligned_cli_summary_names_the_gotoh_fill(gotoh, capsys):
     )  # fmt: skip
     assert status == 0
     assert f"gotoh {gotoh})" in capsys.readouterr().err
+
+
+def test_cli_summary_names_the_chain_dp(chain, capsys):
+    status = main(
+        [
+            "--profile", "ecoli-like", "--scale", "0.0001", "--seed", "7",
+            "--max-read-length", "1500", "--workers", "1",
+        ]
+    )  # fmt: skip
+    assert status == 0
+    assert f"chain {chain}" in capsys.readouterr().err

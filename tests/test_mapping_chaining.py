@@ -2,10 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.genomics.mutate import apply_errors
 from repro.genomics.reference import ReferenceGenome
-from repro.mapping.chaining import ChainingConfig, best_chain, chain_anchors, chain_scores
+from repro.mapping.chaining import (
+    MAX_GAP_LIMIT,
+    Chain,
+    ChainingConfig,
+    best_chain,
+    chain_anchors,
+    chain_scores,
+)
 from repro.mapping.index import MinimizerIndex
 from repro.mapping.minimizers import MinimizerConfig
 from repro.mapping.seeding import collect_anchor_arrays, collect_anchors
@@ -121,6 +130,26 @@ class TestChainScores:
         with pytest.raises(ValueError):
             ChainingConfig(max_gap=0)
 
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_min_chain_score_rejected(self, score):
+        """A NaN threshold would pass every anchor as a chain end
+        (``score < nan`` is False) under one reading and none under
+        another; an infinite one means no chain, or every end."""
+        with pytest.raises(ValueError, match="min_chain_score"):
+            ChainingConfig(min_chain_score=score)
+
+    def test_min_anchors_below_one_rejected(self):
+        with pytest.raises(ValueError, match="min_anchors"):
+            ChainingConfig(min_anchors=0)
+        assert ChainingConfig(min_anchors=1).min_anchors == 1
+
+    def test_max_gap_bounded(self):
+        """The bound keeps the chain kernel's ``log2`` table at 8 MiB."""
+        assert MAX_GAP_LIMIT == 2**20
+        assert ChainingConfig(max_gap=MAX_GAP_LIMIT).max_gap == MAX_GAP_LIMIT
+        with pytest.raises(ValueError, match="max_gap"):
+            ChainingConfig(max_gap=MAX_GAP_LIMIT + 1)
+
 
 class TestChainExtraction:
     def test_extracts_primary(self):
@@ -161,11 +190,62 @@ class TestChainExtraction:
         assert primary.ref_span[0] < 2_000
         assert secondary.ref_span[0] > 49_000
 
+    @given(
+        n=st.integers(0, 200),
+        span=st.sampled_from([40, 600, 20_000]),
+        min_chain_score=st.sampled_from([0.0, 13.0, 20.0, 40.0, 1e9]),
+        min_anchors=st.integers(1, 4),
+        max_chains=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_extraction_takes_the_full_walks_chains(
+        self, n, span, min_chain_score, min_anchors, max_chains, seed
+    ):
+        """Walking only the ends that reach the threshold takes the same
+        chains, in the same order, as walking every end of the descending
+        order and skipping those below it."""
+        rng = np.random.default_rng(seed)
+        anchors = rng.integers(0, span, size=(n, 2)).astype(np.int64)
+        anchors = anchors[np.lexsort((anchors[:, 1], anchors[:, 0]))]
+        config = ChainingConfig(min_chain_score=min_chain_score, min_anchors=min_anchors)
+        got = chain_anchors(anchors, config, max_chains=max_chains)
+        want = _full_walk(anchors, config, max_chains)
+        assert [(c.score, c.anchors.tobytes()) for c in got] == [
+            (c.score, c.anchors.tobytes()) for c in want
+        ]
+
     def test_best_chain_none_when_empty(self):
         primary, secondary = best_chain(
             {1: np.empty((0, 2), np.int64), -1: np.empty((0, 2), np.int64)}, CFG
         )
         assert primary is None and secondary is None
+
+
+def _full_walk(anchors, config, max_chains):
+    """Chain extraction as a walk over every end in descending score
+    order, skipping the used ones and those below the threshold."""
+    if anchors.shape[0] == 0:
+        return []
+    scores, parents = chain_scores(anchors, config)
+    used = np.zeros(anchors.shape[0], dtype=bool)
+    chains = []
+    for end in np.argsort(scores)[::-1]:
+        if len(chains) >= max_chains:
+            break
+        if used[end] or scores[end] < config.min_chain_score:
+            continue
+        chain_idx = []
+        node = int(end)
+        while node != -1 and not used[node]:
+            chain_idx.append(node)
+            node = int(parents[node])
+        if len(chain_idx) < config.min_anchors:
+            continue
+        chain_idx.reverse()
+        used[chain_idx] = True
+        chains.append(Chain(score=float(scores[end]), anchors=anchors[chain_idx], strand=1))
+    return chains
 
 
 class TestEndToEndChaining:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.genomics.alphabet import encode, reverse_complement
+from repro.genomics.alphabet import encode, kmer_codes, reverse_complement
 from repro.genomics.reference import ReferenceGenome
 from repro.mapping.index import MinimizerIndex
 from repro.mapping.minimizers import (
@@ -18,6 +18,20 @@ from repro.mapping.minimizers import (
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=400)
 CFG = MinimizerConfig(k=13, w=10)
+
+
+def _unique_window_minima(codes, config):
+    """``np.unique`` of every window's first minimum position, on the
+    selection hashes ``minimizer_arrays`` documents: the smaller of a
+    k-mer's two strand hashes, or the maximum when they tie."""
+    k, w = config.k, config.w
+    if codes.size < k:
+        return np.empty(0, dtype=np.int64)
+    fwd = kmer_codes(codes, k).astype(np.uint64)
+    h_fwd, h_rev = _mix64(fwd), _mix64(_revcomp_packed(fwd, k))
+    selectable = np.where(h_fwd == h_rev, np.iinfo(np.uint64).max, np.minimum(h_fwd, h_rev))
+    windows = [selectable[i : i + w] for i in range(max(1, selectable.size - w + 1))]
+    return np.unique([i + int(np.argmin(window)) for i, window in enumerate(windows)]).astype(np.int64)
 
 
 class TestHash:
@@ -94,6 +108,31 @@ class TestMinimizerExtraction:
         keys, positions, strands = minimizer_arrays(codes, CFG)
         assert [m.position for m in objs] == positions.tolist()
         assert [m.key for m in objs] == keys.tolist()
+
+    @given(
+        codes=st.one_of(
+            st.lists(st.integers(0, 3), max_size=300),
+            # Homopolymers: every k-mer ties, every window's first
+            # minimum is its first k-mer.
+            st.tuples(st.integers(0, 3), st.integers(0, 300)).map(lambda t: [t[0]] * t[1]),
+            # Short repeats: many ties, and palindromic (ambiguous) k-mers.
+            st.tuples(st.lists(st.integers(0, 3), min_size=1, max_size=4), st.integers(0, 80)).map(
+                lambda t: t[0] * t[1]
+            ),
+        ),
+        k=st.integers(4, 15),
+        w=st.integers(1, 40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_positions_are_np_unique_of_window_minima(self, codes, k, w):
+        """Dropping repeated window minima is ``np.unique`` of them, on
+        every input: ties, all-tie homopolymers, ``n_kmers <= w``."""
+        codes = np.array(codes, dtype=np.uint8)
+        config = MinimizerConfig(k=k, w=w)
+        keys, positions, strands = minimizer_arrays(codes, config)
+        want = _unique_window_minima(codes, config)
+        assert positions.dtype == want.dtype and positions.tobytes() == want.tobytes()
+        assert keys.size == strands.size == positions.size
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
