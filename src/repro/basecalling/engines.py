@@ -33,7 +33,7 @@ the performance model treat both engines uniformly.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -230,13 +230,18 @@ class ViterbiChunkBasecaller:
             n_true_bases=end - start,
         )
 
+    def basecall_chunks(self, read, indices: Sequence[int], chunk_size: int) -> list[BasecalledChunk]:
+        """Decode the chunks ``indices`` one by one, in the order given.
+
+        A chunk is milliseconds of compiled trellis, so a shared call
+        would save nothing measurable.
+        """
+        return [self.basecall_chunk(read, index, chunk_size) for index in indices]
+
     def basecall_read(self, read, chunk_size: int) -> BasecalledRead:
         """Basecall every chunk of the read and reassemble."""
-        chunks = [
-            self.basecall_chunk(read, i, chunk_size)
-            for i in range(self.n_chunks(read, chunk_size))
-        ]
-        return reassemble_chunks(read.read_id, chunks)
+        n_chunks = self.n_chunks(read, chunk_size)
+        return reassemble_chunks(read.read_id, self.basecall_chunks(read, range(n_chunks), chunk_size))
 
     def kernel_workload(self, n_bases: int) -> KernelWorkload:
         """Trellis state-space ops for decoding ``n_bases`` worth of signal.

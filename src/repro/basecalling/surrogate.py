@@ -18,18 +18,27 @@ that:
   chunk-based pipeline, the conventional pipeline, and any early-
   rejection policy see byte-identical basecalls for the chunks they do
   process. Integration tests rely on this property.
+
+Chunks are decoded in batches (one call per early-rejection stage): each
+chunk makes its own draws, on its own stream and in a fixed order, and
+everything else -- error probabilities, the error model's apply step,
+the quality gather, jitter and clipping -- is elementwise, so it runs
+once over the batch's concatenated spans and yields the bytes each chunk
+would get alone, whatever its batch mates.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate, pairwise
 
 import numpy as np
 
 from repro.basecalling.chunked import chunk_count, chunk_span, reassemble_chunks
 from repro.basecalling.types import BasecalledChunk, BasecalledRead
-from repro.genomics.mutate import ErrorProfile, apply_errors
+from repro.genomics.mutate import ErrorDraws, ErrorProfile, apply_drawn_errors, draw_errors
 from repro.genomics.quality import phred_to_error_prob
 from repro.nanopore.read_simulator import SimulatedRead
 
@@ -76,7 +85,8 @@ class SurrogateBasecaller:
 
     Implements the chunk-basecaller contract used by the core pipeline:
     ``n_chunks(read, chunk_size)`` and
-    ``basecall_chunk(read, index, chunk_size)``.
+    ``basecall_chunks(read, indices, chunk_size)``, through which
+    ``basecall_chunk`` and ``basecall_read`` decode too.
     """
 
     def __init__(self, config: SurrogateConfig | None = None):
@@ -94,44 +104,87 @@ class SurrogateBasecaller:
         """Number of chunks the read splits into."""
         return chunk_count(len(read), chunk_size)
 
-    def basecall_chunk(self, read: SimulatedRead, index: int, chunk_size: int) -> BasecalledChunk:
-        """Basecall one chunk of a read.
+    def basecall_chunks(
+        self, read: SimulatedRead, indices: Sequence[int], chunk_size: int
+    ) -> list[BasecalledChunk]:
+        """Basecall the chunks ``indices`` of a read, in the order given.
 
-        Deterministic in ``(read.seed, chunk_size, index)`` and
-        independent of any other chunk.
+        Each chunk is deterministic in ``(read.seed, chunk_size, index)``
+        and independent of the others requested with it: only the random
+        draws are made chunk by chunk, on the chunk's own stream, and the
+        arithmetic runs once over the concatenated spans. The returned
+        chunks are views of the batch's arrays.
         """
-        start, end = chunk_span(len(read), chunk_size, index)
-        true_codes = read.true_codes[start:end]
-        track = read.qualities[start:end]
+        n_bases = len(read)
+        spans = [chunk_span(n_bases, chunk_size, index) for index in indices]
+        if not spans:
+            return []
+        if all(a[1] == b[0] for a, b in pairwise(spans)):
+            true_codes = read.true_codes[spans[0][0] : spans[-1][1]]
+            track = read.qualities[spans[0][0] : spans[-1][1]]
+        else:
+            true_codes = np.concatenate([read.true_codes[start:end] for start, end in spans])
+            track = np.concatenate([read.qualities[start:end] for start, end in spans])
+        lengths = [end - start for start, end in spans]
 
-        rng = np.random.default_rng([read.seed & 0x7FFFFFFF, chunk_size, index])
+        seed = read.seed & 0x7FFFFFFF
+        rngs = [np.random.default_rng([seed, chunk_size, index]) for index in indices]
+        draws = [draw_errors(rng, n) for rng, n in zip(rngs, lengths, strict=True)]
         cfg = self._config
         # minimum(maximum(...)) is np.clip's result for finite input,
         # without its per-call wrapper cost.
         error_prob = np.minimum(
             np.maximum(phred_to_error_prob(track) * cfg.error_scale, 0.0), cfg.max_error_prob
         )
-        mutated = apply_errors(true_codes, error_prob, rng, cfg.profile)
+        mutated = apply_drawn_errors(
+            true_codes,
+            error_prob,
+            ErrorDraws(*(_joined(part) for part in zip(*draws, strict=True))),
+            cfg.profile,
+        )
+        # source_index is non-decreasing, so chunk i's output ends where
+        # the first base sourced past its span would go.
+        source = mutated.source_index
+        inner = list(accumulate(lengths[:-1]))
+        ends = (np.searchsorted(source, inner).tolist() if inner else []) + [source.size]
+        starts = [0, *ends[:-1]]
 
         # Each emitted base inherits the quality of the true base it came
-        # from (insertions inherit their left neighbour's), plus jitter.
+        # from (insertions inherit their left neighbour's), plus jitter
+        # drawn on the chunk's own stream after its error draws.
         # source_index is in [0, track.size) by construction.
-        emitted_quality = track[mutated.source_index]
-        emitted_quality += rng.normal(0.0, cfg.quality_jitter, size=emitted_quality.size)
-        np.maximum(emitted_quality, 1.0, out=emitted_quality)
-        np.minimum(emitted_quality, 40.0, out=emitted_quality)
-
-        return BasecalledChunk(
-            chunk_index=index,
-            codes=mutated.codes,
-            qualities=emitted_quality,
-            n_true_bases=end - start,
+        quality = track[source]
+        quality += _joined(
+            [
+                rng.normal(0.0, cfg.quality_jitter, size=end - start)
+                for rng, start, end in zip(rngs, starts, ends, strict=True)
+            ]
         )
+        np.maximum(quality, 1.0, out=quality)
+        np.minimum(quality, 40.0, out=quality)
+
+        codes = mutated.codes
+        return [
+            BasecalledChunk(
+                chunk_index=index,
+                codes=codes[start:end],
+                qualities=quality[start:end],
+                n_true_bases=n,
+            )
+            for index, n, start, end in zip(indices, lengths, starts, ends, strict=True)
+        ]
+
+    def basecall_chunk(self, read: SimulatedRead, index: int, chunk_size: int) -> BasecalledChunk:
+        """Basecall one chunk of a read (see :meth:`basecall_chunks`)."""
+        return self.basecall_chunks(read, (index,), chunk_size)[0]
 
     def basecall_read(self, read: SimulatedRead, chunk_size: int) -> BasecalledRead:
         """Basecall every chunk of the read and reassemble."""
-        chunks = [
-            self.basecall_chunk(read, i, chunk_size)
-            for i in range(self.n_chunks(read, chunk_size))
-        ]
+        n_chunks = self.n_chunks(read, chunk_size)
+        chunks = self.basecall_chunks(read, range(n_chunks), chunk_size)
         return reassemble_chunks(read.read_id, chunks)
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts concatenated along their last axis; a lone part as is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)

@@ -23,6 +23,7 @@ engines need no imports from this repo beyond the data types.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.basecalling.types import BasecalledChunk, BasecalledRead
@@ -38,13 +39,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 class Basecaller(Protocol):
     """The chunk-level basecaller contract the CP pipeline consumes.
 
-    Implementations must be *chunk-deterministic*: ``basecall_chunk``
-    may depend only on ``(read, index, chunk_size)``, never on which
-    other chunks were requested before it. The chunk-based pipeline,
-    the conventional pipeline, and every early-rejection policy must
-    see byte-identical basecalls for the chunks they do process -- the
-    software analogue of the paper's "no accuracy loss" claim, and the
-    invariant behind the parallel runtime's report equivalence.
+    Implementations must be *chunk-deterministic*: a chunk's bytes may
+    depend only on ``(read, index, chunk_size)`` -- never on which other
+    chunks were requested before it, nor on which chunks share its
+    ``basecall_chunks`` call, nor on their order. The chunk-based
+    pipeline, the conventional pipeline, and every early-rejection
+    policy must see byte-identical basecalls for the chunks they do
+    process -- the software analogue of the paper's "no accuracy loss"
+    claim, and the invariant behind the parallel runtime's report
+    equivalence.
+
+    ``basecall_chunks`` is the batch entry point and the only one the
+    pipeline decodes through: one call per early-rejection stage (the
+    QSR sample, the CMR merge set, the remainder), mirroring how the
+    paper's chunks move between basecalling, QSR, CMR and mapping in
+    groups (Fig. 6). An engine may share work across the batch however
+    it likes, as long as every chunk comes out as ``basecall_chunk``
+    would return it alone.
 
     For the runtime to ship an engine to worker processes it must also
     be picklable: an engine travels as itself.
@@ -59,6 +70,12 @@ class Basecaller(Protocol):
 
     def n_chunks(self, read: "SimulatedRead", chunk_size: int) -> int:
         """Number of chunks the read splits into at this chunk size."""
+        ...
+
+    def basecall_chunks(
+        self, read: "SimulatedRead", indices: Sequence[int], chunk_size: int
+    ) -> list[BasecalledChunk]:
+        """Basecall the chunks ``indices``, returned in the order given."""
         ...
 
     def basecall_chunk(

@@ -2,7 +2,22 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
+
+
+def require_integer(name: str, value) -> None:
+    """Refuse a count that is not an integer (``300.5``, ``True``)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def require_threshold(name: str, value: float) -> None:
+    """Refuse a negative or non-finite threshold: ``x < nan`` is always
+    False, so a NaN threshold would silently never reject."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -57,12 +72,14 @@ class GenPIPConfig:
     min_chunks_for_er: int = 2
 
     def __post_init__(self) -> None:
+        for name in ("chunk_size", "n_qs", "n_cm", "min_chunks_for_er"):
+            require_integer(name, getattr(self, name))
         if self.chunk_size < 50:
             raise ValueError("chunk_size must be at least 50 bases")
         if self.n_qs < 1 or self.n_cm < 1:
             raise ValueError("n_qs and n_cm must be positive")
-        if self.theta_qs < 0 or self.theta_cm < 0:
-            raise ValueError("thresholds must be non-negative")
+        require_threshold("theta_qs", self.theta_qs)
+        require_threshold("theta_cm", self.theta_cm)
         if self.min_chunks_for_er < 1:
             raise ValueError("min_chunks_for_er must be positive")
 

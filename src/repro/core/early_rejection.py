@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.basecalling.types import BasecalledChunk
+from repro.core.config import require_integer, require_threshold
 
 
 def qsr_sample_indices(n_chunks: int, n_qs: int) -> list[int]:
@@ -52,8 +53,8 @@ class QSRPolicy:
     """
 
     def __init__(self, theta_qs: float = 7.0, n_qs: int = 2):
-        if theta_qs < 0:
-            raise ValueError("theta_qs must be non-negative")
+        require_threshold("theta_qs", theta_qs)
+        require_integer("n_qs", n_qs)
         if n_qs < 1:
             raise ValueError("n_qs must be positive")
         self.theta_qs = theta_qs
@@ -105,8 +106,8 @@ class CMRPolicy:
     """
 
     def __init__(self, theta_cm: float = 0.15, n_cm: int = 5):
-        if theta_cm < 0:
-            raise ValueError("theta_cm must be non-negative")
+        require_threshold("theta_cm", theta_cm)
+        require_integer("n_cm", n_cm)
         if n_cm < 1:
             raise ValueError("n_cm must be positive")
         self.theta_cm = theta_cm

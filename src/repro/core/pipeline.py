@@ -10,9 +10,10 @@ Functional model of the paper's Fig. 6 control flow:
    the anchors whole-read seeding finds; final chaining + alignment
    produce the mapping result.
 
-Called bases stay 2-bit code arrays from the basecaller to the mapper,
-and the mapper is fed once per stage (the CMR merge set, then the
-remainder), not once per chunk.
+Called bases stay 2-bit code arrays from the basecaller to the mapper.
+Both engines are fed once per stage, not once per chunk: the basecaller
+decodes the QSR sample, the CMR merge set and the remainder in one call
+each, and the mapper seeds the merge set, then the remainder.
 
 The :class:`ConventionalPipeline` (basecall everything -> read-level QC
 -> map) is provided for equivalence testing and as the software baseline
@@ -203,11 +204,16 @@ class GenPIPPipeline:
         ser = qsr = cmr = mean_quality = None
         n_seeded = n_chain_invocations = 0
 
-        def basecall(index: int) -> BasecalledChunk:
-            if index not in called:
-                with tracer.span("basecall_chunk"):
-                    called[index] = self.basecaller.basecall_chunk(read, index, chunk_size)
-            return called[index]
+        def basecall(indices) -> list[BasecalledChunk]:
+            """A stage's chunks, decoded in one engine call: the ones not
+            called yet, each once, in the order first asked for."""
+            indices = list(indices)
+            todo = list(dict.fromkeys(i for i in indices if i not in called))
+            if todo:
+                with tracer.span("basecall"):
+                    chunks = self.basecaller.basecall_chunks(read, todo, chunk_size)
+                called.update(zip(todo, chunks, strict=True))
+            return [called[i] for i in indices]
 
         def outcome(status: ReadStatus, mapping: MappingResult | None = None) -> ReadOutcome:
             return ReadOutcome(
@@ -240,7 +246,7 @@ class GenPIPPipeline:
         # when it runs it is the first basecalling stage.
         if cfg.enable_qsr and er_eligible:
             with tracer.span("qsr_probe"):
-                sampled = [basecall(i) for i in self.qsr_policy.sample_indices(n_chunks)]
+                sampled = basecall(self.qsr_policy.sample_indices(n_chunks))
                 qsr = self.qsr_policy.decide(sampled)
             if qsr.reject:
                 return outcome(ReadStatus.REJECTED_QSR)
@@ -264,7 +270,7 @@ class GenPIPPipeline:
                         "the CMR policy must merge a non-empty prefix 0..m-1 of the "
                         f"read's chunks, got {merged_indices}"
                     )
-                merged = np.concatenate([basecall(i).codes for i in merged_indices])
+                merged = np.concatenate([c.codes for c in basecall(merged_indices)])
                 self._seed_run(chunk_mapper, merged, 0)
                 n_seeded, seeded_bases = len(merged_indices), merged.size
                 primary, _ = chunk_mapper.chain_prefix()
@@ -275,7 +281,7 @@ class GenPIPPipeline:
                 return outcome(ReadStatus.REJECTED_CMR)
 
         # --- Stage 3: basecall + seed the remaining chunks (Fig. 6 (6b)-(7)).
-        full_read = reassemble_chunks(read.read_id, [basecall(i) for i in range(n_chunks)])
+        full_read = reassemble_chunks(read.read_id, basecall(range(n_chunks)))
         if n_seeded < n_chunks:
             self._seed_run(chunk_mapper, full_read.codes, seeded_bases)
             n_seeded = n_chunks

@@ -85,10 +85,7 @@ def run_figure12(
             false_negative = 0
             for read in reads:
                 n_chunks = caller.n_chunks(read, chunk_size)
-                sampled = [
-                    caller.basecall_chunk(read, i, chunk_size)
-                    for i in policy.sample_indices(n_chunks)
-                ]
+                sampled = caller.basecall_chunks(read, policy.sample_indices(n_chunks), chunk_size)
                 if policy.decide(sampled).reject:
                     rejected += 1
                     if full_aqs[read.read_id] >= theta_qs:

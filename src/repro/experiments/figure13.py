@@ -84,12 +84,9 @@ def run_figure13(
                 n_chunks = caller.n_chunks(read, chunk_size)
                 indices = policy.merged_chunk_indices(n_chunks)
                 mapper = IncrementalChunkMapper(context.index, read_length=len(read))
-                offset = 0
                 merged_bases = 0
-                for i in indices:
-                    chunk = caller.basecall_chunk(read, i, chunk_size)
-                    mapper.add_chunk(chunk.codes, read_offset=offset)
-                    offset += len(chunk)
+                for chunk in caller.basecall_chunks(read, indices, chunk_size):
+                    mapper.add_chunk(chunk.codes, read_offset=merged_bases)
                     merged_bases += len(chunk)
                 primary, _ = mapper.chain_prefix()
                 score = primary.score if primary is not None else 0.0

@@ -64,11 +64,8 @@ class Figure7Result:
 
 
 def _chunk_scores(read: SimulatedRead, chunk_size: int, caller: SurrogateBasecaller) -> np.ndarray:
-    scores = []
-    for index in range(caller.n_chunks(read, chunk_size)):
-        chunk = caller.basecall_chunk(read, index, chunk_size)
-        scores.append(chunk.mean_quality)
-    return np.asarray(scores)
+    chunks = caller.basecall_chunks(read, range(caller.n_chunks(read, chunk_size)), chunk_size)
+    return np.asarray([chunk.mean_quality for chunk in chunks])
 
 
 def run_figure7(

@@ -8,7 +8,9 @@ deletions). Two places in this reproduction inject errors:
 * the **surrogate basecaller** replays exactly this process chunk by
   chunk, with error probabilities tied to the per-base quality scores so
   that low-quality chunks really do carry more errors (which is what
-  makes quality-based early rejection meaningful).
+  makes quality-based early rejection meaningful). It makes each
+  chunk's draws (:func:`draw_errors`) on the chunk's own stream and
+  applies a whole batch of chunks at once (:func:`apply_drawn_errors`).
 
 The error process is position-wise: each true base is independently
 substituted / deleted / followed by an insertion according to either a
@@ -18,10 +20,11 @@ fixed :class:`ErrorProfile` or a per-base error probability vector
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-
 
 
 @dataclass(frozen=True)
@@ -42,8 +45,9 @@ class ErrorProfile:
 
     def __post_init__(self) -> None:
         weights = (self.substitution, self.insertion, self.deletion)
-        if any(w < 0 for w in weights):
-            raise ValueError("error weights must be non-negative")
+        # NaN would delete every base and inf would inject nothing.
+        if not all(math.isfinite(w) and w >= 0 for w in weights):
+            raise ValueError("error weights must be non-negative and finite")
         if sum(weights) <= 0:
             raise ValueError("at least one error weight must be positive")
 
@@ -85,6 +89,89 @@ class MutationResult:
         return self.n_substitutions + self.n_insertions + self.n_deletions
 
 
+class ErrorDraws(NamedTuple):
+    """The random numbers one :func:`apply_errors` call consumes.
+
+    Attributes
+    ----------
+    uniforms:
+        ``(3, n)`` uniforms in ``[0, 1)``; rows test substitution,
+        insertion and deletion of each true base.
+    shifts:
+        ``n`` integers in ``[1, 4)``: a substituted base is
+        ``(base + shift) & 3``, so always a different base.
+    inserted:
+        ``n`` integers in ``[0, 4)``: the base inserted after each true
+        base, if one is.
+    """
+
+    uniforms: np.ndarray
+    shifts: np.ndarray
+    inserted: np.ndarray
+
+
+def draw_errors(rng: np.random.Generator, n: int) -> ErrorDraws:
+    """Draw the random numbers for ``n`` true bases, in the order
+    :func:`apply_errors` has always drawn them."""
+    uniforms = rng.random((3, n))
+    return ErrorDraws(uniforms, rng.integers(1, 4, size=n), rng.integers(0, 4, size=n))
+
+
+def apply_drawn_errors(
+    codes: np.ndarray,
+    error_prob,
+    draws: ErrorDraws,
+    profile: ErrorProfile | None = None,
+) -> MutationResult:
+    """Inject substitutions/insertions/deletions decided by ``draws``.
+
+    Every output element depends only on its own position's
+    probability and draws, so the draws of several sequences,
+    concatenated, mutate the concatenated sequences exactly as each
+    would be mutated alone. Parameters and errors are
+    :func:`apply_errors`'s.
+    """
+    codes = np.asarray(codes, dtype=np.uint8)
+    n = codes.size
+    profile = profile or ErrorProfile()
+    p = np.asarray(error_prob, dtype=np.float64)
+    if p.ndim and p.shape != (n,):
+        p = np.broadcast_to(p, (n,))
+    # Written so that NaN fails it: NaN compares false both ways.
+    if p.size and not (p.min() >= 0 and p.max() <= 1):
+        raise ValueError("error probabilities must be within [0, 1]")
+    p_sub, p_ins, p_del = profile.split(p)
+
+    uniforms, shifts, inserted = draws
+    keep = uniforms[2] >= p_del  # not deleted; a deletion wins over a substitution
+    do_sub = uniforms[0] < p_sub
+    do_sub &= keep
+    do_ins = uniforms[1] < p_ins
+
+    # Slot (i, 0) is true base i, substituted by a random *different*
+    # base (add 1..3 mod 4); slot (i, 1) is the base inserted after it.
+    slots = np.empty((n, 2), dtype=np.uint8)
+    slots[:, 0] = codes
+    np.copyto(slots[:, 0], (codes + shifts) & 3, where=do_sub, casting="unsafe")
+    slots[:, 1] = inserted
+
+    # The output is the taken slots in row-major order: for each
+    # position, the kept base then an optional inserted base.
+    taken = np.empty((n, 2), dtype=bool)
+    taken[:, 0] = keep
+    taken[:, 1] = do_ins
+    flat = np.flatnonzero(taken)
+    n_insertions = int(np.count_nonzero(do_ins))
+
+    return MutationResult(
+        codes=slots.ravel()[flat],
+        n_substitutions=int(np.count_nonzero(do_sub)),
+        n_insertions=n_insertions,
+        n_deletions=n - (flat.size - n_insertions),
+        source_index=flat >> 1,
+    )
+
+
 def apply_errors(
     codes: np.ndarray,
     error_prob,
@@ -117,45 +204,7 @@ def apply_errors(
     base is simply dropped); insertions are applied after the (possibly
     substituted) base, drawing a uniformly random inserted base.
     """
-    codes = np.asarray(codes, dtype=np.uint8)
-    n = codes.size
-    profile = profile or ErrorProfile()
-    p = np.asarray(error_prob, dtype=np.float64)
-    if p.ndim and p.shape != (n,):
-        p = np.broadcast_to(p, (n,))
-    # Written so that NaN fails it: NaN compares false both ways.
-    if p.size and not (p.min() >= 0 and p.max() <= 1):
-        raise ValueError("error probabilities must be within [0, 1]")
-    p_sub, p_ins, p_del = profile.split(p)
-
-    draws = rng.random((3, n))
-    keep = draws[2] >= p_del  # not deleted; a deletion wins over a substitution
-    do_sub = draws[0] < p_sub
-    do_sub &= keep
-    do_ins = draws[1] < p_ins
-
-    # Slot (i, 0) is true base i, substituted by a random *different*
-    # base (add 1..3 mod 4); slot (i, 1) is the base inserted after it.
-    slots = np.empty((n, 2), dtype=np.uint8)
-    slots[:, 0] = codes
-    np.copyto(slots[:, 0], (codes + rng.integers(1, 4, size=n)) & 3, where=do_sub, casting="unsafe")
-    slots[:, 1] = rng.integers(0, 4, size=n)
-
-    # The output is the taken slots in row-major order: for each
-    # position, the kept base then an optional inserted base.
-    taken = np.empty((n, 2), dtype=bool)
-    taken[:, 0] = keep
-    taken[:, 1] = do_ins
-    flat = np.flatnonzero(taken)
-    n_insertions = int(np.count_nonzero(do_ins))
-
-    return MutationResult(
-        codes=slots.ravel()[flat],
-        n_substitutions=int(np.count_nonzero(do_sub)),
-        n_insertions=n_insertions,
-        n_deletions=n - (flat.size - n_insertions),
-        source_index=flat >> 1,
-    )
+    return apply_drawn_errors(codes, error_prob, draw_errors(rng, np.size(codes)), profile)
 
 
 def identity_from_quality(qualities) -> float:

@@ -1,16 +1,17 @@
 """Unified observability plane: span tracing, metrics, exporters.
 
 This package answers the question the five pre-existing telemetry
-idioms could not: *for one read, how long did SER, each basecalled
-chunk, each ER probe, chaining, and alignment take -- and on which
+idioms could not: *for one read, how long did SER, each stage's
+basecall, each ER probe, chaining, and alignment take -- and on which
 worker?* It has three layers:
 
 :mod:`repro.obs.trace`
     A process-local :class:`~repro.obs.trace.Tracer` (explicit clock
     injection, ~zero-cost :class:`~repro.obs.trace.NullTracer` when
     disabled). ``GenPIPPipeline.process_read`` opens one trace per read
-    with stage spans (``ser``, ``basecall_chunk``, ``qsr_probe``,
-    ``cmr_probe``, ``report``), the incremental chunk mapper adds
+    with stage spans (``ser``, ``basecall`` -- one per early-rejection
+    stage that decodes chunks --, ``qsr_probe``, ``cmr_probe``,
+    ``report``), the incremental chunk mapper adds
     ``seed``/``chain``/``align`` spans at the kernel call sites, the
     worker loop wraps each unit in a ``batch`` trace, and the serving
     dispatcher records an enqueue->verdict ``dispatch`` trace. Worker

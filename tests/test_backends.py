@@ -95,6 +95,36 @@ class TestProtocols:
     def test_backends_satisfy_basecaller_protocol(self, engine):
         assert isinstance(engine, Basecaller)
 
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            SurrogateBasecaller(),
+            ViterbiChunkBasecaller(FAST_VITERBI),
+        ],
+        ids=["surrogate", "viterbi"],
+    )
+    def test_batch_decode_is_each_chunk_alone(self, engine, micro_read):
+        """A chunk's bytes depend on (read, index, chunk_size) only: not
+        on its batch mates, nor on their order or repeats."""
+        last = engine.n_chunks(micro_read, 300) - 1
+        indices = [last, 0, 1, 0]
+        for index, chunk in zip(indices, engine.basecall_chunks(micro_read, indices, 300), strict=True):
+            alone = engine.basecall_chunk(micro_read, index, 300)
+            assert chunk.chunk_index == index
+            assert chunk.codes.tobytes() == alone.codes.tobytes()
+            assert chunk.qualities.tobytes() == alone.qualities.tobytes()
+        assert engine.basecall_chunks(micro_read, [], 300) == []
+
+    def test_engine_without_batch_decode_fails_protocol(self):
+        """The pipeline decodes only through ``basecall_chunks``."""
+
+        class PerChunkOnly:
+            def n_chunks(self, read, chunk_size): ...
+            def basecall_chunk(self, read, index, chunk_size): ...
+            def basecall_read(self, read, chunk_size): ...
+
+        assert not isinstance(PerChunkOnly(), Basecaller)
+
     def test_policies_satisfy_protocols(self):
         assert isinstance(QSRPolicy(), QSRPolicyProtocol)
         assert isinstance(CMRPolicy(), CMRPolicyProtocol)

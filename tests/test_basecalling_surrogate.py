@@ -1,5 +1,8 @@
 """Tests for chunk types, chunk arithmetic, and the surrogate basecaller."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,9 @@ from repro.basecalling import (
     chunk_span,
     reassemble_chunks,
 )
-from repro.genomics.mutate import ErrorProfile
+from repro.basecalling import surrogate as surrogate_module
+from repro.genomics.mutate import ErrorProfile, apply_errors
+from repro.genomics.quality import phred_to_error_prob
 from repro.genomics.reference import ReferenceGenome
 from repro.nanopore.read_simulator import ReadSimulator, SimulatorConfig
 
@@ -256,6 +261,110 @@ class TestSurrogateBasecaller:
         read = reads[5]
         called = caller.basecall_read(read, 300)
         assert len(called) <= len(read)
+
+
+def _chunk_reference(caller, read, index, chunk_size):
+    """The surrogate's per-chunk body as it stood before chunks were
+    decoded in batches: one stream, one ``apply_errors``, one chunk."""
+    start, end = chunk_span(len(read), chunk_size, index)
+    track = read.qualities[start:end]
+    rng = np.random.default_rng([read.seed & 0x7FFFFFFF, chunk_size, index])
+    cfg = caller.config
+    error_prob = np.minimum(
+        np.maximum(phred_to_error_prob(track) * cfg.error_scale, 0.0), cfg.max_error_prob
+    )
+    mutated = apply_errors(read.true_codes[start:end], error_prob, rng, cfg.profile)
+    quality = track[mutated.source_index]
+    quality += rng.normal(0.0, cfg.quality_jitter, size=quality.size)
+    np.maximum(quality, 1.0, out=quality)
+    np.minimum(quality, 40.0, out=quality)
+    return mutated.codes, quality, end - start
+
+
+def _index_lists(n_chunks: int):
+    """Any subset of a read's chunk indices, in any order, repeats allowed."""
+    return st.lists(st.integers(0, n_chunks - 1), max_size=2 * n_chunks + 2)
+
+
+class TestBatchedDecode:
+    """``basecall_chunks`` is the surrogate's only decode: each chunk of a
+    batch is byte-equal to that chunk decoded alone, whatever its mates."""
+
+    @given(data=st.data(), read_index=st.integers(0, 11), chunk_size=st.sampled_from([50, 200, 300]))
+    @settings(max_examples=60, deadline=None)
+    def test_any_index_list_matches_per_chunk_reference(self, reads, data, read_index, chunk_size):
+        caller = SurrogateBasecaller()
+        read = reads[read_index]
+        n = caller.n_chunks(read, chunk_size)
+        indices = data.draw(
+            st.one_of(
+                st.just([]),
+                st.integers(0, n - 1).map(lambda i: [i]),
+                st.just(list(reversed(range(n)))),
+                st.just(list(range(0, n, 3))),
+                st.integers(0, n - 1).map(lambda i: list(range(i, n))),
+                _index_lists(n),
+            )
+        )
+        chunks = caller.basecall_chunks(read, indices, chunk_size)
+        assert [c.chunk_index for c in chunks] == indices
+        for index, chunk in zip(indices, chunks, strict=True):
+            codes, quality, n_true = _chunk_reference(caller, read, index, chunk_size)
+            assert chunk.codes.tobytes() == codes.tobytes()
+            assert chunk.qualities.tobytes() == quality.tobytes()
+            assert chunk.n_true_bases == n_true
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SurrogateConfig(quality_jitter=0.0),
+            SurrogateConfig(error_scale=3.0, max_error_prob=1.0),
+            SurrogateConfig(profile=ErrorProfile(substitution=0.0, insertion=1.0, deletion=0.0)),
+            SurrogateConfig(profile=ErrorProfile(substitution=0.0, insertion=0.0, deletion=1.0)),
+        ],
+        ids=["no-jitter", "error-heavy", "insertions-only", "deletions-only"],
+    )
+    def test_calibrations_match_per_chunk_reference(self, reads, config):
+        caller = SurrogateBasecaller(config)
+        read = reads[6]
+        indices = [5, 0, 2, 3, caller.n_chunks(read, 300) - 1, 2]
+        for index, chunk in zip(indices, caller.basecall_chunks(read, indices, 300), strict=True):
+            codes, quality, _ = _chunk_reference(caller, read, index, 300)
+            assert chunk.codes.tobytes() == codes.tobytes()
+            assert chunk.qualities.tobytes() == quality.tobytes()
+
+    def test_empty_read_is_one_empty_chunk(self, reads):
+        from dataclasses import replace
+
+        read = replace(reads[0], true_codes=reads[0].true_codes[:0], qualities=reads[0].qualities[:0])
+        (chunk,) = SurrogateBasecaller().basecall_chunks(read, [0], 300)
+        assert len(chunk) == 0 and chunk.n_true_bases == 0
+
+    def test_out_of_range_index_in_a_batch_raises(self, reads):
+        caller = SurrogateBasecaller()
+        with pytest.raises(ValueError, match="out of range"):
+            caller.basecall_chunks(reads[0], [0, 10**6], 300)
+
+    def test_one_stream_per_chunk_opened_in_basecall_chunks_only(self):
+        """Exactly one ``default_rng`` call site in the surrogate module,
+        inside ``basecall_chunks``: no second decode path draws."""
+        tree = ast.parse(Path(surrogate_module.__file__).read_text())
+
+        def sites(root):
+            return [
+                node
+                for node in ast.walk(root)
+                if (isinstance(node, ast.Attribute) and node.attr == "default_rng")
+                or (isinstance(node, ast.Name) and node.id == "default_rng")
+                or (isinstance(node, ast.alias) and node.name == "default_rng")
+            ]
+
+        (decode,) = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "basecall_chunks"
+        ]
+        assert len(sites(tree)) == 1 and sites(decode) == sites(tree)
 
 
 def _rough_error_fraction(truth: str, called: str) -> float:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.basecalling.types import BasecalledChunk, BasecalledRead
+from repro.core.config import GenPIPConfig
 from repro.core.early_rejection import CMRPolicy, QSRPolicy, qsr_sample_indices
 from repro.qc import QCConfig, apply_qc, passes_qc
 
@@ -122,6 +123,47 @@ class TestCMRPolicy:
         policy = CMRPolicy(theta_cm=theta)
         decision = policy.decide(score, bases)
         assert decision.reject == (score < theta * bases)
+
+
+_NON_FINITE = [float("nan"), float("inf")]
+
+
+class TestNonFiniteOrFractionalParameters:
+    """``x < nan`` is False, so a NaN threshold never rejects: on 80
+    ``reject-short`` reads it turned 57 early rejections into none. A
+    fractional count failed only later, deep inside a worker."""
+
+    @pytest.mark.parametrize("field", ["theta_qs", "theta_cm"])
+    @pytest.mark.parametrize("value", _NON_FINITE, ids=["nan", "inf"])
+    def test_config_refuses_non_finite_threshold(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GenPIPConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("chunk_size", 300.5), ("chunk_size", 300.0), ("n_qs", 2.5), ("n_cm", 5.0),
+         ("min_chunks_for_er", 2.5), ("n_qs", True)],
+    )
+    def test_config_refuses_non_integer_count(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            GenPIPConfig(**{field: value})
+
+    def test_config_accepts_numpy_integers(self):
+        config = GenPIPConfig(chunk_size=np.int64(300), n_qs=np.int32(2))
+        assert config.chunk_size == 300
+
+    @pytest.mark.parametrize("value", _NON_FINITE, ids=["nan", "inf"])
+    def test_policies_refuse_non_finite_threshold(self, value):
+        with pytest.raises(ValueError, match="theta_qs"):
+            QSRPolicy(theta_qs=value)
+        with pytest.raises(ValueError, match="theta_cm"):
+            CMRPolicy(theta_cm=value)
+
+    def test_policies_refuse_non_integer_count(self):
+        with pytest.raises(TypeError, match="n_qs"):
+            QSRPolicy(n_qs=2.5)
+        with pytest.raises(TypeError, match="n_cm"):
+            CMRPolicy(n_cm=5.5)
 
 
 class TestReadQC:

@@ -8,6 +8,7 @@ assertions.
 import numpy as np
 import pytest
 
+from repro.basecalling import SurrogateBasecaller
 from repro.core import (
     ConventionalPipeline,
     GenPIP,
@@ -15,6 +16,7 @@ from repro.core import (
     GenPIPPipeline,
     ReadStatus,
 )
+from repro.core.early_rejection import QSRPolicy
 from repro.mapping import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.nanopore.read_simulator import ReadClass
@@ -226,3 +228,82 @@ class TestShortReads:
         # it), so it lands in a terminal non-ER state.
         assert outcome.n_chunks_total == 1
         assert outcome.status not in (ReadStatus.REJECTED_QSR, ReadStatus.REJECTED_CMR)
+
+
+class CountingBasecaller(SurrogateBasecaller):
+    """Records the index list of every engine call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls: list[list[int]] = []
+
+    def basecall_chunks(self, read, indices, chunk_size):
+        self.calls.append(list(indices))
+        return super().basecall_chunks(read, indices, chunk_size)
+
+
+class TestOneEngineCallPerStage:
+    """The pipeline decodes a stage's chunks in one engine call: the QSR
+    sample, the CMR merge set, then the remainder."""
+
+    CALLS = {
+        ReadStatus.MAPPED: 3,
+        ReadStatus.UNMAPPED: 3,
+        ReadStatus.REJECTED_CMR: 2,
+        ReadStatus.REJECTED_QSR: 1,
+    }
+
+    def test_calls_per_outcome(self, dataset, index, genpip_report):
+        expected = {o.read_id: o for o in genpip_report.outcomes}
+        seen = set()
+        for read in dataset.reads:
+            engine = CountingBasecaller()
+            pipeline = GenPIPPipeline(index, basecaller=engine, config=GenPIPConfig(n_qs=2, n_cm=5))
+            outcome = pipeline.process_read(read)
+            assert outcome == expected[read.read_id]
+            decoded = [i for call in engine.calls for i in call]
+            assert len(decoded) == len(set(decoded)) == outcome.n_chunks_basecalled
+            if outcome.n_chunks_total >= 7:
+                assert len(engine.calls) == self.CALLS[outcome.status], outcome.status
+                seen.add(outcome.status)
+        assert {ReadStatus.MAPPED, ReadStatus.REJECTED_CMR, ReadStatus.REJECTED_QSR} <= seen
+
+    def test_stage_with_nothing_left_to_decode_makes_no_call(self, dataset, index, genpip_report):
+        """QSR samples every chunk: the merge set and the remainder are
+        already decoded, so a mapped read costs one engine call."""
+
+        class SampleAll(QSRPolicy):
+            def sample_indices(self, n_chunks):
+                return list(range(n_chunks))
+
+        mapped = {
+            o.read_id
+            for o in genpip_report.outcomes
+            if o.status is ReadStatus.MAPPED and o.n_chunks_total >= 7 and o.mean_quality > 10
+        }
+        read = next(r for r in dataset.reads if r.read_id in mapped)
+        engine = CountingBasecaller()
+        pipeline = GenPIPPipeline(index, basecaller=engine, qsr_policy=SampleAll())
+        outcome = pipeline.process_read(read)
+        assert outcome.status is ReadStatus.MAPPED
+        assert engine.calls == [list(range(outcome.n_chunks_total))]
+
+    def test_duplicate_sample_indices_are_decoded_once(self, dataset, index):
+        """A custom QSR policy may name a chunk twice: it is decoded once
+        and handed to ``decide`` as often as it was named."""
+        seen_by_decide = []
+
+        class Repeats(QSRPolicy):
+            def sample_indices(self, n_chunks):
+                return [0, n_chunks - 1, 0, 0]
+
+            def decide(self, sampled_chunks):
+                seen_by_decide.append([c.chunk_index for c in sampled_chunks])
+                return super().decide(sampled_chunks)
+
+        read = next(r for r in dataset.reads if len(r) > 2_400)
+        engine = CountingBasecaller()
+        GenPIPPipeline(index, basecaller=engine, qsr_policy=Repeats()).process_read(read)
+        n = engine.n_chunks(read, 300)
+        assert engine.calls[0] == [0, n - 1]
+        assert seen_by_decide == [[0, n - 1, 0, 0]]

@@ -20,6 +20,15 @@ class TestErrorProfile:
         with pytest.raises(ValueError):
             ErrorProfile(substitution=-0.1)
 
+    @pytest.mark.parametrize("field", ["substitution", "insertion", "deletion"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_rejects_non_finite_weight(self, field, value):
+        """Accepted, a NaN substitution weight deleted every base (1 000
+        of 1 000 at p = 0.2) and an infinite insertion weight injected
+        no error at all."""
+        with pytest.raises(ValueError, match="finite"):
+            ErrorProfile(**{field: value})
+
     def test_rejects_all_zero(self):
         with pytest.raises(ValueError):
             ErrorProfile(0.0, 0.0, 0.0)

@@ -21,6 +21,10 @@ replacements reproduce every bit.
 float64 qualities) at ``k=3`` and at the production ``k=5``, which no
 outcome digest runs. It was taken on the commit before the event-space
 decode was deleted, and pins that the one remaining decode kept every bit.
+``surrogate-chunks`` hashes the surrogate engine's chunk output of both
+presets at chunk sizes 300 and 200. It was taken on the commit before
+the surrogate decoded a batch of chunks in one call, when each chunk
+had its own call, and is checked through both entry points.
 The three digests the Viterbi trellis decodes (``viterbi-signal``,
 ``ser-signal``, ``viterbi-chunks``) were all taken on the numpy fold,
 before the compiled trellis existed; each is checked on both.
@@ -51,7 +55,7 @@ import repro.kernels.align as align_kernels
 import repro.kernels.chain as chain_kernels
 import repro.kernels.viterbi as viterbi_kernels
 import repro.mapping.alignment as alignment_module
-from repro.basecalling import ViterbiBackendConfig, ViterbiChunkBasecaller
+from repro.basecalling import SurrogateBasecaller, ViterbiBackendConfig, ViterbiChunkBasecaller
 from repro.core import GenPIPConfig, GenPIPPipeline
 from repro.mapping import MinimizerIndex
 from repro.nanopore import SignalRead
@@ -216,6 +220,30 @@ def _viterbi_chunks() -> dict:
     return {"sha256": sha.hexdigest(), "chunks": n_chunks}
 
 
+def _surrogate_chunks(decode_all=None) -> dict:
+    """Every chunk of six simulated reads per preset, decoded by the
+    surrogate at chunk sizes 300 and 200: codes and float64 qualities,
+    byte for byte. ``decode_all(caller, read, chunk_size)`` returns a
+    read's chunks in order; by default, one ``basecall_chunks`` call."""
+    if decode_all is None:
+
+        def decode_all(caller, read, chunk_size):
+            return caller.basecall_chunks(read, range(caller.n_chunks(read, chunk_size)), chunk_size)
+
+    caller = SurrogateBasecaller()
+    sha = hashlib.sha256()
+    n_chunks = 0
+    for profile in (ECOLI_LIKE, HUMAN_LIKE):
+        reads = list(ReadSimulator(profile_reference(profile), profile.simulator, seed=7).iter_reads(6))
+        for chunk_size in (300, 200):
+            for read in reads:
+                for chunk in decode_all(caller, read, chunk_size):
+                    sha.update(chunk.codes.tobytes())
+                    sha.update(chunk.qualities.tobytes())
+                    n_chunks += 1
+    return {"sha256": sha.hexdigest(), "chunks": n_chunks}
+
+
 @pytest.mark.parametrize(
     "name", sorted(set(READ_SETS) - set(TRELLIS_SETS) - set(GOTOH_SETS) - set(CHAIN_SETS))
 )
@@ -256,6 +284,25 @@ def test_simulated_reads_match_parent_digest():
 def test_viterbi_chunks_match_parent_digest(trellis):
     golden = _golden_digests()
     assert _viterbi_chunks()["sha256"] == golden["viterbi-chunks"]["sha256"]
+
+
+def test_surrogate_chunks_match_parent_digest():
+    """All of a read's chunks in one ``basecall_chunks`` call."""
+    golden = _golden_digests()
+    assert _surrogate_chunks() == golden["surrogate-chunks"]
+
+
+def test_surrogate_chunks_one_by_one_match_parent_digest():
+    """Each chunk in its own ``basecall_chunk`` call: the same bytes."""
+    golden = _golden_digests()
+
+    def one_by_one(caller, read, chunk_size):
+        return [
+            caller.basecall_chunk(read, index, chunk_size)
+            for index in range(caller.n_chunks(read, chunk_size))
+        ]
+
+    assert _surrogate_chunks(one_by_one) == golden["surrogate-chunks"]
 
 
 @pytest.mark.parametrize("grouping", ["alone", "one-group"])
@@ -310,6 +357,7 @@ if __name__ == "__main__":
                     **{name: fn() for name, fn in READ_SETS.items()},
                     "simulator": _simulated_reads(),
                     "viterbi-chunks": _viterbi_chunks(),
+                    "surrogate-chunks": _surrogate_chunks(),
                 },
             },
             indent=2,

@@ -292,7 +292,7 @@ class TestSERTracing:
         (trace,) = tracer.drain()
         assert outcome.status is ReadStatus.REJECTED_SIGNAL
         assert trace.names() == ("read", "ser")
-        assert trace.count("basecall_chunk") == 0
+        assert trace.count("basecall") == 0
         assert trace.count("report") == 0
 
 

@@ -60,20 +60,20 @@ def _no_leaked_segments() -> bool:
 class SlowBasecaller(SurrogateBasecaller):
     """Holds every read's first chunk long enough for a queue to build."""
 
-    def basecall_chunk(self, read, index, chunk_size):
-        if index == 0:
+    def basecall_chunks(self, read, indices, chunk_size):
+        if 0 in indices:
             time.sleep(0.2)
-        return super().basecall_chunk(read, index, chunk_size)
+        return super().basecall_chunks(read, indices, chunk_size)
 
 
 class SlowInWorkers(SurrogateBasecaller):
     """Slow in every process but the recorded parent, so units queue up
     behind the workers while an in-process tail stays fast."""
 
-    def basecall_chunk(self, read, index, chunk_size):
-        if index == 0 and os.getpid() != _PARENT_PID:
+    def basecall_chunks(self, read, indices, chunk_size):
+        if 0 in indices and os.getpid() != _PARENT_PID:
             time.sleep(0.03)
-        return super().basecall_chunk(read, index, chunk_size)
+        return super().basecall_chunks(read, indices, chunk_size)
 
 
 class WorkerBuildFails(GenPIPPipeline):

@@ -68,10 +68,10 @@ class FailingBasecaller(SurrogateBasecaller):
         super().__init__(config)
         self.fail_read_id = fail_read_id
 
-    def basecall_chunk(self, read, index, chunk_size):
+    def basecall_chunks(self, read, indices, chunk_size):
         if read.read_id == self.fail_read_id:
             raise RuntimeError(f"injected failure on {read.read_id}")
-        return super().basecall_chunk(read, index, chunk_size)
+        return super().basecall_chunks(read, indices, chunk_size)
 
 
 def _then_raise(reads, exc):
@@ -88,10 +88,10 @@ class WorkerExitingBasecaller(SurrogateBasecaller):
         super().__init__(config)
         self.parent_pid = parent_pid
 
-    def basecall_chunk(self, read, index, chunk_size):
+    def basecall_chunks(self, read, indices, chunk_size):
         if os.getpid() != self.parent_pid:
             os._exit(1)
-        return super().basecall_chunk(read, index, chunk_size)
+        return super().basecall_chunks(read, indices, chunk_size)
 
 
 @pytest.fixture(scope="module")
