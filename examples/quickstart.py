@@ -381,7 +381,7 @@ def main() -> None:
 
     # 13. The mapping kernel plane: production calls one kernel per
     #     stage -- batched searchsorted seeding, the chain DP (the
-    #     compiled chain.c, or the blocked numpy fold where it cannot be
+    #     compiled chain.c, or its scalar reference where it cannot be
     #     built), lane-fill Gotoh -- and each is bit-identical to a scalar
     #     reference that tests (and this section) import and call
     #     directly: same anchors, same chain scores *and parents*, same
@@ -393,7 +393,7 @@ def main() -> None:
     from itertools import groupby
 
     from repro.kernels import (
-        chain_scores_blocked,
+        chain_scores,
         chain_scores_scalar,
         gotoh_scalar,
         process_mapping_ops,
@@ -418,14 +418,14 @@ def main() -> None:
     ref_scores, ref_parents = chain_scores_scalar(*chain_args)
     t_scalar = time.perf_counter() - t0
     t0 = time.perf_counter()
-    scores, parents = chain_scores_blocked(*chain_args)
+    scores, parents = chain_scores(*chain_args)
     t_chain = time.perf_counter() - t0
     assert np.array_equal(scores, ref_scores) and np.array_equal(parents, ref_parents)
     segment = demo_codes[:60]
     scoring = (2.0, -4.0, -4.0, -2.0)
     # 3 600 cells: align_global fills this one as a one-lane fill (the
-    # compiled gotoh.c, or a numpy row pipeline where it cannot be
-    # built; align_chain fills all of a chain's segments and both end
+    # compiled gotoh.c, or gotoh_scalar where it cannot be built;
+    # align_chain fills all of a chain's segments and both end
     # extensions in one call), and returns the scalar loop's score and
     # CIGAR (its raw 'M' runs split into '=' / 'X').
     ref_score, ref_cigar = gotoh_scalar(segment, segment[::-1], *scoring)

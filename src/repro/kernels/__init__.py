@@ -29,17 +29,15 @@ previously iterated sample-by-sample in interpreted Python:
   answers from its CAM rows (paper Fig. 1(a)).
 * :mod:`repro.kernels.chain` -- the minimap2 chain DP (paper
   Fig. 1(c)): all of a call's anchors in one call of the C kernel
-  ``chain.c`` when it loaded, else the numpy fold, with the band
-  geometry hoisted into per-block matrices and a speculate-and-verify
-  combine (guessed parents folded in one pass, all rows checked at
-  once); both are bit-identical to the scalar recurrence.
+  ``chain.c`` when it loaded, else the scalar recurrence it is
+  bit-identical to.
 * :mod:`repro.kernels.align` -- affine-gap (Gotoh) alignment (paper
   Fig. 1(d)): the pure-Python scalar loop that defines a segment's
   score and CIGAR, and the resolver of its compiled form. Production
   runs the lane fill in :mod:`repro.mapping.alignment`: all of a
   chain's segments and end extensions in one call of the C kernel
-  ``gotoh.c`` when it loaded, else as lanes of one numpy row pipeline;
-  both are bit-identical to the scalar loop.
+  ``gotoh.c`` when it loaded, else the scalar loop on each lane; the
+  two are bit-identical.
 
 Every kernel reports its own workload (:mod:`repro.kernels.workload`)
 so :mod:`repro.perf` can charge the *real* arithmetic -- Viterbi
@@ -54,15 +52,16 @@ a reference is something a test imports*. ``seed_anchors_scalar``,
 ``viterbi_forward_scalar`` stay exported because the tests replay each
 kernel against its reference and fail on any mismatch; nothing selects
 a kernel by name, and no stage picks between two fills. The three
-places with two implementations, the Viterbi trellis, the Gotoh lane
-fill and the chain DP, pick by availability alone: the compiled kernel
-if it loaded, else the numpy fold, same bytes.
+compiled kernels run by availability alone, with the same bytes either
+way: the chain DP and the Gotoh lane fill fall back to their scalar
+references, and the Viterbi trellis, whose reference is far too slow
+to run a decode, to its numpy fold -- the one kernel written twice.
 """
 
 from repro.kernels.align import gotoh_scalar
 from repro.kernels.chain import (
     chain_candidate_count,
-    chain_scores_blocked,
+    chain_scores,
     chain_scores_scalar,
 )
 from repro.kernels.mapping_ops import (
@@ -89,7 +88,7 @@ __all__ = [
     "TRANSITIONS_PER_STATE",
     "KernelWorkload",
     "chain_candidate_count",
-    "chain_scores_blocked",
+    "chain_scores",
     "chain_scores_scalar",
     "gotoh_scalar",
     "mapping_ops",

@@ -12,15 +12,15 @@ affine-gap alignment per segment. The cell recurrence is
     H[i,j] = max(H[i-1,j-1] + sub(i,j), E[i,j], V[i,j])
 
 :func:`gotoh_scalar` fills it cell by cell and defines *the* alignment
-of a segment: its score and, through :func:`_traceback_tables`, which of
-the co-optimal paths becomes the CIGAR. Production never calls it: the
-lane fill in :mod:`repro.mapping.alignment` runs every segment and
-head/tail extension of a chain in one call, in the compiled kernel
-``gotoh.c`` when it loaded (:func:`_native_gotoh`: built on first use by
-:mod:`repro.kernels.native`, once per process, never at import), else
-in a numpy row pipeline. The tests check each lane of both against this
-loop, score and CIGAR, for every integer-valued scoring, whatever its
-lane mates; :func:`gotoh_backend` says which one runs.
+of a segment, or, with ``free_ref_tail``, of a head/tail extension: its
+score and, through :func:`_traceback_tables`, which of the co-optimal
+paths becomes the CIGAR. The lane fill in :mod:`repro.mapping.alignment`
+runs every segment and extension of a chain in one call of the compiled
+kernel ``gotoh.c`` when it loaded (:func:`_native_gotoh`: built on first
+use by :mod:`repro.kernels.native`, once per process, never at import),
+else this loop on each lane. The tests check each lane of the compiled
+fill against it, score and CIGAR, for every integer-valued scoring,
+whatever its lane mates; :func:`gotoh_backend` says which one runs.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ if TYPE_CHECKING:
 
 @functools.cache
 def _native_gotoh() -> ctypes.CDLL | None:
-    """The compiled ``gotoh.c``, or ``None`` (the row pipeline runs);
+    """The compiled ``gotoh.c``, or ``None`` (the scalar loop runs);
     resolved once per process, on the first lane fill with a cell to
     fill. The loader and ctypes are imported here too, so a run that
     never aligns does not pay their import time."""
@@ -63,8 +63,8 @@ def _native_gotoh() -> ctypes.CDLL | None:
 
 def gotoh_backend() -> str:
     """``"native"`` when the compiled Gotoh fill runs in this process,
-    else ``"numpy"`` (resolving it if nothing has yet)."""
-    return "numpy" if _native_gotoh() is None else "native"
+    else ``"scalar"`` (resolving it if nothing has yet)."""
+    return "scalar" if _native_gotoh() is None else "native"
 
 
 def merge_cigar(parts: list[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
@@ -124,11 +124,16 @@ def gotoh_scalar(
     mismatch: float,
     gap_open: float,
     gap_extend: float,
+    free_ref_tail: bool = False,
 ) -> tuple[float, tuple[tuple[str, int], ...]]:
     """Pure-Python Gotoh reference; returns ``(score, raw 'M'-run cigar)``.
 
-    The ground truth the lane fill is checked against. Takes any float
-    scoring.
+    The ground truth the compiled lane fill is checked against, and what
+    the fill runs where that did not load. Takes any float scoring.
+    With ``free_ref_tail`` the alignment may stop before consuming all
+    of ``a`` (trailing reference bases are free): it ends on the first
+    row where ``H``'s last column is largest. Charges its cells to the
+    mapping-ops ledger.
     """
     n, m = int(a.size), int(b.size)
     if n and m:
@@ -160,5 +165,9 @@ def gotoh_scalar(
             diag = hp[j - 1] + (match if ai == bv[j - 1] else mismatch)
             hi[j] = max(diag, ei[j], vi[j])
 
-    cigar = _traceback_tables(h, e, v, n, m, ge)
-    return float(h[n][m]), cigar
+    end = n
+    if free_ref_tail:
+        last_column = [row[m] for row in h]
+        end = last_column.index(max(last_column))
+    cigar = _traceback_tables(h, e, v, end, m, ge)
+    return float(h[end][m]), cigar

@@ -1,9 +1,10 @@
-/* The minimap2 chain DP: every anchor of one chain_scores_blocked call.
+/* The minimap2 chain DP: every anchor of one chain_scores call.
  *
- * The compiled form of repro.kernels.chain's blocked fold. Anchor i
- * scans its lookback window j = max(0, i - lookback) .. i - 1 in order
- * and runs chain_scores_scalar's expression on float64 coordinates,
- * with its operations in its order:
+ * The compiled form of repro.kernels.chain.chain_scores_scalar, which
+ * runs in its place where this file cannot be built. Anchor i scans
+ * its lookback window j = max(0, i - lookback) .. i - 1 in order and
+ * runs chain_scores_scalar's expression on float64 coordinates, with
+ * its operations in its order:
  *
  *   dx = x[i] - x[j], dy = y[i] - y[j]
  *   valid  0 < dx < max_gap and 0 < dy < max_gap

@@ -1,8 +1,9 @@
 /* Gotoh (affine-gap) alignment: every lane of one lane-fill call.
  *
- * The compiled form of repro.mapping.alignment's lane fill. Each lane
- * is one independent alignment of a reference side a[0..n) against a
- * read side b[0..m), both non-empty. Per cell it runs the recurrence of
+ * The compiled form of repro.mapping.alignment's lane fill; where this
+ * file cannot be built, the fill runs repro.kernels.align.gotoh_scalar
+ * on each lane instead. Each lane is one independent alignment of a
+ * reference side a[0..n) against a read side b[0..m), both non-empty. Per cell it runs the recurrence of
  * repro.kernels.align.gotoh_scalar, with its operations in its order:
  *
  *   E  max(E[i][j-1] + ge, (H[i][j-1] + go) + ge)     gap in ref
@@ -18,7 +19,8 @@
  * V == V[i-1][j] + ge. The walk back from the end cell reads them in
  * that traceback's order (E, then V, then the diagonal; extend before
  * open), so the path is its path. A lane with a free reference tail
- * ends on the first maximum of H's last column, else at (n, m).
+ * ends on the first maximum of H's last column, as gotoh_scalar's with
+ * free_ref_tail does, else at (n, m).
  *
  * The walk writes the finished CIGAR as runs of the ASCII ops = X I D,
  * a diagonal step comparing the two codes. Lane k's runs follow lane

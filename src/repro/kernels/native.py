@@ -1,8 +1,10 @@
 """Build-on-first-use loader for a kernel's optional C code.
 
 numpy is the only runtime dependency, so compiled code can only be a
-speed-up: every C kernel here has a numpy fold that produces the same
-bytes, and runs whenever the library cannot be had. There are three:
+speed-up: every C kernel here has a Python fallback that produces the
+same bytes, and runs whenever the library cannot be had -- the scalar
+reference for the chain DP and the Gotoh fill, the numpy fold for the
+Viterbi trellis. There are three:
 ``trellis.c`` (the Viterbi trellis, :mod:`repro.kernels.viterbi`),
 ``gotoh.c`` (the Gotoh lane fill, :mod:`repro.mapping.alignment`) and
 ``chain.c`` (the chain DP, :mod:`repro.kernels.chain`), each resolved
@@ -140,7 +142,7 @@ def load_library(name: str) -> ctypes.CDLL | None:
         failure = "no writable cache directory"
     warnings.warn(
         f"could not build {name}.c with {shlex.join(compiler)} ({failure}); "
-        "the numpy fold runs",
+        "its Python fallback runs",
         RuntimeWarning,
         stacklevel=2,
     )

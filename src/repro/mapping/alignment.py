@@ -18,20 +18,15 @@ the reversed head window and the tail window -- then fills them
 together and stitches the CIGAR in chain order; :func:`align_global`
 is a one-lane fill.
 
-**Two implementations, one output.** The fill makes one call of the C
-kernel ``gotoh.c`` for all its lanes when it loaded
-(:func:`repro.kernels.align._native_gotoh`): per cell it runs
-:func:`~repro.kernels.align.gotoh_scalar`'s recurrence, keeps its four
-traceback comparisons in one flag byte, and writes the finished
-``=``/``X``/``I``/``D`` CIGAR. Otherwise -- no compiler, or a build or
-load that failed -- a numpy row pipeline over a ``(lanes x columns)``
-array runs each group of lanes. Its rows are vectorised with the
-"lazy-E" trick: the within-row horizontal-gap recurrence collapses to a
-running maximum of ``H[j] + j * gap_extend`` because re-opening a gap is
-never cheaper than extending one. Both give every lane the score and
-CIGAR :func:`~repro.kernels.align.gotoh_scalar` gives its pair, whatever
-its lane mates, for every integer-valued scoring; nothing chooses
-between them but availability.
+**One output.** The fill makes one call of the C kernel ``gotoh.c`` for
+all its lanes when it loaded (:func:`repro.kernels.align._native_gotoh`):
+per cell it runs :func:`~repro.kernels.align.gotoh_scalar`'s
+recurrence, keeps its four traceback comparisons in one flag byte, and
+writes the finished ``=``/``X``/``I``/``D`` CIGAR. Otherwise -- no
+compiler, or a build or load that failed -- it runs ``gotoh_scalar``
+itself on each lane. Either gives every lane the score and CIGAR
+``gotoh_scalar`` gives it, whatever its lane mates, for every
+integer-valued scoring; nothing chooses between them but availability.
 
 Scoring defaults follow minimap2's map-ont preset (match +2, mismatch
 -4, gap open -4, gap extend -2).
@@ -46,7 +41,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 import repro.kernels.align as align_kernels
-from repro.kernels.align import merge_cigar
+from repro.kernels.align import gotoh_scalar, merge_cigar
 from repro.kernels.mapping_ops import record_mapping_ops
 
 if TYPE_CHECKING:
@@ -55,33 +50,6 @@ if TYPE_CHECKING:
 #: CIGAR operation codes used throughout: match, mismatch, insertion
 #: (read-only base), deletion (reference-only base), soft clip.
 CIGAR_OPS = ("=", "X", "I", "D", "S")
-
-# The row pipeline groups lanes by power-of-two row count, and a group's
-# padded cells (lanes x rows x columns) stay within
-# ``max_segment_cells``, the size one segment may already reach. Fill
-# rate per row bucket, in Mcells/s of real cells, traceback and CIGAR
-# included: the 1 551 DP inputs with both sides non-empty of an aligned
-# run on ``small_profile(ecoli-like, 3 000)`` (seed 7, scale 0.0015),
-# each bucket's lanes in one call (median of 5, 2-vCPU Xeon container,
-# Python 3.11, numpy 2.4, gcc 12):
-#
-#     rows       lanes  cells (k)  numpy row pipeline  compiled gotoh.c
-#     1             10       0.015        0.05                0.10
-#     2-3           32       0.21         0.23                0.81
-#     4-7          158       4.8          1.06                4.88
-#     8-15         296      40.3          3.24               18.32
-#     16-31        444     217            6.23               40.67
-#     32-63        319     610           11.10               75.58
-#     64-127       171   1 218           14.27              102.34
-#     128-255       85   2 644           18.41              111.60
-#     256-511       31   3 697           18.31              121.47
-#     512-1023       5   1 874           24.70              115.38
-#
-# The compiled fill wins on every bucket: the row pipeline pays ~16 numpy
-# calls a row whatever its lanes, so there is no crossover to select
-# on. Over the 59 calls as the run made them (10.3 M cells): 1.23 s on
-# the row pipeline, 0.11 s compiled.
-
 
 #: Largest magnitude of any one scoring value. A lane of up to 2**32
 #: steps then scores within 2**52: exact in float64 and far above the
@@ -99,8 +67,7 @@ class AlignmentConfig:
     gap_extend: float = -2.0
     #: Maximum head/tail length aligned by DP; longer ends are soft-clipped.
     max_end_extension: int = 400
-    #: Safety cap on inter-anchor segment DP size (cells), and on the
-    #: padded cells of one lane-fill group.
+    #: Safety cap on inter-anchor segment DP size (cells).
     max_segment_cells: int = 4_000_000
 
     def __post_init__(self) -> None:
@@ -110,13 +77,13 @@ class AlignmentConfig:
             raise ValueError("penalties must be negative")
         scores = (self.match, self.mismatch, self.gap_open, self.gap_extend)
         if not all(float(value).is_integer() for value in scores):
-            # The row pipeline prices a gap as open + j * extend where the
-            # scalar loop adds extend j times: the same number only when
-            # the arithmetic is exact.
+            # With integer scores every reachable score is an exact
+            # float64 integer, so the traceback's equality tests decide
+            # ties exactly, not by the rounding of a sum's order.
             raise ValueError(
                 "match, mismatch, gap_open and gap_extend must be integer-valued: "
-                "under float rounding a segment's score and CIGAR would depend "
-                "on which Gotoh fill ran"
+                "under float rounding, ties between co-optimal paths would be "
+                "decided by rounding error"
             )
         if not all(abs(value) <= _MAX_SCORE for value in scores):
             # Far from the -1e18 sentinel that stands for minus infinity,
@@ -213,10 +180,10 @@ def _fill_lanes(lanes: list[Lane], config: AlignmentConfig) -> list[AlignmentRes
     ``=``/``X``/``I``/``D`` CIGARs.
 
     Lanes with an empty side are closed-form. The rest run in one call
-    of the compiled fill when it loaded (:func:`_fill_native`), else in
-    the groups :func:`_lane_groups` forms, one row pipeline per group.
-    Every code must be a 2-bit base code (0-3): the row pipeline
-    compares them as int16 and the compiled fill as uint8.
+    of the compiled fill when it loaded (:func:`_fill_native`), else one
+    by one through ``gotoh_scalar``, which charges the mapping-ops
+    ledger itself. Every code must be a 2-bit base code (0-3): the
+    compiled fill compares them as uint8.
     """
     sides = [side for ref, read, _ in lanes for side in (ref, read)]
     codes = np.concatenate(sides) if sides else np.empty(0, dtype=np.uint8)
@@ -242,24 +209,22 @@ def _fill_lanes(lanes: list[Lane], config: AlignmentConfig) -> list[AlignmentRes
             )
     if not filled:
         return results
+    library = align_kernels._native_gotoh()
+    if library is None:
+        scoring = (config.match, config.mismatch, config.gap_open, config.gap_extend)
+        for index in filled:
+            ref, read, free_ref_tail = lanes[index]
+            score, cigar = gotoh_scalar(ref, read, *scoring, free_ref_tail=free_ref_tail)
+            results[index] = AlignmentResult(score=score, cigar=_classify_diagonals(cigar, ref, read))
+        return results
     shapes = [(int(lanes[index][0].size), int(lanes[index][1].size)) for index in filled]
     record_mapping_ops("align-cell", sum(n * m for n, m in shapes))
-    library = align_kernels._native_gotoh()
-    if library is not None:
-        offsets = list(accumulate((side.size for side in sides), initial=0))
-        starts = [offsets[2 * index + side] for index in filled for side in (0, 1)]
-        free = [lanes[index][2] for index in filled]
-        native = _fill_native(library, codes, starts, shapes, free, config)
-        for index, result in zip(filled, native, strict=True):
-            results[index] = result
-        return results
-    for group in _lane_groups(shapes, config.max_segment_cells):
-        members = [filled[member] for member in group]
-        for index, raw in zip(members, _fill_group([lanes[i] for i in members], config), strict=True):
-            ref, read, _ = lanes[index]
-            results[index] = AlignmentResult(
-                score=raw.score, cigar=_classify_diagonals(raw.cigar, ref, read)
-            )
+    offsets = list(accumulate((side.size for side in sides), initial=0))
+    starts = [offsets[2 * index + side] for index in filled for side in (0, 1)]
+    free = [lanes[index][2] for index in filled]
+    native = _fill_native(library, codes, starts, shapes, free, config)
+    for index, result in zip(filled, native, strict=True):
+        results[index] = result
     return results
 
 
@@ -304,174 +269,6 @@ def _fill_native(
         results.append(AlignmentResult(score=score, cigar=cigar))
         at += count
     return results
-
-
-def _lane_groups(shapes: list[tuple[int, int]], max_cells: int) -> list[list[int]]:
-    """Group lane indices by power-of-two row count (``n.bit_length()``).
-
-    Within a bucket, lanes join a group in order while its padded cells
-    (lanes x most rows x most columns) stay within ``max_cells``; a lane
-    alone always forms a group.
-    """
-    buckets: dict[int, list[int]] = {}
-    for index, (n, _) in enumerate(shapes):
-        buckets.setdefault(n.bit_length(), []).append(index)
-    groups = []
-    for key in sorted(buckets):
-        group: list[int] = []
-        rows = cols = 0
-        for index in buckets[key]:
-            n, m = shapes[index]
-            grown_rows, grown_cols = max(rows, n), max(cols, m)
-            if group and (len(group) + 1) * grown_rows * grown_cols > max_cells:
-                groups.append(group)
-                group, grown_rows, grown_cols = [], n, m
-            group.append(index)
-            rows, cols = grown_rows, grown_cols
-        groups.append(group)
-    return groups
-
-
-def _fill_group(lanes: list[Lane], config: AlignmentConfig) -> list[AlignmentResult]:
-    """One row pipeline over lanes that each have both sides non-empty;
-    results with raw 'M' (match-or-mismatch) runs in their CIGARs.
-
-    A lane shorter than the group is padded below and to the right; a
-    cell depends only on cells above it and to its left, so padding
-    never reaches a lane's own cells or its traceback.
-    """
-    count = len(lanes)
-    ns = [int(ref.size) for ref, _, _ in lanes]
-    ms = [int(read.size) for _, read, _ in lanes]
-    rows, width = max(ns), max(ms) + 1
-    ref_rows = np.zeros((rows, count, 1), dtype=np.int16)
-    reads = np.zeros((count, width - 1), dtype=np.int16)
-    for lane, (ref, read, _) in enumerate(lanes):
-        ref_rows[: ns[lane], lane, 0] = ref
-        reads[lane, : ms[lane]] = read
-    equal = reads == ref_rows  # [row - 1, lane, column - 1]: the bases match
-
-    neg = -1e18
-    go, ext = config.gap_open, config.gap_extend
-    open_ext = go + ext
-    j_scaled = np.arange(width) * ext
-    j_tail = j_scaled[1:]
-
-    # Traceback flags, one byte per cell and table, indexed [row, lane,
-    # column] (see ``_traceback``). Row 0 is all insertions.
-    from_e, from_v, e_extends, v_extends = (
-        np.zeros((rows + 1, count, width), dtype=bool) for _ in range(4)
-    )
-    e_extends[0, :, 2:] = True
-
-    # H: best score; V: gap-in-read (vertical, consumes ref); E: gap-in-ref.
-    h_prev = np.empty((count, width))
-    h_prev[:, 0] = 0.0
-    h_prev[:, 1:] = go + ext * np.arange(1, width)
-    v_prev = np.full((count, width), neg)
-    h_curr, v_curr, v_open, v_ext, g, shifted, run, e_curr = (
-        np.empty((count, width)) for _ in range(8)
-    )
-    e_curr[:, 0] = neg
-    diag = np.empty((count, width - 1))
-    # Views sliced once, not per row.
-    h_prev_head, h_curr_head = h_prev[:, :-1], h_curr[:, :-1]
-    v_prev_tail, v_curr_tail = v_prev[:, 1:], v_curr[:, 1:]
-    g_tail, e_tail = g[:, 1:], e_curr[:, 1:]
-    run_head, run_head2, shifted_mid = run[:, :-1], run[:, :-2], shifted[:, 1:-1]
-    from_v_tail, e_extends_tail = from_v[:, :, 1:], e_extends[:, :, 2:]
-    match, mismatch = config.match, config.mismatch
-
-    # H in each lane's last column: on every row when a free-tail lane
-    # may end on any of them, else on the rows where some lane ends.
-    corner = np.arange(count) * width + np.asarray(ms)
-    last_col = np.empty((rows + 1, count))
-    h_prev.take(corner, out=last_col[0])
-    capture = range(rows + 1) if any(free for _, _, free in lanes) else set(ns)
-
-    for i in range(1, rows + 1):
-        sub = np.where(equal[i - 1], match, mismatch)
-        np.add(h_prev_head, sub, out=diag)  # candidate H[i, 1:] via diagonal
-
-        np.add(h_prev, open_ext, out=v_open)
-        np.add(v_prev, ext, out=v_ext)
-        np.maximum(v_open, v_ext, out=v_curr)
-        np.greater_equal(v_ext, v_open, out=v_extends[i])
-
-        # First pass for H without horizontal gaps.
-        g[:, 0] = go + ext * i  # all-deletions start of row
-        np.maximum(diag, v_curr_tail, out=g_tail)
-        np.greater_equal(v_curr_tail, diag, out=from_v_tail[i])
-
-        # Lazy-E: E[j] = max_{j' < j} (H[j'] + j'*(-ext)) ... computed as a
-        # running max of g[j'] - j'*ext, because a second gap opening can
-        # never beat extending the first.
-        np.subtract(g, j_scaled, out=shifted)
-        np.maximum.accumulate(shifted, axis=1, out=run)
-        np.add(run_head, j_tail, out=e_tail)
-        np.add(e_tail, go, out=e_tail)
-        np.maximum(g, e_curr, out=h_curr)
-        np.greater_equal(e_curr, g, out=from_e[i])
-        # E extends iff the running max did not restart at j-1 (a tie
-        # extends): E[j-1] + ext >= g[j-1] + open + ext.
-        np.greater_equal(run_head2, shifted_mid, out=e_extends_tail[i])
-
-        if i in capture:
-            h_curr.take(corner, out=last_col[i])
-        h_prev, h_curr, h_prev_head, h_curr_head = h_curr, h_prev, h_curr_head, h_prev_head
-        v_prev, v_curr, v_prev_tail, v_curr_tail = v_curr, v_prev, v_curr_tail, v_prev_tail
-
-    results = []
-    for lane, (n, m, (_, _, free_ref_tail)) in enumerate(zip(ns, ms, lanes, strict=True)):
-        column = last_col[: n + 1, lane]
-        end = int(np.argmax(column)) if free_ref_tail else n
-        tables = (table[: end + 1, lane, : m + 1] for table in (from_e, from_v, e_extends, v_extends))
-        cigar = _traceback(*tables, end, m)
-        results.append(AlignmentResult(score=float(column[end]), cigar=cigar))
-    return results
-
-
-def _traceback(from_e, from_v, e_extends, v_extends, n: int, m: int) -> tuple[tuple[str, int], ...]:
-    """Walk one lane's flag tables back from ``(n, m)``.
-
-    ``from_e`` / ``from_v``: ``H`` came from E (left) / V (up), E taking
-    precedence, else from the diagonal; ``e_extends`` / ``v_extends``:
-    the gap extends here rather than opening. Ties were resolved when
-    the tables were filled, in the order
-    :func:`repro.kernels.align._traceback_tables` states.
-    """
-    width = m + 1
-    from_e, from_v, e_extends, v_extends = (
-        table.tobytes() for table in (from_e, from_v, e_extends, v_extends)
-    )
-    ops: list[str] = []
-    i, j = n, m
-    state = "H"
-    while i > 0 or j > 0:
-        at = i * width + j
-        if state == "H":
-            if j == 0:
-                state = "V"
-            elif i == 0 or from_e[at]:
-                state = "E"
-            elif from_v[at]:
-                state = "V"
-            else:
-                ops.append("M")
-                i -= 1
-                j -= 1
-        elif state == "E":
-            ops.append("I")
-            if not e_extends[at]:
-                state = "H"
-            j -= 1
-        else:  # V
-            ops.append("D")
-            if not v_extends[at]:
-                state = "H"
-            i -= 1
-    ops.reverse()
-    return tuple((op, len(list(run))) for op, run in groupby(ops))
 
 
 def _classify_diagonals(

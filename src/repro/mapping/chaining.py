@@ -17,13 +17,10 @@ in-memory; the chain *score* is also what GenPIP's ER-CMR thresholds to
 predict unmappable reads early.
 
 The implementation is the standard O(n * h) heuristic with a bounded
-lookback window, executed by
-:func:`repro.kernels.chain.chain_scores_blocked`: one call of the C
-kernel ``chain.c`` for all of a strand's anchors when it loaded, else
-the blocked numpy fold, which computes the band geometry as per-block
-matrices and resolves the rows by speculating each anchor's parent and
-verifying all rows at once. Tests check both bit-for-bit -- scores,
-parents, and tie-breaks -- against ``chain_scores_scalar``.
+lookback window, executed by :func:`repro.kernels.chain.chain_scores`:
+one call of the C kernel ``chain.c`` for all of a strand's anchors when
+it loaded, else ``chain_scores_scalar``, which the tests check the C
+kernel against bit for bit -- scores, parents, and tie-breaks.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels.chain import chain_scores_blocked
+import repro.kernels.chain as chain_kernels
 
 
 #: Largest ``max_gap`` a :class:`ChainingConfig` takes (one ``float64``
@@ -117,7 +114,7 @@ def chain_scores(anchors: np.ndarray, config: ChainingConfig) -> tuple[np.ndarra
         Best chain score ending at each anchor, and the predecessor
         index (-1 for chain starts).
     """
-    return chain_scores_blocked(anchors, config.kmer_size, config.max_gap, config.lookback)
+    return chain_kernels.chain_scores(anchors, config.kmer_size, config.max_gap, config.lookback)
 
 
 def chain_anchors(

@@ -27,25 +27,25 @@ def numpy_trellis():
     return mock.patch.object(viterbi_kernels, "_native_trellis", lambda: None)
 
 
-def numpy_gotoh():
-    """Context manager forcing the Gotoh lane fill onto the numpy row
-    pipeline: the resolver reports no compiled kernel."""
+def scalar_gotoh():
+    """Context manager forcing the Gotoh lane fill onto ``gotoh_scalar``:
+    the resolver reports no compiled kernel."""
     return mock.patch.object(align_kernels, "_native_gotoh", lambda: None)
 
 
-def numpy_chain():
-    """Context manager forcing the chain DP onto the blocked numpy fold:
+def scalar_chain():
+    """Context manager forcing the chain DP onto ``chain_scores_scalar``:
     the resolver reports no compiled kernel."""
     return mock.patch.object(chain_kernels, "_native_chain", lambda: None)
 
 
 def _require_native(library, kernel: str) -> None:
-    """Skips where there is no C compiler (only the fold can run there);
-    fails where one exists but the compiled kernel did not load."""
+    """Skips where there is no C compiler (only the fallback can run
+    there); fails where one exists but the compiled kernel did not load."""
     if library is not None:
         return
     if native._compiler() is None:
-        pytest.skip(f"no C compiler: only the numpy {kernel} runs here")
+        pytest.skip(f"no C compiler: only the fallback of the {kernel} runs here")
     pytest.fail(f"a C compiler exists but the compiled {kernel} did not build or load")
 
 
@@ -61,31 +61,31 @@ def require_native_chain() -> None:
     _require_native(chain_kernels._native_chain(), "chain DP")
 
 
-def _native_then_fold(request, require, fold):
+def _native_then_fallback(request, require, fallback):
     if request.param == "native":
         require()
         yield request.param
     else:
-        with fold():
+        with fallback():
             yield request.param
 
 
 @pytest.fixture(params=["native", "numpy"])
 def trellis(request):
     """Runs a test once on the compiled Viterbi trellis, once on the fold."""
-    yield from _native_then_fold(request, require_native_trellis, numpy_trellis)
+    yield from _native_then_fallback(request, require_native_trellis, numpy_trellis)
 
 
-@pytest.fixture(params=["native", "numpy"])
+@pytest.fixture(params=["native", "scalar"])
 def gotoh(request):
-    """Runs a test once on the compiled Gotoh fill, once on the row pipeline."""
-    yield from _native_then_fold(request, require_native_gotoh, numpy_gotoh)
+    """Runs a test once on the compiled Gotoh fill, once on ``gotoh_scalar``."""
+    yield from _native_then_fallback(request, require_native_gotoh, scalar_gotoh)
 
 
-@pytest.fixture(params=["native", "numpy"])
+@pytest.fixture(params=["native", "scalar"])
 def chain(request):
-    """Runs a test once on the compiled chain DP, once on the blocked fold."""
-    yield from _native_then_fold(request, require_native_chain, numpy_chain)
+    """Runs a test once on the compiled chain DP, once on ``chain_scores_scalar``."""
+    yield from _native_then_fallback(request, require_native_chain, scalar_chain)
 
 
 @pytest.fixture(scope="session")

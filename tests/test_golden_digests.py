@@ -27,12 +27,14 @@ the surrogate decoded a batch of chunks in one call, when each chunk
 had its own call, and is checked through both entry points.
 The three digests the Viterbi trellis decodes (``viterbi-signal``,
 ``ser-signal``, ``viterbi-chunks``) were all taken on the numpy fold,
-before the compiled trellis existed; each is checked on both.
-Likewise ``er-align``, the one digest that runs base-level alignment,
-was taken on the numpy Gotoh row pipeline, before the compiled Gotoh
-fill existed, and is checked on both. Every outcome digest chains;
-``er-map``, taken on the blocked numpy chain fold before the compiled
-chain DP existed, is checked on both.
+before the compiled trellis existed; each is checked on the compiled
+trellis and on the fold, its fallback. Likewise ``er-align``, the one
+digest that runs base-level alignment, was taken on a numpy Gotoh row
+pipeline (since deleted) before the compiled Gotoh fill existed, and is
+checked on the compiled fill and on ``gotoh_scalar``, its fallback.
+Every outcome digest chains; ``er-map``, taken on a numpy chain fold
+(since deleted) before the compiled chain DP existed, is checked on the
+compiled DP and on ``chain_scores_scalar``.
 
 Records carry floats (qualities, chain scores) whose last bits depend
 on the numeric stack, so the file also records the numpy
@@ -50,9 +52,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import require_native_gotoh
 
-import repro.kernels.align as align_kernels
-import repro.kernels.chain as chain_kernels
 import repro.kernels.viterbi as viterbi_kernels
 import repro.mapping.alignment as alignment_module
 from repro.basecalling import SurrogateBasecaller, ViterbiBackendConfig, ViterbiChunkBasecaller
@@ -176,10 +177,10 @@ READ_SETS = {
 #: checked on the compiled trellis and on the numpy fold.
 TRELLIS_SETS = ("viterbi-signal", "ser-signal")
 #: The read sets aligned base by base; checked on the compiled Gotoh
-#: fill and on the numpy row pipeline.
+#: fill and on the scalar reference.
 GOTOH_SETS = ("er-align",)
 #: The read set whose digest is checked on the compiled chain DP and on
-#: the blocked numpy fold (every set chains; this one maps the most).
+#: the scalar reference (every set chains; this one maps the most).
 CHAIN_SETS = ("er-map",)
 
 
@@ -254,7 +255,7 @@ def test_outcome_records_match_parent_digest(name):
 
 @pytest.mark.parametrize("name", CHAIN_SETS)
 def test_chain_outcome_records_match_parent_digest(name, chain):
-    """Chained by the compiled DP, then by the blocked numpy fold
+    """Chained by the compiled DP, then by ``chain_scores_scalar``
     (``chain`` fixture): the same digest either way."""
     golden = _golden_digests()
     assert READ_SETS[name]()["sha256"] == golden[name]["sha256"]
@@ -262,8 +263,8 @@ def test_chain_outcome_records_match_parent_digest(name, chain):
 
 @pytest.mark.parametrize("name", GOTOH_SETS)
 def test_gotoh_outcome_records_match_parent_digest(name, gotoh):
-    """Aligned by the compiled Gotoh fill, then by the numpy row
-    pipeline (``gotoh`` fixture): the same digest either way."""
+    """Aligned by the compiled Gotoh fill, then by ``gotoh_scalar``
+    (``gotoh`` fixture): the same digest either way."""
     golden = _golden_digests()
     assert READ_SETS[name]()["sha256"] == golden[name]["sha256"]
 
@@ -305,35 +306,20 @@ def test_surrogate_chunks_one_by_one_match_parent_digest():
     assert _surrogate_chunks(one_by_one) == golden["surrogate-chunks"]
 
 
-@pytest.mark.parametrize("grouping", ["alone", "one-group"])
-def test_er_align_digest_independent_of_lane_grouping(grouping, monkeypatch):
-    """Every Gotoh lane filled alone, or all of a call's lanes in one
-    row pipeline: how lanes are grouped is a speed choice, not an output
-    one. The row pipeline is pinned: the compiled fill never groups."""
+def test_er_align_digest_independent_of_lane_mates(monkeypatch):
+    """Every Gotoh lane filled in its own call rather than with the rest
+    of its read's lanes: which lanes share a call of the compiled fill
+    is a speed choice, not an output one. The compiled fill is pinned:
+    ``gotoh_scalar`` fills each lane alone anyway."""
+    require_native_gotoh()
     golden = _golden_digests()
-    monkeypatch.setattr(align_kernels, "_native_gotoh", lambda: None)
+    fill = alignment_module._fill_lanes
 
-    def groups(shapes, max_cells):
-        if grouping == "alone":
-            return [[index] for index in range(len(shapes))]
-        return [list(range(len(shapes)))] if shapes else []
+    def alone(lanes, config):
+        return [fill([lane], config)[0] for lane in lanes]
 
-    monkeypatch.setattr(alignment_module, "_lane_groups", groups)
+    monkeypatch.setattr(alignment_module, "_fill_lanes", alone)
     assert _er_align()["sha256"] == golden["er-align"]["sha256"]
-
-
-@pytest.mark.parametrize("rounds", [0, 1])
-@pytest.mark.parametrize("block_rows", [64, 10**6])
-def test_er_map_digest_independent_of_chain_rounds(rounds, block_rows, monkeypatch):
-    """Every live row through the per-row fallback (0) or one speculate-
-    and-verify round first (1), over short or whole-call blocks: the
-    chain fold's round cap and block size are speed constants. The fold
-    is pinned: the compiled DP reads neither."""
-    golden = _golden_digests()
-    monkeypatch.setattr(chain_kernels, "_native_chain", lambda: None)
-    monkeypatch.setattr(chain_kernels, "_SPEC_ROUNDS", rounds)
-    monkeypatch.setattr(chain_kernels, "_BLOCK_ROWS", block_rows)
-    assert _er_map()["sha256"] == golden["er-map"]["sha256"]
 
 
 @pytest.mark.parametrize("block", [1, 10**6])

@@ -6,22 +6,31 @@ by bytes in ``test_trail_case_bit_identical`` each):
 
 * batched seeding (one ``searchsorted`` + repeat/gather) must produce
   the exact grouped anchor arrays of the per-key scalar walk;
-* the chain DP must produce bit-identical scores *and parents* to the
-  scalar reference (same float64 combine order per row) -- on the
-  compiled ``chain.c`` and on the blocked numpy fold (the ``chain``
-  fixture runs each such test on both);
-* the Gotoh lane fill (``_fill_lanes``) must give every lane the
-  identical score and CIGAR the scalar reference gives its pair, on
-  every segment shape and every integer-valued scoring, whichever lanes
-  share its call -- on the compiled fill and on the numpy row pipeline
-  (the ``gotoh`` fixture runs each such test on both).
+* the compiled chain DP (``chain.c``) must produce bit-identical scores
+  *and parents* to the scalar reference (same float64 combine order per
+  row);
+* the compiled Gotoh lane fill (``gotoh.c`` behind ``_fill_lanes``)
+  must give every lane the identical score and CIGAR the scalar
+  reference gives it -- a free-tail extension included -- on every
+  segment shape and every integer-valued scoring, whichever lanes share
+  its call.
+
+Without a compiler each of the two falls back to its scalar reference.
+The ``chain`` and ``gotoh`` fixtures run every comparison on both
+paths: on the compiled kernel it is the bit-identity check; on the
+fallback it pins that the dispatch forwards every argument (``k``,
+``max_gap``, ``lookback``, the scoring, ``free_ref_tail``) and builds
+the result the reference gives. ``test_compiled_*_is_what_runs`` fails
+where a compiler exists but the compiled kernel did not load, so the
+``native`` half never quietly tests the reference against itself.
 
 Plus the riders: no stage takes a kernel *name* (production calls one
-kernel per stage; a reference is something a test imports), the
-mapping-ops ledger must record exactly the arithmetic the kernels
-performed, the perf models must charge it, the incremental mapper's
-gathered-anchor cache must invalidate correctly, and a pooled run must
-stay byte-identical to the serial run with every kernel active.
+kernel per stage; a reference is something a test imports), each
+compiled kernel has one fallback, the mapping-ops ledger must record
+exactly the arithmetic the kernels performed, the perf models must
+charge it, the incremental mapper's gathered-anchor cache must
+invalidate correctly, and a pooled run must stay byte-identical to the
+serial run with every kernel active.
 """
 
 from __future__ import annotations
@@ -32,11 +41,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import numpy_chain, numpy_gotoh, require_native_chain, require_native_gotoh
+from conftest import require_native_chain, require_native_gotoh, scalar_chain, scalar_gotoh
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
+import repro.kernels.align as align_kernels
 import repro.kernels.chain as chain_kernels
 import repro.mapping.alignment as alignment_module
 import repro.mapping.chaining as chaining_module
@@ -48,7 +58,7 @@ from repro.genomics.reference import ReferenceGenome
 from repro.kernels import (
     MAPPING_OP_KINDS,
     chain_candidate_count,
-    chain_scores_blocked,
+    chain_scores,
     chain_scores_scalar,
     gotoh_scalar,
     mapping_ops,
@@ -61,13 +71,12 @@ from repro.kernels.align import gotoh_backend
 from repro.kernels.chain import chain_backend
 from repro.mapping.alignment import (
     AlignmentConfig,
-    AlignmentResult,
     _classify_diagonals,
     _fill_lanes,
     align_chain,
     cigar_to_string,
 )
-from repro.mapping.chaining import ChainingConfig, chain_scores
+from repro.mapping.chaining import ChainingConfig
 from repro.mapping.index import MinimizerConfig, MinimizerIndex
 from repro.mapping.mapper import IncrementalChunkMapper, Mapper, MapperConfig
 from repro.mapping.minimizers import minimizer_arrays
@@ -112,40 +121,29 @@ def _random_anchors(rng, n, ref_span=50_000, read_span=8_000, runs=False):
 class TestChainKernels:
     def test_compiled_dp_is_what_runs(self):
         """Where a compiler exists the chain DP must be the compiled one,
-        or every ``[native]`` case below would test the fold twice."""
+        or the ``native`` half of every comparison below would test the
+        scalar reference against itself."""
         require_native_chain()
         assert chain_backend() == "native"
-        with numpy_chain():
-            assert chain_backend() == "numpy"
+        with scalar_chain():
+            assert chain_backend() == "scalar"
 
     @pytest.mark.parametrize("lookback", [1, 5, 50])
     @pytest.mark.parametrize("max_gap", [50, 5_000])
-    def test_blocked_bit_identical_to_scalar(self, lookback, max_gap, chain):
+    def test_chain_dp_bit_identical_to_scalar(self, lookback, max_gap, chain):
         rng = np.random.default_rng(101)
         for trial in range(25):
             n = int(rng.integers(0, 400))
             anchors = _random_anchors(rng, n, runs=bool(trial % 2))
             s_scores, s_parents = chain_scores_scalar(anchors, 13, max_gap, lookback)
-            b_scores, b_parents = chain_scores_blocked(anchors, 13, max_gap, lookback)
-            assert np.array_equal(s_scores, b_scores), (trial, lookback, max_gap)
-            assert np.array_equal(s_parents, b_parents), (trial, lookback, max_gap)
-
-    def test_blocked_crosses_block_boundary(self, chain):
-        # More anchors than one 4096-row block, dense colinear geometry.
-        rng = np.random.default_rng(102)
-        ref = np.sort(rng.integers(0, 80_000, size=5_000))
-        read = np.maximum(0, ref + rng.integers(-40, 40, size=ref.size))
-        anchors = np.stack([ref, read], axis=1).astype(np.int64)
-        order = np.lexsort((anchors[:, 1], anchors[:, 0]))
-        anchors = anchors[order]
-        s = chain_scores_scalar(anchors, 13, 5_000, 50)
-        b = chain_scores_blocked(anchors, 13, 5_000, 50)
-        assert np.array_equal(s[0], b[0]) and np.array_equal(s[1], b[1])
+            c_scores, c_parents = chain_scores(anchors, 13, max_gap, lookback)
+            assert np.array_equal(s_scores, c_scores), (trial, lookback, max_gap)
+            assert np.array_equal(s_parents, c_parents), (trial, lookback, max_gap)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_degenerate_inputs(self, n, chain):
         anchors = np.zeros((n, 2), dtype=np.int64)
-        for kernel in (chain_scores_scalar, chain_scores_blocked):
+        for kernel in (chain_scores_scalar, chain_scores):
             scores, parents = kernel(anchors, 13, 5_000, 50)
             assert scores.shape == (n,) and parents.shape == (n,)
             if n:
@@ -154,7 +152,7 @@ class TestChainKernels:
     @pytest.mark.parametrize("shape", [(5,), (5, 1), (5, 3)])
     def test_anchors_must_be_n_by_2(self, shape, chain):
         with pytest.raises(ValueError, match=r"\[n, 2\]"):
-            chain_scores_blocked(np.zeros(shape, dtype=np.int64), 13, 5_000, 50)
+            chain_scores(np.zeros(shape, dtype=np.int64), 13, 5_000, 50)
 
     def test_candidate_count_closed_form(self):
         for n in (0, 1, 2, 7, 50, 51, 200):
@@ -163,20 +161,23 @@ class TestChainKernels:
                 assert chain_candidate_count(n, h) == brute, (n, h)
 
     def test_kernels_charge_the_ledger(self, chain):
+        """Charged once on either path: the scalar fallback charges its
+        own candidates, the compiled call the same count."""
         rng = np.random.default_rng(103)
         anchors = _random_anchors(rng, 120, runs=True)
         ledger = process_mapping_ops()
         before = ledger.value("chain-candidate")
-        chain_scores_blocked(anchors, 13, 5_000, 50)
+        chain_scores(anchors, 13, 5_000, 50)
         assert ledger.value("chain-candidate") - before == chain_candidate_count(120, 50)
 
     def test_config_selects_kernel(self, chain):
-        # The config carries DP parameters only: chain_scores runs the
-        # production kernel, which equals the reference.
+        # The config carries DP parameters only: the mapping layer's
+        # chain_scores runs the production kernel, which equals the
+        # reference.
         rng = np.random.default_rng(104)
         anchors = _random_anchors(rng, 80, runs=True)
         config = ChainingConfig(lookback=20, max_gap=800)
-        scores, parents = chain_scores(anchors, config)
+        scores, parents = chaining_module.chain_scores(anchors, config)
         ref_scores, ref_parents = chain_scores_scalar(anchors, 13, 800, 20)
         assert np.array_equal(scores, ref_scores)
         assert np.array_equal(parents, ref_parents)
@@ -194,7 +195,7 @@ class TestChainKernels:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=40, deadline=None, suppress_health_check=_ONE_FILL_PER_TEST)
-    def test_blocked_bit_identical_over_generated_shapes(
+    def test_chain_dp_bit_identical_over_generated_shapes(
         self, n, lookback, max_gap, span, seed, chain
     ):
         """A small ``span`` packs the anchors with duplicate rows, equal
@@ -204,9 +205,9 @@ class TestChainKernels:
         anchors = rng.integers(0, span, size=(n, 2)).astype(np.int64)
         anchors = anchors[np.lexsort((anchors[:, 1], anchors[:, 0]))]
         s_scores, s_parents = chain_scores_scalar(anchors, 13, max_gap, lookback)
-        b_scores, b_parents = chain_scores_blocked(anchors, 13, max_gap, lookback)
-        assert np.array_equal(s_scores, b_scores)
-        assert np.array_equal(s_parents, b_parents)
+        c_scores, c_parents = chain_scores(anchors, 13, max_gap, lookback)
+        assert np.array_equal(s_scores, c_scores)
+        assert np.array_equal(s_parents, c_parents)
 
     @given(
         n_true=st.integers(0, 300),
@@ -215,17 +216,17 @@ class TestChainKernels:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=40, deadline=None, suppress_health_check=_ONE_FILL_PER_TEST)
-    def test_blocked_bit_identical_on_mapped_read_anchors(
+    def test_chain_dp_bit_identical_on_mapped_read_anchors(
         self, n_true, lookback, max_gap, seed, chain
     ):
-        """The geometry the speculation is built for: most rows' parent
-        is a near predecessor, scattered hits and duplicate reference
-        positions make it the second or third. Scores compare by bits."""
+        """The geometry of a mapped read: most rows' parent is a near
+        predecessor, scattered hits and duplicate reference positions
+        make it the second or third. Scores compare by bits."""
         anchors = _mapped_read_anchors(np.random.default_rng(seed), n_true)
         s_scores, s_parents = chain_scores_scalar(anchors, 13, max_gap, lookback)
-        b_scores, b_parents = chain_scores_blocked(anchors, 13, max_gap, lookback)
-        assert np.array_equal(s_scores.view(np.int64), b_scores.view(np.int64))
-        assert np.array_equal(s_parents, b_parents)
+        c_scores, c_parents = chain_scores(anchors, 13, max_gap, lookback)
+        assert np.array_equal(s_scores.view(np.int64), c_scores.view(np.int64))
+        assert np.array_equal(s_parents, c_parents)
 
     @pytest.mark.parametrize(
         "case",
@@ -234,9 +235,9 @@ class TestChainKernels:
     def test_trail_case_bit_identical(self, chain_trail, case, chain):
         anchors, max_gap, lookback = chain_trail[case]
         scalar = chain_scores_scalar(anchors, 13, max_gap, lookback)
-        blocked = chain_scores_blocked(anchors, 13, max_gap, lookback)
-        for s_out, b_out in zip(scalar, blocked, strict=True):
-            assert s_out.dtype == b_out.dtype and s_out.tobytes() == b_out.tobytes()
+        compiled = chain_scores(anchors, 13, max_gap, lookback)
+        for s_out, c_out in zip(scalar, compiled, strict=True):
+            assert s_out.dtype == c_out.dtype and s_out.tobytes() == c_out.tobytes()
 
     def test_log2_comes_from_numpy_not_libm(self, chain):
         """A 40-anchor colinear run, then a last hop drifting by
@@ -247,24 +248,10 @@ class TestChainKernels:
         run = np.stack([1_000 + 20 * np.arange(40), 20 * np.arange(40)], axis=1)
         anchors = np.vstack([run, run[-1] + [3_000, 3_000 - 1_621]]).astype(np.int64)
         s_scores, s_parents = chain_scores_scalar(anchors, 14, 5_000, 50)
-        b_scores, b_parents = chain_scores_blocked(anchors, 14, 5_000, 50)
+        c_scores, c_parents = chain_scores(anchors, 14, 5_000, 50)
         assert s_parents[-1] == 39
-        assert s_scores.tobytes() == b_scores.tobytes()
-        assert np.array_equal(s_parents, b_parents)
-
-    @pytest.mark.parametrize("rounds", [0, 1])
-    def test_fallback_rows_bit_identical(self, rounds, monkeypatch):
-        """No speculation (0) or one round then the per-row fallback (1),
-        on the fold (the compiled DP does not speculate)."""
-        monkeypatch.setattr(chain_kernels, "_native_chain", lambda: None)
-        monkeypatch.setattr(chain_kernels, "_SPEC_ROUNDS", rounds)
-        rng = np.random.default_rng(105)
-        for n_true in (3, 60, 250, 600):
-            anchors = _mapped_read_anchors(rng, n_true)
-            s_scores, s_parents = chain_scores_scalar(anchors, 13, 5_000, 50)
-            b_scores, b_parents = chain_scores_blocked(anchors, 13, 5_000, 50)
-            assert np.array_equal(s_scores.view(np.int64), b_scores.view(np.int64)), n_true
-            assert np.array_equal(s_parents, b_parents), n_true
+        assert s_scores.tobytes() == c_scores.tobytes()
+        assert np.array_equal(s_parents, c_parents)
 
 
 @pytest.fixture(scope="module")
@@ -289,8 +276,7 @@ def chain_trail():
     def _mapped_read(n_true):
         # One read's true hits (a colinear run with indel drift) plus
         # about one scattered repeat hit per three: the nearest valid
-        # predecessor is often not the parent, which is what exercises
-        # the kernel's speculate-and-verify rounds.
+        # predecessor is often not the parent.
         read = np.sort(rng.choice(9_000, size=n_true, replace=False))
         ref = 20_000 + read + np.cumsum(rng.integers(-3, 4, size=n_true))
         true_hits = np.stack([ref, read], axis=1)
@@ -355,43 +341,17 @@ def _rescore(cigar, a, b, match, mismatch, gap_open, gap_extend):
 _SCORINGS = [(2.0, -4.0, -4.0, -2.0), (1.0, -1.0, -6.0, -1.0), (3.0, -2.0, -1.0, -1.0)]
 
 
-def _one_lane(a, b, *scoring):
+def _one_lane(a, b, *scoring, free_ref_tail=False):
     """A one-lane fill in ``gotoh_scalar``'s call shape."""
-    (result,) = _fill_lanes([(a, b, False)], AlignmentConfig(*scoring))
+    (result,) = _fill_lanes([(a, b, free_ref_tail)], AlignmentConfig(*scoring))
     return result.score, result.cigar
 
 
-def _scalar(a, b, *scoring):
+def _scalar(a, b, *scoring, free_ref_tail=False):
     """``gotoh_scalar`` with its raw 'M' runs split into '='/'X', as
     the lane fill returns them."""
-    score, cigar = gotoh_scalar(a, b, *scoring)
+    score, cigar = gotoh_scalar(a, b, *scoring, free_ref_tail=free_ref_tail)
     return score, _classify_diagonals(cigar, a, b)
-
-
-def _scalar_global_lanes(fill, calls=None):
-    """A ``_fill_lanes`` that sends every global lane through
-    ``gotoh_scalar`` and only the free-tail lanes (extensions have no
-    scalar form) through ``fill``; counts the scalar calls in ``calls``."""
-
-    def scalar_fill(lanes, config):
-        scoring = (config.match, config.mismatch, config.gap_open, config.gap_extend)
-        free = [index for index, (_, _, free_ref_tail) in enumerate(lanes) if free_ref_tail]
-        results = dict(zip(free, fill([lanes[index] for index in free], config), strict=True))
-        for index, (ref, read, free_ref_tail) in enumerate(lanes):
-            if not free_ref_tail:
-                if calls is not None:
-                    calls["align"] += 1
-                results[index] = AlignmentResult(*_scalar(ref, read, *scoring))
-        return [results[index] for index in range(len(lanes))]
-
-    return scalar_fill
-
-
-def _forced_groups(kind):
-    """A ``_lane_groups`` that puts every lane alone or all in one group."""
-    if kind == "alone":
-        return lambda shapes, max_cells: [[index] for index in range(len(shapes))]
-    return lambda shapes, max_cells: [list(range(len(shapes)))] if shapes else []
 
 
 def _tie_heavy_pair(rng, kind, n, m):
@@ -411,15 +371,16 @@ _pair_kinds = st.sampled_from(["random", "mutated", "constant", "two-letter"])
 
 
 class TestAlignKernels:
-    # The ``wavefront`` ids are historical: the partners of
-    # ``gotoh_scalar`` are now the compiled fill and the row pipeline.
+    # The ``wavefront`` ids are historical: the partner of
+    # ``gotoh_scalar`` is now the compiled fill.
     def test_compiled_fill_is_what_runs(self):
-        """Where a C compiler exists, the ``native`` runs below check the
-        compiled fill (not the row pipeline twice) against the reference."""
+        """Where a C compiler exists the lane fill must be the compiled
+        one, or the ``native`` half of every comparison below would test
+        the scalar reference against itself."""
         require_native_gotoh()
         assert gotoh_backend() == "native"
-        with numpy_gotoh():
-            assert gotoh_backend() == "numpy"
+        with scalar_gotoh():
+            assert gotoh_backend() == "scalar"
 
     @pytest.mark.parametrize(
         "shape",
@@ -452,54 +413,22 @@ class TestAlignKernels:
         for scoring in _SCORINGS:
             assert _scalar(a, b, *scoring) == _one_lane(a, b, *scoring)
 
-    def test_align_chain_capped_segment_equivalence(self, reference, monkeypatch):
+    def test_align_chain_capped_segment_equivalence(self, reference):
         # A chain whose inter-anchor gap blows max_segment_cells takes
         # the D+I fallback, and the cap's own head and tail extensions
-        # (each over 100 cells) still fill as lanes alone; the stitched
-        # CIGAR is the same with the scalar reference on global lanes.
+        # (each over 100 cells) still fill as lanes; the stitched CIGAR
+        # is the same with the scalar reference on every lane.
         codes = reference.codes
         read = np.concatenate([codes[1_000:1_200], codes[9_000:9_200]])
         anchors = np.array([[1_000, 20], [9_000, 220]], dtype=np.int64)
         config = AlignmentConfig(max_segment_cells=100)
         a_w, lo_w, hi_w = align_chain(codes, read, anchors, 13, config)
-        monkeypatch.setattr(
-            alignment_module, "_fill_lanes", _scalar_global_lanes(alignment_module._fill_lanes)
-        )
-        a_s, lo_s, hi_s = align_chain(codes, read, anchors, 13, config)
+        with scalar_gotoh():
+            a_s, lo_s, hi_s = align_chain(codes, read, anchors, 13, config)
         assert (a_w.score, cigar_to_string(a_w.cigar)) == (a_s.score, cigar_to_string(a_s.cigar))
         assert (lo_w, hi_w) == (lo_s, hi_s)
         assert "D" in cigar_to_string(a_w.cigar) and "I" in cigar_to_string(a_w.cigar)
         assert a_w.read_consumed == read.size
-
-    @pytest.mark.parametrize("grouping", ["alone", "one-group"])
-    def test_align_chain_identical_across_lane_groupings(
-        self, index, reference, grouping, monkeypatch
-    ):
-        # Grouping is a speed choice: every lane alone, or the head, tail
-        # and every segment in one row pipeline, one result. The row
-        # pipeline is pinned: the compiled fill never reads the groups.
-        monkeypatch.setattr(alignment_module.align_kernels, "_native_gotoh", lambda: None)
-        rng = np.random.default_rng(205)
-        true = reference.codes[30_000:33_000]
-        read = apply_errors(true, 0.12, rng).codes
-        seeded = IncrementalChunkMapper(index, read_length=read.size)
-        seeded.add_chunk(read, 0)
-        chain, _ = seeded.chain_prefix()
-        assert chain.strand == 1
-        default = align_chain(reference.codes, read, chain.anchors, index.config.k)
-        monkeypatch.setattr(alignment_module, "_lane_groups", _forced_groups(grouping))
-        assert align_chain(reference.codes, read, chain.anchors, index.config.k) == default
-        assert {"X", "I", "D"} <= {op for op, _ in default[0].cigar}
-
-    def test_groups_bucket_by_row_power_of_two_within_the_cell_cap(self):
-        shapes = [(5, 40), (7, 3), (8, 8), (100, 90), (64, 64), (127, 10), (9, 9)]
-        groups = alignment_module._lane_groups(shapes, 10**9)
-        assert sorted(sum(groups, [])) == list(range(len(shapes)))
-        assert groups == [[0, 1], [2, 6], [3, 4, 5]]
-        # A cap of 100 padded cells: 5x40 is over it alone and stays
-        # alone, 7x3 starts the next group; 8x8 and 9x9 cannot share.
-        assert alignment_module._lane_groups(shapes, 100) == [[0], [1], [2], [6], [3], [4], [5]]
-        assert alignment_module._lane_groups([], 100) == []
 
     @pytest.mark.parametrize(
         "case", ["random-55x62", "mutated-58", "all-ambiguous-ties", "empty-vs-short"]
@@ -522,6 +451,8 @@ class TestAlignKernels:
         assert s_cigar == r_cigar
 
     def test_kernels_charge_cells(self, gotoh):
+        """Charged once on either path: ``gotoh_scalar`` charges its own
+        cells, the compiled call the same count."""
         rng = np.random.default_rng(204)
         a, b = _random_pair(rng, 40, 50)
         ledger = process_mapping_ops()
@@ -531,14 +462,11 @@ class TestAlignKernels:
         assert ledger.value("align-cell") - before == 2 * 40 * 50
 
     def test_lane_fill_charges_real_cells_never_padding(self, gotoh):
-        # The three ragged lanes (32-63 rows) share one row pipeline,
-        # padded to 60 x 70; the ledger charges each lane's n * m, and
+        # Three ragged lanes share one call, whose flag table is sized
+        # for the largest; the ledger charges each lane's n * m, and
         # nothing for an empty side.
         rng = np.random.default_rng(206)
         shapes = [(60, 10), (33, 70), (40, 40), (0, 9), (12, 0)]
-        assert alignment_module._lane_groups(shapes[:3], AlignmentConfig().max_segment_cells) == [
-            [0, 1, 2]
-        ]
         lanes = [(*_random_pair(rng, n, m), bool(k % 2)) for k, (n, m) in enumerate(shapes)]
         ledger = process_mapping_ops()
         before = ledger.value("align-cell")
@@ -560,12 +488,11 @@ class TestAlignKernels:
     )
     @settings(max_examples=120, deadline=None, suppress_health_check=_ONE_FILL_PER_TEST)
     def test_gotoh_fills_agree_on_score_and_cigar(self, kind, n, m, scoring, seed, gotoh):
-        """The Gotoh fills are one function: the compiled fill's flag
-        bytes and the row pipeline's pointer tables record exactly the
-        path the scalar reference's value-comparing traceback walks (E,
-        then V, then the diagonal; extend over open), so score *and*
-        CIGAR are equal -- and the CIGAR consumes both inputs and
-        re-scores to that score."""
+        """The compiled fill and the scalar reference are one function:
+        the fill's flag bytes record exactly the path the reference's
+        value-comparing traceback walks (E, then V, then the diagonal;
+        extend over open), so score *and* CIGAR are equal -- and the
+        CIGAR consumes both inputs and re-scores to that score."""
         a, b = _tie_heavy_pair(np.random.default_rng(seed), kind, n, m)
         score, cigar = gotoh_scalar(a, b, *scoring)
         assert _one_lane(a, b, *scoring) == (score, _classify_diagonals(cigar, a, b))
@@ -579,16 +506,64 @@ class TestAlignKernels:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=80, deadline=None, suppress_health_check=_ONE_FILL_PER_TEST)
-    def test_free_ref_tail_extension_is_scalar_on_consumed_prefix(
+    def test_free_ref_tail_extension_is_the_scalar_extension(
         self, kind, n, m, scoring, seed, gotoh
     ):
-        """A head/tail extension stops at the best row of the last
-        column; up to there it is the global alignment of the reference
-        prefix it consumed."""
+        """A head/tail extension stops on the first best row of the last
+        column, in the compiled fill as in ``gotoh_scalar`` with
+        ``free_ref_tail``: the same score and CIGAR, and up to that row
+        it is the global alignment of the reference prefix it consumed."""
         a, b = _tie_heavy_pair(np.random.default_rng(seed), kind, n, m)
-        (extension,) = _fill_lanes([(a, b, True)], AlignmentConfig(*scoring))
-        consumed = sum(length for op, length in extension.cigar if op in "=XD")
-        assert (extension.score, extension.cigar) == _scalar(a[:consumed], b, *scoring)
+        extension = _scalar(a, b, *scoring, free_ref_tail=True)
+        assert _one_lane(a, b, *scoring, free_ref_tail=True) == extension
+        consumed = sum(length for op, length in extension[1] if op in "=XD")
+        assert extension == _scalar(a[:consumed], b, *scoring)
+
+    def test_free_ref_tail_tie_ends_on_the_first_best_row(self, gotoh):
+        """Read ``AC`` against reference ``AGC``: H's last column is
+        ``[-8, -4, -2, -2]``, so rows 2 (``1=1X``) and 3 (``1=1D1=``)
+        tie. The extension ends on the first, in the reference and in
+        the lane fill."""
+        ref = np.array([0, 2, 1], dtype=np.uint8)
+        read = np.array([0, 1], dtype=np.uint8)
+        scoring = _SCORINGS[0]
+        assert gotoh_scalar(ref, read, *scoring, free_ref_tail=True) == (-2.0, (("M", 2),))
+        assert gotoh_scalar(ref, read, *scoring) == (-2.0, (("M", 1), ("D", 1), ("M", 1)))
+        expected = (-2.0, (("=", 1), ("X", 1)))
+        assert _one_lane(ref, read, *scoring, free_ref_tail=True) == expected
+
+    @pytest.mark.parametrize("kind", ["random", "mutated", "constant", "two-letter"])
+    def test_free_ref_tail_scalar_is_the_first_best_prefix(self, kind):
+        """``gotoh_scalar`` with ``free_ref_tail`` scores the best global
+        alignment of the read against any reference prefix, and consumes
+        the shortest prefix reaching that score: checked against one
+        global reference call per prefix, on every scoring."""
+        rng = np.random.default_rng(210)
+        for scoring in _SCORINGS:
+            for _ in range(4):
+                n, m = int(rng.integers(1, 30)), int(rng.integers(1, 20))
+                a, b = _tie_heavy_pair(rng, kind, n, m)
+                prefix_scores = [gotoh_scalar(a[:i], b, *scoring)[0] for i in range(n + 1)]
+                best = max(prefix_scores)
+                score, cigar = gotoh_scalar(a, b, *scoring, free_ref_tail=True)
+                consumed = sum(length for op, length in cigar if op in "MD")
+                assert score == best
+                assert consumed == prefix_scores.index(best)
+
+    @pytest.mark.parametrize("side", ["empty-read", "empty-ref"])
+    def test_free_ref_tail_with_an_empty_side(self, side):
+        """An empty read consumes no reference (score 0, empty CIGAR),
+        where the global alignment deletes all of it; an empty reference
+        leaves the read as one insertion either way. The lane fill gives
+        the reference's result."""
+        rng = np.random.default_rng(211)
+        a, b = _random_pair(rng, 12, 0) if side == "empty-read" else _random_pair(rng, 0, 9)
+        scoring = _SCORINGS[0]
+        expected = (0.0, ()) if side == "empty-read" else gotoh_scalar(a, b, *scoring)
+        assert gotoh_scalar(a, b, *scoring, free_ref_tail=True) == expected
+        assert _one_lane(a, b, *scoring, free_ref_tail=True) == _scalar(
+            a, b, *scoring, free_ref_tail=True
+        )
 
     @given(
         lanes=st.lists(
@@ -603,8 +578,7 @@ class TestAlignKernels:
     def test_every_lane_is_scalar_on_its_pair(self, lanes, scoring, seed, gotoh):
         """1-8 ragged lanes in one call -- tie-heavy kinds, empty sides,
         global and free-tail lanes mixed: each lane equals
-        ``gotoh_scalar`` on its pair, a free-tail lane on the reference
-        prefix it consumed."""
+        ``gotoh_scalar`` on its pair, with its ``free_ref_tail``."""
         rng = np.random.default_rng(seed)
         drawn = [
             (*_tie_heavy_pair(rng, kind if n else "random", n, m), free_ref_tail)
@@ -612,10 +586,7 @@ class TestAlignKernels:
         ]
         results = _fill_lanes(drawn, AlignmentConfig(*scoring))
         for (a, b, free_ref_tail), result in zip(drawn, results, strict=True):
-            consumed = a.size
-            if free_ref_tail:
-                consumed = sum(length for op, length in result.cigar if op in "=XD")
-            assert (result.score, result.cigar) == _scalar(a[:consumed], b, *scoring)
+            assert (result.score, result.cigar) == _scalar(a, b, *scoring, free_ref_tail=free_ref_tail)
 
     def test_many_mixed_lanes_in_one_call(self, gotoh):
         """300 lanes in one call: ragged shapes up to 130 x 90, tie-heavy
@@ -633,10 +604,7 @@ class TestAlignKernels:
         results = _fill_lanes(drawn, AlignmentConfig(*scoring))
         assert results == [_fill_lanes([lane], AlignmentConfig(*scoring))[0] for lane in drawn]
         for (a, b, free_ref_tail), result in zip(drawn, results, strict=True):
-            consumed = a.size
-            if free_ref_tail:
-                consumed = sum(length for op, length in result.cigar if op in "=XD")
-            assert (result.score, result.cigar) == _scalar(a[:consumed], b, *scoring)
+            assert (result.score, result.cigar) == _scalar(a, b, *scoring, free_ref_tail=free_ref_tail)
 
     @given(
         lanes=st.lists(
@@ -646,18 +614,49 @@ class TestAlignKernels:
         ),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_lane_result_independent_of_lane_mates(self, lanes, seed):
-        """Filled alone or in one row pipeline with any mates (so padded
-        to the tallest and widest of them), a lane's score and CIGAR are
-        the same."""
+    @settings(max_examples=40, deadline=None, suppress_health_check=_ONE_FILL_PER_TEST)
+    def test_lane_result_independent_of_lane_mates(self, lanes, seed, gotoh):
+        """Filled alone or in one call with any mates (which share its
+        packed codes and run buffers), a lane's score and CIGAR are the
+        same."""
         rng = np.random.default_rng(seed)
         drawn = [
             (*_tie_heavy_pair(rng, kind, n, m), free_ref_tail) for kind, n, m, free_ref_tail in lanes
         ]
         config = AlignmentConfig()
-        together = alignment_module._fill_group(drawn, config)
-        assert together == [alignment_module._fill_group([lane], config)[0] for lane in drawn]
+        together = _fill_lanes(drawn, config)
+        assert together == [_fill_lanes([lane], config)[0] for lane in drawn]
+
+    def test_align_chain_identical_when_each_lane_is_filled_alone(
+        self, index, reference, monkeypatch, gotoh
+    ):
+        """``align_chain`` fills the head, the tail and every segment of
+        a mapped read in one ``_fill_lanes`` call; one call per lane
+        gives the same alignment."""
+        rng = np.random.default_rng(205)
+        true = reference.codes[30_000:33_000]
+        read = apply_errors(true, 0.12, rng).codes
+        seeded = IncrementalChunkMapper(index, read_length=read.size)
+        seeded.add_chunk(read, 0)
+        chain, _ = seeded.chain_prefix()
+        assert chain.strand == 1
+        calls = []
+        fill = alignment_module._fill_lanes
+
+        def counted(lanes, config):
+            calls.append(len(lanes))
+            return fill(lanes, config)
+
+        monkeypatch.setattr(alignment_module, "_fill_lanes", counted)
+        together = align_chain(reference.codes, read, chain.anchors, index.config.k)
+        assert len(calls) == 1 and calls[0] > 2
+
+        def alone(lanes, config):
+            return [fill([lane], config)[0] for lane in lanes]
+
+        monkeypatch.setattr(alignment_module, "_fill_lanes", alone)
+        assert align_chain(reference.codes, read, chain.anchors, index.config.k) == together
+        assert {"X", "I", "D"} <= {op for op, _ in together[0].cigar}
 
 
 class TestSeedKernels:
@@ -840,7 +839,9 @@ class TestMapperIntegration:
             reads.append(alphabet.decode(apply_errors(true, 0.1, rng).codes))
         fast = [mapper.map_read(read, f"r{trial}") for trial, read in enumerate(reads)]
 
-        # The scalar plane: each production call site runs its reference.
+        # The scalar plane: seeding's call site runs its reference, and
+        # the chain DP and the lane fill fall back to theirs, as they do
+        # without a compiler.
         calls = dict.fromkeys(("seed", "chain", "align"), 0)
 
         def counted(stage, reference_kernel):
@@ -853,14 +854,12 @@ class TestMapperIntegration:
         monkeypatch.setattr(
             seeding_module, "seed_anchors_batched", counted("seed", seed_anchors_scalar)
         )
+        monkeypatch.setattr(chain_kernels, "_native_chain", lambda: None)
         monkeypatch.setattr(
-            chaining_module, "chain_scores_blocked", counted("chain", chain_scores_scalar)
+            chain_kernels, "chain_scores_scalar", counted("chain", chain_scores_scalar)
         )
-        # Alignment: every global lane through the scalar loop
-        # (extensions have no scalar form).
-        monkeypatch.setattr(
-            alignment_module, "_fill_lanes", _scalar_global_lanes(alignment_module._fill_lanes, calls)
-        )
+        monkeypatch.setattr(align_kernels, "_native_gotoh", lambda: None)
+        monkeypatch.setattr(alignment_module, "gotoh_scalar", counted("align", gotoh_scalar))
         slow = [mapper.map_read(read, f"r{trial}") for trial, read in enumerate(reads)]
         assert all(calls.values()), calls
         assert fast == slow
@@ -969,6 +968,29 @@ class TestOpsAccounting:
         ratio = est_ops.breakdown["map"] / est_plain.breakdown["map"]
         assert 0.1 < ratio < 10.0
 
+    def test_ledger_is_the_same_on_the_scalar_fallbacks(self, monkeypatch):
+        """``kernels.chain_candidates`` and ``kernels.align_cells`` of an
+        aligned run: the compiled kernels charge the ledger once per
+        call, the scalar references once per call and lane, and the
+        totals are equal (so is the report)."""
+        dataset = generate_dataset(
+            small_profile(ECOLI_LIKE, max_read_length=2_000), scale=0.0002, seed=31
+        )
+        system = GenPIP(MinimizerIndex.build(dataset.reference), GenPIPConfig(), align=True)
+        ledger = process_mapping_ops()
+
+        def charged_run():
+            before = ledger.by_key()
+            report = system.run(dataset)
+            delta = {kind: ops - before.get(kind, 0) for kind, ops in ledger.by_key().items()}
+            return report.outcomes, delta
+
+        outcomes, compiled = charged_run()
+        monkeypatch.setattr(chain_kernels, "_native_chain", lambda: None)
+        monkeypatch.setattr(align_kernels, "_native_gotoh", lambda: None)
+        assert charged_run() == (outcomes, compiled)
+        assert compiled["chain-candidate"] > 0 and compiled["align-cell"] > 0
+
     def test_mapping_ops_global_helper(self):
         before = mapping_ops()
         gotoh_scalar(
@@ -1056,3 +1078,55 @@ class TestNoKernelIsSelectedByName:
             if isinstance(target, ast.Name) and target.id.endswith("_CELLS")
         ]
         assert thresholds == []
+
+    def test_one_fallback_per_mapping_kernel(self):
+        """The chain DP and the Gotoh lane fill each have one fallback,
+        their scalar reference: no module under ``src/repro`` defines a
+        name of the deleted numpy folds, and ``chain_scores`` and
+        ``_fill_lanes`` each branch once on a compiled kernel that did
+        not load, into a call of their reference."""
+        deleted = {"_fold_blocked", "_combine_rows", "_fill_group", "_lane_groups", "_SPEC_ROUNDS"}
+        root = Path(repro.__file__).parent
+        defined = []
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign | ast.AnnAssign | ast.AugAssign):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [target.id for target in targets if isinstance(target, ast.Name)]
+                else:
+                    continue
+                module = path.relative_to(root).as_posix()
+                defined.extend((module, node.lineno, name) for name in names if name in deleted)
+        assert not defined, defined
+
+        def is_none_test(test):
+            return (
+                isinstance(test, ast.Compare)
+                and [type(op) for op in test.ops] == [ast.Is]
+                and isinstance(test.comparators[0], ast.Constant)
+                and test.comparators[0].value is None
+            )
+
+        def called(node):
+            return {
+                ast.unparse(call.func).rpartition(".")[2]
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+            }
+
+        for module, function, reference, helpers in (
+            (chain_kernels, "chain_scores", "chain_scores_scalar", set()),
+            (alignment_module, "_fill_lanes", "gotoh_scalar", {"AlignmentResult", "_classify_diagonals"}),
+        ):
+            tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+            (body,) = [
+                node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function
+            ]
+            fallbacks = [
+                node for node in ast.walk(body) if isinstance(node, ast.If) and is_none_test(node.test)
+            ]
+            assert len(fallbacks) == 1, (function, [node.lineno for node in fallbacks])
+            assert reference in called(fallbacks[0]), function
+            assert called(fallbacks[0]) <= {reference, *helpers}, (function, called(fallbacks[0]))

@@ -3,11 +3,13 @@
 :mod:`repro.kernels.native` builds ``trellis.c`` (the Viterbi trellis),
 ``gotoh.c`` (the Gotoh lane fill) and ``chain.c`` (the chain DP) on
 first use and caches each shared object; any failure must leave the
-numpy fold running. Each fault below -- no compiler, a compiler that
-fails, a package cache that cannot be written, a per-user cache that is
-not private, a truncated library in the cache, two processes building a
-cold cache at once -- is run for all three kernels and must give the
-fold's bytes, raise nothing and leave no temp file behind. A surrogate
+kernel's fallback running: ``chain_scores_scalar`` for the chain DP,
+``gotoh_scalar`` for the Gotoh fill, the numpy fold for the trellis.
+Each fault below -- no compiler, a compiler that fails, a package cache
+that cannot be written, a per-user cache that is not private, a
+truncated library in the cache, two processes building a cold cache at
+once -- is run for all three kernels and must give the fallback's
+bytes, raise nothing and leave no temp file behind. A surrogate
 CLI run must build the chain DP alone (the trellis would only add
 start-up time), a run without ``--align`` never the Gotoh fill, and the
 summary line names the chain DP that chained, the trellis that decoded
@@ -27,14 +29,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import numpy_chain, numpy_gotoh, numpy_trellis
+from conftest import numpy_trellis, scalar_chain, scalar_gotoh
 
 import repro.kernels.align as align_kernels
 import repro.kernels.chain as chain_kernels
 import repro.kernels.native as native
 import repro.kernels.viterbi as viterbi_kernels
 from repro.kernels import (
-    chain_scores_blocked,
+    chain_scores,
     move_predecessors,
     viterbi_forward,
     viterbi_traceback,
@@ -44,7 +46,7 @@ from repro.runtime.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: A build needs a compiler; where there is none, the fold-only tests
+#: A build needs a compiler; where there is none, the fallback-only tests
 #: here still run (and ``conftest.require_native_*`` reports it).
 needs_compiler = pytest.mark.skipif(native._compiler() is None, reason="no C compiler")
 
@@ -80,7 +82,7 @@ elif kernel == "chain":
     ref = np.sort(rng.integers(0, 20_000, 400))
     anchors = np.stack([ref, np.maximum(0, ref + rng.integers(-40, 40, 400))], axis=1)
     anchors = anchors[np.lexsort((anchors[:, 1], anchors[:, 0]))]
-    scores, parents = ck.chain_scores_blocked(anchors, 13, 5_000, 50)
+    scores, parents = ck.chain_scores(anchors, 13, 5_000, 50)
     print(ck.chain_backend(), hashlib.sha256(scores.tobytes() + parents.tobytes()).hexdigest())
 else:
     import repro.kernels.align as ak
@@ -124,33 +126,37 @@ def _chain() -> str:
     ref = np.sort(rng.integers(0, 20_000, 400))
     anchors = np.stack([ref, np.maximum(0, ref + rng.integers(-40, 40, 400))], axis=1)
     anchors = anchors[np.lexsort((anchors[:, 1], anchors[:, 0]))]
-    scores, parents = chain_scores_blocked(anchors, 13, 5_000, 50)
+    scores, parents = chain_scores(anchors, 13, 5_000, 50)
     return hashlib.sha256(scores.tobytes() + parents.tobytes()).hexdigest()
 
 
 @dataclass(frozen=True)
 class Kernel:
     """One compiled kernel: its source name, a run giving the digest of
-    its outputs, the cached resolver, which backend runs, and a context
-    manager forcing its fold."""
+    its outputs, the cached resolver, which backend runs, a context
+    manager forcing its fallback, and the name the backend reports for
+    that fallback."""
 
     name: str
     run: Callable[[], str]
     resolver: Callable
     backend: Callable[[], str]
-    fold: Callable
+    fallback: Callable
+    fallback_name: str
 
 
 KERNELS = {
     "trellis": Kernel(
         "trellis", _decode, viterbi_kernels._native_trellis, viterbi_kernels.trellis_backend,
-        numpy_trellis,
+        numpy_trellis, "numpy",
     ),
     "gotoh": Kernel(
-        "gotoh", _align, align_kernels._native_gotoh, align_kernels.gotoh_backend, numpy_gotoh
+        "gotoh", _align, align_kernels._native_gotoh, align_kernels.gotoh_backend, scalar_gotoh,
+        "scalar",
     ),
     "chain": Kernel(
-        "chain", _chain, chain_kernels._native_chain, chain_kernels.chain_backend, numpy_chain
+        "chain", _chain, chain_kernels._native_chain, chain_kernels.chain_backend, scalar_chain,
+        "scalar",
     ),
 }  # fmt: skip
 
@@ -161,17 +167,17 @@ def kernel(request) -> Kernel:
 
 
 @pytest.fixture(scope="module")
-def fold_digests() -> dict[str, str]:
+def fallback_digests() -> dict[str, str]:
     digests = {}
     for name, spec in KERNELS.items():
-        with spec.fold():
+        with spec.fallback():
             digests[name] = spec.run()
     return digests
 
 
 @pytest.fixture
-def fold_digest(kernel, fold_digests) -> str:
-    return fold_digests[kernel.name]
+def fallback_digest(kernel, fallback_digests) -> str:
+    return fallback_digests[kernel.name]
 
 
 @pytest.fixture
@@ -202,40 +208,42 @@ def _temp_files(*directories: Path) -> list[Path]:
 
 
 @needs_compiler
-def test_cold_cache_builds_into_the_package_cache(kernel, cache, fold_digest):
+def test_cold_cache_builds_into_the_package_cache(kernel, cache, fallback_digest):
     package, user = cache
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert kernel.run() == fold_digest
+        assert kernel.run() == fallback_digest
     assert kernel.backend() == "native"
     assert [p.suffix for p in _files(package)] == [".so"]
     assert not user.exists()
 
 
-def test_missing_compiler_runs_the_fold_silently(kernel, cache, monkeypatch, fold_digest):
+def test_missing_compiler_runs_the_fallback_silently(kernel, cache, monkeypatch, fallback_digest):
     monkeypatch.setattr(native.shutil, "which", lambda _name: None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert kernel.run() == fold_digest
-    assert kernel.backend() == "numpy"
+        assert kernel.run() == fallback_digest
+    assert kernel.backend() == kernel.fallback_name
     assert _files(*cache) == []
 
 
-def test_failing_compiler_warns_once_and_runs_the_fold(kernel, cache, monkeypatch, fold_digest):
+def test_failing_compiler_warns_once_and_runs_the_fallback(
+    kernel, cache, monkeypatch, fallback_digest
+):
     failing = [sys.executable, "-c", "import sys; sys.exit('cc: injected failure')"]
     monkeypatch.setattr(native, "_compiler", lambda: failing)
     with pytest.warns(RuntimeWarning, match="injected failure") as record:
-        assert kernel.run() == fold_digest
-        assert kernel.run() == fold_digest  # resolved once: no second build, no second warning
+        assert kernel.run() == fallback_digest
+        assert kernel.run() == fallback_digest  # resolved once: no second build, no second warning
     assert len(record) == 1
-    assert kernel.backend() == "numpy"
+    assert kernel.backend() == kernel.fallback_name
     assert not [p for p in _files(*cache) if p.suffix == ".so"]
     assert _temp_files(*cache) == []
 
 
 @needs_compiler
 def test_unwritable_package_cache_falls_back_to_a_private_user_cache(
-    kernel, cache, monkeypatch, tmp_path, fold_digest
+    kernel, cache, monkeypatch, tmp_path, fallback_digest
 ):
     """The package cache cannot be created (a file stands where its parent
     directory should be, which stops root too, unlike permission bits):
@@ -246,7 +254,7 @@ def test_unwritable_package_cache_falls_back_to_a_private_user_cache(
     _, user = cache
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert kernel.run() == fold_digest
+        assert kernel.run() == fallback_digest
     assert kernel.backend() == "native"
     assert [p.suffix for p in _files(user)] == [".so"]
     assert user.stat().st_mode & 0o777 == 0o700
@@ -254,10 +262,10 @@ def test_unwritable_package_cache_falls_back_to_a_private_user_cache(
 
 
 @needs_compiler
-def test_user_cache_that_is_not_private_is_never_used(kernel, cache, monkeypatch, tmp_path, fold_digest):
+def test_user_cache_that_is_not_private_is_never_used(kernel, cache, monkeypatch, tmp_path, fallback_digest):
     """A per-user directory that is not private (here: world-writable) is
-    never loaded from or built into; with no usable directory the fold
-    runs, with a warning."""
+    never loaded from or built into; with no usable directory the
+    fallback runs, with a warning."""
     blocker = tmp_path / "read-only"
     blocker.write_text("")
     monkeypatch.setattr(native, "_PACKAGE_CACHE", blocker / "__pycache__")
@@ -265,13 +273,13 @@ def test_user_cache_that_is_not_private_is_never_used(kernel, cache, monkeypatch
     user.mkdir(mode=0o777)
     user.chmod(0o777)
     with pytest.warns(RuntimeWarning, match="no writable cache directory"):
-        assert kernel.run() == fold_digest
-    assert kernel.backend() == "numpy"
+        assert kernel.run() == fallback_digest
+    assert kernel.backend() == kernel.fallback_name
     assert _files(user) == []
 
 
 @needs_compiler
-def test_truncated_library_in_the_cache_is_rebuilt(kernel, cache, tmp_path, monkeypatch, fold_digest):
+def test_truncated_library_in_the_cache_is_rebuilt(kernel, cache, tmp_path, monkeypatch, fallback_digest):
     """A truncated ``.so`` under the right name (an interrupted copy, a
     full disk) fails to load and is rebuilt in place. It is planted in a
     directory this process never loaded from: the dynamic loader
@@ -285,17 +293,17 @@ def test_truncated_library_in_the_cache_is_rebuilt(kernel, cache, tmp_path, monk
     monkeypatch.setattr(native, "_PACKAGE_CACHE", planted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert kernel.run() == fold_digest
+        assert kernel.run() == fallback_digest
     assert kernel.backend() == "native"
     assert (planted / built.name).stat().st_size == built.stat().st_size
     assert _temp_files(planted) == []
 
 
 @needs_compiler
-def test_two_processes_build_a_cold_cache_at_once(kernel, tmp_path, fold_digest):
+def test_two_processes_build_a_cold_cache_at_once(kernel, tmp_path, fallback_digest):
     """Both wait on one flag file, then resolve the same empty cache:
     each builds to its own temp name and ``os.replace``s it in, so each
-    loads a whole library and gives the fold's bytes."""
+    loads a whole library and gives the fallback's bytes."""
     cache, go = tmp_path / "shared", tmp_path / "go"
     procs = [
         subprocess.Popen(
@@ -314,7 +322,7 @@ def test_two_processes_build_a_cold_cache_at_once(kernel, tmp_path, fold_digest)
                 proc.communicate()
     for proc, (out, err) in zip(procs, results, strict=True):
         assert proc.returncode == 0, err
-        assert out.split() == ["native", fold_digest]
+        assert out.split() == ["native", fallback_digest]
         assert "Warning" not in err, err
     assert [p.suffix for p in _files(cache)] == [".so"]
 

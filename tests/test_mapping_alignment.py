@@ -154,8 +154,8 @@ class TestAlignGlobal:
         [([65536, 1, 2], [0, 1, 2]), ([0, 1, 2], [0, 4, 2]), ([0, -1], [0, 3])],
     )
     def test_codes_outside_the_2_bit_alphabet_rejected(self, ref, read, gotoh):
-        # The row pipeline compared codes as int16: 65536 wrapped to 0
-        # and scored as a match where its own CIGAR said 1X.
+        # A numpy fill (since deleted) compared codes as int16: 65536
+        # wrapped to 0 and scored as a match where its own CIGAR said 1X.
         with pytest.raises(ValueError, match="2-bit"):
             align_global(np.array(ref), np.array(read), CFG)
 
