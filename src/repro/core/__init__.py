@@ -10,8 +10,10 @@ level (the hardware cost models live in :mod:`repro.hardware` /
   ``N_qs=5, N_cm=3``; Sec. 6.3).
 * :mod:`repro.core.early_rejection` -- QSR (Algorithm 1) and CMR.
 * :mod:`repro.core.pipeline` -- the chunk-based pipeline: basecall ->
-  CQS -> seed -> chain per chunk, with ER interleaved, then final
-  chaining + alignment; plus the conventional pipeline for comparison.
+  CQS -> seed -> chain per early-rejection stage, with ER interleaved,
+  then final chaining + alignment. The conventional pipeline it is
+  compared with is the same class under
+  :meth:`GenPIPConfig.conventional` (every ER technique off).
 * :mod:`repro.core.genpip` -- the :class:`GenPIP` system facade and the
   dataset-level report consumed by the performance model and the
   experiments.
@@ -47,7 +49,6 @@ from repro.core.early_rejection import (
 )
 from repro.core.genpip import GenPIP, GenPIPReport
 from repro.core.pipeline import (
-    ConventionalPipeline,
     GenPIPPipeline,
     ReadOutcome,
     ReadStatus,
@@ -75,7 +76,6 @@ __all__ = [
     "CMRPolicy",
     "qsr_sample_indices",
     "GenPIPPipeline",
-    "ConventionalPipeline",
     "ReadOutcome",
     "ReadStatus",
     "GenPIP",

@@ -15,12 +15,15 @@ Both engines are fed once per stage, not once per chunk: the basecaller
 decodes the QSR sample, the CMR merge set and the remainder in one call
 each, and the mapper seeds the merge set, then the remainder.
 
-The :class:`ConventionalPipeline` (basecall everything -> read-level QC
--> map) is provided for equivalence testing and as the software baseline
-of the evaluation. With ER disabled, the chunk-based pipeline produces
-*identical* results to the conventional one -- the paper's "negligible
+The conventional pipeline (basecall everything -> read-level QC -> map),
+the software baseline of the evaluation, is :class:`GenPIPPipeline` with
+:meth:`GenPIPConfig.conventional` -- every ER technique off, which is
+what ``variant_config(config, "conventional")`` builds. The chunk-based
+pipeline with ER off performs exactly the computation of
+basecall-everything-then-map (identical basecalls by chunk determinism;
+identical anchors by the seeding overlap) -- the paper's "negligible
 accuracy loss" claim, which ``tests/test_core_pipeline.py`` checks
-exactly.
+exactly. Only the performance model times the two differently.
 
 Timing is *not* modelled here: this module decides what work happens;
 :mod:`repro.perf` decides how long that work takes on each system.
@@ -109,11 +112,6 @@ class ReadOutcome:
             ReadStatus.REJECTED_QSR,
             ReadStatus.REJECTED_CMR,
         )
-
-    @property
-    def basecall_fraction(self) -> float:
-        """Fraction of the read's chunks that were actually basecalled."""
-        return self.n_chunks_basecalled / max(self.n_chunks_total, 1)
 
 
 @dataclass(eq=False)
@@ -316,23 +314,3 @@ class GenPIPPipeline:
         overlap = self.index.config.k + self.index.config.w - 2
         start = max(seeded_bases - overlap, 0)
         chunk_mapper.add_chunk(prefix_codes[start:], read_offset=start)
-
-
-class ConventionalPipeline(GenPIPPipeline):
-    """The decoupled software pipeline: basecall -> RQC -> map.
-
-    This is what Systems ``CPU`` / ``GPU`` of the evaluation run; it
-    produces the same :class:`ReadOutcome` records so the performance
-    model and the experiments can treat all pipelines uniformly.
-
-    Conventional processing == chunk pipeline with ER disabled. The
-    chunk-based pipeline with ER off performs exactly the same
-    computation as basecall-everything-then-map (identical basecalls by
-    chunk determinism; identical anchors by the seeding overlap), so the
-    conventional pipeline *is* that configuration -- only the
-    performance model treats their timing differently.
-    """
-
-    def __post_init__(self) -> None:
-        self.config = (self.config or GenPIPConfig()).conventional()
-        super().__post_init__()

@@ -34,7 +34,9 @@ class AccuracyResult:
     retained_same_locus: int
     #: ...of which GenPIP maps somewhere else (should be ~0).
     retained_other_locus: int
-    #: ...of which ER rejected (the accuracy loss).
+    #: ...of which GenPIP does not map (the accuracy loss). CP alone
+    #: loses no read (point 1 of the module docstring), so every loss
+    #: is an ER loss.
     lost_to_er: int
     #: Mean true quality of the lost reads (low => losses are marginal).
     lost_mean_quality: float
@@ -96,9 +98,6 @@ def run_accuracy(
                 same += 1
             else:
                 other += 1
-        elif gen.rejected_early:
-            lost += 1
-            lost_qualities.append(truth[read_id].mean_true_quality)
         else:
             lost += 1
             lost_qualities.append(truth[read_id].mean_true_quality)

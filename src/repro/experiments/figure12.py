@@ -1,8 +1,10 @@
 """Figure 12: ER-QSR sensitivity to the number of sampled chunks.
 
-For ``N_qs`` in 2..6, every read's QSR decision is evaluated directly
-(basecall the sampled chunks, average, threshold) and scored against
-the ground truth of the *fully basecalled* read:
+For ``N_qs`` in 2..6, every read the pipeline screens (at least
+``min_chunks_for_er`` chunks) gets the QSR decision
+:class:`~repro.core.pipeline.GenPIPPipeline` would make (basecall the
+sampled chunks, average, threshold), scored against the ground truth
+of the *fully basecalled* read:
 
 * **rejection ratio** = rejected reads / all reads;
 * **false-negative ratio** = rejected reads whose full-read AQS is
@@ -12,12 +14,14 @@ the ground truth of the *fully basecalled* read:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.basecalling import SurrogateBasecaller
-from repro.core.early_rejection import QSRPolicy
+from repro.core.config import GenPIPConfig
+from repro.core.early_rejection import QSRDecision, QSRPolicy
 from repro.experiments import paper_values
 from repro.experiments.context import get_context
+from repro.nanopore.read_simulator import SimulatedRead
 
 
 @dataclass(frozen=True)
@@ -59,6 +63,25 @@ class Figure12Result:
         return "\n".join(lines)
 
 
+def qsr_decisions(reads: list[SimulatedRead], config: GenPIPConfig) -> dict[str, QSRDecision]:
+    """The QSR decision of every read the pipeline screens under ``config``.
+
+    The same computation as stage 1 of ``GenPIPPipeline.process_read``
+    with the surrogate basecaller. Reads shorter than
+    ``min_chunks_for_er`` chunks are not screened and have no entry.
+    """
+    caller = SurrogateBasecaller()
+    policy = QSRPolicy(theta_qs=config.theta_qs, n_qs=config.n_qs)
+    decisions = {}
+    for read in reads:
+        n_chunks = caller.n_chunks(read, config.chunk_size)
+        if n_chunks < config.min_chunks_for_er:
+            continue
+        sampled = caller.basecall_chunks(read, policy.sample_indices(n_chunks), config.chunk_size)
+        decisions[read.read_id] = policy.decide(sampled)
+    return decisions
+
+
 def run_figure12(
     n_qs_values: tuple[int, ...] = (2, 3, 4, 5, 6),
     datasets: tuple[str, ...] = ("ecoli-like", "human-like"),
@@ -73,6 +96,7 @@ def run_figure12(
     for name in datasets:
         context = get_context(name, scale=scale, seed=seed)
         reads = context.dataset.reads
+        config = replace(context.base_config(chunk_size), theta_qs=theta_qs)
         # Ground truth AQS of the fully basecalled read (computed once).
         full_aqs = {
             read.read_id: caller.basecall_read(read, chunk_size).mean_quality
@@ -80,21 +104,14 @@ def run_figure12(
         }
         points = []
         for n_qs in n_qs_values:
-            policy = QSRPolicy(theta_qs=theta_qs, n_qs=n_qs)
-            rejected = 0
-            false_negative = 0
-            for read in reads:
-                n_chunks = caller.n_chunks(read, chunk_size)
-                sampled = caller.basecall_chunks(read, policy.sample_indices(n_chunks), chunk_size)
-                if policy.decide(sampled).reject:
-                    rejected += 1
-                    if full_aqs[read.read_id] >= theta_qs:
-                        false_negative += 1
+            decisions = qsr_decisions(reads, replace(config, n_qs=n_qs))
+            rejected = [read_id for read_id, d in decisions.items() if d.reject]
+            false_negative = sum(full_aqs[read_id] >= theta_qs for read_id in rejected)
             points.append(
                 SensitivityPoint(
                     n_samples=n_qs,
-                    rejection_ratio=rejected / len(reads),
-                    false_negative_ratio=false_negative / rejected if rejected else 0.0,
+                    rejection_ratio=len(rejected) / len(reads),
+                    false_negative_ratio=false_negative / len(rejected) if rejected else 0.0,
                 )
             )
         sweeps[name] = points

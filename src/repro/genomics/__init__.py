@@ -1,12 +1,12 @@
-"""Genomics primitives: alphabets, sequences, quality scores, mutation.
+"""Genomics primitives: alphabet, quality scores, references, mutation.
 
-This subpackage provides the foundational data types that every other part
-of the GenPIP reproduction builds on:
+This subpackage provides the foundations every other part of the GenPIP
+reproduction builds on. Bases travel between them as ``uint8`` arrays of
+2-bit codes (``A=0, C=1, G=2, T=3``), the form GenPIP's units pass to
+each other; strings appear only at the edges (reports, examples).
 
 * :mod:`repro.genomics.alphabet` -- the DNA alphabet, 2-bit encoding,
-  reverse complement, and k-mer arithmetic.
-* :mod:`repro.genomics.sequence` -- an immutable :class:`Sequence` value
-  type.
+  reverse complement, and k-mer packing.
 * :mod:`repro.genomics.quality` -- Phred quality-score math (the genome
   analysis pipeline's read quality control operates on these scores).
 * :mod:`repro.genomics.reference` -- reference genome generation and
@@ -20,10 +20,7 @@ from repro.genomics.alphabet import (
     CODE_TO_BASE,
     decode,
     encode,
-    int_to_kmer,
-    is_valid_dna,
     kmer_to_int,
-    random_bases,
     reverse_complement,
 )
 from repro.genomics.mutate import ErrorProfile, MutationResult, apply_errors
@@ -34,7 +31,6 @@ from repro.genomics.quality import (
     phred_to_error_prob,
 )
 from repro.genomics.reference import ReferenceGenome
-from repro.genomics.sequence import Sequence
 
 __all__ = [
     "BASES",
@@ -42,15 +38,11 @@ __all__ = [
     "decode",
     "encode",
     "kmer_to_int",
-    "int_to_kmer",
-    "random_bases",
     "reverse_complement",
-    "is_valid_dna",
     "error_prob_to_phred",
     "mean_quality",
     "effective_quality",
     "phred_to_error_prob",
-    "Sequence",
     "ReferenceGenome",
     "ErrorProfile",
     "MutationResult",

@@ -63,19 +63,6 @@ def decode(codes: np.ndarray) -> str:
     return CODE_TO_BASE[codes].tobytes().decode("ascii")
 
 
-def is_valid_dna(sequence: str) -> bool:
-    """Return True if *sequence* consists only of ``ACGT`` (case-insensitive)."""
-    if not sequence:
-        return True
-    raw = np.frombuffer(sequence.encode("ascii", errors="replace"), dtype=np.uint8)
-    return bool((_BASE_TO_CODE[raw] <= 3).all())
-
-
-def complement_codes(codes: np.ndarray) -> np.ndarray:
-    """Complement an array of 2-bit codes (A<->T, C<->G)."""
-    return _COMPLEMENT_CODE[np.asarray(codes, dtype=np.uint8)]
-
-
 def reverse_complement(sequence):
     """Reverse-complement a DNA string or a 2-bit code array.
 
@@ -88,43 +75,12 @@ def reverse_complement(sequence):
     return _COMPLEMENT_CODE[codes][::-1].copy()
 
 
-def random_bases(length: int, rng: np.random.Generator, gc_content: float = 0.5) -> str:
-    """Generate a random DNA string.
-
-    Parameters
-    ----------
-    length:
-        Number of bases to generate.
-    rng:
-        Source of randomness.
-    gc_content:
-        Expected fraction of G/C bases, in ``[0, 1]``.
-    """
-    if not 0.0 <= gc_content <= 1.0:
-        raise ValueError("gc_content must be within [0, 1]")
-    at = (1.0 - gc_content) / 2.0
-    gc = gc_content / 2.0
-    codes = rng.choice(4, size=length, p=[at, gc, gc, at]).astype(np.uint8)
-    return decode(codes)
-
-
 def kmer_to_int(kmer: str) -> int:
     """Pack a k-mer string into an integer (2 bits per base, big-endian)."""
     value = 0
     for code in encode(kmer):
         value = (value << 2) | int(code)
     return value
-
-
-def int_to_kmer(value: int, k: int) -> str:
-    """Unpack an integer produced by :func:`kmer_to_int` back into a string."""
-    if value < 0 or value >= 4**k:
-        raise ValueError(f"value {value} out of range for k={k}")
-    codes = np.empty(k, dtype=np.uint8)
-    for i in range(k - 1, -1, -1):
-        codes[i] = value & 3
-        value >>= 2
-    return decode(codes)
 
 
 def kmer_codes(codes: np.ndarray, k: int) -> np.ndarray:

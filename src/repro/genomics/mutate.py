@@ -205,11 +205,3 @@ def apply_errors(
     substituted) base, drawing a uniformly random inserted base.
     """
     return apply_drawn_errors(codes, error_prob, draw_errors(rng, np.size(codes)), profile)
-
-
-def identity_from_quality(qualities) -> float:
-    """Expected sequence identity implied by per-base Phred scores."""
-    q = np.asarray(qualities, dtype=np.float64)
-    if q.size == 0:
-        raise ValueError("empty quality array")
-    return float(1.0 - np.power(10.0, -q / 10.0).mean())

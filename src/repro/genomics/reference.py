@@ -89,6 +89,8 @@ class ReferenceGenome:
         """
         if length <= 0:
             raise ValueError("length must be positive")
+        if not 0.0 <= gc_content <= 1.0:
+            raise ValueError("gc_content must be in [0, 1]")
         if not 0.0 <= repeat_fraction < 1.0:
             raise ValueError("repeat_fraction must be in [0, 1)")
         rng = np.random.default_rng(seed)

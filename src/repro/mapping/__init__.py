@@ -15,10 +15,12 @@ and chunk-mapping early rejection (CMR) are built on:
 * :mod:`repro.mapping.chaining` -- minimap2's chain DP with gap costs;
 * :mod:`repro.mapping.alignment` -- affine-gap alignment with CIGAR
   output, applied piecewise between chain anchors (as minimap2 does);
-* :mod:`repro.mapping.edit_distance` -- a Myers bit-parallel edit
-  distance;
 * :mod:`repro.mapping.mapper` -- the read-level facade and the
   incremental chunk-level mapper.
+
+Stages pass arrays, not objects: minimizers are parallel ``(keys,
+positions, strands)`` columns (``minimizers.minimizer_arrays``), anchors
+per-strand ``(ref_pos, read_pos)`` rows (``seeding.collect_anchor_arrays``).
 """
 
 from repro.mapping.alignment import (
@@ -29,7 +31,6 @@ from repro.mapping.alignment import (
     cigar_to_string,
 )
 from repro.mapping.chaining import Chain, ChainingConfig, chain_anchors
-from repro.mapping.edit_distance import edit_distance
 from repro.mapping.index import MinimizerIndex
 from repro.mapping.mapper import (
     IncrementalChunkMapper,
@@ -37,16 +38,11 @@ from repro.mapping.mapper import (
     MapperConfig,
     MappingResult,
 )
-from repro.mapping.minimizers import Minimizer, MinimizerConfig, extract_minimizers
-from repro.mapping.seeding import Anchor, collect_anchors
+from repro.mapping.minimizers import MinimizerConfig
 
 __all__ = [
-    "Minimizer",
     "MinimizerConfig",
-    "extract_minimizers",
     "MinimizerIndex",
-    "Anchor",
-    "collect_anchors",
     "Chain",
     "ChainingConfig",
     "chain_anchors",
@@ -55,7 +51,6 @@ __all__ = [
     "align_chain",
     "align_global",
     "cigar_to_string",
-    "edit_distance",
     "IncrementalChunkMapper",
     "Mapper",
     "MapperConfig",

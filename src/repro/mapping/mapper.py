@@ -125,16 +125,10 @@ class IncrementalChunkMapper:
         # at gather time against the *current* read length, because the
         # basecalled length is only final when the last chunk arrives.
         self._anchor_blocks: dict[int, list[np.ndarray]] = {1: [], -1: []}
-        self._bases_seeded = 0
         # ER-CMR probes chain_prefix() repeatedly over the same prefix;
         # the gathered/sorted anchor arrays only change when a chunk
         # arrives or the read length moves, so cache them in between.
         self._gathered_cache: dict[int, np.ndarray] | None = None
-
-    @property
-    def bases_seeded(self) -> int:
-        """How many read bases have been seeded so far."""
-        return self._bases_seeded
 
     def set_read_length(self, read_length: int) -> None:
         """Fix the final basecalled read length before :meth:`finalize`."""
@@ -164,7 +158,6 @@ class IncrementalChunkMapper:
                 added += rows.shape[0]
         if added:
             self._gathered_cache = None
-        self._bases_seeded += int(np.asarray(chunk_codes).size)
         return added
 
     def _gathered(self) -> dict[int, np.ndarray]:

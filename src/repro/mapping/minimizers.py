@@ -39,15 +39,6 @@ class MinimizerConfig:
             raise ValueError("w must be >= 1")
 
 
-@dataclass(frozen=True)
-class Minimizer:
-    """One selected minimizer: key, position, and canonical strand."""
-
-    key: int
-    position: int
-    strand: int  # +1 if the forward k-mer is canonical, -1 otherwise
-
-
 def _mix64(x: np.ndarray) -> np.ndarray:
     """Invertible 64-bit finalising mix (splitmix64-style)."""
     x = x.astype(np.uint64)
@@ -128,16 +119,3 @@ def minimizer_arrays(
     keep[1:] = positions[1:] != positions[:-1]
     positions = positions[keep]
     return canonical[positions], positions, strand[positions]
-
-
-def extract_minimizers(codes: np.ndarray, config: MinimizerConfig | None = None) -> list[Minimizer]:
-    """Object-level wrapper around :func:`minimizer_arrays`.
-
-    Columns are converted to Python scalars in one ``tolist()`` pass per
-    array rather than per-element ``int()`` round-trips.
-    """
-    keys, positions, strands = minimizer_arrays(codes, config or MinimizerConfig())
-    return [
-        Minimizer(key=k, position=p, strand=s)
-        for k, p, s in zip(keys.tolist(), positions.tolist(), strands.tolist(), strict=True)
-    ]

@@ -15,33 +15,11 @@ flat arrays (tests check it against the per-key reference loop,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.kernels.seed import seed_anchors_batched
 from repro.mapping.index import MinimizerIndex
 from repro.mapping.minimizers import minimizer_arrays
-
-
-@dataclass(frozen=True)
-class Anchor:
-    """A single minimizer match.
-
-    Attributes
-    ----------
-    ref_pos:
-        Reference start position of the matching k-mer.
-    read_pos:
-        Read start position (already flipped for reverse-strand
-        matches, i.e. measured on the read's reverse complement).
-    strand:
-        +1 for same-strand match, -1 for reverse.
-    """
-
-    ref_pos: int
-    read_pos: int
-    strand: int
 
 
 def collect_anchor_arrays(
@@ -88,17 +66,3 @@ def collect_anchor_arrays(
         read_length=read_length,
         kmer_size=index.config.k,
     )
-
-
-def collect_anchors(index: MinimizerIndex, read_codes: np.ndarray) -> list[Anchor]:
-    """Object-level anchor collection over a whole read (flipped coords)."""
-    grouped = collect_anchor_arrays(
-        index, read_codes, read_length=int(np.asarray(read_codes).size)
-    )
-    anchors = []
-    for strand, arr in grouped.items():
-        anchors.extend(
-            Anchor(ref_pos=r, read_pos=q, strand=strand)
-            for r, q in zip(arr[:, 0].tolist(), arr[:, 1].tolist(), strict=True)
-        )
-    return anchors

@@ -46,7 +46,6 @@ from repro.nanopore.signal_store import (
     SignalRecord,
     iter_read_store,
     iter_signals,
-    read_read_store,
     read_signals,
     read_store_count,
     signal_count,
@@ -76,7 +75,6 @@ __all__ = [
     "SignalRecord",
     "iter_read_store",
     "iter_signals",
-    "read_read_store",
     "read_signals",
     "read_store_count",
     "signal_count",

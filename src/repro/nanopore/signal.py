@@ -174,20 +174,3 @@ def _packed_kmers(codes: np.ndarray, k: int) -> np.ndarray:
     from repro.genomics.alphabet import kmer_codes
 
     return kmer_codes(codes, k)
-
-
-def normalize_signal(samples: np.ndarray) -> np.ndarray:
-    """Median/MAD normalisation used before basecalling.
-
-    Real pipelines normalise each read's signal to remove per-pore gain
-    and offset; the Viterbi basecaller assumes pA units, so this maps a
-    signal back onto a nominal scale with median 0 and MAD 1.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.size == 0:
-        return samples.astype(np.float32)
-    median = np.median(samples)
-    mad = np.median(np.abs(samples - median))
-    if mad == 0:
-        mad = 1.0
-    return ((samples - median) / mad).astype(np.float32)

@@ -368,8 +368,3 @@ def iter_read_store(path) -> Iterator[SimulatedRead]:
                 seed=seed,
             )
         _check_no_trailing(handle, "read store")
-
-
-def read_read_store(path) -> list[SimulatedRead]:
-    """Read all simulated reads from a read store."""
-    return list(iter_read_store(path))

@@ -36,13 +36,6 @@ class FlowShopResult:
     n_jobs: int
 
     @property
-    def bottleneck_utilisation(self) -> float:
-        """Busy fraction of the busiest stage."""
-        if self.makespan_s <= 0:
-            return 0.0
-        return max(self.stage_busy_s) / self.makespan_s
-
-    @property
     def overlap_gain(self) -> float:
         """Serial time over pipelined time (>= 1)."""
         serial = sum(self.stage_busy_s)

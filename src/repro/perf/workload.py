@@ -160,10 +160,6 @@ class PipelineWorkload:
             align_cell_ops=align_ops,
         )
 
-    @property
-    def mean_read_bases(self) -> float:
-        return self.total_bases / max(self.n_reads, 1)
-
     def scaled(self, factor: float) -> "PipelineWorkload":
         """Scale aggregate volumes (per-read traces are left as sampled).
 

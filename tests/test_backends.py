@@ -43,12 +43,12 @@ from repro.core import (
     CMRPolicy,
     GenPIP,
     GenPIPConfig,
+    GenPIPPipeline,
     QSRPolicy,
     ReadStatus,
 )
 from repro.core.backends import Basecaller, CMRPolicyProtocol, QSRPolicyProtocol
 from repro.core.early_rejection import QSRDecision
-from repro.core.pipeline import ConventionalPipeline
 from repro.core.registry import (
     basecaller_names,
     create_basecaller,
@@ -363,8 +363,9 @@ class TestBuilder:
 class TestConventionalPipelineAlign:
     def test_align_is_forwarded(self, micro_index, micro_dataset):
         read = max(micro_dataset.reads, key=len)
-        with_align = ConventionalPipeline(micro_index, align=True).process_read(read)
-        without = ConventionalPipeline(micro_index, align=False).process_read(read)
+        conventional = GenPIPConfig().conventional()
+        with_align = GenPIPPipeline(micro_index, config=conventional, align=True).process_read(read)
+        without = GenPIPPipeline(micro_index, config=conventional, align=False).process_read(read)
         assert with_align.status == without.status
         if with_align.status is ReadStatus.MAPPED:
             assert with_align.aligned

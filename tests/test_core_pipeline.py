@@ -10,7 +10,6 @@ import pytest
 
 from repro.basecalling import SurrogateBasecaller
 from repro.core import (
-    ConventionalPipeline,
     GenPIP,
     GenPIPConfig,
     GenPIPPipeline,
@@ -39,7 +38,7 @@ def genpip_report(dataset, index):
 
 @pytest.fixture(scope="module")
 def conventional_outcomes(dataset, index):
-    pipeline = ConventionalPipeline(index)
+    pipeline = GenPIPPipeline(index, config=GenPIPConfig().conventional())
     return [pipeline.process_read(read) for read in dataset.reads]
 
 
@@ -207,8 +206,11 @@ class TestReport:
         assert 0.8 < genpip_report.mean_identity() < 1.0
 
     def test_outcome_properties(self, genpip_report):
-        outcome = genpip_report.outcomes[0]
-        assert 0.0 < outcome.basecall_fraction <= 1.0
+        for outcome in genpip_report.outcomes:
+            assert 0 < outcome.n_chunks_basecalled <= outcome.n_chunks_total
+            assert 0 < outcome.n_bases_basecalled
+            assert outcome.n_chunks_seeded <= outcome.n_chunks_basecalled
+            assert outcome.aligned == (outcome.mapping is not None and outcome.mapping.mapped)
 
 
 class TestShortReads:

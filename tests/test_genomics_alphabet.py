@@ -1,5 +1,7 @@
 """Unit and property tests for the DNA alphabet module."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,17 +37,33 @@ class TestEncodeDecode:
 
 
 class TestValidation:
-    def test_valid(self):
-        assert alphabet.is_valid_dna("ACGTacgt")
+    """``encode`` is the alphabet's validator: it accepts exactly ACGT in
+    either case and names the first character it rejects."""
 
-    def test_invalid(self):
-        assert not alphabet.is_valid_dna("ACGN")
+    @given(st.text(alphabet="ACGTacgt", max_size=200))
+    def test_valid(self, seq):
+        np.testing.assert_array_equal(alphabet.encode(seq), alphabet.encode(seq.upper()))
+        assert alphabet.decode(alphabet.encode(seq)) == seq.upper()
+
+    @given(
+        dna,
+        st.characters(min_codepoint=32, max_codepoint=126).filter(
+            lambda c: c not in "ACGTacgt"
+        ),
+        dna,
+    )
+    def test_invalid(self, head, bad, tail):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            alphabet.encode(head + bad + tail)
 
     def test_empty_is_valid(self):
-        assert alphabet.is_valid_dna("")
+        codes = alphabet.encode("")
+        assert codes.dtype == np.uint8 and codes.size == 0
+        assert alphabet.decode(codes) == ""
 
     def test_non_ascii(self):
-        assert not alphabet.is_valid_dna("ACGé")
+        with pytest.raises(ValueError):
+            alphabet.encode("ACG\u00e9")
 
 
 class TestReverseComplement:
@@ -57,6 +75,11 @@ class TestReverseComplement:
 
     def test_array_matches_string(self):
         seq = "ACGGTTAC"
+        via_array = alphabet.decode(alphabet.reverse_complement(alphabet.encode(seq)))
+        assert via_array == alphabet.reverse_complement(seq)
+
+    @given(dna)
+    def test_array_matches_string_property(self, seq):
         via_array = alphabet.decode(alphabet.reverse_complement(alphabet.encode(seq)))
         assert via_array == alphabet.reverse_complement(seq)
 
@@ -75,13 +98,16 @@ class TestKmerPacking:
         assert alphabet.kmer_to_int("AAC") == 1
         assert alphabet.kmer_to_int("TTT") == 63
 
-    @given(st.text(alphabet="ACGT", min_size=1, max_size=15))
+    @given(st.text(alphabet="ACGT", min_size=1, max_size=31))
     def test_roundtrip(self, kmer):
-        assert alphabet.int_to_kmer(alphabet.kmer_to_int(kmer), len(kmer)) == kmer
+        """``kmer_to_int`` packs as ``kmer_codes`` does, up to k = 31."""
+        packed = alphabet.kmer_to_int(kmer)
+        assert 0 <= packed < 4 ** len(kmer)
+        assert packed == int(alphabet.kmer_codes(alphabet.encode(kmer), len(kmer))[0])
 
-    def test_int_to_kmer_range_check(self):
-        with pytest.raises(ValueError):
-            alphabet.int_to_kmer(64, 3)
+    def test_kmer_to_int_rejects_invalid(self):
+        with pytest.raises(ValueError, match="invalid DNA"):
+            alphabet.kmer_to_int("ACN")
 
     def test_kmer_codes_matches_scalar(self):
         seq = "ACGTTGCAACGT"
@@ -106,30 +132,15 @@ class TestKmerPacking:
         assert packed.size == max(0, len(seq) - k + 1)
 
 
-class TestRandomBases:
-    def test_length_and_alphabet(self):
-        seq = alphabet.random_bases(500, np.random.default_rng(0))
-        assert len(seq) == 500
-        assert alphabet.is_valid_dna(seq)
-
-    def test_gc_content_respected(self):
-        rng = np.random.default_rng(0)
-        seq = alphabet.random_bases(20_000, rng, gc_content=0.8)
-        gc = (seq.count("G") + seq.count("C")) / len(seq)
-        assert 0.75 < gc < 0.85
-
-    def test_rejects_bad_gc(self):
-        with pytest.raises(ValueError):
-            alphabet.random_bases(10, np.random.default_rng(0), gc_content=1.5)
-
-    def test_deterministic_given_seed(self):
-        a = alphabet.random_bases(100, np.random.default_rng(42))
-        b = alphabet.random_bases(100, np.random.default_rng(42))
-        assert a == b
-
-
 class TestComplementCodes:
     def test_pairs(self):
-        np.testing.assert_array_equal(
-            alphabet.complement_codes(np.array([0, 1, 2, 3], dtype=np.uint8)), [3, 2, 1, 0]
-        )
+        for code in range(4):
+            single = np.array([code], dtype=np.uint8)
+            np.testing.assert_array_equal(alphabet.reverse_complement(single), [3 - code])
+
+    def test_array_result_is_a_new_uint8_array(self):
+        codes = alphabet.encode("AACGT")
+        out = alphabet.reverse_complement(codes)
+        assert out.dtype == np.uint8
+        out[:] = 0
+        np.testing.assert_array_equal(codes, alphabet.encode("AACGT"))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.genomics.alphabet import encode
-from repro.genomics.mutate import ErrorProfile, MutationResult, apply_errors, identity_from_quality
+from repro.genomics.mutate import ErrorProfile, MutationResult, apply_errors
 
 
 class TestErrorProfile:
@@ -207,15 +207,3 @@ class TestApplyErrorsMatchesReference:
             _apply_errors_reference(codes, prob, np.random.default_rng(0))
         with pytest.raises(ValueError):
             apply_errors(codes, prob, np.random.default_rng(0))
-
-
-class TestIdentityFromQuality:
-    def test_high_quality_high_identity(self):
-        assert identity_from_quality([30.0] * 10) == pytest.approx(0.999)
-
-    def test_q10_is_90_percent(self):
-        assert identity_from_quality([10.0]) == pytest.approx(0.9)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            identity_from_quality([])

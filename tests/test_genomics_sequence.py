@@ -1,58 +1,12 @@
-"""Tests for the Sequence value type and reference genomes."""
+"""Tests for reference genomes."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.genomics import Sequence
 from repro.genomics.alphabet import decode, reverse_complement
 from repro.genomics.reference import ReferenceGenome
-
-dna = st.text(alphabet="ACGT", min_size=0, max_size=120)
-
-
-class TestSequence:
-    def test_upper_cases(self):
-        assert Sequence("acgt").bases == "ACGT"
-
-    def test_rejects_invalid(self):
-        with pytest.raises(ValueError):
-            Sequence("ACGN")
-
-    def test_len_and_str(self):
-        s = Sequence("ACGTA")
-        assert len(s) == 5
-        assert str(s) == "ACGTA"
-
-    def test_slicing_returns_sequence(self):
-        s = Sequence("ACGTA", name="x")
-        assert isinstance(s[1:3], Sequence)
-        assert s[1:3].bases == "CG"
-        assert s[1:3].name == "x"
-
-    def test_codes_roundtrip(self):
-        s = Sequence("ACGGT")
-        assert decode(s.codes()) == "ACGGT"
-
-    @given(dna)
-    def test_reverse_complement_matches_alphabet(self, seq):
-        assert Sequence(seq).reverse_complement().bases == reverse_complement(seq)
-
-    def test_gc_content(self):
-        assert Sequence("GGCC").gc_content() == 1.0
-        assert Sequence("AATT").gc_content() == 0.0
-        assert Sequence("").gc_content() == 0.0
-
-    def test_kmers(self):
-        assert list(Sequence("ACGT").kmers(2)) == ["AC", "CG", "GT"]
-
-    def test_kmers_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            list(Sequence("ACGT").kmers(0))
-
-    def test_equality_ignores_name(self):
-        assert Sequence("ACG", name="a") == Sequence("ACG", name="b")
 
 
 class TestReferenceGenome:
@@ -73,6 +27,18 @@ class TestReferenceGenome:
         with pytest.raises(ValueError):
             ReferenceGenome.random(0, seed=0)
 
+    @pytest.mark.parametrize("gc_content", [-0.1, 1.5])
+    def test_rejects_bad_gc(self, gc_content):
+        with pytest.raises(ValueError, match="gc_content"):
+            ReferenceGenome.random(100, seed=0, gc_content=gc_content)
+
+    def test_from_string_upper_cases(self):
+        assert ReferenceGenome.from_string("acgT").bases == "ACGT"
+
+    def test_from_string_rejects_invalid(self):
+        with pytest.raises(ValueError, match="invalid DNA"):
+            ReferenceGenome.from_string("ACGN")
+
     def test_fetch_forward(self):
         ref = ReferenceGenome.from_string("ACGTACGT")
         np.testing.assert_array_equal(ref.fetch(2, 6), [2, 3, 0, 1])
@@ -82,6 +48,15 @@ class TestReferenceGenome:
         fwd = ref.fetch_bases(1, 5)
         rev = ref.fetch_bases(1, 5, strand=-1)
         assert rev == reverse_complement(fwd)
+
+    @given(st.text(alphabet="ACGT", max_size=80), st.data())
+    def test_fetch_bases_is_decoded_fetch(self, bases, data):
+        ref = ReferenceGenome.from_string(bases)
+        start = data.draw(st.integers(0, len(bases)))
+        end = data.draw(st.integers(start, len(bases)))
+        forward = ref.fetch_bases(start, end)
+        assert forward == bases[start:end] == decode(ref.fetch(start, end))
+        assert ref.fetch_bases(start, end, strand=-1) == reverse_complement(forward)
 
     def test_fetch_bounds_checked(self):
         ref = ReferenceGenome.from_string("ACGT")

@@ -80,7 +80,7 @@ from repro.mapping.chaining import ChainingConfig
 from repro.mapping.index import MinimizerConfig, MinimizerIndex
 from repro.mapping.mapper import IncrementalChunkMapper, Mapper, MapperConfig
 from repro.mapping.minimizers import minimizer_arrays
-from repro.mapping.seeding import collect_anchor_arrays, collect_anchors
+from repro.mapping.seeding import collect_anchor_arrays
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.obs import Counter
 from repro.perf.costs import DEFAULT_COSTS
@@ -738,8 +738,6 @@ class TestSeedKernels:
         for strand in (1, -1):
             assert fast[strand].dtype == np.int64
             assert np.array_equal(base[strand], fast[strand])
-        objs = collect_anchors(index, read)
-        assert len(objs) == sum(a.shape[0] for a in fast.values())
 
     @pytest.mark.parametrize("case", ["clean-6kb", "noisy-9kb", "junk-3kb"])
     def test_trail_case_bit_identical(self, seed_trail, case):
@@ -766,7 +764,6 @@ class TestSeedKernels:
         for call in (
             lambda: MapperConfig(seed_kernel="scalar"),
             lambda: collect_anchor_arrays(index, read, kernel="scalar"),
-            lambda: collect_anchors(index, read, kernel="scalar"),
         ):
             with pytest.raises(TypeError, match="kernel"):
                 call()

@@ -1,4 +1,4 @@
-"""Tests for affine-gap alignment, CIGARs, and edit distance."""
+"""Tests for affine-gap alignment and CIGARs."""
 
 import numpy as np
 import pytest
@@ -10,30 +10,14 @@ from repro.genomics.mutate import apply_errors
 from repro.genomics.reference import ReferenceGenome
 from repro.mapping.alignment import (
     AlignmentConfig,
+    AlignmentResult,
     align_global,
     align_chain,
     cigar_to_string,
 )
-from repro.mapping.edit_distance import edit_distance, identity
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=60)
 CFG = AlignmentConfig()
-
-
-def _dp_edit_distance(a: str, b: str) -> int:
-    """Reference O(nm) Levenshtein for the oracle tests."""
-    n, m = len(a), len(b)
-    prev = list(range(m + 1))
-    for i in range(1, n + 1):
-        cur = [i] + [0] * m
-        for j in range(1, m + 1):
-            cur[j] = min(
-                prev[j - 1] + (a[i - 1] != b[j - 1]),
-                prev[j] + 1,
-                cur[j - 1] + 1,
-            )
-        prev = cur
-    return prev[m]
 
 
 class TestAlignGlobal:
@@ -78,6 +62,26 @@ class TestAlignGlobal:
         result = align_global(a, b, CFG)
         assert result.ref_consumed == a.size
         assert result.read_consumed == b.size
+
+    def test_long_read_against_short_ref(self):
+        # Every ref base matches and the 80 extra read bases form one gap.
+        result = align_global(encode("ACGT" * 10), encode("ACGT" * 30), CFG)
+        assert result.n_matches == 40
+        assert [n for op, n in result.cigar if op == "I"] == [80]
+        assert result.score == pytest.approx(40 * 2 - 4 - 80 * 2)
+
+    def test_noisy_copy_identity(self):
+        rng = np.random.default_rng(16)
+        ref = rng.integers(0, 4, size=300).astype(np.uint8)
+        read = apply_errors(ref, 0.1, rng).codes
+        result = align_global(ref, read, CFG)
+        assert (result.ref_consumed, result.read_consumed) == (ref.size, read.size)
+        assert 0.7 < result.identity < 1.0
+
+    def test_identity_counts_gaps_and_excludes_clips(self):
+        cigar = (("S", 4), ("=", 6), ("X", 1), ("I", 2), ("D", 1))
+        assert AlignmentResult(score=0.0, cigar=cigar).identity == pytest.approx(0.6)
+        assert AlignmentResult(score=0.0, cigar=(("S", 3),)).identity == 0.0
 
     @given(dna, dna)
     @settings(max_examples=60, deadline=None)
@@ -231,45 +235,3 @@ class TestAlignChain:
         result, _, _ = align_chain(ref.codes, read, anchors, 13, config)
         assert result.n_clipped >= 2_000 - 100
         assert result.read_consumed == read.size
-
-
-class TestEditDistance:
-    def test_known_values(self):
-        assert edit_distance("ACGT", "ACGT") == 0
-        assert edit_distance("ACGT", "ACGA") == 1
-        assert edit_distance("ACGT", "ACG") == 1
-        assert edit_distance("", "ACG") == 3
-        assert edit_distance("ACG", "") == 3
-
-    @given(dna, dna)
-    @settings(max_examples=80, deadline=None)
-    def test_matches_reference_dp(self, a, b):
-        assert edit_distance(a, b) == _dp_edit_distance(a, b)
-
-    def test_long_sequences_use_row_dp(self):
-        rng = np.random.default_rng(16)
-        a = rng.integers(0, 4, size=300).astype(np.uint8)
-        b = apply_errors(a, 0.1, rng).codes
-        d = edit_distance(a, b)
-        assert 0 < d < 100
-
-    def test_long_vs_short_mixed_paths(self):
-        # One side > 64 triggers the Myers pattern/text swap.
-        a = "ACGT" * 10  # 40
-        b = "ACGT" * 30  # 120
-        assert edit_distance(a, b) == 80
-
-    @given(dna, dna)
-    @settings(max_examples=40, deadline=None)
-    def test_symmetry(self, a, b):
-        assert edit_distance(a, b) == edit_distance(b, a)
-
-    @given(dna, dna, dna)
-    @settings(max_examples=30, deadline=None)
-    def test_triangle_inequality(self, a, b, c):
-        assert edit_distance(a, c) <= edit_distance(a, b) + edit_distance(b, c)
-
-    def test_identity_helper(self):
-        assert identity("ACGT", "ACGT") == 1.0
-        assert identity("", "") == 1.0
-        assert identity("ACGT", "") == 0.0

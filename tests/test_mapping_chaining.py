@@ -17,7 +17,7 @@ from repro.mapping.chaining import (
 )
 from repro.mapping.index import MinimizerIndex
 from repro.mapping.minimizers import MinimizerConfig
-from repro.mapping.seeding import collect_anchor_arrays, collect_anchors
+from repro.mapping.seeding import collect_anchor_arrays
 
 CFG = ChainingConfig(kmer_size=13)
 
@@ -67,16 +67,21 @@ class TestSeeding:
         interior = {t for t in part_set if 1_020 <= t[1] <= 1_980}
         assert interior <= whole_set
 
+    def test_anchor_arrays_layout(self, ref_index):
+        """Both strands always present, as sorted ``int64[n, 2]`` rows."""
+        read = ref_index.reference.fetch(10_000, 11_000)
+        grouped = collect_anchor_arrays(ref_index, read, read_length=read.size)
+        assert set(grouped) == {1, -1}
+        for rows in grouped.values():
+            assert rows.dtype == np.int64 and rows.ndim == 2 and rows.shape[1] == 2
+            np.testing.assert_array_equal(rows, rows[np.lexsort((rows[:, 1], rows[:, 0]))])
+        assert grouped[1].shape[0] > grouped[-1].shape[0]
+
     def test_junk_read_few_anchors(self, ref_index):
         junk = np.random.default_rng(7).integers(0, 4, size=3_000).astype(np.uint8)
-        anchors = collect_anchors(ref_index, junk)
+        anchors = collect_anchor_arrays(ref_index, junk, read_length=junk.size)
         # Random 13-mers rarely hit the index.
-        assert len(anchors) < 20
-
-    def test_object_api(self, ref_index):
-        ref = ref_index.reference
-        anchors = collect_anchors(ref_index, ref.fetch(10_000, 11_000))
-        assert all(a.strand in (1, -1) for a in anchors)
+        assert sum(rows.shape[0] for rows in anchors.values()) < 20
 
 
 class TestChainScores:

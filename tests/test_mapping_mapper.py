@@ -17,6 +17,7 @@ from repro.mapping import (
     MinimizerConfig,
     MinimizerIndex,
 )
+from repro.mapping.seeding import collect_anchor_arrays
 from repro.nanopore.read_simulator import ReadClass, ReadSimulator, SimulatorConfig
 
 
@@ -172,11 +173,17 @@ class TestIncrementalChunkMapper:
         primary, _ = mapper.chain_prefix()
         assert primary is None or primary.score < 60
 
-    def test_bases_seeded_tracking(self, index):
+    def test_add_chunk_returns_anchors_contributed(self, index):
         mapper = IncrementalChunkMapper(index, 1_000)
-        mapper.add_chunk(index.reference.fetch(0, 300), 0)
-        mapper.add_chunk(index.reference.fetch(300, 600), 300)
-        assert mapper.bases_seeded == 600
+        added = []
+        for start in (0, 300):
+            chunk = index.reference.fetch(start, start + 300)
+            added.append(mapper.add_chunk(chunk, start))
+            grouped = collect_anchor_arrays(index, chunk, read_offset=start)
+            assert added[-1] == sum(rows.shape[0] for rows in grouped.values())
+        assert min(added) > 0
+        junk = np.random.default_rng(3).integers(0, 4, size=300).astype(np.uint8)
+        assert mapper.add_chunk(junk, 600) < min(added)
 
     def test_finalize_unmapped_for_empty(self, index):
         mapper = IncrementalChunkMapper(index, 100)

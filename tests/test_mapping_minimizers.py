@@ -12,11 +12,9 @@ from repro.mapping.minimizers import (
     MinimizerConfig,
     _mix64,
     _revcomp_packed,
-    extract_minimizers,
     minimizer_arrays,
 )
 
-dna = st.text(alphabet="ACGT", min_size=0, max_size=400)
 CFG = MinimizerConfig(k=13, w=10)
 
 
@@ -99,15 +97,6 @@ class TestMinimizerExtraction:
         keys_fwd, _, _ = minimizer_arrays(seq, CFG)
         keys_rev, _, _ = minimizer_arrays(reverse_complement(seq), CFG)
         assert set(keys_fwd.tolist()) == set(keys_rev.tolist())
-
-    @given(dna)
-    @settings(max_examples=40, deadline=None)
-    def test_extract_consistent_with_arrays(self, seq):
-        codes = encode(seq)
-        objs = extract_minimizers(codes, CFG)
-        keys, positions, strands = minimizer_arrays(codes, CFG)
-        assert [m.position for m in objs] == positions.tolist()
-        assert [m.key for m in objs] == keys.tolist()
 
     @given(
         codes=st.one_of(

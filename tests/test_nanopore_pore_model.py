@@ -5,7 +5,7 @@ import pytest
 
 from repro.genomics.alphabet import encode
 from repro.nanopore.pore_model import PoreModel
-from repro.nanopore.signal import RawSignal, SignalConfig, normalize_signal, synthesize_signal
+from repro.nanopore.signal import RawSignal, SignalConfig, synthesize_signal
 
 
 class TestPoreModel:
@@ -166,11 +166,3 @@ class TestSignalSynthesis:
             SignalConfig(dwell_mean=1.0, dwell_min=2)
         with pytest.raises(ValueError):
             SignalConfig(noise_std=-1.0)
-
-    def test_normalize_signal(self):
-        samples = np.array([1.0, 2.0, 3.0, 4.0, 100.0], dtype=np.float32)
-        normalised = normalize_signal(samples)
-        assert np.median(normalised) == pytest.approx(0.0, abs=1e-6)
-
-    def test_normalize_empty(self):
-        assert normalize_signal(np.empty(0)).size == 0

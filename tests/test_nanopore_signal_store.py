@@ -13,7 +13,6 @@ from repro.nanopore.signal_store import (
     iter_read_store,
     iter_signals,
     quantisation_step,
-    read_read_store,
     read_signals,
     read_store_count,
     signal_count,
@@ -167,7 +166,7 @@ class TestReadStore:
         size = write_read_store(path, tiny_reads)
         assert size > 0
         assert read_store_count(path) == len(tiny_reads)
-        restored = read_read_store(path)
+        restored = list(iter_read_store(path))
         assert len(restored) == len(tiny_reads)
         for original, back in zip(tiny_reads, restored, strict=True):
             assert back.read_id == original.read_id
@@ -190,7 +189,7 @@ class TestReadStore:
     def test_empty_store(self, tmp_path):
         path = tmp_path / "empty.gprd"
         write_read_store(path, [])
-        assert read_read_store(path) == []
+        assert list(iter_read_store(path)) == []
         assert read_store_count(path) == 0
 
     def test_truncated_record_raises(self, tiny_reads, tmp_path):
@@ -297,7 +296,7 @@ class TestAtomicWrites:
             write_read_store(path, exploding())
         # The original, complete container is untouched.
         assert read_store_count(path) == len(reads)
-        assert len(read_read_store(path)) == len(reads)
+        assert len(list(iter_read_store(path))) == len(reads)
 
     def test_corrupt_count_field_raises_not_allocates(self, tmp_path):
         """A record declaring gigabytes fails with ValueError before any

@@ -30,9 +30,8 @@ from repro.basecalling import (
 )
 from repro.core import GenPIP, GenPIPConfig
 from repro.mapping.index import MinimizerIndex
-from repro.nanopore import RawSignal, SignalRead
+from repro.nanopore import SignalRead
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
-from repro.nanopore.signal import normalize_signal
 from repro.nanopore.signal_store import (
     iter_signals,
     quantisation_step,
@@ -164,25 +163,6 @@ class TestSignalReadContract:
                 read_id="s0",
                 signal=dataclasses.replace(signal, samples=np.full(samples.size, bad)),
             )
-
-    def test_normalized(self, viterbi_backend, short_reads):
-        """Median/MAD normalisation is a transform of the samples: a read
-        built from it keeps the grid (the decoders themselves read pA)."""
-        read = SignalRead(
-            read_id="s0", signal=viterbi_backend.synthesize_signal(short_reads[0])
-        )
-        normalized = SignalRead(
-            read_id=read.read_id,
-            signal=RawSignal(
-                samples=normalize_signal(read.signal.samples),
-                base_starts=read.signal.base_starts,
-            ),
-        )
-        assert abs(float(np.median(normalized.signal.samples))) < 1e-6
-        assert len(normalized) == len(read)
-        np.testing.assert_array_equal(
-            normalized.signal.base_starts, read.signal.base_starts
-        )
 
     def test_container_round_trip_within_quantisation(
         self, viterbi_backend, short_reads, tmp_path
