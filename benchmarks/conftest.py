@@ -19,19 +19,20 @@ BENCH_SEED = 7
 
 
 @pytest.fixture(scope="session")
-def bench_scale():
+def primed_contexts():
+    """Build both datasets/indices once for the whole bench session."""
+    for name, scale in BENCH_SCALE.items():
+        context = get_context(name, scale=scale, seed=BENCH_SEED)
+        _ = context.index  # force index construction
+
+
+@pytest.fixture(scope="session")
+def bench_scale(primed_contexts):
+    """The generation scales; requesting them primes the contexts, so
+    only the paper-figure benches pay for building them."""
     return BENCH_SCALE
 
 
 @pytest.fixture(scope="session")
 def bench_seed():
     return BENCH_SEED
-
-
-@pytest.fixture(scope="session", autouse=True)
-def primed_contexts():
-    """Build both datasets/indices once for the whole bench session."""
-    for name, scale in BENCH_SCALE.items():
-        context = get_context(name, scale=scale, seed=BENCH_SEED)
-        _ = context.index  # force index construction
-    return None

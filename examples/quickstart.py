@@ -9,8 +9,8 @@ This walks the whole public API surface once:
 4. run the GenPIP chunk-based pipeline with early rejection over the
    dataset and print per-read outcomes;
 5. shard the same run across worker processes (identical report);
-6. rebuild the system through the fluent builder and swap in the
-   Viterbi backend by registry name -- same CP/ER control flow, real
+6. rebuild the system from the registry and swap in the
+   Viterbi backend by name -- same CP/ER control flow, real
    signal-space decoding;
 7. stream the run end-to-end: reads from an on-disk container (or a
    lazy generator), outcomes to an incremental JSONL sink -- O(batch)
@@ -137,22 +137,20 @@ def main() -> None:
     # 6. Pluggable engines: the pipeline is typed against structural
     #    protocols (repro.core.backends), and every backend in the
     #    registry -- "surrogate", "viterbi" -- runs the identical
-    #    CP/ER control flow. The builder assembles a system fluently;
-    #    backends and presets are picked by name, so the same choice
-    #    works here and in `python -m repro.runtime --basecaller viterbi`;
-    #    worker processes receive the engine itself.
+    #    CP/ER control flow. Backends and presets are picked by name
+    #    from the registry, so the same choice works here and in
+    #    `python -m repro.runtime --basecaller viterbi`; worker
+    #    processes receive the engine itself.
     from repro.basecalling import ViterbiBackendConfig
-    from repro.core import basecaller_names, preset_names
+    from repro.core import basecaller_names, create_basecaller, preset_config, preset_names
 
     print(f"\nregistered backends: {', '.join(basecaller_names())}; "
           f"presets: {', '.join(preset_names())}")
-    viterbi_system = (
-        GenPIP.build()
-        .index(index)
-        .preset("ecoli")
-        .basecaller("viterbi", ViterbiBackendConfig(pore_k=3))
-        .align(False)
-        .build()
+    viterbi_system = GenPIP(
+        index,
+        preset_config("ecoli"),
+        create_basecaller("viterbi", ViterbiBackendConfig(pore_k=3)),
+        align=False,
     )
     shortest = sorted(reads, key=len)[:4]
     viterbi_report = viterbi_system.run(shortest, workers=2)
@@ -246,15 +244,7 @@ def main() -> None:
         segment_starts=[r.ref_start for r in genomic],
         prefix_bases=100,
     )
-    ser_system = (
-        GenPIP.build()
-        .index(index)
-        .preset("ecoli")
-        .basecaller(backend)
-        .align(False)
-        .signal_rejection(policy)
-        .build()
-    )
+    ser_system = GenPIP(index, preset_config("ecoli"), backend, align=False, ser_policy=policy)
     with tempfile.TemporaryDirectory() as tmp:
         raw_path = Path(tmp) / "raw.rsig"
         write_signals(raw_path, strip_base_starts(backend.signal_records(demo_reads)))

@@ -2,8 +2,10 @@
 
 A full Python reproduction of *GenPIP: In-Memory Acceleration of Genome
 Analysis via Tight Integration of Basecalling and Read Mapping* (Mao et
-al., MICRO 2022). See README.md for the tour, DESIGN.md for the system
-inventory, and EXPERIMENTS.md for measured-vs-paper results.
+al., MICRO 2022). See PAPER.md for the paper's abstract and ROADMAP.md
+for what is built and what is open; ``python -m
+repro.experiments.runner`` prints the measured-vs-paper tables and
+figures.
 
 Top-level entry points:
 
@@ -19,33 +21,24 @@ report for any worker count; see :mod:`repro.runtime`):
 
 >>> report = GenPIP(index, GenPIPConfig()).run(dataset, workers=4)
 
-Engines are pluggable behind structural protocols: build a system
-fluently from the backend/preset registry (see :mod:`repro.core`):
+Engines are pluggable behind the structural :class:`Basecaller`
+protocol; the registry builds the built-in ones and the presets by name
+(see :mod:`repro.core`):
 
->>> system = GenPIP.build().index(index).basecaller("viterbi").preset("ecoli").build()
+>>> from repro.core import create_basecaller, preset_config
+>>> system = GenPIP(index, preset_config("ecoli"), create_basecaller("viterbi"))
 """
 
-__all__ = [
-    "Basecaller",
-    "QSRPolicyProtocol",
-    "CMRPolicyProtocol",
-    "SignalRejectionPolicyProtocol",
-    "__version__",
-]
+__all__ = ["Basecaller", "__version__"]
 
-__version__ = "1.5.0"
-
-#: Protocol names re-exported lazily (PEP 562) so that ``import repro``
-#: stays a version-string-only import; the full engine stack loads on
-#: first attribute access.
-_PROTOCOL_EXPORTS = frozenset(
-    {"Basecaller", "QSRPolicyProtocol", "CMRPolicyProtocol", "SignalRejectionPolicyProtocol"}
-)
+__version__ = "1.8.0"
 
 
 def __getattr__(name: str):
-    if name in _PROTOCOL_EXPORTS:
+    """``Basecaller``, re-exported lazily (PEP 562) so that ``import
+    repro`` stays a version-string-only import."""
+    if name == "Basecaller":
         from repro.core import backends
 
-        return getattr(backends, name)
+        return backends.Basecaller
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,23 +17,21 @@ level (the hardware cost models live in :mod:`repro.hardware` /
 * :mod:`repro.core.genpip` -- the :class:`GenPIP` system facade and the
   dataset-level report consumed by the performance model and the
   experiments.
-* :mod:`repro.core.backends` -- the structural engine protocols
-  (:class:`Basecaller`, :class:`QSRPolicyProtocol`,
-  :class:`CMRPolicyProtocol`) the pipeline is typed against.
+* :mod:`repro.core.backends` -- the structural :class:`Basecaller`
+  protocol the pipeline is typed against.
 * :mod:`repro.core.registry` -- the built-in basecaller backends
   (``"surrogate"``, ``"viterbi"``) and pipeline presets
   (``"ecoli"``, ``"human"``) by name.
-* :mod:`repro.core.builder` -- :class:`PipelineBuilder`, the fluent
-  ``GenPIP.build()...`` construction API.
+
+A pipeline is built one way, as the dataclass itself::
+
+    GenPIPPipeline(index, create_basecaller("viterbi"), preset_config("ecoli"))
+
+and amended with ``dataclasses.replace``; :class:`GenPIP` wraps one to
+run whole datasets.
 """
 
-from repro.core.backends import (
-    Basecaller,
-    CMRPolicyProtocol,
-    QSRPolicyProtocol,
-    SignalRejectionPolicyProtocol,
-)
-from repro.core.builder import PipelineBuilder
+from repro.core.backends import Basecaller
 from repro.core.config import (
     ECOLI_PARAMS,
     HUMAN_PARAMS,
@@ -69,9 +67,6 @@ __all__ = [
     "VARIANTS",
     "variant_config",
     "Basecaller",
-    "QSRPolicyProtocol",
-    "CMRPolicyProtocol",
-    "SignalRejectionPolicyProtocol",
     "QSRPolicy",
     "CMRPolicy",
     "qsr_sample_indices",
@@ -80,7 +75,6 @@ __all__ = [
     "ReadStatus",
     "GenPIP",
     "GenPIPReport",
-    "PipelineBuilder",
     "basecaller_names",
     "create_basecaller",
     "preset_config",

@@ -1,11 +1,13 @@
-"""Structural protocols for the pluggable engine API.
+"""The structural basecaller protocol the pipeline is typed against.
 
 GenPIP's central claim is that the chunk pipeline (CP) and early
 rejection (ER) are independent of the basecaller implementation: the
 paper pairs the same control flow with a Bonito-class DNN running on PIM
 hardware. This module states that independence as code: the pipeline is
-typed against *protocols* -- the chunk-basecaller contract and the two
-rejection-policy contracts -- not against any concrete engine.
+typed against the chunk-basecaller *protocol*, not against any concrete
+engine. The rejection policies are not pluggable: QSR and CMR are
+derived from :class:`~repro.core.config.GenPIPConfig`, and SER is
+:class:`~repro.signal.rejection.SignalRejectionPolicy`.
 
 Any object satisfying :class:`Basecaller` can drive
 :class:`~repro.core.pipeline.GenPIPPipeline`; the repo ships two:
@@ -16,7 +18,7 @@ Any object satisfying :class:`Basecaller` can drive
 * ``"viterbi"`` -- real signal-space k-mer HMM decoding
   (:class:`~repro.basecalling.engines.ViterbiChunkBasecaller`).
 
-The protocols are ``runtime_checkable`` so registries and tests can
+The protocol is ``runtime_checkable`` so registries and tests can
 verify conformance with ``isinstance``; being structural, third-party
 engines need no imports from this repo beyond the data types.
 """
@@ -29,10 +31,7 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 from repro.basecalling.types import BasecalledChunk, BasecalledRead
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core.early_rejection import CMRDecision, QSRDecision
     from repro.nanopore.read_simulator import SimulatedRead
-    from repro.nanopore.signal_read import SignalRead
-    from repro.signal.rejection import SERDecision
 
 
 @runtime_checkable
@@ -86,68 +85,4 @@ class Basecaller(Protocol):
 
     def basecall_read(self, read: "SimulatedRead", chunk_size: int) -> BasecalledRead:
         """Basecall every chunk of the read and reassemble."""
-        ...
-
-
-@runtime_checkable
-class QSRPolicyProtocol(Protocol):
-    """Quality-score early-rejection contract (paper Sec. 3.2.1).
-
-    Decides, from a few sampled basecalled chunks, whether a read is
-    too low-quality to finish. The default implementation is
-    :class:`~repro.core.early_rejection.QSRPolicy`.
-    """
-
-    def sample_indices(self, n_chunks: int) -> list[int]:
-        """Chunk indices to basecall for the quality check."""
-        ...
-
-    def decide(self, sampled_chunks: list[BasecalledChunk]) -> "QSRDecision":
-        """Accept/reject from the sampled chunks' quality scores."""
-        ...
-
-
-@runtime_checkable
-class CMRPolicyProtocol(Protocol):
-    """Chunk-mapping early-rejection contract (paper Sec. 3.2.2).
-
-    Decides, from the chaining score of a merged chunk prefix, whether
-    a read is unmappable. The default implementation is
-    :class:`~repro.core.early_rejection.CMRPolicy`.
-    """
-
-    def merged_chunk_indices(self, n_chunks: int) -> list[int]:
-        """Chunk indices merged before the chaining check.
-
-        Must be a non-empty prefix ``0..m-1`` of the read's chunks: the
-        merge set is seeded as one contiguous run.
-        """
-        ...
-
-    def decide(self, chain_score: float, merged_bases: int) -> "CMRDecision":
-        """Accept/reject from the merged prefix's chaining score."""
-        ...
-
-
-@runtime_checkable
-class SignalRejectionPolicyProtocol(Protocol):
-    """Signal-domain early-rejection contract (SER; paper Sec. 2.3's
-    "ideally even before they go through basecalling").
-
-    Decides, from a signal-native read's *raw current* alone, whether
-    the read is junk -- before the pipeline basecalls a single chunk.
-    Runs only for :class:`~repro.nanopore.signal_read.SignalRead`
-    inputs (base-space reads carry no current to screen). The default
-    implementation is
-    :class:`~repro.signal.rejection.SignalRejectionPolicy`, which
-    matches the signal prefix against reference templates by
-    subsequence DTW.
-
-    Policies travel to pooled workers as fields of the
-    :class:`~repro.core.pipeline.GenPIPPipeline`, so -- like basecallers
-    -- they must be picklable and deterministic per read.
-    """
-
-    def decide(self, read: "SignalRead") -> "SERDecision":
-        """Accept/reject from the read's raw-current prefix."""
         ...

@@ -34,12 +34,12 @@ class GenPIPConfig:
         GenPIP-CP-QSR / GenPIP system variants of Sec. 5).
     enable_ser:
         Switch signal-domain early rejection (SER), the pre-basecalling
-        reject stage over raw current. SER additionally needs a
-        :class:`~repro.core.backends.SignalRejectionPolicyProtocol`
-        policy injected into the pipeline (there is no reference-free
-        default), so with the default construction this flag is inert;
-        with a policy present it gates the stage exactly like
-        ``enable_qsr``/``enable_cmr`` gate theirs.
+        reject stage over raw current. SER additionally needs the
+        pipeline's ``ser_policy`` (a
+        :class:`~repro.signal.rejection.SignalRejectionPolicy`, built
+        from the reference: there is no reference-free default), so
+        without one this flag is inert; with one it gates the stage
+        exactly like ``enable_qsr``/``enable_cmr`` gate theirs.
     n_qs:
         Number of evenly-spaced chunks sampled by QSR (Sec. 6.3.1:
         2 for E. coli, 5 for human).

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.basecalling.types import BasecalledChunk
-from repro.core.config import require_integer, require_threshold
+from repro.core.config import GenPIPConfig
 
 
 def qsr_sample_indices(n_chunks: int, n_qs: int) -> list[int]:
@@ -45,23 +45,19 @@ class QSRDecision:
     sampled_indices: tuple[int, ...]
 
 
+@dataclass(frozen=True)
 class QSRPolicy:
     """Quality-Score-based Rejection (paper Sec. 3.2.1, Algorithm 1).
 
-    Averages the chunk quality scores of ``n_qs`` evenly-spaced chunks
-    and rejects the read when that average falls below ``theta_qs``.
+    Averages the chunk quality scores of ``config.n_qs`` evenly-spaced
+    chunks and rejects the read when that average falls below
+    ``config.theta_qs``.
     """
 
-    def __init__(self, theta_qs: float = 7.0, n_qs: int = 2):
-        require_threshold("theta_qs", theta_qs)
-        require_integer("n_qs", n_qs)
-        if n_qs < 1:
-            raise ValueError("n_qs must be positive")
-        self.theta_qs = theta_qs
-        self.n_qs = n_qs
+    config: GenPIPConfig
 
     def sample_indices(self, n_chunks: int) -> list[int]:
-        return qsr_sample_indices(n_chunks, self.n_qs)
+        return qsr_sample_indices(n_chunks, self.config.n_qs)
 
     def decide(self, sampled_chunks: list[BasecalledChunk]) -> QSRDecision:
         """Apply the threshold to the sampled chunks' mean quality.
@@ -76,7 +72,7 @@ class QSRPolicy:
         total_bases = sum(len(c) for c in sampled_chunks)
         average = total_quality / total_bases if total_bases else 0.0
         return QSRDecision(
-            reject=average < self.theta_qs,
+            reject=average < self.config.theta_qs,
             average_quality=average,
             sampled_indices=tuple(c.chunk_index for c in sampled_chunks),
         )
@@ -92,36 +88,31 @@ class CMRDecision:
     threshold: float
 
 
+@dataclass(frozen=True)
 class CMRPolicy:
     """Chunk-Mapping-based Rejection (paper Sec. 3.2.2).
 
-    Merges the first ``n_cm`` consecutive chunks into one large chunk,
+    Merges the first ``config.n_cm`` consecutive chunks into one large chunk,
     chains it against the reference, and rejects the read when the
     chaining score falls below the threshold. Individual ~300-base
     chunks produce too many spurious candidate loci (the paper's
     motivation for merging); ~1500 merged bases chain decisively.
 
-    The threshold is ``theta_cm`` *per merged base* so that one value is
-    meaningful across chunk sizes and ``n_cm`` values.
+    The threshold is ``config.theta_cm`` *per merged base* so that one
+    value is meaningful across chunk sizes and ``n_cm`` values.
     """
 
-    def __init__(self, theta_cm: float = 0.15, n_cm: int = 5):
-        require_threshold("theta_cm", theta_cm)
-        require_integer("n_cm", n_cm)
-        if n_cm < 1:
-            raise ValueError("n_cm must be positive")
-        self.theta_cm = theta_cm
-        self.n_cm = n_cm
+    config: GenPIPConfig
 
     def merged_chunk_indices(self, n_chunks: int) -> list[int]:
         """The first ``n_cm`` chunks (continuous, per the paper)."""
-        return list(range(min(self.n_cm, n_chunks)))
+        return list(range(min(self.config.n_cm, n_chunks)))
 
     def decide(self, chain_score: float, merged_bases: int) -> CMRDecision:
         """Apply the per-base chaining-score threshold."""
         if merged_bases < 0:
             raise ValueError("merged_bases must be non-negative")
-        threshold = self.theta_cm * merged_bases
+        threshold = self.config.theta_cm * merged_bases
         return CMRDecision(
             reject=chain_score < threshold,
             chain_score=chain_score,

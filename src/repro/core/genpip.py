@@ -24,20 +24,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.builder import PipelineBuilder
-
-from repro.core.backends import (
-    Basecaller,
-    CMRPolicyProtocol,
-    QSRPolicyProtocol,
-    SignalRejectionPolicyProtocol,
-)
+from repro.core.backends import Basecaller
 from repro.core.config import GenPIPConfig
 from repro.core.pipeline import GenPIPPipeline, ReadOutcome, ReadStatus
 from repro.mapping.index import MinimizerIndex
-from repro.mapping.mapper import MapperConfig
 from repro.nanopore.datasets import Dataset
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (keeps repro.signal lazy)
+    from repro.signal.rejection import SignalRejectionPolicy
 
 
 @dataclass
@@ -193,17 +187,20 @@ class GenPIP:
     index:
         Prebuilt reference minimizer index (the offline indexing phase).
     config:
-        Pipeline parameters; defaults to the paper's E. coli preset.
-    basecaller / mapper_config / qsr_policy / cmr_policy / ser_policy:
-        Engine overrides, typed against the :mod:`repro.core.backends`
-        protocols; any registered backend (``"surrogate"``,
-        ``"viterbi"``) or conforming object plugs in.
-        ``ser_policy`` adds the pre-basecalling signal-domain rejection
-        stage for signal-native reads (no default: without a policy the
-        stage does not exist).
-
-    For fluent construction -- registry-name backends, presets, ER
-    variants -- use :meth:`GenPIP.build`.
+        Pipeline parameters, early rejection's included; defaults to
+        the paper's E. coli preset. ``preset_config``,
+        ``GenPIPConfig.with_chunk_size`` and ``variant_config`` derive
+        the evaluated configurations.
+    basecaller:
+        Any :class:`~repro.core.backends.Basecaller`
+        (``create_basecaller("viterbi")`` builds a registered one by
+        name); defaults to the surrogate.
+    align:
+        Base-level alignment of mapped reads (off for the sweeps).
+    ser_policy:
+        Adds the pre-basecalling signal-domain rejection stage for
+        signal-native reads (no default: without a policy the stage
+        does not exist).
     """
 
     def __init__(
@@ -211,35 +208,20 @@ class GenPIP:
         index: MinimizerIndex,
         config: GenPIPConfig | None = None,
         basecaller: Basecaller | None = None,
-        mapper_config: MapperConfig | None = None,
         align: bool = True,
-        qsr_policy: QSRPolicyProtocol | None = None,
-        cmr_policy: CMRPolicyProtocol | None = None,
-        ser_policy: SignalRejectionPolicyProtocol | None = None,
+        ser_policy: SignalRejectionPolicy | None = None,
     ):
-        self._pipeline = GenPIPPipeline(
-            index,
-            basecaller,
-            config,
-            mapper_config,
-            align=align,
-            qsr_policy=qsr_policy,
-            cmr_policy=cmr_policy,
-            ser_policy=ser_policy,
-        )
+        self._pipeline = GenPIPPipeline(index, basecaller, config, align=align, ser_policy=ser_policy)
 
     @classmethod
-    def build(cls) -> "PipelineBuilder":
-        """Start a fluent builder chain::
+    def build(cls) -> "_Chain":
+        """The one call chain the perf benchmark's workloads make::
 
-            GenPIP.build().index(ix).basecaller("viterbi").preset("ecoli").build()
+            GenPIP.build().index(ix).config(cfg).basecaller(engine).align(a).build()
 
-        The default chain (no overrides) constructs through the same
-        path as ``GenPIP(ix)`` and yields byte-identical reports.
+        equal to ``GenPIP(ix, cfg, engine, align=a)``.
         """
-        from repro.core.builder import PipelineBuilder
-
-        return PipelineBuilder()
+        return _Chain()
 
     @property
     def pipeline(self) -> GenPIPPipeline:
@@ -294,3 +276,34 @@ class GenPIP:
 
         engine = DatasetEngine(self._pipeline, workers=workers, batch_size=batch_size, sink=sink)
         return engine.run(dataset)
+
+
+class _Chain:
+    """What ``GenPIP.build()`` returns: the calls ``benchmarks/perf``
+    makes, recorded and forwarded to :class:`GenPIP` by ``build()``.
+
+    It goes once the benchmark's workloads construct the pipeline
+    directly; nothing else calls it.
+    """
+
+    def __init__(self) -> None:
+        self._args: dict = {}
+
+    def index(self, index: MinimizerIndex) -> "_Chain":
+        self._args["index"] = index
+        return self
+
+    def config(self, config: GenPIPConfig) -> "_Chain":
+        self._args["config"] = config
+        return self
+
+    def basecaller(self, basecaller: Basecaller) -> "_Chain":
+        self._args["basecaller"] = basecaller
+        return self
+
+    def align(self, align: bool) -> "_Chain":
+        self._args["align"] = align
+        return self
+
+    def build(self) -> GenPIP:
+        return GenPIP(**self._args)

@@ -32,7 +32,7 @@ Timing is *not* modelled here: this module decides what work happens;
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -40,22 +40,17 @@ import numpy as np
 from repro.basecalling.chunked import reassemble_chunks
 from repro.basecalling.surrogate import SurrogateBasecaller
 from repro.basecalling.types import BasecalledChunk
-from repro.core.backends import (
-    Basecaller,
-    CMRPolicyProtocol,
-    QSRPolicyProtocol,
-    SignalRejectionPolicyProtocol,
-)
+from repro.core.backends import Basecaller
 from repro.core.config import GenPIPConfig
 from repro.core.early_rejection import CMRDecision, CMRPolicy, QSRDecision, QSRPolicy
 from repro.mapping.index import MinimizerIndex
-from repro.mapping.mapper import IncrementalChunkMapper, MapperConfig, MappingResult
+from repro.mapping.mapper import IncrementalChunkMapper, MappingResult
 from repro.nanopore.read_simulator import SimulatedRead
 from repro.nanopore.signal_read import SignalRead
 from repro.obs.trace import active_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (keeps repro.signal lazy)
-    from repro.signal.rejection import SERDecision
+    from repro.signal.rejection import SERDecision, SignalRejectionPolicy
 
 #: Anything the chunk pipeline can process: a base-space simulated read
 #: or a signal-native read carrying stored raw current. Both expose
@@ -118,37 +113,35 @@ class ReadOutcome:
 class GenPIPPipeline:
     """Chunk-based pipeline with optional early rejection.
 
-    The one record of what a pipeline is made of: its fields are the
-    constructor arguments, and the instance itself is what
+    The one record of what a pipeline is made of: its init fields are
+    the constructor arguments, and the instance itself is what
     :mod:`repro.runtime` hands to a worker process (inherited under
     ``fork``, pickled under ``spawn`` -- so engines and policies must be
     picklable; ``dataclasses.replace`` rebinds a field, which is how a
     worker swaps a shared-memory index handle for the attached index).
 
-    The engines are injected behind structural protocols
-    (:mod:`repro.core.backends`): any chunk-deterministic
-    :class:`~repro.core.backends.Basecaller` and any pair of rejection
-    policies run the identical control flow. Defaults are the surrogate
-    basecaller and the paper's QSR/CMR policies derived from ``config``.
+    Any chunk-deterministic :class:`~repro.core.backends.Basecaller`
+    runs the identical control flow; the default is the surrogate.
+    ``config`` is the only home of the early-rejection parameters: the
+    QSR and CMR policies are derived from it, never passed in, so
+    ``dataclasses.replace(pipeline, config=...)`` re-derives them.
     """
 
     index: MinimizerIndex
     basecaller: Basecaller | None = None
     config: GenPIPConfig | None = None
-    mapper_config: MapperConfig | None = None
     align: bool = True
-    qsr_policy: QSRPolicyProtocol | None = None
-    cmr_policy: CMRPolicyProtocol | None = None
     #: SER has no reference-free default: None simply disables the
-    #: pre-basecalling stage (the PR-4-and-earlier control flow).
-    ser_policy: SignalRejectionPolicyProtocol | None = None
+    #: pre-basecalling stage.
+    ser_policy: SignalRejectionPolicy | None = None
+    _qsr: QSRPolicy = field(init=False, repr=False)
+    _cmr: CMRPolicy = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.basecaller = self.basecaller or SurrogateBasecaller()
         self.config = self.config or GenPIPConfig()
-        self.mapper_config = self.mapper_config or MapperConfig()
-        self.qsr_policy = self.qsr_policy or QSRPolicy(self.config.theta_qs, self.config.n_qs)
-        self.cmr_policy = self.cmr_policy or CMRPolicy(self.config.theta_cm, self.config.n_cm)
+        self._qsr = QSRPolicy(self.config)
+        self._cmr = CMRPolicy(self.config)
 
     def accepts_signal_reads(self) -> bool:
         """Whether the configured engine decodes signal-native reads."""
@@ -204,9 +197,9 @@ class GenPIPPipeline:
 
         def basecall(indices) -> list[BasecalledChunk]:
             """A stage's chunks, decoded in one engine call: the ones not
-            called yet, each once, in the order first asked for."""
+            called yet, in the order asked for."""
             indices = list(indices)
-            todo = list(dict.fromkeys(i for i in indices if i not in called))
+            todo = [i for i in indices if i not in called]
             if todo:
                 with tracer.span("basecall"):
                     chunks = self.basecaller.basecall_chunks(read, todo, chunk_size)
@@ -244,8 +237,8 @@ class GenPIPPipeline:
         # when it runs it is the first basecalling stage.
         if cfg.enable_qsr and er_eligible:
             with tracer.span("qsr_probe"):
-                sampled = basecall(self.qsr_policy.sample_indices(n_chunks))
-                qsr = self.qsr_policy.decide(sampled)
+                sampled = basecall(self._qsr.sample_indices(n_chunks))
+                qsr = self._qsr.decide(sampled)
             if qsr.reject:
                 return outcome(ReadStatus.REJECTED_QSR)
 
@@ -253,28 +246,21 @@ class GenPIPPipeline:
         # Provisional read length (the true length) for reverse-strand
         # coordinate flipping during prefix chaining; fixed to the exact
         # basecalled length before finalize().
-        chunk_mapper = IncrementalChunkMapper(
-            self.index, read_length=len(read), config=self.mapper_config
-        )
+        chunk_mapper = IncrementalChunkMapper(self.index, read_length=len(read))
         # Seeded chunks are always a prefix of the read: ``n_seeded`` of
         # them, ``seeded_bases`` long in called bases (indel errors shift
         # chunk boundaries, so offsets are cumulative called lengths).
         seeded_bases = 0
         if cfg.enable_cmr and er_eligible:
             with tracer.span("cmr_probe"):
-                merged_indices = list(self.cmr_policy.merged_chunk_indices(n_chunks))
-                if not merged_indices or merged_indices != list(range(len(merged_indices))):
-                    raise ValueError(
-                        "the CMR policy must merge a non-empty prefix 0..m-1 of the "
-                        f"read's chunks, got {merged_indices}"
-                    )
+                merged_indices = self._cmr.merged_chunk_indices(n_chunks)
                 merged = np.concatenate([c.codes for c in basecall(merged_indices)])
                 self._seed_run(chunk_mapper, merged, 0)
                 n_seeded, seeded_bases = len(merged_indices), merged.size
                 primary, _ = chunk_mapper.chain_prefix()
                 score = primary.score if primary is not None else 0.0
                 n_chain_invocations += 1
-                cmr = self.cmr_policy.decide(score, merged.size)
+                cmr = self._cmr.decide(score, merged.size)
             if cmr.reject:
                 return outcome(ReadStatus.REJECTED_CMR)
 

@@ -4,13 +4,14 @@ Two dicts: ``name -> engine type`` (``"surrogate"``, ``"viterbi"``) and
 ``name -> GenPIPConfig`` (``"ecoli"`` / ``"human"``, the Sec. 6.3
 parameters, with the dataset-profile spellings ``"ecoli-like"`` /
 ``"human-like"`` as aliases, plus ``"default"``).
-They are what the CLI's ``--basecaller`` / ``--preset`` flags and the
-builder's ``.basecaller("viterbi")`` / ``.preset("ecoli")`` look up.
+They are what the CLI's ``--basecaller`` / ``--preset`` flags look up,
+through :func:`create_basecaller` / :func:`preset_config`.
 
 A name is a convenience for the built-ins, not how an engine is known
 to the rest of the system: any object satisfying
-:class:`~repro.core.backends.Basecaller` is handed to ``GenPIP(...)`` or
-``.basecaller(instance)`` as itself, and travels to workers as itself.
+:class:`~repro.core.backends.Basecaller` is handed to
+``GenPIPPipeline(...)`` or ``GenPIP(...)`` as itself, and travels to
+workers as itself.
 """
 
 from __future__ import annotations

@@ -3,8 +3,10 @@
 Each experiment module exposes a ``run(...)`` function returning a
 result object with ``rows()`` (the series/rows the paper reports) and
 ``render()`` (a printable table including the paper's reference values
-from :mod:`repro.experiments.paper_values`). ``repro.experiments.runner``
-runs everything and assembles the EXPERIMENTS.md content.
+from :mod:`repro.experiments.paper_values`). ``python -m
+repro.experiments.runner`` runs everything and prints one markdown
+report of measured-vs-paper results (PAPER.md has the paper's
+abstract, ROADMAP.md the open fidelity items).
 
 Functional pipeline runs are cached per (dataset, chunk size, ER
 variant) in :mod:`repro.experiments.context` so that the benchmark

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core import GenPIP, GenPIPConfig
-from repro.core.config import VARIANTS
+from repro.core.config import VARIANTS, variant_config
 from repro.core.genpip import GenPIPReport
-from repro.core.registry import preset_config
+from repro.core.registry import create_basecaller, preset_config
 from repro.kernels.mapping_ops import process_mapping_ops
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import PRESETS, Dataset, generate_dataset
@@ -99,15 +99,11 @@ class ExperimentContext:
         """
         key = (variant, chunk_size, align, basecaller)
         if key not in self._reports:
-            system = (
-                GenPIP.build()
-                .index(self.index)
-                .preset(self.profile_name)
-                .chunk_size(chunk_size)
-                .variant(variant)
-                .basecaller(basecaller)
-                .align(align)
-                .build()
+            system = GenPIP(
+                self.index,
+                variant_config(self.base_config(chunk_size), variant),
+                create_basecaller(basecaller),
+                align=align,
             )
             ledger = process_mapping_ops()
             before = ledger.by_key()

@@ -71,7 +71,7 @@ def qsr_decisions(reads: list[SimulatedRead], config: GenPIPConfig) -> dict[str,
     ``min_chunks_for_er`` chunks are not screened and have no entry.
     """
     caller = SurrogateBasecaller()
-    policy = QSRPolicy(theta_qs=config.theta_qs, n_qs=config.n_qs)
+    policy = QSRPolicy(config)
     decisions = {}
     for read in reads:
         n_chunks = caller.n_chunks(read, config.chunk_size)

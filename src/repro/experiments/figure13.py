@@ -75,7 +75,7 @@ def cmr_decisions(
     are not screened and have no entry.
     """
     caller = SurrogateBasecaller()
-    policy = CMRPolicy(theta_cm=config.theta_cm, n_cm=config.n_cm)
+    policy = CMRPolicy(config)
     decisions = {}
     for read in reads:
         n_chunks = caller.n_chunks(read, config.chunk_size)

@@ -1,4 +1,5 @@
-"""Run every experiment and assemble an EXPERIMENTS.md-style report."""
+"""Run every experiment and print one markdown report of measured-vs-paper
+results: ``python -m repro.experiments.runner``."""
 
 from __future__ import annotations
 

@@ -77,10 +77,10 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
-from repro.core.config import VARIANTS
-from repro.core.genpip import GenPIP, GenPIPReport
+from repro.core.config import VARIANTS, variant_config
+from repro.core.genpip import GenPIPReport
 from repro.core.pipeline import GenPIPPipeline, ReadOutcome
-from repro.core.registry import basecaller_names, create_basecaller, preset_names
+from repro.core.registry import basecaller_names, create_basecaller, preset_config, preset_names
 from repro.genomics.reference import ReferenceGenome
 from repro.kernels.align import gotoh_backend
 from repro.kernels.chain import chain_backend
@@ -218,7 +218,7 @@ def pipeline_from_args(
 ) -> GenPIPPipeline:
     """The pipeline the :func:`add_pipeline_args` flags describe over ``reference``."""
     # Constructed up front so the SER policy can be derived from its
-    # pore model; the builder then receives the live instance.
+    # pore model.
     basecaller = create_basecaller(args.basecaller)
     ser_policy = None
     if args.signal_er:
@@ -238,16 +238,13 @@ def pipeline_from_args(
         )
     # The registry's profile-name aliases carry each dataset's Sec. 6.3
     # parameters, so the profile default and --preset share one source.
-    return (
-        GenPIP.build()
-        .index(MinimizerIndex.build(reference))
-        .preset(args.preset or args.profile)
-        .chunk_size(args.chunk_size)
-        .variant(args.variant)
-        .basecaller(basecaller)
-        .align(args.align)
-        .signal_rejection(ser_policy)
-        .build_pipeline()
+    config = preset_config(args.preset or args.profile).with_chunk_size(args.chunk_size)
+    return GenPIPPipeline(
+        MinimizerIndex.build(reference),
+        basecaller,
+        variant_config(config, args.variant),
+        align=args.align,
+        ser_policy=ser_policy,
     )
 
 

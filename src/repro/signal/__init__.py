@@ -17,10 +17,8 @@ required:
 Containers hold picoampere samples, the units the pore model and the
 decoders use, so current is screened and decoded as stored.
 
-The pipeline-facing contract lives in :mod:`repro.core.backends`
-(:class:`~repro.core.backends.SignalRejectionPolicyProtocol`), mirroring
-the QSR/CMR policy protocols; everything here is a default
-implementation behind it.
+The pipeline takes a :class:`SignalRejectionPolicy` as its
+``ser_policy`` field; it is the one SER implementation.
 """
 
 from repro.signal.rejection import SERDecision, SignalRejectionPolicy

@@ -2,15 +2,14 @@
 
 GenPIP's ER stops a useless read after a few basecalled chunks; the
 paper's stated ideal (Sec. 2.3) is to stop it "even before [reads] go
-through basecalling". SER is that stage: a
-:class:`~repro.core.backends.SignalRejectionPolicyProtocol` policy
-examines a signal-native read's *raw current prefix* and decides
+through basecalling". SER is that stage: the pipeline's
+``ser_policy`` examines a signal-native read's *raw current prefix* and decides
 reject/continue before the pipeline basecalls a single chunk. A
 rejected read terminates with
 :attr:`~repro.core.pipeline.ReadStatus.REJECTED_SIGNAL` and zero
 basecalling work -- the earliest possible exit in the system.
 
-The default policy here is the squiggle-matching screen (cf.
+The policy here is the squiggle-matching screen (cf.
 SquiggleFilter): the read's current prefix, averaged in sample pairs to
 roughly one value per base dwell, is matched by subsequence DTW
 (:func:`repro.kernels.sdtw.sdtw_cost`) against the expected pore-model
@@ -65,13 +64,12 @@ class SERDecision:
 
 
 class SignalRejectionPolicy:
-    """Default SER policy: subsequence-DTW screening of the signal prefix.
+    """The SER policy: subsequence-DTW screening of the signal prefix.
 
     Holds the expected-signal ``templates`` (z-normalised once here,
-    since every read brings a new query but the templates never change)
-    behind the :class:`~repro.core.backends.SignalRejectionPolicyProtocol`
-    contract the pipeline consumes. ``prefix_bases`` bounds the work per
-    read: only the first that-many base-grid positions of current are
+    since every read brings a new query but the templates never change);
+    the pipeline calls :meth:`decide` once per signal-native read.
+    ``prefix_bases`` bounds the work per read: only the first that-many base-grid positions of current are
     matched, mirroring Read-Until's decide-from-the-prefix regime.
     """
 

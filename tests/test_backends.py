@@ -1,19 +1,18 @@
 """Tests for the pluggable engine API.
 
-Covers the structural protocols (:mod:`repro.core.backends`), the
-signal-space backend adapters (:mod:`repro.basecalling.engines`), the
-backend/preset registry (:mod:`repro.core.registry`), the fluent
-builder (:mod:`repro.core.builder`), and how a
+Covers the structural basecaller protocol (:mod:`repro.core.backends`),
+the signal-space backend adapters (:mod:`repro.basecalling.engines`),
+the backend/preset registry (:mod:`repro.core.registry`), how a system
+is constructed from them, and how a
 :class:`~repro.core.pipeline.GenPIPPipeline` travels to a worker (as
-itself, pickled) -- including the two equivalence guarantees of the
-redesign:
+itself, pickled):
 
-* the default builder chain produces reports *byte-identical* to the
-  direct ``GenPIP(...)`` constructor;
-* a builder-constructed system with a non-default backend yields the
-  same report from ``run(workers=2)`` as from the serial run, and its
-  pipeline round-trips through pickle into a fresh interpreter
-  (``spawn`` semantics) with identical outcomes.
+* the ``GenPIP.build()`` chain the perf benchmark calls produces
+  reports *byte-identical* to the direct ``GenPIP(...)`` constructor;
+* a system with a non-default backend yields the same report from
+  ``run(workers=2)`` as from the serial run, and its pipeline
+  round-trips through pickle into a fresh interpreter (``spawn``
+  semantics) with identical outcomes.
 """
 
 from __future__ import annotations
@@ -40,15 +39,13 @@ from repro.basecalling import (
 )
 from repro.core import (
     ECOLI_PARAMS,
-    CMRPolicy,
     GenPIP,
     GenPIPConfig,
     GenPIPPipeline,
-    QSRPolicy,
     ReadStatus,
+    variant_config,
 )
-from repro.core.backends import Basecaller, CMRPolicyProtocol, QSRPolicyProtocol
-from repro.core.early_rejection import QSRDecision
+from repro.core.backends import Basecaller
 from repro.core.registry import (
     basecaller_names,
     create_basecaller,
@@ -125,13 +122,8 @@ class TestProtocols:
 
         assert not isinstance(PerChunkOnly(), Basecaller)
 
-    def test_policies_satisfy_protocols(self):
-        assert isinstance(QSRPolicy(), QSRPolicyProtocol)
-        assert isinstance(CMRPolicy(), CMRPolicyProtocol)
-
     def test_non_conforming_object_fails(self):
         assert not isinstance(object(), Basecaller)
-        assert not isinstance(QSRPolicy(), CMRPolicyProtocol)
 
 
 class TestRegistry:
@@ -238,13 +230,7 @@ class TestSignalSpaceBackends:
         called = engine.basecall_read(read, 300)
         assert called.n_chunks == last + 1
         # And through the whole pipeline.
-        system = (
-            GenPIP.build()
-            .index(micro_index)
-            .basecaller("viterbi", FAST_VITERBI)
-            .align(False)
-            .build()
-        )
+        system = GenPIP(micro_index, basecaller=engine, align=False)
         outcome = system.process_read(read)
         assert outcome.n_chunks_total == 2
 
@@ -263,21 +249,28 @@ class TestSignalSpaceBackends:
         assert a.bases == b.bases
 
 
-class TestBuilder:
-    def test_default_chain_byte_identical_to_constructor(self, micro_index, micro_dataset):
-        direct = GenPIP(micro_index, align=False).run(micro_dataset)
-        built = GenPIP.build().index(micro_index).align(False).build().run(micro_dataset)
-        run_args = {"dataset": "micro"}
-        assert report_to_json(built, run_args) == report_to_json(direct, run_args)
-
-    def test_viterbi_chain_parallel_equals_serial(self, micro_index, micro_dataset):
-        system = (
+class TestConstruction:
+    def test_benchmark_chain_equals_constructor(self, micro_index, micro_dataset):
+        engine = create_basecaller("surrogate")
+        direct = GenPIP(micro_index, ECOLI_PARAMS, engine, align=False).run(micro_dataset)
+        chained = (
             GenPIP.build()
             .index(micro_index)
-            .preset("ecoli")
-            .basecaller("viterbi", FAST_VITERBI)
+            .config(ECOLI_PARAMS)
+            .basecaller(engine)
             .align(False)
             .build()
+            .run(micro_dataset)
+        )
+        run_args = {"dataset": "micro"}
+        assert report_to_json(chained, run_args) == report_to_json(direct, run_args)
+
+    def test_viterbi_parallel_equals_serial(self, micro_index, micro_dataset):
+        system = GenPIP(
+            micro_index,
+            preset_config("ecoli"),
+            create_basecaller("viterbi", FAST_VITERBI),
+            align=False,
         )
         serial = system.run(micro_dataset)
         parallel = system.run(micro_dataset, workers=2, batch_size=2)
@@ -286,55 +279,14 @@ class TestBuilder:
         statuses = {outcome.status for outcome in serial.outcomes}
         assert statuses <= set(ReadStatus)
 
-    def test_chunk_size_and_variant_compose(self, micro_index):
-        builder = (
-            GenPIP.build()
-            .index(micro_index)
-            .preset("human")
-            .chunk_size(400)
-            .variant("conventional")
-        )
-        config = builder.resolved_config()
+    def test_chunk_size_and_variant_compose(self):
+        config = variant_config(preset_config("human").with_chunk_size(400), "conventional")
         assert config.chunk_size == 400
         assert config.n_qs == 5 and config.n_cm == 3  # human preset survives
         assert not config.enable_qsr and not config.enable_cmr
 
-    def test_build_without_index_raises(self):
-        with pytest.raises(ValueError, match="index"):
-            GenPIP.build().basecaller("surrogate").build()
-
-    def test_unknown_backend_surfaces_registry_error(self, micro_index):
-        with pytest.raises(ValueError, match="available backends"):
-            GenPIP.build().index(micro_index).basecaller("bonito").build()
-
-    def test_instance_with_config_rejected(self):
-        with pytest.raises(ValueError):
-            GenPIP.build().basecaller(SurrogateBasecaller(), FAST_VITERBI)
-
-    def test_for_dataset_builds_index(self, micro_dataset):
-        system = GenPIP.build().for_dataset(micro_dataset).align(False).build()
-        report = system.run(micro_dataset)
-        assert report.n_reads == len(micro_dataset)
-
-    def test_custom_policy_injection(self, micro_index, micro_dataset):
-        class RejectEverything:
-            def sample_indices(self, n_chunks):
-                return [0]
-
-            def decide(self, sampled_chunks):
-                return QSRDecision(
-                    reject=True,
-                    average_quality=0.0,
-                    sampled_indices=tuple(c.chunk_index for c in sampled_chunks),
-                )
-
-        system = (
-            GenPIP.build()
-            .index(micro_index)
-            .qsr_policy(RejectEverything())
-            .align(False)
-            .build()
-        )
+    def test_theta_qs_above_every_quality_rejects_all(self, micro_index, micro_dataset):
+        system = GenPIP(micro_index, GenPIPConfig(theta_qs=41), align=False)
         report = system.run(micro_dataset)
         eligible = [
             o for o in report.outcomes
@@ -342,22 +294,6 @@ class TestBuilder:
         ]
         assert eligible
         assert all(o.status is ReadStatus.REJECTED_QSR for o in eligible)
-
-    def test_cmr_policy_must_merge_a_chunk_prefix(self, micro_index, micro_dataset):
-        class SkipsAChunk(CMRPolicy):
-            def merged_chunk_indices(self, n_chunks):
-                return [0, 2]
-
-        system = (
-            GenPIP.build()
-            .index(micro_index)
-            .config(GenPIPConfig(enable_qsr=False))
-            .cmr_policy(SkipsAChunk(theta_cm=0.1, n_cm=2))
-            .align(False)
-            .build()
-        )
-        with pytest.raises(ValueError, match="prefix"):
-            system.pipeline.process_read(max(micro_dataset.reads, key=len))
 
 
 class TestConventionalPipelineAlign:
@@ -387,30 +323,30 @@ class TestPipelineTravels:
         # What a worker does with the shared-memory handle it was sent.
         rebound = dataclasses.replace(pipeline, index=micro_index)
         assert rebound.basecaller is engine
-        assert rebound.qsr_policy is pipeline.qsr_policy
         assert rebound.config == pipeline.config
 
-    def test_custom_policies_travel(self, micro_index):
-        qsr = QSRPolicy(theta_qs=3.3, n_qs=4)
-        rebuilt = pickle.loads(pickle.dumps(GenPIP(micro_index, qsr_policy=qsr).pipeline))
-        assert rebuilt.qsr_policy.theta_qs == 3.3
-        assert rebuilt.qsr_policy.n_qs == 4
+    def test_er_parameters_travel(self, micro_index, micro_dataset):
+        config = GenPIPConfig(theta_qs=3.3, n_qs=4)
+        pipeline = GenPIP(micro_index, config, align=False).pipeline
+        rebuilt = pickle.loads(pickle.dumps(pipeline))
+        assert rebuilt.config == config
+        reads = list(micro_dataset.reads)
+        assert rebuilt.process_batch(reads) == pipeline.process_batch(reads)
 
     def test_spawn_round_trip_identical_outcomes(
         self, micro_index, micro_dataset, tmp_path
     ):
-        """Pickle a pipeline per engine (one with a custom QSR policy),
+        """Pickle a pipeline per engine (one with its own QSR parameters),
         load them in a *fresh* interpreter (spawn semantics), and
         compare outcomes exactly."""
         pipelines = [
             GenPIP(micro_index, align=False).pipeline,
-            GenPIP.build()
-            .index(micro_index)
-            .basecaller("viterbi", FAST_VITERBI)
-            .qsr_policy(QSRPolicy(theta_qs=9.5, n_qs=3))
-            .align(False)
-            .build()
-            .pipeline,
+            GenPIPPipeline(
+                micro_index,
+                ViterbiChunkBasecaller(FAST_VITERBI),
+                GenPIPConfig(theta_qs=9.5, n_qs=3),
+                align=False,
+            ),
         ]
         reads = micro_dataset.reads[:3]
         expected = [pipeline.process_batch(list(reads)) for pipeline in pipelines]

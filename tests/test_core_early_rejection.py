@@ -38,6 +38,19 @@ class TestQsrSampleIndices:
         with pytest.raises(ValueError):
             qsr_sample_indices(10, 0)
 
+    @given(st.integers(min_value=1, max_value=500), st.integers(min_value=1, max_value=40))
+    @settings(max_examples=100)
+    def test_samples_are_distinct_and_span_the_read(self, n_chunks, n_qs):
+        """The pipeline decodes the sample as asked, so no chunk may be
+        named twice; first and last chunk are in it whenever two fit."""
+        indices = qsr_sample_indices(n_chunks, n_qs)
+        assert indices == sorted(set(indices))
+        assert 0 <= indices[0] and indices[-1] < n_chunks
+        expected = 1 if n_qs == 1 or n_chunks == 1 else min(n_qs, n_chunks)
+        assert len(indices) == expected
+        if expected > 1:
+            assert indices[0] == 0 and indices[-1] == n_chunks - 1
+
     @given(st.integers(min_value=1, max_value=500), st.integers(min_value=1, max_value=10))
     @settings(max_examples=80)
     def test_properties(self, n_chunks, n_qs):
@@ -54,64 +67,70 @@ class TestQsrSampleIndices:
 
 class TestQSRPolicy:
     def test_rejects_low_quality(self):
-        policy = QSRPolicy(theta_qs=7.0, n_qs=2)
+        policy = QSRPolicy(GenPIPConfig(theta_qs=7.0, n_qs=2))
         decision = policy.decide([_chunk(0, 4.0), _chunk(9, 5.0)])
         assert decision.reject
         assert decision.average_quality == pytest.approx(4.5)
 
     def test_accepts_high_quality(self):
-        policy = QSRPolicy(theta_qs=7.0, n_qs=2)
+        policy = QSRPolicy(GenPIPConfig(theta_qs=7.0, n_qs=2))
         decision = policy.decide([_chunk(0, 11.0), _chunk(9, 12.0)])
         assert not decision.reject
 
     def test_boundary_inclusive_pass(self):
-        policy = QSRPolicy(theta_qs=7.0)
+        policy = QSRPolicy(GenPIPConfig(theta_qs=7.0))
         assert not policy.decide([_chunk(0, 7.0)]).reject
 
     def test_base_weighted_average(self):
         # A 600-base chunk counts twice as much as a 300-base chunk.
-        policy = QSRPolicy(theta_qs=7.0)
+        policy = QSRPolicy(GenPIPConfig(theta_qs=7.0))
         decision = policy.decide([_chunk(0, 3.0, n=600), _chunk(1, 12.0, n=300)])
         assert decision.average_quality == pytest.approx((3.0 * 600 + 12.0 * 300) / 900)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            QSRPolicy().decide([])
+            QSRPolicy(GenPIPConfig()).decide([])
 
     def test_records_sampled_indices(self):
-        decision = QSRPolicy().decide([_chunk(0, 9.0), _chunk(7, 9.0)])
+        decision = QSRPolicy(GenPIPConfig()).decide([_chunk(0, 9.0), _chunk(7, 9.0)])
         assert decision.sampled_indices == (0, 7)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QSRPolicy(theta_qs=-1.0)
-        with pytest.raises(ValueError):
-            QSRPolicy(n_qs=0)
+    def test_has_no_defaults_of_its_own(self):
+        with pytest.raises(TypeError):
+            QSRPolicy()
+        policy = QSRPolicy(GenPIPConfig(n_qs=4, theta_qs=9.0))
+        assert policy.sample_indices(10) == qsr_sample_indices(10, 4)
+        assert policy.decide([_chunk(0, 8.5)]).reject
 
 
 class TestCMRPolicy:
     def test_rejects_low_chain_score(self):
-        policy = CMRPolicy(theta_cm=0.15, n_cm=5)
+        policy = CMRPolicy(GenPIPConfig(theta_cm=0.15, n_cm=5))
         decision = policy.decide(chain_score=10.0, merged_bases=1500)
         assert decision.reject
         assert decision.threshold == pytest.approx(225.0)
 
     def test_accepts_high_chain_score(self):
-        policy = CMRPolicy(theta_cm=0.15, n_cm=5)
+        policy = CMRPolicy(GenPIPConfig(theta_cm=0.15, n_cm=5))
         assert not policy.decide(chain_score=500.0, merged_bases=1500).reject
 
     def test_merged_indices_continuous(self):
-        policy = CMRPolicy(n_cm=5)
+        policy = CMRPolicy(GenPIPConfig(n_cm=5))
         assert policy.merged_chunk_indices(20) == [0, 1, 2, 3, 4]
         assert policy.merged_chunk_indices(3) == [0, 1, 2]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CMRPolicy(theta_cm=-0.1)
-        with pytest.raises(ValueError):
-            CMRPolicy(n_cm=0)
-        with pytest.raises(ValueError):
-            CMRPolicy().decide(1.0, -5)
+            CMRPolicy(GenPIPConfig()).decide(1.0, -5)
+
+    def test_has_no_defaults_of_its_own(self):
+        """The threshold is the config's theta_cm (0.04 by default), not
+        a policy default of its own."""
+        with pytest.raises(TypeError):
+            CMRPolicy()
+        decision = CMRPolicy(GenPIPConfig()).decide(chain_score=50.0, merged_bases=1000)
+        assert decision.threshold == pytest.approx(GenPIPConfig().theta_cm * 1000)
+        assert not decision.reject
 
     @given(
         st.floats(min_value=0.0, max_value=1000.0),
@@ -120,9 +139,23 @@ class TestCMRPolicy:
     )
     @settings(max_examples=50)
     def test_threshold_monotonicity(self, score, bases, theta):
-        policy = CMRPolicy(theta_cm=theta)
+        policy = CMRPolicy(GenPIPConfig(theta_cm=theta))
         decision = policy.decide(score, bases)
         assert decision.reject == (score < theta * bases)
+
+
+class TestConfigRanges:
+    """The policies check nothing themselves: every range they apply is
+    checked once, when the ``GenPIPConfig`` is made."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("theta_qs", -1.0), ("n_qs", 0), ("theta_cm", -0.1), ("n_cm", 0),
+         ("chunk_size", 49), ("min_chunks_for_er", 0)],
+    )
+    def test_config_refuses_out_of_range_parameter(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GenPIPConfig(**{field: value})
 
 
 _NON_FINITE = [float("nan"), float("inf")]
@@ -151,19 +184,6 @@ class TestNonFiniteOrFractionalParameters:
     def test_config_accepts_numpy_integers(self):
         config = GenPIPConfig(chunk_size=np.int64(300), n_qs=np.int32(2))
         assert config.chunk_size == 300
-
-    @pytest.mark.parametrize("value", _NON_FINITE, ids=["nan", "inf"])
-    def test_policies_refuse_non_finite_threshold(self, value):
-        with pytest.raises(ValueError, match="theta_qs"):
-            QSRPolicy(theta_qs=value)
-        with pytest.raises(ValueError, match="theta_cm"):
-            CMRPolicy(theta_cm=value)
-
-    def test_policies_refuse_non_integer_count(self):
-        with pytest.raises(TypeError, match="n_qs"):
-            QSRPolicy(n_qs=2.5)
-        with pytest.raises(TypeError, match="n_cm"):
-            CMRPolicy(n_cm=5.5)
 
 
 class TestReadQC:

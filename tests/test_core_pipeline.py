@@ -5,6 +5,8 @@ index, and the reports of a few pipeline configurations shared by all
 assertions.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from repro.core import (
     GenPIPPipeline,
     ReadStatus,
 )
-from repro.core.early_rejection import QSRPolicy
 from repro.mapping import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.nanopore.read_simulator import ReadClass
@@ -271,13 +272,9 @@ class TestOneEngineCallPerStage:
         assert {ReadStatus.MAPPED, ReadStatus.REJECTED_CMR, ReadStatus.REJECTED_QSR} <= seen
 
     def test_stage_with_nothing_left_to_decode_makes_no_call(self, dataset, index, genpip_report):
-        """QSR samples every chunk: the merge set and the remainder are
-        already decoded, so a mapped read costs one engine call."""
-
-        class SampleAll(QSRPolicy):
-            def sample_indices(self, n_chunks):
-                return list(range(n_chunks))
-
+        """QSR samples every chunk (``n_qs`` at least the chunk count):
+        the merge set and the remainder are already decoded, so a mapped
+        read costs one engine call."""
         mapped = {
             o.read_id
             for o in genpip_report.outcomes
@@ -285,27 +282,37 @@ class TestOneEngineCallPerStage:
         }
         read = next(r for r in dataset.reads if r.read_id in mapped)
         engine = CountingBasecaller()
-        pipeline = GenPIPPipeline(index, basecaller=engine, qsr_policy=SampleAll())
-        outcome = pipeline.process_read(read)
+        config = GenPIPConfig(n_qs=engine.n_chunks(read, 300))
+        outcome = GenPIPPipeline(index, basecaller=engine, config=config).process_read(read)
         assert outcome.status is ReadStatus.MAPPED
         assert engine.calls == [list(range(outcome.n_chunks_total))]
 
-    def test_duplicate_sample_indices_are_decoded_once(self, dataset, index):
-        """A custom QSR policy may name a chunk twice: it is decoded once
-        and handed to ``decide`` as often as it was named."""
-        seen_by_decide = []
 
-        class Repeats(QSRPolicy):
-            def sample_indices(self, n_chunks):
-                return [0, n_chunks - 1, 0, 0]
+class TestConfigIsTheOnlyHome:
+    """``GenPIPConfig`` is the one home of the ER parameters: the QSR and
+    CMR policies are derived from it, so ``dataclasses.replace`` with a
+    new config re-derives them rather than keeping the old ones."""
 
-            def decide(self, sampled_chunks):
-                seen_by_decide.append([c.chunk_index for c in sampled_chunks])
-                return super().decide(sampled_chunks)
+    def test_replaced_config_decides_like_a_fresh_pipeline(self, dataset, index):
+        reads = dataset.reads[:40]
+        first = GenPIPConfig(n_qs=2, theta_qs=7.0, n_cm=5, theta_cm=0.04)
+        other = GenPIPConfig(n_qs=5, theta_qs=9.0, n_cm=3, theta_cm=0.2)
+        pipeline = GenPIPPipeline(index, config=first)
+        amended = dataclasses.replace(pipeline, config=other)
+        fresh = GenPIPPipeline(index, config=other).process_batch(reads)
+        assert amended.process_batch(reads) == fresh
+        assert pipeline.process_batch(reads) != fresh
 
-        read = next(r for r in dataset.reads if len(r) > 2_400)
-        engine = CountingBasecaller()
-        GenPIPPipeline(index, basecaller=engine, qsr_policy=Repeats()).process_read(read)
-        n = engine.n_chunks(read, 300)
-        assert engine.calls[0] == [0, n - 1]
-        assert seen_by_decide == [[0, n - 1, 0, 0]]
+    def test_replace_rederives_both_policies(self, index):
+        first = GenPIPConfig(n_qs=2, n_cm=5)
+        other = GenPIPConfig(n_qs=5, n_cm=3)
+        pipeline = GenPIPPipeline(index, config=first)
+        amended = dataclasses.replace(pipeline, config=other)
+        assert amended._qsr.config is other and amended._cmr.config is other
+        assert pipeline._qsr.config is first and pipeline._cmr.config is first
+        rebound = dataclasses.replace(pipeline, index=index)
+        assert rebound._qsr == pipeline._qsr and rebound._cmr == pipeline._cmr
+
+    def test_init_fields_are_the_constructor_arguments(self):
+        init_fields = [f.name for f in dataclasses.fields(GenPIPPipeline) if f.init]
+        assert init_fields == ["index", "basecaller", "config", "align", "ser_policy"]

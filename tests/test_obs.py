@@ -269,14 +269,12 @@ class TestSERTracing:
         )
         templates = [pore.expected_levels(dataset.reference.codes[:250])]
         policy = SignalRejectionPolicy(templates, prefix_bases=100)
-        return (
-            GenPIP.build()
-            .index(MinimizerIndex.build(dataset.reference))
-            .config(GenPIPConfig())
-            .basecaller(ViterbiChunkBasecaller(ViterbiBackendConfig(pore_k=3)))
-            .align(False)
-            .signal_rejection(policy)
-            .build()
+        return GenPIP(
+            MinimizerIndex.build(dataset.reference),
+            GenPIPConfig(),
+            ViterbiChunkBasecaller(ViterbiBackendConfig(pore_k=3)),
+            align=False,
+            ser_policy=policy,
         )
 
     def test_ser_rejected_trace_stops_at_ser(self, ser_system):

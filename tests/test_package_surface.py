@@ -1,13 +1,19 @@
-"""The package surface: what ``repro`` exports exists, and the object API
-the array pipeline replaced stays deleted.
+"""The package surface: what ``repro`` exports exists, the object API
+the array pipeline replaced stays deleted, and the package has one
+version string.
 
 Stages pass 2-bit code arrays and per-strand anchor arrays to each other
 (``minimizer_arrays``, ``collect_anchor_arrays``); the conventional
-pipeline is ``GenPIPPipeline`` under ``GenPIPConfig.conventional()``.
+pipeline is ``GenPIPPipeline`` under ``GenPIPConfig.conventional()``. A
+pipeline is built as the ``GenPIPPipeline`` dataclass itself (or the
+``GenPIP`` facade around it), with early rejection read from its
+``GenPIPConfig``: no fluent builder, no injected policies.
 """
 
 import ast
 import importlib
+import re
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -16,9 +22,10 @@ import repro
 
 SRC = Path(repro.__file__).parent
 
-#: Names deleted because nothing but tests reached them. A definition
-#: of any of them under ``src/repro`` (function, class or property) is a
-#: regression to the object API.
+#: Names deleted because nothing but tests reached them, or because
+#: they were a second way to build a pipeline (the fluent builder's
+#: methods, the rejection-policy protocols). A definition of any of them
+#: under ``src/repro`` (function, class or property) is a regression.
 DELETED_NAMES = frozenset(
     {
         "Sequence",
@@ -39,13 +46,20 @@ DELETED_NAMES = frozenset(
         "bases_seeded",
         "bottleneck_utilisation",
         "mean_read_bases",
+        "QSRPolicyProtocol",
+        "CMRPolicyProtocol",
+        "SignalRejectionPolicyProtocol",
+        "for_dataset",
+        "resolved_config",
+        "resolved_basecaller",
+        "build_pipeline",
     }
 )
 
 #: Modules deleted whole. ``identity`` lived in the second; the name is
 #: not in ``DELETED_NAMES`` because alignment and mapping results keep
 #: an ``identity`` property.
-DELETED_MODULES = ("genomics/sequence.py", "mapping/edit_distance.py")
+DELETED_MODULES = ("genomics/sequence.py", "mapping/edit_distance.py", "core/builder.py")
 
 
 def _declares_all(path: Path) -> bool:
@@ -98,3 +112,24 @@ def test_every_export_resolves(module_name):
     missing = [name for name in exported if not hasattr(module, name)]
     assert not missing, missing
     assert not DELETED_NAMES & set(exported)
+
+
+def test_version_has_one_source():
+    """``pyproject.toml`` reads the version from ``repro.__version__``
+    rather than restating it, so the two cannot drift apart."""
+    pyproject = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "repro.__version__"}
+
+
+def test_documents_the_package_names_exist():
+    """A ``*.md`` file a module points readers to is in the repository."""
+    root = SRC.parents[1]
+    named = {
+        name
+        for path in SRC.rglob("*.py")
+        for name in re.findall(r"\b[A-Z][A-Z_]*\.md\b", path.read_text(encoding="utf-8"))
+    }
+    assert named
+    assert not [name for name in sorted(named) if not (root / name).is_file()]

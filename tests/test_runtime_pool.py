@@ -203,7 +203,7 @@ class TestStartFailure:
     @pytest.fixture()
     def failing_pipeline(self, pipeline):
         return WorkerBuildFails(
-            **{f.name: getattr(pipeline, f.name) for f in dataclasses.fields(pipeline)}
+            **{f.name: getattr(pipeline, f.name) for f in dataclasses.fields(pipeline) if f.init}
         )
 
     def test_pool_reports_dead_and_is_torn_down(self, failing_pipeline, monkeypatch):

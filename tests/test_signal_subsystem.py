@@ -3,7 +3,7 @@
 Covers event segmentation (exact step recovery, tolerance against the
 simulator's declared grid, grid synthesis for grid-less reads), the
 signal-domain early-rejection stage (policy behaviour, pipeline control
-flow, builder/spec/transport plumbing, serial == pooled equivalence,
+flow, spec/transport plumbing, serial == pooled equivalence,
 JSONL round-trip), carried pA current reaching the decoder as stored,
 the perf-model cost hook, and the ``--signal-er`` /
 ``--segmentation`` CLI surface.
@@ -11,6 +11,7 @@ the perf-model cost hook, and the ``--signal-er`` /
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
 
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.basecalling import ViterbiBackendConfig, ViterbiChunkBasecaller
-from repro.core import GenPIP, GenPIPConfig, ReadStatus, SignalRejectionPolicyProtocol
+from repro.core import GenPIP, GenPIPConfig, ReadStatus
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore import (
     PoreModel,
@@ -115,15 +116,7 @@ def signal_reads(backend, genomic_reads):
 
 @pytest.fixture(scope="module")
 def ser_system(tiny_index, backend, covering_policy):
-    return (
-        GenPIP.build()
-        .index(tiny_index)
-        .config(GenPIPConfig())
-        .basecaller(backend)
-        .align(False)
-        .signal_rejection(covering_policy)
-        .build()
-    )
+    return GenPIP(tiny_index, GenPIPConfig(), backend, align=False, ser_policy=covering_policy)
 
 
 # --- event segmentation -----------------------------------------------------
@@ -237,9 +230,6 @@ class TestSegmentation:
 
 
 class TestSignalRejectionPolicy:
-    def test_protocol_conformance(self, covering_policy):
-        assert isinstance(covering_policy, SignalRejectionPolicyProtocol)
-
     def test_covered_genomic_accepted_junk_rejected(
         self, covering_policy, signal_reads, junk_signal_read
     ):
@@ -342,25 +332,12 @@ class TestPipelineSER:
         assert outcome.status is not ReadStatus.REJECTED_SIGNAL
 
 
-# --- builder / spec / worker plumbing ---------------------------------------
+# --- spec / worker plumbing -------------------------------------------------
 
 
-class TestBuilderAndSpec:
-    """The builder wires the policy in; the pipeline -- the only spec of
-    a run there is -- carries it to a worker."""
-
-    def test_builder_wires_and_clears_the_policy(self, tiny_index, covering_policy):
-        pipeline = (
-            GenPIP.build().index(tiny_index).signal_rejection(covering_policy)
-        ).build_pipeline()
-        assert pipeline.ser_policy is covering_policy
-        cleared = (
-            GenPIP.build()
-            .index(tiny_index)
-            .signal_rejection(covering_policy)
-            .signal_rejection(None)
-        ).build_pipeline()
-        assert cleared.ser_policy is None
+class TestSpec:
+    """The pipeline -- the only spec of a run there is -- carries the
+    policy to a worker."""
 
     def test_spec_round_trip_preserves_the_policy(
         self, ser_system, signal_reads, junk_signal_read
@@ -373,6 +350,18 @@ class TestBuilderAndSpec:
         assert arrived.ser_policy is not pipeline.ser_policy
         assert arrived.signal_rejection_enabled()
         assert arrived.process_batch(reads) == direct
+
+    def test_constructor_wires_and_replace_clears_the_policy(
+        self, ser_system, covering_policy, junk_signal_read
+    ):
+        pipeline = ser_system.pipeline
+        assert pipeline.ser_policy is covering_policy
+        assert pipeline.process_read(junk_signal_read).status is ReadStatus.REJECTED_SIGNAL
+        cleared = dataclasses.replace(pipeline, ser_policy=None)
+        assert not cleared.signal_rejection_enabled()
+        outcome = cleared.process_read(junk_signal_read)
+        assert outcome.ser is None
+        assert outcome.status is not ReadStatus.REJECTED_SIGNAL
 
     def test_spec_without_policy_reports_ser_disabled(self, tiny_index, backend):
         pipeline = GenPIP(tiny_index, GenPIPConfig(), basecaller=backend).pipeline
