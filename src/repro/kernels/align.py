@@ -18,9 +18,13 @@ paths becomes the CIGAR. The lane fill in :mod:`repro.mapping.alignment`
 runs every segment and extension of a chain in one call of the compiled
 kernel ``gotoh.c`` when it loaded (:func:`_native_gotoh`: built on first
 use by :mod:`repro.kernels.native`, once per process, never at import),
-else this loop on each lane. The tests check each lane of the compiled
-fill against it, score and CIGAR, for every integer-valued scoring,
-whatever its lane mates; :func:`gotoh_backend` says which one runs.
+else this loop on each lane. The compiled fill computes in int64 cells
+and fills a segment in a certified diagonal band (widened once where
+the first band cannot be certified), so it fills fewer cells than this
+loop; the tests check each of its lanes against it, score and CIGAR,
+for every integer-valued scoring, whatever its lane mates, lanes whose
+path leaves the first band included. :func:`gotoh_backend` says which
+one runs.
 """
 
 from __future__ import annotations
@@ -53,9 +57,9 @@ def _native_gotoh() -> ctypes.CDLL | None:
         np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
         for dtype in (np.float64, np.int64, np.uint8)
     )
-    size, real = ctypes.c_int64, ctypes.c_double
+    size = ctypes.c_int64
     library.gotoh_fill.argtypes = [
-        u8, i64, i64, u8, size, real, real, real, real, u8, f64, size, f64, u8, i64, i64,
+        u8, i64, i64, u8, size, size, size, size, size, u8, i64, size, f64, u8, i64, i64,
     ]  # fmt: skip
     library.gotoh_fill.restype = None
     return library

@@ -21,12 +21,18 @@ is a one-lane fill.
 **One output.** The fill makes one call of the C kernel ``gotoh.c`` for
 all its lanes when it loaded (:func:`repro.kernels.align._native_gotoh`):
 per cell it runs :func:`~repro.kernels.align.gotoh_scalar`'s
-recurrence, keeps its four traceback comparisons in one flag byte, and
-writes the finished ``=``/``X``/``I``/``D`` CIGAR. Otherwise -- no
-compiler, or a build or load that failed -- it runs ``gotoh_scalar``
-itself on each lane. Either gives every lane the score and CIGAR
-``gotoh_scalar`` gives it, whatever its lane mates, for every
-integer-valued scoring; nothing chooses between them but availability.
+recurrence in int64 (exact, as the scoring is integral and within
++-2**20), keeps its four traceback comparisons in one flag byte, and
+writes the finished ``=``/``X``/``I``/``D`` CIGAR. A segment lane is
+filled first in a band of diagonals around its two corners, and again,
+wider, only when the band's score does not beat the best any path
+leaving the band can reach; the head/tail extensions, which may end on
+any reference row, are filled whole. Otherwise -- no compiler, or a
+build or load that failed -- it runs ``gotoh_scalar`` itself on each
+lane. Either gives every lane the score and CIGAR ``gotoh_scalar``
+gives it, whatever its lane mates, for every integer-valued scoring;
+nothing chooses between them but availability. The mapping-ops ledger
+charges every lane its whole ``n * m`` problem on both, banded or not.
 
 Scoring defaults follow minimap2's map-ont preset (match +2, mismatch
 -4, gap open -4, gap extend -2).
@@ -34,6 +40,7 @@ Scoring defaults follow minimap2's map-ont preset (match +2, mismatch
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import accumulate, groupby
 from typing import TYPE_CHECKING
@@ -52,8 +59,8 @@ if TYPE_CHECKING:
 CIGAR_OPS = ("=", "X", "I", "D", "S")
 
 #: Largest magnitude of any one scoring value. A lane of up to 2**32
-#: steps then scores within 2**52: exact in float64 and far above the
-#: fills' -1e18 sentinel.
+#: steps then scores within 2**52: exact in ``gotoh_scalar``'s float64
+#: and ``gotoh.c``'s int64 cells, and far above their -1e18 sentinel.
 _MAX_SCORE = 2**20
 
 
@@ -93,6 +100,12 @@ class AlignmentConfig:
                 "larger scores leave exact float64 arithmetic or reach the -1e18 "
                 "sentinel the Gotoh fills use for minus infinity"
             )
+        for name in ("max_end_extension", "max_segment_cells"):
+            value = getattr(self, name)
+            # 10.5 fails later as a slice index, and a NaN cap compares
+            # False both ways: no segment is too large, no end too long.
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.max_end_extension < 0 or self.max_segment_cells < 0:
             # A negative extension clips more read than there is; a
             # negative cell cap turns every segment into D+I.
@@ -142,10 +155,13 @@ class AlignmentResult:
     @property
     def identity(self) -> float:
         """Matches over aligned columns (clips excluded)."""
-        columns = self.n_matches + self.n_mismatches + self.n_insertions + self.n_deletions
-        if columns == 0:
-            return 0.0
-        return self.n_matches / columns
+        matches = columns = 0
+        for op, n in self.cigar:
+            if op in "=XID":
+                columns += n
+                if op == "=":
+                    matches += n
+        return matches / columns if columns else 0.0
 
 
 def cigar_to_string(cigar: tuple[tuple[str, int], ...]) -> str:
@@ -241,7 +257,7 @@ def _fill_native(
     ``codes`` holds every lane's sides back to back; ``starts`` the
     offsets of each filled lane's reference and read in it, ``shapes``
     their sizes (both non-zero). One flag table, sized for the largest
-    lane, serves them all.
+    lane, serves them all; a banded lane writes only its band's bytes.
     """
     width = max(m for _, m in shapes) + 1
     capacity = sum(n + m for n, m in shapes)
@@ -254,9 +270,10 @@ def _fill_native(
         np.array(starts, dtype=np.int64),
         np.array(shapes, dtype=np.int64).ravel(),
         np.array(free, dtype=np.uint8),
-        len(shapes), config.match, config.mismatch, config.gap_open, config.gap_extend,
+        len(shapes), int(config.match), int(config.mismatch), int(config.gap_open),
+        int(config.gap_extend),
         np.empty(max((n + 1) * (m + 1) for n, m in shapes), dtype=np.uint8),
-        np.empty(2 * width), width, scores, run_ops, run_lengths, run_counts,
+        np.empty(2 * width, dtype=np.int64), width, scores, run_ops, run_lengths, run_counts,
     )  # fmt: skip
     counts = run_counts.tolist()
     total = sum(counts)
@@ -402,15 +419,15 @@ def align_chain(
     ref_start, ref_end = first_ref, rx
     for piece in pieces:
         if isinstance(piece, int):
-            cigar = filled[piece].cigar
-            consumed = sum(n for op, n in cigar if op in "=XD")
+            aligned = filled[piece]
+            cigar = aligned.cigar
             if piece == head_lane:
                 cigar = tuple(reversed(cigar))
-                ref_start = first_ref - consumed
+                ref_start = first_ref - aligned.ref_consumed
             elif piece == tail_lane:
-                ref_end = rx + consumed
+                ref_end = rx + aligned.ref_consumed
             parts.extend(cigar)
-            score += filled[piece].score
+            score += aligned.score
         else:
             run, run_score = piece
             parts.append(run)

@@ -123,7 +123,10 @@ class CostDatabase:
     chain_candidates_per_base: float = 4.0
     #: Affine-gap DP cells per mapped base: inter-anchor segment fill
     #: plus capped head/tail extension, measured ~25 on the same
-    #: profile (exact-match segments skip DP entirely).
+    #: profile (exact-match segments skip DP entirely). The ledger
+    #: charges each lane its whole ``n * m`` DP problem, the work the
+    #: paper's alignment units do, not the cells the banded ``gotoh.c``
+    #: fills (about half of them).
     align_cells_per_base: float = 25.0
 
     def __post_init__(self) -> None:

@@ -11,9 +11,9 @@ by bytes in ``test_trail_case_bit_identical`` each):
   row);
 * the compiled Gotoh lane fill (``gotoh.c`` behind ``_fill_lanes``)
   must give every lane the identical score and CIGAR the scalar
-  reference gives it -- a free-tail extension included -- on every
-  segment shape and every integer-valued scoring, whichever lanes share
-  its call.
+  reference gives it -- a free-tail extension, and a lane whose path
+  leaves the first diagonal band, included -- on every segment shape
+  and every integer-valued scoring, whichever lanes share its call.
 
 Without a compiler each of the two falls back to its scalar reference.
 The ``chain`` and ``gotoh`` fixtures run every comparison on both
@@ -370,6 +370,45 @@ def _tie_heavy_pair(rng, kind, n, m):
 _pair_kinds = st.sampled_from(["random", "mutated", "constant", "two-letter"])
 
 
+def _band_excursion(cigar, n, m):
+    """How many diagonals ``d = i - j`` a raw CIGAR's path strays outside
+    the span ``[min(0, n - m), max(0, n - m)]`` between its two corners;
+    ``gotoh.c`` first fills that span widened by 4 on each side."""
+    i = j = low = high = 0
+    for op, length in cigar:
+        i += 0 if op == "I" else length
+        j += 0 if op == "D" else length
+        low, high = min(low, i - j), max(high, i - j)
+    return max(min(0, n - m) - low, high - max(0, n - m))
+
+
+def _band_leaving_lane(rng, kind):
+    """``(ref, read, free_ref_tail)`` whose true path leaves the first
+    band. ``insert-first`` / ``delete-first``: a 6-12 base insertion and
+    a 6-12 base deletion on either side of a 100-140 base stretch, which
+    only the shifted diagonal aligns; ``free-tail``: one such insertion
+    in a head/tail extension whose reference window is longer than the
+    read; ``inversion``: a 10-39 base reverse complement, which strays
+    only under some scorings."""
+
+    def bases(size):
+        return rng.integers(0, 4, size=size).astype(np.uint8)
+
+    flank, stretch, tail = (bases(int(rng.integers(lo, hi))) for lo, hi in ((10, 30), (100, 140), (10, 30)))
+    inserted, deleted = (bases(int(rng.integers(6, 13))) for _ in range(2))
+    if kind == "insert-first":
+        ref, read = [flank, stretch, deleted, tail], [flank, inserted, stretch, tail]
+    elif kind == "delete-first":
+        ref, read = [flank, deleted, stretch, tail], [flank, stretch, inserted, tail]
+    elif kind == "free-tail":
+        window = bases(inserted.size + int(rng.integers(0, 40)))
+        ref, read = [flank, stretch, window], [flank, inserted, stretch]
+    else:
+        size = int(rng.integers(10, 40))
+        ref, read = [flank, stretch, tail], [flank, 3 - stretch[size - 1 :: -1], stretch[size:], tail]
+    return np.concatenate(ref), np.concatenate(read), kind == "free-tail"
+
+
 class TestAlignKernels:
     # The ``wavefront`` ids are historical: the partner of
     # ``gotoh_scalar`` is now the compiled fill.
@@ -657,6 +696,53 @@ class TestAlignKernels:
         monkeypatch.setattr(alignment_module, "_fill_lanes", alone)
         assert align_chain(reference.codes, read, chain.anchors, index.config.k) == together
         assert {"X", "I", "D"} <= {op for op, _ in together[0].cigar}
+
+    @given(
+        first=st.sampled_from(["insert-first", "delete-first"]),
+        mates=st.lists(
+            st.sampled_from(["insert-first", "delete-first", "free-tail", "inversion"]), max_size=2
+        ),
+        scoring=st.tuples(
+            st.integers(1, 6), st.integers(-8, -1), st.integers(-8, -1), st.integers(-3, -1)
+        ).map(lambda values: tuple(map(float, values))),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None, suppress_health_check=_ONE_FILL_PER_TEST)
+    def test_lanes_that_leave_the_first_band(self, first, mates, scoring, seed, gotoh):
+        """Lanes whose optimal path strays more than 4 diagonals past the
+        span between their corners, so ``gotoh.c``'s first band cannot
+        certify a global one and the lane is filled again, wider: each
+        lane still equals ``gotoh_scalar`` on its pair, score and CIGAR.
+        Every example carries at least one such global lane."""
+        rng = np.random.default_rng(seed)
+        drawn = [_band_leaving_lane(rng, kind) for kind in (first, *mates)]
+        results = _fill_lanes(drawn, AlignmentConfig(*scoring))
+        for kind, (a, b, free_ref_tail), result in zip((first, *mates), drawn, results, strict=True):
+            score, cigar = gotoh_scalar(a, b, *scoring, free_ref_tail=free_ref_tail)
+            assert (result.score, result.cigar) == (score, _classify_diagonals(cigar, a, b))
+            if kind != "inversion":
+                assert _band_excursion(cigar, a.size, b.size) > 4, kind
+
+    def test_band_leaving_lanes_at_the_score_limits(self, gotoh):
+        """Every scoring value at +-2**20 and sides of 300-odd bases: a
+        global lane that is filled again and a free-tail lane, scoring
+        in the hundreds of millions, equal ``gotoh_scalar``'s."""
+        rng = np.random.default_rng(212)
+        scoring = (2.0**20, -(2.0**20), -(2.0**20), -(2.0**20))
+        flank, stretch, inserted, deleted = (
+            rng.integers(0, 4, size).astype(np.uint8) for size in (40, 250, 12, 9)
+        )
+        join = np.concatenate
+        drawn = [
+            (join([flank, stretch, deleted, flank]), join([flank, inserted, stretch, flank]), False),
+            (join([flank, stretch, stretch[:40]]), join([flank, inserted, stretch]), True),
+        ]
+        results = _fill_lanes(drawn, AlignmentConfig(*scoring))
+        for (a, b, free_ref_tail), result in zip(drawn, results, strict=True):
+            score, cigar = gotoh_scalar(a, b, *scoring, free_ref_tail=free_ref_tail)
+            assert (result.score, result.cigar) == (score, _classify_diagonals(cigar, a, b))
+            assert _band_excursion(cigar, a.size, b.size) > 4
+            assert score > 2**28
 
 
 class TestSeedKernels:

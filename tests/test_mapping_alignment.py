@@ -175,6 +175,25 @@ class TestAlignGlobal:
             AlignmentConfig(max_segment_cells=-1)
         assert AlignmentConfig(max_segment_cells=0).max_segment_cells == 0
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("max_end_extension", 10.5),
+            ("max_end_extension", float("nan")),
+            ("max_end_extension", True),
+            ("max_segment_cells", float("nan")),
+            ("max_segment_cells", float("inf")),
+            ("max_segment_cells", 400.0),
+        ],
+    )
+    def test_caps_must_be_integers(self, field, value):
+        # 10.5 once constructed and then failed in align_chain as a slice
+        # index; a NaN cell cap compared False with every segment, so
+        # every gap went to the fill, and a NaN extension meant no cap.
+        with pytest.raises(TypeError, match=field):
+            AlignmentConfig(**{field: value})
+        assert getattr(AlignmentConfig(**{field: np.int64(7)}), field) == 7
+
 
 class TestAlignChain:
     @pytest.fixture(scope="class")
