@@ -370,16 +370,17 @@ def main() -> None:
     )
 
     # 13. The mapping kernel plane: production calls one kernel per
-    #     stage -- batched searchsorted seeding, the chain DP (the
-    #     compiled chain.c, or its scalar reference where it cannot be
-    #     built), lane-fill Gotoh -- and each is bit-identical to a scalar
-    #     reference that tests (and this section) import and call
-    #     directly: same anchors, same chain scores *and parents*, same
-    #     alignment scores and CIGARs. Nothing selects a kernel by
-    #     name. As the kernels run they charge the process registry's
-    #     genpip_mapping_ops counter (chain candidates, alignment
-    #     cells), the data-dependent counts repro.perf converts to
-    #     seconds through CostDatabase's per-base anchors.
+    #     stage -- seeding (the compiled seed.c, or its numpy path
+    #     where it cannot be built), the chain DP (the compiled chain.c,
+    #     or its scalar reference), lane-fill Gotoh -- and each is
+    #     bit-identical to a scalar reference that tests (and this
+    #     section) import and call directly: same anchors, same chain
+    #     scores *and parents*, same alignment scores and CIGARs.
+    #     Nothing selects a kernel by name. As the kernels run they
+    #     charge the process registry's genpip_mapping_ops counter
+    #     (chain candidates, alignment cells), the data-dependent
+    #     counts repro.perf converts to seconds through CostDatabase's
+    #     per-base anchors.
     from itertools import groupby
 
     from repro.kernels import (

@@ -23,10 +23,12 @@ previously iterated sample-by-sample in interpreted Python:
   do the same float64 operations in the same order, so they give the
   same bytes; a triple-loop scalar reference checks both. The trellis
   sees one observation per raw signal sample.
-* :mod:`repro.kernels.seed` -- batched anchor seeding over the index's
-  flat key/bounds/location arrays (one ``searchsorted`` + repeat/gather
-  instead of a per-key dict walk), the probe GenPIP's seeding unit
-  answers from its CAM rows (paper Fig. 1(a)).
+* :mod:`repro.kernels.seed` -- seeding (paper Fig. 1(a): the probe
+  GenPIP's seeding unit answers from its CAM rows): a chunk's minimizer
+  scan and its probe of the index's flat key/bounds/location arrays in
+  one call of the C kernel ``seed.c`` when it loaded, else the numpy
+  path (a vectorised scan, then one ``searchsorted`` + repeat/gather),
+  with the same bytes.
 * :mod:`repro.kernels.chain` -- the minimap2 chain DP (paper
   Fig. 1(c)): all of a call's anchors in one call of the C kernel
   ``chain.c`` when it loaded, else the scalar recurrence it is
@@ -51,11 +53,12 @@ a reference is something a test imports*. ``seed_anchors_scalar``,
 ``chain_scores_scalar``, ``sdtw_cost_scalar``, ``gotoh_scalar`` and
 ``viterbi_forward_scalar`` stay exported because the tests replay each
 kernel against its reference and fail on any mismatch; nothing selects
-a kernel by name, and no stage picks between two fills. The three
+a kernel by name, and no stage picks between two fills. The four
 compiled kernels run by availability alone, with the same bytes either
 way: the chain DP and the Gotoh lane fill fall back to their scalar
-references, and the Viterbi trellis, whose reference is far too slow
-to run a decode, to its numpy fold -- the one kernel written twice.
+references; the Viterbi trellis, whose reference is far too slow to
+run a decode, to its numpy fold; and seeding, whose minimizer scan has
+no scalar twin, to its numpy path.
 """
 
 from repro.kernels.align import gotoh_scalar

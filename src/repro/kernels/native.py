@@ -4,13 +4,14 @@ numpy is the only runtime dependency, so compiled code can only be a
 speed-up: every C kernel here has a Python fallback that produces the
 same bytes, and runs whenever the library cannot be had -- the scalar
 reference for the chain DP and the Gotoh fill, the numpy fold for the
-Viterbi trellis. There are three:
+Viterbi trellis, the numpy path for seeding. There are four:
 ``trellis.c`` (the Viterbi trellis, :mod:`repro.kernels.viterbi`),
-``gotoh.c`` (the Gotoh lane fill, :mod:`repro.mapping.alignment`) and
-``chain.c`` (the chain DP, :mod:`repro.kernels.chain`), each resolved
-once per process by its module's cached resolver on that kernel's
-first call, so a run that never decodes Viterbi, never aligns or never
-chains never builds or loads that library. :func:`load_library`
+``gotoh.c`` (the Gotoh lane fill, :mod:`repro.mapping.alignment`),
+``chain.c`` (the chain DP, :mod:`repro.kernels.chain`) and ``seed.c``
+(the minimizer scan and index probe, :mod:`repro.kernels.seed`), each
+resolved once per process by its module's cached resolver on that
+kernel's first call, so a run that never decodes Viterbi, never aligns
+or never chains never builds or loads that library. :func:`load_library`
 compiles ``<name>.c`` from this package with the system C compiler
 (``sysconfig``'s ``CC``, else ``cc``) and :data:`CFLAGS`, loads it with
 ``ctypes``, and returns ``None`` instead of raising on any failure.

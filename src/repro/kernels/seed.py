@@ -1,28 +1,73 @@
-"""Seeding kernels: anchor gathering over the index's flat arrays.
+"""Seeding kernels: the minimizer scan and the index probe.
 
 Seeding (paper Fig. 1(a): the hash-table probe GenPIP's seeding unit
 answers from its ReRAM CAM rows) turns each query minimizer into the
-set of reference locations sharing its key. Both kernels here operate
+set of reference locations sharing its key. The kernels here operate
 on the *flat* index layout -- sorted ``uint64`` keys, ``int64`` entry
 bounds, and the concatenated ``int64`` position / ``int8`` strand
 location arrays -- which is exactly the layout ``publish_index`` puts
 in shared memory, so pooled workers seed straight out of the shared
 segment with zero per-key Python.
 
-The batched kernel replaces the per-key loop with one
-``np.searchsorted`` over all query keys, a ``np.repeat``/cumsum
-expansion of the hit entries, and fancy-indexed gathering of the
-location rows; it is the kernel production seeds with
-(:func:`repro.mapping.seeding.collect_anchor_arrays` calls it
-directly). The per-key loop is the reference the tests import to
-check it against: both emit rows in (query order, entry order) and
-finish with the same stable lexsort, so their outputs are identical
-arrays.
+Production seeds with the C kernel ``seed.c`` when it loaded
+(:func:`_native_seed`: built on first use by :mod:`repro.kernels.native`,
+once per process, never at import). One call scans a chunk's
+minimizers and probes every key: :func:`repro.mapping.seeding.collect_anchor_arrays`
+calls its ``seed_anchors``, and :func:`repro.mapping.minimizers.minimizer_arrays`
+(and so the reference index build) its ``seed_minimizers``. Otherwise
+-- no compiler, or a build or load that failed -- the numpy path runs:
+``minimizer_arrays``' vectorised scan, then :func:`seed_anchors_batched`,
+which replaces the per-key loop with one ``np.searchsorted`` over all
+query keys, a ``np.repeat``/cumsum expansion of the hit entries, and
+fancy-indexed gathering of the location rows. :func:`seed_backend`
+says which runs. The per-key loop :func:`seed_anchors_scalar` is the
+reference the tests import to check both against: all three give the
+same arrays, byte for byte.
 """
 
 from __future__ import annotations
 
+import functools
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+if TYPE_CHECKING:
+    import ctypes
+
+
+@functools.cache
+def _native_seed() -> ctypes.CDLL | None:
+    """The compiled ``seed.c``, or ``None`` (the numpy path runs);
+    resolved once per process, on the first minimizer scan. The loader
+    and ctypes are imported here too, so importing this module pays for
+    neither."""
+    import ctypes
+
+    from repro.kernels.native import load_library
+
+    library = load_library("seed")
+    if library is None:
+        return None
+    u8, u64, i64, i8 = (
+        np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+        for dtype in (np.uint8, np.uint64, np.int64, np.int8)
+    )
+    size = ctypes.c_int64
+    library.seed_minimizers.argtypes = [u8, size, size, size, u64, i64, i8]
+    library.seed_minimizers.restype = size
+    library.seed_anchors.argtypes = [
+        u8, size, size, size, u64, size, i64, i64, i8, size, size, size, i64, size, i64,
+    ]  # fmt: skip
+    library.seed_anchors.restype = size
+    return library
+
+
+def seed_backend() -> str:
+    """``"native"`` when the compiled seeding runs in this process,
+    else ``"numpy"`` (resolving it if nothing has yet)."""
+    return "numpy" if _native_seed() is None else "native"
+
 
 def _group_and_sort(
     fwd: np.ndarray, rev: np.ndarray, read_length: int | None, kmer_size: int
@@ -54,7 +99,8 @@ def seed_anchors_scalar(
     """Per-key reference loop (the original interpreted seeding path).
 
     One binary search and one Python row loop per query minimizer; kept
-    as the ground truth the batched kernel is checked against.
+    as the ground truth the compiled and batched kernels are checked
+    against.
     """
     n_keys = int(keys.size)
     fwd_rows: list[tuple[int, int]] = []
@@ -93,7 +139,8 @@ def seed_anchors_batched(
 ) -> dict[int, np.ndarray]:
     """Vectorised seeding: one searchsorted, one repeat/gather expansion.
 
-    Emits location rows in the scalar kernel's (query order, entry
+    The probe of the numpy path, which runs where ``seed.c`` did not
+    load. Emits location rows in the scalar kernel's (query order, entry
     order); the shared stable lexsort then makes the grouped outputs
     identical arrays.
     """

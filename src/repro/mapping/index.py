@@ -12,8 +12,8 @@ Storage is columnar, not a dict: a sorted ``uint64`` key array, an
 ``int8`` strand location arrays. This is byte-for-byte the layout
 ``publish_index`` places in shared memory, so attaching a published
 index is four zero-copy views (:func:`MinimizerIndex.from_arrays`), and
-the batched seeding kernel (:mod:`repro.kernels.seed`) probes all query
-keys with one ``np.searchsorted`` instead of a per-key dict walk.
+seeding (:mod:`repro.kernels.seed`) binary-searches these arrays, in C
+or with one ``np.searchsorted``, instead of walking a per-key dict.
 """
 
 from __future__ import annotations

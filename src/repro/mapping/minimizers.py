@@ -7,16 +7,22 @@ pseudo-random in sequence content; strands are made *canonical* by
 hashing both a k-mer and its reverse complement and keeping the smaller,
 so a read and its reverse complement produce the same minimizer keys.
 
-All per-position work (packing, reverse complement, hashing, windowed
-minima) is vectorised over the whole sequence.
+:func:`minimizer_arrays` runs the compiled scan of ``seed.c`` when it
+loaded (:mod:`repro.kernels.seed`): one pass rolling both strands'
+k-mers, taking the window minima block by block. Otherwise the
+numpy path below runs, with the same bytes: every per-position step
+(packing, reverse complement, hashing, windowed minima) vectorised over
+the whole sequence.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+import repro.kernels.seed as seed_kernels
 from repro.genomics.alphabet import kmer_codes
 
 
@@ -33,6 +39,13 @@ class MinimizerConfig:
     w: int = 10
 
     def __post_init__(self) -> None:
+        for name in ("k", "w"):
+            value = getattr(self, name)
+            # ``w=inf`` would make every call one window, and 2.5, NaN
+            # or True fail later inside the scan, or pass to the C
+            # kernel as some other integer.
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if not 4 <= self.k <= 28:
             raise ValueError("k must be in 4..28")
         if self.w < 1:
@@ -68,7 +81,7 @@ def _revcomp_packed(kmers: np.ndarray, k: int) -> np.ndarray:
 def minimizer_arrays(
     codes: np.ndarray, config: MinimizerConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised minimizer extraction.
+    """Minimizer extraction: the compiled scan, else the numpy path.
 
     Returns
     -------
@@ -80,6 +93,22 @@ def minimizer_arrays(
     codes = np.asarray(codes, dtype=np.uint8)
     k, w = config.k, config.w
     n_kmers = codes.size - k + 1
+    library = seed_kernels._native_seed()
+    if library is not None:
+        # One slot per window; a window wider than the sequence is the
+        # one window, so w is clamped to fit the kernel's int64.
+        slots = max(1, n_kmers - w + 1) if n_kmers > 0 else 0
+        keys = np.empty(slots, dtype=np.uint64)
+        positions = np.empty(slots, dtype=np.int64)
+        strands = np.empty(slots, dtype=np.int8)
+        codes = np.ascontiguousarray(codes)
+        count = library.seed_minimizers(
+            codes, codes.size, k, min(w, codes.size), keys, positions, strands
+        )
+        if count < 0:
+            raise MemoryError("seed.c could not allocate its scan buffers")
+        return keys[:count], positions[:count], strands[:count]
+
     empty = (
         np.empty(0, dtype=np.uint64),
         np.empty(0, dtype=np.int64),

@@ -84,6 +84,7 @@ from repro.core.registry import basecaller_names, create_basecaller, preset_conf
 from repro.genomics.reference import ReferenceGenome
 from repro.kernels.align import gotoh_backend
 from repro.kernels.chain import chain_backend
+from repro.kernels.seed import seed_backend
 from repro.kernels.viterbi import trellis_backend
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import (
@@ -603,10 +604,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Signal-domain rejects are reported separately from QSR/CMR:
         # they cost zero basecalled chunks, which is the whole point.
         ser_summary = f"SER {report.ser_rejection_ratio:.1%}, " if stats.signal_er else ""
-        # Which chain DP chained, which trellis decoded and which Gotoh
-        # fill aligned (this process resolves each the way every worker
-        # did); a surrogate run never loads the trellis, a run without
-        # --align never the fill.
+        # Which seeding seeded, which chain DP chained, which trellis
+        # decoded and which Gotoh fill aligned (this process resolves
+        # each the way every worker did); a surrogate run never loads
+        # the trellis, a run without --align never the fill.
         trellis = f", trellis {trellis_backend()}" if args.basecaller == "viterbi" else ""
         gotoh = f", gotoh {gotoh_backend()}" if args.align else ""
         print(
@@ -618,7 +619,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"{stats.mode} x{stats.workers} "
             f"(batch {stats.batch_size}, "
             f"source {args.source}, sink {args.sink}, transport {stats.transport}"
-            f"{window}, chain {chain_backend()}{trellis}{gotoh}): "
+            f"{window}, seed {seed_backend()}, chain {chain_backend()}{trellis}{gotoh}): "
             f"{stats.elapsed_s:.2f}s, {stats.reads_per_sec:.1f} reads/s"
             + (
                 f", {stats.bytes_copied_per_read:,.0f} B copied/read"

@@ -15,6 +15,7 @@ import pytest
 import repro.kernels.align as align_kernels
 import repro.kernels.chain as chain_kernels
 import repro.kernels.native as native
+import repro.kernels.seed as seed_kernels
 import repro.kernels.viterbi as viterbi_kernels
 from repro.genomics.reference import ReferenceGenome
 from repro.nanopore.datasets import ECOLI_LIKE, HUMAN_LIKE, generate_dataset, small_profile
@@ -39,6 +40,13 @@ def scalar_chain():
     return mock.patch.object(chain_kernels, "_native_chain", lambda: None)
 
 
+def numpy_seeding():
+    """Context manager forcing seeding onto the numpy path (the numpy
+    minimizer scan and ``seed_anchors_batched``): the resolver reports
+    no compiled kernel."""
+    return mock.patch.object(seed_kernels, "_native_seed", lambda: None)
+
+
 def _require_native(library, kernel: str) -> None:
     """Skips where there is no C compiler (only the fallback can run
     there); fails where one exists but the compiled kernel did not load."""
@@ -59,6 +67,10 @@ def require_native_gotoh() -> None:
 
 def require_native_chain() -> None:
     _require_native(chain_kernels._native_chain(), "chain DP")
+
+
+def require_native_seeding() -> None:
+    _require_native(seed_kernels._native_seed(), "seeding")
 
 
 def _native_then_fallback(request, require, fallback):
@@ -86,6 +98,12 @@ def gotoh(request):
 def chain(request):
     """Runs a test once on the compiled chain DP, once on ``chain_scores_scalar``."""
     yield from _native_then_fallback(request, require_native_chain, scalar_chain)
+
+
+@pytest.fixture(params=["native", "numpy"])
+def seeding(request):
+    """Runs a test once on the compiled seeding, once on the numpy path."""
+    yield from _native_then_fallback(request, require_native_seeding, numpy_seeding)
 
 
 @pytest.fixture(scope="session")

@@ -34,7 +34,9 @@ pipeline (since deleted) before the compiled Gotoh fill existed, and is
 checked on the compiled fill and on ``gotoh_scalar``, its fallback.
 Every outcome digest chains; ``er-map``, taken on a numpy chain fold
 (since deleted) before the compiled chain DP existed, is checked on the
-compiled DP and on ``chain_scores_scalar``.
+compiled DP and on ``chain_scores_scalar``. Every digest also seeds;
+``er-map``, taken on the numpy seeding path before ``seed.c`` existed,
+is checked on the compiled seeding and on that path, its fallback.
 
 Records carry floats (qualities, chain scores) whose last bits depend
 on the numeric stack, so the file also records the numpy
@@ -257,6 +259,14 @@ def test_outcome_records_match_parent_digest(name):
 def test_chain_outcome_records_match_parent_digest(name, chain):
     """Chained by the compiled DP, then by ``chain_scores_scalar``
     (``chain`` fixture): the same digest either way."""
+    golden = _golden_digests()
+    assert READ_SETS[name]()["sha256"] == golden[name]["sha256"]
+
+
+@pytest.mark.parametrize("name", CHAIN_SETS)
+def test_seeding_outcome_records_match_parent_digest(name, seeding):
+    """Indexed and seeded by ``seed.c``, then by the numpy path
+    (``seeding`` fixture): the same digest either way."""
     golden = _golden_digests()
     assert READ_SETS[name]()["sha256"] == golden[name]["sha256"]
 

@@ -5,7 +5,10 @@ generated shapes, and production-sized fixed-seed trail cases compared
 by bytes in ``test_trail_case_bit_identical`` each):
 
 * batched seeding (one ``searchsorted`` + repeat/gather) must produce
-  the exact grouped anchor arrays of the per-key scalar walk;
+  the exact grouped anchor arrays of the per-key scalar walk, and the
+  compiled seeding (``seed.c``: minimizer scan and index probe in one
+  call) the arrays of both, its minimizers and index arrays those of
+  the numpy scan;
 * the compiled chain DP (``chain.c``) must produce bit-identical scores
   *and parents* to the scalar reference (same float64 combine order per
   row);
@@ -15,7 +18,8 @@ by bytes in ``test_trail_case_bit_identical`` each):
   leaves the first diagonal band, included -- on every segment shape
   and every integer-valued scoring, whichever lanes share its call.
 
-Without a compiler each of the two falls back to its scalar reference.
+Without a compiler the chain DP and the Gotoh fill each fall back to
+their scalar reference, and seeding to its numpy path.
 The ``chain`` and ``gotoh`` fixtures run every comparison on both
 paths: on the compiled kernel it is the bit-identity check; on the
 fallback it pins that the dispatch forwards every argument (``k``,
@@ -41,13 +45,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import require_native_chain, require_native_gotoh, scalar_chain, scalar_gotoh
+from conftest import (
+    numpy_seeding,
+    require_native_chain,
+    require_native_gotoh,
+    require_native_seeding,
+    scalar_chain,
+    scalar_gotoh,
+)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
 import repro.kernels.align as align_kernels
 import repro.kernels.chain as chain_kernels
+import repro.kernels.seed as seed_kernels
 import repro.mapping.alignment as alignment_module
 import repro.mapping.chaining as chaining_module
 import repro.mapping.seeding as seeding_module
@@ -81,7 +93,12 @@ from repro.mapping.index import MinimizerConfig, MinimizerIndex
 from repro.mapping.mapper import IncrementalChunkMapper, Mapper, MapperConfig
 from repro.mapping.minimizers import minimizer_arrays
 from repro.mapping.seeding import collect_anchor_arrays
-from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
+from repro.nanopore.datasets import (
+    ECOLI_LIKE,
+    generate_dataset,
+    profile_reference,
+    small_profile,
+)
 from repro.obs import Counter
 from repro.perf.costs import DEFAULT_COSTS
 from repro.perf.systems import evaluate_system
@@ -746,6 +763,15 @@ class TestAlignKernels:
 
 
 class TestSeedKernels:
+    def test_compiled_seeding_is_what_runs(self):
+        """Where a compiler exists, seeding must run ``seed.c``, so the
+        ``native`` half of the comparisons below is not the numpy path
+        checked against itself."""
+        require_native_seeding()
+        assert seed_kernels.seed_backend() == "native"
+        with numpy_seeding():
+            assert seed_kernels.seed_backend() == "numpy"
+
     def test_batched_bit_identical_to_scalar(self, index, reference):
         rng = np.random.default_rng(301)
         for trial in range(12):
@@ -806,9 +832,9 @@ class TestSeedKernels:
         )
         assert out[1].shape == (0, 2) and out[-1].shape == (0, 2)
 
-    def test_collectors_agree_across_kernels(self, index, reference):
-        # The collector is the production kernel over the index's flat
-        # arrays: equal to the reference called on the same arrays.
+    def test_collectors_agree_across_kernels(self, index, reference, seeding):
+        # The collector, compiled or on the numpy path, over the index's
+        # flat arrays: equal to the reference called on the same arrays.
         read = reference.codes[40_000:44_000]
         fast = collect_anchor_arrays(index, read, read_offset=7, read_length=int(read.size))
         base = seed_anchors_scalar(
@@ -899,6 +925,128 @@ class TestSeedKernels:
             assert np.array_equal(batched[strand], scalar[strand])
 
 
+    @given(
+        data=st.data(),
+        k=st.integers(4, 28),
+        w=st.integers(1, 40),
+        max_occurrences=st.sampled_from([0, 1, 3, 64]),
+        read_offset=st.sampled_from([0, 7, 1_000]),
+        flip=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_compiled_seeding_bit_identical_to_numpy_and_scalar(
+        self, data, k, w, max_occurrences, read_offset, flip, seed
+    ):
+        """``collect_anchor_arrays`` on ``seed.c`` gives the numpy
+        path's arrays and the per-key reference's, in dtype, shape and
+        bytes; so does its minimizer scan. The reference is random
+        bases plus a tile repeated up to 70 times, so entries reach
+        ``max_occurrences`` (0 leaves the index empty); the read is a
+        mutated slice of it, random codes, a homopolymer, or an ``AT``
+        or ``ACGT`` tile, whose k-mers at even k are palindromes, so
+        windows are all ambiguous. Empty reads, reads shorter than k
+        and reads of at most w k-mers are drawn too, and repeats
+        overflow the first row buffer."""
+        require_native_seeding()
+        rng = np.random.default_rng(seed)
+        tile = rng.integers(0, 4, int(rng.integers(k, 3 * k))).astype(np.uint8)
+        reference = ReferenceGenome(
+            name="property",
+            codes=np.concatenate(
+                [rng.integers(0, 4, int(rng.integers(0, 3_000))), np.tile(tile, int(rng.integers(0, 71)))]
+            ),
+        )
+        config = MinimizerConfig(k=k, w=w)
+        index = MinimizerIndex.build(reference, config, max_occurrences=max_occurrences)
+        kind = data.draw(st.sampled_from(["slice", "random", "homopolymer", "AT", "ACGT"]))
+        length = data.draw(st.integers(0, 600))
+        if kind == "slice":
+            start = int(rng.integers(0, max(1, len(reference) - length)))
+            read = apply_errors(reference.codes[start : start + length], 0.05, rng).codes
+        elif kind == "random":
+            read = rng.integers(0, 4, length).astype(np.uint8)
+        elif kind == "homopolymer":
+            read = np.full(length, rng.integers(0, 4), dtype=np.uint8)
+        else:
+            unit = alphabet.encode(kind)
+            read = np.tile(unit, length // unit.size + 1)[:length]
+        read_length = read_offset + read.size + int(rng.integers(0, 50)) if flip else None
+
+        compiled_minimizers = minimizer_arrays(read, config)
+        compiled = collect_anchor_arrays(index, read, read_offset, read_length)
+        with numpy_seeding():
+            numpy_minimizers = minimizer_arrays(read, config)
+            batched = collect_anchor_arrays(index, read, read_offset, read_length)
+        scalar = seed_anchors_scalar(
+            *numpy_minimizers,
+            index.key_array,
+            index.bounds_array,
+            index.position_array,
+            index.strand_array,
+            read_offset=read_offset,
+            read_length=read_length,
+            kmer_size=k,
+        )
+        for got, want in zip(compiled_minimizers, numpy_minimizers, strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert sorted(compiled) == sorted(batched) == sorted(scalar) == [-1, 1]
+        for strand in (1, -1):
+            for want in (batched[strand], scalar[strand]):
+                assert compiled[strand].dtype == want.dtype == np.int64
+                assert compiled[strand].shape == want.shape
+                assert compiled[strand].tobytes() == want.tobytes()
+
+    def test_row_buffer_too_small_on_the_first_call(self, monkeypatch):
+        """A read of a tile the reference repeats 64 times needs far more
+        rows than the first buffer holds: the kernel returns the count,
+        the wrapper calls once more with that many, and the rows are the
+        numpy path's, none dropped."""
+        require_native_seeding()
+        rng = np.random.default_rng(41)
+        tile = rng.integers(0, 4, 97).astype(np.uint8)
+        reference = ReferenceGenome(
+            name="repeats", codes=np.concatenate([rng.integers(0, 4, 2_000), np.tile(tile, 64)])
+        )
+        index = MinimizerIndex.build(reference, MinimizerConfig(k=13, w=10))
+        read = np.tile(tile, 4)
+        library = seed_kernels._native_seed()
+        capacities = []
+
+        class Counting:
+            def seed_anchors(self, *args):
+                capacities.append(args[13])
+                return library.seed_anchors(*args)
+
+        monkeypatch.setattr(seed_kernels, "_native_seed", Counting)
+        compiled = collect_anchor_arrays(index, read, read_offset=3, read_length=read.size)
+        rows = compiled[1].shape[0] + compiled[-1].shape[0]
+        assert len(capacities) == 2 and capacities[0] < rows == capacities[1]
+        with numpy_seeding():
+            batched = collect_anchor_arrays(index, read, read_offset=3, read_length=read.size)
+        for strand in (1, -1):
+            assert compiled[strand].tobytes() == batched[strand].tobytes()
+
+    @pytest.mark.parametrize("max_read_length", [None, 3_000], ids=["ecoli-map", "read-capped"])
+    def test_index_build_identical_across_backends(self, max_read_length):
+        """The benchmark workloads' references, indexed by the compiled
+        scan and by the numpy one: the same four arrays, byte for byte.
+        ``ecoli-map`` indexes the full 400 kb ``ecoli-like`` genome;
+        ``ecoli-align``, ``signal-viterbi`` and ``reject-short`` cap
+        their reads, which shrinks it to the same 120 kb genome."""
+        profile = ECOLI_LIKE if max_read_length is None else small_profile(ECOLI_LIKE, max_read_length)
+        reference = profile_reference(profile)
+        require_native_seeding()
+        compiled = MinimizerIndex.build(reference)
+        with numpy_seeding():
+            numpy_built = MinimizerIndex.build(reference)
+        for name in ("key_array", "bounds_array", "position_array", "strand_array"):
+            got, want = getattr(compiled, name), getattr(numpy_built, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
+
+
 @pytest.fixture(scope="module")
 def seed_trail():
     """Seed trail cases: the index, and the reads by name."""
@@ -922,9 +1070,9 @@ class TestMapperIntegration:
             reads.append(alphabet.decode(apply_errors(true, 0.1, rng).codes))
         fast = [mapper.map_read(read, f"r{trial}") for trial, read in enumerate(reads)]
 
-        # The scalar plane: seeding's call site runs its reference, and
-        # the chain DP and the lane fill fall back to theirs, as they do
-        # without a compiler.
+        # The scalar plane: seeding falls back to the numpy path, whose
+        # probe is replaced by its reference, and the chain DP and the
+        # lane fill fall back to theirs, as they do without a compiler.
         calls = dict.fromkeys(("seed", "chain", "align"), 0)
 
         def counted(stage, reference_kernel):
@@ -934,6 +1082,7 @@ class TestMapperIntegration:
 
             return kernel
 
+        monkeypatch.setattr(seed_kernels, "_native_seed", lambda: None)
         monkeypatch.setattr(
             seeding_module, "seed_anchors_batched", counted("seed", seed_anchors_scalar)
         )
@@ -1164,10 +1313,11 @@ class TestNoKernelIsSelectedByName:
 
     def test_one_fallback_per_mapping_kernel(self):
         """The chain DP and the Gotoh lane fill each have one fallback,
-        their scalar reference: no module under ``src/repro`` defines a
-        name of the deleted numpy folds, and ``chain_scores`` and
-        ``_fill_lanes`` each branch once on a compiled kernel that did
-        not load, into a call of their reference."""
+        their scalar reference, and seeding one, the numpy path: no
+        module under ``src/repro`` defines a name of the deleted numpy
+        folds, and ``chain_scores``, ``_fill_lanes`` and
+        ``collect_anchor_arrays`` each branch once on a compiled kernel
+        that did not load, into a call of their fallback."""
         deleted = {"_fold_blocked", "_combine_rows", "_fill_group", "_lane_groups", "_SPEC_ROUNDS"}
         root = Path(repro.__file__).parent
         defined = []
@@ -1202,6 +1352,7 @@ class TestNoKernelIsSelectedByName:
         for module, function, reference, helpers in (
             (chain_kernels, "chain_scores", "chain_scores_scalar", set()),
             (alignment_module, "_fill_lanes", "gotoh_scalar", {"AlignmentResult", "_classify_diagonals"}),
+            (seeding_module, "collect_anchor_arrays", "seed_anchors_batched", {"minimizer_arrays"}),
         ):
             tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
             (body,) = [

@@ -29,12 +29,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import numpy_trellis, scalar_chain, scalar_gotoh
+from conftest import numpy_seeding, numpy_trellis, scalar_chain, scalar_gotoh
 
 import repro.kernels.align as align_kernels
 import repro.kernels.chain as chain_kernels
 import repro.kernels.native as native
+import repro.kernels.seed as seed_kernels
 import repro.kernels.viterbi as viterbi_kernels
+from repro.genomics.reference import ReferenceGenome
 from repro.kernels import (
     chain_scores,
     move_predecessors,
@@ -42,6 +44,8 @@ from repro.kernels import (
     viterbi_traceback,
 )
 from repro.mapping.alignment import AlignmentConfig, _fill_lanes
+from repro.mapping.index import MinimizerIndex
+from repro.mapping.seeding import collect_anchor_arrays
 from repro.runtime.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -51,9 +55,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 needs_compiler = pytest.mark.skipif(native._compiler() is None, reason="no C compiler")
 
 #: Runs one kernel (argv[3]) on fixed input and prints the backend in
-#: use and the digest of its outputs, as :func:`_decode`, :func:`_align`
-#: and :func:`_chain` do in this process; argv: cache directory,
-#: start-flag file, kernel.
+#: use and the digest of its outputs, as :func:`_decode`, :func:`_align`,
+#: :func:`_chain` and :func:`_seed` do in this process; argv: cache
+#: directory, start-flag file, kernel.
 RUN_PROBE = """
 import hashlib, sys, time
 from pathlib import Path
@@ -84,6 +88,18 @@ elif kernel == "chain":
     anchors = anchors[np.lexsort((anchors[:, 1], anchors[:, 0]))]
     scores, parents = ck.chain_scores(anchors, 13, 5_000, 50)
     print(ck.chain_backend(), hashlib.sha256(scores.tobytes() + parents.tobytes()).hexdigest())
+elif kernel == "seed":
+    import repro.kernels.seed as sk
+    from repro.genomics.reference import ReferenceGenome
+    from repro.mapping.index import MinimizerIndex
+    from repro.mapping.seeding import collect_anchor_arrays
+    reference = ReferenceGenome.random(20_000, seed=5)
+    index = MinimizerIndex.build(reference)
+    read = reference.codes[3_000:6_000]
+    anchors = collect_anchor_arrays(index, read, read_offset=5, read_length=read.size)
+    arrays = (index.key_array, index.bounds_array, index.position_array, index.strand_array,
+              anchors[1], anchors[-1])
+    print(sk.seed_backend(), hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())
 else:
     import repro.kernels.align as ak
     from repro.mapping.alignment import AlignmentConfig, _fill_lanes
@@ -130,6 +146,19 @@ def _chain() -> str:
     return hashlib.sha256(scores.tobytes() + parents.tobytes()).hexdigest()
 
 
+def _seed() -> str:
+    """The probe's seeding in this process: hex digest of a reference
+    index's four arrays (built by the minimizer scan) and of one read's
+    anchors."""
+    reference = ReferenceGenome.random(20_000, seed=5)
+    index = MinimizerIndex.build(reference)
+    read = reference.codes[3_000:6_000]
+    anchors = collect_anchor_arrays(index, read, read_offset=5, read_length=read.size)
+    arrays = (index.key_array, index.bounds_array, index.position_array, index.strand_array,
+              anchors[1], anchors[-1])  # fmt: skip
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
 @dataclass(frozen=True)
 class Kernel:
     """One compiled kernel: its source name, a run giving the digest of
@@ -157,6 +186,10 @@ KERNELS = {
     "chain": Kernel(
         "chain", _chain, chain_kernels._native_chain, chain_kernels.chain_backend, scalar_chain,
         "scalar",
+    ),
+    "seed": Kernel(
+        "seed", _seed, seed_kernels._native_seed, seed_kernels.seed_backend, numpy_seeding,
+        "numpy",
     ),
 }  # fmt: skip
 
@@ -330,8 +363,9 @@ def test_two_processes_build_a_cold_cache_at_once(kernel, tmp_path, fallback_dig
 #: A CLI run with both cache directories moved into argv[1]; afterwards
 #: asserts the loader was not imported with the CLI, the trellis was
 #: never resolved, the Gotoh fill only on an ``--align`` run, and that
-#: the chain DP's library (workers chain, so they build it) and, on an
-#: ``--align`` run, the fill's were all that was cached.
+#: the chain DP's and seeding's libraries (the index build scans, and
+#: workers seed and chain, so they build them) and, on an ``--align``
+#: run, the fill's were all that was cached.
 UNRESOLVED_PROBE = """
 import sys
 from pathlib import Path
@@ -348,18 +382,19 @@ aligned = "--align" in sys.argv
 assert vk._native_trellis.cache_info().currsize == 0, "trellis resolved"
 assert ak._native_gotoh.cache_info().currsize == aligned, "Gotoh fill resolved: " + str(aligned)
 built = sorted(path.name for path in cache.rglob("*")) if cache.exists() else []
-expected = (["chain", "gotoh"] if aligned else ["chain"]) if native._compiler() is not None else []
+expected = ["chain", "gotoh", "seed"] if aligned else ["chain", "seed"]
+expected = expected if native._compiler() is not None else []
 assert [name.partition("-")[0] for name in built] == expected, built
 raise SystemExit(status)
 """
 
 
-def test_surrogate_cli_run_builds_the_chain_dp_alone(tmp_path):
-    """Start-up of the surrogate workloads pays only for the kernel they
-    run: importing the CLI does not import the loader, and an
+def test_surrogate_cli_run_builds_the_chain_dp_and_seeding_alone(tmp_path):
+    """Start-up of the surrogate workloads pays only for the kernels
+    they run: importing the CLI does not import the loader, and an
     ``ecoli-like`` run without ``--align`` (pooled, so workers are
-    covered too) builds the chain DP, and neither resolves nor builds
-    the trellis or the Gotoh fill."""
+    covered too) builds the chain DP and seeding, and neither resolves
+    nor builds the trellis or the Gotoh fill."""
     subprocess.run(
         [
             sys.executable, "-c", UNRESOLVED_PROBE, str(tmp_path / "cache"),
@@ -370,10 +405,10 @@ def test_surrogate_cli_run_builds_the_chain_dp_alone(tmp_path):
     )  # fmt: skip
 
 
-def test_aligned_surrogate_cli_run_builds_the_chain_dp_and_gotoh_fill(tmp_path):
+def test_aligned_surrogate_cli_run_builds_the_chain_dp_seeding_and_gotoh_fill(tmp_path):
     """An ``--align`` run resolves the Gotoh fill (and, with a compiler,
-    caches ``chain-<hash>.so`` and ``gotoh-<hash>.so`` and nothing
-    else), never the trellis."""
+    caches ``chain-<hash>.so``, ``gotoh-<hash>.so`` and
+    ``seed-<hash>.so`` and nothing else), never the trellis."""
     subprocess.run(
         [
             sys.executable, "-c", UNRESOLVED_PROBE, str(tmp_path / "cache"),
@@ -415,3 +450,14 @@ def test_cli_summary_names_the_chain_dp(chain, capsys):
     )  # fmt: skip
     assert status == 0
     assert f"chain {chain}" in capsys.readouterr().err
+
+
+def test_cli_summary_names_the_seeding(seeding, capsys):
+    status = main(
+        [
+            "--profile", "ecoli-like", "--scale", "0.0001", "--seed", "7",
+            "--max-read-length", "1500", "--workers", "1",
+        ]
+    )  # fmt: skip
+    assert status == 0
+    assert f"seed {seeding}, chain " in capsys.readouterr().err

@@ -129,6 +129,42 @@ class TestMinimizerExtraction:
         with pytest.raises(ValueError):
             MinimizerConfig(w=0)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"w": float("inf")},  # one window per call, silently
+            {"w": float("nan")},
+            {"w": 2.5},
+            {"k": 13.5},
+            {"w": True},
+            {"k": np.float64(13.0)},
+        ],
+        ids=repr,
+    )
+    def test_config_refuses_what_it_cannot_honour(self, field):
+        """``k`` and ``w`` are integers the scan takes as ``int64``: a
+        float, NaN, infinity or ``bool`` is refused when constructed,
+        not inside the scan."""
+        with pytest.raises(TypeError, match="must be an integer"):
+            MinimizerConfig(**field)
+
+    def test_config_takes_numpy_integers(self, seeding):
+        seq = ReferenceGenome.random(500, seed=6).codes
+        got = minimizer_arrays(seq, MinimizerConfig(k=np.int64(13), w=np.int32(10)))
+        for array, want in zip(got, minimizer_arrays(seq, CFG), strict=True):
+            assert array.tobytes() == want.tobytes()
+        assert got[0].size > 0
+
+    def test_window_wider_than_any_sequence_is_one_window(self, seeding):
+        """A ``w`` past ``int64`` (the compiled scan's argument type) is
+        still the one window of the whole sequence."""
+        seq = ReferenceGenome.random(300, seed=8).codes
+        wide = minimizer_arrays(seq, MinimizerConfig(k=13, w=2**70))
+        single = minimizer_arrays(seq, MinimizerConfig(k=13, w=seq.size))
+        assert wide[1].size == 1
+        for got, want in zip(wide, single, strict=True):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestMinimizerIndex:
     @pytest.fixture(scope="class")
