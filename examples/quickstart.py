@@ -6,8 +6,9 @@ This walks the whole public API surface once:
 2. simulate nanopore reads (with ground truth);
 3. decode one chunk of *raw signal* with the Viterbi basecaller (the
    real signal-space engine);
-4. run the GenPIP chunk-based pipeline with early rejection over the
-   dataset and print per-read outcomes;
+4. build the system -- one ``GenPIPPipeline``, the chunk-based
+   pipeline with early rejection -- run it over the dataset with its
+   own ``run`` and print per-read outcomes;
 5. shard the same run across worker processes (identical report);
 6. rebuild the system from the registry and swap in the
    Viterbi backend by name -- same CP/ER control flow, real
@@ -47,7 +48,7 @@ Run with: ``python examples/quickstart.py``
 import numpy as np
 
 from repro.basecalling import SurrogateBasecaller, ViterbiBasecaller, ViterbiConfig
-from repro.core import GenPIP, GenPIPConfig
+from repro.core import GenPIPConfig, GenPIPPipeline
 from repro.genomics.reference import ReferenceGenome
 from repro.mapping import MinimizerIndex
 from repro.nanopore import PoreModel, SignalConfig, synthesize_signal
@@ -90,7 +91,8 @@ def main() -> None:
         f"identity {identity:.3f}, mean quality {called.mean_quality:.1f}"
     )
 
-    # 4. GenPIP: chunk pipeline + early rejection over the whole run.
+    # 4. GenPIP: one object, the chunk pipeline + early rejection;
+    #    process_read runs one read, run the whole dataset.
     from repro.nanopore.datasets import Dataset, DatasetProfile
 
     dataset = Dataset(
@@ -101,7 +103,7 @@ def main() -> None:
         reference=reference,
         reads=reads,
     )
-    genpip = GenPIP(index, GenPIPConfig(n_qs=2, n_cm=5), basecaller=SurrogateBasecaller())
+    genpip = GenPIPPipeline(index, GenPIPConfig(n_qs=2, n_cm=5), basecaller=SurrogateBasecaller())
     report = genpip.run(dataset)
 
     print("\nper-read outcomes:")
@@ -146,7 +148,7 @@ def main() -> None:
 
     print(f"\nregistered backends: {', '.join(basecaller_names())}; "
           f"presets: {', '.join(preset_names())}")
-    viterbi_system = GenPIP(
+    viterbi_system = GenPIPPipeline(
         index,
         preset_config("ecoli"),
         create_basecaller("viterbi", ViterbiBackendConfig(pore_k=3)),
@@ -191,6 +193,9 @@ def main() -> None:
             f"{outcomes_path.stat().st_size:,} B JSONL; "
             f"replayed report identical: {replayed.outcomes == report.outcomes}"
         )
+        # A streaming sink's report is counters only: what needs the
+        # per-read outcomes (mean identity) reads the replayed report.
+        print(f"mean identity of the replayed report: {replayed.mean_identity():.3f}")
 
     # 8. Signal-native runs: the paper's pipeline starts from raw
     #    current, and so can this one. Persist the Viterbi system's
@@ -205,7 +210,7 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         signal_path = Path(tmp) / "signals.rsig"
-        backend = viterbi_system.pipeline.basecaller
+        backend = viterbi_system.basecaller
         signal_bytes = write_signals(signal_path, backend.signal_records(shortest))
         signal_serial = viterbi_system.run(SignalStoreSource(signal_path))
         signal_parallel = viterbi_system.run(
@@ -234,7 +239,7 @@ def main() -> None:
     from repro.nanopore import ReadClass, strip_base_starts
     from repro.signal import SegmentationConfig, SignalRejectionPolicy
 
-    backend = viterbi_system.pipeline.basecaller
+    backend = viterbi_system.basecaller
     genomic = [r for r in shortest if r.read_class is not ReadClass.JUNK and r.strand > 0]
     junk = [r for r in reads if r.read_class is ReadClass.JUNK][:2]
     demo_reads = genomic + junk
@@ -244,7 +249,7 @@ def main() -> None:
         segment_starts=[r.ref_start for r in genomic],
         prefix_bases=100,
     )
-    ser_system = GenPIP(index, preset_config("ecoli"), backend, align=False, ser_policy=policy)
+    ser_system = GenPIPPipeline(index, preset_config("ecoli"), backend, align=False, ser_policy=policy)
     with tempfile.TemporaryDirectory() as tmp:
         raw_path = Path(tmp) / "raw.rsig"
         write_signals(raw_path, strip_base_starts(backend.signal_records(demo_reads)))
@@ -325,7 +330,7 @@ def main() -> None:
     from repro.serving import merged_outcomes, serve_and_drive
     from repro.runtime import outcome_to_record
 
-    results, stats = serve_and_drive(genpip.pipeline, reads, sessions=2, workers=2)
+    results, stats = serve_and_drive(genpip, reads, sessions=2, workers=2)
     served = merged_outcomes(results)
     assert served == [outcome_to_record(o) for o in report.outcomes]
     print(
@@ -358,7 +363,7 @@ def main() -> None:
         f"{layout.total_bytes:,} contiguous bytes; per-read access is a "
         f"read-only view (writeable={window.flags.writeable})"
     )
-    engine = DatasetEngine(genpip.pipeline, workers=2, batch_size=8, sink=NullSink())
+    engine = DatasetEngine(genpip, workers=2, batch_size=8, sink=NullSink())
     view_report = engine.run(reads)
     stats = engine.last_stats
     assert view_report.counters == report.counters
@@ -450,7 +455,7 @@ def main() -> None:
     from repro.obs.metrics import worker_metrics_snapshot
 
     traced_engine = DatasetEngine(
-        genpip.pipeline, workers=2, batch_size=8, sink=NullSink(), trace=True
+        genpip, workers=2, batch_size=8, sink=NullSink(), trace=True
     )
     traced_report = traced_engine.run(reads)
     assert traced_report.counters == report.counters  # tracing never leaks in

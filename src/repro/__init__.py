@@ -9,24 +9,27 @@ figures.
 
 Top-level entry points:
 
->>> from repro.core import GenPIP, GenPIPConfig
+The system is one object, :class:`~repro.core.pipeline.GenPIPPipeline`:
+``process_read`` runs one read, ``run`` a whole dataset:
+
+>>> from repro.core import GenPIPConfig, GenPIPPipeline
 >>> from repro.mapping import MinimizerIndex
 >>> from repro.nanopore import ECOLI_LIKE, generate_dataset
 >>> dataset = generate_dataset(ECOLI_LIKE, scale=0.001, seed=0)
 >>> index = MinimizerIndex.build(dataset.reference)
->>> report = GenPIP(index, GenPIPConfig()).run(dataset)
+>>> report = GenPIPPipeline(index, GenPIPConfig()).run(dataset)
 
 Dataset-scale runs shard reads across worker processes (identical
 report for any worker count; see :mod:`repro.runtime`):
 
->>> report = GenPIP(index, GenPIPConfig()).run(dataset, workers=4)
+>>> report = GenPIPPipeline(index, GenPIPConfig()).run(dataset, workers=4)
 
 Engines are pluggable behind the structural :class:`Basecaller`
 protocol; the registry builds the built-in ones and the presets by name
 (see :mod:`repro.core`):
 
 >>> from repro.core import create_basecaller, preset_config
->>> system = GenPIP(index, preset_config("ecoli"), create_basecaller("viterbi"))
+>>> system = GenPIPPipeline(index, preset_config("ecoli"), create_basecaller("viterbi"))
 """
 
 __all__ = ["Basecaller", "__version__"]

@@ -9,14 +9,14 @@ level (the hardware cost models live in :mod:`repro.hardware` /
   and per-dataset presets (E. coli: ``N_qs=2, N_cm=5``; human:
   ``N_qs=5, N_cm=3``; Sec. 6.3).
 * :mod:`repro.core.early_rejection` -- QSR (Algorithm 1) and CMR.
-* :mod:`repro.core.pipeline` -- the chunk-based pipeline: basecall ->
-  CQS -> seed -> chain per early-rejection stage, with ER interleaved,
-  then final chaining + alignment. The conventional pipeline it is
-  compared with is the same class under
+* :mod:`repro.core.pipeline` -- :class:`GenPIPPipeline`, the system:
+  basecall -> CQS -> seed -> chain per early-rejection stage, with ER
+  interleaved, then final chaining + alignment, one read at a time or a
+  whole dataset through :meth:`GenPIPPipeline.run`. The conventional
+  pipeline it is compared with is the same class under
   :meth:`GenPIPConfig.conventional` (every ER technique off).
-* :mod:`repro.core.genpip` -- the :class:`GenPIP` system facade and the
-  dataset-level report consumed by the performance model and the
-  experiments.
+* :mod:`repro.core.genpip` -- the dataset-level report consumed by the
+  performance model and the experiments.
 * :mod:`repro.core.backends` -- the structural :class:`Basecaller`
   protocol the pipeline is typed against.
 * :mod:`repro.core.registry` -- the built-in basecaller backends
@@ -25,10 +25,10 @@ level (the hardware cost models live in :mod:`repro.hardware` /
 
 A pipeline is built one way, as the dataclass itself::
 
-    GenPIPPipeline(index, create_basecaller("viterbi"), preset_config("ecoli"))
+    GenPIPPipeline(index, preset_config("ecoli"), create_basecaller("viterbi"))
 
-and amended with ``dataclasses.replace``; :class:`GenPIP` wraps one to
-run whole datasets.
+amended with ``dataclasses.replace``, and run over a dataset with
+``.run(dataset)``.
 """
 
 from repro.core.backends import Basecaller
@@ -45,7 +45,9 @@ from repro.core.early_rejection import (
     QSRPolicy,
     qsr_sample_indices,
 )
-from repro.core.genpip import GenPIP, GenPIPReport
+# GenPIP is importable here, outside __all__, only for the perf
+# benchmark's GenPIP.build() chain.
+from repro.core.genpip import GenPIP, GenPIPReport  # noqa: F401
 from repro.core.pipeline import (
     GenPIPPipeline,
     ReadOutcome,
@@ -73,7 +75,6 @@ __all__ = [
     "GenPIPPipeline",
     "ReadOutcome",
     "ReadStatus",
-    "GenPIP",
     "GenPIPReport",
     "basecaller_names",
     "create_basecaller",

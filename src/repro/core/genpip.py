@@ -1,9 +1,8 @@
-"""The GenPIP system facade and its dataset-level report.
+"""A dataset run's report, and the perf benchmark's ``GenPIP.build()`` chain.
 
-:class:`GenPIP` wires a reference index, a basecaller, and a
-:class:`~repro.core.config.GenPIPConfig` into the chunk pipeline and
-processes whole datasets. The resulting :class:`GenPIPReport` carries
-the per-read outcomes plus the aggregate counters that the performance
+:meth:`GenPIPPipeline.run <repro.core.pipeline.GenPIPPipeline.run>`
+processes whole datasets into a :class:`GenPIPReport`. It carries the
+per-read outcomes plus the aggregate counters that the performance
 model (:mod:`repro.perf`) and the experiments consume: how many chunks
 were actually basecalled / seeded, how many reads each ER stage
 rejected, and -- with ground truth from the simulator -- the rejection
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,10 +27,6 @@ from repro.core.backends import Basecaller
 from repro.core.config import GenPIPConfig
 from repro.core.pipeline import GenPIPPipeline, ReadOutcome, ReadStatus
 from repro.mapping.index import MinimizerIndex
-from repro.nanopore.datasets import Dataset
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (keeps repro.signal lazy)
-    from repro.signal.rejection import SignalRejectionPolicy
 
 
 @dataclass
@@ -110,9 +105,6 @@ class GenPIPReport:
         if self.counters is None:
             object.__setattr__(self, "counters", ReportCounters.from_outcomes(self.outcomes))
 
-    def __len__(self) -> int:
-        return len(self.outcomes)
-
     def count(self, status: ReadStatus) -> int:
         return self.counters.status_counts.get(status, 0)
 
@@ -170,7 +162,13 @@ class GenPIPReport:
         return 1.0 - self.chunks_basecalled / total if total else 0.0
 
     def mean_identity(self) -> float:
-        """Mean alignment identity over mapped reads."""
+        """Mean alignment identity over mapped reads; a streaming sink's
+        report (counters only) raises ``ValueError`` rather than read 0.0."""
+        if self.n_reads and not self.outcomes:
+            raise ValueError(
+                "this report carries counters only (its outcomes went to a "
+                "streaming sink); rebuild it with replay_report() first"
+            )
         identities = [
             o.mapping.identity
             for o in self.outcomes
@@ -180,111 +178,19 @@ class GenPIPReport:
 
 
 class GenPIP:
-    """End-to-end GenPIP system over a dataset.
+    """Not the system (that is :class:`GenPIPPipeline`): only the call
+    chain the perf benchmark's workloads make, ``GenPIP.build().index(ix)
+    .config(cfg).basecaller(engine).align(a).build().pipeline``, which is
+    ``GenPIPPipeline(ix, cfg, engine, align=a)``. It goes once they
+    construct the pipeline directly."""
 
-    Parameters
-    ----------
-    index:
-        Prebuilt reference minimizer index (the offline indexing phase).
-    config:
-        Pipeline parameters, early rejection's included; defaults to
-        the paper's E. coli preset. ``preset_config``,
-        ``GenPIPConfig.with_chunk_size`` and ``variant_config`` derive
-        the evaluated configurations.
-    basecaller:
-        Any :class:`~repro.core.backends.Basecaller`
-        (``create_basecaller("viterbi")`` builds a registered one by
-        name); defaults to the surrogate.
-    align:
-        Base-level alignment of mapped reads (off for the sweeps).
-    ser_policy:
-        Adds the pre-basecalling signal-domain rejection stage for
-        signal-native reads (no default: without a policy the stage
-        does not exist).
-    """
-
-    def __init__(
-        self,
-        index: MinimizerIndex,
-        config: GenPIPConfig | None = None,
-        basecaller: Basecaller | None = None,
-        align: bool = True,
-        ser_policy: SignalRejectionPolicy | None = None,
-    ):
-        self._pipeline = GenPIPPipeline(index, basecaller, config, align=align, ser_policy=ser_policy)
-
-    @classmethod
-    def build(cls) -> "_Chain":
-        """The one call chain the perf benchmark's workloads make::
-
-            GenPIP.build().index(ix).config(cfg).basecaller(engine).align(a).build()
-
-        equal to ``GenPIP(ix, cfg, engine, align=a)``.
-        """
+    @staticmethod
+    def build() -> "_Chain":
         return _Chain()
-
-    @property
-    def pipeline(self) -> GenPIPPipeline:
-        return self._pipeline
-
-    @property
-    def config(self) -> GenPIPConfig:
-        return self._pipeline.config
-
-    def process_read(self, read) -> ReadOutcome:
-        """Run one read (base-space or signal-native) through the pipeline."""
-        return self._pipeline.process_read(read)
-
-    def run(
-        self,
-        dataset: Dataset,
-        *,
-        workers: int = 1,
-        batch_size: int | None = None,
-        sink=None,
-    ) -> GenPIPReport:
-        """Process every read of a dataset (or any read source).
-
-        Parameters
-        ----------
-        dataset:
-            A :class:`Dataset`, a sequence of reads, or any streaming
-            :class:`~repro.runtime.source.ReadSource` (lazy simulator,
-            on-disk read store, ...). Signal-native sources
-            (:class:`~repro.runtime.source.SignalStoreSource`, yielding
-            stored raw current instead of simulated reads) require a
-            signal-space basecaller (``"viterbi"``); the
-            engine rejects the combination up front otherwise.
-        workers:
-            Worker processes to shard the reads across; ``0``/``1``
-            run serially in-process. Reads are independent, so any
-            worker count produces a report identical to the serial run
-            (outcomes, order, and counters).
-        batch_size:
-            Reads per work unit handed to a worker (amortises IPC);
-            ``None`` picks a size from the dataset and worker count.
-        sink:
-            Where outcomes stream as the ordered prefix completes; a
-            :class:`~repro.runtime.sink.ReportSink`. ``None`` keeps the
-            classic behaviour (full in-memory report). With a streaming
-            sink (e.g. :class:`~repro.runtime.sink.JSONLSink`), the
-            returned report carries exact counters but no per-read
-            outcomes -- those live wherever the sink put them -- and
-            parent memory stays O(batch).
-        """
-        from repro.runtime.engine import DatasetEngine
-
-        engine = DatasetEngine(self._pipeline, workers=workers, batch_size=batch_size, sink=sink)
-        return engine.run(dataset)
 
 
 class _Chain:
-    """What ``GenPIP.build()`` returns: the calls ``benchmarks/perf``
-    makes, recorded and forwarded to :class:`GenPIP` by ``build()``.
-
-    It goes once the benchmark's workloads construct the pipeline
-    directly; nothing else calls it.
-    """
+    """What ``GenPIP.build()`` returns: the recorded constructor arguments."""
 
     def __init__(self) -> None:
         self._args: dict = {}
@@ -305,5 +211,5 @@ class _Chain:
         self._args["align"] = align
         return self
 
-    def build(self) -> GenPIP:
-        return GenPIP(**self._args)
+    def build(self) -> SimpleNamespace:
+        return SimpleNamespace(pipeline=GenPIPPipeline(**self._args))

@@ -50,6 +50,8 @@ from repro.nanopore.signal_read import SignalRead
 from repro.obs.trace import active_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (keeps repro.signal lazy)
+    from repro.core.genpip import GenPIPReport
+    from repro.nanopore.datasets import Dataset
     from repro.signal.rejection import SERDecision, SignalRejectionPolicy
 
 #: Anything the chunk pipeline can process: a base-space simulated read
@@ -111,25 +113,31 @@ class ReadOutcome:
 
 @dataclass(eq=False)
 class GenPIPPipeline:
-    """Chunk-based pipeline with optional early rejection.
+    """The GenPIP system: chunk-based pipeline with optional early rejection.
 
-    The one record of what a pipeline is made of: its init fields are
-    the constructor arguments, and the instance itself is what
-    :mod:`repro.runtime` hands to a worker process (inherited under
-    ``fork``, pickled under ``spawn`` -- so engines and policies must be
-    picklable; ``dataclasses.replace`` rebinds a field, which is how a
-    worker swaps a shared-memory index handle for the attached index).
+    :meth:`process_read` runs one read, :meth:`run` a whole dataset.
+    The init fields are the constructor arguments: the reference
+    ``index``; ``config`` (default: the paper's E. coli parameters), the
+    only home of the early-rejection parameters -- the QSR and CMR
+    policies are derived from it, never passed in, so
+    ``dataclasses.replace(pipeline, config=...)`` re-derives them; any
+    chunk-deterministic :class:`~repro.core.backends.Basecaller`
+    (default: the surrogate), which runs the identical control flow;
+    ``align``, base-level alignment of mapped reads (off for the
+    sweeps); and ``ser_policy``, the signal-domain rejection stage for
+    signal-native reads (no default: without a policy the stage does
+    not exist).
 
-    Any chunk-deterministic :class:`~repro.core.backends.Basecaller`
-    runs the identical control flow; the default is the surrogate.
-    ``config`` is the only home of the early-rejection parameters: the
-    QSR and CMR policies are derived from it, never passed in, so
-    ``dataclasses.replace(pipeline, config=...)`` re-derives them.
+    The instance itself is what :mod:`repro.runtime` hands to a worker
+    process (inherited under ``fork``, pickled under ``spawn`` -- so
+    engines and policies must be picklable; ``dataclasses.replace``
+    rebinds a field, which is how a worker swaps a shared-memory index
+    handle for the attached index).
     """
 
     index: MinimizerIndex
-    basecaller: Basecaller | None = None
     config: GenPIPConfig | None = None
+    basecaller: Basecaller | None = None
     align: bool = True
     #: SER has no reference-free default: None simply disables the
     #: pre-basecalling stage.
@@ -160,6 +168,48 @@ class GenPIPPipeline:
         batch mates.
         """
         return [self.process_read(read) for read in reads]
+
+    def run(
+        self,
+        dataset: Dataset,
+        *,
+        workers: int = 1,
+        batch_size: int | None = None,
+        sink=None,
+    ) -> GenPIPReport:
+        """Process every read of a dataset (or any read source).
+
+        Parameters
+        ----------
+        dataset:
+            A :class:`Dataset`, a sequence of reads, or any streaming
+            :class:`~repro.runtime.source.ReadSource` (lazy simulator,
+            on-disk read store, ...). Signal-native sources
+            (:class:`~repro.runtime.source.SignalStoreSource`, yielding
+            stored raw current instead of simulated reads) require a
+            signal-space basecaller (``"viterbi"``); the
+            engine rejects the combination up front otherwise.
+        workers:
+            Worker processes to shard the reads across; ``0``/``1``
+            run serially in-process. Reads are independent, so any
+            worker count produces a report identical to the serial run
+            (outcomes, order, and counters).
+        batch_size:
+            Reads per work unit handed to a worker (amortises IPC);
+            ``None`` picks a size from the dataset and worker count.
+        sink:
+            Where outcomes stream as the ordered prefix completes; a
+            :class:`~repro.runtime.sink.ReportSink`. ``None`` keeps the
+            classic behaviour (full in-memory report). With a streaming
+            sink (e.g. :class:`~repro.runtime.sink.JSONLSink`), the
+            returned report carries exact counters but no per-read
+            outcomes -- those live wherever the sink put them -- and
+            parent memory stays O(batch).
+        """
+        from repro.runtime.engine import DatasetEngine
+
+        engine = DatasetEngine(self, workers=workers, batch_size=batch_size, sink=sink)
+        return engine.run(dataset)
 
     def _ser_applies(self, read: PipelineRead, er_eligible: bool) -> bool:
         """Whether stage 0 (SER) screens this read: signal-native reads

@@ -10,8 +10,7 @@ through :func:`create_basecaller` / :func:`preset_config`.
 A name is a convenience for the built-ins, not how an engine is known
 to the rest of the system: any object satisfying
 :class:`~repro.core.backends.Basecaller` is handed to
-``GenPIPPipeline(...)`` or ``GenPIP(...)`` as itself, and travels to
-workers as itself.
+``GenPIPPipeline(...)`` as itself, and travels to workers as itself.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core import GenPIP, GenPIPConfig
+from repro.core import GenPIPConfig, GenPIPPipeline
 from repro.core.config import VARIANTS, variant_config
 from repro.core.genpip import GenPIPReport
 from repro.core.registry import create_basecaller, preset_config
@@ -99,7 +99,7 @@ class ExperimentContext:
         """
         key = (variant, chunk_size, align, basecaller)
         if key not in self._reports:
-            system = GenPIP(
+            system = GenPIPPipeline(
                 self.index,
                 variant_config(self.base_config(chunk_size), variant),
                 create_basecaller(basecaller),

@@ -71,7 +71,6 @@ Any built-in basecaller backend and pipeline preset plugs in::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from collections.abc import Sequence
@@ -102,7 +101,7 @@ from repro.nanopore.signal_store import (
 )
 from repro.obs.export import chrome_trace_document, span_jsonl
 from repro.runtime.engine import DatasetEngine
-from repro.runtime.sink import JSONLSink, NullSink, replay_report
+from repro.runtime.sink import JSONLSink, NullSink, outcome_to_record, replay_report
 from repro.runtime.source import SignalStoreSource, SimulatorSource, StoreSource
 from repro.signal import SegmentationConfig, SignalRejectionPolicy
 
@@ -242,8 +241,8 @@ def pipeline_from_args(
     config = preset_config(args.preset or args.profile).with_chunk_size(args.chunk_size)
     return GenPIPPipeline(
         MinimizerIndex.build(reference),
-        basecaller,
         variant_config(config, args.variant),
+        basecaller,
         align=args.align,
         ser_policy=ser_policy,
     )
@@ -323,44 +322,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _mapping_record(outcome: ReadOutcome) -> dict | None:
-    mapping = outcome.mapping
-    if mapping is None:
-        return None
-    return {
-        "mapped": mapping.mapped,
-        "ref_start": mapping.ref_start,
-        "ref_end": mapping.ref_end,
-        "strand": mapping.strand,
-        "chain_score": mapping.chain_score,
-        "mapq": mapping.mapq,
-        "identity": mapping.identity,
-    }
-
-
-def _ser_record(outcome: ReadOutcome) -> dict | None:
-    return None if outcome.ser is None else dataclasses.asdict(outcome.ser)
-
-
 def _read_record(outcome: ReadOutcome) -> dict:
-    record = {
-        "read_id": outcome.read_id,
-        "status": outcome.status.value,
-        "read_length": outcome.read_length,
-        "n_chunks_total": outcome.n_chunks_total,
-        "n_chunks_basecalled": outcome.n_chunks_basecalled,
-        "n_bases_basecalled": outcome.n_bases_basecalled,
-        "n_chunks_seeded": outcome.n_chunks_seeded,
-        "n_chain_invocations": outcome.n_chain_invocations,
-        "aligned": outcome.aligned,
-        "mean_quality": outcome.mean_quality,
-        "mapping": _mapping_record(outcome),
-    }
-    # Emitted only for screened reads, so SER-less reports keep the
-    # exact byte layout of earlier releases.
-    ser = _ser_record(outcome)
-    if ser is not None:
-        record["ser"] = ser
+    """A read's report record: :func:`outcome_to_record` without the QSR
+    and CMR decisions, the mapping's read id and its alignment, plus the
+    mapping's identity. One function names an outcome's fields."""
+    record = outcome_to_record(outcome)
+    del record["qsr"], record["cmr"]
+    if outcome.mapping is not None:
+        mapping = record["mapping"]
+        del mapping["read_id"], mapping["alignment"]
+        mapping["identity"] = outcome.mapping.identity
     return record
 
 

@@ -25,6 +25,7 @@ import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
+from repro.core.config import require_integer
 from repro.nanopore.read_simulator import SimulatedRead
 
 #: Work units a pool worker should see on average; > 1 so that slow
@@ -58,10 +59,13 @@ class WorkUnit:
 
 def resolve_workers(workers: int = 1) -> int:
     """Normalise a worker-count request to an effective pool size:
-    ``0`` and ``1`` both mean serial in-process execution."""
+    ``0`` and ``1`` both mean serial in-process execution. A count that
+    is not an integer (``2.0``, ``True``) raises ``TypeError`` here,
+    before any pool or shared memory exists."""
+    require_integer("workers", workers)
     if workers < 0:
         raise ValueError(f"workers must be non-negative, got {workers}")
-    return max(workers, 1)
+    return max(int(workers), 1)
 
 
 def resolve_batch_size(n_reads: int | None, workers: int, batch_size: int | None) -> int:
@@ -74,9 +78,10 @@ def resolve_batch_size(n_reads: int | None, workers: int, batch_size: int | None
     stream of :data:`UNKNOWN_SIZE_HINT` reads.
     """
     if batch_size is not None:
+        require_integer("batch_size", batch_size)
         if batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        return batch_size
+        return int(batch_size)
     if n_reads is None:
         n_reads = UNKNOWN_SIZE_HINT
     if n_reads <= 0:

@@ -2,17 +2,18 @@
 
 Covers the structural basecaller protocol (:mod:`repro.core.backends`),
 the signal-space backend adapters (:mod:`repro.basecalling.engines`),
-the backend/preset registry (:mod:`repro.core.registry`), how a system
-is constructed from them, and how a
-:class:`~repro.core.pipeline.GenPIPPipeline` travels to a worker (as
-itself, pickled):
+the backend/preset registry (:mod:`repro.core.registry`), how the one
+system object, :class:`~repro.core.pipeline.GenPIPPipeline`, is
+constructed from them, and how it travels to a worker (as itself,
+pickled):
 
-* the ``GenPIP.build()`` chain the perf benchmark calls produces
-  reports *byte-identical* to the direct ``GenPIP(...)`` constructor;
-* a system with a non-default backend yields the same report from
-  ``run(workers=2)`` as from the serial run, and its pipeline
-  round-trips through pickle into a fresh interpreter (``spawn``
-  semantics) with identical outcomes.
+* the ``GenPIP.build()`` chain the perf benchmark calls builds a
+  pipeline whose reports are *byte-identical* to the directly
+  constructed ``GenPIPPipeline(...)``'s;
+* a pipeline with a non-default backend yields the same report from
+  ``run(workers=2)`` as from the serial run, and round-trips through
+  pickle into a fresh interpreter (``spawn`` semantics) with identical
+  outcomes.
 """
 
 from __future__ import annotations
@@ -230,7 +231,7 @@ class TestSignalSpaceBackends:
         called = engine.basecall_read(read, 300)
         assert called.n_chunks == last + 1
         # And through the whole pipeline.
-        system = GenPIP(micro_index, basecaller=engine, align=False)
+        system = GenPIPPipeline(micro_index, basecaller=engine, align=False)
         outcome = system.process_read(read)
         assert outcome.n_chunks_total == 2
 
@@ -252,7 +253,7 @@ class TestSignalSpaceBackends:
 class TestConstruction:
     def test_benchmark_chain_equals_constructor(self, micro_index, micro_dataset):
         engine = create_basecaller("surrogate")
-        direct = GenPIP(micro_index, ECOLI_PARAMS, engine, align=False).run(micro_dataset)
+        direct = GenPIPPipeline(micro_index, ECOLI_PARAMS, engine, align=False).run(micro_dataset)
         chained = (
             GenPIP.build()
             .index(micro_index)
@@ -260,13 +261,13 @@ class TestConstruction:
             .basecaller(engine)
             .align(False)
             .build()
-            .run(micro_dataset)
+            .pipeline.run(micro_dataset)
         )
         run_args = {"dataset": "micro"}
         assert report_to_json(chained, run_args) == report_to_json(direct, run_args)
 
     def test_viterbi_parallel_equals_serial(self, micro_index, micro_dataset):
-        system = GenPIP(
+        system = GenPIPPipeline(
             micro_index,
             preset_config("ecoli"),
             create_basecaller("viterbi", FAST_VITERBI),
@@ -286,7 +287,7 @@ class TestConstruction:
         assert not config.enable_qsr and not config.enable_cmr
 
     def test_theta_qs_above_every_quality_rejects_all(self, micro_index, micro_dataset):
-        system = GenPIP(micro_index, GenPIPConfig(theta_qs=41), align=False)
+        system = GenPIPPipeline(micro_index, GenPIPConfig(theta_qs=41), align=False)
         report = system.run(micro_dataset)
         eligible = [
             o for o in report.outcomes
@@ -318,7 +319,7 @@ class TestPipelineTravels:
             pass
 
         engine = CustomEngine()
-        pipeline = GenPIP(micro_index, basecaller=engine).pipeline
+        pipeline = GenPIPPipeline(micro_index, basecaller=engine)
         assert pipeline.basecaller is engine
         # What a worker does with the shared-memory handle it was sent.
         rebound = dataclasses.replace(pipeline, index=micro_index)
@@ -327,7 +328,7 @@ class TestPipelineTravels:
 
     def test_er_parameters_travel(self, micro_index, micro_dataset):
         config = GenPIPConfig(theta_qs=3.3, n_qs=4)
-        pipeline = GenPIP(micro_index, config, align=False).pipeline
+        pipeline = GenPIPPipeline(micro_index, config, align=False)
         rebuilt = pickle.loads(pickle.dumps(pipeline))
         assert rebuilt.config == config
         reads = list(micro_dataset.reads)
@@ -340,11 +341,11 @@ class TestPipelineTravels:
         load them in a *fresh* interpreter (spawn semantics), and
         compare outcomes exactly."""
         pipelines = [
-            GenPIP(micro_index, align=False).pipeline,
+            GenPIPPipeline(micro_index, align=False),
             GenPIPPipeline(
                 micro_index,
-                ViterbiChunkBasecaller(FAST_VITERBI),
                 GenPIPConfig(theta_qs=9.5, n_qs=3),
+                ViterbiChunkBasecaller(FAST_VITERBI),
                 align=False,
             ),
         ]
@@ -402,7 +403,7 @@ class TestUnitCompositionIndependence:
     def case(self, request, reads_and_index):
         reads, index = reads_and_index
         engine = create_basecaller(request.param, self.ENGINE_CONFIGS[request.param])
-        pipeline = GenPIP(index, basecaller=engine, align=False).pipeline
+        pipeline = GenPIPPipeline(index, basecaller=engine, align=False)
         return pipeline, reads, [pipeline.process_read(read) for read in reads]
 
     @settings(max_examples=8, deadline=None)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import AQSCalculator, ControllerTrace, GenPIP, GenPIPConfig
+from repro.core import AQSCalculator, ControllerTrace, GenPIPConfig, GenPIPPipeline
 from repro.core.pipeline import ReadOutcome, ReadStatus
 from repro.hardware.edram import EDramBuffer
 from repro.mapping import MinimizerIndex
@@ -79,7 +79,7 @@ class TestControllerTrace:
         longest simulated reads with room to spare."""
         dataset = generate_dataset(small_profile(ECOLI_LIKE), scale=0.001, seed=3)
         index = MinimizerIndex.build(dataset.reference)
-        report = GenPIP(index, GenPIPConfig(), align=False).run(dataset)
+        report = GenPIPPipeline(index, GenPIPConfig(), align=False).run(dataset)
         trace = ControllerTrace().observe_run(report.outcomes)
         assert trace.read_queue_overflows == 0
         assert trace.chunk_buffer_overflows == 0

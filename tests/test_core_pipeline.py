@@ -1,4 +1,4 @@
-"""Integration tests for the chunk-based pipeline, ER, and the facade.
+"""Integration tests for the chunk-based pipeline, ER, and dataset runs.
 
 The heavyweight fixtures are session-scoped: one small dataset, one
 index, and the reports of a few pipeline configurations shared by all
@@ -12,7 +12,6 @@ import pytest
 
 from repro.basecalling import SurrogateBasecaller
 from repro.core import (
-    GenPIP,
     GenPIPConfig,
     GenPIPPipeline,
     ReadStatus,
@@ -34,7 +33,7 @@ def index(dataset):
 
 @pytest.fixture(scope="module")
 def genpip_report(dataset, index):
-    return GenPIP(index, GenPIPConfig(n_qs=2, n_cm=5)).run(dataset)
+    return GenPIPPipeline(index, GenPIPConfig(n_qs=2, n_cm=5)).run(dataset)
 
 
 @pytest.fixture(scope="module")
@@ -52,13 +51,13 @@ class TestEquivalence:
     """CP with ER off computes exactly what the conventional pipeline does."""
 
     def test_identical_statuses(self, dataset, index, conventional_outcomes):
-        cp = GenPIP(index, GenPIPConfig(enable_qsr=False, enable_cmr=False))
+        cp = GenPIPPipeline(index, GenPIPConfig(enable_qsr=False, enable_cmr=False))
         report = cp.run(dataset)
         for conv, chunked in zip(conventional_outcomes, report.outcomes, strict=True):
             assert conv.status == chunked.status
 
     def test_identical_mappings(self, dataset, index, conventional_outcomes):
-        cp = GenPIP(index, GenPIPConfig(enable_qsr=False, enable_cmr=False))
+        cp = GenPIPPipeline(index, GenPIPConfig(enable_qsr=False, enable_cmr=False))
         report = cp.run(dataset)
         for conv, chunked in zip(conventional_outcomes, report.outcomes, strict=True):
             if conv.mapping is None:
@@ -142,12 +141,12 @@ class TestEarlyRejection:
 
 class TestVariants:
     def test_qsr_only_variant(self, dataset, index):
-        report = GenPIP(index, GenPIPConfig(enable_cmr=False)).run(dataset)
+        report = GenPIPPipeline(index, GenPIPConfig(enable_cmr=False)).run(dataset)
         assert report.count(ReadStatus.REJECTED_CMR) == 0
         assert report.count(ReadStatus.REJECTED_QSR) > 0
 
     def test_cp_only_variant_uses_read_level_qc(self, dataset, index):
-        report = GenPIP(index, GenPIPConfig(enable_qsr=False, enable_cmr=False)).run(dataset)
+        report = GenPIPPipeline(index, GenPIPConfig(enable_qsr=False, enable_cmr=False)).run(dataset)
         assert report.count(ReadStatus.REJECTED_QSR) == 0
         assert report.count(ReadStatus.REJECTED_CMR) == 0
         assert report.count(ReadStatus.FAILED_QC) > 0
@@ -159,12 +158,12 @@ class TestVariants:
         dataset = generate_dataset(
             small_profile(ECOLI_LIKE, max_read_length=3_000), scale=0.001, seed=3
         )
-        system = GenPIP(
+        system = GenPIPPipeline(
             MinimizerIndex.build(dataset.reference),
             GenPIPConfig(enable_qsr=False, enable_cmr=True),
             align=False,
         )
-        outcomes = [system.pipeline.process_read(read) for read in dataset.reads]
+        outcomes = [system.process_read(read) for read in dataset.reads]
         failed = [o for o in outcomes if o.status is ReadStatus.FAILED_QC]
         assert failed, "this dataset must have reads that fail read-level QC"
         for outcome in failed:
@@ -174,14 +173,14 @@ class TestVariants:
 
     def test_savings_ordering(self, dataset, index, genpip_report):
         """Full ER saves at least as much basecalling as QSR alone."""
-        qsr_only = GenPIP(index, GenPIPConfig(enable_cmr=False)).run(dataset)
-        no_er = GenPIP(index, GenPIPConfig(enable_qsr=False, enable_cmr=False)).run(dataset)
+        qsr_only = GenPIPPipeline(index, GenPIPConfig(enable_cmr=False)).run(dataset)
+        no_er = GenPIPPipeline(index, GenPIPConfig(enable_qsr=False, enable_cmr=False)).run(dataset)
         assert no_er.basecall_savings == pytest.approx(0.0)
         assert qsr_only.basecall_savings > 0
         assert genpip_report.basecall_savings >= qsr_only.basecall_savings
 
     def test_align_false_skips_alignment(self, dataset, index):
-        report = GenPIP(index, align=False).run(dataset)
+        report = GenPIPPipeline(index, align=False).run(dataset)
         assert all(not o.aligned for o in report.outcomes)
         assert report.mapped_ratio > 0.3
 
@@ -191,7 +190,7 @@ class TestChunkSizeSweep:
     def test_results_robust_to_chunk_size(self, dataset, index, chunk_size):
         """Fig. 10/11's observation: behaviour is stable across chunk sizes."""
         config = GenPIPConfig(chunk_size=chunk_size)
-        report = GenPIP(index, config).run(dataset)
+        report = GenPIPPipeline(index, config).run(dataset)
         assert 0.3 < report.mapped_ratio < 0.9
         assert report.basecall_savings > 0.05
 
@@ -315,4 +314,4 @@ class TestConfigIsTheOnlyHome:
 
     def test_init_fields_are_the_constructor_arguments(self):
         init_fields = [f.name for f in dataclasses.fields(GenPIPPipeline) if f.init]
-        assert init_fields == ["index", "basecaller", "config", "align", "ser_policy"]
+        assert init_fields == ["index", "config", "basecaller", "align", "ser_policy"]

@@ -37,6 +37,11 @@ Every outcome digest chains; ``er-map``, taken on a numpy chain fold
 compiled DP and on ``chain_scores_scalar``. Every digest also seeds;
 ``er-map``, taken on the numpy seeding path before ``seed.c`` existed,
 is checked on the compiled seeding and on that path, its fallback.
+``cli-report`` hashes ``python -m repro.runtime --json``'s document,
+``report_to_json``, over the ``er-align`` and ``ser-signal`` read sets.
+It was taken on the commit before the report's per-read record became
+a projection of ``outcome_to_record``, when the report still named each
+field itself, and pins that the projection kept every report byte.
 
 Records carry floats (qualities, chain scores) whose last bits depend
 on the numeric stack, so the file also records the numpy
@@ -59,7 +64,7 @@ from conftest import require_native_gotoh
 import repro.kernels.viterbi as viterbi_kernels
 import repro.mapping.alignment as alignment_module
 from repro.basecalling import SurrogateBasecaller, ViterbiBackendConfig, ViterbiChunkBasecaller
-from repro.core import GenPIPConfig, GenPIPPipeline
+from repro.core import GenPIPConfig, GenPIPPipeline, GenPIPReport
 from repro.mapping import MinimizerIndex
 from repro.nanopore import SignalRead
 from repro.nanopore.datasets import (
@@ -70,6 +75,7 @@ from repro.nanopore.datasets import (
     small_profile,
 )
 from repro.nanopore.read_simulator import ReadSimulator
+from repro.runtime.cli import report_to_json
 from repro.runtime.sink import outcome_to_record
 from repro.signal import SignalRejectionPolicy
 
@@ -101,31 +107,29 @@ def _digest(pipeline: GenPIPPipeline, reads) -> dict:
     return {"sha256": sha.hexdigest(), "statuses": dict(sorted(statuses.items()))}
 
 
-def _er_map() -> dict:
+def _er_map() -> tuple:
     dataset = generate_dataset(
         small_profile(ECOLI_LIKE, max_read_length=6_000), scale=0.0015, seed=7
     )
     index = MinimizerIndex.build(dataset.reference)
-    pipeline = GenPIPPipeline(index, config=GenPIPConfig(n_qs=2, n_cm=5), align=False)
-    return _digest(pipeline, dataset.reads)
+    return GenPIPPipeline(index, config=GenPIPConfig(n_qs=2, n_cm=5), align=False), dataset.reads
 
 
-def _er_align() -> dict:
+def _er_align() -> tuple:
     dataset = generate_dataset(
         small_profile(ECOLI_LIKE, max_read_length=2_500), scale=0.0005, seed=5
     )
     index = MinimizerIndex.build(dataset.reference)
-    return _digest(GenPIPPipeline(index, config=GenPIPConfig(), align=True), dataset.reads)
+    return GenPIPPipeline(index, config=GenPIPConfig(), align=True), dataset.reads
 
 
-def _conventional() -> dict:
+def _conventional() -> tuple:
     dataset = generate_dataset(small_profile(HUMAN_LIKE), scale=0.0003, seed=9)
     index = MinimizerIndex.build(dataset.reference)
-    pipeline = GenPIPPipeline(index, config=GenPIPConfig().conventional(), align=False)
-    return _digest(pipeline, dataset.reads)
+    return GenPIPPipeline(index, config=GenPIPConfig().conventional(), align=False), dataset.reads
 
 
-def _viterbi_signal() -> dict:
+def _viterbi_signal() -> tuple:
     dataset = generate_dataset(
         small_profile(ECOLI_LIKE, max_read_length=1_200), scale=0.0001, seed=21
     )
@@ -135,11 +139,10 @@ def _viterbi_signal() -> dict:
         for read in sorted(dataset.reads, key=len)[:8]
     ]
     index = MinimizerIndex.build(dataset.reference)
-    pipeline = GenPIPPipeline(index, basecaller=backend, config=GenPIPConfig(), align=False)
-    return _digest(pipeline, reads)
+    return GenPIPPipeline(index, basecaller=backend, config=GenPIPConfig(), align=False), reads
 
 
-def _ser_signal() -> dict:
+def _ser_signal() -> tuple:
     """Carried signal screened by SER: templates cover the + strand
     genomic reads' loci, so junk, - strand and uncovered reads stop at
     the screen and the covered ones decode and map."""
@@ -165,7 +168,7 @@ def _ser_signal() -> dict:
     pipeline = GenPIPPipeline(
         index, basecaller=backend, config=GenPIPConfig(), align=False, ser_policy=policy
     )
-    return _digest(pipeline, reads)
+    return pipeline, reads
 
 
 READ_SETS = {
@@ -184,6 +187,27 @@ GOTOH_SETS = ("er-align",)
 #: The read set whose digest is checked on the compiled chain DP and on
 #: the scalar reference (every set chains; this one maps the most).
 CHAIN_SETS = ("er-map",)
+#: The read sets whose ``--json`` reports ``cli-report`` hashes: mapped
+#: reads with an identity, reads rejected before mapping (``mapping``
+#: is None) and per-read ``ser`` records between them.
+REPORT_SETS = ("er-align", "ser-signal")
+
+
+def _outcome_digest(name: str) -> dict:
+    return _digest(*READ_SETS[name]())
+
+
+def _cli_report() -> dict:
+    """``report_to_json`` of each :data:`REPORT_SETS` read set, in order."""
+    sha = hashlib.sha256()
+    n_reads = 0
+    for name in REPORT_SETS:
+        pipeline, reads = READ_SETS[name]()
+        report = GenPIPReport([pipeline.process_read(read) for read in reads], pipeline.config)
+        run_args = {"read_set": name, "signal_er": name == "ser-signal"}
+        sha.update(report_to_json(report, run_args).encode())
+        n_reads += report.n_reads
+    return {"sha256": sha.hexdigest(), "reads": n_reads}
 
 
 def _simulated_reads() -> dict:
@@ -252,7 +276,7 @@ def _surrogate_chunks(decode_all=None) -> dict:
 )
 def test_outcome_records_match_parent_digest(name):
     golden = _golden_digests()
-    assert READ_SETS[name]()["sha256"] == golden[name]["sha256"]
+    assert _outcome_digest(name)["sha256"] == golden[name]["sha256"]
 
 
 @pytest.mark.parametrize("name", CHAIN_SETS)
@@ -260,7 +284,7 @@ def test_chain_outcome_records_match_parent_digest(name, chain):
     """Chained by the compiled DP, then by ``chain_scores_scalar``
     (``chain`` fixture): the same digest either way."""
     golden = _golden_digests()
-    assert READ_SETS[name]()["sha256"] == golden[name]["sha256"]
+    assert _outcome_digest(name)["sha256"] == golden[name]["sha256"]
 
 
 @pytest.mark.parametrize("name", CHAIN_SETS)
@@ -268,7 +292,7 @@ def test_seeding_outcome_records_match_parent_digest(name, seeding):
     """Indexed and seeded by ``seed.c``, then by the numpy path
     (``seeding`` fixture): the same digest either way."""
     golden = _golden_digests()
-    assert READ_SETS[name]()["sha256"] == golden[name]["sha256"]
+    assert _outcome_digest(name)["sha256"] == golden[name]["sha256"]
 
 
 @pytest.mark.parametrize("name", GOTOH_SETS)
@@ -276,7 +300,7 @@ def test_gotoh_outcome_records_match_parent_digest(name, gotoh):
     """Aligned by the compiled Gotoh fill, then by ``gotoh_scalar``
     (``gotoh`` fixture): the same digest either way."""
     golden = _golden_digests()
-    assert READ_SETS[name]()["sha256"] == golden[name]["sha256"]
+    assert _outcome_digest(name)["sha256"] == golden[name]["sha256"]
 
 
 @pytest.mark.parametrize("name", TRELLIS_SETS)
@@ -284,7 +308,7 @@ def test_trellis_outcome_records_match_parent_digest(name, trellis):
     """Decoded by the compiled trellis, then by the numpy fold
     (``trellis`` fixture): the same digest either way."""
     golden = _golden_digests()
-    assert READ_SETS[name]()["sha256"] == golden[name]["sha256"]
+    assert _outcome_digest(name)["sha256"] == golden[name]["sha256"]
 
 
 def test_simulated_reads_match_parent_digest():
@@ -329,7 +353,13 @@ def test_er_align_digest_independent_of_lane_mates(monkeypatch):
         return [fill([lane], config)[0] for lane in lanes]
 
     monkeypatch.setattr(alignment_module, "_fill_lanes", alone)
-    assert _er_align()["sha256"] == golden["er-align"]["sha256"]
+    assert _outcome_digest("er-align")["sha256"] == golden["er-align"]["sha256"]
+
+
+def test_cli_report_matches_parent_digest():
+    """The ``--json`` report's bytes, summary and per-read records."""
+    golden = _golden_digests()
+    assert _cli_report() == golden["cli-report"]
 
 
 @pytest.mark.parametrize("block", [1, 10**6])
@@ -340,7 +370,7 @@ def test_viterbi_signal_digest_independent_of_trellis_block(block, monkeypatch):
     golden = _golden_digests()
     monkeypatch.setattr(viterbi_kernels, "_native_trellis", lambda: None)
     monkeypatch.setattr(viterbi_kernels, "_BLOCK", block)
-    assert _viterbi_signal()["sha256"] == golden["viterbi-signal"]["sha256"]
+    assert _outcome_digest("viterbi-signal")["sha256"] == golden["viterbi-signal"]["sha256"]
     assert _viterbi_chunks()["sha256"] == golden["viterbi-chunks"]["sha256"]
 
 
@@ -350,10 +380,11 @@ if __name__ == "__main__":
             {
                 "stack": _stack(),
                 "digests": {
-                    **{name: fn() for name, fn in READ_SETS.items()},
+                    **{name: _outcome_digest(name) for name in READ_SETS},
                     "simulator": _simulated_reads(),
                     "viterbi-chunks": _viterbi_chunks(),
                     "surrogate-chunks": _surrogate_chunks(),
+                    "cli-report": _cli_report(),
                 },
             },
             indent=2,

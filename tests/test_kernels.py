@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.basecalling import ViterbiBackendConfig, ViterbiChunkBasecaller
 from repro.basecalling.viterbi import ViterbiBasecaller, ViterbiConfig
-from repro.core import GenPIP, GenPIPConfig
+from repro.core import GenPIPConfig, GenPIPPipeline
 from repro.kernels import (
     TRANSITIONS_PER_STATE,
     KernelWorkload,
@@ -402,7 +402,7 @@ class TestKernelWorkloadHooks:
             small_profile(ECOLI_LIKE, max_read_length=1_200), scale=0.0001, seed=21
         )
         index = MinimizerIndex.build(dataset.reference)
-        report = GenPIP(index, GenPIPConfig(), align=False).run(dataset)
+        report = GenPIPPipeline(index, GenPIPConfig(), align=False).run(dataset)
 
         plain = PipelineWorkload.from_report(report)
         assert plain.basecall_kind == "" and plain.basecall_ops == 0.0

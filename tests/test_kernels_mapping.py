@@ -63,7 +63,7 @@ import repro.kernels.seed as seed_kernels
 import repro.mapping.alignment as alignment_module
 import repro.mapping.chaining as chaining_module
 import repro.mapping.seeding as seeding_module
-from repro.core import GenPIP, GenPIPConfig
+from repro.core import GenPIPConfig, GenPIPPipeline
 from repro.genomics import alphabet
 from repro.genomics.mutate import apply_errors
 from repro.genomics.reference import ReferenceGenome
@@ -1176,7 +1176,7 @@ class TestOpsAccounting:
         dataset = generate_dataset(
             small_profile(ECOLI_LIKE, max_read_length=3_000), scale=0.0003, seed=31
         )
-        system = GenPIP(MinimizerIndex.build(dataset.reference), GenPIPConfig(), align=True)
+        system = GenPIPPipeline(MinimizerIndex.build(dataset.reference), GenPIPConfig(), align=True)
         ledger = process_mapping_ops()
         before = ledger.by_key()
         report = system.run(dataset)
@@ -1208,7 +1208,7 @@ class TestOpsAccounting:
         dataset = generate_dataset(
             small_profile(ECOLI_LIKE, max_read_length=2_000), scale=0.0002, seed=31
         )
-        system = GenPIP(MinimizerIndex.build(dataset.reference), GenPIPConfig(), align=True)
+        system = GenPIPPipeline(MinimizerIndex.build(dataset.reference), GenPIPConfig(), align=True)
         ledger = process_mapping_ops()
 
         def charged_run():
@@ -1237,7 +1237,7 @@ class TestParallelEquivalence:
             small_profile(ECOLI_LIKE, max_read_length=3_000), scale=0.0004, seed=37
         )
         index = MinimizerIndex.build(dataset.reference)
-        system = GenPIP(index, GenPIPConfig(), align=True)
+        system = GenPIPPipeline(index, GenPIPConfig(), align=True)
         serial = system.run(dataset)
         pooled = system.run(dataset, workers=2, batch_size=5)
         assert pooled.outcomes == serial.outcomes

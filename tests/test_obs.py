@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 import repro
 
 from repro.basecalling.engines import ViterbiBackendConfig, ViterbiChunkBasecaller
-from repro.core import GenPIP, GenPIPConfig, ReadStatus
+from repro.core import GenPIPConfig, GenPIPPipeline, ReadStatus
 from repro.kernels.mapping_ops import process_mapping_ops, record_mapping_ops
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
@@ -87,7 +87,7 @@ def obs_dataset():
 
 @pytest.fixture(scope="module")
 def obs_system(obs_dataset):
-    return GenPIP(
+    return GenPIPPipeline(
         MinimizerIndex.build(obs_dataset.reference), GenPIPConfig(), align=False
     )
 
@@ -183,9 +183,9 @@ class TestTracer:
 class TestPipelineTracing:
     def test_serial_and_pooled_span_trees_match(self, obs_system, obs_dataset):
         """The tentpole invariant: identical per-read structure."""
-        serial = DatasetEngine(obs_system.pipeline, workers=1, trace=True)
+        serial = DatasetEngine(obs_system, workers=1, trace=True)
         serial_report = serial.run(obs_dataset)
-        pooled = DatasetEngine(obs_system.pipeline, workers=2, trace=True)
+        pooled = DatasetEngine(obs_system, workers=2, trace=True)
         pooled_report = pooled.run(obs_dataset)
         assert pooled_report.outcomes == serial_report.outcomes
 
@@ -203,8 +203,8 @@ class TestPipelineTracing:
             assert strace.names() == ptrace.names()
 
     def test_traced_report_is_identical_to_untraced(self, obs_system, obs_dataset):
-        plain = DatasetEngine(obs_system.pipeline, workers=1)
-        traced = DatasetEngine(obs_system.pipeline, workers=1, trace=True)
+        plain = DatasetEngine(obs_system, workers=1)
+        traced = DatasetEngine(obs_system, workers=1, trace=True)
         plain_report = plain.run(obs_dataset)
         traced_report = traced.run(obs_dataset)
         assert traced_report.outcomes == plain_report.outcomes
@@ -215,7 +215,7 @@ class TestPipelineTracing:
     def test_injected_clock_pins_span_times(self, obs_system, obs_dataset):
         """A scoped tracer (deterministic clock) records the same
         structure the process tracer does, with counter times."""
-        pipeline = obs_system.pipeline
+        pipeline = obs_system
         tracer = Tracer(clock=_counter_clock())
         read = obs_dataset.reads[0]
         with use_tracer(tracer):
@@ -227,10 +227,10 @@ class TestPipelineTracing:
         assert all(t == int(t) for t in times), "clock injection not honoured"
 
     def test_read_trace_stage_profile(self, obs_system, obs_dataset):
-        engine = DatasetEngine(obs_system.pipeline, workers=1, trace=True)
+        engine = DatasetEngine(obs_system, workers=1, trace=True)
         report = engine.run(obs_dataset)
         by_read = {t.label: t for t in engine.last_trace if t.kind == "read"}
-        n_cm = obs_system.pipeline.config.n_cm
+        n_cm = obs_system.config.n_cm
         for outcome in report.outcomes:
             trace = by_read[outcome.read_id]
             if outcome.status is ReadStatus.MAPPED:
@@ -254,7 +254,7 @@ class TestPipelineTracing:
                 assert trace.count("report") == 0
 
     def test_unit_traces_cover_every_shard(self, obs_system, obs_dataset):
-        engine = DatasetEngine(obs_system.pipeline, workers=2, trace=True)
+        engine = DatasetEngine(obs_system, workers=2, trace=True)
         engine.run(obs_dataset)
         units = [t for t in engine.last_trace if t.kind == "unit"]
         assert len(units) == engine.last_stats.n_shards
@@ -269,7 +269,7 @@ class TestSERTracing:
         )
         templates = [pore.expected_levels(dataset.reference.codes[:250])]
         policy = SignalRejectionPolicy(templates, prefix_bases=100)
-        return GenPIP(
+        return GenPIPPipeline(
             MinimizerIndex.build(dataset.reference),
             GenPIPConfig(),
             ViterbiChunkBasecaller(ViterbiBackendConfig(pore_k=3)),
@@ -525,13 +525,13 @@ class TestRuntimeStatsFromRegistry:
 
     def test_pooled_run_repatriates_mapping_ops(self, obs_dataset):
         """Satellite 1: pooled chain/align op deltas reach the parent."""
-        system = GenPIP(
+        system = GenPIPPipeline(
             MinimizerIndex.build(obs_dataset.reference), GenPIPConfig(), align=True
         )
         reads = sorted(obs_dataset.reads, key=len)[:6]
         ledger = process_mapping_ops()
         before = ledger.by_key()
-        engine = DatasetEngine(system.pipeline, workers=2)
+        engine = DatasetEngine(system, workers=2)
         engine.run(reads)
         after = ledger.by_key()
         assert after.get("chain-candidate", 0) > before.get("chain-candidate", 0)
@@ -544,7 +544,7 @@ class TestRuntimeStatsFromRegistry:
 class TestExport:
     @pytest.fixture(scope="class")
     def traced_engine(self, obs_system, obs_dataset):
-        engine = DatasetEngine(obs_system.pipeline, workers=2, trace=True)
+        engine = DatasetEngine(obs_system, workers=2, trace=True)
         engine.run(obs_dataset)
         return engine
 

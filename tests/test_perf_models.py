@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import ECOLI_PARAMS, GenPIP, GenPIPConfig
+from repro.core import ECOLI_PARAMS, GenPIPConfig, GenPIPPipeline
 from repro.mapping import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.perf import (
@@ -25,11 +25,11 @@ def workloads():
     index = MinimizerIndex.build(dataset.reference)
     cfg = ECOLI_PARAMS
     reports = {
-        "conventional": GenPIP(index, cfg.conventional(), align=False).run(dataset),
-        "qsr_only": GenPIP(
+        "conventional": GenPIPPipeline(index, cfg.conventional(), align=False).run(dataset),
+        "qsr_only": GenPIPPipeline(
             index, GenPIPConfig(n_qs=cfg.n_qs, enable_cmr=False), align=False
         ).run(dataset),
-        "full_er": GenPIP(index, cfg, align=False).run(dataset),
+        "full_er": GenPIPPipeline(index, cfg, align=False).run(dataset),
     }
     return {kind: PipelineWorkload.from_report(r) for kind, r in reports.items()}
 

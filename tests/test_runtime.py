@@ -16,11 +16,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import GenPIP, GenPIPConfig
+from repro.core import GenPIPConfig, GenPIPPipeline
 from repro.core.genpip import ReportCounters
 from repro.core.pipeline import ReadStatus
 from repro.mapping.index import MinimizerIndex
@@ -29,6 +30,7 @@ from repro.runtime import (
     DatasetEngine,
     ShardCollector,
     ShardResult,
+    active_segments,
     iter_work,
     plan_work,
     resolve_batch_size,
@@ -51,7 +53,7 @@ def tiny_index(tiny_dataset):
 
 @pytest.fixture(scope="module")
 def tiny_system(tiny_index):
-    return GenPIP(tiny_index, GenPIPConfig(), align=False)
+    return GenPIPPipeline(tiny_index, GenPIPConfig(), align=False)
 
 
 @pytest.fixture(scope="module")
@@ -81,14 +83,14 @@ class TestParallelEquivalence:
         assert report.mean_identity() == serial_report.mean_identity()
 
     def test_equivalence_with_alignment(self, tiny_index, tiny_dataset):
-        system = GenPIP(tiny_index, GenPIPConfig(), align=True)
+        system = GenPIPPipeline(tiny_index, GenPIPConfig(), align=True)
         serial = system.run(tiny_dataset)
         parallel = system.run(tiny_dataset, workers=2, batch_size=5)
         assert parallel.outcomes == serial.outcomes
         assert parallel.mean_identity() == serial.mean_identity()
 
     def test_stats_reflect_run_shape(self, tiny_system, tiny_dataset):
-        engine = DatasetEngine(tiny_system.pipeline, workers=2, batch_size=7)
+        engine = DatasetEngine(tiny_system, workers=2, batch_size=7)
         engine.run(tiny_dataset)
         stats = engine.last_stats
         assert stats.mode in ("process-pool", "serial")
@@ -102,7 +104,7 @@ class TestParallelEquivalence:
         """Eight workers asked for, two units to run: the pool (and the
         CLI's ``process-pool xN``) is two wide, not eight."""
         batch_size = -(-len(tiny_dataset) // 2)
-        engine = DatasetEngine(tiny_system.pipeline, workers=8, batch_size=batch_size)
+        engine = DatasetEngine(tiny_system, workers=8, batch_size=batch_size)
         engine.run(tiny_dataset)
         assert engine.workers == 8
         assert engine.last_stats.n_shards == 2
@@ -121,14 +123,14 @@ class TestReportMerge:
         return shards
 
     def test_merge_round_trip(self, serial_report):
-        n = len(serial_report)
+        n = serial_report.n_reads
         first, second, third = self._shards(serial_report, [n // 3, n // 3, n - 2 * (n // 3)])
         assert first.combine(second).combine(third) == serial_report.counters
         assert first.combine(second.combine(third)) == serial_report.counters
         assert first.n_reads == n // 3  # combine returns a new object
 
     def test_merge_single_shard(self, serial_report):
-        (only,) = self._shards(serial_report, [len(serial_report)])
+        (only,) = self._shards(serial_report, [serial_report.n_reads])
         assert ReportCounters().combine(only) == serial_report.counters
 
     def test_merge_with_empty_shard(self, serial_report):
@@ -221,11 +223,13 @@ class TestSharding:
         assert resolve_workers() == 1  # no environment variable is consulted
         assert resolve_workers(0) == 1
         assert resolve_workers(4) == 4
+        assert type(resolve_workers(np.int64(2))) is int
         with pytest.raises(ValueError):
             resolve_workers(-2)
 
     def test_resolve_batch_size(self):
         assert resolve_batch_size(100, 4, 7) == 7
+        assert type(resolve_batch_size(10, 1, np.int64(2))) is int
         assert resolve_batch_size(0, 4, None) == 1
         auto = resolve_batch_size(1000, 2, None)
         assert 1 <= auto <= 256
@@ -233,6 +237,40 @@ class TestSharding:
             resolve_batch_size(10, 2, 0)
         with pytest.raises(ValueError):
             plan_work([], 0)
+
+    @pytest.mark.parametrize(
+        ("name", "value"),
+        [
+            ("workers", 2.0),
+            ("workers", 1.5),
+            ("workers", float("nan")),
+            ("workers", True),
+            ("batch_size", 2.5),
+            ("batch_size", float("inf")),
+            ("batch_size", True),
+        ],
+    )
+    def test_run_refuses_a_non_integer_count_before_any_work(
+        self, name, value, tiny_system, tiny_dataset
+    ):
+        """Counts are checked in ``resolve_workers`` / ``resolve_batch_size``,
+        so ``DatasetEngine`` and ``PoolDispatcher`` both refuse them before
+        a read is pulled or a pool or segment exists."""
+        pulled = []
+
+        def reads():
+            for read in tiny_dataset.reads:
+                pulled.append(read)
+                yield read
+
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            tiny_system.run(reads(), **{name: value})
+        assert pulled == []
+        assert active_segments() == ()
+
+    @pytest.mark.parametrize("name", ["workers", "batch_size"])
+    def test_numpy_integer_counts_are_accepted(self, name, tiny_system, tiny_dataset, serial_report):
+        assert tiny_system.run(tiny_dataset, **{name: np.int64(2)}) == serial_report
 
 
 class TestCLI:

@@ -27,7 +27,7 @@ import pytest
 
 from repro.basecalling import ViterbiBackendConfig, ViterbiChunkBasecaller
 from repro.basecalling.surrogate import SurrogateBasecaller
-from repro.core import GenPIP, GenPIPConfig
+from repro.core import GenPIPConfig, GenPIPPipeline
 from repro.kernels.sdtw import sdtw_cost, sdtw_cost_scalar, znormalise
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
@@ -128,7 +128,7 @@ def tiny_index(tiny_dataset):
 
 @pytest.fixture(scope="module")
 def tiny_system(tiny_index):
-    return GenPIP(tiny_index, GenPIPConfig(), align=False)
+    return GenPIPPipeline(tiny_index, GenPIPConfig(), align=False)
 
 
 @pytest.fixture(scope="module")
@@ -352,7 +352,7 @@ class TestViewTransport:
         else:
             sink = NullSink() if sink_kind == "null" else None
         engine = DatasetEngine(
-            tiny_system.pipeline,
+            tiny_system,
             workers=2,
             batch_size=4,
             sink=sink,
@@ -379,16 +379,16 @@ class TestViewTransport:
     def test_signal_native_view_transport_matches_serial(
         self, tiny_index, tiny_dataset, viterbi_backend, tmp_path
     ):
-        system = GenPIP(
+        system = GenPIPPipeline(
             tiny_index, GenPIPConfig(), basecaller=viterbi_backend, align=False
         )
         store = tmp_path / "signals.rsig"
         shortest = sorted(tiny_dataset.reads, key=len)[:4]
         write_signals(store, viterbi_backend.signal_records(shortest))
-        serial = DatasetEngine(system.pipeline, workers=1, batch_size=2).run(
+        serial = DatasetEngine(system, workers=1, batch_size=2).run(
             SignalStoreSource(store)
         )
-        engine = DatasetEngine(system.pipeline, workers=2, batch_size=2)
+        engine = DatasetEngine(system, workers=2, batch_size=2)
         report = engine.run(SignalStoreSource(store))
         assert report.outcomes == serial.outcomes
         assert report.counters == serial.counters
@@ -401,7 +401,7 @@ class TestViewTransport:
         self, tiny_system, tiny_dataset, serial_report, pickle_fallback
     ):
         """The one copying path left is the pickle fallback."""
-        engine = DatasetEngine(tiny_system.pipeline, workers=2, batch_size=4)
+        engine = DatasetEngine(tiny_system, workers=2, batch_size=4)
         report = engine.run(tiny_dataset)
         assert report.outcomes == serial_report.outcomes
         if engine.last_stats.mode == "process-pool":
@@ -418,10 +418,10 @@ class TestViewTransport:
         self, tiny_index, tiny_dataset
     ):
         fail_id = tiny_dataset.reads[len(tiny_dataset.reads) // 2].read_id
-        system = GenPIP(
+        system = GenPIPPipeline(
             tiny_index, GenPIPConfig(), basecaller=FailingBasecaller(fail_id), align=False
         )
-        engine = DatasetEngine(system.pipeline, workers=2, batch_size=3)
+        engine = DatasetEngine(system, workers=2, batch_size=3)
         with pytest.raises(RuntimeError, match="injected failure"):
             engine.run(tiny_dataset)
         assert _no_leaked_segments()
@@ -433,13 +433,13 @@ class TestViewTransport:
         """A pool dying mid-run resumes in-process: the
         result still matches the baseline and every published segment
         (and worker lease) is gone afterwards."""
-        system = GenPIP(
+        system = GenPIPPipeline(
             tiny_index,
             GenPIPConfig(),
             basecaller=WorkerExitingBasecaller(os.getpid()),
             align=False,
         )
-        engine = DatasetEngine(system.pipeline, workers=2, batch_size=3)
+        engine = DatasetEngine(system, workers=2, batch_size=3)
         with pytest.warns(RuntimeWarning, match="process pool broke|process pool unavailable"):
             report = engine.run(tiny_dataset)
         assert engine.last_stats.mode == "serial"
@@ -516,7 +516,7 @@ def test_attach_index_returns_read_only_views(tiny_index):
 class TestNullSink:
     def test_counts_and_discards(self, tiny_system, tiny_dataset, serial_report):
         sink = NullSink()
-        report = DatasetEngine(tiny_system.pipeline, workers=1, sink=sink).run(
+        report = DatasetEngine(tiny_system, workers=1, sink=sink).run(
             tiny_dataset
         )
         assert sink.n_emitted == len(tiny_dataset)

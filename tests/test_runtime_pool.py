@@ -30,7 +30,7 @@ from test_runtime_streaming import FailingBasecaller
 import repro
 from repro.basecalling.engines import ViterbiBackendConfig
 from repro.basecalling.surrogate import SurrogateBasecaller
-from repro.core import GenPIP, GenPIPConfig
+from repro.core import GenPIPConfig, GenPIPPipeline
 from repro.core.pipeline import GenPIPPipeline
 from repro.core.registry import basecaller_names
 from repro.mapping.index import MinimizerIndex
@@ -101,11 +101,11 @@ def index(dataset):
 
 @pytest.fixture(scope="module")
 def pipeline(index):
-    return GenPIP(index, GenPIPConfig(), align=False).pipeline
+    return GenPIPPipeline(index, GenPIPConfig(), align=False)
 
 
 def _pipeline_with(index, basecaller) -> GenPIPPipeline:
-    return GenPIP(index, GenPIPConfig(), basecaller=basecaller, align=False).pipeline
+    return GenPIPPipeline(index, GenPIPConfig(), basecaller=basecaller, align=False)
 
 
 def _run_units(pool: WorkerPool, units):

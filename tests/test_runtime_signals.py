@@ -28,7 +28,7 @@ from repro.basecalling import (
     chunk_bounds,
     chunk_span,
 )
-from repro.core import GenPIP, GenPIPConfig
+from repro.core import GenPIPConfig, GenPIPPipeline
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore import SignalRead
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
@@ -86,7 +86,7 @@ def viterbi_backend():
 
 @pytest.fixture(scope="module")
 def viterbi_system(tiny_index, viterbi_backend):
-    return GenPIP(
+    return GenPIPPipeline(
         tiny_index, GenPIPConfig(), basecaller=viterbi_backend, align=False
     )
 
@@ -107,7 +107,7 @@ def signal_store_path(short_reads, viterbi_backend, tmp_path_factory):
 @pytest.fixture(scope="module")
 def serial_signal_report(viterbi_system, signal_store_path):
     """The canonical serial signal-native run every combination must match."""
-    engine = DatasetEngine(viterbi_system.pipeline, workers=1, batch_size=2)
+    engine = DatasetEngine(viterbi_system, workers=1, batch_size=2)
     return engine.run(SignalStoreSource(signal_store_path))
 
 
@@ -243,7 +243,7 @@ class TestProviders:
         np.testing.assert_array_equal(first.qualities, second.qualities)
 
     def test_surrogate_rejects_signal_reads(self, tiny_index, viterbi_backend, short_reads):
-        system = GenPIP(tiny_index, GenPIPConfig(), basecaller=SurrogateBasecaller())
+        system = GenPIPPipeline(tiny_index, GenPIPConfig(), basecaller=SurrogateBasecaller())
         signal_read = SignalRead(
             read_id="s0", signal=viterbi_backend.synthesize_signal(short_reads[0])
         )
@@ -253,8 +253,8 @@ class TestProviders:
     def test_engine_rejects_signal_source_for_surrogate(
         self, tiny_index, signal_store_path
     ):
-        system = GenPIP(tiny_index, GenPIPConfig(), basecaller=SurrogateBasecaller())
-        engine = DatasetEngine(system.pipeline, workers=1)
+        system = GenPIPPipeline(tiny_index, GenPIPConfig(), basecaller=SurrogateBasecaller())
+        engine = DatasetEngine(system, workers=1)
         with pytest.raises(TypeError, match="signal-space"):
             engine.run(SignalStoreSource(signal_store_path))
 
@@ -289,7 +289,7 @@ class TestSignalMatrix:
         jsonl_path = tmp_path / "outcomes.jsonl"
         sink = JSONLSink(jsonl_path) if sink_kind == "jsonl" else None
         engine = DatasetEngine(
-            viterbi_system.pipeline, workers=2, batch_size=2, sink=sink
+            viterbi_system, workers=2, batch_size=2, sink=sink
         )
         report = engine.run(SignalStoreSource(signal_store_path))
         if engine.last_stats.mode == "process-pool":
@@ -401,7 +401,7 @@ class TestSharedIndex:
         """What a worker does: the pipeline arrives (here: pickled, as
         under ``spawn``) holding the handle, and ``replace`` rebinds it
         to the attached index."""
-        pipeline = GenPIP(tiny_index, GenPIPConfig(), align=False).pipeline
+        pipeline = GenPIPPipeline(tiny_index, GenPIPConfig(), align=False)
         handle = publish_index(tiny_index)
         try:
             travelling = dataclasses.replace(pipeline, index=handle)
@@ -420,9 +420,9 @@ class TestSharedIndex:
     def test_pooled_run_uses_shared_index_and_matches_serial(
         self, tiny_dataset, tiny_index
     ):
-        system = GenPIP(tiny_index, GenPIPConfig(), align=False)
+        system = GenPIPPipeline(tiny_index, GenPIPConfig(), align=False)
         serial = system.run(tiny_dataset)
-        engine = DatasetEngine(system.pipeline, workers=2, batch_size=4)
+        engine = DatasetEngine(system, workers=2, batch_size=4)
         report = engine.run(tiny_dataset)
         assert report.outcomes == serial.outcomes
         assert report.counters == serial.counters
@@ -436,8 +436,8 @@ _GONE_STATS_FIELDS = {"prefetch_capacity", "prefetch_peak", "inflight_peak"}
 
 class TestBackpressureStats:
     def test_pooled_stats_expose_backpressure(self, tiny_dataset, tiny_index):
-        system = GenPIP(tiny_index, GenPIPConfig(), align=False)
-        engine = DatasetEngine(system.pipeline, workers=2, batch_size=2)
+        system = GenPIPPipeline(tiny_index, GenPIPConfig(), align=False)
+        engine = DatasetEngine(system, workers=2, batch_size=2)
         engine.run(tiny_dataset)
         stats = engine.last_stats
         if stats.mode != "process-pool":  # pragma: no cover - sandboxed fallback
@@ -446,8 +446,8 @@ class TestBackpressureStats:
         assert _GONE_STATS_FIELDS.isdisjoint(dir(stats))
 
     def test_serial_stats_report_zero_backpressure(self, tiny_dataset, tiny_index):
-        system = GenPIP(tiny_index, GenPIPConfig(), align=False)
-        engine = DatasetEngine(system.pipeline, workers=1)
+        system = GenPIPPipeline(tiny_index, GenPIPConfig(), align=False)
+        engine = DatasetEngine(system, workers=1)
         engine.run(tiny_dataset)
         stats = engine.last_stats
         assert stats.mode == "serial"

@@ -22,8 +22,8 @@ import numpy as np
 import pytest
 
 from repro.basecalling.surrogate import SurrogateBasecaller
-from repro.core import GenPIP, GenPIPConfig
-from repro.core.genpip import ReportCounters
+from repro.core import GenPIPConfig, GenPIPPipeline
+from repro.core.genpip import GenPIPReport, ReportCounters
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.nanopore.signal_store import write_read_store
@@ -32,6 +32,7 @@ from repro.runtime import (
     IterableSource,
     JSONLSink,
     MemorySink,
+    NullSink,
     SequenceSource,
     ShardCollector,
     ShardResult,
@@ -106,7 +107,7 @@ def tiny_index(tiny_dataset):
 
 @pytest.fixture(scope="module")
 def tiny_system(tiny_index):
-    return GenPIP(tiny_index, GenPIPConfig(), align=False)
+    return GenPIPPipeline(tiny_index, GenPIPConfig(), align=False)
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +149,7 @@ class TestStreamingMatrix:
         source = _make_source(source_kind, tiny_dataset, store_path)
         jsonl_path = tmp_path / "outcomes.jsonl"
         sink = JSONLSink(jsonl_path) if sink_kind == "jsonl" else None
-        engine = DatasetEngine(tiny_system.pipeline, workers=2, batch_size=4, sink=sink)
+        engine = DatasetEngine(tiny_system, workers=2, batch_size=4, sink=sink)
         report = engine.run(source)
         assert report.counters == serial_report.counters
         if sink_kind == "jsonl":
@@ -166,7 +167,7 @@ class TestStreamingMatrix:
         """Serial runs through every streaming layer match the baseline."""
         jsonl_path = tmp_path / "serial.jsonl"
         engine = DatasetEngine(
-            tiny_system.pipeline, workers=1, batch_size=4, sink=JSONLSink(jsonl_path)
+            tiny_system, workers=1, batch_size=4, sink=JSONLSink(jsonl_path)
         )
         report = engine.run(StoreSource(store_path))
         assert report.counters == serial_report.counters
@@ -178,7 +179,7 @@ class TestStreamingMatrix:
     def test_pickle_transport_equivalence(
         self, tiny_system, tiny_dataset, serial_report, pickle_fallback
     ):
-        engine = DatasetEngine(tiny_system.pipeline, workers=2, batch_size=4)
+        engine = DatasetEngine(tiny_system, workers=2, batch_size=4)
         with pytest.warns(RuntimeWarning, match="shared memory unavailable"):
             report = engine.run(tiny_dataset)
         assert report.outcomes == serial_report.outcomes
@@ -188,7 +189,7 @@ class TestStreamingMatrix:
         assert _no_leaked_segments()
 
     def test_shm_transport_reported_in_stats(self, tiny_system, tiny_dataset, serial_report):
-        engine = DatasetEngine(tiny_system.pipeline, workers=2, batch_size=4)
+        engine = DatasetEngine(tiny_system, workers=2, batch_size=4)
         report = engine.run(tiny_dataset)
         assert report.outcomes == serial_report.outcomes
         if engine.last_stats.mode == "process-pool":
@@ -197,7 +198,7 @@ class TestStreamingMatrix:
 
     def test_alignment_survives_jsonl_replay(self, tiny_index, tiny_dataset, tmp_path):
         """CIGAR-carrying outcomes (align=True) round-trip losslessly."""
-        system = GenPIP(tiny_index, GenPIPConfig(), align=True)
+        system = GenPIPPipeline(tiny_index, GenPIPConfig(), align=True)
         baseline = system.run(tiny_dataset)
         jsonl_path = tmp_path / "aligned.jsonl"
         summary = system.run(
@@ -214,11 +215,11 @@ class TestFailurePaths:
         self, tiny_index, tiny_dataset, tmp_path
     ):
         fail_id = tiny_dataset.reads[len(tiny_dataset.reads) // 2].read_id
-        system = GenPIP(
+        system = GenPIPPipeline(
             tiny_index, GenPIPConfig(), basecaller=FailingBasecaller(fail_id), align=False
         )
         sink = JSONLSink(tmp_path / "partial.jsonl")
-        engine = DatasetEngine(system.pipeline, workers=2, batch_size=3, sink=sink)
+        engine = DatasetEngine(system, workers=2, batch_size=3, sink=sink)
         with pytest.raises(RuntimeError, match="injected failure"):
             engine.run(tiny_dataset)
         assert _no_leaked_segments()
@@ -230,7 +231,7 @@ class TestFailurePaths:
         execution, resuming (not restarting) the stream: the JSONL sink
         sees every outcome exactly once and the result matches the
         baseline."""
-        system = GenPIP(
+        system = GenPIPPipeline(
             tiny_index,
             GenPIPConfig(),
             basecaller=WorkerExitingBasecaller(os.getpid()),
@@ -238,7 +239,7 @@ class TestFailurePaths:
         )
         jsonl_path = tmp_path / "resumed.jsonl"
         engine = DatasetEngine(
-            system.pipeline, workers=2, batch_size=3, sink=JSONLSink(jsonl_path)
+            system, workers=2, batch_size=3, sink=JSONLSink(jsonl_path)
         )
         with pytest.warns(RuntimeWarning, match="process pool broke|process pool unavailable"):
             report = engine.run(tiny_dataset)
@@ -261,7 +262,7 @@ class TestFailurePaths:
                 source = _then_raise(tiny_dataset.reads[:fail_after], OSError("disk on fire"))
                 path = tmp_path / f"partial-{fail_after}-{workers}.jsonl"
                 engine = DatasetEngine(
-                    tiny_system.pipeline, workers=workers, batch_size=2, sink=JSONLSink(path)
+                    tiny_system, workers=workers, batch_size=2, sink=JSONLSink(path)
                 )
                 with pytest.raises(OSError, match="disk on fire"):
                     engine.run(IterableSource(source))
@@ -290,7 +291,7 @@ class TestRetention:
                 super().emit(outcomes)
 
         engine = DatasetEngine(
-            tiny_system.pipeline,
+            tiny_system,
             workers=1,
             batch_size=4,
             sink=ProbeSink(tmp_path / "probe.jsonl"),
@@ -359,7 +360,7 @@ class TestSources:
         from a one-shot, unsized generator source keeps dataset order."""
         source = IterableSource(iter(tiny_dataset.reads))
         assert source.size_hint() is None
-        engine = DatasetEngine(tiny_system.pipeline, workers=2, batch_size=3)
+        engine = DatasetEngine(tiny_system, workers=2, batch_size=3)
         report = engine.run(source)
         assert engine.last_stats.mode == "process-pool"
         assert report.outcomes == serial_report.outcomes
@@ -370,7 +371,7 @@ class TestSources:
         itself -- same object, no wrapper -- with and without processes."""
         for workers in (1, 2):
             boom = ValueError("boom")
-            engine = DatasetEngine(tiny_system.pipeline, workers=workers, batch_size=2)
+            engine = DatasetEngine(tiny_system, workers=workers, batch_size=2)
             with pytest.raises(ValueError, match="boom") as caught:
                 engine.run(IterableSource(_then_raise(tiny_dataset.reads[:3], boom)))
             assert caught.value is boom
@@ -401,7 +402,7 @@ class TestSources:
 
             path = tmp_path / f"planned-{raises}.jsonl"
             engine = DatasetEngine(
-                tiny_system.pipeline, workers=2, batch_size=2, sink=JSONLSink(path)
+                tiny_system, workers=2, batch_size=2, sink=JSONLSink(path)
             )
             if raises:
                 with pytest.raises(ValueError, match="boom"):
@@ -422,15 +423,31 @@ class TestSinks:
 
     def test_memory_sink_matches_direct_report(self, tiny_system, tiny_dataset, serial_report):
         sink = MemorySink()
-        report = DatasetEngine(tiny_system.pipeline, workers=1, sink=sink).run(tiny_dataset)
+        report = DatasetEngine(tiny_system, workers=1, sink=sink).run(tiny_dataset)
         assert report.outcomes == serial_report.outcomes
         assert report.counters == serial_report.counters
+
+    def test_counters_only_report_refuses_mean_identity(self, tiny_index, tiny_dataset, tmp_path):
+        """A streaming sink's report has exact counters and no outcomes:
+        ``mean_identity`` raises rather than read 0.0, and the report
+        ``replay_report`` rebuilds from the file gives the in-memory value."""
+        system = GenPIPPipeline(tiny_index, GenPIPConfig(), align=True)
+        in_memory = system.run(tiny_dataset)
+        assert in_memory.mean_identity() > 0.5
+        path = tmp_path / "aligned.jsonl"
+        for sink in (JSONLSink(path), NullSink()):
+            summary = system.run(tiny_dataset, sink=sink)
+            assert summary.mapped_ratio == in_memory.mapped_ratio
+            with pytest.raises(ValueError, match="replay_report"):
+                summary.mean_identity()
+        assert replay_report(path, in_memory.config).mean_identity() == in_memory.mean_identity()
+        assert GenPIPReport([], in_memory.config).mean_identity() == 0.0
 
     def test_jsonl_sink_writes_one_line_per_outcome(
         self, tiny_system, tiny_dataset, tmp_path
     ):
         path = tmp_path / "lines.jsonl"
-        DatasetEngine(tiny_system.pipeline, workers=1, sink=JSONLSink(path)).run(tiny_dataset)
+        DatasetEngine(tiny_system, workers=1, sink=JSONLSink(path)).run(tiny_dataset)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == len(tiny_dataset)
 

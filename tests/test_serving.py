@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from test_runtime_streaming import FailingBasecaller, WorkerExitingBasecaller
 
 from repro.basecalling import ViterbiBackendConfig, ViterbiChunkBasecaller
-from repro.core import GenPIP, GenPIPConfig
+from repro.core import GenPIPConfig, GenPIPPipeline
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.nanopore.read_simulator import ReadClass, SimulatedRead
@@ -77,7 +77,7 @@ def tiny_dataset():
 
 @pytest.fixture(scope="module")
 def tiny_system(tiny_dataset):
-    return GenPIP(
+    return GenPIPPipeline(
         MinimizerIndex.build(tiny_dataset.reference), GenPIPConfig(), align=False
     )
 
@@ -437,7 +437,7 @@ def test_concurrent_sessions_match_serial_batch(tiny_system, tiny_dataset, seria
     """Three concurrent sessions over the warm pool reproduce the batch
     records byte-for-byte, with exactly one index publication."""
     results, stats = serve_and_drive(
-        tiny_system.pipeline, tiny_dataset.reads, sessions=3, workers=2
+        tiny_system, tiny_dataset.reads, sessions=3, workers=2
     )
     assert merged_outcomes(results) == serial_records
     assert stats.mode == "process-pool"
@@ -454,7 +454,7 @@ def test_inline_serving_matches_serial_batch(tiny_system, tiny_dataset, serial_r
     """workers=1 serves inline (no pool, no index publication) with the
     identical verdict stream."""
     results, stats = serve_and_drive(
-        tiny_system.pipeline, tiny_dataset.reads, sessions=2, workers=1
+        tiny_system, tiny_dataset.reads, sessions=2, workers=1
     )
     assert merged_outcomes(results) == serial_records
     assert stats.mode == "inline"
@@ -469,17 +469,17 @@ def test_signal_native_sessions_match_serial_batch(tiny_dataset):
     memcpy into the segment) and inline (views over the received bytes)
     alike."""
     backend = ViterbiChunkBasecaller(ViterbiBackendConfig(pore_k=3))
-    system = GenPIP(
+    system = GenPIPPipeline(
         MinimizerIndex.build(tiny_dataset.reference), GenPIPConfig(), basecaller=backend, align=False
     )
     reads = [
         SignalRead(read_id=read.read_id, signal=backend.synthesize_signal(read))
         for read in sorted(tiny_dataset.reads, key=len)[:4]
     ]
-    report = DatasetEngine(system.pipeline, workers=1).run(reads)
+    report = DatasetEngine(system, workers=1).run(reads)
     serial = [outcome_to_record(outcome) for outcome in report.outcomes]
     for workers, mode in ((2, "process-pool"), (1, "inline")):
-        results, stats = serve_and_drive(system.pipeline, reads, sessions=2, workers=workers)
+        results, stats = serve_and_drive(system, reads, sessions=2, workers=workers)
         assert stats.mode == mode
         assert merged_outcomes(results) == serial
     assert _no_leaked_segments()
@@ -490,7 +490,7 @@ def test_sequential_sessions_share_one_index_publication(tiny_system, tiny_datas
     sessions: session two and three add zero publications and zero new
     segments (the active_segments probe)."""
     reads = tiny_dataset.reads[:6]
-    dispatcher = PoolDispatcher(tiny_system.pipeline, workers=2)
+    dispatcher = PoolDispatcher(tiny_system, workers=2)
     with dispatcher:
         assert dispatcher.index_publications == 1
         index_segments = active_segments()
@@ -517,7 +517,7 @@ def test_sequential_sessions_share_one_index_publication(tiny_system, tiny_datas
 
 def test_summary_frame_carries_totals_and_latency(tiny_system, tiny_dataset):
     results, _ = serve_and_drive(
-        tiny_system.pipeline, tiny_dataset.reads[:5], sessions=1, workers=1
+        tiny_system, tiny_dataset.reads[:5], sessions=1, workers=1
     )
     summary = results[0].summary
     assert summary["type"] == "summary"
@@ -534,7 +534,7 @@ def test_stats_frame_carries_percentiles_and_exposition(tiny_system, tiny_datase
     telemetry: a summary block with latency percentiles plus the full
     Prometheus exposition of the serving registry."""
     reads = tiny_dataset.reads[:5]
-    dispatcher = PoolDispatcher(tiny_system.pipeline, workers=1)
+    dispatcher = PoolDispatcher(tiny_system, workers=1)
     with dispatcher:
 
         async def _session():
@@ -566,7 +566,7 @@ def test_traced_dispatch_keeps_verdicts_identical(tiny_system, tiny_dataset, ser
     """Serving with tracing on returns the same verdict stream and drains
     one dispatch trace (plus the worker-side read trace) per read."""
     reads = tiny_dataset.reads[:6]
-    dispatcher = PoolDispatcher(tiny_system.pipeline, workers=2, trace=True)
+    dispatcher = PoolDispatcher(tiny_system, workers=2, trace=True)
     with dispatcher:
 
         async def _session():
@@ -599,7 +599,7 @@ def test_traced_inline_serving_has_the_pooled_span_shape(tiny_system, tiny_datas
         async def _serve(dispatcher):
             return [(await dispatcher.process(read))[0] for read in reads]
 
-        with PoolDispatcher(tiny_system.pipeline, workers=workers, trace=True) as dispatcher:
+        with PoolDispatcher(tiny_system, workers=workers, trace=True) as dispatcher:
             asyncio.run(_serve(dispatcher))
             traces = dispatcher.drain_traces()
         by_kind: dict[str, list] = {"unit": [], "read": [], "dispatch": []}
@@ -617,7 +617,7 @@ def test_traced_inline_serving_has_the_pooled_span_shape(tiny_system, tiny_datas
 
 def test_verdict_frames_echo_seq_and_accept(tiny_system, tiny_dataset):
     reads = tiny_dataset.reads[:4]
-    results, _ = serve_and_drive(tiny_system.pipeline, reads, sessions=1, workers=1)
+    results, _ = serve_and_drive(tiny_system, reads, sessions=1, workers=1)
     verdicts = results[0].verdicts
     assert sorted(verdicts) == [0, 1, 2, 3]
     for seq, frame in verdicts.items():
@@ -629,7 +629,7 @@ def test_verdict_frames_echo_seq_and_accept(tiny_system, tiny_dataset):
 
 
 def test_server_rejects_bad_hello(tiny_system):
-    dispatcher = PoolDispatcher(tiny_system.pipeline, workers=1)
+    dispatcher = PoolDispatcher(tiny_system, workers=1)
 
     async def _bad_hello():
         async with ServingServer(dispatcher) as server:
@@ -649,7 +649,7 @@ def test_server_rejects_bad_hello(tiny_system):
 
 
 def test_server_rejects_read_before_hello(tiny_system, tiny_dataset):
-    dispatcher = PoolDispatcher(tiny_system.pipeline, workers=1)
+    dispatcher = PoolDispatcher(tiny_system, workers=1)
 
     async def _read_first():
         async with ServingServer(dispatcher) as server:
@@ -675,7 +675,7 @@ def _abuse_session(system, reads, offending: bytes, *, then_eof: bool = False):
     """A session that keeps read 0 in flight (its dispatch is stalled),
     then sends ``offending`` bytes; afterwards a well-behaved session on
     the same server. Returns everything the tests assert on."""
-    dispatcher = PoolDispatcher(system.pipeline, workers=1)
+    dispatcher = PoolDispatcher(system, workers=1)
     problems: list[dict] = []
 
     async def stall(read):
@@ -794,7 +794,7 @@ def _refused_session(system, reads, workers: int, failing_seq: int):
     answer with a verdict. The client must hear about it inside the
     timeout -- at the parent commit it waited forever -- as exactly one
     ``error`` frame and then EOF. Returns that frame's message."""
-    dispatcher = PoolDispatcher(system.pipeline, workers=workers)
+    dispatcher = PoolDispatcher(system, workers=workers)
     problems: list[dict] = []
 
     async def scenario():
@@ -842,7 +842,7 @@ def test_read_that_raises_gets_one_error_frame(tiny_dataset, workers):
     the ``error`` frame names the ``seq`` and carries the exception's
     message, then the connection closes."""
     reads = tiny_dataset.reads[:4]
-    system = GenPIP(
+    system = GenPIPPipeline(
         MinimizerIndex.build(tiny_dataset.reference),
         GenPIPConfig(),
         basecaller=FailingBasecaller(reads[2].read_id),
@@ -869,7 +869,7 @@ def test_non_finite_signal_read_is_refused_before_dispatch(tiny_dataset, workers
     checks the bytes) gets one ``error`` frame naming the read, before
     the read reaches a decoder that would have called bases from it."""
     backend = ViterbiChunkBasecaller(ViterbiBackendConfig(pore_k=3))
-    system = GenPIP(
+    system = GenPIPPipeline(
         MinimizerIndex.build(tiny_dataset.reference), GenPIPConfig(), basecaller=backend, align=False
     )
     good, bad = (
@@ -887,7 +887,7 @@ def test_base_starts_past_the_samples_are_refused_before_dispatch(tiny_dataset, 
     samples gets one ``error`` frame naming the read, not a verdict
     decoded from overlapping and out-of-range per-base slices."""
     backend = ViterbiChunkBasecaller(ViterbiBackendConfig(pore_k=3))
-    system = GenPIP(
+    system = GenPIPPipeline(
         MinimizerIndex.build(tiny_dataset.reference), GenPIPConfig(), basecaller=backend, align=False
     )
     good, bad = (
@@ -957,7 +957,7 @@ def test_base_codes_and_qualities_out_of_range_are_refused_before_dispatch(
 
 
 def test_dispatcher_start_is_single_shot(tiny_system):
-    dispatcher = PoolDispatcher(tiny_system.pipeline, workers=1)
+    dispatcher = PoolDispatcher(tiny_system, workers=1)
     with dispatcher, pytest.raises(RuntimeError, match="already started"):
         dispatcher.start()
 
@@ -966,13 +966,13 @@ def test_worker_killed_mid_read_degrades_inline(tiny_dataset, serial_records):
     """A worker dying mid-read breaks the pool; every read still gets
     exactly one verdict equal to the serial record, the dispatcher is
     inline afterwards, and no segment (index included) is left behind."""
-    system = GenPIP(
+    system = GenPIPPipeline(
         MinimizerIndex.build(tiny_dataset.reference),
         GenPIPConfig(),
         basecaller=WorkerExitingBasecaller(os.getpid()),
         align=False,
     )
-    dispatcher = PoolDispatcher(system.pipeline, workers=2)
+    dispatcher = PoolDispatcher(system, workers=2)
     with dispatcher:
         assert dispatcher.mode == "process-pool"
 
@@ -1007,7 +1007,7 @@ def test_pickle_fallback_is_reported_and_charged(
     monkeypatch.setattr("repro.runtime.pool.publish_unit", refuse)
     reads = tiny_dataset.reads[:5]
     before = copied_bytes("pickle")
-    dispatcher = PoolDispatcher(tiny_system.pipeline, workers=2)
+    dispatcher = PoolDispatcher(tiny_system, workers=2)
     with dispatcher, pytest.warns(RuntimeWarning, match="shared memory unavailable"):
         assert dispatcher.transport == "none"
 
@@ -1022,7 +1022,7 @@ def test_pickle_fallback_is_reported_and_charged(
     assert result.summary["server"]["transport"] == "pickle"
     assert copied_bytes("pickle") - before == payload_nbytes(reads)
 
-    engine = DatasetEngine(tiny_system.pipeline, workers=2, batch_size=1)
+    engine = DatasetEngine(tiny_system, workers=2, batch_size=1)
     with pytest.warns(RuntimeWarning, match="shared memory unavailable"):
         engine.run(reads)
     assert engine.last_stats.transport == "pickle"

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.basecalling import ViterbiBackendConfig, ViterbiChunkBasecaller
-from repro.core import GenPIP, GenPIPConfig, ReadStatus
+from repro.core import GenPIPConfig, GenPIPPipeline, ReadStatus
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore import (
     PoreModel,
@@ -116,7 +116,7 @@ def signal_reads(backend, genomic_reads):
 
 @pytest.fixture(scope="module")
 def ser_system(tiny_index, backend, covering_policy):
-    return GenPIP(tiny_index, GenPIPConfig(), backend, align=False, ser_policy=covering_policy)
+    return GenPIPPipeline(tiny_index, GenPIPConfig(), backend, align=False, ser_policy=covering_policy)
 
 
 # --- event segmentation -----------------------------------------------------
@@ -303,18 +303,18 @@ class TestPipelineSER:
         self, tiny_index, backend, covering_policy, signal_reads, junk_signal_read
     ):
         reads = list(signal_reads) + [junk_signal_read]
-        baseline = GenPIP(
+        baseline = GenPIPPipeline(
             tiny_index, GenPIPConfig(), basecaller=backend, align=False
-        ).pipeline.process_batch(reads)
+        ).process_batch(reads)
         import dataclasses
 
-        disabled = GenPIP(
+        disabled = GenPIPPipeline(
             tiny_index,
             dataclasses.replace(GenPIPConfig(), enable_ser=False),
             basecaller=backend,
             align=False,
             ser_policy=covering_policy,
-        ).pipeline.process_batch(reads)
+        ).process_batch(reads)
         assert disabled == baseline
         assert all(outcome.ser is None for outcome in disabled)
 
@@ -323,7 +323,7 @@ class TestPipelineSER:
         codes = np.random.default_rng(50).integers(0, 4, 120).astype(np.uint8)
         signal = synthesize_signal(codes, pore, SignalConfig(), np.random.default_rng(51))
         short = SignalRead(read_id="short", signal=signal)
-        system = GenPIP(
+        system = GenPIPPipeline(
             tiny_index, GenPIPConfig(), basecaller=backend, align=False,
             ser_policy=covering_policy,
         )
@@ -343,7 +343,7 @@ class TestSpec:
         self, ser_system, signal_reads, junk_signal_read
     ):
         reads = list(signal_reads) + [junk_signal_read]
-        pipeline = ser_system.pipeline
+        pipeline = ser_system
         assert pipeline.signal_rejection_enabled()
         direct = pipeline.process_batch(reads)
         arrived = pickle.loads(pickle.dumps(pipeline))
@@ -354,7 +354,7 @@ class TestSpec:
     def test_constructor_wires_and_replace_clears_the_policy(
         self, ser_system, covering_policy, junk_signal_read
     ):
-        pipeline = ser_system.pipeline
+        pipeline = ser_system
         assert pipeline.ser_policy is covering_policy
         assert pipeline.process_read(junk_signal_read).status is ReadStatus.REJECTED_SIGNAL
         cleared = dataclasses.replace(pipeline, ser_policy=None)
@@ -364,7 +364,7 @@ class TestSpec:
         assert outcome.status is not ReadStatus.REJECTED_SIGNAL
 
     def test_spec_without_policy_reports_ser_disabled(self, tiny_index, backend):
-        pipeline = GenPIP(tiny_index, GenPIPConfig(), basecaller=backend).pipeline
+        pipeline = GenPIPPipeline(tiny_index, GenPIPConfig(), basecaller=backend)
         assert pipeline.ser_policy is None
         assert not pipeline.signal_rejection_enabled()
 
@@ -393,7 +393,7 @@ class TestRuntimeSER:
 
     @pytest.fixture(scope="class")
     def serial_report(self, ser_system, mixed_store):
-        engine = DatasetEngine(ser_system.pipeline, workers=1, batch_size=2)
+        engine = DatasetEngine(ser_system, workers=1, batch_size=2)
         return engine.run(SignalStoreSource(mixed_store))
 
     def test_serial_report_mixes_statuses(self, serial_report):
@@ -412,7 +412,7 @@ class TestRuntimeSER:
         """Default path ("shm") and the fault-injected fallback ("pickle")."""
         if transport == "pickle":
             request.getfixturevalue("pickle_fallback")
-        engine = DatasetEngine(ser_system.pipeline, workers=2, batch_size=2)
+        engine = DatasetEngine(ser_system, workers=2, batch_size=2)
         report = engine.run(SignalStoreSource(mixed_store))
         if engine.last_stats.mode == "process-pool":
             assert engine.last_stats.transport == transport
@@ -425,7 +425,7 @@ class TestRuntimeSER:
     ):
         jsonl_path = tmp_path / "outcomes.jsonl"
         engine = DatasetEngine(
-            ser_system.pipeline, workers=2, batch_size=2, sink=JSONLSink(jsonl_path)
+            ser_system, workers=2, batch_size=2, sink=JSONLSink(jsonl_path)
         )
         engine.run(SignalStoreSource(mixed_store))
         replayed = replay_report(jsonl_path, serial_report.config)
@@ -449,10 +449,10 @@ class TestRuntimeSER:
         write_signals(path, strip_base_starts(records))
         assert all(record.signal.n_bases == 0 for record in iter_signals(path))
         config = SegmentationConfig()
-        serial = DatasetEngine(ser_system.pipeline, workers=1, batch_size=2).run(
+        serial = DatasetEngine(ser_system, workers=1, batch_size=2).run(
             SignalStoreSource(path, segmentation=config)
         )
-        pooled = DatasetEngine(ser_system.pipeline, workers=2, batch_size=2).run(
+        pooled = DatasetEngine(ser_system, workers=2, batch_size=2).run(
             SignalStoreSource(path, segmentation=config)
         )
         assert pooled.outcomes == serial.outcomes
@@ -511,7 +511,7 @@ class TestPerfHook:
         )
 
     def test_no_ser_no_filter_key(self, tiny_index, backend, tiny_dataset):
-        report = GenPIP(tiny_index, GenPIPConfig(), align=False).run(
+        report = GenPIPPipeline(tiny_index, GenPIPConfig(), align=False).run(
             tiny_dataset.reads[:3]
         )
         workload = PipelineWorkload.from_report(report)
