@@ -394,7 +394,7 @@ def main() -> None:
         gotoh_scalar,
         process_mapping_ops,
     )
-    from repro.kernels.chain import chain_backend
+    from repro.kernels.native import backend
     from repro.mapping import ChainingConfig, Mapper, align_global
     from repro.mapping.seeding import collect_anchor_arrays
 
@@ -434,7 +434,7 @@ def main() -> None:
         f"({delta.get('chain-candidate', 0):,} chain candidates, "
         f"{delta.get('align-cell', 0):,} alignment cells charged); "
         f"chain DP over its {anchors.shape[0]:,} anchors: scalar reference "
-        f"{t_scalar * 1e3:.1f} ms == {chain_backend()} {t_chain * 1e3:.1f} ms, bit for bit"
+        f"{t_scalar * 1e3:.1f} ms == {backend('chain')} {t_chain * 1e3:.1f} ms, bit for bit"
     )
 
     # 14. The observability plane: the same run with span tracing on.

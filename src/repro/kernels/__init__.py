@@ -14,9 +14,8 @@ previously iterated sample-by-sample in interpreted Python:
   it directly.
 * :mod:`repro.kernels.viterbi` -- the HMM trellis forward pass and
   traceback behind :class:`~repro.basecalling.viterbi.ViterbiBasecaller`.
-  Both run in the C kernel ``trellis.c`` when it loaded
-  (:mod:`repro.kernels.native` builds it with the system C compiler on
-  first use and caches it) and otherwise in the numpy fold: a state's
+  Both run in the C kernel ``trellis.c`` when it loaded and otherwise
+  in the numpy fold: a state's
   four move predecessors are one column of ``dp.reshape(4, S/4)``,
   shared by four sibling states, so one observation is five
   whole-vector ufunc calls and backpointers are derived per block. Both
@@ -35,11 +34,10 @@ previously iterated sample-by-sample in interpreted Python:
   bit-identical to.
 * :mod:`repro.kernels.align` -- affine-gap (Gotoh) alignment (paper
   Fig. 1(d)): the pure-Python scalar loop that defines a segment's
-  score and CIGAR, and the resolver of its compiled form. Production
-  runs the lane fill in :mod:`repro.mapping.alignment`: all of a
-  chain's segments and end extensions in one call of the C kernel
-  ``gotoh.c`` when it loaded, else the scalar loop on each lane; the
-  two are bit-identical.
+  score and CIGAR. Production runs the lane fill in
+  :mod:`repro.mapping.alignment`: all of a chain's segments and end
+  extensions in one call of the C kernel ``gotoh.c`` when it loaded,
+  else the scalar loop on each lane; the two are bit-identical.
 
 Every kernel reports its own workload (:mod:`repro.kernels.workload`)
 so :mod:`repro.perf` can charge the *real* arithmetic -- Viterbi
@@ -58,7 +56,10 @@ compiled kernels run by availability alone, with the same bytes either
 way: the chain DP and the Gotoh lane fill fall back to their scalar
 references; the Viterbi trellis, whose reference is far too slow to
 run a decode, to its numpy fold; and seeding, whose minimizer scan has
-no scalar twin, to its numpy path.
+no scalar twin, to its numpy path. :mod:`repro.kernels.native` holds
+the one table of them, ``KERNELS`` (each one's fallback name and C
+signatures), builds each with the system C compiler on its first call,
+caches it, and names what runs: ``native.backend("chain")``.
 """
 
 from repro.kernels.align import gotoh_scalar

@@ -1,5 +1,4 @@
-"""Affine-gap (Gotoh) alignment: the scalar reference, and the loader of
-the compiled fill.
+"""Affine-gap (Gotoh) alignment: the scalar reference of the lane fill.
 
 The inter-anchor fill stage of piecewise alignment (paper Fig. 1(d);
 the DP GenPIP's alignment units execute in-memory) solves a global
@@ -16,59 +15,22 @@ of a segment, or, with ``free_ref_tail``, of a head/tail extension: its
 score and, through :func:`_traceback_tables`, which of the co-optimal
 paths becomes the CIGAR. The lane fill in :mod:`repro.mapping.alignment`
 runs every segment and extension of a chain in one call of the compiled
-kernel ``gotoh.c`` when it loaded (:func:`_native_gotoh`: built on first
-use by :mod:`repro.kernels.native`, once per process, never at import),
-else this loop on each lane. The compiled fill computes in int64 cells
-and fills a segment in a certified diagonal band (widened once where
-the first band cannot be certified), so it fills fewer cells than this
-loop; the tests check each of its lanes against it, score and CIGAR,
-for every integer-valued scoring, whatever its lane mates, lanes whose
-path leaves the first band included. :func:`gotoh_backend` says which
-one runs.
+kernel ``gotoh.c`` when it loaded (``native.kernel("gotoh")``: built on
+first use by :mod:`repro.kernels.native`, once per process, never at
+import), else this loop on each lane. The compiled fill computes in
+int64 cells and fills a segment in a certified diagonal band (widened
+once where the first band cannot be certified), so it fills fewer cells
+than this loop; the tests check each of its lanes against it, score and
+CIGAR, for every integer-valued scoring, whatever its lane mates, lanes
+whose path leaves the first band included. ``native.backend("gotoh")``
+says which one runs.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.kernels.mapping_ops import record_mapping_ops
-
-if TYPE_CHECKING:
-    import ctypes
-
-
-@functools.cache
-def _native_gotoh() -> ctypes.CDLL | None:
-    """The compiled ``gotoh.c``, or ``None`` (the scalar loop runs);
-    resolved once per process, on the first lane fill with a cell to
-    fill. The loader and ctypes are imported here too, so a run that
-    never aligns does not pay their import time."""
-    import ctypes
-
-    from repro.kernels.native import load_library
-
-    library = load_library("gotoh")
-    if library is None:
-        return None
-    f64, i64, u8 = (
-        np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
-        for dtype in (np.float64, np.int64, np.uint8)
-    )
-    size = ctypes.c_int64
-    library.gotoh_fill.argtypes = [
-        u8, i64, i64, u8, size, size, size, size, size, u8, i64, size, f64, u8, i64, i64,
-    ]  # fmt: skip
-    library.gotoh_fill.restype = None
-    return library
-
-
-def gotoh_backend() -> str:
-    """``"native"`` when the compiled Gotoh fill runs in this process,
-    else ``"scalar"`` (resolving it if nothing has yet)."""
-    return "scalar" if _native_gotoh() is None else "native"
 
 
 def merge_cigar(parts: list[tuple[str, int]]) -> tuple[tuple[str, int], ...]:

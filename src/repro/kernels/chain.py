@@ -10,14 +10,14 @@ anchor against a bounded lookback window of predecessors:
 
 Production runs :func:`chain_scores`. It makes one call of the C kernel
 ``chain.c`` for all of a call's anchors when it loaded
-(:func:`_native_chain`: built on first use by
+(``native.kernel("chain")``: built on first use by
 :mod:`repro.kernels.native`, once per process, never at import): per
 anchor, per window slot, the scalar reference's expression, in its
 order. Its ``log2`` is a table numpy computed (:func:`_log2_table`),
 because libm's ``log2`` and numpy's differ in the last bit at some
 integers. Otherwise -- no compiler, or a build or load that failed --
 :func:`chain_scores_scalar` itself runs, the reference the tests check
-the C kernel against. :func:`chain_backend` says which.
+the C kernel against. ``native.backend("chain")`` says which.
 
 **Bit-identity.** The scalar reference evaluates, per anchor,
 ``(scores[window] + gain) - gap`` and masks invalid slots to ``-inf``
@@ -30,42 +30,10 @@ tie-breaks are bit-identical, not merely close.
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.kernels.mapping_ops import record_mapping_ops
-
-if TYPE_CHECKING:
-    import ctypes
-
-
-@functools.cache
-def _native_chain() -> ctypes.CDLL | None:
-    """The compiled ``chain.c``, or ``None`` (the scalar reference runs);
-    resolved once per process, on the first DP over two or more
-    anchors. The loader and ctypes are imported here too, so importing
-    this module pays for neither."""
-    import ctypes
-
-    from repro.kernels.native import load_library
-
-    library = load_library("chain")
-    if library is None:
-        return None
-    f64, i64 = (
-        np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS") for dtype in (np.float64, np.int64)
-    )
-    size = ctypes.c_int64
-    library.chain_dp.argtypes = [i64, size, size, size, size, f64, f64, i64]
-    library.chain_dp.restype = None
-    return library
-
-
-def chain_backend() -> str:
-    """``"native"`` when the compiled chain DP runs in this process,
-    else ``"scalar"`` (resolving it if nothing has yet)."""
-    return "scalar" if _native_chain() is None else "native"
 
 
 @functools.cache
@@ -148,10 +116,15 @@ def chain_scores(
     """
     if anchors.ndim != 2 or anchors.shape[1] != 2:
         raise ValueError(f"anchors must be an [n, 2] array, got shape {anchors.shape}")
+    import repro.kernels.native as native
+
     n = anchors.shape[0]
-    library = _native_chain() if n > 1 else None
+    library = native.kernel("chain") if n > 1 else None
     if library is None:
         return chain_scores_scalar(anchors, kmer_size, max_gap, lookback)
+    # A window wider than the anchors is all of them, so lookback is
+    # clamped to fit the kernel's int64 (2**63 would wrap negative).
+    lookback = min(lookback, n)
     record_mapping_ops("chain-candidate", chain_candidate_count(n, lookback))
     scores = np.full(n, float(kmer_size))
     parents = np.full(n, -1, dtype=np.int64)

@@ -1,4 +1,4 @@
-"""Build-on-first-use loader for a kernel's optional C code.
+"""Build-on-first-use loader for the kernels' optional C code.
 
 numpy is the only runtime dependency, so compiled code can only be a
 speed-up: every C kernel here has a Python fallback that produces the
@@ -8,22 +8,29 @@ Viterbi trellis, the numpy path for seeding. There are four:
 ``trellis.c`` (the Viterbi trellis, :mod:`repro.kernels.viterbi`),
 ``gotoh.c`` (the Gotoh lane fill, :mod:`repro.mapping.alignment`),
 ``chain.c`` (the chain DP, :mod:`repro.kernels.chain`) and ``seed.c``
-(the minimizer scan and index probe, :mod:`repro.kernels.seed`), each
-resolved once per process by its module's cached resolver on that
-kernel's first call, so a run that never decodes Viterbi, never aligns
-or never chains never builds or loads that library. :func:`load_library`
-compiles ``<name>.c`` from this package with the system C compiler
-(``sysconfig``'s ``CC``, else ``cc``) and :data:`CFLAGS`, loads it with
-``ctypes``, and returns ``None`` instead of raising on any failure.
+(the minimizer scan and index probe, :mod:`repro.kernels.seed`).
+:data:`KERNELS` is the one table of them: each one's fallback name and
+its C functions' ctypes signatures. :func:`kernel` resolves a library
+once per process, on that kernel's first call, into :data:`_LOADED`,
+so a run that never decodes Viterbi, never aligns or never chains never
+builds or loads that library; :func:`backend` names what runs. Setting
+``_LOADED[name] = None`` before the first call forces the fallback (no
+option or environment variable does). Every call site imports this
+module inside the function that calls the kernel, so importing the CLI
+does not import the loader.
 
-The shared object is cached in this package's ``__pycache__/``, or, if
-that is not writable, in a private per-user directory (mode ``0o700``)
-under the temp directory. Its name hashes the source, the compile
-command and the platform, so an edited source or another compiler never
-loads a stale build. It is built under a temp name and moved into place
-with ``os.replace``, so processes racing a cold cache each load a whole
-file. Nothing runs at import: the first caller pays the build (a
-fraction of a second), every later process only the load.
+:func:`load_library` compiles ``<name>.c`` from this package with the
+system C compiler (``sysconfig``'s ``CC``, else ``cc``) and
+:data:`CFLAGS`, loads it with ``ctypes``, and returns ``None`` instead
+of raising on any failure. The shared object is cached in this
+package's ``__pycache__/``, or, if that is not writable, in a private
+per-user directory (mode ``0o700``) under the temp directory. Its name
+hashes the source, the compile command and the platform, so an edited
+source or another compiler never loads a stale build. It is built under
+a temp name and moved into place with ``os.replace``, so processes
+racing a cold cache each load a whole file. Nothing runs at import: the
+first caller pays the build (a fraction of a second), every later
+process only the load.
 """
 
 from __future__ import annotations
@@ -42,6 +49,8 @@ import tempfile
 import warnings
 from collections.abc import Iterator
 from pathlib import Path
+
+import numpy as np
 
 #: ``-ffp-contract=off`` keeps every multiply and add separately rounded,
 #: as numpy rounds them. No ``-march`` and no ``-ffast-math``: either
@@ -145,6 +154,69 @@ def load_library(name: str) -> ctypes.CDLL | None:
         f"could not build {name}.c with {shlex.join(compiler)} ({failure}); "
         "its Python fallback runs",
         RuntimeWarning,
-        stacklevel=2,
+        stacklevel=3,  # the kernel's call site, through kernel()
     )
     return None
+
+
+_F64, _F32, _I64, _I8, _U8, _U64 = (
+    np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+    for dtype in (np.float64, np.float32, np.int64, np.int8, np.uint8, np.uint64)
+)
+_SIZE, _REAL = ctypes.c_int64, ctypes.c_double
+
+#: Every compiled kernel, by the stem of its source: the backend name of
+#: the Python fallback that runs where the library cannot be had, and
+#: each C function's ctypes ``(argtypes, restype)``. The ndpointer
+#: dtypes and ``C_CONTIGUOUS`` flags make ctypes refuse an array the C
+#: code would misread.
+KERNELS: dict[str, tuple[str, dict[str, tuple[list, type | None]]]] = {
+    "trellis": ("numpy", {
+        "trellis_forward": (
+            [_F64, _SIZE, _SIZE, _F64, _F64, _F64, _REAL, _REAL, _U8, _F32, _F64, _F64], None,
+        ),
+        "trellis_traceback": ([_U8, _SIZE, _SIZE, _I64, _F64, _I64], ctypes.c_int),
+    }),
+    "gotoh": ("scalar", {
+        "gotoh_fill": (
+            [_U8, _I64, _I64, _U8, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _U8, _I64, _SIZE, _F64, _U8,
+             _I64, _I64],
+            None,
+        ),
+    }),
+    "chain": ("scalar", {
+        "chain_dp": ([_I64, _SIZE, _SIZE, _SIZE, _SIZE, _F64, _F64, _I64], None),
+    }),
+    "seed": ("numpy", {
+        "seed_minimizers": ([_U8, _SIZE, _SIZE, _SIZE, _U64, _I64, _I8], _SIZE),
+        "seed_anchors": (
+            [_U8, _SIZE, _SIZE, _SIZE, _U64, _SIZE, _I64, _I64, _I8, _SIZE, _SIZE, _SIZE, _I64,
+             _SIZE, _I64],
+            _SIZE,
+        ),
+    }),
+}  # fmt: skip
+
+#: Each kernel resolved so far in this process: its library, or
+#: ``None`` where its fallback runs.
+_LOADED: dict[str, ctypes.CDLL | None] = {}
+
+
+def kernel(name: str) -> ctypes.CDLL | None:
+    """The compiled kernel ``name`` with its signatures declared, or
+    ``None`` (its fallback runs); resolved once per process."""
+    if name not in _LOADED:
+        _, functions = KERNELS[name]
+        library = load_library(name)
+        if library is not None:
+            for function, (argtypes, restype) in functions.items():
+                symbol = getattr(library, function)
+                symbol.argtypes, symbol.restype = argtypes, restype
+        _LOADED[name] = library
+    return _LOADED[name]
+
+
+def backend(name: str) -> str:
+    """``"native"`` when the compiled kernel ``name`` runs in this
+    process, else its fallback's name (resolving it if nothing has yet)."""
+    return KERNELS[name][0] if kernel(name) is None else "native"

@@ -10,16 +10,17 @@ in shared memory, so pooled workers seed straight out of the shared
 segment with zero per-key Python.
 
 Production seeds with the C kernel ``seed.c`` when it loaded
-(:func:`_native_seed`: built on first use by :mod:`repro.kernels.native`,
-once per process, never at import). One call scans a chunk's
-minimizers and probes every key: :func:`repro.mapping.seeding.collect_anchor_arrays`
-calls its ``seed_anchors``, and :func:`repro.mapping.minimizers.minimizer_arrays`
+(``native.kernel("seed")``: built on first use by
+:mod:`repro.kernels.native`, once per process, never at import). One
+call scans a chunk's minimizers and probes every key:
+:func:`repro.mapping.seeding.collect_anchor_arrays` calls its
+``seed_anchors``, and :func:`repro.mapping.minimizers.minimizer_arrays`
 (and so the reference index build) its ``seed_minimizers``. Otherwise
 -- no compiler, or a build or load that failed -- the numpy path runs:
 ``minimizer_arrays``' vectorised scan, then :func:`seed_anchors_batched`,
 which replaces the per-key loop with one ``np.searchsorted`` over all
 query keys, a ``np.repeat``/cumsum expansion of the hit entries, and
-fancy-indexed gathering of the location rows. :func:`seed_backend`
+fancy-indexed gathering of the location rows. ``native.backend("seed")``
 says which runs. The per-key loop :func:`seed_anchors_scalar` is the
 reference the tests import to check both against: all three give the
 same arrays, byte for byte.
@@ -27,46 +28,7 @@ same arrays, byte for byte.
 
 from __future__ import annotations
 
-import functools
-from typing import TYPE_CHECKING
-
 import numpy as np
-
-if TYPE_CHECKING:
-    import ctypes
-
-
-@functools.cache
-def _native_seed() -> ctypes.CDLL | None:
-    """The compiled ``seed.c``, or ``None`` (the numpy path runs);
-    resolved once per process, on the first minimizer scan. The loader
-    and ctypes are imported here too, so importing this module pays for
-    neither."""
-    import ctypes
-
-    from repro.kernels.native import load_library
-
-    library = load_library("seed")
-    if library is None:
-        return None
-    u8, u64, i64, i8 = (
-        np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
-        for dtype in (np.uint8, np.uint64, np.int64, np.int8)
-    )
-    size = ctypes.c_int64
-    library.seed_minimizers.argtypes = [u8, size, size, size, u64, i64, i8]
-    library.seed_minimizers.restype = size
-    library.seed_anchors.argtypes = [
-        u8, size, size, size, u64, size, i64, i64, i8, size, size, size, i64, size, i64,
-    ]  # fmt: skip
-    library.seed_anchors.restype = size
-    return library
-
-
-def seed_backend() -> str:
-    """``"native"`` when the compiled seeding runs in this process,
-    else ``"numpy"`` (resolving it if nothing has yet)."""
-    return "numpy" if _native_seed() is None else "native"
 
 
 def _group_and_sort(

@@ -11,12 +11,13 @@ the tests replay them on generated and fixed-seed trellises and compare
 them by bytes.
 
 **Two implementations, one output.** Each entry point runs the compiled
-kernel in ``trellis.c`` when it loaded (:func:`_native_trellis`: built
-on first use by :mod:`repro.kernels.native`, once per process, never at
-import), and otherwise the numpy fold below -- no compiler, or a build
-or load that failed. Nothing chooses between them but availability:
-the C code does the fold's float64 operations in the fold's order, so
-no byte depends on which one ran. :func:`trellis_backend` says which.
+kernel in ``trellis.c`` when it loaded (``native.kernel("trellis")``:
+built on first use by :mod:`repro.kernels.native`, once per process,
+never at import), and otherwise the numpy fold below -- no compiler, or
+a build or load that failed. Nothing chooses between them but
+availability: the C code does the fold's float64 operations in the
+fold's order, so no byte depends on which one ran.
+``native.backend("trellis")`` says which.
 
 **The fold.** State ``s`` on a move came from ``pred[s, c] = c*S/4 +
 (s >> 2)`` (:func:`move_predecessors`): its four predecessors are column
@@ -51,13 +52,7 @@ pipeline never reaches the check.
 
 from __future__ import annotations
 
-import functools
-from typing import TYPE_CHECKING
-
 import numpy as np
-
-if TYPE_CHECKING:
-    import ctypes
 
 #: Transition work per state per observation: one stay candidate plus
 #: four move predecessors (what the state-space op count charges).
@@ -71,37 +66,6 @@ TRANSITIONS_PER_STATE = 5
 #: epilogues. A speed constant of the fold only (the C kernel never
 #: reads it): no output byte depends on it.
 _BLOCK = 64
-
-@functools.cache
-def _native_trellis() -> ctypes.CDLL | None:
-    """The compiled ``trellis.c``, or ``None`` (the fold runs); resolved
-    once per process, on the first trellis call. The loader and ctypes
-    are imported here too, so a run that never decodes Viterbi does not
-    pay their import time."""
-    import ctypes
-
-    from repro.kernels.native import load_library
-
-    library = load_library("trellis")
-    if library is None:
-        return None
-    f64, f32, i64, u8 = (
-        np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
-        for dtype in (np.float64, np.float32, np.int64, np.uint8)
-    )
-    size, real = ctypes.c_int64, ctypes.c_double
-    library.trellis_forward.argtypes = [f64, size, size, f64, f64, f64, real, real, u8, f32, f64, f64]
-    library.trellis_forward.restype = None
-    library.trellis_traceback.argtypes = [u8, size, size, i64, f64, i64]
-    library.trellis_traceback.restype = ctypes.c_int
-    return library
-
-
-def trellis_backend() -> str:
-    """``"native"`` when the compiled trellis runs in this process, else
-    ``"numpy"`` (resolving it if nothing has yet)."""
-    return "numpy" if _native_trellis() is None else "native"
-
 
 def viterbi_state_ops(n_observations: int, n_states: int) -> int:
     """State-space transition ops of one trellis forward pass."""
@@ -180,7 +144,9 @@ def viterbi_forward(
     scores = np.empty((t_total, n_states), dtype=np.float32)
     if t_total == 0:
         return backptr, scores, np.empty(0, dtype=np.float64)
-    trellis = _native_trellis()
+    import repro.kernels.native as native
+
+    trellis = native.kernel("trellis")
     if trellis is None:
         dp = _forward_fold(observations, levels, sigma, log_sigma, log_stay, log_move, backptr, scores)
         return backptr, scores, dp
@@ -314,7 +280,9 @@ def viterbi_traceback(backptr: np.ndarray, pred: np.ndarray, dp: np.ndarray) -> 
     path = np.empty(t_total, dtype=np.int64)
     if t_total == 0:
         return path
-    trellis = _native_trellis()
+    import repro.kernels.native as native
+
+    trellis = native.kernel("trellis")
     states = backptr.shape[1:]
     if (
         trellis is not None

@@ -19,7 +19,7 @@ together and stitches the CIGAR in chain order; :func:`align_global`
 is a one-lane fill.
 
 **One output.** The fill makes one call of the C kernel ``gotoh.c`` for
-all its lanes when it loaded (:func:`repro.kernels.align._native_gotoh`):
+all its lanes when it loaded (``repro.kernels.native.kernel("gotoh")``):
 per cell it runs :func:`~repro.kernels.align.gotoh_scalar`'s
 recurrence in int64 (exact, as the scoring is integral and within
 +-2**20), keeps its four traceback comparisons in one flag byte, and
@@ -47,7 +47,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-import repro.kernels.align as align_kernels
 from repro.kernels.align import gotoh_scalar, merge_cigar
 from repro.kernels.mapping_ops import record_mapping_ops
 
@@ -225,7 +224,9 @@ def _fill_lanes(lanes: list[Lane], config: AlignmentConfig) -> list[AlignmentRes
             )
     if not filled:
         return results
-    library = align_kernels._native_gotoh()
+    import repro.kernels.native as native
+
+    library = native.kernel("gotoh")
     if library is None:
         scoring = (config.match, config.mismatch, config.gap_open, config.gap_extend)
         for index in filled:

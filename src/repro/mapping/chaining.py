@@ -26,6 +26,7 @@ kernel against bit for bit -- scores, parents, and tie-breaks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,12 @@ MAX_GAP_LIMIT = 2**20
 class ChainingConfig:
     """Chain DP parameters (defaults follow minimap2's map-ont preset).
 
+    The counts are integers: the C kernel takes them as ``int64``.
     ``max_gap`` is at most :data:`MAX_GAP_LIMIT`, which bounds the C
-    kernel's ``log2`` table at 8 MiB.
+    kernel's ``log2`` table at 8 MiB, and so is ``kmer_size``, which
+    keeps ``k`` exact where the kernel compares a ``float64`` score with
+    it. ``lookback`` is unbounded: the kernel never scans past the first
+    anchor.
     """
 
     kmer_size: int = 13
@@ -53,10 +58,17 @@ class ChainingConfig:
     min_anchors: int = 3
 
     def __post_init__(self) -> None:
-        if self.kmer_size < 1 or self.lookback < 1:
-            raise ValueError("kmer_size and lookback must be positive")
-        if not 1 <= self.max_gap <= MAX_GAP_LIMIT:
-            raise ValueError(f"max_gap must be in [1, {MAX_GAP_LIMIT}], got {self.max_gap}")
+        for name in ("kmer_size", "max_gap", "lookback", "min_anchors"):
+            value = getattr(self, name)
+            # 2.5 or True would reach the C kernel as a ctypes error or
+            # as some other integer.
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        if self.lookback < 1:
+            raise ValueError("lookback must be positive")
+        for name in ("kmer_size", "max_gap"):
+            if not 1 <= getattr(self, name) <= MAX_GAP_LIMIT:
+                raise ValueError(f"{name} must be in [1, {MAX_GAP_LIMIT}], got {getattr(self, name)}")
         # A NaN threshold compares False both ways: skipping the ends
         # with ``score < threshold`` would keep every end, keeping those
         # with ``score >= threshold`` none.

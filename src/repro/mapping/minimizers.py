@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-import repro.kernels.seed as seed_kernels
 from repro.genomics.alphabet import kmer_codes
 
 
@@ -93,7 +92,9 @@ def minimizer_arrays(
     codes = np.asarray(codes, dtype=np.uint8)
     k, w = config.k, config.w
     n_kmers = codes.size - k + 1
-    library = seed_kernels._native_seed()
+    import repro.kernels.native as native
+
+    library = native.kernel("seed")
     if library is not None:
         # One slot per window; a window wider than the sequence is the
         # one window, so w is clamped to fit the kernel's int64.

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-import repro.kernels.seed as seed_kernels
 from repro.kernels.seed import seed_anchors_batched
 from repro.mapping.index import MinimizerIndex
 from repro.mapping.minimizers import minimizer_arrays
@@ -59,7 +58,9 @@ def collect_anchor_arrays(
     dict mapping strand (+1/-1) to an ``int64[n, 2]`` array of
     ``(ref_pos, read_pos)`` rows, sorted by (ref_pos, read_pos).
     """
-    library = seed_kernels._native_seed()
+    import repro.kernels.native as native
+
+    library = native.kernel("seed")
     if library is None:
         keys, positions, strands = minimizer_arrays(read_codes, index.config)
         return seed_anchors_batched(

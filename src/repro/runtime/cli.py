@@ -81,10 +81,6 @@ from repro.core.genpip import GenPIPReport
 from repro.core.pipeline import GenPIPPipeline, ReadOutcome
 from repro.core.registry import basecaller_names, create_basecaller, preset_config, preset_names
 from repro.genomics.reference import ReferenceGenome
-from repro.kernels.align import gotoh_backend
-from repro.kernels.chain import chain_backend
-from repro.kernels.seed import seed_backend
-from repro.kernels.viterbi import trellis_backend
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import (
     PRESETS,
@@ -574,13 +570,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         window = f", window {stats.inflight_window}" if stats.inflight_window > 0 else ""
         # Signal-domain rejects are reported separately from QSR/CMR:
         # they cost zero basecalled chunks, which is the whole point.
-        ser_summary = f"SER {report.ser_rejection_ratio:.1%}, " if stats.signal_er else ""
+        ser_summary = (
+            f"SER {report.ser_rejection_ratio:.1%}, " if pipeline.signal_rejection_enabled() else ""
+        )
         # Which seeding seeded, which chain DP chained, which trellis
         # decoded and which Gotoh fill aligned (this process resolves
         # each the way every worker did); a surrogate run never loads
         # the trellis, a run without --align never the fill.
-        trellis = f", trellis {trellis_backend()}" if args.basecaller == "viterbi" else ""
-        gotoh = f", gotoh {gotoh_backend()}" if args.align else ""
+        import repro.kernels.native as native
+
+        ran = {"seed": True, "chain": True, "trellis": args.basecaller == "viterbi", "gotoh": args.align}
+        kernels = "".join(f", {name} {native.backend(name)}" for name, used in ran.items() if used)
         print(
             f"{profile.name}: {report.n_reads} reads, {report.total_bases:,} bases | "
             f"mapped {report.mapped_ratio:.1%}, {ser_summary}"
@@ -590,7 +590,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"{stats.mode} x{stats.workers} "
             f"(batch {stats.batch_size}, "
             f"source {args.source}, sink {args.sink}, transport {stats.transport}"
-            f"{window}, seed {seed_backend()}, chain {chain_backend()}{trellis}{gotoh}): "
+            f"{window}{kernels}): "
             f"{stats.elapsed_s:.2f}s, {stats.reads_per_sec:.1f} reads/s"
             + (
                 f", {stats.bytes_copied_per_read:,.0f} B copied/read"

@@ -87,10 +87,6 @@ class RuntimeStats:
     elapsed_s: float
     #: How unit payloads actually travelled (observed, not requested).
     transport: str = "none"  # "none" | "shm" | "pickle"
-    #: Whether the run had the signal-domain (pre-basecalling) early
-    #: rejection stage active -- a config property surfaced here so the
-    #: CLI summary can label SER runs without inspecting the pipeline.
-    signal_er: bool = False
     inflight_window: int = 0  # max work units submitted concurrently
     #: Worker-side payload bytes copied to obtain reads: zero under
     #: "shm" (workers take views), deserialised payloads under the
@@ -252,7 +248,6 @@ class DatasetEngine:
             n_reads=collector.counters.n_reads,
             elapsed_s=time.perf_counter() - started,
             transport=pool.transport,
-            signal_er=pipeline.signal_rejection_enabled(),
             inflight_window=inflight_window,
         )
         return report

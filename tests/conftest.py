@@ -12,98 +12,64 @@ from unittest import mock
 import numpy as np
 import pytest
 
-import repro.kernels.align as align_kernels
-import repro.kernels.chain as chain_kernels
 import repro.kernels.native as native
-import repro.kernels.seed as seed_kernels
-import repro.kernels.viterbi as viterbi_kernels
 from repro.genomics.reference import ReferenceGenome
 from repro.nanopore.datasets import ECOLI_LIKE, HUMAN_LIKE, generate_dataset, small_profile
 from repro.nanopore.pore_model import PoreModel
 
 
-def numpy_trellis():
-    """Context manager forcing the Viterbi trellis onto the numpy fold:
-    the resolver reports no compiled kernel."""
-    return mock.patch.object(viterbi_kernels, "_native_trellis", lambda: None)
+def fallback(name: str):
+    """Context manager forcing the compiled kernel ``name`` onto its
+    fallback: the loader reports no library for it."""
+    return mock.patch.dict(native._LOADED, {name: None})
 
 
-def scalar_gotoh():
-    """Context manager forcing the Gotoh lane fill onto ``gotoh_scalar``:
-    the resolver reports no compiled kernel."""
-    return mock.patch.object(align_kernels, "_native_gotoh", lambda: None)
-
-
-def scalar_chain():
-    """Context manager forcing the chain DP onto ``chain_scores_scalar``:
-    the resolver reports no compiled kernel."""
-    return mock.patch.object(chain_kernels, "_native_chain", lambda: None)
-
-
-def numpy_seeding():
-    """Context manager forcing seeding onto the numpy path (the numpy
-    minimizer scan and ``seed_anchors_batched``): the resolver reports
-    no compiled kernel."""
-    return mock.patch.object(seed_kernels, "_native_seed", lambda: None)
-
-
-def _require_native(library, kernel: str) -> None:
-    """Skips where there is no C compiler (only the fallback can run
-    there); fails where one exists but the compiled kernel did not load."""
-    if library is not None:
+def require_native(name: str) -> None:
+    """Skips where there is no C compiler (only the fallback of kernel
+    ``name`` runs there); fails where one exists but the compiled kernel
+    did not load."""
+    if native.kernel(name) is not None:
         return
     if native._compiler() is None:
-        pytest.skip(f"no C compiler: only the fallback of the {kernel} runs here")
-    pytest.fail(f"a C compiler exists but the compiled {kernel} did not build or load")
+        pytest.skip(f"no C compiler: only the fallback of {name}.c runs here")
+    pytest.fail(f"a C compiler exists but the compiled {name}.c did not build or load")
 
 
-def require_native_trellis() -> None:
-    _require_native(viterbi_kernels._native_trellis(), "trellis")
-
-
-def require_native_gotoh() -> None:
-    _require_native(align_kernels._native_gotoh(), "Gotoh fill")
-
-
-def require_native_chain() -> None:
-    _require_native(chain_kernels._native_chain(), "chain DP")
-
-
-def require_native_seeding() -> None:
-    _require_native(seed_kernels._native_seed(), "seeding")
-
-
-def _native_then_fallback(request, require, fallback):
+def _native_then_fallback(request, name: str):
     if request.param == "native":
-        require()
+        require_native(name)
         yield request.param
     else:
-        with fallback():
+        with fallback(name):
             yield request.param
 
 
-@pytest.fixture(params=["native", "numpy"])
+def _backends(name: str) -> list[str]:
+    return ["native", native.KERNELS[name][0]]
+
+
+@pytest.fixture(params=_backends("trellis"))
 def trellis(request):
     """Runs a test once on the compiled Viterbi trellis, once on the fold."""
-    yield from _native_then_fallback(request, require_native_trellis, numpy_trellis)
+    yield from _native_then_fallback(request, "trellis")
 
 
-@pytest.fixture(params=["native", "scalar"])
+@pytest.fixture(params=_backends("gotoh"))
 def gotoh(request):
     """Runs a test once on the compiled Gotoh fill, once on ``gotoh_scalar``."""
-    yield from _native_then_fallback(request, require_native_gotoh, scalar_gotoh)
+    yield from _native_then_fallback(request, "gotoh")
 
 
-@pytest.fixture(params=["native", "scalar"])
+@pytest.fixture(params=_backends("chain"))
 def chain(request):
     """Runs a test once on the compiled chain DP, once on ``chain_scores_scalar``."""
-    yield from _native_then_fallback(request, require_native_chain, scalar_chain)
+    yield from _native_then_fallback(request, "chain")
 
 
-@pytest.fixture(params=["native", "numpy"])
+@pytest.fixture(params=_backends("seed"))
 def seeding(request):
     """Runs a test once on the compiled seeding, once on the numpy path."""
-    yield from _native_then_fallback(request, require_native_seeding, numpy_seeding)
+    yield from _native_then_fallback(request, "seed")
 
 
 @pytest.fixture(scope="session")

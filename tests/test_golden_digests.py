@@ -59,8 +59,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import require_native_gotoh
+from conftest import require_native
 
+import repro.kernels.native as native
 import repro.kernels.viterbi as viterbi_kernels
 import repro.mapping.alignment as alignment_module
 from repro.basecalling import SurrogateBasecaller, ViterbiBackendConfig, ViterbiChunkBasecaller
@@ -345,7 +346,7 @@ def test_er_align_digest_independent_of_lane_mates(monkeypatch):
     of its read's lanes: which lanes share a call of the compiled fill
     is a speed choice, not an output one. The compiled fill is pinned:
     ``gotoh_scalar`` fills each lane alone anyway."""
-    require_native_gotoh()
+    require_native("gotoh")
     golden = _golden_digests()
     fill = alignment_module._fill_lanes
 
@@ -368,7 +369,7 @@ def test_viterbi_signal_digest_independent_of_trellis_block(block, monkeypatch):
     the numpy fold's block size is a speed constant, not an output one.
     The fold is pinned: the compiled trellis never reads ``_BLOCK``."""
     golden = _golden_digests()
-    monkeypatch.setattr(viterbi_kernels, "_native_trellis", lambda: None)
+    monkeypatch.setitem(native._LOADED, "trellis", None)
     monkeypatch.setattr(viterbi_kernels, "_BLOCK", block)
     assert _outcome_digest("viterbi-signal")["sha256"] == golden["viterbi-signal"]["sha256"]
     assert _viterbi_chunks()["sha256"] == golden["viterbi-chunks"]["sha256"]

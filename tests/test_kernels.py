@@ -20,7 +20,7 @@ import contextlib
 
 import numpy as np
 import pytest
-from conftest import numpy_trellis, require_native_trellis
+from conftest import fallback, require_native
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,8 +39,9 @@ from repro.kernels import (
     viterbi_state_ops,
     viterbi_traceback,
 )
+from repro.kernels.native import backend
 from repro.kernels.sdtw import znormalise
-from repro.kernels.viterbi import _BLOCK, trellis_backend
+from repro.kernels.viterbi import _BLOCK
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.nanopore.pore_model import PoreModel
@@ -177,7 +178,7 @@ def _forward_all(k, observations, levels, sigma, log_stay, log_move):
     log_sigma = np.log(sigma)
     args = (observations, levels, sigma, log_sigma, log_stay, log_move)
     native = viterbi_forward(*args)
-    with numpy_trellis():
+    with fallback("trellis"):
         fold = viterbi_forward(*args)
     slow = viterbi_forward_scalar(
         sample_emissions(observations, levels, sigma, log_sigma),
@@ -199,7 +200,7 @@ def _assert_paths_equal(k, native, fold, slow) -> None:
     """Compiled and Python tracebacks give one path on every forward output."""
     pred = move_predecessors(k)
     paths = [viterbi_traceback(native[0], pred, native[2])]
-    with numpy_trellis():
+    with fallback("trellis"):
         paths += [viterbi_traceback(out[0], pred, out[2]) for out in (native, fold, slow)]
     for path in paths[1:]:
         assert path.tobytes() == paths[0].tobytes()
@@ -215,10 +216,10 @@ class TestViterbiTrellisEquivalence:
     def test_compiled_trellis_is_what_runs(self):
         """Where a C compiler exists, every other test here compares the
         compiled trellis (not the fold twice) with the reference."""
-        require_native_trellis()
-        assert trellis_backend() == "native"
-        with numpy_trellis():
-            assert trellis_backend() == "numpy"
+        require_native("trellis")
+        assert backend("trellis") == "native"
+        with fallback("trellis"):
+            assert backend("trellis") == "numpy"
 
     @staticmethod
     def _trellis(k=3, t=40, seed=11):
@@ -354,7 +355,7 @@ class TestViterbiTrellisEquivalence:
             "log_sigma": decoder._log_sigma.copy(),
         }
         arrays[name][7 % arrays[name].size] = value
-        for trellis in (contextlib.nullcontext(), numpy_trellis()):
+        for trellis in (contextlib.nullcontext(), fallback("trellis")):
             with trellis, pytest.raises(ValueError, match=match):
                 viterbi_forward(**arrays, log_stay=decoder._log_stay, log_move=decoder._log_move)
 

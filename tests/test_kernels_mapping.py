@@ -40,26 +40,21 @@ serial run with every kernel active.
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import (
-    numpy_seeding,
-    require_native_chain,
-    require_native_gotoh,
-    require_native_seeding,
-    scalar_chain,
-    scalar_gotoh,
-)
+from conftest import fallback, require_native
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
-import repro.kernels.align as align_kernels
 import repro.kernels.chain as chain_kernels
-import repro.kernels.seed as seed_kernels
+import repro.kernels.native as native
 import repro.mapping.alignment as alignment_module
 import repro.mapping.chaining as chaining_module
 import repro.mapping.seeding as seeding_module
@@ -79,8 +74,6 @@ from repro.kernels import (
     seed_anchors_batched,
     seed_anchors_scalar,
 )
-from repro.kernels.align import gotoh_backend
-from repro.kernels.chain import chain_backend
 from repro.mapping.alignment import (
     AlignmentConfig,
     _classify_diagonals,
@@ -135,17 +128,33 @@ def _random_anchors(rng, n, ref_span=50_000, read_span=8_000, runs=False):
     return arr[order]
 
 
+#: The mapping layer's chain DP at ``lookback=2**63`` against the scalar
+#: reference, in a fresh process (where the compiled DP loads).
+CHAIN_PAST_INT64 = """
+import numpy as np
+from repro.kernels.chain import chain_scores_scalar
+from repro.mapping.chaining import ChainingConfig, chain_scores
+rng = np.random.default_rng(105)
+ref = np.sort(rng.integers(0, 20_000, 300))
+anchors = np.stack([ref, np.maximum(0, ref + rng.integers(-40, 40, 300))], axis=1)
+anchors = anchors[np.lexsort((anchors[:, 1], anchors[:, 0]))]
+got = chain_scores(anchors, ChainingConfig(lookback=2**63))
+want = chain_scores_scalar(anchors, 13, 5_000, 2**63)
+assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
+"""
+
+
 class TestChainKernels:
     def test_compiled_dp_is_what_runs(self):
         """Where a compiler exists the chain DP must be the compiled one,
         or the ``native`` half of every comparison below would test the
         scalar reference against itself."""
-        require_native_chain()
-        assert chain_backend() == "native"
-        with scalar_chain():
-            assert chain_backend() == "scalar"
+        require_native("chain")
+        assert native.backend("chain") == "native"
+        with fallback("chain"):
+            assert native.backend("chain") == "scalar"
 
-    @pytest.mark.parametrize("lookback", [1, 5, 50])
+    @pytest.mark.parametrize("lookback", [1, 5, 50, 2**70])
     @pytest.mark.parametrize("max_gap", [50, 5_000])
     def test_chain_dp_bit_identical_to_scalar(self, lookback, max_gap, chain):
         rng = np.random.default_rng(101)
@@ -156,6 +165,21 @@ class TestChainKernels:
             c_scores, c_parents = chain_scores(anchors, 13, max_gap, lookback)
             assert np.array_equal(s_scores, c_scores), (trial, lookback, max_gap)
             assert np.array_equal(s_parents, c_parents), (trial, lookback, max_gap)
+
+    def test_lookback_past_int64_gives_the_scalar_bytes(self):
+        """``ChainingConfig(lookback=2**63)`` is a window over every
+        anchor: the compiled DP gets it clamped to the anchor count
+        rather than wrapped to a negative int64, which read out of
+        bounds. A crash, so the DP runs in a subprocess."""
+        require_native("chain")
+        result = subprocess.run(
+            [sys.executable, "-c", CHAIN_PAST_INT64],
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, (result.returncode, result.stderr)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_degenerate_inputs(self, n, chain):
@@ -433,10 +457,10 @@ class TestAlignKernels:
         """Where a C compiler exists the lane fill must be the compiled
         one, or the ``native`` half of every comparison below would test
         the scalar reference against itself."""
-        require_native_gotoh()
-        assert gotoh_backend() == "native"
-        with scalar_gotoh():
-            assert gotoh_backend() == "scalar"
+        require_native("gotoh")
+        assert native.backend("gotoh") == "native"
+        with fallback("gotoh"):
+            assert native.backend("gotoh") == "scalar"
 
     @pytest.mark.parametrize(
         "shape",
@@ -479,7 +503,7 @@ class TestAlignKernels:
         anchors = np.array([[1_000, 20], [9_000, 220]], dtype=np.int64)
         config = AlignmentConfig(max_segment_cells=100)
         a_w, lo_w, hi_w = align_chain(codes, read, anchors, 13, config)
-        with scalar_gotoh():
+        with fallback("gotoh"):
             a_s, lo_s, hi_s = align_chain(codes, read, anchors, 13, config)
         assert (a_w.score, cigar_to_string(a_w.cigar)) == (a_s.score, cigar_to_string(a_s.cigar))
         assert (lo_w, hi_w) == (lo_s, hi_s)
@@ -767,10 +791,10 @@ class TestSeedKernels:
         """Where a compiler exists, seeding must run ``seed.c``, so the
         ``native`` half of the comparisons below is not the numpy path
         checked against itself."""
-        require_native_seeding()
-        assert seed_kernels.seed_backend() == "native"
-        with numpy_seeding():
-            assert seed_kernels.seed_backend() == "numpy"
+        require_native("seed")
+        assert native.backend("seed") == "native"
+        with fallback("seed"):
+            assert native.backend("seed") == "numpy"
 
     def test_batched_bit_identical_to_scalar(self, index, reference):
         rng = np.random.default_rng(301)
@@ -948,7 +972,7 @@ class TestSeedKernels:
         windows are all ambiguous. Empty reads, reads shorter than k
         and reads of at most w k-mers are drawn too, and repeats
         overflow the first row buffer."""
-        require_native_seeding()
+        require_native("seed")
         rng = np.random.default_rng(seed)
         tile = rng.integers(0, 4, int(rng.integers(k, 3 * k))).astype(np.uint8)
         reference = ReferenceGenome(
@@ -975,7 +999,7 @@ class TestSeedKernels:
 
         compiled_minimizers = minimizer_arrays(read, config)
         compiled = collect_anchor_arrays(index, read, read_offset, read_length)
-        with numpy_seeding():
+        with fallback("seed"):
             numpy_minimizers = minimizer_arrays(read, config)
             batched = collect_anchor_arrays(index, read, read_offset, read_length)
         scalar = seed_anchors_scalar(
@@ -1003,7 +1027,7 @@ class TestSeedKernels:
         rows than the first buffer holds: the kernel returns the count,
         the wrapper calls once more with that many, and the rows are the
         numpy path's, none dropped."""
-        require_native_seeding()
+        require_native("seed")
         rng = np.random.default_rng(41)
         tile = rng.integers(0, 4, 97).astype(np.uint8)
         reference = ReferenceGenome(
@@ -1011,7 +1035,7 @@ class TestSeedKernels:
         )
         index = MinimizerIndex.build(reference, MinimizerConfig(k=13, w=10))
         read = np.tile(tile, 4)
-        library = seed_kernels._native_seed()
+        library = native.kernel("seed")
         capacities = []
 
         class Counting:
@@ -1019,11 +1043,11 @@ class TestSeedKernels:
                 capacities.append(args[13])
                 return library.seed_anchors(*args)
 
-        monkeypatch.setattr(seed_kernels, "_native_seed", Counting)
+        monkeypatch.setitem(native._LOADED, "seed", Counting())
         compiled = collect_anchor_arrays(index, read, read_offset=3, read_length=read.size)
         rows = compiled[1].shape[0] + compiled[-1].shape[0]
         assert len(capacities) == 2 and capacities[0] < rows == capacities[1]
-        with numpy_seeding():
+        with fallback("seed"):
             batched = collect_anchor_arrays(index, read, read_offset=3, read_length=read.size)
         for strand in (1, -1):
             assert compiled[strand].tobytes() == batched[strand].tobytes()
@@ -1037,9 +1061,9 @@ class TestSeedKernels:
         their reads, which shrinks it to the same 120 kb genome."""
         profile = ECOLI_LIKE if max_read_length is None else small_profile(ECOLI_LIKE, max_read_length)
         reference = profile_reference(profile)
-        require_native_seeding()
+        require_native("seed")
         compiled = MinimizerIndex.build(reference)
-        with numpy_seeding():
+        with fallback("seed"):
             numpy_built = MinimizerIndex.build(reference)
         for name in ("key_array", "bounds_array", "position_array", "strand_array"):
             got, want = getattr(compiled, name), getattr(numpy_built, name)
@@ -1082,15 +1106,15 @@ class TestMapperIntegration:
 
             return kernel
 
-        monkeypatch.setattr(seed_kernels, "_native_seed", lambda: None)
+        monkeypatch.setitem(native._LOADED, "seed", None)
         monkeypatch.setattr(
             seeding_module, "seed_anchors_batched", counted("seed", seed_anchors_scalar)
         )
-        monkeypatch.setattr(chain_kernels, "_native_chain", lambda: None)
+        monkeypatch.setitem(native._LOADED, "chain", None)
         monkeypatch.setattr(
             chain_kernels, "chain_scores_scalar", counted("chain", chain_scores_scalar)
         )
-        monkeypatch.setattr(align_kernels, "_native_gotoh", lambda: None)
+        monkeypatch.setitem(native._LOADED, "gotoh", None)
         monkeypatch.setattr(alignment_module, "gotoh_scalar", counted("align", gotoh_scalar))
         slow = [mapper.map_read(read, f"r{trial}") for trial, read in enumerate(reads)]
         assert all(calls.values()), calls
@@ -1218,8 +1242,8 @@ class TestOpsAccounting:
             return report.outcomes, delta
 
         outcomes, compiled = charged_run()
-        monkeypatch.setattr(chain_kernels, "_native_chain", lambda: None)
-        monkeypatch.setattr(align_kernels, "_native_gotoh", lambda: None)
+        monkeypatch.setitem(native._LOADED, "chain", None)
+        monkeypatch.setitem(native._LOADED, "gotoh", None)
         assert charged_run() == (outcomes, compiled)
         assert compiled["chain-candidate"] > 0 and compiled["align-cell"] > 0
 

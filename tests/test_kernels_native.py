@@ -1,19 +1,22 @@
 """The compiled kernels' loader under faults, and who resolves them.
 
-:mod:`repro.kernels.native` builds ``trellis.c`` (the Viterbi trellis),
-``gotoh.c`` (the Gotoh lane fill) and ``chain.c`` (the chain DP) on
-first use and caches each shared object; any failure must leave the
-kernel's fallback running: ``chain_scores_scalar`` for the chain DP,
-``gotoh_scalar`` for the Gotoh fill, the numpy fold for the trellis.
+:mod:`repro.kernels.native` builds each kernel of its table,
+``native.KERNELS`` -- ``trellis.c`` (the Viterbi trellis), ``gotoh.c``
+(the Gotoh lane fill), ``chain.c`` (the chain DP) and ``seed.c`` (the
+minimizer scan and index probe) -- on first use and caches each shared
+object; any failure must leave the kernel's fallback running:
+``chain_scores_scalar`` for the chain DP, ``gotoh_scalar`` for the
+Gotoh fill, the numpy fold for the trellis, the numpy path for seeding.
 Each fault below -- no compiler, a compiler that fails, a package cache
 that cannot be written, a per-user cache that is not private, a
 truncated library in the cache, two processes building a cold cache at
-once -- is run for all three kernels and must give the fallback's
-bytes, raise nothing and leave no temp file behind. A surrogate
-CLI run must build the chain DP alone (the trellis would only add
-start-up time), a run without ``--align`` never the Gotoh fill, and the
-summary line names the chain DP that chained, the trellis that decoded
-and the fill that aligned.
+once -- is run for every row of that table and must give the
+fallback's bytes, raise nothing and leave no temp file behind. A
+surrogate CLI run must build the chain DP and seeding alone (the
+trellis would only add start-up time), a run without ``--align`` never
+the Gotoh fill, and the summary line names the seeding that seeded,
+the chain DP that chained, the trellis that decoded and the fill that
+aligned.
 """
 
 from __future__ import annotations
@@ -23,19 +26,14 @@ import os
 import subprocess
 import sys
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import numpy_seeding, numpy_trellis, scalar_chain, scalar_gotoh
+from conftest import fallback
 
-import repro.kernels.align as align_kernels
-import repro.kernels.chain as chain_kernels
 import repro.kernels.native as native
-import repro.kernels.seed as seed_kernels
-import repro.kernels.viterbi as viterbi_kernels
 from repro.genomics.reference import ReferenceGenome
 from repro.kernels import (
     chain_scores,
@@ -51,7 +49,7 @@ from repro.runtime.cli import main
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: A build needs a compiler; where there is none, the fallback-only tests
-#: here still run (and ``conftest.require_native_*`` reports it).
+#: here still run (and ``conftest.require_native`` reports it).
 needs_compiler = pytest.mark.skipif(native._compiler() is None, reason="no C compiler")
 
 #: Runs one kernel (argv[3]) on fixed input and prints the backend in
@@ -80,16 +78,14 @@ if kernel == "trellis":
     )
     path = vk.viterbi_traceback(backptr, pred, dp)
     digest = hashlib.sha256(b"".join(a.tobytes() for a in (backptr, scores, dp, path)))
-    print(vk.trellis_backend(), digest.hexdigest())
 elif kernel == "chain":
     import repro.kernels.chain as ck
     ref = np.sort(rng.integers(0, 20_000, 400))
     anchors = np.stack([ref, np.maximum(0, ref + rng.integers(-40, 40, 400))], axis=1)
     anchors = anchors[np.lexsort((anchors[:, 1], anchors[:, 0]))]
     scores, parents = ck.chain_scores(anchors, 13, 5_000, 50)
-    print(ck.chain_backend(), hashlib.sha256(scores.tobytes() + parents.tobytes()).hexdigest())
+    digest = hashlib.sha256(scores.tobytes() + parents.tobytes())
 elif kernel == "seed":
-    import repro.kernels.seed as sk
     from repro.genomics.reference import ReferenceGenome
     from repro.mapping.index import MinimizerIndex
     from repro.mapping.seeding import collect_anchor_arrays
@@ -99,16 +95,15 @@ elif kernel == "seed":
     anchors = collect_anchor_arrays(index, read, read_offset=5, read_length=read.size)
     arrays = (index.key_array, index.bounds_array, index.position_array, index.strand_array,
               anchors[1], anchors[-1])
-    print(sk.seed_backend(), hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays))
 else:
-    import repro.kernels.align as ak
     from repro.mapping.alignment import AlignmentConfig, _fill_lanes
     lanes = [
         (rng.integers(0, 4, n).astype(np.uint8), rng.integers(0, 4, m).astype(np.uint8), free)
         for n, m, free in ((90, 80, False), (40, 70, True), (3, 60, False))
     ]
     digest = hashlib.sha256(repr(_fill_lanes(lanes, AlignmentConfig())).encode())
-    print(ak.gotoh_backend(), digest.hexdigest())
+print(native.backend(kernel), digest.hexdigest())
 """
 
 
@@ -159,52 +154,39 @@ def _seed() -> str:
     return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
 
+_RUNS = {"trellis": _decode, "gotoh": _align, "chain": _chain, "seed": _seed}
+
+
 @dataclass(frozen=True)
 class Kernel:
-    """One compiled kernel: its source name, a run giving the digest of
-    its outputs, the cached resolver, which backend runs, a context
-    manager forcing its fallback, and the name the backend reports for
-    that fallback."""
+    """One row of ``native.KERNELS``: its source name, a run giving the
+    digest of its outputs, which backend runs, and the name the backend
+    reports for its fallback."""
 
     name: str
-    run: Callable[[], str]
-    resolver: Callable
-    backend: Callable[[], str]
-    fallback: Callable
-    fallback_name: str
+
+    def run(self) -> str:
+        return _RUNS[self.name]()
+
+    def backend(self) -> str:
+        return native.backend(self.name)
+
+    @property
+    def fallback_name(self) -> str:
+        return native.KERNELS[self.name][0]
 
 
-KERNELS = {
-    "trellis": Kernel(
-        "trellis", _decode, viterbi_kernels._native_trellis, viterbi_kernels.trellis_backend,
-        numpy_trellis, "numpy",
-    ),
-    "gotoh": Kernel(
-        "gotoh", _align, align_kernels._native_gotoh, align_kernels.gotoh_backend, scalar_gotoh,
-        "scalar",
-    ),
-    "chain": Kernel(
-        "chain", _chain, chain_kernels._native_chain, chain_kernels.chain_backend, scalar_chain,
-        "scalar",
-    ),
-    "seed": Kernel(
-        "seed", _seed, seed_kernels._native_seed, seed_kernels.seed_backend, numpy_seeding,
-        "numpy",
-    ),
-}  # fmt: skip
-
-
-@pytest.fixture(params=sorted(KERNELS))
+@pytest.fixture(params=sorted(native.KERNELS))
 def kernel(request) -> Kernel:
-    return KERNELS[request.param]
+    return Kernel(request.param)
 
 
 @pytest.fixture(scope="module")
 def fallback_digests() -> dict[str, str]:
     digests = {}
-    for name, spec in KERNELS.items():
-        with spec.fallback():
-            digests[name] = spec.run()
+    for name in native.KERNELS:
+        with fallback(name):
+            digests[name] = Kernel(name).run()
     return digests
 
 
@@ -221,11 +203,16 @@ def cache(tmp_path, monkeypatch):
     package, user = tmp_path / "package", tmp_path / "user"
     monkeypatch.setattr(native, "_PACKAGE_CACHE", package)
     monkeypatch.setattr(native, "_user_cache", lambda: user)
-    for spec in KERNELS.values():
-        spec.resolver.cache_clear()
-    yield package, user
-    for spec in KERNELS.values():
-        spec.resolver.cache_clear()
+    monkeypatch.setattr(native, "_LOADED", {})
+    return package, user
+
+
+def test_table_rows_are_the_c_sources():
+    """Every ``*.c`` of the kernels package has a row in the loader's
+    table, and every row a source: a fifth kernel cannot be added to
+    one without the other."""
+    sources = Path(native.__file__).parent.glob("*.c")
+    assert sorted(native.KERNELS) == sorted(path.stem for path in sources)
 
 
 def _env() -> dict[str, str]:
@@ -369,8 +356,6 @@ def test_two_processes_build_a_cold_cache_at_once(kernel, tmp_path, fallback_dig
 UNRESOLVED_PROBE = """
 import sys
 from pathlib import Path
-import repro.kernels.align as ak
-import repro.kernels.viterbi as vk
 from repro.runtime.cli import main
 assert "repro.kernels.native" not in sys.modules, "loader imported with the CLI"
 import repro.kernels.native as native
@@ -379,8 +364,8 @@ native._PACKAGE_CACHE = cache
 native._user_cache = lambda: cache / "user"
 status = main(sys.argv[1:])
 aligned = "--align" in sys.argv
-assert vk._native_trellis.cache_info().currsize == 0, "trellis resolved"
-assert ak._native_gotoh.cache_info().currsize == aligned, "Gotoh fill resolved: " + str(aligned)
+assert "trellis" not in native._LOADED, "trellis resolved"
+assert ("gotoh" in native._LOADED) == aligned, "Gotoh fill resolved: " + str(aligned)
 built = sorted(path.name for path in cache.rglob("*")) if cache.exists() else []
 expected = ["chain", "gotoh", "seed"] if aligned else ["chain", "seed"]
 expected = expected if native._compiler() is not None else []

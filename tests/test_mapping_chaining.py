@@ -155,6 +155,32 @@ class TestChainScores:
         with pytest.raises(ValueError, match="max_gap"):
             ChainingConfig(max_gap=MAX_GAP_LIMIT + 1)
 
+    @pytest.mark.parametrize("kmer_size", [MAX_GAP_LIMIT + 1, 2**63, 2**70])
+    def test_kmer_size_bounded(self, kmer_size):
+        """Past ``2**63`` the C kernel would take another ``k`` than the
+        scalar reference; the bound keeps ``k`` exact in its float64
+        too."""
+        assert ChainingConfig(kmer_size=MAX_GAP_LIMIT).kmer_size == MAX_GAP_LIMIT
+        with pytest.raises(ValueError, match="kmer_size"):
+            ChainingConfig(kmer_size=kmer_size)
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("lookback", 2.5),
+            ("lookback", True),
+            ("kmer_size", 13.0),
+            ("max_gap", 1000.5),
+            ("min_anchors", 3.0),
+            ("min_anchors", False),
+        ],
+    )
+    def test_non_integer_count_rejected(self, field, value):
+        """A float or a bool count would reach the compiled chain DP as a
+        ctypes error or as some other integer."""
+        with pytest.raises(TypeError, match=field):
+            ChainingConfig(**{field: value})
+
 
 class TestChainExtraction:
     def test_extracts_primary(self):

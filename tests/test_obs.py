@@ -502,7 +502,6 @@ class TestRuntimeStatsFromRegistry:
             n_reads=12,
             elapsed_s=1.0,
             transport="shm",
-            signal_er=False,
         )
         assert stats.bytes_copied == 120
         assert stats.bytes_published == 340
@@ -518,7 +517,6 @@ class TestRuntimeStatsFromRegistry:
             n_reads=8,
             elapsed_s=0.5,
             transport="none",
-            signal_er=False,
         )
         assert stats.bytes_copied == 0
         assert stats.bytes_published == 0

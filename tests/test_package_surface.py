@@ -58,6 +58,14 @@ DELETED_NAMES = frozenset(
         "build_pipeline",
         "_mapping_record",
         "_ser_record",
+        "_native_trellis",
+        "_native_gotoh",
+        "_native_chain",
+        "_native_seed",
+        "trellis_backend",
+        "gotoh_backend",
+        "chain_backend",
+        "seed_backend",
     }
 )
 

@@ -528,7 +528,7 @@ def test_batch_parent_is_one_thread_and_outcomes_have_one_file_format():
 
     assert [field.name for field in dataclasses.fields(RuntimeStats)] == [
         "mode", "workers", "batch_size", "n_shards", "n_reads", "elapsed_s",
-        "transport", "signal_er", "inflight_window", "bytes_copied", "bytes_published",
+        "transport", "inflight_window", "bytes_copied", "bytes_published",
     ]  # fmt: skip
 
 

@@ -418,7 +418,7 @@ class TestRuntimeSER:
             assert engine.last_stats.transport == transport
         assert report.outcomes == serial_report.outcomes
         assert report.counters == serial_report.counters
-        assert engine.last_stats.signal_er
+        assert ser_system.signal_rejection_enabled()
 
     def test_jsonl_round_trip_keeps_ser_decisions(
         self, ser_system, mixed_store, serial_report, tmp_path
