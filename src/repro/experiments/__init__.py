@@ -10,7 +10,10 @@ abstract, ROADMAP.md the open fidelity items).
 
 Functional pipeline runs are cached per (dataset, chunk size, ER
 variant) in :mod:`repro.experiments.context` so that the benchmark
-suite can re-enter experiments cheaply.
+suite can re-enter experiments cheaply. The early-rejection sweeps of
+Figs. 12 and 13 (:mod:`repro.experiments.er_sensitivity`) run
+``GenPIPPipeline`` at each point and count the decisions it recorded
+on its outcomes; no experiment re-implements a pipeline stage.
 """
 
 from repro.experiments import paper_values

@@ -2,18 +2,41 @@
 
 The paper sweeps both datasets over chunk sizes 300/400/500 and reports
 per-configuration bars plus the GMEAN. This experiment reproduces the
-same grid from functional workloads + the performance model.
+same grid from functional workloads + the performance model; Fig. 11
+walks the same grid (:func:`cpu_ratio_grid`) for energy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from repro.experiments import paper_values
 from repro.experiments.context import get_context
 from repro.perf.systems import SYSTEM_NAMES, evaluate_all_systems
+
+
+def cpu_ratio_grid(datasets, chunk_sizes, scale, seed, cost) -> dict[tuple[str, int], dict[str, float]]:
+    """Each system's CPU ``cost`` over its own, per (dataset, chunk size):
+    Fig. 10's grid for ``cost`` = time, Fig. 11's for energy."""
+    grid = {}
+    for name in datasets:
+        context = get_context(name, scale=scale, seed=seed)
+        for chunk_size in chunk_sizes:
+            estimates = evaluate_all_systems(context.workloads(chunk_size))
+            base = cost(estimates["CPU"])
+            grid[(name, chunk_size)] = {system: base / cost(e) for system, e in estimates.items()}
+    return grid
+
+
+def grid_gmean(grid: dict[tuple[str, int], dict[str, float]]) -> dict[str, float]:
+    """Geometric mean of each system's ratio across the grid."""
+    return {
+        system: float(np.exp(np.mean(np.log([cell[system] for cell in grid.values()]))))
+        for system in SYSTEM_NAMES
+    }
 
 
 @dataclass(frozen=True)
@@ -24,11 +47,7 @@ class Figure10Result:
 
     def gmean(self) -> dict[str, float]:
         """Geometric-mean speedup per system across the grid."""
-        out = {}
-        for system in SYSTEM_NAMES:
-            values = [cell[system] for cell in self.speedups.values()]
-            out[system] = float(np.exp(np.mean(np.log(values))))
-        return out
+        return grid_gmean(self.speedups)
 
     def rows(self) -> list[tuple[str, float, float]]:
         """(system, measured GMEAN, paper GMEAN) rows."""
@@ -64,13 +83,4 @@ def run_figure10(
     seed: int = 42,
 ) -> Figure10Result:
     """Evaluate the full system grid of Fig. 10."""
-    speedups: dict[tuple[str, int], dict[str, float]] = {}
-    for name in datasets:
-        context = get_context(name, scale=scale, seed=seed)
-        for chunk_size in chunk_sizes:
-            estimates = evaluate_all_systems(context.workloads(chunk_size))
-            base = estimates["CPU"].time_s
-            speedups[(name, chunk_size)] = {
-                system: base / estimate.time_s for system, estimate in estimates.items()
-            }
-    return Figure10Result(speedups=speedups)
+    return Figure10Result(cpu_ratio_grid(datasets, chunk_sizes, scale, seed, attrgetter("time_s")))

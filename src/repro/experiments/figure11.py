@@ -1,14 +1,14 @@
-"""Figure 11: energy reduction of the ten systems, normalised to CPU."""
+"""Figure 11: energy reduction of the ten systems, normalised to CPU,
+over Fig. 10's grid."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from operator import attrgetter
 
 from repro.experiments import paper_values
-from repro.experiments.context import get_context
-from repro.perf.systems import SYSTEM_NAMES, evaluate_all_systems
+from repro.experiments.figure10 import cpu_ratio_grid, grid_gmean
+from repro.perf.systems import SYSTEM_NAMES
 
 
 @dataclass(frozen=True)
@@ -18,11 +18,7 @@ class Figure11Result:
     reductions: dict[tuple[str, int], dict[str, float]]
 
     def gmean(self) -> dict[str, float]:
-        out = {}
-        for system in SYSTEM_NAMES:
-            values = [cell[system] for cell in self.reductions.values()]
-            out[system] = float(np.exp(np.mean(np.log(values))))
-        return out
+        return grid_gmean(self.reductions)
 
     def rows(self) -> list[tuple[str, float, float | None]]:
         """(system, measured GMEAN, paper GMEAN where reported)."""
@@ -52,13 +48,4 @@ def run_figure11(
     seed: int = 42,
 ) -> Figure11Result:
     """Evaluate the energy grid of Fig. 11."""
-    reductions: dict[tuple[str, int], dict[str, float]] = {}
-    for name in datasets:
-        context = get_context(name, scale=scale, seed=seed)
-        for chunk_size in chunk_sizes:
-            estimates = evaluate_all_systems(context.workloads(chunk_size))
-            base = estimates["CPU"].energy_j
-            reductions[(name, chunk_size)] = {
-                system: base / estimate.energy_j for system, estimate in estimates.items()
-            }
-    return Figure11Result(reductions=reductions)
+    return Figure11Result(cpu_ratio_grid(datasets, chunk_sizes, scale, seed, attrgetter("energy_j")))

@@ -11,7 +11,7 @@ Storage is columnar, not a dict: a sorted ``uint64`` key array, an
 ``bounds[i]:bounds[i+1]``), and concatenated ``int64`` position /
 ``int8`` strand location arrays. This is byte-for-byte the layout
 ``publish_index`` places in shared memory, so attaching a published
-index is four zero-copy views (:func:`MinimizerIndex.from_arrays`), and
+index is four zero-copy views (the :class:`MinimizerIndex` constructor), and
 seeding (:mod:`repro.kernels.seed`) binary-searches these arrays, in C
 or with one ``np.searchsorted``, instead of walking a per-key dict.
 """
@@ -74,19 +74,6 @@ class MinimizerIndex:
         self._strands = strands
 
     @classmethod
-    def from_arrays(
-        cls,
-        config: MinimizerConfig,
-        keys: np.ndarray,
-        bounds: np.ndarray,
-        positions: np.ndarray,
-        strands: np.ndarray,
-        reference: ReferenceGenome,
-    ) -> "MinimizerIndex":
-        """The constructor under the name the attach path spells out."""
-        return cls(config, keys, bounds, positions, strands, reference)
-
-    @classmethod
     def build(
         cls,
         reference: ReferenceGenome,
@@ -109,10 +96,7 @@ class MinimizerIndex:
         config = config or MinimizerConfig()
         keys, positions, strands = minimizer_arrays(reference.codes, config)
         if keys.size == 0:
-            flat_keys, bounds, flat_positions, flat_strands = _empty_arrays()
-            return cls.from_arrays(
-                config, flat_keys, bounds, flat_positions, flat_strands, reference
-            )
+            return cls(config, *_empty_arrays(), reference)
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         positions = positions[order]
@@ -131,9 +115,7 @@ class MinimizerIndex:
         cum = np.cumsum(counts)
         ramp = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
         loc = np.repeat(starts, counts) + ramp
-        return cls.from_arrays(
-            config, flat_keys, bounds, positions[loc], strands[loc], reference
-        )
+        return cls(config, flat_keys, bounds, positions[loc], strands[loc], reference)
 
     @property
     def config(self) -> MinimizerConfig:

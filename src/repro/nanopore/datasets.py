@@ -23,6 +23,7 @@ at any scale (only read count and total bases shrink proportionally).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -65,8 +66,8 @@ class DatasetProfile:
     simulator: SimulatorConfig = field(default_factory=SimulatorConfig)
 
     def scaled_read_count(self, scale: float) -> int:
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"scale must be positive and finite, got {scale}")
         return max(1, int(round(self.full_read_count * scale)))
 
 

@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -169,12 +170,17 @@ def add_pipeline_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-#: ``(dest, in_range, requirement)`` of every flag here with a fixed range.
+def _positive_finite(value: float) -> bool:
+    return math.isfinite(value) and value > 0
+
+
+#: ``(dest, in_range, requirement)`` of every flag here with a fixed range;
+#: a float flag's range excludes ``inf`` and ``nan``.
 _RANGE_CHECKS = (
-    ("scale", lambda value: value > 0, "must be positive"),
+    ("scale", _positive_finite, "must be positive and finite"),
     ("workers", lambda value: value >= 0, "must be non-negative"),
     ("chunk_size", lambda value: value >= 50, "must be at least 50 bases"),
-    ("signal_er_threshold", lambda value: value > 0, "must be positive"),
+    ("signal_er_threshold", _positive_finite, "must be positive and finite"),
     ("signal_er_templates", lambda value: value >= 1, "must be at least 1"),
     ("batch_size", lambda value: value >= 1, "must be at least 1"),
 )

@@ -249,12 +249,6 @@ class ColumnarBatch:
         self._handles = tuple(handles)
 
     @classmethod
-    def from_buffer(
-        cls, buf, handles: Sequence[ReadHandle | SignalHandle]
-    ) -> "ColumnarBatch":
-        return cls(buf, handles)
-
-    @classmethod
     def from_reads(
         cls, reads: Sequence[SimulatedRead | SignalRead]
     ) -> "tuple[ColumnarBatch, ColumnarLayout]":

@@ -288,7 +288,7 @@ def attach_unit(
     """
     reap_leases()
     segment = _attach(shared.segment)
-    batch = ColumnarBatch.from_buffer(segment.buf, shared.handles)
+    batch = ColumnarBatch(segment.buf, shared.handles)
     if copy:
         try:
             reads = batch.reads(copy=True)
@@ -444,9 +444,7 @@ def attach_index(handle: SharedIndexHandle) -> MinimizerIndex:
     reference = ReferenceGenome(name=handle.reference_name, codes=codes)
     # The segment layout IS the index's columnar layout: the rebuilt
     # index wraps the four views directly, with zero per-key Python.
-    return MinimizerIndex.from_arrays(
-        handle.config, keys, bounds, positions, strands, reference
-    )
+    return MinimizerIndex(handle.config, keys, bounds, positions, strands, reference)
 
 
 def release_unit(name: str) -> None:

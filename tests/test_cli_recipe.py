@@ -165,11 +165,14 @@ def test_pipeline_from_args_matches_the_hand_written_rule(
     "bad",
     [
         ["--scale", "0"],
+        ["--scale", "inf"],
+        ["--scale", "nan"],
         ["--max-read-length", "0"],
         ["--max-read-length", "300"],
         ["--chunk-size", "10"],
         ["--workers", "-1"],
         ["--signal-er-threshold", "0"],
+        ["--signal-er-threshold", "inf"],
         ["--signal-er-templates", "0"],
     ],
     ids=lambda bad: "=".join(bad),

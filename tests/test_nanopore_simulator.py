@@ -177,6 +177,11 @@ class TestDatasetPresets:
         with pytest.raises(ValueError):
             ECOLI_LIKE.scaled_read_count(0.0)
 
+    @pytest.mark.parametrize("scale", [float("inf"), float("nan")])
+    def test_scaled_read_count_refuses_a_non_finite_scale(self, scale):
+        with pytest.raises(ValueError, match=f"scale must be positive and finite, got {scale}"):
+            ECOLI_LIKE.scaled_read_count(scale)
+
     @pytest.mark.parametrize("profile", [ECOLI_LIKE, HUMAN_LIKE], ids=lambda p: p.name)
     def test_table1_shape(self, profile):
         """Generated statistics approximate Table 1 of the paper."""

@@ -27,8 +27,11 @@ SRC = Path(repro.__file__).parent
 
 #: Names deleted because nothing but tests reached them, or because
 #: they were a second way to build a pipeline (the fluent builder's
-#: methods, the rejection-policy protocols). A definition of any of them
-#: under ``src/repro`` (function, class or property) is a regression.
+#: methods, the rejection-policy protocols), a second name for a
+#: constructor (``from_buffer``, ``from_arrays``) or a second copy of an
+#: early-rejection stage (Figs. 12/13's ``qsr_decisions`` and
+#: ``cmr_decisions``). A definition of any of them under ``src/repro``
+#: (function, class or property) is a regression.
 DELETED_NAMES = frozenset(
     {
         "Sequence",
@@ -66,6 +69,10 @@ DELETED_NAMES = frozenset(
         "gotoh_backend",
         "chain_backend",
         "seed_backend",
+        "from_buffer",
+        "from_arrays",
+        "qsr_decisions",
+        "cmr_decisions",
     }
 )
 
