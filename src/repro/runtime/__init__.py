@@ -23,10 +23,11 @@ supplies the execution layer as a streaming dataflow:
 * :mod:`repro.runtime.pool` -- :class:`WorkerPool`, the one worker
   plane under batch and serving and the one place a unit is executed:
   the :class:`~repro.core.pipeline.GenPIPPipeline` itself handed to each
-  worker's initialiser, index published once, warm-up, ``submit(unit)``
-  over shared memory with an automatic pickle fallback, segment
-  release, Ctrl-C-safe stop, and ``execute(unit)``, which runs the unit
-  in this process whenever there are no worker processes;
+  worker as it starts, index published once, one pipe per worker read
+  by the scheduler's own thread, ``submit(unit)`` over shared memory
+  with an automatic pickle fallback, segment release, Ctrl-C-safe stop,
+  and ``execute(unit)``, which runs the unit in this process whenever
+  there are no worker processes;
 * :mod:`repro.runtime.merge` -- :class:`ShardCollector`, the
   order-preserving streaming merge that releases the completed prefix;
 * :mod:`repro.runtime.sink` -- :class:`ReportSink` consumers of that

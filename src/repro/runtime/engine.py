@@ -16,7 +16,9 @@ one run:
    :meth:`WorkerPool.execute <repro.runtime.pool.WorkerPool.execute>`
    futures -- the pool owns the processes, the shared-memory
    publication, its pickle fallback and the in-process execution of
-   units when there are no processes (see :mod:`repro.runtime.pool`);
+   units when there are no processes (see :mod:`repro.runtime.pool`),
+   and this thread reads the worker pipes itself
+   (:func:`multiprocessing.connection.wait`);
 4. the ordered completed prefix streams out of the
    :class:`~repro.runtime.merge.ShardCollector` into a
    :class:`~repro.runtime.sink.ReportSink` as it grows, so parent-side
@@ -32,7 +34,7 @@ full matrix.
 Failure handling preserves both the contract and resources. There is
 one path: a run with ``workers <= 1``, a pool that could not start and
 a pool retired mid-run differ only in where ``execute`` runs the next
-unit. Units whose futures broke are executed again, nothing already
+unit. Units a broken pool lost are executed again, nothing already
 emitted is re-emitted, and shared-memory segments are released on
 success, worker failure, broken pool and engine crash alike
 (:func:`repro.runtime.transport.active_segments` is the leak probe
@@ -44,9 +46,10 @@ what a failed run leaves behind does not depend on the worker count.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, wait
+from concurrent.futures import CancelledError, Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 
 from repro.core.genpip import GenPIPReport
 from repro.core.pipeline import GenPIPPipeline
@@ -309,19 +312,21 @@ class DatasetEngine:
     ) -> None:
         """Wait for at least one in-flight unit and fold it in.
 
+        The wait reads the worker pipes on this thread. Without
+        processes every in-flight future is settled already; with them,
+        a pending one is running on, or queued for, a live worker.
         Worker processes can die mid-run (resource exhaustion, a kill):
-        a unit whose future broke -- or was cancelled when the pool was
-        retired -- is executed again, in shard order, only after every
-        *successful* result of the same wait has been collected, so work
-        the pool finished before dying is never recomputed and nothing
-        reaches the sink twice.
+        a unit the broken pool lost -- failed, or cancelled when the
+        pool was retired -- is executed again, in shard order, only
+        after every *successful* result of the same wait has been
+        collected, so work the pool finished before dying is never
+        recomputed and nothing reaches the sink twice.
         """
-        # Without processes every in-flight future is settled already
-        # (resolved by ``execute``, or finished, broken or cancelled by
-        # the retirement) -- and a cancelled one never wakes ``wait``.
-        done = set(inflight)
-        if pool.alive:
-            done, _ = wait(done, return_when=FIRST_COMPLETED)
+        done = [future for future in inflight if future.done()]
+        while not done:
+            for conn in wait(pool.connections):
+                pool.receive(conn)
+            done = [future for future in inflight if future.done()]
         lost: list[WorkUnit] = []
         for future in done:
             unit = inflight.pop(future)

@@ -7,8 +7,9 @@ processes or, when there are none, in this one. Batch mode
 window over a source) and serving (:class:`~repro.serving.dispatch
 .PoolDispatcher`, per-read futures) are two schedulers over it and see
 only :meth:`WorkerPool.execute` / :meth:`~WorkerPool.submit` /
-:meth:`~WorkerPool.run_local`, :meth:`~WorkerPool.retire` and
-``BrokenProcessPool``. Everything else lives here, once:
+:meth:`~WorkerPool.run_local`, :meth:`~WorkerPool.retire`, the worker
+pipes (:attr:`~WorkerPool.connections`, :meth:`~WorkerPool.receive`)
+and ``BrokenProcessPool``. Everything else lives here, once:
 
 * :func:`run_unit`, the one ``process_batch`` call: a unit's reads run
   under a ``unit`` span and come back as a
@@ -20,14 +21,29 @@ only :meth:`WorkerPool.execute` / :meth:`~WorkerPool.submit` /
   and hands back an already-resolved future;
 * the trace flag and the parent tracer's on/off scope
   (:meth:`~WorkerPool.start` to :meth:`~WorkerPool.stop`);
-* the worker initialiser -- SIGINT ignored so the parent always owns
-  shutdown, tracer enabled when the pool traces, the pipeline kept as
-  it arrived (inherited under ``fork``, unpickled under ``spawn``);
+* the workers: :meth:`~WorkerPool.start` starts all of them, each with
+  one duplex pipe, and waits until each says it is ready. A worker
+  ignores SIGINT so the parent always owns shutdown, enables its tracer
+  when the pool traces and keeps the pipeline as it arrived (inherited
+  under ``fork``, unpickled under ``spawn``). Under ``fork`` every
+  worker is forked inside ``start``, while the caller is still
+  single-threaded;
 * the minimizer index, published to shared memory **once** per pool so
   the pipeline travels with a ~100-byte handle in place of its index
   and each worker attaches the segment zero-copy;
-* the warm-up submit that, under ``fork``, starts every worker while
-  the parent is still single-threaded;
+* dispatch: a worker runs one unit at a time and further units wait in
+  a FIFO here. No thread stands between a scheduler and a worker: the
+  scheduler watches the pipes itself -- the batch engine with
+  :func:`multiprocessing.connection.wait`, the serving dispatcher as
+  event-loop readers -- and hands each readable one to
+  :meth:`~WorkerPool.receive`, which gives that worker the next queued
+  unit and resolves the finished unit's future. Waiting on a future
+  directly (``result()``) reads the pipes the same way;
+* a dead worker, busy or idle, shows up as end-of-file on its pipe and
+  breaks the pool, as does a reply that cannot be unpickled here: the
+  unit and every queued one fail with ``BrokenProcessPool``, and so
+  does every later :meth:`~WorkerPool.submit`, for the caller to
+  :meth:`~WorkerPool.retire` and run them in-process;
 * the single worker entry point: a :class:`~repro.runtime.transport
   .SharedUnit` is attached zero-copy (read-only views under a
   :class:`~repro.runtime.transport.SegmentLease`), a pickled
@@ -44,11 +60,18 @@ travelled.
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
 import signal
+import time
+import traceback
 import warnings
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from multiprocessing.connection import Connection, wait
+from multiprocessing.process import BaseProcess
 
 from repro.core.pipeline import GenPIPPipeline
 from repro.obs.metrics import record_copy, worker_metrics_delta, worker_metrics_snapshot
@@ -73,44 +96,53 @@ from repro.runtime.transport import (
     unit_lease,
 )
 
-#: Per-process pipeline, set once by :func:`_init_worker`.
-_WORKER_PIPELINE: GenPIPPipeline | None = None
+#: What a worker sends once its pipeline is built.
+_READY = "ready"
 
 
-def _init_worker(pipeline: GenPIPPipeline, trace: bool) -> None:
-    """Pool initialiser: keep the pipeline, attaching its index if that
-    travelled as a shared-memory handle.
+def _init_worker(pipeline: GenPIPPipeline, trace: bool) -> GenPIPPipeline:
+    """Set a worker up and return the pipeline it runs units on,
+    attaching its index if that travelled as a shared-memory handle.
 
     A Ctrl-C reaches the whole process group; workers ignore it so the
     parent drains them through :meth:`WorkerPool.stop` instead of them
     dying mid-unit with tracebacks.
     """
-    global _WORKER_PIPELINE
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     if trace:
         enable_tracing()
     if isinstance(pipeline.index, SharedIndexHandle):
         pipeline = replace(pipeline, index=attach_index(pipeline.index))
-    _WORKER_PIPELINE = pipeline
+    return pipeline
 
 
-def _warmup() -> None:
-    """No-op task submitted before any caller thread starts.
+def _worker_main(conn: Connection, pipeline: GenPIPPipeline, trace: bool) -> None:
+    """A worker's life: build, say ready, then run one unit per message
+    until ``None`` (or the parent's end closing) says stop.
 
-    With the ``fork`` start method the executor launches *all* worker
-    processes on the first submit (gh-90622), so routing that first
-    submit through here -- before the serving event loop and its
-    executor threads exist; a batch parent never starts a thread at
-    all -- guarantees every fork happens while the parent is still
-    single-threaded (no 3.12+ fork-after-thread DeprecationWarning, no
-    inherited-lock deadlock hazard). Under ``spawn`` / ``forkserver``
-    only the first worker starts here and the rest start as units
-    queue up, which is safe at any time: they inherit nothing. Either
-    way this surfaces sandboxes that allow pool *creation* but not
-    process *spawning*, and worker initialisers that raise, before any
-    work is planned.
+    A build that fails sends its text in place of the ready word. A
+    unit's exception goes back in place of its result, with the
+    worker's traceback as a note.
     """
-    return None
+    try:
+        pipeline = _init_worker(pipeline, trace)
+    except Exception as exc:
+        conn.send(f"worker failed to start: {exc!r}")
+        return
+    conn.send(_READY)
+    while True:
+        try:
+            unit = conn.recv()
+        except EOFError:
+            return
+        if unit is None:
+            return
+        try:
+            reply = (True, _run_on_worker(pipeline, unit))
+        except Exception as exc:
+            exc.add_note(f"in the worker:\n{traceback.format_exc()}")
+            reply = (False, exc)
+        conn.send(reply)
 
 
 def run_unit(
@@ -134,7 +166,7 @@ def run_unit(
     )
 
 
-def _run_on_worker(unit: WorkUnit | SharedUnit) -> ShardResult:
+def _run_on_worker(pipeline: GenPIPPipeline, unit: WorkUnit | SharedUnit) -> ShardResult:
     """Worker entry point: attach the unit, run it, let go of it.
 
     A shared unit's arrays are read-only views into the mapped segment;
@@ -143,8 +175,6 @@ def _run_on_worker(unit: WorkUnit | SharedUnit) -> ShardResult:
     A pickled unit's payload was materialised here by deserialisation
     and is charged to the ``"pickle"`` copy boundary.
     """
-    if _WORKER_PIPELINE is None:  # pragma: no cover - initialiser contract violation
-        raise RuntimeError("worker used before _init_worker primed the pipeline")
     metrics_before = worker_metrics_snapshot()
     lease = None
     if isinstance(unit, SharedUnit):
@@ -154,46 +184,67 @@ def _run_on_worker(unit: WorkUnit | SharedUnit) -> ShardResult:
         reads = list(unit.reads)
         record_copy("pickle", payload_nbytes(reads))
     try:
-        return run_unit(_WORKER_PIPELINE, unit.shard_id, reads, metrics_before)
+        return run_unit(pipeline, unit.shard_id, reads, metrics_before)
     finally:
         del reads
         if lease is not None:
             lease.release()
 
 
-def shutdown_executor(executor: Executor) -> None:
-    """Shut an executor down; a Ctrl-C landing mid-join downgrades the
-    shutdown to non-waiting instead of propagating."""
-    try:
-        executor.shutdown(wait=True, cancel_futures=True)
-    except KeyboardInterrupt:
-        executor.shutdown(wait=False, cancel_futures=True)
+@dataclass(eq=False)
+class _Worker:
+    """One worker process, the parent's end of its pipe and the future
+    of the unit it is running (``None`` while idle)."""
+
+    process: BaseProcess
+    conn: Connection
+    running: Future | None = None
+    dead: bool = False
+
+
+class _UnitFuture(Future):
+    """A pooled unit's future. Nothing resolves it in the background, so
+    waiting on it reads the pool's pipes until it is done."""
+
+    def __init__(self, pool: WorkerPool):
+        super().__init__()
+        self._pool = pool
+
+    def result(self, timeout=None):
+        self._pool._wait_for(self, timeout)
+        return super().result(0)
+
+    def exception(self, timeout=None):
+        self._pool._wait_for(self, timeout)
+        return super().exception(0)
 
 
 class WorkerPool:
     """One pipeline and the processes (if any) that run its work units.
 
     ``pipeline`` runs the in-process units as it is and reaches each
-    worker once, through the initialiser, with its index swapped for
-    the published handle. ``trace=True`` enables the tracer in every
-    worker and, from :meth:`start` to :meth:`stop`, in the parent.
+    worker once, as a start argument, with its index swapped for the
+    published handle. ``trace=True`` enables the tracer in every worker
+    and, from :meth:`start` to :meth:`stop`, in the parent.
     ``workers <= 1`` means no processes by design: :meth:`start`
     publishes, forks and warns nothing.
 
-    :meth:`start` must run while the caller is still single-threaded
-    (see :func:`_warmup`). A pool that cannot be created, or whose
-    workers cannot start, warns and reports ``alive == False``. A pool
-    that breaks later surfaces as ``BrokenProcessPool`` from
-    :meth:`submit` or from the futures it returned, for the caller to
-    :meth:`retire`.
+    :meth:`start` runs once, while the caller is still single-threaded.
+    A pool whose workers cannot start warns and reports
+    ``alive == False``. A pool that breaks later surfaces as
+    ``BrokenProcessPool`` from :meth:`submit` or from the futures it
+    returned, for the caller to :meth:`retire`.
     """
 
     def __init__(self, pipeline: GenPIPPipeline, workers: int, *, trace: bool = False):
         self._pipeline = pipeline
         self._trace = trace
         self._workers = workers
+        self._started = False
         self._restore_tracing = False
-        self._executor: ProcessPoolExecutor | None = None
+        self._processes: list[_Worker] = []
+        self._queue: deque[tuple[Future, WorkUnit | SharedUnit]] = deque()
+        self._broken: str | None = None
         self._index_handle: SharedIndexHandle | None = None
         self._index_publications = 0
         self._segments: set[str] = set()
@@ -207,7 +258,13 @@ class WorkerPool:
     @property
     def alive(self) -> bool:
         """Whether worker processes exist right now."""
-        return self._executor is not None
+        return bool(self._processes)
+
+    @property
+    def connections(self) -> list[Connection]:
+        """The pipes of the live workers: wait on them and pass each
+        readable one to :meth:`receive`."""
+        return [worker.conn for worker in self._processes if not worker.dead]
 
     @property
     def transport(self) -> str:
@@ -222,7 +279,10 @@ class WorkerPool:
 
     def start(self) -> bool:
         """Open the tracer scope and, for ``workers > 1``, publish the
-        index, create the pool and warm it; returns ``alive``."""
+        index and start the workers; returns ``alive``. Runs once."""
+        if self._started:
+            raise RuntimeError("pool already started")
+        self._started = True
         if self._trace and not tracing_enabled():
             # Covers in-process units; workers enable their own tracer.
             enable_tracing()
@@ -238,12 +298,7 @@ class WorkerPool:
             self._index_publications += 1
             travelling = replace(travelling, index=self._index_handle)
         try:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self._workers,
-                initializer=_init_worker,
-                initargs=(travelling, self._trace),
-            )
-            self._executor.submit(_warmup).result()
+            self._start_workers(travelling)
         except (ImportError, NotImplementedError, OSError, BrokenProcessPool) as exc:
             self._drop_processes()
             warnings.warn(
@@ -256,9 +311,35 @@ class WorkerPool:
             raise
         return self.alive
 
+    def _start_workers(self, pipeline: GenPIPPipeline) -> None:
+        """Start every worker, then wait until each says it is ready."""
+        context = multiprocessing.get_context()
+        for _ in range(self._workers):
+            conn, child = context.Pipe()
+            process = context.Process(
+                target=_worker_main, args=(child, pipeline, self._trace), daemon=True
+            )
+            try:
+                process.start()
+            except BaseException:
+                conn.close()
+                raise
+            finally:
+                # Closed here, the worker's end is held by the worker
+                # alone, so its death is end-of-file on ``conn``.
+                child.close()
+            self._processes.append(_Worker(process, conn))
+        for worker in self._processes:
+            try:
+                message = worker.conn.recv()
+            except (EOFError, OSError):
+                message = f"worker {worker.process.pid} exited before it was ready"
+            if message != _READY:
+                raise BrokenProcessPool(message)
+
     def execute(self, unit: WorkUnit) -> Future:
         """Run ``unit`` wherever it can run: :meth:`submit` while the
-        pool is alive (one that breaks under the submit is retired),
+        pool is alive (one that is broken when submitted to is retired),
         otherwise :meth:`run_local`, handed back as an already-resolved
         future -- exceptions included."""
         if self.alive:
@@ -280,8 +361,8 @@ class WorkerPool:
 
     def retire(self, exc: BaseException) -> None:
         """Give up on processes that broke: warn once, drop them and
-        every segment. Units in flight end broken or cancelled; the
-        caller re-executes those."""
+        every segment. Units in flight end with a result, broken or
+        cancelled; the caller re-executes the last two."""
         if not self.alive:
             return
         warnings.warn(
@@ -290,33 +371,95 @@ class WorkerPool:
         self._drop_processes()
 
     def submit(self, unit: WorkUnit) -> Future:
-        """Publish ``unit`` and run it on a worker; the future resolves
-        to its :class:`ShardResult`. The unit's segment is released when
-        the future is done, however it got there."""
-        if self._executor is None:
+        """Publish ``unit`` and queue it for the next free worker; the
+        future resolves to its :class:`ShardResult`. The unit's segment
+        is released when the future is done, however it got there."""
+        if not self._processes:
             raise BrokenProcessPool("worker pool is not running")
+        if self._broken is not None:
+            raise BrokenProcessPool(self._broken)
+        future = _UnitFuture(self)
+        payload: WorkUnit | SharedUnit = unit
         if self._shm:
             try:
-                shared = publish_unit(unit)
+                payload = publish_unit(unit)
             except (OSError, ValueError, ImportError) as exc:
                 self._fall_back_to_pickle(exc)
             else:
-                name = shared.segment
+                name = payload.segment
                 self._segments.add(name)
-                try:
-                    future = self._executor.submit(_run_on_worker, shared)
-                except BaseException:
-                    self._release(name)
-                    raise
                 future.add_done_callback(lambda _f: self._release(name))
                 if self._transport == "none":
                     self._transport = "shm"
-                return future
-        # Parent-side serialisation cost of the pickled payload (the
-        # worker charges its deserialised copy separately).
-        record_copy("pickle", payload_nbytes(unit.reads))
-        self._transport = "pickle"
-        return self._executor.submit(_run_on_worker, unit)
+        if payload is unit:
+            # Parent-side serialisation cost of the pickled payload (the
+            # worker charges its deserialised copy separately).
+            record_copy("pickle", payload_nbytes(unit.reads))
+            self._transport = "pickle"
+        self._queue.append((future, payload))
+        self._dispatch()
+        return future
+
+    def receive(self, conn: Connection) -> bool:
+        """Handle the message waiting on a worker's pipe; returns
+        whether that worker is still in service (see :meth:`_lose`)."""
+        return self._receive(next(w for w in self._processes if w.conn is conn))
+
+    def _receive(self, worker: _Worker) -> bool:
+        """Take the worker's reply: it gets the next queued unit, then
+        the finished unit's future resolves."""
+        try:
+            ok, value = worker.conn.recv()
+        except (EOFError, OSError):
+            self._lose(worker, "died")
+            return False
+        except Exception as exc:  # the reply was read but does not unpickle here
+            self._lose(worker, f"sent a reply that cannot be unpickled ({exc!r})")
+            return False
+        future, worker.running = worker.running, None
+        self._dispatch()
+        if ok:
+            future.set_result(value)
+        else:
+            future.set_exception(value)
+        return True
+
+    def _dispatch(self) -> None:
+        """Hand queued units, oldest first, to idle workers."""
+        for worker in self._processes:
+            while self._queue and worker.running is None and not worker.dead:
+                future, payload = self._queue.popleft()
+                if not future.set_running_or_notify_cancel():
+                    continue
+                worker.running = future
+                try:
+                    worker.conn.send(payload)
+                except OSError:
+                    self._lose(worker, "died")
+
+    def _lose(self, worker: _Worker, what: str) -> None:
+        """A worker died, or its reply is unreadable: the pool is broken.
+        Its unit and every queued one fail, and so does every later
+        :meth:`submit`; the worker is not sent another message."""
+        worker.dead = True
+        if self._broken is None:
+            self._broken = f"worker {worker.process.pid} {what}"
+        lost = [worker.running] if worker.running is not None else []
+        worker.running = None
+        lost.extend(future for future, _ in self._queue if not future.done())
+        self._queue.clear()
+        for future in lost:
+            future.set_exception(BrokenProcessPool(self._broken))
+
+    def _wait_for(self, future: Future, timeout: float | None) -> None:
+        """Read the pipes until ``future`` is done or ``timeout`` passes."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not future.done() and (connections := self.connections):
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
+                return
+            for conn in wait(connections, remaining):
+                self.receive(conn)
 
     def stop(self) -> None:
         """Drop the processes and segments and close the tracer scope."""
@@ -326,19 +469,40 @@ class WorkerPool:
             disable_tracing()
 
     def _drop_processes(self) -> None:
-        """Shut the workers down, then release the index and every segment.
+        """Stop the workers, then release the index and every segment.
 
-        The index outlives the workers: a non-``fork`` executor starts
-        them lazily, and one still booting when the pool stops attaches
-        the segment by name. The release sits in a ``finally`` so a
-        Ctrl-C landing mid-join still cannot leak it. Segments of units
-        still running after such a downgraded shutdown are released here
-        rather than by their done-callbacks.
+        Queued units are cancelled, a unit a worker is running finishes
+        and its future resolves, then each worker is told to stop and
+        joined. A Ctrl-C landing meanwhile cuts that short instead of
+        propagating: the workers are terminated and the units they ran
+        fail broken. The release sits in a ``finally`` so neither path
+        can leak a segment.
         """
-        executor, self._executor = self._executor, None
+        workers, self._processes = self._processes, []
         try:
-            if executor is not None:
-                shutdown_executor(executor)
+            while self._queue:
+                self._queue.popleft()[0].cancel()
+            try:
+                for worker in workers:
+                    while worker.running is not None:
+                        self._receive(worker)
+                live = [worker for worker in workers if not worker.dead]
+                for worker in live:
+                    with contextlib.suppress(OSError):
+                        worker.conn.send(None)
+                for worker in live:
+                    worker.process.join()
+            except KeyboardInterrupt:
+                pass
+            finally:
+                for worker in workers:
+                    if worker.process.is_alive():
+                        worker.process.terminate()
+                        worker.process.join()
+                    if worker.running is not None:
+                        worker.running.set_exception(BrokenProcessPool("pool stopped mid-unit"))
+                        worker.running = None
+                    worker.conn.close()
         finally:
             if self._index_handle is not None:
                 release_unit(self._index_handle.segment)

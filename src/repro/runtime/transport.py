@@ -30,9 +30,9 @@ module publishes payloads **once** through
 * :func:`publish_index` / :func:`attach_index` do the same for the
   reference minimizer index: its key/position/strand arrays and the
   reference codes are laid out in **one** segment published once per
-  run, so pool initialisation ships a ~100-byte
+  run, so pool start-up ships a ~100-byte
   :class:`SharedIndexHandle` to each worker instead of pickling the
-  index ``max_workers`` times through the initializer. The rebuilt
+  index once per worker. The rebuilt
   index's arrays are zero-copy views (see :func:`attach_index` for the
   lifetime contract).
 * :func:`release_unit` / :func:`release_all` (parent side) close and

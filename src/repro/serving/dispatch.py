@@ -15,6 +15,10 @@ batch engine runs on -- alive across sessions:
 * each read is submitted as a single-read work unit, so verdicts stream
   back as soon as *that read* resolves -- no batch barrier anywhere on
   the path;
+* the event loop reads the worker pipes itself: each worker's pipe is a
+  loop reader (registered again whenever a different loop runs the
+  dispatcher), so a verdict takes two hand-offs -- loop to worker,
+  worker to loop -- with no thread in between;
 * with no processes (``workers <= 1``, a pool that could not start, one
   retired after breaking mid-serve) reads run on a single in-process
   worker thread through the same :meth:`WorkerPool.run_local
@@ -31,16 +35,17 @@ serving layer's standing equivalence invariant.
 from __future__ import annotations
 
 import asyncio
+import functools
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro.core.pipeline import GenPIPPipeline, ReadOutcome
 from repro.obs.metrics import MAPPING_OPS, Histogram, MetricsRegistry, process_registry
 from repro.obs.trace import ReadTrace, decode_traces
-from repro.runtime.pool import WorkerPool, shutdown_executor
+from repro.runtime.pool import WorkerPool
 from repro.runtime.sharding import WorkUnit, resolve_workers
 
 
@@ -154,9 +159,10 @@ class PoolDispatcher:
     survive across :meth:`process` calls -- that persistence *is* the
     subsystem.
 
-    :meth:`start` must run before the asyncio loop exists (single-
-    threaded fork, see :mod:`repro.runtime.pool`), and :meth:`stop`
-    releases the pool and the index segment.
+    :meth:`start` must run before the asyncio loop exists (workers are
+    forked while the process is single-threaded, see
+    :mod:`repro.runtime.pool`), and :meth:`stop` releases the pool and
+    the index segment.
     """
 
     def __init__(
@@ -175,6 +181,9 @@ class PoolDispatcher:
         # One worker thread: without processes reads execute one at a
         # time in-process, off the event loop.
         self._inline: ThreadPoolExecutor | None = None
+        # The loop whose readers watch the worker pipes, and their fds.
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._watched: list[int] = []
         self._ticket = 0
         self._started = False
 
@@ -189,11 +198,17 @@ class PoolDispatcher:
         return self
 
     def stop(self) -> None:
-        """Stop the pool (index segment included) and the inline worker."""
+        """Stop the pool (index segment included) and the inline worker.
+        A Ctrl-C landing while the inline worker is joined stops it
+        without waiting instead of propagating."""
+        self._unwatch()
         self._pool.stop()
         inline, self._inline = self._inline, None
         if inline is not None:
-            shutdown_executor(inline)
+            try:
+                inline.shutdown(wait=True, cancel_futures=True)
+            except KeyboardInterrupt:
+                inline.shutdown(wait=False, cancel_futures=True)
 
     def __enter__(self) -> "PoolDispatcher":
         return self.start()
@@ -245,8 +260,9 @@ class PoolDispatcher:
         result = None
         if self._pool.alive:
             try:
-                result = await asyncio.wrap_future(self._pool.submit(unit))
+                result = await self._on_worker(unit)
             except BrokenProcessPool as exc:
+                self._unwatch()
                 self._pool.retire(exc)
         if result is None:
             if self._inline is None:
@@ -267,6 +283,41 @@ class PoolDispatcher:
             self._record_dispatch(read, result.traces, enqueued, resolved)
         return result.outcomes[0], resolved - enqueued
 
+    def _on_worker(self, unit: WorkUnit) -> asyncio.Future:
+        """Submit ``unit`` to the pool; returns a loop future for its
+        :class:`~repro.runtime.merge.ShardResult`. Cancelling that
+        future cancels the unit if it is still queued."""
+        loop = asyncio.get_running_loop()
+        if self._loop is not loop:
+            self._watch(loop)
+        future = self._pool.submit(unit)
+        waiter = loop.create_future()
+        future.add_done_callback(functools.partial(_settle, waiter))
+        waiter.add_done_callback(lambda _w: waiter.cancelled() and future.cancel())
+        return waiter
+
+    def _watch(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Make ``loop`` read the worker pipes (``asyncio.run`` makes a
+        new loop each time, and the readers die with the old one)."""
+        self._unwatch()
+        self._loop = loop
+        for conn in self._pool.connections:
+            loop.add_reader(conn.fileno(), self._on_readable, conn)
+            self._watched.append(conn.fileno())
+
+    def _unwatch(self) -> None:
+        """Remove the pipe readers; runs before the pool closes a pipe,
+        so a reused descriptor is never watched."""
+        loop, self._loop = self._loop, None
+        if loop is not None and not loop.is_closed():
+            for fd in self._watched:
+                loop.remove_reader(fd)
+        self._watched = []
+
+    def _on_readable(self, conn) -> None:
+        if not self._pool.receive(conn):
+            self._loop.remove_reader(conn.fileno())
+
     def _record_dispatch(self, read, worker_traces, t0: float, t1: float) -> None:
         """Collect one read's traces: the worker's span trees plus a
         parent-side ``dispatch`` trace covering enqueue->verdict.
@@ -279,3 +330,19 @@ class PoolDispatcher:
         self._traces.extend(worker_traces)
         label = str(getattr(read, "read_id", ""))
         self._traces.append(("dispatch", label, os.getpid(), (("dispatch", -1, t0, t1),)))
+
+
+def _settle(waiter: asyncio.Future, future: Future) -> None:
+    """Copy a pool future's outcome onto the loop future awaiting it.
+
+    Not ``asyncio.wrap_future``: a pool future is resolved on the loop's
+    own thread, and the thread-safe hand-over would cost a self-pipe
+    write and one more loop pass per verdict."""
+    if waiter.done():
+        return
+    if future.cancelled():
+        waiter.cancel()
+    elif (exc := future.exception()) is not None:
+        waiter.set_exception(exc)
+    else:
+        waiter.set_result(future.result())

@@ -24,9 +24,9 @@ import time
 
 import numpy as np
 import pytest
+from test_runtime_streaming import FailingBasecaller, WorkerExitingBasecaller
 
 from repro.basecalling import ViterbiBackendConfig, ViterbiChunkBasecaller
-from repro.basecalling.surrogate import SurrogateBasecaller
 from repro.core import GenPIPConfig, GenPIPPipeline
 from repro.kernels.sdtw import sdtw_cost, sdtw_cost_scalar, znormalise
 from repro.mapping.index import MinimizerIndex
@@ -88,32 +88,6 @@ def _no_leaked_segments() -> bool:
     if os.path.isdir("/dev/shm"):
         return not glob.glob("/dev/shm/genpip-*")
     return True
-
-
-class FailingBasecaller(SurrogateBasecaller):
-    """Raises on one read id -- identically in parent and workers."""
-
-    def __init__(self, fail_read_id: str, config=None):
-        super().__init__(config)
-        self.fail_read_id = fail_read_id
-
-    def basecall_chunks(self, read, indices, chunk_size):
-        if read.read_id == self.fail_read_id:
-            raise RuntimeError(f"injected failure on {read.read_id}")
-        return super().basecall_chunks(read, indices, chunk_size)
-
-
-class WorkerExitingBasecaller(SurrogateBasecaller):
-    """Kills any process that is not the recorded parent (breaks the pool)."""
-
-    def __init__(self, parent_pid: int, config=None):
-        super().__init__(config)
-        self.parent_pid = parent_pid
-
-    def basecall_chunks(self, read, indices, chunk_size):
-        if os.getpid() != self.parent_pid:
-            os._exit(1)
-        return super().basecall_chunks(read, indices, chunk_size)
 
 
 @pytest.fixture(scope="module")

@@ -19,7 +19,8 @@ import itertools
 import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
+from multiprocessing.connection import wait
+from multiprocessing.process import BaseProcess
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,7 @@ from repro.runtime import (
     active_segments,
     plan_work,
     replay_report,
+    worker_leases,
 )
 from repro.runtime import engine as engine_module
 from repro.runtime import pool as pool_module
@@ -85,6 +87,19 @@ class WorkerBuildFails(GenPIPPipeline):
         if os.getpid() != _PARENT_PID:
             raise RuntimeError("injected: worker build failed")
         super().__post_init__()
+
+
+class TwoArgumentError(Exception):
+    """Pickles in a worker, cannot be unpickled: ``args`` holds only the
+    joined message."""
+
+    def __init__(self, read_id, detail):
+        super().__init__(f"{read_id}: {detail}")
+
+
+class RaisesTwoArgumentError(SurrogateBasecaller):
+    def basecall_chunks(self, read, indices, chunk_size):
+        raise TwoArgumentError(read.read_id, "injected")
 
 
 @pytest.fixture(scope="module")
@@ -141,14 +156,77 @@ def test_segment_released_on_success(pipeline, dataset):
     with WorkerPool(pipeline, 2) as pool:
         (index_segment,) = active_segments()
         results = _run_units(pool, units)
-        # Done-callbacks run on the executor's thread just after the
-        # result is set, so give the last one a bounded moment.
-        deadline = time.monotonic() + 10
-        while active_segments() != (index_segment,) and time.monotonic() < deadline:
-            time.sleep(0.01)
+        # Released as each result is received, on this thread.
         assert active_segments() == (index_segment,)
     assert [r.shard_id for r in results] == [u.shard_id for u in units]
     assert sum(len(r.outcomes) for r in results) == len(dataset.reads)
+    assert _no_leaked_segments()
+
+
+def test_start_runs_once(pipeline):
+    """A second ``start`` is refused: it would publish the index again
+    and orphan the first segment past ``stop``."""
+    pool = WorkerPool(pipeline, 2)
+    with pool:
+        with pytest.raises(RuntimeError, match="pool already started"):
+            pool.start()
+        assert pool.index_publications == 1
+        assert len(active_segments()) == 1
+    assert active_segments() == ()
+    assert _no_leaked_segments()
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    workers=st.sampled_from([2, 3]),
+    sizes=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=10),
+    data=st.data(),
+)
+def test_any_interleaving_of_submits_and_collects(pipeline, dataset, workers, sizes, data):
+    """Whatever order units are submitted and collected in, with up to
+    two per worker outstanding: each unit's result equals ``run_local``'s
+    and arrives exactly once, and no segment or lease remains."""
+    reads = itertools.cycle(dataset.reads)
+    units = [
+        WorkUnit(shard_id=i, start=0, reads=tuple(itertools.islice(reads, size)))
+        for i, size in enumerate(sizes)
+    ]
+    arrivals: dict[int, list[int]] = {unit.shard_id: [] for unit in units}
+    outstanding: list = []
+    results = {}
+    with WorkerPool(pipeline, workers) as pool:
+        expected = {unit.shard_id: pool.run_local(unit) for unit in units}
+        pending = list(units)
+        while pending or outstanding:
+            can_submit = pending and len(outstanding) < 2 * workers
+            if can_submit and (not outstanding or data.draw(st.booleans(), label="submit")):
+                unit = pending.pop(0)
+                future = pool.submit(unit)
+                future.add_done_callback(
+                    lambda _f, shard=unit.shard_id: arrivals[shard].append(shard)
+                )
+                outstanding.append((unit.shard_id, future))
+            elif data.draw(st.booleans(), label="wait on one future"):
+                index = data.draw(st.integers(0, len(outstanding) - 1), label="which")
+                shard, future = outstanding.pop(index)
+                results[shard] = future.result(timeout=60)
+            else:
+                while not any(future.done() for _, future in outstanding):
+                    ready = wait(pool.connections, timeout=60)
+                    assert ready, "no worker replied within 60 s"
+                    for conn in ready:
+                        pool.receive(conn)
+                for shard, future in [item for item in outstanding if item[1].done()]:
+                    outstanding.remove((shard, future))
+                    results[shard] = future.result()
+    assert arrivals == {shard: [shard] for shard in arrivals}
+    for shard, result in results.items():
+        local = expected[shard]
+        assert (result.shard_id, result.outcomes, result.counters) == (
+            local.shard_id, local.outcomes, local.counters,
+        )  # fmt: skip
+    assert sorted(results) == sorted(expected)
+    assert active_segments() == () and worker_leases() == ()
     assert _no_leaked_segments()
 
 
@@ -172,6 +250,22 @@ def test_segments_released_on_cancel_at_stop(index, dataset):
     pool.stop()
     assert any(future.cancelled() for future in futures)
     assert all(future.done() for future in futures)
+    assert _no_leaked_segments()
+
+
+def test_reply_that_cannot_be_unpickled_breaks_the_pool(index, dataset):
+    """A worker's reply that cannot be unpickled in the parent loses that
+    worker like a death would: the pool is retired once and the unit runs
+    in-process, where its own exception reaches the caller -- and the
+    stop does not wait for a reply that was already read."""
+    pipeline = _pipeline_with(index, RaisesTwoArgumentError())
+    engine = DatasetEngine(pipeline, workers=2, batch_size=3)
+    with (
+        pytest.warns(RuntimeWarning, match="process pool broke") as caught,
+        pytest.raises(TwoArgumentError, match="injected"),
+    ):
+        engine.run(dataset)
+    assert len([w for w in caught if "cannot be unpickled" in str(w.message)]) == 1
     assert _no_leaked_segments()
 
 
@@ -207,19 +301,20 @@ class TestStartFailure:
         )
 
     def test_pool_reports_dead_and_is_torn_down(self, failing_pipeline, monkeypatch):
-        shutdowns = []
+        started = []
+        real_start = BaseProcess.start
 
-        class Recording(ProcessPoolExecutor):
-            def shutdown(self, wait=True, *, cancel_futures=False):
-                shutdowns.append(wait)
-                super().shutdown(wait=wait, cancel_futures=cancel_futures)
+        def recording(process):
+            real_start(process)
+            started.append(process)
 
-        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(BaseProcess, "start", recording)
         pool = WorkerPool(failing_pipeline, 2)
         with pytest.warns(RuntimeWarning, match="process pool unavailable"):
             assert pool.start() is False
         assert not pool.alive
-        assert shutdowns == [True]
+        assert len(started) == 2
+        assert all(process.exitcode is not None for process in started)
         assert active_segments() == ()
         with pytest.raises(pool_module.BrokenProcessPool):
             pool.submit(None)
@@ -254,20 +349,22 @@ class TestStartFailure:
 
 
 def test_one_module_constructs_the_process_pool():
-    """No second pool: ``ProcessPoolExecutor(`` appears in exactly one
-    module under ``src/repro``, and the removed knobs stay removed."""
+    """No second pool: worker processes and their pipes are made in
+    ``runtime/pool.py`` alone, no executor stands in for them, and the
+    removed knobs stay removed."""
     root = Path(repro.__file__).parent
     sources = {path: path.read_text(encoding="utf-8") for path in root.rglob("*.py")}
     constructing = [
         path.relative_to(root).as_posix()
         for path, text in sources.items()
-        if "ProcessPoolExecutor(" in text
+        if re.search(r"\b(Process|Pipe)\(", text)
     ]
     assert constructing == ["runtime/pool.py"]
-    assert sources[root / "runtime/pool.py"].count("ProcessPoolExecutor(") == 1
+    assert len(re.findall(r"\b(Process|Pipe)\(", sources[root / "runtime/pool.py"])) == 2
     for path, text in sources.items():
+        assert "ProcessPoolExecutor" not in text, path
         assert not re.search(r"\bTRANSPORTS\b|\btransport\s*(:\s*str\s*)?=\s*\"auto\"", text), path
-        assert "initializer=" not in text or path.name == "pool.py", path
+        assert "initializer=" not in text, path
 
 
 # --- one execution path: faults from both sides of every removed fork --------
@@ -279,9 +376,8 @@ def test_submit_refused_mid_run_loses_and_repeats_nothing(
 ):
     """``submit`` itself raising on the k-th unit retires the pool: the
     run carries on in-process and the sink sees every outcome exactly
-    once, in order. The window is wider than the executor's call queue,
-    so the retirement *cancels* queued units (a cancelled future never
-    wakes ``wait``) besides letting the running ones finish."""
+    once, in order. The window is wider than the pool, so the retirement
+    *cancels* queued units besides letting the running ones finish."""
     pipeline = _pipeline_with(index, SlowInWorkers())
     serial = DatasetEngine(pipeline, workers=1).run(dataset)
     n_units = len(plan_work(dataset.reads, 1))

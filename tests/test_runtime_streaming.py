@@ -12,10 +12,13 @@ exception, broken pool).
 from __future__ import annotations
 
 import glob
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
+from multiprocessing.connection import wait
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +48,7 @@ from repro.runtime import (
     replay_report,
     worker_leases,
 )
+from repro.runtime import engine as engine_module
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -93,6 +97,28 @@ class WorkerExitingBasecaller(SurrogateBasecaller):
         if os.getpid() != self.parent_pid:
             os._exit(1)
         return super().basecall_chunks(read, indices, chunk_size)
+
+
+class PidRecordingBasecaller(SurrogateBasecaller):
+    """The plain surrogate, except that a worker process leaves its pid in
+    ``directory/<read id>`` for every read it decodes."""
+
+    def __init__(self, parent_pid: int, directory: Path, config=None):
+        super().__init__(config)
+        self.parent_pid = parent_pid
+        self.directory = directory
+
+    def basecall_chunks(self, read, indices, chunk_size):
+        if os.getpid() != self.parent_pid:
+            (self.directory / read.read_id).write_text(str(os.getpid()))
+        return super().basecall_chunks(read, indices, chunk_size)
+
+
+def kill_worker(pid: int) -> None:
+    """SIGKILL one pool worker of this process and wait until it is gone."""
+    (process,) = [p for p in multiprocessing.active_children() if p.pid == pid]
+    os.kill(pid, signal.SIGKILL)
+    assert wait([process.sentinel], timeout=30), f"worker {pid} outlived SIGKILL"
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +275,45 @@ class TestFailurePaths:
         assert replayed.outcomes == serial_report.outcomes
         assert _no_leaked_segments()
 
+    def test_worker_killed_between_units_resumes_serially(
+        self, tiny_index, tiny_dataset, serial_report, tmp_path, monkeypatch
+    ):
+        """A worker killed while idle, between two of its units, breaks
+        the pool the same way as one dying mid-unit: one warning, every
+        outcome exactly once and equal to serial, nothing left behind.
+        One unit in flight per worker keeps the killed one idle: the
+        sink kills the worker that ran the first emitted unit, which
+        has nothing queued behind it."""
+        monkeypatch.setattr(engine_module, "_INFLIGHT_PER_WORKER", 1)
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        killed = []
+
+        class KillingSink(JSONLSink):
+            def emit(self, outcomes):
+                if not killed:
+                    killed.append(int((pids / outcomes[0].read_id).read_text()))
+                    kill_worker(killed[0])
+                super().emit(outcomes)
+
+        system = GenPIPPipeline(
+            tiny_index,
+            GenPIPConfig(),
+            basecaller=PidRecordingBasecaller(os.getpid(), pids),
+            align=False,
+        )
+        path = tmp_path / "outcomes.jsonl"
+        engine = DatasetEngine(system, workers=2, batch_size=3, sink=KillingSink(path))
+        with pytest.warns(RuntimeWarning, match="process pool broke") as caught:
+            report = engine.run(tiny_dataset)
+        assert len(killed) == 1
+        assert len([w for w in caught if "process pool broke" in str(w.message)]) == 1
+        assert engine.last_stats.mode == "serial"
+        assert report.counters == serial_report.counters
+        assert replay_report(path, serial_report.config).outcomes == serial_report.outcomes
+        assert active_segments() == () and worker_leases() == ()
+        assert _no_leaked_segments()
+
     def test_source_failure_aborts_cleanly(self, tiny_system, tiny_dataset, tmp_path):
         """A source that raises mid-stream fails one way whatever the
         worker count: its own exception, and a JSONL holding exactly the
@@ -380,21 +445,28 @@ class TestSources:
     def test_pooled_parent_pulls_the_source_on_the_calling_thread(
         self, tiny_system, tiny_dataset, tmp_path
     ):
-        """The parent of a batch run starts no thread of its own and
-        reads nothing ahead of its window: whether the source ends or
-        raises, a pooled run advances it on the calling thread by exactly
-        the reads of the units planned, the only other threads alive
-        meanwhile are the executor's two (its manager and its queue
-        feeder), and neither outlives the run."""
+        """The parent of a batch run is one thread and reads nothing
+        ahead of its window: whether the source ends or raises, a pooled
+        run advances it on the calling thread by exactly the reads of
+        the units planned, and no other thread is alive in the parent
+        meanwhile -- sampled as the source is pulled and as the sink
+        takes each emitted prefix."""
         threads_before = set(threading.enumerate())
+        thread_counts: list[int] = []
+
+        class ProbeSink(JSONLSink):
+            def emit(self, outcomes):
+                thread_counts.append(threading.active_count())
+                super().emit(outcomes)
+
         for raises in (False, True):
             pulled: list[str] = []
-            seen: set[threading.Thread] = set()
+            thread_counts.clear()
 
             def probed():
                 for read in tiny_dataset.reads[:12]:
                     assert threading.current_thread() is threading.main_thread()
-                    seen.update(threading.enumerate())
+                    thread_counts.append(threading.active_count())
                     pulled.append(read.read_id)
                     yield read
                 if raises:
@@ -402,7 +474,7 @@ class TestSources:
 
             path = tmp_path / f"planned-{raises}.jsonl"
             engine = DatasetEngine(
-                tiny_system, workers=2, batch_size=2, sink=JSONLSink(path)
+                tiny_system, workers=2, batch_size=2, sink=ProbeSink(path)
             )
             if raises:
                 with pytest.raises(ValueError, match="boom"):
@@ -411,7 +483,8 @@ class TestSources:
                 engine.run(IterableSource(probed()))
                 assert engine.last_stats.mode == "process-pool"
             assert len(pulled) == 12 == len(path.read_text().splitlines())
-            assert len(seen - threads_before) <= 2
+            assert len(thread_counts) > 12
+            assert set(thread_counts) == {1}
             assert set(threading.enumerate()) <= threads_before
         assert _no_leaked_segments()
 

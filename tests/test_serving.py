@@ -19,14 +19,16 @@ import dataclasses
 import gc
 import glob
 import json
+import multiprocessing
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_runtime_streaming import FailingBasecaller, WorkerExitingBasecaller
+from test_runtime_streaming import FailingBasecaller, WorkerExitingBasecaller, kill_worker
 
 from repro.basecalling import ViterbiBackendConfig, ViterbiChunkBasecaller
 from repro.core import GenPIPConfig, GenPIPPipeline
@@ -433,12 +435,28 @@ def test_partition_rejects_zero_sessions():
 # --- end-to-end: concurrent sessions == serial batch ------------------------
 
 
-def test_concurrent_sessions_match_serial_batch(tiny_system, tiny_dataset, serial_records):
+def test_concurrent_sessions_match_serial_batch(
+    tiny_system, tiny_dataset, serial_records, monkeypatch
+):
     """Three concurrent sessions over the warm pool reproduce the batch
-    records byte-for-byte, with exactly one index publication."""
+    records byte-for-byte, with exactly one index publication, and the
+    serving process is one thread throughout: the event loop reads the
+    worker pipes itself."""
+    thread_counts = []
+    real_process = PoolDispatcher.process
+
+    async def probed(self, read):
+        thread_counts.append(threading.active_count())
+        verdict = await real_process(self, read)
+        thread_counts.append(threading.active_count())
+        return verdict
+
+    monkeypatch.setattr(PoolDispatcher, "process", probed)
     results, stats = serve_and_drive(
         tiny_system, tiny_dataset.reads, sessions=3, workers=2
     )
+    assert len(thread_counts) == 2 * len(tiny_dataset.reads)
+    assert set(thread_counts) == {1}
     assert merged_outcomes(results) == serial_records
     assert stats.mode == "process-pool"
     assert stats.transport == "shm"
@@ -990,6 +1008,39 @@ def test_worker_killed_mid_read_degrades_inline(tiny_dataset, serial_records):
         assert active_segments() == ()
     assert sorted(result.verdicts) == list(range(len(tiny_dataset.reads)))
     assert merged_outcomes([result]) == serial_records
+    assert _no_leaked_segments()
+
+
+def test_worker_killed_between_reads_degrades_inline(
+    tiny_system, tiny_dataset, serial_records
+):
+    """A worker killed while idle, between two sessions' reads, breaks
+    the pool the same way as one dying mid-read: one warning, every read
+    exactly one verdict equal to the serial record, the dispatcher
+    inline afterwards and no segment or lease left behind."""
+    indexed = list(enumerate(tiny_dataset.reads))
+    half = len(indexed) // 2
+    dispatcher = PoolDispatcher(tiny_system, workers=2)
+    with dispatcher:
+        (victim, _) = multiprocessing.active_children()
+
+        async def _sessions():
+            async with ServingServer(dispatcher) as server:
+                first = await run_session("127.0.0.1", server.port, indexed[:half])
+                assert dispatcher.mode == "process-pool"
+                kill_worker(victim.pid)
+                second = await run_session("127.0.0.1", server.port, indexed[half:])
+                return [first, second]
+
+        with pytest.warns(RuntimeWarning, match="process pool broke") as caught:
+            results = asyncio.run(_sessions())
+        assert len([w for w in caught if "process pool broke" in str(w.message)]) == 1
+        assert dispatcher.mode == "inline"
+        assert active_segments() == () and worker_leases() == ()
+    assert sorted(seq for result in results for seq in result.verdicts) == list(
+        range(len(indexed))
+    )
+    assert merged_outcomes(results) == serial_records
     assert _no_leaked_segments()
 
 
