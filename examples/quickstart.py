@@ -201,8 +201,8 @@ def main() -> None:
     #    current, and so can this one. Persist the Viterbi system's
     #    synthesized signals into a raw-signal container once, then run
     #    the dataset *from stored current*: SignalStoreSource streams
-    #    SignalReads, the shared-memory transport ships float samples to
-    #    workers, and the signal-space backend decodes exactly what the
+    #    SignalReads, each unit's columnar image carries the float samples
+    #    down a worker's pipe, and the signal-space backend decodes exactly what the
     #    container holds -- synthesis never runs. Any worker count
     #    yields the identical report, now guaranteed in signal space.
     from repro.nanopore import write_signals
@@ -346,10 +346,10 @@ def main() -> None:
     #     each work unit as one columnar batch (per-batch contiguous
     #     quality/code/sample buffers plus per-read offset handles);
     #     repro.runtime.columnar makes that layout a first-class
-    #     representation. Pack once, then *view* everywhere: workers
-    #     rebuild their reads as read-only views into the shared
-    #     segment (a ref-counted SegmentLease keeps the mapping alive
-    #     until the batch's outcomes are produced), so the per-read
+    #     representation. Pack once, then *view* everywhere: each unit
+    #     goes down its worker's pipe as that one image, and the worker
+    #     rebuilds its reads as read-only views into the bytes it
+    #     received (the views keep them alive), so the per-read
     #     copy figure is zero -- measured by the genpip_copied_bytes
     #     counter every copy site charges (repro.obs.metrics.record_copy),
     #     no monkeypatching. There is nothing to switch on: the
@@ -368,8 +368,8 @@ def main() -> None:
     stats = engine.last_stats
     assert view_report.counters == report.counters
     print(
-        f"pooled run: {stats.mode} x{stats.workers} transport "
-        f"{stats.transport} -> {stats.bytes_copied_per_read:.0f} B "
+        f"pooled run: {stats.mode} x{stats.workers}, index {stats.transport} "
+        f"-> {stats.bytes_copied_per_read:.0f} B "
         f"copied/read worker-side ({stats.bytes_published:,} B published "
         f"parent-side); counters identical to the serial report"
     )

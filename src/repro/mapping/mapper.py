@@ -12,6 +12,7 @@ does when it checks the chaining score of the first ``N_cm`` chunks.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,6 +35,19 @@ class MapperConfig:
     min_identity: float = 0.55
     #: Minimum fraction of the read covered by the primary chain.
     min_read_coverage: float = 0.25
+
+    def __post_init__(self) -> None:
+        for name in ("min_identity", "min_read_coverage"):
+            value = getattr(self, name)
+            # A NaN threshold compares False against every read, so every
+            # read would come back unmapped; one outside [0, 1] keeps all
+            # reads or none.
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not 0.0 <= value <= 1.0
+            ):
+                raise ValueError(f"{name} must be a fraction in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)

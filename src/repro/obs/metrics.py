@@ -358,16 +358,14 @@ def record_copy(boundary: str, nbytes: int) -> None:
     the transport layers call this exactly where they materialise a
     copy, so the count is an output of the code path itself. Boundaries:
 
-    * ``"publish"`` -- the parent packs a work unit's arrays into a
-      shared segment. Always paid by a pooled run: the segment *is* the
-      batch. A serving client packing a read frame is the same pack
-      and charges the same boundary in its own process.
-    * ``"attach"`` -- arrays copied out of a segment
-      (``attach_unit(copy=True)``). Pool workers attach views instead,
-      so a pooled run charges nothing here.
-    * ``"pickle"`` -- read payload bytes that travelled pickled because
-      a segment could not be created (the pool's automatic fallback),
-      charged once in the parent and once in the worker.
+    * ``"publish"`` -- the parent packs a work unit's arrays into the
+      columnar image it sends down a worker's pipe. Always paid by a
+      pooled run: the image *is* the batch. A serving client packing a
+      read frame is the same pack and charges the same boundary in its
+      own process.
+    * ``"attach"`` -- arrays copied out of a packed batch
+      (``ColumnarBatch.reads(copy=True)``). Pool workers view their
+      image instead, so a pooled run charges nothing here.
 
     Workers ship their movement home as a snapshot delta on
     :class:`~repro.runtime.merge.ShardResult`;

@@ -14,19 +14,19 @@ supplies the execution layer as a streaming dataflow:
   fixed number of reads per unit;
 * :mod:`repro.runtime.columnar` -- the single columnar batch layout
   (:class:`ColumnarLayout` / :class:`ColumnarBatch`) shared by the
-  transport, the kernel plane, and the sinks: planned once, packed
-  once, viewed everywhere else;
-* :mod:`repro.runtime.transport` -- shared-memory publication of read
-  and signal payloads plus the minimizer index (workers receive
-  handles, not pickles, and attach read-only views held by a
-  :class:`~repro.runtime.transport.SegmentLease`);
+  worker pipes, the serving wire, the kernel plane, and the sinks:
+  planned once, packed once, viewed everywhere else;
+* :mod:`repro.runtime.transport` -- shared-memory publication of the
+  minimizer index (workers receive a handle, not a pickle, and attach
+  read-only views);
 * :mod:`repro.runtime.pool` -- :class:`WorkerPool`, the one worker
   plane under batch and serving and the one place a unit is executed:
   the :class:`~repro.core.pipeline.GenPIPPipeline` itself handed to each
-  worker as it starts, index published once, one pipe per worker read
-  by the scheduler's own thread, ``submit(unit)`` over shared memory
-  with an automatic pickle fallback, segment release, Ctrl-C-safe stop,
-  and ``execute(unit)``, which runs the unit in this process whenever
+  worker as it starts, index published once (pickled if no segment can
+  be made), one pipe per worker read by the scheduler's own thread,
+  ``submit(unit)`` sending the unit down that pipe as one columnar
+  image the worker views in place, Ctrl-C-safe stop, and
+  ``execute(unit)``, which runs the unit in this process whenever
   there are no worker processes;
 * :mod:`repro.runtime.merge` -- :class:`ShardCollector`, the
   order-preserving streaming merge that releases the completed prefix;
@@ -42,8 +42,8 @@ supplies the execution layer as a streaming dataflow:
 
 The load-bearing invariant, asserted by ``tests/test_runtime.py`` and
 ``tests/test_runtime_streaming.py``: for any worker count and any
-source x sink combination -- shared memory or the pickle fallback
-underneath -- the merged result is identical to the sequential run's:
+source x sink combination -- the index shared or pickled -- the
+merged result is identical to the sequential run's:
 same outcomes, same order, same counters.
 """
 
@@ -78,13 +78,11 @@ from repro.runtime.source import (
     as_read_source,
 )
 from repro.runtime.transport import (
-    SegmentLease,
     SharedIndexHandle,
     active_segments,
     attach_index,
     publish_index,
     release_all,
-    worker_leases,
 )
 
 __all__ = [
@@ -98,7 +96,6 @@ __all__ = [
     "ReadSource",
     "ReportSink",
     "RuntimeStats",
-    "SegmentLease",
     "SequenceSource",
     "ShardCollector",
     "ShardResult",
@@ -121,5 +118,4 @@ __all__ = [
     "replay_report",
     "resolve_batch_size",
     "resolve_workers",
-    "worker_leases",
 ]

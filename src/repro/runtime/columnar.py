@@ -1,13 +1,14 @@
-"""One columnar batch layout from shared segment to kernels to sinks.
+"""One columnar batch layout from the worker pipe to kernels to sinks.
 
-The shm publisher has always written work units *columnar*: per-batch
-contiguous buffers grouped by element width, with per-read offset
-tables. This module makes that layout a first-class representation --
-planned once (:class:`ColumnarLayout`), packed once, and then **viewed**
-everywhere else (:class:`ColumnarBatch`): the worker's reads, the
-kernel plane's sample windows, and the SER screen's prefix slices are
-read-only numpy views into the same segment bytes the parent wrote, so
-a batch crosses the process boundary with zero worker-side copies.
+A work unit travels *columnar*: per-batch contiguous buffers grouped
+by element width, with per-read offset tables. This module makes that
+layout a first-class representation -- planned once
+(:class:`ColumnarLayout`), packed once, and then **viewed** everywhere
+else (:class:`ColumnarBatch`): the worker's reads, the kernel plane's
+sample windows, and the SER screen's prefix slices are read-only numpy
+views into the one image the parent packed and the worker received, so
+a batch crosses the process boundary with zero worker-side copies. A
+serving read frame carries the same image for one read.
 
 Layout diagram -- byte offsets of one packed batch (``total8`` /
 ``total_samples`` / ``total_codes`` are the section byte sizes)::
@@ -38,14 +39,15 @@ Zero-copy safety rests on two properties of the read dataclasses:
 ``np.ascontiguousarray`` returns an already-contiguous correctly-typed
 array *unchanged* (so ``RawSignal``/``SimulatedRead`` construction
 preserves view-ness), and every view is marked read-only before it
-escapes (shared bytes must never be writable through a view -- other
-workers may be reading the same physical pages).
+escapes (a batch's bytes are never written through a view, whoever
+else reads them).
 
-Lifetime: views are only valid while the mapping they point into is
-open. :func:`repro.runtime.transport.attach_unit` pairs ``copy=False``
-views with a ref-counted :class:`~repro.runtime.transport.SegmentLease`
-that holds the worker-side mapping open until the batch's outcomes are
-produced -- see the transport module for the handoff protocol.
+Lifetime: a numpy view holds a reference to the buffer it was taken
+from, so views over a ``bytes`` or ``bytearray`` image -- a pool
+worker's received unit, a decoded serving frame -- keep that image
+alive by themselves; nothing has to be released. A buffer that can be
+closed under its views (a shared-memory mapping) needs an owner that
+outlives them.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ class ColumnarLayout:
     """The offset plan of one batch: handles plus section byte sizes.
 
     :meth:`plan` computes it from the reads alone (no buffer needed), so
-    the same plan serves size queries (:attr:`total_bytes`), segment
+    the same plan serves size queries (:attr:`total_bytes`), buffer
     sizing, and :meth:`pack_into`.
     """
 
@@ -185,10 +187,9 @@ class ColumnarLayout:
     def pack_into(self, buf, reads: Sequence[SimulatedRead | SignalRead]) -> int:
         """Write the reads' arrays into ``buf`` at their planned offsets.
 
-        This is the data plane's *one* copy (the "publish" boundary; it
-        exists in both copy modes -- the segment is the batch) and is
-        charged through :func:`~repro.obs.metrics.record_copy`.
-        Returns the bytes written.
+        This is the data plane's *one* copy (the "publish" boundary: the
+        image is the batch) and is charged through
+        :func:`~repro.obs.metrics.record_copy`. Returns the bytes written.
         """
         for handle, read in zip(self.handles, reads, strict=True):
             if isinstance(handle, SignalHandle):
@@ -212,19 +213,8 @@ class ColumnarLayout:
         return self.total_bytes
 
 
-def payload_nbytes(reads: Sequence[SimulatedRead | SignalRead]) -> int:
-    """Array payload bytes of a batch (what any transport must move)."""
-    total = 0
-    for read in reads:
-        if isinstance(read, SignalRead):
-            total += 8 * read.signal.n_bases + 4 * read.signal.samples.size
-        else:
-            total += 9 * len(read)  # f64 qualities + u8 codes
-    return total
-
-
 def _view(buf, dtype, count: int, offset: int) -> np.ndarray:
-    """A read-only numpy view into ``buf`` (shared bytes stay immutable)."""
+    """A read-only numpy view into ``buf`` (a batch's bytes stay immutable)."""
     view = np.frombuffer(buf, dtype=dtype, count=count, offset=offset)
     view.flags.writeable = False
     return view
@@ -233,15 +223,14 @@ def _view(buf, dtype, count: int, offset: int) -> np.ndarray:
 class ColumnarBatch:
     """Read-only columnar access over one packed batch buffer.
 
-    Wraps a buffer (typically a shared segment's mapping) plus the
-    handles that index it. Every accessor returns a read-only view --
-    nothing is copied unless :meth:`reads` is asked to
-    (``copy=True``, the classic attach behaviour, charged to the
-    ``"attach"`` boundary).
+    Wraps a buffer (typically a unit's image as a pool worker received
+    it) plus the handles that index it. Every accessor returns a
+    read-only view -- nothing is copied unless :meth:`reads` is asked to
+    (``copy=True``, charged to the ``"attach"`` boundary).
 
-    The batch does not own the buffer's lifetime: whoever holds the
-    mapping open (a :class:`~repro.runtime.transport.SegmentLease` on
-    the worker side) must outlive every view taken from here.
+    Views keep a ``bytes``/``bytearray`` buffer alive by themselves; a
+    buffer that can be closed (a shared-memory mapping) must stay open
+    while any view taken from here is in use.
     """
 
     def __init__(self, buf, handles: Sequence[ReadHandle | SignalHandle]):
@@ -301,10 +290,10 @@ class ColumnarBatch:
         """Rebuild the batch's reads from the columnar buffers.
 
         ``copy=False`` (the zero-copy plane): every array is a read-only
-        view into the batch buffer; the caller owns keeping the buffer
-        alive for as long as the reads are used. ``copy=True``: arrays
-        are copied out (the classic worker attach), and the copied bytes
-        are charged to the ``"attach"`` boundary.
+        view into the batch buffer, valid for as long as the buffer is
+        (see the module's lifetime note). ``copy=True``: arrays are
+        copied out, and the copied bytes are charged to the ``"attach"``
+        boundary.
         """
         reads: list[SimulatedRead | SignalRead] = []
         copied = 0

@@ -14,10 +14,11 @@ one run:
    fixed number of reads each;
 3. units execute through a bounded in-flight window of
    :meth:`WorkerPool.execute <repro.runtime.pool.WorkerPool.execute>`
-   futures -- the pool owns the processes, the shared-memory
-   publication, its pickle fallback and the in-process execution of
-   units when there are no processes (see :mod:`repro.runtime.pool`),
-   and this thread reads the worker pipes itself
+   futures -- the pool owns the processes, the index's shared-memory
+   publication and its pickle fallback, the units' trip down the worker
+   pipes and the in-process execution of units when there are no
+   processes (see :mod:`repro.runtime.pool`), and this thread reads the
+   worker pipes itself
    (:func:`multiprocessing.connection.wait`);
 4. the ordered completed prefix streams out of the
    :class:`~repro.runtime.merge.ShardCollector` into a
@@ -35,8 +36,8 @@ Failure handling preserves both the contract and resources. There is
 one path: a run with ``workers <= 1``, a pool that could not start and
 a pool retired mid-run differ only in where ``execute`` runs the next
 unit. Units a broken pool lost are executed again, nothing already
-emitted is re-emitted, and shared-memory segments are released on
-success, worker failure, broken pool and engine crash alike
+emitted is re-emitted, and the index segment is released on success,
+worker failure, broken pool and engine crash alike
 (:func:`repro.runtime.transport.active_segments` is the leak probe
 tests use). A source that raises mid-stream fails the run with its own
 exception after every unit planned before it has reached the sink, so
@@ -88,17 +89,18 @@ class RuntimeStats:
     n_shards: int
     n_reads: int
     elapsed_s: float
-    #: How unit payloads actually travelled (observed, not requested).
+    #: How the index reached the workers (observed, not requested):
+    #: a shared segment, pickled, or "none" without processes.
     transport: str = "none"  # "none" | "shm" | "pickle"
     inflight_window: int = 0  # max work units submitted concurrently
-    #: Worker-side payload bytes copied to obtain reads: zero under
-    #: "shm" (workers take views), deserialised payloads under the
-    #: "pickle" fallback -- the merged per-unit registry deltas.
+    #: Worker-side payload bytes copied to obtain reads -- the merged
+    #: per-unit registry deltas. Zero for a pooled run: workers view
+    #: the image they received.
     bytes_copied: int = 0
-    #: Parent-side payload bytes moved to make units reachable: shm
-    #: publication ("publish" boundary) plus pickled payloads. Paid in
-    #: every pooled mode -- the segment *is* the batch -- so it is
-    #: reported separately from the gated copy figure above.
+    #: Parent-side payload bytes packed into unit images ("publish"
+    #: boundary). Paid by every pooled run -- the image *is* the
+    #: batch -- so it is reported separately from the gated copy
+    #: figure above.
     bytes_published: int = 0
 
     @property
@@ -121,19 +123,17 @@ class RuntimeStats:
 
         ``worker_metrics`` is the merged worker-side snapshot delta
         (:attr:`~repro.runtime.merge.ShardCollector.metrics`) --
-        its ``genpip_copied_bytes`` movement *is* the worker-side
-        attach/pickle traffic. ``parent_delta`` is the parent process's
-        own registry movement over the run -- its publish+pickle
-        movement *is* the published-bytes figure. The remaining fields
-        pass through to the constructor.
+        its ``genpip_copied_bytes`` movement *is* the worker-side copy
+        traffic. ``parent_delta`` is the parent process's own registry
+        movement over the run -- its ``"publish"`` movement *is* the
+        published-bytes figure. The remaining fields pass through to the
+        constructor.
         """
         worker_copies = worker_metrics.get(COPIED_BYTES, {}).get("values", {})
         parent_copies = parent_delta.get(COPIED_BYTES, {}).get("values", {})
         return cls(
             bytes_copied=int(sum(worker_copies.values())),
-            bytes_published=int(
-                parent_copies.get("publish", 0) + parent_copies.get("pickle", 0)
-            ),
+            bytes_published=int(parent_copies.get("publish", 0)),
             **fields,
         )
 

@@ -30,10 +30,17 @@ and ``BrokenProcessPool``. Everything else lives here, once:
   single-threaded;
 * the minimizer index, published to shared memory **once** per pool so
   the pipeline travels with a ~100-byte handle in place of its index
-  and each worker attaches the segment zero-copy;
+  and each worker attaches the segment zero-copy. If no segment can be
+  made, the index travels pickled inside the pipeline instead (warned
+  once); :attr:`WorkerPool.transport` says which;
 * dispatch: a worker runs one unit at a time and further units wait in
-  a FIFO here. No thread stands between a scheduler and a worker: the
-  scheduler watches the pipes itself -- the batch engine with
+  a FIFO here. A unit is packed into one columnar image
+  (:class:`~repro.runtime.columnar.ColumnarLayout`, the ``"publish"``
+  copy) only as it is handed to a worker, so the parent holds one image
+  at a time; the worker is sent the unit's shard id and read handles,
+  then the image as one ``send_bytes``. No thread stands between a
+  scheduler and a worker:
+  the scheduler watches the pipes itself -- the batch engine with
   :func:`multiprocessing.connection.wait`, the serving dispatcher as
   event-loop readers -- and hands each readable one to
   :meth:`~WorkerPool.receive`, which gives that worker the next queued
@@ -44,18 +51,10 @@ and ``BrokenProcessPool``. Everything else lives here, once:
   unit and every queued one fail with ``BrokenProcessPool``, and so
   does every later :meth:`~WorkerPool.submit`, for the caller to
   :meth:`~WorkerPool.retire` and run them in-process;
-* the single worker entry point: a :class:`~repro.runtime.transport
-  .SharedUnit` is attached zero-copy (read-only views under a
-  :class:`~repro.runtime.transport.SegmentLease`), a pickled
-  :class:`~repro.runtime.sharding.WorkUnit` is processed directly;
-* segment release in a done-callback -- result, worker exception,
-  broken pool and cancellation all go through it.
-
-Shared memory is the path. Pickle is only the automatic fallback when a
-segment cannot be created (``OSError`` / ``ValueError`` / ``ImportError``
-from ``publish_*``); the first such failure is warned once and the pool
-stays on pickle. :attr:`WorkerPool.transport` reports what actually
-travelled.
+* the single worker entry point: the received image is viewed as the
+  unit's reads (:meth:`~repro.runtime.columnar.ColumnarBatch.reads`,
+  read-only arrays that keep the ``bytes`` object alive), so a worker
+  copies nothing and holds nothing to release.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ from multiprocessing.connection import Connection, wait
 from multiprocessing.process import BaseProcess
 
 from repro.core.pipeline import GenPIPPipeline
-from repro.obs.metrics import record_copy, worker_metrics_delta, worker_metrics_snapshot
+from repro.obs.metrics import worker_metrics_delta, worker_metrics_snapshot
 from repro.obs.trace import (
     active_tracer,
     disable_tracing,
@@ -82,19 +81,10 @@ from repro.obs.trace import (
     enable_tracing,
     tracing_enabled,
 )
-from repro.runtime.columnar import payload_nbytes
+from repro.runtime.columnar import ColumnarBatch, ColumnarLayout
 from repro.runtime.merge import ShardResult
 from repro.runtime.sharding import WorkUnit
-from repro.runtime.transport import (
-    SharedIndexHandle,
-    SharedUnit,
-    attach_index,
-    attach_unit,
-    publish_index,
-    publish_unit,
-    release_unit,
-    unit_lease,
-)
+from repro.runtime.transport import SharedIndexHandle, attach_index, publish_index, release_unit
 
 #: What a worker sends once its pipeline is built.
 _READY = "ready"
@@ -117,7 +107,8 @@ def _init_worker(pipeline: GenPIPPipeline, trace: bool) -> GenPIPPipeline:
 
 
 def _worker_main(conn: Connection, pipeline: GenPIPPipeline, trace: bool) -> None:
-    """A worker's life: build, say ready, then run one unit per message
+    """A worker's life: build, say ready, then run one unit per pair of
+    messages -- ``(shard_id, handles)``, then the columnar image --
     until ``None`` (or the parent's end closing) says stop.
 
     A build that fails sends its text in place of the ready word. A
@@ -132,13 +123,18 @@ def _worker_main(conn: Connection, pipeline: GenPIPPipeline, trace: bool) -> Non
     conn.send(_READY)
     while True:
         try:
-            unit = conn.recv()
+            header = conn.recv()
+            if header is None:
+                return
+            image = conn.recv_bytes()
         except EOFError:
             return
-        if unit is None:
-            return
+        shard_id, handles = header
+        metrics_before = worker_metrics_snapshot()
         try:
-            reply = (True, _run_on_worker(pipeline, unit))
+            # Read-only views into ``image``: the reads keep it alive.
+            reads = ColumnarBatch(image, handles).reads()
+            reply = (True, run_unit(pipeline, shard_id, reads, metrics_before))
         except Exception as exc:
             exc.add_note(f"in the worker:\n{traceback.format_exc()}")
             reply = (False, exc)
@@ -152,7 +148,7 @@ def run_unit(
     is executed, in a worker or in the parent.
 
     ``metrics_before`` is the worker's registry snapshot from before the
-    unit was attached: the movement since then ships home on the
+    unit's reads were rebuilt: the movement since then ships home on the
     result. In-process callers pass none -- their charges already land
     in the parent's own ledgers. Spans ride along either way.
     """
@@ -164,31 +160,6 @@ def run_unit(
         metrics=None if metrics_before is None else worker_metrics_delta(metrics_before),
         traces=drain_read_traces(),
     )
-
-
-def _run_on_worker(pipeline: GenPIPPipeline, unit: WorkUnit | SharedUnit) -> ShardResult:
-    """Worker entry point: attach the unit, run it, let go of it.
-
-    A shared unit's arrays are read-only views into the mapped segment;
-    the lease keeps the mapping open until the outcomes exist, and the
-    views are dropped *before* the release so the close is not deferred.
-    A pickled unit's payload was materialised here by deserialisation
-    and is charged to the ``"pickle"`` copy boundary.
-    """
-    metrics_before = worker_metrics_snapshot()
-    lease = None
-    if isinstance(unit, SharedUnit):
-        reads = attach_unit(unit, copy=False)
-        lease = unit_lease(unit.segment)
-    else:
-        reads = list(unit.reads)
-        record_copy("pickle", payload_nbytes(reads))
-    try:
-        return run_unit(pipeline, unit.shard_id, reads, metrics_before)
-    finally:
-        del reads
-        if lease is not None:
-            lease.release()
 
 
 @dataclass(eq=False)
@@ -243,12 +214,10 @@ class WorkerPool:
         self._started = False
         self._restore_tracing = False
         self._processes: list[_Worker] = []
-        self._queue: deque[tuple[Future, WorkUnit | SharedUnit]] = deque()
+        self._queue: deque[tuple[Future, WorkUnit]] = deque()
         self._broken: str | None = None
         self._index_handle: SharedIndexHandle | None = None
         self._index_publications = 0
-        self._segments: set[str] = set()
-        self._shm = True
         self._transport = "none"
 
     @property
@@ -267,9 +236,16 @@ class WorkerPool:
         return [worker.conn for worker in self._processes if not worker.dead]
 
     @property
+    def outstanding(self) -> int:
+        """Units queued here or running on a worker: 0 once every future
+        :meth:`submit` returned is done."""
+        return len(self._queue) + sum(w.running is not None for w in self._processes)
+
+    @property
     def transport(self) -> str:
-        """How unit payloads have travelled: ``"none"`` before the first
-        submit, then ``"shm"``, or ``"pickle"`` once any unit fell back."""
+        """How the index reached the workers: ``"shm"`` (a segment
+        handle) or ``"pickle"`` (the fallback); ``"none"`` when no
+        worker process ever started. Units always travel on the pipes."""
         return self._transport
 
     @property
@@ -293,14 +269,21 @@ class WorkerPool:
         try:
             self._index_handle = publish_index(travelling.index)
         except (OSError, ValueError, ImportError) as exc:
-            self._fall_back_to_pickle(exc)
+            warnings.warn(
+                f"shared memory unavailable ({exc!r}); the index travels pickled",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            self._transport = "pickle"
         else:
             self._index_publications += 1
+            self._transport = "shm"
             travelling = replace(travelling, index=self._index_handle)
         try:
             self._start_workers(travelling)
         except (ImportError, NotImplementedError, OSError, BrokenProcessPool) as exc:
             self._drop_processes()
+            self._transport = "none"
             warnings.warn(
                 f"process pool unavailable ({exc!r}); running in-process",
                 RuntimeWarning,
@@ -360,9 +343,9 @@ class WorkerPool:
         return run_unit(self._pipeline, unit.shard_id, list(unit.reads))
 
     def retire(self, exc: BaseException) -> None:
-        """Give up on processes that broke: warn once, drop them and
-        every segment. Units in flight end with a result, broken or
-        cancelled; the caller re-executes the last two."""
+        """Give up on processes that broke: warn once and drop them.
+        Units in flight end with a result, broken or cancelled; the
+        caller re-executes the last two."""
         if not self.alive:
             return
         warnings.warn(
@@ -371,32 +354,14 @@ class WorkerPool:
         self._drop_processes()
 
     def submit(self, unit: WorkUnit) -> Future:
-        """Publish ``unit`` and queue it for the next free worker; the
-        future resolves to its :class:`ShardResult`. The unit's segment
-        is released when the future is done, however it got there."""
+        """Queue ``unit`` for the next free worker; the future resolves to
+        its :class:`ShardResult`."""
         if not self._processes:
             raise BrokenProcessPool("worker pool is not running")
         if self._broken is not None:
             raise BrokenProcessPool(self._broken)
         future = _UnitFuture(self)
-        payload: WorkUnit | SharedUnit = unit
-        if self._shm:
-            try:
-                payload = publish_unit(unit)
-            except (OSError, ValueError, ImportError) as exc:
-                self._fall_back_to_pickle(exc)
-            else:
-                name = payload.segment
-                self._segments.add(name)
-                future.add_done_callback(lambda _f: self._release(name))
-                if self._transport == "none":
-                    self._transport = "shm"
-        if payload is unit:
-            # Parent-side serialisation cost of the pickled payload (the
-            # worker charges its deserialised copy separately).
-            record_copy("pickle", payload_nbytes(unit.reads))
-            self._transport = "pickle"
-        self._queue.append((future, payload))
+        self._queue.append((future, unit))
         self._dispatch()
         return future
 
@@ -425,15 +390,25 @@ class WorkerPool:
         return True
 
     def _dispatch(self) -> None:
-        """Hand queued units, oldest first, to idle workers."""
+        """Hand queued units, oldest first, to idle workers, each packed
+        into its image on the way. A unit that cannot be packed fails its
+        own future, as a worker exception would."""
         for worker in self._processes:
             while self._queue and worker.running is None and not worker.dead:
-                future, payload = self._queue.popleft()
+                future, unit = self._queue.popleft()
                 if not future.set_running_or_notify_cancel():
+                    continue
+                try:
+                    layout = ColumnarLayout.plan(unit.reads)
+                    image = bytearray(layout.total_bytes)
+                    layout.pack_into(image, unit.reads)
+                except Exception as exc:
+                    future.set_exception(exc)
                     continue
                 worker.running = future
                 try:
-                    worker.conn.send(payload)
+                    worker.conn.send((unit.shard_id, layout.handles))
+                    worker.conn.send_bytes(image)
                 except OSError:
                     self._lose(worker, "died")
 
@@ -462,21 +437,22 @@ class WorkerPool:
                 self.receive(conn)
 
     def stop(self) -> None:
-        """Drop the processes and segments and close the tracer scope."""
+        """Drop the processes and the index segment and close the tracer
+        scope."""
         self._drop_processes()
         if self._restore_tracing:
             self._restore_tracing = False
             disable_tracing()
 
     def _drop_processes(self) -> None:
-        """Stop the workers, then release the index and every segment.
+        """Stop the workers, then release the index segment.
 
         Queued units are cancelled, a unit a worker is running finishes
         and its future resolves, then each worker is told to stop and
         joined. A Ctrl-C landing meanwhile cuts that short instead of
         propagating: the workers are terminated and the units they ran
         fail broken. The release sits in a ``finally`` so neither path
-        can leak a segment.
+        can leak the segment.
         """
         workers, self._processes = self._processes, []
         try:
@@ -507,8 +483,6 @@ class WorkerPool:
             if self._index_handle is not None:
                 release_unit(self._index_handle.segment)
                 self._index_handle = None
-            for name in tuple(self._segments):
-                self._release(name)
 
     def __enter__(self) -> "WorkerPool":
         self.start()
@@ -516,15 +490,3 @@ class WorkerPool:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
-
-    def _release(self, name: str) -> None:
-        self._segments.discard(name)
-        release_unit(name)
-
-    def _fall_back_to_pickle(self, exc: BaseException) -> None:
-        self._shm = False
-        warnings.warn(
-            f"shared memory unavailable ({exc!r}); payloads travel pickled",
-            RuntimeWarning,
-            stacklevel=3,
-        )

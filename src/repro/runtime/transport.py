@@ -1,46 +1,28 @@
-"""Shared-memory transport: ship payloads to workers without pickling.
+"""Shared-memory transport: the minimizer index, published once per pool.
 
-Per-task pickling of read payloads is the parent-side serial bottleneck
-of a pooled run (the software analogue of the data movement GenPIP's
-PIM design eliminates): the parent serialises every base and quality
-value once per work unit, and each worker deserialises them again. This
-module publishes payloads **once** through
-``multiprocessing.shared_memory`` instead:
+The pickled size of a pipeline is dominated by its reference index, so
+a pool publishes the index **once** through
+``multiprocessing.shared_memory`` and each worker attaches it:
 
-* :func:`publish_unit` packs a unit's payloads into one segment using
-  the :class:`~repro.runtime.columnar.ColumnarLayout` batch layout
-  (8-byte section first -- float64 quality tracks, int64 base-start
-  tracks -- then float32 signal samples, then uint8 base codes; see the
-  layout diagram in :mod:`repro.runtime.columnar`) and returns a
-  :class:`SharedUnit`: shard id, segment name, and one offset handle
-  per read. The task message that crosses the process boundary is just
-  this handle bundle (~100 bytes per read).
-* :func:`attach_unit` (worker side) rebuilds the reads. ``copy=False``
-  (what :mod:`repro.runtime.pool` workers use) returns reads whose
-  arrays are **read-only views** into the segment;
-  the mapping is held open by a ref-counted :class:`SegmentLease`
-  (:func:`unit_lease`) that the consumer releases once the batch's
-  outcomes are produced -- the segment-lifetime handoff that lets views
-  safely outlive the parent's eager :func:`release_unit` (POSIX keeps
-  an unlinked segment's pages alive while any mapping remains).
-  ``copy=True`` copies every array out and closes the mapping before
-  returning, charging the bytes to the ``"attach"`` boundary of
-  :func:`repro.obs.metrics.record_copy` -- for callers that want reads with no
-  lifetime ties to the segment.
-* :func:`publish_index` / :func:`attach_index` do the same for the
-  reference minimizer index: its key/position/strand arrays and the
-  reference codes are laid out in **one** segment published once per
-  run, so pool start-up ships a ~100-byte
+* :func:`publish_index` / :func:`attach_index` lay the index's
+  key/bound/position/strand arrays and the reference codes out in
+  **one** segment, so pool start-up ships a ~100-byte
   :class:`SharedIndexHandle` to each worker instead of pickling the
-  index once per worker. The rebuilt
-  index's arrays are zero-copy views (see :func:`attach_index` for the
-  lifetime contract).
+  index once per worker. The rebuilt index's arrays are zero-copy
+  views (see :func:`attach_index` for the lifetime contract).
 * :func:`release_unit` / :func:`release_all` (parent side) close and
-  unlink segments. :class:`~repro.runtime.pool.WorkerPool` guarantees a
-  release on every exit path -- result collected, worker exception,
-  broken pool, cancellation at stop -- and :func:`active_segments`
-  exposes the outstanding names so tests can assert nothing leaked.
-  :func:`worker_leases` is the worker-side counterpart.
+  unlink segments. :class:`~repro.runtime.pool.WorkerPool` releases
+  the index on every exit path, and :func:`active_segments` exposes
+  the outstanding names so tests can assert nothing leaked.
+
+Work units do not travel here: a pool sends each unit down its
+worker's pipe as one columnar image (see :mod:`repro.runtime.pool`).
+:func:`publish_unit`, :func:`attach_unit`, :func:`unit_lease`,
+:class:`SharedUnit` and :class:`SegmentLease` -- a unit in its own
+segment, attached as views under a ref-counted worker-side lease --
+have no caller in the package; they remain only for the perf
+benchmark's ``runtime.transport_us_per_read`` probe, which times that
+segment round trip.
 
 Worker attachment unregisters from the per-process ``resource_tracker``
 (or passes ``track=False`` on Python >= 3.13): the parent owns the
@@ -59,8 +41,8 @@ from dataclasses import dataclass, replace
 try:
     from multiprocessing import resource_tracker, shared_memory
 except ImportError:  # pragma: no cover - platforms without POSIX shm
-    # The pool treats an ImportError from publish_unit as "fall back
-    # to pickle"; importing *this module* must stay safe so the
+    # The pool treats an ImportError from publish_index as "the index
+    # travels pickled"; importing *this module* must stay safe so the
     # runtime's zero-dependency serial path keeps working everywhere.
     resource_tracker = None  # type: ignore[assignment]
     shared_memory = None  # type: ignore[assignment]
@@ -279,7 +261,7 @@ def attach_unit(
     closed before returning, so the reads have no lifetime ties to the
     segment.
 
-    ``copy=False`` (the pool workers' path): arrays are **read-only views**
+    ``copy=False`` (the benchmark probe's path): arrays are **read-only views**
     into the mapping. The mapping is held open by a
     :class:`SegmentLease` registered under the segment name
     (:func:`unit_lease`); the caller must ``release()`` it after the
@@ -418,8 +400,8 @@ def attach_index(handle: SharedIndexHandle) -> MinimizerIndex:
 
     Lifetime contract: the mapping is pinned for the remaining life of
     the attaching process (an index outlives every work unit by
-    design -- the engine publishes it before the pool starts and
-    releases it after the pool is done). The parent may unlink the
+    design -- the pool publishes it before its workers start and
+    releases it after they are stopped). The parent may unlink the
     segment at any time; POSIX keeps the pages alive until the attached
     mappings disappear with the worker processes. Each distinct segment
     name is attached at most once per process, so re-entrant pipeline

@@ -12,9 +12,10 @@ batch engine runs on -- alive across sessions:
   once**, at :meth:`PoolDispatcher.start`, and every worker of every
   session attaches the same segment (``index_publications`` exposes the
   count);
-* each read is submitted as a single-read work unit, so verdicts stream
-  back as soon as *that read* resolves -- no batch barrier anywhere on
-  the path;
+* each read is submitted as a single-read work unit and travels down a
+  worker's pipe as its columnar image -- no segment is made per read --
+  so verdicts stream back as soon as *that read* resolves, with no
+  batch barrier anywhere on the path;
 * the event loop reads the worker pipes itself: each worker's pipe is a
   loop reader (registered again whenever a different loop runs the
   dispatcher), so a verdict takes two hand-offs -- loop to worker,
@@ -65,7 +66,7 @@ class ServingStats:
 
     mode: str  # "process-pool" | "inline"
     workers: int
-    transport: str  # what actually travelled: "none" | "shm" | "pickle"
+    transport: str  # how the index reached the workers: "none" | "shm" | "pickle"
     sessions: int
     live_sessions: int
     peak_sessions: int
@@ -228,8 +229,8 @@ class PoolDispatcher:
 
     @property
     def transport(self) -> str:
-        """How read payloads have travelled ("none" until the first
-        pooled read; see :attr:`WorkerPool.transport`)."""
+        """How the index reached the workers ("none" without processes;
+        see :attr:`WorkerPool.transport`)."""
         return self._pool.transport
 
     @property

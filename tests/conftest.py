@@ -7,6 +7,7 @@ seeded and therefore stable across runs.
 
 from __future__ import annotations
 
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ import repro.kernels.native as native
 from repro.genomics.reference import ReferenceGenome
 from repro.nanopore.datasets import ECOLI_LIKE, HUMAN_LIKE, generate_dataset, small_profile
 from repro.nanopore.pore_model import PoreModel
+from repro.runtime.pool import WorkerPool
 
 
 def fallback(name: str):
@@ -103,10 +105,32 @@ def human_small():
 @pytest.fixture
 def pickle_fallback(monkeypatch):
     """Fault injection: no shared segment can be created, so a pooled
-    run ships the index and every unit by the automatic pickle fallback."""
+    run ships the index pickled inside the pipeline (the automatic
+    fallback). Units travel on the worker pipes either way."""
 
     def refuse(*_args, **_kwargs):
         raise OSError("injected: shared memory unavailable")
 
     monkeypatch.setattr("repro.runtime.pool.publish_index", refuse)
-    monkeypatch.setattr("repro.runtime.pool.publish_unit", refuse)
+
+
+@contextlib.contextmanager
+def recorded_submits():
+    """Every future ``WorkerPool.submit`` hands out inside the block. A
+    unit still queued or on a worker is one whose future is not done."""
+    futures = []
+    real_submit = WorkerPool.submit
+
+    def recording(self, unit):
+        futures.append(real_submit(self, unit))
+        return futures[-1]
+
+    with mock.patch.object(WorkerPool, "submit", recording):
+        yield futures
+
+
+@pytest.fixture
+def pool_futures():
+    """:func:`recorded_submits` for the whole test."""
+    with recorded_submits() as futures:
+        yield futures

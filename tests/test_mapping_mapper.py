@@ -95,6 +95,21 @@ class TestMapper:
         assert len(set(scores.values())) == 3  # k reaches the DP
 
 
+class TestMapperConfig:
+    @pytest.mark.parametrize("name", ["min_identity", "min_read_coverage"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -5.0, 7.0, -1e-9, True, "0.5"])
+    def test_threshold_outside_the_unit_interval_is_refused(self, name, value):
+        """A NaN threshold compares False against every read, so every
+        read came back unmapped; -5.0 or 7.0 kept every read or none."""
+        with pytest.raises(ValueError, match=f"{name} must be a fraction in \\[0, 1\\]"):
+            MapperConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [0, 0.0, 0.55, 1, 1.0, np.float64(0.3)])
+    def test_fractions_are_accepted(self, value):
+        config = MapperConfig(min_identity=value, min_read_coverage=value)
+        assert config.min_identity == config.min_read_coverage == value
+
+
 class TestSimulatedReadsEndToEnd:
     """The §2.3-style population study: classes behave as designed."""
 

@@ -504,7 +504,8 @@ class TestRuntimeStatsFromRegistry:
             transport="shm",
         )
         assert stats.bytes_copied == 120
-        assert stats.bytes_published == 340
+        # Only the "publish" boundary is parent-side packing.
+        assert stats.bytes_published == 300
 
     def test_empty_metrics_mean_zero_bytes(self):
         stats = RuntimeStats.from_registry(

@@ -342,10 +342,10 @@ class TestCLI:
     def test_cli_pooled_run_under_spawn_is_clean_and_identical(self, tmp_path):
         """A pickled pipeline and an index handle reaching freshly
         started interpreters (``spawn``; 3.14's POSIX default is its
-        cousin ``forkserver``) give the serial report, and the index
-        segment outlives workers still booting when the pool stops: at
-        the parent commit it was unlinked first and stderr carried
-        ``Exception in initializer ... FileNotFoundError``."""
+        cousin ``forkserver``) give the serial report. Every worker
+        attaches the index and says it is ready inside ``start``, before
+        the first unit: a worker that could not would make the pool warn
+        ``process pool unavailable`` and the run carry on in-process."""
         serial = self._run_cli(tmp_path, "serial.json", ["--workers", "1"])
         out = tmp_path / "spawn.json"
         program = (
@@ -371,7 +371,7 @@ class TestCLI:
             cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=300,
         )
         assert completed.returncode == 0, completed.stderr
-        assert "Exception in initializer" not in completed.stderr
+        assert "process pool unavailable" not in completed.stderr
         assert completed.stderr == ""
         assert out.read_text() == serial
         assert not glob.glob("/dev/shm/genpip-*")

@@ -1,12 +1,13 @@
 """Tests for the one worker plane (:mod:`repro.runtime.pool`).
 
 What both schedulers rely on and neither re-implements: the index is
-published once per pool, a unit's segment is released however its future
-ends, the pickle fallback is automatic and result-identical, a pool
-that cannot start has exactly one failure path, and a unit runs
-in-process -- through the same ``run_unit`` -- whenever there are no
-processes. Plus the structural checks that no second pool and no second
-execution path can quietly reappear.
+published once per pool and is the only segment a pool makes, a unit
+travels on its worker's pipe and leaves nothing queued or on a worker
+however its future ends, the index's pickle fallback is automatic and
+result-identical, a pool that cannot start has exactly one failure
+path, and a unit runs in-process -- through the same ``run_unit`` --
+whenever there are no processes. Plus the structural checks that no
+second pool and no second execution path can quietly reappear.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import itertools
 import os
 import re
 import time
+import warnings
 from multiprocessing.connection import wait
 from multiprocessing.process import BaseProcess
 from pathlib import Path
@@ -44,12 +46,13 @@ from repro.runtime import (
     WorkerPool,
     WorkUnit,
     active_segments,
+    outcome_to_record,
     plan_work,
     replay_report,
-    worker_leases,
 )
 from repro.runtime import engine as engine_module
 from repro.runtime import pool as pool_module
+from repro.runtime import transport as transport_module
 from repro.serving import PoolDispatcher
 
 _PARENT_PID = os.getpid()
@@ -140,23 +143,25 @@ def test_index_published_exactly_once_per_pool(pipeline, dataset, monkeypatch):
     monkeypatch.setattr(pool_module, "publish_index", counting)
     units = plan_work(dataset.reads, 3)
     with WorkerPool(pipeline, 2) as pool:
-        assert pool.alive and pool.transport == "none"
+        assert pool.alive and pool.transport == "shm"
         assert active_segments() == tuple(published)
         _run_units(pool, units)
         _run_units(pool, units)
-        assert pool.transport == "shm"
+        assert active_segments() == tuple(published)
     assert len(published) == 1
     assert pool.index_publications == 1
     assert not pool.alive
     assert _no_leaked_segments()
 
 
-def test_segment_released_on_success(pipeline, dataset):
+def test_units_leave_nothing_behind_on_success(pipeline, dataset):
+    """Units travel on the pipes: once their results are in, nothing is
+    queued or on a worker, and the index is the only segment."""
     units = plan_work(dataset.reads, 3)
     with WorkerPool(pipeline, 2) as pool:
         (index_segment,) = active_segments()
         results = _run_units(pool, units)
-        # Released as each result is received, on this thread.
+        assert pool.outstanding == 0
         assert active_segments() == (index_segment,)
     assert [r.shard_id for r in results] == [u.shard_id for u in units]
     assert sum(len(r.outcomes) for r in results) == len(dataset.reads)
@@ -185,7 +190,8 @@ def test_start_runs_once(pipeline):
 def test_any_interleaving_of_submits_and_collects(pipeline, dataset, workers, sizes, data):
     """Whatever order units are submitted and collected in, with up to
     two per worker outstanding: each unit's result equals ``run_local``'s
-    and arrives exactly once, and no segment or lease remains."""
+    and arrives exactly once, no unit is left queued or on a worker, and
+    no segment remains."""
     reads = itertools.cycle(dataset.reads)
     units = [
         WorkUnit(shard_id=i, start=0, reads=tuple(itertools.islice(reads, size)))
@@ -219,6 +225,7 @@ def test_any_interleaving_of_submits_and_collects(pipeline, dataset, workers, si
                 for shard, future in [item for item in outstanding if item[1].done()]:
                     outstanding.remove((shard, future))
                     results[shard] = future.result()
+        assert pool.outstanding == 0
     assert arrivals == {shard: [shard] for shard in arrivals}
     for shard, result in results.items():
         local = expected[shard]
@@ -226,11 +233,11 @@ def test_any_interleaving_of_submits_and_collects(pipeline, dataset, workers, si
             local.shard_id, local.outcomes, local.counters,
         )  # fmt: skip
     assert sorted(results) == sorted(expected)
-    assert active_segments() == () and worker_leases() == ()
+    assert active_segments() == ()
     assert _no_leaked_segments()
 
 
-def test_segment_released_on_worker_exception(index, dataset):
+def test_worker_exception_leaves_no_unit_behind(index, dataset):
     fail_id = dataset.reads[2].read_id
     units = plan_work(dataset.reads[:6], 2)
     with WorkerPool(_pipeline_with(index, FailingBasecaller(fail_id)), 2) as pool:
@@ -238,16 +245,20 @@ def test_segment_released_on_worker_exception(index, dataset):
         with pytest.raises(RuntimeError, match="injected failure"):
             for future in futures:
                 future.result(timeout=60)
+        for future in futures:
+            future.exception(timeout=60)
+        assert pool.outstanding == 0
     assert _no_leaked_segments()
 
 
-def test_segments_released_on_cancel_at_stop(index, dataset):
+def test_queued_units_are_cancelled_at_stop(index, dataset):
     units = plan_work(dataset.reads, 1)
     pool = WorkerPool(_pipeline_with(index, SlowBasecaller()), 2)
     assert pool.start()
     futures = [pool.submit(unit) for unit in units]
-    assert len(active_segments()) > len(units) // 2
+    assert pool.outstanding == len(units)
     pool.stop()
+    assert pool.outstanding == 0
     assert any(future.cancelled() for future in futures)
     assert all(future.done() for future in futures)
     assert _no_leaked_segments()
@@ -283,10 +294,69 @@ def test_forced_pickle_fallback_is_result_identical(pipeline, dataset, request):
         pickled = _run_units(pool, units)
         assert pool.transport == "pickle"
         assert active_segments() == ()
-    # Warned once, not once per unit.
+    # Warned once, for the index; units never needed a segment.
     assert len([w for w in caught if "shared memory" in str(w.message)]) == 1
     for a, b in zip(pickled, shared, strict=True):
         assert (a.shard_id, a.outcomes, a.counters) == (b.shard_id, b.outcomes, b.counters)
+    assert _no_leaked_segments()
+
+
+def test_unit_that_cannot_be_packed_fails_alone(pipeline, dataset):
+    """A unit is packed as it is handed to a worker: one whose reads
+    cannot be laid out fails its own future, as a worker exception
+    would, and the pool carries on with the next unit."""
+    good = WorkUnit(shard_id=1, start=0, reads=tuple(dataset.reads[:2]))
+    with WorkerPool(pipeline, 2) as pool:
+        bad = pool.submit(WorkUnit(shard_id=0, start=0, reads=(object(),)))
+        with pytest.raises(TypeError):
+            bad.result(timeout=60)
+        result = pool.submit(good).result(timeout=60)
+        assert pool.alive and pool.outstanding == 0
+    assert result.outcomes == pool.run_local(good).outcomes
+    assert _no_leaked_segments()
+
+
+def test_shm_full_after_start_changes_nothing(pipeline, dataset, monkeypatch, tmp_path):
+    """``/dev/shm`` filling up once the pool runs touches no unit: a
+    pooled batch run and a served session give every outcome exactly
+    once, byte-identical to serial, with no fallback warning, and only
+    the index segment ever existed."""
+
+    def refuse(*_args, **_kwargs):
+        raise OSError("injected: no space left in /dev/shm")
+
+    real_start = WorkerPool.start
+    real_create = transport_module._create_segment
+
+    def start_then_fill(self):
+        monkeypatch.setattr(transport_module, "_create_segment", real_create)
+        alive = real_start(self)
+        monkeypatch.setattr(transport_module, "_create_segment", refuse)
+        return alive
+
+    serial_path = tmp_path / "serial.jsonl"
+    DatasetEngine(pipeline, workers=1, sink=JSONLSink(serial_path)).run(dataset)
+    monkeypatch.setattr(WorkerPool, "start", start_then_fill)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        path = tmp_path / "pooled.jsonl"
+        engine = DatasetEngine(pipeline, workers=2, batch_size=3, sink=JSONLSink(path))
+        engine.run(dataset)
+        assert (engine.last_stats.mode, engine.last_stats.transport) == ("process-pool", "shm")
+        assert path.read_bytes() == serial_path.read_bytes()
+        assert active_segments() == ()
+
+        reads = dataset.reads[:6]
+        with PoolDispatcher(pipeline, workers=2) as dispatcher:
+
+            async def _serve():
+                return await asyncio.gather(*(dispatcher.process(read) for read in reads))
+
+            served = [outcome for outcome, _ in asyncio.run(_serve())]
+            assert (dispatcher.mode, dispatcher.transport) == ("process-pool", "shm")
+        serial = pipeline.process_batch(list(reads))
+        assert [outcome_to_record(o) for o in served] == [outcome_to_record(o) for o in serial]
+    assert not [w for w in caught if "shared memory unavailable" in str(w.message)]
     assert _no_leaked_segments()
 
 
@@ -365,6 +435,16 @@ def test_one_module_constructs_the_process_pool():
         assert "ProcessPoolExecutor" not in text, path
         assert not re.search(r"\bTRANSPORTS\b|\btransport\s*(:\s*str\s*)?=\s*\"auto\"", text), path
         assert "initializer=" not in text, path
+
+
+def test_units_never_touch_the_segment_api():
+    """Units travel on the worker pipes: no module under ``src/repro``
+    but the transport itself names the unit segment, its attach or its
+    lease (they stay only for the perf benchmark's transport probe)."""
+    root = Path(repro.__file__).parent
+    nodes = [n for n in _walk_with_owner(root) if n[0] != "runtime/transport.py"]
+    unit_api = re.compile(r"\b(publish_unit|attach_unit|unit_lease|SharedUnit|SegmentLease)\b")
+    assert _mentions(nodes, unit_api) == set()
 
 
 # --- one execution path: faults from both sides of every removed fork --------

@@ -46,7 +46,6 @@ from repro.runtime import (
     outcome_from_record,
     outcome_to_record,
     replay_report,
-    worker_leases,
 )
 from repro.runtime import engine as engine_module
 
@@ -276,7 +275,7 @@ class TestFailurePaths:
         assert _no_leaked_segments()
 
     def test_worker_killed_between_units_resumes_serially(
-        self, tiny_index, tiny_dataset, serial_report, tmp_path, monkeypatch
+        self, tiny_index, tiny_dataset, serial_report, tmp_path, monkeypatch, pool_futures
     ):
         """A worker killed while idle, between two of its units, breaks
         the pool the same way as one dying mid-unit: one warning, every
@@ -311,10 +310,11 @@ class TestFailurePaths:
         assert engine.last_stats.mode == "serial"
         assert report.counters == serial_report.counters
         assert replay_report(path, serial_report.config).outcomes == serial_report.outcomes
-        assert active_segments() == () and worker_leases() == ()
+        assert active_segments() == ()
+        assert pool_futures and all(future.done() for future in pool_futures)
         assert _no_leaked_segments()
 
-    def test_source_failure_aborts_cleanly(self, tiny_system, tiny_dataset, tmp_path):
+    def test_source_failure_aborts_cleanly(self, tiny_system, tiny_dataset, tmp_path, pool_futures):
         """A source that raises mid-stream fails one way whatever the
         worker count: its own exception, and a JSONL holding exactly the
         units planned before the failure. (The workers x failure-point
@@ -333,7 +333,7 @@ class TestFailurePaths:
                     engine.run(IterableSource(source))
                 lines[workers] = path.read_text().splitlines()
                 assert active_segments() == ()
-                assert worker_leases() == ()
+                assert all(future.done() for future in pool_futures)
                 assert set(threading.enumerate()) <= threads_before
             # batch_size=2: the odd read was still being batched when
             # the source failed, every full unit before it came out.

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import recorded_submits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_runtime_streaming import FailingBasecaller, WorkerExitingBasecaller, kill_worker
@@ -43,9 +44,8 @@ from repro.runtime import (
     WorkUnit,
     active_segments,
     outcome_to_record,
-    worker_leases,
 )
-from repro.runtime.columnar import ColumnarLayout, payload_nbytes
+from repro.runtime.columnar import ColumnarLayout
 from repro.runtime.transport import publish_unit, release_unit
 from repro.serving import (
     PoolDispatcher,
@@ -70,6 +70,18 @@ def _no_leaked_segments() -> bool:
     if os.path.isdir("/dev/shm"):
         return not glob.glob("/dev/shm/genpip-*")
     return True
+
+
+def _payload_nbytes(reads) -> int:
+    """Array bytes of a batch, counted per read type: f64 base starts
+    and f32 samples of a signal read, f64 qualities and u8 codes of a
+    base-space one."""
+    return sum(
+        8 * read.signal.n_bases + 4 * read.signal.samples.size
+        if isinstance(read, SignalRead)
+        else 9 * len(read)
+        for read in reads
+    )
 
 
 @pytest.fixture(scope="module")
@@ -347,7 +359,7 @@ class TestReadFrameProperties:
         byte for byte, what ``publish_unit`` writes into the shared
         segment of the one-read unit -- and sized as the layout plans."""
         _, payload = _split_read_frame(protocol.encode_frame(protocol.read_frame(0, read)))
-        assert len(payload) == ColumnarLayout.plan([read]).total_bytes == payload_nbytes([read])
+        assert len(payload) == ColumnarLayout.plan([read]).total_bytes == _payload_nbytes([read])
         shared = publish_unit(WorkUnit(shard_id=0, start=0, reads=(read,)))
         try:
             image = Path("/dev/shm", shared.segment).read_bytes()
@@ -841,15 +853,16 @@ def _refused_session(system, reads, workers: int, failing_seq: int):
             await asyncio.sleep(0)
             return str(caught.value), frames, live_sessions
 
-    with dispatcher:
+    with recorded_submits() as futures, dispatcher:
         heard, frames, live_sessions = asyncio.run(scenario())
+        assert all(future.done() for future in futures)
     assert [frame["type"] for frame in frames if frame["type"] != "verdict"] == ["welcome", "error"]
     assert frames[-1]["type"] == "error"  # nothing follows it on the wire
     assert failing_seq not in {f["seq"] for f in frames if f["type"] == "verdict"}
     assert frames[-1]["message"] in heard
     assert live_sessions == 0
     assert problems == []  # no "Task exception was never retrieved"
-    assert active_segments() == () and worker_leases() == ()
+    assert active_segments() == ()
     assert _no_leaked_segments()
     return frames[-1]["message"]
 
@@ -1017,11 +1030,11 @@ def test_worker_killed_between_reads_degrades_inline(
     """A worker killed while idle, between two sessions' reads, breaks
     the pool the same way as one dying mid-read: one warning, every read
     exactly one verdict equal to the serial record, the dispatcher
-    inline afterwards and no segment or lease left behind."""
+    inline afterwards and no segment or pooled read left behind."""
     indexed = list(enumerate(tiny_dataset.reads))
     half = len(indexed) // 2
     dispatcher = PoolDispatcher(tiny_system, workers=2)
-    with dispatcher:
+    with recorded_submits() as futures, dispatcher:
         (victim, _) = multiprocessing.active_children()
 
         async def _sessions():
@@ -1036,7 +1049,8 @@ def test_worker_killed_between_reads_degrades_inline(
             results = asyncio.run(_sessions())
         assert len([w for w in caught if "process pool broke" in str(w.message)]) == 1
         assert dispatcher.mode == "inline"
-        assert active_segments() == () and worker_leases() == ()
+        assert futures and all(future.done() for future in futures)
+        assert active_segments() == ()
     assert sorted(seq for result in results for seq in result.verdicts) == list(
         range(len(indexed))
     )
@@ -1045,22 +1059,17 @@ def test_worker_killed_between_reads_degrades_inline(
 
 
 def test_pickle_fallback_is_reported_and_charged(
-    tiny_system, tiny_dataset, serial_records, monkeypatch
+    tiny_system, tiny_dataset, serial_records, pickle_fallback
 ):
-    """A read whose segment cannot be created travels pickled: the
-    dispatcher and the ``summary`` frame say so, and the parent charges
-    the payload to the "pickle" boundary exactly as the batch engine
-    does."""
-
-    def refuse(_unit):
-        raise OSError("injected: shared memory unavailable")
-
-    monkeypatch.setattr("repro.runtime.pool.publish_unit", refuse)
+    """An index that cannot go into shared memory travels pickled: the
+    dispatcher and the ``summary`` frame say so, and each read still
+    goes down a pipe as its image, charged to the "publish" boundary
+    exactly as the batch engine charges a unit's."""
     reads = tiny_dataset.reads[:5]
-    before = copied_bytes("pickle")
+    before = copied_bytes("publish")
     dispatcher = PoolDispatcher(tiny_system, workers=2)
-    with dispatcher, pytest.warns(RuntimeWarning, match="shared memory unavailable"):
-        assert dispatcher.transport == "none"
+    with pytest.warns(RuntimeWarning, match="shared memory unavailable"), dispatcher:
+        assert dispatcher.transport == "pickle"
 
         async def _session():
             async with ServingServer(dispatcher) as server:
@@ -1068,16 +1077,18 @@ def test_pickle_fallback_is_reported_and_charged(
 
         result = asyncio.run(_session())
         assert dispatcher.mode == "process-pool"
-        assert dispatcher.transport == "pickle"
     assert merged_outcomes([result]) == serial_records[: len(reads)]
     assert result.summary["server"]["transport"] == "pickle"
-    assert copied_bytes("pickle") - before == payload_nbytes(reads)
+    # Packed twice in this process: the client's read frame, then the
+    # pool's image of the one-read unit.
+    assert copied_bytes("publish") - before == 2 * _payload_nbytes(reads)
 
     engine = DatasetEngine(tiny_system, workers=2, batch_size=1)
     with pytest.warns(RuntimeWarning, match="shared memory unavailable"):
         engine.run(reads)
     assert engine.last_stats.transport == "pickle"
-    assert engine.last_stats.bytes_published == payload_nbytes(reads)
+    assert engine.last_stats.bytes_published == _payload_nbytes(reads)
+    assert engine.last_stats.bytes_copied == 0
     assert _no_leaked_segments()
 
 
