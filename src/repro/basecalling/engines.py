@@ -41,6 +41,7 @@ import numpy as np
 from repro.basecalling.chunked import chunk_count, chunk_span, reassemble_chunks
 from repro.basecalling.types import BasecalledChunk, BasecalledRead
 from repro.basecalling.viterbi import ViterbiBasecaller, ViterbiConfig
+from repro.checks import require_finite, require_integer
 from repro.genomics.quality import phred_to_error_prob
 from repro.kernels.viterbi import viterbi_state_ops
 from repro.kernels.workload import KernelWorkload
@@ -98,7 +99,8 @@ class ViterbiBackendConfig:
     ----------
     pore_k, pore_seed:
         Shape of the deterministic synthetic pore model. ``k`` sets the
-        Viterbi state space (``4**k``); tests drop to ``k=3`` for speed.
+        Viterbi state space (``4**k``, ``k`` from 3 to 8); tests drop to
+        ``k=3`` for speed.
     decoder:
         Viterbi decoding parameters.
     signal:
@@ -115,13 +117,11 @@ class ViterbiBackendConfig:
     quality_noise: float = 6.0
 
     def __post_init__(self) -> None:
-        # NaN fails every comparison, so test for the accepted range; a
-        # non-finite scale would only surface at the first synthesized
-        # chunk, as a non-finite sample inside a worker.
-        if not (np.isfinite(self.quality_noise) and self.quality_noise >= 0):
-            raise ValueError(
-                f"quality_noise must be finite and non-negative, got {self.quality_noise}"
-            )
+        # Each would otherwise surface only when the engine is built or
+        # at the first synthesized chunk, inside a worker.
+        require_integer("pore_k", self.pore_k, ge=3, le=8)
+        require_integer("pore_seed", self.pore_seed, ge=0)
+        require_finite("quality_noise", self.quality_noise, ge=0)
 
 
 class ViterbiChunkBasecaller:

@@ -29,7 +29,6 @@ would get alone, whatever its batch mates.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, pairwise
@@ -38,6 +37,7 @@ import numpy as np
 
 from repro.basecalling.chunked import chunk_count, chunk_span, reassemble_chunks
 from repro.basecalling.types import BasecalledChunk, BasecalledRead
+from repro.checks import require_finite
 from repro.genomics.mutate import ErrorDraws, ErrorProfile, apply_drawn_errors, draw_errors
 from repro.genomics.quality import phred_to_error_prob
 from repro.nanopore.read_simulator import SimulatedRead
@@ -72,12 +72,9 @@ class SurrogateConfig:
     profile: ErrorProfile = field(default_factory=ErrorProfile)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.error_scale) and self.error_scale > 0):
-            raise ValueError("error_scale must be positive and finite")
-        if not (math.isfinite(self.quality_jitter) and self.quality_jitter >= 0):
-            raise ValueError("quality_jitter must be non-negative and finite")
-        if not 0 < self.max_error_prob <= 1:
-            raise ValueError("max_error_prob must be in (0, 1]")
+        require_finite("error_scale", self.error_scale, gt=0)
+        require_finite("quality_jitter", self.quality_jitter, ge=0)
+        require_finite("max_error_prob", self.max_error_prob, gt=0, le=1)
 
 
 class SurrogateBasecaller:

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.basecalling.types import BasecalledRead
+from repro.checks import require_finite
 from repro.kernels.viterbi import move_predecessors, viterbi_forward, viterbi_traceback
 from repro.nanopore.pore_model import PoreModel
 
@@ -57,16 +58,9 @@ class ViterbiConfig:
     max_quality: float = 30.0
 
     def __post_init__(self) -> None:
-        # NaN fails every comparison, so each check tests for the
-        # accepted range.
-        if not 0.0 < self.stay_prob < 1.0:
-            raise ValueError("stay_prob must be in (0, 1)")
-        if not (np.isfinite(self.extra_noise_std) and self.extra_noise_std >= 0):
-            raise ValueError(
-                f"extra_noise_std must be finite and non-negative, got {self.extra_noise_std}"
-            )
-        if not (np.isfinite(self.max_quality) and self.max_quality >= 1):
-            raise ValueError(f"max_quality must be finite and at least 1, got {self.max_quality}")
+        require_finite("stay_prob", self.stay_prob, gt=0, lt=1)
+        require_finite("extra_noise_std", self.extra_noise_std, ge=0)
+        require_finite("max_quality", self.max_quality, ge=1)
 
 
 class ViterbiBasecaller:

@@ -1,23 +1,16 @@
-"""GenPIP configuration: chunking and early-rejection parameters."""
+"""GenPIP configuration: chunking and early-rejection parameters.
+
+``theta_qs``, ``theta_cm``, ``n_qs`` and ``n_cm`` steer early rejection
+(Secs. 3.2 and 6.3) and are what the Figs. 12/13 sweeps vary. Every field
+is checked through :mod:`repro.checks` when a config is made, so a sweep
+point runs the values it names or fails at once.
+"""
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, replace
 
-
-def require_integer(name: str, value) -> None:
-    """Refuse a count that is not an integer (``300.5``, ``True``)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-
-
-def require_threshold(name: str, value: float) -> None:
-    """Refuse a negative or non-finite threshold: ``x < nan`` is always
-    False, so a NaN threshold would silently never reject."""
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+from repro.checks import require_finite, require_integer
 
 
 @dataclass(frozen=True)
@@ -72,16 +65,12 @@ class GenPIPConfig:
     min_chunks_for_er: int = 2
 
     def __post_init__(self) -> None:
-        for name in ("chunk_size", "n_qs", "n_cm", "min_chunks_for_er"):
-            require_integer(name, getattr(self, name))
-        if self.chunk_size < 50:
-            raise ValueError("chunk_size must be at least 50 bases")
-        if self.n_qs < 1 or self.n_cm < 1:
-            raise ValueError("n_qs and n_cm must be positive")
-        require_threshold("theta_qs", self.theta_qs)
-        require_threshold("theta_cm", self.theta_cm)
-        if self.min_chunks_for_er < 1:
-            raise ValueError("min_chunks_for_er must be positive")
+        require_integer("chunk_size", self.chunk_size, ge=50)
+        for name in ("n_qs", "n_cm", "min_chunks_for_er"):
+            require_integer(name, getattr(self, name), ge=1)
+        # ``x < nan`` is False: a NaN threshold would never reject.
+        require_finite("theta_qs", self.theta_qs, ge=0)
+        require_finite("theta_cm", self.theta_cm, ge=0)
 
     def with_chunk_size(self, chunk_size: int) -> "GenPIPConfig":
         """This config at a different chunk size (Fig. 10/11 sweeps)."""

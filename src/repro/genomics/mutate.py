@@ -20,11 +20,12 @@ fixed :class:`ErrorProfile` or a per-base error probability vector
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from repro.checks import ConfigError, require_finite
 
 
 @dataclass(frozen=True)
@@ -44,12 +45,11 @@ class ErrorProfile:
     deletion: float = 0.25
 
     def __post_init__(self) -> None:
-        weights = (self.substitution, self.insertion, self.deletion)
         # NaN would delete every base and inf would inject nothing.
-        if not all(math.isfinite(w) and w >= 0 for w in weights):
-            raise ValueError("error weights must be non-negative and finite")
-        if sum(weights) <= 0:
-            raise ValueError("at least one error weight must be positive")
+        for name in ("substitution", "insertion", "deletion"):
+            require_finite(name, getattr(self, name), ge=0)
+        if self.substitution + self.insertion + self.deletion <= 0:
+            raise ConfigError("at least one error weight must be positive")
 
     def split(self, error_prob):
         """Split per-base error probability into (sub, ins, del) parts."""

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.checks import require_finite, require_integer
 from repro.genomics import alphabet
 
 
@@ -87,12 +88,9 @@ class ReferenceGenome:
         repeat_unit:
             Length of each planted repeat copy.
         """
-        if length <= 0:
-            raise ValueError("length must be positive")
-        if not 0.0 <= gc_content <= 1.0:
-            raise ValueError("gc_content must be in [0, 1]")
-        if not 0.0 <= repeat_fraction < 1.0:
-            raise ValueError("repeat_fraction must be in [0, 1)")
+        require_integer("length", length, ge=1)
+        require_finite("gc_content", gc_content, ge=0, le=1)
+        require_finite("repeat_fraction", repeat_fraction, ge=0, lt=1)
         rng = np.random.default_rng(seed)
         at = (1.0 - gc_content) / 2.0
         gc = gc_content / 2.0

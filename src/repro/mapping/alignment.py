@@ -40,13 +40,13 @@ Scoring defaults follow minimap2's map-ont preset (match +2, mismatch
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from itertools import accumulate, groupby
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.checks import ConfigError, require_finite, require_integer
 from repro.kernels.align import gotoh_scalar, merge_cigar
 from repro.kernels.mapping_ops import record_mapping_ops
 
@@ -77,38 +77,26 @@ class AlignmentConfig:
     max_segment_cells: int = 4_000_000
 
     def __post_init__(self) -> None:
-        if self.match <= 0:
-            raise ValueError("match score must be positive")
-        if self.mismatch >= 0 or self.gap_open >= 0 or self.gap_extend >= 0:
-            raise ValueError("penalties must be negative")
+        # Within +-2**20 every reachable score is exact in float64 and far
+        # from the fills' -1e18 sentinel for minus infinity.
+        require_finite("match", self.match, gt=0, le=_MAX_SCORE)
+        for name in ("mismatch", "gap_open", "gap_extend"):
+            require_finite(name, getattr(self, name), ge=-_MAX_SCORE, lt=0)
         scores = (self.match, self.mismatch, self.gap_open, self.gap_extend)
         if not all(float(value).is_integer() for value in scores):
             # With integer scores every reachable score is an exact
             # float64 integer, so the traceback's equality tests decide
             # ties exactly, not by the rounding of a sum's order.
-            raise ValueError(
+            raise ConfigError(
                 "match, mismatch, gap_open and gap_extend must be integer-valued: "
                 "under float rounding, ties between co-optimal paths would be "
                 "decided by rounding error"
             )
-        if not all(abs(value) <= _MAX_SCORE for value in scores):
-            # Far from the -1e18 sentinel that stands for minus infinity,
-            # and every reachable score an exact float64 integer.
-            raise ValueError(
-                "match, mismatch, gap_open and gap_extend must lie within +-2**20: "
-                "larger scores leave exact float64 arithmetic or reach the -1e18 "
-                "sentinel the Gotoh fills use for minus infinity"
-            )
-        for name in ("max_end_extension", "max_segment_cells"):
-            value = getattr(self, name)
-            # 10.5 fails later as a slice index, and a NaN cap compares
-            # False both ways: no segment is too large, no end too long.
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        if self.max_end_extension < 0 or self.max_segment_cells < 0:
-            # A negative extension clips more read than there is; a
-            # negative cell cap turns every segment into D+I.
-            raise ValueError("max_end_extension and max_segment_cells must be >= 0")
+        # 10.5 fails later as a slice index, a NaN cap compares False both
+        # ways (no segment too large, no end too long), a negative extension
+        # clips more read than there is, a negative cell cap makes every segment D+I.
+        require_integer("max_end_extension", self.max_end_extension, ge=0)
+        require_integer("max_segment_cells", self.max_segment_cells, ge=0)
 
 
 @dataclass(frozen=True)

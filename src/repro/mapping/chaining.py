@@ -25,13 +25,12 @@ kernel against bit for bit -- scores, parents, and tie-breaks.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 import repro.kernels.chain as chain_kernels
+from repro.checks import require_finite, require_integer
 
 
 #: Largest ``max_gap`` a :class:`ChainingConfig` takes (one ``float64``
@@ -58,24 +57,15 @@ class ChainingConfig:
     min_anchors: int = 3
 
     def __post_init__(self) -> None:
-        for name in ("kmer_size", "max_gap", "lookback", "min_anchors"):
-            value = getattr(self, name)
-            # 2.5 or True would reach the C kernel as a ctypes error or
-            # as some other integer.
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        if self.lookback < 1:
-            raise ValueError("lookback must be positive")
-        for name in ("kmer_size", "max_gap"):
-            if not 1 <= getattr(self, name) <= MAX_GAP_LIMIT:
-                raise ValueError(f"{name} must be in [1, {MAX_GAP_LIMIT}], got {getattr(self, name)}")
+        # 2.5 or True would reach the C kernel as a ctypes error or another integer.
+        require_integer("kmer_size", self.kmer_size, ge=1, le=MAX_GAP_LIMIT)
+        require_integer("max_gap", self.max_gap, ge=1, le=MAX_GAP_LIMIT)
+        require_integer("lookback", self.lookback, ge=1)
+        require_integer("min_anchors", self.min_anchors, ge=1)
         # A NaN threshold compares False both ways: skipping the ends
         # with ``score < threshold`` would keep every end, keeping those
         # with ``score >= threshold`` none.
-        if not math.isfinite(self.min_chain_score):
-            raise ValueError(f"min_chain_score must be finite, got {self.min_chain_score}")
-        if self.min_anchors < 1:
-            raise ValueError(f"min_anchors must be at least 1, got {self.min_anchors}")
+        require_finite("min_chain_score", self.min_chain_score)
 
 
 @dataclass(frozen=True)
@@ -137,15 +127,18 @@ def chain_anchors(
 ) -> list[Chain]:
     """Find the best chains among sorted anchors of one strand.
 
-    Chains are extracted greedily by descending end-score; anchors used
-    by a reported chain are not reused by later ones (minimap2's primary
-    / secondary chain separation).
+    Chains are extracted greedily by descending end-score, and among
+    ends of equal score the later anchor first; anchors used by a
+    reported chain are not reused by later ones (minimap2's primary /
+    secondary chain separation).
     """
     n = anchors.shape[0]
     if n == 0:
         return []
     scores, parents = chain_scores(anchors, config)
-    order = np.argsort(scores)[::-1]
+    # Stable, so the order of tied scores (sums of integer-valued gains
+    # tie often) is defined, not left to numpy's introsort.
+    order = np.argsort(scores, kind="stable")[::-1]
     # The descending order puts every end scoring at least the threshold
     # first: the walk stops where the first one below it would stand.
     n_ends = int(np.count_nonzero(scores >= config.min_chain_score))

@@ -12,11 +12,11 @@ does when it checks the chaining score of the first ``N_cm`` chunks.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.checks import require_finite
 from repro.genomics import alphabet
 from repro.mapping.alignment import AlignmentConfig, AlignmentResult, align_chain
 from repro.mapping.chaining import Chain, ChainingConfig, best_chain
@@ -37,17 +37,15 @@ class MapperConfig:
     min_read_coverage: float = 0.25
 
     def __post_init__(self) -> None:
-        for name in ("min_identity", "min_read_coverage"):
-            value = getattr(self, name)
-            # A NaN threshold compares False against every read, so every
-            # read would come back unmapped; one outside [0, 1] keeps all
-            # reads or none.
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not 0.0 <= value <= 1.0
-            ):
-                raise ValueError(f"{name} must be a fraction in [0, 1], got {value!r}")
+        # A NaN threshold compares False against every read, so every
+        # read would come back unmapped; one outside [0, 1] keeps all
+        # reads or none.
+        require_finite("min_identity", self.min_identity, ge=0, le=1)
+        require_finite("min_read_coverage", self.min_read_coverage, ge=0, le=1)
+
+
+#: Shared (it is frozen) by every mapper given no config: one is made per read.
+_DEFAULT_CONFIG = MapperConfig()
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,7 @@ class IncrementalChunkMapper:
 
     def __init__(self, index: MinimizerIndex, read_length: int, config: MapperConfig | None = None):
         self._index = index
-        self._config = config or MapperConfig()
+        self._config = config or _DEFAULT_CONFIG
         # Chaining must use the index's k so anchor maths line up.
         if self._config.chaining.kmer_size != index.config.k:
             self._config = replace(

@@ -17,11 +17,11 @@ the whole sequence.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.checks import require_integer
 from repro.genomics.alphabet import kmer_codes
 
 
@@ -38,17 +38,10 @@ class MinimizerConfig:
     w: int = 10
 
     def __post_init__(self) -> None:
-        for name in ("k", "w"):
-            value = getattr(self, name)
-            # ``w=inf`` would make every call one window, and 2.5, NaN
-            # or True fail later inside the scan, or pass to the C
-            # kernel as some other integer.
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        if not 4 <= self.k <= 28:
-            raise ValueError("k must be in 4..28")
-        if self.w < 1:
-            raise ValueError("w must be >= 1")
+        # ``w=inf`` would make every call one window; 2.5, NaN or True would
+        # fail inside the scan or reach the C kernel as another integer.
+        require_integer("k", self.k, ge=4, le=28)
+        require_integer("w", self.w, ge=1)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:

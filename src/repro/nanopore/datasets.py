@@ -23,11 +23,11 @@ at any scale (only read count and total bases shrink proportionally).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.checks import require_finite, require_integer
 from repro.genomics.reference import ReferenceGenome
 from repro.nanopore.read_simulator import (
     QualityProcessConfig,
@@ -65,9 +65,13 @@ class DatasetProfile:
     reference_seed: int
     simulator: SimulatorConfig = field(default_factory=SimulatorConfig)
 
+    def __post_init__(self) -> None:
+        require_integer("full_read_count", self.full_read_count, ge=1)
+        require_integer("reference_length", self.reference_length, ge=1)
+        require_integer("reference_seed", self.reference_seed, ge=0)
+
     def scaled_read_count(self, scale: float) -> int:
-        if not (math.isfinite(scale) and scale > 0):
-            raise ValueError(f"scale must be positive and finite, got {scale}")
+        require_finite("scale", scale, gt=0)
         return max(1, int(round(self.full_read_count * scale)))
 
 

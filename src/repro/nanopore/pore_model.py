@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.checks import require_integer
 from repro.genomics.alphabet import kmer_codes, kmer_to_int
 
 
@@ -43,8 +44,7 @@ class PoreModel:
     spread: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.k, int | np.integer) and self.k >= 1):
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+        require_integer("k", self.k, ge=1)
         levels = np.ascontiguousarray(self.levels, dtype=np.float64)
         spread = np.ascontiguousarray(self.spread, dtype=np.float64)
         if levels.shape != (4**self.k,):
@@ -71,8 +71,7 @@ class PoreModel:
         k-mer-specific residual breaks ties so distinct k-mers have
         distinct levels.
         """
-        if k < 3 or k > 8:
-            raise ValueError("k must be in 3..8")
+        require_integer("k", k, ge=3, le=8)
         rng = np.random.default_rng(seed)
         n = 4**k
         # Per-position, per-base contributions; centre positions weighted most.

@@ -23,13 +23,13 @@ byte-identical results to the conventional pipeline).
 from __future__ import annotations
 
 import enum
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
 
+from repro.checks import ConfigError, require_finite, require_integer
 from repro.genomics import alphabet
 from repro.genomics.reference import ReferenceGenome
 
@@ -76,7 +76,7 @@ class QualityProcessConfig:
         high") that makes QSR's false-negative ratio *grow* with more
         sampled chunks.
     floor, ceiling:
-        Clipping range of emitted quality scores.
+        Clipping range of emitted (non-negative Phred) quality scores.
     """
 
     correlation_length: float = 400.0
@@ -89,16 +89,16 @@ class QualityProcessConfig:
     ceiling: float = 30.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.correlation_length < math.inf:
-            raise ValueError("correlation_length must be finite and positive")
-        if not (0.0 <= self.process_std < math.inf and 0.0 <= self.jitter_std < math.inf):
-            raise ValueError("process_std and jitter_std must be finite and non-negative")
-        if not 0.0 <= self.burst_coverage < 0.5:
-            raise ValueError("burst_coverage must be in [0, 0.5)")
-        if self.burst_length < 1:
-            raise ValueError("burst_length must be positive")
+        require_finite("correlation_length", self.correlation_length, gt=0)
+        require_finite("process_std", self.process_std, ge=0)
+        require_finite("jitter_std", self.jitter_std, ge=0)
+        require_finite("burst_coverage", self.burst_coverage, ge=0, lt=0.5)
+        require_finite("burst_depth", self.burst_depth)
+        require_integer("burst_length", self.burst_length, ge=1)
+        require_finite("floor", self.floor, ge=0)
+        require_finite("ceiling", self.ceiling)
         if self.floor > self.ceiling:
-            raise ValueError("floor must not exceed ceiling")
+            raise ConfigError("floor must not exceed ceiling")
 
     def phi(self) -> float:
         """AR(1) coefficient implied by the correlation length."""
@@ -131,18 +131,24 @@ class SimulatorConfig:
     quality_process: QualityProcessConfig = field(default_factory=QualityProcessConfig)
 
     def __post_init__(self) -> None:
-        if self.low_quality_fraction + self.junk_fraction >= 1.0:
-            raise ValueError("class fractions must sum below 1")
-        if not (0.0 < self.median_length < math.inf and 0.0 < self.mean_length < math.inf):
-            raise ValueError("length targets must be finite and positive")
+        require_finite("median_length", self.median_length, gt=0)
+        require_finite("mean_length", self.mean_length, gt=0)
+        require_integer("min_length", self.min_length, ge=1)
+        require_integer("max_length", self.max_length)
+        if self.max_length <= self.min_length:
+            raise ConfigError("max_length must exceed min_length")
         # The median is solved as a quantile of the main component, which
         # needs short reads to be less than half of the mixture.
-        if not 0.0 <= self.short_read_fraction < 0.5:
-            raise ValueError("short_read_fraction must be in [0, 0.5)")
-        if not 0.0 <= self.short_read_mean < math.inf:
-            raise ValueError("short_read_mean must be finite and non-negative")
-        if self.min_length < 1 or self.max_length <= self.min_length:
-            raise ValueError("invalid length bounds")
+        require_finite("short_read_fraction", self.short_read_fraction, ge=0, lt=0.5)
+        require_finite("short_read_mean", self.short_read_mean, ge=0)
+        # A NaN or negative fraction compares False against every draw:
+        # that class would silently vanish from the dataset.
+        require_finite("low_quality_fraction", self.low_quality_fraction, ge=0, lt=1)
+        require_finite("junk_fraction", self.junk_fraction, ge=0, lt=1)
+        if self.low_quality_fraction + self.junk_fraction >= 1.0:
+            raise ConfigError("class fractions must sum below 1")
+        for name in ("low_quality_mean", "low_quality_std", "high_quality_mean", "high_quality_std"):
+            require_finite(name, getattr(self, name), ge=0 if name.endswith("_std") else None)
 
 
 @dataclass(frozen=True)
@@ -299,8 +305,7 @@ class ReadSimulator:
         (:mod:`repro.runtime.source`) build on this to overlap read
         generation with pipeline execution.
         """
-        if n < 0:
-            raise ValueError("n must be non-negative")
+        require_integer("n", n, ge=0)
         for _ in range(n):
             yield self.sample_read()
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.checks import ConfigError, require_finite, require_integer
 from repro.nanopore.pore_model import PoreModel
 
 
@@ -30,9 +31,10 @@ class SignalConfig:
     ----------
     dwell_mean:
         Mean samples per base (ONT: sampling_rate / bases_per_second,
-        ~8.9 for R9; smaller values keep simulation fast).
+        ~8.9 for R9; smaller values keep simulation fast), at most 1 000
+        (a base per 0.25 s at 4 kHz; more overflows int64 sample indices).
     dwell_min:
-        Minimum samples per base (at least 1).
+        Minimum samples per base (at least 1, at most ``dwell_mean``).
     noise_std:
         Standard deviation (pA) of white measurement noise *added on
         top of* the pore model's per-k-mer spread.
@@ -46,12 +48,13 @@ class SignalConfig:
     drift_per_kilosample: float = 0.05
 
     def __post_init__(self) -> None:
+        require_finite("dwell_mean", self.dwell_mean, le=1_000)
+        require_integer("dwell_min", self.dwell_min, ge=1)
         if self.dwell_mean < self.dwell_min:
-            raise ValueError("dwell_mean must be >= dwell_min")
-        if self.dwell_min < 1:
-            raise ValueError("dwell_min must be >= 1")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+            raise ConfigError("dwell_mean must be >= dwell_min")
+        # Non-finite, either would fail only as a sample, inside a worker.
+        require_finite("noise_std", self.noise_std, ge=0)
+        require_finite("drift_per_kilosample", self.drift_per_kilosample)
 
 
 @dataclass(frozen=True)

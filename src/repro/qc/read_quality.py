@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.basecalling.types import BasecalledRead
+from repro.checks import require_finite
 
 
 @dataclass(frozen=True)
@@ -19,8 +20,8 @@ class QCConfig:
     theta_qs: float = 7.0
 
     def __post_init__(self) -> None:
-        if self.theta_qs < 0:
-            raise ValueError("theta_qs must be non-negative")
+        # ``mean_quality >= nan`` is False: a NaN threshold fails every read.
+        require_finite("theta_qs", self.theta_qs, ge=0)
 
 
 @dataclass(frozen=True)

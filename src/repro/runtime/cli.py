@@ -72,11 +72,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from collections.abc import Sequence
+from functools import partial
 from pathlib import Path
 
+from repro.checks import ConfigError, require_finite, require_integer
 from repro.core.config import VARIANTS, variant_config
 from repro.core.genpip import GenPIPReport
 from repro.core.pipeline import GenPIPPipeline, ReadOutcome
@@ -170,20 +171,17 @@ def add_pipeline_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _positive_finite(value: float) -> bool:
-    return math.isfinite(value) and value > 0
-
-
-#: ``(dest, in_range, requirement)`` of every flag here with a fixed range;
-#: a float flag's range excludes ``inf`` and ``nan``.
-_RANGE_CHECKS = (
-    ("scale", _positive_finite, "must be positive and finite"),
-    ("workers", lambda value: value >= 0, "must be non-negative"),
-    ("chunk_size", lambda value: value >= 50, "must be at least 50 bases"),
-    ("signal_er_threshold", _positive_finite, "must be positive and finite"),
-    ("signal_er_templates", lambda value: value >= 1, "must be at least 1"),
-    ("batch_size", lambda value: value >= 1, "must be at least 1"),
-)
+#: The range check of every flag with a fixed range, by ``dest`` (serve's
+#: and drive's included); a float flag's range excludes ``inf`` and ``nan``.
+_RANGE_CHECKS = {
+    "scale": partial(require_finite, gt=0),
+    "workers": partial(require_integer, ge=0),
+    "chunk_size": partial(require_integer, ge=50),
+    "signal_er_threshold": partial(require_finite, gt=0),
+    "signal_er_templates": partial(require_integer, ge=1),
+    "batch_size": partial(require_integer, ge=1),
+    "sessions": partial(require_integer, ge=1),
+}
 
 
 def check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
@@ -194,10 +192,12 @@ def check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Non
     the profile's minimum read length), so it is checked by deriving the
     profile.
     """
-    for dest, in_range, requirement in _RANGE_CHECKS:
-        value = getattr(args, dest, None)
-        if value is not None and not in_range(value):
-            parser.error(f"--{dest.replace('_', '-')} {requirement}")
+    try:
+        for dest, check in _RANGE_CHECKS.items():
+            if getattr(args, dest, None) is not None:
+                check(f"--{dest.replace('_', '-')}", getattr(args, dest))
+    except ConfigError as exc:
+        parser.error(str(exc))
     try:
         profile_from_args(args)
     except ValueError as exc:

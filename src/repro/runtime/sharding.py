@@ -25,7 +25,7 @@ import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from repro.core.config import require_integer
+from repro.checks import require_integer
 from repro.nanopore.read_simulator import SimulatedRead
 
 #: Work units a pool worker should see on average; > 1 so that slow
@@ -62,9 +62,7 @@ def resolve_workers(workers: int = 1) -> int:
     ``0`` and ``1`` both mean serial in-process execution. A count that
     is not an integer (``2.0``, ``True``) raises ``TypeError`` here,
     before any pool or shared memory exists."""
-    require_integer("workers", workers)
-    if workers < 0:
-        raise ValueError(f"workers must be non-negative, got {workers}")
+    require_integer("workers", workers, ge=0)
     return max(int(workers), 1)
 
 
@@ -78,9 +76,7 @@ def resolve_batch_size(n_reads: int | None, workers: int, batch_size: int | None
     stream of :data:`UNKNOWN_SIZE_HINT` reads.
     """
     if batch_size is not None:
-        require_integer("batch_size", batch_size)
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
+        require_integer("batch_size", batch_size, ge=1)
         return int(batch_size)
     if n_reads is None:
         n_reads = UNKNOWN_SIZE_HINT
@@ -99,8 +95,7 @@ def iter_work(reads: Iterable[SimulatedRead], batch_size: int) -> Iterator[WorkU
     as soon as they fill -- the engine submits them while later reads
     are still being generated or decoded.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
+    require_integer("batch_size", batch_size, ge=1)
     stream = iter(reads)
     for shard_id in itertools.count():
         unit = tuple(itertools.islice(stream, batch_size))

@@ -188,8 +188,6 @@ def _resolve_endpoint(args, parser) -> tuple[str, int]:
 
 
 def _cmd_drive(args, parser) -> int:
-    if args.sessions < 1:
-        parser.error("--sessions must be at least 1")
     host, port = _resolve_endpoint(args, parser)
     # Claimed before the run: a mistyped path must not cost every verdict.
     for path in (args.outcomes, args.summary, args.metrics_out):

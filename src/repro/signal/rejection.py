@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.checks import require_finite, require_integer
 from repro.kernels.sdtw import sdtw_cost, znormalise
 from repro.nanopore.pore_model import PoreModel
 from repro.nanopore.signal_read import SignalRead
@@ -79,13 +80,10 @@ class SignalRejectionPolicy:
         threshold: float = 0.17,
         prefix_bases: int = 120,
     ):
-        # NaN fails every comparison, so test for the accepted range: a
-        # NaN threshold would otherwise reject every read after scanning
-        # every template.
-        if not (np.isfinite(threshold) and threshold > 0):
-            raise ValueError(f"threshold must be finite and positive, got {threshold}")
-        if prefix_bases < 1:
-            raise ValueError("prefix_bases must be positive")
+        # A NaN threshold would reject every read after scanning every
+        # template.
+        require_finite("threshold", threshold, gt=0)
+        require_integer("prefix_bases", prefix_bases, ge=1)
         if not templates:
             raise ValueError("at least one template is required")
         self._templates = [znormalise(template) for template in templates]
@@ -121,8 +119,7 @@ class SignalRejectionPolicy:
         """
         reference_codes = np.asarray(reference_codes)
         if segment_starts is None:
-            if n_templates < 1:
-                raise ValueError("n_templates must be positive")
+            require_integer("n_templates", n_templates, ge=1)
             span = max(int(reference_codes.size) - segment_bases, 0)
             segment_starts = [
                 int(round(position))

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.checks import require_finite, require_integer
 from repro.nanopore.signal import RawSignal
 from repro.nanopore.signal_read import SignalRead
 
@@ -72,12 +73,9 @@ class SegmentationConfig:
         # A fractional sample count would only fail later, indexing inside
         # jump_scores; a non-finite threshold is never exceeded, so the
         # whole read would become one event.
-        for name in ("window", "min_dwell"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if not (np.isfinite(self.threshold) and self.threshold > 0):
-            raise ValueError(f"threshold must be finite and positive, got {self.threshold}")
+        require_integer("window", self.window, ge=1)
+        require_finite("threshold", self.threshold, gt=0)
+        require_integer("min_dwell", self.min_dwell, ge=1)
 
 
 def robust_noise_scale(samples: np.ndarray) -> float:

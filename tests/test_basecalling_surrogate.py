@@ -233,11 +233,14 @@ class TestSurrogateBasecaller:
             ("quality_jitter", -1.0),
             ("quality_jitter", float("nan")),
             ("quality_jitter", float("inf")),
+            ("max_error_prob", True),
+            ("error_scale", True),
         ],
     )
     def test_config_rejects_non_finite_or_negative(self, field, value):
         """NaN scale used to decode error-free chunks and a negative
-        jitter failed only at the first chunk, inside a worker."""
+        jitter failed only at the first chunk, inside a worker; ``True``
+        was accepted as 1."""
         with pytest.raises(ValueError, match=field):
             SurrogateConfig(**{field: value})
 

@@ -139,10 +139,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="extra_noise_std"):
             ViterbiConfig(extra_noise_std=noise)
 
-    @pytest.mark.parametrize("cap", [float("nan"), float("inf"), 0.5, -3.0])
+    @pytest.mark.parametrize("cap", [float("nan"), float("inf"), 0.5, -3.0, True])
     def test_quality_cap_must_be_a_finite_phred_above_the_floor(self, cap):
         """A NaN cap made every quality NaN; a cap below 1 put qualities
-        under the Phred floor of 1."""
+        under the Phred floor of 1; ``True`` was accepted as a cap of 1."""
         with pytest.raises(ValueError, match="max_quality"):
             ViterbiConfig(max_quality=cap)
 

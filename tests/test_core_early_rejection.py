@@ -181,6 +181,12 @@ class TestNonFiniteOrFractionalParameters:
         with pytest.raises(TypeError, match=field):
             GenPIPConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["theta_qs", "theta_cm"])
+    def test_config_refuses_a_bool_threshold(self, field):
+        """``True`` passed every test a number passes and ran as 1.0."""
+        with pytest.raises(ValueError, match=field):
+            GenPIPConfig(**{field: True})
+
     def test_config_accepts_numpy_integers(self):
         config = GenPIPConfig(chunk_size=np.int64(300), n_qs=np.int32(2))
         assert config.chunk_size == 300
@@ -210,3 +216,10 @@ class TestReadQC:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             QCConfig(theta_qs=-2.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True], ids=["nan", "inf", "bool"])
+    def test_config_refuses_a_threshold_that_is_not_a_finite_number(self, value):
+        """``mean_quality >= nan`` is False: a NaN threshold failed every
+        read, as an infinite one does."""
+        with pytest.raises(ValueError, match="theta_qs"):
+            QCConfig(theta_qs=value)

@@ -29,6 +29,10 @@ class TestErrorProfile:
         with pytest.raises(ValueError, match="finite"):
             ErrorProfile(**{field: value})
 
+    def test_rejects_a_bool_weight(self):
+        with pytest.raises(ValueError, match="substitution"):
+            ErrorProfile(substitution=True)
+
     def test_rejects_all_zero(self):
         with pytest.raises(ValueError):
             ErrorProfile(0.0, 0.0, 0.0)

@@ -27,7 +27,7 @@ class TestReferenceGenome:
         with pytest.raises(ValueError):
             ReferenceGenome.random(0, seed=0)
 
-    @pytest.mark.parametrize("gc_content", [-0.1, 1.5])
+    @pytest.mark.parametrize("gc_content", [-0.1, 1.5, True])
     def test_rejects_bad_gc(self, gc_content):
         with pytest.raises(ValueError, match="gc_content"):
             ReferenceGenome.random(100, seed=0, gc_content=gc_content)

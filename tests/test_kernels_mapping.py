@@ -952,7 +952,7 @@ class TestSeedKernels:
     @given(
         data=st.data(),
         k=st.integers(4, 28),
-        w=st.integers(1, 40),
+        w=st.integers(1, 40) | st.just(2**63),
         max_occurrences=st.sampled_from([0, 1, 3, 64]),
         read_offset=st.sampled_from([0, 7, 1_000]),
         flip=st.booleans(),
@@ -971,7 +971,8 @@ class TestSeedKernels:
         or ``ACGT`` tile, whose k-mers at even k are palindromes, so
         windows are all ambiguous. Empty reads, reads shorter than k
         and reads of at most w k-mers are drawn too, and repeats
-        overflow the first row buffer."""
+        overflow the first row buffer. ``w=2**63``, the edge of
+        ``MinimizerConfig``'s domain, makes each read one window."""
         require_native("seed")
         rng = np.random.default_rng(seed)
         tile = rng.integers(0, 4, int(rng.integers(k, 3 * k))).astype(np.uint8)

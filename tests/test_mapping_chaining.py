@@ -261,7 +261,7 @@ def _full_walk(anchors, config, max_chains):
     scores, parents = chain_scores(anchors, config)
     used = np.zeros(anchors.shape[0], dtype=bool)
     chains = []
-    for end in np.argsort(scores)[::-1]:
+    for end in np.argsort(scores, kind="stable")[::-1]:
         if len(chains) >= max_chains:
             break
         if used[end] or scores[end] < config.min_chain_score:

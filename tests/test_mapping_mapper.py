@@ -101,7 +101,7 @@ class TestMapperConfig:
     def test_threshold_outside_the_unit_interval_is_refused(self, name, value):
         """A NaN threshold compares False against every read, so every
         read came back unmapped; -5.0 or 7.0 kept every read or none."""
-        with pytest.raises(ValueError, match=f"{name} must be a fraction in \\[0, 1\\]"):
+        with pytest.raises(ValueError, match=f"{name} must be a finite number >= 0 and <= 1"):
             MapperConfig(**{name: value})
 
     @pytest.mark.parametrize("value", [0, 0.0, 0.55, 1, 1.0, np.float64(0.3)])

@@ -166,3 +166,17 @@ class TestSignalSynthesis:
             SignalConfig(dwell_mean=1.0, dwell_min=2)
         with pytest.raises(ValueError):
             SignalConfig(noise_std=-1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dwell_mean", float("nan")), ("dwell_mean", 1_001.0), ("dwell_min", 2.5),
+         ("dwell_min", True), ("noise_std", float("inf")), ("noise_std", float("nan")),
+         ("drift_per_kilosample", float("nan")), ("drift_per_kilosample", float("-inf"))],
+    )
+    def test_dwell_and_noise_refused_at_construction(self, field, value):
+        """A NaN mean dwell synthesized and decoded without complaint; a
+        fractional minimum dwell, a non-finite noise or drift and a mean
+        dwell that overflows the sample indices failed only at the first
+        synthesized chunk, inside a worker."""
+        with pytest.raises(ValueError, match=field):
+            SignalConfig(**{field: value})

@@ -1,5 +1,7 @@
 """Tests for the read simulator and dataset presets (Table 1 fidelity)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -125,11 +127,24 @@ class TestQualityProcess:
             ("jitter_std", -0.5),
             ("jitter_std", float("inf")),
             ("floor", 31.0),
+            ("floor", float("nan")),
+            ("floor", float("-inf")),
+            ("floor", -1.0),
+            ("ceiling", float("inf")),
+            ("burst_depth", float("nan")),
+            ("burst_depth", float("inf")),
+            ("burst_length", 2.5),
+            ("burst_length", True),
+            ("correlation_length", True),
         ],
     )
     def test_invalid_process_rejected_at_construction(self, field, value):
         """A negative or zero correlation length gave all-NaN tracks or a
-        ZeroDivisionError; floor > ceiling flattened every base."""
+        ZeroDivisionError; floor > ceiling flattened every base. A
+        non-finite floor, ceiling or burst depth and a fractional burst
+        length were accepted and failed, or clipped every quality to one
+        value, only when reads were drawn; a negative floor emits
+        qualities the read frame refuses."""
         with pytest.raises(ValueError):
             QualityProcessConfig(**{field: value})
 
@@ -151,12 +166,27 @@ class TestSimulatorConfig:
             ("mean_length", float("nan")),
             ("short_read_mean", -1.0),
             ("short_read_mean", float("nan")),
+            ("low_quality_fraction", float("nan")),
+            ("low_quality_fraction", -0.05),
+            ("low_quality_fraction", float("-inf")),
+            ("junk_fraction", -1.0),
+            ("junk_fraction", float("nan")),
+            ("low_quality_mean", float("nan")),
+            ("high_quality_mean", float("inf")),
+            ("low_quality_std", float("nan")),
+            ("high_quality_std", -1.0),
+            ("min_length", 2.5),
+            ("max_length", 5_000.0),
+            ("median_length", True),
         ],
     )
     def test_invalid_config_rejected_at_construction(self, field, value):
         """Each of these used to be accepted and then fail late (NaN
         lognormal parameters, a ZeroDivisionError, numpy's "scale < 0")
-        or never."""
+        or never. A NaN or negative class fraction compares False with
+        every draw, so whole classes vanished: of 300 reads (seed 3) the
+        default mixture draws 57 LOW_QUALITY, NaN or -0.05 drew none, and
+        ``junk_fraction=-1`` only NORMAL ones."""
         with pytest.raises(ValueError):
             SimulatorConfig(**{field: value})
 
@@ -176,10 +206,23 @@ class TestDatasetPresets:
         assert ECOLI_LIKE.scaled_read_count(0.001) == 58
         with pytest.raises(ValueError):
             ECOLI_LIKE.scaled_read_count(0.0)
+        with pytest.raises(ValueError):
+            ECOLI_LIKE.scaled_read_count(True)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("full_read_count", float("nan")), ("full_read_count", 0), ("reference_length", 2.5),
+         ("reference_seed", -1), ("reference_seed", True)],
+    )
+    def test_invalid_profile_rejected_at_construction(self, field, value):
+        """Each was accepted and failed, if at all, only when a dataset
+        was generated from the profile."""
+        with pytest.raises(ValueError, match=field):
+            replace(ECOLI_LIKE, **{field: value})
 
     @pytest.mark.parametrize("scale", [float("inf"), float("nan")])
     def test_scaled_read_count_refuses_a_non_finite_scale(self, scale):
-        with pytest.raises(ValueError, match=f"scale must be positive and finite, got {scale}"):
+        with pytest.raises(ValueError, match=f"scale must be a finite number > 0, got {scale}"):
             ECOLI_LIKE.scaled_read_count(scale)
 
     @pytest.mark.parametrize("profile", [ECOLI_LIKE, HUMAN_LIKE], ids=lambda p: p.name)

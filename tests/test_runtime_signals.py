@@ -198,8 +198,19 @@ class TestProviders:
     def test_non_finite_quality_noise_refused(self, noise):
         """Used to be accepted and fail at the first synthesized chunk,
         inside a worker, as a non-finite sample."""
-        with pytest.raises(ValueError, match="quality_noise must be finite"):
+        with pytest.raises(ValueError, match="quality_noise must be a finite number"):
             ViterbiBackendConfig(pore_k=3, quality_noise=noise)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("pore_k", 9), ("pore_k", 2.5), ("pore_seed", -1), ("pore_seed", 2.5),
+         ("quality_noise", True)],
+    )
+    def test_engine_recipe_refused_at_construction(self, field, value):
+        """A pore shape the synthetic model cannot build failed only when
+        the engine was built from the recipe; ``True`` ran as 1 pA."""
+        with pytest.raises(ValueError, match=field):
+            ViterbiBackendConfig(**{field: value})
 
     @pytest.mark.parametrize("backend_cls,config", [
         (ViterbiChunkBasecaller, FAST_VITERBI),
@@ -220,6 +231,17 @@ class TestProviders:
         via_carried = backend.basecall_read(signal_read, 300)
         assert via_carried.bases == via_synthesis.bases
         np.testing.assert_array_equal(via_carried.qualities, via_synthesis.qualities)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("pore_k", 9), ("pore_k", 2.5), ("pore_seed", -1), ("pore_seed", 2.5),
+         ("quality_noise", True)],
+    )
+    def test_engine_recipe_refused_at_construction(self, field, value):
+        """A pore shape the synthetic model cannot build failed only when
+        the engine was built from the recipe; ``True`` ran as 1 pA."""
+        with pytest.raises(ValueError, match=field):
+            ViterbiBackendConfig(**{field: value})
 
     @pytest.mark.parametrize("backend_cls,config", [
         (ViterbiChunkBasecaller, FAST_VITERBI),

@@ -214,10 +214,11 @@ class TestSegmentation:
             SegmentationConfig(threshold=threshold)
 
     @pytest.mark.parametrize("field", ["window", "min_dwell"])
-    @pytest.mark.parametrize("value", [2.5, 1.5])
+    @pytest.mark.parametrize("value", [2.5, 1.5, True])
     def test_sample_counts_must_be_integers(self, field, value):
         """A fractional window used to pass and raise IndexError inside
-        jump_scores; a fractional min_dwell was accepted outright."""
+        jump_scores; a fractional min_dwell was accepted outright, and
+        ``True`` as 1."""
         with pytest.raises(ValueError, match=field):
             SegmentationConfig(**{field: value})
 
@@ -259,8 +260,17 @@ class TestSignalRejectionPolicy:
         """A NaN threshold used to reject every read after scanning
         every template (no cost compares below NaN); an infinite one
         accepts every read."""
-        with pytest.raises(ValueError, match="finite and positive"):
+        with pytest.raises(ValueError, match="threshold must be a finite number > 0"):
             SignalRejectionPolicy([np.ones(10)], threshold=threshold)
+
+    @pytest.mark.parametrize(
+        "field, value", [("threshold", True), ("prefix_bases", 2.5), ("prefix_bases", True)]
+    )
+    def test_bool_or_fractional_parameter_refused(self, field, value):
+        """Each was accepted: ``True`` as 1, and a fractional prefix
+        failed only when the first read was screened."""
+        with pytest.raises(ValueError, match=field):
+            SignalRejectionPolicy([np.ones(10)], **{field: value})
 
     def test_empty_signal_rejected(self, covering_policy):
         empty = SignalRead(
