@@ -28,10 +28,11 @@ previously iterated sample-by-sample in interpreted Python:
   one call of the C kernel ``seed.c`` when it loaded, else the numpy
   path (a vectorised scan, then one ``searchsorted`` + repeat/gather),
   with the same bytes.
-* :mod:`repro.kernels.chain` -- the minimap2 chain DP (paper
-  Fig. 1(c)): all of a call's anchors in one call of the C kernel
-  ``chain.c`` when it loaded, else the scalar recurrence it is
-  bit-identical to.
+* :mod:`repro.kernels.chain` -- the chain stage (paper Fig. 1(c)):
+  a read's anchor gathering, minimap2 chain DP, chain walk and
+  primary/secondary pick in one call of the C kernel ``chain.c`` when
+  it loaded, else the mapping layer's Python stage over the scalar
+  recurrence, with the same bytes.
 * :mod:`repro.kernels.align` -- affine-gap (Gotoh) alignment (paper
   Fig. 1(d)): the pure-Python scalar loop that defines a segment's
   score and CIGAR. Production runs the lane fill in
@@ -53,10 +54,11 @@ a reference is something a test imports*. ``seed_anchors_scalar``,
 kernel against its reference and fail on any mismatch; nothing selects
 a kernel by name, and no stage picks between two fills. The four
 compiled kernels run by availability alone, with the same bytes either
-way: the chain DP and the Gotoh lane fill fall back to their scalar
-references; the Viterbi trellis, whose reference is far too slow to
-run a decode, to its numpy fold; and seeding, whose minimizer scan has
-no scalar twin, to its numpy path. :mod:`repro.kernels.native` holds
+way: the chain stage falls back to its Python composition over the
+scalar DP, the Gotoh lane fill to its scalar reference; the Viterbi
+trellis, whose reference is far too slow to run a decode, to its numpy
+fold; and seeding, whose minimizer scan has no scalar twin, to its
+numpy path. :mod:`repro.kernels.native` holds
 the one table of them, ``KERNELS`` (each one's fallback name and C
 signatures), builds each with the system C compiler on its first call,
 caches it, and names what runs: ``native.backend("chain")``.

@@ -1,4 +1,4 @@
-"""Chain DP kernels: the scalar reference and the compiled DP.
+"""Chain kernels: a read's whole chain stage, the chain DP, its reference.
 
 The minimap2 chain recurrence (Li 2018, Eq. 1-2; the DP GenPIP's
 read-mapping units execute in-memory, paper Fig. 1(c)) scores each
@@ -8,16 +8,25 @@ anchor against a bounded lookback window of predecessors:
 
     f(i) = max( w_i,  max_{j in lookback} f(j) + a(j, i) - g(j, i) )
 
-Production runs :func:`chain_scores`. It makes one call of the C kernel
-``chain.c`` for all of a call's anchors when it loaded
-(``native.kernel("chain")``: built on first use by
-:mod:`repro.kernels.native`, once per process, never at import): per
-anchor, per window slot, the scalar reference's expression, in its
-order. Its ``log2`` is a table numpy computed (:func:`_log2_table`),
-because libm's ``log2`` and numpy's differ in the last bit at some
-integers. Otherwise -- no compiler, or a build or load that failed --
-:func:`chain_scores_scalar` itself runs, the reference the tests check
-the C kernel against. ``native.backend("chain")`` says which.
+Production chains a read with :func:`chain_read`: when the C kernel
+``chain.c`` loaded (``native.kernel("chain")``: built on first use by
+:mod:`repro.kernels.native`, once per process, never at import),
+``IncrementalChunkMapper.chain_prefix`` makes one call of it per chain
+stage. It merges, flips, sorts and de-duplicates both strands' seeded
+anchors, runs the DP over each, walks out each strand's chains and
+picks the primary and the secondary, all in C. Otherwise -- no
+compiler, or a build or load that failed -- the mapper's ``_gathered``
+and :func:`repro.mapping.chaining.best_chain` run: the same chains,
+with the DP in :func:`chain_scores_scalar`. ``native.backend("chain")``
+says which.
+
+:func:`chain_scores` is the DP alone over one strand's sorted anchors:
+one call of ``chain.c``'s ``chain_dp`` when it loaded, else
+:func:`chain_scores_scalar`, the reference the tests check the C DP
+against. Per anchor, per window slot, the C DP runs the scalar
+reference's expression, in its order; its ``log2`` is a table numpy
+computed (:func:`_log2_table`), because libm's ``log2`` and numpy's
+differ in the last bit at some integers.
 
 **Bit-identity.** The scalar reference evaluates, per anchor,
 ``(scores[window] + gain) - gap`` and masks invalid slots to ``-inf``
@@ -30,10 +39,14 @@ tie-breaks are bit-identical, not merely close.
 from __future__ import annotations
 
 import functools
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.kernels.mapping_ops import record_mapping_ops
+
+if TYPE_CHECKING:
+    from types import SimpleNamespace
 
 
 @functools.cache
@@ -133,3 +146,57 @@ def chain_scores(
         _log2_table(max_gap), scores, parents,
     )  # fmt: skip
     return scores, parents
+
+
+def chain_read(
+    library: SimpleNamespace,
+    plus: np.ndarray,
+    minus: np.ndarray,
+    flip: int,
+    kmer_size: int,
+    max_gap: int,
+    lookback: int,
+    min_chain_score: float,
+    min_anchors: int,
+    max_chains: int,
+) -> tuple[tuple[float, np.ndarray, int] | None, tuple[float, np.ndarray, int] | None]:
+    """The whole chain stage of one read in one call of ``chain.c``.
+
+    ``library`` is ``native.kernel("chain")``, loaded. ``plus`` and
+    ``minus`` are each strand's seeded ``int64[n, 2]`` (ref, read) rows,
+    in any order and with repeats; the minus strand's read positions are
+    raw, and become ``flip - read``. Returns the primary and the
+    secondary chain as ``(score, anchors, strand)``, ``None`` where
+    there is none: what ``best_chain`` returns for the rows ``_gathered``
+    makes of these, and it charges the ledger the same candidates.
+    """
+    for rows in (plus, minus):
+        if rows.ndim != 2 or rows.shape[1] != 2:
+            raise ValueError(f"anchors must be an [n, 2] array, got shape {rows.shape}")
+    total = plus.shape[0] + minus.shape[0]
+    if total == 0:
+        return None, None
+    rows = np.empty((total, 2), dtype=np.int64)
+    scores = np.empty(2)
+    info = np.empty(6, dtype=np.int64)
+    # Past the rows there are, lookback and min_anchors mean the same as
+    # at any larger value, so they are clamped to fit the kernel's int64.
+    found = library.chain_read(
+        plus, plus.shape[0], minus, minus.shape[0], flip, kmer_size, max_gap,
+        min(lookback, total), float(min_chain_score), min(min_anchors, total + 1), max_chains,
+        _log2_table(max_gap), rows, scores, info,
+    )  # fmt: skip
+    if found < 0:
+        raise MemoryError("chain.c could not allocate its scratch buffers")
+    n_primary, n_secondary, primary_strand, secondary_strand, n_plus, n_minus = info.tolist()
+    for n in (n_plus, n_minus):
+        if n > 1:
+            record_mapping_ops("chain-candidate", chain_candidate_count(n, lookback))
+    primary_score, secondary_score = scores.tolist()
+    primary = (primary_score, rows[:n_primary], primary_strand) if found else None
+    secondary = (
+        (secondary_score, rows[n_primary : n_primary + n_secondary], secondary_strand)
+        if found == 2
+        else None
+    )
+    return primary, secondary

@@ -3,17 +3,27 @@
 numpy is the only runtime dependency, so compiled code can only be a
 speed-up: every C kernel here has a Python fallback that produces the
 same bytes, and runs whenever the library cannot be had -- the scalar
-reference for the chain DP and the Gotoh fill, the numpy fold for the
-Viterbi trellis, the numpy path for seeding. There are four:
+reference for the chain DP and the Gotoh fill, ``_gathered`` and
+``best_chain`` for the chain stage, the numpy fold for the Viterbi
+trellis, the numpy path for seeding. There are four:
 ``trellis.c`` (the Viterbi trellis, :mod:`repro.kernels.viterbi`),
 ``gotoh.c`` (the Gotoh lane fill, :mod:`repro.mapping.alignment`),
-``chain.c`` (the chain DP, :mod:`repro.kernels.chain`) and ``seed.c``
-(the minimizer scan and index probe, :mod:`repro.kernels.seed`).
-:data:`KERNELS` is the one table of them: each one's fallback name and
-its C functions' ctypes signatures. :func:`kernel` resolves a library
-once per process, on that kernel's first call, into :data:`_LOADED`,
-so a run that never decodes Viterbi, never aligns or never chains never
-builds or loads that library; :func:`backend` names what runs. Setting
+``chain.c`` (a read's whole chain stage and the chain DP,
+:mod:`repro.kernels.chain`) and ``seed.c`` (the minimizer scan and
+index probe, :mod:`repro.kernels.seed`). :data:`KERNELS` is the one
+table of them: each one's fallback name and its C functions'
+signatures. :func:`kernel` resolves a library once per process, on
+that kernel's first call, into :data:`_LOADED`, so a run that never
+decodes Viterbi, never aligns or never chains never builds or loads
+that library; :func:`backend` names what runs.
+
+Every C function takes its arrays as raw ``void *`` addresses
+(``ctypes.c_void_p``). :func:`kernel` hands out each function bound
+by :func:`bind`, which passes each array argument through
+:func:`address` first: that refuses, with ``TypeError`` and before the
+C code runs, any array that is not C-contiguous or not of the dtype
+the table names, which is what numpy's ``ndpointer`` argtypes refused,
+at about half the cost per call. Setting
 ``_LOADED[name] = None`` before the first call forces the fallback (no
 option or environment variable does). Every call site imports this
 module inside the function that calls the kernel, so importing the CLI
@@ -47,8 +57,9 @@ import subprocess
 import sysconfig
 import tempfile
 import warnings
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -159,17 +170,17 @@ def load_library(name: str) -> ctypes.CDLL | None:
     return None
 
 
-_F64, _F32, _I64, _I8, _U8, _U64 = (
-    np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
-    for dtype in (np.float64, np.float32, np.int64, np.int8, np.uint8, np.uint64)
+_F64, _F32, _I64, _I8, _U8, _U64 = map(
+    np.dtype, (np.float64, np.float32, np.int64, np.int8, np.uint8, np.uint64)
 )
 _SIZE, _REAL = ctypes.c_int64, ctypes.c_double
 
 #: Every compiled kernel, by the stem of its source: the backend name of
 #: the Python fallback that runs where the library cannot be had, and
-#: each C function's ctypes ``(argtypes, restype)``. The ndpointer
-#: dtypes and ``C_CONTIGUOUS`` flags make ctypes refuse an array the C
-#: code would misread.
+#: each C function's ``(arguments, restype)``. An argument is a ctypes
+#: scalar type, or the numpy dtype of an array: the C function takes
+#: that as a raw ``void *``, which :func:`address` gives only for a
+#: C-contiguous array of exactly that dtype.
 KERNELS: dict[str, tuple[str, dict[str, tuple[list, type | None]]]] = {
     "trellis": ("numpy", {
         "trellis_forward": (
@@ -186,6 +197,11 @@ KERNELS: dict[str, tuple[str, dict[str, tuple[list, type | None]]]] = {
     }),
     "chain": ("scalar", {
         "chain_dp": ([_I64, _SIZE, _SIZE, _SIZE, _SIZE, _F64, _F64, _I64], None),
+        "chain_read": (
+            [_I64, _SIZE, _I64, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _REAL, _SIZE, _SIZE, _F64, _I64,
+             _F64, _I64],
+            _SIZE,
+        ),
     }),
     "seed": ("numpy", {
         "seed_minimizers": ([_U8, _SIZE, _SIZE, _SIZE, _U64, _I64, _I8], _SIZE),
@@ -197,22 +213,65 @@ KERNELS: dict[str, tuple[str, dict[str, tuple[list, type | None]]]] = {
     }),
 }  # fmt: skip
 
-#: Each kernel resolved so far in this process: its library, or
-#: ``None`` where its fallback runs.
-_LOADED: dict[str, ctypes.CDLL | None] = {}
+
+def address(array: np.ndarray, dtype: np.dtype) -> int:
+    """The address of ``array``'s data, for a C function's ``void *``.
+
+    Refuses, with ``TypeError``, anything the C code would misread: an
+    object that is not an ndarray, another dtype, or an array that is not
+    C-contiguous (a strided view). The caller must keep ``array`` alive
+    until the C call returns: the integer does not.
+    """
+    if isinstance(array, np.ndarray) and array.dtype == dtype and array.flags.c_contiguous:
+        return array.ctypes.data
+    if isinstance(array, np.ndarray):
+        got = f"a {array.dtype} array with strides {array.strides}"
+    else:
+        got = f"a {type(array).__name__}"
+    raise TypeError(f"expected a C-contiguous {dtype} array, got {got}")
 
 
-def kernel(name: str) -> ctypes.CDLL | None:
-    """The compiled kernel ``name`` with its signatures declared, or
-    ``None`` (its fallback runs); resolved once per process."""
+def bind(symbol: Callable, arguments: list) -> Callable:
+    """``symbol`` taking arrays where ``arguments`` names a dtype: each
+    goes through :func:`address` before the C function runs (the
+    arguments tuple holds the arrays through the call)."""
+    arrays = [(i, t) for i, t in enumerate(arguments) if isinstance(t, np.dtype)]
+
+    def call(*args):
+        if len(args) != len(arguments):
+            raise TypeError(f"{symbol.__name__} takes {len(arguments)} arguments, got {len(args)}")
+        raw = list(args)
+        for i, dtype in arrays:
+            raw[i] = address(raw[i], dtype)
+        return symbol(*raw)
+
+    call.__name__ = symbol.__name__
+    return call
+
+
+#: Each kernel resolved so far in this process: its C functions, bound
+#: by :func:`bind`, or ``None`` where its fallback runs.
+_LOADED: dict[str, SimpleNamespace | None] = {}
+
+
+def kernel(name: str) -> SimpleNamespace | None:
+    """The compiled kernel ``name``'s C functions, each bound by
+    :func:`bind` to its row of :data:`KERNELS`, or ``None`` (its
+    fallback runs); resolved once per process."""
     if name not in _LOADED:
         _, functions = KERNELS[name]
         library = load_library(name)
+        bound = None
         if library is not None:
-            for function, (argtypes, restype) in functions.items():
+            bound = SimpleNamespace()
+            for function, (arguments, restype) in functions.items():
                 symbol = getattr(library, function)
-                symbol.argtypes, symbol.restype = argtypes, restype
-        _LOADED[name] = library
+                symbol.argtypes = [
+                    ctypes.c_void_p if isinstance(t, np.dtype) else t for t in arguments
+                ]
+                symbol.restype = restype
+                setattr(bound, function, bind(symbol, arguments))
+        _LOADED[name] = bound
     return _LOADED[name]
 
 

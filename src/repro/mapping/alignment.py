@@ -51,7 +51,7 @@ from repro.kernels.align import gotoh_scalar, merge_cigar
 from repro.kernels.mapping_ops import record_mapping_ops
 
 if TYPE_CHECKING:
-    import ctypes
+    from types import SimpleNamespace
 
 #: CIGAR operation codes used throughout: match, mismatch, insertion
 #: (read-only base), deletion (reference-only base), soft clip.
@@ -234,7 +234,7 @@ def _fill_lanes(lanes: list[Lane], config: AlignmentConfig) -> list[AlignmentRes
 
 
 def _fill_native(
-    library: ctypes.CDLL,
+    library: SimpleNamespace,
     codes: np.ndarray,
     starts: list[int],
     shapes: list[tuple[int, int]],

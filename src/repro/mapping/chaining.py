@@ -17,10 +17,17 @@ in-memory; the chain *score* is also what GenPIP's ER-CMR thresholds to
 predict unmappable reads early.
 
 The implementation is the standard O(n * h) heuristic with a bounded
-lookback window, executed by :func:`repro.kernels.chain.chain_scores`:
-one call of the C kernel ``chain.c`` for all of a strand's anchors when
-it loaded, else ``chain_scores_scalar``, which the tests check the C
-kernel against bit for bit -- scores, parents, and tie-breaks.
+lookback window. Where the C kernel ``chain.c`` loaded, a read's whole
+chain stage -- gathering both strands' anchors, the DP, the chain walk
+of :func:`chain_anchors` and the primary/secondary pick of
+:func:`best_chain` -- runs in one call of it
+(:func:`repro.kernels.chain.chain_read`, made by
+``IncrementalChunkMapper.chain_prefix``). The functions here are that
+stage in Python: its fallback, and the reference the tests check it
+against bit for bit. Their DP is
+:func:`repro.kernels.chain.chain_scores`: ``chain.c``'s DP alone when
+it loaded, else ``chain_scores_scalar`` -- the same scores, parents
+and tie-breaks.
 """
 
 from __future__ import annotations
@@ -36,6 +43,10 @@ from repro.checks import require_finite, require_integer
 #: Largest ``max_gap`` a :class:`ChainingConfig` takes (one ``float64``
 #: ``log2`` table entry per gap, 8 MiB at this bound).
 MAX_GAP_LIMIT = 2**20
+
+#: Chains :func:`chain_anchors` reports per strand by default, and so per
+#: strand for :func:`best_chain`.
+MAX_CHAINS = 5
 
 
 @dataclass(frozen=True)
@@ -123,7 +134,7 @@ def chain_anchors(
     anchors: np.ndarray,
     config: ChainingConfig,
     strand: int = 1,
-    max_chains: int = 5,
+    max_chains: int = MAX_CHAINS,
 ) -> list[Chain]:
     """Find the best chains among sorted anchors of one strand.
 

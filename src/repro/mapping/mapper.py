@@ -12,14 +12,16 @@ does when it checks the chaining score of the first ``N_cm`` chunks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.checks import require_finite
 from repro.genomics import alphabet
+from repro.kernels.chain import chain_read
 from repro.mapping.alignment import AlignmentConfig, AlignmentResult, align_chain
-from repro.mapping.chaining import Chain, ChainingConfig, best_chain
+from repro.mapping.chaining import MAX_CHAINS, Chain, ChainingConfig, best_chain
 from repro.mapping.index import MinimizerIndex
 from repro.mapping.seeding import collect_anchor_arrays
 from repro.obs.trace import active_tracer
@@ -46,6 +48,24 @@ class MapperConfig:
 
 #: Shared (it is frozen) by every mapper given no config: one is made per read.
 _DEFAULT_CONFIG = MapperConfig()
+
+#: A strand that seeded nothing.
+_NO_ANCHORS = np.empty((0, 2), dtype=np.int64)
+
+
+def _joined(blocks: list[np.ndarray]) -> np.ndarray:
+    """A strand's seeded blocks as one array, copied only when there
+    are several."""
+    if len(blocks) > 1:
+        return np.concatenate(blocks)
+    return blocks[0] if blocks else _NO_ANCHORS
+
+
+@functools.lru_cache(maxsize=16)
+def _with_kmer_size(chaining: ChainingConfig, k: int) -> ChainingConfig:
+    """``chaining`` with the index's ``k``, so the anchor maths line up:
+    made once per (config, ``k``), not once per read."""
+    return chaining if chaining.kmer_size == k else replace(chaining, kmer_size=k)
 
 
 @dataclass(frozen=True)
@@ -126,20 +146,14 @@ class IncrementalChunkMapper:
     def __init__(self, index: MinimizerIndex, read_length: int, config: MapperConfig | None = None):
         self._index = index
         self._config = config or _DEFAULT_CONFIG
-        # Chaining must use the index's k so anchor maths line up.
-        if self._config.chaining.kmer_size != index.config.k:
-            self._config = replace(
-                self._config,
-                chaining=replace(self._config.chaining, kmer_size=index.config.k),
-            )
         self._read_length = int(read_length)
         # Raw read coordinates are stored; reverse-strand flipping happens
         # at gather time against the *current* read length, because the
         # basecalled length is only final when the last chunk arrives.
         self._anchor_blocks: dict[int, list[np.ndarray]] = {1: [], -1: []}
-        # ER-CMR probes chain_prefix() repeatedly over the same prefix;
-        # the gathered/sorted anchor arrays only change when a chunk
-        # arrives or the read length moves, so cache them in between.
+        # The fallback chain stage's gathered/sorted anchor arrays only
+        # change when a chunk arrives or the read length moves, so they
+        # are cached in between.
         self._gathered_cache: dict[int, np.ndarray] | None = None
 
     def set_read_length(self, read_length: int) -> None:
@@ -197,9 +211,27 @@ class IncrementalChunkMapper:
         return out
 
     def chain_prefix(self) -> tuple[Chain | None, Chain | None]:
-        """Chain all anchors accumulated so far (primary, secondary)."""
+        """Chain all anchors accumulated so far (primary, secondary).
+
+        One call of the compiled ``chain.c`` (``chain_read``) when it
+        loaded; else :meth:`_gathered` and :func:`best_chain`, which
+        give the same chains. Either chains with the index's ``k``.
+        """
+        import repro.kernels.native as native
+
+        k = self._index.config.k
+        chaining = self._config.chaining
         with active_tracer().span("chain"):
-            return best_chain(self._gathered(), self._config.chaining)
+            library = native.kernel("chain")
+            if library is None:
+                return best_chain(self._gathered(), _with_kmer_size(chaining, k))
+            plus, minus = (_joined(self._anchor_blocks[strand]) for strand in (1, -1))
+            found = chain_read(
+                library, plus, minus, self._read_length - k, k, chaining.max_gap,
+                chaining.lookback, chaining.min_chain_score, chaining.min_anchors, MAX_CHAINS,
+            )  # fmt: skip
+            primary, secondary = (None if chain is None else Chain(*chain) for chain in found)
+            return primary, secondary
 
     def finalize(
         self, read_id: str, read_codes: np.ndarray, align: bool = True

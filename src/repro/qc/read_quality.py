@@ -24,6 +24,10 @@ class QCConfig:
         require_finite("theta_qs", self.theta_qs, ge=0)
 
 
+#: Shared (it is frozen) by every call given no config.
+_DEFAULT_CONFIG = QCConfig()
+
+
 @dataclass(frozen=True)
 class QCResult:
     """Outcome of QC over a set of reads."""
@@ -39,13 +43,13 @@ class QCResult:
 
 def passes_qc(read: BasecalledRead, config: QCConfig | None = None) -> bool:
     """True if the read's AQS meets the threshold."""
-    config = config or QCConfig()
+    config = config or _DEFAULT_CONFIG
     return read.mean_quality >= config.theta_qs
 
 
 def apply_qc(reads, config: QCConfig | None = None) -> QCResult:
     """Partition reads into passed/failed by AQS."""
-    config = config or QCConfig()
+    config = config or _DEFAULT_CONFIG
     passed, failed = [], []
     for read in reads:
         (passed if passes_qc(read, config) else failed).append(read)

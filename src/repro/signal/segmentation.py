@@ -78,6 +78,10 @@ class SegmentationConfig:
         require_integer("min_dwell", self.min_dwell, ge=1)
 
 
+#: Shared (it is frozen) by every call given no config.
+_DEFAULT_CONFIG = SegmentationConfig()
+
+
 def robust_noise_scale(samples: np.ndarray) -> float:
     """Noise sigma estimated from first differences (jump-insensitive).
 
@@ -129,7 +133,7 @@ def detect_events(samples: np.ndarray, config: SegmentationConfig | None = None)
     of :func:`jump_scores` above the threshold, thinned to the minimum
     dwell. An empty signal yields an empty array.
     """
-    config = config or SegmentationConfig()
+    config = config or _DEFAULT_CONFIG
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         return np.empty(0, dtype=np.int64)

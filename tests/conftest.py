@@ -64,7 +64,8 @@ def gotoh(request):
 
 @pytest.fixture(params=_backends("chain"))
 def chain(request):
-    """Runs a test once on the compiled chain DP, once on ``chain_scores_scalar``."""
+    """Runs a test once on the compiled chain stage and DP, once on their
+    fallbacks (``_gathered`` and ``best_chain``, ``chain_scores_scalar``)."""
     yield from _native_then_fallback(request, "chain")
 
 

@@ -213,6 +213,17 @@ class TestReadQC:
     def test_apply_qc_empty(self):
         assert apply_qc([]).pass_fraction == 0.0
 
+    def test_calls_without_a_config_build_none(self, monkeypatch):
+        """A call given no config shares one frozen default: a per-read
+        ``QCConfig()`` would re-run its checks on every read."""
+        built = []
+        real = QCConfig.__post_init__
+        monkeypatch.setattr(QCConfig, "__post_init__", lambda self: built.append(real(self)))
+        reads = [self._read(q) for q in (3.0, 8.0)]
+        assert [passes_qc(read) for read in reads] == [False, True]
+        assert len(apply_qc(reads).passed) == 1
+        assert built == []
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             QCConfig(theta_qs=-2.0)

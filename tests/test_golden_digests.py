@@ -34,7 +34,8 @@ pipeline (since deleted) before the compiled Gotoh fill existed, and is
 checked on the compiled fill and on ``gotoh_scalar``, its fallback.
 Every outcome digest chains; ``er-map``, taken on a numpy chain fold
 (since deleted) before the compiled chain DP existed, is checked on the
-compiled DP and on ``chain_scores_scalar``. Every digest also seeds;
+compiled chain stage and on its fallback (``_gathered`` and
+``best_chain``, the DP in ``chain_scores_scalar``). Every digest also seeds;
 ``er-map``, taken on the numpy seeding path before ``seed.c`` existed,
 is checked on the compiled seeding and on that path, its fallback.
 ``cli-report`` hashes ``python -m repro.runtime --json``'s document,
@@ -185,8 +186,8 @@ TRELLIS_SETS = ("viterbi-signal", "ser-signal")
 #: The read sets aligned base by base; checked on the compiled Gotoh
 #: fill and on the scalar reference.
 GOTOH_SETS = ("er-align",)
-#: The read set whose digest is checked on the compiled chain DP and on
-#: the scalar reference (every set chains; this one maps the most).
+#: The read set whose digest is checked on the compiled chain stage and
+#: on its fallback (every set chains; this one maps the most).
 CHAIN_SETS = ("er-map",)
 #: The read sets whose ``--json`` reports ``cli-report`` hashes: mapped
 #: reads with an identity, reads rejected before mapping (``mapping``
@@ -282,8 +283,9 @@ def test_outcome_records_match_parent_digest(name):
 
 @pytest.mark.parametrize("name", CHAIN_SETS)
 def test_chain_outcome_records_match_parent_digest(name, chain):
-    """Chained by the compiled DP, then by ``chain_scores_scalar``
-    (``chain`` fixture): the same digest either way."""
+    """Chained by the compiled chain stage, then by its fallback over
+    ``chain_scores_scalar`` (``chain`` fixture): the same digest either
+    way."""
     golden = _golden_digests()
     assert _outcome_digest(name)["sha256"] == golden[name]["sha256"]
 

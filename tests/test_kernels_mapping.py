@@ -11,7 +11,10 @@ by bytes in ``test_trail_case_bit_identical`` each):
   the numpy scan;
 * the compiled chain DP (``chain.c``) must produce bit-identical scores
   *and parents* to the scalar reference (same float64 combine order per
-  row);
+  row), and the compiled chain stage (``chain.c``'s ``chain_read``
+  behind ``chain_prefix``) the primary and secondary chains and the
+  chain candidates of its Python fallback (``_gathered`` and
+  ``best_chain``);
 * the compiled Gotoh lane fill (``gotoh.c`` behind ``_fill_lanes``)
   must give every lane the identical score and CIGAR the scalar
   reference gives it -- a free-tail extension, and a lane whose path
@@ -44,7 +47,9 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -57,6 +62,7 @@ import repro.kernels.chain as chain_kernels
 import repro.kernels.native as native
 import repro.mapping.alignment as alignment_module
 import repro.mapping.chaining as chaining_module
+import repro.mapping.mapper as mapper_module
 import repro.mapping.seeding as seeding_module
 from repro.core import GenPIPConfig, GenPIPPipeline
 from repro.genomics import alphabet
@@ -448,6 +454,148 @@ def _band_leaving_lane(rng, kind):
         size = int(rng.integers(10, 40))
         ref, read = [flank, stretch, tail], [flank, 3 - stretch[size - 1 :: -1], stretch[size:], tail]
     return np.concatenate(ref), np.concatenate(read), kind == "free-tail"
+
+
+def _strand_rows(rng, n_rows, read_length, copies, k=13):
+    """``n_rows`` (ref, read) rows of one strand, in chaining
+    coordinates: ``copies`` copies of one colinear motif at reference
+    loci 20 kb apart (chains of equal score), and scattered hits. None
+    for ``n_rows = 0``."""
+    if n_rows == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    read = np.cumsum(rng.integers(5, 40, size=max(1, n_rows // (2 * copies))))
+    read = read[read < read_length - k]
+    motif_size = read.size
+    motif = np.stack([read + np.cumsum(rng.integers(-3, 4, size=motif_size)), read], axis=1)
+    n_scattered = max(0, n_rows - copies * motif_size)
+    scattered = np.stack(
+        [rng.integers(0, 100_000, n_scattered), rng.integers(0, read_length, n_scattered)], axis=1
+    )
+    loci = [motif + [20_000 * (1 + copy), 0] for copy in range(copies)]
+    return np.concatenate([*loci, scattered]).astype(np.int64)
+
+
+def _seeded_blocks(rng, rows, n_blocks):
+    """``rows`` cut into ``n_blocks`` blocks as chunks seed them: in
+    random order, each block with a few rows of others again (the
+    repeats overlapping chunks seed), about half of them sorted."""
+    if rows.shape[0] == 0:
+        return []
+    order = rng.permutation(rows.shape[0])
+    cuts = np.sort(rng.integers(0, rows.shape[0] + 1, n_blocks - 1))
+    blocks = []
+    for piece in np.split(rows[order], cuts):
+        block = np.concatenate([piece, rows[rng.integers(0, rows.shape[0], rng.integers(0, 6))]])
+        if rng.random() < 0.5:
+            block = block[np.lexsort((block[:, 1], block[:, 0]))]
+        blocks.append(np.ascontiguousarray(block))
+    return blocks
+
+
+class TestChainStage:
+    """``chain_prefix`` in one call of the compiled ``chain.c`` against
+    its fallback, ``_gathered`` and ``best_chain``: the same primary and
+    secondary, bit for bit, and the same chain candidates charged."""
+
+    @given(
+        n_plus=st.integers(1, 150),
+        n_minus=st.integers(1, 150),
+        seeded=st.sampled_from(["both", "both", "both", "plus", "minus", "neither"]),
+        blocks=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        copies=st.integers(1, 3),
+        lookback=st.one_of(st.integers(1, 60), st.just(2**62), st.integers(1, 2**62)),
+        min_chain_score=st.one_of(st.floats(0, 60), st.sampled_from([0.0, 20.0, 1e9])),
+        min_anchors=st.sampled_from([1, 2, 3, 3, 5, 2**62]),
+        max_gap=st.sampled_from([100, 5_000]),
+        read_length=st.integers(200, 4_000),
+        shortened=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None, suppress_health_check=_ONE_FILL_PER_TEST)
+    def test_compiled_stage_is_the_fallback(
+        self, index, n_plus, n_minus, seeded, blocks, copies, lookback, min_chain_score,
+        min_anchors, max_gap, read_length, shortened, seed,
+    ):  # fmt: skip
+        """Several blocks per strand with repeats across them, either or
+        both strands empty, tied chains on one strand and across the two
+        (equal motifs), a read length cut below the seeded bases (the
+        minus strand's flipped positions go negative), and the
+        thresholds at their extremes."""
+        require_native("chain")
+        k = index.config.k
+        rng = np.random.default_rng(seed)
+        plus = _strand_rows(rng, n_plus * (seeded in ("both", "plus")), read_length, copies)
+        minus = _strand_rows(rng, n_minus * (seeded in ("both", "minus")), read_length, copies)
+        minus[:, 1] = read_length - k - minus[:, 1]  # raw, as seeding stores them
+        sides = [_seeded_blocks(rng, rows, n) for rows, n in ((plus, blocks[0]), (minus, blocks[1]))]
+        chunks = [
+            {strand: side[i] if i < len(side) else np.empty((0, 2), np.int64)
+             for strand, side in zip((1, -1), sides, strict=True)}
+            for i in range(max(map(len, sides)))
+        ]  # fmt: skip
+        config = MapperConfig(
+            chaining=ChainingConfig(
+                max_gap=max_gap, lookback=lookback, min_chain_score=min_chain_score,
+                min_anchors=min_anchors,
+            )
+        )  # fmt: skip
+        mapper = IncrementalChunkMapper(index, read_length, config=config)
+        with mock.patch.object(mapper_module, "collect_anchor_arrays", side_effect=chunks):
+            for chunk in range(len(chunks)):
+                mapper.add_chunk(np.zeros(0, dtype=np.uint8), chunk)
+        if shortened:
+            mapper.set_read_length(read_length // 3)
+        ledger = process_mapping_ops()
+
+        def stage():
+            before = ledger.value("chain-candidate")
+            chains = [
+                None if c is None else (c.score.hex(), c.strand, c.anchors.shape, c.anchors.tobytes())
+                for c in mapper.chain_prefix()
+            ]
+            return chains, ledger.value("chain-candidate") - before
+
+        compiled = stage()
+        with fallback("chain"):
+            assert stage() == compiled
+
+    def test_failed_allocation_raises_memory_error(self):
+        """``chain.c`` returns -1 when its scratch ``malloc`` fails: the
+        call raises ``MemoryError`` and charges nothing."""
+
+        class Failing:
+            def chain_read(self, *args):
+                return -1
+
+        rows = np.array([[0, 0], [20, 20]], dtype=np.int64)
+        before = mapping_ops("chain-candidate")
+        with pytest.raises(MemoryError, match="chain.c"):
+            chain_kernels.chain_read(Failing(), rows, rows, 100, 13, 5_000, 50, 20.0, 3, 5)
+        assert mapping_ops("chain-candidate") == before
+
+    def test_threads_chain_at_once(self, index, reference):
+        """ctypes releases the GIL, so two threads -- a served read's and
+        the batch's -- can be inside ``chain_read`` at once: the kernel
+        keeps no state between calls, and every thread gets the chains a
+        lone call gives."""
+        require_native("chain")
+        rng = np.random.default_rng(405)
+        mappers = []
+        for _ in range(6):
+            start = int(rng.integers(0, len(reference) - 4_000))
+            read = apply_errors(reference.codes[start : start + 3_000], 0.1, rng).codes
+            mapper = IncrementalChunkMapper(index, read.size)
+            for at in range(0, read.size, 500):
+                mapper.add_chunk(read[at : at + 600], at)
+            mappers.append(mapper)
+
+        def chains(mapper):
+            return [(c.score, c.strand, c.anchors.tobytes()) for c in mapper.chain_prefix() if c]
+
+        alone = [chains(mapper) for mapper in mappers]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            together = list(pool.map(lambda mapper: [chains(mapper) for _ in range(30)], mappers * 2))
+        assert together == [[want] * 30 for want in alone * 2]
 
 
 class TestAlignKernels:
@@ -1338,9 +1486,10 @@ class TestNoKernelIsSelectedByName:
 
     def test_one_fallback_per_mapping_kernel(self):
         """The chain DP and the Gotoh lane fill each have one fallback,
-        their scalar reference, and seeding one, the numpy path: no
-        module under ``src/repro`` defines a name of the deleted numpy
-        folds, and ``chain_scores``, ``_fill_lanes`` and
+        their scalar reference, the chain stage one, ``_gathered`` and
+        ``best_chain``, and seeding one, the numpy path: no module under
+        ``src/repro`` defines a name of the deleted numpy folds, and
+        ``chain_scores``, ``chain_prefix``, ``_fill_lanes`` and
         ``collect_anchor_arrays`` each branch once on a compiled kernel
         that did not load, into a call of their fallback."""
         deleted = {"_fold_blocked", "_combine_rows", "_fill_group", "_lane_groups", "_SPEC_ROUNDS"}
@@ -1376,12 +1525,13 @@ class TestNoKernelIsSelectedByName:
 
         for module, function, reference, helpers in (
             (chain_kernels, "chain_scores", "chain_scores_scalar", set()),
+            (mapper_module, "chain_prefix", "best_chain", {"_gathered", "_with_kmer_size"}),
             (alignment_module, "_fill_lanes", "gotoh_scalar", {"AlignmentResult", "_classify_diagonals"}),
             (seeding_module, "collect_anchor_arrays", "seed_anchors_batched", {"minimizer_arrays"}),
         ):
             tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
             (body,) = [
-                node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function
+                node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == function
             ]
             fallbacks = [
                 node for node in ast.walk(body) if isinstance(node, ast.If) and is_none_test(node.test)

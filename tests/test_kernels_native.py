@@ -2,21 +2,23 @@
 
 :mod:`repro.kernels.native` builds each kernel of its table,
 ``native.KERNELS`` -- ``trellis.c`` (the Viterbi trellis), ``gotoh.c``
-(the Gotoh lane fill), ``chain.c`` (the chain DP) and ``seed.c`` (the
+(the Gotoh lane fill), ``chain.c`` (the chain stage) and ``seed.c`` (the
 minimizer scan and index probe) -- on first use and caches each shared
 object; any failure must leave the kernel's fallback running:
-``chain_scores_scalar`` for the chain DP, ``gotoh_scalar`` for the
-Gotoh fill, the numpy fold for the trellis, the numpy path for seeding.
-Each fault below -- no compiler, a compiler that fails, a package cache
-that cannot be written, a per-user cache that is not private, a
-truncated library in the cache, two processes building a cold cache at
-once -- is run for every row of that table and must give the
-fallback's bytes, raise nothing and leave no temp file behind. A
-surrogate CLI run must build the chain DP and seeding alone (the
-trellis would only add start-up time), a run without ``--align`` never
-the Gotoh fill, and the summary line names the seeding that seeded,
-the chain DP that chained, the trellis that decoded and the fill that
-aligned.
+``_gathered`` and ``best_chain`` over ``chain_scores_scalar`` for the
+chain stage, ``gotoh_scalar`` for the Gotoh fill, the numpy fold for
+the trellis, the numpy path for seeding. Each fault below -- no
+compiler, a compiler that fails, a package cache that cannot be
+written, a per-user cache that is not private, a truncated library in
+the cache, two processes building a cold cache at once -- is run for
+every row of that table and must give the fallback's bytes, raise
+nothing and leave no temp file behind. Every array argument of every
+C function goes through ``native.address``, which refuses a wrong
+dtype or a strided view before C runs. A surrogate CLI run must build
+the chain stage and seeding alone (the trellis would only add start-up
+time), a run without ``--align`` never the Gotoh fill, and the summary
+line names the seeding that seeded, the chain stage that chained, the
+trellis that decoded and the fill that aligned.
 """
 
 from __future__ import annotations
@@ -34,15 +36,17 @@ import pytest
 from conftest import fallback
 
 import repro.kernels.native as native
+from repro.genomics.alphabet import reverse_complement
 from repro.genomics.reference import ReferenceGenome
 from repro.kernels import (
-    chain_scores,
+    mapping_ops,
     move_predecessors,
     viterbi_forward,
     viterbi_traceback,
 )
 from repro.mapping.alignment import AlignmentConfig, _fill_lanes
 from repro.mapping.index import MinimizerIndex
+from repro.mapping.mapper import IncrementalChunkMapper
 from repro.mapping.seeding import collect_anchor_arrays
 from repro.runtime.cli import main
 
@@ -79,12 +83,23 @@ if kernel == "trellis":
     path = vk.viterbi_traceback(backptr, pred, dp)
     digest = hashlib.sha256(b"".join(a.tobytes() for a in (backptr, scores, dp, path)))
 elif kernel == "chain":
-    import repro.kernels.chain as ck
-    ref = np.sort(rng.integers(0, 20_000, 400))
-    anchors = np.stack([ref, np.maximum(0, ref + rng.integers(-40, 40, 400))], axis=1)
-    anchors = anchors[np.lexsort((anchors[:, 1], anchors[:, 0]))]
-    scores, parents = ck.chain_scores(anchors, 13, 5_000, 50)
-    digest = hashlib.sha256(scores.tobytes() + parents.tobytes())
+    from repro.genomics.alphabet import reverse_complement
+    from repro.genomics.reference import ReferenceGenome
+    from repro.kernels import mapping_ops
+    from repro.mapping.index import MinimizerIndex
+    from repro.mapping.mapper import IncrementalChunkMapper
+    native._LOADED["seed"] = None
+    reference = ReferenceGenome.random(20_000, seed=5)
+    index = MinimizerIndex.build(reference)
+    read = np.concatenate(
+        [reference.codes[2_000:4_000], reverse_complement(reference.codes[9_000:11_000])]
+    )
+    mapper = IncrementalChunkMapper(index, read.size)
+    for at in range(0, read.size, 700):
+        mapper.add_chunk(read[at : at + 900], at)
+    before = mapping_ops("chain-candidate")
+    chains = [(c.score, c.strand, c.anchors.tobytes()) for c in mapper.chain_prefix() if c]
+    digest = hashlib.sha256(repr([chains, mapping_ops("chain-candidate") - before]).encode())
 elif kernel == "seed":
     from repro.genomics.reference import ReferenceGenome
     from repro.mapping.index import MinimizerIndex
@@ -131,14 +146,23 @@ def _align() -> str:
 
 
 def _chain() -> str:
-    """The probe's chain DP in this process: hex digest of its scores
-    and parents."""
-    rng = np.random.default_rng(5)
-    ref = np.sort(rng.integers(0, 20_000, 400))
-    anchors = np.stack([ref, np.maximum(0, ref + rng.integers(-40, 40, 400))], axis=1)
-    anchors = anchors[np.lexsort((anchors[:, 1], anchors[:, 0]))]
-    scores, parents = chain_scores(anchors, 13, 5_000, 50)
-    return hashlib.sha256(scores.tobytes() + parents.tobytes()).hexdigest()
+    """The probe's chain stage in this process: a chimeric read, one
+    half per strand, seeded on the numpy path (so no seeding library is
+    built) in overlapping chunks and chained by ``chain_prefix``; hex
+    digest of the primary's and the secondary's score, strand and
+    anchors, and of the chain candidates charged."""
+    with fallback("seed"):
+        reference = ReferenceGenome.random(20_000, seed=5)
+        index = MinimizerIndex.build(reference)
+        read = np.concatenate(
+            [reference.codes[2_000:4_000], reverse_complement(reference.codes[9_000:11_000])]
+        )
+        mapper = IncrementalChunkMapper(index, read.size)
+        for at in range(0, read.size, 700):
+            mapper.add_chunk(read[at : at + 900], at)
+    before = mapping_ops("chain-candidate")
+    chains = [(c.score, c.strand, c.anchors.tobytes()) for c in mapper.chain_prefix() if c]
+    return hashlib.sha256(repr([chains, mapping_ops("chain-candidate") - before]).encode()).hexdigest()
 
 
 def _seed() -> str:
@@ -213,6 +237,38 @@ def test_table_rows_are_the_c_sources():
     one without the other."""
     sources = Path(native.__file__).parent.glob("*.c")
     assert sorted(native.KERNELS) == sorted(path.stem for path in sources)
+
+
+def test_array_arguments_are_checked_before_any_c_call(kernel):
+    """Every array argument of every C function in the kernel's row
+    goes through ``native.address``: another dtype, a strided view or a
+    list is refused with ``TypeError`` before the C function runs, and
+    an accepted array reaches it as the address of its data. The
+    compiled functions themselves refuse the same way."""
+    loaded = native.kernel(kernel.name)
+    for function, (arguments, _) in native.KERNELS[kernel.name][1].items():
+        calls = []
+
+        def symbol(*args, calls=calls):
+            calls.append(args)
+
+        symbol.__name__ = function
+        checked = native.bind(symbol, arguments)
+        valid = [np.zeros(4, dtype=t) if isinstance(t, np.dtype) else 0 for t in arguments]
+        slots = [slot for slot, t in enumerate(arguments) if isinstance(t, np.dtype)]
+        assert slots, function
+        for slot in slots:
+            dtype = arguments[slot]
+            for refused in (np.zeros(4, np.float16), np.zeros(8, dtype)[::2], [0, 0, 0, 0]):
+                args = [*valid[:slot], refused, *valid[slot + 1 :]]
+                with pytest.raises(TypeError, match=f"C-contiguous {dtype} array"):
+                    checked(*args)
+                if loaded is not None:
+                    with pytest.raises(TypeError, match=f"C-contiguous {dtype} array"):
+                        getattr(loaded, function)(*args)
+        assert calls == []
+        checked(*valid)
+        assert calls == [tuple(a.ctypes.data if isinstance(a, np.ndarray) else a for a in valid)]
 
 
 def _env() -> dict[str, str]:

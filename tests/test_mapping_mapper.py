@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.mapping.mapper as mapper_module
 from repro.basecalling import SurrogateBasecaller
 from repro.core import GenPIPPipeline
 from repro.genomics import alphabet
 from repro.genomics.mutate import apply_errors
 from repro.genomics.reference import ReferenceGenome
 from repro.mapping import (
+    ChainingConfig,
     IncrementalChunkMapper,
     Mapper,
     MapperConfig,
@@ -76,10 +78,11 @@ class TestMapper:
         assert result.alignment is None
         assert result.chain_score > 100
 
-    def test_chaining_k_follows_index(self):
+    def test_chaining_k_follows_index(self, chain):
         # The chain DP must score with the index's k on the path
         # GenPIPPipeline runs (IncrementalChunkMapper), not only behind
-        # the Mapper facade: whatever ChainingConfig.kmer_size says.
+        # the Mapper facade: whatever ChainingConfig.kmer_size says, on
+        # the compiled chain stage and on its fallback.
         reference = ReferenceGenome.random(40_000, seed=5)
         true = reference.codes[12_000:16_000]
         codes = apply_errors(true, 0.08, np.random.default_rng(6)).codes
@@ -93,6 +96,27 @@ class TestMapper:
             assert whole.mapped
             scores[k] = whole.chain_score
         assert len(set(scores.values())) == 3  # k reaches the DP
+
+
+    def test_chaining_config_is_not_rebuilt_per_read(self, chain, monkeypatch):
+        """A hundred reads over a ``k = 15`` index (the default chaining
+        config says 13) build the effective ``ChainingConfig`` at most
+        once: the compiled stage takes ``k`` as an argument, and the
+        fallback derives its config once per (config, ``k``)."""
+        reference = ReferenceGenome.random(20_000, seed=5)
+        index = MinimizerIndex.build(reference, MinimizerConfig(k=15, w=10))
+        codes = reference.codes[2_000:5_000]
+        mapper_module._with_kmer_size.cache_clear()
+        built = []
+        real = ChainingConfig.__post_init__
+        monkeypatch.setattr(ChainingConfig, "__post_init__", lambda self: built.append(real(self)))
+        scores = set()
+        for _ in range(100):
+            chunked = IncrementalChunkMapper(index, codes.size)
+            chunked.add_chunk(codes, read_offset=0)
+            scores.add(chunked.chain_prefix()[0].score)
+        assert len(built) <= 1
+        assert len(scores) == 1
 
 
 class TestMapperConfig:

@@ -136,6 +136,20 @@ class TestSegmentation:
             detect_events(np.full(20, 5.0), SegmentationConfig()), [0]
         )
 
+    def test_calls_without_a_config_build_none(self, monkeypatch):
+        """Every read segmented without a config shares one frozen
+        default: a per-read ``SegmentationConfig()`` would re-run its
+        checks on every read."""
+        built = []
+        real = SegmentationConfig.__post_init__
+        monkeypatch.setattr(
+            SegmentationConfig, "__post_init__", lambda self: built.append(real(self))
+        )
+        levels = np.repeat([10.0, 40.0, -20.0], [7, 5, 6])
+        for _ in range(3):
+            np.testing.assert_array_equal(detect_events(levels), [0, 7, 12])
+        assert built == []
+
     def test_min_dwell_thins_close_boundaries(self):
         # Three genuine jumps 3-4 samples apart: the tight minimum dwell
         # drops the middle one while the loose one keeps all, and every
