@@ -22,9 +22,19 @@ that:
 Chunks are decoded in batches (one call per early-rejection stage): each
 chunk makes its own draws, on its own stream and in a fixed order, and
 everything else -- error probabilities, the error model's apply step,
-the quality gather, jitter and clipping -- is elementwise, so it runs
-once over the batch's concatenated spans and yields the bytes each chunk
-would get alone, whatever its batch mates.
+the quality gather, jitter and clipping -- is elementwise, so each
+chunk gets the bytes it would get alone, whatever its batch mates. The
+error probabilities, and the refusal of a NaN or out-of-range one, run
+once over the batch's concatenated spans in numpy. The rest runs in one
+call of the C kernel ``surrogate.c`` when it loaded
+(``native.kernel("surrogate")``: built on first use, linked against
+numpy's own C distributions): chunk by chunk, it replays the exact
+``Generator`` stream the numpy path opens, draw for draw, and applies
+the errors and the jitter as it goes. Otherwise -- no compiler, no
+``libnpyrandom.a``, a build that failed -- the numpy path runs: a
+``default_rng`` per chunk, and the apply step, gather, jitter and clip
+once over the batch. Both give the same bytes;
+``native.backend("surrogate")`` says which ran.
 """
 
 from __future__ import annotations
@@ -32,15 +42,25 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, pairwise
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.basecalling.chunked import chunk_count, chunk_span, reassemble_chunks
 from repro.basecalling.types import BasecalledChunk, BasecalledRead
 from repro.checks import require_finite
-from repro.genomics.mutate import ErrorDraws, ErrorProfile, apply_drawn_errors, draw_errors
+from repro.genomics.mutate import (
+    ErrorDraws,
+    ErrorProfile,
+    apply_drawn_errors,
+    check_error_probs,
+    draw_errors,
+)
 from repro.genomics.quality import phred_to_error_prob
 from repro.nanopore.read_simulator import SimulatedRead
+
+if TYPE_CHECKING:
+    from types import SimpleNamespace
 
 
 @dataclass(frozen=True)
@@ -123,44 +143,50 @@ class SurrogateBasecaller:
             true_codes = np.concatenate([read.true_codes[start:end] for start, end in spans])
             track = np.concatenate([read.qualities[start:end] for start, end in spans])
         lengths = [end - start for start, end in spans]
-
-        seed = read.seed & 0x7FFFFFFF
-        rngs = [np.random.default_rng([seed, chunk_size, index]) for index in indices]
-        draws = [draw_errors(rng, n) for rng, n in zip(rngs, lengths, strict=True)]
         cfg = self._config
         # minimum(maximum(...)) is np.clip's result for finite input,
         # without its per-call wrapper cost.
         error_prob = np.minimum(
             np.maximum(phred_to_error_prob(track) * cfg.error_scale, 0.0), cfg.max_error_prob
         )
-        mutated = apply_drawn_errors(
-            true_codes,
-            error_prob,
-            ErrorDraws(*(_joined(part) for part in zip(*draws, strict=True))),
-            cfg.profile,
-        )
-        # source_index is non-decreasing, so chunk i's output ends where
-        # the first base sourced past its span would go.
-        source = mutated.source_index
-        inner = list(accumulate(lengths[:-1]))
-        ends = (np.searchsorted(source, inner).tolist() if inner else []) + [source.size]
-        starts = [0, *ends[:-1]]
 
-        # Each emitted base inherits the quality of the true base it came
-        # from (insertions inherit their left neighbour's), plus jitter
-        # drawn on the chunk's own stream after its error draws.
-        # source_index is in [0, track.size) by construction.
-        quality = track[source]
-        quality += _joined(
-            [
-                rng.normal(0.0, cfg.quality_jitter, size=end - start)
-                for rng, start, end in zip(rngs, starts, ends, strict=True)
-            ]
-        )
-        np.maximum(quality, 1.0, out=quality)
-        np.minimum(quality, 40.0, out=quality)
+        import repro.kernels.native as native
 
-        codes = mutated.codes
+        library = native.kernel("surrogate")
+        seed = read.seed & 0x7FFFFFFF
+        if library is not None:
+            codes, quality, ends = _decode_native(
+                library, cfg, seed, chunk_size, indices, lengths, true_codes, track, error_prob
+            )
+        else:
+            rngs = [np.random.default_rng([seed, chunk_size, index]) for index in indices]
+            draws = [draw_errors(rng, n) for rng, n in zip(rngs, lengths, strict=True)]
+            mutated = apply_drawn_errors(
+                true_codes,
+                error_prob,
+                ErrorDraws(*(_joined(part) for part in zip(*draws, strict=True))),
+                cfg.profile,
+            )
+            # source_index is non-decreasing, so chunk i's output ends
+            # where the first base sourced past its span would go.
+            source = mutated.source_index
+            inner = list(accumulate(lengths[:-1]))
+            ends = (np.searchsorted(source, inner).tolist() if inner else []) + [source.size]
+
+            # Each emitted base inherits the quality of the true base it
+            # came from (insertions inherit their left neighbour's), plus
+            # jitter drawn on the chunk's own stream after its error
+            # draws. source_index is in [0, track.size) by construction.
+            quality = track[source]
+            quality += _joined(
+                [
+                    rng.normal(0.0, cfg.quality_jitter, size=end - start)
+                    for rng, start, end in zip(rngs, [0, *ends[:-1]], ends, strict=True)
+                ]
+            )
+            np.maximum(quality, 1.0, out=quality)
+            np.minimum(quality, 40.0, out=quality)
+            codes = mutated.codes
         return [
             BasecalledChunk(
                 chunk_index=index,
@@ -168,7 +194,7 @@ class SurrogateBasecaller:
                 qualities=quality[start:end],
                 n_true_bases=n,
             )
-            for index, n, start, end in zip(indices, lengths, starts, ends, strict=True)
+            for index, n, start, end in zip(indices, lengths, [0, *ends[:-1]], ends, strict=True)
         ]
 
     def basecall_chunk(self, read: SimulatedRead, index: int, chunk_size: int) -> BasecalledChunk:
@@ -180,6 +206,48 @@ class SurrogateBasecaller:
         n_chunks = self.n_chunks(read, chunk_size)
         chunks = self.basecall_chunks(read, range(n_chunks), chunk_size)
         return reassemble_chunks(read.read_id, chunks)
+
+
+def _decode_native(
+    library: SimpleNamespace,
+    cfg: SurrogateConfig,
+    seed: int,
+    chunk_size: int,
+    indices: Sequence[int],
+    lengths: list[int],
+    true_codes: np.ndarray,
+    track: np.ndarray,
+    error_prob: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The batch's emitted codes and qualities and each chunk's end in
+    them, from one call of ``surrogate.c``, which replays each chunk's
+    ``Generator`` stream draw for draw: the numpy path's bytes. The
+    probabilities are refused here, before it runs, as
+    ``apply_drawn_errors`` refuses them."""
+    check_error_probs(error_prob)
+    codes = np.empty(2 * true_codes.size, dtype=np.uint8)
+    quality = np.empty(2 * true_codes.size)
+    ends = np.empty(len(lengths), dtype=np.int64)
+    prefix = _entropy_words(seed, chunk_size)
+    emitted = library.surrogate_decode(
+        true_codes, track, error_prob, np.array(lengths, dtype=np.int64),
+        np.array(indices, dtype=np.int64), len(lengths), prefix, prefix.size,
+        *cfg.profile.shares(), cfg.quality_jitter, codes, quality, ends,
+    )  # fmt: skip
+    if emitted < 0:
+        raise MemoryError("surrogate.c could not allocate its scratch buffers")
+    return codes[:emitted], quality[:emitted], ends.tolist()
+
+
+def _entropy_words(*values: int) -> np.ndarray:
+    """``values`` as ``SeedSequence`` splits an entropy list of ints:
+    each one's little-endian 32-bit words, 0 as one word."""
+    words = []
+    for value in map(int, values):
+        words.append(value & 0xFFFFFFFF)
+        while value := value >> 32:
+            words.append(value & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
 
 
 def _joined(parts: list[np.ndarray]) -> np.ndarray:

@@ -51,15 +51,15 @@ class ErrorProfile:
         if self.substitution + self.insertion + self.deletion <= 0:
             raise ConfigError("at least one error weight must be positive")
 
+    def shares(self) -> tuple[float, float, float]:
+        """The (sub, ins, del) shares of a base's error probability."""
+        total = self.substitution + self.insertion + self.deletion
+        return self.substitution / total, self.insertion / total, self.deletion / total
+
     def split(self, error_prob):
         """Split per-base error probability into (sub, ins, del) parts."""
-        total = self.substitution + self.insertion + self.deletion
         p = np.asarray(error_prob, dtype=np.float64)
-        return (
-            p * (self.substitution / total),
-            p * (self.insertion / total),
-            p * (self.deletion / total),
-        )
+        return tuple(p * share for share in self.shares())
 
 
 @dataclass(frozen=True)
@@ -117,6 +117,13 @@ def draw_errors(rng: np.random.Generator, n: int) -> ErrorDraws:
     return ErrorDraws(uniforms, rng.integers(1, 4, size=n), rng.integers(0, 4, size=n))
 
 
+def check_error_probs(p: np.ndarray) -> None:
+    """Refuse, with ``ValueError``, a NaN or a probability outside ``[0, 1]``."""
+    # Written so that NaN fails it: NaN compares false both ways.
+    if p.size and not (p.min() >= 0 and p.max() <= 1):
+        raise ValueError("error probabilities must be within [0, 1]")
+
+
 def apply_drawn_errors(
     codes: np.ndarray,
     error_prob,
@@ -137,9 +144,7 @@ def apply_drawn_errors(
     p = np.asarray(error_prob, dtype=np.float64)
     if p.ndim and p.shape != (n,):
         p = np.broadcast_to(p, (n,))
-    # Written so that NaN fails it: NaN compares false both ways.
-    if p.size and not (p.min() >= 0 and p.max() <= 1):
-        raise ValueError("error probabilities must be within [0, 1]")
+    check_error_probs(p)
     p_sub, p_ins, p_del = profile.split(p)
 
     uniforms, shifts, inserted = draws

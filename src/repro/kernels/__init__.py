@@ -33,6 +33,13 @@ previously iterated sample-by-sample in interpreted Python:
   primary/secondary pick in one call of the C kernel ``chain.c`` when
   it loaded, else the mapping layer's Python stage over the scalar
   recurrence, with the same bytes.
+* ``surrogate.c`` -- the surrogate basecaller's decode
+  (:mod:`repro.basecalling.surrogate`): every chunk of a
+  ``basecall_chunks`` call in one call, each replaying its own numpy
+  ``Generator`` stream (``SeedSequence``, PCG64, and numpy's own C
+  distributions, linked from ``libnpyrandom.a``) and applying the
+  errors and the quality jitter, else the numpy path, with the same
+  bytes.
 * :mod:`repro.kernels.align` -- affine-gap (Gotoh) alignment (paper
   Fig. 1(d)): the pure-Python scalar loop that defines a segment's
   score and CIGAR. Production runs the lane fill in
@@ -52,13 +59,13 @@ a reference is something a test imports*. ``seed_anchors_scalar``,
 ``chain_scores_scalar``, ``sdtw_cost_scalar``, ``gotoh_scalar`` and
 ``viterbi_forward_scalar`` stay exported because the tests replay each
 kernel against its reference and fail on any mismatch; nothing selects
-a kernel by name, and no stage picks between two fills. The four
+a kernel by name, and no stage picks between two fills. The five
 compiled kernels run by availability alone, with the same bytes either
 way: the chain stage falls back to its Python composition over the
 scalar DP, the Gotoh lane fill to its scalar reference; the Viterbi
 trellis, whose reference is far too slow to run a decode, to its numpy
-fold; and seeding, whose minimizer scan has no scalar twin, to its
-numpy path. :mod:`repro.kernels.native` holds
+fold; seeding, whose minimizer scan has no scalar twin, and the
+surrogate decode to their numpy paths. :mod:`repro.kernels.native` holds
 the one table of them, ``KERNELS`` (each one's fallback name and C
 signatures), builds each with the system C compiler on its first call,
 caches it, and names what runs: ``native.backend("chain")``.

@@ -1,4 +1,4 @@
-/* The chain stage of one read: chain_read, and the chain DP, chain_dp.
+/* The chain stage of one read: chain_read, and its chain DP, chain_dp.
  *
  * chain_read is the compiled form of what
  * IncrementalChunkMapper._gathered and repro.mapping.chaining.best_chain
@@ -35,8 +35,9 @@
  * read only their arguments, so two threads may call it at once (ctypes
  * releases the GIL).
  *
- * chain_dp is the compiled form of repro.kernels.chain.chain_scores_scalar,
- * which runs in its place where this file cannot be built. Anchor i
+ * chain_dp, which chain_read runs per strand, is the compiled form of
+ * repro.kernels.chain.chain_scores_scalar, the DP of the Python stage
+ * that runs where this file cannot be built. Anchor i
  * scans its lookback window j = max(0, i - lookback) .. i - 1 in order
  * and runs chain_scores_scalar's expression on float64 coordinates,
  * with its operations in its order:
@@ -66,9 +67,9 @@
 #include <stdlib.h>
 #include <string.h>
 
-void chain_dp(const int64_t *anchors, int64_t n, int64_t k, int64_t max_gap,
-              int64_t lookback, const double *log2_table, double *scores,
-              int64_t *parents)
+static void chain_dp(const int64_t *anchors, int64_t n, int64_t k, int64_t max_gap,
+                     int64_t lookback, const double *log2_table, double *scores,
+                     int64_t *parents)
 {
     const double kf = (double)k;
     const double gap_scale = 0.01 * kf;

@@ -20,13 +20,14 @@ and :func:`repro.mapping.chaining.best_chain` run: the same chains,
 with the DP in :func:`chain_scores_scalar`. ``native.backend("chain")``
 says which.
 
-:func:`chain_scores` is the DP alone over one strand's sorted anchors:
-one call of ``chain.c``'s ``chain_dp`` when it loaded, else
-:func:`chain_scores_scalar`, the reference the tests check the C DP
-against. Per anchor, per window slot, the C DP runs the scalar
-reference's expression, in its order; its ``log2`` is a table numpy
-computed (:func:`_log2_table`), because libm's ``log2`` and numpy's
-differ in the last bit at some integers.
+:func:`chain_scores` is the DP alone over one strand's sorted anchors,
+the fallback's: :func:`chain_scores_scalar`. ``chain.c``'s DP runs
+only inside :func:`chain_read`; per anchor, per window slot, it runs
+the scalar reference's expression, in its order, and its ``log2`` is a
+table numpy computed (:func:`_log2_table`), because libm's ``log2`` and
+numpy's differ in the last bit at some integers. The tests check the
+two DPs through the stage: compiled ``chain_prefix`` against its
+fallback.
 
 **Bit-identity.** The scalar reference evaluates, per anchor,
 ``(scores[window] + gain) - gap`` and masks invalid slots to ``-inf``
@@ -82,8 +83,8 @@ def chain_scores_scalar(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-major scalar reference (the original interpreted recurrence).
 
-    The ground truth the compiled DP is checked against, and what
-    :func:`chain_scores` runs where it did not load. The per-anchor
+    The ground truth the compiled DP is checked against (through the
+    chain stage), and what :func:`chain_scores` runs. The per-anchor
     Python iteration recomputes the band geometry (masks, gains, gap
     costs) inside the loop. Charges its candidates to the mapping-ops
     ledger.
@@ -119,33 +120,13 @@ def chain_scores_scalar(
 def chain_scores(
     anchors: np.ndarray, kmer_size: int, max_gap: int, lookback: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The production chain DP over sorted ``int64[n, 2]`` anchors.
-
-    One call of the compiled ``chain.c`` when it loaded, else
-    :func:`chain_scores_scalar`; the same scores and parents, bit for
-    bit. Either charges the candidates it evaluates to the mapping-ops
-    ledger once. A DP over fewer than two anchors never resolves the
-    compiled kernel.
-    """
+    """The chain DP over sorted ``int64[n, 2]`` anchors:
+    :func:`chain_scores_scalar`, after checking the shape. The DP of the
+    chain stage's Python fallback; charges its candidates to the
+    mapping-ops ledger."""
     if anchors.ndim != 2 or anchors.shape[1] != 2:
         raise ValueError(f"anchors must be an [n, 2] array, got shape {anchors.shape}")
-    import repro.kernels.native as native
-
-    n = anchors.shape[0]
-    library = native.kernel("chain") if n > 1 else None
-    if library is None:
-        return chain_scores_scalar(anchors, kmer_size, max_gap, lookback)
-    # A window wider than the anchors is all of them, so lookback is
-    # clamped to fit the kernel's int64 (2**63 would wrap negative).
-    lookback = min(lookback, n)
-    record_mapping_ops("chain-candidate", chain_candidate_count(n, lookback))
-    scores = np.full(n, float(kmer_size))
-    parents = np.full(n, -1, dtype=np.int64)
-    library.chain_dp(
-        np.ascontiguousarray(anchors, dtype=np.int64), n, kmer_size, max_gap, lookback,
-        _log2_table(max_gap), scores, parents,
-    )  # fmt: skip
-    return scores, parents
+    return chain_scores_scalar(anchors, kmer_size, max_gap, lookback)
 
 
 def chain_read(

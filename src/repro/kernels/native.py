@@ -3,14 +3,17 @@
 numpy is the only runtime dependency, so compiled code can only be a
 speed-up: every C kernel here has a Python fallback that produces the
 same bytes, and runs whenever the library cannot be had -- the scalar
-reference for the chain DP and the Gotoh fill, ``_gathered`` and
-``best_chain`` for the chain stage, the numpy fold for the Viterbi
-trellis, the numpy path for seeding. There are four:
+reference for the Gotoh fill, ``_gathered`` and ``best_chain`` (over
+the scalar chain DP) for the chain stage, the numpy fold for the
+Viterbi trellis, the numpy paths for seeding and for the surrogate
+decode. There are five:
 ``trellis.c`` (the Viterbi trellis, :mod:`repro.kernels.viterbi`),
 ``gotoh.c`` (the Gotoh lane fill, :mod:`repro.mapping.alignment`),
-``chain.c`` (a read's whole chain stage and the chain DP,
-:mod:`repro.kernels.chain`) and ``seed.c`` (the minimizer scan and
-index probe, :mod:`repro.kernels.seed`). :data:`KERNELS` is the one
+``chain.c`` (a read's whole chain stage, :mod:`repro.kernels.chain`),
+``seed.c`` (the minimizer scan and index probe,
+:mod:`repro.kernels.seed`) and ``surrogate.c`` (the surrogate
+basecaller's draws, errors and jitter,
+:mod:`repro.basecalling.surrogate`). :data:`KERNELS` is the one
 table of them: each one's fallback name and its C functions'
 signatures. :func:`kernel` resolves a library once per process, on
 that kernel's first call, into :data:`_LOADED`, so a run that never
@@ -31,12 +34,16 @@ does not import the loader.
 
 :func:`load_library` compiles ``<name>.c`` from this package with the
 system C compiler (``sysconfig``'s ``CC``, else ``cc``) and
-:data:`CFLAGS`, loads it with ``ctypes``, and returns ``None`` instead
-of raising on any failure. The shared object is cached in this
+:data:`CFLAGS`, links the static archive :data:`ARCHIVES` names for it
+(``surrogate.c`` alone links one: numpy's ``libnpyrandom.a``, then
+``-lm``), loads it with ``ctypes``, and returns ``None`` instead of
+raising on any failure; a missing archive is ``None`` without a word,
+as a missing compiler is. The shared object is cached in this
 package's ``__pycache__/``, or, if that is not writable, in a private
 per-user directory (mode ``0o700``) under the temp directory. Its name
-hashes the source, the compile command and the platform, so an edited
-source or another compiler never loads a stale build. It is built under
+hashes the source, the compile command, the platform and the archive's
+bytes, so an edited source, another compiler or an upgraded numpy
+never loads a stale build. It is built under
 a temp name and moved into place with ``os.replace``, so processes
 racing a cold cache each load a whole file. Nothing runs at import: the
 first caller pays the build (a fraction of a second), every later
@@ -71,6 +78,13 @@ CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 _HERE = Path(__file__).resolve().parent
 _PACKAGE_CACHE = _HERE / "__pycache__"
 _BUILD_TIMEOUT_S = 120
+
+#: The static archive a kernel links against, after its source and
+#: before ``-lm``: ``surrogate.c`` calls numpy's own C distributions,
+#: which numpy ships as ``random/lib/libnpyrandom.a`` for C extensions.
+ARCHIVES: dict[str, Path] = {
+    "surrogate": Path(np.__file__).resolve().parent / "random" / "lib" / "libnpyrandom.a",
+}
 
 
 def _compiler() -> list[str] | None:
@@ -110,13 +124,14 @@ def _cache_dirs() -> Iterator[Path]:
         yield private
 
 
-def _build(command: list[str], source: Path, target: Path) -> None:
-    """Compile ``source`` to ``target`` through a temp file in its directory."""
+def _build(command: list[str], source: Path, link: list[str], target: Path) -> None:
+    """Compile ``source`` to ``target`` through a temp file in its
+    directory, linking ``link`` after it."""
     fd, temp = tempfile.mkstemp(prefix=f".{target.stem}-", suffix=".tmp", dir=target.parent)
     os.close(fd)
     try:
         subprocess.run(
-            [*command, str(source), "-o", temp],
+            [*command, str(source), "-o", temp, *link],
             check=True,
             capture_output=True,
             timeout=_BUILD_TIMEOUT_S,
@@ -127,17 +142,30 @@ def _build(command: list[str], source: Path, target: Path) -> None:
             os.unlink(temp)
 
 
-def _load_or_build(source: Path, command: list[str]) -> ctypes.CDLL | None:
-    """The cached library, built first where it is missing or does not
-    load; ``None`` when no cache directory can take a build."""
+def _cache_key(source: Path, command: list[str], archive: Path | None) -> str:
+    """The hash naming a build: the source's bytes, the compile command,
+    the platform and, for a kernel that links one, the archive's bytes
+    (an upgraded numpy never loads a build of its old distributions)."""
     key = hashlib.sha256(source.read_bytes())
     key.update("\0".join([*command, sysconfig.get_platform(), platform.machine()]).encode())
+    if archive is not None:
+        key.update(archive.read_bytes())
+    return key.hexdigest()[:16]
+
+
+def _load_or_build(
+    source: Path, command: list[str], archive: Path | None = None
+) -> ctypes.CDLL | None:
+    """The cached library, built first where it is missing or does not
+    load; ``None`` when no cache directory can take a build."""
+    key = _cache_key(source, command, archive)
+    link = [] if archive is None else [str(archive), "-lm"]
     for directory in _cache_dirs():
-        path = directory / f"{source.stem}-{key.hexdigest()[:16]}.so"
+        path = directory / f"{source.stem}-{key}.so"
         with contextlib.suppress(OSError):  # absent, or a truncated file: rebuild it
             return ctypes.CDLL(str(path))
         if os.access(directory, os.W_OK):
-            _build(command, source, path)
+            _build(command, source, link, path)
             return ctypes.CDLL(str(path))
     return None
 
@@ -145,15 +173,17 @@ def _load_or_build(source: Path, command: list[str]) -> ctypes.CDLL | None:
 def load_library(name: str) -> ctypes.CDLL | None:
     """The compiled ``<name>.c`` of this package, or ``None``.
 
-    ``None`` without a word when there is no compiler; ``None`` with one
+    ``None`` without a word when there is no compiler, or no archive
+    that the kernel links (:data:`ARCHIVES`); ``None`` with one
     ``RuntimeWarning`` when a compiler exists but the library could not
     be built or loaded. Never raises.
     """
     compiler = _compiler()
-    if compiler is None:
+    archive = ARCHIVES.get(name)
+    if compiler is None or (archive is not None and not archive.is_file()):
         return None
     try:
-        library = _load_or_build(_HERE / f"{name}.c", [*compiler, *CFLAGS])
+        library = _load_or_build(_HERE / f"{name}.c", [*compiler, *CFLAGS], archive)
     except (OSError, subprocess.SubprocessError) as exc:
         detail = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
         failure = f"{exc} {detail}".strip()
@@ -170,8 +200,8 @@ def load_library(name: str) -> ctypes.CDLL | None:
     return None
 
 
-_F64, _F32, _I64, _I8, _U8, _U64 = map(
-    np.dtype, (np.float64, np.float32, np.int64, np.int8, np.uint8, np.uint64)
+_F64, _F32, _I64, _I8, _U8, _U32, _U64 = map(
+    np.dtype, (np.float64, np.float32, np.int64, np.int8, np.uint8, np.uint32, np.uint64)
 )
 _SIZE, _REAL = ctypes.c_int64, ctypes.c_double
 
@@ -196,7 +226,6 @@ KERNELS: dict[str, tuple[str, dict[str, tuple[list, type | None]]]] = {
         ),
     }),
     "chain": ("scalar", {
-        "chain_dp": ([_I64, _SIZE, _SIZE, _SIZE, _SIZE, _F64, _F64, _I64], None),
         "chain_read": (
             [_I64, _SIZE, _I64, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _REAL, _SIZE, _SIZE, _F64, _I64,
              _F64, _I64],
@@ -208,6 +237,13 @@ KERNELS: dict[str, tuple[str, dict[str, tuple[list, type | None]]]] = {
         "seed_anchors": (
             [_U8, _SIZE, _SIZE, _SIZE, _U64, _SIZE, _I64, _I64, _I8, _SIZE, _SIZE, _SIZE, _I64,
              _SIZE, _I64],
+            _SIZE,
+        ),
+    }),
+    "surrogate": ("numpy", {
+        "surrogate_decode": (
+            [_U8, _F64, _F64, _I64, _I64, _SIZE, _U32, _SIZE, _REAL, _REAL, _REAL, _REAL, _U8, _F64,
+             _I64],
             _SIZE,
         ),
     }),

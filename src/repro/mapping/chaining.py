@@ -25,9 +25,9 @@ of :func:`chain_anchors` and the primary/secondary pick of
 ``IncrementalChunkMapper.chain_prefix``). The functions here are that
 stage in Python: its fallback, and the reference the tests check it
 against bit for bit. Their DP is
-:func:`repro.kernels.chain.chain_scores`: ``chain.c``'s DP alone when
-it loaded, else ``chain_scores_scalar`` -- the same scores, parents
-and tie-breaks.
+:func:`repro.kernels.chain.chain_scores`, the scalar reference
+``chain_scores_scalar``: the scores, parents and tie-breaks ``chain.c``'s
+DP gives.
 """
 
 from __future__ import annotations

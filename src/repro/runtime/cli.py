@@ -579,13 +579,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         ser_summary = (
             f"SER {report.ser_rejection_ratio:.1%}, " if pipeline.signal_rejection_enabled() else ""
         )
-        # Which seeding seeded, which chain DP chained, which trellis
-        # decoded and which Gotoh fill aligned (this process resolves
-        # each the way every worker did); a surrogate run never loads
-        # the trellis, a run without --align never the fill.
+        # Which seeding seeded, which chain stage chained, which
+        # surrogate decode or trellis decoded and which Gotoh fill
+        # aligned (this process resolves each the way every worker
+        # did); a surrogate run never loads the trellis, a Viterbi run
+        # never the surrogate decode, a run without --align never the
+        # fill.
         import repro.kernels.native as native
 
-        ran = {"seed": True, "chain": True, "trellis": args.basecaller == "viterbi", "gotoh": args.align}
+        ran = {
+            "seed": True,
+            "chain": True,
+            "surrogate": args.basecaller == "surrogate",
+            "trellis": args.basecaller == "viterbi",
+            "gotoh": args.align,
+        }
         kernels = "".join(f", {name} {native.backend(name)}" for name, used in ran.items() if used)
         print(
             f"{profile.name}: {report.n_reads} reads, {report.total_bases:,} bases | "

@@ -64,8 +64,8 @@ def gotoh(request):
 
 @pytest.fixture(params=_backends("chain"))
 def chain(request):
-    """Runs a test once on the compiled chain stage and DP, once on their
-    fallbacks (``_gathered`` and ``best_chain``, ``chain_scores_scalar``)."""
+    """Runs a test once on the compiled chain stage, once on its fallback
+    (``_gathered`` and ``best_chain`` over ``chain_scores_scalar``)."""
     yield from _native_then_fallback(request, "chain")
 
 
@@ -73,6 +73,13 @@ def chain(request):
 def seeding(request):
     """Runs a test once on the compiled seeding, once on the numpy path."""
     yield from _native_then_fallback(request, "seed")
+
+
+@pytest.fixture(params=_backends("surrogate"))
+def surrogate(request):
+    """Runs a test once on the compiled surrogate decode, once on the
+    numpy path."""
+    yield from _native_then_fallback(request, "surrogate")
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,7 @@ pickled):
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import os
@@ -28,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import fallback
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -399,12 +401,16 @@ class TestUnitCompositionIndependence:
         )
         return list(dataset.reads), MinimizerIndex.build(dataset.reference)
 
-    @pytest.fixture(scope="class", params=sorted(ENGINE_CONFIGS))
+    @pytest.fixture(scope="class", params=["surrogate", "surrogate-numpy", "viterbi"])
     def case(self, request, reads_and_index):
+        """The surrogate runs on both of its decodes: ``surrogate.c``, and
+        (``surrogate-numpy``) the numpy path, forced for the whole case."""
         reads, index = reads_and_index
-        engine = create_basecaller(request.param, self.ENGINE_CONFIGS[request.param])
-        pipeline = GenPIPPipeline(index, basecaller=engine, align=False)
-        return pipeline, reads, [pipeline.process_read(read) for read in reads]
+        name, _, forced = request.param.partition("-")
+        with fallback("surrogate") if forced else contextlib.nullcontext():
+            engine = create_basecaller(name, self.ENGINE_CONFIGS[name])
+            pipeline = GenPIPPipeline(index, basecaller=engine, align=False)
+            yield pipeline, reads, [pipeline.process_read(read) for read in reads]
 
     @settings(max_examples=8, deadline=None)
     @given(data=st.data())

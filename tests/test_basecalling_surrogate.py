@@ -1,13 +1,19 @@
 """Tests for chunk types, chunk arithmetic, and the surrogate basecaller."""
 
 import ast
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import fallback, require_native
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.kernels.native as native
 from repro.basecalling import (
     BasecalledChunk,
     SurrogateBasecaller,
@@ -377,3 +383,163 @@ def _rough_error_fraction(truth: str, called: str) -> float:
     if not kmers_truth:
         return 0.0
     return 1.0 - len(kmers_truth & kmers_called) / len(kmers_truth)
+
+
+def _decoded(caller, read, indices, chunk_size):
+    """Every chunk's index, codes and quality bytes and true-base count."""
+    return [
+        (c.chunk_index, c.codes.dtype, c.codes.tobytes(), c.qualities.dtype,
+         c.qualities.tobytes(), c.n_true_bases)
+        for c in caller.basecall_chunks(read, indices, chunk_size)
+    ]  # fmt: skip
+
+
+#: A quality track's values: the simulator's range, q = 0 (p = 1), past
+#: the clip at 40 and at FASTQ's 93, negative, and both infinities (which
+#: a jitter of 1e308 can meet with the other, making a NaN quality).
+_TRACK_VALUES = st.one_of(
+    st.floats(0, 60),
+    st.sampled_from([0.0, 1.0, 40.0, 93.0, 1e6, np.inf, -np.inf]),
+    st.floats(-30, 0),
+)
+
+
+class TestNativeDecode:
+    """``surrogate.c`` replays each chunk's ``Generator`` stream: the
+    compiled decode gives the numpy path's bytes, whatever the read, the
+    seed, the chunk size, the index list and the calibration."""
+
+    def test_compiled_decode_is_what_runs(self):
+        """Where a compiler exists the decode must be the compiled one, or
+        every comparison below would test the numpy path against itself."""
+        require_native("surrogate")
+        assert native.backend("surrogate") == "native"
+        with fallback("surrogate"):
+            assert native.backend("surrogate") == "numpy"
+
+    @given(
+        data=st.data(),
+        n_bases=st.integers(0, 300),
+        seed=st.one_of(st.sampled_from([0, 2**31 - 1]), st.integers(0, 2**40)),
+        chunk_size=st.one_of(
+            st.integers(1, 90),
+            st.sampled_from([2**32 - 1, 2**32, 2**32 + 7, 2**63, 2**64, 2**64 + 1, 2**96]),
+        ),
+        error_scale=st.sampled_from([1.0, 4.0, 1e9]),
+        max_error_prob=st.sampled_from([0.28, 1.0]),
+        quality_jitter=st.sampled_from([0.0, 0.7, 5.0, 1e308]),
+        profile=st.sampled_from(
+            [
+                ErrorProfile(),
+                ErrorProfile(substitution=1.0, insertion=0.0, deletion=0.0),
+                ErrorProfile(substitution=0.0, insertion=1.0, deletion=0.0),
+                ErrorProfile(substitution=0.0, insertion=0.0, deletion=1.0),
+                ErrorProfile(substitution=0.0, insertion=2.0, deletion=1.0),
+            ]
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_native_decode_is_the_numpy_path(
+        self, reads, data, n_bases, seed, chunk_size, error_scale, max_error_prob,
+        quality_jitter, profile,
+    ):  # fmt: skip
+        require_native("surrogate")
+        code = st.one_of(st.integers(0, 3), st.integers(0, 255))
+        codes = data.draw(st.lists(code, min_size=n_bases, max_size=n_bases))
+        track = data.draw(st.lists(_TRACK_VALUES, min_size=n_bases, max_size=n_bases))
+        read = replace(reads[0], true_codes=np.array(codes, np.uint8), qualities=np.array(track), seed=seed)
+        caller = SurrogateBasecaller(
+            SurrogateConfig(
+                error_scale=error_scale, quality_jitter=quality_jitter,
+                max_error_prob=max_error_prob, profile=profile,
+            )
+        )  # fmt: skip
+        n = caller.n_chunks(read, chunk_size)
+        indices = data.draw(
+            st.one_of(st.just([]), st.just(list(range(n))), st.just([n - 1]), _index_lists(n))
+        )
+        # An infinite track overflows 10**(-q/10), and meets an infinite
+        # jitter as NaN: expected here, on both paths.
+        with np.errstate(over="ignore", invalid="ignore"):
+            compiled = _decoded(caller, read, indices, chunk_size)
+            with fallback("surrogate"):
+                assert _decoded(caller, read, indices, chunk_size) == compiled
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            {"track": 0.0},
+            {"track": [np.inf, -np.inf, 93.0, 1e6]},
+            {"seed": 0},
+            {"seed": 2**31 - 1},
+            {"seed": 2**40 + 3},
+            {"chunk_size": 2**32},
+            {"chunk_size": 2**64 + 1},
+            {"indices": []},
+            {"indices": [2, 0, 2, 1]},
+            {"indices": [-1]},
+            {"config": {"error_scale": 1e9}},
+            {"config": {"max_error_prob": 1.0}, "track": 0.0},
+            {"config": {"quality_jitter": 0.0}},
+            {"config": {"profile": ErrorProfile(substitution=0.0, insertion=2.0, deletion=0.0)}},
+        ],
+        ids=[
+            "q0-track", "infinite-track", "seed-0", "seed-2**31-1", "seed-past-31-bits",
+            "chunk-2**32", "chunk-2**64+1", "no-chunks", "unordered-repeats", "last-chunk",
+            "error-prob-at-the-clip", "max-error-prob-1", "zero-jitter", "zero-weight-profile",
+        ],
+    )  # fmt: skip
+    def test_edge_case_decodes_as_the_numpy_path(self, reads, case):
+        """Each edge the property draws from, pinned on its own: a
+        799-base read in 300-base chunks (every chunk, or the listed
+        ones; the last chunk, 199 bases, leaves PCG64's half-word
+        buffered between the two bounded fills) on the compiled decode
+        and on the numpy path."""
+        require_native("surrogate")
+        read = reads[1]
+        codes = read.true_codes[:799]
+        track = np.resize(np.asarray(case.get("track", read.qualities[:799]), float), codes.size)
+        read = replace(read, true_codes=codes, qualities=track, seed=case.get("seed", read.seed))
+        caller = SurrogateBasecaller(SurrogateConfig(**case.get("config", {})))
+        chunk_size = case.get("chunk_size", 300)
+        n = caller.n_chunks(read, chunk_size)
+        indices = [i % n for i in case.get("indices", range(n))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            compiled = _decoded(caller, read, indices, chunk_size)
+            with fallback("surrogate"):
+                assert _decoded(caller, read, indices, chunk_size) == compiled
+
+    def test_nan_track_is_refused_before_any_c_call(self, reads, surrogate):
+        """A NaN quality makes a NaN error probability: both paths raise
+        ``apply_drawn_errors``' ``ValueError``, the compiled one before
+        its C function is called."""
+        track = reads[0].qualities.copy()
+        track[310] = np.nan
+        read = replace(reads[0], qualities=track)
+        refused = SimpleNamespace(surrogate_decode=mock.Mock(side_effect=AssertionError))
+        stub = {"surrogate": refused} if surrogate == "native" else {}
+        with mock.patch.dict(native._LOADED, stub), pytest.raises(ValueError, match=r"within \[0, 1\]"):
+            SurrogateBasecaller().basecall_chunks(read, [0, 1], 300)
+        refused.surrogate_decode.assert_not_called()
+
+    def test_failed_allocation_raises_memory_error(self, reads):
+        """``surrogate.c`` returns -1 when its scratch ``malloc`` fails."""
+        failing = SimpleNamespace(surrogate_decode=lambda *args: -1)
+        with mock.patch.dict(native._LOADED, {"surrogate": failing}), pytest.raises(MemoryError):
+            SurrogateBasecaller().basecall_chunks(reads[0], [0, 1], 300)
+
+    def test_threads_decode_at_once(self, reads):
+        """ctypes releases the GIL, so a served read's thread and the
+        batch's can be inside ``surrogate_decode`` at once: it keeps no
+        state between calls, and every thread gets what a lone call
+        gives."""
+        require_native("surrogate")
+        caller = SurrogateBasecaller()
+
+        def decode(read):
+            return _decoded(caller, read, range(caller.n_chunks(read, 300)), 300)
+
+        alone = [decode(read) for read in reads]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            together = list(pool.map(lambda read: [decode(read) for _ in range(10)], reads * 2))
+        assert together == [[want] * 10 for want in alone * 2]

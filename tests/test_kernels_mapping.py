@@ -2,32 +2,30 @@
 
 Three bit-identity families (fixed seeds, a hypothesis property over
 generated shapes, and production-sized fixed-seed trail cases compared
-by bytes in ``test_trail_case_bit_identical`` each):
+by bytes in ``test_trail_case_*bit_identical`` each):
 
 * batched seeding (one ``searchsorted`` + repeat/gather) must produce
   the exact grouped anchor arrays of the per-key scalar walk, and the
   compiled seeding (``seed.c``: minimizer scan and index probe in one
   call) the arrays of both, its minimizers and index arrays those of
   the numpy scan;
-* the compiled chain DP (``chain.c``) must produce bit-identical scores
-  *and parents* to the scalar reference (same float64 combine order per
-  row), and the compiled chain stage (``chain.c``'s ``chain_read``
-  behind ``chain_prefix``) the primary and secondary chains and the
-  chain candidates of its Python fallback (``_gathered`` and
-  ``best_chain``);
+* the compiled chain stage (``chain.c``'s ``chain_read`` behind
+  ``chain_prefix``) must produce the primary and secondary chains and
+  the chain candidates of its Python fallback (``_gathered`` and
+  ``best_chain`` over the scalar DP), bit for bit: its DP runs the
+  scalar reference's float64 combine order per row;
 * the compiled Gotoh lane fill (``gotoh.c`` behind ``_fill_lanes``)
   must give every lane the identical score and CIGAR the scalar
   reference gives it -- a free-tail extension, and a lane whose path
   leaves the first diagonal band, included -- on every segment shape
   and every integer-valued scoring, whichever lanes share its call.
 
-Without a compiler the chain DP and the Gotoh fill each fall back to
-their scalar reference, and seeding to its numpy path.
-The ``chain`` and ``gotoh`` fixtures run every comparison on both
-paths: on the compiled kernel it is the bit-identity check; on the
-fallback it pins that the dispatch forwards every argument (``k``,
-``max_gap``, ``lookback``, the scoring, ``free_ref_tail``) and builds
-the result the reference gives. ``test_compiled_*_is_what_runs`` fails
+Without a compiler the chain stage falls back to its Python
+composition, the Gotoh fill to its scalar reference, and seeding to its
+numpy path. The ``gotoh`` fixture runs every comparison on both paths:
+on the compiled kernel it is the bit-identity check; on the fallback it
+pins that the dispatch forwards every argument (the scoring,
+``free_ref_tail``) and builds the result the reference gives. ``test_compiled_*_is_what_runs`` fails
 where a compiler exists but the compiled kernel did not load, so the
 ``native`` half never quietly tests the reference against itself.
 
@@ -134,61 +132,18 @@ def _random_anchors(rng, n, ref_span=50_000, read_span=8_000, runs=False):
     return arr[order]
 
 
-#: The mapping layer's chain DP at ``lookback=2**63`` against the scalar
-#: reference, in a fresh process (where the compiled DP loads).
-CHAIN_PAST_INT64 = """
-import numpy as np
-from repro.kernels.chain import chain_scores_scalar
-from repro.mapping.chaining import ChainingConfig, chain_scores
-rng = np.random.default_rng(105)
-ref = np.sort(rng.integers(0, 20_000, 300))
-anchors = np.stack([ref, np.maximum(0, ref + rng.integers(-40, 40, 300))], axis=1)
-anchors = anchors[np.lexsort((anchors[:, 1], anchors[:, 0]))]
-got = chain_scores(anchors, ChainingConfig(lookback=2**63))
-want = chain_scores_scalar(anchors, 13, 5_000, 2**63)
-assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
-"""
-
-
 class TestChainKernels:
     def test_compiled_dp_is_what_runs(self):
-        """Where a compiler exists the chain DP must be the compiled one,
-        or the ``native`` half of every comparison below would test the
-        scalar reference against itself."""
+        """Where a compiler exists the chain stage must be the compiled
+        one, or ``TestChainStage`` would test the fallback against
+        itself."""
         require_native("chain")
         assert native.backend("chain") == "native"
         with fallback("chain"):
             assert native.backend("chain") == "scalar"
 
-    @pytest.mark.parametrize("lookback", [1, 5, 50, 2**70])
-    @pytest.mark.parametrize("max_gap", [50, 5_000])
-    def test_chain_dp_bit_identical_to_scalar(self, lookback, max_gap, chain):
-        rng = np.random.default_rng(101)
-        for trial in range(25):
-            n = int(rng.integers(0, 400))
-            anchors = _random_anchors(rng, n, runs=bool(trial % 2))
-            s_scores, s_parents = chain_scores_scalar(anchors, 13, max_gap, lookback)
-            c_scores, c_parents = chain_scores(anchors, 13, max_gap, lookback)
-            assert np.array_equal(s_scores, c_scores), (trial, lookback, max_gap)
-            assert np.array_equal(s_parents, c_parents), (trial, lookback, max_gap)
-
-    def test_lookback_past_int64_gives_the_scalar_bytes(self):
-        """``ChainingConfig(lookback=2**63)`` is a window over every
-        anchor: the compiled DP gets it clamped to the anchor count
-        rather than wrapped to a negative int64, which read out of
-        bounds. A crash, so the DP runs in a subprocess."""
-        require_native("chain")
-        result = subprocess.run(
-            [sys.executable, "-c", CHAIN_PAST_INT64],
-            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert result.returncode == 0, (result.returncode, result.stderr)
-
     @pytest.mark.parametrize("n", [0, 1])
-    def test_degenerate_inputs(self, n, chain):
+    def test_degenerate_inputs(self, n):
         anchors = np.zeros((n, 2), dtype=np.int64)
         for kernel in (chain_scores_scalar, chain_scores):
             scores, parents = kernel(anchors, 13, 5_000, 50)
@@ -197,7 +152,7 @@ class TestChainKernels:
                 assert parents[0] == -1
 
     @pytest.mark.parametrize("shape", [(5,), (5, 1), (5, 3)])
-    def test_anchors_must_be_n_by_2(self, shape, chain):
+    def test_anchors_must_be_n_by_2(self, shape):
         with pytest.raises(ValueError, match=r"\[n, 2\]"):
             chain_scores(np.zeros(shape, dtype=np.int64), 13, 5_000, 50)
 
@@ -207,9 +162,8 @@ class TestChainKernels:
                 brute = sum(min(i, h) for i in range(n)) if n > 1 else 0
                 assert chain_candidate_count(n, h) == brute, (n, h)
 
-    def test_kernels_charge_the_ledger(self, chain):
-        """Charged once on either path: the scalar fallback charges its
-        own candidates, the compiled call the same count."""
+    def test_kernels_charge_the_ledger(self):
+        """The scalar DP charges its own candidates, once."""
         rng = np.random.default_rng(103)
         anchors = _random_anchors(rng, 120, runs=True)
         ledger = process_mapping_ops()
@@ -217,10 +171,9 @@ class TestChainKernels:
         chain_scores(anchors, 13, 5_000, 50)
         assert ledger.value("chain-candidate") - before == chain_candidate_count(120, 50)
 
-    def test_config_selects_kernel(self, chain):
+    def test_config_selects_kernel(self):
         # The config carries DP parameters only: the mapping layer's
-        # chain_scores runs the production kernel, which equals the
-        # reference.
+        # chain_scores runs the reference with them.
         rng = np.random.default_rng(104)
         anchors = _random_anchors(rng, 80, runs=True)
         config = ChainingConfig(lookback=20, max_gap=800)
@@ -233,72 +186,6 @@ class TestChainKernels:
         # No name is known: the option is gone.
         with pytest.raises(TypeError, match="kernel"):
             ChainingConfig(kernel="scalar")
-
-    @given(
-        n=st.integers(0, 300),
-        lookback=st.integers(1, 60),
-        max_gap=st.sampled_from([1, 5, 40, 300, 5_000]),
-        span=st.sampled_from([30, 400, 20_000]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=40, deadline=None, suppress_health_check=_ONE_FILL_PER_TEST)
-    def test_chain_dp_bit_identical_over_generated_shapes(
-        self, n, lookback, max_gap, span, seed, chain
-    ):
-        """A small ``span`` packs the anchors with duplicate rows, equal
-        reference positions and equal-score predecessors (argmax ties);
-        a small ``max_gap`` leaves most windows without a valid one."""
-        rng = np.random.default_rng(seed)
-        anchors = rng.integers(0, span, size=(n, 2)).astype(np.int64)
-        anchors = anchors[np.lexsort((anchors[:, 1], anchors[:, 0]))]
-        s_scores, s_parents = chain_scores_scalar(anchors, 13, max_gap, lookback)
-        c_scores, c_parents = chain_scores(anchors, 13, max_gap, lookback)
-        assert np.array_equal(s_scores, c_scores)
-        assert np.array_equal(s_parents, c_parents)
-
-    @given(
-        n_true=st.integers(0, 300),
-        lookback=st.sampled_from([5, 20, 50]),
-        max_gap=st.sampled_from([500, 5_000]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=40, deadline=None, suppress_health_check=_ONE_FILL_PER_TEST)
-    def test_chain_dp_bit_identical_on_mapped_read_anchors(
-        self, n_true, lookback, max_gap, seed, chain
-    ):
-        """The geometry of a mapped read: most rows' parent is a near
-        predecessor, scattered hits and duplicate reference positions
-        make it the second or third. Scores compare by bits."""
-        anchors = _mapped_read_anchors(np.random.default_rng(seed), n_true)
-        s_scores, s_parents = chain_scores_scalar(anchors, 13, max_gap, lookback)
-        c_scores, c_parents = chain_scores(anchors, 13, max_gap, lookback)
-        assert np.array_equal(s_scores.view(np.int64), c_scores.view(np.int64))
-        assert np.array_equal(s_parents, c_parents)
-
-    @pytest.mark.parametrize(
-        "case",
-        ["colinear-2000", "scattered-1500", "short-lookback", "block-boundary-5000", "mapped-read"],
-    )
-    def test_trail_case_bit_identical(self, chain_trail, case, chain):
-        anchors, max_gap, lookback = chain_trail[case]
-        scalar = chain_scores_scalar(anchors, 13, max_gap, lookback)
-        compiled = chain_scores(anchors, 13, max_gap, lookback)
-        for s_out, c_out in zip(scalar, compiled, strict=True):
-            assert s_out.dtype == c_out.dtype and s_out.tobytes() == c_out.tobytes()
-
-    def test_log2_comes_from_numpy_not_libm(self, chain):
-        """A 40-anchor colinear run, then a last hop drifting by
-        ``dd = 1621``: at k=14 the last score's final bit is the last bit
-        of ``np.log2(1621)``, which a libm ``log2`` may round the other
-        way (glibc's does on x86-64). Every window slot of the last
-        anchor drifts by the same ``dd``."""
-        run = np.stack([1_000 + 20 * np.arange(40), 20 * np.arange(40)], axis=1)
-        anchors = np.vstack([run, run[-1] + [3_000, 3_000 - 1_621]]).astype(np.int64)
-        s_scores, s_parents = chain_scores_scalar(anchors, 14, 5_000, 50)
-        c_scores, c_parents = chain_scores(anchors, 14, 5_000, 50)
-        assert s_parents[-1] == 39
-        assert s_scores.tobytes() == c_scores.tobytes()
-        assert np.array_equal(s_parents, c_parents)
 
 
 @pytest.fixture(scope="module")
@@ -492,18 +379,78 @@ def _seeded_blocks(rng, rows, n_blocks):
     return blocks
 
 
+def _chained_both_ways(index, chunks, read_length, chaining, shortened=False):
+    """``chain_prefix`` of a mapper whose chunks seeded ``chunks`` (one
+    ``{strand: rows}`` per chunk), on the compiled stage and then on its
+    fallback: each side's chains, by score bits, strand and anchor bytes,
+    and the chain candidates it charged."""
+    mapper = IncrementalChunkMapper(index, read_length, config=MapperConfig(chaining=chaining))
+    with mock.patch.object(mapper_module, "collect_anchor_arrays", side_effect=chunks):
+        for chunk in range(len(chunks)):
+            mapper.add_chunk(np.zeros(0, dtype=np.uint8), chunk)
+    if shortened:
+        mapper.set_read_length(read_length // 3)
+    ledger = process_mapping_ops()
+
+    def stage():
+        before = ledger.value("chain-candidate")
+        chains = [
+            None if c is None else (c.score.hex(), c.strand, c.anchors.shape, c.anchors.tobytes())
+            for c in mapper.chain_prefix()
+        ]
+        return chains, ledger.value("chain-candidate") - before
+
+    compiled = stage()
+    with fallback("chain"):
+        return compiled, stage()
+
+
+#: One read's chain stage at ``lookback=2**63``, compiled and then on its
+#: fallback, in a fresh process (where the compiled stage loads).
+CHAIN_PAST_INT64 = """
+import numpy as np
+import repro.kernels.native as native
+from repro.genomics.reference import ReferenceGenome
+from repro.mapping.chaining import ChainingConfig
+from repro.mapping.index import MinimizerConfig, MinimizerIndex
+from repro.mapping.mapper import IncrementalChunkMapper, MapperConfig
+reference = ReferenceGenome.random(20_000, seed=105)
+index = MinimizerIndex.build(reference, MinimizerConfig(k=13, w=10))
+read = reference.codes[4_000:7_000]
+config = MapperConfig(chaining=ChainingConfig(lookback=2**63))
+
+def chains():
+    mapper = IncrementalChunkMapper(index, read.size, config=config)
+    for at in range(0, read.size, 500):
+        mapper.add_chunk(read[at : at + 600], at)
+    return [None if c is None else (c.score.hex(), c.strand, c.anchors.tobytes())
+            for c in mapper.chain_prefix()]
+
+assert native.kernel("chain") is not None
+compiled = chains()
+native._LOADED["chain"] = None
+assert compiled[0] is not None and chains() == compiled
+"""
+
+
 class TestChainStage:
     """``chain_prefix`` in one call of the compiled ``chain.c`` against
-    its fallback, ``_gathered`` and ``best_chain``: the same primary and
-    secondary, bit for bit, and the same chain candidates charged."""
+    its fallback, ``_gathered`` and ``best_chain`` over the scalar DP:
+    the same primary and secondary, bit for bit, and the same chain
+    candidates charged. ``chain.c``'s DP runs only inside this stage, so
+    this is where its bit-identity to ``chain_scores_scalar`` is checked:
+    on generated strands, on random and packed anchor sets, on
+    production-sized trail cases and on the one drift whose ``log2``
+    libm rounds the other way."""
 
     @given(
         n_plus=st.integers(1, 150),
         n_minus=st.integers(1, 150),
         seeded=st.sampled_from(["both", "both", "both", "plus", "minus", "neither"]),
+        mapped_read=st.booleans(),
         blocks=st.tuples(st.integers(1, 4), st.integers(1, 4)),
         copies=st.integers(1, 3),
-        lookback=st.one_of(st.integers(1, 60), st.just(2**62), st.integers(1, 2**62)),
+        lookback=st.one_of(st.integers(1, 60), st.sampled_from([2**62, 2**63, 2**70]), st.integers(1, 2**62)),
         min_chain_score=st.one_of(st.floats(0, 60), st.sampled_from([0.0, 20.0, 1e9])),
         min_anchors=st.sampled_from([1, 2, 3, 3, 5, 2**62]),
         max_gap=st.sampled_from([100, 5_000]),
@@ -513,18 +460,24 @@ class TestChainStage:
     )
     @settings(max_examples=200, deadline=None, suppress_health_check=_ONE_FILL_PER_TEST)
     def test_compiled_stage_is_the_fallback(
-        self, index, n_plus, n_minus, seeded, blocks, copies, lookback, min_chain_score,
-        min_anchors, max_gap, read_length, shortened, seed,
+        self, index, n_plus, n_minus, seeded, mapped_read, blocks, copies, lookback,
+        min_chain_score, min_anchors, max_gap, read_length, shortened, seed,
     ):  # fmt: skip
         """Several blocks per strand with repeats across them, either or
         both strands empty, tied chains on one strand and across the two
-        (equal motifs), a read length cut below the seeded bases (the
-        minus strand's flipped positions go negative), and the
-        thresholds at their extremes."""
+        (equal motifs), a mapped read's geometry on the plus strand (the
+        nearest valid predecessor often not the parent), a lookback past
+        int64, a read length cut below the seeded bases (the minus
+        strand's flipped positions go negative), and the thresholds at
+        their extremes."""
         require_native("chain")
         k = index.config.k
         rng = np.random.default_rng(seed)
-        plus = _strand_rows(rng, n_plus * (seeded in ("both", "plus")), read_length, copies)
+        n_plus *= seeded in ("both", "plus")
+        if mapped_read and n_plus:
+            plus = _mapped_read_anchors(rng, n_plus)
+        else:
+            plus = _strand_rows(rng, n_plus, read_length, copies)
         minus = _strand_rows(rng, n_minus * (seeded in ("both", "minus")), read_length, copies)
         minus[:, 1] = read_length - k - minus[:, 1]  # raw, as seeding stores them
         sides = [_seeded_blocks(rng, rows, n) for rows, n in ((plus, blocks[0]), (minus, blocks[1]))]
@@ -533,31 +486,99 @@ class TestChainStage:
              for strand, side in zip((1, -1), sides, strict=True)}
             for i in range(max(map(len, sides)))
         ]  # fmt: skip
-        config = MapperConfig(
-            chaining=ChainingConfig(
-                max_gap=max_gap, lookback=lookback, min_chain_score=min_chain_score,
-                min_anchors=min_anchors,
-            )
+        chaining = ChainingConfig(
+            max_gap=max_gap, lookback=lookback, min_chain_score=min_chain_score,
+            min_anchors=min_anchors,
         )  # fmt: skip
-        mapper = IncrementalChunkMapper(index, read_length, config=config)
-        with mock.patch.object(mapper_module, "collect_anchor_arrays", side_effect=chunks):
-            for chunk in range(len(chunks)):
-                mapper.add_chunk(np.zeros(0, dtype=np.uint8), chunk)
-        if shortened:
-            mapper.set_read_length(read_length // 3)
-        ledger = process_mapping_ops()
+        compiled, fallen_back = _chained_both_ways(index, chunks, read_length, chaining, shortened)
+        assert fallen_back == compiled
 
-        def stage():
-            before = ledger.value("chain-candidate")
-            chains = [
-                None if c is None else (c.score.hex(), c.strand, c.anchors.shape, c.anchors.tobytes())
-                for c in mapper.chain_prefix()
-            ]
-            return chains, ledger.value("chain-candidate") - before
+    @pytest.mark.parametrize(
+        "case",
+        ["colinear-2000", "scattered-1500", "short-lookback", "block-boundary-5000", "mapped-read"],
+    )
+    def test_trail_case_stage_bit_identical(self, index, chain_trail, case):
+        """Each production-sized trail case as one read's plus strand,
+        seeded in one chunk, its reverse as the minus strand in a
+        second."""
+        require_native("chain")
+        anchors, max_gap, lookback = chain_trail[case]
+        chunks = [{1: anchors, -1: anchors[:0]}, {1: anchors[:0], -1: anchors[::-1].copy()}]
+        chaining = ChainingConfig(max_gap=max_gap, lookback=lookback)
+        compiled, fallen_back = _chained_both_ways(index, chunks, 10_000, chaining)
+        assert compiled[0][0] is not None
+        assert fallen_back == compiled
 
-        compiled = stage()
-        with fallback("chain"):
-            assert stage() == compiled
+    @pytest.mark.parametrize("lookback", [1, 5, 50, 2**70])
+    @pytest.mark.parametrize("max_gap", [50, 5_000])
+    def test_random_anchors_stage_bit_identical(self, index, lookback, max_gap):
+        """25 random anchor sets per window, scattered and in colinear
+        runs, as the plus strand. Every end is a chain (``min_anchors=1``,
+        no score floor), so the secondary pick reads the DP's scores far
+        from the best one too."""
+        require_native("chain")
+        rng = np.random.default_rng(101)
+        chaining = ChainingConfig(max_gap=max_gap, lookback=lookback, min_chain_score=0.0, min_anchors=1)
+        for trial in range(25):
+            anchors = _random_anchors(rng, int(rng.integers(0, 400)), runs=bool(trial % 2))
+            chunks = [{1: anchors, -1: anchors[:0]}]
+            compiled, fallen_back = _chained_both_ways(index, chunks, 10_000, chaining)
+            assert fallen_back == compiled, trial
+
+    @given(
+        n=st.integers(0, 300),
+        lookback=st.integers(1, 60),
+        max_gap=st.sampled_from([1, 5, 40, 300, 5_000]),
+        span=st.sampled_from([30, 400, 20_000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None, suppress_health_check=_ONE_FILL_PER_TEST)
+    def test_packed_anchors_stage_bit_identical(self, index, n, lookback, max_gap, span, seed):
+        """A small ``span`` packs the plus strand with equal reference
+        positions and equal-score predecessors (argmax ties); a small
+        ``max_gap`` leaves most windows without a valid one."""
+        require_native("chain")
+        rng = np.random.default_rng(seed)
+        anchors = rng.integers(0, span, size=(n, 2)).astype(np.int64)
+        chaining = ChainingConfig(max_gap=max_gap, lookback=lookback, min_chain_score=0.0, min_anchors=1)
+        chunks = [{1: anchors, -1: anchors[:0]}]
+        compiled, fallen_back = _chained_both_ways(index, chunks, span + 20_000, chaining)
+        assert fallen_back == compiled
+
+    def test_lookback_past_int64_in_a_fresh_process(self):
+        """``ChainingConfig(lookback=2**63)`` is a window over every
+        anchor: ``chain_read`` gets it clamped to the row count rather
+        than wrapped to a negative int64, which would read out of bounds.
+        A crash, so the stage runs in a subprocess."""
+        require_native("chain")
+        result = subprocess.run(
+            [sys.executable, "-c", CHAIN_PAST_INT64],
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, (result.returncode, result.stderr)
+
+    def test_log2_comes_from_numpy_not_libm(self):
+        """A 40-anchor colinear run, then a last hop drifting by
+        ``dd = 1621``: at k=14 the last anchor's score ends in the last
+        bit of ``np.log2(1621)``, which a libm ``log2`` may round the
+        other way (glibc's does on x86-64). Every window slot of the last
+        anchor drifts by the same ``dd``. The run is the primary; the
+        last anchor, its parent used, is a one-anchor secondary off the
+        primary's span, reported with that score."""
+        require_native("chain")
+        index = MinimizerIndex.build(ReferenceGenome.random(2_000, seed=3), MinimizerConfig(k=14, w=10))
+        run = np.stack([1_000 + 20 * np.arange(40), 20 * np.arange(40)], axis=1)
+        anchors = np.vstack([run, run[-1] + [3_000, 3_000 - 1_621]]).astype(np.int64)
+        scores, parents = chain_scores_scalar(anchors, 14, 5_000, 50)
+        assert parents[-1] == 39
+        chaining = ChainingConfig(kmer_size=14, max_gap=5_000, lookback=50, min_anchors=1)
+        compiled, fallen_back = _chained_both_ways(index, [{1: anchors, -1: anchors[:0]}], 4_000, chaining)
+        (_, secondary), _ = compiled
+        assert secondary[0] == scores[-1].hex() and secondary[2] == (1, 2)
+        assert fallen_back == compiled
 
     def test_failed_allocation_raises_memory_error(self):
         """``chain.c`` returns -1 when its scratch ``malloc`` fails: the
@@ -1485,13 +1506,14 @@ class TestNoKernelIsSelectedByName:
         assert thresholds == []
 
     def test_one_fallback_per_mapping_kernel(self):
-        """The chain DP and the Gotoh lane fill each have one fallback,
-        their scalar reference, the chain stage one, ``_gathered`` and
-        ``best_chain``, and seeding one, the numpy path: no module under
-        ``src/repro`` defines a name of the deleted numpy folds, and
-        ``chain_scores``, ``chain_prefix``, ``_fill_lanes`` and
-        ``collect_anchor_arrays`` each branch once on a compiled kernel
-        that did not load, into a call of their fallback."""
+        """The Gotoh lane fill has one fallback, its scalar reference,
+        the chain stage one, ``_gathered`` and ``best_chain``, and
+        seeding one, the numpy path: no module under ``src/repro``
+        defines a name of the deleted numpy folds, and ``chain_prefix``,
+        ``_fill_lanes`` and ``collect_anchor_arrays`` each branch once on
+        a compiled kernel that did not load, into a call of their
+        fallback. ``chain_scores`` is the scalar DP alone: it never
+        branches."""
         deleted = {"_fold_blocked", "_combine_rows", "_fill_group", "_lane_groups", "_SPEC_ROUNDS"}
         root = Path(repro.__file__).parent
         defined = []
@@ -1524,7 +1546,6 @@ class TestNoKernelIsSelectedByName:
             }
 
         for module, function, reference, helpers in (
-            (chain_kernels, "chain_scores", "chain_scores_scalar", set()),
             (mapper_module, "chain_prefix", "best_chain", {"_gathered", "_with_kmer_size"}),
             (alignment_module, "_fill_lanes", "gotoh_scalar", {"AlignmentResult", "_classify_diagonals"}),
             (seeding_module, "collect_anchor_arrays", "seed_anchors_batched", {"minimizer_arrays"}),

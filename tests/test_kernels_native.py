@@ -2,23 +2,27 @@
 
 :mod:`repro.kernels.native` builds each kernel of its table,
 ``native.KERNELS`` -- ``trellis.c`` (the Viterbi trellis), ``gotoh.c``
-(the Gotoh lane fill), ``chain.c`` (the chain stage) and ``seed.c`` (the
-minimizer scan and index probe) -- on first use and caches each shared
-object; any failure must leave the kernel's fallback running:
-``_gathered`` and ``best_chain`` over ``chain_scores_scalar`` for the
-chain stage, ``gotoh_scalar`` for the Gotoh fill, the numpy fold for
-the trellis, the numpy path for seeding. Each fault below -- no
-compiler, a compiler that fails, a package cache that cannot be
-written, a per-user cache that is not private, a truncated library in
-the cache, two processes building a cold cache at once -- is run for
-every row of that table and must give the fallback's bytes, raise
-nothing and leave no temp file behind. Every array argument of every
-C function goes through ``native.address``, which refuses a wrong
-dtype or a strided view before C runs. A surrogate CLI run must build
-the chain stage and seeding alone (the trellis would only add start-up
-time), a run without ``--align`` never the Gotoh fill, and the summary
-line names the seeding that seeded, the chain stage that chained, the
-trellis that decoded and the fill that aligned.
+(the Gotoh lane fill), ``chain.c`` (the chain stage), ``seed.c`` (the
+minimizer scan and index probe) and ``surrogate.c`` (the surrogate
+decode, linked against numpy's ``libnpyrandom.a``) -- on first use and
+caches each shared object; any failure must leave the kernel's fallback
+running: ``_gathered`` and ``best_chain`` over ``chain_scores_scalar``
+for the chain stage, ``gotoh_scalar`` for the Gotoh fill, the numpy
+fold for the trellis, the numpy paths for seeding and the surrogate
+decode. Each fault below -- no compiler, a compiler that fails, a
+package cache that cannot be written, a per-user cache that is not
+private, a truncated library in the cache, two processes building a
+cold cache at once -- is run for every row of that table and must give
+the fallback's bytes, raise nothing and leave no temp file behind; a
+missing archive runs the surrogate's fallback silently, and the
+archive's bytes name its build. Every array argument of every C
+function goes through ``native.address``, which refuses a wrong dtype
+or a strided view before C runs. A surrogate CLI run must build the
+chain stage, seeding and the surrogate decode alone (the trellis would
+only add start-up time), a run without ``--align`` never the Gotoh
+fill, and the summary line names the seeding that seeded, the chain
+stage that chained, the decode or trellis that basecalled and the fill
+that aligned.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import pytest
 from conftest import fallback
 
 import repro.kernels.native as native
+from repro.basecalling.surrogate import SurrogateBasecaller
 from repro.genomics.alphabet import reverse_complement
 from repro.genomics.reference import ReferenceGenome
 from repro.kernels import (
@@ -48,6 +53,7 @@ from repro.mapping.alignment import AlignmentConfig, _fill_lanes
 from repro.mapping.index import MinimizerIndex
 from repro.mapping.mapper import IncrementalChunkMapper
 from repro.mapping.seeding import collect_anchor_arrays
+from repro.nanopore.read_simulator import ReadSimulator, SimulatorConfig
 from repro.runtime.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -58,8 +64,8 @@ needs_compiler = pytest.mark.skipif(native._compiler() is None, reason="no C com
 
 #: Runs one kernel (argv[3]) on fixed input and prints the backend in
 #: use and the digest of its outputs, as :func:`_decode`, :func:`_align`,
-#: :func:`_chain` and :func:`_seed` do in this process; argv: cache
-#: directory, start-flag file, kernel.
+#: :func:`_chain`, :func:`_seed` and :func:`_basecall` do in this
+#: process; argv: cache directory, start-flag file, kernel.
 RUN_PROBE = """
 import hashlib, sys, time
 from pathlib import Path
@@ -111,6 +117,19 @@ elif kernel == "seed":
     arrays = (index.key_array, index.bounds_array, index.position_array, index.strand_array,
               anchors[1], anchors[-1])
     digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays))
+elif kernel == "surrogate":
+    from repro.basecalling.surrogate import SurrogateBasecaller
+    from repro.genomics.reference import ReferenceGenome
+    from repro.nanopore.read_simulator import ReadSimulator, SimulatorConfig
+    config = SimulatorConfig(median_length=2_000, mean_length=2_100, min_length=1_000, max_length=4_000)
+    reads = ReadSimulator(ReferenceGenome.random(20_000, seed=5), config, seed=5).sample_reads(3)
+    caller = SurrogateBasecaller()
+    chunks = [
+        chunk
+        for read in reads
+        for chunk in caller.basecall_chunks(read, [2, 0, 1, caller.n_chunks(read, 300) - 1, 0], 300)
+    ]
+    digest = hashlib.sha256(b"".join(c.codes.tobytes() + c.qualities.tobytes() for c in chunks))
 else:
     from repro.mapping.alignment import AlignmentConfig, _fill_lanes
     lanes = [
@@ -178,7 +197,28 @@ def _seed() -> str:
     return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
 
-_RUNS = {"trellis": _decode, "gotoh": _align, "chain": _chain, "seed": _seed}
+def _basecall() -> str:
+    """The probe's surrogate decode in this process: three simulated
+    reads, each in one out-of-order batch with a repeat and its last
+    chunk; hex digest of every chunk's codes and qualities."""
+    config = SimulatorConfig(median_length=2_000, mean_length=2_100, min_length=1_000, max_length=4_000)
+    reads = ReadSimulator(ReferenceGenome.random(20_000, seed=5), config, seed=5).sample_reads(3)
+    caller = SurrogateBasecaller()
+    chunks = [
+        chunk
+        for read in reads
+        for chunk in caller.basecall_chunks(read, [2, 0, 1, caller.n_chunks(read, 300) - 1, 0], 300)
+    ]
+    return hashlib.sha256(b"".join(c.codes.tobytes() + c.qualities.tobytes() for c in chunks)).hexdigest()
+
+
+_RUNS = {
+    "trellis": _decode,
+    "gotoh": _align,
+    "chain": _chain,
+    "seed": _seed,
+    "surrogate": _basecall,
+}
 
 
 @dataclass(frozen=True)
@@ -303,6 +343,37 @@ def test_missing_compiler_runs_the_fallback_silently(kernel, cache, monkeypatch,
     assert _files(*cache) == []
 
 
+def test_missing_archive_runs_the_surrogate_fallback_silently(cache, monkeypatch, tmp_path, fallback_digests):
+    """No ``libnpyrandom.a`` (a numpy built without it): the surrogate
+    decode's numpy path runs, without a warning and without a build, as
+    when there is no compiler."""
+    monkeypatch.setitem(native.ARCHIVES, "surrogate", tmp_path / "absent" / "libnpyrandom.a")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Kernel("surrogate").run() == fallback_digests["surrogate"]
+    assert native.backend("surrogate") == "numpy"
+    assert _files(*cache) == []
+
+
+@needs_compiler
+def test_cache_key_hashes_the_archive(cache, monkeypatch, tmp_path):
+    """The surrogate library's name hashes the archive it links: numpy
+    upgraded in place (other bytes at the same path) never loads a build
+    linked against its old distributions."""
+    package, _ = cache
+    archive = tmp_path / "libnpyrandom.a"
+    archive.write_bytes(native.ARCHIVES["surrogate"].read_bytes())
+    monkeypatch.setitem(native.ARCHIVES, "surrogate", archive)
+    assert native.load_library("surrogate") is not None
+    (built,) = _files(package)
+    source = Path(native.__file__).parent / "surrogate.c"
+    command = [*native._compiler(), *native.CFLAGS]
+    assert built.name == f"surrogate-{native._cache_key(source, command, archive)}.so"
+    with archive.open("ab") as upgraded:
+        upgraded.write(b"\n")
+    assert native._cache_key(source, command, archive) not in built.name
+
+
 def test_failing_compiler_warns_once_and_runs_the_fallback(
     kernel, cache, monkeypatch, fallback_digest
 ):
@@ -406,9 +477,10 @@ def test_two_processes_build_a_cold_cache_at_once(kernel, tmp_path, fallback_dig
 #: A CLI run with both cache directories moved into argv[1]; afterwards
 #: asserts the loader was not imported with the CLI, the trellis was
 #: never resolved, the Gotoh fill only on an ``--align`` run, and that
-#: the chain DP's and seeding's libraries (the index build scans, and
-#: workers seed and chain, so they build them) and, on an ``--align``
-#: run, the fill's were all that was cached.
+#: the chain stage's, seeding's and the surrogate decode's libraries
+#: (the index build scans, and workers decode, seed and chain, so they
+#: build them) and, on an ``--align`` run, the fill's were all that was
+#: cached.
 UNRESOLVED_PROBE = """
 import sys
 from pathlib import Path
@@ -423,19 +495,20 @@ aligned = "--align" in sys.argv
 assert "trellis" not in native._LOADED, "trellis resolved"
 assert ("gotoh" in native._LOADED) == aligned, "Gotoh fill resolved: " + str(aligned)
 built = sorted(path.name for path in cache.rglob("*")) if cache.exists() else []
-expected = ["chain", "gotoh", "seed"] if aligned else ["chain", "seed"]
+expected = ["chain", "gotoh", "seed", "surrogate"] if aligned else ["chain", "seed", "surrogate"]
 expected = expected if native._compiler() is not None else []
 assert [name.partition("-")[0] for name in built] == expected, built
 raise SystemExit(status)
 """
 
 
-def test_surrogate_cli_run_builds_the_chain_dp_and_seeding_alone(tmp_path):
+def test_surrogate_cli_run_builds_seeding_chain_and_surrogate_alone(tmp_path):
     """Start-up of the surrogate workloads pays only for the kernels
     they run: importing the CLI does not import the loader, and an
     ``ecoli-like`` run without ``--align`` (pooled, so workers are
-    covered too) builds the chain DP and seeding, and neither resolves
-    nor builds the trellis or the Gotoh fill."""
+    covered too) builds the chain stage, seeding and the surrogate
+    decode, and neither resolves nor builds the trellis or the Gotoh
+    fill."""
     subprocess.run(
         [
             sys.executable, "-c", UNRESOLVED_PROBE, str(tmp_path / "cache"),
@@ -446,10 +519,10 @@ def test_surrogate_cli_run_builds_the_chain_dp_and_seeding_alone(tmp_path):
     )  # fmt: skip
 
 
-def test_aligned_surrogate_cli_run_builds_the_chain_dp_seeding_and_gotoh_fill(tmp_path):
+def test_aligned_surrogate_cli_run_also_builds_the_gotoh_fill(tmp_path):
     """An ``--align`` run resolves the Gotoh fill (and, with a compiler,
-    caches ``chain-<hash>.so``, ``gotoh-<hash>.so`` and
-    ``seed-<hash>.so`` and nothing else), never the trellis."""
+    caches ``chain-<hash>.so``, ``gotoh-<hash>.so``, ``seed-<hash>.so``
+    and ``surrogate-<hash>.so`` and nothing else), never the trellis."""
     subprocess.run(
         [
             sys.executable, "-c", UNRESOLVED_PROBE, str(tmp_path / "cache"),
@@ -468,7 +541,9 @@ def test_viterbi_cli_summary_names_the_trellis(trellis, capsys):
         ]
     )  # fmt: skip
     assert status == 0
-    assert f"trellis {trellis})" in capsys.readouterr().err
+    summary = capsys.readouterr().err
+    assert f"trellis {trellis})" in summary
+    assert "surrogate" not in summary
 
 
 def test_aligned_cli_summary_names_the_gotoh_fill(gotoh, capsys):
@@ -480,6 +555,17 @@ def test_aligned_cli_summary_names_the_gotoh_fill(gotoh, capsys):
     )  # fmt: skip
     assert status == 0
     assert f"gotoh {gotoh})" in capsys.readouterr().err
+
+
+def test_cli_summary_names_the_surrogate_decode(surrogate, capsys):
+    status = main(
+        [
+            "--profile", "ecoli-like", "--scale", "0.0001", "--seed", "7",
+            "--max-read-length", "1500", "--workers", "1",
+        ]
+    )  # fmt: skip
+    assert status == 0
+    assert f", surrogate {surrogate})" in capsys.readouterr().err
 
 
 def test_cli_summary_names_the_chain_dp(chain, capsys):
