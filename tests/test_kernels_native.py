@@ -17,7 +17,11 @@ the fallback's bytes, raise nothing and leave no temp file behind; a
 missing archive runs the surrogate's fallback silently, and the
 archive's bytes name its build. Every array argument of every C
 function goes through ``native.address``, which refuses a wrong dtype
-or a strided view before C runs. A surrogate CLI run must build the
+or a strided view before C runs, and reads an accepted array's data
+pointer from the array object itself (``native._header_data``) where a
+once-per-process probe agrees with ``.ctypes.data``: that read must give
+``.ctypes.data`` on every kind of array the kernels receive, and forcing
+``.ctypes.data`` must change no byte. A surrogate CLI run must build the
 chain stage, seeding and the surrogate decode alone (the trellis would
 only add start-up time), a run without ``--align`` never the Gotoh
 fill, and the summary line names the seeding that seeded, the chain
@@ -37,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import fallback
+from conftest import fallback, require_native
 
 import repro.kernels.native as native
 from repro.basecalling.surrogate import SurrogateBasecaller
@@ -55,6 +59,8 @@ from repro.mapping.mapper import IncrementalChunkMapper
 from repro.mapping.seeding import collect_anchor_arrays
 from repro.nanopore.read_simulator import ReadSimulator, SimulatorConfig
 from repro.runtime.cli import main
+from repro.runtime.columnar import ColumnarBatch, ColumnarLayout
+from repro.runtime.transport import attach_index, publish_index, release_unit
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -63,15 +69,19 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 needs_compiler = pytest.mark.skipif(native._compiler() is None, reason="no C compiler")
 
 #: Runs one kernel (argv[3]) on fixed input and prints the backend in
-#: use and the digest of its outputs, as :func:`_decode`, :func:`_align`,
-#: :func:`_chain`, :func:`_seed` and :func:`_basecall` do in this
-#: process; argv: cache directory, start-flag file, kernel.
+#: use, the digest of its outputs (as :func:`_decode`, :func:`_align`,
+#: :func:`_chain`, :func:`_seed` and :func:`_basecall` give it in this
+#: process) and the data-pointer reader ``native.address`` used; argv:
+#: cache directory, start-flag file, kernel, and optionally ``ctypes``
+#: to force the ``.ctypes.data`` reader before the first call.
 RUN_PROBE = """
 import hashlib, sys, time
 from pathlib import Path
 import numpy as np
 import repro.kernels.native as native
 cache, go, kernel = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3]
+if sys.argv[4:] == ["ctypes"]:
+    native._READER = native._ctypes_data
 native._PACKAGE_CACHE = cache
 native._user_cache = lambda: cache / "user"
 deadline = time.monotonic() + 60
@@ -137,7 +147,7 @@ else:
         for n, m, free in ((90, 80, False), (40, 70, True), (3, 60, False))
     ]
     digest = hashlib.sha256(repr(_fill_lanes(lanes, AlignmentConfig())).encode())
-print(native.backend(kernel), digest.hexdigest())
+print(native.backend(kernel), digest.hexdigest(), native._READER.__name__)
 """
 
 
@@ -279,12 +289,25 @@ def test_table_rows_are_the_c_sources():
     assert sorted(native.KERNELS) == sorted(path.stem for path in sources)
 
 
-def test_array_arguments_are_checked_before_any_c_call(kernel):
+@pytest.fixture(params=["header", "ctypes"])
+def reader(request, kernel, monkeypatch):
+    """Runs a test once under each data-pointer reader of
+    ``native.address``: the header read, then ``.ctypes.data``. The
+    kernel resolves first, so the process's own pick is what comes back
+    after."""
+    native.kernel(kernel.name)
+    chosen = native._header_data if request.param == "header" else native._ctypes_data
+    monkeypatch.setattr(native, "_READER", chosen)
+    return chosen
+
+
+def test_array_arguments_are_checked_before_any_c_call(kernel, reader):
     """Every array argument of every C function in the kernel's row
     goes through ``native.address``: another dtype, a strided view or a
     list is refused with ``TypeError`` before the C function runs, and
     an accepted array reaches it as the address of its data. The
-    compiled functions themselves refuse the same way."""
+    compiled functions themselves refuse the same way, under either
+    reader."""
     loaded = native.kernel(kernel.name)
     for function, (arguments, _) in native.KERNELS[kernel.name][1].items():
         calls = []
@@ -309,6 +332,101 @@ def test_array_arguments_are_checked_before_any_c_call(kernel):
         assert calls == []
         checked(*valid)
         assert calls == [tuple(a.ctypes.data if isinstance(a, np.ndarray) else a for a in valid)]
+
+
+def _arrays_the_kernels_receive(tmp_path: Path) -> list[np.ndarray]:
+    """One or more of each kind of array that reaches a C function:
+    owned, offset views, read-only over ``bytes``, a pooled unit's
+    read views over the received image, an attached index's views into
+    shared memory, memory maps and zero-size arrays."""
+    arrays = [
+        np.arange(9, dtype=np.float64),
+        np.zeros((3, 4), dtype=np.uint8),
+        np.arange(12, dtype=np.int64)[5:],
+        np.arange(24, dtype=np.int64).reshape(4, 6)[2],
+        np.frombuffer(bytes(range(32)), dtype=np.uint8),
+        np.frombuffer(bytes(range(32)), dtype=np.uint32, count=3, offset=4),
+        np.zeros(0),
+        np.zeros(0, dtype=np.uint8),
+        np.arange(10, dtype=np.int64)[10:],
+    ]
+    config = SimulatorConfig(median_length=600, mean_length=650, min_length=300, max_length=900)
+    reads = ReadSimulator(ReferenceGenome.random(5_000, seed=3), config, seed=3).sample_reads(3)
+    layout = ColumnarLayout.plan(reads)
+    image = bytearray(layout.total_bytes)
+    layout.pack_into(image, reads)
+    for read in ColumnarBatch(bytes(image), layout.handles).reads():
+        arrays += [read.true_codes, read.qualities]
+    index = MinimizerIndex.build(ReferenceGenome.random(5_000, seed=3))
+    handle = publish_index(index)
+    try:
+        attached = attach_index(handle)
+    finally:
+        release_unit(handle.segment)
+    arrays += [attached.key_array, attached.bounds_array, attached.position_array,
+               attached.strand_array, attached.reference.codes]  # fmt: skip
+    path = tmp_path / "mapped.bin"
+    written = np.memmap(path, dtype=np.int64, mode="w+", shape=(16,))
+    written[:] = np.arange(16)
+    written.flush()
+    arrays += [written, np.memmap(path, dtype=np.uint8, mode="r", offset=3)]
+    return arrays
+
+
+def test_header_read_is_the_ctypes_data_pointer(tmp_path):
+    """On every kind of array the kernels receive, the pointer read from
+    the array object is the integer ``.ctypes.data`` gives, and
+    ``native.address`` returns it under both readers."""
+    arrays = _arrays_the_kernels_receive(tmp_path)
+    for array in arrays:
+        assert native._header_data(array) == array.ctypes.data, (array.dtype, array.shape)
+        assert native._ctypes_data(array) == array.ctypes.data
+    assert native._header_agrees()
+
+
+def test_header_reader_is_what_runs(monkeypatch):
+    """On CPython the first library resolved picks the header read, or
+    every comparison of the two readers would test ``.ctypes.data``
+    against itself; a reader set before that is kept."""
+    require_native("chain")
+    monkeypatch.setattr(native, "_LOADED", {})
+    monkeypatch.setattr(native, "_READER", None)
+    assert native.kernel("chain") is not None
+    assert native._READER is native._header_data
+    monkeypatch.setattr(native, "_LOADED", {})
+    monkeypatch.setattr(native, "_READER", native._ctypes_data)
+    assert native.kernel("chain") is not None
+    assert native._READER is native._ctypes_data
+
+
+def test_failing_probe_keeps_the_ctypes_data_reader(monkeypatch):
+    """A header read that disagrees with ``.ctypes.data`` on any probe (a
+    changed layout) leaves ``.ctypes.data`` as the reader, silently."""
+    require_native("chain")
+    monkeypatch.setattr(native, "_DATA_OFFSET", native._DATA_OFFSET + 8)
+    assert not native._header_agrees()
+    monkeypatch.setattr(native, "_LOADED", {})
+    monkeypatch.setattr(native, "_READER", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert native.kernel("chain") is not None
+    assert native._READER is native._ctypes_data
+
+
+@needs_compiler
+def test_ctypes_data_reader_gives_the_same_bytes(kernel, tmp_path, fallback_digest):
+    """A fresh process with the ``.ctypes.data`` reader forced before its
+    first call runs the compiled kernel and gives the same digest as the
+    header read (and the fallback) in this process."""
+    go = tmp_path / "go"
+    go.write_text("")
+    completed = subprocess.run(
+        [sys.executable, "-c", RUN_PROBE, str(native._PACKAGE_CACHE), str(go), kernel.name, "ctypes"],
+        cwd=REPO_ROOT, env=_env(), capture_output=True, text=True, timeout=120,
+    )  # fmt: skip
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.split() == ["native", fallback_digest, "_ctypes_data"]
+    assert kernel.run() == fallback_digest
 
 
 def _env() -> dict[str, str]:
@@ -469,7 +587,7 @@ def test_two_processes_build_a_cold_cache_at_once(kernel, tmp_path, fallback_dig
                 proc.communicate()
     for proc, (out, err) in zip(procs, results, strict=True):
         assert proc.returncode == 0, err
-        assert out.split() == ["native", fallback_digest]
+        assert out.split() == ["native", fallback_digest, "_header_data"]
         assert "Warning" not in err, err
     assert [p.suffix for p in _files(cache)] == [".so"]
 
