@@ -56,8 +56,11 @@ from repro.nanopore.signal_store import SignalRecord
 #: error-injection streams.
 _SIGNAL_STREAM = 0x516E41
 
-#: Reads whose synthesized signal is kept hot; the pipeline touches one
-#: read at a time, so a handful covers every access pattern.
+#: Reads whose synthesized signal is kept hot. A work unit decodes every
+#: read's QSR sample, then the survivors' CMR merge sets, then each
+#: remainder in turn, so in a unit of more than four simulated reads a
+#: read's signal is synthesized up to three times; synthesis is ~2 % of
+#: a chunk decode's cost, so the cache stays this small.
 _SIGNAL_CACHE_READS = 4
 
 
@@ -237,6 +240,13 @@ class ViterbiChunkBasecaller:
         would save nothing measurable.
         """
         return [self.basecall_chunk(read, index, chunk_size) for index in indices]
+
+    def basecall_many(
+        self, requests: Sequence[tuple[object, Sequence[int]]], chunk_size: int
+    ) -> list[list[BasecalledChunk]]:
+        """Decode each request's chunks ``indices`` of its ``read``, read
+        by read (see :meth:`basecall_chunks`)."""
+        return [self.basecall_chunks(read, indices, chunk_size) for read, indices in requests]
 
     def basecall_read(self, read, chunk_size: int) -> BasecalledRead:
         """Basecall every chunk of the read and reassemble."""

@@ -40,21 +40,24 @@ class Basecaller(Protocol):
 
     Implementations must be *chunk-deterministic*: a chunk's bytes may
     depend only on ``(read, index, chunk_size)`` -- never on which other
-    chunks were requested before it, nor on which chunks share its
-    ``basecall_chunks`` call, nor on their order. The chunk-based
+    chunks were requested before it, nor on which chunks (of its read or
+    of others) share its call, nor on their order. The chunk-based
     pipeline, the conventional pipeline, and every early-rejection
     policy must see byte-identical basecalls for the chunks they do
     process -- the software analogue of the paper's "no accuracy loss"
     claim, and the invariant behind the parallel runtime's report
     equivalence.
 
-    ``basecall_chunks`` is the batch entry point and the only one the
-    pipeline decodes through: one call per early-rejection stage (the
-    QSR sample, the CMR merge set, the remainder), mirroring how the
-    paper's chunks move between basecalling, QSR, CMR and mapping in
-    groups (Fig. 6). An engine may share work across the batch however
-    it likes, as long as every chunk comes out as ``basecall_chunk``
-    would return it alone.
+    ``basecall_many`` is the batch entry point and the only one the
+    pipeline decodes through: it takes ``(read, indices)`` requests,
+    possibly of many reads, and returns each request's chunks. A work
+    unit makes one call for every read's QSR sample and one for the
+    CMR merge sets of the reads QSR kept, then one per read for its
+    remainder, mirroring how the paper's chunks of many reads move
+    between basecalling, QSR, CMR and mapping together (Fig. 6). An
+    engine may share work across the call however it likes, as long as
+    every chunk comes out as ``basecall_chunk`` would return it alone;
+    ``basecall_chunks`` is the one-read request.
 
     For the runtime to ship an engine to worker processes it must also
     be picklable: an engine travels as itself.
@@ -69,6 +72,13 @@ class Basecaller(Protocol):
 
     def n_chunks(self, read: "SimulatedRead", chunk_size: int) -> int:
         """Number of chunks the read splits into at this chunk size."""
+        ...
+
+    def basecall_many(
+        self, requests: Sequence[tuple["SimulatedRead", Sequence[int]]], chunk_size: int
+    ) -> list[list[BasecalledChunk]]:
+        """Basecall each request's chunks ``indices`` of its read: one
+        list per request, its chunks in the order given."""
         ...
 
     def basecall_chunks(

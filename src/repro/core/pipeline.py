@@ -11,9 +11,14 @@ Functional model of the paper's Fig. 6 control flow:
    produce the mapping result.
 
 Called bases stay 2-bit code arrays from the basecaller to the mapper.
-Both engines are fed once per stage, not once per chunk: the basecaller
-decodes the QSR sample, the CMR merge set and the remainder in one call
-each, and the mapper seeds the merge set, then the remainder.
+Both engines are fed in groups, not once per chunk. A work unit's two
+early-rejection probes are decoded stage-major, as the paper's chunks of
+many reads move through basecalling, QSR and CMR together: one
+basecaller call decodes the QSR sample of every read in the unit that
+QSR screens, the next the CMR merge set of every read QSR kept. Each
+read then runs on its own -- its QSR verdict, the seeding and chaining
+of its merge set, one call for its remainder, finalize -- and the
+mapper seeds the merge set, then the remainder.
 
 The conventional pipeline (basecall everything -> read-level QC -> map),
 the software baseline of the evaluation, is :class:`GenPIPPipeline` with
@@ -160,14 +165,60 @@ class GenPIPPipeline:
         return self.ser_policy is not None and self.config.enable_ser
 
     def process_batch(self, reads: "list[PipelineRead]") -> "list[ReadOutcome]":
-        """Process a batch of reads in order (one runtime work unit).
+        """Process a work unit's reads, returning their outcomes in order.
 
-        Reads are independent -- the pipeline keeps no cross-read state
-        -- so batching exists purely to amortise scheduling and IPC in
-        :mod:`repro.runtime`: a read's outcome does not depend on its
-        batch mates.
+        The unit's early-rejection probes are decoded first, in two
+        engine calls: the QSR sample of every read QSR screens, then the
+        CMR merge set (its chunks not decoded yet) of every read the QSR
+        verdict keeps. Each read then goes through :meth:`_process_read`
+        with those chunks already decoded, in one ``read`` trace of its
+        own; the unit's ``qsr_probe`` and ``cmr_probe`` spans, each with
+        its ``basecall``, go in whatever trace is open around the call
+        (the ``unit`` trace :func:`repro.runtime.pool.run_unit` opens).
+        Reads that SER screens take no part in the unit calls: SER must
+        see a read before any of its chunks is decoded.
+
+        Reads are independent -- a chunk's bytes depend only on its read
+        and index, and the pipeline keeps no cross-read state -- so a
+        read's outcome does not depend on its unit mates: units exist to
+        amortise engine calls, scheduling and IPC.
         """
-        return [self.process_read(read) for read in reads]
+        cfg = self.config
+        tracer = active_tracer()
+        n_chunks: list[int] = []
+        called: list[dict[int, BasecalledChunk]] = []
+        probed = []  # (position, read, called, n_chunks) of each read the probes take
+        for k, read in enumerate(reads):
+            if isinstance(read, SignalRead) and not self.accepts_signal_reads():
+                raise TypeError(
+                    f"{type(self.basecaller).__name__} cannot decode signal-native "
+                    "reads; use a signal-space backend ('viterbi') for raw-current "
+                    "inputs"
+                )
+            n = self.basecaller.n_chunks(read, cfg.chunk_size)
+            n_chunks.append(n)
+            called.append(done := {})
+            if n >= cfg.min_chunks_for_er and not self._ser_applies(read, n):
+                probed.append((k, read, done, n))
+        qsr: list[QSRDecision | None] = [None] * len(reads)
+        if cfg.enable_qsr and probed:
+            with tracer.span("qsr_probe"):
+                samples = [(read, done, self._qsr.sample_indices(n)) for _, read, done, n in probed]
+                self._decode(samples, tracer)
+                for (k, *_), (_, done, indices) in zip(probed, samples, strict=True):
+                    qsr[k] = self._qsr.decide([done[i] for i in indices])
+            probed = [probe for probe in probed if not qsr[probe[0]].reject]
+        if cfg.enable_cmr and probed:
+            with tracer.span("cmr_probe"):
+                self._decode(
+                    [(read, done, self._cmr.merged_chunk_indices(n)) for _, read, done, n in probed],
+                    tracer,
+                )
+        outcomes = []
+        for read, n, done, verdict in zip(reads, n_chunks, called, qsr, strict=True):
+            with tracer.read(read.read_id):
+                outcomes.append(self._process_read(read, tracer, n, done, verdict))
+        return outcomes
 
     def run(
         self,
@@ -211,49 +262,69 @@ class GenPIPPipeline:
         engine = DatasetEngine(self, workers=workers, batch_size=batch_size, sink=sink)
         return engine.run(dataset)
 
-    def _ser_applies(self, read: PipelineRead, er_eligible: bool) -> bool:
-        """Whether stage 0 (SER) screens this read: signal-native reads
-        only -- base-space reads carry no current to screen."""
-        return self.signal_rejection_enabled() and er_eligible and isinstance(read, SignalRead)
+    def _ser_applies(self, read: PipelineRead, n_chunks: int) -> bool:
+        """Whether stage 0 (SER) screens this read: ER-eligible
+        signal-native reads only -- base-space reads carry no current to
+        screen."""
+        return (
+            self.signal_rejection_enabled()
+            and n_chunks >= self.config.min_chunks_for_er
+            and isinstance(read, SignalRead)
+        )
 
     def process_read(self, read: PipelineRead) -> ReadOutcome:
-        """Run one read through CP (+ ER if enabled).
+        """Run one read through CP (+ ER if enabled): a unit of one.
 
         Accepts base-space :class:`SimulatedRead`\\ s with any backend,
         and signal-native :class:`SignalRead`\\ s with backends that
         decode provided signal (``accepts_signal_reads``) -- the same
         CP/ER control flow either way.
         """
-        if isinstance(read, SignalRead) and not self.accepts_signal_reads():
-            raise TypeError(
-                f"{type(self.basecaller).__name__} cannot decode signal-native "
-                "reads; use a signal-space backend ('viterbi') for raw-current "
-                "inputs"
-            )
-        tracer = active_tracer()
-        with tracer.read(read.read_id):
-            return self._process_read(read, tracer)
+        return self.process_batch([read])[0]
 
-    def _process_read(self, read: PipelineRead, tracer) -> ReadOutcome:
+    def _decode(
+        self, requests: "list[tuple[PipelineRead, dict[int, BasecalledChunk], list[int]]]", tracer
+    ) -> None:
+        """Decode, in one engine call under one ``basecall`` span, the
+        chunks of each ``(read, called, indices)`` request that its
+        ``called`` map lacks, and add them there."""
+        pending = []
+        for read, done, indices in requests:
+            todo = [i for i in indices if i not in done]
+            if todo:
+                pending.append((read, done, todo))
+        if not pending:
+            return
+        with tracer.span("basecall"):
+            decoded = self.basecaller.basecall_many(
+                [(read, todo) for read, _, todo in pending], self.config.chunk_size
+            )
+        for (_, done, todo), chunks in zip(pending, decoded, strict=True):
+            done.update(zip(todo, chunks, strict=True))
+
+    def _process_read(
+        self,
+        read: PipelineRead,
+        tracer,
+        n_chunks: int,
+        called: dict[int, BasecalledChunk],
+        qsr: QSRDecision | None,
+    ) -> ReadOutcome:
+        """One read's stages from what its unit already did: ``called``
+        holds the chunks decoded so far, and ``qsr`` is the verdict on
+        them when the unit's QSR probe took the read."""
         cfg = self.config
-        chunk_size = cfg.chunk_size
-        n_chunks = self.basecaller.n_chunks(read, chunk_size)
         er_eligible = n_chunks >= cfg.min_chunks_for_er
-        called: dict[int, BasecalledChunk] = {}
         # The read's progress so far; every exit reports all of it, so
         # an outcome carries the decision of each stage that ran.
-        ser = qsr = cmr = mean_quality = None
+        ser = cmr = mean_quality = None
         n_seeded = n_chain_invocations = 0
 
         def basecall(indices) -> list[BasecalledChunk]:
-            """A stage's chunks, decoded in one engine call: the ones not
-            called yet, in the order asked for."""
+            """A stage's chunks, in the order asked for: the ones not
+            called yet decoded in one engine call."""
             indices = list(indices)
-            todo = [i for i in indices if i not in called]
-            if todo:
-                with tracer.span("basecall"):
-                    chunks = self.basecaller.basecall_chunks(read, todo, chunk_size)
-                called.update(zip(todo, chunks, strict=True))
+            self._decode([(read, called, indices)], tracer)
             return [called[i] for i in indices]
 
         def outcome(status: ReadStatus, mapping: MappingResult | None = None) -> ReadOutcome:
@@ -277,18 +348,19 @@ class GenPIPPipeline:
         # --- Stage 0: SER on the raw-current prefix, before any chunk
         # is basecalled (the paper's "ideally even before they go
         # through basecalling", Sec. 2.3).
-        if self._ser_applies(read, er_eligible):
+        if self._ser_applies(read, n_chunks):
             with tracer.span("ser"):
                 ser = self.ser_policy.decide(read)
             if ser.reject:
                 return outcome(ReadStatus.REJECTED_SIGNAL)
 
         # --- Stage 1: QSR on N_qs evenly sampled chunks (Fig. 6 (1)-(3));
-        # when it runs it is the first basecalling stage.
+        # when it runs it is the first basecalling stage. The unit
+        # decided it already unless SER screened the read.
         if cfg.enable_qsr and er_eligible:
             with tracer.span("qsr_probe"):
-                sampled = basecall(self._qsr.sample_indices(n_chunks))
-                qsr = self._qsr.decide(sampled)
+                if qsr is None:
+                    qsr = self._qsr.decide(basecall(self._qsr.sample_indices(n_chunks)))
             if qsr.reject:
                 return outcome(ReadStatus.REJECTED_QSR)
 

@@ -35,11 +35,11 @@ previously iterated sample-by-sample in interpreted Python:
   recurrence, with the same bytes.
 * ``surrogate.c`` -- the surrogate basecaller's decode
   (:mod:`repro.basecalling.surrogate`): every chunk of a
-  ``basecall_chunks`` call in one call, each replaying its own numpy
-  ``Generator`` stream (``SeedSequence``, PCG64, and numpy's own C
-  distributions, linked from ``libnpyrandom.a``) and applying the
-  errors and the quality jitter, else the numpy path, with the same
-  bytes.
+  ``basecall_many`` call, over any number of reads, in one call, each
+  replaying its own numpy ``Generator`` stream (``SeedSequence``,
+  PCG64, and numpy's own C distributions, linked from
+  ``libnpyrandom.a``) and applying the errors and the quality jitter,
+  else the numpy path, with the same bytes.
 * :mod:`repro.kernels.align` -- affine-gap (Gotoh) alignment (paper
   Fig. 1(d)): the pure-Python scalar loop that defines a segment's
   score and CIGAR. Production runs the lane fill in

@@ -259,8 +259,7 @@ KERNELS: dict[str, tuple[str, dict[str, tuple[list, type | None]]]] = {
     }),
     "surrogate": ("numpy", {
         "surrogate_decode": (
-            [_U8, _F64, _F64, _I64, _I64, _SIZE, _U32, _SIZE, _REAL, _REAL, _REAL, _REAL, _U8, _F64,
-             _I64],
+            [_U8, _F64, _F64, _I64, _SIZE, _U32, _REAL, _REAL, _REAL, _REAL, _U8, _F64, _I64],
             _SIZE,
         ),
     }),

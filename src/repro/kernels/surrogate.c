@@ -1,15 +1,17 @@
-/* The surrogate basecaller's decode: every chunk of one basecall_chunks
- * call in one call.
+/* The surrogate basecaller's decode: every chunk of one basecall_many
+ * call, over any number of reads, in one call.
  *
  * The compiled form of the per-chunk work of
- * repro.basecalling.surrogate.SurrogateBasecaller.basecall_chunks, whose
+ * repro.basecalling.surrogate.SurrogateBasecaller.basecall_many, whose
  * numpy path runs in its place where this file cannot be built or
  * numpy's distributions archive is missing. Both give the same bytes,
  * because each chunk replays the stream that
- * numpy.random.default_rng([seed, chunk_size, index]) gives:
+ * numpy.random.default_rng([seed, chunk_size, index]) gives, whatever
+ * read the chunks before it belong to:
  *
- *   1. SeedSequence: the chunk's entropy words (the caller's prefix,
- *      then the index as little-endian 32-bit words, 0 as one word)
+ *   1. SeedSequence: the chunk's entropy words (its own prefix -- the
+ *      words of its read's seed and the chunk size --, then the index
+ *      as little-endian 32-bit words, 0 as one word)
  *      are hashed into a 4-word pool, which generate_state(4, uint64)
  *      hashes out again;
  *   2. PCG64 (a 128-bit LCG with the XSL-RR output) is seeded from
@@ -152,40 +154,47 @@ static void seed_pcg64(Pcg64 *rng, const uint32_t *words, int64_t n_words)
 }
 
 /* Decodes n_chunks chunks whose true codes, track qualities and error
- * probabilities lie back to back in codes / track / error_prob,
- * lengths[c] bases each. Chunk c's stream is seeded from prefix's
- * n_prefix words followed by the words of indices[c]. sub, ins and del
- * are the error profile's normalised weights. Writes the emitted bases
- * and qualities to out_codes / out_quality (room for twice the bases)
- * and chunk c's end in them to ends[c]. Returns the bases emitted, -1
- * when malloc fails (nothing is written then). */
+ * probabilities lie back to back in codes / track / error_prob. The
+ * table holds three rows of n_chunks each: every chunk's length in
+ * bases, its index in its read and the end of its entropy prefix in
+ * prefixes. Chunk c's prefix is prefixes[prefix_ends[c - 1] ..
+ * prefix_ends[c]) (from 0 for the first chunk), and its stream is
+ * seeded from those words followed by the words of its index. sub, ins
+ * and del are the error profile's normalised weights. Writes the
+ * emitted bases and qualities to out_codes / out_quality (room for
+ * twice the bases) and chunk c's end in them to ends[c]. Returns the
+ * bases emitted, -1 when malloc fails (nothing is written then). */
 int64_t surrogate_decode(const uint8_t *codes, const double *track, const double *error_prob,
-                         const int64_t *lengths, const int64_t *indices, int64_t n_chunks,
-                         const uint32_t *prefix, int64_t n_prefix, double sub, double ins,
-                         double del, double jitter, uint8_t *out_codes, double *out_quality,
-                         int64_t *ends)
+                         const int64_t *table, int64_t n_chunks, const uint32_t *prefixes,
+                         double sub, double ins, double del, double jitter, uint8_t *out_codes,
+                         double *out_quality, int64_t *ends)
 {
-    int64_t longest = 0;
-    for (int64_t c = 0; c < n_chunks; c++)
+    const int64_t *lengths = table, *indices = table + n_chunks,
+                  *prefix_ends = table + 2 * n_chunks;
+    int64_t longest = 0, widest = 0;
+    for (int64_t c = 0; c < n_chunks; c++) {
+        const int64_t width = prefix_ends[c] - (c ? prefix_ends[c - 1] : 0);
         longest = lengths[c] > longest ? lengths[c] : longest;
+        widest = width > widest ? width : widest;
+    }
     /* Three uniforms and two bounded draws per base, then the entropy
-     * words: the prefix and at most two words of an index. */
+     * words: the widest prefix and at most two words of an index. */
     char *block = malloc((size_t)longest * 5 * sizeof(double) +
-                         (size_t)(n_prefix + 2) * sizeof(uint32_t));
+                         (size_t)(widest + 2) * sizeof(uint32_t));
     if (block == NULL)
         return -1;
     double *uniforms = (double *)block;
     uint64_t *shifts = (uint64_t *)(uniforms + 3 * longest);
     uint64_t *inserted = shifts + longest;
     uint32_t *words = (uint32_t *)(inserted + longest);
-    memcpy(words, prefix, (size_t)n_prefix * sizeof(uint32_t));
 
     Pcg64 rng;
     bitgen_t bitgen = {&rng, pcg64_next64, pcg64_next32, pcg64_next_double, pcg64_next64};
     int64_t out = 0;
     for (int64_t c = 0; c < n_chunks; c++) {
-        const int64_t n = lengths[c];
-        int64_t n_words = n_prefix;
+        const int64_t n = lengths[c], first_word = c ? prefix_ends[c - 1] : 0;
+        int64_t n_words = prefix_ends[c] - first_word;
+        memcpy(words, prefixes + first_word, (size_t)n_words * sizeof(uint32_t));
         uint64_t index = (uint64_t)indices[c];
         do {
             words[n_words++] = (uint32_t)index;

@@ -26,11 +26,13 @@ batch engine runs on -- alive across sessions:
   <repro.runtime.pool.WorkerPool.run_local>` the batch engine's units
   take -- the service stays up.
 
-Determinism note:
-:meth:`~repro.core.pipeline.GenPIPPipeline.process_batch` *is*
-``process_read`` per element, so per-read units produce outcome
-records byte-identical to any batch run over the same reads -- the
-serving layer's standing equivalence invariant.
+Determinism note: a read's outcome from
+:meth:`~repro.core.pipeline.GenPIPPipeline.process_batch` does not
+depend on its unit mates (a unit decodes its reads' probes together,
+and every chunk's bytes depend only on its own read and index), so
+per-read units produce outcome records byte-identical to any batch run
+over the same reads -- the serving layer's standing equivalence
+invariant.
 """
 
 from __future__ import annotations

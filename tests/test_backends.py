@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import fallback
+from conftest import fallback, require_native
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,7 +57,10 @@ from repro.core.registry import (
 )
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
+from repro.nanopore.signal_read import SignalRead
 from repro.runtime.cli import report_to_json
+from repro.runtime.sink import outcome_to_record
+from repro.signal import SignalRejectionPolicy
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -105,7 +108,8 @@ class TestProtocols:
     )
     def test_batch_decode_is_each_chunk_alone(self, engine, micro_read):
         """A chunk's bytes depend on (read, index, chunk_size) only: not
-        on its batch mates, nor on their order or repeats."""
+        on its batch mates, nor on their order or repeats, nor on the
+        other requests of a ``basecall_many`` call."""
         last = engine.n_chunks(micro_read, 300) - 1
         indices = [last, 0, 1, 0]
         for index, chunk in zip(indices, engine.basecall_chunks(micro_read, indices, 300), strict=True):
@@ -114,16 +118,27 @@ class TestProtocols:
             assert chunk.codes.tobytes() == alone.codes.tobytes()
             assert chunk.qualities.tobytes() == alone.qualities.tobytes()
         assert engine.basecall_chunks(micro_read, [], 300) == []
+        many = engine.basecall_many([(micro_read, indices), (micro_read, []), (micro_read, [1])], 300)
+        assert [[c.chunk_index for c in chunks] for chunks in many] == [indices, [], [1]]
+        alone = engine.basecall_chunks(micro_read, [*indices, 1], 300)
+        for chunk, single in zip(many[0] + many[2], alone, strict=True):
+            assert chunk.codes.tobytes() == single.codes.tobytes()
+            assert chunk.qualities.tobytes() == single.qualities.tobytes()
 
     def test_engine_without_batch_decode_fails_protocol(self):
-        """The pipeline decodes only through ``basecall_chunks``."""
+        """The pipeline decodes only through ``basecall_many``: an engine
+        that decodes one read at a time does not conform."""
 
         class PerChunkOnly:
             def n_chunks(self, read, chunk_size): ...
             def basecall_chunk(self, read, index, chunk_size): ...
             def basecall_read(self, read, chunk_size): ...
 
+        class PerReadOnly(PerChunkOnly):
+            def basecall_chunks(self, read, indices, chunk_size): ...
+
         assert not isinstance(PerChunkOnly(), Basecaller)
+        assert not isinstance(PerReadOnly(), Basecaller)
 
     def test_non_conforming_object_fails(self):
         assert not isinstance(object(), Basecaller)
@@ -425,9 +440,135 @@ class TestUnitCompositionIndependence:
         ]
         assert outcomes == expected
 
+    #: Thresholds under which the seed-9 reads meet every verdict on
+    #: each engine (Viterbi's chunk qualities sit higher).
+    MIXED_CONFIGS = {"surrogate": GenPIPConfig(), "viterbi": GenPIPConfig(theta_qs=10.8)}
+
+    @pytest.fixture(scope="class", params=["surrogate", "surrogate-numpy", "viterbi"])
+    def mixed_case(self, request):
+        """Reads that QSR rejects, CMR rejects and that map, with their
+        per-read outcomes, under each engine and both surrogate decodes."""
+        dataset = generate_dataset(
+            small_profile(ECOLI_LIKE, max_read_length=1_500), scale=0.0002, seed=9
+        )
+        reads, index = list(dataset.reads), MinimizerIndex.build(dataset.reference)
+        name, _, forced = request.param.partition("-")
+        with fallback("surrogate") if forced else contextlib.nullcontext():
+            engine = create_basecaller(name, self.ENGINE_CONFIGS[name])
+            pipeline = GenPIPPipeline(index, self.MIXED_CONFIGS[name], engine, align=False)
+            yield pipeline, reads, [pipeline.process_read(read) for read in reads]
+
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_units_mixing_every_verdict_give_the_per_read_outcomes(self, mixed_case, data):
+        """Shuffled units that mix QSR-rejected, CMR-rejected and mapped
+        reads: a unit's probe calls carry all of their chunks, and each
+        read still comes out as it does alone."""
+        pipeline, reads, expected = mixed_case
+        verdicts = {ReadStatus.REJECTED_QSR, ReadStatus.REJECTED_CMR, ReadStatus.MAPPED}
+        assert verdicts <= {outcome.status for outcome in expected}
+        order = data.draw(st.permutations(range(len(reads))))
+        cuts = data.draw(st.sets(st.integers(min_value=1, max_value=len(reads) - 1), max_size=3))
+        bounds = [0, *sorted(cuts), len(reads)]
+        outcomes = [
+            outcome
+            for lo, hi in itertools.pairwise(bounds)
+            for outcome in pipeline.process_batch([reads[i] for i in order[lo:hi]])
+        ]
+        assert outcomes == [expected[i] for i in order]
+
     def test_pickled_spec_rebuilds_the_same_outcomes(self, case):
         """The pickled pipeline is the spec a spawned worker rebuilds from."""
         pipeline, reads, expected = case
         rebuilt = pickle.loads(pickle.dumps(pipeline))
         assert rebuilt.basecaller is not pipeline.basecaller
         assert rebuilt.process_batch(reads) == expected
+
+
+#: Lengths a drawn read is cut to (``None`` keeps it whole): one-chunk
+#: reads at both drawn chunk sizes, one base either side of a chunk
+#: boundary, and a few chunks.
+_CUTS = st.sampled_from([None, 1, 60, 99, 101, 299, 301, 650])
+
+
+class TestUnitEqualsPerRead:
+    """``process_batch(reads)`` is ``[process_read(r) for r in reads]``
+    record for record, whatever the unit holds and however early
+    rejection is set: the unit's QSR and CMR probe calls give every read
+    exactly the chunks, verdicts and outcome it gets alone."""
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        dataset = generate_dataset(
+            small_profile(ECOLI_LIKE, max_read_length=1_500), scale=0.0002, seed=7
+        )
+        return list(dataset.reads), MinimizerIndex.build(dataset.reference), dataset.reference
+
+    @staticmethod
+    def _unit(data, reads) -> list:
+        picks = data.draw(
+            st.lists(st.tuples(st.integers(0, len(reads) - 1), _CUTS), min_size=1, max_size=6)
+        )
+        unit = []
+        for position, cut in picks:
+            read = reads[position]
+            if cut is not None and cut < len(read):
+                read = dataclasses.replace(
+                    read,
+                    read_id=f"{read.read_id}-cut{cut}",
+                    true_codes=read.true_codes[:cut],
+                    qualities=read.qualities[:cut],
+                )
+            unit.append(read)
+        return unit
+
+    @staticmethod
+    def _config(data, **fields) -> GenPIPConfig:
+        return GenPIPConfig(
+            chunk_size=data.draw(st.sampled_from([100, 300])),
+            enable_qsr=data.draw(st.booleans()),
+            enable_cmr=data.draw(st.booleans()),
+            min_chunks_for_er=data.draw(st.integers(1, 4)),
+            **fields,
+        )
+
+    @staticmethod
+    def _assert_unit_is_per_read(pipeline, unit) -> None:
+        batch = [outcome_to_record(outcome) for outcome in pipeline.process_batch(unit)]
+        assert batch == [outcome_to_record(pipeline.process_read(read)) for read in unit]
+
+    @pytest.mark.parametrize("decode", ["native", "numpy"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_surrogate_units(self, pool, decode, data):
+        reads, index, _ = pool
+        if decode == "native":
+            require_native("surrogate")
+        pipeline = GenPIPPipeline(index, self._config(data), align=False)
+        with fallback("surrogate") if decode == "numpy" else contextlib.nullcontext():
+            self._assert_unit_is_per_read(pipeline, self._unit(data, reads))
+
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_viterbi_units_with_signal_reads_and_ser(self, pool, data):
+        """Signal reads that SER screens stay out of the unit's probe
+        calls and decode their own chunks; base-space and unscreened
+        signal reads share the calls."""
+        reads, index, reference = pool
+        engine = ViterbiChunkBasecaller(FAST_VITERBI)
+        policy = SignalRejectionPolicy.from_reference(
+            engine.pore_model,
+            reference.codes,
+            segment_starts=[
+                read.ref_start for read in reads if read.ref_start is not None and read.strand == 1
+            ],
+        )
+        config = self._config(data, enable_ser=data.draw(st.booleans()))
+        pipeline = GenPIPPipeline(index, config, engine, align=False, ser_policy=policy)
+        unit = [
+            SignalRead(read_id=read.read_id, signal=engine.synthesize_signal(read))
+            if data.draw(st.booleans())
+            else read
+            for read in self._unit(data, reads)
+        ]
+        self._assert_unit_is_per_read(pipeline, unit)

@@ -1,6 +1,7 @@
 """Tests for chunk types, chunk arithmetic, and the surrogate basecaller."""
 
 import ast
+import contextlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -354,9 +355,54 @@ class TestBatchedDecode:
         with pytest.raises(ValueError, match="out of range"):
             caller.basecall_chunks(reads[0], [0, 10**6], 300)
 
-    def test_one_stream_per_chunk_opened_in_basecall_chunks_only(self):
+    @pytest.mark.parametrize("decode", ["native", "numpy"])
+    @given(data=st.data(), chunk_size=st.sampled_from([50, 300, 2**32, 2**32 + 7]))
+    @settings(max_examples=40, deadline=None)
+    def test_many_reads_match_each_request_alone(self, reads, decode, data, chunk_size):
+        """One ``basecall_many`` call over several reads gives each
+        request the chunks ``basecall_chunks`` gives it alone: empty
+        index lists, the same read twice, seed 0 and a chunk size past
+        32 bits (a two-word entropy prefix) included."""
+        if decode == "native":
+            require_native("surrogate")
+        caller = SurrogateBasecaller()
+        pool = [*reads[:4], replace(reads[4], seed=0)]
+        requests = []
+        for position in data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=5)):
+            read = pool[position]
+            requests.append((read, data.draw(_index_lists(caller.n_chunks(read, chunk_size)))))
+        with fallback("surrogate") if decode == "numpy" else contextlib.nullcontext():
+            many = caller.basecall_many(requests, chunk_size)
+            alone = [caller.basecall_chunks(read, indices, chunk_size) for read, indices in requests]
+        assert len(many) == len(requests)
+        for (read, indices), batch, single in zip(requests, many, alone, strict=True):
+            assert [c.chunk_index for c in batch] == indices
+            assert _chunk_bytes(batch) == _chunk_bytes(single)
+            for index, chunk in zip(indices, batch, strict=True):
+                codes, quality, n_true = _chunk_reference(caller, read, index, chunk_size)
+                assert chunk.codes.tobytes() == codes.tobytes()
+                assert chunk.qualities.tobytes() == quality.tobytes()
+                assert chunk.n_true_bases == n_true
+
+    def test_many_reads_make_one_c_call(self, reads):
+        """Every request of a ``basecall_many`` call reaches ``surrogate.c``
+        in one call; requests with no index add nothing to it, and a
+        call with no chunks at all makes none."""
+        require_native("surrogate")
+        library = native.kernel("surrogate")
+        counting = mock.Mock(wraps=library.surrogate_decode)
+        requests = [(reads[0], [1, 0]), (reads[1], []), (reads[0], [2]), (reads[2], [0])]
+        with mock.patch.object(library, "surrogate_decode", counting):
+            decoded = SurrogateBasecaller().basecall_many(requests, 300)
+            assert SurrogateBasecaller().basecall_many([(reads[0], [])], 300) == [[]]
+        assert counting.call_count == 1
+        assert counting.call_args.args[4] == 4  # chunks
+        assert [[c.chunk_index for c in chunks] for chunks in decoded] == [[1, 0], [], [2], [0]]
+
+    def test_one_stream_per_chunk_opened_in_decode_numpy_only(self):
         """Exactly one ``default_rng`` call site in the surrogate module,
-        inside ``basecall_chunks``: no second decode path draws."""
+        inside ``_decode_numpy`` (the numpy path ``basecall_many`` takes
+        read by read): no second decode path draws."""
         tree = ast.parse(Path(surrogate_module.__file__).read_text())
 
         def sites(root):
@@ -371,7 +417,7 @@ class TestBatchedDecode:
         (decode,) = [
             node
             for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef) and node.name == "basecall_chunks"
+            if isinstance(node, ast.FunctionDef) and node.name == "_decode_numpy"
         ]
         assert len(sites(tree)) == 1 and sites(decode) == sites(tree)
 
@@ -385,13 +431,18 @@ def _rough_error_fraction(truth: str, called: str) -> float:
     return 1.0 - len(kmers_truth & kmers_called) / len(kmers_truth)
 
 
-def _decoded(caller, read, indices, chunk_size):
+def _chunk_bytes(chunks):
     """Every chunk's index, codes and quality bytes and true-base count."""
     return [
         (c.chunk_index, c.codes.dtype, c.codes.tobytes(), c.qualities.dtype,
          c.qualities.tobytes(), c.n_true_bases)
-        for c in caller.basecall_chunks(read, indices, chunk_size)
+        for c in chunks
     ]  # fmt: skip
+
+
+def _decoded(caller, read, indices, chunk_size):
+    """:func:`_chunk_bytes` of the chunks ``basecall_chunks`` returns."""
+    return _chunk_bytes(caller.basecall_chunks(read, indices, chunk_size))
 
 
 #: A quality track's values: the simulator's range, q = 0 (p = 1), past

@@ -233,29 +233,75 @@ class TestShortReads:
 
 
 class CountingBasecaller(SurrogateBasecaller):
-    """Records the index list of every engine call."""
+    """Records every engine call: the ``(read id, indices)`` of each of
+    its requests."""
 
     def __init__(self):
         super().__init__()
-        self.calls: list[list[int]] = []
+        self.calls: list[list[tuple[str, list[int]]]] = []
 
-    def basecall_chunks(self, read, indices, chunk_size):
-        self.calls.append(list(indices))
-        return super().basecall_chunks(read, indices, chunk_size)
+    def basecall_many(self, requests, chunk_size):
+        self.calls.append([(read.read_id, list(indices)) for read, indices in requests])
+        return super().basecall_many(requests, chunk_size)
 
 
 class TestOneEngineCallPerStage:
-    """The pipeline decodes a stage's chunks in one engine call: the QSR
-    sample, the CMR merge set, then the remainder."""
+    """A unit decodes its early-rejection probes stage-major: one engine
+    call for the QSR sample of every eligible read, one for the CMR
+    merge sets of the reads QSR kept (the chunks not decoded yet), then
+    one call per read that reaches the remainder with chunks left."""
 
-    CALLS = {
-        ReadStatus.MAPPED: 3,
-        ReadStatus.UNMAPPED: 3,
-        ReadStatus.REJECTED_CMR: 2,
-        ReadStatus.REJECTED_QSR: 1,
-    }
+    @pytest.mark.parametrize("enable_qsr", [True, False], ids=["qsr", "no-qsr"])
+    def test_calls_per_unit(self, dataset, index, enable_qsr):
+        config = GenPIPConfig(n_qs=2, n_cm=5, enable_qsr=enable_qsr)
+        reads = list(dataset.reads)
+        plain = GenPIPPipeline(index, config)
+        expected = [plain.process_read(read) for read in reads]
+        engine = CountingBasecaller()
+        pipeline = GenPIPPipeline(index, basecaller=engine, config=config)
+        assert pipeline.process_batch(reads) == expected
 
-    def test_calls_per_outcome(self, dataset, index, genpip_report):
+        decoded = {read.read_id: set() for read in reads}
+
+        def call(wanted):
+            """The requests of one call: each read's chunks not decoded yet."""
+            requests = []
+            for outcome, indices in wanted:
+                todo = [i for i in indices if i not in decoded[outcome.read_id]]
+                decoded[outcome.read_id].update(todo)
+                if todo:
+                    requests.append((outcome.read_id, todo))
+            return requests
+
+        eligible = [o for o in expected if o.n_chunks_total >= config.min_chunks_for_er]
+        probes = []
+        if enable_qsr:
+            probes.append(call((o, plain._qsr.sample_indices(o.n_chunks_total)) for o in eligible))
+        kept = [o for o in eligible if o.status is not ReadStatus.REJECTED_QSR]
+        probes.append(call((o, plain._cmr.merged_chunk_indices(o.n_chunks_total)) for o in kept))
+        early = (ReadStatus.REJECTED_QSR, ReadStatus.REJECTED_CMR)
+        remainders = [
+            call([(o, range(o.n_chunks_total))]) for o in expected if o.status not in early
+        ]
+        assert engine.calls == probes + [requests for requests in remainders if requests]
+        assert all(len(requests) > 1 for requests in probes)
+        for outcome in expected:
+            assert outcome.n_chunks_basecalled == sum(
+                len(indices)
+                for call in engine.calls
+                for read_id, indices in call
+                if read_id == outcome.read_id
+            )
+
+    def test_one_read_unit_makes_the_per_read_calls(self, dataset, index, genpip_report):
+        """A unit of one (``process_read``, a served read) makes one call
+        per stage that has chunks to decode, as a read always did."""
+        calls = {
+            ReadStatus.MAPPED: 3,
+            ReadStatus.UNMAPPED: 3,
+            ReadStatus.REJECTED_CMR: 2,
+            ReadStatus.REJECTED_QSR: 1,
+        }
         expected = {o.read_id: o for o in genpip_report.outcomes}
         seen = set()
         for read in dataset.reads:
@@ -263,10 +309,9 @@ class TestOneEngineCallPerStage:
             pipeline = GenPIPPipeline(index, basecaller=engine, config=GenPIPConfig(n_qs=2, n_cm=5))
             outcome = pipeline.process_read(read)
             assert outcome == expected[read.read_id]
-            decoded = [i for call in engine.calls for i in call]
-            assert len(decoded) == len(set(decoded)) == outcome.n_chunks_basecalled
             if outcome.n_chunks_total >= 7:
-                assert len(engine.calls) == self.CALLS[outcome.status], outcome.status
+                assert len(engine.calls) == calls[outcome.status], outcome.status
+                assert all(len(call) == 1 for call in engine.calls)
                 seen.add(outcome.status)
         assert {ReadStatus.MAPPED, ReadStatus.REJECTED_CMR, ReadStatus.REJECTED_QSR} <= seen
 
@@ -284,7 +329,7 @@ class TestOneEngineCallPerStage:
         config = GenPIPConfig(n_qs=engine.n_chunks(read, 300))
         outcome = GenPIPPipeline(index, basecaller=engine, config=config).process_read(read)
         assert outcome.status is ReadStatus.MAPPED
-        assert engine.calls == [list(range(outcome.n_chunks_total))]
+        assert engine.calls == [[(read.read_id, list(range(outcome.n_chunks_total)))]]
 
 
 class TestConfigIsTheOnlyHome:

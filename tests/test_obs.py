@@ -259,6 +259,34 @@ class TestPipelineTracing:
         units = [t for t in engine.last_trace if t.kind == "unit"]
         assert len(units) == engine.last_stats.n_shards
 
+    def test_probe_decodes_are_unit_spans(self, obs_system, obs_dataset):
+        """A unit's QSR and CMR probe decodes are spans of its ``unit``
+        trace -- ``qsr_probe``, then ``cmr_probe`` when QSR kept a read,
+        under the root, each with one ``basecall`` child and nothing
+        else -- and a read's trace keeps one ``basecall`` at most: its
+        remainder's, directly under the root."""
+        engine = DatasetEngine(obs_system, workers=1, batch_size=4, trace=True)
+        report = engine.run(obs_dataset)
+        units = [t for t in engine.last_trace if t.kind == "unit"]
+        assert len(units) == engine.last_stats.n_shards > 1
+        probes_seen = set()
+        for unit in units:
+            shape = unit.structure()
+            probes = [name for name, parent in shape if parent == 0]
+            assert probes in (["qsr_probe"], ["qsr_probe", "cmr_probe"])
+            probes_seen.add(tuple(probes))
+            for probe, (_, parent) in enumerate(shape):
+                if parent == 0:
+                    assert [child for child, up in shape if up == probe] == ["basecall"]
+            assert unit.count("basecall") == len(probes)
+        assert ("qsr_probe", "cmr_probe") in probes_seen
+        by_read = {t.label: t for t in engine.last_trace if t.kind == "read"}
+        assert len(by_read) == report.n_reads
+        for outcome in report.outcomes:
+            shape = by_read[outcome.read_id].structure()
+            decodes = [parent for name, parent in shape if name == "basecall"]
+            assert decodes in (([],) if outcome.rejected_early else ([], [0]))
+
 
 class TestSERTracing:
     @pytest.fixture()

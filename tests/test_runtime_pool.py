@@ -63,22 +63,22 @@ def _no_leaked_segments() -> bool:
 
 
 class SlowBasecaller(SurrogateBasecaller):
-    """Holds every read's first chunk long enough for a queue to build."""
+    """Holds every read's first chunk long enough for a queue to build
+    (the delay is per read, whichever call decodes its chunk 0)."""
 
-    def basecall_chunks(self, read, indices, chunk_size):
-        if 0 in indices:
-            time.sleep(0.2)
-        return super().basecall_chunks(read, indices, chunk_size)
+    def basecall_many(self, requests, chunk_size):
+        time.sleep(0.2 * sum(0 in indices for _, indices in requests))
+        return super().basecall_many(requests, chunk_size)
 
 
 class SlowInWorkers(SurrogateBasecaller):
     """Slow in every process but the recorded parent, so units queue up
     behind the workers while an in-process tail stays fast."""
 
-    def basecall_chunks(self, read, indices, chunk_size):
-        if 0 in indices and os.getpid() != _PARENT_PID:
-            time.sleep(0.03)
-        return super().basecall_chunks(read, indices, chunk_size)
+    def basecall_many(self, requests, chunk_size):
+        if os.getpid() != _PARENT_PID:
+            time.sleep(0.03 * sum(0 in indices for _, indices in requests))
+        return super().basecall_many(requests, chunk_size)
 
 
 class WorkerBuildFails(GenPIPPipeline):
@@ -101,8 +101,8 @@ class TwoArgumentError(Exception):
 
 
 class RaisesTwoArgumentError(SurrogateBasecaller):
-    def basecall_chunks(self, read, indices, chunk_size):
-        raise TwoArgumentError(read.read_id, "injected")
+    def basecall_many(self, requests, chunk_size):
+        raise TwoArgumentError(requests[0][0].read_id, "injected")
 
 
 @pytest.fixture(scope="module")
@@ -635,14 +635,15 @@ def _called_name(node: ast.AST) -> str | None:
 
 
 def test_one_function_executes_a_unit():
-    """No second execution path: one ``process_batch`` call, one module
-    that rebinds a pipeline's index, toggles the tracer or gives up on
-    a pool."""
+    """No second execution path: one ``process_batch`` call that runs a
+    work unit (``process_read`` is the unit of one), one module that
+    rebinds a pipeline's index, toggles the tracer or gives up on a
+    pool."""
     root = Path(repro.__file__).parent
     nodes = list(_walk_with_owner(root))
 
     batch_calls = [(m, o) for m, o, n in nodes if _called_name(n) == "process_batch"]
-    assert batch_calls == [("runtime/pool.py", "run_unit")]
+    assert batch_calls == [("core/pipeline.py", "process_read"), ("runtime/pool.py", "run_unit")]
 
     index_rebinds = {
         module
@@ -715,7 +716,9 @@ def test_engine_plane_has_one_of_each():
     its forward math or the event-space decode and its config fields,
     nothing scans installed distributions, the
     registry is functions over two dicts naming two engines,
-    ``process_batch`` is ``process_read`` per element, and the chunk
+    ``process_batch`` decodes a unit's QSR samples, then its CMR merge
+    sets, through ``_decode`` -- the pipeline's one engine call site
+    -- and hands each read to ``_process_read``, and the chunk
     grid is the engines' ``n_chunks`` over ``chunk_count`` -- no read
     type and no second decoder restate it."""
     root = Path(repro.__file__).parent
@@ -760,9 +763,22 @@ def test_engine_plane_has_one_of_each():
     batch_body_calls = [
         ast.unparse(node.func)
         for module, owner, node in nodes
-        if (module, owner) == ("core/pipeline.py", "process_batch") and isinstance(node, ast.Call)
+        if (module, owner) == ("core/pipeline.py", "process_batch")
+        and isinstance(node, ast.Call)
+        and ast.unparse(node.func).startswith("self.")
     ]
-    assert batch_body_calls == ["self.process_read"]
+    assert batch_body_calls == [
+        "self.accepts_signal_reads", "self.basecaller.n_chunks", "self._ser_applies",
+        "self._qsr.sample_indices", "self._decode", "self._qsr.decide",
+        "self._decode", "self._cmr.merged_chunk_indices", "self._process_read",
+    ]  # fmt: skip
+    engine_calls = [
+        (module, owner)
+        for module, owner, node in nodes
+        if _called_name(node) in ("basecall_many", "basecall_chunks", "basecall_chunk")
+        and module.startswith("core/")
+    ]
+    assert engine_calls == [("core/pipeline.py", "_decode")]
 
 
 def test_signal_plane_says_each_thing_once():

@@ -72,10 +72,11 @@ class FailingBasecaller(SurrogateBasecaller):
         super().__init__(config)
         self.fail_read_id = fail_read_id
 
-    def basecall_chunks(self, read, indices, chunk_size):
-        if read.read_id == self.fail_read_id:
-            raise RuntimeError(f"injected failure on {read.read_id}")
-        return super().basecall_chunks(read, indices, chunk_size)
+    def basecall_many(self, requests, chunk_size):
+        for read, _ in requests:
+            if read.read_id == self.fail_read_id:
+                raise RuntimeError(f"injected failure on {read.read_id}")
+        return super().basecall_many(requests, chunk_size)
 
 
 def _then_raise(reads, exc):
@@ -92,10 +93,10 @@ class WorkerExitingBasecaller(SurrogateBasecaller):
         super().__init__(config)
         self.parent_pid = parent_pid
 
-    def basecall_chunks(self, read, indices, chunk_size):
+    def basecall_many(self, requests, chunk_size):
         if os.getpid() != self.parent_pid:
             os._exit(1)
-        return super().basecall_chunks(read, indices, chunk_size)
+        return super().basecall_many(requests, chunk_size)
 
 
 class PidRecordingBasecaller(SurrogateBasecaller):
@@ -107,10 +108,11 @@ class PidRecordingBasecaller(SurrogateBasecaller):
         self.parent_pid = parent_pid
         self.directory = directory
 
-    def basecall_chunks(self, read, indices, chunk_size):
+    def basecall_many(self, requests, chunk_size):
         if os.getpid() != self.parent_pid:
-            (self.directory / read.read_id).write_text(str(os.getpid()))
-        return super().basecall_chunks(read, indices, chunk_size)
+            for read, _ in requests:
+                (self.directory / read.read_id).write_text(str(os.getpid()))
+        return super().basecall_many(requests, chunk_size)
 
 
 def kill_worker(pid: int) -> None:
