@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-from repro.basecalling.types import BasecalledChunk, BasecalledRead
+from repro.basecalling.types import BasecalledChunk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.nanopore.read_simulator import SimulatedRead
@@ -48,16 +48,17 @@ class Basecaller(Protocol):
     claim, and the invariant behind the parallel runtime's report
     equivalence.
 
-    ``basecall_many`` is the batch entry point and the only one the
-    pipeline decodes through: it takes ``(read, indices)`` requests,
+    The protocol is what the pipeline calls: ``n_chunks`` and the batch
+    decode ``basecall_many``, which takes ``(read, indices)`` requests,
     possibly of many reads, and returns each request's chunks. A work
-    unit makes one call for every read's QSR sample and one for the
-    CMR merge sets of the reads QSR kept, then one per read for its
-    remainder, mirroring how the paper's chunks of many reads move
-    between basecalling, QSR, CMR and mapping together (Fig. 6). An
-    engine may share work across the call however it likes, as long as
-    every chunk comes out as ``basecall_chunk`` would return it alone;
-    ``basecall_chunks`` is the one-read request.
+    unit makes one call for the QSR sample of every read SER kept and
+    one for the CMR merge sets of the reads QSR kept, then one per read
+    for its remainder, mirroring how the paper's chunks of many reads
+    move between basecalling, QSR, CMR and mapping together (Fig. 6).
+    An engine may share work across the call however it likes, as long
+    as every chunk comes out as it would decoded alone. Per-chunk and
+    per-read entry points (the shipped engines' ``basecall_chunk``,
+    ``basecall_chunks`` and ``basecall_read``) are each engine's own API.
 
     For the runtime to ship an engine to worker processes it must also
     be picklable: an engine travels as itself.
@@ -79,20 +80,4 @@ class Basecaller(Protocol):
     ) -> list[list[BasecalledChunk]]:
         """Basecall each request's chunks ``indices`` of its read: one
         list per request, its chunks in the order given."""
-        ...
-
-    def basecall_chunks(
-        self, read: "SimulatedRead", indices: Sequence[int], chunk_size: int
-    ) -> list[BasecalledChunk]:
-        """Basecall the chunks ``indices``, returned in the order given."""
-        ...
-
-    def basecall_chunk(
-        self, read: "SimulatedRead", index: int, chunk_size: int
-    ) -> BasecalledChunk:
-        """Basecall one chunk; deterministic in (read, index, chunk_size)."""
-        ...
-
-    def basecall_read(self, read: "SimulatedRead", chunk_size: int) -> BasecalledRead:
-        """Basecall every chunk of the read and reassemble."""
         ...

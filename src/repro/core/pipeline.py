@@ -2,6 +2,7 @@
 
 Functional model of the paper's Fig. 6 control flow:
 
+0. screen a signal read's raw-current prefix (SER) -> maybe stop;
 1. basecall the ``N_qs`` evenly-sampled chunks, check QSR -> maybe stop;
 2. basecall the first ``N_cm`` chunks, merge, seed + chain, check CMR ->
    maybe stop;
@@ -11,14 +12,12 @@ Functional model of the paper's Fig. 6 control flow:
    produce the mapping result.
 
 Called bases stay 2-bit code arrays from the basecaller to the mapper.
-Both engines are fed in groups, not once per chunk. A work unit's two
-early-rejection probes are decoded stage-major, as the paper's chunks of
-many reads move through basecalling, QSR and CMR together: one
-basecaller call decodes the QSR sample of every read in the unit that
-QSR screens, the next the CMR merge set of every read QSR kept. Each
-read then runs on its own -- its QSR verdict, the seeding and chaining
-of its merge set, one call for its remainder, finalize -- and the
-mapper seeds the merge set, then the remainder.
+Both engines are fed in groups, not once per chunk. A work unit walks
+steps 0-1 and step 2's decode stage-major, as the paper's chunks of many
+reads move through basecalling, QSR and CMR together: SER screens its
+signal reads, one basecaller call decodes the QSR sample of every read
+SER kept, the next the CMR merge set of every read QSR kept. Each read
+then runs the rest on its own, with one call for its remainder.
 
 The conventional pipeline (basecall everything -> read-level QC -> map),
 the software baseline of the evaluation, is :class:`GenPIPPipeline` with
@@ -55,6 +54,8 @@ from repro.nanopore.signal_read import SignalRead
 from repro.obs.trace import active_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (keeps repro.signal lazy)
+    from collections.abc import Sequence
+
     from repro.core.genpip import GenPIPReport
     from repro.nanopore.datasets import Dataset
     from repro.signal.rejection import SERDecision, SignalRejectionPolicy
@@ -167,16 +168,15 @@ class GenPIPPipeline:
     def process_batch(self, reads: "list[PipelineRead]") -> "list[ReadOutcome]":
         """Process a work unit's reads, returning their outcomes in order.
 
-        The unit's early-rejection probes are decoded first, in two
-        engine calls: the QSR sample of every read QSR screens, then the
-        CMR merge set (its chunks not decoded yet) of every read the QSR
-        verdict keeps. Each read then goes through :meth:`_process_read`
-        with those chunks already decoded, in one ``read`` trace of its
-        own; the unit's ``qsr_probe`` and ``cmr_probe`` spans, each with
-        its ``basecall``, go in whatever trace is open around the call
-        (the ``unit`` trace :func:`repro.runtime.pool.run_unit` opens).
-        Reads that SER screens take no part in the unit calls: SER must
-        see a read before any of its chunks is decoded.
+        The unit is the one scheduler of early rejection: SER screens
+        every ER-eligible signal read, before any decode; one engine
+        call decodes the QSR sample of every eligible read SER kept, and
+        decides its verdict; one more decodes the CMR merge set (its
+        chunks not decoded yet) of every read QSR kept. Each read then
+        goes through :meth:`_process_read`, in a ``read`` trace of its
+        own. The unit's ``ser``, ``qsr_probe`` and ``cmr_probe`` spans
+        go in whatever trace is open around the call (the ``unit`` trace
+        :func:`repro.runtime.pool.run_unit` opens).
 
         Reads are independent -- a chunk's bytes depend only on its read
         and index, and the pipeline keeps no cross-read state -- so a
@@ -187,7 +187,7 @@ class GenPIPPipeline:
         tracer = active_tracer()
         n_chunks: list[int] = []
         called: list[dict[int, BasecalledChunk]] = []
-        probed = []  # (position, read, called, n_chunks) of each read the probes take
+        live = []  # positions of the ER-eligible reads no stage has rejected yet
         for k, read in enumerate(reads):
             if isinstance(read, SignalRead) and not self.accepts_signal_reads():
                 raise TypeError(
@@ -197,27 +197,42 @@ class GenPIPPipeline:
                 )
             n = self.basecaller.n_chunks(read, cfg.chunk_size)
             n_chunks.append(n)
-            called.append(done := {})
-            if n >= cfg.min_chunks_for_er and not self._ser_applies(read, n):
-                probed.append((k, read, done, n))
+            called.append({})
+            if n >= cfg.min_chunks_for_er:
+                live.append(k)
+        # --- Stage 0: SER on the raw-current prefix, before any chunk is
+        # basecalled (the paper's "ideally even before they go through
+        # basecalling", Sec. 2.3); base-space reads carry no current.
+        ser: list[SERDecision | None] = [None] * len(reads)
+        screened = [k for k in live if isinstance(reads[k], SignalRead)]
+        if screened and self.signal_rejection_enabled():
+            with tracer.span("ser"):
+                for k in screened:
+                    ser[k] = self.ser_policy.decide(reads[k])
+            live = [k for k in live if ser[k] is None or not ser[k].reject]
+        # --- Stage 1: QSR on N_qs evenly sampled chunks (Fig. 6 (1)-(3)).
         qsr: list[QSRDecision | None] = [None] * len(reads)
-        if cfg.enable_qsr and probed:
+        if cfg.enable_qsr and live:
             with tracer.span("qsr_probe"):
-                samples = [(read, done, self._qsr.sample_indices(n)) for _, read, done, n in probed]
-                self._decode(samples, tracer)
-                for (k, *_), (_, done, indices) in zip(probed, samples, strict=True):
-                    qsr[k] = self._qsr.decide([done[i] for i in indices])
-            probed = [probe for probe in probed if not qsr[probe[0]].reject]
-        if cfg.enable_cmr and probed:
+                samples = [self._qsr.sample_indices(n_chunks[k]) for k in live]
+                self._decode(
+                    [(reads[k], called[k], indices) for k, indices in zip(live, samples, strict=True)],
+                    tracer,
+                )
+                for k, indices in zip(live, samples, strict=True):
+                    qsr[k] = self._qsr.decide([called[k][i] for i in indices])
+            live = [k for k in live if not qsr[k].reject]
+        # --- Stage 2's decode: the first N_cm chunks (Fig. 6 (4)).
+        if cfg.enable_cmr and live:
             with tracer.span("cmr_probe"):
                 self._decode(
-                    [(read, done, self._cmr.merged_chunk_indices(n)) for _, read, done, n in probed],
+                    [(reads[k], called[k], self._cmr.merged_chunk_indices(n_chunks[k])) for k in live],
                     tracer,
                 )
         outcomes = []
-        for read, n, done, verdict in zip(reads, n_chunks, called, qsr, strict=True):
+        for read, n, done, screen, verdict in zip(reads, n_chunks, called, ser, qsr, strict=True):
             with tracer.read(read.read_id):
-                outcomes.append(self._process_read(read, tracer, n, done, verdict))
+                outcomes.append(self._process_read(read, n, done, screen, verdict, tracer))
         return outcomes
 
     def run(
@@ -262,16 +277,6 @@ class GenPIPPipeline:
         engine = DatasetEngine(self, workers=workers, batch_size=batch_size, sink=sink)
         return engine.run(dataset)
 
-    def _ser_applies(self, read: PipelineRead, n_chunks: int) -> bool:
-        """Whether stage 0 (SER) screens this read: ER-eligible
-        signal-native reads only -- base-space reads carry no current to
-        screen."""
-        return (
-            self.signal_rejection_enabled()
-            and n_chunks >= self.config.min_chunks_for_er
-            and isinstance(read, SignalRead)
-        )
-
     def process_read(self, read: PipelineRead) -> ReadOutcome:
         """Run one read through CP (+ ER if enabled): a unit of one.
 
@@ -283,7 +288,7 @@ class GenPIPPipeline:
         return self.process_batch([read])[0]
 
     def _decode(
-        self, requests: "list[tuple[PipelineRead, dict[int, BasecalledChunk], list[int]]]", tracer
+        self, requests: "list[tuple[PipelineRead, dict[int, BasecalledChunk], Sequence[int]]]", tracer
     ) -> None:
         """Decode, in one engine call under one ``basecall`` span, the
         chunks of each ``(read, called, indices)`` request that its
@@ -305,27 +310,21 @@ class GenPIPPipeline:
     def _process_read(
         self,
         read: PipelineRead,
-        tracer,
         n_chunks: int,
         called: dict[int, BasecalledChunk],
+        ser: SERDecision | None,
         qsr: QSRDecision | None,
+        tracer,
     ) -> ReadOutcome:
-        """One read's stages from what its unit already did: ``called``
-        holds the chunks decoded so far, and ``qsr`` is the verdict on
-        them when the unit's QSR probe took the read."""
+        """One read's own stages, after its unit's: ``called`` holds the
+        chunks the unit decoded, and ``ser`` / ``qsr`` are its verdicts
+        (``None`` where the stage did not screen the read). The read's
+        one engine call decodes its remainder."""
         cfg = self.config
-        er_eligible = n_chunks >= cfg.min_chunks_for_er
         # The read's progress so far; every exit reports all of it, so
         # an outcome carries the decision of each stage that ran.
-        ser = cmr = mean_quality = None
+        cmr = mean_quality = None
         n_seeded = n_chain_invocations = 0
-
-        def basecall(indices) -> list[BasecalledChunk]:
-            """A stage's chunks, in the order asked for: the ones not
-            called yet decoded in one engine call."""
-            indices = list(indices)
-            self._decode([(read, called, indices)], tracer)
-            return [called[i] for i in indices]
 
         def outcome(status: ReadStatus, mapping: MappingResult | None = None) -> ReadOutcome:
             return ReadOutcome(
@@ -345,24 +344,10 @@ class GenPIPPipeline:
                 mapping=mapping,
             )
 
-        # --- Stage 0: SER on the raw-current prefix, before any chunk
-        # is basecalled (the paper's "ideally even before they go
-        # through basecalling", Sec. 2.3).
-        if self._ser_applies(read, n_chunks):
-            with tracer.span("ser"):
-                ser = self.ser_policy.decide(read)
-            if ser.reject:
-                return outcome(ReadStatus.REJECTED_SIGNAL)
-
-        # --- Stage 1: QSR on N_qs evenly sampled chunks (Fig. 6 (1)-(3));
-        # when it runs it is the first basecalling stage. The unit
-        # decided it already unless SER screened the read.
-        if cfg.enable_qsr and er_eligible:
-            with tracer.span("qsr_probe"):
-                if qsr is None:
-                    qsr = self._qsr.decide(basecall(self._qsr.sample_indices(n_chunks)))
-            if qsr.reject:
-                return outcome(ReadStatus.REJECTED_QSR)
+        if ser is not None and ser.reject:
+            return outcome(ReadStatus.REJECTED_SIGNAL)
+        if qsr is not None and qsr.reject:
+            return outcome(ReadStatus.REJECTED_QSR)
 
         # --- Stage 2: CMR on the first N_cm chunks merged (Fig. 6 (4)-(6)).
         # Provisional read length (the true length) for reverse-strand
@@ -373,10 +358,13 @@ class GenPIPPipeline:
         # them, ``seeded_bases`` long in called bases (indel errors shift
         # chunk boundaries, so offsets are cumulative called lengths).
         seeded_bases = 0
-        if cfg.enable_cmr and er_eligible:
+        # The unit decoded the merge set of every ER-eligible read QSR
+        # kept and nothing of the others, so with CMR on a read comes
+        # with chunks decoded exactly when CMR screens it.
+        if cfg.enable_cmr and called:
             with tracer.span("cmr_probe"):
                 merged_indices = self._cmr.merged_chunk_indices(n_chunks)
-                merged = np.concatenate([c.codes for c in basecall(merged_indices)])
+                merged = np.concatenate([called[i].codes for i in merged_indices])
                 self._seed_run(chunk_mapper, merged, 0)
                 n_seeded, seeded_bases = len(merged_indices), merged.size
                 primary, _ = chunk_mapper.chain_prefix()
@@ -387,7 +375,9 @@ class GenPIPPipeline:
                 return outcome(ReadStatus.REJECTED_CMR)
 
         # --- Stage 3: basecall + seed the remaining chunks (Fig. 6 (6b)-(7)).
-        full_read = reassemble_chunks(read.read_id, basecall(range(n_chunks)))
+        chunks = range(n_chunks)
+        self._decode([(read, called, chunks)], tracer)
+        full_read = reassemble_chunks(read.read_id, [called[i] for i in chunks])
         if n_seeded < n_chunks:
             self._seed_run(chunk_mapper, full_read.codes, seeded_bases)
             n_seeded = n_chunks

@@ -9,13 +9,13 @@ worker?* It has three layers:
     A process-local :class:`~repro.obs.trace.Tracer` (explicit clock
     injection, ~zero-cost :class:`~repro.obs.trace.NullTracer` when
     disabled). ``GenPIPPipeline.process_batch`` opens one trace per read
-    with stage spans (``ser``, ``qsr_probe``, ``cmr_probe``,
-    ``basecall`` -- the remainder's decode --, ``report``), the
-    incremental chunk mapper adds ``seed``/``chain``/``align`` spans at
-    the kernel call sites, the worker loop wraps each unit in a
-    ``batch`` trace -- which holds the unit's own ``qsr_probe`` and
-    ``cmr_probe`` spans, each with the ``basecall`` that decodes every
-    read's probe chunks at once --, and the serving
+    with stage spans (``cmr_probe`` -- the merge set's seeding and
+    chaining --, ``basecall`` -- the remainder's decode --, ``report``),
+    the incremental chunk mapper adds ``seed``/``chain``/``align`` spans
+    at the kernel call sites, the worker loop wraps each unit in a
+    ``batch`` trace -- which holds the unit's own ``ser`` span and its
+    ``qsr_probe`` and ``cmr_probe`` spans, each probe with the
+    ``basecall`` that decodes every read's chunks at once --, and the serving
     dispatcher records an enqueue->verdict ``dispatch`` trace. Worker
     traces ride home as compact tuples on
     :class:`~repro.runtime.merge.ShardResult` and merge in dataset

@@ -551,9 +551,9 @@ class TestUnitEqualsPerRead:
     @settings(max_examples=6, deadline=None)
     @given(data=st.data())
     def test_viterbi_units_with_signal_reads_and_ser(self, pool, data):
-        """Signal reads that SER screens stay out of the unit's probe
-        calls and decode their own chunks; base-space and unscreened
-        signal reads share the calls."""
+        """SER screens the unit's signal reads before any decode; the
+        reads it keeps share the unit's probe calls with base-space
+        reads, and the reads it rejects decode nothing."""
         reads, index, reference = pool
         engine = ViterbiChunkBasecaller(FAST_VITERBI)
         policy = SignalRejectionPolicy.from_reference(

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.basecalling import SurrogateBasecaller
+from repro.basecalling.engines import ViterbiBackendConfig, ViterbiChunkBasecaller
 from repro.core import (
     GenPIPConfig,
     GenPIPPipeline,
@@ -19,6 +20,8 @@ from repro.core import (
 from repro.mapping import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.nanopore.read_simulator import ReadClass
+from repro.nanopore.signal_read import SignalRead
+from repro.signal import SignalRejectionPolicy
 
 
 @pytest.fixture(scope="module")
@@ -232,33 +235,55 @@ class TestShortReads:
         assert outcome.status not in (ReadStatus.REJECTED_QSR, ReadStatus.REJECTED_CMR)
 
 
-class CountingBasecaller(SurrogateBasecaller):
-    """Records every engine call: the ``(read id, indices)`` of each of
-    its requests."""
+class CountingBasecaller:
+    """An engine (default: the surrogate) that records every call: the
+    ``(read id, indices)`` of each of its requests."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, engine=None):
+        self.engine = engine or SurrogateBasecaller()
         self.calls: list[list[tuple[str, list[int]]]] = []
+
+    def __getattr__(self, name):
+        return getattr(self.engine, name)
 
     def basecall_many(self, requests, chunk_size):
         self.calls.append([(read.read_id, list(indices)) for read, indices in requests])
-        return super().basecall_many(requests, chunk_size)
+        return self.engine.basecall_many(requests, chunk_size)
 
 
 class TestOneEngineCallPerStage:
     """A unit decodes its early-rejection probes stage-major: one engine
-    call for the QSR sample of every eligible read, one for the CMR
-    merge sets of the reads QSR kept (the chunks not decoded yet), then
-    one call per read that reaches the remainder with chunks left."""
+    call for the QSR sample of every eligible read SER kept, one for the
+    CMR merge sets of the reads QSR kept (the chunks not decoded yet),
+    then one call per read that reaches the remainder with chunks left."""
 
-    @pytest.mark.parametrize("enable_qsr", [True, False], ids=["qsr", "no-qsr"])
-    def test_calls_per_unit(self, dataset, index, enable_qsr):
-        config = GenPIPConfig(n_qs=2, n_cm=5, enable_qsr=enable_qsr)
-        reads = list(dataset.reads)
-        plain = GenPIPPipeline(index, config)
+    @pytest.fixture(params=["qsr", "no-qsr", "ser"])
+    def unit(self, request):
+        """A unit's reads and the pipeline that runs them. The ``ser``
+        unit is signal reads under Viterbi, screened by SER templates
+        cut where the genomic reads start on the plus strand: it rejects
+        some reads and keeps the others."""
+        config = GenPIPConfig(n_qs=2, n_cm=5, enable_qsr=request.param != "no-qsr")
+        if request.param != "ser":
+            index = request.getfixturevalue("index")
+            return list(request.getfixturevalue("dataset").reads), GenPIPPipeline(index, config)
+        engine = ViterbiChunkBasecaller(ViterbiBackendConfig(pore_k=3))
+        data = generate_dataset(small_profile(ECOLI_LIKE, max_read_length=1_500), scale=0.0002, seed=7)
+        policy = SignalRejectionPolicy.from_reference(
+            engine.pore_model,
+            data.reference.codes,
+            segment_starts=[r.ref_start for r in data.reads if r.ref_start is not None and r.strand == 1],
+        )
+        reads = [SignalRead(read_id=r.read_id, signal=engine.synthesize_signal(r)) for r in data.reads]
+        index = MinimizerIndex.build(data.reference)
+        return reads, GenPIPPipeline(index, config, engine, align=False, ser_policy=policy)
+
+    def test_calls_per_unit(self, unit):
+        reads, plain = unit
+        config = plain.config
         expected = [plain.process_read(read) for read in reads]
-        engine = CountingBasecaller()
-        pipeline = GenPIPPipeline(index, basecaller=engine, config=config)
+        engine = CountingBasecaller(plain.basecaller)
+        pipeline = dataclasses.replace(plain, basecaller=engine)
         assert pipeline.process_batch(reads) == expected
 
         decoded = {read.read_id: set() for read in reads}
@@ -273,18 +298,28 @@ class TestOneEngineCallPerStage:
                     requests.append((outcome.read_id, todo))
             return requests
 
-        eligible = [o for o in expected if o.n_chunks_total >= config.min_chunks_for_er]
+        screened_out = {o.read_id for o in expected if o.status is ReadStatus.REJECTED_SIGNAL}
+        eligible = [
+            o
+            for o in expected
+            if o.n_chunks_total >= config.min_chunks_for_er and o.read_id not in screened_out
+        ]
         probes = []
-        if enable_qsr:
+        if config.enable_qsr:
             probes.append(call((o, plain._qsr.sample_indices(o.n_chunks_total)) for o in eligible))
         kept = [o for o in eligible if o.status is not ReadStatus.REJECTED_QSR]
         probes.append(call((o, plain._cmr.merged_chunk_indices(o.n_chunks_total)) for o in kept))
-        early = (ReadStatus.REJECTED_QSR, ReadStatus.REJECTED_CMR)
+        early = (ReadStatus.REJECTED_SIGNAL, ReadStatus.REJECTED_QSR, ReadStatus.REJECTED_CMR)
         remainders = [
             call([(o, range(o.n_chunks_total))]) for o in expected if o.status not in early
         ]
         assert engine.calls == probes + [requests for requests in remainders if requests]
         assert all(len(requests) > 1 for requests in probes)
+        # SER rejects before any decode: a rejected read is in no call.
+        assert not screened_out & {read_id for call in engine.calls for read_id, _ in call}
+        if plain.ser_policy is not None:
+            kept_by_ser = [o for o in expected if o.ser is not None and not o.ser.reject]
+            assert screened_out and len(kept_by_ser) > 1
         for outcome in expected:
             assert outcome.n_chunks_basecalled == sum(
                 len(indices)

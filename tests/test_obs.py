@@ -69,6 +69,7 @@ from repro.obs import (
     use_tracer,
 )
 from repro.runtime import DatasetEngine, RuntimeStats
+from repro.runtime.pool import run_unit
 from repro.signal import SignalRejectionPolicy
 
 
@@ -230,6 +231,14 @@ class TestPipelineTracing:
         engine = DatasetEngine(obs_system, workers=1, trace=True)
         report = engine.run(obs_dataset)
         by_read = {t.label: t for t in engine.last_trace if t.kind == "read"}
+        # A unit's trace completes after its reads' traces.
+        unit_of, pending = {}, []
+        for trace in engine.last_trace:
+            if trace.kind == "read":
+                pending.append(trace.label)
+            else:
+                unit_of.update(dict.fromkeys(pending, trace))
+                pending = []
         n_cm = obs_system.config.n_cm
         for outcome in report.outcomes:
             trace = by_read[outcome.read_id]
@@ -245,13 +254,12 @@ class TestPipelineTracing:
                 assert trace.count("seed") == 1
                 assert outcome.n_chunks_seeded == min(n_cm, outcome.n_chunks_total)
             elif outcome.status is ReadStatus.REJECTED_QSR:
-                # QSR stops the read after the sampled-chunk probe: the
-                # probe span is present (its chunk basecalls nested
-                # inside), and no later stage ever opens.
-                assert trace.count("qsr_probe") == 1
-                assert trace.count("cmr_probe") == 0
-                assert trace.count("seed") == 0
-                assert trace.count("report") == 0
+                # QSR rejects the read in its unit: the read's trace is
+                # its root alone, and the probe (its sample's decode
+                # nested inside) is a span of the unit's trace.
+                assert trace.names() == ("read",)
+                assert unit_of[outcome.read_id].count("qsr_probe") == 1
+        assert any(o.status is ReadStatus.REJECTED_QSR for o in report.outcomes)
 
     def test_unit_traces_cover_every_shard(self, obs_system, obs_dataset):
         engine = DatasetEngine(obs_system, workers=2, trace=True)
@@ -313,13 +321,16 @@ class TestSERTracing:
         )
         junk = SignalRead(read_id="junk-0", signal=signal)
 
-        tracer = enable_tracing()
-        outcome = ser_system.process_read(junk)
-        (trace,) = tracer.drain()
-        assert outcome.status is ReadStatus.REJECTED_SIGNAL
-        assert trace.names() == ("read", "ser")
-        assert trace.count("basecall") == 0
-        assert trace.count("report") == 0
+        enable_tracing()
+        result = run_unit(ser_system, 0, [junk])
+        read_trace, unit_trace = decode_traces(result.traces)
+        assert [outcome.status for outcome in result.outcomes] == [ReadStatus.REJECTED_SIGNAL]
+        # SER screens in the unit, before any decode: the read's trace is
+        # its root alone, and the unit's holds the screen and no decode.
+        assert (read_trace.kind, read_trace.names()) == ("read", ("read",))
+        assert unit_trace.kind == "unit"
+        assert unit_trace.count("ser") == 1
+        assert unit_trace.count("basecall") == 0
 
 
 # --- metrics registry -------------------------------------------------------

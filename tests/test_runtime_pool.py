@@ -716,9 +716,11 @@ def test_engine_plane_has_one_of_each():
     its forward math or the event-space decode and its config fields,
     nothing scans installed distributions, the
     registry is functions over two dicts naming two engines,
-    ``process_batch`` decodes a unit's QSR samples, then its CMR merge
-    sets, through ``_decode`` -- the pipeline's one engine call site
-    -- and hands each read to ``_process_read``, and the chunk
+    ``process_batch`` screens a unit's signal reads through SER, then
+    decodes its QSR samples, then its CMR merge sets, through
+    ``_decode`` -- the pipeline's one engine call site -- and hands each
+    read to ``_process_read``, which makes one engine call (the
+    remainder's) and asks no SER or QSR policy anything, and the chunk
     grid is the engines' ``n_chunks`` over ``chunk_count`` -- no read
     type and no second decoder restate it."""
     root = Path(repro.__file__).parent
@@ -768,10 +770,18 @@ def test_engine_plane_has_one_of_each():
         and ast.unparse(node.func).startswith("self.")
     ]
     assert batch_body_calls == [
-        "self.accepts_signal_reads", "self.basecaller.n_chunks", "self._ser_applies",
-        "self._qsr.sample_indices", "self._decode", "self._qsr.decide",
+        "self.accepts_signal_reads", "self.basecaller.n_chunks", "self.signal_rejection_enabled",
+        "self.ser_policy.decide", "self._qsr.sample_indices", "self._decode", "self._qsr.decide",
         "self._decode", "self._cmr.merged_chunk_indices", "self._process_read",
     ]  # fmt: skip
+    read_body_calls = [
+        ast.unparse(node.func)
+        for module, owner, node in nodes
+        if (module, owner) == ("core/pipeline.py", "_process_read")
+        and isinstance(node, ast.Call)
+    ]
+    assert read_body_calls.count("self._decode") == 1
+    assert not [call for call in read_body_calls if call.startswith(("self._qsr", "self.ser_policy"))]
     engine_calls = [
         (module, owner)
         for module, owner, node in nodes
