@@ -21,7 +21,8 @@ of two places (:meth:`ViterbiChunkBasecaller.read_signal`):
   synthesis is *quality-conditioned*: measurement noise grows where the
   read's quality track is low, so low-quality reads genuinely decode
   worse and quality-based early rejection remains meaningful in signal
-  space.
+  space. A work unit synthesizes a read's signal once: see
+  :meth:`~ViterbiChunkBasecaller.basecall_many`.
 
 Chunks are cut on the shared :func:`~repro.basecalling.chunked.chunk_span`
 grid (base coordinates) and decoded independently, losing k-mer
@@ -32,7 +33,6 @@ the performance model treat both engines uniformly.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -55,13 +55,6 @@ from repro.nanopore.signal_store import SignalRecord
 #: never collides with the surrogate's (read.seed, chunk_size, index)
 #: error-injection streams.
 _SIGNAL_STREAM = 0x516E41
-
-#: Reads whose synthesized signal is kept hot. A work unit decodes every
-#: read's QSR sample, then the survivors' CMR merge sets, then each
-#: remainder in turn, so in a unit of more than four simulated reads a
-#: read's signal is synthesized up to three times; synthesis is ~2 % of
-#: a chunk decode's cost, so the cache stays this small.
-_SIGNAL_CACHE_READS = 4
 
 
 def synthesize_read_signal(
@@ -151,12 +144,15 @@ class ViterbiChunkBasecaller:
             k=self._config.pore_k, seed=self._config.pore_seed
         )
         self._decoder = ViterbiBasecaller(self._pore_model, self._config.decoder)
-        self._signal_cache: OrderedDict[tuple[str, int, int], RawSignal] = OrderedDict()
+        # The last two basecall_many calls' synthesized signals, older
+        # first, by (read_id, seed, length): the length keeps a reused
+        # id + seed from aliasing (hashing content would cost O(read)).
+        self._held: tuple[dict, dict] = ({}, {})
 
     def __getstate__(self) -> dict:
-        # The engine is what travels to a worker; the cache stays home.
+        # The engine is what travels to a worker; the held signals stay home.
         state = dict(self.__dict__)
-        state["_signal_cache"] = OrderedDict()
+        state["_held"] = ({}, {})
         return state
 
     @property
@@ -172,10 +168,16 @@ class ViterbiChunkBasecaller:
         return self._pore_model
 
     def read_signal(self, read) -> RawSignal:
-        """The read's raw current: carried samples or synthesis."""
+        """The read's raw current: carried samples, the signal
+        :meth:`basecall_many` holds for it, or a synthesis that is not
+        stored."""
         if isinstance(read, SignalRead):
             return read.signal
         if isinstance(read, SimulatedRead):
+            key = (read.read_id, read.seed, len(read))
+            for held in self._held:
+                if key in held:
+                    return held[key]
             return self.synthesize_signal(read)
         raise TypeError(
             f"{type(read).__name__} carries no signal; signal-space engines "
@@ -183,28 +185,15 @@ class ViterbiChunkBasecaller:
         )
 
     def synthesize_signal(self, read: SimulatedRead) -> RawSignal:
-        """A base-space read's synthesized signal (cached per read).
+        """A base-space read's synthesized signal, synthesized anew.
 
         This is also what writes signal containers: the synthesized
         current of a simulated dataset, persisted once, replaces
-        synthesis for every subsequent signal-native run. The cache key
-        includes the length so manually constructed reads that reuse an
-        id + seed with different content don't alias a stale entry
-        (content itself is not hashed -- that would cost O(read) per
-        chunk call).
+        synthesis for every subsequent signal-native run.
         """
-        key = (read.read_id, read.seed, len(read))
-        cached = self._signal_cache.get(key)
-        if cached is not None:
-            self._signal_cache.move_to_end(key)
-            return cached
-        signal = synthesize_read_signal(
+        return synthesize_read_signal(
             read, self._pore_model, self._config.signal, self._config.quality_noise
         )
-        self._signal_cache[key] = signal
-        while len(self._signal_cache) > _SIGNAL_CACHE_READS:
-            self._signal_cache.popitem(last=False)
-        return signal
 
     def signal_records(self, reads: Iterable[SimulatedRead]) -> Iterator[SignalRecord]:
         """Container records of the reads' synthesized signals (streamed)."""
@@ -245,13 +234,21 @@ class ViterbiChunkBasecaller:
         self, requests: Sequence[tuple[object, Sequence[int]]], chunk_size: int
     ) -> list[list[BasecalledChunk]]:
         """Decode each request's chunks ``indices`` of its ``read``, read
-        by read (see :meth:`basecall_chunks`)."""
+        by read (see :meth:`basecall_chunks`). The call holds its
+        base-space reads' signals, taken from the two calls before or
+        synthesized, for the next two: a unit's reads skip at most its
+        middle call (CMR), so each read is synthesized once per unit."""
+        held = {}
+        for read, _ in requests:
+            if isinstance(read, SimulatedRead):
+                held[read.read_id, read.seed, len(read)] = self.read_signal(read)
+        self._held = (self._held[1], held)
         return [self.basecall_chunks(read, indices, chunk_size) for read, indices in requests]
 
     def basecall_read(self, read, chunk_size: int) -> BasecalledRead:
         """Basecall every chunk of the read and reassemble."""
-        n_chunks = self.n_chunks(read, chunk_size)
-        return reassemble_chunks(read.read_id, self.basecall_chunks(read, range(n_chunks), chunk_size))
+        (chunks,) = self.basecall_many([(read, range(self.n_chunks(read, chunk_size)))], chunk_size)
+        return reassemble_chunks(read.read_id, chunks)
 
     def kernel_workload(self, n_bases: int) -> KernelWorkload:
         """Trellis state-space ops for decoding ``n_bases`` worth of signal.

@@ -21,7 +21,8 @@ that:
 
 Chunks are decoded in batches, and a batch may span many reads
 (:meth:`SurrogateBasecaller.basecall_many`: the pipeline decodes a work
-unit's QSR samples in one call and its CMR merge sets in the next).
+unit's QSR samples in one call, its CMR merge sets in the next and the
+remainders of its reads still going in a third).
 Each chunk makes its own draws, on its own stream -- seeded from its
 read's seed, the chunk size and its index -- and in a fixed order, and
 everything else -- error probabilities, the error model's apply step,
@@ -137,9 +138,10 @@ class SurrogateBasecaller:
         other chunk requested with it, of its read or another: only the
         random draws are made chunk by chunk, on the chunk's own stream,
         and the arithmetic runs once over the concatenated spans. The
-        compiled decode takes every request in one call; the numpy path
-        decodes request by request. The returned chunks are views of the
-        call's arrays.
+        compiled decode takes every request in one call -- a work unit
+        makes at most three, its QSR samples, its CMR merge sets and its
+        remainders --; the numpy path decodes request by request. The
+        returned chunks are views of the call's arrays.
         """
         import repro.kernels.native as native
 

@@ -51,10 +51,11 @@ class Basecaller(Protocol):
     The protocol is what the pipeline calls: ``n_chunks`` and the batch
     decode ``basecall_many``, which takes ``(read, indices)`` requests,
     possibly of many reads, and returns each request's chunks. A work
-    unit makes one call for the QSR sample of every read SER kept and
-    one for the CMR merge sets of the reads QSR kept, then one per read
-    for its remainder, mirroring how the paper's chunks of many reads
-    move between basecalling, QSR, CMR and mapping together (Fig. 6).
+    unit makes one call for the QSR sample of every read SER kept, one
+    for the CMR merge sets of the reads QSR kept and one for the
+    remainders of the reads still going, mirroring how the paper's
+    chunks of many reads move between basecalling, QSR, CMR and mapping
+    together (Fig. 6).
     An engine may share work across the call however it likes, as long
     as every chunk comes out as it would decoded alone. Per-chunk and
     per-read entry points (the shipped engines' ``basecall_chunk``,

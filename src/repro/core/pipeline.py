@@ -13,11 +13,14 @@ Functional model of the paper's Fig. 6 control flow:
 
 Called bases stay 2-bit code arrays from the basecaller to the mapper.
 Both engines are fed in groups, not once per chunk. A work unit walks
-steps 0-1 and step 2's decode stage-major, as the paper's chunks of many
-reads move through basecalling, QSR and CMR together: SER screens its
+every step stage-major, as the paper's chunks of many reads move
+through basecalling, QSR, CMR and mapping together: SER screens its
 signal reads, one basecaller call decodes the QSR sample of every read
-SER kept, the next the CMR merge set of every read QSR kept. Each read
-then runs the rest on its own, with one call for its remainder.
+SER kept, the next the CMR merge set of every read QSR kept, which CMR
+then seeds and chains, and a third the remainder of every read still
+going. Each read's progress is one record the stages fill in; each read
+then finishes -- remainder seeding, final chaining, its outcome -- in
+turn.
 
 The conventional pipeline (basecall everything -> read-level QC -> map),
 the software baseline of the evaluation, is :class:`GenPIPPipeline` with
@@ -118,6 +121,48 @@ class ReadOutcome:
 
 
 @dataclass(eq=False)
+class _ReadProgress:
+    """One read's progress through its work unit, filled stage by stage:
+    the chunks decoded so far, each verdict (``None`` where a stage did
+    not screen the read), the mapper and its seeded prefix -- the first
+    ``n_seeded`` chunks, ``seeded_bases`` called bases long --, and the
+    ``status``, ``None`` while the read is still going."""
+
+    read: PipelineRead
+    n_chunks: int
+    called: dict[int, BasecalledChunk] = field(default_factory=dict)
+    ser: SERDecision | None = None
+    qsr: QSRDecision | None = None
+    cmr: CMRDecision | None = None
+    mapper: IncrementalChunkMapper | None = None
+    n_seeded: int = 0
+    seeded_bases: int = 0
+    n_chain_invocations: int = 0
+    mean_quality: float | None = None
+    status: ReadStatus | None = None
+    mapping: MappingResult | None = None
+
+    def outcome(self) -> ReadOutcome:
+        """All of it: an outcome carries the decision of each stage that ran."""
+        return ReadOutcome(
+            read_id=self.read.read_id,
+            status=self.status,
+            read_length=len(self.read),
+            n_chunks_total=self.n_chunks,
+            n_chunks_basecalled=len(self.called),
+            n_bases_basecalled=sum(c.n_true_bases for c in self.called.values()),
+            n_chunks_seeded=self.n_seeded,
+            n_chain_invocations=self.n_chain_invocations,
+            aligned=self.mapping is not None and self.mapping.alignment is not None,
+            mean_quality=self.mean_quality,
+            ser=self.ser,
+            qsr=self.qsr,
+            cmr=self.cmr,
+            mapping=self.mapping,
+        )
+
+
+@dataclass(eq=False)
 class GenPIPPipeline:
     """The GenPIP system: chunk-based pipeline with optional early rejection.
 
@@ -168,15 +213,17 @@ class GenPIPPipeline:
     def process_batch(self, reads: "list[PipelineRead]") -> "list[ReadOutcome]":
         """Process a work unit's reads, returning their outcomes in order.
 
-        The unit is the one scheduler of early rejection: SER screens
-        every ER-eligible signal read, before any decode; one engine
-        call decodes the QSR sample of every eligible read SER kept, and
-        decides its verdict; one more decodes the CMR merge set (its
-        chunks not decoded yet) of every read QSR kept. Each read then
-        goes through :meth:`_process_read`, in a ``read`` trace of its
-        own. The unit's ``ser``, ``qsr_probe`` and ``cmr_probe`` spans
-        go in whatever trace is open around the call (the ``unit`` trace
-        :func:`repro.runtime.pool.run_unit` opens).
+        The unit is the one scheduler: it walks every stage over the
+        reads it still holds, each read's progress a
+        :class:`_ReadProgress`. SER screens every ER-eligible signal
+        read, before any decode; one engine call decodes the QSR sample
+        of every eligible read SER kept; one the CMR merge set of every
+        read QSR kept, which CMR then seeds, chains and decides; one the
+        remainder of every read still going. These stages' spans go in
+        whatever trace is open around the call (the ``unit`` trace
+        :func:`repro.runtime.pool.run_unit` opens). Each read then
+        finishes -- remainder seeding, QC, finalize, ``report`` -- in a
+        ``read`` trace of its own, the root alone if it stopped early.
 
         Reads are independent -- a chunk's bytes depend only on its read
         and index, and the pipeline keeps no cross-read state -- so a
@@ -185,54 +232,78 @@ class GenPIPPipeline:
         """
         cfg = self.config
         tracer = active_tracer()
-        n_chunks: list[int] = []
-        called: list[dict[int, BasecalledChunk]] = []
-        live = []  # positions of the ER-eligible reads no stage has rejected yet
-        for k, read in enumerate(reads):
+        unit = []
+        for read in reads:
             if isinstance(read, SignalRead) and not self.accepts_signal_reads():
                 raise TypeError(
                     f"{type(self.basecaller).__name__} cannot decode signal-native "
                     "reads; use a signal-space backend ('viterbi') for raw-current "
                     "inputs"
                 )
-            n = self.basecaller.n_chunks(read, cfg.chunk_size)
-            n_chunks.append(n)
-            called.append({})
-            if n >= cfg.min_chunks_for_er:
-                live.append(k)
+            unit.append(_ReadProgress(read, self.basecaller.n_chunks(read, cfg.chunk_size)))
+        # The ER-eligible reads no stage has rejected yet.
+        live = [p for p in unit if p.n_chunks >= cfg.min_chunks_for_er]
         # --- Stage 0: SER on the raw-current prefix, before any chunk is
         # basecalled (the paper's "ideally even before they go through
         # basecalling", Sec. 2.3); base-space reads carry no current.
-        ser: list[SERDecision | None] = [None] * len(reads)
-        screened = [k for k in live if isinstance(reads[k], SignalRead)]
+        screened = [p for p in live if isinstance(p.read, SignalRead)]
         if screened and self.signal_rejection_enabled():
             with tracer.span("ser"):
-                for k in screened:
-                    ser[k] = self.ser_policy.decide(reads[k])
-            live = [k for k in live if ser[k] is None or not ser[k].reject]
+                for p in screened:
+                    p.ser = self.ser_policy.decide(p.read)
+                    if p.ser.reject:
+                        p.status = ReadStatus.REJECTED_SIGNAL
+            live = [p for p in live if p.status is None]
         # --- Stage 1: QSR on N_qs evenly sampled chunks (Fig. 6 (1)-(3)).
-        qsr: list[QSRDecision | None] = [None] * len(reads)
         if cfg.enable_qsr and live:
             with tracer.span("qsr_probe"):
-                samples = [self._qsr.sample_indices(n_chunks[k]) for k in live]
-                self._decode(
-                    [(reads[k], called[k], indices) for k, indices in zip(live, samples, strict=True)],
-                    tracer,
-                )
-                for k, indices in zip(live, samples, strict=True):
-                    qsr[k] = self._qsr.decide([called[k][i] for i in indices])
-            live = [k for k in live if not qsr[k].reject]
-        # --- Stage 2's decode: the first N_cm chunks (Fig. 6 (4)).
+                samples = [self._qsr.sample_indices(p.n_chunks) for p in live]
+                self._decode(list(zip(live, samples, strict=True)), tracer)
+                for p, indices in zip(live, samples, strict=True):
+                    p.qsr = self._qsr.decide([p.called[i] for i in indices])
+                    if p.qsr.reject:
+                        p.status = ReadStatus.REJECTED_QSR
+            live = [p for p in live if p.status is None]
+        # --- Stage 2: CMR on the first N_cm chunks merged (Fig. 6 (4)-(6)).
         if cfg.enable_cmr and live:
             with tracer.span("cmr_probe"):
-                self._decode(
-                    [(reads[k], called[k], self._cmr.merged_chunk_indices(n_chunks[k])) for k in live],
-                    tracer,
-                )
+                merge_sets = [self._cmr.merged_chunk_indices(p.n_chunks) for p in live]
+                self._decode(list(zip(live, merge_sets, strict=True)), tracer)
+                for p, indices in zip(live, merge_sets, strict=True):
+                    merged = np.concatenate([p.called[i].codes for i in indices])
+                    self._seed_run(p, merged, len(indices))
+                    primary, _ = p.mapper.chain_prefix()
+                    p.n_chain_invocations += 1
+                    p.cmr = self._cmr.decide(primary.score if primary is not None else 0.0, merged.size)
+                    if p.cmr.reject:
+                        p.status = ReadStatus.REJECTED_CMR
+        # --- Stage 3: basecall the remaining chunks (Fig. 6 (6b)).
+        going = [p for p in unit if p.status is None]
+        self._decode([(p, range(p.n_chunks)) for p in going], tracer)
+        # --- Stage 4: seed the remainder as one run, then QC, final
+        # chaining + alignment (Fig. 6 (7)), each read on its own.
         outcomes = []
-        for read, n, done, screen, verdict in zip(reads, n_chunks, called, ser, qsr, strict=True):
-            with tracer.read(read.read_id):
-                outcomes.append(self._process_read(read, n, done, screen, verdict, tracer))
+        for p in unit:
+            with tracer.read(p.read.read_id):
+                if p.status is None:
+                    full_read = reassemble_chunks(p.read.read_id, [p.called[i] for i in range(p.n_chunks)])
+                    if p.n_seeded < p.n_chunks:
+                        self._seed_run(p, full_read.codes, p.n_chunks)
+                    p.mean_quality = full_read.mean_quality
+                    # Read-level quality control applies when QSR is off
+                    # (QSR *is* the quality filter when enabled).
+                    if not cfg.enable_qsr and p.mean_quality < cfg.theta_qs:
+                        p.status = ReadStatus.FAILED_QC
+                    else:
+                        p.mapper.set_read_length(len(full_read))
+                        p.mapping = p.mapper.finalize(p.read.read_id, full_read.codes, align=self.align)
+                        p.n_chain_invocations += 1
+                        p.status = ReadStatus.MAPPED if p.mapping.mapped else ReadStatus.UNMAPPED
+                if p.mapping is None:
+                    outcomes.append(p.outcome())
+                else:
+                    with tracer.span("report"):
+                        outcomes.append(p.outcome())
         return outcomes
 
     def run(
@@ -287,128 +358,44 @@ class GenPIPPipeline:
         """
         return self.process_batch([read])[0]
 
-    def _decode(
-        self, requests: "list[tuple[PipelineRead, dict[int, BasecalledChunk], Sequence[int]]]", tracer
-    ) -> None:
+    def _decode(self, requests: "list[tuple[_ReadProgress, Sequence[int]]]", tracer) -> None:
         """Decode, in one engine call under one ``basecall`` span, the
-        chunks of each ``(read, called, indices)`` request that its
-        ``called`` map lacks, and add them there."""
+        chunks of each ``(record, indices)`` request that the read has
+        not decoded yet, and add them to its ``called`` map."""
         pending = []
-        for read, done, indices in requests:
-            todo = [i for i in indices if i not in done]
+        for p, indices in requests:
+            todo = [i for i in indices if i not in p.called]
             if todo:
-                pending.append((read, done, todo))
+                pending.append((p, todo))
         if not pending:
             return
         with tracer.span("basecall"):
             decoded = self.basecaller.basecall_many(
-                [(read, todo) for read, _, todo in pending], self.config.chunk_size
+                [(p.read, todo) for p, todo in pending], self.config.chunk_size
             )
-        for (_, done, todo), chunks in zip(pending, decoded, strict=True):
-            done.update(zip(todo, chunks, strict=True))
+        for (p, todo), chunks in zip(pending, decoded, strict=True):
+            p.called.update(zip(todo, chunks, strict=True))
 
-    def _process_read(
-        self,
-        read: PipelineRead,
-        n_chunks: int,
-        called: dict[int, BasecalledChunk],
-        ser: SERDecision | None,
-        qsr: QSRDecision | None,
-        tracer,
-    ) -> ReadOutcome:
-        """One read's own stages, after its unit's: ``called`` holds the
-        chunks the unit decoded, and ``ser`` / ``qsr`` are its verdicts
-        (``None`` where the stage did not screen the read). The read's
-        one engine call decodes its remainder."""
-        cfg = self.config
-        # The read's progress so far; every exit reports all of it, so
-        # an outcome carries the decision of each stage that ran.
-        cmr = mean_quality = None
-        n_seeded = n_chain_invocations = 0
-
-        def outcome(status: ReadStatus, mapping: MappingResult | None = None) -> ReadOutcome:
-            return ReadOutcome(
-                read_id=read.read_id,
-                status=status,
-                read_length=len(read),
-                n_chunks_total=n_chunks,
-                n_chunks_basecalled=len(called),
-                n_bases_basecalled=sum(c.n_true_bases for c in called.values()),
-                n_chunks_seeded=n_seeded,
-                n_chain_invocations=n_chain_invocations,
-                aligned=mapping is not None and mapping.alignment is not None,
-                mean_quality=mean_quality,
-                ser=ser,
-                qsr=qsr,
-                cmr=cmr,
-                mapping=mapping,
-            )
-
-        if ser is not None and ser.reject:
-            return outcome(ReadStatus.REJECTED_SIGNAL)
-        if qsr is not None and qsr.reject:
-            return outcome(ReadStatus.REJECTED_QSR)
-
-        # --- Stage 2: CMR on the first N_cm chunks merged (Fig. 6 (4)-(6)).
-        # Provisional read length (the true length) for reverse-strand
-        # coordinate flipping during prefix chaining; fixed to the exact
-        # basecalled length before finalize().
-        chunk_mapper = IncrementalChunkMapper(self.index, read_length=len(read))
-        # Seeded chunks are always a prefix of the read: ``n_seeded`` of
-        # them, ``seeded_bases`` long in called bases (indel errors shift
-        # chunk boundaries, so offsets are cumulative called lengths).
-        seeded_bases = 0
-        # The unit decoded the merge set of every ER-eligible read QSR
-        # kept and nothing of the others, so with CMR on a read comes
-        # with chunks decoded exactly when CMR screens it.
-        if cfg.enable_cmr and called:
-            with tracer.span("cmr_probe"):
-                merged_indices = self._cmr.merged_chunk_indices(n_chunks)
-                merged = np.concatenate([called[i].codes for i in merged_indices])
-                self._seed_run(chunk_mapper, merged, 0)
-                n_seeded, seeded_bases = len(merged_indices), merged.size
-                primary, _ = chunk_mapper.chain_prefix()
-                score = primary.score if primary is not None else 0.0
-                n_chain_invocations += 1
-                cmr = self._cmr.decide(score, merged.size)
-            if cmr.reject:
-                return outcome(ReadStatus.REJECTED_CMR)
-
-        # --- Stage 3: basecall + seed the remaining chunks (Fig. 6 (6b)-(7)).
-        chunks = range(n_chunks)
-        self._decode([(read, called, chunks)], tracer)
-        full_read = reassemble_chunks(read.read_id, [called[i] for i in chunks])
-        if n_seeded < n_chunks:
-            self._seed_run(chunk_mapper, full_read.codes, seeded_bases)
-            n_seeded = n_chunks
-        mean_quality = full_read.mean_quality
-
-        # Read-level quality control applies when QSR is off (QSR *is*
-        # the quality filter when enabled).
-        if not cfg.enable_qsr and mean_quality < cfg.theta_qs:
-            return outcome(ReadStatus.FAILED_QC)
-
-        chunk_mapper.set_read_length(len(full_read))
-        mapping = chunk_mapper.finalize(read.read_id, full_read.codes, align=self.align)
-        n_chain_invocations += 1
-        with tracer.span("report"):
-            return outcome(ReadStatus.MAPPED if mapping.mapped else ReadStatus.UNMAPPED, mapping)
-
-    def _seed_run(
-        self, chunk_mapper: IncrementalChunkMapper, prefix_codes: np.ndarray, seeded_bases: int
-    ) -> None:
+    def _seed_run(self, state: _ReadProgress, prefix_codes: np.ndarray, n_chunks: int) -> None:
         """Seed the not-yet-seeded run of a called prefix in one mapper call.
 
-        ``prefix_codes`` are the called bases of chunks ``0..j``, the
-        first ``seeded_bases`` of which an earlier run already seeded.
-        The run goes in with the ``k + w - 2`` bases before it
-        prepended, so every w-window of k-mers lies inside one run and
-        the union of run anchors equals the whole-read anchors (the
+        ``prefix_codes`` are the called bases of the read's first
+        ``n_chunks`` chunks, the first ``state.seeded_bases`` of
+        which an earlier run already seeded; the prefix becomes the
+        seeded one. The run goes in with the ``k + w - 2`` bases before
+        it prepended, so every w-window of k-mers lies inside one run
+        and the union of run anchors equals the whole-read anchors (the
         mapper drops the duplicates from the overlap when it gathers).
+        The first run makes the read's mapper, at a provisional read
+        length (the true length) for reverse-strand coordinate flipping
+        during prefix chaining; finalize fixes it to the called length.
         """
+        if state.mapper is None:
+            state.mapper = IncrementalChunkMapper(self.index, read_length=len(state.read))
         # Context overlap that makes chunked seeding anchor-identical to
         # whole-read seeding: k-1 for boundary k-mers plus w-1 for
         # boundary windows.
         overlap = self.index.config.k + self.index.config.w - 2
-        start = max(seeded_bases - overlap, 0)
-        chunk_mapper.add_chunk(prefix_codes[start:], read_offset=start)
+        start = max(state.seeded_bases - overlap, 0)
+        state.mapper.add_chunk(prefix_codes[start:], read_offset=start)
+        state.n_seeded, state.seeded_bases = n_chunks, prefix_codes.size

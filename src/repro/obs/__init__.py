@@ -8,15 +8,17 @@ worker?* It has three layers:
 :mod:`repro.obs.trace`
     A process-local :class:`~repro.obs.trace.Tracer` (explicit clock
     injection, ~zero-cost :class:`~repro.obs.trace.NullTracer` when
-    disabled). ``GenPIPPipeline.process_batch`` opens one trace per read
-    with stage spans (``cmr_probe`` -- the merge set's seeding and
-    chaining --, ``basecall`` -- the remainder's decode --, ``report``),
-    the incremental chunk mapper adds ``seed``/``chain``/``align`` spans
-    at the kernel call sites, the worker loop wraps each unit in a
-    ``batch`` trace -- which holds the unit's own ``ser`` span and its
-    ``qsr_probe`` and ``cmr_probe`` spans, each probe with the
-    ``basecall`` that decodes every read's chunks at once --, and the serving
-    dispatcher records an enqueue->verdict ``dispatch`` trace. Worker
+    disabled). The worker loop wraps each unit in a ``batch`` trace,
+    which holds the unit's stages: its ``ser`` span, its ``qsr_probe``
+    span and its ``cmr_probe`` span -- each probe with the ``basecall``
+    that decodes every read's chunks at once, and ``cmr_probe`` with
+    the ``seed``/``chain`` spans of each merge set --, then the
+    ``basecall`` of every remainder. ``GenPIPPipeline.process_batch``
+    then opens one trace per read for its finish (the remainder's
+    ``seed``, the final ``chain``, ``align``, ``report``; a read stopped
+    early has its root alone); the incremental chunk mapper adds the
+    ``seed``/``chain``/``align`` spans at the kernel call sites, and the
+    serving dispatcher records an enqueue->verdict ``dispatch`` trace. Worker
     traces ride home as compact tuples on
     :class:`~repro.runtime.merge.ShardResult` and merge in dataset
     order.

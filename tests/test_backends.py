@@ -33,6 +33,7 @@ from conftest import fallback, require_native
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.basecalling.engines as engines_module
 from repro.basecalling import (
     SurrogateBasecaller,
     SurrogateConfig,
@@ -257,11 +258,41 @@ class TestSignalSpaceBackends:
         with pytest.raises(ValueError):
             engine.basecall_chunk(micro_read, 999, 300)
 
+    @pytest.mark.parametrize(
+        "max_read_length, scale, preset, n_reads",
+        [(1_500, 0.0002, None, 12), (2_400, 0.0003, "ecoli", 17), (2_400, 0.0003, "human", 17)],
+    )
+    def test_unit_synthesizes_each_read_once(
+        self, monkeypatch, max_read_length, scale, preset, n_reads
+    ):
+        """A unit's up to three engine calls (QSR samples, CMR merge
+        sets, remainders) synthesize a base-space read's signal once,
+        whatever the unit's size: the engine holds its last two calls'
+        signals, and a read skips at most the middle call."""
+        synthesize = engines_module.synthesize_read_signal
+        synthesized = []
+
+        def counting(read, *args):
+            synthesized.append(read.read_id)
+            return synthesize(read, *args)
+
+        monkeypatch.setattr(engines_module, "synthesize_read_signal", counting)
+        data = generate_dataset(
+            small_profile(ECOLI_LIKE, max_read_length=max_read_length), scale=scale, seed=7
+        )
+        config = preset_config(preset) if preset else GenPIPConfig()
+        engine = ViterbiChunkBasecaller(ViterbiBackendConfig(pore_k=3))
+        pipeline = GenPIPPipeline(MinimizerIndex.build(data.reference), config, engine, align=False)
+        outcomes = pipeline.process_batch(list(data.reads))
+        assert len(outcomes) == n_reads
+        assert all(o.n_chunks_basecalled for o in outcomes)
+        assert sorted(synthesized) == sorted(read.read_id for read in data.reads)
+
     def test_instance_pickles_without_cache(self, micro_read):
         engine = ViterbiChunkBasecaller(FAST_VITERBI)
-        engine.basecall_chunk(micro_read, 0, 300)  # populate the cache
+        engine.basecall_many([(micro_read, [0])], 300)  # hold the read's signal
         clone = pickle.loads(pickle.dumps(engine))
-        assert engine._signal_cache and not clone._signal_cache
+        assert any(engine._held) and not any(clone._held)
         a = clone.basecall_chunk(micro_read, 0, 300)
         b = engine.basecall_chunk(micro_read, 0, 300)
         assert a.bases == b.bases

@@ -252,21 +252,24 @@ class CountingBasecaller:
 
 
 class TestOneEngineCallPerStage:
-    """A unit decodes its early-rejection probes stage-major: one engine
-    call for the QSR sample of every eligible read SER kept, one for the
-    CMR merge sets of the reads QSR kept (the chunks not decoded yet),
-    then one call per read that reaches the remainder with chunks left."""
+    """A unit decodes stage-major, in three engine calls at most: one
+    for the QSR sample of every eligible read SER kept, one for the CMR
+    merge sets of the reads QSR kept (the chunks not decoded yet), then
+    one for the remainder of every read still going, in unit order."""
 
     @pytest.fixture(params=["qsr", "no-qsr", "ser"])
     def unit(self, request):
         """A unit's reads and the pipeline that runs them. The ``ser``
         unit is signal reads under Viterbi, screened by SER templates
         cut where the genomic reads start on the plus strand: it rejects
-        some reads and keeps the others."""
-        config = GenPIPConfig(n_qs=2, n_cm=5, enable_qsr=request.param != "no-qsr")
+        some reads and keeps the others. Its reads are 2-3 chunks long,
+        so QSR samples chunk 0 and CMR merges chunks 0-1, leaving the
+        remainder call chunk 2."""
         if request.param != "ser":
+            config = GenPIPConfig(n_qs=2, n_cm=5, enable_qsr=request.param == "qsr")
             index = request.getfixturevalue("index")
             return list(request.getfixturevalue("dataset").reads), GenPIPPipeline(index, config)
+        config = GenPIPConfig(n_qs=1, n_cm=2)
         engine = ViterbiChunkBasecaller(ViterbiBackendConfig(pore_k=3))
         data = generate_dataset(small_profile(ECOLI_LIKE, max_read_length=1_500), scale=0.0002, seed=7)
         policy = SignalRejectionPolicy.from_reference(
@@ -309,12 +312,11 @@ class TestOneEngineCallPerStage:
             probes.append(call((o, plain._qsr.sample_indices(o.n_chunks_total)) for o in eligible))
         kept = [o for o in eligible if o.status is not ReadStatus.REJECTED_QSR]
         probes.append(call((o, plain._cmr.merged_chunk_indices(o.n_chunks_total)) for o in kept))
-        early = (ReadStatus.REJECTED_SIGNAL, ReadStatus.REJECTED_QSR, ReadStatus.REJECTED_CMR)
-        remainders = [
-            call([(o, range(o.n_chunks_total))]) for o in expected if o.status not in early
-        ]
-        assert engine.calls == probes + [requests for requests in remainders if requests]
-        assert all(len(requests) > 1 for requests in probes)
+        remainder = call((o, range(o.n_chunks_total)) for o in expected if not o.rejected_early)
+        assert engine.calls == [*probes, remainder]
+        # Every call is shared: a unit makes as many calls as it has
+        # stages, whatever its read count.
+        assert all(len(requests) > 1 for requests in engine.calls)
         # SER rejects before any decode: a rejected read is in no call.
         assert not screened_out & {read_id for call in engine.calls for read_id, _ in call}
         if plain.ser_policy is not None:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import repro.mapping.mapper as mapper_module
 from repro.basecalling import SurrogateBasecaller
 from repro.core import GenPIPPipeline
+from repro.core.pipeline import _ReadProgress
 from repro.genomics import alphabet
 from repro.genomics.mutate import apply_errors
 from repro.genomics.reference import ReferenceGenome
@@ -281,10 +282,11 @@ class TestRunSeeding:
 
         pipeline = GenPIPPipeline(index)
         runs = IncrementalChunkMapper(index, codes.size)
-        seeded_bases = 0
+        progress = _ReadProgress(read=None, n_chunks=len(boundaries) + 1, mapper=runs)
         for end in run_ends:
-            pipeline._seed_run(runs, codes[:end], seeded_bases)
-            seeded_bases = end
+            n_seeded = -(-end // chunk_size)
+            pipeline._seed_run(progress, codes[:end], n_seeded)
+            assert (progress.n_seeded, progress.seeded_bases) == (n_seeded, end)
 
         for strand_key, rows in whole._gathered().items():
             np.testing.assert_array_equal(runs._gathered()[strand_key], rows)

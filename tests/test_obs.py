@@ -243,23 +243,30 @@ class TestPipelineTracing:
         for outcome in report.outcomes:
             trace = by_read[outcome.read_id]
             if outcome.status is ReadStatus.MAPPED:
-                # One seed span per seeded run, not per chunk: the CMR
-                # merge set, then the remainder when there is one.
-                assert trace.count("cmr_probe") == 1
-                assert trace.count("seed") == (2 if outcome.n_chunks_total > n_cm else 1)
+                # The read's trace is its finish: one seed span for the
+                # remainder's run when there is one, the final chain,
+                # the report. The CMR merge set's seed and chain are the
+                # unit's.
+                assert trace.count("cmr_probe") == 0
+                assert trace.count("seed") == (1 if outcome.n_chunks_total > n_cm else 0)
                 assert outcome.n_chunks_seeded == outcome.n_chunks_total
-                assert trace.count("chain") == 2
+                assert trace.count("chain") == 1
                 assert trace.count("report") == 1
-            elif outcome.status is ReadStatus.REJECTED_CMR:
-                assert trace.count("seed") == 1
-                assert outcome.n_chunks_seeded == min(n_cm, outcome.n_chunks_total)
-            elif outcome.status is ReadStatus.REJECTED_QSR:
-                # QSR rejects the read in its unit: the read's trace is
-                # its root alone, and the probe (its sample's decode
-                # nested inside) is a span of the unit's trace.
+            elif outcome.rejected_early:
+                # SER, QSR and CMR reject the read in its unit: the
+                # read's trace is its root alone.
                 assert trace.names() == ("read",)
-                assert unit_of[outcome.read_id].count("qsr_probe") == 1
+            if outcome.status is ReadStatus.REJECTED_CMR:
+                assert outcome.n_chunks_seeded == min(n_cm, outcome.n_chunks_total)
+        # CMR seeds and chains the merge set of each read it screens
+        # once, in the read's unit trace.
+        screened = {id(trace): 0 for trace in unit_of.values()}
+        for outcome in report.outcomes:
+            screened[id(unit_of[outcome.read_id])] += outcome.cmr is not None
+        for unit in unit_of.values():
+            assert unit.count("seed") == unit.count("chain") == screened[id(unit)]
         assert any(o.status is ReadStatus.REJECTED_QSR for o in report.outcomes)
+        assert any(o.status is ReadStatus.REJECTED_CMR for o in report.outcomes)
 
     def test_unit_traces_cover_every_shard(self, obs_system, obs_dataset):
         engine = DatasetEngine(obs_system, workers=2, trace=True)
@@ -268,32 +275,37 @@ class TestPipelineTracing:
         assert len(units) == engine.last_stats.n_shards
 
     def test_probe_decodes_are_unit_spans(self, obs_system, obs_dataset):
-        """A unit's QSR and CMR probe decodes are spans of its ``unit``
-        trace -- ``qsr_probe``, then ``cmr_probe`` when QSR kept a read,
-        under the root, each with one ``basecall`` child and nothing
-        else -- and a read's trace keeps one ``basecall`` at most: its
-        remainder's, directly under the root."""
+        """Every decode is a span of the ``unit`` trace: under the root,
+        ``qsr_probe`` with one ``basecall`` child, then, when QSR kept a
+        read, ``cmr_probe`` with one ``basecall`` child before its reads'
+        ``seed`` / ``chain`` pairs, then, when a read is still going, the
+        remainder's ``basecall``. A read's trace holds no decode."""
         engine = DatasetEngine(obs_system, workers=1, batch_size=4, trace=True)
         report = engine.run(obs_dataset)
         units = [t for t in engine.last_trace if t.kind == "unit"]
         assert len(units) == engine.last_stats.n_shards > 1
-        probes_seen = set()
+        stages_seen = set()
         for unit in units:
             shape = unit.structure()
-            probes = [name for name, parent in shape if parent == 0]
-            assert probes in (["qsr_probe"], ["qsr_probe", "cmr_probe"])
-            probes_seen.add(tuple(probes))
-            for probe, (_, parent) in enumerate(shape):
-                if parent == 0:
-                    assert [child for child, up in shape if up == probe] == ["basecall"]
-            assert unit.count("basecall") == len(probes)
-        assert ("qsr_probe", "cmr_probe") in probes_seen
+            stages = [name for name, parent in shape if parent == 0]
+            assert stages in (
+                ["qsr_probe"], ["qsr_probe", "cmr_probe"], ["qsr_probe", "basecall"],
+                ["qsr_probe", "cmr_probe", "basecall"],
+            )  # fmt: skip
+            stages_seen.add(tuple(stages))
+            for stage, (name, parent) in enumerate(shape):
+                children = [child for child, up in shape if up == stage]
+                if name == "qsr_probe":
+                    assert children == ["basecall"]
+                elif name == "cmr_probe":
+                    pairs = len(children) // 2
+                    assert pairs and children == ["basecall"] + ["seed", "chain"] * pairs
+            assert unit.count("basecall") == len(stages)
+        assert ("qsr_probe", "cmr_probe", "basecall") in stages_seen
         by_read = {t.label: t for t in engine.last_trace if t.kind == "read"}
         assert len(by_read) == report.n_reads
         for outcome in report.outcomes:
-            shape = by_read[outcome.read_id].structure()
-            decodes = [parent for name, parent in shape if name == "basecall"]
-            assert decodes in (([],) if outcome.rejected_early else ([], [0]))
+            assert by_read[outcome.read_id].count("basecall") == 0
 
 
 class TestSERTracing:

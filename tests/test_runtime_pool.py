@@ -716,13 +716,14 @@ def test_engine_plane_has_one_of_each():
     its forward math or the event-space decode and its config fields,
     nothing scans installed distributions, the
     registry is functions over two dicts naming two engines,
-    ``process_batch`` screens a unit's signal reads through SER, then
-    decodes its QSR samples, then its CMR merge sets, through
-    ``_decode`` -- the pipeline's one engine call site -- and hands each
-    read to ``_process_read``, which makes one engine call (the
-    remainder's) and asks no SER or QSR policy anything, and the chunk
-    grid is the engines' ``n_chunks`` over ``chunk_count`` -- no read
-    type and no second decoder restate it."""
+    ``process_batch`` walks every stage of a unit -- SER, the QSR
+    samples' decode and verdicts, the CMR merge sets' decode, seeding,
+    chaining and verdicts, the remainders' decode, then each read's
+    finish -- with exactly three calls of ``_decode``, the pipeline's
+    one engine call site, and no per-read second scheduler
+    (``_process_read``) exists, and the chunk grid is the engines'
+    ``n_chunks`` over ``chunk_count`` -- no read type and no second
+    decoder restate it."""
     root = Path(repro.__file__).parent
     nodes = list(_walk_with_owner(root))
 
@@ -731,7 +732,7 @@ def test_engine_plane_has_one_of_each():
         r"|DNNChunkBasecaller|DNNBackendConfig|BonitoLikeModel|SignalSpaceBasecaller|ctc_"
         r"|GRULayer|BiGRU|Conv1d|LayerNorm|dnn-mvm|dnn_macs|basecall_signal_chunks"
         r"|basecall_events|event_features|event_emissions|event_stay_prob|VITERBI_DECODE_MODES"
-        r"|EVENT_SEGMENTATION|decode_states|basecall_signal\b"
+        r"|EVENT_SEGMENTATION|decode_states|basecall_signal\b|_process_read"
     )
     assert _mentions(nodes, gone) == set()
     assert {field.name for field in dataclasses.fields(ViterbiBackendConfig)} == {
@@ -772,16 +773,10 @@ def test_engine_plane_has_one_of_each():
     assert batch_body_calls == [
         "self.accepts_signal_reads", "self.basecaller.n_chunks", "self.signal_rejection_enabled",
         "self.ser_policy.decide", "self._qsr.sample_indices", "self._decode", "self._qsr.decide",
-        "self._decode", "self._cmr.merged_chunk_indices", "self._process_read",
+        "self._cmr.merged_chunk_indices", "self._decode", "self._seed_run", "self._cmr.decide",
+        "self._decode", "self._seed_run",
     ]  # fmt: skip
-    read_body_calls = [
-        ast.unparse(node.func)
-        for module, owner, node in nodes
-        if (module, owner) == ("core/pipeline.py", "_process_read")
-        and isinstance(node, ast.Call)
-    ]
-    assert read_body_calls.count("self._decode") == 1
-    assert not [call for call in read_body_calls if call.startswith(("self._qsr", "self.ser_policy"))]
+    assert batch_body_calls.count("self._decode") == 3
     engine_calls = [
         (module, owner)
         for module, owner, node in nodes
