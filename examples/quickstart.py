@@ -405,9 +405,10 @@ def main() -> None:
         kind: ops - before.get(kind, 0) for kind, ops in ledger.by_key().items()
     }
     demo_codes = reads[0].true_codes
-    anchors = collect_anchor_arrays(index, demo_codes, read_length=demo_codes.size)[
-        mapped.strand
-    ]
+    # The mapped strand's seeded anchors, raw read positions on either
+    # strand (only the chain stage orients a reverse strand's): the DP
+    # runs over any sorted rows, and both kernels must agree on them.
+    anchors = collect_anchor_arrays(index, demo_codes)[mapped.strand]
     chaining = ChainingConfig()
     chain_args = (anchors, index.config.k, chaining.max_gap, chaining.lookback)
     t0 = time.perf_counter()

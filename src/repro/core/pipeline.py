@@ -6,10 +6,10 @@ Functional model of the paper's Fig. 6 control flow:
 1. basecall the ``N_qs`` evenly-sampled chunks, check QSR -> maybe stop;
 2. basecall the first ``N_cm`` chunks, merge, seed + chain, check CMR ->
    maybe stop;
-3. basecall the remaining chunks and seed them as one run, with a
-   (k + w - 2)-base context overlap so that run seeding finds *exactly*
-   the anchors whole-read seeding finds; final chaining + alignment
-   produce the mapping result.
+3. basecall the remaining chunks and seed them as one run (the mapper
+   prepends the context that makes run seeding find *exactly* the
+   anchors whole-read seeding finds); final chaining + alignment produce
+   the mapping result.
 
 Called bases stay 2-bit code arrays from the basecaller to the mapper.
 Both engines are fed in groups, not once per chunk. A work unit walks
@@ -124,9 +124,9 @@ class ReadOutcome:
 class _ReadProgress:
     """One read's progress through its work unit, filled stage by stage:
     the chunks decoded so far, each verdict (``None`` where a stage did
-    not screen the read), the mapper and its seeded prefix -- the first
-    ``n_seeded`` chunks, ``seeded_bases`` called bases long --, and the
-    ``status``, ``None`` while the read is still going."""
+    not screen the read), the mapper and how many of the first chunks it
+    has seeded (``n_seeded``; the mapper keeps the bases that spans),
+    and the ``status``, ``None`` while the read is still going."""
 
     read: PipelineRead
     n_chunks: int
@@ -136,7 +136,6 @@ class _ReadProgress:
     cmr: CMRDecision | None = None
     mapper: IncrementalChunkMapper | None = None
     n_seeded: int = 0
-    seeded_bases: int = 0
     n_chain_invocations: int = 0
     mean_quality: float | None = None
     status: ReadStatus | None = None
@@ -271,7 +270,11 @@ class GenPIPPipeline:
                 self._decode(list(zip(live, merge_sets, strict=True)), tracer)
                 for p, indices in zip(live, merge_sets, strict=True):
                     merged = np.concatenate([p.called[i].codes for i in indices])
-                    self._seed_run(p, merged, len(indices))
+                    # The true length stands in for the called one, which
+                    # is known only at the finish, to orient the prefix.
+                    p.mapper = IncrementalChunkMapper(self.index, read_length=len(p.read))
+                    p.mapper.seed_prefix(merged)
+                    p.n_seeded = len(indices)
                     primary, _ = p.mapper.chain_prefix()
                     p.n_chain_invocations += 1
                     p.cmr = self._cmr.decide(primary.score if primary is not None else 0.0, merged.size)
@@ -288,7 +291,10 @@ class GenPIPPipeline:
                 if p.status is None:
                     full_read = reassemble_chunks(p.read.read_id, [p.called[i] for i in range(p.n_chunks)])
                     if p.n_seeded < p.n_chunks:
-                        self._seed_run(p, full_read.codes, p.n_chunks)
+                        if p.mapper is None:  # CMR did not screen the read
+                            p.mapper = IncrementalChunkMapper(self.index, read_length=len(p.read))
+                        p.mapper.seed_prefix(full_read.codes)
+                        p.n_seeded = p.n_chunks
                     p.mean_quality = full_read.mean_quality
                     # Read-level quality control applies when QSR is off
                     # (QSR *is* the quality filter when enabled).
@@ -324,8 +330,9 @@ class GenPIPPipeline:
             on-disk read store, ...). Signal-native sources
             (:class:`~repro.runtime.source.SignalStoreSource`, yielding
             stored raw current instead of simulated reads) require a
-            signal-space basecaller (``"viterbi"``); the
-            engine rejects the combination up front otherwise.
+            signal-space basecaller (``"viterbi"``): the first
+            signal read :meth:`process_batch` meets raises ``TypeError``
+            otherwise.
         workers:
             Worker processes to shard the reads across; ``0``/``1``
             run serially in-process. Reads are independent, so any
@@ -375,27 +382,3 @@ class GenPIPPipeline:
             )
         for (p, todo), chunks in zip(pending, decoded, strict=True):
             p.called.update(zip(todo, chunks, strict=True))
-
-    def _seed_run(self, state: _ReadProgress, prefix_codes: np.ndarray, n_chunks: int) -> None:
-        """Seed the not-yet-seeded run of a called prefix in one mapper call.
-
-        ``prefix_codes`` are the called bases of the read's first
-        ``n_chunks`` chunks, the first ``state.seeded_bases`` of
-        which an earlier run already seeded; the prefix becomes the
-        seeded one. The run goes in with the ``k + w - 2`` bases before
-        it prepended, so every w-window of k-mers lies inside one run
-        and the union of run anchors equals the whole-read anchors (the
-        mapper drops the duplicates from the overlap when it gathers).
-        The first run makes the read's mapper, at a provisional read
-        length (the true length) for reverse-strand coordinate flipping
-        during prefix chaining; finalize fixes it to the called length.
-        """
-        if state.mapper is None:
-            state.mapper = IncrementalChunkMapper(self.index, read_length=len(state.read))
-        # Context overlap that makes chunked seeding anchor-identical to
-        # whole-read seeding: k-1 for boundary k-mers plus w-1 for
-        # boundary windows.
-        overlap = self.index.config.k + self.index.config.w - 2
-        start = max(state.seeded_bases - overlap, 0)
-        state.mapper.add_chunk(prefix_codes[start:], read_offset=start)
-        state.n_seeded, state.seeded_bases = n_chunks, prefix_codes.size

@@ -27,9 +27,11 @@ previously iterated sample-by-sample in interpreted Python:
   scan and its probe of the index's flat key/bounds/location arrays in
   one call of the C kernel ``seed.c`` when it loaded, else the numpy
   path (a vectorised scan, then one ``searchsorted`` + repeat/gather),
-  with the same bytes.
+  with the same bytes. Both strands' anchors keep raw read
+  coordinates: seeding never orients them.
 * :mod:`repro.kernels.chain` -- the chain stage (paper Fig. 1(c)):
-  a read's anchor gathering, minimap2 chain DP, chain walk and
+  a read's anchor gathering (the one place the reverse strand is
+  flipped, with the index's ``k``), minimap2 chain DP, chain walk and
   primary/secondary pick in one call of the C kernel ``chain.c`` when
   it loaded, else the mapping layer's Python stage over the scalar
   recurrence, with the same bytes.

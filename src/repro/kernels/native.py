@@ -252,8 +252,7 @@ KERNELS: dict[str, tuple[str, dict[str, tuple[list, type | None]]]] = {
     "seed": ("numpy", {
         "seed_minimizers": ([_U8, _SIZE, _SIZE, _SIZE, _U64, _I64, _I8], _SIZE),
         "seed_anchors": (
-            [_U8, _SIZE, _SIZE, _SIZE, _U64, _SIZE, _I64, _I64, _I8, _SIZE, _SIZE, _SIZE, _I64,
-             _SIZE, _I64],
+            [_U8, _SIZE, _SIZE, _SIZE, _U64, _SIZE, _I64, _I64, _I8, _SIZE, _I64, _SIZE, _I64],
             _SIZE,
         ),
     }),

@@ -31,10 +31,12 @@
  * bounds[i] .. bounds[i+1]) by a lower-bound binary search, LANES
  * minimizers in lockstep. Every location becomes one
  * (ref, read_offset + pos) row: forward when its strand is the
- * minimizer's, else reverse. Reverse rows take the flip
- * read_length - k - read when flip is set. Each strand is then sorted
- * by (ref, read); any sort gives the numpy path's bytes, because two
- * rows with equal keys are equal.
+ * minimizer's, else reverse. Read coordinates stay raw on both strands:
+ * the chain stage (chain.c's chain_read) flips the reverse ones once it
+ * knows the read's length. Each strand is then sorted by (ref, read),
+ * which lets chain.c's merge sort skip the merges of a sorted block;
+ * any sort gives the numpy path's bytes, because two rows with equal
+ * keys are equal.
  */
 
 #include <stdint.h>
@@ -182,8 +184,7 @@ static void sort_rows(int64_t *rows, int64_t *tmp, int64_t n)
 int64_t seed_anchors(const uint8_t *codes, int64_t n, int64_t k, int64_t w,
                      const uint64_t *index_keys, int64_t n_keys, const int64_t *bounds,
                      const int64_t *ref_positions, const int8_t *ref_strands,
-                     int64_t read_offset, int64_t flip, int64_t read_length, int64_t *rows,
-                     int64_t capacity, int64_t *n_forward)
+                     int64_t read_offset, int64_t *rows, int64_t capacity, int64_t *n_forward)
 {
     const int64_t n_kmers = n - k + 1;
     const int64_t slots = n_kmers <= 0 ? 1 : (n_kmers > w ? n_kmers - w + 1 : 1);
@@ -237,9 +238,6 @@ int64_t seed_anchors(const uint8_t *codes, int64_t n, int64_t k, int64_t w,
 
     int64_t *reverse = rows + 2 * fwd;
     memmove(reverse, rows + 2 * (capacity - rev), (size_t)rev * 2 * sizeof(int64_t));
-    if (flip)
-        for (int64_t j = 0; j < rev; j++)
-            reverse[2 * j + 1] = read_length - k - reverse[2 * j + 1];
     const int64_t larger = fwd > rev ? fwd : rev;
     int64_t *tmp = malloc((size_t)(larger / 2 + 1) * 2 * sizeof(int64_t));
     if (tmp == NULL)

@@ -23,7 +23,10 @@ query keys, a ``np.repeat``/cumsum expansion of the hit entries, and
 fancy-indexed gathering of the location rows. ``native.backend("seed")``
 says which runs. The per-key loop :func:`seed_anchors_scalar` is the
 reference the tests import to check both against: all three give the
-same arrays, byte for byte.
+same arrays, byte for byte. All three keep raw read coordinates on both
+strands and sort each strand's rows by (ref, read): orienting the
+reverse strand is the chain stage's affair, and it merges sorted blocks
+cheaply.
 """
 
 from __future__ import annotations
@@ -31,14 +34,10 @@ from __future__ import annotations
 import numpy as np
 
 
-def _group_and_sort(
-    fwd: np.ndarray, rev: np.ndarray, read_length: int | None, kmer_size: int
-) -> dict[int, np.ndarray]:
-    """Shared tail of both kernels: strand grouping, flip, stable sort."""
+def _group_and_sort(fwd: np.ndarray, rev: np.ndarray) -> dict[int, np.ndarray]:
+    """Shared tail of both kernels: strand grouping, stable sort."""
     out: dict[int, np.ndarray] = {}
     for strand, arr in ((1, fwd), (-1, rev)):
-        if strand == -1 and read_length is not None and arr.size:
-            arr[:, 1] = read_length - kmer_size - arr[:, 1]
         if arr.size:
             order = np.lexsort((arr[:, 1], arr[:, 0]))
             arr = arr[order]
@@ -55,8 +54,6 @@ def seed_anchors_scalar(
     positions: np.ndarray,
     strands: np.ndarray,
     read_offset: int = 0,
-    read_length: int | None = None,
-    kmer_size: int = 13,
 ) -> dict[int, np.ndarray]:
     """Per-key reference loop (the original interpreted seeding path).
 
@@ -84,7 +81,7 @@ def seed_anchors_scalar(
                 rev_rows.append((r_pos, global_q))
     fwd = np.array(fwd_rows, dtype=np.int64) if fwd_rows else np.empty((0, 2), np.int64)
     rev = np.array(rev_rows, dtype=np.int64) if rev_rows else np.empty((0, 2), np.int64)
-    return _group_and_sort(fwd, rev, read_length, kmer_size)
+    return _group_and_sort(fwd, rev)
 
 
 def seed_anchors_batched(
@@ -96,8 +93,6 @@ def seed_anchors_batched(
     positions: np.ndarray,
     strands: np.ndarray,
     read_offset: int = 0,
-    read_length: int | None = None,
-    kmer_size: int = 13,
 ) -> dict[int, np.ndarray]:
     """Vectorised seeding: one searchsorted, one repeat/gather expansion.
 
@@ -108,20 +103,20 @@ def seed_anchors_batched(
     """
     empty = np.empty((0, 2), np.int64)
     if q_keys.size == 0 or keys.size == 0:
-        return _group_and_sort(empty, empty.copy(), read_length, kmer_size)
+        return _group_and_sort(empty, empty)
 
     idx = np.searchsorted(keys, q_keys)
     np.minimum(idx, keys.size - 1, out=idx)
     hit = keys[idx] == q_keys
     hit_idx = idx[hit]
     if hit_idx.size == 0:
-        return _group_and_sort(empty, empty.copy(), read_length, kmer_size)
+        return _group_and_sort(empty, empty)
 
     starts = bounds[hit_idx]
     counts = bounds[hit_idx + 1] - starts
     total = int(counts.sum())
     if total == 0:
-        return _group_and_sort(empty, empty.copy(), read_length, kmer_size)
+        return _group_and_sort(empty, empty)
 
     # Expand each hit entry to its location rows: repeat the per-hit
     # query columns, and index locations with start + within-entry ramp.
@@ -136,4 +131,4 @@ def seed_anchors_batched(
     fwd = np.stack((r_pos[same], rep_q[same]), axis=1)
     rev_mask = ~same
     rev = np.stack((r_pos[rev_mask], rep_q[rev_mask]), axis=1)
-    return _group_and_sort(fwd, rev, read_length, kmer_size)
+    return _group_and_sort(fwd, rev)

@@ -53,15 +53,14 @@ MAX_CHAINS = 5
 class ChainingConfig:
     """Chain DP parameters (defaults follow minimap2's map-ont preset).
 
-    The counts are integers: the C kernel takes them as ``int64``.
+    The k-mer size is not one of them: the chain stage takes ``k`` from
+    the index that seeded the anchors, the one place it is said. The
+    counts are integers: the C kernel takes them as ``int64``.
     ``max_gap`` is at most :data:`MAX_GAP_LIMIT`, which bounds the C
-    kernel's ``log2`` table at 8 MiB, and so is ``kmer_size``, which
-    keeps ``k`` exact where the kernel compares a ``float64`` score with
-    it. ``lookback`` is unbounded: the kernel never scans past the first
-    anchor.
+    kernel's ``log2`` table at 8 MiB. ``lookback`` is unbounded: the
+    kernel never scans past the first anchor.
     """
 
-    kmer_size: int = 13
     max_gap: int = 5_000
     lookback: int = 50
     min_chain_score: float = 20.0
@@ -69,7 +68,6 @@ class ChainingConfig:
 
     def __post_init__(self) -> None:
         # 2.5 or True would reach the C kernel as a ctypes error or another integer.
-        require_integer("kmer_size", self.kmer_size, ge=1, le=MAX_GAP_LIMIT)
         require_integer("max_gap", self.max_gap, ge=1, le=MAX_GAP_LIMIT)
         require_integer("lookback", self.lookback, ge=1)
         require_integer("min_anchors", self.min_anchors, ge=1)
@@ -111,13 +109,17 @@ class Chain:
         return int(self.anchors[0, 1]), int(self.anchors[-1, 1])
 
 
-def chain_scores(anchors: np.ndarray, config: ChainingConfig) -> tuple[np.ndarray, np.ndarray]:
+def chain_scores(
+    anchors: np.ndarray, kmer_size: int, config: ChainingConfig
+) -> tuple[np.ndarray, np.ndarray]:
     """Run the chain DP over sorted anchors.
 
     Parameters
     ----------
     anchors:
         ``int64[n, 2]`` of (ref_pos, read_pos), sorted by (ref, read).
+    kmer_size:
+        The ``k`` of the index that seeded the anchors.
     config:
         DP parameters.
 
@@ -127,11 +129,12 @@ def chain_scores(anchors: np.ndarray, config: ChainingConfig) -> tuple[np.ndarra
         Best chain score ending at each anchor, and the predecessor
         index (-1 for chain starts).
     """
-    return chain_kernels.chain_scores(anchors, config.kmer_size, config.max_gap, config.lookback)
+    return chain_kernels.chain_scores(anchors, kmer_size, config.max_gap, config.lookback)
 
 
 def chain_anchors(
     anchors: np.ndarray,
+    kmer_size: int,
     config: ChainingConfig,
     strand: int = 1,
     max_chains: int = MAX_CHAINS,
@@ -146,7 +149,7 @@ def chain_anchors(
     n = anchors.shape[0]
     if n == 0:
         return []
-    scores, parents = chain_scores(anchors, config)
+    scores, parents = chain_scores(anchors, kmer_size, config)
     # Stable, so the order of tied scores (sums of integer-valued gains
     # tie often) is defined, not left to numpy's introsort.
     order = np.argsort(scores, kind="stable")[::-1]
@@ -177,7 +180,7 @@ def chain_anchors(
 
 
 def best_chain(
-    anchors_by_strand: dict[int, np.ndarray], config: ChainingConfig
+    anchors_by_strand: dict[int, np.ndarray], kmer_size: int, config: ChainingConfig
 ) -> tuple[Chain | None, Chain | None]:
     """The primary and best-secondary chain across both strands.
 
@@ -186,7 +189,7 @@ def best_chain(
     """
     all_chains: list[Chain] = []
     for strand, anchors in anchors_by_strand.items():
-        all_chains.extend(chain_anchors(anchors, config, strand=strand))
+        all_chains.extend(chain_anchors(anchors, kmer_size, config, strand=strand))
     if not all_chains:
         return None, None
     all_chains.sort(key=lambda c: c.score, reverse=True)

@@ -12,8 +12,7 @@ does when it checks the chaining score of the first ``N_cm`` chunks.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,13 +58,6 @@ def _joined(blocks: list[np.ndarray]) -> np.ndarray:
     if len(blocks) > 1:
         return np.concatenate(blocks)
     return blocks[0] if blocks else _NO_ANCHORS
-
-
-@functools.lru_cache(maxsize=16)
-def _with_kmer_size(chaining: ChainingConfig, k: int) -> ChainingConfig:
-    """``chaining`` with the index's ``k``, so the anchor maths line up:
-    made once per (config, ``k``), not once per read."""
-    return chaining if chaining.kmer_size == k else replace(chaining, kmer_size=k)
 
 
 @dataclass(frozen=True)
@@ -151,17 +143,13 @@ class IncrementalChunkMapper:
         # at gather time against the *current* read length, because the
         # basecalled length is only final when the last chunk arrives.
         self._anchor_blocks: dict[int, list[np.ndarray]] = {1: [], -1: []}
-        # The fallback chain stage's gathered/sorted anchor arrays only
-        # change when a chunk arrives or the read length moves, so they
-        # are cached in between.
-        self._gathered_cache: dict[int, np.ndarray] | None = None
+        # Called bases :meth:`seed_prefix` has seeded, from the read's start.
+        self._seeded_bases = 0
 
     def set_read_length(self, read_length: int) -> None:
         """Fix the final basecalled read length before :meth:`finalize`."""
         if read_length < 0:
             raise ValueError("read_length must be non-negative")
-        if int(read_length) != self._read_length:
-            self._gathered_cache = None
         self._read_length = int(read_length)
 
     def add_chunk(self, chunk_codes: np.ndarray, read_offset: int) -> int:
@@ -171,31 +159,43 @@ class IncrementalChunkMapper:
         called bases. Returns the number of anchors contributed.
         """
         with active_tracer().span("seed"):
-            grouped = collect_anchor_arrays(
-                self._index,
-                chunk_codes,
-                read_offset=read_offset,
-                read_length=None,
-            )
+            grouped = collect_anchor_arrays(self._index, chunk_codes, read_offset=read_offset)
         added = 0
         for strand, rows in grouped.items():
             if rows.size:
                 self._anchor_blocks[strand].append(rows)
                 added += rows.shape[0]
-        if added:
-            self._gathered_cache = None
         return added
 
+    def seed_prefix(self, prefix_codes: np.ndarray) -> int:
+        """Seed the not-yet-seeded run of a called prefix in one
+        :meth:`add_chunk` call.
+
+        ``prefix_codes`` are the called bases of the read's first chunks,
+        of which earlier calls seeded a shorter prefix; this one becomes
+        the seeded prefix. The run goes in with the ``k + w - 2`` bases
+        before it prepended -- ``k - 1`` for the k-mers across the
+        boundary, ``w - 1`` for the windows across it -- so every
+        w-window of k-mers lies inside one run, and the union of run
+        anchors equals the whole prefix's anchors. The rows that overlap
+        seeds twice are dropped where the chain stage gathers a strand.
+        Returns the number of anchors contributed.
+        """
+        overlap = self._index.config.k + self._index.config.w - 2
+        start = max(self._seeded_bases - overlap, 0)
+        self._seeded_bases = int(prefix_codes.size)
+        return self.add_chunk(prefix_codes[start:], read_offset=start)
+
     def _gathered(self) -> dict[int, np.ndarray]:
-        if self._gathered_cache is not None:
-            return self._gathered_cache
+        """Each strand's seeded rows in chaining coordinates: the minus
+        strand's read positions flipped against the current read length,
+        sorted by (ref, read), repeats dropped."""
         k = self._index.config.k
         out = {}
         for strand, blocks in self._anchor_blocks.items():
             if blocks:
                 arr = np.concatenate(blocks, axis=0)
                 if strand == -1:
-                    arr = arr.copy()
                     arr[:, 1] = self._read_length - k - arr[:, 1]
                 # Rows in (ref_pos, read_pos) order, which chaining
                 # requires, with overlap-seeded duplicates dropped:
@@ -206,8 +206,7 @@ class IncrementalChunkMapper:
                 keep[1:] = (arr[1:] != arr[:-1]).any(axis=1)
                 out[strand] = arr[keep]
             else:
-                out[strand] = np.empty((0, 2), dtype=np.int64)
-        self._gathered_cache = out
+                out[strand] = _NO_ANCHORS
         return out
 
     def chain_prefix(self) -> tuple[Chain | None, Chain | None]:
@@ -224,7 +223,7 @@ class IncrementalChunkMapper:
         with active_tracer().span("chain"):
             library = native.kernel("chain")
             if library is None:
-                return best_chain(self._gathered(), _with_kmer_size(chaining, k))
+                return best_chain(self._gathered(), k, chaining)
             plus, minus = (_joined(self._anchor_blocks[strand]) for strand in (1, -1))
             found = chain_read(
                 library, plus, minus, self._read_length - k, k, chaining.max_gap,

@@ -2,10 +2,12 @@
 
 An *anchor* is a (reference position, read position) pair where a read
 minimizer matches a reference minimizer. Matches on opposite canonical
-strands indicate the read aligns to the reverse strand; following
-minimap2, reverse-strand anchors flip the read coordinate so that
-chaining sees monotonically increasing coordinates on both axes for
-either orientation.
+strands indicate the read aligns to the reverse strand. Seeding keeps
+*raw* read coordinates on both strands: following minimap2, the chain
+stage flips reverse-strand read coordinates (``read_length - k - read``)
+so that chaining sees monotonically increasing coordinates on both axes
+for either orientation, and it does so against the read's called
+length, which is final only once every chunk arrived.
 
 One call of :func:`collect_anchor_arrays` is one call of the C kernel
 ``seed.c`` when it loaded (:mod:`repro.kernels.seed`): it scans the
@@ -31,7 +33,6 @@ def collect_anchor_arrays(
     index: MinimizerIndex,
     read_codes: np.ndarray,
     read_offset: int = 0,
-    read_length: int | None = None,
 ) -> dict[int, np.ndarray]:
     """Collect anchors as arrays grouped by strand.
 
@@ -45,18 +46,12 @@ def collect_anchor_arrays(
         Offset of ``read_codes`` within the full read -- this is how the
         chunk-based pipeline seeds one run of chunks at a time while
         keeping global read coordinates.
-    read_length:
-        Full read length, used to flip coordinates of reverse-strand
-        anchors onto the reverse-complemented read (minimap2's
-        transform, making chains colinear-increasing). Pass ``None`` to
-        keep *raw* read coordinates for reverse anchors -- the
-        incremental chunk mapper does this because the final basecalled
-        read length is only known once all chunks arrived.
 
     Returns
     -------
     dict mapping strand (+1/-1) to an ``int64[n, 2]`` array of
-    ``(ref_pos, read_pos)`` rows, sorted by (ref_pos, read_pos).
+    ``(ref_pos, read_pos)`` rows in raw read coordinates, sorted by
+    (ref_pos, read_pos).
     """
     import repro.kernels.native as native
 
@@ -72,8 +67,6 @@ def collect_anchor_arrays(
             index.position_array,
             index.strand_array,
             read_offset=read_offset,
-            read_length=read_length,
-            kmer_size=index.config.k,
         )
     # One call of seed.c, or two when the first row buffer was too
     # small: the kernel returns the row count it needs, and nothing is
@@ -88,8 +81,8 @@ def collect_anchor_arrays(
         rows = np.empty((capacity, 2), dtype=np.int64)
         total = library.seed_anchors(
             codes, codes.size, index.config.k, min(index.config.w, codes.size), keys, keys.size,
-            index.bounds_array, index.position_array, index.strand_array, read_offset,
-            read_length is not None, read_length or 0, rows, capacity, n_forward,
+            index.bounds_array, index.position_array, index.strand_array, read_offset, rows,
+            capacity, n_forward,
         )  # fmt: skip
         if total < 0:
             raise MemoryError("seed.c could not allocate its scan buffers")

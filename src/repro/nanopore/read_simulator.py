@@ -23,6 +23,7 @@ byte-identical results to the conventional pipeline).
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -203,6 +204,21 @@ class SimulatedRead:
     def mean_true_quality(self) -> float:
         """Average of the underlying quality process over the read."""
         return float(self.qualities.mean())
+
+
+def check_read_payload(codes: np.ndarray, qualities: np.ndarray) -> None:
+    """Refuse a read's payload as a reader takes it from outside the
+    process: a base code above 3 (T), or a quality that is non-finite
+    or below 0, raises ``ValueError``. The check is made where a read
+    store or a served record is read, and not in :class:`SimulatedRead`,
+    which every pooled attach constructs."""
+    if codes.size == 0:  # qualities align with the codes
+        return
+    if codes.max() > 3:
+        raise ValueError("base codes must be 0-3")
+    # NaN fails the first comparison, +inf the second.
+    if not (qualities.min() >= 0 and math.isfinite(qualities.max())):
+        raise ValueError("qualities must be finite and >= 0")
 
 
 class ReadSimulator:

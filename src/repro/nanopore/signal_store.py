@@ -22,7 +22,11 @@ Both kinds have a streaming reader (:func:`iter_signals`,
 handle, never holding more than one record in memory -- the container
 analogue of slow5's sequential access path. Every read is
 bounds-checked: a truncated or corrupt container raises ``ValueError``
-instead of returning garbage.
+instead of returning garbage. A read record is corrupt when its class
+code is unknown, its strand is not +-1, its has-ref flag not 0 or 1, a
+base code above 3 or a quality non-finite or below 0
+(:func:`~repro.nanopore.read_simulator.check_read_payload`, the check
+the serving protocol makes on a served read).
 
 Signal-record layout:
 
@@ -62,7 +66,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from repro.nanopore.read_simulator import ReadClass, SimulatedRead
+from repro.nanopore.read_simulator import ReadClass, SimulatedRead, check_read_payload
 from repro.nanopore.signal import RawSignal
 
 _MAGIC = b"RSIG"
@@ -349,14 +353,22 @@ def iter_read_store(path) -> Iterator[SimulatedRead]:
             class_code, strand, has_ref, ref_start, ref_end = struct.unpack(
                 "<BbBqq", _read_exact(handle, 19, what, file_size)
             )
-            if class_code not in _CODE_TO_CLASS:
-                raise ValueError(f"corrupt read store: unknown read class {class_code}")
             (seed,) = struct.unpack("<Q", _read_exact(handle, 8, what, file_size))
             (n_bases,) = struct.unpack("<I", _read_exact(handle, 4, what, file_size))
             codes = np.frombuffer(_read_exact(handle, n_bases, what, file_size), dtype=np.uint8)
             quals = np.frombuffer(
                 _read_exact(handle, 8 * n_bases, what, file_size), dtype=np.float64
             )
+            try:
+                if class_code not in _CODE_TO_CLASS:
+                    raise ValueError(f"unknown read class {class_code}")
+                if strand not in (1, -1):
+                    raise ValueError(f"strand must be 1 or -1, got {strand}")
+                if has_ref not in (0, 1):
+                    raise ValueError(f"has-ref flag must be 0 or 1, got {has_ref}")
+                check_read_payload(codes, quals)
+            except ValueError as exc:
+                raise ValueError(f"corrupt read store: {what} ({read_id!r}): {exc}") from exc
             yield SimulatedRead(
                 read_id=read_id,
                 read_class=_CODE_TO_CLASS[class_code],

@@ -213,13 +213,6 @@ class DatasetEngine:
             pool_workers = min(pool_workers, max(-(-hint // batch_size), 1))
         pipeline = self._pipeline
         pool = WorkerPool(pipeline, pool_workers, trace=self._trace)
-        kind = getattr(source, "read_kind", None)
-        if callable(kind) and kind() == "signals" and not pipeline.accepts_signal_reads():
-            raise TypeError(
-                "signal-native source requires a signal-space basecaller "
-                "('viterbi'); the configured backend decodes base-space reads "
-                "only"
-            )
         collector = ShardCollector()
         started = time.perf_counter()
         registry = process_registry()

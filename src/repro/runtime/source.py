@@ -53,13 +53,6 @@ class ReadSource(Protocol):
     ``__iter__`` yields reads in dataset order; ``size_hint`` returns
     the total read count when cheaply known (``None`` otherwise -- the
     engine then falls back to a default batch size).
-
-    Sources may additionally expose ``read_kind() -> str`` declaring
-    what they yield: ``"reads"`` (base-space simulated reads, the
-    default when absent) or ``"signals"`` (signal-native
-    :class:`~repro.nanopore.signal_read.SignalRead`\\ s). The engine
-    uses it to reject a signal source fed to a base-space-only
-    basecaller *before* any worker touches a read.
     """
 
     def __iter__(self) -> Iterator[SimulatedRead]: ...  # pragma: no cover - protocol
@@ -180,9 +173,6 @@ class SignalStoreSource:
 
     def size_hint(self) -> int | None:
         return signal_count(self._path)
-
-    def read_kind(self) -> str:
-        return "signals"
 
 
 class IterableSource:

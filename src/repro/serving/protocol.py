@@ -63,10 +63,9 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
-import math
 import sys
 
-from repro.nanopore.read_simulator import ReadClass, SimulatedRead
+from repro.nanopore.read_simulator import ReadClass, SimulatedRead, check_read_payload
 from repro.nanopore.signal_read import SignalRead
 from repro.runtime.columnar import ColumnarBatch, ColumnarLayout, ReadHandle, SignalHandle
 
@@ -333,21 +332,16 @@ def read_from_record(record: dict) -> SimulatedRead | SignalRead:
     over the record's payload (no copy; the arrays keep it alive). A
     payload the read refuses (a non-finite sample, or base starts that
     decrease or point past the samples) is a protocol error, and so is
-    a base read's code above 3 (T) or quality that is non-finite or
-    below 0: the check is made here, once per served read, and not in
-    :class:`SimulatedRead`, which every pooled attach constructs."""
+    a base read's payload :func:`check_read_payload` refuses, once per
+    served read."""
     layout = _record_layout(record)
     payload = record.get("payload")
     if not isinstance(payload, bytes | bytearray | memoryview) or len(payload) != layout.total_bytes:
         raise ProtocolError(f"read record needs a {layout.total_bytes}-byte payload")
     try:
         read = ColumnarBatch(payload, layout.handles).reads(copy=False)[0]
+        if isinstance(read, SimulatedRead):
+            check_read_payload(read.true_codes, read.qualities)
     except ValueError as exc:
         raise ProtocolError(f"read {record['read_id']!r}: {exc}") from exc
-    if isinstance(read, SimulatedRead) and len(read):
-        if read.true_codes.max() > 3:
-            raise ProtocolError(f"read {record['read_id']!r}: base codes must be 0-3")
-        # NaN fails the first comparison, +inf the second.
-        if not (read.qualities.min() >= 0 and math.isfinite(read.qualities.max())):
-            raise ProtocolError(f"read {record['read_id']!r}: qualities must be finite and >= 0")
     return read

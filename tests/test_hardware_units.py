@@ -30,7 +30,7 @@ class TestInMemorySeedingUnit:
         """The CAM/RAM path returns exactly the software anchors."""
         chunk = index.reference.fetch(5_000, 5_300)
         hw, stats = seeding_unit.seed_chunk(chunk)
-        sw = collect_anchor_arrays(index, chunk, read_offset=0, read_length=None)
+        sw = collect_anchor_arrays(index, chunk, read_offset=0)
         for strand in (1, -1):
             np.testing.assert_array_equal(hw[strand], sw[strand])
         assert stats.n_query_strings > 0

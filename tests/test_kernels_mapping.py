@@ -33,9 +33,8 @@ Plus the riders: no stage takes a kernel *name* (production calls one
 kernel per stage; a reference is something a test imports), each
 compiled kernel has one fallback, the mapping-ops ledger must record
 exactly the arithmetic the kernels performed, the perf models must
-charge it, the incremental mapper's gathered-anchor cache must
-invalidate correctly, and a pooled run must stay byte-identical to the
-serial run with every kernel active.
+charge it, and a pooled run must stay byte-identical to the serial run
+with every kernel active.
 """
 
 from __future__ import annotations
@@ -177,7 +176,7 @@ class TestChainKernels:
         rng = np.random.default_rng(104)
         anchors = _random_anchors(rng, 80, runs=True)
         config = ChainingConfig(lookback=20, max_gap=800)
-        scores, parents = chaining_module.chain_scores(anchors, config)
+        scores, parents = chaining_module.chain_scores(anchors, 13, config)
         ref_scores, ref_parents = chain_scores_scalar(anchors, 13, 800, 20)
         assert np.array_equal(scores, ref_scores)
         assert np.array_equal(parents, ref_parents)
@@ -493,6 +492,48 @@ class TestChainStage:
         compiled, fallen_back = _chained_both_ways(index, chunks, read_length, chaining, shortened)
         assert fallen_back == compiled
 
+    @given(
+        n_plus=st.integers(0, 150),
+        n_minus=st.integers(0, 150),
+        blocks=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        copies=st.integers(1, 3),
+        lookback=st.integers(1, 60),
+        min_chain_score=st.sampled_from([0.0, 20.0]),
+        min_anchors=st.sampled_from([1, 3]),
+        read_length=st.integers(200, 4_000),
+        shortened=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None, suppress_health_check=_ONE_FILL_PER_TEST)
+    def test_stage_ignores_how_a_strands_rows_arrive(
+        self, index, n_plus, n_minus, blocks, copies, lookback, min_chain_score, min_anchors,
+        read_length, shortened, seed,
+    ):  # fmt: skip
+        """Each strand's distinct rows seeded as one sorted block, or cut
+        into blocks in any order with rows repeated across them (as the
+        seeding overlap repeats them): the compiled stage gives the same
+        primary and secondary, by score bits, strand and anchor bytes,
+        and charges the same chain candidates either way, and so does
+        its fallback. Seeding leaves orientation and de-duplication to
+        the chain stage, which rests on this."""
+        require_native("chain")
+        k = index.config.k
+        rng = np.random.default_rng(seed)
+        plus = np.unique(_strand_rows(rng, n_plus, read_length, copies), axis=0)
+        minus = _strand_rows(rng, n_minus, read_length, copies)
+        minus[:, 1] = read_length - k - minus[:, 1]  # raw, as seeding stores them
+        minus = np.unique(minus, axis=0)
+        sides = [_seeded_blocks(rng, rows, n) for rows, n in ((plus, blocks[0]), (minus, blocks[1]))]
+        blocked = [
+            {strand: side[i] if i < len(side) else plus[:0] for strand, side in zip((1, -1), sides, strict=True)}
+            for i in range(max(map(len, sides)))
+        ]  # fmt: skip
+        chaining = ChainingConfig(
+            lookback=lookback, min_chain_score=min_chain_score, min_anchors=min_anchors
+        )
+        whole = _chained_both_ways(index, [{1: plus, -1: minus}], read_length, chaining, shortened)
+        assert _chained_both_ways(index, blocked, read_length, chaining, shortened) == whole
+
     @pytest.mark.parametrize(
         "case",
         ["colinear-2000", "scattered-1500", "short-lookback", "block-boundary-5000", "mapped-read"],
@@ -574,7 +615,7 @@ class TestChainStage:
         anchors = np.vstack([run, run[-1] + [3_000, 3_000 - 1_621]]).astype(np.int64)
         scores, parents = chain_scores_scalar(anchors, 14, 5_000, 50)
         assert parents[-1] == 39
-        chaining = ChainingConfig(kmer_size=14, max_gap=5_000, lookback=50, min_anchors=1)
+        chaining = ChainingConfig(max_gap=5_000, lookback=50, min_anchors=1)
         compiled, fallen_back = _chained_both_ways(index, [{1: anchors, -1: anchors[:0]}], 4_000, chaining)
         (_, secondary), _ = compiled
         assert secondary[0] == scores[-1].hex() and secondary[2] == (1, 2)
@@ -972,7 +1013,6 @@ class TestSeedKernels:
             true = reference.codes[start : start + int(rng.integers(500, 6_000))]
             read = apply_errors(true, 0.10, rng).codes if trial % 2 else true
             keys, positions, strands = minimizer_arrays(read, index.config)
-            read_length = int(read.size) if trial % 3 else None
             offset = int(rng.integers(0, 50))
             args = (
                 keys,
@@ -983,9 +1023,8 @@ class TestSeedKernels:
                 index.position_array,
                 index.strand_array,
             )
-            kwargs = dict(read_offset=offset, read_length=read_length, kmer_size=index.config.k)
-            batched = seed_anchors_batched(*args, **kwargs)
-            scalar = seed_anchors_scalar(*args, **kwargs)
+            batched = seed_anchors_batched(*args, read_offset=offset)
+            scalar = seed_anchors_scalar(*args, read_offset=offset)
             for strand in (1, -1):
                 assert np.array_equal(batched[strand], scalar[strand]), (trial, strand)
 
@@ -1029,7 +1068,7 @@ class TestSeedKernels:
         # The collector, compiled or on the numpy path, over the index's
         # flat arrays: equal to the reference called on the same arrays.
         read = reference.codes[40_000:44_000]
-        fast = collect_anchor_arrays(index, read, read_offset=7, read_length=int(read.size))
+        fast = collect_anchor_arrays(index, read, read_offset=7)
         base = seed_anchors_scalar(
             *minimizer_arrays(read, index.config),
             index.key_array,
@@ -1037,8 +1076,6 @@ class TestSeedKernels:
             index.position_array,
             index.strand_array,
             read_offset=7,
-            read_length=int(read.size),
-            kmer_size=index.config.k,
         )
         for strand in (1, -1):
             assert fast[strand].dtype == np.int64
@@ -1056,8 +1093,8 @@ class TestSeedKernels:
             index.position_array,
             index.strand_array,
         )
-        batched = seed_anchors_batched(*args, read_length=int(read.size))
-        scalar = seed_anchors_scalar(*args, read_length=int(read.size))
+        batched = seed_anchors_batched(*args)
+        scalar = seed_anchors_scalar(*args)
         for strand in (1, -1):
             assert batched[strand].dtype == scalar[strand].dtype
             assert batched[strand].shape == scalar[strand].shape
@@ -1077,18 +1114,13 @@ class TestSeedKernels:
         n_keys=st.integers(0, 40),
         n_query=st.integers(0, 60),
         read_offset=st.integers(0, 500),
-        flip=st.booleans(),
-        kmer_size=st.integers(5, 15),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_batched_bit_identical_over_generated_shapes(
-        self, n_keys, n_query, read_offset, flip, kmer_size, seed
-    ):
+    def test_batched_bit_identical_over_generated_shapes(self, n_keys, n_query, read_offset, seed):
         """A synthetic flat index (ragged entries, some empty) probed by
         empty, repeated and missing query keys -- below, between and
-        above the indexed ones -- with ``read_length`` ``None`` or an
-        int and a non-zero ``read_offset``."""
+        above the indexed ones -- with a non-zero ``read_offset``."""
         rng = np.random.default_rng(seed)
         keys = np.sort(rng.choice(80, size=n_keys, replace=False)).astype(np.uint64) + np.uint64(10)
         counts = rng.integers(0, 5, size=n_keys)
@@ -1105,13 +1137,8 @@ class TestSeedKernels:
             rng.integers(0, 300, size=n_query).astype(np.int64),
             rng.choice(np.array([1, -1], dtype=np.int8), size=n_query),
         )
-        kwargs = dict(
-            read_offset=read_offset,
-            read_length=read_offset + 300 + kmer_size if flip else None,
-            kmer_size=kmer_size,
-        )
-        batched = seed_anchors_batched(*query, *flat, **kwargs)
-        scalar = seed_anchors_scalar(*query, *flat, **kwargs)
+        batched = seed_anchors_batched(*query, *flat, read_offset=read_offset)
+        scalar = seed_anchors_scalar(*query, *flat, read_offset=read_offset)
         for strand in (1, -1):
             assert batched[strand].dtype == scalar[strand].dtype == np.int64
             assert batched[strand].shape == scalar[strand].shape
@@ -1124,12 +1151,11 @@ class TestSeedKernels:
         w=st.integers(1, 40) | st.just(2**63),
         max_occurrences=st.sampled_from([0, 1, 3, 64]),
         read_offset=st.sampled_from([0, 7, 1_000]),
-        flip=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=150, deadline=None)
     def test_compiled_seeding_bit_identical_to_numpy_and_scalar(
-        self, data, k, w, max_occurrences, read_offset, flip, seed
+        self, data, k, w, max_occurrences, read_offset, seed
     ):
         """``collect_anchor_arrays`` on ``seed.c`` gives the numpy
         path's arrays and the per-key reference's, in dtype, shape and
@@ -1165,13 +1191,12 @@ class TestSeedKernels:
         else:
             unit = alphabet.encode(kind)
             read = np.tile(unit, length // unit.size + 1)[:length]
-        read_length = read_offset + read.size + int(rng.integers(0, 50)) if flip else None
 
         compiled_minimizers = minimizer_arrays(read, config)
-        compiled = collect_anchor_arrays(index, read, read_offset, read_length)
+        compiled = collect_anchor_arrays(index, read, read_offset)
         with fallback("seed"):
             numpy_minimizers = minimizer_arrays(read, config)
-            batched = collect_anchor_arrays(index, read, read_offset, read_length)
+            batched = collect_anchor_arrays(index, read, read_offset)
         scalar = seed_anchors_scalar(
             *numpy_minimizers,
             index.key_array,
@@ -1179,8 +1204,6 @@ class TestSeedKernels:
             index.position_array,
             index.strand_array,
             read_offset=read_offset,
-            read_length=read_length,
-            kmer_size=k,
         )
         for got, want in zip(compiled_minimizers, numpy_minimizers, strict=True):
             assert got.dtype == want.dtype and got.shape == want.shape
@@ -1210,15 +1233,15 @@ class TestSeedKernels:
 
         class Counting:
             def seed_anchors(self, *args):
-                capacities.append(args[13])
+                capacities.append(args[11])
                 return library.seed_anchors(*args)
 
         monkeypatch.setitem(native._LOADED, "seed", Counting())
-        compiled = collect_anchor_arrays(index, read, read_offset=3, read_length=read.size)
+        compiled = collect_anchor_arrays(index, read, read_offset=3)
         rows = compiled[1].shape[0] + compiled[-1].shape[0]
         assert len(capacities) == 2 and capacities[0] < rows == capacities[1]
         with fallback("seed"):
-            batched = collect_anchor_arrays(index, read, read_offset=3, read_length=read.size)
+            batched = collect_anchor_arrays(index, read, read_offset=3)
         for strand in (1, -1):
             assert compiled[strand].tobytes() == batched[strand].tobytes()
 
@@ -1289,23 +1312,6 @@ class TestMapperIntegration:
         slow = [mapper.map_read(read, f"r{trial}") for trial, read in enumerate(reads)]
         assert all(calls.values()), calls
         assert fast == slow
-
-    def test_incremental_gathered_cache(self, index, reference):
-        read = reference.codes[10_000:13_000]
-        mapper = IncrementalChunkMapper(index, read_length=read.size)
-        mapper.add_chunk(read[:1_500], 0)
-        first = mapper._gathered()
-        assert mapper._gathered() is first  # repeated probes hit the cache
-        mapper.chain_prefix()
-        assert mapper._gathered() is first
-        mapper.add_chunk(read[1_500:], 1_500)
-        second = mapper._gathered()
-        assert second is not first  # add_chunk invalidates
-        assert second[1].shape[0] >= first[1].shape[0]
-        mapper.set_read_length(read.size)  # unchanged length: keep cache
-        assert mapper._gathered() is second
-        mapper.set_read_length(read.size + 10)
-        assert mapper._gathered() is not second  # length change invalidates
 
     def test_gathered_is_np_unique_of_the_blocks(self, index, reference):
         """Overlapping chunks seed the same anchors twice, and a read
@@ -1546,7 +1552,7 @@ class TestNoKernelIsSelectedByName:
             }
 
         for module, function, reference, helpers in (
-            (mapper_module, "chain_prefix", "best_chain", {"_gathered", "_with_kmer_size"}),
+            (mapper_module, "chain_prefix", "best_chain", {"_gathered"}),
             (alignment_module, "_fill_lanes", "gotoh_scalar", {"AlignmentResult", "_classify_diagonals"}),
             (seeding_module, "collect_anchor_arrays", "seed_anchors_batched", {"minimizer_arrays"}),
         ):

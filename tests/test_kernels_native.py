@@ -123,7 +123,7 @@ elif kernel == "seed":
     reference = ReferenceGenome.random(20_000, seed=5)
     index = MinimizerIndex.build(reference)
     read = reference.codes[3_000:6_000]
-    anchors = collect_anchor_arrays(index, read, read_offset=5, read_length=read.size)
+    anchors = collect_anchor_arrays(index, read, read_offset=5)
     arrays = (index.key_array, index.bounds_array, index.position_array, index.strand_array,
               anchors[1], anchors[-1])
     digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays))
@@ -201,7 +201,7 @@ def _seed() -> str:
     reference = ReferenceGenome.random(20_000, seed=5)
     index = MinimizerIndex.build(reference)
     read = reference.codes[3_000:6_000]
-    anchors = collect_anchor_arrays(index, read, read_offset=5, read_length=read.size)
+    anchors = collect_anchor_arrays(index, read, read_offset=5)
     arrays = (index.key_array, index.bounds_array, index.position_array, index.strand_array,
               anchors[1], anchors[-1])  # fmt: skip
     return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()

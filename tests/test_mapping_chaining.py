@@ -19,7 +19,9 @@ from repro.mapping.index import MinimizerIndex
 from repro.mapping.minimizers import MinimizerConfig
 from repro.mapping.seeding import collect_anchor_arrays
 
-CFG = ChainingConfig(kmer_size=13)
+#: The k of ``ref_index``, which the chain DP takes from the index.
+K = 13
+CFG = ChainingConfig()
 
 
 @pytest.fixture(scope="module")
@@ -45,13 +47,15 @@ class TestSeeding:
     def test_reverse_read_anchors(self, ref_index):
         ref = ref_index.reference
         read = ref.fetch(40_000, 43_000, strand=-1)
-        grouped = collect_anchor_arrays(ref_index, read, read_length=read.size)
+        grouped = collect_anchor_arrays(ref_index, read)
         rev = grouped[-1]
         assert rev.shape[0] > 50
-        diagonal = rev[:, 0] - rev[:, 1]
-        # After coordinate flip all true anchors share one diagonal.
-        values, counts = np.unique(diagonal, return_counts=True)
+        # Raw read coordinates: the true anchors share one anti-diagonal,
+        # ref + read = 43_000 - k; the chain stage flips them onto a
+        # diagonal.
+        values, counts = np.unique(rev[:, 0] + rev[:, 1], return_counts=True)
         assert counts.max() / rev.shape[0] > 0.9
+        assert values[np.argmax(counts)] == 43_000 - K
 
     def test_offset_coordinates(self, ref_index):
         """Chunk seeding with read_offset lands on global coordinates."""
@@ -59,7 +63,7 @@ class TestSeeding:
         read = ref.fetch(50_000, 53_000)
         whole = collect_anchor_arrays(ref_index, read)[1]
         part = collect_anchor_arrays(
-            ref_index, read[1_000:2_000], read_offset=1_000, read_length=3_000
+            ref_index, read[1_000:2_000], read_offset=1_000
         )[1]
         whole_set = {tuple(row) for row in whole.tolist()}
         part_set = {tuple(row) for row in part.tolist()}
@@ -70,7 +74,7 @@ class TestSeeding:
     def test_anchor_arrays_layout(self, ref_index):
         """Both strands always present, as sorted ``int64[n, 2]`` rows."""
         read = ref_index.reference.fetch(10_000, 11_000)
-        grouped = collect_anchor_arrays(ref_index, read, read_length=read.size)
+        grouped = collect_anchor_arrays(ref_index, read)
         assert set(grouped) == {1, -1}
         for rows in grouped.values():
             assert rows.dtype == np.int64 and rows.ndim == 2 and rows.shape[1] == 2
@@ -79,19 +83,19 @@ class TestSeeding:
 
     def test_junk_read_few_anchors(self, ref_index):
         junk = np.random.default_rng(7).integers(0, 4, size=3_000).astype(np.uint8)
-        anchors = collect_anchor_arrays(ref_index, junk, read_length=junk.size)
+        anchors = collect_anchor_arrays(ref_index, junk)
         # Random 13-mers rarely hit the index.
         assert sum(rows.shape[0] for rows in anchors.values()) < 20
 
 
 class TestChainScores:
     def test_empty(self):
-        scores, parents = chain_scores(np.empty((0, 2), dtype=np.int64), CFG)
+        scores, parents = chain_scores(np.empty((0, 2), dtype=np.int64), K, CFG)
         assert scores.size == 0
 
     def test_single_anchor(self):
-        scores, parents = chain_scores(np.array([[100, 10]], dtype=np.int64), CFG)
-        assert scores[0] == CFG.kmer_size
+        scores, parents = chain_scores(np.array([[100, 10]], dtype=np.int64), K, CFG)
+        assert scores[0] == K
         assert parents[0] == -1
 
     def test_perfect_colinear_chain(self):
@@ -100,9 +104,9 @@ class TestChainScores:
         anchors = np.stack(
             [1_000 + 20 * np.arange(n), 100 + 20 * np.arange(n)], axis=1
         ).astype(np.int64)
-        scores, parents = chain_scores(anchors, CFG)
+        scores, parents = chain_scores(anchors, K, CFG)
         # Each link adds min(20, 20, k) = k with no gap cost.
-        assert scores[-1] == pytest.approx(CFG.kmer_size * n)
+        assert scores[-1] == pytest.approx(K * n)
         # Parents form one chain.
         chain_len = 1
         node = n - 1
@@ -114,24 +118,22 @@ class TestChainScores:
     def test_diagonal_drift_penalised(self):
         straight = np.array([[0, 0], [100, 100]], dtype=np.int64)
         drifted = np.array([[0, 0], [100, 160]], dtype=np.int64)
-        s_straight, _ = chain_scores(straight, CFG)
-        s_drifted, _ = chain_scores(drifted, CFG)
+        s_straight, _ = chain_scores(straight, K, CFG)
+        s_drifted, _ = chain_scores(drifted, K, CFG)
         assert s_straight[1] > s_drifted[1]
 
     def test_max_gap_breaks_chain(self):
         anchors = np.array([[0, 0], [10_000, 10_000]], dtype=np.int64)
-        scores, parents = chain_scores(anchors, ChainingConfig(kmer_size=13, max_gap=5_000))
+        scores, parents = chain_scores(anchors, K, ChainingConfig(max_gap=5_000))
         assert parents[1] == -1
 
     def test_monotonicity_required(self):
         # Second anchor goes backwards on the read axis: cannot chain.
         anchors = np.array([[0, 50], [100, 10]], dtype=np.int64)
-        scores, parents = chain_scores(anchors, CFG)
+        scores, parents = chain_scores(anchors, K, CFG)
         assert parents[1] == -1
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ChainingConfig(kmer_size=0)
         with pytest.raises(ValueError):
             ChainingConfig(max_gap=0)
 
@@ -155,21 +157,11 @@ class TestChainScores:
         with pytest.raises(ValueError, match="max_gap"):
             ChainingConfig(max_gap=MAX_GAP_LIMIT + 1)
 
-    @pytest.mark.parametrize("kmer_size", [MAX_GAP_LIMIT + 1, 2**63, 2**70])
-    def test_kmer_size_bounded(self, kmer_size):
-        """Past ``2**63`` the C kernel would take another ``k`` than the
-        scalar reference; the bound keeps ``k`` exact in its float64
-        too."""
-        assert ChainingConfig(kmer_size=MAX_GAP_LIMIT).kmer_size == MAX_GAP_LIMIT
-        with pytest.raises(ValueError, match="kmer_size"):
-            ChainingConfig(kmer_size=kmer_size)
-
     @pytest.mark.parametrize(
         ("field", "value"),
         [
             ("lookback", 2.5),
             ("lookback", True),
-            ("kmer_size", 13.0),
             ("max_gap", 1000.5),
             ("min_anchors", 3.0),
             ("min_anchors", False),
@@ -188,14 +180,14 @@ class TestChainExtraction:
         anchors = np.stack(
             [1_000 + 25 * np.arange(n), 25 * np.arange(n)], axis=1
         ).astype(np.int64)
-        chains = chain_anchors(anchors, CFG)
+        chains = chain_anchors(anchors, K, CFG)
         assert len(chains) == 1
         assert chains[0].n_anchors == n
         assert chains[0].ref_span == (1_000, 1_000 + 25 * (n - 1))
 
     def test_min_score_threshold(self):
         anchors = np.array([[0, 0], [20, 20]], dtype=np.int64)
-        chains = chain_anchors(anchors, ChainingConfig(kmer_size=13, min_chain_score=1e9))
+        chains = chain_anchors(anchors, K, ChainingConfig(min_chain_score=1e9))
         assert chains == []
 
     def test_two_loci_two_chains(self):
@@ -204,7 +196,7 @@ class TestChainExtraction:
         locus_b = np.stack([50_000 + 20 * np.arange(n), 20 * np.arange(n)], axis=1)
         anchors = np.concatenate([locus_a, locus_b]).astype(np.int64)
         order = np.lexsort((anchors[:, 1], anchors[:, 0]))
-        chains = chain_anchors(anchors[order], CFG, max_chains=5)
+        chains = chain_anchors(anchors[order], K, CFG, max_chains=5)
         assert len(chains) == 2
         spans = sorted(c.ref_span[0] for c in chains)
         assert spans[0] < 2_000 and spans[1] > 49_000
@@ -215,7 +207,7 @@ class TestChainExtraction:
         locus_b = np.stack([50_000 + 20 * np.arange(n // 2), 20 * np.arange(n // 2)], axis=1)
         anchors = np.concatenate([locus_a, locus_b]).astype(np.int64)
         order = np.lexsort((anchors[:, 1], anchors[:, 0]))
-        primary, secondary = best_chain({1: anchors[order], -1: np.empty((0, 2), np.int64)}, CFG)
+        primary, secondary = best_chain({1: anchors[order], -1: np.empty((0, 2), np.int64)}, K, CFG)
         assert primary is not None and secondary is not None
         assert primary.score > secondary.score
         assert primary.ref_span[0] < 2_000
@@ -240,7 +232,7 @@ class TestChainExtraction:
         anchors = rng.integers(0, span, size=(n, 2)).astype(np.int64)
         anchors = anchors[np.lexsort((anchors[:, 1], anchors[:, 0]))]
         config = ChainingConfig(min_chain_score=min_chain_score, min_anchors=min_anchors)
-        got = chain_anchors(anchors, config, max_chains=max_chains)
+        got = chain_anchors(anchors, K, config, max_chains=max_chains)
         want = _full_walk(anchors, config, max_chains)
         assert [(c.score, c.anchors.tobytes()) for c in got] == [
             (c.score, c.anchors.tobytes()) for c in want
@@ -248,7 +240,7 @@ class TestChainExtraction:
 
     def test_best_chain_none_when_empty(self):
         primary, secondary = best_chain(
-            {1: np.empty((0, 2), np.int64), -1: np.empty((0, 2), np.int64)}, CFG
+            {1: np.empty((0, 2), np.int64), -1: np.empty((0, 2), np.int64)}, K, CFG
         )
         assert primary is None and secondary is None
 
@@ -258,7 +250,7 @@ def _full_walk(anchors, config, max_chains):
     order, skipping the used ones and those below the threshold."""
     if anchors.shape[0] == 0:
         return []
-    scores, parents = chain_scores(anchors, config)
+    scores, parents = chain_scores(anchors, K, config)
     used = np.zeros(anchors.shape[0], dtype=bool)
     chains = []
     for end in np.argsort(scores, kind="stable")[::-1]:
@@ -286,7 +278,7 @@ class TestEndToEndChaining:
         true = ref.fetch(70_000, 76_000)
         noisy = apply_errors(true, 0.12, rng).codes
         grouped = collect_anchor_arrays(ref_index, noisy)
-        primary, _ = best_chain(grouped, CFG)
+        primary, _ = best_chain(grouped, K, CFG)
         assert primary is not None
         assert primary.strand == 1
         lo, hi = primary.ref_span
@@ -296,5 +288,5 @@ class TestEndToEndChaining:
     def test_junk_read_has_no_chain(self, ref_index):
         junk = np.random.default_rng(9).integers(0, 4, size=6_000).astype(np.uint8)
         grouped = collect_anchor_arrays(ref_index, junk)
-        primary, _ = best_chain(grouped, CFG)
+        primary, _ = best_chain(grouped, K, CFG)
         assert primary is None or primary.score < 60

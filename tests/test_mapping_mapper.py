@@ -5,10 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.mapping.mapper as mapper_module
 from repro.basecalling import SurrogateBasecaller
-from repro.core import GenPIPPipeline
-from repro.core.pipeline import _ReadProgress
 from repro.genomics import alphabet
 from repro.genomics.mutate import apply_errors
 from repro.genomics.reference import ReferenceGenome
@@ -80,10 +77,10 @@ class TestMapper:
         assert result.chain_score > 100
 
     def test_chaining_k_follows_index(self, chain):
-        # The chain DP must score with the index's k on the path
-        # GenPIPPipeline runs (IncrementalChunkMapper), not only behind
-        # the Mapper facade: whatever ChainingConfig.kmer_size says, on
-        # the compiled chain stage and on its fallback.
+        # The chain DP must score with the index's k, the only k there
+        # is, on the path GenPIPPipeline runs (IncrementalChunkMapper)
+        # and behind the Mapper facade, on the compiled chain stage and
+        # on its fallback.
         reference = ReferenceGenome.random(40_000, seed=5)
         true = reference.codes[12_000:16_000]
         codes = apply_errors(true, 0.08, np.random.default_rng(6)).codes
@@ -100,14 +97,12 @@ class TestMapper:
 
 
     def test_chaining_config_is_not_rebuilt_per_read(self, chain, monkeypatch):
-        """A hundred reads over a ``k = 15`` index (the default chaining
-        config says 13) build the effective ``ChainingConfig`` at most
-        once: the compiled stage takes ``k`` as an argument, and the
-        fallback derives its config once per (config, ``k``)."""
+        """A hundred reads over a ``k = 15`` index build no
+        ``ChainingConfig``: both chain stages take ``k`` from the index
+        as an argument, and the mapper's config as it is."""
         reference = ReferenceGenome.random(20_000, seed=5)
         index = MinimizerIndex.build(reference, MinimizerConfig(k=15, w=10))
         codes = reference.codes[2_000:5_000]
-        mapper_module._with_kmer_size.cache_clear()
         built = []
         real = ChainingConfig.__post_init__
         monkeypatch.setattr(ChainingConfig, "__post_init__", lambda self: built.append(real(self)))
@@ -116,7 +111,7 @@ class TestMapper:
             chunked = IncrementalChunkMapper(index, codes.size)
             chunked.add_chunk(codes, read_offset=0)
             scores.add(chunked.chain_prefix()[0].score)
-        assert len(built) <= 1
+        assert built == []
         assert len(scores) == 1
 
 
@@ -251,7 +246,8 @@ class TestIncrementalChunkMapper:
 
 
 class TestRunSeeding:
-    """The pipeline feeds the mapper one run of chunks per ER stage."""
+    """The pipeline feeds the mapper one run of chunks per ER stage, each
+    a longer called prefix, through ``seed_prefix``."""
 
     @given(
         start=st.integers(min_value=0, max_value=190_000),
@@ -280,13 +276,22 @@ class TestRunSeeding:
         whole = IncrementalChunkMapper(index, codes.size)
         whole.add_chunk(codes, 0)
 
-        pipeline = GenPIPPipeline(index)
         runs = IncrementalChunkMapper(index, codes.size)
-        progress = _ReadProgress(read=None, n_chunks=len(boundaries) + 1, mapper=runs)
-        for end in run_ends:
-            n_seeded = -(-end // chunk_size)
-            pipeline._seed_run(progress, codes[:end], n_seeded)
-            assert (progress.n_seeded, progress.seeded_bases) == (n_seeded, end)
+        seeded = []
+        add_chunk = runs.add_chunk
 
+        def counted(chunk_codes, read_offset):
+            seeded.append((read_offset, read_offset + chunk_codes.size))
+            return add_chunk(chunk_codes, read_offset)
+
+        runs.add_chunk = counted
+        for end in run_ends:
+            runs.seed_prefix(codes[:end])
+        # One add_chunk call per run, each reaching back k + w - 2 bases.
+        overlap = index.config.k + index.config.w - 2
+        assert seeded == [
+            (max(begin - overlap, 0), end)
+            for begin, end in zip([0, *run_ends[:-1]], run_ends, strict=True)
+        ]
         for strand_key, rows in whole._gathered().items():
             np.testing.assert_array_equal(runs._gathered()[strand_key], rows)

@@ -224,6 +224,43 @@ class TestReadStore:
         with pytest.raises(ValueError, match="read class"):
             list(iter_read_store(path))
 
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("strand", 5, "strand must be 1 or -1"),
+            ("strand", 0, "strand must be 1 or -1"),
+            ("has_ref", 7, "has-ref flag must be 0 or 1"),
+            ("code", 9, "base codes must be 0-3"),
+            ("quality", -5.0, "qualities must be finite and >= 0"),
+            ("quality", float("nan"), "qualities must be finite and >= 0"),
+            ("quality", float("inf"), "qualities must be finite and >= 0"),
+        ],
+    )
+    def test_corrupt_record_refused(self, tiny_reads, tmp_path, field, value, message):
+        """One patched byte (or quality) of a one-read store: the reader
+        refuses the record, naming it, instead of handing the pipeline a
+        read it would run, or fail on later inside the basecaller."""
+        import struct
+
+        read = tiny_reads[0]
+        path = tmp_path / "corrupt.gprd"
+        write_read_store(path, [read])
+        data = bytearray(path.read_bytes())
+        # The record's class byte: past the header, id length and id.
+        at = 10 + 2 + len(read.read_id.encode("utf-8"))
+        codes_at = at + 19 + 8 + 4  # class..ref_end, seed, n_bases
+        if field == "strand":
+            struct.pack_into("<b", data, at + 1, value)
+        elif field == "has_ref":
+            data[at + 2] = value
+        elif field == "code":
+            data[codes_at + 3] = value
+        else:
+            struct.pack_into("<d", data, codes_at + len(read) + 8 * 3, value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=rf"read record 0 \('{read.read_id}'\): {message}"):
+            list(iter_read_store(path))
+
     def test_trailing_garbage(self, tmp_path):
         path = tmp_path / "trail.gprd"
         write_read_store(path, [])

@@ -31,11 +31,13 @@ from hypothesis import strategies as st
 from test_runtime_streaming import FailingBasecaller
 
 import repro
+import repro.kernels.native as native
 from repro.basecalling.engines import ViterbiBackendConfig
 from repro.basecalling.surrogate import SurrogateBasecaller
 from repro.core import GenPIPConfig, GenPIPPipeline
 from repro.core.pipeline import GenPIPPipeline
 from repro.core.registry import basecaller_names
+from repro.mapping.chaining import ChainingConfig
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.runtime import (
@@ -773,8 +775,7 @@ def test_engine_plane_has_one_of_each():
     assert batch_body_calls == [
         "self.accepts_signal_reads", "self.basecaller.n_chunks", "self.signal_rejection_enabled",
         "self.ser_policy.decide", "self._qsr.sample_indices", "self._decode", "self._qsr.decide",
-        "self._cmr.merged_chunk_indices", "self._decode", "self._seed_run", "self._cmr.decide",
-        "self._decode", "self._seed_run",
+        "self._cmr.merged_chunk_indices", "self._decode", "self._cmr.decide", "self._decode",
     ]  # fmt: skip
     assert batch_body_calls.count("self._decode") == 3
     engine_calls = [
@@ -784,6 +785,45 @@ def test_engine_plane_has_one_of_each():
         and module.startswith("core/")
     ]
     assert engine_calls == [("core/pipeline.py", "_decode")]
+
+
+def test_mapping_plane_says_each_rule_once():
+    """Each rule of the seeding-to-chaining hand-off has one home. Only
+    the chain stage orients anchors: no seeding function takes a read
+    length or a k-mer size, and ``seed.c``'s ``seed_anchors`` takes no
+    flip. Only the index names k: ``ChainingConfig`` has no field for
+    it. Only the mapper knows the seeding overlap: nothing under
+    ``core/`` reads an index's config or counts seeded bases. The chain
+    stage's fallback keeps no gathered-rows cache, and the engine no
+    source-kind check."""
+    root = Path(repro.__file__).parent
+    nodes = list(_walk_with_owner(root))
+
+    gone = re.compile(r"_seed_run|\bseeded_bases\b|_with_kmer_size|_gathered_cache|read_kind")
+    assert _mentions(nodes, gone) == set()
+    seeding_arguments = {
+        (module, owner, node.arg)
+        for module, owner, node in nodes
+        if module in ("mapping/seeding.py", "kernels/seed.py")
+        and isinstance(node, ast.arg)
+        and node.arg in ("read_length", "kmer_size", "flip")
+    }
+    assert seeding_arguments == set()
+    source = (root / "kernels" / "seed.c").read_text(encoding="utf-8")
+    signature = source[source.index("int64_t seed_anchors(") :]
+    signature = signature[: signature.index(")")]
+    assert "flip" not in signature and "read_length" not in signature
+    assert signature.count(",") + 1 == len(native.KERNELS["seed"][1]["seed_anchors"][0]) == 13
+    assert "kmer_size" not in {field.name for field in dataclasses.fields(ChainingConfig)}
+    index_config_reads = [
+        (module, owner)
+        for module, owner, node in nodes
+        if module.startswith("core/")
+        and isinstance(node, ast.Attribute)
+        and node.attr == "config"
+        and ast.unparse(node.value).endswith("index")
+    ]
+    assert index_config_reads == []
 
 
 def test_signal_plane_says_each_thing_once():

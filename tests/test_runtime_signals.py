@@ -272,11 +272,14 @@ class TestProviders:
         with pytest.raises(TypeError, match="signal-native"):
             system.process_read(signal_read)
 
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_engine_rejects_signal_source_for_surrogate(
-        self, tiny_index, signal_store_path
+        self, tiny_index, signal_store_path, workers
     ):
+        """The pipeline's per-read check is the one check: it reaches
+        the caller from a worker as from the serial path."""
         system = GenPIPPipeline(tiny_index, GenPIPConfig(), basecaller=SurrogateBasecaller())
-        engine = DatasetEngine(system, workers=1)
+        engine = DatasetEngine(system, workers=workers, batch_size=2)
         with pytest.raises(TypeError, match="signal-space"):
             engine.run(SignalStoreSource(signal_store_path))
 
@@ -284,7 +287,6 @@ class TestProviders:
 class TestSignalMatrix:
     def test_source_contract(self, signal_store_path, short_reads):
         source = SignalStoreSource(signal_store_path)
-        assert source.read_kind() == "signals"
         assert source.size_hint() == len(short_reads)
         first = list(source)
         second = list(source)  # re-iterable
