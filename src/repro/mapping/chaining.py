@@ -119,7 +119,9 @@ def chain_scores(
     anchors:
         ``int64[n, 2]`` of (ref_pos, read_pos), sorted by (ref, read).
     kmer_size:
-        The ``k`` of the index that seeded the anchors.
+        The ``k`` of the index that seeded the anchors: an integer in
+        ``[1, MAX_GAP_LIMIT]``, which keeps it exact where the DP compares
+        a ``float64`` score with it.
     config:
         DP parameters.
 
@@ -129,6 +131,7 @@ def chain_scores(
         Best chain score ending at each anchor, and the predecessor
         index (-1 for chain starts).
     """
+    require_integer("kmer_size", kmer_size, ge=1, le=MAX_GAP_LIMIT)
     return chain_kernels.chain_scores(anchors, kmer_size, config.max_gap, config.lookback)
 
 

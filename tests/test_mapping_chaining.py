@@ -157,6 +157,26 @@ class TestChainScores:
         with pytest.raises(ValueError, match="max_gap"):
             ChainingConfig(max_gap=MAX_GAP_LIMIT + 1)
 
+    @pytest.mark.parametrize("kmer_size", [MAX_GAP_LIMIT + 1, 2**63, 2**70])
+    def test_kmer_size_bounded(self, kmer_size):
+        """Past ``2**63`` the C kernel would take another ``k`` than the
+        scalar reference; the bound keeps ``k`` exact in its float64
+        too. The DP takes ``k`` as an argument, so it checks it there."""
+        anchors = np.array([[100, 10]], dtype=np.int64)
+        scores, _ = chain_scores(anchors, MAX_GAP_LIMIT, CFG)
+        assert scores[0] == MAX_GAP_LIMIT
+        with pytest.raises(ValueError, match="kmer_size"):
+            chain_scores(anchors, kmer_size, CFG)
+        with pytest.raises(ValueError, match="kmer_size"):
+            best_chain({1: anchors, -1: np.empty((0, 2), np.int64)}, kmer_size, CFG)
+
+    @pytest.mark.parametrize("kmer_size", [13.0, True])
+    def test_non_integer_kmer_size_rejected(self, kmer_size):
+        """A float or a bool ``k`` would run the DP on a ``k`` no index has."""
+        anchors = np.array([[0, 0], [20, 20]], dtype=np.int64)
+        with pytest.raises(TypeError, match="kmer_size"):
+            chain_scores(anchors, kmer_size, CFG)
+
     @pytest.mark.parametrize(
         ("field", "value"),
         [
