@@ -32,10 +32,10 @@ This walks the whole public API surface once:
     batch into the one columnar layout the worker pool publishes,
     workers take read-only *views* instead of copies, and the copy
     ledger shows it -- same outcomes, zero worker-side bytes copied;
-13. check the vectorised mapping plane (batched seeding, compiled or
-    blocked chain DP, lane-fill Gotoh) against the scalar references the tests
-    import, with the mapping-ops ledger counting the chain candidates
-    and alignment cells the perf models charge;
+13. check the mapping kernel plane (the compiled chain stage against
+    its Python fallback, lane-fill Gotoh against the scalar reference
+    the tests import), with the mapping-ops ledger counting the chain
+    candidates and alignment cells the perf models charge;
 14. observe: rerun with per-read stage tracing on (spans for every
     SER/QSR/CMR probe, chunk basecall, seed/chain/align call), export
     the span tree as Chrome ``trace_event`` JSON for chrome://tracing
@@ -376,27 +376,22 @@ def main() -> None:
 
     # 13. The mapping kernel plane: production calls one kernel per
     #     stage -- seeding (the compiled seed.c, or its numpy path
-    #     where it cannot be built), the chain DP (the compiled chain.c,
-    #     or its scalar reference), lane-fill Gotoh -- and each is
-    #     bit-identical to a scalar reference that tests (and this
-    #     section) import and call directly: same anchors, same chain
-    #     scores *and parents*, same alignment scores and CIGARs.
-    #     Nothing selects a kernel by name. As the kernels run they
-    #     charge the process registry's genpip_mapping_ops counter
-    #     (chain candidates, alignment cells), the data-dependent
-    #     counts repro.perf converts to seconds through CostDatabase's
-    #     per-base anchors.
+    #     where it cannot be built), the chain stage (one call of the
+    #     compiled chain.c, or its Python fallback), alignment (one call
+    #     of the compiled gotoh.c per mapped read, or its Python stitch)
+    #     -- and each gives the bytes of its fallback, which tests (and
+    #     this section) can call directly: same chains, same alignment
+    #     scores and CIGARs. Nothing selects a kernel by name. As the
+    #     kernels run they charge the process registry's
+    #     genpip_mapping_ops counter (chain candidates, alignment cells),
+    #     the data-dependent counts repro.perf converts to seconds
+    #     through CostDatabase's per-base anchors.
     from itertools import groupby
 
-    from repro.kernels import (
-        chain_scores,
-        chain_scores_scalar,
-        gotoh_scalar,
-        process_mapping_ops,
-    )
+    from repro.kernels import gotoh_scalar, process_mapping_ops
     from repro.kernels.native import backend
-    from repro.mapping import ChainingConfig, Mapper, align_global
-    from repro.mapping.seeding import collect_anchor_arrays
+    from repro.mapping import ChainingConfig, IncrementalChunkMapper, Mapper, align_global
+    from repro.mapping.chaining import best_chain
 
     ledger = process_mapping_ops()
     before = ledger.by_key()
@@ -405,26 +400,31 @@ def main() -> None:
         kind: ops - before.get(kind, 0) for kind, ops in ledger.by_key().items()
     }
     demo_codes = reads[0].true_codes
-    # The mapped strand's seeded anchors, raw read positions on either
-    # strand (only the chain stage orients a reverse strand's): the DP
-    # runs over any sorted rows, and both kernels must agree on them.
-    anchors = collect_anchor_arrays(index, demo_codes)[mapped.strand]
-    chaining = ChainingConfig()
-    chain_args = (anchors, index.config.k, chaining.max_gap, chaining.lookback)
+    # The read's chain stage: chain_prefix (the compiled chain.c's
+    # chain_read, where it was built) against its Python fallback, the
+    # gathered anchors of both strands chained by best_chain over the
+    # scalar DP. The same primary and secondary chains, bit for bit.
+    stage = IncrementalChunkMapper(index, demo_codes.size)
+    n_anchors = stage.add_chunk(demo_codes, read_offset=0)
     t0 = time.perf_counter()
-    ref_scores, ref_parents = chain_scores_scalar(*chain_args)
-    t_scalar = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    scores, parents = chain_scores(*chain_args)
+    chains = stage.chain_prefix()
     t_chain = time.perf_counter() - t0
-    assert np.array_equal(scores, ref_scores) and np.array_equal(parents, ref_parents)
+    t0 = time.perf_counter()
+    ref_chains = best_chain(stage._gathered(), index.config.k, ChainingConfig())
+    t_fallback = time.perf_counter() - t0
+    for chain, ref_chain in zip(chains, ref_chains, strict=True):
+        assert (chain is None) == (ref_chain is None)
+        if chain is not None:
+            assert (chain.score, chain.strand) == (ref_chain.score, ref_chain.strand)
+            assert np.array_equal(chain.anchors, ref_chain.anchors)
     segment = demo_codes[:60]
     scoring = (2.0, -4.0, -4.0, -2.0)
     # 3 600 cells: align_global fills this one as a one-lane fill (the
-    # compiled gotoh.c, or gotoh_scalar where it cannot be built;
-    # align_chain fills all of a chain's segments and both end
-    # extensions in one call), and returns the scalar loop's score and
-    # CIGAR (its raw 'M' runs split into '=' / 'X').
+    # compiled gotoh.c, or gotoh_scalar where it cannot be built; a
+    # mapped read's whole chain stitch -- anchor thinning, exact runs,
+    # every lane, the CIGAR merge -- is one call of gotoh.c), and
+    # returns the scalar loop's score and CIGAR (its raw 'M' runs split
+    # into '=' / 'X').
     ref_score, ref_cigar = gotoh_scalar(segment, segment[::-1], *scoring)
     aligned = align_global(segment, segment[::-1])
     runs = groupby(aligned.cigar, key=lambda run: "M" if run[0] in "=X" else run[0])
@@ -434,8 +434,8 @@ def main() -> None:
         f"\nmapping kernel plane: read mapped at identity {mapped.identity:.3f} "
         f"({delta.get('chain-candidate', 0):,} chain candidates, "
         f"{delta.get('align-cell', 0):,} alignment cells charged); "
-        f"chain DP over its {anchors.shape[0]:,} anchors: scalar reference "
-        f"{t_scalar * 1e3:.1f} ms == {backend('chain')} {t_chain * 1e3:.1f} ms, bit for bit"
+        f"chain stage over its {n_anchors:,} anchors: {backend('chain')} "
+        f"{t_chain * 1e3:.1f} ms == Python fallback {t_fallback * 1e3:.1f} ms, bit for bit"
     )
 
     # 14. The observability plane: the same run with span tracing on.

@@ -13,17 +13,22 @@ affine-gap alignment per segment. The cell recurrence is
 :func:`gotoh_scalar` fills it cell by cell and defines *the* alignment
 of a segment, or, with ``free_ref_tail``, of a head/tail extension: its
 score and, through :func:`_traceback_tables`, which of the co-optimal
-paths becomes the CIGAR. The lane fill in :mod:`repro.mapping.alignment`
-runs every segment and extension of a chain in one call of the compiled
-kernel ``gotoh.c`` when it loaded (``native.kernel("gotoh")``: built on
-first use by :mod:`repro.kernels.native`, once per process, never at
-import), else this loop on each lane. The compiled fill computes in
-int64 cells and fills a segment in a certified diagonal band (widened
-once where the first band cannot be certified), so it fills fewer cells
-than this loop; the tests check each of its lanes against it, score and
-CIGAR, for every integer-valued scoring, whatever its lane mates, lanes
-whose path leaves the first band included. ``native.backend("gotoh")``
-says which one runs.
+paths becomes the CIGAR. A mapped read is aligned in one call of the
+compiled kernel ``gotoh.c`` when it loaded (``native.kernel("gotoh")``:
+built on first use by :mod:`repro.kernels.native`, once per process,
+never at import), else by the Python stitch of
+:mod:`repro.mapping.alignment`, whose lane fill runs this loop on each
+lane. The compiled fill computes in int64 cells and fills a segment in
+a certified diagonal band (widened once where the first band cannot be
+certified), so it fills fewer cells than this loop; the tests check
+each of its lanes against it, score and CIGAR, for every
+integer-valued scoring, whatever its lane mates, lanes whose path
+leaves the first band included. ``native.backend("gotoh")`` says which
+one runs.
+
+:func:`merge_cigar` is how the pieces of a chain become one CIGAR: the
+Python stitch merges its runs with it, and ``gotoh.c``'s
+``align_chain`` merges them as it does (the tests compare the two).
 """
 
 from __future__ import annotations

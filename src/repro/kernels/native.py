@@ -2,13 +2,15 @@
 
 numpy is the only runtime dependency, so compiled code can only be a
 speed-up: every C kernel here has a Python fallback that produces the
-same bytes, and runs whenever the library cannot be had -- the scalar
-reference for the Gotoh fill, ``_gathered`` and ``best_chain`` (over
+same bytes, and runs whenever the library cannot be had -- the Python
+chain stitch over the scalar Gotoh reference for the chain alignment
+and the lane fill, ``_gathered`` and ``best_chain`` (over
 the scalar chain DP) for the chain stage, the numpy fold for the
 Viterbi trellis, the numpy paths for seeding and for the surrogate
 decode. There are five:
 ``trellis.c`` (the Viterbi trellis, :mod:`repro.kernels.viterbi`),
-``gotoh.c`` (the Gotoh lane fill, :mod:`repro.mapping.alignment`),
+``gotoh.c`` (a mapped read's whole chain alignment, and the Gotoh lane
+fill, :mod:`repro.mapping.alignment`),
 ``chain.c`` (a read's whole chain stage, :mod:`repro.kernels.chain`),
 ``seed.c`` (the minimizer scan and index probe,
 :mod:`repro.kernels.seed`) and ``surrogate.c`` (the surrogate
@@ -235,11 +237,18 @@ KERNELS: dict[str, tuple[str, dict[str, tuple[list, type | None]]]] = {
         ),
         "trellis_traceback": ([_U8, _SIZE, _SIZE, _I64, _F64, _I64], ctypes.c_int),
     }),
+    # align_chain: one mapped read's thinning, exact runs, lanes and
+    # CIGAR merge; gotoh_fill: a list of lanes (align_global's).
     "gotoh": ("scalar", {
         "gotoh_fill": (
             [_U8, _I64, _I64, _U8, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _U8, _I64, _SIZE, _F64, _U8,
              _I64, _I64],
             None,
+        ),
+        "align_chain": (
+            [_U8, _SIZE, _U8, _SIZE, _I64, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE,
+             _U8, _I64, _SIZE, _I64],
+            _SIZE,
         ),
     }),
     "chain": ("scalar", {

@@ -9,30 +9,37 @@ Two layers:
   anchor k-mers are exact matches by construction (the minimizer hash is
   invertible), so only the short inter-anchor segments need DP. Head and
   tail are aligned up to a capped extension and soft-clipped beyond it.
+  :func:`align_chain_native` is the same stitch in compiled code.
 
-Both run every DP through one *lane fill* (:func:`_fill_lanes`), in
-which each lane is one independent alignment, the way GenPIP's
-in-memory DP units each work on many cells at once. :func:`align_chain`
-first gathers all of a chain's DP inputs -- every inter-anchor segment,
-the reversed head window and the tail window -- then fills them
-together and stitches the CIGAR in chain order; :func:`align_global`
-is a one-lane fill.
+Every DP is a *lane*, one independent alignment, the way GenPIP's
+in-memory DP units each work on many cells at once. :func:`_fill_lanes`
+fills a list of lanes: :func:`align_global` is a one-lane fill, and
+:func:`align_chain` gathers all of a chain's DP inputs -- every
+inter-anchor segment, the reversed head window and the tail window --
+fills them in one call and stitches the CIGAR in chain order.
 
-**One output.** The fill makes one call of the C kernel ``gotoh.c`` for
-all its lanes when it loaded (``repro.kernels.native.kernel("gotoh")``):
-per cell it runs :func:`~repro.kernels.align.gotoh_scalar`'s
-recurrence in int64 (exact, as the scoring is integral and within
-+-2**20), keeps its four traceback comparisons in one flag byte, and
-writes the finished ``=``/``X``/``I``/``D`` CIGAR. A segment lane is
-filled first in a band of diagonals around its two corners, and again,
-wider, only when the band's score does not beat the best any path
-leaving the band can reach; the head/tail extensions, which may end on
-any reference row, are filled whole. Otherwise -- no compiler, or a
-build or load that failed -- it runs ``gotoh_scalar`` itself on each
-lane. Either gives every lane the score and CIGAR ``gotoh_scalar``
-gives it, whatever its lane mates, for every integer-valued scoring;
-nothing chooses between them but availability. The mapping-ops ledger
-charges every lane its whole ``n * m`` problem on both, banded or not.
+**One output.** A mapped read is aligned in one call of the C kernel
+``gotoh.c`` when it loaded (``repro.kernels.native.kernel("gotoh")``;
+:func:`align_chain_native`, which the mapper's ``finalize`` calls): its
+``align_chain`` thins the anchors, emits the exact runs, fills each lane
+as it reaches it and merges the runs into the finished CIGAR. There and
+in a ``_fill_lanes`` call (``gotoh_fill``, every lane at once) a lane
+goes through one compiled fill: per cell it runs
+:func:`~repro.kernels.align.gotoh_scalar`'s recurrence in int64 (exact,
+as the scoring is integral and within +-2**20), keeps its four
+traceback comparisons in one flag byte, and walks back to the
+``=``/``X``/``I``/``D`` runs. A segment lane is filled first in a band
+of diagonals around its two corners, and again, wider, only when the
+band's score does not beat the best any path leaving the band can
+reach; the head/tail extensions, which may end on any reference row,
+are filled whole. Otherwise -- no compiler, or a build or load that
+failed -- the mapper runs the Python :func:`align_chain`, whose fill
+runs ``gotoh_scalar`` itself on each lane. The two stitches refuse the
+same inputs and give the same alignment and reference span, and every
+lane the score and CIGAR ``gotoh_scalar`` gives it, whatever its lane
+mates, for every integer-valued scoring; nothing chooses between them
+but availability. The mapping-ops ledger charges every lane its whole
+``n * m`` problem on every path, banded or not.
 
 Scoring defaults follow minimap2's map-ont preset (match +2, mismatch
 -4, gap open -4, gap extend -2).
@@ -40,7 +47,7 @@ Scoring defaults follow minimap2's map-ont preset (match +2, mismatch
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, groupby
 from typing import TYPE_CHECKING
 
@@ -56,6 +63,11 @@ if TYPE_CHECKING:
 #: CIGAR operation codes used throughout: match, mismatch, insertion
 #: (read-only base), deletion (reference-only base), soft clip.
 CIGAR_OPS = ("=", "X", "I", "D", "S")
+
+#: What both chain stitches say when a lane's code is not a base, and
+#: when a kept anchor's k-mer lies outside the reference or the read.
+_NOT_BASES = "lane codes must be 2-bit base codes (0-3)"
+_OUTSIDE = "chain anchors must lie inside the reference and the read"
 
 #: Largest magnitude of any one scoring value. A lane of up to 2**32
 #: steps then scores within 2**52: exact in ``gotoh_scalar``'s float64
@@ -110,6 +122,9 @@ class AlignmentResult:
 
     score: float
     cigar: tuple[tuple[str, int], ...]
+    #: ``(matches, aligned columns)`` of ``cigar`` where its maker
+    #: counted them; :attr:`identity` counts them itself otherwise.
+    counts: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
     @property
     def n_matches(self) -> int:
@@ -142,12 +157,15 @@ class AlignmentResult:
     @property
     def identity(self) -> float:
         """Matches over aligned columns (clips excluded)."""
-        matches = columns = 0
-        for op, n in self.cigar:
-            if op in "=XID":
-                columns += n
-                if op == "=":
-                    matches += n
+        if self.counts is None:
+            matches = columns = 0
+            for op, n in self.cigar:
+                if op in "=XID":
+                    columns += n
+                    if op == "=":
+                        matches += n
+        else:
+            matches, columns = self.counts
         return matches / columns if columns else 0.0
 
 
@@ -191,7 +209,7 @@ def _fill_lanes(lanes: list[Lane], config: AlignmentConfig) -> list[AlignmentRes
     sides = [side for ref, read, _ in lanes for side in (ref, read)]
     codes = np.concatenate(sides) if sides else np.empty(0, dtype=np.uint8)
     if codes.size and not (0 <= codes.min() and codes.max() <= 3):
-        raise ValueError("lane codes must be 2-bit base codes (0-3)")
+        raise ValueError(_NOT_BASES)
     results: list[AlignmentResult | None] = [None] * len(lanes)
     filled = []
     for index, (ref, read, free_ref_tail) in enumerate(lanes):
@@ -329,9 +347,7 @@ def align_chain(
         The stitched alignment and the reference interval it consumes.
     """
     config = config or AlignmentConfig()
-    if anchors.shape[0] == 0:
-        raise ValueError("cannot align an empty chain")
-    read_codes = np.asarray(read_codes)
+    reference_codes, read_codes = _chain_inputs(reference_codes, read_codes, anchors, kmer_size)
     k = kmer_size
 
     # Keep a non-overlapping subset of anchors (>= k apart on both axes).
@@ -342,6 +358,9 @@ def align_chain(
         if cur[0] >= prev[0] + k and cur[1] >= prev[1] + k:
             kept.append(idx)
     sel = anchors[kept]
+    # Kept anchors ascend on both axes: the first and the last bound them all.
+    if sel[0].min() < 0 or sel[-1, 0] + k > reference_codes.size or sel[-1, 1] + k > read_codes.size:
+        raise ValueError(_OUTSIDE)
 
     # The chain in order: each piece is a scored CIGAR run or the index
     # of the lane whose alignment goes there. Lanes are filled together
@@ -424,3 +443,90 @@ def align_chain(
 
     result = AlignmentResult(score=score, cigar=merge_cigar(parts))
     return result, ref_start, ref_end
+
+
+def _chain_inputs(
+    reference_codes: np.ndarray, read_codes: np.ndarray, anchors: np.ndarray, kmer_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """What both chain stitches refuse before any work, and the codes as
+    the contiguous ``uint8`` arrays both read.
+
+    The anchors must be a non-empty C-contiguous ``int64[n, 2]`` array
+    (``TypeError`` for the dtype or the layout, ``ValueError`` for the
+    shape) and ``k`` an integer >= 1. A code that is no byte value is
+    refused wherever it lies; a byte above 3 only where a lane reads it.
+    """
+    if not (
+        isinstance(anchors, np.ndarray) and anchors.dtype == np.int64 and anchors.flags.c_contiguous
+    ):
+        got = type(anchors).__name__
+        if isinstance(anchors, np.ndarray):
+            got = f"a {anchors.dtype} array with strides {anchors.strides}"
+        raise TypeError(f"chain anchors must be a C-contiguous int64 array, got {got}")
+    if anchors.ndim != 2 or anchors.shape[1] != 2:
+        raise ValueError(f"chain anchors must be an [n, 2] array, got shape {anchors.shape}")
+    if anchors.shape[0] == 0:
+        raise ValueError("cannot align an empty chain")
+    require_integer("kmer_size", kmer_size, ge=1)
+    return _byte_codes(reference_codes), _byte_codes(read_codes)
+
+
+def _byte_codes(codes: np.ndarray) -> np.ndarray:
+    codes = np.asarray(codes)
+    if codes.dtype == np.uint8:
+        return np.ascontiguousarray(codes)
+    as_bytes = codes.astype(np.uint8)
+    if not np.array_equal(as_bytes, codes):
+        raise ValueError(_NOT_BASES)
+    return as_bytes
+
+
+#: What ``gotoh.c``'s ``align_chain`` returns instead of a run count.
+_REFUSALS = {
+    -1: (MemoryError, "gotoh.c could not allocate its scratch buffers"),
+    -2: (ValueError, _NOT_BASES),
+    -3: (ValueError, _OUTSIDE),
+    -4: (RuntimeError, "gotoh.c's stitched CIGAR outgrew its bound"),
+}
+
+
+def align_chain_native(
+    library: SimpleNamespace,
+    reference_codes: np.ndarray,
+    read_codes: np.ndarray,
+    anchors: np.ndarray,
+    kmer_size: int,
+    config: AlignmentConfig | None = None,
+) -> tuple[AlignmentResult, int, int]:
+    """:func:`align_chain` in one call of ``gotoh.c``'s ``align_chain``.
+
+    ``library`` is ``native.kernel("gotoh")``, loaded. Same arguments,
+    same refusals, same alignment, reference span and ``align-cell``
+    charge as :func:`align_chain`, which runs where the library did not
+    load.
+    """
+    config = config or AlignmentConfig()
+    reference_codes, read_codes = _chain_inputs(reference_codes, read_codes, anchors, kmer_size)
+    n_read = read_codes.size
+    # A merged CIGAR alternates ops and every run but D consumes a read
+    # base, so it has at most 2 * n_read + 1 runs.
+    capacity = 2 * n_read + 1
+    ops = np.empty(capacity, dtype=np.uint8)
+    lengths = np.empty(capacity, dtype=np.int64)
+    info = np.empty(6, dtype=np.int64)
+    # Past the read's length, the extension cap and k mean what they do
+    # at it (the whole end; no anchor fits), so both fit the kernel's int64.
+    runs = library.align_chain(
+        reference_codes, reference_codes.size, read_codes, n_read, anchors, anchors.shape[0],
+        min(kmer_size, n_read + 1), int(config.match), int(config.mismatch),
+        int(config.gap_open), int(config.gap_extend), min(config.max_end_extension, n_read),
+        min(config.max_segment_cells, 2**63 - 1), ops, lengths, capacity, info,
+    )  # fmt: skip
+    if runs < 0:
+        error, message = _REFUSALS[runs]
+        raise error(message)
+    score, ref_start, ref_end, matches, columns, cells = info.tolist()
+    if cells:
+        record_mapping_ops("align-cell", cells)
+    cigar = tuple(zip(ops[:runs].tobytes().decode("ascii"), lengths[:runs].tolist(), strict=False))
+    return AlignmentResult(float(score), cigar, counts=(matches, columns)), ref_start, ref_end

@@ -19,7 +19,7 @@ import numpy as np
 from repro.checks import require_finite
 from repro.genomics import alphabet
 from repro.kernels.chain import chain_read
-from repro.mapping.alignment import AlignmentConfig, AlignmentResult, align_chain
+from repro.mapping.alignment import AlignmentConfig, AlignmentResult, align_chain, align_chain_native
 from repro.mapping.chaining import MAX_CHAINS, Chain, ChainingConfig, best_chain
 from repro.mapping.index import MinimizerIndex
 from repro.mapping.seeding import collect_anchor_arrays
@@ -235,7 +235,11 @@ class IncrementalChunkMapper:
     def finalize(
         self, read_id: str, read_codes: np.ndarray, align: bool = True
     ) -> MappingResult:
-        """Chain + align the complete read and apply mapped thresholds."""
+        """Chain + align the complete read and apply mapped thresholds.
+
+        The alignment is one call of the compiled ``gotoh.c``
+        (:func:`align_chain_native`) when it loaded, else the Python
+        :func:`align_chain`; the same alignment either way."""
         primary, secondary = self.chain_prefix()
         if primary is None:
             return MappingResult(read_id=read_id, mapped=False)
@@ -258,15 +262,18 @@ class IncrementalChunkMapper:
                 mapq=mapq,
             )
 
+        import repro.kernels.native as native
+
         oriented = read_codes if primary.strand == 1 else alphabet.reverse_complement(read_codes)
+        chain = (self._index.reference.codes, oriented, primary.anchors, self._index.config.k)
         with active_tracer().span("align"):
-            alignment, ref_start, ref_end = align_chain(
-                self._index.reference.codes,
-                oriented,
-                primary.anchors,
-                kmer_size=self._index.config.k,
-                config=self._config.alignment,
-            )
+            library = native.kernel("gotoh")
+            if library is None:
+                alignment, ref_start, ref_end = align_chain(*chain, self._config.alignment)
+            else:
+                alignment, ref_start, ref_end = align_chain_native(
+                    library, *chain, self._config.alignment
+                )
         mapped = (
             coverage >= self._config.min_read_coverage
             and alignment.identity >= self._config.min_identity

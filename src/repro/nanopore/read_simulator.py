@@ -221,6 +221,18 @@ def check_read_payload(codes: np.ndarray, qualities: np.ndarray) -> None:
         raise ValueError("qualities must be finite and >= 0")
 
 
+def check_read_metadata(strand: int, ref_start: int | None, ref_end: int | None, seed: int) -> None:
+    """Refuse a read's metadata as a reader takes it from outside the
+    process: a strand that is not +-1, or a negative ``ref_start``,
+    ``ref_end`` or ``seed``, raises ``ValueError``. Made where
+    :func:`check_read_payload` is, with the same message at both."""
+    if strand not in (1, -1):
+        raise ValueError(f"strand must be 1 or -1, got {strand}")
+    for name, value in (("ref_start", ref_start), ("ref_end", ref_end), ("seed", seed)):
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 class ReadSimulator:
     """Samples :class:`SimulatedRead` objects from a reference genome."""
 

@@ -23,10 +23,12 @@ handle, never holding more than one record in memory -- the container
 analogue of slow5's sequential access path. Every read is
 bounds-checked: a truncated or corrupt container raises ``ValueError``
 instead of returning garbage. A read record is corrupt when its class
-code is unknown, its strand is not +-1, its has-ref flag not 0 or 1, a
-base code above 3 or a quality non-finite or below 0
-(:func:`~repro.nanopore.read_simulator.check_read_payload`, the check
-the serving protocol makes on a served read).
+code is unknown, its has-ref flag not 0 or 1, its strand not +-1, a
+reference coordinate it has negative
+(:func:`~repro.nanopore.read_simulator.check_read_metadata`), a base
+code above 3 or a quality non-finite or below 0
+(:func:`~repro.nanopore.read_simulator.check_read_payload`): the checks
+the serving protocol makes on a served read.
 
 Signal-record layout:
 
@@ -66,7 +68,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from repro.nanopore.read_simulator import ReadClass, SimulatedRead, check_read_payload
+from repro.nanopore.read_simulator import ReadClass, SimulatedRead, check_read_metadata, check_read_payload
 from repro.nanopore.signal import RawSignal
 
 _MAGIC = b"RSIG"
@@ -362,10 +364,11 @@ def iter_read_store(path) -> Iterator[SimulatedRead]:
             try:
                 if class_code not in _CODE_TO_CLASS:
                     raise ValueError(f"unknown read class {class_code}")
-                if strand not in (1, -1):
-                    raise ValueError(f"strand must be 1 or -1, got {strand}")
                 if has_ref not in (0, 1):
                     raise ValueError(f"has-ref flag must be 0 or 1, got {has_ref}")
+                if not has_ref:
+                    ref_start = ref_end = None
+                check_read_metadata(strand, ref_start, ref_end, seed)
                 check_read_payload(codes, quals)
             except ValueError as exc:
                 raise ValueError(f"corrupt read store: {what} ({read_id!r}): {exc}") from exc
@@ -373,8 +376,8 @@ def iter_read_store(path) -> Iterator[SimulatedRead]:
                 read_id=read_id,
                 read_class=_CODE_TO_CLASS[class_code],
                 strand=strand,
-                ref_start=ref_start if has_ref else None,
-                ref_end=ref_end if has_ref else None,
+                ref_start=ref_start,
+                ref_end=ref_end,
                 true_codes=codes.copy(),
                 qualities=quals.copy(),
                 seed=seed,

@@ -65,7 +65,7 @@ import dataclasses
 import json
 import sys
 
-from repro.nanopore.read_simulator import ReadClass, SimulatedRead, check_read_payload
+from repro.nanopore.read_simulator import ReadClass, SimulatedRead, check_read_metadata, check_read_payload
 from repro.nanopore.signal_read import SignalRead
 from repro.runtime.columnar import ColumnarBatch, ColumnarLayout, ReadHandle, SignalHandle
 
@@ -290,6 +290,12 @@ def _record_layout(record) -> ColumnarLayout:
         counts = (values["n_bases"],)
         if values["read_class"] not in _READ_CLASSES:
             raise ProtocolError(f"unknown read_class {values['read_class']!r}")
+        try:
+            check_read_metadata(
+                values["strand"], values["ref_start"], values["ref_end"], values["seed"]
+            )
+        except ValueError as exc:
+            raise ProtocolError(f"read {values['read_id']!r}: {exc}") from exc
     else:
         counts = (values["n_starts"], values["n_samples"])
         if values["declared_bases"] < values["n_starts"]:

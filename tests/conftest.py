@@ -58,7 +58,9 @@ def trellis(request):
 
 @pytest.fixture(params=_backends("gotoh"))
 def gotoh(request):
-    """Runs a test once on the compiled Gotoh fill, once on ``gotoh_scalar``."""
+    """Runs a test once on the compiled ``gotoh.c`` (the chain stitch and
+    the lane fill), once on its fallback (the Python stitch, ``gotoh_scalar``
+    on each lane)."""
     yield from _native_then_fallback(request, "gotoh")
 
 

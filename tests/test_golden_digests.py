@@ -31,7 +31,8 @@ before the compiled trellis existed; each is checked on the compiled
 trellis and on the fold, its fallback. Likewise ``er-align``, the one
 digest that runs base-level alignment, was taken on a numpy Gotoh row
 pipeline (since deleted) before the compiled Gotoh fill existed, and is
-checked on the compiled fill and on ``gotoh_scalar``, its fallback.
+checked on the compiled chain stitch (``gotoh.c``'s ``align_chain``) and
+on its fallback, the Python stitch over ``gotoh_scalar``.
 Every outcome digest chains; ``er-map``, taken on a numpy chain fold
 (since deleted) before the compiled chain DP existed, is checked on the
 compiled chain stage and on its fallback (``_gathered`` and
@@ -65,6 +66,7 @@ from conftest import require_native
 import repro.kernels.native as native
 import repro.kernels.viterbi as viterbi_kernels
 import repro.mapping.alignment as alignment_module
+import repro.mapping.mapper as mapper_module
 from repro.basecalling import SurrogateBasecaller, ViterbiBackendConfig, ViterbiChunkBasecaller
 from repro.core import GenPIPConfig, GenPIPPipeline, GenPIPReport
 from repro.mapping import MinimizerIndex
@@ -183,8 +185,8 @@ READ_SETS = {
 #: The read sets decoded by the Viterbi trellis; their digests are
 #: checked on the compiled trellis and on the numpy fold.
 TRELLIS_SETS = ("viterbi-signal", "ser-signal")
-#: The read sets aligned base by base; checked on the compiled Gotoh
-#: fill and on the scalar reference.
+#: The read sets aligned base by base; checked on the compiled chain
+#: stitch and on the Python stitch over the scalar reference.
 GOTOH_SETS = ("er-align",)
 #: The read set whose digest is checked on the compiled chain stage and
 #: on its fallback (every set chains; this one maps the most).
@@ -300,8 +302,8 @@ def test_seeding_outcome_records_match_parent_digest(name, seeding):
 
 @pytest.mark.parametrize("name", GOTOH_SETS)
 def test_gotoh_outcome_records_match_parent_digest(name, gotoh):
-    """Aligned by the compiled Gotoh fill, then by ``gotoh_scalar``
-    (``gotoh`` fixture): the same digest either way."""
+    """Aligned by the compiled chain stitch, then by the Python stitch
+    over ``gotoh_scalar`` (``gotoh`` fixture): the same digest either way."""
     golden = _golden_digests()
     assert _outcome_digest(name)["sha256"] == golden[name]["sha256"]
 
@@ -344,10 +346,11 @@ def test_surrogate_chunks_one_by_one_match_parent_digest():
 
 
 def test_er_align_digest_independent_of_lane_mates(monkeypatch):
-    """Every Gotoh lane filled in its own call rather than with the rest
-    of its read's lanes: which lanes share a call of the compiled fill
-    is a speed choice, not an output one. The compiled fill is pinned:
-    ``gotoh_scalar`` fills each lane alone anyway."""
+    """The mapper's compiled chain stitch replaced by the Python one, and
+    every Gotoh lane filled in its own call of the compiled fill rather
+    than with the rest of its read's lanes: which stitch runs and which
+    lanes share a call are speed choices, not output ones. The compiled
+    fill is pinned: ``gotoh_scalar`` fills each lane alone anyway."""
     require_native("gotoh")
     golden = _golden_digests()
     fill = alignment_module._fill_lanes
@@ -355,7 +358,11 @@ def test_er_align_digest_independent_of_lane_mates(monkeypatch):
     def alone(lanes, config):
         return [fill([lane], config)[0] for lane in lanes]
 
+    def python_stitch(library, *chain):
+        return alignment_module.align_chain(*chain)
+
     monkeypatch.setattr(alignment_module, "_fill_lanes", alone)
+    monkeypatch.setattr(mapper_module, "align_chain_native", python_stitch)
     assert _outcome_digest("er-align")["sha256"] == golden["er-align"]["sha256"]
 
 

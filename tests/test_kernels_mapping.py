@@ -18,7 +18,9 @@ by bytes in ``test_trail_case_*bit_identical`` each):
   must give every lane the identical score and CIGAR the scalar
   reference gives it -- a free-tail extension, and a lane whose path
   leaves the first diagonal band, included -- on every segment shape
-  and every integer-valued scoring, whichever lanes share its call.
+  and every integer-valued scoring, whichever lanes share its call
+  (the compiled chain stitch around it is checked against the Python
+  stitch in ``test_mapping_alignment.py``).
 
 Without a compiler the chain stage falls back to its Python
 composition, the Gotoh fill to its scalar reference, and seeding to its

@@ -1,20 +1,32 @@
 """Tests for affine-gap alignment and CIGARs."""
 
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import fallback, require_native
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.kernels.native as native
+from repro.core import GenPIPConfig, GenPIPPipeline
 from repro.genomics.alphabet import encode
 from repro.genomics.mutate import apply_errors
 from repro.genomics.reference import ReferenceGenome
+from repro.kernels.mapping_ops import process_mapping_ops
+from repro.mapping import MinimizerIndex
 from repro.mapping.alignment import (
     AlignmentConfig,
     AlignmentResult,
-    align_global,
     align_chain,
+    align_chain_native,
+    align_global,
     cigar_to_string,
 )
+from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
+from repro.runtime.engine import DatasetEngine
+from repro.runtime.sink import outcome_to_record
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=60)
 CFG = AlignmentConfig()
@@ -254,3 +266,289 @@ class TestAlignChain:
         result, _, _ = align_chain(ref.codes, read, anchors, 13, config)
         assert result.n_clipped >= 2_000 - 100
         assert result.read_consumed == read.size
+
+
+def _cells_and_result(stitch):
+    """What ``stitch()`` returns, and the ``align-cell`` cells it charged."""
+    ledger = process_mapping_ops()
+    before = ledger.value("align-cell")
+    result = stitch()
+    return ledger.value("align-cell") - before, result
+
+
+@st.composite
+def _chains(draw):
+    """A reference, a read oriented to it, a chain and a config built to
+    reach every piece of the stitch: exact gaps (``dx == dy``, equal
+    spans), equal-length gaps that differ, ragged and one-sided gaps,
+    gaps over ``max_segment_cells``, anchors closer than ``k`` to the
+    last kept one, single-anchor chains, head and tail windows clipped
+    at the reference's ends (no reference before the first anchor or
+    after the last) and by ``max_end_extension``, and reads that start
+    or end at an anchor. Two-letter alphabets make chance matches and
+    co-optimal paths common."""
+    k = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    letters = draw(st.sampled_from([2, 4]))
+
+    def codes(size):
+        return rng.integers(0, letters, size).astype(np.uint8)
+
+    def mutated(span):
+        changed = span.copy()
+        flips = rng.random(span.size) < 0.3
+        changed[flips] = codes(int(flips.sum()))
+        return changed
+
+    ref = [codes(draw(st.integers(0, 30)))]
+    copied = mutated(ref[0][max(ref[0].size - draw(st.integers(0, 40)), 0) :])
+    read = [np.concatenate([codes(draw(st.integers(0, 12))), copied])]
+    anchors = []
+    gaps = st.tuples(
+        st.sampled_from(["exact", "same-length", "ragged"]),
+        st.integers(0, 30),
+        st.integers(0, 30),
+        st.integers(-1, 8),  # >= 0: an anchor fewer than k read bases past, thinned
+    )
+    for kind, dx, dy, close in draw(st.lists(gaps, max_size=5)):
+        rx, ry = sum(map(len, ref)), sum(map(len, read))
+        if anchors:
+            span = codes(dx)
+            ref.append(span)
+            read.append({"exact": span, "same-length": mutated(span)}.get(kind, codes(dy)))
+            rx, ry = rx + dx, ry + read[-1].size
+        anchors.append((rx, ry))
+        if 0 <= close:
+            anchors.append((rx + close, ry + min(close, k - 1)))
+        kmer = codes(k)
+        ref.append(kmer)
+        read.append(kmer)
+    if not anchors:
+        anchors.append((sum(map(len, ref)), sum(map(len, read))))
+        ref.append(codes(k))
+        read.append(ref[-1])
+    tail = codes(draw(st.integers(0, 40)))
+    ref.append(tail)
+    read.append(mutated(tail[: draw(st.integers(0, 40))]))
+    config = AlignmentConfig(
+        *draw(st.sampled_from([(2, -4, -4, -2), (1, -1, -6, -1), (3, -2, -1, -1)])),
+        max_end_extension=draw(st.sampled_from([0, 3, 12, 400])),
+        max_segment_cells=draw(st.sampled_from([0, 40, 300, 4_000_000])),
+    )
+    return np.concatenate(ref), np.concatenate(read), np.array(anchors, dtype=np.int64), k, config
+
+
+class TestCompiledStitch:
+    """``gotoh.c``'s ``align_chain`` (:func:`align_chain_native`) against
+    the Python stitch, :func:`align_chain`, its fallback and reference."""
+
+    @given(_chains())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_compiled_stitch_equals_the_python_stitch(self, chain):
+        require_native("gotoh")
+        reference, read, anchors, k, config = chain
+        expected_cells, (expected, start, end) = _cells_and_result(
+            lambda: align_chain(reference, read, anchors, k, config)
+        )
+        cells, (got, got_start, got_end) = _cells_and_result(
+            lambda: align_chain_native(native.kernel("gotoh"), reference, read, anchors, k, config)
+        )
+        assert got.cigar == expected.cigar
+        assert np.float64(got.score).tobytes() == np.float64(expected.score).tobytes()
+        assert (got_start, got_end) == (start, end)
+        assert got.identity == expected.identity == AlignmentResult(got.score, got.cigar).identity
+        assert cells == expected_cells
+        assert got.read_consumed == read.size
+
+    def test_the_pieces_the_property_reaches(self):
+        """A fixed chain with every piece at once: an exact gap, an
+        equal-length gap that differs, a gap over the cell cap, a thinned
+        anchor, and both ends clipped by the extension cap."""
+        require_native("gotoh")
+        rng = np.random.default_rng(31)
+        reference = rng.integers(0, 4, 400).astype(np.uint8)
+        # Read base i is reference base 100 + i up to 100, then 130 + i.
+        read = np.concatenate([reference[100:200], reference[230:300]])
+        read[72:76] = (read[72:76] + 1) % 4  # the equal-length gap that differs
+        anchors = np.array([[140, 40], [142, 42], [160, 60], [180, 80], [250, 120]], dtype=np.int64)
+        config = AlignmentConfig(max_end_extension=25, max_segment_cells=400)
+        expected = align_chain(reference, read, anchors, 10, config)
+        got = align_chain_native(native.kernel("gotoh"), reference, read, anchors, 10, config)
+        assert got == expected
+        ops = cigar_to_string(expected[0].cigar)
+        assert ops.startswith("15S57=") and ops.endswith("=15S")
+        assert "X" in ops and "60D30I" in ops
+
+    @pytest.mark.parametrize(
+        ("case", "error"),
+        [
+            ("empty chain", ValueError),
+            ("int32 anchors", TypeError),
+            ("strided anchors", TypeError),
+            ("Fortran-order anchors", TypeError),
+            ("anchor list", TypeError),
+            ("three columns", ValueError),
+            ("flat anchors", ValueError),
+            ("k of 0", ValueError),
+            ("k of 2.5", TypeError),
+            ("int64 code past a byte", ValueError),
+            ("negative code", ValueError),
+        ],
+    )
+    def test_both_stitches_refuse_before_any_compiled_code(self, case, error):
+        """Each refusal comes, with the same type and message, from the
+        Python stitch and from :func:`align_chain_native` -- there before
+        the compiled ``align_chain`` is called."""
+        reference, read, anchors, k = self._inputs(case)
+
+        def unreachable(*_args):
+            raise AssertionError("the compiled stitch ran")
+
+        stub = SimpleNamespace(align_chain=unreachable)
+        with pytest.raises(error) as python:
+            align_chain(reference, read, anchors, k, CFG)
+        with pytest.raises(error) as compiled:
+            align_chain_native(stub, reference, read, anchors, k, CFG)
+        assert str(compiled.value) == str(python.value)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "code 4 in a segment",
+            "code 255 in the head window",
+            "code 7 in the tail of the read",
+            "anchor past the read",
+            "anchor past the reference",
+            "negative anchor",
+            "code 9 past a bad anchor",
+        ],
+    )
+    def test_both_stitches_refuse_what_the_compiled_walk_finds(self, case):
+        """A lane's code above 3 and a kept anchor outside a sequence are
+        found by the compiled walk itself: the same type and message as
+        the Python stitch, and no cells charged on either."""
+        require_native("gotoh")
+        reference, read, anchors, k = self._inputs(case)
+        ledger = process_mapping_ops()
+        before = ledger.value("align-cell")
+        with pytest.raises(ValueError) as python:
+            align_chain(reference, read, anchors, k, CFG)
+        with pytest.raises(ValueError) as compiled:
+            align_chain_native(native.kernel("gotoh"), reference, read, anchors, k, CFG)
+        assert str(compiled.value) == str(python.value)
+        assert ledger.value("align-cell") == before
+
+    def test_codes_above_3_that_no_lane_reads_are_aligned_by_both(self):
+        """An anchor k-mer and an exact gap are never filled, so neither
+        stitch reads their codes as bases: both accept a 7 there."""
+        require_native("gotoh")
+        reference, read, anchors, k = self._inputs("none")
+        reference[500:505] = 7
+        read[200:205] = 7  # the first anchor's k-mer
+        expected = align_chain(reference, read, anchors, k, CFG)
+        assert align_chain_native(native.kernel("gotoh"), reference, read, anchors, k, CFG) == expected
+
+    def test_failed_allocation_raises_memory_error(self):
+        """The compiled stitch returns -1 when its scratch ``malloc``
+        fails: the call raises ``MemoryError`` and charges nothing."""
+        reference, read, anchors, k = self._inputs("none")
+        failing = SimpleNamespace(align_chain=lambda *_args: -1)
+        ledger = process_mapping_ops()
+        before = ledger.value("align-cell")
+        with pytest.raises(MemoryError, match="gotoh.c"):
+            align_chain_native(failing, reference, read, anchors, k, CFG)
+        assert ledger.value("align-cell") == before
+
+    def test_threads_stitch_at_once(self):
+        """ctypes releases the GIL and the compiled stitch keeps no state
+        between calls: reads stitched on two threads at once get what
+        lone calls give."""
+        require_native("gotoh")
+        library = native.kernel("gotoh")
+        rng = np.random.default_rng(33)
+        reference = rng.integers(0, 4, 20_000).astype(np.uint8)
+        jobs = []
+        for start in range(0, 16_000, 2_000):
+            read = apply_errors(reference[start : start + 3_000], 0.1, rng).codes
+            anchors = np.array([[start, 0]], dtype=np.int64)
+            jobs.append((reference, read, anchors, 1, CFG))
+        alone = [align_chain_native(library, *job) for job in jobs]
+        with ThreadPoolExecutor(2) as pool:
+            together = list(pool.map(lambda job: align_chain_native(library, *job), jobs * 2))
+        assert together == alone * 2
+
+    @staticmethod
+    def _inputs(case):
+        """A 3 kb reference, a read copied from it with a few edits, and
+        an exact chain of 13-mers over it; ``case`` breaks one of them."""
+        rng = np.random.default_rng(32)
+        reference = rng.integers(0, 4, 3_000).astype(np.uint8)
+        read = apply_errors(reference[300:1_300], 0.05, rng).codes.copy()
+        read[200:213] = reference[500:513]
+        read[600:613] = reference[900:913]
+        anchors = np.array([[500, 200], [900, 600]], dtype=np.int64)
+        k = 13
+        if case == "empty chain":
+            anchors = anchors[:0]
+        elif case == "int32 anchors":
+            anchors = anchors.astype(np.int32)
+        elif case == "strided anchors":
+            anchors = np.repeat(anchors, 2, axis=0)[::2]
+        elif case == "Fortran-order anchors":
+            anchors = np.asfortranarray(anchors)
+        elif case == "anchor list":
+            anchors = anchors.tolist()
+        elif case == "three columns":
+            anchors = np.zeros((2, 3), dtype=np.int64)
+        elif case == "flat anchors":
+            anchors = anchors.ravel()
+        elif case == "k of 0":
+            k = 0
+        elif case == "k of 2.5":
+            k = 2.5
+        elif case == "int64 code past a byte":
+            read = read.astype(np.int64)
+            read[400] = 65_536 + 1
+        elif case == "negative code":
+            reference = reference.astype(np.int64)
+            reference[700] = -1
+        elif case == "code 4 in a segment":
+            read[400] = 4
+        elif case == "code 255 in the head window":
+            reference[450] = 255
+        elif case == "code 7 in the tail of the read":
+            read[-5] = 7
+        elif case == "anchor past the read":
+            anchors[1, 1] = read.size - k + 1
+        elif case == "anchor past the reference":
+            anchors[1, 0] = reference.size - k + 1
+        elif case == "negative anchor":
+            anchors = np.array([[-1, 0]], dtype=np.int64)
+        elif case == "code 9 past a bad anchor":
+            read[400] = 9
+            anchors[1, 1] = read.size
+        return reference, read, anchors, k
+
+    def test_aligned_run_charges_the_same_cells_on_both_paths(self):
+        """An ``ecoli-align``-shaped run -- 3 kb E. coli-like reads, the
+        surrogate basecaller, alignment on -- gives the same records and
+        charges the same ``align-cell`` cells with the compiled stitch
+        as with its fallback, the Python stitch over ``gotoh_scalar``."""
+        require_native("gotoh")
+        dataset = generate_dataset(
+            small_profile(ECOLI_LIKE, max_read_length=3_000), scale=0.0002, seed=7
+        )
+        pipeline = GenPIPPipeline(
+            MinimizerIndex.build(dataset.reference), config=GenPIPConfig(), align=True
+        )
+
+        def run():
+            outcomes = DatasetEngine(pipeline, workers=1).run(dataset.reads).outcomes
+            return [outcome_to_record(outcome) for outcome in outcomes]
+
+        cells, records = _cells_and_result(run)
+        with fallback("gotoh"):
+            fallback_cells, fallback_records = _cells_and_result(run)
+        assert sum(record["status"] == "mapped" for record in records) >= 3
+        assert cells == fallback_cells > 0
+        assert records == fallback_records

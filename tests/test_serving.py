@@ -21,13 +21,14 @@ import glob
 import json
 import multiprocessing
 import os
+import struct
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import recorded_submits
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_runtime_streaming import FailingBasecaller, WorkerExitingBasecaller, kill_worker
 
@@ -35,9 +36,10 @@ from repro.basecalling import ViterbiBackendConfig, ViterbiChunkBasecaller
 from repro.core import GenPIPConfig, GenPIPPipeline
 from repro.mapping.index import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
-from repro.nanopore.read_simulator import ReadClass, SimulatedRead
+from repro.nanopore.read_simulator import ReadClass, SimulatedRead, check_read_metadata
 from repro.nanopore.signal import RawSignal
 from repro.nanopore.signal_read import SignalRead
+from repro.nanopore.signal_store import iter_read_store, write_read_store
 from repro.obs import Histogram, copied_bytes
 from repro.runtime import (
     DatasetEngine,
@@ -344,6 +346,68 @@ def signal_reads(draw):
 
 
 any_read = st.one_of(base_reads(), signal_reads())
+
+
+#: The read metadata a reader checks, found by reflection: every wire
+#: field of a base-space read record but its id, its class and its count.
+METADATA_FIELDS = sorted(set(protocol._RECORD_FIELDS["read"]) - {"read_id", "read_class", "n_bases"})
+
+#: Each metadata field's corrupt values, and where a read store's record
+#: holds the field: its ``struct`` format and its offset past the class
+#: byte. The store's seed is unsigned, so it never carries a negative one.
+CORRUPT_METADATA = {
+    "strand": (st.integers(-128, 127).filter(lambda value: value not in (1, -1)), "<b", 1),
+    "ref_start": (st.integers(-(2**63), -1), "<q", 3),
+    "ref_end": (st.integers(-(2**63), -1), "<q", 11),
+    "seed": (st.integers(-(2**70), -1), "<Q", 19),
+}
+
+
+class TestReadMetadataDoors:
+    """A read enters from outside the process through two doors, a read
+    store and a served record; both refuse the same corrupt metadata
+    with the same message (``check_read_metadata``'s)."""
+
+    def test_every_metadata_field_has_its_corruptions(self):
+        assert METADATA_FIELDS and sorted(CORRUPT_METADATA) == METADATA_FIELDS
+
+    @given(field=st.sampled_from(sorted(CORRUPT_METADATA)), data=st.data())
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_both_doors_refuse_corrupt_metadata_alike(self, field, data, tiny_dataset, tmp_path):
+        values, layout, offset = CORRUPT_METADATA[field]
+        value = data.draw(values)
+        read = next(read for read in tiny_dataset.reads if read.ref_start is not None)
+        metadata = {name: getattr(read, name) for name in METADATA_FIELDS} | {field: value}
+        with pytest.raises(ValueError) as checked:
+            check_read_metadata(**metadata)
+        message = str(checked.value)
+
+        record = protocol.read_to_record(read)
+        record[field] = value
+        with pytest.raises(protocol.ProtocolError) as served:
+            protocol.read_from_record(record)
+        assert str(served.value).endswith(f"{read.read_id!r}: {message}")
+
+        path = tmp_path / "read.gprd"
+        write_read_store(path, [read])
+        stored = bytearray(path.read_bytes())
+        try:
+            struct.pack_into(layout, stored, 10 + 2 + len(read.read_id.encode()) + offset, value)
+        except struct.error:
+            assert field == "seed"  # the store cannot hold it
+            return
+        path.write_bytes(bytes(stored))
+        with pytest.raises(ValueError) as from_store:
+            list(iter_read_store(path))
+        assert str(from_store.value).endswith(f"{read.read_id!r}): {message}")
+
+    def test_both_doors_take_a_read_as_it_was_written(self, tiny_dataset, tmp_path):
+        path = tmp_path / "reads.gprd"
+        write_read_store(path, tiny_dataset.reads)
+        for read, stored in zip(tiny_dataset.reads, iter_read_store(path), strict=True):
+            served = protocol.read_from_record(protocol.read_to_record(read))
+            for name in METADATA_FIELDS:
+                assert getattr(stored, name) == getattr(served, name) == getattr(read, name)
 
 
 class TestReadFrameProperties:
